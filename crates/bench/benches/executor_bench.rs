@@ -8,11 +8,16 @@
 //!
 //! Results land in `BENCH_executor.json`: one `execute_plan_<plan>` row
 //! per plan shape (ns per table row, sequential backend, free oracle
-//! probes — this measures the executor's own bookkeeping, not UDF cost).
+//! probes — this measures the executor's own bookkeeping, not UDF cost),
+//! plus the invoker's read path over a warm session: `memoized_scan_warm`
+//! (a fresh query asking which of the table's rows are already decided —
+//! every row a store hit promoted into the query's memo) and
+//! `evaluate_batch_warm` (the same rows demanded as one batch).
 
 use expred_bench::{report::measure_ns_per_unit, BenchReport};
 use expred_core::execute::execute_plan;
 use expred_core::plan::Plan;
+use expred_exec::{CacheStore, ExecContext, Sequential};
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB};
 use expred_udf::{OracleUdf, UdfInvoker};
@@ -77,6 +82,28 @@ fn main() {
     let scenario = "execute_plan_fractional_with_memo";
     report.record(scenario, "sequential", ns, 1.0);
     println!("{scenario:<30} {ns:>8.1} ns/row");
+
+    // The read path over a session that already paid for every row.
+    let store = CacheStore::new();
+    let ctx = ExecContext::sequential().with_cache(&store);
+    let all_rows: Vec<usize> = (0..rows).collect();
+    UdfInvoker::with_context(&udf, &ds.table, &ctx).evaluate_batch(&Sequential, &all_rows);
+    let ns = measure_ns_per_unit(rows as u64, reps, || {
+        let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
+        for (_, _, group) in groups.iter() {
+            black_box(invoker.known_many(group.iter().map(|&row| row as usize)));
+        }
+        assert_eq!(invoker.counts().reuse_hits, rows as u64);
+    });
+    report.record("memoized_scan_warm", "sequential", ns, 1.0);
+    println!("{:<30} {ns:>8.1} ns/row", "memoized_scan_warm");
+    let ns = measure_ns_per_unit(rows as u64, reps, || {
+        let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
+        black_box(invoker.evaluate_batch(&Sequential, &all_rows));
+        assert_eq!(invoker.counts().reuse_hits, rows as u64);
+    });
+    report.record("evaluate_batch_warm", "sequential", ns, 1.0);
+    println!("{:<30} {ns:>8.1} ns/row", "evaluate_batch_warm");
 
     match report.write() {
         Ok(path) => println!("results written to {}", path.display()),

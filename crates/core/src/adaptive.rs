@@ -73,8 +73,7 @@ pub fn run_intel_sample_adaptive_ctx(
     let compute_seconds = start.elapsed().as_secs_f64();
 
     let truth = truth_vector(table, LABEL_COLUMN);
-    let returned_usize: Vec<usize> = result.returned.iter().map(|&r| r as usize).collect();
-    let summary = precision_recall(&returned_usize, &truth);
+    let summary = precision_recall(result.returned.iter().map(|&r| r as usize), &truth);
     let counts = invoker.counts();
     RunOutcome {
         returned: result.returned,
@@ -223,8 +222,7 @@ pub fn run_intel_sample_iterative_ctx(
 
     let compute_seconds = start.elapsed().as_secs_f64();
     let truth = truth_vector(table, LABEL_COLUMN);
-    let returned_usize: Vec<usize> = returned.iter().map(|&r| r as usize).collect();
-    let summary = precision_recall(&returned_usize, &truth);
+    let summary = precision_recall(returned.iter().map(|&r| r as usize), &truth);
     let counts = invoker.counts();
     RunOutcome {
         returned,

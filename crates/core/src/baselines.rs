@@ -91,13 +91,10 @@ fn label_prefix(
         invoker.retrieve_and_evaluate_batch(ctx.executor, &perm[*labelled_so_far..m]);
         *labelled_so_far = m;
     }
-    perm[..m]
-        .iter()
-        .map(|&r| {
-            invoker
-                .memoized(r)
-                .expect("labelled rows must be evaluated")
-        })
+    invoker
+        .known_many(perm[..m].iter().copied())
+        .into_iter()
+        .map(|label| label.expect("labelled rows must be evaluated"))
         .collect()
 }
 
@@ -141,7 +138,7 @@ pub fn run_learning_ctx(
         let labelled = &perm[..m];
         let outcome = self_train(&features, labelled, &labels, cfg);
         let returned = learning_returned_set(&outcome, labelled, &labels);
-        let summary = precision_recall(&returned, &truth);
+        let summary = precision_recall(returned.iter().copied(), &truth);
         let meets = summary.meets(spec.alpha, spec.beta);
         if meets {
             return outcome_from(
@@ -216,7 +213,7 @@ pub fn run_multiple_ctx(
                 .filter(|(_, &keep)| keep)
                 .map(|(r, _)| r)
                 .collect();
-            let s = precision_recall(&returned, &truth);
+            let s = precision_recall(returned.iter().copied(), &truth);
             p_acc += s.precision;
             r_acc += s.recall;
         }
@@ -224,7 +221,7 @@ pub fn run_multiple_ctx(
         let mean_r = r_acc / imps.len() as f64;
         // The reported answer set: evaluated-true plus predicted-true.
         let returned = learning_returned_set(&outcome, labelled, &labels);
-        let summary = precision_recall(&returned, &truth);
+        let summary = precision_recall(returned.iter().copied(), &truth);
         if mean_p >= spec.alpha && mean_r >= spec.beta {
             return outcome_from(
                 returned, labelled, summary, &spec.cost, &invoker, start, true,

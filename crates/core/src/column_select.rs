@@ -104,13 +104,15 @@ pub fn rank_columns_ctx(
         // Grow the labelled sample to the current target.
         let missing = target.saturating_sub(labelled.len());
         if missing > 0 {
-            let unlabelled: Vec<u32> = (0..n as u32)
-                .filter(|&r| !invoker.is_evaluated(r as usize))
+            let unlabelled: Vec<usize> = (0..n)
+                .zip(invoker.known_many(0..n))
+                .filter(|(_, known)| known.is_none())
+                .map(|(row, _)| row)
                 .collect();
             let batch: Vec<usize> = rng
                 .sample_indices(unlabelled.len(), missing)
                 .into_iter()
-                .map(|idx| unlabelled[idx] as usize)
+                .map(|idx| unlabelled[idx])
                 .collect();
             invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
             labelled.extend(batch.into_iter().map(|row| row as u32));
@@ -167,10 +169,11 @@ fn score_column(
     let row_to_group = groups.group_of_rows();
     let mut pos = vec![0u64; groups.num_groups()];
     let mut tot = vec![0u64; groups.num_groups()];
-    for &row in labelled {
+    let labels = invoker.known_many(labelled.iter().map(|&row| row as usize));
+    for (&row, label) in labelled.iter().zip(labels) {
         let g = row_to_group[row as usize];
         tot[g] += 1;
-        if invoker.memoized(row as usize) == Some(true) {
+        if label == Some(true) {
             pos[g] += 1;
         }
     }
@@ -208,13 +211,10 @@ pub fn virtual_column(
     assert!(!labelled.is_empty(), "virtual column needs labelled rows");
     let features = extract_features_cached(table, exclude, FeatureSpec::default(), ctx.derived);
     let rows: Vec<usize> = labelled.iter().map(|&r| r as usize).collect();
-    let labels: Vec<bool> = rows
-        .iter()
-        .map(|&r| {
-            invoker
-                .memoized(r)
-                .expect("labelled rows must be evaluated")
-        })
+    let labels: Vec<bool> = invoker
+        .known_many(rows.iter().copied())
+        .into_iter()
+        .map(|label| label.expect("labelled rows must be evaluated"))
         .collect();
     let model = train(&features, &rows, &labels, TrainConfig::default());
     let scores = model.predict_all(&features);

@@ -15,7 +15,7 @@
 use crate::plan::Plan;
 use expred_exec::{BatchPlanner, ExecContext, Executor};
 use expred_stats::rng::Prng;
-use expred_table::GroupBy;
+use expred_table::{Column, GroupBy, Table};
 use expred_udf::UdfInvoker;
 
 /// The rows a query execution returned (cost lives in the invoker).
@@ -98,9 +98,11 @@ pub fn execute_plan_with_planner(
         let r = plan.r()[g];
         let e = plan.e()[g];
         let eval_given_retrieved = if r > 0.0 { (e / r).min(1.0) } else { 0.0 };
-        for &row in rows {
+        let known = invoker.known_many(rows.iter().map(|&row| row as usize));
+        let mut retrieved = 0u64;
+        for (&row, known) in rows.iter().zip(known) {
             // Sampled tuples are already decided.
-            if let Some(answer) = invoker.memoized(row as usize) {
+            if let Some(answer) = known {
                 if answer {
                     returned.push(row);
                     reused_positives += 1;
@@ -110,13 +112,14 @@ pub fn execute_plan_with_planner(
             if r <= 0.0 || !rng.bernoulli(r) {
                 continue;
             }
-            invoker.charge_retrievals(1);
+            retrieved += 1;
             if eval_given_retrieved > 0.0 && rng.bernoulli(eval_given_retrieved) {
                 planner.enqueue(g, row as usize);
             } else {
                 returned.push(row);
             }
         }
+        invoker.charge_retrievals(retrieved);
     }
     // Every queued row is fresh (the memoized branch above skipped the
     // rest) and distinct (groups partition rows), so the audited batch
@@ -133,14 +136,22 @@ pub fn execute_plan_with_planner(
 }
 
 /// Reads the ground-truth vector for evaluation purposes (never available
-/// to the planning code).
-pub fn truth_vector(table: &expred_table::Table, label_column: &str) -> Vec<bool> {
-    let col = table
-        .column(label_column)
-        .unwrap_or_else(|| panic!("label column {label_column:?} missing"));
-    (0..table.num_rows())
-        .map(|r| col.bool_at(r).expect("label column must be non-null bool"))
-        .collect()
+/// to the planning code), in one pass over the label column.
+///
+/// # Panics
+///
+/// If `label_column` is missing, not boolean, or holds NULLs — which
+/// [`crate::strategy::Strategy::validate`] rejects as a typed error
+/// before a request runs, so only harness code that skips validation can
+/// get here with such a table.
+pub fn truth_vector(table: &Table, label_column: &str) -> Vec<bool> {
+    let labels = match table.column(label_column) {
+        Some(Column::Bool(values)) => values.iter().copied().collect::<Option<Vec<bool>>>(),
+        _ => None,
+    };
+    labels.unwrap_or_else(|| {
+        panic!("label column {label_column:?} must be a boolean column without NULLs")
+    })
 }
 
 #[cfg(test)]

@@ -215,8 +215,7 @@ pub fn run_intel_sample_ctx(
     let compute_seconds = start.elapsed().as_secs_f64();
 
     let truth = truth_vector(table, LABEL_COLUMN);
-    let returned_usize: Vec<usize> = result.returned.iter().map(|&r| r as usize).collect();
-    let summary = precision_recall(&returned_usize, &truth);
+    let summary = precision_recall(result.returned.iter().map(|&r| r as usize), &truth);
     let counts = invoker.counts();
     RunOutcome {
         returned: result.returned,
@@ -275,8 +274,7 @@ pub fn run_optimal_ctx(
     };
     let result = execute_plan_ctx(&plan, &groups, &invoker, &mut rng, ctx);
     let compute_seconds = start.elapsed().as_secs_f64();
-    let returned_usize: Vec<usize> = result.returned.iter().map(|&r| r as usize).collect();
-    let summary = precision_recall(&returned_usize, &truth);
+    let summary = precision_recall(result.returned.iter().map(|&r| r as usize), &truth);
     let counts = invoker.counts();
     RunOutcome {
         returned: result.returned,
@@ -330,8 +328,7 @@ pub fn run_naive_ctx(
     returned.sort_unstable();
     let compute_seconds = start.elapsed().as_secs_f64();
     let truth = truth_vector(table, LABEL_COLUMN);
-    let returned_usize: Vec<usize> = returned.iter().map(|&r| r as usize).collect();
-    let summary = precision_recall(&returned_usize, &truth);
+    let summary = precision_recall(returned.iter().map(|&r| r as usize), &truth);
     let counts = invoker.counts();
     RunOutcome {
         returned,

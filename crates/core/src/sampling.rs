@@ -122,33 +122,33 @@ pub fn sample_groups_ctx(
     let mut positives = Vec::with_capacity(groups.num_groups());
     for (g, _, rows) in groups.iter() {
         let target = rule.sample_size(groups.size(g), n);
+        let scan = || invoker.known_many(rows.iter().map(|&row| row as usize));
         // Free information first: rows already evaluated.
-        let mut known: Vec<u32> = rows
-            .iter()
-            .copied()
-            .filter(|&r| invoker.is_evaluated(r as usize))
-            .collect();
-        if known.len() < target {
-            // Pay for the shortfall with fresh random rows.
-            let fresh: Vec<u32> = rows
+        let known = scan();
+        let mut total = known.iter().flatten().count();
+        let mut pos = known.iter().filter(|&&k| k == Some(true)).count();
+        if total < target {
+            // Pay for the shortfall with fresh random rows. The group is
+            // scanned again rather than read off `known`: a row another
+            // query of the session landed in between is neither drawn
+            // fresh nor counted (and the store sees the same probes the
+            // per-row walk made).
+            let fresh: Vec<usize> = rows
                 .iter()
-                .copied()
-                .filter(|&r| !invoker.is_evaluated(r as usize))
+                .zip(scan())
+                .filter(|(_, known)| known.is_none())
+                .map(|(&row, _)| row as usize)
                 .collect();
-            let need = target - known.len();
             let batch: Vec<usize> = rng
-                .sample_indices(fresh.len(), need)
+                .sample_indices(fresh.len(), target - total)
                 .into_iter()
-                .map(|idx| fresh[idx] as usize)
+                .map(|idx| fresh[idx])
                 .collect();
-            invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
-            known.extend(batch.into_iter().map(|row| row as u32));
+            let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
+            total += batch.len();
+            pos += answers.iter().filter(|&&a| a).count();
         }
-        let pos = known
-            .iter()
-            .filter(|&&r| invoker.memoized(r as usize) == Some(true))
-            .count() as u64;
-        let total = known.len() as u64;
+        let (pos, total) = (pos as u64, total as u64);
         estimates.push(SelectivityEstimate::from_sample(pos, total));
         evaluated.push(total);
         positives.push(pos);

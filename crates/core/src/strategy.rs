@@ -44,7 +44,7 @@ use expred_exec::ExecContext;
 use expred_ml::metrics::PrSummary;
 use expred_stats::hash::Fnv64;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
-use expred_table::Table;
+use expred_table::{DataType, Table};
 use expred_udf::{evaluate_expr_batch_ctx, BooleanUdf, CostModel, CostTracker, PredicateExpr};
 use std::time::Instant;
 
@@ -239,9 +239,24 @@ fn require_column(table: &Table, column: &str) -> Result<(), EngineError> {
 }
 
 /// Shared validation for every built-in pipeline: the label oracle
-/// column must exist (all seven evaluate it as the expensive UDF).
+/// column must exist and be a boolean column without NULLs (all seven
+/// evaluate it as the expensive UDF and score their answer against it).
+/// Reads the memoized column statistics, so repeat requests pay a lookup.
 fn require_label_column(ds: &Dataset) -> Result<(), EngineError> {
-    require_column(&ds.table, LABEL_COLUMN)
+    require_column(&ds.table, LABEL_COLUMN)?;
+    let boolean =
+        ds.table.schema().field(LABEL_COLUMN).map(|f| f.data_type()) == Some(DataType::Bool);
+    let labelled = ds
+        .table
+        .column_stats(LABEL_COLUMN)
+        .is_some_and(|s| s.null_count == 0);
+    if boolean && labelled {
+        Ok(())
+    } else {
+        Err(EngineError::InvalidRequest {
+            reason: format!("label column {LABEL_COLUMN:?} must be a boolean column without NULLs"),
+        })
+    }
 }
 
 fn validate_rule(rule: SampleSizeRule) -> Result<(), EngineError> {
@@ -799,6 +814,34 @@ mod tests {
         assert_ne!(naive.digest64(), learning.digest64());
         let other = StrategyIdentity::of(&Naive(QuerySpec::new(0.7, 0.8, 0.8, spec.cost)));
         assert_ne!(naive, other);
+    }
+
+    #[test]
+    fn validation_rejects_a_label_column_that_cannot_be_scored() {
+        // A NULL or non-boolean label would panic the oracle (and
+        // `truth_vector`) mid-query; validation must reject it first.
+        use expred_table::{Field, Schema, Value};
+        let with_labels = |data_type, labels: Vec<Value>| Dataset {
+            table: Table::from_rows(
+                Schema::new(vec![Field::nullable(LABEL_COLUMN, data_type)]),
+                labels.into_iter().map(|label| vec![label]).collect(),
+            )
+            .unwrap(),
+            spec: PROSPER,
+            seed: 0,
+        };
+        let naive = Naive(QuerySpec::paper_default());
+        let good = with_labels(DataType::Bool, vec![Value::Bool(true), Value::Bool(false)]);
+        assert!(naive.validate(&good).is_ok());
+        for bad in [
+            with_labels(DataType::Bool, vec![Value::Bool(true), Value::Null]),
+            with_labels(DataType::Int, vec![Value::Int(1), Value::Int(0)]),
+        ] {
+            assert!(matches!(
+                naive.validate(&bad),
+                Err(EngineError::InvalidRequest { .. })
+            ));
+        }
     }
 
     #[test]

@@ -1,102 +1,129 @@
-//! [`ShardedMemo`]: a lock-striped concurrent memo table.
+//! [`RowBits`]: a dense, lock-free `row -> bool` memo.
 //!
-//! The seed's invoker guarded its memo with a single `Mutex<HashMap>`,
-//! which serializes every worker of a parallel batch on one lock. This
-//! structure stripes the key space across many small `RwLock`ed maps:
-//! readers of different shards never contend, and writers contend only
-//! within a shard (1/shards of the time for uniformly hashed keys).
+//! Row ids are dense integers in `[0, num_rows)`, so a memo of boolean
+//! answers needs no hashing and no locks: two bit planes — `known`
+//! (has this row been answered?) and `answer` — one bit per row each.
+//! A lookup is two loads — for up to 64 neighbouring rows at once
+//! ([`RowBits::word`]); an insert is at most two atomic ORs, and the
+//! *previous* value of the `known` bit tells the caller whether it was
+//! the one that made the row known (what keeps a promotion charged
+//! exactly once when two workers race on the same row).
+//!
+//! # Publication order
+//!
+//! A writer lands the `answer` bit before it sets the `known` bit
+//! (`Release`); a reader loads `known` (`Acquire`) before `answer`. A
+//! reader that sees a row as known therefore sees its answer.
 
-use std::collections::HashMap;
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Default shard count; plenty of striping for any realistic core count
-/// while keeping the empty structure small.
-const DEFAULT_SHARDS: usize = 64;
-
-/// A concurrent `usize -> V` map striped over `RwLock`ed shards.
-///
-/// All operations take `&self`; interior locks are per shard. Poisoning
-/// is ignored (a panicked writer can only have aborted a single-entry
-/// insert, which is harmless for a memo table).
-#[derive(Debug)]
-pub struct ShardedMemo<V> {
-    shards: Box<[RwLock<HashMap<usize, V>>]>,
-    mask: usize,
+/// A zeroed plane of `words` atomic 64-bit words.
+pub(crate) fn zeroed_plane(words: usize) -> Box<[AtomicU64]> {
+    (0..words).map(|_| AtomicU64::new(0)).collect()
 }
 
-impl<V: Copy> ShardedMemo<V> {
-    /// A memo with the default shard count.
-    pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
+/// Makes the bits of `mask` in `word` equal `value`'s bits, touching the
+/// cache line for writing only when something actually changes.
+#[inline]
+pub(crate) fn assign_bits(word: &AtomicU64, mask: u64, value: u64, order: Ordering) {
+    let current = word.load(Ordering::Relaxed);
+    let set = value & mask & !current;
+    let clear = !value & mask & current;
+    if set != 0 {
+        word.fetch_or(set, order);
     }
+    if clear != 0 {
+        word.fetch_and(!clear, order);
+    }
+}
 
-    /// A memo with at least `shards` stripes (rounded up to a power of
-    /// two so shard selection is a mask, not a division).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let shards: Vec<RwLock<HashMap<usize, V>>> =
-            (0..n).map(|_| RwLock::new(HashMap::new())).collect();
+/// A concurrent `row -> bool` memo over the rows `[0, rows)`.
+///
+/// All operations take `&self` and never block. Answers are expected to
+/// be row-deterministic (every writer of a row writes the same answer);
+/// a conflicting re-insert simply overwrites.
+#[derive(Debug)]
+pub struct RowBits {
+    known: Box<[AtomicU64]>,
+    answer: Box<[AtomicU64]>,
+}
+
+impl RowBits {
+    /// An empty memo able to hold rows `[0, rows)`.
+    pub fn new(rows: usize) -> Self {
+        let words = rows.div_ceil(64);
         Self {
-            shards: shards.into_boxed_slice(),
-            mask: n - 1,
+            known: zeroed_plane(words),
+            answer: zeroed_plane(words),
         }
     }
 
-    /// Fibonacci-hashes `key` onto a shard. Row ids arrive in runs
-    /// (contiguous per correlation group), so the multiplier spreads
-    /// neighboring keys across different stripes.
-    fn shard(&self, key: usize) -> &RwLock<HashMap<usize, V>> {
-        let spread = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[(spread as usize) & self.mask]
+    /// The `(known, answer)` planes of rows `[64 * word, 64 * word + 64)`
+    /// — bit `i` speaks for row `64 * word + i`; both zero past the end.
+    /// `answer` bits are meaningful only where `known` is set.
+    #[inline]
+    pub fn word(&self, word: usize) -> (u64, u64) {
+        match self.known.get(word) {
+            Some(known) => (
+                known.load(Ordering::Acquire),
+                self.answer[word].load(Ordering::Relaxed),
+            ),
+            None => (0, 0),
+        }
     }
 
-    /// The memoized value for `key`, if present.
-    pub fn get(&self, key: usize) -> Option<V> {
-        self.shard(key)
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .copied()
+    /// The memoized answer for `row`; `None` for unknown rows, including
+    /// rows past the end.
+    #[inline]
+    pub fn get(&self, row: usize) -> Option<bool> {
+        let (known, answer) = self.word(row / 64);
+        let bit = 1u64 << (row % 64);
+        (known & bit != 0).then_some(answer & bit != 0)
     }
 
-    /// Whether `key` is memoized.
-    pub fn contains(&self, key: usize) -> bool {
-        self.get(key).is_some()
+    /// Memoizes `answer` for `row`. Returns whether this call made the
+    /// row known (`false` when it already was).
+    ///
+    /// # Panics
+    ///
+    /// If `row` is past the end the memo was sized for.
+    #[inline]
+    pub fn insert(&self, row: usize, answer: bool) -> bool {
+        let bit = 1u64 << (row % 64);
+        self.merge_word(row / 64, bit, if answer { bit } else { 0 }) != 0
     }
 
-    /// Inserts `value` for `key`, returning the previous value if any.
-    pub fn insert(&self, key: usize, value: V) -> Option<V> {
-        self.shard(key)
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, value)
+    /// Memoizes up to 64 rows of one word at once: the rows whose bits
+    /// are set in `known`, with their answers in `answer`. Returns the
+    /// mask of rows this call made known.
+    ///
+    /// # Panics
+    ///
+    /// If `word` is past the end the memo was sized for.
+    #[inline]
+    pub fn merge_word(&self, word: usize, known: u64, answer: u64) -> u64 {
+        assign_bits(&self.answer[word], known, answer, Ordering::Release);
+        known & !self.known[word].fetch_or(known, Ordering::AcqRel)
     }
 
-    /// Total number of memoized entries (sums across shards; exact only
-    /// while no writers are active).
+    /// Forgets `row`, returning the answer it held.
+    pub fn remove(&self, row: usize) -> Option<bool> {
+        let bit = 1u64 << (row % 64);
+        let known = self.known.get(row / 64)?.fetch_and(!bit, Ordering::AcqRel);
+        (known & bit != 0).then(|| self.answer[row / 64].load(Ordering::Relaxed) & bit != 0)
+    }
+
+    /// Number of memoized rows (exact only while no writers are active).
     pub fn len(&self) -> usize {
-        self.shards
+        self.known
             .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len())
+            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
             .sum()
     }
 
-    /// Whether the memo holds no entries.
+    /// Whether no row is memoized.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Removes every entry.
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.write().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    }
-}
-
-impl<V: Copy> Default for ShardedMemo<V> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -105,64 +132,68 @@ mod tests {
     use super::*;
 
     #[test]
-    fn basic_get_insert() {
-        let memo: ShardedMemo<bool> = ShardedMemo::new();
+    fn get_insert_round_trips_at_word_boundaries() {
+        let memo = RowBits::new(130);
         assert!(memo.is_empty());
-        assert_eq!(memo.get(7), None);
-        assert_eq!(memo.insert(7, true), None);
-        assert_eq!(memo.insert(7, false), Some(true));
-        assert_eq!(memo.get(7), Some(false));
-        assert!(memo.contains(7));
-        assert_eq!(memo.len(), 1);
-        memo.clear();
-        assert!(memo.is_empty());
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        let memo: ShardedMemo<u8> = ShardedMemo::with_shards(5);
-        assert_eq!(memo.shards.len(), 8);
-        let memo: ShardedMemo<u8> = ShardedMemo::with_shards(0);
-        assert_eq!(memo.shards.len(), 1);
-    }
-
-    #[test]
-    fn many_keys_spread_over_shards() {
-        let memo: ShardedMemo<usize> = ShardedMemo::with_shards(16);
-        for k in 0..10_000 {
-            memo.insert(k, k);
+        for row in [0, 63, 64, 127, 128, 129] {
+            assert_eq!(memo.get(row), None);
+            assert!(memo.insert(row, row % 2 == 0), "row {row} is new");
+            assert_eq!(memo.get(row), Some(row % 2 == 0));
+            assert!(!memo.insert(row, row % 2 == 0), "row {row} was known");
         }
-        assert_eq!(memo.len(), 10_000);
-        // Contiguous keys must not pile into one stripe.
-        let occupancies: Vec<usize> = memo
-            .shards
-            .iter()
-            .map(|s| s.read().unwrap().len())
-            .collect();
-        let max = occupancies.iter().copied().max().unwrap();
-        assert!(max < 2_000, "one shard holds {max} of 10000 entries");
-        for k in (0..10_000).step_by(37) {
-            assert_eq!(memo.get(k), Some(k));
-        }
+        assert_eq!(memo.len(), 6);
+        assert_eq!(memo.get(1), None, "neighbours stay unknown");
+        assert_eq!(memo.get(130), None, "past the end is unknown");
+        assert_eq!(memo.get(usize::MAX), None);
     }
 
     #[test]
-    fn concurrent_writers_land_every_entry() {
-        let memo: ShardedMemo<usize> = ShardedMemo::new();
-        std::thread::scope(|scope| {
-            for worker in 0..8usize {
-                let memo = &memo;
-                scope.spawn(move || {
-                    for i in 0..500 {
-                        let key = worker * 500 + i;
-                        memo.insert(key, key * 2);
-                    }
-                });
-            }
+    fn reinsert_overwrites_the_answer() {
+        let memo = RowBits::new(8);
+        memo.insert(3, true);
+        assert!(!memo.insert(3, false));
+        assert_eq!(memo.get(3), Some(false));
+        assert_eq!(memo.remove(3), Some(false));
+        assert_eq!(
+            (memo.remove(3), memo.get(3), memo.remove(8)),
+            (None, None, None)
+        );
+        assert!(memo.insert(3, true), "a removed row is new again");
+        assert_eq!(RowBits::new(0).get(0), None);
+    }
+
+    #[test]
+    fn merge_word_reports_only_newly_known_rows() {
+        let memo = RowBits::new(128);
+        memo.insert(64, true);
+        let fresh = memo.merge_word(1, 0b111, 0b010);
+        assert_eq!(fresh, 0b110, "row 64 was already known");
+        assert_eq!(memo.get(64), Some(false), "merge overwrites answers");
+        assert_eq!(memo.get(65), Some(true));
+        assert_eq!(memo.get(66), Some(false));
+        assert_eq!(memo.merge_word(1, 0, 0), 0);
+    }
+
+    #[test]
+    fn exactly_one_racing_inserter_wins_each_row() {
+        let memo = RowBits::new(4_096);
+        let barrier = std::sync::Barrier::new(8);
+        let wins: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        (0..4_096)
+                            .filter(|&row| memo.insert(row, row % 3 == 0))
+                            .count()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
-        assert_eq!(memo.len(), 4_000);
-        for key in 0..4_000 {
-            assert_eq!(memo.get(key), Some(key * 2));
+        assert_eq!(wins, 4_096, "every row has exactly one first writer");
+        for row in 0..4_096 {
+            assert_eq!(memo.get(row), Some(row % 3 == 0));
         }
     }
 }

@@ -22,12 +22,11 @@
 //! * [`adaptive`] — [`AdaptiveController`], the shared per-probe latency
 //!   EWMA that sizes planner drain slices between a floor and the
 //!   context's `max_in_flight`;
-//! * [`cache`] — [`ShardedMemo`], a lock-striped concurrent memo table so
-//!   workers sharing one result cache do not serialize on a single lock;
-//! * [`store`] — [`CacheStore`], the generalization of the memo to a
-//!   long-lived, capacity-bounded, `(udf, table, version)`-namespaced
-//!   cache that outlives individual queries; invokers borrow
-//!   [`CacheHandle`]s from it instead of owning their memo;
+//! * [`cache`] — [`RowBits`], the dense lock-free `row -> bool` bitmap
+//!   an invoker memoizes one query's answers in;
+//! * [`store`] — [`CacheStore`], the long-lived, capacity-bounded,
+//!   `(udf, table, version)`-namespaced bitmap cache that outlives
+//!   individual queries; invokers borrow [`CacheHandle`]s from it;
 //! * [`selectivity`] — [`SelectivityTracker`], the session's observed
 //!   per-namespace pass rates: invokers feed it with every fresh answer,
 //!   and the expression optimizer ranks `AND`/`OR` siblings by it;
@@ -71,7 +70,7 @@ pub mod store;
 pub mod window;
 
 pub use adaptive::{AdaptiveController, DEFAULT_WINDOW_FLOOR};
-pub use cache::ShardedMemo;
+pub use cache::RowBits;
 pub use context::ExecContext;
 pub use executor::{BatchProbe, Executor, Sequential};
 pub use parallel::Parallel;
@@ -79,7 +78,7 @@ pub use planner::{BatchPlanner, GroupedAnswer, DEFAULT_MAX_IN_FLIGHT};
 pub use pool::WorkerPool;
 pub use selectivity::{SelectivityHandle, SelectivityTracker, DEFAULT_SELECTIVITY_CAPACITY};
 pub use store::{
-    CacheHandle, CacheNamespace, CacheStats, CacheStore, SpillSink, DEFAULT_CACHE_CAPACITY,
-    MAX_LIVE_VERSIONS,
+    CacheHandle, CacheNamespace, CacheReader, CacheStats, CacheStore, SpillSink,
+    DEFAULT_CACHE_CAPACITY, MAX_LIVE_VERSIONS,
 };
 pub use window::{InFlightWindow, DEFAULT_WINDOW};

@@ -1,14 +1,24 @@
 //! [`CacheStore`]: the long-lived, cross-query evaluation cache.
 //!
-//! [`crate::ShardedMemo`] solves the *within-query* problem: concurrent
-//! workers of one batch sharing one result cache without serializing on a
-//! lock. This module generalizes it to the *cross-query* problem the
-//! paper's §4.2 observation implies: an already-evaluated tuple "can be
+//! The paper's §4.2 observation — an already-evaluated tuple "can be
 //! simply returned as part of the query result without re-evaluating" —
-//! and nothing about that observation stops at a query boundary. The
-//! store namespaces entries by `(udf, table, table version)`, bounds its
-//! memory with sharded second-chance (CLOCK) eviction, and reports
+//! does not stop at a query boundary. [`crate::RowBits`] is the
+//! *within-query* memo; this store is the *cross-query* one: entries are
+//! namespaced by `(udf, table, table version)`, memory is bounded per
+//! namespace with second-chance (CLOCK) eviction, and the store reports
 //! hit/miss/eviction/invalidation statistics.
+//!
+//! # Layout
+//!
+//! Row ids are dense integers, so a namespace is a position bitmap, the
+//! representation column engines use for predicate results: on-demand
+//! pages of 4096 rows, each three bit planes (`known`, `answer`,
+//! `referenced`) — 3 bits per cached row, 1.5 KB per touched page,
+//! nothing allocated in proportion to the largest key. A lookup is a
+//! page-table probe (skipped for runs of nearby rows by
+//! [`CacheReader`]) and two loads; it takes no lock on the planes.
+//! Writers serialize per namespace on the CLOCK hand's mutex, which is
+//! also what makes the capacity bound exact.
 //!
 //! # Keying and invalidation
 //!
@@ -31,9 +41,10 @@
 //! must layer a per-query memo in front (the invoker does exactly that)
 //! and treat the store as a best-effort accelerator.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use crate::cache::{assign_bits, zeroed_plane, RowBits};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Receives cache writes for durable storage.
@@ -46,8 +57,8 @@ use std::time::{Duration, Instant};
 /// echoing them back would re-log every restart.
 ///
 /// Implementations must never block meaningfully (the store calls them
-/// outside its shard locks, but on the evaluation hot path) and must not
-/// call back into the store.
+/// outside its locks, but on the evaluation hot path) and must not call
+/// back into the store.
 pub trait SpillSink: Send + Sync + std::fmt::Debug {
     /// Offers one `(namespace, row, answer)` for durable storage.
     fn spill(&self, namespace: CacheNamespace, row: usize, answer: bool);
@@ -67,9 +78,6 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 /// immediately superseded), and a pair of diverged clones queried
 /// alternately — which must *not* thrash each other's namespaces.
 pub const MAX_LIVE_VERSIONS: usize = 2;
-
-/// Shard count per namespace (same striping rationale as `ShardedMemo`).
-const NAMESPACE_SHARDS: usize = 64;
 
 /// The key of one cache namespace: which UDF over which table state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,30 +149,70 @@ impl AtomicStats {
     }
 }
 
-/// One cached answer plus its CLOCK referenced bit. The bit is atomic so
-/// a hit can mark it under a *shared* read lock — lookups never exclude
-/// other readers.
+/// Rows per page: 64 words of 64 bits in each plane.
+const PAGE_ROWS: usize = 4096;
+const PAGE_WORDS: usize = PAGE_ROWS / 64;
+
+/// 4096 consecutive rows of one namespace: which are cached and their
+/// answers (a [`RowBits`] over row offsets), plus each entry's CLOCK
+/// referenced bit. All atomic, so lookups — which also mark
+/// `referenced` — never take a lock.
 #[derive(Debug)]
-struct CacheEntry {
-    answer: bool,
-    referenced: AtomicBool,
+struct Page {
+    bits: RowBits,
+    referenced: Box<[AtomicU64]>,
 }
 
-/// One lock-striped shard: entries plus the CLOCK ring over their keys.
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<usize, CacheEntry>,
-    /// Insertion ring the CLOCK hand walks for eviction.
-    ring: VecDeque<usize>,
+impl Page {
+    fn new() -> Self {
+        Self {
+            bits: RowBits::new(PAGE_ROWS),
+            referenced: zeroed_plane(PAGE_WORDS),
+        }
+    }
+
+    /// Advances the CLOCK hand over this page from row offset `from`:
+    /// referenced entries it passes lose their bit (their second
+    /// chance), and the first unreferenced entry's offset is returned.
+    fn sweep(&self, from: usize) -> Option<usize> {
+        for word in from / 64..PAGE_WORDS {
+            let ahead = if word == from / 64 {
+                u64::MAX << (from % 64)
+            } else {
+                u64::MAX
+            };
+            let known = self.bits.word(word).0 & ahead;
+            let victims = known & !self.referenced[word].load(Ordering::Relaxed);
+            // Entries below the first victim (all of them, without one)
+            // are the referenced ones the hand passes over.
+            let passed = known & (victims & victims.wrapping_neg()).wrapping_sub(1);
+            assign_bits(&self.referenced[word], passed, 0, Ordering::Relaxed);
+            if victims != 0 {
+                return Some(word * 64 + victims.trailing_zeros() as usize);
+            }
+        }
+        None
+    }
 }
 
-/// The entries of one namespace, striped like `ShardedMemo`.
+/// The entries of one namespace: on-demand [`Page`]s keyed by
+/// `row / 4096`, so memory follows the rows actually cached (three bits
+/// each, in 1.5 KB pages), never the largest key.
+///
+/// Lookups are lock-free on the planes and take the page table's read
+/// lock only to find a page. Every mutation — insert, eviction, page
+/// creation and removal, the entry count — happens under the `hand`
+/// mutex, which is what keeps `len <= capacity` exact.
 #[derive(Debug)]
 struct NamespaceCache {
     namespace: CacheNamespace,
-    shards: Box<[RwLock<Shard>]>,
-    mask: usize,
-    shard_capacity: usize,
+    capacity: usize,
+    pages: RwLock<BTreeMap<usize, Arc<Page>>>,
+    /// The CLOCK hand — the next row the eviction sweep examines — and
+    /// the writers' lock. The hand walks rows in ascending order, page
+    /// after page, and wraps.
+    hand: Mutex<usize>,
+    len: AtomicUsize,
     stats: Arc<AtomicStats>,
     /// The store's durable sink slot (shared, so late wiring applies to
     /// every namespace); the slot holds `None` on stores without
@@ -179,19 +227,17 @@ struct NamespaceCache {
 impl NamespaceCache {
     fn new(
         namespace: CacheNamespace,
-        shard_capacity: usize,
+        capacity: usize,
         stats: Arc<AtomicStats>,
         spill: SharedSink,
         born: Instant,
     ) -> Self {
-        let shards: Vec<RwLock<Shard>> = (0..NAMESPACE_SHARDS)
-            .map(|_| RwLock::new(Shard::default()))
-            .collect();
         Self {
             namespace,
-            shards: shards.into_boxed_slice(),
-            mask: NAMESPACE_SHARDS - 1,
-            shard_capacity,
+            capacity,
+            pages: RwLock::new(BTreeMap::new()),
+            hand: Mutex::new(0),
+            len: AtomicUsize::new(0),
             stats,
             spill,
             born,
@@ -203,169 +249,149 @@ impl NamespaceCache {
         self.born.elapsed() > ttl
     }
 
-    /// Fibonacci-spreads `key` onto a shard index — the single source of
-    /// truth for key placement (`get`, `get_many`, and `insert` must all
-    /// agree, or batched lookups would probe the wrong shard).
-    fn shard_index(&self, key: usize) -> usize {
-        let spread = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (spread as usize) & self.mask
+    fn page(&self, page_key: usize) -> Option<Arc<Page>> {
+        let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
+        pages.get(&page_key).cloned()
     }
 
-    fn shard(&self, key: usize) -> &RwLock<Shard> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    fn get(&self, key: usize) -> Option<bool> {
-        let guard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
-        match guard.map.get(&key) {
-            Some(entry) => {
-                entry.referenced.store(true, Ordering::Relaxed);
-                let answer = entry.answer;
-                drop(guard);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(answer)
-            }
-            None => {
-                drop(guard);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Batched lookup: one read-lock acquisition per *touched shard*
-    /// instead of one per key. Accounting is identical to `keys.len()`
-    /// individual `get`s (one hit or miss each).
-    fn get_many(&self, keys: &[usize], out: &mut [Option<bool>]) {
-        debug_assert_eq!(keys.len(), out.len());
-        // Group key positions by shard so each lock is taken once. A
-        // shard index per key is cheap; the win is dropping per-key lock
-        // traffic on the batch path.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (position, &key) in keys.iter().enumerate() {
-            by_shard[self.shard_index(key)].push(position);
-        }
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for (shard, positions) in self.shards.iter().zip(&by_shard) {
-            if positions.is_empty() {
-                continue;
-            }
-            let guard = shard.read().unwrap_or_else(|e| e.into_inner());
-            for &position in positions {
-                match guard.map.get(&keys[position]) {
-                    Some(entry) => {
-                        entry.referenced.store(true, Ordering::Relaxed);
-                        out[position] = Some(entry.answer);
-                        hits += 1;
-                    }
-                    None => {
-                        out[position] = None;
-                        misses += 1;
-                    }
-                }
-            }
-        }
-        if hits > 0 {
-            self.stats.hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses > 0 {
-            self.stats.misses.fetch_add(misses, Ordering::Relaxed);
-        }
-    }
-
-    fn insert(&self, key: usize, value: bool) {
-        self.insert_inner(key, value, true);
-    }
-
-    /// Insert without touching the spill sink at all — the prefill path.
-    /// The inserted entries came *from* the sink, and anything this
-    /// insert evicts is either another prefilled (already durable) entry
-    /// or a live entry the sink heard at its own insert, so there is
-    /// nothing to tell it. Staying sink-silent is also what lets a
-    /// caller prefill while holding locks the sink would re-take (the
+    /// Inserts `rows` in order. With `offer`, the rows and then whatever
+    /// they evicted are offered to the spill sink, after the writers'
+    /// lock drops: for a persistent sink the re-offer is a deduplicated
+    /// no-op (first write wins), but it guarantees no answer leaves
+    /// memory without the sink having heard of it.
+    ///
+    /// Without `offer` (the prefill path) the sink is not touched at all:
+    /// the rows came *from* it, and anything they evict is either another
+    /// prefilled (already durable) entry or a live one the sink heard at
+    /// its own insert. Staying sink-silent is also what lets a caller
+    /// prefill while holding locks the sink would re-take (the
     /// rehydration path holds its table registry's write lock).
-    fn insert_silent(&self, key: usize, value: bool) {
-        self.insert_inner(key, value, false);
-    }
-
-    fn insert_inner(&self, key: usize, value: bool, offer: bool) {
-        // Evicted entries are re-offered to the sink after the shard
-        // guard drops: for a persistent sink the re-offer is a
-        // deduplicated no-op (first write wins), but it guarantees no
-        // answer leaves memory without the sink having heard of it.
-        // (Silent inserts skip the sink entirely — see `insert_silent`.)
-        let mut evicted: Vec<(usize, bool)> = Vec::new();
+    fn insert_all(&self, rows: &[(usize, bool)], offer: bool) {
+        let mut evicted = Vec::new();
         {
-            let mut guard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-            let shard = &mut *guard;
-            if let Some(entry) = shard.map.get_mut(&key) {
-                // Refresh in place; the ring entry stays where it is.
-                entry.answer = value;
-                entry.referenced.store(true, Ordering::Relaxed);
-            } else {
-                // Second-chance sweep: referenced entries get one more
-                // lap, unreferenced ones go. Bounded by ring length + 1
-                // because every pass-over clears a referenced bit.
-                while shard.map.len() >= self.shard_capacity {
-                    let Some(candidate) = shard.ring.pop_front() else {
-                        break;
-                    };
-                    match shard.map.get(&candidate) {
-                        Some(entry) if entry.referenced.load(Ordering::Relaxed) => {
-                            entry.referenced.store(false, Ordering::Relaxed);
-                            shard.ring.push_back(candidate);
-                        }
-                        Some(_) => {
-                            if let Some(entry) = shard.map.remove(&candidate) {
-                                evicted.push((candidate, entry.answer));
-                            }
-                        }
-                        None => {}
-                    }
-                }
-                shard.map.insert(
-                    key,
-                    CacheEntry {
-                        answer: value,
-                        referenced: AtomicBool::new(false),
-                    },
-                );
-                shard.ring.push_back(key);
+            let mut hand = self.hand.lock().unwrap_or_else(|e| e.into_inner());
+            for &(key, value) in rows {
+                self.insert_locked(&mut hand, key, value, &mut evicted);
             }
         }
-        self.stats.insertions.fetch_add(1, Ordering::Relaxed);
-        if !evicted.is_empty() {
-            self.stats
-                .evictions
-                .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+        let (inserted, evictions) = (rows.len() as u64, evicted.len() as u64);
+        self.stats.insertions.fetch_add(inserted, Ordering::Relaxed);
+        self.stats.evictions.fetch_add(evictions, Ordering::Relaxed);
+        if !offer {
+            return;
         }
-        if offer {
-            let sink = self.spill.read().unwrap_or_else(|e| e.into_inner()).clone();
-            if let Some(sink) = sink {
-                sink.spill(self.namespace, key, value);
-                for (row, answer) in evicted {
-                    sink.spill(self.namespace, row, answer);
-                }
+        let sink = self.spill.read().unwrap_or_else(|e| e.into_inner()).clone();
+        if let Some(sink) = sink {
+            for &(row, answer) in rows.iter().chain(&evicted) {
+                sink.spill(self.namespace, row, answer);
             }
         }
     }
 
-    /// Visits every live entry (per-shard read locks, no global freeze).
+    /// The write path proper, under the `hand` lock: refresh a cached
+    /// row in place, or make room (pushing what the sweep discards onto
+    /// `evicted`) and land a new entry.
+    fn insert_locked(
+        &self,
+        hand: &mut usize,
+        key: usize,
+        value: bool,
+        evicted: &mut Vec<(usize, bool)>,
+    ) {
+        let (page_key, offset) = (key / PAGE_ROWS, key % PAGE_ROWS);
+        let cached = |page: Arc<Page>| page.bits.get(offset).is_some();
+        if !self.page(page_key).is_some_and(cached) {
+            while self.len.load(Ordering::Relaxed) >= self.capacity {
+                match self.evict_one(hand) {
+                    Some(entry) => evicted.push(entry),
+                    None => break,
+                }
+            }
+        }
+        // Looked up (again) only now: the sweep above may have emptied
+        // and dropped the very page this key belongs to.
+        let page = self.page(page_key).unwrap_or_else(|| {
+            let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
+            Arc::clone(
+                pages
+                    .entry(page_key)
+                    .or_insert_with(|| Arc::new(Page::new())),
+            )
+        });
+        // A new entry starts unreferenced; a refreshed one was just used.
+        let new = page.bits.insert(offset, value);
+        let bit = 1u64 << (offset % 64);
+        let referenced = if new { 0 } else { bit };
+        assign_bits(
+            &page.referenced[offset / 64],
+            bit,
+            referenced,
+            Ordering::Relaxed,
+        );
+        self.len.fetch_add(usize::from(new), Ordering::Relaxed);
+    }
+
+    /// Second-chance sweep for one victim: referenced entries get one
+    /// more lap, the first unreferenced one goes. Scans from the hand to
+    /// the last page, then whole laps from row 0; the second whole lap
+    /// finds only cleared bits, so three scans suffice unless concurrent
+    /// readers keep re-marking every entry (then the caller runs one
+    /// entry over until the next insert).
+    fn evict_one(&self, hand: &mut usize) -> Option<(usize, bool)> {
+        let (page_key, page, offset) = {
+            let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
+            let mut scans = 0;
+            loop {
+                let first = *hand / PAGE_ROWS;
+                let found = pages.range(first..).find_map(|(&page_key, page)| {
+                    let from = if page_key == first {
+                        *hand % PAGE_ROWS
+                    } else {
+                        0
+                    };
+                    Some((page_key, Arc::clone(page), page.sweep(from)?))
+                });
+                scans += 1;
+                match found {
+                    Some(found) => break found,
+                    None if scans == 3 => return None,
+                    None => *hand = 0,
+                }
+            }
+        };
+        let row = page_key * PAGE_ROWS + offset;
+        let answer = page.bits.remove(offset)?;
+        self.len.fetch_sub(1, Ordering::Relaxed);
+        *hand = row.wrapping_add(1);
+        if page.bits.is_empty() {
+            let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
+            pages.remove(&page_key);
+        }
+        Some((row, answer))
+    }
+
+    /// Visits every live entry (a snapshot of the page table, then plain
+    /// loads — no global freeze).
     fn for_each(&self, f: &mut dyn FnMut(usize, bool)) {
-        for shard in self.shards.iter() {
-            let guard = shard.read().unwrap_or_else(|e| e.into_inner());
-            for (&key, entry) in guard.map.iter() {
-                f(key, entry.answer);
+        let pages: Vec<(usize, Arc<Page>)> = {
+            let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
+            pages.iter().map(|(&k, p)| (k, Arc::clone(p))).collect()
+        };
+        for (page_key, page) in pages {
+            for word in 0..PAGE_WORDS {
+                let (mut known, answer) = page.bits.word(word);
+                while known != 0 {
+                    let offset = word * 64 + known.trailing_zeros() as usize;
+                    let bit = known & known.wrapping_neg();
+                    f(page_key * PAGE_ROWS + offset, answer & bit != 0);
+                    known ^= bit;
+                }
             }
         }
     }
 
     fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).map.len())
-            .sum()
+        self.len.load(Ordering::Relaxed)
     }
 }
 
@@ -387,27 +413,34 @@ impl CacheHandle {
         self.namespace
     }
 
-    /// The cached answer for `key`, if present (counts a hit or miss).
-    pub fn get(&self, key: usize) -> Option<bool> {
-        self.cache.get(key)
+    /// A lookup cursor for a run of keys (see [`CacheReader`]).
+    pub fn reader(&self) -> CacheReader<'_> {
+        CacheReader {
+            cache: &self.cache,
+            page_key: usize::MAX,
+            page: None,
+            hits: 0,
+            misses: 0,
+        }
     }
 
-    /// Batched lookup for the invoker's batch path: answers for every
-    /// key, in input order, taking each touched shard's read lock once
-    /// instead of once per key. Hit/miss accounting is exactly what the
-    /// equivalent sequence of [`CacheHandle::get`] calls would record.
+    /// The cached answer for `key`, if present (counts a hit or miss).
+    pub fn get(&self, key: usize) -> Option<bool> {
+        self.reader().get(key)
+    }
+
+    /// Answers for every key, in input order. Hit/miss accounting is
+    /// exactly what the equivalent sequence of [`CacheHandle::get`]
+    /// calls would record.
     pub fn get_many(&self, keys: &[usize]) -> Vec<Option<bool>> {
-        let mut out = vec![None; keys.len()];
-        if !keys.is_empty() {
-            self.cache.get_many(keys, &mut out);
-        }
-        out
+        let mut reader = self.reader();
+        keys.iter().map(|&key| reader.get(key)).collect()
     }
 
     /// Caches `value` for `key`, possibly evicting under the capacity
     /// bound.
     pub fn insert(&self, key: usize, value: bool) {
-        self.cache.insert(key, value)
+        self.cache.insert_all(&[(key, value)], true)
     }
 
     /// Number of live entries in this namespace.
@@ -427,6 +460,86 @@ impl std::fmt::Debug for CacheHandle {
             .field("namespace", &self.namespace)
             .field("len", &self.len())
             .finish()
+    }
+}
+
+/// A lookup cursor over one namespace: the read path of a bulk scan.
+/// Each [`CacheReader::get`] behaves exactly like [`CacheHandle::get`] —
+/// same answer, same referenced mark, one hit or miss — but the cursor
+/// remembers the page it last touched (runs of nearby rows skip the page
+/// table) and adds its hits and misses to the store's statistics once,
+/// when it drops, instead of once per row. Scans that visit many rows of
+/// one 64-row word read the word once ([`CacheReader::word`]) and settle
+/// the accounting for it afterwards ([`CacheReader::record`]).
+pub struct CacheReader<'a> {
+    cache: &'a NamespaceCache,
+    /// The page `page` was looked up for (`usize::MAX`: none yet — no
+    /// word index divides down to it).
+    page_key: usize,
+    page: Option<Arc<Page>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl CacheReader<'_> {
+    /// The page holding row word `word`, if it exists.
+    #[inline]
+    fn page(&mut self, word: usize) -> Option<&Page> {
+        if word / PAGE_WORDS != self.page_key {
+            self.page_key = word / PAGE_WORDS;
+            self.page = self.cache.page(self.page_key);
+        }
+        self.page.as_deref()
+    }
+
+    /// The cached rows of `[64 * word, 64 * word + 64)` as `(known,
+    /// answer)` bit masks (bit `i` speaks for row `64 * word + i`;
+    /// `answer` is meaningful only under `known`). Counts nothing and
+    /// marks nothing: pair it with [`CacheReader::record`].
+    #[inline]
+    pub fn word(&mut self, word: usize) -> (u64, u64) {
+        match self.page(word) {
+            Some(page) => page.bits.word(word % PAGE_WORDS),
+            None => (0, 0),
+        }
+    }
+
+    /// Accounts for lookups answered from [`CacheReader::word`]: the rows
+    /// of `hits` (a mask over row word `word`) were served — each counts
+    /// a hit and is marked referenced — and `misses` lookups found
+    /// nothing.
+    #[inline]
+    pub fn record(&mut self, word: usize, hits: u64, misses: u64) {
+        if hits != 0 {
+            if let Some(page) = self.page(word) {
+                let referenced = &page.referenced[word % PAGE_WORDS];
+                assign_bits(referenced, hits, hits, Ordering::Relaxed);
+            }
+        }
+        self.hits += u64::from(hits.count_ones());
+        self.misses += misses;
+    }
+
+    /// The cached answer for `key`, if present.
+    #[inline]
+    pub fn get(&mut self, key: usize) -> Option<bool> {
+        let (known, answer) = self.word(key / 64);
+        let bit = 1u64 << (key % 64);
+        let hit = known & bit;
+        self.record(key / 64, hit, u64::from(hit == 0));
+        (hit != 0).then_some(answer & bit != 0)
+    }
+}
+
+impl Drop for CacheReader<'_> {
+    fn drop(&mut self) {
+        let stats = &self.cache.stats;
+        if self.hits > 0 {
+            stats.hits.fetch_add(self.hits, Ordering::Relaxed);
+        }
+        if self.misses > 0 {
+            stats.misses.fetch_add(self.misses, Ordering::Relaxed);
+        }
     }
 }
 
@@ -472,7 +585,7 @@ impl Namespaces {
 #[derive(Debug)]
 struct StoreInner {
     namespaces: RwLock<Namespaces>,
-    shard_capacity: usize,
+    capacity: usize,
     stats: Arc<AtomicStats>,
     /// The durable sink slot shared with every namespace (see
     /// [`SharedSink`]); empty unless persistence is wired.
@@ -481,20 +594,71 @@ struct StoreInner {
     ttl_nanos: AtomicU64,
 }
 
+impl StoreInner {
+    fn read(&self) -> RwLockReadGuard<'_, Namespaces> {
+        self.namespaces.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Namespaces> {
+        self.namespaces.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Makes `namespace` the most recently borrowed version of its
+    /// `(udf, table)` pair — dropping versions that fall off the
+    /// [`MAX_LIVE_VERSIONS`] window, their entries counted as
+    /// invalidated — and returns its cache, born at `born` if new.
+    fn touch(
+        &self,
+        guard: &mut Namespaces,
+        namespace: CacheNamespace,
+        born: Instant,
+    ) -> Arc<NamespaceCache> {
+        let versions = guard
+            .recency
+            .entry((namespace.udf, namespace.table))
+            .or_default();
+        versions.retain(|&v| v != namespace.version);
+        versions.push(namespace.version);
+        let excess = versions.len().saturating_sub(MAX_LIVE_VERSIONS);
+        let stale: Vec<u64> = versions.drain(..excess).collect();
+        let invalidated: u64 = stale
+            .into_iter()
+            .map(|version| {
+                guard.remove(&CacheNamespace {
+                    version,
+                    ..namespace
+                })
+            })
+            .sum();
+        self.stats
+            .invalidated
+            .fetch_add(invalidated, Ordering::Relaxed);
+        let cache = guard.map.entry(namespace).or_insert_with(|| {
+            Arc::new(NamespaceCache::new(
+                namespace,
+                self.capacity,
+                Arc::clone(&self.stats),
+                Arc::clone(&self.spill),
+                born,
+            ))
+        });
+        Arc::clone(cache)
+    }
+}
+
 impl CacheStore {
     /// A store with the default per-namespace capacity.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_CACHE_CAPACITY)
     }
 
-    /// A store holding at most `capacity` entries per namespace
-    /// (rounded up to at least one entry per shard).
+    /// A store holding at most `capacity` entries per namespace (at
+    /// least one).
     pub fn with_capacity(capacity: usize) -> Self {
-        let shard_capacity = capacity.div_ceil(NAMESPACE_SHARDS).max(1);
         Self {
             inner: Arc::new(StoreInner {
                 namespaces: RwLock::new(Namespaces::default()),
-                shard_capacity,
+                capacity: capacity.max(1),
                 stats: Arc::new(AtomicStats::default()),
                 spill: Arc::new(RwLock::new(None)),
                 ttl_nanos: AtomicU64::new(0),
@@ -546,16 +710,6 @@ impl CacheStore {
         *self.inner.spill.write().unwrap_or_else(|e| e.into_inner()) = sink;
     }
 
-    fn make_cache(&self, namespace: CacheNamespace, born: Instant) -> Arc<NamespaceCache> {
-        Arc::new(NamespaceCache::new(
-            namespace,
-            self.inner.shard_capacity,
-            Arc::clone(&self.inner.stats),
-            Arc::clone(&self.inner.spill),
-            born,
-        ))
-    }
-
     /// Borrows the cache for `namespace`, creating it on first use.
     ///
     /// Borrowing refreshes the namespace's recency; once more than
@@ -580,11 +734,7 @@ impl CacheStore {
         {
             // Fast path: borrowing the freshest, unexpired version
             // changes neither the recency list nor the namespace table.
-            let guard = self
-                .inner
-                .namespaces
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
+            let guard = self.inner.read();
             if let Some(cache) = guard.map.get(&namespace) {
                 if !ttl.is_some_and(|t| cache.expired(t)) {
                     let pair = (namespace.udf, namespace.table);
@@ -598,51 +748,18 @@ impl CacheStore {
                 }
             }
         }
-        let mut guard = self
-            .inner
-            .namespaces
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.inner.write();
         // Lazy TTL expiry: an over-age namespace is dropped here, on
         // borrow, so the borrower below starts from a fresh (re-aged)
         // cache rather than serving answers older than the bound.
         if let Some(ttl) = ttl {
             if guard.map.get(&namespace).is_some_and(|c| c.expired(ttl)) {
                 let dropped = guard.remove(&namespace);
-                if dropped > 0 {
-                    self.inner
-                        .stats
-                        .ttl_expirations
-                        .fetch_add(dropped, Ordering::Relaxed);
-                }
+                let stats = &self.inner.stats;
+                stats.ttl_expirations.fetch_add(dropped, Ordering::Relaxed);
             }
         }
-        let pair = (namespace.udf, namespace.table);
-        let stale_versions: Vec<u64> = {
-            let versions = guard.recency.entry(pair).or_default();
-            versions.retain(|&v| v != namespace.version);
-            versions.push(namespace.version);
-            let excess = versions.len().saturating_sub(MAX_LIVE_VERSIONS);
-            versions.drain(..excess).collect()
-        };
-        let mut invalidated = 0u64;
-        for version in stale_versions {
-            invalidated += guard.remove(&CacheNamespace {
-                version,
-                ..namespace
-            });
-        }
-        if invalidated > 0 {
-            self.inner
-                .stats
-                .invalidated
-                .fetch_add(invalidated, Ordering::Relaxed);
-        }
-        let cache = guard
-            .map
-            .entry(namespace)
-            .or_insert_with(|| self.make_cache(namespace, Instant::now()))
-            .clone();
+        let cache = self.inner.touch(&mut guard, namespace, Instant::now());
         CacheHandle { namespace, cache }
     }
 
@@ -653,80 +770,36 @@ impl CacheStore {
     /// prefilled entry or a live one the sink already heard — so prefill
     /// is safe to call while holding locks the sink would re-take.
     ///
-    /// A namespace created by prefill is backdated by `age` — the time
-    /// since its oldest persisted answer was written — so a configured
-    /// TTL measures answer staleness across restarts instead of
-    /// restarting the clock. Prefilling an already-live namespace keeps
-    /// its existing birth time (fresh activity wins).
+    /// A prefilled version counts as recently borrowed (it may push an
+    /// old one out, exactly like [`CacheStore::handle`]). A namespace
+    /// created by prefill is backdated by `age` — the time since its
+    /// oldest persisted answer was written — so a configured TTL measures
+    /// answer staleness across restarts instead of restarting the clock.
+    /// Prefilling an already-live namespace keeps its existing birth
+    /// time (fresh activity wins).
     pub fn prefill(
         &self,
         namespace: CacheNamespace,
         rows: &[(usize, bool)],
         age: Duration,
     ) -> usize {
-        if rows.is_empty() {
-            return 0;
-        }
         // If the whole batch is already over-age, loading it would only
         // hand the next borrower an expired namespace to tear down.
-        if self.ttl().is_some_and(|ttl| age > ttl) {
+        if rows.is_empty() || self.ttl().is_some_and(|ttl| age > ttl) {
             return 0;
         }
         let born = Instant::now().checked_sub(age).unwrap_or_else(Instant::now);
-        let cache = {
-            let mut guard = self
-                .inner
-                .namespaces
-                .write()
-                .unwrap_or_else(|e| e.into_inner());
-            // Same recency maintenance as a borrow: a prefilled version
-            // counts as "recently seen" and may push an old one out.
-            let pair = (namespace.udf, namespace.table);
-            let stale_versions: Vec<u64> = {
-                let versions = guard.recency.entry(pair).or_default();
-                versions.retain(|&v| v != namespace.version);
-                versions.push(namespace.version);
-                let excess = versions.len().saturating_sub(MAX_LIVE_VERSIONS);
-                versions.drain(..excess).collect()
-            };
-            let mut invalidated = 0u64;
-            for version in stale_versions {
-                invalidated += guard.remove(&CacheNamespace {
-                    version,
-                    ..namespace
-                });
-            }
-            if invalidated > 0 {
-                self.inner
-                    .stats
-                    .invalidated
-                    .fetch_add(invalidated, Ordering::Relaxed);
-            }
-            guard
-                .map
-                .entry(namespace)
-                .or_insert_with(|| self.make_cache(namespace, born))
-                .clone()
-        };
-        for &(row, answer) in rows {
-            cache.insert_silent(row, answer);
-        }
+        let cache = self.inner.touch(&mut self.inner.write(), namespace, born);
+        cache.insert_all(rows, false);
         rows.len()
     }
 
     /// Visits every live entry across all namespaces — the spill-on-flush
-    /// walk. Entries are read under per-shard read locks (no global
-    /// freeze), so concurrent inserts may or may not be visited; every
-    /// entry present for the whole walk is.
+    /// walk. Entries are read without freezing writers, so concurrent
+    /// inserts may or may not be visited; every entry present for the
+    /// whole walk is.
     pub fn for_each_entry(&self, mut f: impl FnMut(CacheNamespace, usize, bool)) {
-        let caches: Vec<Arc<NamespaceCache>> = {
-            let guard = self
-                .inner
-                .namespaces
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            guard.map.values().cloned().collect()
-        };
+        let caches: Vec<Arc<NamespaceCache>> = self.inner.read().map.values().cloned().collect();
         for cache in caches {
             let namespace = cache.namespace;
             cache.for_each(&mut |row, answer| f(namespace, row, answer));
@@ -735,65 +808,33 @@ impl CacheStore {
 
     /// Drops one namespace outright.
     pub fn invalidate(&self, namespace: CacheNamespace) {
-        let mut guard = self
-            .inner
-            .namespaces
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
-        let dropped = guard.remove(&namespace);
-        if dropped > 0 {
-            self.inner
-                .stats
-                .invalidated
-                .fetch_add(dropped, Ordering::Relaxed);
-        }
+        let dropped = self.inner.write().remove(&namespace);
+        let stats = &self.inner.stats;
+        stats.invalidated.fetch_add(dropped, Ordering::Relaxed);
     }
 
     /// Drops every namespace belonging to `table` (any UDF, any version).
     pub fn invalidate_table(&self, table: u64) {
-        let mut guard = self
-            .inner
-            .namespaces
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.inner.write();
         let doomed: Vec<CacheNamespace> = guard
             .map
             .keys()
             .filter(|ns| ns.table == table)
             .copied()
             .collect();
-        let mut invalidated = 0u64;
-        for ns in doomed {
-            invalidated += guard.remove(&ns);
-        }
-        if invalidated > 0 {
-            self.inner
-                .stats
-                .invalidated
-                .fetch_add(invalidated, Ordering::Relaxed);
-        }
+        let dropped: u64 = doomed.iter().map(|ns| guard.remove(ns)).sum();
+        let stats = &self.inner.stats;
+        stats.invalidated.fetch_add(dropped, Ordering::Relaxed);
     }
 
     /// Number of live namespaces.
     pub fn num_namespaces(&self) -> usize {
-        self.inner
-            .namespaces
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .len()
+        self.inner.read().map.len()
     }
 
     /// Total live entries across namespaces.
     pub fn len(&self) -> usize {
-        self.inner
-            .namespaces
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .values()
-            .map(|c| c.len())
-            .sum()
+        self.inner.read().map.values().map(|c| c.len()).sum()
     }
 
     /// Whether the store holds no entries.
@@ -808,16 +849,10 @@ impl CacheStore {
 
     /// Drops every namespace (stats are preserved).
     pub fn clear(&self) {
-        let mut guard = self
-            .inner
-            .namespaces
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.inner.write();
         let entries: u64 = guard.map.values().map(|c| c.len() as u64).sum();
-        self.inner
-            .stats
-            .invalidated
-            .fetch_add(entries, Ordering::Relaxed);
+        let stats = &self.inner.stats;
+        stats.invalidated.fetch_add(entries, Ordering::Relaxed);
         guard.map.clear();
         guard.recency.clear();
     }
@@ -885,7 +920,7 @@ mod tests {
     fn get_many_marks_entries_referenced_for_eviction() {
         // A key read through get_many must survive a second-chance sweep
         // exactly like one read through get.
-        let store = CacheStore::with_capacity(NAMESPACE_SHARDS * 4);
+        let store = CacheStore::with_capacity(256);
         let h = store.handle(ns(1, 1, 0));
         h.insert(0, true);
         for cold in 1..5_000usize {
@@ -967,21 +1002,44 @@ mod tests {
 
     #[test]
     fn capacity_bounds_entries_and_counts_evictions() {
-        // Tiny capacity: 64 shards * 1 entry.
-        let store = CacheStore::with_capacity(1);
+        let store = CacheStore::with_capacity(64);
         let h = store.handle(ns(1, 1, 0));
         for key in 0..1_000 {
             h.insert(key, key % 2 == 0);
+            assert!(h.len() <= 64, "len {} over bound", h.len());
         }
-        assert!(h.len() <= NAMESPACE_SHARDS, "len {} over bound", h.len());
         let s = store.stats();
         assert_eq!(s.insertions, 1_000);
-        assert!(s.evictions >= 1_000 - NAMESPACE_SHARDS as u64);
+        assert_eq!(s.evictions, 1_000 - 64, "the bound is exact");
+        // A zero capacity still holds one entry.
+        let tiny = CacheStore::with_capacity(0);
+        let h = tiny.handle(ns(1, 1, 0));
+        h.insert(1, true);
+        h.insert(2, false);
+        assert_eq!((h.get(1), h.get(2), h.len()), (None, Some(false), 1));
+    }
+
+    #[test]
+    fn pages_follow_the_cached_rows_not_the_largest_key() {
+        let store = CacheStore::with_capacity(1);
+        let h = store.handle(ns(1, 1, 0));
+        let pages = |h: &CacheHandle| h.cache.pages.read().unwrap().len();
+        // A sparse huge key costs one page, not a plane up to it.
+        h.insert(1 << 40, true);
+        assert_eq!((h.get(1 << 40), pages(&h)), (Some(true), 1));
+        // Each newcomer evicts its predecessor — across a word boundary,
+        // then a page boundary — and a page emptied that way is freed.
+        for (key, evicted) in [(63, 1 << 40), (64, 63), (4_096, 64)] {
+            h.insert(key, key % 2 == 0);
+            assert_eq!((h.get(key), h.get(evicted)), (Some(key % 2 == 0), None));
+            assert_eq!((h.len(), pages(&h)), (1, 1), "after inserting {key}");
+        }
+        assert_eq!(store.stats().evictions, 3);
     }
 
     #[test]
     fn second_chance_protects_hot_entries() {
-        let store = CacheStore::with_capacity(NAMESPACE_SHARDS * 4);
+        let store = CacheStore::with_capacity(256);
         let h = store.handle(ns(1, 1, 0));
         // A hot key that is re-read between every burst of cold inserts.
         h.insert(0, true);
@@ -1059,7 +1117,7 @@ mod tests {
         // Regression: prefilling more rows than the capacity bound used
         // to re-offer the evictions to the sink, re-entering the
         // rehydration caller's locks on the same thread (deadlock).
-        let store = CacheStore::with_capacity(NAMESPACE_SHARDS); // 1 entry per shard
+        let store = CacheStore::with_capacity(64);
         let sink = Arc::new(RecordingSink::default());
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
         let rows: Vec<(usize, bool)> = (0..1_000).map(|r| (r, r % 2 == 0)).collect();
@@ -1083,7 +1141,7 @@ mod tests {
 
     #[test]
     fn evictions_are_reoffered_to_sink() {
-        let store = CacheStore::with_capacity(1); // 1 entry per shard
+        let store = CacheStore::with_capacity(1);
         let sink = Arc::new(RecordingSink::default());
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
         let h = store.handle(ns(1, 1, 0));

@@ -1,0 +1,243 @@
+//! Model-based tests for the bitmap-backed [`CacheStore`].
+//!
+//! A plain `HashMap<usize, bool>` is the reference. Arbitrary sequences
+//! of `get` / `get_many` / `insert` / `prefill` / `invalidate` over keys
+//! that sit on every layout boundary — word edges (63, 64), page edges
+//! (4095, 4096), a table's last row, and a sparse key far beyond any
+//! table (`1 << 40`) — must:
+//!
+//! * with room for everything, answer exactly like the map and count
+//!   exactly the map's hits, misses and insertions;
+//! * under a tight capacity, never answer wrongly, never hold more than
+//!   `capacity` entries, and re-offer every entry an `insert` evicts to
+//!   the spill sink (while `prefill` stays silent);
+//! * give a just-read row its second chance.
+
+use expred_exec::{CacheNamespace, CacheStore, SpillSink};
+use proptest::prelude::*;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+const NUM_ROWS: usize = 20_000;
+
+/// Every layout boundary, plus a few ordinary neighbours.
+const KEYS: [usize; 14] = [
+    0,
+    1,
+    62,
+    63,
+    64,
+    65,
+    4_095,
+    4_096,
+    4_097,
+    8_191,
+    8_192,
+    NUM_ROWS - 1,
+    1 << 40,
+    (1 << 40) + 64,
+];
+
+const NS: CacheNamespace = CacheNamespace {
+    udf: 7,
+    table: 3,
+    version: 1,
+};
+
+/// One step of a run: an operation code, a key selector, and a value.
+type Op = (u8, usize, bool);
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec((0u8..10, 0usize..KEYS.len(), any::<bool>()), 1..120)
+}
+
+#[derive(Debug, Default)]
+struct RecordingSink(Mutex<Vec<(usize, bool)>>);
+
+impl SpillSink for RecordingSink {
+    fn spill(&self, namespace: CacheNamespace, row: usize, answer: bool) {
+        assert_eq!(namespace, NS);
+        self.0.lock().unwrap().push((row, answer));
+    }
+}
+
+/// What the reference run tallies, to hold against [`CacheStore::stats`].
+#[derive(Debug, Default, PartialEq)]
+struct Tally {
+    hits: u64,
+    misses: u64,
+    insertions: u64,
+}
+
+/// Drives `store` and the reference map through `ops`. `exact` demands
+/// the store answer like the map; otherwise (capacity pressure) a miss
+/// is always acceptable but a hit must carry the map's value. Returns
+/// the tally and the `(key, value)` of every `insert` in order.
+fn drive(
+    store: &CacheStore,
+    ops: &[Op],
+    exact: bool,
+    capacity: usize,
+) -> Result<(Tally, Vec<(usize, bool)>), TestCaseError> {
+    let mut model: HashMap<usize, bool> = HashMap::new();
+    let mut tally = Tally::default();
+    let mut inserts = Vec::new();
+    let lookup = |tally: &mut Tally, model: &HashMap<usize, bool>, key, got: Option<bool>| {
+        match got {
+            Some(answer) => {
+                tally.hits += 1;
+                prop_assert_eq!(Some(&answer), model.get(&key), "wrong answer for {}", key);
+            }
+            None => {
+                tally.misses += 1;
+                prop_assert!(!exact || !model.contains_key(&key), "lost key {}", key);
+            }
+        }
+        Ok(())
+    };
+    for &(op, selector, value) in ops {
+        let key = KEYS[selector];
+        // Re-borrowed per step: `invalidate` orphans older handles.
+        let handle = store.handle(NS);
+        match op {
+            0..=2 => lookup(&mut tally, &model, key, handle.get(key))?,
+            3 => {
+                let keys: Vec<usize> = (0..4).map(|i| KEYS[(selector + 5 * i) % 14]).collect();
+                let got = handle.get_many(&keys);
+                prop_assert_eq!(got.len(), keys.len());
+                for (&key, got) in keys.iter().zip(got) {
+                    lookup(&mut tally, &model, key, got)?;
+                }
+            }
+            4..=6 => {
+                handle.insert(key, value);
+                model.insert(key, value);
+                inserts.push((key, value));
+                tally.insertions += 1;
+            }
+            7..=8 => {
+                let rows = [(key, value), (KEYS[(selector + 3) % 14], !value)];
+                prop_assert_eq!(store.prefill(NS, &rows, Duration::ZERO), 2);
+                model.extend(rows);
+                tally.insertions += 2;
+            }
+            _ => {
+                store.invalidate(NS);
+                model.clear();
+            }
+        }
+        prop_assert!(
+            store.len() <= capacity,
+            "{} entries over {}",
+            store.len(),
+            capacity
+        );
+        if exact {
+            prop_assert_eq!(store.len(), model.len());
+        }
+    }
+    // The live entries are a sub-map of the reference (all of it, when
+    // nothing was evicted), and `len` counts exactly them.
+    let mut live = HashMap::new();
+    store.for_each_entry(|namespace, row, answer| {
+        assert_eq!(namespace, NS);
+        assert!(
+            live.insert(row, answer).is_none(),
+            "row {row} visited twice"
+        );
+    });
+    prop_assert_eq!(live.len(), store.len());
+    for (row, answer) in &live {
+        prop_assert_eq!(model.get(row), Some(answer));
+    }
+    if exact {
+        prop_assert_eq!(live.len(), model.len());
+    }
+    Ok((tally, inserts))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn roomy_store_is_the_reference_map(ops in ops()) {
+        let store = CacheStore::new();
+        let sink = Arc::new(RecordingSink::default());
+        store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
+        let (tally, inserts) = drive(&store, &ops, true, usize::MAX)?;
+        let stats = store.stats();
+        prop_assert_eq!(
+            tally,
+            Tally { hits: stats.hits, misses: stats.misses, insertions: stats.insertions }
+        );
+        prop_assert_eq!(stats.evictions, 0);
+        // The sink heard every insert once, in order, and no prefill.
+        prop_assert_eq!(&*sink.0.lock().unwrap(), &inserts);
+    }
+
+    #[test]
+    fn tight_store_stays_bounded_and_reoffers_evictions(
+        ops in ops(),
+        capacity in 1usize..6,
+    ) {
+        let store = CacheStore::with_capacity(capacity);
+        let sink = Arc::new(RecordingSink::default());
+        store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
+        let (tally, inserts) = drive(&store, &ops, false, capacity)?;
+        let stats = store.stats();
+        prop_assert_eq!(
+            tally,
+            Tally { hits: stats.hits, misses: stats.misses, insertions: stats.insertions }
+        );
+        // Offers are each insert followed by what it evicted; an evicted
+        // entry was written earlier (by an insert or a silent prefill)
+        // and is no longer live.
+        let offers = sink.0.lock().unwrap().clone();
+        let mut expected = inserts.iter().peekable();
+        let mut reoffers = 0u64;
+        for offer in &offers {
+            if expected.peek() == Some(&offer) {
+                expected.next();
+            } else {
+                reoffers += 1;
+            }
+        }
+        prop_assert!(expected.next().is_none(), "an insert was never offered");
+        prop_assert!(reoffers <= stats.evictions, "{} re-offers, {} evictions", reoffers, stats.evictions);
+        // Prefill evictions are the silent remainder; without prefills
+        // every eviction is re-offered.
+        if !ops.iter().any(|&(op, _, _)| (7..=8).contains(&op)) {
+            prop_assert_eq!(reoffers, stats.evictions);
+        }
+    }
+
+    #[test]
+    fn a_just_read_row_gets_its_second_chance(
+        capacity in 2usize..12,
+        read in 0usize..12,
+        newcomer in 12usize..14,
+    ) {
+        let store = CacheStore::with_capacity(capacity);
+        let sink = Arc::new(RecordingSink::default());
+        store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
+        let handle = store.handle(NS);
+        // Fill to the brim with never-read rows, then read one of them.
+        for &key in &KEYS[..capacity] {
+            handle.insert(key, key.is_multiple_of(2));
+        }
+        let hot = KEYS[read % capacity];
+        prop_assert_eq!(handle.get(hot), Some(hot.is_multiple_of(2)));
+        // The newcomer evicts exactly one row — not the one just read —
+        // and the sink hears of it.
+        handle.insert(KEYS[newcomer], true);
+        prop_assert_eq!(store.stats().evictions, 1);
+        prop_assert_eq!(handle.len(), capacity);
+        prop_assert_eq!(handle.get(hot), Some(hot.is_multiple_of(2)), "hot row {} evicted", hot);
+        let offers = sink.0.lock().unwrap().clone();
+        let (victim, answer) = offers[offers.len() - 1];
+        prop_assert!(victim != hot && KEYS[..capacity].contains(&victim));
+        prop_assert_eq!(answer, victim.is_multiple_of(2), "re-offer carries the cached answer");
+        prop_assert_eq!(handle.get(victim), None);
+    }
+}

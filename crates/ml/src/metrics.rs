@@ -42,19 +42,25 @@ impl PrSummary {
 
 /// Computes precision/recall for a returned set of row ids against a
 /// per-row truth vector.
-pub fn precision_recall(returned: &[usize], truth: &[bool]) -> PrSummary {
+///
+/// # Panics
+///
+/// If a returned row id is out of range for `truth`.
+pub fn precision_recall(returned: impl IntoIterator<Item = usize>, truth: &[bool]) -> PrSummary {
     let total_correct = truth.iter().filter(|&&t| t).count();
+    let mut num_returned = 0;
     let mut true_positives = 0;
-    for &r in returned {
+    for r in returned {
         assert!(r < truth.len(), "returned row {r} out of range");
+        num_returned += 1;
         if truth[r] {
             true_positives += 1;
         }
     }
-    let precision = if returned.is_empty() {
+    let precision = if num_returned == 0 {
         1.0
     } else {
-        true_positives as f64 / returned.len() as f64
+        true_positives as f64 / num_returned as f64
     };
     let recall = if total_correct == 0 {
         1.0
@@ -64,7 +70,7 @@ pub fn precision_recall(returned: &[usize], truth: &[bool]) -> PrSummary {
     PrSummary {
         precision,
         recall,
-        returned: returned.len(),
+        returned: num_returned,
         true_positives,
         total_correct,
     }
@@ -73,13 +79,8 @@ pub fn precision_recall(returned: &[usize], truth: &[bool]) -> PrSummary {
 /// Computes precision/recall from a boolean predicted-set vector.
 pub fn precision_recall_mask(predicted: &[bool], truth: &[bool]) -> PrSummary {
     assert_eq!(predicted.len(), truth.len());
-    let returned: Vec<usize> = predicted
-        .iter()
-        .enumerate()
-        .filter(|(_, &p)| p)
-        .map(|(i, _)| i)
-        .collect();
-    precision_recall(&returned, truth)
+    let returned = predicted.iter().enumerate().filter(|(_, &p)| p);
+    precision_recall(returned.map(|(i, _)| i), truth)
 }
 
 #[cfg(test)]
@@ -89,7 +90,7 @@ mod tests {
     #[test]
     fn basic_counts() {
         let truth = [true, false, true, true, false];
-        let s = precision_recall(&[0, 1, 2], &truth);
+        let s = precision_recall([0, 1, 2], &truth);
         assert_eq!(s.true_positives, 2);
         assert_eq!(s.returned, 3);
         assert_eq!(s.total_correct, 3);
@@ -100,7 +101,7 @@ mod tests {
     #[test]
     fn empty_returned_set() {
         let truth = [true, false];
-        let s = precision_recall(&[], &truth);
+        let s = precision_recall([], &truth);
         assert_eq!(s.precision, 1.0);
         assert_eq!(s.recall, 0.0);
         assert_eq!(s.f1(), 0.0);
@@ -109,7 +110,7 @@ mod tests {
     #[test]
     fn no_correct_tuples() {
         let truth = [false, false];
-        let s = precision_recall(&[0], &truth);
+        let s = precision_recall([0], &truth);
         assert_eq!(s.recall, 1.0);
         assert_eq!(s.precision, 0.0);
     }
@@ -117,7 +118,7 @@ mod tests {
     #[test]
     fn perfect_answer() {
         let truth = [true, false, true];
-        let s = precision_recall(&[0, 2], &truth);
+        let s = precision_recall([0, 2], &truth);
         assert_eq!(s.precision, 1.0);
         assert_eq!(s.recall, 1.0);
         assert_eq!(s.f1(), 1.0);
@@ -129,14 +130,14 @@ mod tests {
         let truth = [true, false, true, false];
         let mask = [true, true, false, false];
         let a = precision_recall_mask(&mask, &truth);
-        let b = precision_recall(&[0, 1], &truth);
+        let b = precision_recall([0, 1], &truth);
         assert_eq!(a, b);
     }
 
     #[test]
     fn meets_respects_both_bounds() {
         let truth = [true, true, false, false];
-        let s = precision_recall(&[0, 2], &truth); // p = 0.5, r = 0.5
+        let s = precision_recall([0, 2], &truth); // p = 0.5, r = 0.5
         assert!(s.meets(0.5, 0.5));
         assert!(!s.meets(0.6, 0.5));
         assert!(!s.meets(0.5, 0.6));
@@ -145,6 +146,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn out_of_range_returned_row_panics() {
-        precision_recall(&[5], &[true]);
+        precision_recall([5], &[true]);
     }
 }

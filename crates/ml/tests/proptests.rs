@@ -65,7 +65,7 @@ proptest! {
             .filter(|(_, &t)| t)
             .map(|(i, _)| i)
             .collect();
-        let s = precision_recall(&returned, &truth);
+        let s = precision_recall(returned.iter().copied(), &truth);
         prop_assert_eq!(s.precision, 1.0);
         prop_assert_eq!(s.recall, 1.0);
     }

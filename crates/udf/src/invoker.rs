@@ -11,14 +11,26 @@
 //! * memoizes evaluations per row, implementing the paper's observation
 //!   that already-sampled tuples "can be simply returned as part of the
 //!   query result without re-evaluating them" (§4.2).
+//!
+//! # The read path
+//!
+//! Row ids are dense, so both cache layers are bitmaps: the per-query
+//! memo is a [`RowBits`] sized to the table, the session store behind it
+//! pages of the same planes ([`expred_exec::CacheStore`]). Pipelines ask
+//! "which of these rows are already decided?" for whole groups at a time
+//! through [`UdfInvoker::known_many`]; it and
+//! [`UdfInvoker::evaluate_batch`] walk their rows with one cursor that
+//! reads the memo, then the store, and promotes store hits into the memo
+//! a 64-row word at a time — a handful of loads per row, two atomic ORs
+//! per touched word, and one update of the bill and of the store's
+//! hit/miss statistics per call.
 
 use crate::cost::{CostCounts, CostModel, CostTracker};
 use crate::udf::BooleanUdf;
 use expred_exec::{
-    CacheHandle, CacheNamespace, ExecContext, Executor, SelectivityHandle, ShardedMemo,
+    CacheHandle, CacheNamespace, CacheReader, ExecContext, Executor, RowBits, SelectivityHandle,
 };
 use expred_table::Table;
-use std::collections::{HashMap, HashSet};
 
 /// The cross-query cache namespace for `udf` over `table`'s current
 /// state, or `None` when the UDF opted out of identity
@@ -33,10 +45,9 @@ pub fn cache_namespace(udf: &dyn BooleanUdf, table: &Table) -> Option<CacheNames
 
 /// Counted, memoized access to a UDF over one table.
 ///
-/// The per-query memo is a lock-striped [`ShardedMemo`], so concurrent
-/// executor workers sharing one invoker do not serialize on a single
-/// lock, and the cost tracker is atomic, so charges stay exact under
-/// parallelism.
+/// The per-query memo is a lock-free [`RowBits`], so concurrent executor
+/// workers sharing one invoker never wait on each other, and the cost
+/// tracker is atomic, so charges stay exact under parallelism.
 ///
 /// # Cross-query reuse
 ///
@@ -46,10 +57,12 @@ pub fn cache_namespace(udf: &dyn BooleanUdf, table: &Table) -> Option<CacheNames
 /// version)`. Lookups layer local-memo-first, then the shared store: a
 /// shared hit is *promoted* into the local memo (so this query keeps a
 /// stable view even if the store later evicts the entry) and charged
-/// exactly once as a [`CostCounts::reuse_hits`] — the row's `o_e` was
-/// paid by an earlier query, not this one. Fresh evaluations are written
-/// through to both layers. Without a context (or for UDFs with no
-/// fingerprint) behavior is bit-identical to the pre-session invoker.
+/// exactly once as a [`CostCounts::reuse_hits`] — by whichever call
+/// flipped the memo's `known` bit, so two workers racing on one row
+/// cannot both charge it — because the row's `o_e` was paid by an
+/// earlier query, not this one. Fresh evaluations are written through to
+/// both layers. Without a context (or for UDFs with no fingerprint)
+/// behavior is bit-identical to the pre-session invoker.
 ///
 /// # Cost exactness under concurrent sessions
 ///
@@ -67,12 +80,101 @@ pub struct UdfInvoker<'a> {
     udf: &'a dyn BooleanUdf,
     table: &'a Table,
     tracker: CostTracker,
-    memo: ShardedMemo<bool>,
+    memo: RowBits,
     shared: Option<CacheHandle>,
     /// The session's selectivity counters for this namespace, fed with
     /// every *fresh* answer (memo/reuse hits were observed when first
     /// computed). Statistics only — never read on the answer path.
     selectivity: Option<SelectivityHandle>,
+}
+
+/// A read cursor over the local memo and, behind it, the shared store,
+/// one 64-row word at a time: arriving at a word loads both layers'
+/// planes for it, its rows are then answered from those copies (store
+/// hits collecting in `promote`), and leaving it lands the hits in the
+/// memo and settles the store's accounting. The memo copy is a snapshot:
+/// a worker racing on the same invoker may promote a row after it was
+/// taken, and the row is then promoted twice but charged once —
+/// `merge_word` reports who flipped the bit; the loser counts in `raced`.
+struct Lookup<'i> {
+    memo: &'i RowBits,
+    reader: Option<CacheReader<'i>>,
+    /// The word the cursor is on (`usize::MAX`: none yet).
+    word: usize,
+    /// Rows of `word` this query holds an answer for — memoized on
+    /// arrival, or promoted since — and those answers.
+    local: (u64, u64),
+    /// Rows of `word` the shared store held on arrival, and its answers.
+    shared: (u64, u64),
+    /// Store hits of this visit, awaiting promotion.
+    promote: u64,
+    /// Store misses of this visit.
+    misses: u64,
+    promoted: u64,
+    raced: u64,
+}
+
+impl Lookup<'_> {
+    /// Moves the cursor to `row`'s word and returns `row`'s bit in it.
+    #[inline]
+    fn seek(&mut self, row: usize) -> u64 {
+        if row / 64 != self.word {
+            self.leave();
+            self.word = row / 64;
+            self.local = self.memo.word(self.word);
+            self.shared = match &mut self.reader {
+                Some(reader) => reader.word(self.word),
+                None => (0, 0),
+            };
+        }
+        1u64 << (row % 64)
+    }
+
+    /// The answer this query already holds for `row`: memoized, or a
+    /// store hit promoted earlier in this call.
+    #[inline]
+    fn local(&mut self, row: usize) -> Option<bool> {
+        let bit = self.seek(row);
+        (self.local.0 & bit != 0).then_some(self.local.1 & bit != 0)
+    }
+
+    /// Probes the shared store for `row`, promoting a hit.
+    #[inline]
+    fn shared(&mut self, row: usize) -> Option<bool> {
+        let bit = self.seek(row);
+        self.reader.as_ref()?;
+        if self.shared.0 & bit == 0 {
+            self.misses += 1;
+            return None;
+        }
+        self.promote |= bit;
+        self.local.0 |= bit;
+        self.local.1 |= self.shared.1 & bit;
+        Some(self.shared.1 & bit != 0)
+    }
+
+    /// Lands this visit's store hits in the memo and accounts for the
+    /// visit's probes in the store.
+    fn leave(&mut self) {
+        if self.promote != 0 {
+            let new = self.memo.merge_word(self.word, self.promote, self.local.1);
+            self.promoted += u64::from(new.count_ones());
+            self.raced += u64::from((self.promote & !new).count_ones());
+        }
+        if let Some(reader) = &mut self.reader {
+            reader.record(self.word, self.promote, self.misses);
+        }
+        (self.promote, self.misses) = (0, 0);
+    }
+
+    /// Ends the walk and charges the reuse. Returns how many store hits
+    /// lost their promotion to a racing worker (by then plain memo hits,
+    /// for callers that charge those).
+    fn finish(mut self, tracker: &CostTracker) -> u64 {
+        self.leave();
+        tracker.add_reuse_hits(self.promoted);
+        self.raced
+    }
 }
 
 impl<'a> UdfInvoker<'a> {
@@ -88,7 +190,7 @@ impl<'a> UdfInvoker<'a> {
             udf,
             table,
             tracker,
-            memo: ShardedMemo::new(),
+            memo: RowBits::new(table.num_rows()),
             shared: None,
             selectivity: None,
         }
@@ -109,18 +211,13 @@ impl<'a> UdfInvoker<'a> {
         ctx: &ExecContext<'_>,
     ) -> Self {
         let ns = cache_namespace(udf, table);
-        let shared = ctx.cache.zip(ns).map(|(store, ns)| store.handle(ns));
-        let selectivity = ctx
-            .selectivity
-            .zip(ns)
-            .map(|(tracker, ns)| tracker.handle(ns));
         Self {
-            udf,
-            table,
-            tracker,
-            memo: ShardedMemo::new(),
-            shared,
-            selectivity,
+            shared: ctx.cache.zip(ns).map(|(store, ns)| store.handle(ns)),
+            selectivity: ctx
+                .selectivity
+                .zip(ns)
+                .map(|(tracker, ns)| tracker.handle(ns)),
+            ..Self::with_tracker(udf, table, tracker)
         }
     }
 
@@ -134,13 +231,18 @@ impl<'a> UdfInvoker<'a> {
         self.shared.is_some()
     }
 
-    /// Shared-store lookup with promotion: copies a hit into the local
-    /// memo and charges it (once per row) as a cross-query reuse.
-    fn reuse_from_shared(&self, row: usize) -> Option<bool> {
-        let answer = self.shared.as_ref()?.get(row)?;
-        self.memo.insert(row, answer);
-        self.tracker.add_reuse_hit();
-        Some(answer)
+    fn lookup(&self) -> Lookup<'_> {
+        Lookup {
+            memo: &self.memo,
+            reader: self.shared.as_ref().map(CacheHandle::reader),
+            word: usize::MAX,
+            local: (0, 0),
+            shared: (0, 0),
+            promote: 0,
+            misses: 0,
+            promoted: 0,
+            raced: 0,
+        }
     }
 
     /// Writes a freshly evaluated answer through both cache layers.
@@ -162,11 +264,14 @@ impl<'a> UdfInvoker<'a> {
     /// Retrieval is charged separately by the caller — the executor decides
     /// whether an evaluation happens on a freshly retrieved tuple.
     pub fn evaluate(&self, row: usize) -> bool {
-        if let Some(answer) = self.memo.get(row) {
-            self.tracker.add_cache_hit();
-            return answer;
-        }
-        if let Some(answer) = self.reuse_from_shared(row) {
+        let mut lookup = self.lookup();
+        let local = lookup.local(row);
+        let known = local.or_else(|| lookup.shared(row));
+        // A store hit that lost its promotion to a racing worker is, by
+        // now, a plain memo hit.
+        let hits = u64::from(local.is_some()) + lookup.finish(&self.tracker);
+        if let Some(answer) = known {
+            self.tracker.add_cache_hits(hits);
             return answer;
         }
         let answer = self.udf.evaluate(self.table, row);
@@ -187,68 +292,40 @@ impl<'a> UdfInvoker<'a> {
     /// count as cache hits, matching a sequential evaluation loop), and
     /// memoized. With the [`expred_exec::Sequential`] backend this is
     /// action-for-action identical to calling [`UdfInvoker::evaluate`] in
-    /// a loop.
-    ///
-    /// Session-cached invokers probe the shared store *batched*: every
-    /// distinct not-yet-memoized row goes through one
-    /// [`CacheHandle::get_many`] call — one read-lock acquisition per
-    /// touched store shard — instead of a per-row lock round-trip. The
-    /// prefetch touches exactly the keys a per-row walk would have (each
-    /// distinct memo-miss row is probed once; duplicates resolve against
-    /// the promoted memo or the fresh-slot table), so reuse accounting
-    /// and store hit/miss statistics are unchanged to the action.
+    /// a loop: each distinct row the memo cannot answer probes the
+    /// session store exactly once (repeats resolve against the promoted
+    /// memo or the batch's own fresh set), so the bill and the store's
+    /// hit/miss statistics match to the action — they are just settled
+    /// once per batch instead of once per row.
     pub fn evaluate_batch(&self, executor: &dyn Executor, rows: &[usize]) -> Vec<bool> {
         let mut answers = vec![false; rows.len()];
+        // The distinct rows to evaluate, every position — first
+        // occurrences and repeats — awaiting them, and a scratch plane
+        // over the table's rows: first the set of queued rows, then the
+        // set of those that passed.
         let mut fresh: Vec<usize> = Vec::new();
-        // Slot index in `fresh` for every distinct fresh row.
-        let mut fresh_slot: HashMap<usize, usize> = HashMap::new();
-        // (position in `answers`, slot in `fresh`) to fill after the batch.
-        let mut fills: Vec<(usize, usize)> = Vec::new();
+        let mut waiting: Vec<usize> = Vec::new();
+        let mut plane = vec![0u64; self.table.num_rows().div_ceil(64)];
         let mut hits = 0u64;
-        // Batched shared-store probe: collect each distinct row the local
-        // memo cannot answer, look them all up in one call, and serve the
-        // main walk from the prefetched map. The walk below then promotes
-        // a prefetched hit the first time it is used, exactly where the
-        // per-row path would have probed the store.
-        let prefetched: HashMap<usize, bool> = match &self.shared {
-            Some(shared) => {
-                let mut candidates: Vec<usize> = Vec::new();
-                let mut seen: HashSet<usize> = HashSet::new();
-                for &row in rows {
-                    if self.memo.get(row).is_none() && seen.insert(row) {
-                        candidates.push(row);
-                    }
-                }
-                candidates
-                    .iter()
-                    .zip(shared.get_many(&candidates))
-                    .filter_map(|(&row, answer)| answer.map(|a| (row, a)))
-                    .collect()
-            }
-            None => HashMap::new(),
-        };
+        let mut lookup = self.lookup();
         for (i, &row) in rows.iter().enumerate() {
-            if let Some(answer) = self.memo.get(row) {
+            if let Some(answer) = lookup.local(row) {
                 answers[i] = answer;
                 hits += 1;
-            } else if let Some(&answer) = prefetched.get(&row) {
-                // Paid for by an earlier query; promote into the local
-                // memo (charged once as a reuse) so any later occurrence
-                // in this batch is a plain memo hit.
-                self.memo.insert(row, answer);
-                self.tracker.add_reuse_hit();
-                answers[i] = answer;
-            } else if let Some(&slot) = fresh_slot.get(&row) {
-                // Duplicate within the batch: evaluated once, re-read free.
-                fills.push((i, slot));
+            } else if plane[row / 64] & (1 << (row % 64)) != 0 {
+                // Repeat within the batch: evaluated once, re-read free.
+                waiting.push(i);
                 hits += 1;
+            } else if let Some(answer) = lookup.shared(row) {
+                // Paid for by an earlier query: a reuse, not a hit.
+                answers[i] = answer;
             } else {
-                let slot = fresh.len();
+                plane[row / 64] |= 1 << (row % 64);
                 fresh.push(row);
-                fresh_slot.insert(row, slot);
-                fills.push((i, slot));
+                waiting.push(i);
             }
         }
+        hits += lookup.finish(&self.tracker);
         self.tracker.add_cache_hits(hits);
         if !fresh.is_empty() {
             let probe = |row: usize| self.udf.evaluate(self.table, row);
@@ -260,26 +337,39 @@ impl<'a> UdfInvoker<'a> {
             }
             for (&row, &answer) in fresh.iter().zip(&fresh_answers) {
                 self.commit(row, answer);
+                if !answer {
+                    plane[row / 64] &= !(1 << (row % 64));
+                }
             }
-            for (position, slot) in fills {
-                answers[position] = fresh_answers[slot];
+            for position in waiting {
+                let row = rows[position];
+                answers[position] = plane[row / 64] & (1 << (row % 64)) != 0;
             }
         }
         answers
     }
 
-    /// Whether `row`'s answer is already known — to this query's memo or
-    /// to the session cache. A free lookup cost-wise; a session-cache hit
+    /// The known answer for `row`, if this query or an earlier one in the
+    /// session evaluated it. A free lookup cost-wise; a session-cache hit
     /// is promoted (and counted once as a reuse) so the answer stays
     /// available for the rest of the query even under store eviction.
-    pub fn is_evaluated(&self, row: usize) -> bool {
-        self.memoized(row).is_some()
+    pub fn memoized(&self, row: usize) -> Option<bool> {
+        self.known_many([row]).pop().flatten()
     }
 
-    /// The known answer for `row`, if this query or an earlier one in the
-    /// session evaluated it (session hits promote, as above).
-    pub fn memoized(&self, row: usize) -> Option<bool> {
-        self.memo.get(row).or_else(|| self.reuse_from_shared(row))
+    /// [`UdfInvoker::memoized`] for a run of rows, in input order — the
+    /// pipelines' "which of these are already decided?" scan. Action for
+    /// action the per-row loop (same answers, same promotions, one store
+    /// hit or miss per probe), with the reuse charge and the store
+    /// statistics added once per call.
+    pub fn known_many(&self, rows: impl IntoIterator<Item = usize>) -> Vec<Option<bool>> {
+        let mut lookup = self.lookup();
+        let known = rows
+            .into_iter()
+            .map(|row| lookup.local(row).or_else(|| lookup.shared(row)))
+            .collect();
+        lookup.finish(&self.tracker);
+        known
     }
 
     /// Retrieves and evaluates `row` in one step (charges both actions).
@@ -357,10 +447,8 @@ mod tests {
         let t = table_with_labels(&[true, false]);
         let udf = OracleUdf::new("good");
         let inv = UdfInvoker::new(&udf, &t);
-        assert!(!inv.is_evaluated(0));
         assert_eq!(inv.memoized(0), None);
         inv.evaluate(0);
-        assert!(inv.is_evaluated(0));
         assert_eq!(inv.memoized(0), Some(true));
         assert_eq!(inv.counts().evaluated, 1);
     }
@@ -524,14 +612,14 @@ mod tests {
         UdfInvoker::with_context(&udf, &t, &ctx).evaluate(0);
 
         let q2 = UdfInvoker::with_context(&udf, &t, &ctx);
-        assert!(q2.is_evaluated(0));
+        assert_eq!(q2.memoized(0), Some(true));
         assert_eq!(q2.memoized(0), Some(true));
         assert!(q2.evaluate(0));
         let c = q2.counts();
         assert_eq!(c.reuse_hits, 1, "promotion charges exactly once");
         assert_eq!(c.evaluated, 0);
         assert_eq!(c.cache_hits, 1, "post-promotion reads are memo hits");
-        assert!(!q2.is_evaluated(1), "unknown rows stay unknown");
+        assert_eq!(q2.memoized(1), None, "unknown rows stay unknown");
     }
 
     #[test]
@@ -601,6 +689,80 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn racing_workers_charge_each_promotion_exactly_once() {
+        // Regression: two executor workers probing the same session-warm
+        // row on one invoker both missed the memo, both promoted, and
+        // both charged a reuse. Eight threads meet at a barrier before
+        // every row so they collide on it; whoever flips the memo's
+        // `known` bit charges the reuse, the rest see a plain hit.
+        const ROWS: usize = 384;
+        const WARM: usize = 256;
+        let labels: Vec<bool> = (0..ROWS).map(|i| i % 3 == 0).collect();
+        let t = table_with_labels(&labels);
+        let udf = OracleUdf::new("good");
+        let store = expred_exec::CacheStore::new();
+        let ctx = expred_exec::ExecContext::sequential().with_cache(&store);
+        let warm: Vec<usize> = (0..WARM).collect();
+        UdfInvoker::with_context(&udf, &t, &ctx).evaluate_batch(&expred_exec::Sequential, &warm);
+
+        let inv = UdfInvoker::with_context(&udf, &t, &ctx);
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for (row, &label) in labels.iter().enumerate() {
+                        barrier.wait();
+                        assert_eq!(inv.evaluate(row), label, "wrong answer for row {row}");
+                    }
+                });
+            }
+        });
+        let c = inv.counts();
+        assert_eq!(c.demanded(), 8 * ROWS as u64, "one charge per demand");
+        assert_eq!(c.reuse_hits, WARM as u64, "one reuse per promoted row");
+        // Cold rows may be paid by several racing workers, warm rows by none.
+        let cold = (ROWS - WARM) as u64;
+        assert!((cold..=8 * cold).contains(&c.evaluated), "{c:?}");
+    }
+
+    #[test]
+    fn known_many_matches_the_per_row_walk_including_repeats() {
+        // Rows straddling word boundaries, repeated store hits (probed
+        // once, then memo hits) and repeated misses (probed every time).
+        let labels: Vec<bool> = (0..200).map(|i| i % 5 < 2).collect();
+        let t = table_with_labels(&labels);
+        let udf = OracleUdf::new("good");
+        let warm: Vec<usize> = (60..70).chain(120..130).collect();
+        let scan = [63, 64, 63, 5, 5, 128, 199, 64, 127, 128, 0];
+        let run = |bulk: bool| {
+            let store = expred_exec::CacheStore::new();
+            let ctx = expred_exec::ExecContext::sequential().with_cache(&store);
+            UdfInvoker::with_context(&udf, &t, &ctx)
+                .evaluate_batch(&expred_exec::Sequential, &warm);
+            let inv = UdfInvoker::with_context(&udf, &t, &ctx);
+            inv.evaluate(5);
+            let known = if bulk {
+                inv.known_many(scan)
+            } else {
+                scan.iter().map(|&row| inv.memoized(row)).collect()
+            };
+            (known, inv.counts(), store.stats())
+        };
+        let (known, counts, stats) = run(true);
+        assert_eq!((known.clone(), counts, stats), run(false));
+        assert_eq!(known[0], Some(false), "row 63 was paid for by query 1");
+        assert_eq!(known[3], Some(true), "row 5 is in this query's memo");
+        assert_eq!(known[6], None, "nobody evaluated row 199");
+        assert_eq!(counts.reuse_hits, 4, "rows 63, 64, 128, 127 — once each");
+        assert_eq!(stats.hits, 4);
+        assert_eq!(
+            stats.misses,
+            warm.len() as u64 + 1 + 2,
+            "warm-up, row 5, rows 199 and 0"
+        );
     }
 
     #[test]

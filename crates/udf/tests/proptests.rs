@@ -13,6 +13,10 @@
 //!
 //! and a table-version bump fully invalidates the table's namespace: the
 //! next query pays full freight again with zero reuse.
+//!
+//! The bulk read path is held to the per-row one: `known_many` over any
+//! run of rows — repeats included, on a half-warm session and a half-warm
+//! memo — equals a `memoized` loop action for action.
 
 use expred_exec::{CacheStore, ExecContext, Sequential};
 use expred_table::{DataType, Field, Schema, Table, Value};
@@ -20,6 +24,8 @@ use expred_udf::{OracleUdf, UdfInvoker};
 use proptest::prelude::*;
 
 const ROWS: usize = 48;
+/// Wide enough to span several 64-row words of the bitmap layers.
+const WIDE_ROWS: usize = 300;
 
 fn labelled_table(rows: usize) -> Table {
     let schema = Schema::new(vec![Field::new("good", DataType::Bool)]);
@@ -120,6 +126,50 @@ proptest! {
         prop_assert_eq!(w.evaluated, cold.counts().evaluated, "full freight again");
         // Old + new versions are live (bounded by the recency window).
         prop_assert!(store.num_namespaces() <= expred_exec::MAX_LIVE_VERSIONS);
+    }
+
+    #[test]
+    fn bulk_known_scan_matches_the_per_row_loop_action_for_action(
+        warm in prop::collection::vec(0usize..WIDE_ROWS, 0..120),
+        steps in prop::collection::vec(
+            (
+                prop::collection::vec(0usize..WIDE_ROWS, 0..150),
+                prop::collection::vec(0usize..WIDE_ROWS, 0..40),
+            ),
+            1..6,
+        ),
+    ) {
+        // Twin sessions, warmed identically by a first query; the second
+        // query alternates "which of these rows are decided?" scans with
+        // batches that warm its memo. One twin scans in bulk, the other
+        // row by row; nothing observable may differ after any step.
+        let table = labelled_table(WIDE_ROWS);
+        let udf = OracleUdf::new("good");
+        let (bulk_store, loop_store) = (CacheStore::new(), CacheStore::new());
+        let bulk_ctx = ExecContext::sequential().with_cache(&bulk_store);
+        let loop_ctx = ExecContext::sequential().with_cache(&loop_store);
+        UdfInvoker::with_context(&udf, &table, &bulk_ctx).evaluate_batch(&Sequential, &warm);
+        UdfInvoker::with_context(&udf, &table, &loop_ctx).evaluate_batch(&Sequential, &warm);
+
+        let bulk = UdfInvoker::with_context(&udf, &table, &bulk_ctx);
+        let per_row = UdfInvoker::with_context(&udf, &table, &loop_ctx);
+        for (scan, batch) in &steps {
+            let bulk_known = bulk.known_many(scan.iter().copied());
+            let loop_known: Vec<Option<bool>> =
+                scan.iter().map(|&row| per_row.memoized(row)).collect();
+            prop_assert_eq!(&bulk_known, &loop_known);
+            for (&row, known) in scan.iter().zip(&bulk_known) {
+                prop_assert!(known.is_none_or(|answer| answer == (row % 3 == 0)));
+            }
+            prop_assert_eq!(bulk.counts(), per_row.counts());
+            prop_assert_eq!(bulk_store.stats(), loop_store.stats());
+            prop_assert_eq!(
+                bulk.evaluate_batch(&Sequential, batch),
+                per_row.evaluate_batch(&Sequential, batch)
+            );
+        }
+        prop_assert_eq!(bulk.counts(), per_row.counts());
+        prop_assert_eq!(bulk_store.stats(), loop_store.stats());
     }
 
     #[test]

@@ -87,8 +87,7 @@ fn main() {
 
     // Report: achieved accuracy and cost vs the evaluate-everything bound.
     let truth = truth_vector(&table, "good_credit");
-    let returned: Vec<usize> = result.returned.iter().map(|&r| r as usize).collect();
-    let summary = precision_recall(&returned, &truth);
+    let summary = precision_recall(result.returned.iter().map(|&r| r as usize), &truth);
     let counts = invoker.counts();
     println!(
         "\nreturned {} tuples: precision {:.3}, recall {:.3}",
