@@ -8,7 +8,7 @@
 //!                                              # assertions relaxed)
 //! ```
 //!
-//! Three scenarios (→ `BENCH_serving.json`):
+//! Three load scenarios and two codec rows (→ `BENCH_serving.json`):
 //!
 //! * `zipf_mixed` — N tenant threads, each replaying a zipf-skewed mix
 //!   of tables and query kinds (popular queries repeat, so the memo and
@@ -27,22 +27,33 @@
 //!   (`attempts == 200s + 429s`, `engine queries == 200s`) is asserted,
 //!   not measured.
 //!
+//! * `render_outcome_9k_ids` / `write_response_57kb` — the response
+//!   codec in-process, no sockets: [`render_outcome`] on a real ≈ 9 k-id
+//!   answer (`optimal` on `grade` over 20 000 `prosper` rows — what a
+//!   result-memo hit has left to do), and [`HttpResponse::write_to`] of a
+//!   57 KB body into a `Vec` sink. Best of five batches each.
+//!
 //! Value semantics per row: `ns_per_probe` holds per-query nanoseconds
 //! for backends, latency nanoseconds for `*_p50_ns`/`*_p99_ns` rows,
-//! queries/sec for `queries_per_sec`, and a percentage for
-//! `shed_rate_pct`.
+//! queries/sec for `queries_per_sec`, a percentage for `shed_rate_pct`,
+//! nanoseconds per row id for `ns_per_id`, and nanoseconds per response
+//! for `ns_per_response`.
 //!
 //! [`QueryEngine::submit`]: expred_core::QueryEngine::submit
+//! [`render_outcome`]: expred_serve::api::render_outcome
 
+use expred_bench::report::measure_ns_per_unit;
 use expred_bench::BenchReport;
 use expred_core::{
     CorrelationModel, IntelSampleConfig, PredictorChoice, QueryEngine, QueryRequest, QuerySpec,
     SampleSizeRule,
 };
-use expred_serve::{serve, HttpClient, ServeConfig, TableKey};
+use expred_serve::api::render_outcome;
+use expred_serve::{serve, HttpClient, HttpResponse, ServeConfig, TableKey};
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 6;
@@ -377,6 +388,52 @@ fn main() {
     assert!(
         smoke || sat.shed > 0,
         "a single-slot server under {CLIENTS} concurrent clients must shed"
+    );
+
+    drop(handle);
+
+    // -- response codec ----------------------------------------------------
+    let ds = Dataset::generate(
+        DatasetSpec {
+            rows: 20_000,
+            ..PROSPER
+        },
+        0,
+    );
+    let outcome = QueryEngine::new()
+        .submit(
+            &ds,
+            &QueryRequest::optimal(QuerySpec::paper_default(), "grade"),
+        )
+        .expect("direct submit");
+    let ids = outcome.returned.len();
+    // The scenarios above mostly sleep, and this box takes a few hundred
+    // ms of busy time to reach its steady clock: report the best of five
+    // batches, not the mean of a window that starts cold.
+    let reps = if smoke { 200 } else { 5_000 };
+    let best_of_five = |units: u64, f: &mut dyn FnMut()| {
+        (0..5)
+            .map(|_| measure_ns_per_unit(units, reps, &mut *f))
+            .fold(f64::INFINITY, f64::min)
+    };
+    let render_ns = best_of_five(ids as u64, &mut || {
+        black_box(render_outcome(black_box("t0"), black_box(&outcome)));
+    });
+    report.record("render_outcome_9k_ids", "ns_per_id", render_ns, 1.0);
+    let response = HttpResponse::json(200, "7".repeat(57 * 1024));
+    let mut sink = Vec::with_capacity(64 * 1024);
+    let write_ns = best_of_five(1, &mut || {
+        sink.clear();
+        black_box(&response)
+            .write_to(&mut sink, true)
+            .expect("vec sink");
+        black_box(&sink);
+    });
+    report.record("write_response_57kb", "ns_per_response", write_ns, 1.0);
+    println!(
+        "codec: render {ids} ids ({} B body) {render_ns:.1} ns/id | \
+         write 57 KB response {write_ns:.0} ns",
+        render_outcome("t0", &outcome).len()
     );
 
     let path = report.write().expect("write artifact");

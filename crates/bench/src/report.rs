@@ -4,8 +4,8 @@
 //! is for the *perf trajectory* — every PR's bench run leaves a
 //! comparable artifact, so a regression is a diff, not an anecdote. The
 //! schema is deliberately flat (one record per `(scenario, backend)`
-//! measurement) and hand-serialized, because the workspace builds
-//! offline with no serde:
+//! measurement) and rendered by the workspace's own
+//! [`JsonWriter`], because the workspace builds offline with no serde:
 //!
 //! ```json
 //! {
@@ -25,7 +25,7 @@
 //! declares as its baseline for the scenario (by convention
 //! `sequential`; the baseline row itself reports `1.0`).
 
-use expred_stats::json::{escape, fmt_f64, JsonValue};
+use expred_stats::json::{JsonValue, JsonWriter};
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -82,32 +82,20 @@ impl BenchReport {
 
     /// Renders the report as JSON (stable field order, two-space indent).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"bench\": \"{}\",\n", escape(&self.name)));
-        out.push_str("  \"results\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!(
-                "      \"scenario\": \"{}\",\n",
-                escape(&r.scenario)
-            ));
-            out.push_str(&format!("      \"backend\": \"{}\",\n", escape(&r.backend)));
-            out.push_str(&format!(
-                "      \"ns_per_probe\": {},\n",
-                fmt_f64(r.ns_per_probe)
-            ));
-            out.push_str(&format!(
-                "      \"speedup_vs_baseline\": {}\n",
-                fmt_f64(r.speedup_vs_baseline)
-            ));
-            out.push_str(if i + 1 == self.records.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
+        let mut w = JsonWriter::pretty();
+        w.begin_object().key("bench").str(&self.name);
+        w.key("results").begin_array();
+        for r in &self.records {
+            w.begin_object();
+            w.key("scenario").str(&r.scenario);
+            w.key("backend").str(&r.backend);
+            w.key("ns_per_probe").f64_tenths(r.ns_per_probe);
+            w.key("speedup_vs_baseline")
+                .f64_tenths(r.speedup_vs_baseline);
+            w.end_object();
         }
-        out.push_str("  ]\n}\n");
-        out
+        w.end_array().end_object();
+        w.finish() + "\n"
     }
 
     /// The file the report writes to: `BENCH_<name>.json`, placed in the
@@ -263,6 +251,25 @@ mod tests {
         // Exactly one trailing-comma-free closing per record list.
         assert!(json.trim_end().ends_with('}'));
         assert_eq!(report.records().len(), 2);
+    }
+
+    #[test]
+    fn committed_artifacts_re_render_byte_for_byte() {
+        // The layout is the writer's pretty mode; every artifact in the
+        // tree was rendered by this function, so each must reproduce.
+        let root = BenchReport::new("x").path();
+        let mut seen = 0;
+        for entry in std::fs::read_dir(root.parent().unwrap()).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let report = BenchReport::from_json(&text).expect(&name);
+                assert_eq!(report.to_json(), text, "{name}");
+                seen += 1;
+            }
+        }
+        assert!(seen > 0, "no artifact beside Cargo.lock");
     }
 
     #[test]

@@ -24,14 +24,22 @@
 //!
 //! A 200 body is the outcome, minus `compute_seconds` (a wall-clock
 //! diagnostic that would break the serving contract that an HTTP answer
-//! is byte-identical to a direct [`QueryEngine::submit`]):
+//! is byte-identical to a direct [`QueryEngine::submit`]), compact and
+//! in this field order:
 //!
 //! ```json
-//! {"tenant": "alice", "returned": [3, 17], "counts": {"retrieved": 2000,
-//!  "evaluated": 512, "cache_hits": 0, "reuse_hits": 40}, "cost": 3536.0,
-//!  "precision": 0.93, "recall": 0.91, "num_groups": 7,
-//!  "plan_feasible": true}
+//! {"tenant":"alice","returned":[3,17],"counts":{"retrieved":2000,
+//!  "evaluated":512,"cache_hits":0,"reuse_hits":40},"cost":3536,
+//!  "precision":0.93,"recall":0.91,"num_groups":7,"plan_feasible":true}
 //! ```
+//!
+//! [`render_outcome`] streams it: the row ids go from the outcome's
+//! `&[u32]` through [`JsonWriter`] into one buffer sized up front from
+//! the id count, so a 9 k-id answer costs one allocation and a few ns per
+//! id — which matters because a result-memo hit does no other work. There
+//! is deliberately no cache of rendered bodies beside the result memo: it
+//! would hold tens of MB per tenant, need a size knob, and do nothing for
+//! requests that never repeat.
 //!
 //! Every error body is `{"error": "<kind>", "detail": "<message>"}`.
 //!
@@ -42,7 +50,7 @@ use expred_core::optimize::CorrelationModel;
 use expred_core::pipeline::{IntelSampleConfig, PredictorChoice, RunOutcome};
 use expred_core::sampling::SampleSizeRule;
 use expred_core::{EngineError, InfeasiblePolicy, QueryRequest, QuerySpec};
-use expred_stats::json::{escape, JsonValue};
+use expred_stats::json::{u32_array_len, JsonValue, JsonWriter};
 use expred_udf::CostModel;
 
 /// A failed API call: the HTTP status to answer with, a stable
@@ -69,11 +77,10 @@ impl ApiError {
 
     /// The error's JSON body.
     pub fn body(&self) -> String {
-        format!(
-            "{{\"error\":\"{}\",\"detail\":\"{}\"}}",
-            escape(self.kind),
-            escape(&self.detail)
-        )
+        let mut w = JsonWriter::new();
+        w.begin_object().key("error").str(self.kind);
+        w.key("detail").str(&self.detail).end_object();
+        w.finish()
     }
 }
 
@@ -499,37 +506,169 @@ fn parse_cost(value: &JsonValue) -> Result<CostModel, ApiError> {
 /// HTTP answer is byte-identical to a direct submit rendered the same
 /// way.
 pub fn render_outcome(tenant: &str, outcome: &RunOutcome) -> String {
-    let n = JsonValue::Number;
-    JsonValue::Object(vec![
-        ("tenant".into(), JsonValue::String(tenant.to_owned())),
-        (
-            "returned".into(),
-            JsonValue::Array(outcome.returned.iter().map(|&id| n(id as f64)).collect()),
-        ),
-        (
-            "counts".into(),
-            JsonValue::Object(vec![
-                ("retrieved".into(), n(outcome.counts.retrieved as f64)),
-                ("evaluated".into(), n(outcome.counts.evaluated as f64)),
-                ("cache_hits".into(), n(outcome.counts.cache_hits as f64)),
-                ("reuse_hits".into(), n(outcome.counts.reuse_hits as f64)),
-            ]),
-        ),
-        ("cost".into(), n(outcome.cost)),
-        ("precision".into(), n(outcome.summary.precision)),
-        ("recall".into(), n(outcome.summary.recall)),
-        ("num_groups".into(), n(outcome.num_groups as f64)),
-        (
-            "plan_feasible".into(),
-            JsonValue::Bool(outcome.plan_feasible),
-        ),
-    ])
-    .render()
+    // Sized once, so a body is one allocation (past the bound, a regrow).
+    let mut w = JsonWriter::with_capacity(outcome_capacity(tenant, &outcome.returned));
+    w.begin_object().key("tenant").str(tenant);
+    w.key("returned").u32_array(&outcome.returned);
+    w.key("counts").begin_object();
+    w.key("retrieved").u64(outcome.counts.retrieved);
+    w.key("evaluated").u64(outcome.counts.evaluated);
+    w.key("cache_hits").u64(outcome.counts.cache_hits);
+    w.key("reuse_hits").u64(outcome.counts.reuse_hits);
+    w.end_object();
+    w.key("cost").f64(outcome.cost);
+    w.key("precision").f64(outcome.summary.precision);
+    w.key("recall").f64(outcome.summary.recall);
+    w.key("num_groups").u64(outcome.num_groups as u64);
+    w.key("plan_feasible").bool(outcome.plan_feasible);
+    w.end_object();
+    w.finish()
+}
+
+/// Upper bound on a 200 body's length for any outcome with ordinary
+/// floats and a tenant that needs no escapes: the ids, the tenant, and
+/// 320 bytes for the field names (≈ 150) and the nine scalar values.
+fn outcome_capacity(tenant: &str, returned: &[u32]) -> usize {
+    u32_array_len(returned) + tenant.len() + 320
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use expred_core::QueryEngine;
+    use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
+    use proptest::prelude::*;
+
+    /// The tree-building renderer `render_outcome` replaced, as the
+    /// reference: `JsonValue::render` is itself proven equal to the old
+    /// tree renderer in `expred_stats::json`'s tests.
+    fn oracle_render_outcome(tenant: &str, outcome: &RunOutcome) -> String {
+        let n = JsonValue::Number;
+        JsonValue::Object(vec![
+            ("tenant".into(), JsonValue::String(tenant.to_owned())),
+            (
+                "returned".into(),
+                JsonValue::Array(outcome.returned.iter().map(|&id| n(id as f64)).collect()),
+            ),
+            (
+                "counts".into(),
+                JsonValue::Object(vec![
+                    ("retrieved".into(), n(outcome.counts.retrieved as f64)),
+                    ("evaluated".into(), n(outcome.counts.evaluated as f64)),
+                    ("cache_hits".into(), n(outcome.counts.cache_hits as f64)),
+                    ("reuse_hits".into(), n(outcome.counts.reuse_hits as f64)),
+                ]),
+            ),
+            ("cost".into(), n(outcome.cost)),
+            ("precision".into(), n(outcome.summary.precision)),
+            ("recall".into(), n(outcome.summary.recall)),
+            ("num_groups".into(), n(outcome.num_groups as f64)),
+            (
+                "plan_feasible".into(),
+                JsonValue::Bool(outcome.plan_feasible),
+            ),
+        ])
+        .render()
+    }
+
+    /// A real outcome to mutate field by field (`PrSummary` lives in a
+    /// crate this one does not name).
+    fn base_outcome() -> RunOutcome {
+        let ds = Dataset::generate(
+            DatasetSpec {
+                rows: 60,
+                ..PROSPER
+            },
+            1,
+        );
+        let request = QueryRequest::naive(QuerySpec::paper_default());
+        QueryEngine::new()
+            .submit(&ds, &request)
+            .expect("naive runs")
+    }
+
+    proptest! {
+        #[test]
+        fn render_outcome_matches_the_tree_renderer(
+            len_class in 0usize..8,
+            ids in prop::collection::vec(any::<u32>(), 0..40),
+            counts in prop::collection::vec(0u64..(1 << 53), 4),
+            floats in prop::collection::vec(-1e6f64..1e6, 3),
+            integral in any::<bool>(),
+            feasible in any::<bool>(),
+        ) {
+            let mut outcome = base_outcome();
+            outcome.returned = match len_class {
+                0 => Vec::new(),
+                1 => vec![ids.first().copied().unwrap_or(u32::MAX)],
+                2 => (0..200_000).collect(),
+                _ => ids,
+            };
+            outcome.counts.retrieved = counts[0];
+            outcome.counts.evaluated = counts[1];
+            outcome.counts.cache_hits = counts[2];
+            outcome.counts.reuse_hits = counts[3];
+            let float = |v: f64| if integral { v.trunc() } else { v };
+            outcome.cost = float(floats[0]);
+            outcome.summary.precision = float(floats[1]);
+            outcome.summary.recall = if feasible { floats[2] } else { f64::NAN };
+            outcome.num_groups = counts[0] as usize % 1000;
+            outcome.plan_feasible = feasible;
+            let body = render_outcome("t0", &outcome);
+            prop_assert_eq!(&body, &oracle_render_outcome("t0", &outcome));
+            let doc = JsonValue::parse(&body).expect("body parses");
+            prop_assert_eq!(JsonValue::parse(&doc.render()).expect("re-parses"), doc);
+        }
+    }
+
+    #[test]
+    fn a_real_body_is_one_allocation() {
+        let ds = Dataset::generate(
+            DatasetSpec {
+                rows: 20_000,
+                ..PROSPER
+            },
+            0,
+        );
+        let request = QueryRequest::naive(QuerySpec::paper_default());
+        let outcome = QueryEngine::new()
+            .submit(&ds, &request)
+            .expect("naive runs");
+        assert!(outcome.returned.len() > 5_000, "a body worth sizing");
+        let body = render_outcome("t0", &outcome);
+        assert_eq!(body, oracle_render_outcome("t0", &outcome));
+        // The buffer was reserved once and never outgrown.
+        let reserved = outcome_capacity("t0", &outcome.returned);
+        assert!(body.len() <= reserved, "{} > {reserved}", body.len());
+        assert!(
+            reserved < body.len() + body.len() / 4,
+            "reservation is tight"
+        );
+    }
+
+    #[test]
+    fn hostile_tenant_names_stay_inside_their_string() {
+        // The tenant reaches the body from the `x-tenant` header.
+        let tenant = "a\"b\\c\nd\u{1}é\u{1f600}\",\"returned\":[9]";
+        let outcome = base_outcome();
+        let body = render_outcome(tenant, &outcome);
+        assert_eq!(body, oracle_render_outcome(tenant, &outcome));
+        let doc = JsonValue::parse(&body).expect("body parses");
+        assert_eq!(doc.get("tenant").unwrap().as_str(), Some(tenant));
+        let ids: Vec<u64> = doc
+            .get("returned")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|id| id.as_u64().unwrap())
+            .collect();
+        let expected: Vec<u64> = outcome.returned.iter().map(|&id| id.into()).collect();
+        assert_eq!(ids, expected, "the injected \"returned\" did not take");
+        let error = ApiError::bad_request(tenant).body();
+        let doc = JsonValue::parse(&error).expect("error body parses");
+        assert_eq!(doc.get("detail").unwrap().as_str(), Some(tenant));
+    }
 
     fn parse(body: &str) -> Result<ApiQuery, ApiError> {
         parse_query_body(body.as_bytes(), 100_000)

@@ -18,7 +18,7 @@
 //! * HTTP/1.1 connections persist unless either side says
 //!   `Connection: close`; HTTP/1.0 closes unless `keep-alive` is asked.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IoSlice, Write};
 use std::time::Duration;
 
 /// Hard bounds a connection's input must respect.
@@ -282,25 +282,39 @@ impl HttpResponse {
     }
 
     /// Serializes the response, adding `Content-Length` and the
-    /// `Connection` header (`keep-alive`/`close` per `keep_alive`).
+    /// `Connection` header (`keep-alive`/`close` per `keep_alive`). The
+    /// head is assembled in one small buffer and leaves together with the
+    /// body through vectored writes — on a socket, one syscall and one
+    /// segment train per response — without copying the body.
     pub fn write_to(&self, writer: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        let mut head = format!(
+        let mut head = Vec::with_capacity(128);
+        write!(
+            head,
             "HTTP/1.1 {} {}\r\n",
             self.status,
             reason_phrase(self.status)
-        );
+        )?;
         for (name, value) in &self.headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            write!(head, "{name}: {value}\r\n")?;
         }
-        head.push_str(&format!("content-length: {}\r\n", self.body.len()));
-        head.push_str(if keep_alive {
-            "connection: keep-alive\r\n"
-        } else {
-            "connection: close\r\n"
-        });
-        head.push_str("\r\n");
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(&self.body)?;
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        write!(
+            head,
+            "content-length: {}\r\nconnection: {connection}\r\n\r\n",
+            self.body.len()
+        )?;
+        let mut parts = [IoSlice::new(&head), IoSlice::new(&self.body)];
+        let mut pending = &mut parts[..];
+        // `advance_slices` drops exhausted slices (and an empty body), so
+        // the loop ends exactly when every byte has been accepted.
+        while !pending.is_empty() {
+            match writer.write_vectored(pending) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut pending, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         writer.flush()
     }
 }
@@ -442,5 +456,124 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("connection: close\r\n"));
+    }
+
+    /// A sink that accepts 1..=`max` bytes per call, across slice
+    /// boundaries like a socket does, and fails every third call with
+    /// `Interrupted`.
+    struct Dribble {
+        accepted: Vec<u8>,
+        calls: usize,
+        max: usize,
+        vectored: bool,
+    }
+
+    impl Dribble {
+        fn quota(&mut self) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            Ok(1 + self.calls % self.max)
+        }
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.quota()?.min(buf.len());
+            self.accepted.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if !self.vectored {
+                // What `Write` does by default: the first non-empty slice.
+                let first = bufs
+                    .iter()
+                    .find(|b| !b.is_empty())
+                    .map_or(&[][..], |b| &**b);
+                return self.write(first);
+            }
+            let mut left = self.quota()?;
+            let before = self.accepted.len();
+            for buf in bufs {
+                let n = left.min(buf.len());
+                self.accepted.extend_from_slice(&buf[..n]);
+                left -= n;
+            }
+            Ok(self.accepted.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The bytes `write_to` produced when it built the head with
+    /// `format!` and wrote head and body separately.
+    fn reference_bytes(response: &HttpResponse, keep_alive: bool) -> Vec<u8> {
+        let mut head = format!(
+            "HTTP/1.1 {} {}\r\n",
+            response.status,
+            reason_phrase(response.status)
+        );
+        for (name, value) in &response.headers {
+            head.push_str(&format!("{name}: {value}\r\n"));
+        }
+        head.push_str(&format!("content-length: {}\r\n", response.body.len()));
+        head.push_str(if keep_alive {
+            "connection: keep-alive\r\n"
+        } else {
+            "connection: close\r\n"
+        });
+        head.push_str("\r\n");
+        [head.as_bytes(), &response.body].concat()
+    }
+
+    #[test]
+    fn partial_and_interrupted_writes_lose_no_byte() {
+        let body: String = (0..3_000).map(|i| format!("{i},")).collect();
+        let responses = [
+            HttpResponse::json(200, body),
+            HttpResponse::json(429, "{\"error\":\"saturated\"}").with_header("retry-after", "2"),
+            HttpResponse::new(404),
+            HttpResponse::text(200, "ok\n"),
+        ];
+        for response in &responses {
+            for keep_alive in [true, false] {
+                let expected = reference_bytes(response, keep_alive);
+                for (max, vectored) in [(1, false), (7, true), (64, false), (4096, true)] {
+                    let mut sink = Dribble {
+                        accepted: Vec::new(),
+                        calls: 0,
+                        max,
+                        vectored,
+                    };
+                    response.write_to(&mut sink, keep_alive).expect("writes");
+                    assert_eq!(
+                        sink.accepted, expected,
+                        "status {} keep_alive {keep_alive} max {max} vectored {vectored}",
+                        response.status
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_sink_that_accepts_nothing_is_an_error_not_a_spin() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let error = HttpResponse::text(200, "ok")
+            .write_to(&mut Full, true)
+            .expect_err("no progress");
+        assert_eq!(error.kind(), std::io::ErrorKind::WriteZero);
     }
 }

@@ -8,13 +8,13 @@
 //! renderers pull the engine-side counters ([`expred_core::EngineStats`],
 //! [`expred_exec::CacheStats`], [`expred_core::ResultMemoStats`]) per
 //! tenant through the same `fields()` → [`counters_to_text`] /
-//! [`counters_to_json`] funnel the bench artifacts use, so both exports
-//! agree on names.
+//! [`JsonWriter::counters`] funnel the bench artifacts use, so both
+//! exports agree on names.
 
 use crate::gate::AdmissionGate;
 use crate::tenant::TenantRegistry;
 use expred_remote::RemoteStatsSnapshot;
-use expred_stats::json::{counters_to_json, counters_to_text, escape, fmt_f64};
+use expred_stats::json::{counters_to_text, escape, JsonWriter};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -292,54 +292,43 @@ impl ServeMetrics {
     /// JSON snapshot for `GET /metrics.json` — same numbers, one object.
     /// The `"remote"` key is present only when a backend is configured.
     pub fn render_json(&self, ctx: &MetricsContext<'_>) -> String {
-        let tenants = ctx.tenants;
-        let mut out = String::from("{\"server\":");
-        out.push_str(&counters_to_json(&self.server_counters(ctx)));
-        out.push_str(",\"routes\":{");
-        for (i, route) in self.routes().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"requests\":{},\"latency_p50_micros\":{},\"latency_p99_micros\":{},\"latency_mean_micros\":{}}}",
-                route.name,
-                route.requests.load(Ordering::Relaxed),
-                route.latency.p50_micros(),
-                route.latency.p99_micros(),
-                fmt_f64(route.latency.mean_micros()),
-            );
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("server").counters(&self.server_counters(ctx));
+        w.key("routes").begin_object();
+        for route in self.routes() {
+            w.key(route.name).begin_object();
+            w.key("requests")
+                .u64(route.requests.load(Ordering::Relaxed));
+            w.key("latency_p50_micros").u64(route.latency.p50_micros());
+            w.key("latency_p99_micros").u64(route.latency.p99_micros());
+            w.key("latency_mean_micros")
+                .f64_tenths(route.latency.mean_micros());
+            w.end_object();
         }
-        out.push('}');
+        w.end_object();
         if let Some((endpoint, snapshot)) = &ctx.remote {
-            let _ = write!(
-                out,
-                ",\"remote\":{{\"endpoint\":\"{}\",\"counters\":{}}}",
-                escape(endpoint),
-                counters_to_json(&snapshot.fields()),
-            );
+            w.key("remote").begin_object();
+            w.key("endpoint").str(endpoint);
+            w.key("counters").counters(&snapshot.fields());
+            w.end_object();
         }
-        out.push_str(",\"tenants\":{");
-        for (i, tenant) in tenants.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        w.key("tenants").begin_object();
+        for tenant in ctx.tenants.snapshot() {
             let engine = tenant.engine();
-            let _ = write!(
-                out,
-                "\"{}\":{{\"engine\":{},\"cache\":{},\"result_memo\":{},",
-                escape(tenant.name()),
-                counters_to_json(&engine.stats().fields()),
-                counters_to_json(&engine.cache_stats().fields()),
-                counters_to_json(&engine.result_memo_stats().fields()),
-            );
+            w.key(tenant.name()).begin_object();
+            w.key("engine").counters(&engine.stats().fields());
+            w.key("cache").counters(&engine.cache_stats().fields());
+            w.key("result_memo")
+                .counters(&engine.result_memo_stats().fields());
             if let Some(persist) = engine.persist_stats() {
-                let _ = write!(out, "\"persist\":{},", counters_to_json(&persist.fields()));
+                w.key("persist").counters(&persist.fields());
             }
-            let _ = write!(out, "\"tables\":{}}}", tenant.table_count());
+            w.key("tables").u64(tenant.table_count() as u64);
+            w.end_object();
         }
-        out.push_str("}}");
-        out
+        w.end_object().end_object();
+        w.finish()
     }
 }
 

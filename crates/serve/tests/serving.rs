@@ -458,6 +458,75 @@ fn tenant_header_overrides_body_tenant() {
 }
 
 #[test]
+fn a_fixed_query_answers_the_golden_bytes() {
+    // The same file CI diffs a `curl`ed body against: the wire format is
+    // a contract, so a drifting byte fails a test, not a client.
+    let handle = serve("127.0.0.1:0", small_config()).unwrap();
+    let mut client = HttpClient::connect(handle.local_addr()).unwrap();
+    let r = client
+        .post(
+            "/query",
+            r#"{"table":{"spec":"prosper","rows":200,"seed":7},"query":{"kind":"naive"},"seed":42}"#,
+        )
+        .unwrap();
+    assert_eq!(r.status, 200);
+    assert_eq!(
+        r.body_text(),
+        include_str!("golden/prosper_naive_seed42.json")
+    );
+}
+
+#[test]
+fn hostile_tenant_names_round_trip_as_json() {
+    // The tenant is attacker-controlled (header or body) and is echoed
+    // into every 200 body and both metrics exports.
+    let handle = serve("127.0.0.1:0", small_config()).unwrap();
+    let mut client = HttpClient::connect(handle.local_addr()).unwrap();
+    let query = r#""table":{"spec":"lc","rows":50},"query":{"kind":"naive"}"#;
+
+    // Via the header: everything but a line break can ride a header.
+    let via_header = "a\"b\\c\u{1}é\u{1f600}\",\"returned\":[]";
+    let body = format!("{{{query}}}");
+    let raw = format!(
+        "POST /query HTTP/1.1\r\nhost: x\r\nx-tenant: {via_header}\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let r = client.raw(raw.as_bytes()).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body_text());
+    let doc = JsonValue::parse(&r.body_text()).expect("200 body parses");
+    assert_eq!(doc.get("tenant").unwrap().as_str(), Some(via_header));
+    assert_eq!(JsonValue::parse(&doc.render()).unwrap(), doc);
+
+    // Via the body: JSON escapes can smuggle a newline too.
+    let via_body = "a\"b\\c\nd\u{1}é\u{1f600}";
+    let body = format!(r#"{{"tenant":"a\"b\\c\nd\u0001é\ud83d\ude00",{query}}}"#);
+    let r = client.post("/query", &body).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body_text());
+    let doc = JsonValue::parse(&r.body_text()).expect("200 body parses");
+    assert_eq!(doc.get("tenant").unwrap().as_str(), Some(via_body));
+    assert!(
+        doc.get("returned").unwrap().as_array().is_some(),
+        "the answer set is still the engine's"
+    );
+
+    let metrics = client.get("/metrics.json").unwrap();
+    let doc = JsonValue::parse(&metrics.body_text()).expect("metrics.json parses");
+    let tenants = doc.get("tenants").unwrap();
+    for name in [via_header, via_body] {
+        let tenant = tenants.get(name).expect("tenant keyed by its exact name");
+        assert_eq!(
+            tenant
+                .get("engine")
+                .unwrap()
+                .get("queries")
+                .unwrap()
+                .as_u64(),
+            Some(1)
+        );
+    }
+}
+
+#[test]
 fn predicate_strings_match_direct_submit_byte_identically() {
     let handle = serve("127.0.0.1:0", small_config()).unwrap();
     let mut client = HttpClient::connect(handle.local_addr()).unwrap();

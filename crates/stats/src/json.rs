@@ -9,13 +9,17 @@
 //! [`crate::hash`]): every other crate can depend on it without cycles.
 //!
 //! [`JsonValue::parse`] accepts the full JSON grammar (objects, arrays,
-//! strings with escapes, numbers, booleans, null); [`JsonValue::render`]
-//! produces compact output with a stable field order (objects preserve
-//! insertion order — no hashing, so output is reproducible byte for
-//! byte). [`escape`] and [`fmt_f64`] are the shared string/number
-//! formatting primitives for callers that emit JSON fragments directly.
+//! strings with escapes, numbers, booleans, null). Everything the
+//! workspace *emits* goes through one streaming [`JsonWriter`] — the only
+//! integer formatter, float rule and string escaper there is:
+//! [`JsonValue::render`] walks its tree onto it (compact output, stable
+//! field order — objects preserve insertion order, no hashing, so output
+//! is reproducible byte for byte), and producers that already hold their
+//! data in another shape (a `&[u32]` answer set, a counter snapshot) push
+//! events at it directly instead of building a tree first.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// One parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,45 +116,9 @@ impl JsonValue {
 
     /// Renders compact JSON (no whitespace, stable field order).
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Number(n) => out.push_str(&fmt_number(*n)),
-            JsonValue::String(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Object(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&escape(key));
-                    out.push_str("\":");
-                    value.render_into(out);
-                }
-                out.push('}');
-            }
-        }
+        let mut w = JsonWriter::new();
+        w.value(self);
+        w.finish()
     }
 }
 
@@ -382,59 +350,375 @@ impl Parser {
     }
 }
 
-/// Escapes a string for embedding between JSON double quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Every two-digit decimal `00`..`99`, so the integer formatter peels
+/// two digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+      2021222324252627282930313233343536373839\
+      4041424344454647484950515253545556575859\
+      6061626364656667686970717273747576777879\
+      8081828384858687888990919293949596979899";
+
+/// How many decimal digits `v` prints as.
+#[inline]
+fn digit_count(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Writes `v` in decimal into `dst`, which is exactly
+/// [`digit_count`]`(v)` long: right to left, two digits per step, straight
+/// into place (digits staged in a scratch buffer and copied out stall
+/// every copy on store-to-load forwarding — twice the time per number).
+#[inline]
+fn write_digits(dst: &mut [u8], mut v: u64) {
+    let mut pos = dst.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        pos -= 2;
+        dst[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        dst[pos - 2..pos].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        dst[pos - 1] = b'0' + v as u8;
+    }
+}
+
+/// Upper bound on the bytes [`JsonWriter::u32_array`] writes between the
+/// brackets: every id at the widest id's digit count, plus its comma.
+pub fn u32_array_len(ids: &[u32]) -> usize {
+    let widest = ids.iter().fold(0, |widest, &id| widest.max(id));
+    ids.len() * (digit_count(widest.into()) + 1)
+}
+
+/// Appends `v` in decimal.
+#[inline]
+fn push_u64(out: &mut Vec<u8>, v: u64) {
+    let at = out.len();
+    out.resize(at + digit_count(v), 0);
+    write_digits(&mut out[at..], v);
+}
+
+/// Appends `s` escaped for embedding between JSON double quotes: `"`,
+/// `\` and control characters are rewritten, every other run of bytes is
+/// copied as is (bytes ≥ 0x80 only occur inside multi-byte scalars, which
+/// JSON carries verbatim).
+fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut copied = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.extend_from_slice(&bytes[copied..i]);
+        copied = i + 1;
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            _ => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[(b >> 4) as usize],
+                HEX[(b & 0xf) as usize],
+            ]),
         }
     }
-    out
+    out.extend_from_slice(&bytes[copied..]);
 }
 
-/// One decimal place, or `null` for non-finite values (JSON has no
-/// NaN/Inf; by workspace convention a failed measurement is `null`).
-pub fn fmt_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.1}")
-    } else {
-        "null".to_owned()
-    }
+fn into_string(out: Vec<u8>) -> String {
+    String::from_utf8(out).expect("the JSON writer emits ASCII plus verbatim `&str` bytes")
 }
 
-/// General-purpose number rendering for [`JsonValue::render`]: integers
-/// print without a fraction, other finite values with full `f64`
-/// round-trip precision, non-finite as `null`.
-fn fmt_number(value: f64) -> String {
-    if !value.is_finite() {
-        "null".to_owned()
-    } else if value.fract() == 0.0 && value.abs() < 1e15 {
-        format!("{}", value as i64)
-    } else {
-        format!("{value}")
-    }
+/// Escapes a string for embedding between JSON double quotes.
+pub fn escape(s: &str) -> String {
+    let mut out = Vec::with_capacity(s.len());
+    push_escaped(&mut out, s);
+    into_string(out)
 }
 
-/// Renders named `u64` counters as one compact JSON object — the shared
-/// serializer behind stats snapshots ([`EngineStats`], `CacheStats`, the
-/// serving counters) so the `/metrics` endpoint and the bench artifacts
-/// agree on shape.
+/// What the writer owes the output before the next element.
+#[derive(Clone, Copy, Default)]
+enum Sep {
+    /// Nothing: the document just started, or an object key precedes.
+    #[default]
+    Nothing,
+    /// A line break in pretty mode: the enclosing container just opened.
+    Open,
+    /// A comma: a sibling precedes.
+    Comma,
+}
+
+/// A push-style JSON writer: the one number formatter and string escaper
+/// behind every document the workspace emits, [`JsonValue::render`]
+/// included. Events append straight to one byte buffer — no node tree,
+/// no per-value `String` — and commas are tracked by the writer, so a
+/// caller only states structure:
 ///
-/// [`EngineStats`]: https://docs.rs/expred-core
+/// ```
+/// use expred_stats::json::JsonWriter;
+///
+/// let mut w = JsonWriter::new();
+/// w.begin_object().key("ids").begin_array();
+/// for id in [3u64, 17] {
+///     w.u64(id);
+/// }
+/// w.end_array().key("ok").bool(true).end_object();
+/// assert_eq!(w.finish(), r#"{"ids":[3,17],"ok":true}"#);
+/// ```
+///
+/// Balancing `begin_*`/`end_*` and writing a `key` before each object
+/// member is the caller's job; the writer does not validate structure.
+#[derive(Default)]
+pub struct JsonWriter {
+    out: Vec<u8>,
+    sep: Sep,
+    pretty: bool,
+    depth: usize,
+}
+
+impl JsonWriter {
+    /// A compact writer (no whitespace).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A compact writer over a buffer pre-sized to `bytes`.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            out: Vec::with_capacity(bytes),
+            ..Self::default()
+        }
+    }
+
+    /// A writer for artifacts people read and diff: one element per line,
+    /// two-space indent, `": "` after keys.
+    pub fn pretty() -> Self {
+        Self {
+            pretty: true,
+            ..Self::default()
+        }
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> String {
+        into_string(self.out)
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push(b'\n');
+            self.out.resize(self.out.len() + 2 * self.depth, b' ');
+        }
+    }
+
+    /// Separates the element about to be written from what precedes it.
+    #[inline]
+    fn element(&mut self) {
+        match self.sep {
+            Sep::Nothing => {}
+            Sep::Open => self.newline(),
+            Sep::Comma => {
+                self.out.push(b',');
+                self.newline();
+            }
+        }
+        self.sep = Sep::Comma;
+    }
+
+    fn begin(&mut self, open: u8) -> &mut Self {
+        self.element();
+        self.out.push(open);
+        self.depth += 1;
+        self.sep = Sep::Open;
+        self
+    }
+
+    fn end(&mut self, close: u8) -> &mut Self {
+        self.depth -= 1;
+        self.newline();
+        self.out.push(close);
+        self.sep = Sep::Comma;
+        self
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.begin(b'{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.end(b'}')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.begin(b'[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.end(b']')
+    }
+
+    /// Writes an object member's name; its value must follow.
+    pub fn key(&mut self, name: &str) -> &mut Self {
+        self.str(name);
+        self.out
+            .extend_from_slice(if self.pretty { b": " } else { b":" });
+        self.sep = Sep::Nothing;
+        self
+    }
+
+    /// Writes an integer, exactly (no detour through `f64`).
+    #[inline]
+    pub fn u64(&mut self, value: u64) -> &mut Self {
+        self.element();
+        push_u64(&mut self.out, value);
+        self
+    }
+
+    /// Writes an array of row ids — the bulk of every answer body. The
+    /// output is sized once from the widest id, so the loop does no
+    /// per-id capacity check.
+    pub fn u32_array(&mut self, ids: &[u32]) -> &mut Self {
+        self.begin_array();
+        if self.pretty || ids.is_empty() {
+            for &id in ids {
+                self.u64(id.into());
+            }
+        } else {
+            let at = self.out.len();
+            self.out.resize(at + u32_array_len(ids), 0);
+            let buf = &mut self.out[at..];
+            let mut pos = 0;
+            // Ids mostly arrive sorted, so the digit count rarely changes:
+            // recount only when an id leaves the range sharing the last.
+            let (mut n, mut same_count) = (0, 0..0);
+            for &id in ids {
+                let id = u64::from(id);
+                if !same_count.contains(&id) {
+                    n = digit_count(id);
+                    same_count =
+                        if n == 1 { 0 } else { 10u64.pow(n as u32 - 1) }..10u64.pow(n as u32);
+                }
+                write_digits(&mut buf[pos..pos + n], id);
+                buf[pos + n] = b',';
+                pos += n + 1;
+            }
+            // Every id wrote a comma after itself; the last one goes.
+            self.out.truncate(at + pos - 1);
+            self.sep = Sep::Comma;
+        }
+        self.end_array()
+    }
+
+    /// Writes a number: integral values below 10¹⁵ print without a
+    /// fraction, other finite values with full `f64` round-trip
+    /// precision, non-finite as `null` (JSON has no NaN/Inf; by workspace
+    /// convention a failed measurement is `null`).
+    pub fn f64(&mut self, value: f64) -> &mut Self {
+        if !value.is_finite() {
+            return self.null();
+        }
+        if value.fract() == 0.0 && value.abs() < 1e15 {
+            self.element();
+            // `-0.0 < 0.0` is false: negative zero prints as `0`.
+            if value < 0.0 {
+                self.out.push(b'-');
+            }
+            push_u64(&mut self.out, value.abs() as u64);
+            return self;
+        }
+        self.element();
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// Writes a measurement at one decimal place (`null` when
+    /// non-finite) — the artifact convention for timings and ratios.
+    pub fn f64_tenths(&mut self, value: f64) -> &mut Self {
+        if !value.is_finite() {
+            return self.null();
+        }
+        self.element();
+        let _ = write!(self.out, "{value:.1}");
+        self
+    }
+
+    /// Writes a string, escaped in place.
+    pub fn str(&mut self, value: &str) -> &mut Self {
+        self.element();
+        self.out.push(b'"');
+        push_escaped(&mut self.out, value);
+        self.out.push(b'"');
+        self
+    }
+
+    /// Writes `true` / `false`.
+    pub fn bool(&mut self, value: bool) -> &mut Self {
+        self.element();
+        self.out
+            .extend_from_slice(if value { b"true" } else { b"false" });
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.element();
+        self.out.extend_from_slice(b"null");
+        self
+    }
+
+    /// Writes a whole document node.
+    pub fn value(&mut self, value: &JsonValue) -> &mut Self {
+        match value {
+            JsonValue::Null => self.null(),
+            JsonValue::Bool(b) => self.bool(*b),
+            JsonValue::Number(n) => self.f64(*n),
+            JsonValue::String(s) => self.str(s),
+            JsonValue::Array(items) => {
+                self.begin_array();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_array()
+            }
+            JsonValue::Object(fields) => {
+                self.begin_object();
+                for (key, value) in fields {
+                    self.key(key).value(value);
+                }
+                self.end_object()
+            }
+        }
+    }
+
+    /// Writes named `u64` counters as one object — the shared shape of
+    /// stats snapshots ([`EngineStats`], `CacheStats`, the serving
+    /// counters), so `/metrics.json` and the bench artifacts agree.
+    ///
+    /// [`EngineStats`]: https://docs.rs/expred-core
+    pub fn counters(&mut self, pairs: &[(&str, u64)]) -> &mut Self {
+        self.begin_object();
+        for (name, value) in pairs {
+            self.key(name).u64(*value);
+        }
+        self.end_object()
+    }
+}
+
+/// Renders named `u64` counters as one compact JSON object
+/// ([`JsonWriter::counters`] as a stand-alone document).
 pub fn counters_to_json(pairs: &[(&str, u64)]) -> String {
-    JsonValue::Object(
-        pairs
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), JsonValue::Number(*v as f64)))
-            .collect(),
-    )
-    .render()
+    let mut w = JsonWriter::new();
+    w.counters(pairs);
+    w.finish()
 }
 
 /// Renders named `u64` counters as exposition-format text lines:
@@ -458,130 +742,4 @@ pub fn counters_to_text(prefix: &str, labels: &[(&str, &str)], pairs: &[(&str, u
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_the_full_grammar() {
-        let doc = r#"{
-            "s": "a\"b\\c\ndA",
-            "n": -12.5e1,
-            "i": 42,
-            "t": true, "f": false, "z": null,
-            "arr": [1, "two", {"three": 3}],
-            "nested": {"empty_obj": {}, "empty_arr": []}
-        }"#;
-        let v = JsonValue::parse(doc).expect("parses");
-        assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\\c\ndA"));
-        assert_eq!(v.get("n").unwrap().as_f64(), Some(-125.0));
-        assert_eq!(v.get("i").unwrap().as_u64(), Some(42));
-        assert_eq!(v.get("t").unwrap().as_bool(), Some(true));
-        assert!(v.get("z").unwrap().is_null());
-        let arr = v.get("arr").unwrap().as_array().unwrap();
-        assert_eq!(arr.len(), 3);
-        assert_eq!(arr[2].get("three").unwrap().as_u64(), Some(3));
-        assert_eq!(
-            v.get("nested").unwrap().get("empty_obj").unwrap(),
-            &JsonValue::Object(vec![])
-        );
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "{\"a\": 1} trailing",
-            "\"unterminated",
-            "{\"a\": oops}",
-            "nul",
-            "+5",
-        ] {
-            assert!(JsonValue::parse(bad).is_err(), "accepted: {bad}");
-        }
-    }
-
-    #[test]
-    fn nesting_depth_is_bounded() {
-        // One past the bound fails cleanly…
-        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
-        let err = JsonValue::parse(&too_deep).expect_err("depth bound");
-        assert!(err.message.contains("nesting"), "{err}");
-        // …including a half-megabyte adversarial body, which must not
-        // overflow the stack (an abort no test harness would survive).
-        assert!(JsonValue::parse(&"[".repeat(500_000)).is_err());
-        let mixed = "{\"a\":[".repeat(MAX_DEPTH);
-        assert!(JsonValue::parse(&mixed).is_err());
-        // …while the bound itself still parses.
-        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
-        assert!(JsonValue::parse(&at_bound).is_ok());
-        // Depth is nesting, not total container count: many shallow
-        // siblings are fine.
-        let wide = format!("[{}]", vec!["[]"; 1000].join(","));
-        assert!(JsonValue::parse(&wide).is_ok());
-    }
-
-    #[test]
-    fn surrogate_pairs_decode_to_supplementary_characters() {
-        let v = JsonValue::parse("\"\\ud83d\\ude00\"").expect("surrogate pair");
-        assert_eq!(v.as_str(), Some("\u{1f600}"));
-        // Lone or malformed surrogates are rejected, not mangled.
-        for bad in [
-            r#""\ud83d""#,
-            r#""\ud83dx""#,
-            r#""\ud83d\n""#,
-            r#""\ud83dA""#,
-            r#""\ude00""#,
-        ] {
-            assert!(JsonValue::parse(bad).is_err(), "accepted: {bad}");
-        }
-    }
-
-    #[test]
-    fn render_round_trips() {
-        let doc = r#"{"a": [1, 2.5, "x\ny"], "b": {"c": null, "d": false}}"#;
-        let v = JsonValue::parse(doc).unwrap();
-        let compact = v.render();
-        assert_eq!(JsonValue::parse(&compact).unwrap(), v);
-        // Field order is preserved: rendering is deterministic.
-        assert_eq!(compact, v.render());
-        // Control characters render in \u form (matching the artifact
-        // convention), and round-trip back to the raw character.
-        assert!(compact.starts_with("{\"a\":[1,2.5,\"x\\u000ay\"]"));
-    }
-
-    #[test]
-    fn numbers_render_cleanly() {
-        assert_eq!(JsonValue::Number(3.0).render(), "3");
-        assert_eq!(JsonValue::Number(3.25).render(), "3.25");
-        assert_eq!(JsonValue::Number(f64::NAN).render(), "null");
-        assert_eq!(fmt_f64(1.25), "1.2");
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn as_u64_is_exact() {
-        assert_eq!(JsonValue::Number(7.0).as_u64(), Some(7));
-        assert_eq!(JsonValue::Number(7.5).as_u64(), None);
-        assert_eq!(JsonValue::Number(-1.0).as_u64(), None);
-    }
-
-    #[test]
-    fn counters_serialize_both_ways() {
-        let pairs = [("queries", 5u64), ("result_hits", 2)];
-        assert_eq!(
-            counters_to_json(&pairs),
-            "{\"queries\":5,\"result_hits\":2}"
-        );
-        let text = counters_to_text("engine", &[("tenant", "a\"b")], &pairs);
-        assert_eq!(
-            text,
-            "engine_queries{tenant=\"a\\\"b\"} 5\nengine_result_hits{tenant=\"a\\\"b\"} 2\n"
-        );
-        let bare = counters_to_text("serve", &[], &[("shed", 1)]);
-        assert_eq!(bare, "serve_shed 1\n");
-    }
-}
+mod tests;

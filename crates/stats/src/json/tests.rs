@@ -1,0 +1,400 @@
+use super::*;
+use crate::rng::Prng;
+use proptest::prelude::*;
+
+/// The tree renderer every document went through before [`JsonWriter`]
+/// (one `String` per number and per escaped string), kept verbatim as
+/// the reference the writer must match byte for byte.
+mod oracle {
+    use super::JsonValue;
+    use std::fmt::Write as _;
+
+    pub fn render(value: &JsonValue) -> String {
+        let mut out = String::new();
+        render_into(value, &mut out);
+        out
+    }
+
+    fn render_into(value: &JsonValue, out: &mut String) {
+        match value {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(n) => out.push_str(&fmt_number(*n)),
+            JsonValue::String(s) => {
+                out.push('"');
+                out.push_str(&escape(s));
+                out.push('"');
+            }
+            JsonValue::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    render_into(item, out);
+                }
+                out.push(']');
+            }
+            JsonValue::Object(fields) => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push('"');
+                    out.push_str(&escape(key));
+                    out.push_str("\":");
+                    render_into(value, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    pub fn escape(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn fmt_number(value: f64) -> String {
+        if !value.is_finite() {
+            "null".to_owned()
+        } else if value.fract() == 0.0 && value.abs() < 1e15 {
+            format!("{}", value as i64)
+        } else {
+            format!("{value}")
+        }
+    }
+}
+
+/// Numbers on every branch of the float rule and next to its edges.
+const EDGE_NUMBERS: [f64; 16] = [
+    0.0,
+    -0.0,
+    -1.0,
+    0.1,
+    -2.5e-7,
+    1e15 - 1.0,
+    1e15,
+    1e15 + 1.0,
+    -1e15,
+    -(1e15 - 1.0),
+    u32::MAX as f64,
+    9007199254740993.0,
+    u64::MAX as f64,
+    1e300,
+    5e-324,
+    f64::MIN,
+];
+
+/// Characters the escaper must rewrite or must leave alone.
+const EDGE_CHARS: [char; 12] = [
+    '"',
+    '\\',
+    '\n',
+    '\t',
+    '\u{1}',
+    '\u{1f}',
+    ' ',
+    '/',
+    'a',
+    '\u{7f}',
+    'é',
+    '\u{1f600}',
+];
+
+fn arbitrary_string(rng: &mut Prng) -> String {
+    (0..rng.below(8))
+        .map(|_| EDGE_CHARS[rng.below(EDGE_CHARS.len())])
+        .collect()
+}
+
+fn arbitrary_number(rng: &mut Prng, finite: bool) -> f64 {
+    match rng.below(if finite { 4 } else { 5 }) {
+        0 => EDGE_NUMBERS[rng.below(EDGE_NUMBERS.len())],
+        1 => rng.below(1 << 40) as f64,
+        2 => rng.range_f64(-1e6, 1e6),
+        3 => f64::from_bits(rng.next_u64() & !(0x7ff << 52) | (rng.below(0x7ff) as u64) << 52),
+        _ => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.below(3)],
+    }
+}
+
+fn arbitrary_value(rng: &mut Prng, depth: usize, finite: bool) -> JsonValue {
+    let leaf_kinds = 4;
+    match rng.below(if depth == 0 {
+        leaf_kinds
+    } else {
+        leaf_kinds + 2
+    }) {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(rng.bernoulli(0.5)),
+        2 => JsonValue::Number(arbitrary_number(rng, finite)),
+        3 => JsonValue::String(arbitrary_string(rng)),
+        4 => JsonValue::Array(
+            (0..rng.below(5))
+                .map(|_| arbitrary_value(rng, depth - 1, finite))
+                .collect(),
+        ),
+        _ => JsonValue::Object(
+            (0..rng.below(5))
+                .map(|_| {
+                    (
+                        arbitrary_string(rng),
+                        arbitrary_value(rng, depth - 1, finite),
+                    )
+                })
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #[test]
+    fn writer_matches_the_tree_renderer(seed in any::<u64>()) {
+        let value = arbitrary_value(&mut Prng::seeded(seed), 4, false);
+        prop_assert_eq!(value.render(), oracle::render(&value));
+    }
+
+    #[test]
+    fn finite_documents_round_trip(seed in any::<u64>()) {
+        let value = arbitrary_value(&mut Prng::seeded(seed), 4, true);
+        prop_assert_eq!(JsonValue::parse(&value.render()).expect("own output parses"), value);
+    }
+
+    #[test]
+    fn escaper_matches_the_tree_renderer(seed in any::<u64>()) {
+        let text = arbitrary_string(&mut Prng::seeded(seed));
+        prop_assert_eq!(escape(&text), oracle::escape(&text));
+    }
+}
+
+#[test]
+fn every_edge_number_matches_the_tree_renderer() {
+    for n in EDGE_NUMBERS.into_iter().chain([f64::NAN, f64::INFINITY]) {
+        let value = JsonValue::Number(n);
+        assert_eq!(value.render(), oracle::render(&value), "{n:e}");
+    }
+    let empties = JsonValue::Array(vec![JsonValue::Object(vec![]), JsonValue::Array(vec![])]);
+    assert_eq!(empties.render(), "[{},[]]");
+}
+
+#[test]
+fn integers_are_exact_at_every_digit_count() {
+    let render = |v: u64| {
+        let mut w = JsonWriter::new();
+        w.u64(v);
+        w.finish()
+    };
+    let mut power = 1u64;
+    loop {
+        for v in [power - 1, power, power + 1] {
+            assert_eq!(render(v), v.to_string());
+        }
+        match power.checked_mul(10) {
+            Some(next) => power = next,
+            None => break,
+        }
+    }
+    // Beyond 2^53 the integer path must not round through f64.
+    assert_eq!(render((1 << 53) + 1), "9007199254740993");
+    assert_eq!(render(u64::MAX - 1), "18446744073709551614");
+    assert_eq!(render(u64::MAX), "18446744073709551615");
+}
+
+#[test]
+fn pretty_mode_puts_one_element_per_line() {
+    let mut w = JsonWriter::pretty();
+    w.begin_object().key("a").begin_array();
+    w.u64(1).begin_object().key("b").null().end_object();
+    w.end_array().key("empty").begin_array().end_array();
+    w.end_object();
+    let text = w.finish();
+    assert_eq!(
+        text,
+        "{\n  \"a\": [\n    1,\n    {\n      \"b\": null\n    }\n  ],\n  \"empty\": [\n  ]\n}"
+    );
+    assert!(JsonValue::parse(&text).is_ok());
+}
+
+#[test]
+fn parses_the_full_grammar() {
+    let doc = r#"{
+        "s": "a\"b\\c\ndA",
+        "n": -12.5e1,
+        "i": 42,
+        "t": true, "f": false, "z": null,
+        "arr": [1, "two", {"three": 3}],
+        "nested": {"empty_obj": {}, "empty_arr": []}
+    }"#;
+    let v = JsonValue::parse(doc).expect("parses");
+    assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\\c\ndA"));
+    assert_eq!(v.get("n").unwrap().as_f64(), Some(-125.0));
+    assert_eq!(v.get("i").unwrap().as_u64(), Some(42));
+    assert_eq!(v.get("t").unwrap().as_bool(), Some(true));
+    assert!(v.get("z").unwrap().is_null());
+    let arr = v.get("arr").unwrap().as_array().unwrap();
+    assert_eq!(arr.len(), 3);
+    assert_eq!(arr[2].get("three").unwrap().as_u64(), Some(3));
+    assert_eq!(
+        v.get("nested").unwrap().get("empty_obj").unwrap(),
+        &JsonValue::Object(vec![])
+    );
+}
+
+#[test]
+fn rejects_malformed_documents() {
+    for bad in [
+        "",
+        "{",
+        "[1,]",
+        "{\"a\":}",
+        "{\"a\" 1}",
+        "{\"a\": 1} trailing",
+        "\"unterminated",
+        "{\"a\": oops}",
+        "nul",
+        "+5",
+    ] {
+        assert!(JsonValue::parse(bad).is_err(), "accepted: {bad}");
+    }
+}
+
+#[test]
+fn nesting_depth_is_bounded() {
+    // One past the bound fails cleanly…
+    let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+    let err = JsonValue::parse(&too_deep).expect_err("depth bound");
+    assert!(err.message.contains("nesting"), "{err}");
+    // …including a half-megabyte adversarial body, which must not
+    // overflow the stack (an abort no test harness would survive).
+    assert!(JsonValue::parse(&"[".repeat(500_000)).is_err());
+    let mixed = "{\"a\":[".repeat(MAX_DEPTH);
+    assert!(JsonValue::parse(&mixed).is_err());
+    // …while the bound itself still parses.
+    let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+    assert!(JsonValue::parse(&at_bound).is_ok());
+    // Depth is nesting, not total container count: many shallow
+    // siblings are fine.
+    let wide = format!("[{}]", vec!["[]"; 1000].join(","));
+    assert!(JsonValue::parse(&wide).is_ok());
+}
+
+#[test]
+fn surrogate_pairs_decode_to_supplementary_characters() {
+    let v = JsonValue::parse("\"\\ud83d\\ude00\"").expect("surrogate pair");
+    assert_eq!(v.as_str(), Some("\u{1f600}"));
+    // Lone or malformed surrogates are rejected, not mangled.
+    for bad in [
+        r#""\ud83d""#,
+        r#""\ud83dx""#,
+        r#""\ud83d\n""#,
+        r#""\ud83dA""#,
+        r#""\ude00""#,
+    ] {
+        assert!(JsonValue::parse(bad).is_err(), "accepted: {bad}");
+    }
+}
+
+#[test]
+fn render_round_trips() {
+    let doc = r#"{"a": [1, 2.5, "x\ny"], "b": {"c": null, "d": false}}"#;
+    let v = JsonValue::parse(doc).unwrap();
+    let compact = v.render();
+    assert_eq!(JsonValue::parse(&compact).unwrap(), v);
+    // Field order is preserved: rendering is deterministic.
+    assert_eq!(compact, v.render());
+    // Control characters render in \u form (matching the artifact
+    // convention), and round-trip back to the raw character.
+    assert!(compact.starts_with("{\"a\":[1,2.5,\"x\\u000ay\"]"));
+}
+
+#[test]
+fn numbers_render_cleanly() {
+    assert_eq!(JsonValue::Number(3.0).render(), "3");
+    assert_eq!(JsonValue::Number(3.25).render(), "3.25");
+    assert_eq!(JsonValue::Number(f64::NAN).render(), "null");
+    let mut w = JsonWriter::new();
+    w.begin_array()
+        .f64_tenths(1.25)
+        .f64_tenths(f64::INFINITY)
+        .end_array();
+    assert_eq!(w.finish(), "[1.2,null]");
+}
+
+#[test]
+fn as_u64_is_exact() {
+    assert_eq!(JsonValue::Number(7.0).as_u64(), Some(7));
+    assert_eq!(JsonValue::Number(7.5).as_u64(), None);
+    assert_eq!(JsonValue::Number(-1.0).as_u64(), None);
+}
+
+#[test]
+fn counters_serialize_both_ways() {
+    let pairs = [("queries", 5u64), ("result_hits", 2)];
+    assert_eq!(
+        counters_to_json(&pairs),
+        "{\"queries\":5,\"result_hits\":2}"
+    );
+    let text = counters_to_text("engine", &[("tenant", "a\"b")], &pairs);
+    assert_eq!(
+        text,
+        "engine_queries{tenant=\"a\\\"b\"} 5\nengine_result_hits{tenant=\"a\\\"b\"} 2\n"
+    );
+    let bare = counters_to_text("serve", &[], &[("shed", 1)]);
+    assert_eq!(bare, "serve_shed 1\n");
+}
+
+proptest! {
+    #[test]
+    fn u32_array_matches_the_element_loop(
+        ids in prop::collection::vec(any::<u32>(), 0..60),
+        small in prop::collection::vec(0u32..1200, 0..60),
+        sorted in any::<bool>(),
+        pretty in any::<bool>(),
+    ) {
+        // Mixed widths, sorted (the cached digit count's case) or not.
+        let mut ids: Vec<u32> = ids.into_iter().chain(small).collect();
+        if sorted {
+            ids.sort_unstable();
+        }
+        let writer = || if pretty { JsonWriter::pretty() } else { JsonWriter::new() };
+        let mut bulk = writer();
+        bulk.begin_object().key("ids").u32_array(&ids).key("after").u64(1).end_object();
+        let mut looped = writer();
+        looped.begin_object().key("ids").begin_array();
+        for &id in &ids {
+            looped.u64(id.into());
+        }
+        looped.end_array().key("after").u64(1).end_object();
+        prop_assert_eq!(bulk.finish(), looped.finish());
+    }
+}
+
+#[test]
+fn u32_array_handles_every_width_boundary() {
+    let ids: Vec<u32> = (0..10)
+        .flat_map(|p| {
+            let power = 10u32.pow(p);
+            [power - 1, power, power + 1]
+        })
+        .chain([u32::MAX - 1, u32::MAX, 0, 5])
+        .collect();
+    let mut w = JsonWriter::new();
+    w.u32_array(&ids);
+    let expected: Vec<String> = ids.iter().map(u32::to_string).collect();
+    assert_eq!(w.finish(), format!("[{}]", expected.join(",")));
+    assert!(u32_array_len(&ids) >= expected.join(",").len());
+    let mut empty = JsonWriter::new();
+    empty.u32_array(&[]);
+    assert_eq!(empty.finish(), "[]");
+}
