@@ -17,6 +17,13 @@
 //!   floor) or pays per-batch thread spawns; the pool's persistent
 //!   workers are the point. The ISSUE target: pool ≥2× over `Parallel`
 //!   here, parity elsewhere.
+//! * `elastic_<n>_sleep_100us` / `elastic_512_spin_100us` — the pool as
+//!   the engine builds it, `WorkerPool::new()`: core budget off the
+//!   machine, width learned. Sleeping probes must take it far past the
+//!   core count (target on a ≥ 2-core box: ≥ 20× `Sequential` at 512
+//!   rows); the spinning control must leave it at the core budget and
+//!   cost nothing against a backend fixed there. The settled width is
+//!   in the row's backend name (`elastic_pool@<width>`).
 //!
 //! Results land in `BENCH_pool.json` (schema: `expred_bench::report`),
 //! with `sequential` as the per-scenario speedup baseline.
@@ -26,9 +33,10 @@
 //! ≥50µs probes `thread::sleep` — they overlap across workers the way
 //! concurrent service calls do, core count notwithstanding — while
 //! µs-probes spin (sleep granularity cannot express them; they model the
-//! CPU-bound end, where a 1-core box rightly shows parity). Backends are
-//! 8-wide like `exec_bench`'s: in-flight window sizing for latency-bound
-//! UDFs is connection-pool math, not core-count math.
+//! CPU-bound end, where a 1-core box rightly shows parity). The grid's
+//! threaded backends get a core budget of 8 like `exec_bench`'s (a
+//! `Parallel` that wide, a pool that starts there and widens as it
+//! learns the probes wait); the `elastic_*` rows take the machine's.
 
 use expred_bench::BenchReport;
 use expred_exec::{Executor, Parallel, Sequential, WorkerPool};
@@ -38,39 +46,102 @@ use std::time::{Duration, Instant};
 /// Worker width for the threaded backends (see module docs).
 const WIDTH: usize = 8;
 
+/// Batches an `elastic_*` pool gets to learn its probes before timing:
+/// six doublings take the width from a 2-core budget to its cap, the
+/// rest is slack for a noisy trial.
+const ELASTIC_WARMUP: usize = 12;
+
 /// Latency at and above which the probe sleeps instead of spinning.
 const SLEEP_THRESHOLD: Duration = Duration::from_micros(50);
 
-/// A probe costing roughly `latency` per call: latency-bound (sleeping)
-/// for service-call scales, CPU-bound (spinning) for µs scales.
-fn expensive_probe(latency: Duration) -> impl Fn(usize) -> bool + Sync {
+/// A CPU-bound probe: arithmetic until `latency` has passed.
+fn spinning_probe(latency: Duration) -> impl Fn(usize) -> bool + Sync {
     move |row: usize| {
-        if latency >= SLEEP_THRESHOLD {
-            std::thread::sleep(latency);
-        } else {
-            let begin = Instant::now();
-            let mut acc = row as u64;
-            while begin.elapsed() < latency {
-                acc = acc
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                black_box(acc);
-            }
+        let begin = Instant::now();
+        let mut acc = row as u64;
+        while begin.elapsed() < latency {
+            acc = acc
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            black_box(acc);
         }
         row.is_multiple_of(3)
     }
 }
 
+/// A probe costing roughly `latency` per call: latency-bound (sleeping)
+/// for service-call scales, CPU-bound (spinning) for µs scales.
+fn expensive_probe(latency: Duration) -> impl Fn(usize) -> bool + Sync {
+    let spin = spinning_probe(latency);
+    move |row: usize| {
+        if latency >= SLEEP_THRESHOLD {
+            std::thread::sleep(latency);
+            row.is_multiple_of(3)
+        } else {
+            spin(row)
+        }
+    }
+}
+
 /// Wall-clock per probe for `reps` fresh evaluations of one batch.
-fn time_batch(executor: &dyn Executor, latency: Duration, rows: &[usize], reps: usize) -> f64 {
-    let probe = expensive_probe(latency);
-    // Warm up (lets the pool's latency EWMA settle into this scenario).
-    black_box(executor.evaluate_batch(&probe, rows));
+fn time_probe(
+    executor: &dyn Executor,
+    probe: &(dyn Fn(usize) -> bool + Sync),
+    rows: &[usize],
+    reps: usize,
+) -> f64 {
     let begin = Instant::now();
     for _ in 0..reps {
         black_box(executor.evaluate_batch(&probe, rows));
     }
     begin.elapsed().as_nanos() as f64 / (reps * rows.len()) as f64
+}
+
+/// [`time_probe`] of the grid's probe, after one warm-up batch (lets
+/// the pool's latency EWMA settle into this scenario).
+fn time_batch(executor: &dyn Executor, latency: Duration, rows: &[usize], reps: usize) -> f64 {
+    let probe = expensive_probe(latency);
+    black_box(executor.evaluate_batch(&probe, rows));
+    time_probe(executor, &probe, rows, reps)
+}
+
+/// One `elastic_*` scenario: a machine-sized pool meets `probe` cold,
+/// gets [`ELASTIC_WARMUP`] batches to learn it, then is timed — against
+/// `Sequential` and, when given, a `control` backend.
+fn elastic_scenario(
+    report: &mut BenchReport,
+    scenario: &str,
+    probe: &(dyn Fn(usize) -> bool + Sync),
+    rows_n: usize,
+    reps: usize,
+    control: Option<(&str, &dyn Executor)>,
+) {
+    let rows: Vec<usize> = (0..rows_n).collect();
+    let pool = WorkerPool::new();
+    for _ in 0..ELASTIC_WARMUP {
+        black_box(pool.evaluate_batch(&probe, &rows));
+    }
+    let sequential = time_probe(&Sequential, probe, &rows, reps.min(3));
+    report.record(scenario, "sequential", sequential, 1.0);
+    let mut line = format!("{scenario:<28} seq {sequential:>10.0} ns/probe");
+    if let Some((name, executor)) = control {
+        let fixed = time_probe(executor, probe, &rows, reps);
+        report.record(scenario, name, fixed, sequential / fixed);
+        line += &format!(" | {name} {fixed:>10.0} ({:>5.2}x)", sequential / fixed);
+    }
+    let elastic = time_probe(&pool, probe, &rows, reps);
+    let width = pool.width();
+    report.record(
+        scenario,
+        format!("elastic_pool@{width}"),
+        elastic,
+        sequential / elastic,
+    );
+    println!(
+        "{line} | elastic {elastic:>10.0} ({:>5.2}x) at width {width} (core budget {})",
+        sequential / elastic,
+        pool.threads()
+    );
 }
 
 /// Wall-clock per probe for draining `batches` consecutive small batches.
@@ -197,6 +268,39 @@ fn main() {
              {scenario} (target: >= 2x)"
         );
     }
+
+    // The pool as the engine builds it: width learned, not set.
+    let latency = Duration::from_micros(100);
+    let sleeping = expensive_probe(latency);
+    let reps = if smoke { 2 } else { 20 };
+    elastic_scenario(
+        &mut report,
+        "elastic_512_sleep_100us",
+        &sleeping,
+        512,
+        reps,
+        None,
+    );
+    if !smoke {
+        elastic_scenario(
+            &mut report,
+            "elastic_4096_sleep_100us",
+            &sleeping,
+            4096,
+            5,
+            None,
+        );
+    }
+    let cores = WorkerPool::new().threads();
+    let core_sized = Parallel::with_threads(cores + 1);
+    elastic_scenario(
+        &mut report,
+        "elastic_512_spin_100us",
+        &spinning_probe(latency),
+        512,
+        reps.min(5),
+        Some(("parallel_core_sized", &core_sized)),
+    );
 
     match report.write() {
         Ok(path) => println!("results written to {}", path.display()),

@@ -346,8 +346,11 @@ pub struct QueryEngine {
     results: ShardedResultMemo<ResultKey, RunOutcome>,
     udf_latency: Option<Duration>,
     stats: AtomicEngineStats,
-    /// Shared per-probe latency EWMA: every query's drains teach it, and
-    /// it sizes every planner's slices (see [`AdaptiveController`]).
+    /// Shared per-probe latency EWMA sizing every planner's slices (see
+    /// [`AdaptiveController`]): the executor's own model when it times
+    /// probes itself ([`Executor::latency_model`] — one estimate for the
+    /// pool's inline path and the planners' windows), else this engine's,
+    /// taught by every query's drains.
     adaptive: AdaptiveController,
     /// Cold-race waiter table: result-memo hash -> in-flight run.
     inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
@@ -382,6 +385,7 @@ impl QueryEngine {
 
     /// An engine running UDF batches through `executor`.
     pub fn with_executor(executor: Box<dyn Executor>) -> Self {
+        let adaptive = executor.latency_model().cloned().unwrap_or_default();
         Self {
             executor,
             store: CacheStore::new(),
@@ -389,7 +393,7 @@ impl QueryEngine {
             results: ShardedResultMemo::with_capacity(DEFAULT_RESULT_MEMO_CAPACITY),
             udf_latency: None,
             stats: AtomicEngineStats::default(),
-            adaptive: AdaptiveController::new(),
+            adaptive,
             inflight: Mutex::new(HashMap::new()),
             derived: DerivedCache::new(),
             selectivity: SelectivityTracker::new(),
@@ -397,10 +401,14 @@ impl QueryEngine {
         }
     }
 
-    /// An engine on a machine-sized persistent [`expred_exec::WorkerPool`]
-    /// — the serving default: no per-batch thread spawns, work-stealing
-    /// chunking, and the adaptive batch window sized by this engine's
-    /// latency model.
+    /// An engine on its own persistent [`expred_exec::WorkerPool`]: no
+    /// per-batch thread spawns, work-stealing chunking, a core budget read
+    /// off the machine and a width the pool learns from the probes
+    /// (waiting probes overlap far past the core count, computing ones
+    /// do not), and the batch window sized by the pool's per-probe
+    /// latency. A process with many engines should share one pool
+    /// instead — `with_executor(Box::new(Arc::clone(&pool)))`, as the
+    /// serving tier does.
     pub fn pooled() -> Self {
         Self::with_executor(Box::new(expred_exec::WorkerPool::new()))
     }

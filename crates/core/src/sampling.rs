@@ -109,6 +109,13 @@ pub fn sample_groups_with(
 /// Rows known to the invoker — sampled earlier in this query *or*
 /// evaluated by a previous query sharing the session cache — count toward
 /// the target for free.
+///
+/// Every group's shortfall is drawn first (group order, so the RNG is
+/// consumed exactly as a group-at-a-time loop would) and the union is
+/// evaluated in **one** executor call per sampling round: groups
+/// partition the rows, so no draw can depend on another group's answers,
+/// and a wide executor gets one deep batch instead of a barrier per
+/// group — most of which carry a few dozen rows.
 pub fn sample_groups_ctx(
     groups: &GroupBy,
     invoker: &UdfInvoker<'_>,
@@ -117,16 +124,18 @@ pub fn sample_groups_ctx(
     ctx: &ExecContext<'_>,
 ) -> GroupSample {
     let n = groups.num_rows();
-    let mut estimates = Vec::with_capacity(groups.num_groups());
-    let mut evaluated = Vec::with_capacity(groups.num_groups());
-    let mut positives = Vec::with_capacity(groups.num_groups());
+    // Per group: (evaluated, positives) among already-known rows, and
+    // how many drawn rows it contributed to `batch`.
+    let mut tallies: Vec<(usize, usize, usize)> = Vec::with_capacity(groups.num_groups());
+    let mut batch: Vec<usize> = Vec::new();
     for (g, _, rows) in groups.iter() {
         let target = rule.sample_size(groups.size(g), n);
         let scan = || invoker.known_many(rows.iter().map(|&row| row as usize));
         // Free information first: rows already evaluated.
         let known = scan();
-        let mut total = known.iter().flatten().count();
-        let mut pos = known.iter().filter(|&&k| k == Some(true)).count();
+        let total = known.iter().flatten().count();
+        let pos = known.iter().filter(|&&k| k == Some(true)).count();
+        let before = batch.len();
         if total < target {
             // Pay for the shortfall with fresh random rows. The group is
             // scanned again rather than read off `known`: a row another
@@ -139,25 +148,31 @@ pub fn sample_groups_ctx(
                 .filter(|(_, known)| known.is_none())
                 .map(|(&row, _)| row as usize)
                 .collect();
-            let batch: Vec<usize> = rng
-                .sample_indices(fresh.len(), target - total)
-                .into_iter()
-                .map(|idx| fresh[idx])
-                .collect();
-            let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
-            total += batch.len();
-            pos += answers.iter().filter(|&&a| a).count();
+            batch.extend(
+                rng.sample_indices(fresh.len(), target - total)
+                    .into_iter()
+                    .map(|idx| fresh[idx]),
+            );
         }
-        let (pos, total) = (pos as u64, total as u64);
-        estimates.push(SelectivityEstimate::from_sample(pos, total));
-        evaluated.push(total);
-        positives.push(pos);
+        tallies.push((total, pos, batch.len() - before));
     }
-    GroupSample {
-        estimates,
-        evaluated,
-        positives,
+    let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
+    let mut answers = answers.iter();
+    let mut sample = GroupSample {
+        estimates: Vec::with_capacity(tallies.len()),
+        evaluated: Vec::with_capacity(tallies.len()),
+        positives: Vec::with_capacity(tallies.len()),
+    };
+    for (known, known_pos, drawn) in tallies {
+        let drawn_pos = answers.by_ref().take(drawn).filter(|&&a| a).count();
+        let (pos, total) = ((known_pos + drawn_pos) as u64, (known + drawn) as u64);
+        sample
+            .estimates
+            .push(SelectivityEstimate::from_sample(pos, total));
+        sample.evaluated.push(total);
+        sample.positives.push(pos);
     }
+    sample
 }
 
 /// Result of the adaptive `num` search (§4.3).
@@ -259,8 +274,184 @@ pub fn adaptive_num_search_ctx(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use expred_exec::{BatchProbe, CacheStore, Sequential};
     use expred_table::{DataType, Field, Schema, Table, Value};
     use expred_udf::{CostModel, OracleUdf};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The group-at-a-time loop [`sample_groups_ctx`] replaced — one
+    /// executor barrier per group — kept as the oracle the batched
+    /// version must match action for action.
+    fn sample_groups_per_group(
+        groups: &GroupBy,
+        invoker: &UdfInvoker<'_>,
+        rule: SampleSizeRule,
+        rng: &mut Prng,
+        ctx: &ExecContext<'_>,
+    ) -> GroupSample {
+        let n = groups.num_rows();
+        let mut estimates = Vec::with_capacity(groups.num_groups());
+        let mut evaluated = Vec::with_capacity(groups.num_groups());
+        let mut positives = Vec::with_capacity(groups.num_groups());
+        for (g, _, rows) in groups.iter() {
+            let target = rule.sample_size(groups.size(g), n);
+            let scan = || invoker.known_many(rows.iter().map(|&row| row as usize));
+            let known = scan();
+            let mut total = known.iter().flatten().count();
+            let mut pos = known.iter().filter(|&&k| k == Some(true)).count();
+            if total < target {
+                let fresh: Vec<usize> = rows
+                    .iter()
+                    .zip(scan())
+                    .filter(|(_, known)| known.is_none())
+                    .map(|(&row, _)| row as usize)
+                    .collect();
+                let batch: Vec<usize> = rng
+                    .sample_indices(fresh.len(), target - total)
+                    .into_iter()
+                    .map(|idx| fresh[idx])
+                    .collect();
+                let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
+                total += batch.len();
+                pos += answers.iter().filter(|&&a| a).count();
+            }
+            let (pos, total) = (pos as u64, total as u64);
+            estimates.push(SelectivityEstimate::from_sample(pos, total));
+            evaluated.push(total);
+            positives.push(pos);
+        }
+        GroupSample {
+            estimates,
+            evaluated,
+            positives,
+        }
+    }
+
+    /// Counts `evaluate_batch` calls on their way to [`Sequential`].
+    #[derive(Default)]
+    struct CountingExecutor {
+        calls: AtomicUsize,
+    }
+
+    impl Executor for CountingExecutor {
+        fn evaluate_batch(&self, probe: &dyn BatchProbe, rows: &[usize]) -> Vec<bool> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Sequential.evaluate_batch(probe, rows)
+        }
+    }
+
+    /// A table of `groups.len()` groups, group `g` holding `groups[g]`
+    /// rows (interleaved, so groups do not align with bitmap words) whose
+    /// labels come off `bits`.
+    fn arbitrary_table(groups: &[usize], bits: u64) -> Table {
+        let schema = Schema::new(vec![
+            Field::new("g", DataType::Int),
+            Field::new("label", DataType::Bool),
+        ]);
+        let mut left = groups.to_vec();
+        let mut rows = Vec::new();
+        while left.iter().any(|&n| n > 0) {
+            for (g, n) in left.iter_mut().enumerate() {
+                if *n > 0 {
+                    *n -= 1;
+                    let label = (bits >> (rows.len() % 64)) & 1 == 1 || rows.len() % 7 == g;
+                    rows.push(vec![Value::Int(g as i64), Value::Bool(label)]);
+                }
+            }
+        }
+        Table::from_rows(schema, rows).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn one_batch_per_round_matches_the_per_group_loop(
+            groups in prop::collection::vec(1usize..90, 1..9),
+            bits in any::<u64>(),
+            seed in any::<u64>(),
+            earlier in prop::collection::vec(0usize..400, 0..60),
+            own in prop::collection::vec(0usize..400, 0..30),
+            rule in (0usize..3, 1usize..40),
+        ) {
+            let table = arbitrary_table(&groups, bits);
+            let n = table.num_rows();
+            let grouping = table.group_by("g").unwrap();
+            let udf = OracleUdf::new("label");
+            let rule = match rule {
+                (0, k) => SampleSizeRule::Constant(k),
+                (1, k) => SampleSizeRule::Fraction(k as f64 / 40.0),
+                (_, k) => SampleSizeRule::TwoThirdPower(k as f64 / 4.0),
+            };
+            // Two rounds (the adaptive search re-samples over its own
+            // earlier rounds) over a session store an earlier query left
+            // rows in, after this query evaluated some rows itself.
+            let run = |batched: bool| {
+                let store = CacheStore::new();
+                let executor = CountingExecutor::default();
+                let ctx = ExecContext::new(&executor).with_cache(&store);
+                let before = UdfInvoker::with_context(&udf, &table, &ctx);
+                for &row in &earlier {
+                    before.evaluate(row % n);
+                }
+                let invoker = UdfInvoker::with_context(&udf, &table, &ctx);
+                for &row in &own {
+                    invoker.retrieve_and_evaluate(row % n);
+                }
+                let mut rng = Prng::seeded(seed);
+                let mut rounds = Vec::new();
+                for _ in 0..2 {
+                    let calls = executor.calls.load(Ordering::Relaxed);
+                    let sample = if batched {
+                        sample_groups_ctx(&grouping, &invoker, rule, &mut rng, &ctx)
+                    } else {
+                        sample_groups_per_group(&grouping, &invoker, rule, &mut rng, &ctx)
+                    };
+                    rounds.push((
+                        format!("{sample:?}"),
+                        executor.calls.load(Ordering::Relaxed) - calls,
+                    ));
+                }
+                (rounds, invoker.counts(), store.stats(), rng.next_u64())
+            };
+            let (batched, batched_counts, batched_store, batched_draw) = run(true);
+            let (oracle, oracle_counts, oracle_store, oracle_draw) = run(false);
+            for (round, ((got, calls), (want, _))) in batched.iter().zip(&oracle).enumerate() {
+                prop_assert_eq!(got, want, "round {} sample", round);
+                prop_assert!(*calls <= 1, "round {} made {} executor calls", round, calls);
+            }
+            prop_assert_eq!(batched_counts, oracle_counts);
+            prop_assert_eq!(batched_store, oracle_store);
+            prop_assert_eq!(batched_draw, oracle_draw, "the RNG moved differently");
+        }
+    }
+
+    #[test]
+    fn a_sampling_round_is_exactly_one_executor_call() {
+        let table = test_table();
+        let udf = OracleUdf::new("label");
+        let invoker = UdfInvoker::new(&udf, &table);
+        let groups = table.group_by("g").unwrap();
+        let executor = CountingExecutor::default();
+        let ctx = ExecContext::new(&executor);
+        let mut rng = Prng::seeded(11);
+        for (round, per_group) in [5, 12, 30].into_iter().enumerate() {
+            let rule = SampleSizeRule::Constant(per_group);
+            let sample = sample_groups_ctx(&groups, &invoker, rule, &mut rng, &ctx);
+            assert_eq!(sample.evaluated, vec![per_group as u64; 3]);
+            assert_eq!(executor.calls.load(Ordering::Relaxed), round + 1);
+        }
+        // Nothing left to buy: no call at all.
+        sample_groups_ctx(
+            &groups,
+            &invoker,
+            SampleSizeRule::Constant(30),
+            &mut rng,
+            &ctx,
+        );
+        assert_eq!(executor.calls.load(Ordering::Relaxed), 3);
+    }
 
     /// A 3-group table: group g has 40 rows, selectivity g * 0.3 + 0.1.
     fn test_table() -> Table {

@@ -42,8 +42,10 @@ pub struct ExecContext<'a> {
     /// The session's shared latency model, if batching should adapt:
     /// planners built by [`ExecContext::planner`] feed it and size their
     /// drain slices from it (between the controller's floor and
-    /// `max_in_flight`). `None` keeps the fixed `max_in_flight` slicing.
-    /// Answers and bills are identical either way.
+    /// `max_in_flight`) — unless the executor keeps its own
+    /// ([`Executor::latency_model`]), which then sizes them instead.
+    /// `None` keeps the fixed `max_in_flight` slicing. Answers and bills
+    /// are identical either way.
     pub adaptive: Option<&'a AdaptiveController>,
     /// The session's derived-data cache (group partitions, encoding
     /// dictionaries), if this query runs inside a session. Entries are
@@ -118,13 +120,17 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// A batch planner honoring this context's in-flight budget (and its
-    /// adaptive controller, when one is attached).
+    /// A batch planner honoring this context's in-flight budget and,
+    /// when adaptive batching is on, sized by per-probe latency as seen
+    /// by whoever can time a probe: the executor's own model if it keeps
+    /// one (it overlaps probes), else this context's controller fed by
+    /// the planner's slices.
     pub fn planner(&self) -> BatchPlanner {
         let planner = BatchPlanner::with_max_in_flight(self.max_in_flight);
-        match self.adaptive {
-            Some(controller) => planner.adaptive(controller.clone()),
-            None => planner,
+        match (self.adaptive, self.executor.latency_model()) {
+            (None, _) => planner,
+            (Some(_), Some(measured)) => planner.sized_by(measured.clone()),
+            (Some(controller), None) => planner.adaptive(controller.clone()),
         }
     }
 }

@@ -1,5 +1,8 @@
 //! The [`Executor`] trait and the [`Sequential`] reference backend.
 
+use crate::adaptive::AdaptiveController;
+use std::sync::Arc;
+
 /// One row-probe: the expensive call an executor fans out.
 ///
 /// Must be deterministic per row and callable from any thread (see the
@@ -28,6 +31,33 @@ pub trait Executor: Send + Sync {
     /// Short human-readable backend name for diagnostics.
     fn name(&self) -> &str {
         "executor"
+    }
+
+    /// The backend's own per-probe latency model, if it times probes
+    /// itself. A backend that overlaps probes must: its callers can only
+    /// time whole batches, and batch wall time ÷ rows under-reads probe
+    /// latency by the overlap — a 176 µs probe behind 64 threads reads
+    /// as 2.7 µs. `None` (the default) means one probe at a time on the
+    /// calling thread, where the caller's own clock is right.
+    fn latency_model(&self) -> Option<&AdaptiveController> {
+        None
+    }
+}
+
+/// A shared backend is a backend: one long-lived executor (a
+/// [`crate::WorkerPool`], typically) can serve every session of a
+/// process.
+impl<E: Executor + ?Sized> Executor for Arc<E> {
+    fn evaluate_batch(&self, probe: &dyn BatchProbe, rows: &[usize]) -> Vec<bool> {
+        (**self).evaluate_batch(probe, rows)
+    }
+
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn latency_model(&self) -> Option<&AdaptiveController> {
+        (**self).latency_model()
     }
 }
 

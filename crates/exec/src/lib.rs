@@ -14,11 +14,10 @@
 //!   scoped OS threads, deterministic answer order;
 //! * [`pool`] — the [`WorkerPool`] backend: persistent work-stealing
 //!   workers with an atomic chunk cursor (no per-batch thread spawns, no
-//!   straggler-bound chunking) and a latency-aware inline fast path;
-//! * [`window`] — the [`InFlightWindow`] backend: a bounded window of
-//!   concurrently outstanding probes with out-of-order completion,
-//!   built for blocking-RPC probes (remote UDF backends) where the
-//!   window is connection-pool math, not core-count math;
+//!   straggler-bound chunking), a latency-aware inline fast path, and a
+//!   width learned from the probes — blocking-RPC probes (remote UDF
+//!   backends) overlap by connection-pool math, CPU-bound ones by core
+//!   count, with no setting to say which;
 //! * [`adaptive`] — [`AdaptiveController`], the shared per-probe latency
 //!   EWMA that sizes planner drain slices between a floor and the
 //!   context's `max_in_flight`;
@@ -67,7 +66,6 @@ pub mod planner;
 pub mod pool;
 pub mod selectivity;
 pub mod store;
-pub mod window;
 
 pub use adaptive::{AdaptiveController, DEFAULT_WINDOW_FLOOR};
 pub use cache::RowBits;
@@ -75,10 +73,9 @@ pub use context::ExecContext;
 pub use executor::{BatchProbe, Executor, Sequential};
 pub use parallel::Parallel;
 pub use planner::{BatchPlanner, GroupedAnswer, DEFAULT_MAX_IN_FLIGHT};
-pub use pool::WorkerPool;
+pub use pool::{PoolStats, WorkerPool};
 pub use selectivity::{SelectivityHandle, SelectivityTracker, DEFAULT_SELECTIVITY_CAPACITY};
 pub use store::{
     CacheHandle, CacheNamespace, CacheReader, CacheStats, CacheStore, SpillSink,
     DEFAULT_CACHE_CAPACITY, MAX_LIVE_VERSIONS,
 };
-pub use window::{InFlightWindow, DEFAULT_WINDOW};

@@ -8,14 +8,20 @@
 //! slices of at most `max_in_flight` rows, so a plan that wants a million
 //! evaluations never materializes a million concurrent probes.
 //!
-//! With an [`AdaptiveController`] attached ([`BatchPlanner::adaptive`]),
-//! the *effective* slice size floats between the controller's floor and
-//! `max_in_flight`, steered by an EWMA of the per-probe latency each
-//! drained slice observes — tiny slices for µs-probes (nothing to
+//! With an [`AdaptiveController`] attached, the *effective* slice size
+//! floats between the controller's floor and `max_in_flight`, steered by
+//! an EWMA of per-probe latency — tiny slices for µs-probes (nothing to
 //! amortize, less materialized at once), deep slices for ms-probes (keep
-//! a worker pool saturated through the straggler tail). Slicing is
-//! invisible to answers and bills: output order and invoker accounting
-//! are slice-invariant, which the equivalence suite pins bit for bit.
+//! a worker pool saturated through the straggler tail). Who feeds the
+//! EWMA depends on who can time a probe: the planner itself when probes
+//! run one at a time ([`BatchPlanner::adaptive`] — slice wall time ÷
+//! rows *is* probe latency), the backend when it overlaps them
+//! ([`BatchPlanner::sized_by`] the backend's
+//! [`Executor::latency_model`] — there, slice wall time ÷ rows is probe
+//! latency ÷ width, and a window sized by it would shrink exactly when
+//! it should deepen). Slicing is invisible to answers and bills: output
+//! order and invoker accounting are slice-invariant, which the
+//! equivalence suite pins bit for bit.
 
 use crate::adaptive::AdaptiveController;
 use crate::executor::{BatchProbe, Executor};
@@ -41,6 +47,9 @@ pub struct BatchPlanner {
     max_in_flight: usize,
     pending: Vec<(usize, usize)>,
     adaptive: Option<AdaptiveController>,
+    /// Whether drained slices feed `adaptive` (the planner times probes)
+    /// or only read it (the backend does).
+    observes: bool,
 }
 
 impl BatchPlanner {
@@ -56,6 +65,7 @@ impl BatchPlanner {
             max_in_flight: max_in_flight.max(1),
             pending: Vec::new(),
             adaptive: None,
+            observes: false,
         }
     }
 
@@ -64,6 +74,17 @@ impl BatchPlanner {
     /// (still capped by this planner's `max_in_flight`).
     pub fn adaptive(mut self, controller: AdaptiveController) -> Self {
         self.adaptive = Some(controller);
+        self.observes = true;
+        self
+    }
+
+    /// Attaches a latency model someone else feeds — the backend's own
+    /// ([`Executor::latency_model`]): the effective slice size becomes
+    /// its [`AdaptiveController::window`], and drained slices are not
+    /// timed (see the module docs for why they must not be).
+    pub fn sized_by(mut self, model: AdaptiveController) -> Self {
+        self.adaptive = Some(model);
+        self.observes = false;
         self
     }
 
@@ -126,7 +147,7 @@ impl BatchPlanner {
             let rows: Vec<usize> = slice.iter().map(|&(_, row)| row).collect();
             let began = Instant::now();
             let answers = evaluate(&rows);
-            if let Some(controller) = &self.adaptive {
+            if let (Some(controller), true) = (&self.adaptive, self.observes) {
                 controller.observe(rows.len(), began.elapsed());
             }
             assert_eq!(

@@ -5,9 +5,9 @@
 //! contract. A `RemoteUdf` plugs into everything a local UDF does —
 //! the `UdfInvoker` (which bills `o_e` exactly once per fresh row, no
 //! matter how many wire retries the probe took underneath), the
-//! executors in `expred-exec` (an [`InFlightWindow`] over a remote UDF
-//! keeps `window` probes on the wire at once), and the predicate
-//! expression tree.
+//! executors in `expred-exec` (a [`WorkerPool`] over a remote UDF
+//! learns that its probes wait and keeps dozens on the wire at once,
+//! whatever the core count), and the predicate expression tree.
 //!
 //! Failure policy, in order:
 //!
@@ -23,7 +23,7 @@
 //!    fallback it panics — callers on the fallible surface should use
 //!    the `try_*` methods.
 //!
-//! [`InFlightWindow`]: expred_exec::InFlightWindow
+//! [`WorkerPool`]: expred_exec::WorkerPool
 //! [`EngineError::Unavailable`]: expred_core::EngineError::Unavailable
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -92,9 +92,8 @@ impl RemoteUdf {
     /// there is no point burning `len × deadline` against a dead
     /// endpoint — and is returned; answers computed so far are dropped.
     ///
-    /// This is the typed-error sibling of running an
-    /// [`InFlightWindow`](expred_exec::InFlightWindow) executor over
-    /// [`BooleanUdf::evaluate`]: same scheduling, same out-of-order
+    /// This is the typed-error sibling of running an executor over
+    /// [`BooleanUdf::evaluate`]: slots claimed off a cursor, out-of-order
     /// completion, but unavailability is a `Result`, not a panic.
     pub fn try_evaluate_batch(
         &self,

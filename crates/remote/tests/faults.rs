@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use expred_exec::{InFlightWindow, Sequential, WorkerPool};
+use expred_exec::{Sequential, WorkerPool};
 use expred_remote::{
     BreakerConfig, BreakerState, ClientConfig, FaultPlan, HedgeConfig, OracleMap, RemoteClient,
     RemoteUdf, UdfServer,
@@ -158,14 +158,14 @@ proptest! {
         let expected = local_invoker.evaluate_batch(&Sequential, &rows);
 
         // Remote: same rows through the audited invoker over a pooled,
-        // retrying client with an in-flight window.
+        // retrying client, fanned out by the elastic worker pool.
         let tracker = CostTracker::new();
         let client = Arc::new(
             RemoteClient::new(resilient_config(&server)).with_tracker(tracker.clone()),
         );
         let remote_udf = RemoteUdf::new(Arc::clone(&client), "good");
         let remote_invoker = UdfInvoker::with_tracker(&remote_udf, &table, tracker.clone());
-        let got = remote_invoker.evaluate_batch(&InFlightWindow::new(4), &rows);
+        let got = remote_invoker.evaluate_batch(&WorkerPool::new(), &rows);
 
         prop_assert_eq!(&got, &expected, "answers diverged under {:?}", schedule);
 
@@ -216,7 +216,7 @@ fn heavy_drops_force_retries_that_never_bill() {
     let client = Arc::new(RemoteClient::new(config).with_tracker(tracker.clone()));
     let remote_udf = RemoteUdf::new(Arc::clone(&client), "good");
     let remote_invoker = UdfInvoker::with_tracker(&remote_udf, &table, tracker.clone());
-    let got = remote_invoker.evaluate_batch(&InFlightWindow::new(4), &rows);
+    let got = remote_invoker.evaluate_batch(&WorkerPool::new(), &rows);
 
     assert_eq!(got, expected);
     let stats = client.stats();
@@ -252,7 +252,7 @@ fn hedges_cut_tails_and_never_bill() {
     let remote_udf = RemoteUdf::new(Arc::clone(&client), "good");
     let remote_invoker = UdfInvoker::with_tracker(&remote_udf, &table, tracker.clone());
     let rows: Vec<usize> = (0..labels.len()).collect();
-    let got = remote_invoker.evaluate_batch(&InFlightWindow::new(4), &rows);
+    let got = remote_invoker.evaluate_batch(&WorkerPool::new(), &rows);
 
     let expected: Vec<bool> = rows.iter().map(|&r| labels[r]).collect();
     assert_eq!(got, expected);

@@ -233,7 +233,8 @@ impl ServeMetrics {
 
     /// Exposition-format text for `GET /metrics`: serving counters,
     /// per-route latency summaries, remote-UDF client counters (when a
-    /// backend is configured), then per-tenant engine counters.
+    /// backend is configured), per-tenant engine counters, then the
+    /// shared worker pool's (when engines are pooled).
     pub fn render_text(&self, ctx: &MetricsContext<'_>) -> String {
         let tenants = ctx.tenants;
         let mut out = counters_to_text("serve", &[], &self.server_counters(ctx));
@@ -286,11 +287,15 @@ impl ServeMetrics {
                 tenant.table_count()
             );
         }
+        if let Some(pool) = tenants.pool_stats() {
+            out.push_str(&counters_to_text("pool", &[], &pool.fields()));
+        }
         out
     }
 
     /// JSON snapshot for `GET /metrics.json` — same numbers, one object.
-    /// The `"remote"` key is present only when a backend is configured.
+    /// The `"remote"` key is present only when a backend is configured,
+    /// the `"pool"` key only when engines run on the shared worker pool.
     pub fn render_json(&self, ctx: &MetricsContext<'_>) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
@@ -327,7 +332,11 @@ impl ServeMetrics {
             w.key("tables").u64(tenant.table_count() as u64);
             w.end_object();
         }
-        w.end_object().end_object();
+        w.end_object();
+        if let Some(pool) = ctx.tenants.pool_stats() {
+            w.key("pool").counters(&pool.fields());
+        }
+        w.end_object();
         w.finish()
     }
 }
@@ -459,6 +468,52 @@ mod tests {
         );
         drop(persistent);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn render_exports_the_pool_section_only_when_pooled() {
+        let metrics = ServeMetrics::new();
+        let gate = AdmissionGate::new(4);
+        let connections = AdmissionGate::new(64);
+        let sequential = TenantRegistry::new(4, 2, EngineConfig::default());
+        let text = metrics.render_text(&context(&gate, &connections, &sequential, None));
+        assert!(!text.contains("pool_"));
+        let json = metrics.render_json(&context(&gate, &connections, &sequential, None));
+        assert!(JsonValue::parse(&json).unwrap().get("pool").is_none());
+
+        let pooled = TenantRegistry::new(
+            4,
+            2,
+            EngineConfig {
+                pooled: true,
+                ..EngineConfig::default()
+            },
+        );
+        pooled.route("a").unwrap();
+        let text = metrics.render_text(&context(&gate, &connections, &pooled, None));
+        assert!(
+            text.contains("pool_workers 0\n"),
+            "no thread before a batch"
+        );
+        assert!(text.contains("pool_jobs 0\n"));
+        let json = metrics.render_json(&context(&gate, &connections, &pooled, None));
+        let doc = JsonValue::parse(&json).expect("valid JSON with pool section");
+        let keys: Vec<&str> = match &doc {
+            JsonValue::Object(entries) => entries.iter().map(|(key, _)| key.as_str()).collect(),
+            other => panic!("expected an object, got {other:?}"),
+        };
+        assert_eq!(keys, ["server", "routes", "tenants", "pool"]);
+        let pool = doc.get("pool").unwrap();
+        assert!(pool.get("width").unwrap().as_u64().unwrap() >= 2);
+        for name in [
+            "workers",
+            "probe_latency_ns",
+            "jobs",
+            "inline_batches",
+            "rows",
+        ] {
+            assert_eq!(pool.get(name).unwrap().as_u64(), Some(0), "{name}");
+        }
     }
 
     #[test]

@@ -62,7 +62,8 @@ pub struct ServeConfig {
     pub max_rows: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
-    /// Build tenant engines on the worker pool instead of sequential.
+    /// Run tenant engines on one shared worker pool instead of
+    /// sequentially (its width is learned; there is nothing to size).
     pub pooled: bool,
     /// Artificial per-evaluation UDF latency (load testing).
     pub udf_latency: Duration,

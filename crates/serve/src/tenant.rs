@@ -11,6 +11,14 @@
 //! tenant ids are refused with a retryable 503 while existing tenants
 //! keep being served.
 //!
+//! What tenants do share is threads: with [`EngineConfig::pooled`] the
+//! registry owns **one** [`WorkerPool`] for the process and every
+//! tenant's engine borrows it. Threads carry no answers and no bill, a
+//! pool's width follows the probes rather than the tenant count, and its
+//! oldest-job-first queue already shares workers fairly across callers —
+//! a pool per tenant would be up to 32 sets of parked threads for the
+//! same work.
+//!
 //! Tables are tenant-local too: a [`TableKey`] names a calibrated
 //! generator (`prosper` / `lc`), a row count, and a generation seed, and
 //! each tenant materializes its own instance (bounded per tenant,
@@ -20,6 +28,7 @@
 
 use crate::api::TableKey;
 use expred_core::{PersistConfig, QueryEngine};
+use expred_exec::{PoolStats, WorkerPool};
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -43,8 +52,8 @@ fn generator(spec: &str) -> Option<DatasetSpec> {
 /// lazily created tenant).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Run tenant engines on the persistent [`expred_exec::WorkerPool`]
-    /// instead of the sequential backend.
+    /// Run tenant engines on the registry's shared
+    /// [`expred_exec::WorkerPool`] instead of the sequential backend.
     pub pooled: bool,
     /// Artificial latency added to every fresh UDF evaluation — the
     /// load-testing knob ([`QueryEngine::with_udf_latency`]).
@@ -94,11 +103,10 @@ pub(crate) fn tenant_dir_name(name: &str) -> String {
 }
 
 impl EngineConfig {
-    fn base_engine(&self) -> QueryEngine {
-        let engine = if self.pooled {
-            QueryEngine::pooled()
-        } else {
-            QueryEngine::new()
+    fn base_engine(&self, pool: Option<&Arc<WorkerPool>>) -> QueryEngine {
+        let engine = match pool {
+            Some(pool) => QueryEngine::with_executor(Box::new(Arc::clone(pool))),
+            None => QueryEngine::new(),
         };
         let engine = engine.with_udf_latency(self.udf_latency);
         match self.cache_ttl {
@@ -107,8 +115,8 @@ impl EngineConfig {
         }
     }
 
-    fn build(&self, tenant: &str) -> QueryEngine {
-        let engine = self.base_engine();
+    fn build(&self, tenant: &str, pool: Option<&Arc<WorkerPool>>) -> QueryEngine {
+        let engine = self.base_engine(pool);
         if let Some(root) = &self.data_dir {
             let dir = root.join(tenant_dir_name(tenant));
             return match engine.with_persistence(PersistConfig::new(dir)) {
@@ -118,7 +126,7 @@ impl EngineConfig {
                     // tier: serve this tenant in-memory rather than
                     // refusing it.
                     eprintln!("expred-serve: tenant {tenant:?} persistence disabled: {error}");
-                    self.base_engine()
+                    self.base_engine(pool)
                 }
             };
         }
@@ -147,8 +155,13 @@ impl std::fmt::Debug for Tenant {
 }
 
 impl Tenant {
-    fn new(name: String, config: &EngineConfig, max_tables: usize) -> Self {
-        let engine = config.build(&name);
+    fn new(
+        name: String,
+        config: &EngineConfig,
+        pool: Option<&Arc<WorkerPool>>,
+        max_tables: usize,
+    ) -> Self {
+        let engine = config.build(&name, pool);
         Self {
             name,
             engine,
@@ -228,6 +241,9 @@ pub struct TenantRegistry {
     max_tenants: usize,
     max_tables_per_tenant: usize,
     engine_config: EngineConfig,
+    /// The process's one worker pool, when engines are pooled. Spawns no
+    /// thread until a tenant's batch first fans out.
+    pool: Option<Arc<WorkerPool>>,
 }
 
 impl TenantRegistry {
@@ -242,8 +258,15 @@ impl TenantRegistry {
             tenants: RwLock::new(HashMap::new()),
             max_tenants: max_tenants.max(1),
             max_tables_per_tenant,
+            pool: engine_config.pooled.then(|| Arc::new(WorkerPool::new())),
             engine_config,
         }
+    }
+
+    /// The shared pool's width, size and traffic (`None` when tenant
+    /// engines run sequentially).
+    pub fn pool_stats(&self) -> Option<PoolStats> {
+        self.pool.as_ref().map(|pool| pool.stats())
     }
 
     /// Routes `name` to its session, creating it if the bound allows.
@@ -269,6 +292,7 @@ impl TenantRegistry {
         let tenant = Arc::new(Tenant::new(
             name.to_owned(),
             &self.engine_config,
+            self.pool.as_ref(),
             self.max_tables_per_tenant,
         ));
         tenants.insert(name.to_owned(), Arc::clone(&tenant));

@@ -727,3 +727,102 @@ fn remote_backend_counters_surface_in_both_metrics_exports() {
         Some(2)
     );
 }
+
+/// Pool threads alive in this process (`None` where `/proc` is not).
+fn pool_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("expred-pool-"))
+            .count(),
+    )
+}
+
+#[test]
+fn pooled_tenants_share_one_worker_pool_and_answer_byte_identically() {
+    let handle = serve(
+        "127.0.0.1:0",
+        ServeConfig {
+            pooled: true,
+            udf_latency: Duration::from_micros(100),
+            ..small_config()
+        },
+    )
+    .unwrap();
+    let addr = handle.local_addr();
+
+    // Eight tenants at once, each on its own connection. The mirror is a
+    // private *sequential* engine without the latency: the pool — its
+    // width, who shares it — must not reach an answer or a bill.
+    let workers: Vec<_> = (0..8u64)
+        .map(|worker| {
+            std::thread::spawn(move || {
+                let tenant = format!("pooled-{worker}");
+                let mut mirror = Mirror::new();
+                let mut client = HttpClient::connect(addr).unwrap();
+                for step in 0..3u64 {
+                    let (rows, table_seed) = (1_500, 40 + worker);
+                    let body = format!(
+                        "{{\"tenant\":\"{tenant}\",\
+                         \"table\":{{\"spec\":\"prosper\",\"rows\":{rows},\"seed\":{table_seed}}},\
+                         \"seed\":{step},\
+                         \"query\":{{\"kind\":\"intel_sample\",\"predictor\":\"grade\"}}}}"
+                    );
+                    let response = client.post("/query", &body).unwrap();
+                    assert_eq!(response.status, 200, "worker {worker} step {step}");
+                    let key = TableKey {
+                        spec: "prosper".into(),
+                        rows,
+                        seed: table_seed,
+                    };
+                    let request = QueryRequest::intel_sample(expred_core::IntelSampleConfig {
+                        spec: QuerySpec::paper_default(),
+                        rule: expred_core::SampleSizeRule::Fraction(0.05),
+                        corr: expred_core::CorrelationModel::Independent,
+                        predictor: expred_core::PredictorChoice::Fixed("grade".into()),
+                    })
+                    .with_seed(step);
+                    assert_eq!(
+                        response.body_text(),
+                        mirror.submit(&tenant, &key, &request),
+                        "worker {worker} step {step}: HTTP body must be byte-identical"
+                    );
+                }
+                mirror.engine.session_counts()
+            })
+        })
+        .collect();
+    for (worker, mirror) in workers.into_iter().enumerate() {
+        let expected = mirror.join().unwrap();
+        let tenant = handle.tenants().route(&format!("pooled-{worker}")).unwrap();
+        assert_eq!(
+            tenant.engine().session_counts(),
+            expected,
+            "pooled-{worker} bill diverged from direct sequential submit"
+        );
+    }
+
+    // One pool for the process: its own count of workers is every pool
+    // thread there is, and eight tenants did not multiply it.
+    let mut client = HttpClient::connect(addr).unwrap();
+    let doc = JsonValue::parse(&client.get("/metrics.json").unwrap().body_text()).unwrap();
+    let pool = doc
+        .get("pool")
+        .expect("pool section when engines are pooled");
+    let workers = pool.get("workers").unwrap().as_u64().unwrap() as usize;
+    assert!((1..64).contains(&workers), "{workers} workers");
+    if let Some(threads) = pool_threads() {
+        assert_eq!(threads, workers, "pool threads outside the one pool");
+    }
+    assert!(pool.get("jobs").unwrap().as_u64().unwrap() > 0);
+    assert!(pool.get("rows").unwrap().as_u64().unwrap() > 0);
+    assert!(pool.get("width").unwrap().as_u64().unwrap() >= 2);
+    assert!(pool.get("probe_latency_ns").unwrap().as_u64().unwrap() >= 100_000);
+    let text = client.get("/metrics").unwrap().body_text();
+    assert!(
+        text.contains(&format!("pool_workers {workers}\n")),
+        "{text}"
+    );
+    assert!(text.contains("pool_inline_batches "));
+}

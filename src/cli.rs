@@ -38,7 +38,7 @@ impl Backend {
                 Parallel::new().threads()
             ),
             Backend::Pool => format!(
-                "executor backend: worker_pool ({} persistent workers)",
+                "executor backend: worker_pool (core budget {}, width learned)",
                 WorkerPool::new().threads()
             ),
         }
