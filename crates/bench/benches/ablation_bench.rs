@@ -17,6 +17,7 @@ use expred_core::optimize::{solve_estimated, CorrelationModel, EstimatedGroup};
 use expred_core::pipeline::{run_intel_sample, IntelSampleConfig, PredictorChoice};
 use expred_core::query::QuerySpec;
 use expred_core::sampling::SampleSizeRule;
+use expred_exec::ExecContext;
 use expred_solver::bigreedy::GreedyProblem;
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB};
@@ -119,7 +120,8 @@ fn main() {
         let mut seed = 0u64;
         let ns = measure_ns_per_unit(rows as u64, rule_reps, || {
             seed += 1;
-            black_box(run_intel_sample(&ds, &cfg, seed));
+            let ctx = ExecContext::sequential();
+            black_box(run_intel_sample(&ds, &cfg, seed, &ctx).expect("\"grade\" exists"));
         });
         if i == 0 {
             baseline_ns = ns;

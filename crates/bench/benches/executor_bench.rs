@@ -60,7 +60,13 @@ fn main() {
             // the measurement.
             let invoker = UdfInvoker::new(&udf, &ds.table);
             let mut rng = Prng::seeded(seed);
-            black_box(execute_plan(plan, &groups, &invoker, &mut rng));
+            black_box(execute_plan(
+                plan,
+                &groups,
+                &invoker,
+                &mut rng,
+                &ExecContext::sequential(),
+            ));
         });
         let scenario = format!("execute_plan_{name}");
         report.record(&scenario, "sequential", ns, 1.0);
@@ -77,7 +83,13 @@ fn main() {
         for r in 0..rows / 10 {
             invoker.retrieve_and_evaluate(r * 10);
         }
-        black_box(execute_plan(&plan, &groups, &invoker, &mut rng));
+        black_box(execute_plan(
+            &plan,
+            &groups,
+            &invoker,
+            &mut rng,
+            &ExecContext::sequential(),
+        ));
     });
     let scenario = "execute_plan_fractional_with_memo";
     report.record(scenario, "sequential", ns, 1.0);

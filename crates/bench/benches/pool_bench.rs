@@ -1,6 +1,6 @@
-//! `pool_bench` — `Sequential` vs `Parallel` vs `WorkerPool` across the
-//! batch-size × UDF-latency grid, plus the many-small-batches drain that
-//! motivated the pool.
+//! `pool_bench` — `Sequential` vs `WorkerPool` across the batch-size ×
+//! UDF-latency grid, plus the many-small-batches drain that motivated
+//! the pool.
 //!
 //! ```text
 //! cargo bench --bench pool_bench            # full grid
@@ -13,17 +13,16 @@
 //!   the given latency, repeated; reports mean ns/probe per backend.
 //! * `many_small_batches_udf_100us` — the planner's group-by-group
 //!   drain: hundreds of 16-row batches pushed through `evaluate_batch`
-//!   one after another. `Parallel` runs these inline (16 < its spawn
-//!   floor) or pays per-batch thread spawns; the pool's persistent
-//!   workers are the point. The ISSUE target: pool ≥2× over `Parallel`
-//!   here, parity elsewhere.
+//!   one after another. A backend that spawns threads per batch either
+//!   forfeits these or pays the spawns; the pool's persistent workers
+//!   are the point.
 //! * `elastic_<n>_sleep_100us` / `elastic_512_spin_100us` — the pool as
 //!   the engine builds it, `WorkerPool::new()`: core budget off the
 //!   machine, width learned. Sleeping probes must take it far past the
 //!   core count (target on a ≥ 2-core box: ≥ 20× `Sequential` at 512
-//!   rows); the spinning control must leave it at the core budget and
-//!   cost nothing against a backend fixed there. The settled width is
-//!   in the row's backend name (`elastic_pool@<width>`).
+//!   rows); the spinning control must leave it at the core budget.
+//!   The settled width is in the row's backend name
+//!   (`elastic_pool@<width>`).
 //!
 //! Results land in `BENCH_pool.json` (schema: `expred_bench::report`),
 //! with `sequential` as the per-scenario speedup baseline.
@@ -34,16 +33,15 @@
 //! concurrent service calls do, core count notwithstanding — while
 //! µs-probes spin (sleep granularity cannot express them; they model the
 //! CPU-bound end, where a 1-core box rightly shows parity). The grid's
-//! threaded backends get a core budget of 8 like `exec_bench`'s (a
-//! `Parallel` that wide, a pool that starts there and widens as it
+//! pool gets a core budget of 8 (it starts there and widens as it
 //! learns the probes wait); the `elastic_*` rows take the machine's.
 
 use expred_bench::BenchReport;
-use expred_exec::{Executor, Parallel, Sequential, WorkerPool};
+use expred_exec::{Executor, Sequential, WorkerPool};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Worker width for the threaded backends (see module docs).
+/// Core budget for the grid's pool (see module docs).
 const WIDTH: usize = 8;
 
 /// Batches an `elastic_*` pool gets to learn its probes before timing:
@@ -106,15 +104,14 @@ fn time_batch(executor: &dyn Executor, latency: Duration, rows: &[usize], reps: 
 }
 
 /// One `elastic_*` scenario: a machine-sized pool meets `probe` cold,
-/// gets [`ELASTIC_WARMUP`] batches to learn it, then is timed — against
-/// `Sequential` and, when given, a `control` backend.
+/// gets [`ELASTIC_WARMUP`] batches to learn it, then is timed against
+/// `Sequential`.
 fn elastic_scenario(
     report: &mut BenchReport,
     scenario: &str,
     probe: &(dyn Fn(usize) -> bool + Sync),
     rows_n: usize,
     reps: usize,
-    control: Option<(&str, &dyn Executor)>,
 ) {
     let rows: Vec<usize> = (0..rows_n).collect();
     let pool = WorkerPool::new();
@@ -123,12 +120,6 @@ fn elastic_scenario(
     }
     let sequential = time_probe(&Sequential, probe, &rows, reps.min(3));
     report.record(scenario, "sequential", sequential, 1.0);
-    let mut line = format!("{scenario:<28} seq {sequential:>10.0} ns/probe");
-    if let Some((name, executor)) = control {
-        let fixed = time_probe(executor, probe, &rows, reps);
-        report.record(scenario, name, fixed, sequential / fixed);
-        line += &format!(" | {name} {fixed:>10.0} ({:>5.2}x)", sequential / fixed);
-    }
     let elastic = time_probe(&pool, probe, &rows, reps);
     let width = pool.width();
     report.record(
@@ -138,7 +129,8 @@ fn elastic_scenario(
         sequential / elastic,
     );
     println!(
-        "{line} | elastic {elastic:>10.0} ({:>5.2}x) at width {width} (core budget {})",
+        "{scenario:<28} seq {sequential:>10.0} ns/probe | elastic {elastic:>10.0} ({:>5.2}x) \
+         at width {width} (core budget {})",
         sequential / elastic,
         pool.threads()
     );
@@ -212,7 +204,7 @@ fn main() {
 
     let mut report = BenchReport::new("pool");
     println!(
-        "pool_bench ({} mode): sequential vs parallel vs worker_pool",
+        "pool_bench ({} mode): sequential vs worker_pool",
         if smoke { "smoke" } else { "full" }
     );
 
@@ -227,18 +219,13 @@ fn main() {
             let rows: Vec<usize> = (0..rows_n).collect();
             let reps = reps_for(rows_n, latency, budget);
             let sequential = time_batch(&Sequential, latency, &rows, reps);
-            let parallel = time_batch(&Parallel::with_threads(WIDTH), latency, &rows, reps);
             let pool = WorkerPool::with_threads(WIDTH);
             let pooled = time_batch(&pool, latency, &rows, reps);
             report.record(&scenario, "sequential", sequential, 1.0);
-            report.record(&scenario, "parallel", parallel, sequential / parallel);
             report.record(&scenario, "worker_pool", pooled, sequential / pooled);
             println!(
-                "{scenario:<28} seq {sequential:>10.0} ns/probe | par {parallel:>10.0} \
-                 ({:>5.2}x) | pool {pooled:>10.0} ({:>5.2}x) | pool/par {:>5.2}x",
-                sequential / parallel,
+                "{scenario:<28} seq {sequential:>10.0} ns/probe | pool {pooled:>10.0} ({:>5.2}x)",
                 sequential / pooled,
-                parallel / pooled,
             );
         }
     }
@@ -249,57 +236,29 @@ fn main() {
     let latency = Duration::from_micros(100);
     let scenario = "many_small_batches_udf_100us";
     let sequential = time_many_small(&Sequential, latency, batches, 16, reps);
-    let parallel = time_many_small(&Parallel::with_threads(WIDTH), latency, batches, 16, reps);
     let pool = WorkerPool::with_threads(WIDTH);
     let pooled = time_many_small(&pool, latency, batches, 16, reps);
     report.record(scenario, "sequential", sequential, 1.0);
-    report.record(scenario, "parallel", parallel, sequential / parallel);
     report.record(scenario, "worker_pool", pooled, sequential / pooled);
-    let pool_vs_parallel = parallel / pooled;
     println!(
-        "{scenario:<28} seq {sequential:>10.0} ns/probe | par {parallel:>10.0} \
-         ({:>5.2}x) | pool {pooled:>10.0} ({:>5.2}x) | pool/par {pool_vs_parallel:>5.2}x",
-        sequential / parallel,
+        "{scenario:<28} seq {sequential:>10.0} ns/probe | pool {pooled:>10.0} ({:>5.2}x)",
         sequential / pooled,
     );
-    if pool_vs_parallel < 2.0 && !smoke {
-        println!(
-            "WARNING: worker_pool is only {pool_vs_parallel:.2}x over parallel on \
-             {scenario} (target: >= 2x)"
-        );
-    }
 
     // The pool as the engine builds it: width learned, not set.
     let latency = Duration::from_micros(100);
     let sleeping = expensive_probe(latency);
     let reps = if smoke { 2 } else { 20 };
-    elastic_scenario(
-        &mut report,
-        "elastic_512_sleep_100us",
-        &sleeping,
-        512,
-        reps,
-        None,
-    );
+    elastic_scenario(&mut report, "elastic_512_sleep_100us", &sleeping, 512, reps);
     if !smoke {
-        elastic_scenario(
-            &mut report,
-            "elastic_4096_sleep_100us",
-            &sleeping,
-            4096,
-            5,
-            None,
-        );
+        elastic_scenario(&mut report, "elastic_4096_sleep_100us", &sleeping, 4096, 5);
     }
-    let cores = WorkerPool::new().threads();
-    let core_sized = Parallel::with_threads(cores + 1);
     elastic_scenario(
         &mut report,
         "elastic_512_spin_100us",
         &spinning_probe(latency),
         512,
         reps.min(5),
-        Some(("parallel_core_sized", &core_sized)),
     );
 
     match report.write() {

@@ -13,6 +13,7 @@ use expred_core::pipeline::{
 };
 use expred_core::query::QuerySpec;
 use expred_core::sampling::SampleSizeRule;
+use expred_exec::ExecContext;
 use expred_table::datasets::Dataset;
 use expred_udf::CostModel;
 
@@ -23,6 +24,7 @@ fn fixed(ds: &Dataset) -> PredictorChoice {
 /// Table 2: selectivity and savings (vs Naive, vs the best ML baseline)
 /// per dataset.
 pub fn table2(cfg: &HarnessConfig) -> TextTable {
+    let ctx = ExecContext::sequential();
     let datasets = paper_datasets(cfg.seed);
     let mut t = TextTable::new(vec![
         "Dataset",
@@ -37,13 +39,13 @@ pub fn table2(cfg: &HarnessConfig) -> TextTable {
         });
         let intel = summarize(
             &run_many(cfg.iterations, cfg.seed, |s| {
-                run_intel_sample(ds, &intel_cfg, s)
+                run_intel_sample(ds, &intel_cfg, s, &ctx)
             }),
             spec.alpha,
             spec.beta,
         );
         let naive = summarize(
-            &run_many(cfg.iterations, cfg.seed, |s| run_naive(ds, &spec, s)),
+            &run_many(cfg.iterations, cfg.seed, |s| run_naive(ds, &spec, s, &ctx)),
             spec.alpha,
             spec.beta,
         );
@@ -51,12 +53,12 @@ pub fn table2(cfg: &HarnessConfig) -> TextTable {
         // baselines, as the paper's Table 2 reports a single ML column.
         let ml_iters = cfg.iterations.clamp(1, 5);
         let learning = summarize(
-            &run_many(ml_iters, cfg.seed, |s| run_learning(ds, &spec, s)),
+            &run_many(ml_iters, cfg.seed, |s| run_learning(ds, &spec, s, &ctx)),
             spec.alpha,
             spec.beta,
         );
         let multiple = summarize(
-            &run_many(ml_iters, cfg.seed, |s| run_multiple(ds, &spec, 5, s)),
+            &run_many(ml_iters, cfg.seed, |s| run_multiple(ds, &spec, 5, s, &ctx)),
             spec.alpha,
             spec.beta,
         );
@@ -106,26 +108,27 @@ pub fn table3(cfg: &HarnessConfig) -> TextTable {
 
 /// Figure 1(a): evaluations for Naive vs Intel-Sample vs Optimal.
 pub fn fig1a(cfg: &HarnessConfig) -> TextTable {
+    let ctx = ExecContext::sequential();
     let datasets = paper_datasets(cfg.seed);
     let spec = QuerySpec::paper_default();
     let mut t = TextTable::new(vec!["Dataset", "Naive", "Intel-Sample", "Optimal"]);
     for ds in &datasets {
         let intel_cfg = IntelSampleConfig::experiment1(fixed(ds));
         let naive = summarize(
-            &run_many(cfg.iterations, cfg.seed, |s| run_naive(ds, &spec, s)),
+            &run_many(cfg.iterations, cfg.seed, |s| run_naive(ds, &spec, s, &ctx)),
             spec.alpha,
             spec.beta,
         );
         let intel = summarize(
             &run_many(cfg.iterations, cfg.seed, |s| {
-                run_intel_sample(ds, &intel_cfg, s)
+                run_intel_sample(ds, &intel_cfg, s, &ctx)
             }),
             spec.alpha,
             spec.beta,
         );
         let optimal = summarize(
             &run_many(cfg.iterations, cfg.seed, |s| {
-                run_optimal(ds, &spec, ds.predictor(), s)
+                run_optimal(ds, &spec, ds.predictor(), s, &ctx)
             }),
             spec.alpha,
             spec.beta,
@@ -142,6 +145,7 @@ pub fn fig1a(cfg: &HarnessConfig) -> TextTable {
 
 /// Figure 1(b): evaluations for the ML baselines vs Intel-Sample.
 pub fn fig1b(cfg: &HarnessConfig) -> TextTable {
+    let ctx = ExecContext::sequential();
     let datasets = paper_datasets(cfg.seed);
     let spec = QuerySpec::paper_default();
     let mut t = TextTable::new(vec!["Dataset", "Learning", "Multiple", "Intel-Sample"]);
@@ -149,18 +153,18 @@ pub fn fig1b(cfg: &HarnessConfig) -> TextTable {
     for ds in &datasets {
         let intel_cfg = IntelSampleConfig::experiment1(fixed(ds));
         let learning = summarize(
-            &run_many(ml_iters, cfg.seed, |s| run_learning(ds, &spec, s)),
+            &run_many(ml_iters, cfg.seed, |s| run_learning(ds, &spec, s, &ctx)),
             spec.alpha,
             spec.beta,
         );
         let multiple = summarize(
-            &run_many(ml_iters, cfg.seed, |s| run_multiple(ds, &spec, 5, s)),
+            &run_many(ml_iters, cfg.seed, |s| run_multiple(ds, &spec, 5, s, &ctx)),
             spec.alpha,
             spec.beta,
         );
         let intel = summarize(
             &run_many(cfg.iterations, cfg.seed, |s| {
-                run_intel_sample(ds, &intel_cfg, s)
+                run_intel_sample(ds, &intel_cfg, s, &ctx)
             }),
             spec.alpha,
             spec.beta,
@@ -178,6 +182,7 @@ pub fn fig1b(cfg: &HarnessConfig) -> TextTable {
 /// Figure 1(c): evaluations vs the Two-Third-Power parameter `num`, with
 /// the **logistic-regression virtual column** as the predictor.
 pub fn fig1c(cfg: &HarnessConfig) -> TextTable {
+    let ctx = ExecContext::sequential();
     let datasets = paper_datasets(cfg.seed);
     let spec = QuerySpec::paper_default();
     let nums = [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 11.0, 14.0];
@@ -196,7 +201,7 @@ pub fn fig1c(cfg: &HarnessConfig) -> TextTable {
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {
-                    run_intel_sample(ds, &intel_cfg, s)
+                    run_intel_sample(ds, &intel_cfg, s, &ctx)
                 }),
                 spec.alpha,
                 spec.beta,
@@ -213,6 +218,7 @@ pub fn fig1c(cfg: &HarnessConfig) -> TextTable {
 /// Figures 2(a)/2(b): fraction of runs satisfying the precision (resp.
 /// recall) constraint, as ρ sweeps — every value must sit above `x = y`.
 pub fn fig2ab(cfg: &HarnessConfig, recall_side: bool) -> TextTable {
+    let ctx = ExecContext::sequential();
     let datasets = paper_datasets(cfg.seed);
     let rhos = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95];
     let mut t = TextTable::new(vec!["rho", "lc", "prosper", "census", "marketing"]);
@@ -228,7 +234,7 @@ pub fn fig2ab(cfg: &HarnessConfig, recall_side: bool) -> TextTable {
             };
             let stats = summarize(
                 &run_many(cfg.rho_iterations, cfg.seed, |s| {
-                    run_intel_sample(ds, &intel_cfg, s)
+                    run_intel_sample(ds, &intel_cfg, s, &ctx)
                 }),
                 spec.alpha,
                 spec.beta,
@@ -248,6 +254,7 @@ pub fn fig2ab(cfg: &HarnessConfig, recall_side: bool) -> TextTable {
 /// Figure 2(c): evaluations vs the precision bound α (β = 0.8) on LC with
 /// the Grade predictor, for `num/α ∈ {2.5, 3.5, 4.5}`.
 pub fn fig2c(cfg: &HarnessConfig) -> TextTable {
+    let ctx = ExecContext::sequential();
     let ds = &paper_datasets(cfg.seed)[0]; // lc
     let alphas = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
     let ratios = [2.5, 3.5, 4.5];
@@ -269,7 +276,7 @@ pub fn fig2c(cfg: &HarnessConfig) -> TextTable {
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {
-                    run_intel_sample(ds, &intel_cfg, s)
+                    run_intel_sample(ds, &intel_cfg, s, &ctx)
                 }),
                 spec.alpha,
                 spec.beta,
@@ -294,6 +301,7 @@ pub fn fig3b(cfg: &HarnessConfig) -> TextTable {
 }
 
 fn sweep_sampling(cfg: &HarnessConfig, constant: bool) -> TextTable {
+    let ctx = ExecContext::sequential();
     let datasets = paper_datasets(cfg.seed);
     let spec = QuerySpec::paper_default();
     let mut t = TextTable::new(vec![
@@ -324,7 +332,7 @@ fn sweep_sampling(cfg: &HarnessConfig, constant: bool) -> TextTable {
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {
-                    run_intel_sample(ds, &intel_cfg, s)
+                    run_intel_sample(ds, &intel_cfg, s, &ctx)
                 }),
                 spec.alpha,
                 spec.beta,
@@ -339,6 +347,7 @@ fn sweep_sampling(cfg: &HarnessConfig, constant: bool) -> TextTable {
 /// Figure 3(c): retrievals vs the recall bound β (α = 0.8) on LC, for
 /// `num ∈ {2.5, 3.5, 4.5}`.
 pub fn fig3c(cfg: &HarnessConfig) -> TextTable {
+    let ctx = ExecContext::sequential();
     let ds = &paper_datasets(cfg.seed)[0]; // lc
     let betas = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
     let nums = [2.5, 3.5, 4.5];
@@ -355,7 +364,7 @@ pub fn fig3c(cfg: &HarnessConfig) -> TextTable {
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {
-                    run_intel_sample(ds, &intel_cfg, s)
+                    run_intel_sample(ds, &intel_cfg, s, &ctx)
                 }),
                 spec.alpha,
                 spec.beta,
@@ -371,10 +380,11 @@ pub fn fig3c(cfg: &HarnessConfig) -> TextTable {
 /// *every* candidate column is forced as the predictor, against the Naive
 /// ceiling.
 pub fn columns(cfg: &HarnessConfig) -> TextTable {
+    let ctx = ExecContext::sequential();
     let ds = &paper_datasets(cfg.seed)[0]; // lc
     let spec = QuerySpec::paper_default();
     let naive = summarize(
-        &run_many(cfg.iterations, cfg.seed, |s| run_naive(ds, &spec, s)),
+        &run_many(cfg.iterations, cfg.seed, |s| run_naive(ds, &spec, s, &ctx)),
         spec.alpha,
         spec.beta,
     );
@@ -383,7 +393,7 @@ pub fn columns(cfg: &HarnessConfig) -> TextTable {
         let intel_cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed(col.clone()));
         let stats = summarize(
             &run_many(cfg.iterations, cfg.seed, |s| {
-                run_intel_sample(ds, &intel_cfg, s)
+                run_intel_sample(ds, &intel_cfg, s, &ctx)
             }),
             spec.alpha,
             spec.beta,
@@ -402,6 +412,7 @@ pub fn columns(cfg: &HarnessConfig) -> TextTable {
 /// §6.2's runtime claim: Intel-Sample's non-UDF compute time per dataset
 /// (the paper reports "less than a second").
 pub fn timing(cfg: &HarnessConfig) -> TextTable {
+    let ctx = ExecContext::sequential();
     let datasets = paper_datasets(cfg.seed);
     let spec = QuerySpec::paper_default();
     let mut t = TextTable::new(vec!["Dataset", "Compute seconds (mean)"]);
@@ -411,7 +422,7 @@ pub fn timing(cfg: &HarnessConfig) -> TextTable {
         });
         let stats = summarize(
             &run_many(cfg.iterations.clamp(1, 5), cfg.seed, |s| {
-                run_intel_sample(ds, &intel_cfg, s)
+                run_intel_sample(ds, &intel_cfg, s, &ctx)
             }),
             spec.alpha,
             spec.beta,

@@ -2,6 +2,7 @@
 //! plain-text table rendering.
 
 use expred_core::pipeline::RunOutcome;
+use expred_core::EngineError;
 use expred_stats::descriptive::Accumulator;
 use expred_table::datasets::{all_specs, Dataset};
 
@@ -47,9 +48,14 @@ pub fn paper_datasets(seed: u64) -> Vec<Dataset> {
 /// Runs `f(seed)` for `iterations` derived seeds, fanning out across a
 /// couple of worker threads (the experiment binaries are run on small
 /// machines; heavy parallelism buys little here).
+///
+/// # Panics
+///
+/// If a run errors: the experiments fix their own configurations, so an
+/// [`EngineError`] here is a bug in the harness, not input.
 pub fn run_many<F>(iterations: usize, base_seed: u64, f: F) -> Vec<RunOutcome>
 where
-    F: Fn(u64) -> RunOutcome + Sync,
+    F: Fn(u64) -> Result<RunOutcome, EngineError> + Sync,
 {
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -63,7 +69,7 @@ where
             let f = &f;
             scope.spawn(move || {
                 for (slot, &seed) in slice.iter_mut().zip(seed_chunk) {
-                    *slot = Some(f(seed));
+                    *slot = Some(f(seed).expect("experiment configuration is valid"));
                 }
             });
         }
@@ -241,6 +247,7 @@ mod tests {
     #[test]
     fn run_many_is_deterministic_and_ordered() {
         use expred_core::{run_naive, QuerySpec};
+        use expred_exec::ExecContext;
         use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
         let ds = Dataset::generate(
             DatasetSpec {
@@ -250,8 +257,12 @@ mod tests {
             1,
         );
         let spec = QuerySpec::paper_default();
-        let a = run_many(4, 10, |seed| run_naive(&ds, &spec, seed));
-        let b = run_many(4, 10, |seed| run_naive(&ds, &spec, seed));
+        let a = run_many(4, 10, |seed| {
+            run_naive(&ds, &spec, seed, &ExecContext::sequential())
+        });
+        let b = run_many(4, 10, |seed| {
+            run_naive(&ds, &spec, seed, &ExecContext::sequential())
+        });
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.counts, y.counts);
         }

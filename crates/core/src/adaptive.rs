@@ -11,18 +11,15 @@
 //!   exploiting them": run a fraction of the plan, fold the new
 //!   evaluations into the estimates, and re-plan.
 
-use crate::execute::{execute_plan_ctx, truth_vector};
+use crate::error::EngineError;
+use crate::execute::execute_plan;
 use crate::optimize::{solve_estimated, CorrelationModel};
-use crate::pipeline::{session_group_by, RunOutcome};
+use crate::pipeline::{run_framed, session_group_by, solve_or_evaluate_all, Answer, RunOutcome};
 use crate::plan::Plan;
 use crate::query::QuerySpec;
-use crate::sampling::{adaptive_num_search_ctx, sample_groups_ctx, SampleSizeRule};
-use expred_exec::{ExecContext, Executor};
-use expred_ml::metrics::precision_recall;
-use expred_stats::rng::Prng;
-use expred_table::datasets::{Dataset, LABEL_COLUMN};
-use expred_udf::UdfInvoker;
-use std::time::Instant;
+use crate::sampling::{adaptive_num_search, sample_groups, SampleSizeRule};
+use expred_exec::ExecContext;
+use expred_table::datasets::Dataset;
 
 /// §4.3's adaptive pipeline: no sampling parameter needs to be supplied.
 pub fn run_intel_sample_adaptive(
@@ -31,59 +28,23 @@ pub fn run_intel_sample_adaptive(
     corr: CorrelationModel,
     predictor: &str,
     seed: u64,
-) -> RunOutcome {
-    run_intel_sample_adaptive_ctx(ds, spec, corr, predictor, seed, &ExecContext::sequential())
-}
-
-/// [`run_intel_sample_adaptive`], probing through `executor`.
-pub fn run_intel_sample_adaptive_with(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    predictor: &str,
-    seed: u64,
-    executor: &dyn Executor,
-) -> RunOutcome {
-    run_intel_sample_adaptive_ctx(ds, spec, corr, predictor, seed, &ExecContext::new(executor))
-}
-
-/// [`run_intel_sample_adaptive`] under an execution context.
-pub fn run_intel_sample_adaptive_ctx(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    predictor: &str,
-    seed: u64,
     ctx: &ExecContext<'_>,
-) -> RunOutcome {
-    let start = Instant::now();
-    let table = &ds.table;
-    let udf = crate::pipeline::label_udf(ctx);
-    let invoker = UdfInvoker::with_context(udf.as_ref(), table, ctx);
-    let mut rng = Prng::seeded(seed);
-    let groups = session_group_by(table, predictor, ctx).expect("predictor column");
-
-    let outcome = adaptive_num_search_ctx(&groups, &invoker, spec, corr, &mut rng, ctx);
-    let est_groups = outcome.sample.to_estimated_groups(&groups);
-    let (plan, plan_feasible) = match solve_estimated(&est_groups, spec, corr) {
-        Ok(plan) => (plan, true),
-        Err(_) => (Plan::evaluate_all(groups.num_groups()), false),
-    };
-    let result = execute_plan_ctx(&plan, &groups, &invoker, &mut rng, ctx);
-    let compute_seconds = start.elapsed().as_secs_f64();
-
-    let truth = truth_vector(table, LABEL_COLUMN);
-    let summary = precision_recall(result.returned.iter().map(|&r| r as usize), &truth);
-    let counts = invoker.counts();
-    RunOutcome {
-        returned: result.returned,
-        counts,
-        cost: counts.cost(&spec.cost),
-        summary,
-        num_groups: groups.num_groups(),
-        compute_seconds,
-        plan_feasible,
-    }
+) -> Result<RunOutcome, EngineError> {
+    run_framed(ds, &spec.cost, seed, ctx, |f| {
+        let groups = session_group_by(&ds.table, predictor, ctx)?;
+        let outcome = adaptive_num_search(&groups, &f.invoker, spec, corr, &mut f.rng, ctx);
+        let est_groups = outcome.sample.to_estimated_groups(&groups);
+        let (plan, plan_feasible) = solve_or_evaluate_all(
+            solve_estimated(&est_groups, spec, corr),
+            groups.num_groups(),
+        );
+        let result = execute_plan(&plan, &groups, &f.invoker, &mut f.rng, ctx);
+        Ok(Answer {
+            returned: result.returned,
+            num_groups: groups.num_groups(),
+            plan_feasible,
+        })
+    })
 }
 
 /// §4.2's iterative pipeline: `rounds` alternations of (sample, plan,
@@ -91,7 +52,9 @@ pub fn run_intel_sample_adaptive_ctx(
 /// every group under the current plan, then folds what it learned back
 /// into the estimates.
 ///
-/// With `rounds = 1` this degenerates to the one-shot pipeline.
+/// With `rounds = 1` this degenerates to the one-shot pipeline; zero
+/// rounds is an [`EngineError::InvalidRequest`].
+#[allow(clippy::too_many_arguments)]
 pub fn run_intel_sample_iterative(
     ds: &Dataset,
     spec: &QuerySpec,
@@ -100,139 +63,79 @@ pub fn run_intel_sample_iterative(
     initial_rule: SampleSizeRule,
     rounds: usize,
     seed: u64,
-) -> RunOutcome {
-    run_intel_sample_iterative_ctx(
-        ds,
-        spec,
-        corr,
-        predictor,
-        initial_rule,
-        rounds,
-        seed,
-        &ExecContext::sequential(),
-    )
-}
-
-/// [`run_intel_sample_iterative`], probing through `executor`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_intel_sample_iterative_with(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    predictor: &str,
-    initial_rule: SampleSizeRule,
-    rounds: usize,
-    seed: u64,
-    executor: &dyn Executor,
-) -> RunOutcome {
-    run_intel_sample_iterative_ctx(
-        ds,
-        spec,
-        corr,
-        predictor,
-        initial_rule,
-        rounds,
-        seed,
-        &ExecContext::new(executor),
-    )
-}
-
-/// [`run_intel_sample_iterative`] under an execution context.
-#[allow(clippy::too_many_arguments)]
-pub fn run_intel_sample_iterative_ctx(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    predictor: &str,
-    initial_rule: SampleSizeRule,
-    rounds: usize,
-    seed: u64,
     ctx: &ExecContext<'_>,
-) -> RunOutcome {
-    assert!(rounds >= 1, "need at least one round");
-    let start = Instant::now();
-    let table = &ds.table;
-    let udf = crate::pipeline::label_udf(ctx);
-    let invoker = UdfInvoker::with_context(udf.as_ref(), table, ctx);
-    let mut rng = Prng::seeded(seed);
-    let groups = session_group_by(table, predictor, ctx).expect("predictor column");
-    let k = groups.num_groups();
-
-    // Initial estimates.
-    let mut sample = sample_groups_ctx(&groups, &invoker, initial_rule, &mut rng, ctx);
-    let mut returned: Vec<u32> = Vec::new();
-    // Rows not yet touched by execution, per group.
-    let mut pending: Vec<Vec<u32>> = (0..k).map(|g| groups.rows(g).to_vec()).collect();
-    let mut plan_feasible = true;
-
-    for round in 0..rounds {
-        let est_groups = sample.to_estimated_groups(&groups);
-        let plan = match solve_estimated(&est_groups, spec, corr) {
-            Ok(plan) => plan,
-            Err(_) => {
-                plan_feasible = false;
-                Plan::evaluate_all(k)
-            }
-        };
-        // Slice each group's pending rows for this round, restricting the
-        // plan to the groups that still have rows.
-        let remaining_rounds = rounds - round;
-        let mut keys = Vec::new();
-        let mut slice_rows: Vec<Vec<u32>> = Vec::new();
-        let mut slice_r = Vec::new();
-        let mut slice_e = Vec::new();
-        let mut total = 0usize;
-        for (g, p) in pending.iter_mut().enumerate() {
-            let take = p.len().div_ceil(remaining_rounds).min(p.len());
-            if take == 0 {
-                continue;
-            }
-            let slice: Vec<u32> = p.drain(..take).collect();
-            total += slice.len();
-            keys.push(groups.key(g).clone());
-            slice_rows.push(slice);
-            slice_r.push(plan.r()[g]);
-            slice_e.push(plan.e()[g]);
-        }
-        if total == 0 {
-            break;
-        }
-        let slice_groups = expred_table::GroupBy::new(
-            format!("{predictor}#round{round}"),
-            keys,
-            slice_rows,
-            total,
-        );
-        let slice_plan = Plan::new(slice_r, slice_e);
-        let result = execute_plan_ctx(&slice_plan, &slice_groups, &invoker, &mut rng, ctx);
-        returned.extend(result.returned);
-
-        // Fold everything evaluated so far back into the estimates.
-        let refreshed = sample_groups_ctx(
-            &groups,
-            &invoker,
-            SampleSizeRule::Constant(0),
-            &mut rng,
-            ctx,
-        );
-        sample = refreshed;
+) -> Result<RunOutcome, EngineError> {
+    if rounds < 1 {
+        return Err(EngineError::InvalidRequest {
+            reason: "iterative pipeline needs at least one round".into(),
+        });
     }
-    returned.sort_unstable();
-    returned.dedup();
+    run_framed(ds, &spec.cost, seed, ctx, |f| {
+        let groups = session_group_by(&ds.table, predictor, ctx)?;
+        let k = groups.num_groups();
 
-    let compute_seconds = start.elapsed().as_secs_f64();
-    let truth = truth_vector(table, LABEL_COLUMN);
-    let summary = precision_recall(returned.iter().map(|&r| r as usize), &truth);
-    let counts = invoker.counts();
-    RunOutcome {
-        returned,
-        counts,
-        cost: counts.cost(&spec.cost),
-        summary,
-        num_groups: k,
-        compute_seconds,
-        plan_feasible,
-    }
+        // Initial estimates.
+        let mut sample = sample_groups(&groups, &f.invoker, initial_rule, &mut f.rng, ctx);
+        let mut returned: Vec<u32> = Vec::new();
+        // Rows not yet touched by execution, per group.
+        let mut pending: Vec<Vec<u32>> = (0..k).map(|g| groups.rows(g).to_vec()).collect();
+        let mut plan_feasible = true;
+
+        for round in 0..rounds {
+            let est_groups = sample.to_estimated_groups(&groups);
+            let (plan, feasible) =
+                solve_or_evaluate_all(solve_estimated(&est_groups, spec, corr), k);
+            plan_feasible &= feasible;
+            // Slice each group's pending rows for this round, restricting the
+            // plan to the groups that still have rows.
+            let remaining_rounds = rounds - round;
+            let mut keys = Vec::new();
+            let mut slice_rows: Vec<Vec<u32>> = Vec::new();
+            let mut slice_r = Vec::new();
+            let mut slice_e = Vec::new();
+            let mut total = 0usize;
+            for (g, p) in pending.iter_mut().enumerate() {
+                let take = p.len().div_ceil(remaining_rounds).min(p.len());
+                if take == 0 {
+                    continue;
+                }
+                let slice: Vec<u32> = p.drain(..take).collect();
+                total += slice.len();
+                keys.push(groups.key(g).clone());
+                slice_rows.push(slice);
+                slice_r.push(plan.r()[g]);
+                slice_e.push(plan.e()[g]);
+            }
+            if total == 0 {
+                break;
+            }
+            let slice_groups = expred_table::GroupBy::new(
+                format!("{predictor}#round{round}"),
+                keys,
+                slice_rows,
+                total,
+            );
+            let slice_plan = Plan::new(slice_r, slice_e);
+            let result = execute_plan(&slice_plan, &slice_groups, &f.invoker, &mut f.rng, ctx);
+            returned.extend(result.returned);
+
+            // Fold everything evaluated so far back into the estimates.
+            sample = sample_groups(
+                &groups,
+                &f.invoker,
+                SampleSizeRule::Constant(0),
+                &mut f.rng,
+                ctx,
+            );
+        }
+        returned.sort_unstable();
+        returned.dedup();
+        Ok(Answer {
+            returned,
+            num_groups: k,
+            plan_feasible,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -253,11 +156,13 @@ mod tests {
 
     #[test]
     fn adaptive_pipeline_beats_naive_without_tuning() {
+        let ctx = ExecContext::sequential();
         let ds = small_prosper();
         let spec = QuerySpec::paper_default();
         let adaptive =
-            run_intel_sample_adaptive(&ds, &spec, CorrelationModel::Independent, "grade", 1);
-        let naive = run_naive(&ds, &spec, 1);
+            run_intel_sample_adaptive(&ds, &spec, CorrelationModel::Independent, "grade", 1, &ctx)
+                .unwrap();
+        let naive = run_naive(&ds, &spec, 1, &ctx).unwrap();
         assert!(
             adaptive.counts.evaluated < naive.counts.evaluated,
             "adaptive {} vs naive {}",
@@ -272,8 +177,15 @@ mod tests {
         let spec = QuerySpec::paper_default();
         let mut ok = 0;
         for seed in 0..8 {
-            let out =
-                run_intel_sample_adaptive(&ds, &spec, CorrelationModel::Independent, "grade", seed);
+            let out = run_intel_sample_adaptive(
+                &ds,
+                &spec,
+                CorrelationModel::Independent,
+                "grade",
+                seed,
+                &ExecContext::sequential(),
+            )
+            .unwrap();
             if out.summary.meets(spec.alpha, spec.beta) {
                 ok += 1;
             }
@@ -283,6 +195,7 @@ mod tests {
 
     #[test]
     fn iterative_single_round_close_to_one_shot() {
+        let ctx = ExecContext::sequential();
         let ds = small_prosper();
         let spec = QuerySpec::paper_default();
         let iterative = run_intel_sample_iterative(
@@ -293,12 +206,16 @@ mod tests {
             SampleSizeRule::Fraction(0.05),
             1,
             5,
-        );
+            &ctx,
+        )
+        .unwrap();
         let one_shot = run_intel_sample(
             &ds,
             &IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into())),
             5,
-        );
+            &ctx,
+        )
+        .unwrap();
         // Same structure; costs should land in the same ballpark.
         let a = iterative.counts.evaluated as f64;
         let b = one_shot.counts.evaluated as f64;
@@ -322,7 +239,9 @@ mod tests {
                 SampleSizeRule::Fraction(0.03),
                 3,
                 100 + seed,
-            );
+                &ExecContext::sequential(),
+            )
+            .unwrap();
             assert!(out.counts.evaluated > 0);
             if out.summary.meets(spec.alpha, spec.beta) {
                 ok += 1;
@@ -343,7 +262,9 @@ mod tests {
             SampleSizeRule::Fraction(0.05),
             4,
             9,
-        );
+            &ExecContext::sequential(),
+        )
+        .unwrap();
         let mut sorted = out.returned.clone();
         sorted.dedup();
         assert_eq!(sorted.len(), out.returned.len());

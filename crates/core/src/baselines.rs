@@ -15,19 +15,18 @@
 //! labelling cost — and inside a session, labels paid for by earlier
 //! queries arrive as free reuse hits.
 
-use crate::pipeline::RunOutcome;
+use crate::error::EngineError;
+use crate::pipeline::{run_framed, Answer, Frame, RunOutcome};
 use crate::query::QuerySpec;
 use expred_exec::ExecContext;
 use expred_ml::features::{extract_features_cached, FeatureSpec};
 use expred_ml::logistic::TrainConfig;
-use expred_ml::metrics::{precision_recall, PrSummary};
+use expred_ml::metrics::{precision_recall, precision_recall_mask};
 use expred_ml::semisupervised::{
-    learning_returned_set, multiple_imputations, self_train, SelfTrainConfig,
+    learning_returned_set, multiple_imputations, self_train, SelfTrainConfig, SelfTrainOutcome,
 };
-use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
-use expred_udf::{CostModel, UdfInvoker};
-use std::time::Instant;
+use expred_udf::UdfInvoker;
 
 /// Training-set sizes to probe, as fractions of the table. The grid is
 /// geometric-ish: the baselines' cost is the *smallest* feasible size, so
@@ -47,33 +46,6 @@ fn baseline_train_config() -> SelfTrainConfig {
             l2: 1e-4,
             tolerance: 1e-6,
         },
-    }
-}
-
-fn outcome_from(
-    returned: Vec<usize>,
-    labelled: &[usize],
-    summary: PrSummary,
-    cost_model: &CostModel,
-    invoker: &UdfInvoker<'_>,
-    start: Instant,
-    feasible: bool,
-) -> RunOutcome {
-    // Every returned-but-unevaluated row still has to be retrieved; the
-    // evaluated seed was retrieved once already (charged by the labelling
-    // batches).
-    let seed: std::collections::HashSet<usize> = labelled.iter().copied().collect();
-    let fresh_returns = returned.iter().filter(|r| !seed.contains(r)).count();
-    invoker.charge_retrievals(fresh_returns as u64);
-    let counts = invoker.counts();
-    RunOutcome {
-        returned: returned.into_iter().map(|r| r as u32).collect(),
-        counts,
-        cost: counts.cost(cost_model),
-        summary,
-        num_groups: 1,
-        compute_seconds: start.elapsed().as_secs_f64(),
-        plan_feasible: feasible,
     }
 }
 
@@ -98,153 +70,113 @@ fn label_prefix(
         .collect()
 }
 
-/// The `Learning` baseline: self-training semi-supervised classification
-/// with oracle-tuned minimal training size.
-pub fn run_learning(ds: &Dataset, spec: &QuerySpec, seed: u64) -> RunOutcome {
-    run_learning_ctx(ds, spec, seed, &ExecContext::sequential())
-}
-
-/// [`run_learning`] under an execution context: training labels are
-/// evaluated through `ctx.executor` (and reused from the session cache,
-/// when present).
-pub fn run_learning_ctx(
+/// The grid both ML baselines walk: label a growing prefix of one
+/// shuffled permutation (training labels are evaluated through
+/// `ctx.executor`, and reused from the session cache when present),
+/// self-train on it, and answer with the first size whose step `accept`s
+/// — the oracle-tuned acceptance test is all the two baselines differ in.
+/// `accept` sees the trained model, the labelled rows and their labels,
+/// and the step's answer set (evaluated-true plus predicted-true).
+fn run_grid(
     ds: &Dataset,
     spec: &QuerySpec,
     seed: u64,
     ctx: &ExecContext<'_>,
-) -> RunOutcome {
-    let start = Instant::now();
-    let table = &ds.table;
-    let truth = crate::execute::truth_vector(table, LABEL_COLUMN);
-    let features = extract_features_cached(
-        table,
-        &[LABEL_COLUMN, "row_id"],
-        FeatureSpec::default(),
-        ctx.derived,
-    );
-    let n = table.num_rows();
-    let udf = crate::pipeline::label_udf(ctx);
-    let invoker = UdfInvoker::with_context(udf.as_ref(), table, ctx);
-    let mut rng = Prng::seeded(seed);
-    let mut perm: Vec<usize> = (0..n).collect();
-    rng.shuffle(&mut perm);
-    let cfg = baseline_train_config();
-    let mut labelled_so_far = 0usize;
+    accept: impl Fn(&SelfTrainOutcome, &[usize], &[bool], &[usize], &Frame<'_>) -> bool,
+) -> Result<RunOutcome, EngineError> {
+    run_framed(ds, &spec.cost, seed, ctx, |f| {
+        let table = &ds.table;
+        let features = extract_features_cached(
+            table,
+            &[LABEL_COLUMN, "row_id"],
+            FeatureSpec::default(),
+            ctx.derived,
+        );
+        let n = table.num_rows();
+        let mut perm: Vec<usize> = (0..n).collect();
+        f.rng.shuffle(&mut perm);
+        let cfg = baseline_train_config();
+        let mut labelled_so_far = 0usize;
 
-    let mut last: Option<(Vec<usize>, usize, PrSummary)> = None;
-    for frac in SIZE_GRID {
-        let m = ((frac * n as f64).ceil() as usize).clamp(1, n);
-        let labels = label_prefix(&invoker, &perm, m, &mut labelled_so_far, ctx);
-        let labelled = &perm[..m];
-        let outcome = self_train(&features, labelled, &labels, cfg);
-        let returned = learning_returned_set(&outcome, labelled, &labels);
-        let summary = precision_recall(returned.iter().copied(), &truth);
-        let meets = summary.meets(spec.alpha, spec.beta);
-        if meets {
-            return outcome_from(
-                returned, labelled, summary, &spec.cost, &invoker, start, true,
-            );
+        // Even full evaluation of the grid's maximum can fail (possible
+        // only for extreme constraints); the last attempt is then
+        // reported, flagged infeasible.
+        let mut last: Option<(Vec<usize>, usize, bool)> = None;
+        for frac in SIZE_GRID {
+            let m = ((frac * n as f64).ceil() as usize).clamp(1, n);
+            let labels = label_prefix(&f.invoker, &perm, m, &mut labelled_so_far, ctx);
+            let labelled = &perm[..m];
+            let outcome = self_train(&features, labelled, &labels, cfg);
+            let returned = learning_returned_set(&outcome, labelled, &labels);
+            let accepted = accept(&outcome, labelled, &labels, &returned, f);
+            last = Some((returned, m, accepted));
+            if accepted {
+                break;
+            }
         }
-        last = Some((returned, m, summary));
-    }
-    // Even full evaluation of the grid's maximum failed (possible only for
-    // extreme constraints); report the last attempt, flagged infeasible.
-    let (returned, m, summary) = last.expect("grid is nonempty");
-    outcome_from(
-        returned,
-        &perm[..m],
-        summary,
-        &spec.cost,
-        &invoker,
-        start,
-        false,
-    )
+        let (returned, m, plan_feasible) = last.expect("grid is nonempty");
+        // Every returned-but-unevaluated row still has to be retrieved; the
+        // evaluated seed was retrieved once already (charged by the labelling
+        // batches).
+        let labelled: std::collections::HashSet<usize> = perm[..m].iter().copied().collect();
+        let fresh_returns = returned.iter().filter(|r| !labelled.contains(r)).count();
+        f.invoker.charge_retrievals(fresh_returns as u64);
+        Ok(Answer {
+            returned: returned.into_iter().map(|r| r as u32).collect(),
+            num_groups: 1,
+            plan_feasible,
+        })
+    })
+}
+
+/// The `Learning` baseline: self-training semi-supervised classification
+/// with oracle-tuned minimal training size.
+pub fn run_learning(
+    ds: &Dataset,
+    spec: &QuerySpec,
+    seed: u64,
+    ctx: &ExecContext<'_>,
+) -> Result<RunOutcome, EngineError> {
+    run_grid(ds, spec, seed, ctx, |_, _, _, returned, f| {
+        precision_recall(returned.iter().copied(), &f.truth).meets(spec.alpha, spec.beta)
+    })
 }
 
 /// The `Multiple` baseline: multiple imputations from class probabilities;
 /// the training size is the smallest whose constraints hold *on average
-/// across the imputed datasets* (§6.2).
-pub fn run_multiple(ds: &Dataset, spec: &QuerySpec, imputations: usize, seed: u64) -> RunOutcome {
-    run_multiple_ctx(ds, spec, imputations, seed, &ExecContext::sequential())
-}
-
-/// [`run_multiple`] under an execution context (labelling as in
-/// [`run_learning_ctx`]).
-pub fn run_multiple_ctx(
+/// across the imputed datasets* (§6.2). Zero imputations is an
+/// [`EngineError::InvalidRequest`].
+pub fn run_multiple(
     ds: &Dataset,
     spec: &QuerySpec,
     imputations: usize,
     seed: u64,
     ctx: &ExecContext<'_>,
-) -> RunOutcome {
-    assert!(imputations >= 1);
-    let start = Instant::now();
-    let table = &ds.table;
-    let truth = crate::execute::truth_vector(table, LABEL_COLUMN);
-    let features = extract_features_cached(
-        table,
-        &[LABEL_COLUMN, "row_id"],
-        FeatureSpec::default(),
-        ctx.derived,
-    );
-    let n = table.num_rows();
-    let udf = crate::pipeline::label_udf(ctx);
-    let invoker = UdfInvoker::with_context(udf.as_ref(), table, ctx);
-    let mut rng = Prng::seeded(seed);
-    let mut perm: Vec<usize> = (0..n).collect();
-    rng.shuffle(&mut perm);
-    let cfg = baseline_train_config();
-    let mut labelled_so_far = 0usize;
-
-    let mut last: Option<(Vec<usize>, usize, PrSummary)> = None;
-    for frac in SIZE_GRID {
-        let m = ((frac * n as f64).ceil() as usize).clamp(1, n);
-        let labels = label_prefix(&invoker, &perm, m, &mut labelled_so_far, ctx);
-        let labelled = &perm[..m];
-        let outcome = self_train(&features, labelled, &labels, cfg);
+) -> Result<RunOutcome, EngineError> {
+    if imputations < 1 {
+        return Err(EngineError::InvalidRequest {
+            reason: "the Multiple baseline needs at least one imputation".into(),
+        });
+    }
+    run_grid(ds, spec, seed, ctx, |outcome, labelled, labels, _, f| {
         // Average constraint satisfaction across imputed completions.
-        let mut imp_rng = rng.fork(m as u64);
-        let imps = multiple_imputations(&outcome, labelled, &labels, imputations, &mut imp_rng);
+        let mut imp_rng = f.rng.fork(labelled.len() as u64);
+        let imps = multiple_imputations(outcome, labelled, labels, imputations, &mut imp_rng);
         let (mut p_acc, mut r_acc) = (0.0, 0.0);
         for imp in &imps {
-            let returned: Vec<usize> = imp
-                .iter()
-                .enumerate()
-                .filter(|(_, &keep)| keep)
-                .map(|(r, _)| r)
-                .collect();
-            let s = precision_recall(returned.iter().copied(), &truth);
+            let s = precision_recall_mask(imp, &f.truth);
             p_acc += s.precision;
             r_acc += s.recall;
         }
-        let mean_p = p_acc / imps.len() as f64;
-        let mean_r = r_acc / imps.len() as f64;
-        // The reported answer set: evaluated-true plus predicted-true.
-        let returned = learning_returned_set(&outcome, labelled, &labels);
-        let summary = precision_recall(returned.iter().copied(), &truth);
-        if mean_p >= spec.alpha && mean_r >= spec.beta {
-            return outcome_from(
-                returned, labelled, summary, &spec.cost, &invoker, start, true,
-            );
-        }
-        last = Some((returned, m, summary));
-    }
-    let (returned, m, summary) = last.expect("grid is nonempty");
-    outcome_from(
-        returned,
-        &perm[..m],
-        summary,
-        &spec.cost,
-        &invoker,
-        start,
-        false,
-    )
+        p_acc / imps.len() as f64 >= spec.alpha && r_acc / imps.len() as f64 >= spec.beta
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
+    use expred_udf::CostModel;
 
     fn small_prosper() -> Dataset {
         // A shrunken Prosper keeps baseline tests fast in debug builds.
@@ -259,7 +191,7 @@ mod tests {
     fn learning_meets_constraints_and_reports_cost() {
         let ds = small_prosper();
         let spec = QuerySpec::paper_default();
-        let out = run_learning(&ds, &spec, 1);
+        let out = run_learning(&ds, &spec, 1, &ExecContext::sequential()).unwrap();
         assert!(out.plan_feasible, "learning should find a feasible size");
         assert!(out.summary.meets(spec.alpha, spec.beta));
         assert!(out.counts.evaluated > 0);
@@ -270,27 +202,29 @@ mod tests {
     fn multiple_meets_constraints() {
         let ds = small_prosper();
         let spec = QuerySpec::paper_default();
-        let out = run_multiple(&ds, &spec, 5, 2);
+        let out = run_multiple(&ds, &spec, 5, 2, &ExecContext::sequential()).unwrap();
         assert!(out.plan_feasible);
         assert!(out.counts.evaluated > 0);
     }
 
     #[test]
     fn looser_constraints_cost_no_more() {
+        let ctx = ExecContext::sequential();
         let ds = small_prosper();
         let tight = QuerySpec::paper_default();
         let loose = QuerySpec::new(0.5, 0.5, 0.8, CostModel::PAPER_DEFAULT);
-        let c_tight = run_learning(&ds, &tight, 3).counts.evaluated;
-        let c_loose = run_learning(&ds, &loose, 3).counts.evaluated;
+        let c_tight = run_learning(&ds, &tight, 3, &ctx).unwrap().counts.evaluated;
+        let c_loose = run_learning(&ds, &loose, 3, &ctx).unwrap().counts.evaluated;
         assert!(c_loose <= c_tight, "loose {c_loose} vs tight {c_tight}");
     }
 
     #[test]
     fn deterministic_given_seed() {
+        let ctx = ExecContext::sequential();
         let ds = small_prosper();
         let spec = QuerySpec::paper_default();
-        let a = run_learning(&ds, &spec, 7);
-        let b = run_learning(&ds, &spec, 7);
+        let a = run_learning(&ds, &spec, 7, &ctx).unwrap();
+        let b = run_learning(&ds, &spec, 7, &ctx).unwrap();
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.returned, b.returned);
     }

@@ -11,10 +11,11 @@
 //!    sample, score every tuple, and split the scores into equal-depth
 //!    buckets; the bucket id is the correlated column (§6.3.2).
 
+use crate::error::EngineError;
 use crate::optimize::solve_perfect_selectivities;
 use crate::pipeline::session_group_by;
 use crate::query::QuerySpec;
-use expred_exec::{ExecContext, Executor};
+use expred_exec::ExecContext;
 use expred_ml::features::{extract_features_cached, FeatureSpec};
 use expred_ml::logistic::{train, TrainConfig};
 use expred_stats::estimator::SelectivityEstimate;
@@ -36,12 +37,15 @@ pub struct ColumnScore {
 }
 
 /// Evaluates a labelled sample and ranks `candidates` by estimated plan
-/// cost (method 1). Returns the ranking (best first) plus the labelled
-/// rows, which callers re-use for selectivity estimation and output.
+/// cost (method 1), labelling each round's sample as one executor batch.
+/// Returns the ranking (best first) plus the labelled rows, which callers
+/// re-use for selectivity estimation and output.
 ///
 /// `label_fraction` is the initial sample size as a fraction of the table
 /// (the paper uses 1%); if no candidate has ≤ √t distinct values the
 /// sample is doubled, up to `max_rounds` times.
+///
+/// Errors if `candidates` is empty or names a column the table lacks.
 pub fn rank_columns(
     table: &Table,
     candidates: &[String],
@@ -49,52 +53,13 @@ pub fn rank_columns(
     spec: &QuerySpec,
     label_fraction: f64,
     rng: &mut Prng,
-) -> (Vec<ColumnScore>, Vec<u32>) {
-    rank_columns_ctx(
-        table,
-        candidates,
-        invoker,
-        spec,
-        label_fraction,
-        rng,
-        &ExecContext::sequential(),
-    )
-}
-
-/// [`rank_columns`], labelling each round's sample as one executor batch.
-#[allow(clippy::too_many_arguments)]
-pub fn rank_columns_with(
-    table: &Table,
-    candidates: &[String],
-    invoker: &UdfInvoker<'_>,
-    spec: &QuerySpec,
-    label_fraction: f64,
-    rng: &mut Prng,
-    executor: &dyn Executor,
-) -> (Vec<ColumnScore>, Vec<u32>) {
-    rank_columns_ctx(
-        table,
-        candidates,
-        invoker,
-        spec,
-        label_fraction,
-        rng,
-        &ExecContext::new(executor),
-    )
-}
-
-/// [`rank_columns`] under an execution context.
-#[allow(clippy::too_many_arguments)]
-pub fn rank_columns_ctx(
-    table: &Table,
-    candidates: &[String],
-    invoker: &UdfInvoker<'_>,
-    spec: &QuerySpec,
-    label_fraction: f64,
-    rng: &mut Prng,
     ctx: &ExecContext<'_>,
-) -> (Vec<ColumnScore>, Vec<u32>) {
-    assert!(!candidates.is_empty(), "need at least one candidate column");
+) -> Result<(Vec<ColumnScore>, Vec<u32>), EngineError> {
+    if candidates.is_empty() {
+        return Err(EngineError::InvalidRequest {
+            reason: "predictor ranking needs at least one candidate column".into(),
+        });
+    }
     let n = table.num_rows();
     let max_rounds = 4;
     let mut target = ((label_fraction * n as f64).ceil() as usize).clamp(1, n);
@@ -139,17 +104,16 @@ pub fn rank_columns_ctx(
         } else {
             eligible
         };
-        let mut scores: Vec<ColumnScore> = pool
+        let mut scores = pool
             .into_iter()
             .map(|c| score_column(table, c, invoker, spec, &labelled, ctx))
-            .collect();
+            .collect::<Result<Vec<ColumnScore>, EngineError>>()?;
         scores.sort_by(|a, b| {
             a.estimated_cost
-                .partial_cmp(&b.estimated_cost)
-                .unwrap()
+                .total_cmp(&b.estimated_cost)
                 .then(a.column.cmp(&b.column))
         });
-        return (scores, labelled);
+        return Ok((scores, labelled));
     }
     unreachable!("loop always returns by the final round");
 }
@@ -164,8 +128,8 @@ fn score_column(
     spec: &QuerySpec,
     labelled: &[u32],
     ctx: &ExecContext<'_>,
-) -> ColumnScore {
-    let groups = session_group_by(table, column, ctx).expect("candidate column must exist");
+) -> Result<ColumnScore, EngineError> {
+    let groups = session_group_by(table, column, ctx)?;
     let row_to_group = groups.group_of_rows();
     let mut pos = vec![0u64; groups.num_groups()];
     let mut tot = vec![0u64; groups.num_groups()];
@@ -187,11 +151,11 @@ fn score_column(
         Ok(plan) => plan.expected_cost(&sizes, &spec.cost),
         Err(_) => f64::INFINITY,
     };
-    ColumnScore {
+    Ok(ColumnScore {
         column: column.to_owned(),
         estimated_cost,
         distinct_values: groups.num_groups(),
-    }
+    })
 }
 
 /// Builds the §6.3.2 virtual column (method 2): train a logistic
@@ -230,14 +194,23 @@ mod tests {
 
     #[test]
     fn designated_predictor_wins_on_synthetic_data() {
+        let ctx = ExecContext::sequential();
         let ds = Dataset::generate(PROSPER, 11);
         let udf = OracleUdf::new(LABEL_COLUMN);
         let invoker = UdfInvoker::new(&udf, &ds.table);
         let spec = QuerySpec::paper_default();
         let mut rng = Prng::seeded(11);
         let candidates = ds.candidate_columns();
-        let (scores, labelled) =
-            rank_columns(&ds.table, &candidates, &invoker, &spec, 0.01, &mut rng);
+        let (scores, labelled) = rank_columns(
+            &ds.table,
+            &candidates,
+            &invoker,
+            &spec,
+            0.01,
+            &mut rng,
+            &ctx,
+        )
+        .unwrap();
         assert!(!scores.is_empty());
         assert_eq!(labelled.len(), 300); // 1% of 30k
                                          // The designated predictor ("grade") or its high-fidelity noisy
@@ -255,6 +228,7 @@ mod tests {
 
     #[test]
     fn ranking_costs_are_monotone() {
+        let ctx = ExecContext::sequential();
         let ds = Dataset::generate(PROSPER, 12);
         let udf = OracleUdf::new(LABEL_COLUMN);
         let invoker = UdfInvoker::new(&udf, &ds.table);
@@ -267,7 +241,9 @@ mod tests {
             &spec,
             0.01,
             &mut rng,
-        );
+            &ctx,
+        )
+        .unwrap();
         for w in scores.windows(2) {
             assert!(w[0].estimated_cost <= w[1].estimated_cost);
         }
@@ -275,6 +251,7 @@ mod tests {
 
     #[test]
     fn labelling_cost_is_charged() {
+        let ctx = ExecContext::sequential();
         let ds = Dataset::generate(PROSPER, 13);
         let udf = OracleUdf::new(LABEL_COLUMN);
         let invoker = UdfInvoker::new(&udf, &ds.table);
@@ -287,12 +264,15 @@ mod tests {
             &spec,
             0.01,
             &mut rng,
-        );
+            &ctx,
+        )
+        .unwrap();
         assert_eq!(invoker.counts().evaluated as usize, labelled.len());
     }
 
     #[test]
     fn virtual_column_buckets_order_by_selectivity() {
+        let ctx = ExecContext::sequential();
         let ds = Dataset::generate(PROSPER, 14);
         let udf = OracleUdf::new(LABEL_COLUMN);
         let invoker = UdfInvoker::new(&udf, &ds.table);
@@ -313,7 +293,7 @@ mod tests {
             &invoker,
             &labelled,
             10,
-            &ExecContext::sequential(),
+            &ctx,
         );
         assert!(
             groups.num_groups() >= 5,

@@ -24,7 +24,7 @@
 //!
 //! # Concurrency: one engine, many worker threads
 //!
-//! [`QueryEngine::run`] takes `&self` and the engine is `Send + Sync`:
+//! [`QueryEngine::submit`] takes `&self` and the engine is `Send + Sync`:
 //! one long-lived engine — one executor, one [`CacheStore`], one result
 //! memo — serves any number of worker threads directly, no outer mutex.
 //! Every shared structure is internally synchronized:
@@ -41,7 +41,7 @@
 //! **Answer stability.** Cached row answers are always *correct* — the
 //! row tier is keyed by `(udf, table id, table version)` and a UDF is
 //! deterministic per `(row, version)` — so pipelines whose demand stream
-//! is independent of cache state (e.g. [`Query::Naive`]) return
+//! is independent of cache state (e.g. [`crate::strategy::Naive`]) return
 //! byte-identical answers no matter how queries interleave. Pipelines
 //! that *branch* on session-known rows (sampling counts them toward its
 //! target) remain correct under concurrency but may legitimately pick
@@ -84,13 +84,10 @@
 //! ```
 
 use crate::error::EngineError;
-use crate::optimize::CorrelationModel;
 use crate::persistence::{PersistLayer, PersistSessionStats};
-use crate::pipeline::{IntelSampleConfig, RunOutcome};
-use crate::query::QuerySpec;
+use crate::pipeline::RunOutcome;
 use crate::request::{InfeasiblePolicy, QueryRequest};
 use crate::result_memo::{ResultMemoStats, ShardedResultMemo};
-use crate::sampling::SampleSizeRule;
 use crate::strategy::StrategyIdentity;
 use expred_exec::{
     AdaptiveController, CacheStats, CacheStore, ExecContext, Executor, SelectivityTracker,
@@ -110,70 +107,13 @@ use std::time::Duration;
 /// Default bound on memoized whole-query outcomes.
 pub const DEFAULT_RESULT_MEMO_CAPACITY: usize = 1024;
 
-/// The legacy closed-world request enum — every built-in pipeline in a
-/// hashable form.
-///
-/// **Deprecated as the primary surface:** new code should construct a
-/// [`QueryRequest`] (open [`crate::strategy::Strategy`] set, typed
-/// errors) and call [`QueryEngine::submit`]. The enum remains as the
-/// [`QueryEngine::run`] compatibility surface and converts loss-lessly
-/// via [`QueryRequest::from_query`]; both routes produce the same memo
-/// identity, so mixed legacy/new traffic shares one result memo.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Query {
-    /// The paper's main algorithm ([`crate::pipeline::run_intel_sample_ctx`]).
-    IntelSample(IntelSampleConfig),
-    /// The naive β-fraction baseline ([`crate::pipeline::run_naive_ctx`]).
-    Naive(QuerySpec),
-    /// The perfect-information lower bound ([`crate::pipeline::run_optimal_ctx`]).
-    Optimal {
-        /// Accuracy contract.
-        spec: QuerySpec,
-        /// Predictor column with free exact selectivities.
-        predictor: String,
-    },
-    /// The parameter-free adaptive pipeline
-    /// ([`crate::adaptive::run_intel_sample_adaptive_ctx`]).
-    Adaptive {
-        /// Accuracy contract.
-        spec: QuerySpec,
-        /// Estimate-correlation model.
-        corr: CorrelationModel,
-        /// Predictor column.
-        predictor: String,
-    },
-    /// The §4.2 iterative estimate/exploit pipeline
-    /// ([`crate::adaptive::run_intel_sample_iterative_ctx`]).
-    Iterative {
-        /// Accuracy contract.
-        spec: QuerySpec,
-        /// Estimate-correlation model.
-        corr: CorrelationModel,
-        /// Predictor column.
-        predictor: String,
-        /// Initial sampling rule.
-        rule: SampleSizeRule,
-        /// Number of estimate/exploit rounds.
-        rounds: usize,
-    },
-    /// The `Learning` ML baseline ([`crate::baselines::run_learning_ctx`]).
-    Learning(QuerySpec),
-    /// The `Multiple` ML baseline ([`crate::baselines::run_multiple_ctx`]).
-    Multiple {
-        /// Accuracy contract.
-        spec: QuerySpec,
-        /// Number of imputed completions.
-        imputations: usize,
-    },
-}
-
 /// Session-level statistics beyond the cost counters.
 ///
 /// # Snapshot consistency
 ///
 /// [`QueryEngine::stats`] reads the underlying atomics in an order that
 /// guarantees `result_hits <= queries` in every snapshot, even while
-/// other threads are mid-`run`: the hit counter is incremented *after*
+/// other threads are mid-`submit`: the hit counter is incremented *after*
 /// its query counter (release), and the snapshot loads `result_hits`
 /// *before* `queries` (acquire), so any observed hit's query increment is
 /// observed too. Both counters are monotone; a snapshot may trail
@@ -308,7 +248,7 @@ impl InFlight {
     }
 }
 
-/// Unregisters a leader's flight when its `run` frame ends — normally
+/// Unregisters a leader's flight when its `serve` frame ends — normally
 /// *after* the outcome is published, but also on unwind, where it flips
 /// the flight to `Aborted` so followers never park forever.
 struct FlightGuard<'a> {
@@ -336,7 +276,7 @@ impl Drop for FlightGuard<'_> {
 /// A long-lived query session: one executor, one cross-query cache, one
 /// result memo, many queries — and many worker threads.
 ///
-/// `Send + Sync` with `run(&self)`: share one engine behind an `Arc` (or
+/// `Send + Sync` with `submit(&self)`: share one engine behind an `Arc` (or
 /// a scoped-thread borrow) and call it from every worker directly. See
 /// the module docs for the exact concurrency guarantees.
 pub struct QueryEngine {
@@ -467,14 +407,6 @@ impl QueryEngine {
         self
     }
 
-    /// Bounds the derived-data cache (group partitions, encoding
-    /// dictionaries) at `capacity` entries; 0 disables retention, so
-    /// every query re-derives (useful for measuring the cache's worth).
-    pub fn with_derived_capacity(mut self, capacity: usize) -> Self {
-        self.derived = DerivedCache::with_capacity(capacity);
-        self
-    }
-
     /// Adds an artificial latency to every fresh UDF evaluation this
     /// engine performs — a load-testing knob: answers, cache identities,
     /// and audited counts are all unaffected.
@@ -484,7 +416,7 @@ impl QueryEngine {
     }
 
     /// The execution context this engine runs queries under — exposed so
-    /// callers can drive the lower-level `*_ctx` entry points (or their
+    /// callers can drive the pipeline and stage functions (or their
     /// own invokers) inside this session's cache, from any thread.
     pub fn context(&self) -> ExecContext<'_> {
         let ctx = ExecContext::new(self.executor.as_ref())
@@ -629,18 +561,6 @@ impl QueryEngine {
         }
     }
 
-    /// Serves one query through the legacy closed [`Query`] enum.
-    ///
-    /// **Deprecated (panicking variant):** a thin wrapper over
-    /// [`QueryEngine::submit`] via [`QueryRequest::from_query`] —
-    /// byte-identical outcomes, same memo identities — that panics where
-    /// `submit` would return an [`EngineError`]. Kept for source
-    /// compatibility; new code should call `submit`.
-    pub fn run(&self, ds: &Dataset, query: &Query, seed: u64) -> RunOutcome {
-        self.submit(ds, &QueryRequest::from_query(query).with_seed(seed))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Runs the strategy for one non-memoized request, folds its bill
     /// into the session, and publishes the outcome to the result memo.
     /// A strategy error is propagated without billing or memoizing.
@@ -720,15 +640,9 @@ impl QueryEngine {
         layer.store().sync()
     }
 
-    /// The session's derived-data cache (e.g. for warming it outside the
-    /// engine's own entry points).
-    pub fn derived(&self) -> &DerivedCache {
-        &self.derived
-    }
-
     /// Drops both reuse tiers, keeping the executor and counters.
     ///
-    /// # Semantics under concurrent `run`s
+    /// # Semantics under concurrent `submit`s
     ///
     /// Safe to call from any thread at any time. Every entry present in
     /// either tier when the call starts is dropped. Queries in flight are
@@ -788,7 +702,10 @@ impl Default for QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PredictorChoice;
+    use crate::optimize::CorrelationModel;
+    use crate::pipeline::{IntelSampleConfig, PredictorChoice};
+    use crate::query::QuerySpec;
+    use crate::sampling::SampleSizeRule;
     use expred_table::datasets::{DatasetSpec, PROSPER};
 
     fn small_prosper(seed: u64) -> Dataset {
@@ -801,19 +718,23 @@ mod tests {
         )
     }
 
-    fn intel_query() -> Query {
-        Query::IntelSample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
+    fn intel_query() -> QueryRequest {
+        QueryRequest::intel_sample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
             "grade".into(),
         )))
+    }
+
+    fn naive(spec: QuerySpec, seed: u64) -> QueryRequest {
+        QueryRequest::naive(spec).with_seed(seed)
     }
 
     #[test]
     fn identical_query_is_memoized_and_free() {
         let ds = small_prosper(1);
         let engine = QueryEngine::new();
-        let first = engine.run(&ds, &intel_query(), 5);
+        let first = engine.submit(&ds, &intel_query().with_seed(5)).unwrap();
         let after_first = engine.session_counts();
-        let again = engine.run(&ds, &intel_query(), 5);
+        let again = engine.submit(&ds, &intel_query().with_seed(5)).unwrap();
         assert_eq!(first.returned, again.returned);
         assert_eq!(first.counts, again.counts);
         assert_eq!(
@@ -829,12 +750,14 @@ mod tests {
     fn first_run_matches_the_legacy_pipeline_exactly() {
         let ds = small_prosper(2);
         let engine = QueryEngine::new();
-        let engine_out = engine.run(&ds, &intel_query(), 9);
+        let engine_out = engine.submit(&ds, &intel_query().with_seed(9)).unwrap();
         let legacy = crate::pipeline::run_intel_sample(
             &ds,
             &IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into())),
             9,
-        );
+            &ExecContext::sequential(),
+        )
+        .unwrap();
         assert_eq!(engine_out.returned, legacy.returned);
         assert_eq!(engine_out.counts.evaluated, legacy.counts.evaluated);
         assert_eq!(engine_out.counts.retrieved, legacy.counts.retrieved);
@@ -847,15 +770,15 @@ mod tests {
         let ds = small_prosper(3);
         let engine = QueryEngine::new();
         let spec = QuerySpec::paper_default();
-        engine.run(&ds, &Query::Naive(spec), 1);
+        engine.submit(&ds, &naive(spec, 1)).unwrap();
         // Same query, different seed: different random β-fraction, heavy
         // overlap with the first one's rows.
-        let second = engine.run(&ds, &Query::Naive(spec), 2);
+        let second = engine.submit(&ds, &naive(spec, 2)).unwrap();
         assert!(
             second.counts.reuse_hits > 0,
             "overlapping workload must reuse"
         );
-        let cold = crate::pipeline::run_naive(&ds, &spec, 2);
+        let cold = crate::pipeline::run_naive(&ds, &spec, 2, &ExecContext::sequential()).unwrap();
         assert_eq!(
             second.returned, cold.returned,
             "reuse must not change answers"
@@ -878,10 +801,10 @@ mod tests {
         let ds = small_prosper(4);
         let engine = QueryEngine::new();
         let spec = QuerySpec::paper_default();
-        engine.run(&ds, &Query::Naive(spec), 1);
-        engine.run(&ds, &Query::Naive(spec), 2);
+        engine.submit(&ds, &naive(spec, 1)).unwrap();
+        engine.submit(&ds, &naive(spec, 2)).unwrap();
         let other = QuerySpec::new(0.7, 0.7, 0.8, spec.cost);
-        engine.run(&ds, &Query::Naive(other), 1);
+        engine.submit(&ds, &naive(other, 1)).unwrap();
         assert_eq!(engine.stats().result_hits, 0);
         assert_eq!(engine.stats().queries, 3);
     }
@@ -891,8 +814,8 @@ mod tests {
         let ds = small_prosper(5);
         let engine = QueryEngine::new().with_result_capacity(0);
         let spec = QuerySpec::paper_default();
-        let a = engine.run(&ds, &Query::Naive(spec), 1);
-        let b = engine.run(&ds, &Query::Naive(spec), 1);
+        let a = engine.submit(&ds, &naive(spec, 1)).unwrap();
+        let b = engine.submit(&ds, &naive(spec, 1)).unwrap();
         assert_eq!(engine.stats().result_hits, 0);
         // The row tier still answers everything: zero fresh evaluations.
         assert_eq!(b.counts.evaluated, 0);
@@ -907,26 +830,21 @@ mod tests {
         let engine = QueryEngine::new();
         let queries = [
             intel_query(),
-            Query::Naive(spec),
-            Query::Optimal {
+            QueryRequest::naive(spec),
+            QueryRequest::optimal(spec, "grade"),
+            QueryRequest::adaptive(spec, CorrelationModel::Independent, "grade"),
+            QueryRequest::iterative(
                 spec,
-                predictor: "grade".into(),
-            },
-            Query::Adaptive {
-                spec,
-                corr: CorrelationModel::Independent,
-                predictor: "grade".into(),
-            },
-            Query::Iterative {
-                spec,
-                corr: CorrelationModel::Independent,
-                predictor: "grade".into(),
-                rule: SampleSizeRule::Fraction(0.05),
-                rounds: 2,
-            },
+                CorrelationModel::Independent,
+                "grade",
+                SampleSizeRule::Fraction(0.05),
+                2,
+            ),
         ];
         for (i, q) in queries.iter().enumerate() {
-            let out = engine.run(&ds, q, 100 + i as u64);
+            let out = engine
+                .submit(&ds, &q.clone().with_seed(100 + i as u64))
+                .unwrap();
             assert!(!out.returned.is_empty(), "query {i} returned nothing");
         }
         assert_eq!(engine.stats().queries, queries.len() as u64);
@@ -948,7 +866,7 @@ mod tests {
         let engine = QueryEngine::new().with_udf_latency(Duration::from_micros(100));
         let reference = {
             let probe = QueryEngine::new();
-            probe.run(&ds, &Query::Naive(spec), 3)
+            probe.submit(&ds, &naive(spec, 3)).unwrap()
         };
         // A barrier makes the storm simultaneous: every thread misses the
         // memo together, one becomes leader, seven park on its flight.
@@ -958,7 +876,7 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        engine.run(&ds, &Query::Naive(spec), 3)
+                        engine.submit(&ds, &naive(spec, 3)).unwrap()
                     })
                 })
                 .collect();
@@ -999,7 +917,7 @@ mod tests {
             .with_udf_latency(Duration::from_micros(100));
         let outcomes: Vec<RunOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
-                .map(|_| scope.spawn(|| engine.run(&ds, &Query::Naive(spec), 5)))
+                .map(|_| scope.spawn(|| engine.submit(&ds, &naive(spec, 5)).unwrap()))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
@@ -1025,9 +943,9 @@ mod tests {
         let ds = small_prosper(7);
         let spec = QuerySpec::paper_default();
         let engine = QueryEngine::new();
-        let first = engine.run(&ds, &Query::Naive(spec), 1);
+        let first = engine.submit(&ds, &naive(spec, 1)).unwrap();
         engine.clear_caches();
-        let again = engine.run(&ds, &Query::Naive(spec), 1);
+        let again = engine.submit(&ds, &naive(spec, 1)).unwrap();
         assert_eq!(again.counts.evaluated, first.counts.evaluated);
         assert_eq!(again.counts.reuse_hits, 0);
     }
@@ -1038,10 +956,10 @@ mod tests {
         let engine = QueryEngine::new();
         // Different seeds: the result memo misses, so the pipeline runs in
         // full both times — but the "grade" partition is derived once.
-        let first = engine.run(&ds, &intel_query(), 1);
+        let first = engine.submit(&ds, &intel_query().with_seed(1)).unwrap();
         let after_first = engine.derived_stats();
         assert!(after_first.misses >= 1, "cold session derives fresh");
-        let again = engine.run(&ds, &intel_query(), 2);
+        let again = engine.submit(&ds, &intel_query().with_seed(2)).unwrap();
         let after_second = engine.derived_stats();
         assert_eq!(
             after_second.misses, after_first.misses,
@@ -1057,29 +975,17 @@ mod tests {
     fn push_row_forces_a_derived_miss() {
         let mut ds = small_prosper(22);
         let engine = QueryEngine::new();
-        engine.run(&ds, &intel_query(), 1);
+        engine.submit(&ds, &intel_query().with_seed(1)).unwrap();
         let warm = engine.derived_stats();
         // Appending a row bumps the table version: every derived entry
         // keyed to the old version is dead, so the next run must miss.
         let row = ds.table.row(0);
         ds.table.push_row(row).expect("row 0 matches the schema");
-        engine.run(&ds, &intel_query(), 1);
+        engine.submit(&ds, &intel_query().with_seed(1)).unwrap();
         let after_push = engine.derived_stats();
         assert!(
             after_push.misses > warm.misses,
             "a version bump must force re-derivation"
         );
-    }
-
-    #[test]
-    fn derived_capacity_zero_disables_retention() {
-        let ds = small_prosper(23);
-        let engine = QueryEngine::new().with_derived_capacity(0);
-        engine.run(&ds, &intel_query(), 1);
-        engine.run(&ds, &intel_query(), 2);
-        let stats = engine.derived_stats();
-        assert_eq!(stats.hits, 0, "nothing is retained at capacity 0");
-        assert!(stats.misses >= 2);
-        assert_eq!(engine.derived().len(), 0);
     }
 }

@@ -75,6 +75,20 @@ pub enum EngineError {
 }
 
 impl EngineError {
+    /// [`EngineError::UnknownColumn`] for `column`, listing every column
+    /// `table` does have.
+    pub(crate) fn unknown_column(table: &expred_table::Table, column: &str) -> EngineError {
+        EngineError::UnknownColumn {
+            column: column.to_owned(),
+            available: table
+                .schema()
+                .fields()
+                .iter()
+                .map(|f| f.name().to_owned())
+                .collect(),
+        }
+    }
+
     /// Helper for range checks: errors unless `value` lies in the range
     /// described by `check`.
     pub(crate) fn expect_range(

@@ -13,7 +13,7 @@
 //! result without re-evaluating them".
 
 use crate::plan::Plan;
-use expred_exec::{BatchPlanner, ExecContext, Executor};
+use expred_exec::ExecContext;
 use expred_stats::rng::Prng;
 use expred_table::{Column, GroupBy, Table};
 use expred_udf::UdfInvoker;
@@ -27,71 +27,33 @@ pub struct ExecutionResult {
     pub reused_positives: usize,
 }
 
-/// Executes `plan` over `groups`, charging all retrievals/evaluations to
-/// `invoker` and reusing its memoized sample answers.
+/// Executes `plan` over `groups` under an execution context, charging
+/// all retrievals/evaluations to `invoker` and reusing its memoized
+/// sample answers. Cross-query caching is the invoker's concern — build
+/// it with [`UdfInvoker::with_context`] and already-known rows (from
+/// sampling or from earlier queries in the session) bypass the plan for
+/// free.
 ///
-/// Equivalent to [`execute_plan_ctx`] on [`ExecContext::sequential`].
+/// The random decisions (retrieve? evaluate?) are drawn on the calling
+/// thread in group order — exactly the stream the sequential executor
+/// consumes — and only then are the chosen rows drained through
+/// `ctx.executor`: ordered by correlation group, in slices of at most
+/// `ctx.max_in_flight` rows (a slice may span a group boundary). The
+/// result is therefore byte-identical across backends and budgets for a
+/// fixed seed; only wall-clock time changes.
 pub fn execute_plan(
-    plan: &Plan,
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    rng: &mut Prng,
-) -> ExecutionResult {
-    execute_plan_ctx(plan, groups, invoker, rng, &ExecContext::sequential())
-}
-
-/// Executes `plan` over `groups`, routing UDF probes through `executor`
-/// with the default in-flight budget.
-pub fn execute_plan_with(
-    plan: &Plan,
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    rng: &mut Prng,
-    executor: &dyn Executor,
-) -> ExecutionResult {
-    execute_plan_ctx(plan, groups, invoker, rng, &ExecContext::new(executor))
-}
-
-/// Executes `plan` over `groups` under an execution context: probes run
-/// through `ctx.executor` in batches bounded by `ctx.max_in_flight`.
-/// Cross-query caching is the invoker's concern — build it with
-/// [`UdfInvoker::with_context`] and already-known rows (from sampling or
-/// from earlier queries in the session) bypass the plan for free.
-pub fn execute_plan_ctx(
     plan: &Plan,
     groups: &GroupBy,
     invoker: &UdfInvoker<'_>,
     rng: &mut Prng,
     ctx: &ExecContext<'_>,
 ) -> ExecutionResult {
-    execute_plan_with_planner(plan, groups, invoker, rng, ctx.executor, ctx.planner())
-}
-
-/// Executes `plan` over `groups`, routing UDF probes through `executor`
-/// and a caller-supplied [`BatchPlanner`] (the way to bound how many
-/// rows one `evaluate_batch` call may carry — memory-bounded backends,
-/// crowd-scale windows).
-///
-/// The random decisions (retrieve? evaluate?) are drawn on the calling
-/// thread in group order — exactly the stream the sequential executor
-/// consumes — and only then are the chosen rows drained through the
-/// runtime: ordered by correlation group, in slices of at most the
-/// planner's `max_in_flight` rows (a slice may span a group boundary).
-/// The result is therefore byte-identical across backends and budgets
-/// for a fixed seed; only wall-clock time changes.
-pub fn execute_plan_with_planner(
-    plan: &Plan,
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    rng: &mut Prng,
-    executor: &dyn Executor,
-    mut planner: BatchPlanner,
-) -> ExecutionResult {
     assert_eq!(
         plan.num_groups(),
         groups.num_groups(),
         "plan and grouping must agree on group count"
     );
+    let mut planner = ctx.planner();
     let mut returned = Vec::new();
     let mut reused_positives = 0;
     for (g, _, rows) in groups.iter() {
@@ -126,7 +88,7 @@ pub fn execute_plan_with_planner(
     // charges exactly one evaluation per row — the same bill the serial
     // loop paid. Drain through the invoker, never the raw probe: the
     // invoker is what memoizes the answers and charges the tracker.
-    let answers = planner.drain_with(&mut |rows| invoker.evaluate_batch(executor, rows));
+    let answers = planner.drain_with(&mut |rows| invoker.evaluate_batch(ctx.executor, rows));
     returned.extend(answers.iter().filter(|a| a.answer).map(|a| a.row as u32));
     returned.sort_unstable();
     ExecutionResult {
@@ -157,7 +119,6 @@ pub fn truth_vector(table: &Table, label_column: &str) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expred_exec::Sequential;
     use expred_table::{DataType, Field, Schema, Table, Value};
     use expred_udf::{CostModel, OracleUdf};
 
@@ -177,6 +138,7 @@ mod tests {
 
     #[test]
     fn deterministic_plan_execution() {
+        let ctx = ExecContext::sequential();
         // Group 0: return all; group 1: evaluate all; group 2: discard.
         let labels = [true, false, true, false, true, false];
         let table = test_table(&labels, &[0, 0, 1, 1, 2, 2]);
@@ -185,7 +147,7 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::new(vec![1.0, 1.0, 0.0], vec![0.0, 1.0, 0.0]);
         let mut rng = Prng::seeded(1);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng);
+        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
         // Group 0 returned unevaluated (rows 0,1); group 1 evaluated, only
         // row 2 passes; group 2 dropped.
         assert_eq!(result.returned, vec![0, 1, 2]);
@@ -197,6 +159,7 @@ mod tests {
 
     #[test]
     fn memoized_positives_are_free_and_returned() {
+        let ctx = ExecContext::sequential();
         let labels = [true, false, true];
         let table = test_table(&labels, &[0, 0, 0]);
         let udf = OracleUdf::new("label");
@@ -209,7 +172,7 @@ mod tests {
         // Plan discards the group entirely; sampled positive still returns.
         let plan = Plan::discard_all(1);
         let mut rng = Prng::seeded(2);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng);
+        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
         assert_eq!(result.returned, vec![0]);
         assert_eq!(result.reused_positives, 1);
         assert_eq!(invoker.counts(), before, "no new cost for reuse");
@@ -217,6 +180,7 @@ mod tests {
 
     #[test]
     fn fractional_plan_rates_track_probabilities() {
+        let ctx = ExecContext::sequential();
         let n = 10_000;
         let labels: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
         let group_ids = vec![0i64; n];
@@ -226,7 +190,7 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::new(vec![0.6], vec![0.3]);
         let mut rng = Prng::seeded(3);
-        let _ = execute_plan(&plan, &groups, &invoker, &mut rng);
+        let _ = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
         let counts = invoker.counts();
         let retrieved_rate = counts.retrieved as f64 / n as f64;
         let evaluated_rate = counts.evaluated as f64 / n as f64;
@@ -236,6 +200,7 @@ mod tests {
 
     #[test]
     fn evaluated_tuples_filter_failures() {
+        let ctx = ExecContext::sequential();
         let n = 2_000;
         let labels: Vec<bool> = (0..n).map(|i| i % 4 == 0).collect(); // sel 0.25
         let table = test_table(&labels, &vec![0i64; n]);
@@ -245,7 +210,7 @@ mod tests {
         // Evaluate everything: answer must be exactly the true set.
         let plan = Plan::evaluate_all(1);
         let mut rng = Prng::seeded(4);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng);
+        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
         let truth = truth_vector(&table, "label");
         assert!(result.returned.iter().all(|&r| truth[r as usize]));
         assert_eq!(result.returned.len(), n / 4);
@@ -253,7 +218,6 @@ mod tests {
 
     #[test]
     fn custom_in_flight_budget_does_not_change_the_outcome() {
-        use expred_exec::BatchPlanner;
         let n = 3_000;
         let labels: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
         let group_ids: Vec<i64> = (0..n as i64).map(|i| i % 4).collect();
@@ -261,16 +225,15 @@ mod tests {
         let udf = OracleUdf::new("label");
         let groups = table.group_by("g").unwrap();
         let plan = Plan::new(vec![0.8; 4], vec![0.5; 4]);
-        let run = |planner: BatchPlanner| {
+        let run = |ctx: ExecContext<'_>| {
             let invoker = UdfInvoker::new(&udf, &table);
             let mut rng = Prng::seeded(17);
-            let result =
-                execute_plan_with_planner(&plan, &groups, &invoker, &mut rng, &Sequential, planner);
+            let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
             (result, invoker.counts())
         };
-        let (default_result, default_counts) = run(BatchPlanner::new());
+        let (default_result, default_counts) = run(ExecContext::sequential());
         // A budget far below one group's queue forces many slices.
-        let (tiny_result, tiny_counts) = run(BatchPlanner::with_max_in_flight(7));
+        let (tiny_result, tiny_counts) = run(ExecContext::sequential().with_max_in_flight(7));
         assert_eq!(default_result, tiny_result);
         assert_eq!(default_counts, tiny_counts);
     }
@@ -285,12 +248,13 @@ mod tests {
     #[test]
     #[should_panic]
     fn plan_group_mismatch_panics() {
+        let ctx = ExecContext::sequential();
         let table = test_table(&[true], &[0]);
         let udf = OracleUdf::new("label");
         let invoker = UdfInvoker::new(&udf, &table);
         let groups = table.group_by("g").unwrap();
         let plan = Plan::discard_all(2);
         let mut rng = Prng::seeded(5);
-        execute_plan(&plan, &groups, &invoker, &mut rng);
+        execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
     }
 }

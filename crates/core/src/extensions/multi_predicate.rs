@@ -16,7 +16,7 @@
 //! simplex.
 
 use crate::optimize::PlanError;
-use expred_exec::{ExecContext, Executor};
+use expred_exec::Executor;
 use expred_solver::lp::{Constraint, LinearProgram, LpOutcome, Relation};
 use expred_table::Table;
 use expred_udf::{ConjunctionUdf, CostTracker};
@@ -324,7 +324,7 @@ pub fn solve_predicate_chain(
 /// conjunct 0 runs on the whole batch through `executor`, conjunct 1 only
 /// on the survivors, and so on — batched short-circuiting in the style of
 /// disjunction/conjunction evaluation for column stores, with each stage
-/// wide enough to keep a parallel backend busy.
+/// wide enough to keep a pooled backend busy.
 ///
 /// Each conjunct invocation is charged to `tracker` as one evaluation
 /// (the scalar cost model prices every external call at `o_e`; for
@@ -339,18 +339,6 @@ pub fn evaluate_conjunction_batch(
     tracker: &CostTracker,
     executor: &dyn Executor,
 ) -> Vec<bool> {
-    evaluate_conjunction_batch_ctx(udf, table, rows, tracker, &ExecContext::new(executor))
-}
-
-/// [`evaluate_conjunction_batch`] under an execution context.
-pub fn evaluate_conjunction_batch_ctx(
-    udf: &ConjunctionUdf,
-    table: &Table,
-    rows: &[usize],
-    tracker: &CostTracker,
-    ctx: &ExecContext<'_>,
-) -> Vec<bool> {
-    let executor = ctx.executor;
     // Positions (into `rows`) still alive after the stages so far.
     let mut alive: Vec<usize> = (0..rows.len()).collect();
     for part in 0..udf.arity() {
@@ -478,7 +466,7 @@ mod tests {
             &table,
             &rows,
             &par_tracker,
-            &expred_exec::Parallel::with_threads(4),
+            &expred_exec::WorkerPool::with_threads(4),
         );
         assert_eq!(seq, par);
         assert_eq!(seq_tracker.snapshot(), par_tracker.snapshot());

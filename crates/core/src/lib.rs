@@ -32,12 +32,11 @@
 //!   via the fallible [`QueryEngine::submit`] — invalid input surfaces
 //!   as a typed [`EngineError`] instead of a panic.
 //!
-//! Every pipeline entry point comes in three flavors: the legacy bare
-//! name (sequential, cache-less — the original audited behavior), a
-//! `*_with(executor)` variant, and the primary `*_ctx(ctx)` variant
-//! taking one [`expred_exec::ExecContext`]. The first two are thin
-//! wrappers over the third; [`QueryEngine::submit`] is the session-level
-//! entry point over all of them.
+//! Every pipeline and stage function takes one
+//! [`expred_exec::ExecContext`]: one-shot callers pass
+//! [`expred_exec::ExecContext::sequential`], a session passes
+//! [`QueryEngine::context`]; [`QueryEngine::submit`] is the
+//! session-level entry point over all of them.
 
 pub mod adaptive;
 pub mod baselines;
@@ -56,17 +55,11 @@ pub mod result_memo;
 pub mod sampling;
 pub mod strategy;
 
-pub use adaptive::{
-    run_intel_sample_adaptive, run_intel_sample_adaptive_ctx, run_intel_sample_adaptive_with,
-    run_intel_sample_iterative, run_intel_sample_iterative_ctx, run_intel_sample_iterative_with,
-};
-pub use baselines::{run_learning, run_learning_ctx, run_multiple, run_multiple_ctx};
-pub use engine::{EngineStats, Query, QueryEngine};
+pub use adaptive::{run_intel_sample_adaptive, run_intel_sample_iterative};
+pub use baselines::{run_learning, run_multiple};
+pub use engine::{EngineStats, QueryEngine};
 pub use error::EngineError;
-pub use execute::{
-    execute_plan, execute_plan_ctx, execute_plan_with, execute_plan_with_planner, truth_vector,
-    ExecutionResult,
-};
+pub use execute::{execute_plan, truth_vector, ExecutionResult};
 pub use optimize::{
     estimated_feasible, solve_estimated, solve_perfect_selectivities, CorrelationModel,
     EstimatedGroup, PlanError,
@@ -76,16 +69,11 @@ pub use persistence::PersistSessionStats;
 // `expred-persist` dependency.
 pub use expred_persist::{FsyncPolicy, PersistConfig, PersistError};
 pub use pipeline::{
-    run_intel_sample, run_intel_sample_ctx, run_intel_sample_with, run_naive, run_naive_ctx,
-    run_naive_with, run_optimal, run_optimal_ctx, run_optimal_with, IntelSampleConfig,
-    PredictorChoice, RunOutcome,
+    run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice, RunOutcome,
 };
 pub use plan::Plan;
 pub use query::QuerySpec;
 pub use request::{InfeasiblePolicy, QueryRequest};
 pub use result_memo::{ResultMemoStats, ShardedResultMemo};
-pub use sampling::{
-    adaptive_num_search, adaptive_num_search_ctx, adaptive_num_search_with, sample_groups,
-    sample_groups_ctx, sample_groups_with, GroupSample, SampleSizeRule,
-};
+pub use sampling::{adaptive_num_search, sample_groups, GroupSample, SampleSizeRule};
 pub use strategy::{Fingerprint, Strategy, StrategyIdentity};

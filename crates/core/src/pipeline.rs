@@ -9,20 +9,24 @@
 //!
 //! Every pipeline runs against the audited [`UdfInvoker`], so reported
 //! costs include sampling and predictor-selection evaluations, exactly as
-//! §6.2 requires.
+//! §6.2 requires. All seven pipelines (these three, the two in
+//! [`crate::adaptive`] and the two in [`crate::baselines`]) are bodies
+//! inside one frame, `run_framed`: the single place a run obtains its
+//! predicate, is clocked, billed and scored.
 
-use crate::column_select::{rank_columns_ctx, virtual_column};
-use crate::execute::{execute_plan_ctx, truth_vector};
-use crate::optimize::{solve_estimated, solve_perfect_selectivities, CorrelationModel};
+use crate::column_select::{rank_columns, virtual_column};
+use crate::error::EngineError;
+use crate::execute::{execute_plan, truth_vector};
+use crate::optimize::{solve_estimated, solve_perfect_selectivities, CorrelationModel, PlanError};
 use crate::plan::Plan;
 use crate::query::QuerySpec;
-use crate::sampling::{sample_groups_ctx, SampleSizeRule};
-use expred_exec::{ExecContext, Executor};
+use crate::sampling::{sample_groups, SampleSizeRule};
+use expred_exec::ExecContext;
 use expred_ml::metrics::{precision_recall, PrSummary};
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
 use expred_table::{GroupBy, Table};
-use expred_udf::{BooleanUdf, CostCounts, OracleUdf, SlowUdf, UdfInvoker};
+use expred_udf::{BooleanUdf, CostCounts, CostModel, OracleUdf, SlowUdf, UdfInvoker};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,7 +35,7 @@ use std::time::Instant;
 /// cache identities are unchanged — [`SlowUdf`] shares its inner UDF's
 /// fingerprint — so a latency-injected session is byte-identical to a
 /// plain one, only slower.
-pub(crate) fn label_udf(ctx: &ExecContext<'_>) -> Box<dyn BooleanUdf> {
+fn label_udf(ctx: &ExecContext<'_>) -> Box<dyn BooleanUdf> {
     match ctx.udf_latency {
         Some(latency) => Box::new(SlowUdf::new(OracleUdf::new(LABEL_COLUMN), latency)),
         None => Box::new(OracleUdf::new(LABEL_COLUMN)),
@@ -43,16 +47,17 @@ pub(crate) fn label_udf(ctx: &ExecContext<'_>) -> Box<dyn BooleanUdf> {
 /// (repeat queries over an unchanged table skip the re-group; `push_row`
 /// bumps the version and forces a fresh derivation). Without a cache
 /// this is exactly [`Table::group_by`] — the partition is byte-identical
-/// either way.
+/// either way. A column the table lacks is the only way to fail.
 pub(crate) fn session_group_by(
     table: &Table,
     column: &str,
     ctx: &ExecContext<'_>,
-) -> Result<Arc<GroupBy>, String> {
+) -> Result<Arc<GroupBy>, EngineError> {
     match ctx.derived {
         Some(cache) => cache.group_by(table, column),
         None => table.group_by(column).map(Arc::new),
     }
+    .map_err(|_| EngineError::unknown_column(table, column))
 }
 
 /// How the correlated column is obtained.
@@ -122,223 +127,210 @@ pub struct RunOutcome {
     pub plan_feasible: bool,
 }
 
-/// Runs the paper's Intel-Sample pipeline on a dataset.
+/// What the frame lends a pipeline body: the one audited invoker (and
+/// therefore one borrowed cache handle) serving predictor ranking,
+/// sampling *and* execution, and the seeded generator.
+pub(crate) struct Frame<'a> {
+    pub invoker: UdfInvoker<'a>,
+    pub rng: Prng,
+    /// Ground truth, read outside the clock. The frame scores against
+    /// it; of the bodies only the contestants the paper hands it to for
+    /// free may look (`Optimal`'s selectivities, the ML baselines'
+    /// oracle-tuned training size) — never planning code.
+    pub truth: Vec<bool>,
+}
+
+/// What a pipeline body hands back for the frame to score and bill.
+pub(crate) struct Answer {
+    /// Row ids in the answer, ascending.
+    pub returned: Vec<u32>,
+    pub num_groups: usize,
+    pub plan_feasible: bool,
+}
+
+/// The one frame under all seven pipelines: obtains the predicate,
+/// builds the audited invoker and the seeded generator, clocks `body`,
+/// then scores its answer against ground truth and assembles the bill
+/// under `cost`. `compute_seconds` stops when the body returns, so it
+/// excludes scoring.
 ///
-/// Equivalent to [`run_intel_sample_ctx`] on [`ExecContext::sequential`].
-pub fn run_intel_sample(ds: &Dataset, cfg: &IntelSampleConfig, seed: u64) -> RunOutcome {
-    run_intel_sample_ctx(ds, cfg, seed, &ExecContext::sequential())
-}
-
-/// Runs Intel-Sample with every UDF probe (predictor labelling, sampling,
-/// execution) routed through `executor`.
-pub fn run_intel_sample_with(
+/// Takes the body as a closure because the invoker borrows the boxed
+/// UDF, which must outlive it on this stack frame.
+pub(crate) fn run_framed(
     ds: &Dataset,
-    cfg: &IntelSampleConfig,
+    cost: &CostModel,
     seed: u64,
-    executor: &dyn Executor,
-) -> RunOutcome {
-    run_intel_sample_ctx(ds, cfg, seed, &ExecContext::new(executor))
+    ctx: &ExecContext<'_>,
+    body: impl FnOnce(&mut Frame<'_>) -> Result<Answer, EngineError>,
+) -> Result<RunOutcome, EngineError> {
+    let truth = truth_vector(&ds.table, LABEL_COLUMN);
+    let start = Instant::now();
+    let udf = label_udf(ctx);
+    let mut frame = Frame {
+        invoker: UdfInvoker::with_context(udf.as_ref(), &ds.table, ctx),
+        rng: Prng::seeded(seed),
+        truth,
+    };
+    let answer = body(&mut frame)?;
+    let compute_seconds = start.elapsed().as_secs_f64();
+    let summary = precision_recall(answer.returned.iter().map(|&r| r as usize), &frame.truth);
+    let counts = frame.invoker.counts();
+    Ok(RunOutcome {
+        returned: answer.returned,
+        counts,
+        cost: counts.cost(cost),
+        summary,
+        num_groups: answer.num_groups,
+        compute_seconds,
+        plan_feasible: answer.plan_feasible,
+    })
 }
 
-/// Runs Intel-Sample under an execution context.
+/// Infeasibility falls back to evaluating everything (always correct,
+/// never cheap); the flag is what `RunOutcome::plan_feasible` reports.
+pub(crate) fn solve_or_evaluate_all(
+    solved: Result<Plan, PlanError>,
+    num_groups: usize,
+) -> (Plan, bool) {
+    match solved {
+        Ok(plan) => (plan, true),
+        Err(_) => (Plan::evaluate_all(num_groups), false),
+    }
+}
+
+/// Runs the paper's Intel-Sample pipeline on a dataset, with every UDF
+/// probe (predictor labelling, sampling, execution) routed through the
+/// context's executor.
 ///
 /// For a fixed seed the outcome is byte-identical across backends: all
 /// randomness is drawn on the calling thread before batches dispatch.
-/// When the context carries a session cache store, one invoker — and
-/// therefore one borrowed cache handle — serves predictor ranking,
-/// sampling, *and* execution, and rows paid for by earlier queries in
-/// the session arrive as free [`CostCounts::reuse_hits`].
-pub fn run_intel_sample_ctx(
+/// When the context carries a session cache store, rows paid for by
+/// earlier queries in the session arrive as free
+/// [`CostCounts::reuse_hits`].
+pub fn run_intel_sample(
     ds: &Dataset,
     cfg: &IntelSampleConfig,
     seed: u64,
     ctx: &ExecContext<'_>,
-) -> RunOutcome {
-    let start = Instant::now();
-    let table = &ds.table;
-    let udf = label_udf(ctx);
-    let invoker = UdfInvoker::with_context(udf.as_ref(), table, ctx);
-    let mut rng = Prng::seeded(seed);
+) -> Result<RunOutcome, EngineError> {
+    run_framed(ds, &cfg.spec.cost, seed, ctx, |f| {
+        let table = &ds.table;
+        // Step 0: obtain the correlated (possibly virtual) grouping.
+        let groups: Arc<GroupBy> = match &cfg.predictor {
+            PredictorChoice::Fixed(col) => session_group_by(table, col, ctx)?,
+            PredictorChoice::Auto { label_fraction } => {
+                let candidates = ds.candidate_columns();
+                let (scores, _labelled) = rank_columns(
+                    table,
+                    &candidates,
+                    &f.invoker,
+                    &cfg.spec,
+                    *label_fraction,
+                    &mut f.rng,
+                    ctx,
+                )?;
+                let best = scores.first().ok_or_else(|| EngineError::InvalidRequest {
+                    reason: "predictor ranking scored no column".into(),
+                })?;
+                session_group_by(table, &best.column, ctx)?
+            }
+            PredictorChoice::Virtual {
+                buckets,
+                label_fraction,
+            } => {
+                let n = table.num_rows();
+                let want = ((label_fraction * n as f64).ceil() as usize).clamp(1, n);
+                let batch = f.rng.sample_indices(n, want);
+                f.invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
+                let labelled: Vec<u32> = batch.into_iter().map(|r| r as u32).collect();
+                Arc::new(virtual_column(
+                    table,
+                    &[LABEL_COLUMN, "row_id"],
+                    &f.invoker,
+                    &labelled,
+                    *buckets,
+                    ctx,
+                ))
+            }
+        };
 
-    // Step 0: obtain the correlated (possibly virtual) grouping.
-    let groups: Arc<GroupBy> = match &cfg.predictor {
-        PredictorChoice::Fixed(col) => {
-            session_group_by(table, col, ctx).expect("predictor column must exist")
-        }
-        PredictorChoice::Auto { label_fraction } => {
-            let candidates = ds.candidate_columns();
-            let (scores, _labelled) = rank_columns_ctx(
-                table,
-                &candidates,
-                &invoker,
-                &cfg.spec,
-                *label_fraction,
-                &mut rng,
-                ctx,
-            );
-            let best = scores.first().expect("at least one candidate");
-            session_group_by(table, &best.column, ctx).expect("ranked column must exist")
-        }
-        PredictorChoice::Virtual {
-            buckets,
-            label_fraction,
-        } => {
-            let n = table.num_rows();
-            let want = ((label_fraction * n as f64).ceil() as usize).clamp(1, n);
-            let batch = rng.sample_indices(n, want);
-            invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
-            let labelled: Vec<u32> = batch.into_iter().map(|r| r as u32).collect();
-            Arc::new(virtual_column(
-                table,
-                &[LABEL_COLUMN, "row_id"],
-                &invoker,
-                &labelled,
-                *buckets,
-                ctx,
-            ))
-        }
-    };
+        // Step 1: sample for selectivity estimates (reuses labelled rows).
+        let sample = sample_groups(&groups, &f.invoker, cfg.rule, &mut f.rng, ctx);
+        let est_groups = sample.to_estimated_groups(&groups);
 
-    // Step 1: sample for selectivity estimates (reuses labelled rows).
-    let sample = sample_groups_ctx(&groups, &invoker, cfg.rule, &mut rng, ctx);
-    let est_groups = sample.to_estimated_groups(&groups);
+        // Step 2: optimize.
+        let (plan, plan_feasible) = solve_or_evaluate_all(
+            solve_estimated(&est_groups, &cfg.spec, cfg.corr),
+            groups.num_groups(),
+        );
 
-    // Step 2: optimize. Infeasibility falls back to evaluating everything
-    // (always correct, never cheap).
-    let (plan, plan_feasible) = match solve_estimated(&est_groups, &cfg.spec, cfg.corr) {
-        Ok(plan) => (plan, true),
-        Err(_) => (Plan::evaluate_all(groups.num_groups()), false),
-    };
-
-    // Step 3: execute.
-    let result = execute_plan_ctx(&plan, &groups, &invoker, &mut rng, ctx);
-    let compute_seconds = start.elapsed().as_secs_f64();
-
-    let truth = truth_vector(table, LABEL_COLUMN);
-    let summary = precision_recall(result.returned.iter().map(|&r| r as usize), &truth);
-    let counts = invoker.counts();
-    RunOutcome {
-        returned: result.returned,
-        counts,
-        cost: counts.cost(&cfg.spec.cost),
-        summary,
-        num_groups: groups.num_groups(),
-        compute_seconds,
-        plan_feasible,
-    }
+        // Step 3: execute.
+        let result = execute_plan(&plan, &groups, &f.invoker, &mut f.rng, ctx);
+        Ok(Answer {
+            returned: result.returned,
+            num_groups: groups.num_groups(),
+            plan_feasible,
+        })
+    })
 }
 
 /// Runs the unrealistic `Optimal` baseline: exact selectivities are read
 /// from ground truth for free, then the §3.2 optimizer plans and executes.
-pub fn run_optimal(ds: &Dataset, spec: &QuerySpec, predictor: &str, seed: u64) -> RunOutcome {
-    run_optimal_ctx(ds, spec, predictor, seed, &ExecContext::sequential())
-}
-
-/// [`run_optimal`], executing its plan through `executor`.
-pub fn run_optimal_with(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    predictor: &str,
-    seed: u64,
-    executor: &dyn Executor,
-) -> RunOutcome {
-    run_optimal_ctx(ds, spec, predictor, seed, &ExecContext::new(executor))
-}
-
-/// [`run_optimal`] under an execution context.
-pub fn run_optimal_ctx(
+pub fn run_optimal(
     ds: &Dataset,
     spec: &QuerySpec,
     predictor: &str,
     seed: u64,
     ctx: &ExecContext<'_>,
-) -> RunOutcome {
-    let start = Instant::now();
-    let table = &ds.table;
-    let udf = label_udf(ctx);
-    let invoker = UdfInvoker::with_context(udf.as_ref(), table, ctx);
-    let mut rng = Prng::seeded(seed);
-    let groups = session_group_by(table, predictor, ctx).expect("predictor column");
-    let truth = truth_vector(table, LABEL_COLUMN);
-
-    let sizes: Vec<f64> = groups.sizes().iter().map(|&s| s as f64).collect();
-    let sels: Vec<f64> = (0..groups.num_groups())
-        .map(|g| {
-            let rows = groups.rows(g);
-            rows.iter().filter(|&&r| truth[r as usize]).count() as f64 / rows.len() as f64
+) -> Result<RunOutcome, EngineError> {
+    run_framed(ds, &spec.cost, seed, ctx, |f| {
+        let groups = session_group_by(&ds.table, predictor, ctx)?;
+        let sizes: Vec<f64> = groups.sizes().iter().map(|&s| s as f64).collect();
+        let sels: Vec<f64> = (0..groups.num_groups())
+            .map(|g| {
+                let rows = groups.rows(g);
+                rows.iter().filter(|&&r| f.truth[r as usize]).count() as f64 / rows.len() as f64
+            })
+            .collect();
+        let (plan, plan_feasible) = solve_or_evaluate_all(
+            solve_perfect_selectivities(&sizes, &sels, spec),
+            groups.num_groups(),
+        );
+        let result = execute_plan(&plan, &groups, &f.invoker, &mut f.rng, ctx);
+        Ok(Answer {
+            returned: result.returned,
+            num_groups: groups.num_groups(),
+            plan_feasible,
         })
-        .collect();
-    let (plan, plan_feasible) = match solve_perfect_selectivities(&sizes, &sels, spec) {
-        Ok(plan) => (plan, true),
-        Err(_) => (Plan::evaluate_all(groups.num_groups()), false),
-    };
-    let result = execute_plan_ctx(&plan, &groups, &invoker, &mut rng, ctx);
-    let compute_seconds = start.elapsed().as_secs_f64();
-    let summary = precision_recall(result.returned.iter().map(|&r| r as usize), &truth);
-    let counts = invoker.counts();
-    RunOutcome {
-        returned: result.returned,
-        counts,
-        cost: counts.cost(&spec.cost),
-        summary,
-        num_groups: groups.num_groups(),
-        compute_seconds,
-        plan_feasible,
-    }
+    })
 }
 
 /// Runs the `Naive` baseline: retrieve a uniform `β` fraction of the table
-/// and evaluate every retrieved tuple (§6.2).
-pub fn run_naive(ds: &Dataset, spec: &QuerySpec, seed: u64) -> RunOutcome {
-    run_naive_ctx(ds, spec, seed, &ExecContext::sequential())
-}
-
-/// [`run_naive`], evaluating its β-fraction as executor batches.
-pub fn run_naive_with(
-    ds: &Dataset,
-    spec: &QuerySpec,
-    seed: u64,
-    executor: &dyn Executor,
-) -> RunOutcome {
-    run_naive_ctx(ds, spec, seed, &ExecContext::new(executor))
-}
-
-/// [`run_naive`] under an execution context.
-pub fn run_naive_ctx(
+/// and evaluate every retrieved tuple, as executor batches (§6.2).
+pub fn run_naive(
     ds: &Dataset,
     spec: &QuerySpec,
     seed: u64,
     ctx: &ExecContext<'_>,
-) -> RunOutcome {
-    let start = Instant::now();
-    let table = &ds.table;
-    let udf = label_udf(ctx);
-    let invoker = UdfInvoker::with_context(udf.as_ref(), table, ctx);
-    let mut rng = Prng::seeded(seed);
-    let n = table.num_rows();
-    let k = ((spec.beta * n as f64).ceil() as usize).min(n);
-    let batch = rng.sample_indices(n, k);
-    let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
-    let mut returned: Vec<u32> = batch
-        .into_iter()
-        .zip(answers)
-        .filter(|&(_, answer)| answer)
-        .map(|(row, _)| row as u32)
-        .collect();
-    returned.sort_unstable();
-    let compute_seconds = start.elapsed().as_secs_f64();
-    let truth = truth_vector(table, LABEL_COLUMN);
-    let summary = precision_recall(returned.iter().map(|&r| r as usize), &truth);
-    let counts = invoker.counts();
-    RunOutcome {
-        returned,
-        counts,
-        cost: counts.cost(&spec.cost),
-        summary,
-        num_groups: 1,
-        compute_seconds,
-        plan_feasible: true,
-    }
+) -> Result<RunOutcome, EngineError> {
+    run_framed(ds, &spec.cost, seed, ctx, |f| {
+        let n = ds.table.num_rows();
+        let k = ((spec.beta * n as f64).ceil() as usize).min(n);
+        let batch = f.rng.sample_indices(n, k);
+        let answers = f.invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
+        let mut returned: Vec<u32> = batch
+            .into_iter()
+            .zip(answers)
+            .filter(|&(_, answer)| answer)
+            .map(|(row, _)| row as u32)
+            .collect();
+        returned.sort_unstable();
+        Ok(Answer {
+            returned,
+            num_groups: 1,
+            plan_feasible: true,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -354,7 +346,7 @@ mod tests {
     fn naive_meets_recall_in_expectation_with_perfect_precision() {
         let ds = prosper();
         let spec = QuerySpec::paper_default();
-        let out = run_naive(&ds, &spec, 1);
+        let out = run_naive(&ds, &spec, 1, &ExecContext::sequential()).unwrap();
         assert_eq!(out.summary.precision, 1.0);
         assert!(
             (out.summary.recall - 0.8).abs() < 0.03,
@@ -369,10 +361,11 @@ mod tests {
 
     #[test]
     fn intel_sample_fixed_predictor_beats_naive() {
+        let ctx = ExecContext::sequential();
         let ds = prosper();
         let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
-        let intel = run_intel_sample(&ds, &cfg, 2);
-        let naive = run_naive(&ds, &cfg.spec, 2);
+        let intel = run_intel_sample(&ds, &cfg, 2, &ctx).unwrap();
+        let naive = run_naive(&ds, &cfg.spec, 2, &ctx).unwrap();
         assert!(intel.plan_feasible, "plan must be feasible on Prosper");
         assert!(
             intel.counts.evaluated < naive.counts.evaluated,
@@ -389,7 +382,7 @@ mod tests {
         let mut ok = 0;
         let runs = 10;
         for seed in 0..runs {
-            let out = run_intel_sample(&ds, &cfg, 100 + seed);
+            let out = run_intel_sample(&ds, &cfg, 100 + seed, &ExecContext::sequential()).unwrap();
             if out.summary.meets(cfg.spec.alpha, cfg.spec.beta) {
                 ok += 1;
             }
@@ -400,11 +393,12 @@ mod tests {
 
     #[test]
     fn optimal_is_cheapest() {
+        let ctx = ExecContext::sequential();
         let ds = prosper();
         let spec = QuerySpec::paper_default();
         let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
-        let optimal = run_optimal(&ds, &spec, "grade", 3);
-        let intel = run_intel_sample(&ds, &cfg, 3);
+        let optimal = run_optimal(&ds, &spec, "grade", 3, &ctx).unwrap();
+        let intel = run_intel_sample(&ds, &cfg, 3, &ctx).unwrap();
         assert!(optimal.plan_feasible);
         assert!(
             optimal.counts.evaluated <= intel.counts.evaluated,
@@ -416,25 +410,27 @@ mod tests {
 
     #[test]
     fn auto_predictor_runs_and_is_competitive() {
+        let ctx = ExecContext::sequential();
         let ds = prosper();
         let cfg = IntelSampleConfig::experiment1(PredictorChoice::Auto {
             label_fraction: 0.01,
         });
-        let auto = run_intel_sample(&ds, &cfg, 4);
-        let naive = run_naive(&ds, &cfg.spec, 4);
+        let auto = run_intel_sample(&ds, &cfg, 4, &ctx).unwrap();
+        let naive = run_naive(&ds, &cfg.spec, 4, &ctx).unwrap();
         assert!(auto.counts.evaluated < naive.counts.evaluated);
     }
 
     #[test]
     fn virtual_predictor_runs() {
+        let ctx = ExecContext::sequential();
         let ds = prosper();
         let cfg = IntelSampleConfig::experiment1(PredictorChoice::Virtual {
             buckets: 10,
             label_fraction: 0.01,
         });
-        let out = run_intel_sample(&ds, &cfg, 5);
+        let out = run_intel_sample(&ds, &cfg, 5, &ctx).unwrap();
         assert!(out.num_groups >= 5);
-        let naive = run_naive(&ds, &cfg.spec, 5);
+        let naive = run_naive(&ds, &cfg.spec, 5, &ctx).unwrap();
         assert!(out.counts.evaluated < naive.counts.evaluated);
     }
 
@@ -442,7 +438,7 @@ mod tests {
     fn compute_time_is_sub_second() {
         let ds = prosper();
         let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
-        let out = run_intel_sample(&ds, &cfg, 6);
+        let out = run_intel_sample(&ds, &cfg, 6, &ExecContext::sequential()).unwrap();
         // Debug builds are slow; the paper's <1s claim is checked in the
         // release-mode experiment harness. Here: just sanity.
         assert!(out.compute_seconds < 30.0);

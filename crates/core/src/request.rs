@@ -2,9 +2,7 @@
 //!
 //! A request bundles *what* to run (a [`Strategy`]), the seed, and the
 //! serving options ([`InfeasiblePolicy`]). It is the single argument of
-//! [`QueryEngine::submit`], the engine's primary entry point — the legacy
-//! [`Query`]-enum [`QueryEngine::run`] is a thin (panicking) wrapper over
-//! it.
+//! [`QueryEngine::submit`], the engine's one entry point.
 //!
 //! ```
 //! use expred_core::{QueryEngine, QueryRequest, QuerySpec};
@@ -26,10 +24,7 @@
 //! ```
 //!
 //! [`QueryEngine::submit`]: crate::engine::QueryEngine::submit
-//! [`QueryEngine::run`]: crate::engine::QueryEngine::run
-//! [`Query`]: crate::engine::Query
 
-use crate::engine::Query;
 use crate::optimize::CorrelationModel;
 use crate::pipeline::IntelSampleConfig;
 use crate::query::QuerySpec;
@@ -45,7 +40,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InfeasiblePolicy {
     /// Fall back to evaluating everything — always correct, never cheap.
-    /// This is the legacy behavior; the outcome reports
+    /// The default; the outcome reports
     /// `plan_feasible == false`.
     #[default]
     FallbackEvaluateAll,
@@ -87,42 +82,18 @@ impl QueryRequest {
         }
     }
 
-    /// The built-in strategy equivalent to a legacy [`Query`] variant —
-    /// the bridge [`crate::engine::QueryEngine::run`] rides.
-    pub fn from_query(query: &Query) -> Self {
-        match query {
-            Query::IntelSample(cfg) => Self::intel_sample(cfg.clone()),
-            Query::Naive(spec) => Self::naive(*spec),
-            Query::Optimal { spec, predictor } => Self::optimal(*spec, predictor.clone()),
-            Query::Adaptive {
-                spec,
-                corr,
-                predictor,
-            } => Self::adaptive(*spec, *corr, predictor.clone()),
-            Query::Iterative {
-                spec,
-                corr,
-                predictor,
-                rule,
-                rounds,
-            } => Self::iterative(*spec, *corr, predictor.clone(), *rule, *rounds),
-            Query::Learning(spec) => Self::learning(*spec),
-            Query::Multiple { spec, imputations } => Self::multiple(*spec, *imputations),
-        }
-    }
-
-    /// The paper's main algorithm ([`crate::pipeline::run_intel_sample_ctx`]).
+    /// The paper's main algorithm ([`crate::pipeline::run_intel_sample`]).
     pub fn intel_sample(cfg: IntelSampleConfig) -> Self {
         Self::new(IntelSample(cfg))
     }
 
-    /// The naive β-fraction baseline ([`crate::pipeline::run_naive_ctx`]).
+    /// The naive β-fraction baseline ([`crate::pipeline::run_naive`]).
     pub fn naive(spec: QuerySpec) -> Self {
         Self::new(Naive(spec))
     }
 
     /// The perfect-information lower bound
-    /// ([`crate::pipeline::run_optimal_ctx`]).
+    /// ([`crate::pipeline::run_optimal`]).
     pub fn optimal(spec: QuerySpec, predictor: impl Into<String>) -> Self {
         Self::new(Optimal {
             spec,
@@ -131,7 +102,7 @@ impl QueryRequest {
     }
 
     /// The parameter-free adaptive pipeline
-    /// ([`crate::adaptive::run_intel_sample_adaptive_ctx`]).
+    /// ([`crate::adaptive::run_intel_sample_adaptive`]).
     pub fn adaptive(spec: QuerySpec, corr: CorrelationModel, predictor: impl Into<String>) -> Self {
         Self::new(Adaptive {
             spec,
@@ -141,7 +112,7 @@ impl QueryRequest {
     }
 
     /// The §4.2 iterative estimate/exploit pipeline
-    /// ([`crate::adaptive::run_intel_sample_iterative_ctx`]).
+    /// ([`crate::adaptive::run_intel_sample_iterative`]).
     pub fn iterative(
         spec: QuerySpec,
         corr: CorrelationModel,
@@ -158,12 +129,12 @@ impl QueryRequest {
         })
     }
 
-    /// The `Learning` ML baseline ([`crate::baselines::run_learning_ctx`]).
+    /// The `Learning` ML baseline ([`crate::baselines::run_learning`]).
     pub fn learning(spec: QuerySpec) -> Self {
         Self::new(Learning(spec))
     }
 
-    /// The `Multiple` ML baseline ([`crate::baselines::run_multiple_ctx`]).
+    /// The `Multiple` ML baseline ([`crate::baselines::run_multiple`]).
     pub fn multiple(spec: QuerySpec, imputations: usize) -> Self {
         Self::new(Multiple { spec, imputations })
     }
@@ -225,7 +196,6 @@ impl std::fmt::Debug for QueryRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PredictorChoice;
     use crate::strategy::StrategyIdentity;
 
     #[test]
@@ -252,55 +222,5 @@ mod tests {
             StrategyIdentity::of(req.strategy()),
             StrategyIdentity::of(other.strategy())
         );
-    }
-
-    #[test]
-    fn from_query_covers_every_variant() {
-        let spec = QuerySpec::paper_default();
-        let queries = [
-            (
-                Query::IntelSample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
-                    "grade".into(),
-                ))),
-                "intel_sample",
-            ),
-            (Query::Naive(spec), "naive"),
-            (
-                Query::Optimal {
-                    spec,
-                    predictor: "grade".into(),
-                },
-                "optimal",
-            ),
-            (
-                Query::Adaptive {
-                    spec,
-                    corr: CorrelationModel::Independent,
-                    predictor: "grade".into(),
-                },
-                "adaptive",
-            ),
-            (
-                Query::Iterative {
-                    spec,
-                    corr: CorrelationModel::Independent,
-                    predictor: "grade".into(),
-                    rule: SampleSizeRule::Fraction(0.05),
-                    rounds: 2,
-                },
-                "iterative",
-            ),
-            (Query::Learning(spec), "learning"),
-            (
-                Query::Multiple {
-                    spec,
-                    imputations: 5,
-                },
-                "multiple",
-            ),
-        ];
-        for (query, name) in queries {
-            assert_eq!(QueryRequest::from_query(&query).strategy().name(), name);
-        }
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::optimize::{solve_estimated, CorrelationModel, EstimatedGroup};
 use crate::query::QuerySpec;
-use expred_exec::{ExecContext, Executor};
+use expred_exec::ExecContext;
 use expred_stats::estimator::SelectivityEstimate;
 use expred_stats::rng::Prng;
 use expred_table::GroupBy;
@@ -74,41 +74,18 @@ impl GroupSample {
     }
 }
 
-/// Samples every group per `rule`, evaluating through `invoker`.
+/// Samples every group per `rule`, evaluating through `invoker` under an
+/// execution context.
 ///
-/// Already-evaluated rows (from predictor selection or earlier sampling
-/// rounds) count toward the target for free; only the shortfall incurs
-/// retrieval + evaluation cost. Estimates are Beta posteriors over *all*
-/// evaluated rows of the group.
-pub fn sample_groups(
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    rule: SampleSizeRule,
-    rng: &mut Prng,
-) -> GroupSample {
-    sample_groups_ctx(groups, invoker, rule, rng, &ExecContext::sequential())
-}
-
-/// [`sample_groups`], with each group's shortfall evaluated as one batch
-/// through `executor`.
-pub fn sample_groups_with(
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    rule: SampleSizeRule,
-    rng: &mut Prng,
-    executor: &dyn Executor,
-) -> GroupSample {
-    sample_groups_ctx(groups, invoker, rule, rng, &ExecContext::new(executor))
-}
-
-/// [`sample_groups`] under an execution context.
+/// Already-evaluated rows count toward the target for free — sampled
+/// earlier in this query (predictor selection, earlier rounds) *or*
+/// evaluated by a previous query sharing the session cache; only the
+/// shortfall incurs retrieval + evaluation cost. Estimates are Beta
+/// posteriors over *all* evaluated rows of the group.
 ///
-/// Row selection consumes the RNG identically to the sequential path, and
-/// every batched row is fresh and distinct, so estimates, counts, and
-/// charged costs are byte-identical across backends for a fixed seed.
-/// Rows known to the invoker — sampled earlier in this query *or*
-/// evaluated by a previous query sharing the session cache — count toward
-/// the target for free.
+/// Row selection is drawn on the calling thread and every batched row is
+/// fresh and distinct, so estimates, counts, and charged costs are
+/// byte-identical across backends for a fixed seed.
 ///
 /// Every group's shortfall is drawn first (group order, so the RNG is
 /// consumed exactly as a group-at-a-time loop would) and the union is
@@ -116,7 +93,7 @@ pub fn sample_groups_with(
 /// partition the rows, so no draw can depend on another group's answers,
 /// and a wide executor gets one deep batch instead of a barrier per
 /// group — most of which carry a few dozen rows.
-pub fn sample_groups_ctx(
+pub fn sample_groups(
     groups: &GroupBy,
     invoker: &UdfInvoker<'_>,
     rule: SampleSizeRule,
@@ -197,36 +174,6 @@ pub fn adaptive_num_search(
     spec: &QuerySpec,
     corr: CorrelationModel,
     rng: &mut Prng,
-) -> AdaptiveOutcome {
-    adaptive_num_search_ctx(groups, invoker, spec, corr, rng, &ExecContext::sequential())
-}
-
-/// [`adaptive_num_search`], sampling each round through `executor`.
-pub fn adaptive_num_search_with(
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    rng: &mut Prng,
-    executor: &dyn Executor,
-) -> AdaptiveOutcome {
-    adaptive_num_search_ctx(
-        groups,
-        invoker,
-        spec,
-        corr,
-        rng,
-        &ExecContext::new(executor),
-    )
-}
-
-/// [`adaptive_num_search`] under an execution context.
-pub fn adaptive_num_search_ctx(
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    spec: &QuerySpec,
-    corr: CorrelationModel,
-    rng: &mut Prng,
     ctx: &ExecContext<'_>,
 ) -> AdaptiveOutcome {
     let mut num = 0.5 * spec.alpha.max(0.1);
@@ -235,7 +182,7 @@ pub fn adaptive_num_search_ctx(
     let mut best: Option<AdaptiveOutcome> = None;
     let mut rises = 0;
     for _ in 0..max_steps {
-        let sample = sample_groups_ctx(
+        let sample = sample_groups(
             groups,
             invoker,
             SampleSizeRule::TwoThirdPower(num),
@@ -274,13 +221,13 @@ pub fn adaptive_num_search_ctx(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expred_exec::{BatchProbe, CacheStore, Sequential};
+    use expred_exec::{BatchProbe, CacheStore, Executor, Sequential};
     use expred_table::{DataType, Field, Schema, Table, Value};
     use expred_udf::{CostModel, OracleUdf};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// The group-at-a-time loop [`sample_groups_ctx`] replaced — one
+    /// The group-at-a-time loop [`sample_groups`] replaced — one
     /// executor barrier per group — kept as the oracle the batched
     /// version must match action for action.
     fn sample_groups_per_group(
@@ -404,7 +351,7 @@ mod tests {
                 for _ in 0..2 {
                     let calls = executor.calls.load(Ordering::Relaxed);
                     let sample = if batched {
-                        sample_groups_ctx(&grouping, &invoker, rule, &mut rng, &ctx)
+                        sample_groups(&grouping, &invoker, rule, &mut rng, &ctx)
                     } else {
                         sample_groups_per_group(&grouping, &invoker, rule, &mut rng, &ctx)
                     };
@@ -438,12 +385,12 @@ mod tests {
         let mut rng = Prng::seeded(11);
         for (round, per_group) in [5, 12, 30].into_iter().enumerate() {
             let rule = SampleSizeRule::Constant(per_group);
-            let sample = sample_groups_ctx(&groups, &invoker, rule, &mut rng, &ctx);
+            let sample = sample_groups(&groups, &invoker, rule, &mut rng, &ctx);
             assert_eq!(sample.evaluated, vec![per_group as u64; 3]);
             assert_eq!(executor.calls.load(Ordering::Relaxed), round + 1);
         }
         // Nothing left to buy: no call at all.
-        sample_groups_ctx(
+        sample_groups(
             &groups,
             &invoker,
             SampleSizeRule::Constant(30),
@@ -482,12 +429,19 @@ mod tests {
 
     #[test]
     fn sampling_charges_and_estimates() {
+        let ctx = ExecContext::sequential();
         let table = test_table();
         let udf = OracleUdf::new("label");
         let invoker = UdfInvoker::new(&udf, &table);
         let groups = table.group_by("g").unwrap();
         let mut rng = Prng::seeded(5);
-        let sample = sample_groups(&groups, &invoker, SampleSizeRule::Constant(20), &mut rng);
+        let sample = sample_groups(
+            &groups,
+            &invoker,
+            SampleSizeRule::Constant(20),
+            &mut rng,
+            &ctx,
+        );
         assert_eq!(sample.evaluated, vec![20, 20, 20]);
         let counts = invoker.counts();
         assert_eq!(counts.evaluated, 60);
@@ -499,6 +453,7 @@ mod tests {
 
     #[test]
     fn sampling_reuses_free_labels() {
+        let ctx = ExecContext::sequential();
         let table = test_table();
         let udf = OracleUdf::new("label");
         let invoker = UdfInvoker::new(&udf, &table);
@@ -509,7 +464,13 @@ mod tests {
         }
         let before = invoker.counts().evaluated;
         let mut rng = Prng::seeded(6);
-        let sample = sample_groups(&groups, &invoker, SampleSizeRule::Constant(10), &mut rng);
+        let sample = sample_groups(
+            &groups,
+            &invoker,
+            SampleSizeRule::Constant(10),
+            &mut rng,
+            &ctx,
+        );
         // Group 0's target of 10 is fully covered by reuse.
         assert_eq!(invoker.counts().evaluated, before + 20);
         assert_eq!(sample.evaluated[0], 10);
@@ -517,12 +478,19 @@ mod tests {
 
     #[test]
     fn estimates_follow_beta_posterior() {
+        let ctx = ExecContext::sequential();
         let table = test_table();
         let udf = OracleUdf::new("label");
         let invoker = UdfInvoker::new(&udf, &table);
         let groups = table.group_by("g").unwrap();
         let mut rng = Prng::seeded(7);
-        let sample = sample_groups(&groups, &invoker, SampleSizeRule::Fraction(1.0), &mut rng);
+        let sample = sample_groups(
+            &groups,
+            &invoker,
+            SampleSizeRule::Fraction(1.0),
+            &mut rng,
+            &ctx,
+        );
         // Full sampling: estimates are posteriors over the whole group.
         for g in 0..3 {
             let pos = sample.positives[g];
@@ -535,12 +503,19 @@ mod tests {
 
     #[test]
     fn to_estimated_groups_shapes() {
+        let ctx = ExecContext::sequential();
         let table = test_table();
         let udf = OracleUdf::new("label");
         let invoker = UdfInvoker::new(&udf, &table);
         let groups = table.group_by("g").unwrap();
         let mut rng = Prng::seeded(8);
-        let sample = sample_groups(&groups, &invoker, SampleSizeRule::Constant(5), &mut rng);
+        let sample = sample_groups(
+            &groups,
+            &invoker,
+            SampleSizeRule::Constant(5),
+            &mut rng,
+            &ctx,
+        );
         let est = sample.to_estimated_groups(&groups);
         assert_eq!(est.len(), 3);
         for g in &est {
@@ -552,6 +527,7 @@ mod tests {
 
     #[test]
     fn adaptive_search_terminates_with_finite_cost() {
+        let ctx = ExecContext::sequential();
         let table = test_table();
         let udf = OracleUdf::new("label");
         let invoker = UdfInvoker::new(&udf, &table);
@@ -564,6 +540,7 @@ mod tests {
             &spec,
             CorrelationModel::Independent,
             &mut rng,
+            &ctx,
         );
         assert!(outcome.estimated_cost.is_finite());
         assert!(outcome.num > 0.0);

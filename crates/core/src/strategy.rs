@@ -30,13 +30,12 @@
 //! [`ExprScan`], which evaluates a [`PredicateExpr`] over the whole table
 //! through the session cache with cost-ordered short-circuiting.
 
-use crate::adaptive::{run_intel_sample_adaptive_ctx, run_intel_sample_iterative_ctx};
-use crate::baselines::{run_learning_ctx, run_multiple_ctx};
+use crate::adaptive::{run_intel_sample_adaptive, run_intel_sample_iterative};
+use crate::baselines::{run_learning, run_multiple};
 use crate::error::EngineError;
 use crate::optimize::CorrelationModel;
 use crate::pipeline::{
-    run_intel_sample_ctx, run_naive_ctx, run_optimal_ctx, IntelSampleConfig, PredictorChoice,
-    RunOutcome,
+    run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice, RunOutcome,
 };
 use crate::query::QuerySpec;
 use crate::sampling::SampleSizeRule;
@@ -45,7 +44,7 @@ use expred_ml::metrics::PrSummary;
 use expred_stats::hash::Fnv64;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
 use expred_table::{DataType, Table};
-use expred_udf::{evaluate_expr_batch_ctx, BooleanUdf, CostModel, CostTracker, PredicateExpr};
+use expred_udf::{evaluate_expr_batch, BooleanUdf, CostModel, CostTracker, PredicateExpr};
 use std::time::Instant;
 
 /// An order-significant identity stream for one strategy configuration.
@@ -216,25 +215,12 @@ impl RunOutcome {
     }
 }
 
-/// Every column of `table`, for [`EngineError::UnknownColumn`] messages.
-fn column_names(table: &Table) -> Vec<String> {
-    table
-        .schema()
-        .fields()
-        .iter()
-        .map(|f| f.name().to_owned())
-        .collect()
-}
-
 /// Errors unless `column` exists in `table`.
 fn require_column(table: &Table, column: &str) -> Result<(), EngineError> {
     if table.column(column).is_some() {
         Ok(())
     } else {
-        Err(EngineError::UnknownColumn {
-            column: column.to_owned(),
-            available: column_names(table),
-        })
+        Err(EngineError::unknown_column(table, column))
     }
 }
 
@@ -277,6 +263,15 @@ fn validate_rule(rule: SampleSizeRule) -> Result<(), EngineError> {
 fn validate_predictor(ds: &Dataset, predictor: &PredictorChoice) -> Result<(), EngineError> {
     match predictor {
         PredictorChoice::Fixed(col) => require_column(&ds.table, col),
+        // Ranking has nothing to rank on a table without string-typed
+        // columns (CSV ingestion of numeric features produces one).
+        PredictorChoice::Auto { .. } if ds.candidate_columns().is_empty() => {
+            Err(EngineError::InvalidRequest {
+                reason: "auto predictor ranking needs a string-typed candidate column and \
+                         the table has none; name a predictor column instead"
+                    .into(),
+            })
+        }
         PredictorChoice::Auto { label_fraction }
         | PredictorChoice::Virtual { label_fraction, .. } => {
             if label_fraction.is_finite() && *label_fraction > 0.0 && *label_fraction <= 1.0 {
@@ -351,7 +346,7 @@ fn predictor_fp(fp: &mut Fingerprint, predictor: &PredictorChoice) {
 }
 
 /// The paper's main algorithm as a strategy
-/// ([`crate::pipeline::run_intel_sample_ctx`]).
+/// ([`crate::pipeline::run_intel_sample`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntelSample(pub IntelSampleConfig);
 
@@ -380,12 +375,12 @@ impl Strategy for IntelSample {
         seed: u64,
         ctx: &ExecContext<'_>,
     ) -> Result<RunOutcome, EngineError> {
-        Ok(run_intel_sample_ctx(ds, &self.0, seed, ctx))
+        run_intel_sample(ds, &self.0, seed, ctx)
     }
 }
 
 /// The naive β-fraction baseline as a strategy
-/// ([`crate::pipeline::run_naive_ctx`]).
+/// ([`crate::pipeline::run_naive`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Naive(pub QuerySpec);
 
@@ -409,12 +404,12 @@ impl Strategy for Naive {
         seed: u64,
         ctx: &ExecContext<'_>,
     ) -> Result<RunOutcome, EngineError> {
-        Ok(run_naive_ctx(ds, &self.0, seed, ctx))
+        run_naive(ds, &self.0, seed, ctx)
     }
 }
 
 /// The perfect-information lower bound as a strategy
-/// ([`crate::pipeline::run_optimal_ctx`]).
+/// ([`crate::pipeline::run_optimal`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Optimal {
     /// Accuracy contract.
@@ -445,12 +440,12 @@ impl Strategy for Optimal {
         seed: u64,
         ctx: &ExecContext<'_>,
     ) -> Result<RunOutcome, EngineError> {
-        Ok(run_optimal_ctx(ds, &self.spec, &self.predictor, seed, ctx))
+        run_optimal(ds, &self.spec, &self.predictor, seed, ctx)
     }
 }
 
 /// The §4.3 parameter-free adaptive pipeline as a strategy
-/// ([`crate::adaptive::run_intel_sample_adaptive_ctx`]).
+/// ([`crate::adaptive::run_intel_sample_adaptive`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Adaptive {
     /// Accuracy contract.
@@ -484,19 +479,12 @@ impl Strategy for Adaptive {
         seed: u64,
         ctx: &ExecContext<'_>,
     ) -> Result<RunOutcome, EngineError> {
-        Ok(run_intel_sample_adaptive_ctx(
-            ds,
-            &self.spec,
-            self.corr,
-            &self.predictor,
-            seed,
-            ctx,
-        ))
+        run_intel_sample_adaptive(ds, &self.spec, self.corr, &self.predictor, seed, ctx)
     }
 }
 
 /// The §4.2 iterative estimate/exploit pipeline as a strategy
-/// ([`crate::adaptive::run_intel_sample_iterative_ctx`]).
+/// ([`crate::adaptive::run_intel_sample_iterative`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Iterative {
     /// Accuracy contract.
@@ -542,7 +530,7 @@ impl Strategy for Iterative {
         seed: u64,
         ctx: &ExecContext<'_>,
     ) -> Result<RunOutcome, EngineError> {
-        Ok(run_intel_sample_iterative_ctx(
+        run_intel_sample_iterative(
             ds,
             &self.spec,
             self.corr,
@@ -551,12 +539,12 @@ impl Strategy for Iterative {
             self.rounds,
             seed,
             ctx,
-        ))
+        )
     }
 }
 
 /// The `Learning` ML baseline as a strategy
-/// ([`crate::baselines::run_learning_ctx`]).
+/// ([`crate::baselines::run_learning`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Learning(pub QuerySpec);
 
@@ -580,12 +568,12 @@ impl Strategy for Learning {
         seed: u64,
         ctx: &ExecContext<'_>,
     ) -> Result<RunOutcome, EngineError> {
-        Ok(run_learning_ctx(ds, &self.0, seed, ctx))
+        run_learning(ds, &self.0, seed, ctx)
     }
 }
 
 /// The `Multiple` ML baseline as a strategy
-/// ([`crate::baselines::run_multiple_ctx`]).
+/// ([`crate::baselines::run_multiple`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Multiple {
     /// Accuracy contract.
@@ -620,13 +608,7 @@ impl Strategy for Multiple {
         seed: u64,
         ctx: &ExecContext<'_>,
     ) -> Result<RunOutcome, EngineError> {
-        Ok(run_multiple_ctx(
-            ds,
-            &self.spec,
-            self.imputations,
-            seed,
-            ctx,
-        ))
+        run_multiple(ds, &self.spec, self.imputations, seed, ctx)
     }
 }
 
@@ -741,7 +723,7 @@ impl Strategy for ExprScan {
         } else {
             &self.expr
         };
-        let answers = evaluate_expr_batch_ctx(expr, table, &rows, &tracker, ctx).map_err(|e| {
+        let answers = evaluate_expr_batch(expr, table, &rows, &tracker, ctx).map_err(|e| {
             // Unreachable through the engine: validate() already rejected
             // invalid costs. Kept as a typed error for direct callers.
             EngineError::BadExpression {
@@ -756,22 +738,12 @@ impl Strategy for ExprScan {
             .collect();
         let compute_seconds = start.elapsed().as_secs_f64();
         let counts = tracker.snapshot();
-        let returned_len = returned.len();
         Ok(RunOutcome {
-            returned,
             counts,
             cost: counts.cost(&self.cost),
-            // Exact evaluation: the answer set *is* the truth set.
-            summary: PrSummary {
-                precision: 1.0,
-                recall: 1.0,
-                returned: returned_len,
-                true_positives: returned_len,
-                total_correct: returned_len,
-            },
-            num_groups: 1,
             compute_seconds,
-            plan_feasible: true,
+            // Exact evaluation: the answer set *is* the truth set.
+            ..RunOutcome::trivial(returned)
         })
     }
 }

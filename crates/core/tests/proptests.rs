@@ -7,6 +7,7 @@ use expred_core::optimize::{
 };
 use expred_core::plan::Plan;
 use expred_core::query::QuerySpec;
+use expred_exec::ExecContext;
 use expred_stats::rng::Prng;
 use expred_table::{DataType, Field, GroupBy, Schema, Table, Value};
 use expred_udf::{CostModel, OracleUdf, UdfInvoker};
@@ -111,7 +112,7 @@ proptest! {
         let e = r * e_frac;
         let plan = Plan::new(vec![r], vec![e]);
         let mut rng = Prng::seeded(seed);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng);
+        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ExecContext::sequential());
         let counts = invoker.counts();
         // Everything evaluated was retrieved first.
         prop_assert!(counts.evaluated <= counts.retrieved);
@@ -149,7 +150,7 @@ proptest! {
         let udf = OracleUdf::new("label");
         let invoker = UdfInvoker::new(&udf, &table);
         let mut rng = Prng::seeded(1);
-        let result = execute_plan(&Plan::evaluate_all(1), &groups, &invoker, &mut rng);
+        let result = execute_plan(&Plan::evaluate_all(1), &groups, &invoker, &mut rng, &ExecContext::sequential());
         let want: Vec<u32> = labels
             .iter()
             .enumerate()

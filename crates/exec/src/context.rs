@@ -1,13 +1,11 @@
 //! [`ExecContext`]: the one execution parameter every pipeline takes.
 //!
-//! Before this type existed, each new runtime capability grew another
-//! `*_with(...)` variant on every pipeline entry point (first an
-//! executor, next a cache store, then a batch budget…). The context
-//! bundles all of it: which [`Executor`] evaluates batches, which
-//! [`CacheStore`] (if any) outlives the query, and the in-flight budget
-//! batch planners should respect. Legacy entry points simply run on
-//! [`ExecContext::sequential`], which reproduces the original
-//! one-at-a-time, cache-less behavior bit for bit.
+//! The context bundles every runtime capability a pipeline can use:
+//! which [`Executor`] evaluates batches, which [`CacheStore`] (if any)
+//! outlives the query, and the in-flight budget batch planners should
+//! respect. One-shot callers run on [`ExecContext::sequential`]:
+//! one-at-a-time, cache-less — the reference every backend and session
+//! tier must match bit for bit.
 
 use crate::adaptive::AdaptiveController;
 use crate::executor::{Executor, Sequential};
@@ -73,7 +71,7 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// The legacy behavior: sequential, cache-less, default batching.
+    /// The reference behavior: sequential, cache-less, default batching.
     pub fn sequential() -> ExecContext<'static> {
         ExecContext::new(&SEQUENTIAL)
     }

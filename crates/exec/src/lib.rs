@@ -1,4 +1,4 @@
-//! `expred-exec` — the parallel, batched, cache-sharing evaluation runtime.
+//! `expred-exec` — the batched, pooled, cache-sharing evaluation runtime.
 //!
 //! The paper's premise is that UDF evaluation dominates query cost; this
 //! crate makes sure the system spends that cost as the hardware allows
@@ -10,8 +10,6 @@
 //! * [`executor`] — the [`Executor`] trait ([`Executor::evaluate_batch`])
 //!   with the [`Sequential`] backend that preserves one-at-a-time
 //!   behavior bit for bit;
-//! * [`parallel`] — the [`Parallel`] backend: shards a batch across
-//!   scoped OS threads, deterministic answer order;
 //! * [`pool`] — the [`WorkerPool`] backend: persistent work-stealing
 //!   workers with an atomic chunk cursor (no per-batch thread spawns, no
 //!   straggler-bound chunking), a latency-aware inline fast path, and a
@@ -46,8 +44,8 @@
 //!    charged cost of a batch is precisely its length).
 //! 3. **Determinism**: for a pure probe, the returned vector is a pure
 //!    function of `rows` — scheduling, thread count, and backend choice
-//!    must not leak into results. This is what makes `Parallel` produce
-//!    byte-identical `RunOutcome`s to `Sequential`.
+//!    must not leak into results. This is what makes [`WorkerPool`] produce
+//!    byte-identical `RunOutcome`s to [`Sequential`].
 //! 4. **Purity requirement on probes**: [`BatchProbe::probe`] must be
 //!    deterministic per row and safe to call from any thread
 //!    concurrently. Probes that randomize or keep interior mutable state
@@ -61,7 +59,6 @@ pub mod adaptive;
 pub mod cache;
 pub mod context;
 pub mod executor;
-pub mod parallel;
 pub mod planner;
 pub mod pool;
 pub mod selectivity;
@@ -71,7 +68,6 @@ pub use adaptive::{AdaptiveController, DEFAULT_WINDOW_FLOOR};
 pub use cache::RowBits;
 pub use context::ExecContext;
 pub use executor::{BatchProbe, Executor, Sequential};
-pub use parallel::Parallel;
 pub use planner::{BatchPlanner, GroupedAnswer, DEFAULT_MAX_IN_FLIGHT};
 pub use pool::{PoolStats, WorkerPool};
 pub use selectivity::{SelectivityHandle, SelectivityTracker, DEFAULT_SELECTIVITY_CAPACITY};

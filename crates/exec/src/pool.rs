@@ -12,9 +12,8 @@
 //! lands at its input index in the output buffer, so results are in
 //! input order no matter which thread computed what — the crate-level
 //! determinism contract comes from *where* answers land, never from
-//! *when*. [`crate::Parallel`] by contrast spawns fresh scoped threads
-//! per batch and splits it into fixed chunks: spawn latency on every
-//! small batch, and a batch as slow as its unluckiest chunk.
+//! *when*. No threads are spawned per batch and no batch is as slow as
+//! its unluckiest fixed chunk.
 //!
 //! # Width is not cores
 //!

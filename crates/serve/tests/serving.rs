@@ -476,6 +476,90 @@ fn a_fixed_query_answers_the_golden_bytes() {
     );
 }
 
+/// Response-body digests harvested on a checkout of the commit before
+/// the pipelines moved under one frame (see the test below). Row = request
+/// shape, columns = (`prosper`, `lc`).
+const CROSS_COMMIT_GOLDEN: [(&str, [u64; 2]); 11] = [
+    (
+        r#"{"kind":"naive"}"#,
+        [0xc378ae164932a6cf, 0xad7afba4e9768956],
+    ),
+    (
+        r#"{"kind":"learning"}"#,
+        [0x61d362f506039b0f, 0x16be052b96384004],
+    ),
+    (
+        r#"{"kind":"multiple"}"#,
+        [0x61d362f506039b0f, 0x59d8c964ac5ebbd7],
+    ),
+    (
+        r#"{"kind":"optimal","predictor":"grade"}"#,
+        [0x51a51ab979bd2eb5, 0xbe1d336588c254de],
+    ),
+    (
+        r#"{"kind":"adaptive","predictor":"grade"}"#,
+        [0x0288428d2ca2132a, 0x065b493ee72acbc9],
+    ),
+    (
+        r#"{"kind":"adaptive","predictor":"grade","corr":"unknown"}"#,
+        [0x8641cefc21f28aa4, 0x1e8b071164df94bf],
+    ),
+    (
+        r#"{"kind":"iterative","predictor":"grade"}"#,
+        [0xb612741929b9032e, 0x09b6a9abfaed41a0],
+    ),
+    (
+        r#"{"kind":"intel_sample","predictor":"grade"}"#,
+        [0x286a3a021cfdf5c6, 0x0e520c99451756af],
+    ),
+    (
+        r#"{"kind":"intel_sample"}"#,
+        [0xb172f6f08781e15e, 0xbb16dba586aff52d],
+    ),
+    (
+        r#"{"kind":"expr","predicate":"udf_label"}"#,
+        [0x5b96297d73373472, 0x05c3a16d942f7b07],
+    ),
+    (
+        r#"{"kind":"expr","predicate":"not udf_label"}"#,
+        [0xebc04605c4925e6e, 0x13e2fe566aa5634f],
+    ),
+];
+
+#[test]
+fn every_request_shape_answers_the_bytes_the_parent_commit_answered() {
+    // The benchmark's digest check replays the *same* build in process, so
+    // a refactor that changes HTTP and replay alike is invisible to it.
+    // These constants pin the bodies across commits instead: any drift in
+    // RNG draw order, batch boundaries or scoring moves a digest.
+    let mut got = Vec::new();
+    for (query, _) in CROSS_COMMIT_GOLDEN {
+        let mut row = [0u64; 2];
+        for (digest, (name, base)) in row
+            .iter_mut()
+            .zip([("prosper", PROSPER), ("lc", LENDING_CLUB)])
+        {
+            let body = format!(
+                r#"{{"table":{{"spec":"{name}","rows":2000,"seed":7}},"seed":42,"query":{query}}}"#
+            );
+            let api = expred_serve::api::parse_query_body(body.as_bytes(), 5_000).unwrap();
+            let ds = Dataset::generate(
+                DatasetSpec {
+                    rows: api.table.rows,
+                    ..base
+                },
+                api.table.seed,
+            );
+            let outcome = QueryEngine::new().submit(&ds, &api.request).unwrap();
+            let mut h = expred_stats::hash::Fnv64::new();
+            h.write_bytes(expred_serve::api::render_outcome("golden", &outcome).as_bytes());
+            *digest = h.finish();
+        }
+        got.push((query, row));
+    }
+    assert_eq!(got, CROSS_COMMIT_GOLDEN.to_vec(), "got {got:#x?}");
+}
+
 #[test]
 fn hostile_tenant_names_round_trip_as_json() {
     // The tenant is attacker-controlled (header or body) and is echoed

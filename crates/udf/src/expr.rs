@@ -22,7 +22,7 @@
 //!   operator tree and every leaf's [`UdfId`] into one id, so a whole
 //!   expression is cacheable/memoizable exactly like a single UDF (it
 //!   even implements [`BooleanUdf`] itself).
-//! * **Session-cached evaluation** — [`evaluate_expr_batch_ctx`] gives
+//! * **Session-cached evaluation** — [`evaluate_expr_batch`] gives
 //!   every *leaf* its own audited [`UdfInvoker`] over the shared
 //!   [`expred_exec::CacheStore`] namespace, so a leaf some earlier query
 //!   already paid for arrives as a free
@@ -46,7 +46,7 @@
 use crate::cost::CostTracker;
 use crate::invoker::UdfInvoker;
 use crate::udf::{BooleanUdf, UdfId};
-use expred_exec::{ExecContext, Executor};
+use expred_exec::ExecContext;
 use expred_table::Table;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -368,7 +368,7 @@ impl BooleanUdf for PredicateExpr {
     /// opaque UDF, and this path is a hot loop, so it skips the
     /// cost-ordering bookkeeping, which cannot change answers anyway).
     /// Batched, audited, session-cached, cost-ordered evaluation is
-    /// [`evaluate_expr_batch_ctx`].
+    /// [`evaluate_expr_batch`].
     fn evaluate(&self, table: &Table, row: usize) -> bool {
         fn walk(node: &Node, table: &Table, row: usize) -> bool {
             match node {
@@ -466,7 +466,7 @@ impl std::fmt::Debug for PredicateExpr {
 /// Retrieval is *not* charged here — the caller decided to touch the
 /// rows; each leaf invocation is charged one evaluation (or arrives as a
 /// memo/reuse hit).
-pub fn evaluate_expr_batch_ctx(
+pub fn evaluate_expr_batch(
     expr: &PredicateExpr,
     table: &Table,
     rows: &[usize],
@@ -484,17 +484,6 @@ pub fn evaluate_expr_batch_ctx(
         tracker,
         ctx,
     ))
-}
-
-/// [`evaluate_expr_batch_ctx`] on a bare executor (no session cache).
-pub fn evaluate_expr_batch(
-    expr: &PredicateExpr,
-    table: &Table,
-    rows: &[usize],
-    tracker: &CostTracker,
-    executor: &dyn Executor,
-) -> Result<Vec<bool>, InvalidCostsError> {
-    evaluate_expr_batch_ctx(expr, table, rows, tracker, &ExecContext::new(executor))
 }
 
 fn eval_node(
@@ -611,7 +600,7 @@ mod tests {
             (leaf("a").or(leaf("b")).not(), Box::new(|x, y| !(x || y))),
         ];
         for (expr, want) in cases {
-            let got = evaluate_expr_batch(&expr, &t, &rows, &tracker, &expred_exec::Sequential)
+            let got = evaluate_expr_batch(&expr, &t, &rows, &tracker, &ExecContext::sequential())
                 .expect("valid costs");
             let expect: Vec<bool> = a.iter().zip(&b).map(|(&x, &y)| want(x, y)).collect();
             assert_eq!(got, expect, "{expr:?}");
@@ -637,8 +626,9 @@ mod tests {
                 .and(Pred::udf_with_cost(OracleUdf::new("pricey"), 10.0)),
         ] {
             let tracker = CostTracker::new();
-            let answers = evaluate_expr_batch(&expr, &t, &rows, &tracker, &expred_exec::Sequential)
-                .expect("valid costs");
+            let answers =
+                evaluate_expr_batch(&expr, &t, &rows, &tracker, &ExecContext::sequential())
+                    .expect("valid costs");
             let want: Vec<bool> = cheap_vals
                 .iter()
                 .zip(&pricey_vals)
@@ -659,7 +649,7 @@ mod tests {
         let expr = Pred::udf_with_cost(OracleUdf::new("pricey"), 10.0)
             .or(Pred::udf_with_cost(OracleUdf::new("cheap"), 1.0));
         let tracker = CostTracker::new();
-        let answers = evaluate_expr_batch(&expr, &t, &rows, &tracker, &expred_exec::Sequential)
+        let answers = evaluate_expr_batch(&expr, &t, &rows, &tracker, &ExecContext::sequential())
             .expect("valid costs");
         assert_eq!(answers, vec![true, true, true, false]);
         // 4 cheap probes; only the 2 cheap-rejected rows reach pricey.
@@ -676,7 +666,7 @@ mod tests {
         let rows: Vec<usize> = (0..2).collect();
         let nan = Pred::udf_with_cost(OracleUdf::new("a"), f64::NAN).and(leaf("b"));
         let tracker = CostTracker::new();
-        let err = evaluate_expr_batch(&nan, &t, &rows, &tracker, &expred_exec::Sequential)
+        let err = evaluate_expr_batch(&nan, &t, &rows, &tracker, &ExecContext::sequential())
             .expect_err("NaN cost must be rejected");
         assert_eq!(err, InvalidCostsError);
         assert_eq!(tracker.snapshot().evaluated, 0, "no money was spent");
@@ -795,16 +785,15 @@ mod tests {
         let ctx = expred_exec::ExecContext::sequential().with_cache(&store);
 
         let first = CostTracker::new();
-        evaluate_expr_batch_ctx(&leaf("a").and(leaf("b")), &t, &rows, &first, &ctx)
+        evaluate_expr_batch(&leaf("a").and(leaf("b")), &t, &rows, &first, &ctx)
             .expect("valid costs");
         assert_eq!(first.snapshot().reuse_hits, 0, "cold session");
 
         // A *different* expression over the same leaves: every leaf probe
         // the conjunction already paid for arrives as reuse.
         let second = CostTracker::new();
-        let answers =
-            evaluate_expr_batch_ctx(&leaf("b").or(leaf("a").not()), &t, &rows, &second, &ctx)
-                .expect("valid costs");
+        let answers = evaluate_expr_batch(&leaf("b").or(leaf("a").not()), &t, &rows, &second, &ctx)
+            .expect("valid costs");
         let want: Vec<bool> = a.iter().zip(&b).map(|(&x, &y)| y || !x).collect();
         assert_eq!(answers, want);
         let counts = second.snapshot();
@@ -824,7 +813,7 @@ mod tests {
         let rows: Vec<usize> = (0..n).rev().collect();
         let expr = leaf("a").and(leaf("b").or(leaf("c").not())).or(leaf("c"));
         let seq_tracker = CostTracker::new();
-        let want = evaluate_expr_batch(&expr, &t, &rows, &seq_tracker, &expred_exec::Sequential)
+        let want = evaluate_expr_batch(&expr, &t, &rows, &seq_tracker, &ExecContext::sequential())
             .expect("valid costs");
         let par_tracker = CostTracker::new();
         let got = evaluate_expr_batch(
@@ -832,7 +821,7 @@ mod tests {
             &t,
             &rows,
             &par_tracker,
-            &expred_exec::Parallel::with_threads(4),
+            &ExecContext::new(&expred_exec::WorkerPool::with_threads(4)),
         )
         .expect("valid costs");
         assert_eq!(want, got);

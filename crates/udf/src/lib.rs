@@ -19,7 +19,7 @@
 //! * [`expr`] — [`PredicateExpr`] (alias [`Pred`]): and/or/not
 //!   expressions over UDFs with derived cache identities, evaluated in
 //!   staged batches with cost-ordered short-circuiting through the
-//!   session cache ([`evaluate_expr_batch_ctx`]).
+//!   session cache ([`evaluate_expr_batch`]).
 //! * [`parse`] — the predicate DSL ([`parse_predicate`]): pypred-style
 //!   strings (`"a and (b or not c)"`) resolved to expressions through a
 //!   caller-supplied [`UdfRegistry`], with typed positioned errors.
@@ -37,10 +37,7 @@ pub mod parse;
 pub mod udf;
 
 pub use cost::{CostCounts, CostModel, CostTracker};
-pub use expr::{
-    evaluate_expr_batch, evaluate_expr_batch_ctx, InvalidCostsError, Pred, PredicateExpr,
-    DEFAULT_LEAF_COST,
-};
+pub use expr::{evaluate_expr_batch, InvalidCostsError, Pred, PredicateExpr, DEFAULT_LEAF_COST};
 pub use invoker::{cache_namespace, UdfInvoker};
 pub use optimize::optimize_expr;
 pub use parse::{parse_predicate, OracleRegistry, ParseError, ParseErrorKind, UdfRegistry};

@@ -350,7 +350,7 @@ fn estimate_pass_rate(node: &Node, table: &Table, selectivity: Option<&Selectivi
 mod tests {
     use super::*;
     use crate::cost::CostTracker;
-    use crate::expr::{evaluate_expr_batch_ctx, Pred};
+    use crate::expr::{evaluate_expr_batch, Pred};
     use crate::udf::OracleUdf;
     use expred_exec::ExecContext;
     use expred_table::{DataType, Field, Schema, Value};
@@ -378,7 +378,7 @@ mod tests {
         let ctx = ExecContext::sequential().with_selectivity(tracker);
         let rows: Vec<usize> = (0..t.num_rows()).collect();
         for col in cols {
-            evaluate_expr_batch_ctx(&leaf(col), t, &rows, &CostTracker::new(), &ctx).unwrap();
+            evaluate_expr_batch(&leaf(col), t, &rows, &CostTracker::new(), &ctx).unwrap();
         }
     }
 
@@ -445,6 +445,7 @@ mod tests {
 
     #[test]
     fn observed_selectivities_beat_static_order_on_the_bill() {
+        let ctx = ExecContext::sequential();
         // `common` passes 90%, `rare` passes 10%; equal declared costs,
         // so the static order is the written order: common first.
         let n = 200;
@@ -461,15 +462,12 @@ mod tests {
 
         let static_bill = {
             let costs = CostTracker::new();
-            let got = evaluate_expr_batch_ctx(&expr, &t, &rows, &costs, &ExecContext::sequential())
-                .unwrap();
+            let got = evaluate_expr_batch(&expr, &t, &rows, &costs, &ctx).unwrap();
             (got, costs.snapshot().evaluated)
         };
         let learned_bill = {
             let costs = CostTracker::new();
-            let got =
-                evaluate_expr_batch_ctx(&optimized, &t, &rows, &costs, &ExecContext::sequential())
-                    .unwrap();
+            let got = evaluate_expr_batch(&optimized, &t, &rows, &costs, &ctx).unwrap();
             (got, costs.snapshot().evaluated)
         };
         assert_eq!(static_bill.0, learned_bill.0, "answers are identical");
@@ -484,14 +482,12 @@ mod tests {
         let or_optimized = optimize_expr(&or_expr, &t, Some(&tracker));
         let or_static = {
             let costs = CostTracker::new();
-            evaluate_expr_batch_ctx(&or_expr, &t, &rows, &costs, &ExecContext::sequential())
-                .unwrap();
+            evaluate_expr_batch(&or_expr, &t, &rows, &costs, &ctx).unwrap();
             costs.snapshot().evaluated
         };
         let or_learned = {
             let costs = CostTracker::new();
-            evaluate_expr_batch_ctx(&or_optimized, &t, &rows, &costs, &ExecContext::sequential())
-                .unwrap();
+            evaluate_expr_batch(&or_optimized, &t, &rows, &costs, &ctx).unwrap();
             costs.snapshot().evaluated
         };
         assert!(
@@ -502,6 +498,7 @@ mod tests {
 
     #[test]
     fn optimized_answers_are_identical_on_compound_expressions() {
+        let ctx = ExecContext::sequential();
         let n = 60;
         let a: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
         let b: Vec<bool> = (0..n).map(|i| i % 4 == 0).collect();
@@ -518,22 +515,9 @@ mod tests {
         ];
         for expr in cases {
             let optimized = optimize_expr(&expr, &t, Some(&tracker));
-            let want = evaluate_expr_batch_ctx(
-                &expr,
-                &t,
-                &rows,
-                &CostTracker::new(),
-                &ExecContext::sequential(),
-            )
-            .unwrap();
-            let got = evaluate_expr_batch_ctx(
-                &optimized,
-                &t,
-                &rows,
-                &CostTracker::new(),
-                &ExecContext::sequential(),
-            )
-            .unwrap();
+            let want = evaluate_expr_batch(&expr, &t, &rows, &CostTracker::new(), &ctx).unwrap();
+            let got =
+                evaluate_expr_batch(&optimized, &t, &rows, &CostTracker::new(), &ctx).unwrap();
             assert_eq!(want, got, "{expr:?} vs {optimized:?}");
         }
     }
@@ -558,7 +542,7 @@ mod tests {
         let run = |e: &PredicateExpr| {
             let costs = CostTracker::new();
             let got =
-                evaluate_expr_batch_ctx(e, &t, &rows, &costs, &ExecContext::sequential()).unwrap();
+                evaluate_expr_batch(e, &t, &rows, &costs, &ExecContext::sequential()).unwrap();
             (got, costs.snapshot().evaluated)
         };
         let (want, static_bill) = run(&expr);

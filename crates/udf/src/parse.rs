@@ -472,8 +472,14 @@ mod tests {
         let t = Table::from_rows(schema, rows).unwrap();
         let expr = combinator("a and not b");
         let tracker = CostTracker::new();
-        let got = evaluate_expr_batch(&expr, &t, &[0, 1, 2, 3], &tracker, &expred_exec::Sequential)
-            .unwrap();
+        let got = evaluate_expr_batch(
+            &expr,
+            &t,
+            &[0, 1, 2, 3],
+            &tracker,
+            &expred_exec::ExecContext::sequential(),
+        )
+        .unwrap();
         assert_eq!(got, vec![false, true, false, false]);
         assert_eq!(BooleanUdf::required_columns(&expr), vec!["a", "b"]);
     }

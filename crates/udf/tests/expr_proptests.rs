@@ -15,8 +15,7 @@
 use expred_exec::{ExecContext, SelectivityTracker};
 use expred_table::{DataType, Field, Schema, Table, Value};
 use expred_udf::{
-    evaluate_expr_batch_ctx, optimize_expr, parse_predicate, CostTracker, OracleRegistry,
-    PredicateExpr,
+    evaluate_expr_batch, optimize_expr, parse_predicate, CostTracker, OracleRegistry, PredicateExpr,
 };
 use proptest::prelude::*;
 
@@ -107,14 +106,14 @@ fn observe(tracker: &SelectivityTracker, t: &Table, reg: &OracleRegistry) {
     let ctx = ExecContext::sequential().with_selectivity(tracker);
     let rows: Vec<usize> = (0..t.num_rows()).collect();
     for col in COLS {
-        evaluate_expr_batch_ctx(&leaf(col, reg), t, &rows, &CostTracker::new(), &ctx).unwrap();
+        evaluate_expr_batch(&leaf(col, reg), t, &rows, &CostTracker::new(), &ctx).unwrap();
     }
 }
 
 fn answers(expr: &PredicateExpr, t: &Table) -> (Vec<bool>, u64) {
     let rows: Vec<usize> = (0..t.num_rows()).collect();
     let costs = CostTracker::new();
-    let got = evaluate_expr_batch_ctx(expr, t, &rows, &costs, &ExecContext::sequential()).unwrap();
+    let got = evaluate_expr_batch(expr, t, &rows, &costs, &ExecContext::sequential()).unwrap();
     (got, costs.snapshot().evaluated)
 }
 

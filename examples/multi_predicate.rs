@@ -1,7 +1,7 @@
 //! Two chained expensive predicates (§5): trading accuracy between UDFs.
 //!
 //! ```text
-//! cargo run --release --example multi_predicate [-- --parallel | --pool]
+//! cargo run --release --example multi_predicate [-- --pool]
 //! ```
 //!
 //! `SELECT * FROM listings WHERE is_fraud_free(id) = 1 AND

@@ -2,22 +2,23 @@
 //! hand-built table.
 //!
 //! ```text
-//! cargo run --release --example quickstart [-- --parallel | --pool]
+//! cargo run --release --example quickstart [-- --pool]
 //! ```
 //!
 //! The query is the paper's running example: `SELECT * FROM R WHERE
 //! f(ID) = 1` with three groups of customers whose attribute `A`
 //! correlates with the (expensive) credit check `f`. We ask for 90%
 //! precision and recall with 90% confidence, and compare the cost against
-//! evaluating the UDF on every tuple. With `--parallel`, UDF probes run
-//! through the `expred-exec` parallel backend — same answer and same
-//! bill, batched across worker threads.
+//! evaluating the UDF on every tuple. With `--pool`, UDF probes run
+//! through the `expred-exec` worker pool — same answer and same bill,
+//! batched across worker threads.
 
 use expred::cli::ExampleCli;
 use expred::core::{
-    execute_plan_with, sample_groups_with, solve_estimated, truth_vector, CorrelationModel,
-    QuerySpec, SampleSizeRule,
+    execute_plan, sample_groups, solve_estimated, truth_vector, CorrelationModel, QuerySpec,
+    SampleSizeRule,
 };
+use expred::exec::ExecContext;
 use expred::ml::metrics::precision_recall;
 use expred::stats::Prng;
 use expred::table::{DataType, Field, Schema, Table, Value};
@@ -31,6 +32,7 @@ fn main() {
     .parse_backend();
     println!("{}", backend.banner());
     let executor = backend.executor();
+    let ctx = ExecContext::new(executor.as_ref());
     // Build the example relation: 3000 tuples, attribute A in {1,2,3} with
     // selectivities 0.9 / 0.5 / 0.1 for the hidden predicate.
     let schema = Schema::new(vec![
@@ -57,12 +59,12 @@ fn main() {
 
     // Step 1 — estimate correlations: group by A and sample 5%.
     let groups = table.group_by("a").expect("column a exists");
-    let sample = sample_groups_with(
+    let sample = sample_groups(
         &groups,
         &invoker,
         SampleSizeRule::Fraction(0.05),
         &mut rng,
-        executor.as_ref(),
+        &ctx,
     );
     for (g, key, _) in groups.iter() {
         println!(
@@ -83,7 +85,7 @@ fn main() {
             plan.e()[g]
         );
     }
-    let result = execute_plan_with(&plan, &groups, &invoker, &mut rng, executor.as_ref());
+    let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
 
     // Report: achieved accuracy and cost vs the evaluate-everything bound.
     let truth = truth_vector(&table, "good_credit");

@@ -1,7 +1,7 @@
 //! Concurrent sessions: one engine, eight worker threads, one bill.
 //!
 //! ```text
-//! cargo run --release --example run_concurrent [-- --parallel | --pool]
+//! cargo run --release --example run_concurrent [-- --pool]
 //! ```
 //!
 //! `QueryEngine::submit` takes `&self` and the engine is `Sync`, so a

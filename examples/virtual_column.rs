@@ -12,6 +12,7 @@
 
 use expred::cli::ExampleCli;
 use expred::core::{run_intel_sample, truth_vector, IntelSampleConfig, PredictorChoice};
+use expred::exec::ExecContext;
 use expred::table::datasets::{Dataset, LABEL_COLUMN, MARKETING};
 
 fn main() {
@@ -35,8 +36,9 @@ fn main() {
         label_fraction: 0.01,
     });
 
-    let fixed = run_intel_sample(&ds, &fixed_cfg, 5);
-    let virt = run_intel_sample(&ds, &virtual_cfg, 5);
+    let ctx = ExecContext::sequential();
+    let fixed = run_intel_sample(&ds, &fixed_cfg, 5, &ctx).expect("the predictor column exists");
+    let virt = run_intel_sample(&ds, &virtual_cfg, 5, &ctx).expect("a virtual column needs none");
 
     println!(
         "\n{:<22} {:>12} {:>10} {:>10}",
@@ -73,7 +75,7 @@ fn main() {
         &invoker,
         &labelled,
         10,
-        &expred::exec::ExecContext::sequential(),
+        &ctx,
     );
     println!("\nvirtual-column buckets (score-ordered):");
     for (g, _, rows) in groups.iter() {

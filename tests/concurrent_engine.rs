@@ -16,8 +16,9 @@
 //!   runs never panics nor causes a wrong answer afterward.
 
 use expred::core::{
-    run_naive, IntelSampleConfig, PredictorChoice, Query, QueryEngine, QuerySpec, RunOutcome,
+    run_naive, IntelSampleConfig, PredictorChoice, QueryEngine, QueryRequest, QuerySpec, RunOutcome,
 };
+use expred::exec::ExecContext;
 use expred::table::datasets::{Dataset, DatasetSpec, PROSPER};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,10 +36,14 @@ fn prosper(seed: u64) -> Dataset {
     )
 }
 
-fn intel() -> Query {
-    Query::IntelSample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
+fn intel() -> QueryRequest {
+    QueryRequest::intel_sample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
         "grade".into(),
     )))
+}
+
+fn naive(spec: QuerySpec, seed: u64) -> QueryRequest {
+    QueryRequest::naive(spec).with_seed(seed)
 }
 
 /// This thread's slice of the overlapping workload: two accuracy
@@ -59,13 +64,20 @@ fn thread_mix(thread: usize) -> Vec<(QuerySpec, u64)> {
 #[test]
 fn concurrent_mix_is_byte_identical_to_serial_reference_and_conserves_the_bill() {
     let ds = prosper(1);
-    // Serial, cache-less reference: the legacy entry point, one query at
-    // a time on this thread. Also yields each query's cache-less bill.
+    // Serial, cache-less reference: the pipeline function called
+    // directly, one query at a time on this thread. Also yields each
+    // query's cache-less bill.
     let references: Vec<Vec<(QuerySpec, u64, RunOutcome)>> = (0..THREADS)
         .map(|t| {
             thread_mix(t)
                 .into_iter()
-                .map(|(spec, seed)| (spec, seed, run_naive(&ds, &spec, seed)))
+                .map(|(spec, seed)| {
+                    (
+                        spec,
+                        seed,
+                        run_naive(&ds, &spec, seed, &ExecContext::sequential()).unwrap(),
+                    )
+                })
                 .collect()
         })
         .collect();
@@ -84,7 +96,7 @@ fn concurrent_mix_is_byte_identical_to_serial_reference_and_conserves_the_bill()
                 scope.spawn(move || {
                     thread_mix(t)
                         .into_iter()
-                        .map(|(spec, seed)| engine.run(ds, &Query::Naive(spec), seed))
+                        .map(|(spec, seed)| engine.submit(ds, &naive(spec, seed)).unwrap())
                         .collect()
                 })
             })
@@ -131,10 +143,10 @@ fn concurrent_mix_is_byte_identical_to_serial_reference_and_conserves_the_bill()
 fn concurrent_identical_repeats_are_memoized_free_and_exactly_accounted() {
     let ds = prosper(2);
     let engine = QueryEngine::new();
-    let query = intel();
+    let query = intel().with_seed(42);
     // Warm the memo serially so every concurrent repeat is a guaranteed
     // hit (no cold race — that case is exercised by the clear test).
-    let first = engine.run(&ds, &query, 42);
+    let first = engine.submit(&ds, &query).unwrap();
     let warm_bill = first.counts.demanded();
     let after_warm = engine.session_counts();
 
@@ -144,7 +156,7 @@ fn concurrent_identical_repeats_are_memoized_free_and_exactly_accounted() {
             let (engine, ds, query, first) = (&engine, &ds, &query, &first);
             scope.spawn(move || {
                 for _ in 0..REPEATS {
-                    let again = engine.run(ds, query, 42);
+                    let again = engine.submit(ds, query).unwrap();
                     assert_eq!(again.returned, first.returned);
                     assert_eq!(again.counts, first.counts);
                     assert_eq!(again.cost, first.cost);
@@ -176,7 +188,7 @@ fn stats_snapshots_stay_consistent_while_runs_are_in_flight() {
     let ds = prosper(3);
     let engine = QueryEngine::new();
     // Warm one identity so workers mix hits and misses.
-    engine.run(&ds, &intel(), 7);
+    engine.submit(&ds, &intel().with_seed(7)).unwrap();
     // Count workers still running, so the reader keeps asserting until
     // the *last* one finishes (a single done flag would stop it at the
     // first, leaving most of the concurrent window unchecked).
@@ -192,7 +204,7 @@ fn stats_snapshots_stay_consistent_while_runs_are_in_flight() {
                     } else {
                         100 + t as u64 * 50 + i
                     };
-                    engine.run(ds, &intel(), seed);
+                    engine.submit(ds, &intel().with_seed(seed)).unwrap();
                 }
                 remaining.fetch_sub(1, Ordering::Release);
             });
@@ -223,7 +235,9 @@ fn clear_caches_races_in_flight_runs_without_panics_or_stale_serves() {
     let engine = QueryEngine::new();
     let spec = QuerySpec::paper_default();
     // Serial references for every identity the workers will submit.
-    let references: Vec<RunOutcome> = (0..4).map(|s| run_naive(&ds, &spec, s)).collect();
+    let references: Vec<RunOutcome> = (0..4)
+        .map(|s| run_naive(&ds, &spec, s, &ExecContext::sequential()).unwrap())
+        .collect();
 
     // Count workers still running, so the clear hammer races the *whole*
     // concurrent window, not just until the fastest worker finishes.
@@ -234,7 +248,7 @@ fn clear_caches_races_in_flight_runs_without_panics_or_stale_serves() {
             scope.spawn(move || {
                 for i in 0..16u64 {
                     let seed = (t as u64 + i) % 4;
-                    let out = engine.run(ds, &Query::Naive(spec), seed);
+                    let out = engine.submit(ds, &naive(spec, seed)).unwrap();
                     assert_eq!(
                         out.returned, references[seed as usize].returned,
                         "a clear racing this run changed its answer"
@@ -255,11 +269,11 @@ fn clear_caches_races_in_flight_runs_without_panics_or_stale_serves() {
     // Quiescent semantics: after a clear with nothing in flight, a
     // previously memoized identity pays full price again — the clear
     // dropped it and nothing resurrects it.
-    let before = engine.run(&ds, &Query::Naive(spec), 99);
+    let before = engine.submit(&ds, &naive(spec, 99)).unwrap();
     engine.clear_caches();
     assert!(engine.store().is_empty(), "row tier must be empty at rest");
     let hits_before = engine.stats().result_hits;
-    let again = engine.run(&ds, &Query::Naive(spec), 99);
+    let again = engine.submit(&ds, &naive(spec, 99)).unwrap();
     assert_eq!(engine.stats().result_hits, hits_before, "no memo serve");
     assert_eq!(again.counts.evaluated, before.counts.demanded());
     assert_eq!(again.counts.reuse_hits, 0);
@@ -273,11 +287,11 @@ fn one_engine_is_shareable_from_owned_threads_via_arc() {
     let ds = Arc::new(prosper(5));
     let engine = Arc::new(QueryEngine::new());
     let spec = QuerySpec::paper_default();
-    let reference = run_naive(&ds, &spec, 1);
+    let reference = run_naive(&ds, &spec, 1, &ExecContext::sequential()).unwrap();
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
             let (engine, ds) = (Arc::clone(&engine), Arc::clone(&ds));
-            std::thread::spawn(move || engine.run(&ds, &Query::Naive(spec), 1))
+            std::thread::spawn(move || engine.submit(&ds, &naive(spec, 1)).unwrap())
         })
         .collect();
     for handle in handles {

@@ -7,6 +7,7 @@ use expred::core::{
     run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice, QuerySpec,
     SampleSizeRule,
 };
+use expred::exec::ExecContext;
 use expred::table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 
 /// Shrunken clones keep the suite quick while preserving group structure.
@@ -16,12 +17,13 @@ fn small(spec: DatasetSpec, rows: usize, seed: u64) -> Dataset {
 
 #[test]
 fn cost_ordering_optimal_intel_naive() {
+    let ctx = ExecContext::sequential();
     let ds = small(LENDING_CLUB, 10_000, 1);
     let spec = QuerySpec::paper_default();
     let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
-    let optimal = run_optimal(&ds, &spec, "grade", 11);
-    let intel = run_intel_sample(&ds, &cfg, 11);
-    let naive = run_naive(&ds, &spec, 11);
+    let optimal = run_optimal(&ds, &spec, "grade", 11, &ctx).unwrap();
+    let intel = run_intel_sample(&ds, &cfg, 11, &ctx).unwrap();
+    let naive = run_naive(&ds, &spec, 11, &ctx).unwrap();
     assert!(
         optimal.counts.evaluated <= intel.counts.evaluated,
         "optimal {} > intel {}",
@@ -53,7 +55,7 @@ fn constraint_satisfaction_rate_tracks_rho() {
     let mut precision_ok = 0;
     let mut recall_ok = 0;
     for seed in 0..runs {
-        let out = run_intel_sample(&ds, &cfg, 1_000 + seed);
+        let out = run_intel_sample(&ds, &cfg, 1_000 + seed, &ExecContext::sequential()).unwrap();
         if out.summary.precision >= spec.alpha {
             precision_ok += 1;
         }
@@ -83,7 +85,7 @@ fn sampling_cost_is_part_of_the_bill() {
         corr: CorrelationModel::Independent,
         predictor: PredictorChoice::Fixed("grade".into()),
     };
-    let out = run_intel_sample(&ds, &cfg, 4);
+    let out = run_intel_sample(&ds, &cfg, 4, &ExecContext::sequential()).unwrap();
     assert!(
         out.counts.evaluated >= (0.19 * 5_000.0) as u64,
         "sampling evaluations missing from the bill: {}",
@@ -93,6 +95,7 @@ fn sampling_cost_is_part_of_the_bill() {
 
 #[test]
 fn unknown_correlation_model_is_more_conservative() {
+    let ctx = ExecContext::sequential();
     let ds = small(LENDING_CLUB, 10_000, 5);
     let spec = QuerySpec::paper_default();
     let mk = |corr| IntelSampleConfig {
@@ -106,10 +109,12 @@ fn unknown_correlation_model_is_more_conservative() {
     let mut ind = 0u64;
     let mut unk = 0u64;
     for seed in 0..5 {
-        ind += run_intel_sample(&ds, &mk(CorrelationModel::Independent), 50 + seed)
+        ind += run_intel_sample(&ds, &mk(CorrelationModel::Independent), 50 + seed, &ctx)
+            .unwrap()
             .counts
             .evaluated;
-        unk += run_intel_sample(&ds, &mk(CorrelationModel::Unknown), 50 + seed)
+        unk += run_intel_sample(&ds, &mk(CorrelationModel::Unknown), 50 + seed, &ctx)
+            .unwrap()
             .counts
             .evaluated;
     }
@@ -130,7 +135,7 @@ fn browsing_scenario_returns_only_evaluated_tuples() {
         corr: CorrelationModel::Independent,
         predictor: PredictorChoice::Fixed("grade".into()),
     };
-    let out = run_intel_sample(&ds, &cfg, 7);
+    let out = run_intel_sample(&ds, &cfg, 7, &ExecContext::sequential()).unwrap();
     assert_eq!(out.summary.precision, 1.0, "browsing mode must be exact");
     assert!(out.summary.recall >= 0.6, "recall {}", out.summary.recall);
 }

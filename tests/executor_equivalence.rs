@@ -1,29 +1,27 @@
-//! Backend-equivalence suite: the `Parallel` and `WorkerPool` executors
-//! must be exact drop-ins for `Sequential` — identical result sets,
-//! identical accuracy metrics, identical audited costs — for every
-//! pipeline, on the bundled datasets, under fixed seeds, and regardless
-//! of how the adaptive controller slices drains. Only wall-clock time
-//! may differ.
+//! Backend-equivalence suite: the `WorkerPool` executor must be an exact
+//! drop-in for `Sequential` — identical result sets, identical accuracy
+//! metrics, identical audited costs — for every pipeline, on the bundled
+//! datasets, under fixed seeds, and regardless of how the adaptive
+//! controller slices drains. Only wall-clock time may differ. And the
+//! session entry point must add nothing: `submit` on a cold engine
+//! equals the direct pipeline function on `ExecContext::sequential()`.
 
 use expred::core::{
-    run_intel_sample_adaptive_with, run_intel_sample_ctx, run_intel_sample_with, run_naive_ctx,
-    run_naive_with, run_optimal_ctx, run_optimal_with, CorrelationModel, IntelSampleConfig,
-    PredictorChoice, QuerySpec, RunOutcome,
+    run_intel_sample, run_intel_sample_adaptive, run_intel_sample_iterative, run_learning,
+    run_multiple, run_naive, run_optimal, CorrelationModel, EngineError, IntelSampleConfig,
+    PredictorChoice, QueryEngine, QueryRequest, QuerySpec, RunOutcome, SampleSizeRule,
 };
-use expred::exec::{AdaptiveController, ExecContext, Executor, Parallel, Sequential, WorkerPool};
+use expred::exec::{AdaptiveController, ExecContext, Executor, Sequential, WorkerPool};
 use expred::table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 
 fn small(spec: DatasetSpec, rows: usize, seed: u64) -> Dataset {
     Dataset::generate(DatasetSpec { rows, ..spec }, seed)
 }
 
-/// Backends under test: inline, oversubscribed, machine-sized, and the
-/// persistent work-stealing pool at several widths.
+/// Backends under test: the persistent work-stealing pool at a narrow,
+/// an oversubscribed and the machine's own core budget.
 fn backends() -> Vec<Box<dyn Executor>> {
     vec![
-        Box::new(Parallel::with_threads(2)),
-        Box::new(Parallel::with_threads(7)),
-        Box::new(Parallel::new()),
         Box::new(WorkerPool::with_threads(2)),
         Box::new(WorkerPool::with_threads(5)),
         Box::new(WorkerPool::new()),
@@ -60,9 +58,9 @@ fn naive_is_backend_invariant() {
     let ds = small(PROSPER, 4_000, 1);
     let spec = QuerySpec::paper_default();
     for seed in [1u64, 99] {
-        let want = run_naive_with(&ds, &spec, seed, &Sequential);
+        let want = run_naive(&ds, &spec, seed, &ExecContext::sequential()).unwrap();
         for backend in backends() {
-            let got = run_naive_with(&ds, &spec, seed, backend.as_ref());
+            let got = run_naive(&ds, &spec, seed, &ExecContext::new(backend.as_ref())).unwrap();
             assert_identical(&want, &got, &format!("naive seed {seed}"));
         }
     }
@@ -73,9 +71,10 @@ fn optimal_is_backend_invariant() {
     let ds = small(LENDING_CLUB, 5_000, 2);
     let spec = QuerySpec::paper_default();
     for seed in [3u64, 77] {
-        let want = run_optimal_with(&ds, &spec, "grade", seed, &Sequential);
+        let want = run_optimal(&ds, &spec, "grade", seed, &ExecContext::sequential()).unwrap();
         for backend in backends() {
-            let got = run_optimal_with(&ds, &spec, "grade", seed, backend.as_ref());
+            let ctx = ExecContext::new(backend.as_ref());
+            let got = run_optimal(&ds, &spec, "grade", seed, &ctx).unwrap();
             assert_identical(&want, &got, &format!("optimal seed {seed}"));
         }
     }
@@ -86,9 +85,10 @@ fn intel_sample_fixed_predictor_is_backend_invariant() {
     let ds = small(PROSPER, 5_000, 3);
     let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
     for seed in [5u64, 123] {
-        let want = run_intel_sample_with(&ds, &cfg, seed, &Sequential);
+        let want = run_intel_sample(&ds, &cfg, seed, &ExecContext::sequential()).unwrap();
         for backend in backends() {
-            let got = run_intel_sample_with(&ds, &cfg, seed, backend.as_ref());
+            let ctx = ExecContext::new(backend.as_ref());
+            let got = run_intel_sample(&ds, &cfg, seed, &ctx).unwrap();
             assert_identical(&want, &got, &format!("intel-sample seed {seed}"));
         }
     }
@@ -100,9 +100,9 @@ fn intel_sample_auto_predictor_is_backend_invariant() {
     let cfg = IntelSampleConfig::experiment1(PredictorChoice::Auto {
         label_fraction: 0.01,
     });
-    let want = run_intel_sample_with(&ds, &cfg, 6, &Sequential);
+    let want = run_intel_sample(&ds, &cfg, 6, &ExecContext::sequential()).unwrap();
     for backend in backends() {
-        let got = run_intel_sample_with(&ds, &cfg, 6, backend.as_ref());
+        let got = run_intel_sample(&ds, &cfg, 6, &ExecContext::new(backend.as_ref())).unwrap();
         assert_identical(&want, &got, "intel-sample auto");
     }
 }
@@ -114,9 +114,9 @@ fn intel_sample_virtual_predictor_is_backend_invariant() {
         buckets: 10,
         label_fraction: 0.01,
     });
-    let want = run_intel_sample_with(&ds, &cfg, 7, &Sequential);
+    let want = run_intel_sample(&ds, &cfg, 7, &ExecContext::sequential()).unwrap();
     for backend in backends() {
-        let got = run_intel_sample_with(&ds, &cfg, 7, backend.as_ref());
+        let got = run_intel_sample(&ds, &cfg, 7, &ExecContext::new(backend.as_ref())).unwrap();
         assert_identical(&want, &got, "intel-sample virtual");
     }
 }
@@ -125,24 +125,14 @@ fn intel_sample_virtual_predictor_is_backend_invariant() {
 fn adaptive_pipeline_is_backend_invariant() {
     let ds = small(PROSPER, 3_000, 6);
     let spec = QuerySpec::paper_default();
-    let want = run_intel_sample_adaptive_with(
-        &ds,
-        &spec,
-        CorrelationModel::Independent,
-        "grade",
-        8,
-        &Sequential,
-    );
+    let run = |backend: &dyn Executor| {
+        let ctx = ExecContext::new(backend);
+        run_intel_sample_adaptive(&ds, &spec, CorrelationModel::Independent, "grade", 8, &ctx)
+            .unwrap()
+    };
+    let want = run(&Sequential);
     for backend in backends() {
-        let got = run_intel_sample_adaptive_with(
-            &ds,
-            &spec,
-            CorrelationModel::Independent,
-            "grade",
-            8,
-            backend.as_ref(),
-        );
-        assert_identical(&want, &got, "adaptive");
+        assert_identical(&want, &run(backend.as_ref()), "adaptive");
     }
 }
 
@@ -151,16 +141,17 @@ fn iterative_pipeline_is_backend_invariant() {
     let ds = small(PROSPER, 3_000, 8);
     let spec = QuerySpec::paper_default();
     let run = |backend: &dyn Executor| {
-        expred::core::run_intel_sample_iterative_with(
+        run_intel_sample_iterative(
             &ds,
             &spec,
             CorrelationModel::Independent,
             "grade",
-            expred::core::SampleSizeRule::Fraction(0.05),
+            SampleSizeRule::Fraction(0.05),
             3,
             9,
-            backend,
+            &ExecContext::new(backend),
         )
+        .unwrap()
     };
     let want = run(&Sequential);
     for backend in backends() {
@@ -184,9 +175,10 @@ fn adaptive_planner_is_outcome_invariant() {
         convinced.observe(1, std::time::Duration::from_millis(2));
     }
     for seed in [2u64, 31] {
-        let want_naive = run_naive_with(&ds, &spec, seed, &Sequential);
-        let want_intel = run_intel_sample_with(&ds, &cfg, seed, &Sequential);
-        let want_optimal = run_optimal_with(&ds, &spec, "grade", seed, &Sequential);
+        let sequential = ExecContext::sequential();
+        let want_naive = run_naive(&ds, &spec, seed, &sequential).unwrap();
+        let want_intel = run_intel_sample(&ds, &cfg, seed, &sequential).unwrap();
+        let want_optimal = run_optimal(&ds, &spec, "grade", seed, &sequential).unwrap();
         for (name, ctx) in [
             (
                 "fresh floor-3 sequential",
@@ -208,15 +200,19 @@ fn adaptive_planner_is_outcome_invariant() {
             ),
         ] {
             let what = format!("adaptive {name} seed {seed}");
-            assert_identical(&want_naive, &run_naive_ctx(&ds, &spec, seed, &ctx), &what);
+            assert_identical(
+                &want_naive,
+                &run_naive(&ds, &spec, seed, &ctx).unwrap(),
+                &what,
+            );
             assert_identical(
                 &want_intel,
-                &run_intel_sample_ctx(&ds, &cfg, seed, &ctx),
+                &run_intel_sample(&ds, &cfg, seed, &ctx).unwrap(),
                 &what,
             );
             assert_identical(
                 &want_optimal,
-                &run_optimal_ctx(&ds, &spec, "grade", seed, &ctx),
+                &run_optimal(&ds, &spec, "grade", seed, &ctx).unwrap(),
                 &what,
             );
         }
@@ -228,120 +224,122 @@ fn engine_on_worker_pool_matches_sequential_engine() {
     // The full session stack — engine, adaptive controller, row cache,
     // result memo — on the pool backend must bill and answer exactly
     // like the sequential engine, query for query.
-    use expred::core::{Query, QueryEngine};
     let ds = small(PROSPER, 3_000, 10);
     let spec = QuerySpec::paper_default();
-    let queries = [
-        Query::Naive(spec),
-        Query::IntelSample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
+    let requests = [
+        QueryRequest::naive(spec),
+        QueryRequest::intel_sample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
             "grade".into(),
         ))),
-        Query::Optimal {
-            spec,
-            predictor: "grade".into(),
-        },
+        QueryRequest::optimal(spec, "grade"),
     ];
     let sequential = QueryEngine::new();
     let pooled = QueryEngine::pooled();
-    for (i, query) in queries.iter().enumerate() {
-        let want = sequential.run(&ds, query, 40 + i as u64);
-        let got = pooled.run(&ds, query, 40 + i as u64);
+    for (i, request) in requests.into_iter().enumerate() {
+        let request = request.with_seed(40 + i as u64);
+        let want = sequential.submit(&ds, &request).unwrap();
+        let got = pooled.submit(&ds, &request).unwrap();
         assert_identical(&want, &got, &format!("engine query {i}"));
     }
     assert_eq!(sequential.session_counts(), pooled.session_counts());
 }
 
-#[test]
-fn legacy_entry_points_equal_sequential_with() {
-    // The parameterless API must stay exactly what it was: Sequential.
-    let ds = small(PROSPER, 3_000, 7);
-    let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
-    let legacy = expred::core::run_intel_sample(&ds, &cfg, 11);
-    let explicit = run_intel_sample_with(&ds, &cfg, 11, &Sequential);
-    assert_identical(&legacy, &explicit, "legacy intel-sample");
-}
+/// One pipeline called directly: `(dataset, seed, context)`.
+type Direct = Box<dyn Fn(&Dataset, u64, &ExecContext<'_>) -> Result<RunOutcome, EngineError>>;
 
-/// All seven built-in strategies as legacy `Query` values for a given
-/// contract.
-fn all_seven(spec: QuerySpec) -> Vec<expred::core::Query> {
-    use expred::core::Query;
+/// All seven built-in strategies for a given contract: the request
+/// `submit` takes, beside the direct pipeline call it must equal.
+fn all_seven(spec: QuerySpec) -> Vec<(QueryRequest, Direct)> {
+    let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
+    let (corr, rule) = (
+        CorrelationModel::Independent,
+        SampleSizeRule::Fraction(0.05),
+    );
     vec![
-        Query::IntelSample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
-            "grade".into(),
-        ))),
-        Query::Naive(spec),
-        Query::Optimal {
-            spec,
-            predictor: "grade".into(),
-        },
-        Query::Adaptive {
-            spec,
-            corr: CorrelationModel::Independent,
-            predictor: "grade".into(),
-        },
-        Query::Iterative {
-            spec,
-            corr: CorrelationModel::Independent,
-            predictor: "grade".into(),
-            rule: expred::core::SampleSizeRule::Fraction(0.05),
-            rounds: 2,
-        },
-        Query::Learning(spec),
-        Query::Multiple {
-            spec,
-            imputations: 3,
-        },
+        (
+            QueryRequest::intel_sample(cfg.clone()),
+            Box::new(move |ds, seed, ctx| run_intel_sample(ds, &cfg, seed, ctx)),
+        ),
+        (
+            QueryRequest::naive(spec),
+            Box::new(move |ds, seed, ctx| run_naive(ds, &spec, seed, ctx)),
+        ),
+        (
+            QueryRequest::optimal(spec, "grade"),
+            Box::new(move |ds, seed, ctx| run_optimal(ds, &spec, "grade", seed, ctx)),
+        ),
+        (
+            QueryRequest::adaptive(spec, corr, "grade"),
+            Box::new(move |ds, seed, ctx| {
+                run_intel_sample_adaptive(ds, &spec, corr, "grade", seed, ctx)
+            }),
+        ),
+        (
+            QueryRequest::iterative(spec, corr, "grade", rule, 2),
+            Box::new(move |ds, seed, ctx| {
+                run_intel_sample_iterative(ds, &spec, corr, "grade", rule, 2, seed, ctx)
+            }),
+        ),
+        (
+            QueryRequest::learning(spec),
+            Box::new(move |ds, seed, ctx| run_learning(ds, &spec, seed, ctx)),
+        ),
+        (
+            QueryRequest::multiple(spec, 3),
+            Box::new(move |ds, seed, ctx| run_multiple(ds, &spec, 3, seed, ctx)),
+        ),
     ]
 }
 
 #[test]
 fn submit_is_byte_identical_to_legacy_run_for_all_seven_strategies() {
-    // The redesigned surface (QueryRequest + Strategy + submit) must be
-    // an exact drop-in for the legacy Query-enum run(): identical
-    // answers, bills, summaries — and identical memo identities, so a
-    // submit after a run is a result-memo hit, not a re-execution.
-    use expred::core::{QueryEngine, QueryRequest};
+    // The session surface (QueryRequest + Strategy + submit) must add
+    // nothing to an answer: on a cold engine it equals the pipeline
+    // function called directly on the sequential context — identical
+    // answers, bills, summaries — and replaying the request is a
+    // result-memo hit, not a re-execution. ("legacy run" in the name
+    // is the direct call; the name is kept so the suite's history and
+    // its floor list keep tracking this test.)
     let ds = small(PROSPER, 2_000, 11);
     let spec = QuerySpec::paper_default();
-    for (i, query) in all_seven(spec).iter().enumerate() {
+    for (i, (request, direct)) in all_seven(spec).into_iter().enumerate() {
         let seed = 70 + i as u64;
-        let legacy_engine = QueryEngine::new();
-        let builder_engine = QueryEngine::new();
-        let legacy = legacy_engine.run(&ds, query, seed);
-        let request = QueryRequest::from_query(query).with_seed(seed);
-        let built = builder_engine
+        let request = request.with_seed(seed);
+        let engine = QueryEngine::new();
+        let submitted = engine
             .submit(&ds, &request)
             .expect("valid request must be accepted");
-        assert_identical(&legacy, &built, &format!("strategy {i} submit vs run"));
-        assert_eq!(
-            legacy_engine.session_counts(),
-            builder_engine.session_counts(),
-            "strategy {i}: identical session bills"
-        );
-        // Same memo identity: replaying the request on the legacy engine
-        // must hit its memo (zero new charges), and vice versa.
-        let replay = legacy_engine.submit(&ds, &request).unwrap();
+        let direct = direct(&ds, seed, &ExecContext::sequential()).expect("valid configuration");
         assert_identical(
-            &legacy,
-            &replay,
-            &format!("strategy {i} cross-route replay"),
+            &direct,
+            &submitted,
+            &format!("strategy {i} submit vs direct"),
         );
         assert_eq!(
-            legacy_engine.stats().result_hits,
-            1,
-            "strategy {i}: submit must hit the memo entry run() wrote"
+            engine.session_counts(),
+            direct.counts,
+            "strategy {i}: the session bill is the one run's bill"
         );
-        let replay = builder_engine.run(&ds, query, seed);
-        assert_identical(&built, &replay, &format!("strategy {i} run-after-submit"));
-        assert_eq!(builder_engine.stats().result_hits, 1);
+        let replay = engine.submit(&ds, &request).unwrap();
+        assert_identical(&submitted, &replay, &format!("strategy {i} replay"));
+        assert_eq!(
+            engine.stats().result_hits,
+            1,
+            "strategy {i}: the replay must hit the memo entry the first submit wrote"
+        );
+        assert_eq!(
+            engine.session_counts(),
+            direct.counts,
+            "strategy {i}: a memo hit charges nothing"
+        );
     }
 }
 
-// Property: for random contracts and seeds, every builder-constructed
-// request answers byte-identically to the legacy enum route (fresh
-// engines on both sides; the non-ML strategies run per case — the ML
-// baselines are covered by the deterministic seven-way test above,
-// their training loops are too slow for a property sweep).
+// Property: for random contracts and seeds, every request answers
+// byte-identically to its direct pipeline call (a fresh engine per case;
+// the non-ML strategies run per case — the ML baselines are covered by
+// the deterministic seven-way test above, their training loops are too
+// slow for a property sweep).
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
 
@@ -353,15 +351,14 @@ proptest::proptest! {
         seed in 0u64..1_000,
         strategy_index in 0usize..5,
     ) {
-        use expred::core::{QueryEngine, QueryRequest};
         let ds = small(PROSPER, 1_500, 13);
         let spec = QuerySpec::try_new(alpha, beta, rho, expred::udf::CostModel::PAPER_DEFAULT)
             .expect("generated specs are in range");
-        let query = all_seven(spec).swap_remove(strategy_index);
-        let legacy = QueryEngine::new().run(&ds, &query, seed);
-        let built = QueryEngine::new()
-            .submit(&ds, &QueryRequest::from_query(&query).with_seed(seed))
+        let (request, direct) = all_seven(spec).swap_remove(strategy_index);
+        let direct = direct(&ds, seed, &ExecContext::sequential()).expect("valid configuration");
+        let submitted = QueryEngine::new()
+            .submit(&ds, &request.with_seed(seed))
             .expect("valid request must be accepted");
-        assert_identical(&legacy, &built, &format!("proptest strategy {strategy_index}"));
+        assert_identical(&direct, &submitted, &format!("proptest strategy {strategy_index}"));
     }
 }

@@ -8,6 +8,7 @@ use expred::core::optimize::CorrelationModel;
 use expred::core::{
     run_intel_sample, IntelSampleConfig, PredictorChoice, QuerySpec, SampleSizeRule,
 };
+use expred::exec::ExecContext;
 use expred::table::csv::{read_csv, write_csv};
 use expred::table::datasets::{Dataset, DatasetSpec, PROSPER};
 use expred::udf::CostModel;
@@ -109,6 +110,7 @@ fn join_weighting_changes_the_plan() {
 
 #[test]
 fn csv_round_trip_preserves_pipeline_behaviour() {
+    let ctx = ExecContext::sequential();
     // Export a dataset to CSV, re-ingest it, and run the same seeded
     // pipeline on both: the costs and answers must agree exactly.
     let ds = Dataset::generate(
@@ -134,8 +136,8 @@ fn csv_round_trip_preserves_pipeline_behaviour() {
         corr: CorrelationModel::Independent,
         predictor: PredictorChoice::Fixed("grade".into()),
     };
-    let a = run_intel_sample(&ds, &cfg, 77);
-    let b = run_intel_sample(&ds2, &cfg, 77);
+    let a = run_intel_sample(&ds, &cfg, 77, &ctx).unwrap();
+    let b = run_intel_sample(&ds2, &cfg, 77, &ctx).unwrap();
     assert_eq!(a.counts, b.counts, "ingested data must behave identically");
     assert_eq!(a.returned, b.returned);
 }

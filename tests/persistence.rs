@@ -14,7 +14,7 @@
 //!   a reboot past the TTL refuses the stale answers a generous TTL
 //!   happily loads.
 
-use expred::core::{PersistConfig, Query, QueryEngine, QuerySpec};
+use expred::core::{PersistConfig, QueryEngine, QueryRequest, QuerySpec};
 use expred::table::datasets::{Dataset, DatasetSpec, PROSPER};
 use expred::udf::CostModel;
 use std::path::{Path, PathBuf};
@@ -65,13 +65,13 @@ proptest::proptest! {
         let ds = prosper(600, table_seed);
         let spec = QuerySpec::try_new(0.8, beta, 0.8, CostModel::PAPER_DEFAULT)
             .expect("generated specs are in range");
-        let warm = Query::Naive(spec);
-        let q = Query::Naive(spec);
+        let warm = QueryRequest::naive(spec);
+        let q = QueryRequest::naive(spec);
 
         // Engine A pays for the session, flushes, and "dies".
         let a = persistent(&dir);
-        a.run(&ds, &warm, warm_seed);
-        let a_q = a.run(&ds, &q, q_seed);
+        a.submit(&ds, &warm.clone().with_seed(warm_seed)).unwrap();
+        let a_q = a.submit(&ds, &q.clone().with_seed(q_seed)).unwrap();
         let a_bill = a.session_counts();
         a.flush_persistence().expect("flush before the kill");
         drop(a);
@@ -80,10 +80,10 @@ proptest::proptest! {
         // replays Q over the fully warm cache — exactly the state B's
         // rehydration must reconstruct (W's rows ∪ Q's fresh rows).
         let c = QueryEngine::new().with_result_capacity(0);
-        c.run(&ds, &warm, warm_seed);
-        let c_q = c.run(&ds, &q, q_seed);
+        c.submit(&ds, &warm.clone().with_seed(warm_seed)).unwrap();
+        let c_q = c.submit(&ds, &q.clone().with_seed(q_seed)).unwrap();
         let c_bill = c.session_counts();
-        let c_warm_q = c.run(&ds, &q, q_seed);
+        let c_warm_q = c.submit(&ds, &q.clone().with_seed(q_seed)).unwrap();
 
         // While alive, A matched C exactly.
         assert_eq!(&a_q.returned, &c_q.returned);
@@ -92,7 +92,7 @@ proptest::proptest! {
 
         // Engine B reboots over A's directory.
         let b = persistent(&dir);
-        let b_q = b.run(&ds, &q, q_seed);
+        let b_q = b.submit(&ds, &q.clone().with_seed(q_seed)).unwrap();
         assert_eq!(&b_q.returned, &c_warm_q.returned,
             "restart changed the answer");
         assert_eq!(b_q.counts, c_warm_q.counts);
@@ -120,10 +120,10 @@ proptest::proptest! {
 fn rehydration_larger_than_the_cache_capacity_does_not_deadlock() {
     let dir = unique_dir("overflow");
     let ds = prosper(600, 21);
-    let q = Query::Naive(QuerySpec::paper_default());
+    let q = QueryRequest::naive(QuerySpec::paper_default());
 
     let a = persistent(&dir);
-    let cold = a.run(&ds, &q, 5);
+    let cold = a.submit(&ds, &q.clone().with_seed(5)).unwrap();
     assert!(cold.counts.evaluated > 0);
     a.flush_persistence().expect("flush");
     drop(a);
@@ -142,7 +142,7 @@ fn rehydration_larger_than_the_cache_capacity_does_not_deadlock() {
             .with_persistence(PersistConfig::new(&thread_dir))
             .expect("open persistence")
             .with_cache_capacity(32);
-        let _ = tx.send(b.run(&ds, &q, 5));
+        let _ = tx.send(b.submit(&ds, &q.clone().with_seed(5)).unwrap());
     });
     let warm = rx
         .recv_timeout(Duration::from_secs(60))
@@ -155,7 +155,7 @@ fn rehydration_larger_than_the_cache_capacity_does_not_deadlock() {
 #[test]
 fn graceful_drain_compacts_shed_wal_records_so_the_restart_stays_free() {
     let dir = unique_dir("shed");
-    let q = Query::Naive(QuerySpec::paper_default());
+    let q = QueryRequest::naive(QuerySpec::paper_default());
     // A one-record queue guarantees shedding under any real workload,
     // and auto-compaction is off so only the drain itself can get the
     // shed records (which live solely in the in-memory index) to disk.
@@ -172,7 +172,7 @@ fn graceful_drain_compacts_shed_wal_records_so_the_restart_stays_free() {
     let mut datasets = Vec::new();
     for seed in 0..50u64 {
         let ds = prosper(400, seed);
-        a.run(&ds, &q, seed);
+        a.submit(&ds, &q.clone().with_seed(seed)).unwrap();
         datasets.push(ds);
         if a.persist_stats().expect("stats").shed > 0 {
             break;
@@ -190,7 +190,7 @@ fn graceful_drain_compacts_shed_wal_records_so_the_restart_stays_free() {
         .with_persistence(cfg())
         .expect("reopen");
     for (seed, ds) in datasets.iter().enumerate() {
-        b.run(ds, &q, seed as u64);
+        b.submit(ds, &q.clone().with_seed(seed as u64)).unwrap();
     }
     assert_eq!(
         b.session_counts().evaluated,
@@ -204,17 +204,17 @@ fn graceful_drain_compacts_shed_wal_records_so_the_restart_stays_free() {
 fn clear_caches_tombstones_the_disk_so_restart_cannot_resurrect() {
     let dir = unique_dir("tombstone");
     let ds = prosper(500, 9);
-    let q = Query::Naive(QuerySpec::paper_default());
+    let q = QueryRequest::naive(QuerySpec::paper_default());
 
     let a = persistent(&dir);
-    let cold = a.run(&ds, &q, 3);
+    let cold = a.submit(&ds, &q.clone().with_seed(3)).unwrap();
     assert!(cold.counts.evaluated > 0, "the cold run must pay");
     a.flush_persistence().expect("flush");
     a.clear_caches();
     drop(a);
 
     let b = persistent(&dir);
-    let again = b.run(&ds, &q, 3);
+    let again = b.submit(&ds, &q.clone().with_seed(3)).unwrap();
     assert_eq!(
         b.persist_stats().expect("stats").rehydrated_rows,
         0,
@@ -236,14 +236,14 @@ fn clear_caches_tombstones_the_disk_so_restart_cannot_resurrect() {
 fn rehydrated_rows_feed_the_result_memo_the_same_identity_as_fresh() {
     let dir = unique_dir("memo");
     let ds = prosper(500, 11);
-    let q = Query::Naive(QuerySpec::paper_default());
+    let q = QueryRequest::naive(QuerySpec::paper_default());
 
     // Memo ON here: the point is the interaction between tiers.
     let a = QueryEngine::new()
         .with_persistence(PersistConfig::new(&dir))
         .expect("open persistence");
-    a.run(&ds, &q, 1);
-    let a_q = a.run(&ds, &q, 2);
+    a.submit(&ds, &q.clone().with_seed(1)).unwrap();
+    let a_q = a.submit(&ds, &q.clone().with_seed(2)).unwrap();
     a.flush_persistence().expect("flush");
     drop(a);
 
@@ -252,7 +252,7 @@ fn rehydrated_rows_feed_the_result_memo_the_same_identity_as_fresh() {
         .expect("open persistence");
     // First submission computes (the memo is not persisted) — but over
     // rehydrated rows, so it charges nothing fresh.
-    let first = b.run(&ds, &q, 2);
+    let first = b.submit(&ds, &q.clone().with_seed(2)).unwrap();
     assert_eq!(b.stats().result_hits, 0, "the memo starts cold");
     assert_eq!(first.returned, a_q.returned);
     assert_eq!(first.counts.evaluated, 0, "rehydrated rows are free");
@@ -260,7 +260,7 @@ fn rehydrated_rows_feed_the_result_memo_the_same_identity_as_fresh() {
     // The repeat must hit the memo entry that computation wrote: a
     // rehydrated row tier produces the same result-memo identity as
     // fresh evaluation did before the restart.
-    let second = b.run(&ds, &q, 2);
+    let second = b.submit(&ds, &q.clone().with_seed(2)).unwrap();
     assert_eq!(
         b.stats().result_hits,
         1,
@@ -275,10 +275,10 @@ fn rehydrated_rows_feed_the_result_memo_the_same_identity_as_fresh() {
 fn cache_ttl_survives_the_restart_via_persisted_timestamps() {
     let dir = unique_dir("ttl");
     let ds = prosper(400, 5);
-    let q = Query::Naive(QuerySpec::paper_default());
+    let q = QueryRequest::naive(QuerySpec::paper_default());
 
     let a = persistent(&dir);
-    let cold = a.run(&ds, &q, 1);
+    let cold = a.submit(&ds, &q.clone().with_seed(1)).unwrap();
     assert!(cold.counts.evaluated > 0);
     a.flush_persistence().expect("flush");
     drop(a);
@@ -294,7 +294,7 @@ fn cache_ttl_survives_the_restart_via_persisted_timestamps() {
         .with_cache_ttl(Duration::from_millis(50))
         .with_persistence(PersistConfig::new(&dir))
         .expect("open persistence");
-    let stale = strict.run(&ds, &q, 1);
+    let stale = strict.submit(&ds, &q.clone().with_seed(1)).unwrap();
     assert_eq!(
         strict.persist_stats().expect("stats").rehydrated_rows,
         0,
@@ -310,7 +310,7 @@ fn cache_ttl_survives_the_restart_via_persisted_timestamps() {
         .with_cache_ttl(Duration::from_secs(3_600))
         .with_persistence(PersistConfig::new(&dir))
         .expect("open persistence");
-    let warm = generous.run(&ds, &q, 1);
+    let warm = generous.submit(&ds, &q.clone().with_seed(1)).unwrap();
     assert_eq!(warm.counts.evaluated, 0, "within-TTL answers are free");
     assert_eq!(warm.counts.reuse_hits, cold.counts.evaluated);
     assert_eq!(warm.returned, cold.returned);

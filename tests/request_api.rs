@@ -83,6 +83,63 @@ fn invalid_request_parameters_are_typed_errors() {
         ),
         Err(EngineError::InvalidRequest { .. })
     ));
+    // Auto-ranking over a table with no string-typed column (what CSV
+    // ingestion of numeric features yields) has no candidate to rank:
+    // rejected before any `o_e` is spent, not a panic mid-ranking.
+    use expred::table::{DataType, Field, Schema, Table, Value};
+    let numeric = Dataset {
+        table: Table::from_rows(
+            Schema::new(vec![
+                Field::new("amount", DataType::Int),
+                Field::new(LABEL_COLUMN, DataType::Bool),
+            ]),
+            (0..200)
+                .map(|i| vec![Value::Int(i % 17), Value::Bool(i % 3 == 0)])
+                .collect(),
+        )
+        .unwrap(),
+        spec: PROSPER,
+        seed: 0,
+    };
+    let auto = expred::core::IntelSampleConfig::experiment1(expred::core::PredictorChoice::Auto {
+        label_fraction: 0.01,
+    });
+    assert!(matches!(
+        engine.submit(&numeric, &QueryRequest::intel_sample(auto)),
+        Err(EngineError::InvalidRequest { .. })
+    ));
+    assert_eq!(engine.session_counts().evaluated, 0);
+}
+
+#[test]
+fn direct_pipeline_calls_return_typed_errors_instead_of_unwinding() {
+    // What `Strategy::validate` rejects for `submit`, the pipeline
+    // functions reject for callers that skip the engine.
+    use expred::core::{run_intel_sample_iterative, run_optimal, CorrelationModel, SampleSizeRule};
+    let ds = dataset(500, 3);
+    let spec = QuerySpec::paper_default();
+    let ctx = ExecContext::sequential();
+    match run_optimal(&ds, &spec, "no_such_column", 1, &ctx) {
+        Err(EngineError::UnknownColumn { column, available }) => {
+            assert_eq!(column, "no_such_column");
+            assert!(available.iter().any(|c| c == "grade"), "{available:?}");
+        }
+        other => panic!("expected UnknownColumn, got {other:?}"),
+    }
+    let zero_rounds = run_intel_sample_iterative(
+        &ds,
+        &spec,
+        CorrelationModel::Independent,
+        "grade",
+        SampleSizeRule::Fraction(0.05),
+        0,
+        1,
+        &ctx,
+    );
+    assert!(matches!(
+        zero_rounds,
+        Err(EngineError::InvalidRequest { .. })
+    ));
 }
 
 #[test]
