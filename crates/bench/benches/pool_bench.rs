@@ -11,7 +11,7 @@
 //!
 //! * `batch_<n>_udf_<lat>` — one fresh batch of `n` spin-wait probes of
 //!   the given latency, repeated; reports mean ns/probe per backend.
-//! * `many_small_batches_udf_100us` — the planner's group-by-group
+//! * `many_small_batches_udf_100us` — a pipeline's round-by-round
 //!   drain: hundreds of 16-row batches pushed through `evaluate_batch`
 //!   one after another. A backend that spawns threads per batch either
 //!   forfeits these or pays the spawns; the pool's persistent workers

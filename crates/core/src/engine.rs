@@ -90,8 +90,7 @@ use crate::request::{InfeasiblePolicy, QueryRequest};
 use crate::result_memo::{ResultMemoStats, ShardedResultMemo};
 use crate::strategy::StrategyIdentity;
 use expred_exec::{
-    AdaptiveController, CacheStats, CacheStore, ExecContext, Executor, SelectivityTracker,
-    Sequential, SpillSink,
+    CacheStats, CacheStore, ExecContext, Executor, SelectivityTracker, Sequential, SpillSink,
 };
 use expred_persist::{PersistConfig, PersistError, PersistStore};
 use expred_stats::hash::Fnv64;
@@ -286,12 +285,6 @@ pub struct QueryEngine {
     results: ShardedResultMemo<ResultKey, RunOutcome>,
     udf_latency: Option<Duration>,
     stats: AtomicEngineStats,
-    /// Shared per-probe latency EWMA sizing every planner's slices (see
-    /// [`AdaptiveController`]): the executor's own model when it times
-    /// probes itself ([`Executor::latency_model`] — one estimate for the
-    /// pool's inline path and the planners' windows), else this engine's,
-    /// taught by every query's drains.
-    adaptive: AdaptiveController,
     /// Cold-race waiter table: result-memo hash -> in-flight run.
     inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
     /// Session memo of derived per-column artifacts (group partitions,
@@ -325,7 +318,6 @@ impl QueryEngine {
 
     /// An engine running UDF batches through `executor`.
     pub fn with_executor(executor: Box<dyn Executor>) -> Self {
-        let adaptive = executor.latency_model().cloned().unwrap_or_default();
         Self {
             executor,
             store: CacheStore::new(),
@@ -333,7 +325,6 @@ impl QueryEngine {
             results: ShardedResultMemo::with_capacity(DEFAULT_RESULT_MEMO_CAPACITY),
             udf_latency: None,
             stats: AtomicEngineStats::default(),
-            adaptive,
             inflight: Mutex::new(HashMap::new()),
             derived: DerivedCache::new(),
             selectivity: SelectivityTracker::new(),
@@ -345,8 +336,7 @@ impl QueryEngine {
     /// per-batch thread spawns, work-stealing chunking, a core budget read
     /// off the machine and a width the pool learns from the probes
     /// (waiting probes overlap far past the core count, computing ones
-    /// do not), and the batch window sized by the pool's per-probe
-    /// latency. A process with many engines should share one pool
+    /// do not). A process with many engines should share one pool
     /// instead — `with_executor(Box::new(Arc::clone(&pool)))`, as the
     /// serving tier does.
     pub fn pooled() -> Self {
@@ -421,19 +411,12 @@ impl QueryEngine {
     pub fn context(&self) -> ExecContext<'_> {
         let ctx = ExecContext::new(self.executor.as_ref())
             .with_cache(&self.store)
-            .with_adaptive(&self.adaptive)
             .with_derived(&self.derived)
             .with_selectivity(&self.selectivity);
         match self.udf_latency {
             Some(latency) => ctx.with_udf_latency(latency),
             None => ctx,
         }
-    }
-
-    /// The engine's shared batch-window controller (diagnostics: its
-    /// latency estimate and the window it would size today).
-    pub fn adaptive(&self) -> &AdaptiveController {
-        &self.adaptive
     }
 
     /// The session's observed per-leaf pass rates (diagnostics, and the

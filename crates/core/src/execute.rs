@@ -36,11 +36,12 @@ pub struct ExecutionResult {
 ///
 /// The random decisions (retrieve? evaluate?) are drawn on the calling
 /// thread in group order — exactly the stream the sequential executor
-/// consumes — and only then are the chosen rows drained through
-/// `ctx.executor`: ordered by correlation group, in slices of at most
-/// `ctx.max_in_flight` rows (a slice may span a group boundary). The
-/// result is therefore byte-identical across backends and budgets for a
-/// fixed seed; only wall-clock time changes.
+/// consumes — and only then do the chosen rows go to `ctx.executor`, as
+/// one batch ordered by correlation group (ascending) and by position
+/// within the group: the order store insertions and spill offers
+/// follow. How that batch is chunked and overlapped is the executor's
+/// decision alone. The result is therefore byte-identical across
+/// backends for a fixed seed; only wall-clock time changes.
 pub fn execute_plan(
     plan: &Plan,
     groups: &GroupBy,
@@ -53,7 +54,7 @@ pub fn execute_plan(
         groups.num_groups(),
         "plan and grouping must agree on group count"
     );
-    let mut planner = ctx.planner();
+    let mut queued = Vec::new();
     let mut returned = Vec::new();
     let mut reused_positives = 0;
     for (g, _, rows) in groups.iter() {
@@ -76,7 +77,7 @@ pub fn execute_plan(
             }
             retrieved += 1;
             if eval_given_retrieved > 0.0 && rng.bernoulli(eval_given_retrieved) {
-                planner.enqueue(g, row as usize);
+                queued.push(row as usize);
             } else {
                 returned.push(row);
             }
@@ -86,10 +87,15 @@ pub fn execute_plan(
     // Every queued row is fresh (the memoized branch above skipped the
     // rest) and distinct (groups partition rows), so the audited batch
     // charges exactly one evaluation per row — the same bill the serial
-    // loop paid. Drain through the invoker, never the raw probe: the
-    // invoker is what memoizes the answers and charges the tracker.
-    let answers = planner.drain_with(&mut |rows| invoker.evaluate_batch(ctx.executor, rows));
-    returned.extend(answers.iter().filter(|a| a.answer).map(|a| a.row as u32));
+    // loop paid. Through the invoker, never the raw probe: the invoker
+    // is what memoizes the answers and charges the tracker.
+    let answers = invoker.evaluate_batch(ctx.executor, &queued);
+    returned.extend(
+        queued
+            .iter()
+            .zip(answers)
+            .filter_map(|(&row, answer)| answer.then_some(row as u32)),
+    );
     returned.sort_unstable();
     ExecutionResult {
         returned,
@@ -119,8 +125,10 @@ pub fn truth_vector(table: &Table, label_column: &str) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use expred_exec::{BatchProbe, Executor, Sequential};
     use expred_table::{DataType, Field, Schema, Table, Value};
     use expred_udf::{CostModel, OracleUdf};
+    use std::sync::Mutex;
 
     fn test_table(labels: &[bool], groups: &[i64]) -> Table {
         assert_eq!(labels.len(), groups.len());
@@ -216,26 +224,53 @@ mod tests {
         assert_eq!(result.returned.len(), n / 4);
     }
 
+    /// Records every batch an executor is handed, answering through
+    /// [`Sequential`].
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<Vec<usize>>>);
+
+    impl Executor for Recorder {
+        fn evaluate_batch(&self, probe: &dyn BatchProbe, rows: &[usize]) -> Vec<bool> {
+            self.0.lock().unwrap().push(rows.to_vec());
+            Sequential.evaluate_batch(probe, rows)
+        }
+    }
+
     #[test]
-    fn custom_in_flight_budget_does_not_change_the_outcome() {
-        let n = 3_000;
+    fn the_queue_reaches_the_executor_as_one_batch_in_group_order() {
+        let n = 12_000;
         let labels: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
         let group_ids: Vec<i64> = (0..n as i64).map(|i| i % 4).collect();
         let table = test_table(&labels, &group_ids);
         let udf = OracleUdf::new("label");
         let groups = table.group_by("g").unwrap();
-        let plan = Plan::new(vec![0.8; 4], vec![0.5; 4]);
+        // E = R: every retrieved row is evaluated, ≈ 10 800 queued rows.
+        let plan = Plan::new(vec![0.9; 4], vec![0.9; 4]);
         let run = |ctx: ExecContext<'_>| {
             let invoker = UdfInvoker::new(&udf, &table);
             let mut rng = Prng::seeded(17);
             let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
             (result, invoker.counts())
         };
-        let (default_result, default_counts) = run(ExecContext::sequential());
-        // A budget far below one group's queue forces many slices.
-        let (tiny_result, tiny_counts) = run(ExecContext::sequential().with_max_in_flight(7));
-        assert_eq!(default_result, tiny_result);
-        assert_eq!(default_counts, tiny_counts);
+        let recorder = Recorder::default();
+        let recorded = run(ExecContext::new(&recorder));
+        assert_eq!(recorded, run(ExecContext::sequential()));
+
+        let batches = recorder.0.into_inner().unwrap();
+        assert_eq!(batches.len(), 1, "one stage, one batch");
+        let batch = &batches[0];
+        assert_eq!(batch.len() as u64, recorded.1.evaluated);
+        assert!(batch.len() > 10_000, "{} rows queued", batch.len());
+        // Ascending group, then position within the group — the order
+        // store insertions and spill offers follow. Strictly ascending,
+        // so every row is distinct too.
+        let mut place = vec![(0, 0); n];
+        for (g, _, rows) in groups.iter() {
+            for (position, &row) in rows.iter().enumerate() {
+                place[row as usize] = (g, position);
+            }
+        }
+        assert!(batch.windows(2).all(|w| place[w[0]] < place[w[1]]));
     }
 
     #[test]

@@ -11,6 +11,6 @@ pub mod multi_predicate;
 pub use budget::{maximize_recall_under_budget, BudgetOutcome};
 pub use join::{solve_select_join, JoinSubgroup};
 pub use multi_predicate::{
-    evaluate_conjunction_batch, solve_multi_predicate, solve_predicate_chain, ChainGroup,
-    ChainPlan, MultiAction, MultiCost, MultiPlan, PredicatePairGroup,
+    solve_multi_predicate, solve_predicate_chain, ChainGroup, ChainPlan, MultiAction, MultiCost,
+    MultiPlan, PredicatePairGroup,
 };

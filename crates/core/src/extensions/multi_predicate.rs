@@ -16,10 +16,7 @@
 //! simplex.
 
 use crate::optimize::PlanError;
-use expred_exec::Executor;
 use expred_solver::lp::{Constraint, LinearProgram, LpOutcome, Relation};
-use expred_table::Table;
-use expred_udf::{ConjunctionUdf, CostTracker};
 
 /// Per-group statistics for a two-predicate conjunction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -320,49 +317,6 @@ pub fn solve_predicate_chain(
     }
 }
 
-/// Evaluates an `n`-predicate conjunction over `rows` in staged batches:
-/// conjunct 0 runs on the whole batch through `executor`, conjunct 1 only
-/// on the survivors, and so on — batched short-circuiting in the style of
-/// disjunction/conjunction evaluation for column stores, with each stage
-/// wide enough to keep a pooled backend busy.
-///
-/// Each conjunct invocation is charged to `tracker` as one evaluation
-/// (the scalar cost model prices every external call at `o_e`; for
-/// per-predicate prices see [`MultiCost`] and the planners above).
-/// Retrieval is charged by the caller, which decided to touch the rows.
-/// Answers come back in input order and are identical across executor
-/// backends.
-pub fn evaluate_conjunction_batch(
-    udf: &ConjunctionUdf,
-    table: &Table,
-    rows: &[usize],
-    tracker: &CostTracker,
-    executor: &dyn Executor,
-) -> Vec<bool> {
-    // Positions (into `rows`) still alive after the stages so far.
-    let mut alive: Vec<usize> = (0..rows.len()).collect();
-    for part in 0..udf.arity() {
-        if alive.is_empty() {
-            break;
-        }
-        let batch: Vec<usize> = alive.iter().map(|&position| rows[position]).collect();
-        let probe = |row: usize| udf.evaluate_part(part, table, row);
-        let verdicts = executor.evaluate_batch(&probe, &batch);
-        tracker.add_evaluations(batch.len() as u64);
-        alive = alive
-            .into_iter()
-            .zip(verdicts)
-            .filter(|&(_, passed)| passed)
-            .map(|(position, _)| position)
-            .collect();
-    }
-    let mut answers = vec![false; rows.len()];
-    for position in alive {
-        answers[position] = true;
-    }
-    answers
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,67 +363,6 @@ mod tests {
         }
         assert!(correct >= alpha * output - 1e-6, "precision violated");
         assert!(correct >= beta * total - 1e-6, "recall violated");
-    }
-
-    fn two_label_table(f1: &[bool], f2: &[bool]) -> Table {
-        use expred_table::{DataType, Field, Schema, Value};
-        let schema = Schema::new(vec![
-            Field::new("f1", DataType::Bool),
-            Field::new("f2", DataType::Bool),
-        ]);
-        let rows = f1
-            .iter()
-            .zip(f2)
-            .map(|(&a, &b)| vec![Value::Bool(a), Value::Bool(b)])
-            .collect();
-        Table::from_rows(schema, rows).unwrap()
-    }
-
-    #[test]
-    fn conjunction_batch_short_circuits_and_charges_per_stage() {
-        use expred_udf::OracleUdf;
-        let f1 = [true, true, false, false, true, false];
-        let f2 = [true, false, true, false, true, true];
-        let table = two_label_table(&f1, &f2);
-        let udf = ConjunctionUdf::new(vec![
-            Box::new(OracleUdf::new("f1")),
-            Box::new(OracleUdf::new("f2")),
-        ]);
-        let tracker = CostTracker::new();
-        let rows: Vec<usize> = (0..6).collect();
-        let answers =
-            evaluate_conjunction_batch(&udf, &table, &rows, &tracker, &expred_exec::Sequential);
-        let want: Vec<bool> = f1.iter().zip(&f2).map(|(&a, &b)| a && b).collect();
-        assert_eq!(answers, want);
-        // Stage 1 probes all 6 rows; stage 2 only the 3 f1-survivors.
-        assert_eq!(tracker.snapshot().evaluated, 6 + 3);
-    }
-
-    #[test]
-    fn conjunction_batch_identical_across_backends() {
-        use expred_udf::OracleUdf;
-        let n = 500;
-        let f1: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
-        let f2: Vec<bool> = (0..n).map(|i| i % 5 != 0).collect();
-        let table = two_label_table(&f1, &f2);
-        let udf = ConjunctionUdf::new(vec![
-            Box::new(OracleUdf::new("f1")),
-            Box::new(OracleUdf::new("f2")),
-        ]);
-        let rows: Vec<usize> = (0..n).rev().collect();
-        let seq_tracker = CostTracker::new();
-        let seq =
-            evaluate_conjunction_batch(&udf, &table, &rows, &seq_tracker, &expred_exec::Sequential);
-        let par_tracker = CostTracker::new();
-        let par = evaluate_conjunction_batch(
-            &udf,
-            &table,
-            &rows,
-            &par_tracker,
-            &expred_exec::WorkerPool::with_threads(4),
-        );
-        assert_eq!(seq, par);
-        assert_eq!(seq_tracker.snapshot(), par_tracker.snapshot());
     }
 
     #[test]

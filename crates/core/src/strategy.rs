@@ -6,7 +6,7 @@
 //! execution method taking the session's [`ExecContext`] — so new
 //! evaluation strategies can be added outside this crate and still enjoy
 //! the engine's full session machinery (result memo, cold-race
-//! suppression, row-tier cache, adaptive batching).
+//! suppression, row-tier cache, the shared executor).
 //!
 //! # Identity and the result memo
 //!
@@ -660,11 +660,6 @@ impl ExprScan {
     /// The expression this scan evaluates.
     pub fn expr(&self) -> &PredicateExpr {
         &self.expr
-    }
-
-    /// Whether the selectivity-aware rewrite runs before evaluation.
-    pub fn is_optimized(&self) -> bool {
-        self.optimize
     }
 }
 

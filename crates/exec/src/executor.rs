@@ -1,6 +1,5 @@
 //! The [`Executor`] trait and the [`Sequential`] reference backend.
 
-use crate::adaptive::AdaptiveController;
 use std::sync::Arc;
 
 /// One row-probe: the expensive call an executor fans out.
@@ -32,16 +31,6 @@ pub trait Executor: Send + Sync {
     fn name(&self) -> &str {
         "executor"
     }
-
-    /// The backend's own per-probe latency model, if it times probes
-    /// itself. A backend that overlaps probes must: its callers can only
-    /// time whole batches, and batch wall time ÷ rows under-reads probe
-    /// latency by the overlap — a 176 µs probe behind 64 threads reads
-    /// as 2.7 µs. `None` (the default) means one probe at a time on the
-    /// calling thread, where the caller's own clock is right.
-    fn latency_model(&self) -> Option<&AdaptiveController> {
-        None
-    }
 }
 
 /// A shared backend is a backend: one long-lived executor (a
@@ -54,10 +43,6 @@ impl<E: Executor + ?Sized> Executor for Arc<E> {
 
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn latency_model(&self) -> Option<&AdaptiveController> {
-        (**self).latency_model()
     }
 }
 

@@ -16,9 +16,6 @@
 //!   width learned from the probes — blocking-RPC probes (remote UDF
 //!   backends) overlap by connection-pool math, CPU-bound ones by core
 //!   count, with no setting to say which;
-//! * [`adaptive`] — [`AdaptiveController`], the shared per-probe latency
-//!   EWMA that sizes planner drain slices between a floor and the
-//!   context's `max_in_flight`;
 //! * [`cache`] — [`RowBits`], the dense lock-free `row -> bool` bitmap
 //!   an invoker memoizes one query's answers in;
 //! * [`store`] — [`CacheStore`], the long-lived, capacity-bounded,
@@ -28,10 +25,7 @@
 //!   per-namespace pass rates: invokers feed it with every fresh answer,
 //!   and the expression optimizer ranks `AND`/`OR` siblings by it;
 //! * [`context`] — [`ExecContext`], the single execution parameter
-//!   (backend + cache + batch budget) threaded through every pipeline;
-//! * [`planner`] — [`BatchPlanner`], which accumulates pending probes per
-//!   correlation group and drains them through an executor under a
-//!   `max_in_flight` budget.
+//!   (backend + cache) threaded through every pipeline.
 //!
 //! # The `Executor` contract
 //!
@@ -55,20 +49,16 @@
 //! arbitrarily within a batch — the paper's cost model is indifferent to
 //! *when* an evaluation happens, only to *how many* happen.
 
-pub mod adaptive;
 pub mod cache;
 pub mod context;
 pub mod executor;
-pub mod planner;
 pub mod pool;
 pub mod selectivity;
 pub mod store;
 
-pub use adaptive::{AdaptiveController, DEFAULT_WINDOW_FLOOR};
 pub use cache::RowBits;
 pub use context::ExecContext;
 pub use executor::{BatchProbe, Executor, Sequential};
-pub use planner::{BatchPlanner, GroupedAnswer, DEFAULT_MAX_IN_FLIGHT};
 pub use pool::{PoolStats, WorkerPool};
 pub use selectivity::{SelectivityHandle, SelectivityTracker, DEFAULT_SELECTIVITY_CAPACITY};
 pub use store::{

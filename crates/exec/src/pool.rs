@@ -68,16 +68,14 @@
 //!
 //! # Inline fast path
 //!
-//! The pool keeps a per-probe latency estimate (an
-//! [`AdaptiveController`] — the same estimator batch planners size their
-//! windows by, exposed through [`Executor::latency_model`] because only
-//! the pool can time a probe once probes overlap): batches whose
-//! *estimated total work* is below the dispatch cost run inline on the
-//! caller instead of waking workers — eight 100 µs probes fan out (they
-//! carry 800 µs of work), eight 1 µs probes run inline. The inline path
-//! hedges against a stale estimate: if a supposedly-cheap batch overruns
-//! a small time budget (a new, slower UDF arrived on a warmed-up pool),
-//! the remainder fans out mid-batch.
+//! The pool keeps a per-probe latency estimate (an EWMA fed by its own
+//! stealers' clocks — only the pool can time a probe once probes
+//! overlap): batches whose *estimated total work* is below the dispatch
+//! cost run inline on the caller instead of waking workers — eight
+//! 100 µs probes fan out (they carry 800 µs of work), eight 1 µs probes
+//! run inline. The inline path hedges against a stale estimate: if a
+//! supposedly-cheap batch overruns a small time budget (a new, slower
+//! UDF arrived on a warmed-up pool), the remainder fans out mid-batch.
 //!
 //! # Panic safety
 //!
@@ -91,7 +89,6 @@
 //! at the size it had, and the job runs on the threads there are — the
 //! caller alone can finish any job.
 
-use crate::adaptive::AdaptiveController;
 use crate::executor::{BatchProbe, Executor};
 use std::cmp::Ordering as Cmp;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -406,13 +403,59 @@ impl Width {
     }
 }
 
+/// EWMA smoothing factor: each batch contributes a quarter of the new
+/// estimate, so a latency regime change settles within a few batches
+/// without one outlier (page cache miss, scheduler hiccup) whipping the
+/// estimate around.
+const EWMA_ALPHA: f64 = 0.25;
+
+/// A lock-free EWMA of observed per-probe latency: observations and
+/// reads are single atomics, so concurrent callers never serialize on it.
+#[derive(Debug, Default)]
+struct LatencyEwma {
+    /// `f64` bits of the ns-per-probe estimate; `0` means "no
+    /// observation yet" (a real measurement of exactly 0.0 ns cannot
+    /// occur: `observe` floors at a fraction of a nanosecond).
+    ns_bits: AtomicU64,
+}
+
+impl LatencyEwma {
+    /// Folds one batch into the estimate.
+    ///
+    /// Racing observers may each fold against the same prior value —
+    /// losing one update's weight is harmless for a heuristic, and the
+    /// alternative (a CAS loop) would put a contended retry on every
+    /// batch of every caller.
+    fn observe(&self, rows: usize, elapsed: Duration) {
+        if rows == 0 {
+            return;
+        }
+        let per_probe = (elapsed.as_nanos() as f64 / rows as f64).max(0.1);
+        let next = match self.ns_bits.load(Ordering::Relaxed) {
+            0 => per_probe,
+            prior => {
+                let prior = f64::from_bits(prior);
+                prior + EWMA_ALPHA * (per_probe - prior)
+            }
+        };
+        self.ns_bits.store(next.to_bits(), Ordering::Relaxed);
+    }
+
+    /// The current estimate, if any batch has been observed yet.
+    fn latency_estimate(&self) -> Option<Duration> {
+        match self.ns_bits.load(Ordering::Relaxed) {
+            0 => None,
+            bits => Some(Duration::from_nanos(f64::from_bits(bits) as u64)),
+        }
+    }
+}
+
 /// The pool's publication queue: workers park here between jobs.
 struct PoolShared {
     state: Mutex<PoolState>,
     work_available: Condvar,
-    /// Shared per-probe latency estimator driving the inline fast path
-    /// and, through [`Executor::latency_model`], planners' windows.
-    latency: AdaptiveController,
+    /// Per-probe latency estimate driving the inline fast path.
+    latency: LatencyEwma,
     /// Batches fanned out as jobs / run inline, and rows through either.
     jobs: AtomicU64,
     inline_batches: AtomicU64,
@@ -537,7 +580,7 @@ impl WorkerPool {
                 shutdown: false,
             }),
             work_available: Condvar::new(),
-            latency: AdaptiveController::new(),
+            latency: LatencyEwma::default(),
             jobs: AtomicU64::new(0),
             inline_batches: AtomicU64::new(0),
             rows: AtomicU64::new(0),
@@ -778,10 +821,6 @@ impl Executor for WorkerPool {
     fn name(&self) -> &str {
         "worker_pool"
     }
-
-    fn latency_model(&self) -> Option<&AdaptiveController> {
-        Some(&self.shared.latency)
-    }
 }
 
 impl Drop for WorkerPool {
@@ -965,7 +1004,26 @@ mod tests {
         assert_eq!(pool.threads(), 1, "the core budget clamps to >= 1");
         assert_eq!(pool.width(), 2, "one worker plus the caller");
         assert_eq!(pool.name(), "worker_pool");
-        assert!(pool.latency_model().is_some());
+    }
+
+    #[test]
+    fn the_latency_ewma_converges() {
+        let ewma = LatencyEwma::default();
+        for _ in 0..64 {
+            ewma.observe(1, Duration::from_micros(500));
+        }
+        let ns = ewma.latency_estimate().unwrap().as_nanos() as f64;
+        assert!(
+            (ns - 500_000.0).abs() < 50_000.0,
+            "estimate {ns} should settle near 500µs"
+        );
+    }
+
+    #[test]
+    fn zero_row_observations_are_ignored() {
+        let ewma = LatencyEwma::default();
+        ewma.observe(0, Duration::from_secs(1));
+        assert_eq!(ewma.latency_estimate(), None);
     }
 
     /// What a probe costs at `width` threads on `cores` cores.

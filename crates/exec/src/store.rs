@@ -105,7 +105,7 @@ pub struct CacheStats {
     /// explicit invalidation).
     pub invalidated: u64,
     /// Entries discarded because their namespace outlived the store's
-    /// time-to-live ([`CacheStore::with_ttl`]), checked lazily on borrow.
+    /// time-to-live ([`CacheStore::set_ttl`]), checked lazily on borrow.
     pub ttl_expirations: u64,
 }
 
@@ -666,12 +666,6 @@ impl CacheStore {
         }
     }
 
-    /// Builder form of [`CacheStore::set_ttl`].
-    pub fn with_ttl(self, ttl: Duration) -> Self {
-        self.set_ttl(Some(ttl));
-        self
-    }
-
     /// Sets (or clears, with `None`) the namespace time-to-live.
     ///
     /// Expiry is *lazy*: a namespace older than the TTL is dropped the
@@ -809,20 +803,6 @@ impl CacheStore {
     /// Drops one namespace outright.
     pub fn invalidate(&self, namespace: CacheNamespace) {
         let dropped = self.inner.write().remove(&namespace);
-        let stats = &self.inner.stats;
-        stats.invalidated.fetch_add(dropped, Ordering::Relaxed);
-    }
-
-    /// Drops every namespace belonging to `table` (any UDF, any version).
-    pub fn invalidate_table(&self, table: u64) {
-        let mut guard = self.inner.write();
-        let doomed: Vec<CacheNamespace> = guard
-            .map
-            .keys()
-            .filter(|ns| ns.table == table)
-            .copied()
-            .collect();
-        let dropped: u64 = doomed.iter().map(|ns| guard.remove(ns)).sum();
         let stats = &self.inner.stats;
         stats.invalidated.fetch_add(dropped, Ordering::Relaxed);
     }
@@ -988,19 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_table_drops_all_its_namespaces() {
-        let store = CacheStore::new();
-        store.handle(ns(1, 3, 0)).insert(0, true);
-        store.handle(ns(2, 3, 0)).insert(0, true);
-        store.handle(ns(1, 4, 0)).insert(0, true);
-        store.invalidate_table(3);
-        assert_eq!(store.num_namespaces(), 1);
-        assert_eq!(store.stats().invalidated, 2);
-        store.invalidate(ns(1, 4, 0));
-        assert!(store.is_empty());
-    }
-
-    #[test]
     fn capacity_bounds_entries_and_counts_evictions() {
         let store = CacheStore::with_capacity(64);
         let h = store.handle(ns(1, 1, 0));
@@ -1161,7 +1128,8 @@ mod tests {
 
     #[test]
     fn ttl_expires_namespaces_lazily_on_borrow() {
-        let store = CacheStore::new().with_ttl(Duration::from_millis(20));
+        let store = CacheStore::new();
+        store.set_ttl(Some(Duration::from_millis(20)));
         let h = store.handle(ns(1, 1, 0));
         h.insert(1, true);
         h.insert(2, false);
@@ -1182,7 +1150,8 @@ mod tests {
 
     #[test]
     fn prefill_age_counts_against_ttl() {
-        let store = CacheStore::new().with_ttl(Duration::from_millis(25));
+        let store = CacheStore::new();
+        store.set_ttl(Some(Duration::from_millis(25)));
         // Rehydrated with most of its TTL already spent…
         assert_eq!(
             store.prefill(ns(1, 1, 0), &[(1, true)], Duration::from_millis(15)),

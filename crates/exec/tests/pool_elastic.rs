@@ -10,10 +10,9 @@
 //! the machine's own. Timing-sensitive, so the tests take turns, and a
 //! scenario that fails gets one more go (see [`on_a_quiet_box`]).
 
-use expred_exec::{AdaptiveController, BatchProbe, ExecContext, Executor, Sequential, WorkerPool};
+use expred_exec::{BatchProbe, Executor, Sequential, WorkerPool};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One timing test at a time: they measure the box they share.
@@ -200,63 +199,6 @@ fn one_pool_re_converges_across_regimes() {
         assert_eq!(
             pool.evaluate_batch(&cheap, &batch),
             Sequential.evaluate_batch(&cheap, &batch)
-        );
-    });
-}
-
-/// Counts the slices a drain hands to the executor it wraps.
-struct Counting {
-    inner: Arc<WorkerPool>,
-    calls: AtomicUsize,
-}
-
-impl Executor for Counting {
-    fn evaluate_batch(&self, probe: &dyn BatchProbe, rows: &[usize]) -> Vec<bool> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.evaluate_batch(probe, rows)
-    }
-
-    fn latency_model(&self) -> Option<&AdaptiveController> {
-        self.inner.latency_model()
-    }
-}
-
-#[test]
-fn a_warm_drain_of_slow_probes_is_sliced_by_the_budget_at_any_width() {
-    on_a_quiet_box(|| {
-        let executor = Counting {
-            inner: Arc::new(WorkerPool::new()),
-            calls: AtomicUsize::new(0),
-        };
-        let session = AdaptiveController::new();
-        let ctx = ExecContext::new(&executor)
-            .with_adaptive(&session)
-            .with_max_in_flight(256);
-        let drain = |n: usize| {
-            let mut planner = ctx.planner();
-            for row in 0..n {
-                planner.enqueue(row % 5, row);
-            }
-            let before = executor.calls.load(Ordering::Relaxed);
-            let answers = planner.drain(&waiting, &executor);
-            assert_eq!(answers.len(), n);
-            executor.calls.load(Ordering::Relaxed) - before
-        };
-        // Warm: the pool learns the probes wait, and widens.
-        for _ in 0..32 {
-            if executor.inner.width() < 32 {
-                drain(512);
-            }
-        }
-        assert!(executor.inner.width() >= 32);
-        // Behind 32+ threads a slice's wall time ÷ rows reads as a few µs;
-        // a window sized by that would cut 800 rows into a dozen barriers.
-        // Sized by what a probe costs, it is ⌈800 ÷ 256⌉.
-        assert_eq!(drain(800), 4);
-        assert_eq!(drain(256), 1);
-        assert!(
-            session.latency_estimate().is_none(),
-            "slices of an executor that times its own probes are not timed again"
         );
     });
 }

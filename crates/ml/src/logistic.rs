@@ -57,13 +57,6 @@ impl LogisticModel {
         sigmoid(z)
     }
 
-    /// Predicted probabilities for a subset of matrix rows.
-    pub fn predict_rows(&self, features: &FeatureMatrix, rows: &[usize]) -> Vec<f64> {
-        rows.iter()
-            .map(|&r| self.predict(features.row(r)))
-            .collect()
-    }
-
     /// Predicted probabilities for every matrix row.
     pub fn predict_all(&self, features: &FeatureMatrix) -> Vec<f64> {
         (0..features.rows())

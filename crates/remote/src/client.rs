@@ -432,11 +432,6 @@ impl RemoteClient {
         &self.config.endpoint
     }
 
-    /// The shared stats handle (for the serving tier's metrics export).
-    pub fn stats_handle(&self) -> Arc<RemoteStats> {
-        Arc::clone(&self.stats)
-    }
-
     /// Current wire counters.
     pub fn stats(&self) -> RemoteStatsSnapshot {
         RemoteStatsSnapshot {

@@ -273,14 +273,19 @@ fn parse_table(value: &JsonValue, max_rows: usize) -> Result<TableKey, ApiError>
     }
     let spec = spec.ok_or_else(|| ApiError::bad_request("missing \"table.spec\""))?;
     let rows = rows.ok_or_else(|| ApiError::bad_request("missing \"table.rows\""))?;
-    if !crate::tenant::known_spec(&spec) {
+    let Some(generator) = crate::tenant::generator(&spec) else {
         return Err(ApiError::bad_request(format!(
             "unknown table spec {spec:?} (available: prosper, lc)"
         )));
-    }
-    if rows == 0 || rows > max_rows {
+    };
+    // Below one row per group the generator cannot place its groups
+    // (it asserts as much), and the tenant materializes tables under a
+    // lock: check the bound here, where it can still be a 400.
+    let min_rows = generator.groups;
+    if rows < min_rows || rows > max_rows {
         return Err(ApiError::bad_request(format!(
-            "\"table.rows\" must be in 1..={max_rows}, got {rows}"
+            "\"table.rows\" must be in {min_rows}..={max_rows} for spec {spec:?} \
+             (at least one row per group), got {rows}"
         )));
     }
     Ok(TableKey { spec, rows, seed })
@@ -885,7 +890,27 @@ mod tests {
             500,
         )
         .expect_err("row cap");
-        assert!(err.detail.contains("1..=500"));
+        assert!(err.detail.contains("8..=500"));
+    }
+
+    #[test]
+    fn rows_below_the_group_count_are_400() {
+        // `Dataset::generate` needs a row per group: 8 for prosper, 7 for lc.
+        for (spec, groups) in [("prosper", 8), ("lc", 7)] {
+            let body = |rows: usize| {
+                format!(
+                    r#"{{"table": {{"spec": "{spec}", "rows": {rows}}}, "query": {{"kind": "naive"}}}}"#
+                )
+            };
+            let err = parse(&body(groups - 1)).expect_err("fewer rows than groups");
+            assert_eq!(err.status, 400);
+            assert!(
+                err.detail.contains(&format!("{groups}..=100000")),
+                "{}",
+                err.detail
+            );
+            assert_eq!(parse(&body(groups)).unwrap().table.rows, groups);
+        }
     }
 
     #[test]

@@ -35,12 +35,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-/// Whether `spec` names a known table generator.
-pub fn known_spec(spec: &str) -> bool {
-    matches!(spec, "prosper" | "lc")
-}
-
-fn generator(spec: &str) -> Option<DatasetSpec> {
+/// The table generator `spec` names, if it is a known one.
+pub(crate) fn generator(spec: &str) -> Option<DatasetSpec> {
     match spec {
         "prosper" => Some(PROSPER),
         "lc" => Some(LENDING_CLUB),
@@ -398,9 +394,9 @@ mod tests {
 
     #[test]
     fn spec_names_resolve() {
-        assert!(known_spec("prosper"));
-        assert!(known_spec("lc"));
-        assert!(!known_spec("sentiment"));
+        assert!(generator("prosper").is_some());
+        assert!(generator("lc").is_some());
+        assert!(generator("sentiment").is_none());
     }
 
     #[test]

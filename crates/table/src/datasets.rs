@@ -140,6 +140,10 @@ pub struct GroupStatsSummary {
 
 impl Dataset {
     /// Generates the dataset for a spec with a given seed.
+    ///
+    /// # Panics
+    ///
+    /// If the spec has fewer than two groups, or fewer rows than groups.
     pub fn generate(spec: DatasetSpec, seed: u64) -> Self {
         let mut rng = Prng::seeded(seed ^ hash_name(spec.name));
         let (sizes, sels) = calibrate_groups(&spec, &mut rng);
@@ -242,6 +246,11 @@ fn hash_name(name: &str) -> u64 {
 fn calibrate_groups(spec: &DatasetSpec, rng: &mut Prng) -> (Vec<usize>, Vec<f64>) {
     let k = spec.groups;
     assert!(k >= 2, "need at least two groups");
+    assert!(
+        spec.rows >= k,
+        "need at least one row per group: {} rows for {k} groups",
+        spec.rows
+    );
 
     // u: standardized increasing pattern — the selectivity direction.
     let u = standardize((0..k).map(|i| i as f64).collect());
@@ -482,6 +491,24 @@ mod tests {
         assert_eq!(spec_by_name("lc"), Some(LENDING_CLUB));
         assert_eq!(spec_by_name("nope"), None);
         assert_eq!(all_specs().len(), 4);
+    }
+
+    #[test]
+    fn generate_returns_from_one_row_per_group_up() {
+        // Below that the largest-remainder loop has no row to take back;
+        // `calibrate_groups` refuses such a spec instead of spinning.
+        for spec in [PROSPER, LENDING_CLUB] {
+            for rows in spec.groups..=200 {
+                let ds = Dataset::generate(DatasetSpec { rows, ..spec }, 3);
+                assert_eq!(ds.table.num_rows(), rows);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one row per group")]
+    fn generate_refuses_fewer_rows_than_groups() {
+        Dataset::generate(DatasetSpec { rows: 7, ..PROSPER }, 3);
     }
 
     #[test]

@@ -165,19 +165,9 @@ impl CostTracker {
         self.counts.evaluated.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one memoized evaluation (no external call).
-    pub fn add_cache_hit(&self) {
-        self.add_cache_hits(1);
-    }
-
-    /// Records `n` memoized evaluations.
+    /// Records `n` memoized evaluations (no external call).
     pub fn add_cache_hits(&self, n: u64) {
         self.counts.cache_hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one evaluation answered from the cross-query cache.
-    pub fn add_reuse_hit(&self) {
-        self.add_reuse_hits(1);
     }
 
     /// Records `n` evaluations answered from the cross-query cache.
@@ -249,7 +239,7 @@ mod tests {
         t.add_retrievals(4);
         t.add_evaluation();
         t.add_evaluation();
-        t.add_cache_hit();
+        t.add_cache_hits(1);
         let c = t.snapshot();
         assert_eq!(c.retrieved, 4);
         assert_eq!(c.evaluated, 2);

@@ -226,11 +226,6 @@ impl<'a> UdfInvoker<'a> {
         self.table
     }
 
-    /// Whether this invoker shares a cross-query cache namespace.
-    pub fn is_session_cached(&self) -> bool {
-        self.shared.is_some()
-    }
-
     fn lookup(&self) -> Lookup<'_> {
         Lookup {
             memo: &self.memo,
@@ -531,7 +526,6 @@ mod tests {
         let udf = OracleUdf::new("good");
         let ctx = expred_exec::ExecContext::sequential();
         let inv = UdfInvoker::with_context(&udf, &t, &ctx);
-        assert!(!inv.is_session_cached());
         inv.evaluate(0);
         inv.evaluate(0);
         let c = inv.counts();
@@ -546,7 +540,6 @@ mod tests {
         let ctx = expred_exec::ExecContext::sequential().with_cache(&store);
 
         let q1 = UdfInvoker::with_context(&udf, &t, &ctx);
-        assert!(q1.is_session_cached());
         q1.evaluate_batch(&expred_exec::Sequential, &[0, 1, 2]);
         assert_eq!(q1.counts().evaluated, 3);
         assert_eq!(q1.counts().reuse_hits, 0, "a cold session has no reuse");

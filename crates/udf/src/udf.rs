@@ -234,16 +234,6 @@ impl ConjunctionUdf {
         assert!(!parts.is_empty(), "conjunction needs at least one UDF");
         Self { parts }
     }
-
-    /// Number of conjuncts.
-    pub fn arity(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Evaluates only the `i`-th conjunct.
-    pub fn evaluate_part(&self, i: usize, table: &Table, row: usize) -> bool {
-        self.parts[i].evaluate(table, row)
-    }
 }
 
 impl BooleanUdf for ConjunctionUdf {
@@ -347,8 +337,6 @@ mod tests {
         ]);
         assert!(udf.evaluate(&t, 0));
         assert!(!udf.evaluate(&t, 1));
-        assert_eq!(udf.arity(), 2);
-        assert!(udf.evaluate_part(0, &t, 0));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Backend-equivalence suite: the `WorkerPool` executor must be an exact
 //! drop-in for `Sequential` — identical result sets, identical accuracy
 //! metrics, identical audited costs — for every pipeline, on the bundled
-//! datasets, under fixed seeds, and regardless of how the adaptive
-//! controller slices drains. Only wall-clock time may differ. And the
+//! datasets, under fixed seeds, and regardless of what the pool has
+//! learned about its probes. Only wall-clock time may differ. And the
 //! session entry point must add nothing: `submit` on a cold engine
 //! equals the direct pipeline function on `ExecContext::sequential()`.
 
@@ -11,7 +11,7 @@ use expred::core::{
     run_multiple, run_naive, run_optimal, CorrelationModel, EngineError, IntelSampleConfig,
     PredictorChoice, QueryEngine, QueryRequest, QuerySpec, RunOutcome, SampleSizeRule,
 };
-use expred::exec::{AdaptiveController, ExecContext, Executor, Sequential, WorkerPool};
+use expred::exec::{ExecContext, Executor, Sequential, WorkerPool};
 use expred::table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 
 fn small(spec: DatasetSpec, rows: usize, seed: u64) -> Dataset {
@@ -162,44 +162,47 @@ fn iterative_pipeline_is_backend_invariant() {
 
 #[test]
 fn adaptive_planner_is_outcome_invariant() {
-    // The adaptive window may slice drains any way it likes — a tiny
-    // floor, a shared controller already convinced the probes are slow,
-    // any backend — without moving a single byte of the outcome or bill.
+    // Each stage hands the executor one batch; what the pool has learned
+    // — nothing yet, that probes wait (wide fan-out), that probes cost
+    // nanoseconds (inline path) — decides how that batch is chunked and
+    // overlapped, and never moves a byte of the outcome or bill.
     let ds = small(PROSPER, 4_000, 9);
     let spec = QuerySpec::paper_default();
     let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
-    let pool = WorkerPool::with_threads(4);
-    let fresh = AdaptiveController::with_floor(3);
-    let convinced = AdaptiveController::with_floor(16);
-    for _ in 0..16 {
-        convinced.observe(1, std::time::Duration::from_millis(2));
+    let rows: Vec<usize> = (0..64).collect();
+    let cold = WorkerPool::with_threads(4);
+    let wide = WorkerPool::with_threads(4);
+    let sleepy = |_row: usize| {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        true
+    };
+    for _ in 0..32 {
+        if wide.width() < 16 {
+            wide.evaluate_batch(&sleepy, &rows);
+        }
     }
+    assert!(
+        wide.width() >= 16,
+        "2 ms sleeps left the width at {}",
+        wide.width()
+    );
+    let inline = WorkerPool::with_threads(4);
+    for _ in 0..8 {
+        inline.evaluate_batch(&|row: usize| row.is_multiple_of(2), &rows);
+    }
+    assert!(inline.latency_estimate().unwrap() < std::time::Duration::from_micros(10));
     for seed in [2u64, 31] {
         let sequential = ExecContext::sequential();
         let want_naive = run_naive(&ds, &spec, seed, &sequential).unwrap();
         let want_intel = run_intel_sample(&ds, &cfg, seed, &sequential).unwrap();
         let want_optimal = run_optimal(&ds, &spec, "grade", seed, &sequential).unwrap();
-        for (name, ctx) in [
-            (
-                "fresh floor-3 sequential",
-                ExecContext::new(&Sequential).with_adaptive(&fresh),
-            ),
-            (
-                "fresh floor-3 pool",
-                ExecContext::new(&pool).with_adaptive(&fresh),
-            ),
-            (
-                "deep-window pool",
-                ExecContext::new(&pool).with_adaptive(&convinced),
-            ),
-            (
-                "deep-window tiny budget",
-                ExecContext::new(&pool)
-                    .with_adaptive(&convinced)
-                    .with_max_in_flight(11),
-            ),
+        for (name, pool) in [
+            ("cold pool", &cold),
+            ("pool trained wide on 2 ms sleeps", &wide),
+            ("pool trained inline on ns probes", &inline),
         ] {
-            let what = format!("adaptive {name} seed {seed}");
+            let ctx = ExecContext::new(pool);
+            let what = format!("{name} seed {seed}");
             assert_identical(
                 &want_naive,
                 &run_naive(&ds, &spec, seed, &ctx).unwrap(),
@@ -221,8 +224,8 @@ fn adaptive_planner_is_outcome_invariant() {
 
 #[test]
 fn engine_on_worker_pool_matches_sequential_engine() {
-    // The full session stack — engine, adaptive controller, row cache,
-    // result memo — on the pool backend must bill and answer exactly
+    // The full session stack — engine, row cache, result memo — on the
+    // pool backend must bill and answer exactly
     // like the sequential engine, query for query.
     let ds = small(PROSPER, 3_000, 10);
     let spec = QuerySpec::paper_default();
