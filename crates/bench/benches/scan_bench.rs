@@ -13,6 +13,16 @@
 //!   per-cell path) on the PROSPER `grade` column. Both produce the same
 //!   `GroupBy` byte for byte; the kernel skips the per-cell `Value`
 //!   materialization.
+//! * `group_by_str_<rows>` — the same pair on `zip3` (40 values): on a
+//!   dictionary-encoded string column the kernel sorts 40 entries and
+//!   remaps codes; the reference hashes every cell.
+//! * `generate_<rows>` — materializing the PROSPER table: backend `rows`
+//!   rebuilds it through `Table::from_rows` from its row values (cloned
+//!   inside the timed region, as a row-wise producer builds them — the
+//!   path `csv` and every `push_row` caller use), backend `columnar` is
+//!   `Dataset::generate` (typed vectors, labels rendered once, through
+//!   `Table::from_columns`) including its PRNG draws. Both drop the
+//!   table they built.
 //! * `one_hot_<rows>` — `extract_features` (dictionary-coded one-hot)
 //!   vs `extract_features_reference` (per-cell `to_string` keys) over
 //!   the full PROSPER candidate set.
@@ -102,6 +112,39 @@ fn main() {
             legacy / kernel
         );
         check(&scenario, legacy, kernel);
+
+        // The same pair on a 40-value string column.
+        let scenario = format!("group_by_str_{rows}");
+        let legacy = measure_ns_per_unit(units, reps, || {
+            black_box(ds.table.group_by_reference("zip3").unwrap());
+        });
+        let kernel = measure_ns_per_unit(units, reps, || {
+            black_box(ds.table.group_by("zip3").unwrap());
+        });
+        report.record(&scenario, "legacy", legacy, 1.0);
+        report.record(&scenario, "kernel", kernel, legacy / kernel);
+        println!(
+            "{scenario:<24} legacy {legacy:>8.1} ns/row | kernel {kernel:>8.1} ({:>5.2}x)",
+            legacy / kernel
+        );
+        check(&scenario, legacy, kernel);
+
+        // Materializing the table: row at a time vs column at a time.
+        let scenario = format!("generate_{rows}");
+        let cells: Vec<Vec<Value>> = (0..rows).map(|r| ds.table.row(r)).collect();
+        let by_rows = measure_ns_per_unit(units, reps.div_ceil(3), || {
+            black_box(Table::from_rows(ds.table.schema().clone(), cells.clone()).unwrap());
+        });
+        let columnar = measure_ns_per_unit(units, reps.div_ceil(3), || {
+            black_box(Dataset::generate(ds.spec, black_box(ds.seed)));
+        });
+        report.record(&scenario, "rows", by_rows, 1.0);
+        report.record(&scenario, "columnar", columnar, by_rows / columnar);
+        println!(
+            "{scenario:<24} rows   {by_rows:>8.1} ns/row | columnar {columnar:>6.1} ({:>5.2}x)",
+            by_rows / columnar
+        );
+        check(&scenario, by_rows, columnar);
 
         // One-hot encoding: per-cell to_string keys vs dictionary codes.
         let scenario = format!("one_hot_{rows}");

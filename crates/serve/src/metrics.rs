@@ -14,8 +14,7 @@
 use crate::gate::AdmissionGate;
 use crate::tenant::TenantRegistry;
 use expred_remote::RemoteStatsSnapshot;
-use expred_stats::json::{counters_to_text, escape, JsonWriter};
-use std::fmt::Write as _;
+use expred_stats::json::{counters_to_text, JsonWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -280,12 +279,11 @@ impl ServeMetrics {
                     &persist.fields(),
                 ));
             }
-            let _ = writeln!(
-                out,
-                "engine_tables{{tenant=\"{}\"}} {}",
-                escape(&name),
-                tenant.table_count()
-            );
+            out.push_str(&counters_to_text(
+                "engine",
+                &labels,
+                &tenant.table_counters(),
+            ));
         }
         if let Some(pool) = tenants.pool_stats() {
             out.push_str(&counters_to_text("pool", &[], &pool.fields()));
@@ -329,7 +327,9 @@ impl ServeMetrics {
             if let Some(persist) = engine.persist_stats() {
                 w.key("persist").counters(&persist.fields());
             }
-            w.key("tables").u64(tenant.table_count() as u64);
+            for (name, value) in tenant.table_counters() {
+                w.key(name).u64(value);
+            }
             w.end_object();
         }
         w.end_object();
@@ -411,6 +411,24 @@ mod tests {
         assert!(text.contains("engine_cache_hits{tenant=\"acme\"} 0\n"));
         assert!(text.contains("engine_memo_hits{tenant=\"acme\"} 0\n"));
         assert!(text.contains("engine_tables{tenant=\"acme\"} 0\n"));
+        assert!(text.contains("engine_table_misses{tenant=\"acme\"} 0\n"));
+        assert!(text.contains("engine_table_materialize_micros{tenant=\"acme\"} 0\n"));
+        // A slow query whose table had been evicted shows up as a miss.
+        let acme = tenants.route("acme").unwrap();
+        let key = |seed| crate::api::TableKey {
+            spec: "prosper".into(),
+            rows: 100,
+            seed,
+        };
+        for seed in [1, 2, 3, 1] {
+            acme.dataset(&key(seed));
+        }
+        let text = metrics.render_text(&context(&gate, &connections, &tenants, None));
+        assert!(text.contains("engine_tables{tenant=\"acme\"} 2\n"));
+        assert!(
+            text.contains("engine_table_misses{tenant=\"acme\"} 4\n"),
+            "seed 1 was evicted by seed 3 and materialized again"
+        );
         assert!(
             !text.contains("remote_udf_"),
             "no remote section without a backend"
@@ -424,7 +442,7 @@ mod tests {
         let connections = AdmissionGate::new(64);
         // In-memory tenants: no persist section anywhere.
         let tenants = TenantRegistry::new(4, 2, EngineConfig::default());
-        tenants.route("mem").unwrap();
+        let mem_tenant = tenants.route("mem").unwrap();
         let text = metrics.render_text(&context(&gate, &connections, &tenants, None));
         assert!(!text.contains("engine_persist_"));
         let doc =
@@ -432,7 +450,22 @@ mod tests {
                 .unwrap();
         let mem = doc.get("tenants").unwrap().get("mem").unwrap();
         assert!(mem.get("persist").is_none());
-        assert!(mem.get("tables").is_some(), "object closes correctly");
+        mem_tenant.dataset(&crate::api::TableKey {
+            spec: "lc".into(),
+            rows: 100,
+            seed: 1,
+        });
+        let doc =
+            JsonValue::parse(&metrics.render_json(&context(&gate, &connections, &tenants, None)))
+                .unwrap();
+        let mem = doc.get("tenants").unwrap().get("mem").unwrap();
+        assert_eq!(mem.get("tables").unwrap().as_u64(), Some(1));
+        assert_eq!(mem.get("table_misses").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            mem.get("table_materialize_micros").unwrap().as_u64(),
+            Some(mem_tenant.table_materialize_micros()),
+            "object closes correctly"
+        );
 
         // Persistent tenants: both renderers grow a persist section.
         let root = std::env::temp_dir().join(format!(

@@ -32,8 +32,9 @@ use expred_exec::{PoolStats, WorkerPool};
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::time::{Duration, Instant};
 
 /// The table generator `spec` names, if it is a known one.
 pub(crate) fn generator(spec: &str) -> Option<DatasetSpec> {
@@ -134,11 +135,27 @@ impl EngineConfig {
 pub struct Tenant {
     name: String,
     engine: QueryEngine,
-    /// Materialized tables, LRU-bounded by `max_tables`. The `u64` is a
-    /// logical access clock.
-    tables: Mutex<HashMap<TableKey, (Arc<Dataset>, u64)>>,
-    clock: Mutex<u64>,
+    /// Materialized tables, LRU-bounded by `max_tables`.
+    tables: Mutex<Tables>,
     max_tables: usize,
+    table_misses: AtomicU64,
+    table_materialize_micros: AtomicU64,
+}
+
+/// A tenant's table map and its logical access clock, under one lock.
+#[derive(Default)]
+struct Tables {
+    clock: u64,
+    slots: HashMap<TableKey, Slot>,
+}
+
+/// One key's place in the map. The lock is held only to find or reserve
+/// a slot; the table is generated into the slot's once-cell *outside* it,
+/// so a miss never parks the tenant's other requests, and concurrent
+/// misses on one key still generate once and share the instance.
+struct Slot {
+    table: Arc<OnceLock<Arc<Dataset>>>,
+    last_used: u64,
 }
 
 impl std::fmt::Debug for Tenant {
@@ -161,9 +178,10 @@ impl Tenant {
         Self {
             name,
             engine,
-            tables: Mutex::new(HashMap::new()),
-            clock: Mutex::new(0),
+            tables: Mutex::default(),
             max_tables: max_tables.max(1),
+            table_misses: AtomicU64::new(0),
+            table_materialize_micros: AtomicU64::new(0),
         }
     }
 
@@ -183,40 +201,78 @@ impl Tenant {
     /// [`expred_table::table::TableId`], so stale entries simply age out
     /// of the store.
     pub fn dataset(&self, key: &TableKey) -> Arc<Dataset> {
-        let tick = {
-            let mut clock = self.clock.lock().unwrap_or_else(|e| e.into_inner());
-            *clock += 1;
-            *clock
-        };
-        let mut tables = self.tables.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((ds, last_used)) = tables.get_mut(key) {
-            *last_used = tick;
-            return Arc::clone(ds);
-        }
-        let spec = generator(&key.spec).expect("key validated by the API layer");
-        let ds = Arc::new(Dataset::generate(
-            DatasetSpec {
-                rows: key.rows,
-                ..spec
-            },
-            key.seed,
-        ));
-        if tables.len() >= self.max_tables {
-            if let Some(evict) = tables
-                .iter()
-                .min_by_key(|(_, (_, last_used))| *last_used)
-                .map(|(k, _)| k.clone())
-            {
-                tables.remove(&evict);
+        let (slot, evicted) = {
+            let mut tables = self.tables.lock().unwrap_or_else(|e| e.into_inner());
+            tables.clock += 1;
+            let tick = tables.clock;
+            match tables.slots.get_mut(key) {
+                Some(slot) => {
+                    slot.last_used = tick;
+                    (Arc::clone(&slot.table), None)
+                }
+                None => {
+                    let evicted = if tables.slots.len() >= self.max_tables {
+                        let oldest = tables.slots.iter().min_by_key(|(_, slot)| slot.last_used);
+                        let victim = oldest.map(|(key, _)| key.clone());
+                        victim.and_then(|key| tables.slots.remove(&key))
+                    } else {
+                        None
+                    };
+                    let table = Arc::new(OnceLock::new());
+                    let slot = Slot {
+                        table: Arc::clone(&table),
+                        last_used: tick,
+                    };
+                    tables.slots.insert(key.clone(), slot);
+                    (table, evicted)
+                }
             }
-        }
-        tables.insert(key.clone(), (Arc::clone(&ds), tick));
-        ds
+        };
+        // The victim's table is freed here, after the guard.
+        drop(evicted);
+        Arc::clone(slot.get_or_init(|| {
+            let started = Instant::now();
+            let spec = generator(&key.spec).expect("key validated by the API layer");
+            let dataset = Arc::new(Dataset::generate(
+                DatasetSpec {
+                    rows: key.rows,
+                    ..spec
+                },
+                key.seed,
+            ));
+            self.table_misses.fetch_add(1, Ordering::Relaxed);
+            self.table_materialize_micros
+                .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+            dataset
+        }))
     }
 
     /// How many tables this tenant currently holds.
     pub fn table_count(&self) -> usize {
-        self.tables.lock().unwrap_or_else(|e| e.into_inner()).len()
+        let tables = self.tables.lock().unwrap_or_else(|e| e.into_inner());
+        tables.slots.len()
+    }
+
+    /// How many [`Self::dataset`] calls had to materialize their table
+    /// (first use, or re-use after eviction).
+    pub fn table_misses(&self) -> u64 {
+        self.table_misses.load(Ordering::Relaxed)
+    }
+
+    /// Total time those misses spent materializing, in microseconds.
+    pub fn table_materialize_micros(&self) -> u64 {
+        self.table_materialize_micros.load(Ordering::Relaxed)
+    }
+
+    /// The table tier's counters as `/metrics` exports them: "this query
+    /// was slow because its table had been evicted" reads as a miss and
+    /// its materialization time.
+    pub fn table_counters(&self) -> [(&'static str, u64); 3] {
+        [
+            ("tables", self.table_count() as u64),
+            ("table_misses", self.table_misses()),
+            ("table_materialize_micros", self.table_materialize_micros()),
+        ]
     }
 }
 
@@ -376,6 +432,32 @@ mod tests {
         assert_eq!(t.table_count(), 2);
         let kept = t.dataset(&key(100, 1));
         assert!(Arc::ptr_eq(&first, &kept), "recently used key survived");
+    }
+
+    #[test]
+    fn racing_misses_on_one_key_generate_once() {
+        let registry = TenantRegistry::new(1, 2, EngineConfig::default());
+        let tenant = registry.route("t").unwrap();
+        let key = key(2_000, 4);
+        let barrier = std::sync::Barrier::new(8);
+        let tables: Vec<Arc<Dataset>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        tenant.dataset(&key)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for table in &tables {
+            assert!(Arc::ptr_eq(table, &tables[0]), "one instance for all");
+        }
+        assert_eq!(tenant.table_count(), 1);
+        assert_eq!(tenant.table_misses(), 1, "generated once");
+        tenant.dataset(&key);
+        assert_eq!(tenant.table_misses(), 1, "a hit is not a miss");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! wrapper per row. The kernels here work on the typed `Vec<Option<T>>`
 //! storage directly: one pass builds a first-seen dictionary over
 //! primitive keys, the (small) dictionary is sorted, and a dense `u32`
-//! code per row is remapped into final group ids.
+//! code per row is remapped into final group ids. A string column
+//! already *is* a dictionary plus codes ([`StrColumn`]), so it skips the
+//! hashing pass: sort its dictionary, remap its codes.
 //!
 //! The output contract is *byte-identical* to the legacy path:
 //!
@@ -22,7 +24,7 @@
 //! `expred-ml`: the per-row code replaces a per-cell heap `String`, and
 //! the dictionary is rendered to strings once per *distinct* value.
 
-use crate::column::Column;
+use crate::column::{Column, StrColumn};
 use crate::table::GroupBy;
 use crate::value::{total_order_bits, Value};
 use std::collections::hash_map::Entry;
@@ -163,14 +165,36 @@ impl Column {
                 |f| total_order_bits(*f),
                 Value::Float,
             ),
-            Column::Str(v) => dictionary_codes(
-                v.iter().map(|s| s.as_deref()),
-                v.len(),
-                |s| *s,
-                |s| Value::Str(s.to_owned()),
-            ),
+            Column::Str(v) => str_codes(v),
         }
     }
+}
+
+/// [`dictionary_codes`] for a column that is stored dictionary-encoded:
+/// rank the (few) distinct strings, then remap every row's code in one
+/// pass — no cell is hashed or compared.
+fn str_codes(column: &StrColumn) -> GroupCodes {
+    let (order, rank) = column.dictionary_order();
+    let has_null = column.null_count() > 0;
+    let remap: Vec<u32> = rank.iter().map(|r| r + has_null as u32).collect();
+    // NULL's code lies past every dictionary entry, so the one bounds
+    // check also sends NULL rows to group 0.
+    let codes = column
+        .codes()
+        .iter()
+        .map(|&code| remap.get(code as usize).copied().unwrap_or(0))
+        .collect();
+    let entries = column.dictionary();
+    let keys = has_null
+        .then_some(Value::Null)
+        .into_iter()
+        .chain(
+            order
+                .iter()
+                .map(|&code| Value::Str(entries[code as usize].to_string())),
+        )
+        .collect();
+    GroupCodes { codes, keys }
 }
 
 #[cfg(test)]

@@ -8,22 +8,37 @@
 //! # Storage model
 //!
 //! Storage is **typed-columnar**, not row-oriented: a [`table::Table`] is a
-//! [`schema::Schema`] plus one [`column::Column`] per field, and each
-//! column is a typed vector — `Vec<Option<bool>>`, `Vec<Option<i64>>`,
-//! `Vec<Option<f64>>`, or `Vec<Option<String>>` — with `None` as NULL.
+//! [`schema::Schema`] plus one [`column::Column`] per field. Boolean and
+//! numeric columns are typed vectors — `Vec<Option<bool>>`,
+//! `Vec<Option<i64>>`, `Vec<Option<f64>>` — with `None` as NULL. String
+//! columns are **dictionary-encoded** ([`column::StrColumn`]): each
+//! distinct string is stored once, every row carries a `u32` code, and
+//! NULL is the reserved code `u32::MAX`. There is one string
+//! representation, whatever the cardinality; equality is by *content*
+//! (two columns with the same cells are equal however their dictionaries
+//! are ordered); and the one cost is stated plainly: an all-distinct
+//! string column pays 4 B/row of codes plus a dictionary slot and an
+//! interning-index entry per row on top of its strings.
 //! [`value::Value`] is a *cell view* for ingestion, display, and group
-//! keys; it is materialized at the edges, never stored per cell. Hot
-//! paths run on the typed vectors directly:
+//! keys; it is materialized at the edges, never stored per cell. A table
+//! is built a row at a time ([`table::Table::push_row`], what [`csv`]
+//! uses) or from whole columns ([`table::Table::from_columns`], what
+//! [`datasets`] uses); both make the same checks and fold the same
+//! content [`table::Table::version`]. Hot paths run on the typed vectors
+//! and the codes directly:
 //!
 //! * [`kernels`] — vectorized grouping: [`kernels::GroupCodes`] dictionary-
 //!   encodes a column into dense group ids plus a key-sorted dictionary
 //!   in one typed pass (byte-identical output to the scalar reference
-//!   [`table::Table::group_by_reference`]). Also the substrate for
-//!   one-hot feature encoding in `expred-ml`.
+//!   [`table::Table::group_by_reference`]); on a string column it sorts
+//!   the stored dictionary and remaps the stored codes, hashing nothing.
+//!   Also the substrate for one-hot feature encoding in `expred-ml`.
 //! * [`stats`] — lazily computed, memoized per-`(column, version)`
 //!   statistics: min/max bounds, NULL census, distinct count, and
 //!   per-chunk *zone maps* that let [`table::Table::scan`] skip chunks a
-//!   cheap predicate cannot match without touching a row.
+//!   cheap predicate cannot match without touching a row. String bounds
+//!   compare dictionary ranks, and a string-equality scan resolves its
+//!   needle to a code once.
 //! * [`derived`] — [`derived::DerivedCache`], the session-level memo of
 //!   derived artifacts ([`table::GroupBy`] partitions, encoding
 //!   dictionaries) keyed by `(TableId, version, column)`; `push_row`
@@ -38,7 +53,8 @@
 //! * [`csv`] — minimal RFC-4180 CSV ingestion for users with real data.
 //! * [`datasets`] — synthetic clones of the paper's four evaluation
 //!   datasets, calibrated to the published Table 2/3 statistics (see
-//!   DESIGN.md for the substitution argument).
+//!   DESIGN.md for the substitution argument), generated column by
+//!   column.
 
 pub mod column;
 pub mod csv;
@@ -50,7 +66,7 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use column::Column;
+pub use column::{Column, StrColumn};
 pub use datasets::{Dataset, DatasetSpec, LABEL_COLUMN};
 pub use derived::{DerivedCache, DerivedCacheStats, DEFAULT_DERIVED_CAPACITY};
 pub use kernels::GroupCodes;

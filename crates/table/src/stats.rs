@@ -21,7 +21,7 @@
 //! whose float bounds are `None` holds only NULLs and NaNs, and NaN never
 //! satisfies a range predicate, so skipping it stays exact.
 
-use crate::column::Column;
+use crate::column::{Column, StrColumn};
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -85,12 +85,20 @@ impl ColumnStats {
                 |f| if f.is_nan() { None } else { Some(FloatOrd(*f)) },
                 |f| Value::Float(*f),
             ),
-            Column::Str(v) => zones_for(
-                v.iter().map(|x| x.as_ref()),
-                v.len(),
-                |s| Some(s.as_str()),
-                |s| Value::Str(s.clone()),
-            ),
+            Column::Str(v) => {
+                // Bounds compare dictionary ranks, not strings: the
+                // dictionary is sorted once and each row costs an integer
+                // comparison.
+                let (_, rank) = v.dictionary_order();
+                zones_for(
+                    v.codes()
+                        .iter()
+                        .map(|code| (*code != StrColumn::NULL_CODE).then_some(code)),
+                    v.len(),
+                    |code| Some(rank[*code as usize]),
+                    |code| Value::Str(v.dictionary()[*code as usize].to_string()),
+                )
+            }
         };
         Self {
             null_count,
@@ -288,6 +296,12 @@ pub fn scan_column(
         zones_total: stats.zones().len(),
         ..ScanStats::default()
     };
+    // A string needle is resolved to its dictionary code once; the
+    // per-row loop compares codes.
+    let needle = match (column, pred) {
+        (Column::Str(v), ScanPredicate::StrEquals(s)) => v.code_of(s),
+        _ => None,
+    };
     for zone in stats.zones() {
         if !zone_may_match(zone, pred) {
             accounting.zones_skipped += 1;
@@ -295,13 +309,22 @@ pub fn scan_column(
         }
         accounting.rows_tested += zone.len as usize;
         let (start, end) = (zone.start as usize, (zone.start + zone.len) as usize);
-        scan_zone(column, pred, start, end, &mut out);
+        scan_zone(column, pred, needle, start, end, &mut out);
     }
     Ok((out, accounting))
 }
 
-/// Typed per-row predicate loop over one zone's row range.
-fn scan_zone(column: &Column, pred: &ScanPredicate, start: usize, end: usize, out: &mut Vec<u32>) {
+/// Typed per-row predicate loop over one zone's row range. `needle` is the
+/// dictionary code of a [`ScanPredicate::StrEquals`] string, `None` when
+/// no row of the column holds it.
+fn scan_zone(
+    column: &Column,
+    pred: &ScanPredicate,
+    needle: Option<u32>,
+    start: usize,
+    end: usize,
+    out: &mut Vec<u32>,
+) {
     match (column, pred) {
         (Column::Int(v), ScanPredicate::IntRange { lo, hi }) => {
             for (r, cell) in v[start..end].iter().enumerate() {
@@ -331,10 +354,12 @@ fn scan_zone(column: &Column, pred: &ScanPredicate, start: usize, end: usize, ou
                 }
             }
         }
-        (Column::Str(v), ScanPredicate::StrEquals(s)) => {
-            for (r, cell) in v[start..end].iter().enumerate() {
-                if cell.as_deref() == Some(s.as_str()) {
-                    out.push((start + r) as u32);
+        (Column::Str(v), ScanPredicate::StrEquals(_)) => {
+            if let Some(needle) = needle {
+                for (r, code) in v.codes()[start..end].iter().enumerate() {
+                    if *code == needle {
+                        out.push((start + r) as u32);
+                    }
                 }
             }
         }
@@ -351,7 +376,7 @@ fn scan_zone(column: &Column, pred: &ScanPredicate, start: usize, end: usize, ou
                     Column::Bool(v) => v[r].is_none(),
                     Column::Int(v) => v[r].is_none(),
                     Column::Float(v) => v[r].is_none(),
-                    Column::Str(v) => v[r].is_none(),
+                    Column::Str(v) => v.get(r).is_none(),
                 };
                 if is_null {
                     out.push(r as u32);
@@ -500,7 +525,11 @@ mod tests {
 
     #[test]
     fn str_and_bool_scans() {
-        let c = Column::Str(vec![Some("b".into()), Some("a".into()), None]);
+        let mut c = StrColumn::default();
+        for cell in [Some("b"), Some("a"), None] {
+            c.push(cell);
+        }
+        let c = Column::Str(c);
         let s = ColumnStats::of(&c);
         let (rows, _) = scan_column(&c, &s, &ScanPredicate::StrEquals("a".into())).unwrap();
         assert_eq!(rows, vec![1]);

@@ -36,6 +36,27 @@ impl TableId {
 /// downstream key encodings.
 static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
 
+/// What a row's hash starts from, before its cells are folded in.
+const ROW_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one cell's [`Value::fingerprint`] into its row's hash.
+fn fold_cell(row_hash: u64, fingerprint: u64) -> u64 {
+    row_hash
+        .rotate_left(5)
+        .wrapping_mul(0x100_0000_01b3)
+        .wrapping_add(fingerprint)
+}
+
+/// Folds one row's hash into the table version. Never 0, so "mutated at
+/// least once" is observable.
+fn fold_row(version: u64, row_hash: u64) -> u64 {
+    version
+        .rotate_left(1)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(row_hash)
+        | 1
+}
+
 /// An immutable-after-build, columnar, in-memory relation.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -61,6 +82,19 @@ impl PartialEq for Table {
 }
 
 impl Table {
+    /// A new table instance (fresh [`TableId`], empty stats memo) over
+    /// already-validated parts.
+    fn new(schema: Schema, columns: Vec<Column>, num_rows: usize, version: u64) -> Self {
+        Self {
+            schema,
+            columns,
+            num_rows,
+            id: TableId(NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed)),
+            version,
+            stats: Arc::new(StatsCache::default()),
+        }
+    }
+
     /// An empty table with the given schema.
     pub fn empty(schema: Schema) -> Self {
         let columns = schema
@@ -68,14 +102,7 @@ impl Table {
             .iter()
             .map(|f| Column::empty(f.data_type()))
             .collect();
-        Self {
-            schema,
-            columns,
-            num_rows: 0,
-            id: TableId(NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed)),
-            version: 0,
-            stats: Arc::new(StatsCache::default()),
-        }
+        Self::new(schema, columns, 0, 0)
     }
 
     /// Builds a table from rows, validating types against the schema.
@@ -85,6 +112,54 @@ impl Table {
             table.push_row(row)?;
         }
         Ok(table)
+    }
+
+    /// Builds a table from whole columns: the columnar twin of
+    /// [`Self::from_rows`], for producers that already hold typed vectors
+    /// (and, for strings, a dictionary plus codes). It makes every check
+    /// [`Self::push_row`] makes — arity, equal lengths, column type
+    /// against field type, NULLs in non-nullable fields — and folds the
+    /// **same** row-major [`Self::version`] fingerprint, so a table built
+    /// either way from the same cells has the same version; a string's
+    /// fingerprint is taken once per dictionary entry instead of once per
+    /// cell. (One asymmetry: an `Int` value that `push_row` widened into
+    /// a float column was fingerprinted as the `Int` it arrived as; here
+    /// the cell is the float.)
+    pub fn from_columns(schema: Schema, columns: Vec<Column>) -> Result<Self, String> {
+        if columns.len() != schema.len() {
+            return Err(format!(
+                "{} columns do not match schema arity {}",
+                columns.len(),
+                schema.len()
+            ));
+        }
+        let num_rows = columns.first().map_or(0, Column::len);
+        for (field, column) in schema.fields().iter().zip(&columns) {
+            if column.data_type() != field.data_type() {
+                return Err(format!(
+                    "type mismatch: {} column for {} field {:?}",
+                    column.data_type(),
+                    field.data_type(),
+                    field.name()
+                ));
+            }
+            if column.len() != num_rows {
+                return Err(format!(
+                    "column {:?} has {} rows, the first column has {num_rows}",
+                    field.name(),
+                    column.len()
+                ));
+            }
+            if !field.is_nullable() && column.null_count() > 0 {
+                return Err(format!("NULL in non-nullable field {:?}", field.name()));
+            }
+        }
+        let mut row_hashes = vec![ROW_HASH_SEED; num_rows];
+        for column in &columns {
+            column.fold_fingerprints(&mut row_hashes, fold_cell);
+        }
+        let version = row_hashes.into_iter().fold(0, fold_row);
+        Ok(Self::new(schema, columns, num_rows, version))
     }
 
     /// Appends one row. Errors on arity or type mismatch, and on NULLs in
@@ -105,23 +180,14 @@ impl Table {
         }
         // Fold the row into the version fingerprint *after* validation, so
         // failed pushes leave the version (and hence cache keys) untouched.
-        let mut row_hash = 0xcbf2_9ce4_8422_2325u64;
-        for value in &row {
-            row_hash = row_hash
-                .rotate_left(5)
-                .wrapping_mul(0x100_0000_01b3)
-                .wrapping_add(value.fingerprint());
-        }
+        let row_hash = row.iter().fold(ROW_HASH_SEED, |hash, value| {
+            fold_cell(hash, value.fingerprint())
+        });
         for (idx, value) in row.into_iter().enumerate() {
             self.columns[idx].push(value)?;
         }
         self.num_rows += 1;
-        self.version = self
-            .version
-            .rotate_left(1)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(row_hash)
-            | 1; // never 0, so "mutated at least once" is observable
+        self.version = fold_row(self.version, row_hash);
         Ok(())
     }
 
@@ -489,6 +555,59 @@ mod tests {
             .push_row(vec![Value::Null, Value::from("q"), Value::Bool(true)])
             .is_err());
         assert_eq!(t.version(), before);
+    }
+
+    #[test]
+    fn from_columns_makes_the_checks_push_row_makes() {
+        let ints = |cells: &[Option<i64>]| Column::Int(cells.to_vec());
+        let names = |cells: &[Option<&str>]| {
+            let mut column = Column::empty(DataType::Str);
+            for cell in cells {
+                column.push(cell.map_or(Value::Null, Value::from)).unwrap();
+            }
+            column
+        };
+        let goods = |cells: &[Option<bool>]| Column::Bool(cells.to_vec());
+        let schema = || sample_table().schema().clone();
+        let build = |columns| Table::from_columns(schema(), columns);
+
+        let good = build(vec![
+            ints(&[Some(1), Some(2), Some(1), Some(3), Some(2)]),
+            names(&["w", "x", "y", "z", "v"].map(Some)),
+            goods(&[true, false, true, false, true].map(Some)),
+        ])
+        .unwrap();
+        assert_eq!(good, sample_table());
+        assert_eq!(good.version(), sample_table().version());
+
+        let err = build(vec![ints(&[Some(1)]), names(&[Some("w")])]).unwrap_err();
+        assert!(err.contains("arity"), "{err}");
+        let ragged = vec![
+            ints(&[Some(1), Some(2)]),
+            names(&[Some("w")]),
+            goods(&[Some(true), Some(false)]),
+        ];
+        let err = build(ragged).unwrap_err();
+        assert!(err.contains("\"name\" has 1 rows"), "{err}");
+        let mistyped = vec![ints(&[Some(1)]), ints(&[Some(2)]), goods(&[Some(true)])];
+        let err = build(mistyped).unwrap_err();
+        assert!(err.contains("type mismatch"), "{err}");
+        let with_null = vec![ints(&[None]), names(&[Some("w")]), goods(&[Some(true)])];
+        let err = build(with_null).unwrap_err();
+        assert!(err.contains("non-nullable"), "{err}");
+    }
+
+    #[test]
+    fn from_columns_of_no_rows_is_the_empty_table() {
+        let schema = sample_table().schema().clone();
+        let columns = schema
+            .fields()
+            .iter()
+            .map(|f| Column::empty(f.data_type()))
+            .collect();
+        let t = Table::from_columns(schema.clone(), columns).unwrap();
+        assert_eq!(t, Table::empty(schema));
+        assert_eq!(t.version(), 0);
     }
 
     #[test]

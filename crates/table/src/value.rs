@@ -99,15 +99,7 @@ impl Value {
     /// equal, and the type tag keeps cross-type collisions structural
     /// rather than accidental.
     pub fn fingerprint(&self) -> u64 {
-        const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-        let (tag, body) = match self {
-            Value::Null => (0u64, 0u64),
-            Value::Bool(b) => (1, *b as u64),
-            Value::Int(i) => (2, *i as u64),
-            Value::Float(f) => (3, total_order_bits(*f)),
-            Value::Str(s) => (4, expred_stats::hash::fnv1a(s.as_bytes())),
-        };
-        splitmix(tag.wrapping_mul(GOLDEN) ^ body)
+        self.sort_key().fingerprint()
     }
 
     /// A total-order key usable for grouping and sorting.
@@ -162,6 +154,24 @@ pub enum ValueKey<'a> {
     Float(u64),
     /// String key.
     Str(&'a str),
+}
+
+impl ValueKey<'_> {
+    /// [`Value::fingerprint`] of the value this key was taken from,
+    /// computed from the borrowed key — the columnar constructor
+    /// fingerprints typed cells and dictionary entries without building
+    /// an owned [`Value`] for each.
+    pub fn fingerprint(self) -> u64 {
+        const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+        let (tag, body) = match self {
+            ValueKey::Null => (0u64, 0u64),
+            ValueKey::Bool(b) => (1, b as u64),
+            ValueKey::Int(i) => (2, i as u64),
+            ValueKey::Float(bits) => (3, bits),
+            ValueKey::Str(s) => (4, expred_stats::hash::fnv1a(s.as_bytes())),
+        };
+        splitmix(tag.wrapping_mul(GOLDEN) ^ body)
+    }
 }
 
 impl fmt::Display for Value {
