@@ -9,10 +9,13 @@
 //! Results land in `BENCH_executor.json`: one `execute_plan_<plan>` row
 //! per plan shape (ns per table row, sequential backend, free oracle
 //! probes — this measures the executor's own bookkeeping, not UDF cost),
-//! plus the invoker's read path over a warm session: `memoized_scan_warm`
-//! (a fresh query asking which of the table's rows are already decided —
-//! every row a store hit promoted into the query's memo) and
-//! `evaluate_batch_warm` (the same rows demanded as one batch).
+//! plus the read path over a warm session, where every row is a store
+//! hit promoted into the query's memo: `memoized_scan_warm` (a fresh
+//! query asking, group by group over the groups' word runs, which rows
+//! are already decided), `execute_plan_warm` (a fresh query executing a
+//! plan over it: the answer is the reused positives, read out of one
+//! plane) and `evaluate_batch_warm` (the same rows demanded as one
+//! batch).
 
 use expred_bench::{report::measure_ns_per_unit, BenchReport};
 use expred_core::execute::execute_plan;
@@ -102,13 +105,27 @@ fn main() {
     UdfInvoker::with_context(&udf, &ds.table, &ctx).evaluate_batch(&Sequential, &all_rows);
     let ns = measure_ns_per_unit(rows as u64, reps, || {
         let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
-        for (_, _, group) in groups.iter() {
-            black_box(invoker.known_many(group.iter().map(|&row| row as usize)));
+        let mut passed = 0u32;
+        for g in 0..k {
+            invoker.scan_runs(groups.runs(g), |_, _, _, answer| {
+                passed += answer.count_ones()
+            });
         }
+        black_box(passed);
         assert_eq!(invoker.counts().reuse_hits, rows as u64);
     });
     report.record("memoized_scan_warm", "sequential", ns, 1.0);
     println!("{:<30} {ns:>8.1} ns/row", "memoized_scan_warm");
+    let mut seed = 0u64;
+    let ns = measure_ns_per_unit(rows as u64, reps, || {
+        seed += 1;
+        let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
+        let mut rng = Prng::seeded(seed);
+        black_box(execute_plan(&plan, &groups, &invoker, &mut rng, &ctx));
+        assert_eq!(invoker.counts().reuse_hits, rows as u64);
+    });
+    report.record("execute_plan_warm", "sequential", ns, 1.0);
+    println!("{:<30} {ns:>8.1} ns/row", "execute_plan_warm");
     let ns = measure_ns_per_unit(rows as u64, reps, || {
         let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
         black_box(invoker.evaluate_batch(&Sequential, &all_rows));

@@ -12,7 +12,7 @@
 //!   evaluations into the estimates, and re-plan.
 
 use crate::error::EngineError;
-use crate::execute::execute_plan;
+use crate::execute::execute_plan_into;
 use crate::optimize::{solve_estimated, CorrelationModel};
 use crate::pipeline::{run_framed, session_group_by, solve_or_evaluate_all, Answer, RunOutcome};
 use crate::plan::Plan;
@@ -38,9 +38,10 @@ pub fn run_intel_sample_adaptive(
             solve_estimated(&est_groups, spec, corr),
             groups.num_groups(),
         );
-        let result = execute_plan(&plan, &groups, &f.invoker, &mut f.rng, ctx);
+        let mut returned = f.empty_answer();
+        execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned);
         Ok(Answer {
-            returned: result.returned,
+            returned,
             num_groups: groups.num_groups(),
             plan_feasible,
         })
@@ -76,7 +77,8 @@ pub fn run_intel_sample_iterative(
 
         // Initial estimates.
         let mut sample = sample_groups(&groups, &f.invoker, initial_rule, &mut f.rng, ctx);
-        let mut returned: Vec<u32> = Vec::new();
+        // Every round's answer rows join one plane over the table.
+        let mut returned = f.empty_answer();
         // Rows not yet touched by execution, per group.
         let mut pending: Vec<Vec<u32>> = (0..k).map(|g| groups.rows(g).to_vec()).collect();
         let mut plan_feasible = true;
@@ -116,8 +118,14 @@ pub fn run_intel_sample_iterative(
                 total,
             );
             let slice_plan = Plan::new(slice_r, slice_e);
-            let result = execute_plan(&slice_plan, &slice_groups, &f.invoker, &mut f.rng, ctx);
-            returned.extend(result.returned);
+            execute_plan_into(
+                &slice_plan,
+                &slice_groups,
+                &f.invoker,
+                &mut f.rng,
+                ctx,
+                &mut returned,
+            );
 
             // Fold everything evaluated so far back into the estimates.
             sample = sample_groups(
@@ -128,8 +136,6 @@ pub fn run_intel_sample_iterative(
                 ctx,
             );
         }
-        returned.sort_unstable();
-        returned.dedup();
         Ok(Answer {
             returned,
             num_groups: k,

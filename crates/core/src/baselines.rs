@@ -21,7 +21,6 @@ use crate::query::QuerySpec;
 use expred_exec::ExecContext;
 use expred_ml::features::{extract_features_cached, FeatureSpec};
 use expred_ml::logistic::TrainConfig;
-use expred_ml::metrics::{precision_recall, precision_recall_mask};
 use expred_ml::semisupervised::{
     learning_returned_set, multiple_imputations, self_train, SelfTrainConfig, SelfTrainOutcome,
 };
@@ -121,8 +120,12 @@ fn run_grid(
         let labelled: std::collections::HashSet<usize> = perm[..m].iter().copied().collect();
         let fresh_returns = returned.iter().filter(|r| !labelled.contains(r)).count();
         f.invoker.charge_retrievals(fresh_returns as u64);
+        let mut answer = f.empty_answer();
+        for row in returned {
+            answer.insert(row);
+        }
         Ok(Answer {
-            returned: returned.into_iter().map(|r| r as u32).collect(),
+            returned: answer,
             num_groups: 1,
             plan_feasible,
         })
@@ -138,7 +141,8 @@ pub fn run_learning(
     ctx: &ExecContext<'_>,
 ) -> Result<RunOutcome, EngineError> {
     run_grid(ds, spec, seed, ctx, |_, _, _, returned, f| {
-        precision_recall(returned.iter().copied(), &f.truth).meets(spec.alpha, spec.beta)
+        f.score(returned.iter().copied())
+            .meets(spec.alpha, spec.beta)
     })
 }
 
@@ -164,7 +168,8 @@ pub fn run_multiple(
         let imps = multiple_imputations(outcome, labelled, labels, imputations, &mut imp_rng);
         let (mut p_acc, mut r_acc) = (0.0, 0.0);
         for imp in &imps {
-            let s = precision_recall_mask(imp, &f.truth);
+            let imputed_true = imp.iter().enumerate().filter(|(_, &label)| label);
+            let s = f.score(imputed_true.map(|(row, _)| row));
             p_acc += s.precision;
             r_acc += s.recall;
         }

@@ -21,7 +21,8 @@ use expred_ml::logistic::{train, TrainConfig};
 use expred_stats::estimator::SelectivityEstimate;
 use expred_stats::histogram::bucketize;
 use expred_stats::rng::Prng;
-use expred_table::{GroupBy, Table};
+use expred_table::rowset::bits;
+use expred_table::{GroupBy, RowSet, Table};
 use expred_udf::UdfInvoker;
 
 /// Ranked candidate column.
@@ -64,22 +65,41 @@ pub fn rank_columns(
     let max_rounds = 4;
     let mut target = ((label_fraction * n as f64).ceil() as usize).clamp(1, n);
     let mut labelled: Vec<u32> = Vec::new();
+    // The labelled rows again, as planes over the table — which rows,
+    // and which of them passed — for scoring columns a word at a time.
+    let mut labelled_set = RowSet::new(n);
+    let mut passed_set = RowSet::new(n);
 
     for round in 0..max_rounds {
         // Grow the labelled sample to the current target.
         let missing = target.saturating_sub(labelled.len());
         if missing > 0 {
-            let unlabelled: Vec<usize> = (0..n)
-                .zip(invoker.known_many(0..n))
-                .filter(|(_, known)| known.is_none())
-                .map(|(row, _)| row)
-                .collect();
+            // Every row of the table, as runs: full words, then the tail.
+            let every_row = (0..n.div_ceil(64)).map(|word| {
+                let rows_left = n - word * 64;
+                let mask = if rows_left < 64 {
+                    (1 << rows_left) - 1
+                } else {
+                    u64::MAX
+                };
+                (word as u32, mask)
+            });
+            let mut unlabelled: Vec<usize> = Vec::new();
+            invoker.scan_runs(every_row, |word, mask, known, _| {
+                unlabelled.extend(bits(mask & !known).map(|bit| word * 64 + bit as usize));
+            });
             let batch: Vec<usize> = rng
                 .sample_indices(unlabelled.len(), missing)
                 .into_iter()
                 .map(|idx| unlabelled[idx])
                 .collect();
-            invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
+            let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
+            for (&row, passed) in batch.iter().zip(answers) {
+                labelled_set.insert(row);
+                if passed {
+                    passed_set.insert(row);
+                }
+            }
             labelled.extend(batch.into_iter().map(|row| row as u32));
         }
         let limit = (labelled.len() as f64).sqrt().ceil() as usize;
@@ -106,7 +126,7 @@ pub fn rank_columns(
         };
         let mut scores = pool
             .into_iter()
-            .map(|c| score_column(table, c, invoker, spec, &labelled, ctx))
+            .map(|c| score_column(table, c, spec, &labelled_set, &passed_set, ctx))
             .collect::<Result<Vec<ColumnScore>, EngineError>>()?;
         scores.sort_by(|a, b| {
             a.estimated_cost
@@ -121,25 +141,26 @@ pub fn rank_columns(
 /// Scores one column: group the table by it, estimate each group's
 /// selectivity from the labelled rows (Beta posterior; unseen groups fall
 /// back to the uniform prior), and cost the §3.2 plan on those estimates.
+/// The labelled rows arrive as two planes (`labelled`, and `passed` among
+/// them), so a group's tally is a popcount per run of the group.
 fn score_column(
     table: &Table,
     column: &str,
-    invoker: &UdfInvoker<'_>,
     spec: &QuerySpec,
-    labelled: &[u32],
+    labelled: &RowSet,
+    passed: &RowSet,
     ctx: &ExecContext<'_>,
 ) -> Result<ColumnScore, EngineError> {
     let groups = session_group_by(table, column, ctx)?;
-    let row_to_group = groups.group_of_rows();
-    let mut pos = vec![0u64; groups.num_groups()];
-    let mut tot = vec![0u64; groups.num_groups()];
-    let labels = invoker.known_many(labelled.iter().map(|&row| row as usize));
-    for (&row, label) in labelled.iter().zip(labels) {
-        let g = row_to_group[row as usize];
-        tot[g] += 1;
-        if label == Some(true) {
-            pos[g] += 1;
+    let (mut pos, mut tot) = (Vec::new(), Vec::new());
+    for g in 0..groups.num_groups() {
+        let (mut group_pos, mut group_tot) = (0u64, 0u64);
+        for (word, mask) in groups.runs(g) {
+            group_tot += u64::from((mask & labelled.word(word as usize)).count_ones());
+            group_pos += u64::from((mask & passed.word(word as usize)).count_ones());
         }
+        pos.push(group_pos);
+        tot.push(group_tot);
     }
     let sizes: Vec<f64> = groups.sizes().iter().map(|&s| s as f64).collect();
     let sels: Vec<f64> = pos

@@ -11,11 +11,24 @@
 //! positives join the answer for free, negatives are dropped — §4.2's
 //! "those that are correct … can be simply returned as part of the query
 //! result without re-evaluating them".
+//!
+//! # Runs and planes
+//!
+//! On a warm session that bypass is all an execution does, so it runs a
+//! 64-row word at a time. A group is walked as its `(word, mask)` runs
+//! ([`GroupBy::runs`]) through [`UdfInvoker::scan_runs`], which answers
+//! "which rows of this run are decided, and which passed?" with two
+//! masks; the passing rows join the answer — a [`RowSet`] plane over the
+//! table — with one OR, and only the undecided bits are visited singly,
+//! in ascending order, to draw their retrieve/evaluate decisions. The
+//! answer is never sorted: groups partition the rows, every path sets
+//! bits, and the ascending id list is the plane read out once.
 
 use crate::plan::Plan;
 use expred_exec::ExecContext;
 use expred_stats::rng::Prng;
-use expred_table::{Column, GroupBy, Table};
+use expred_table::rowset::bits;
+use expred_table::{Column, GroupBy, RowSet, Table};
 use expred_udf::UdfInvoker;
 
 /// The rows a query execution returned (cost lives in the invoker).
@@ -49,62 +62,82 @@ pub fn execute_plan(
     rng: &mut Prng,
     ctx: &ExecContext<'_>,
 ) -> ExecutionResult {
+    let mut answer = RowSet::new(invoker.table().num_rows());
+    let reused_positives = execute_plan_into(plan, groups, invoker, rng, ctx, &mut answer);
+    ExecutionResult {
+        returned: answer.to_vec(),
+        reused_positives,
+    }
+}
+
+/// [`execute_plan`] adding its answer rows to `answer` — a plane over
+/// the invoker's *table*, which `groups` need not cover (the iterative
+/// pipeline executes a slice of every group per round into one plane).
+/// Returns how many of them were reused positives.
+///
+/// Each group is walked as its `(word, mask)` runs: the decided rows of
+/// a run join the plane with one OR of `known & answer`, and the
+/// undecided ones are drawn in bit order — ascending row order, the
+/// order the group's row list has, so the random stream is the one a
+/// row-at-a-time walk draws.
+pub(crate) fn execute_plan_into(
+    plan: &Plan,
+    groups: &GroupBy,
+    invoker: &UdfInvoker<'_>,
+    rng: &mut Prng,
+    ctx: &ExecContext<'_>,
+    answer: &mut RowSet,
+) -> usize {
     assert_eq!(
         plan.num_groups(),
         groups.num_groups(),
         "plan and grouping must agree on group count"
     );
     let mut queued = Vec::new();
-    let mut returned = Vec::new();
     let mut reused_positives = 0;
-    for (g, _, rows) in groups.iter() {
+    for g in 0..groups.num_groups() {
         let r = plan.r()[g];
         let e = plan.e()[g];
         let eval_given_retrieved = if r > 0.0 { (e / r).min(1.0) } else { 0.0 };
-        let known = invoker.known_many(rows.iter().map(|&row| row as usize));
         let mut retrieved = 0u64;
-        for (&row, known) in rows.iter().zip(known) {
+        invoker.scan_runs(groups.runs(g), |word, mask, known, passed| {
             // Sampled tuples are already decided.
-            if let Some(answer) = known {
-                if answer {
-                    returned.push(row);
-                    reused_positives += 1;
+            answer.insert_word(word, passed);
+            reused_positives += passed.count_ones() as usize;
+            if r <= 0.0 {
+                return;
+            }
+            for bit in bits(mask & !known) {
+                if !rng.bernoulli(r) {
+                    continue;
                 }
-                continue;
+                retrieved += 1;
+                if eval_given_retrieved > 0.0 && rng.bernoulli(eval_given_retrieved) {
+                    queued.push(word * 64 + bit as usize);
+                } else {
+                    answer.insert_word(word, 1 << bit);
+                }
             }
-            if r <= 0.0 || !rng.bernoulli(r) {
-                continue;
-            }
-            retrieved += 1;
-            if eval_given_retrieved > 0.0 && rng.bernoulli(eval_given_retrieved) {
-                queued.push(row as usize);
-            } else {
-                returned.push(row);
-            }
-        }
+        });
         invoker.charge_retrievals(retrieved);
     }
-    // Every queued row is fresh (the memoized branch above skipped the
-    // rest) and distinct (groups partition rows), so the audited batch
-    // charges exactly one evaluation per row — the same bill the serial
-    // loop paid. Through the invoker, never the raw probe: the invoker
-    // is what memoizes the answers and charges the tracker.
+    // Every queued row is fresh (the scan above skipped the decided ones)
+    // and distinct (groups partition rows), so the audited batch charges
+    // exactly one evaluation per row — the same bill the serial loop
+    // paid. Through the invoker, never the raw probe: the invoker is what
+    // memoizes the answers and charges the tracker.
     let answers = invoker.evaluate_batch(ctx.executor, &queued);
-    returned.extend(
-        queued
-            .iter()
-            .zip(answers)
-            .filter_map(|(&row, answer)| answer.then_some(row as u32)),
-    );
-    returned.sort_unstable();
-    ExecutionResult {
-        returned,
-        reused_positives,
+    for (&row, passed) in queued.iter().zip(answers) {
+        if passed {
+            answer.insert(row);
+        }
     }
+    reused_positives
 }
 
-/// Reads the ground-truth vector for evaluation purposes (never available
-/// to the planning code), in one pass over the label column.
+/// Reads the ground truth for evaluation purposes (never available to
+/// the planning code) as the set of correct rows, in one pass over the
+/// label column.
 ///
 /// # Panics
 ///
@@ -112,23 +145,90 @@ pub fn execute_plan(
 /// [`crate::strategy::Strategy::validate`] rejects as a typed error
 /// before a request runs, so only harness code that skips validation can
 /// get here with such a table.
+pub fn truth_set(table: &Table, label_column: &str) -> RowSet {
+    let bad_column =
+        || -> ! { panic!("label column {label_column:?} must be a boolean column without NULLs") };
+    match table.column(label_column) {
+        Some(Column::Bool(values)) => RowSet::from_flags(
+            values
+                .iter()
+                .map(|label| label.unwrap_or_else(|| bad_column())),
+        ),
+        _ => bad_column(),
+    }
+}
+
+/// [`truth_set`] as one `bool` per row, for harness code that indexes
+/// rows.
 pub fn truth_vector(table: &Table, label_column: &str) -> Vec<bool> {
-    let labels = match table.column(label_column) {
-        Some(Column::Bool(values)) => values.iter().copied().collect::<Option<Vec<bool>>>(),
-        _ => None,
-    };
-    labels.unwrap_or_else(|| {
-        panic!("label column {label_column:?} must be a boolean column without NULLs")
-    })
+    let truth = truth_set(table, label_column);
+    (0..table.num_rows())
+        .map(|row| truth.contains(row))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expred_exec::{BatchProbe, Executor, Sequential};
+    use expred_exec::{BatchProbe, CacheStore, Executor, Sequential};
     use expred_table::{DataType, Field, Schema, Table, Value};
     use expred_udf::{CostModel, OracleUdf};
+    use proptest::prelude::*;
     use std::sync::Mutex;
+
+    /// The row-at-a-time execution [`execute_plan`] replaced — probe
+    /// every row of every group, push answer rows as they are decided,
+    /// sort at the end — kept as the oracle the run-and-plane version
+    /// must match action for action.
+    fn execute_plan_push_and_sort(
+        plan: &Plan,
+        groups: &GroupBy,
+        invoker: &UdfInvoker<'_>,
+        rng: &mut Prng,
+        ctx: &ExecContext<'_>,
+    ) -> ExecutionResult {
+        let mut queued = Vec::new();
+        let mut returned = Vec::new();
+        let mut reused_positives = 0;
+        for (g, _, rows) in groups.iter() {
+            let r = plan.r()[g];
+            let e = plan.e()[g];
+            let eval_given_retrieved = if r > 0.0 { (e / r).min(1.0) } else { 0.0 };
+            let known = invoker.known_many(rows.iter().map(|&row| row as usize));
+            let mut retrieved = 0u64;
+            for (&row, known) in rows.iter().zip(known) {
+                if let Some(answer) = known {
+                    if answer {
+                        returned.push(row);
+                        reused_positives += 1;
+                    }
+                    continue;
+                }
+                if r <= 0.0 || !rng.bernoulli(r) {
+                    continue;
+                }
+                retrieved += 1;
+                if eval_given_retrieved > 0.0 && rng.bernoulli(eval_given_retrieved) {
+                    queued.push(row as usize);
+                } else {
+                    returned.push(row);
+                }
+            }
+            invoker.charge_retrievals(retrieved);
+        }
+        let answers = invoker.evaluate_batch(ctx.executor, &queued);
+        returned.extend(
+            queued
+                .iter()
+                .zip(answers)
+                .filter_map(|(&row, answer)| answer.then_some(row as u32)),
+        );
+        returned.sort_unstable();
+        ExecutionResult {
+            returned,
+            reused_positives,
+        }
+    }
 
     fn test_table(labels: &[bool], groups: &[i64]) -> Table {
         assert_eq!(labels.len(), groups.len());
@@ -271,6 +371,87 @@ mod tests {
             }
         }
         assert!(batch.windows(2).all(|w| place[w[0]] < place[w[1]]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn runs_and_planes_match_push_and_sort(
+            sizes in prop::collection::vec(1usize..120, 1..7),
+            bits in any::<u64>(),
+            seed in any::<u64>(),
+            earlier in prop::collection::vec(0usize..600, 0..200),
+            own in prop::collection::vec(0usize..600, 0..40),
+            rates in prop::collection::vec((0u32..5, 0u32..5), 7),
+            keep_one_in in 1usize..4,
+        ) {
+            // Group g's rows are those ≡ g (mod k) while it has rows
+            // left: groups interleave, so none aligns with bitmap words.
+            let k = sizes.len();
+            let mut left = sizes.clone();
+            let mut group_ids = Vec::new();
+            while left.iter().any(|&n| n > 0) {
+                for (g, n) in left.iter_mut().enumerate() {
+                    if *n > 0 {
+                        *n -= 1;
+                        group_ids.push(g as i64);
+                    }
+                }
+            }
+            let n = group_ids.len();
+            let labels: Vec<bool> =
+                (0..n).map(|row| (bits >> (row % 64)) & 1 == 1 || row % 5 == 0).collect();
+            let table = test_table(&labels, &group_ids);
+            let udf = OracleUdf::new("label");
+            // The whole table's grouping, or — as the iterative pipeline
+            // executes — a slice of every group: fewer rows than the table.
+            let whole = table.group_by("g").unwrap();
+            let slices: Vec<Vec<u32>> = (0..k)
+                .map(|g| {
+                    let rows = whole.rows(g);
+                    rows[..rows.len().div_ceil(keep_one_in)].to_vec()
+                })
+                .collect();
+            let sliced: usize = slices.iter().map(Vec::len).sum();
+            let keys = (0..k).map(|g| whole.key(g).clone()).collect();
+            let groups = GroupBy::new("g#slice".into(), keys, slices, sliced);
+            // Rates on a grid that includes the deterministic ends.
+            let r: Vec<f64> = rates[..k].iter().map(|&(r, _)| f64::from(r) / 4.0).collect();
+            let e: Vec<f64> =
+                rates[..k].iter().zip(&r).map(|(&(_, e), r)| r * f64::from(e) / 4.0).collect();
+            let plan = Plan::new(r, e);
+
+            let run = |planes: bool| {
+                let store = CacheStore::new();
+                let recorder = Recorder::default();
+                let ctx = ExecContext::new(&recorder).with_cache(&store);
+                let before = UdfInvoker::with_context(&udf, &table, &ctx);
+                for &row in &earlier {
+                    before.evaluate(row % n);
+                }
+                let invoker = UdfInvoker::with_context(&udf, &table, &ctx);
+                for &row in &own {
+                    invoker.retrieve_and_evaluate(row % n);
+                }
+                let mut rng = Prng::seeded(seed);
+                let result = if planes {
+                    execute_plan(&plan, &groups, &invoker, &mut rng, &ctx)
+                } else {
+                    execute_plan_push_and_sort(&plan, &groups, &invoker, &mut rng, &ctx)
+                };
+                let batches = recorder.0.into_inner().unwrap();
+                (result, invoker.counts(), store.stats(), batches, rng.next_u64())
+            };
+            let (got, want) = (run(true), run(false));
+            prop_assert_eq!(&got.0, &want.0);
+            prop_assert_eq!(got.1, want.1, "the bills differ");
+            prop_assert_eq!(got.2, want.2, "the store saw different probes");
+            prop_assert_eq!(&got.3, &want.3, "the executor saw different batches");
+            prop_assert!(got.3.len() <= 1, "one stage, at most one batch");
+            prop_assert_eq!(got.4, want.4, "the RNG moved differently");
+            prop_assert!(got.0.returned.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]

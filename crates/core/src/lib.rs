@@ -59,7 +59,7 @@ pub use adaptive::{run_intel_sample_adaptive, run_intel_sample_iterative};
 pub use baselines::{run_learning, run_multiple};
 pub use engine::{EngineStats, QueryEngine};
 pub use error::EngineError;
-pub use execute::{execute_plan, truth_vector, ExecutionResult};
+pub use execute::{execute_plan, truth_set, truth_vector, ExecutionResult};
 pub use optimize::{
     estimated_feasible, solve_estimated, solve_perfect_selectivities, CorrelationModel,
     EstimatedGroup, PlanError,

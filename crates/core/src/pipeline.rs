@@ -16,16 +16,16 @@
 
 use crate::column_select::{rank_columns, virtual_column};
 use crate::error::EngineError;
-use crate::execute::{execute_plan, truth_vector};
+use crate::execute::{execute_plan_into, truth_set};
 use crate::optimize::{solve_estimated, solve_perfect_selectivities, CorrelationModel, PlanError};
 use crate::plan::Plan;
 use crate::query::QuerySpec;
 use crate::sampling::{sample_groups, SampleSizeRule};
 use expred_exec::ExecContext;
-use expred_ml::metrics::{precision_recall, PrSummary};
+use expred_ml::metrics::PrSummary;
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
-use expred_table::{GroupBy, Table};
+use expred_table::{GroupBy, RowSet, Table};
 use expred_udf::{BooleanUdf, CostCounts, CostModel, OracleUdf, SlowUdf, UdfInvoker};
 use std::sync::Arc;
 use std::time::Instant;
@@ -133,26 +133,46 @@ pub struct RunOutcome {
 pub(crate) struct Frame<'a> {
     pub invoker: UdfInvoker<'a>,
     pub rng: Prng,
-    /// Ground truth, read outside the clock. The frame scores against
-    /// it; of the bodies only the contestants the paper hands it to for
-    /// free may look (`Optimal`'s selectivities, the ML baselines'
-    /// oracle-tuned training size) — never planning code.
-    pub truth: Vec<bool>,
+    /// Ground truth — the set of correct rows — read outside the clock.
+    /// The frame scores against it; of the bodies only the contestants
+    /// the paper hands it to for free may look (`Optimal`'s
+    /// selectivities, the ML baselines' oracle-tuned training size) —
+    /// never planning code.
+    pub truth: RowSet,
+}
+
+impl Frame<'_> {
+    /// An empty answer plane over the frame's table, for a body to fill.
+    pub fn empty_answer(&self) -> RowSet {
+        RowSet::new(self.invoker.table().num_rows())
+    }
+
+    /// Scores a candidate answer against ground truth (the oracle-tuned
+    /// baselines' acceptance test).
+    pub fn score(&self, returned: impl IntoIterator<Item = usize>) -> PrSummary {
+        let (mut num_returned, mut true_positives) = (0, 0);
+        for row in returned {
+            num_returned += 1;
+            true_positives += usize::from(self.truth.contains(row));
+        }
+        PrSummary::from_counts(num_returned, true_positives, self.truth.len())
+    }
 }
 
 /// What a pipeline body hands back for the frame to score and bill.
 pub(crate) struct Answer {
-    /// Row ids in the answer, ascending.
-    pub returned: Vec<u32>,
+    /// The rows in the answer, as a plane over the table.
+    pub returned: RowSet,
     pub num_groups: usize,
     pub plan_feasible: bool,
 }
 
 /// The one frame under all seven pipelines: obtains the predicate,
 /// builds the audited invoker and the seeded generator, clocks `body`,
-/// then scores its answer against ground truth and assembles the bill
-/// under `cost`. `compute_seconds` stops when the body returns, so it
-/// excludes scoring.
+/// then scores its answer against ground truth — both are planes, so
+/// `|R ∩ C|` is a popcount of `answer & truth` — reads the answer plane
+/// out as the ascending id list and assembles the bill under `cost`.
+/// `compute_seconds` stops when the body returns, so it excludes both.
 ///
 /// Takes the body as a closure because the invoker borrows the boxed
 /// UDF, which must outlive it on this stack frame.
@@ -163,7 +183,7 @@ pub(crate) fn run_framed(
     ctx: &ExecContext<'_>,
     body: impl FnOnce(&mut Frame<'_>) -> Result<Answer, EngineError>,
 ) -> Result<RunOutcome, EngineError> {
-    let truth = truth_vector(&ds.table, LABEL_COLUMN);
+    let truth = truth_set(&ds.table, LABEL_COLUMN);
     let start = Instant::now();
     let udf = label_udf(ctx);
     let mut frame = Frame {
@@ -173,10 +193,14 @@ pub(crate) fn run_framed(
     };
     let answer = body(&mut frame)?;
     let compute_seconds = start.elapsed().as_secs_f64();
-    let summary = precision_recall(answer.returned.iter().map(|&r| r as usize), &frame.truth);
+    let summary = PrSummary::from_counts(
+        answer.returned.len(),
+        answer.returned.intersection_len(&frame.truth),
+        frame.truth.len(),
+    );
     let counts = frame.invoker.counts();
     Ok(RunOutcome {
-        returned: answer.returned,
+        returned: answer.returned.to_vec(),
         counts,
         cost: counts.cost(cost),
         summary,
@@ -265,9 +289,10 @@ pub fn run_intel_sample(
         );
 
         // Step 3: execute.
-        let result = execute_plan(&plan, &groups, &f.invoker, &mut f.rng, ctx);
+        let mut returned = f.empty_answer();
+        execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned);
         Ok(Answer {
-            returned: result.returned,
+            returned,
             num_groups: groups.num_groups(),
             plan_feasible,
         })
@@ -288,17 +313,21 @@ pub fn run_optimal(
         let sizes: Vec<f64> = groups.sizes().iter().map(|&s| s as f64).collect();
         let sels: Vec<f64> = (0..groups.num_groups())
             .map(|g| {
-                let rows = groups.rows(g);
-                rows.iter().filter(|&&r| f.truth[r as usize]).count() as f64 / rows.len() as f64
+                let correct: u32 = groups
+                    .runs(g)
+                    .map(|(word, mask)| (mask & f.truth.word(word as usize)).count_ones())
+                    .sum();
+                f64::from(correct) / groups.size(g) as f64
             })
             .collect();
         let (plan, plan_feasible) = solve_or_evaluate_all(
             solve_perfect_selectivities(&sizes, &sels, spec),
             groups.num_groups(),
         );
-        let result = execute_plan(&plan, &groups, &f.invoker, &mut f.rng, ctx);
+        let mut returned = f.empty_answer();
+        execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned);
         Ok(Answer {
-            returned: result.returned,
+            returned,
             num_groups: groups.num_groups(),
             plan_feasible,
         })
@@ -318,13 +347,12 @@ pub fn run_naive(
         let k = ((spec.beta * n as f64).ceil() as usize).min(n);
         let batch = f.rng.sample_indices(n, k);
         let answers = f.invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
-        let mut returned: Vec<u32> = batch
-            .into_iter()
-            .zip(answers)
-            .filter(|&(_, answer)| answer)
-            .map(|(row, _)| row as u32)
-            .collect();
-        returned.sort_unstable();
+        let mut returned = f.empty_answer();
+        for (row, passed) in batch.into_iter().zip(answers) {
+            if passed {
+                returned.insert(row);
+            }
+        }
         Ok(Answer {
             returned,
             num_groups: 1,

@@ -9,6 +9,12 @@
 //!   §6.2), reusing any tuples that were already evaluated (e.g. the 1%
 //!   used for predictor selection — "the 1% labelled tuples can be re-used
 //!   for both selectivity estimation and as part of the output", §4.4).
+//!   What a group already knows is read a 64-row word at a time: its
+//!   `(word, mask)` runs ([`GroupBy::runs`]) go through
+//!   [`UdfInvoker::scan_runs`], the tally `(evaluated, positives)` is two
+//!   popcounts per run, and a group short of its target lists its
+//!   undecided rows by walking `mask & !known` in bit order — ascending
+//!   row order, so the draw that follows is the one a row list gave.
 //! * [`adaptive_num_search`] — §4.3's adaptive scheme: grow `num`, re-plan,
 //!   and stop when the estimated total cost starts rising.
 
@@ -17,6 +23,7 @@ use crate::query::QuerySpec;
 use expred_exec::ExecContext;
 use expred_stats::estimator::SelectivityEstimate;
 use expred_stats::rng::Prng;
+use expred_table::rowset::bits;
 use expred_table::GroupBy;
 use expred_udf::UdfInvoker;
 
@@ -105,26 +112,26 @@ pub fn sample_groups(
     // how many drawn rows it contributed to `batch`.
     let mut tallies: Vec<(usize, usize, usize)> = Vec::with_capacity(groups.num_groups());
     let mut batch: Vec<usize> = Vec::new();
-    for (g, _, rows) in groups.iter() {
+    let mut fresh: Vec<usize> = Vec::new();
+    for g in 0..groups.num_groups() {
         let target = rule.sample_size(groups.size(g), n);
-        let scan = || invoker.known_many(rows.iter().map(|&row| row as usize));
         // Free information first: rows already evaluated.
-        let known = scan();
-        let total = known.iter().flatten().count();
-        let pos = known.iter().filter(|&&k| k == Some(true)).count();
+        let (mut total, mut pos) = (0usize, 0usize);
+        invoker.scan_runs(groups.runs(g), |_, _, known, answer| {
+            total += known.count_ones() as usize;
+            pos += answer.count_ones() as usize;
+        });
         let before = batch.len();
         if total < target {
             // Pay for the shortfall with fresh random rows. The group is
-            // scanned again rather than read off `known`: a row another
-            // query of the session landed in between is neither drawn
-            // fresh nor counted (and the store sees the same probes the
-            // per-row walk made).
-            let fresh: Vec<usize> = rows
-                .iter()
-                .zip(scan())
-                .filter(|(_, known)| known.is_none())
-                .map(|(&row, _)| row as usize)
-                .collect();
+            // scanned again rather than remembered from the tally: a row
+            // another query of the session landed in between is neither
+            // drawn fresh nor counted (and the store sees the same probes
+            // the per-row walk made).
+            fresh.clear();
+            invoker.scan_runs(groups.runs(g), |word, mask, known, _| {
+                fresh.extend(bits(mask & !known).map(|bit| word * 64 + bit as usize));
+            });
             batch.extend(
                 rng.sample_indices(fresh.len(), target - total)
                     .into_iter()

@@ -23,6 +23,29 @@ pub struct PrSummary {
 }
 
 impl PrSummary {
+    /// The summary of an answer of `returned` rows, `true_positives` of
+    /// them among the `total_correct` correct ones — for callers that
+    /// hold the sets as bit planes and count with popcounts.
+    pub fn from_counts(returned: usize, true_positives: usize, total_correct: usize) -> Self {
+        let precision = if returned == 0 {
+            1.0
+        } else {
+            true_positives as f64 / returned as f64
+        };
+        let recall = if total_correct == 0 {
+            1.0
+        } else {
+            true_positives as f64 / total_correct as f64
+        };
+        Self {
+            precision,
+            recall,
+            returned,
+            true_positives,
+            total_correct,
+        }
+    }
+
     /// Harmonic mean of precision and recall (0 when both are 0).
     pub fn f1(&self) -> f64 {
         let p = self.precision;
@@ -57,23 +80,7 @@ pub fn precision_recall(returned: impl IntoIterator<Item = usize>, truth: &[bool
             true_positives += 1;
         }
     }
-    let precision = if num_returned == 0 {
-        1.0
-    } else {
-        true_positives as f64 / num_returned as f64
-    };
-    let recall = if total_correct == 0 {
-        1.0
-    } else {
-        true_positives as f64 / total_correct as f64
-    };
-    PrSummary {
-        precision,
-        recall,
-        returned: num_returned,
-        true_positives,
-        total_correct,
-    }
+    PrSummary::from_counts(num_returned, true_positives, total_correct)
 }
 
 /// Computes precision/recall from a boolean predicted-set vector.

@@ -39,6 +39,11 @@
 //!   cheap predicate cannot match without touching a row. String bounds
 //!   compare dictionary ranks, and a string-equality scan resolves its
 //!   needle to a code once.
+//! * [`rowset`] — [`rowset::RowSet`], a set of dense row ids as one
+//!   packed bit plane (answers, ground truth, labelled samples), in the
+//!   64-row word layout [`table::GroupBy::runs`] shares: a group meets a
+//!   set one `mask & word` at a time, and an ascending answer list is
+//!   the plane read out in order.
 //! * [`derived`] — [`derived::DerivedCache`], the session-level memo of
 //!   derived artifacts ([`table::GroupBy`] partitions, encoding
 //!   dictionaries) keyed by `(TableId, version, column)`; `push_row`
@@ -61,6 +66,7 @@ pub mod csv;
 pub mod datasets;
 pub mod derived;
 pub mod kernels;
+pub mod rowset;
 pub mod schema;
 pub mod stats;
 pub mod table;
@@ -70,6 +76,7 @@ pub use column::{Column, StrColumn};
 pub use datasets::{Dataset, DatasetSpec, LABEL_COLUMN};
 pub use derived::{DerivedCache, DerivedCacheStats, DEFAULT_DERIVED_CAPACITY};
 pub use kernels::GroupCodes;
+pub use rowset::RowSet;
 pub use schema::{Field, Schema};
 pub use stats::{ColumnStats, ScanPredicate, ScanStats, Zone, ZONE_ROWS};
 pub use table::{GroupBy, Table, TableId};

@@ -1,0 +1,147 @@
+//! [`RowSet`]: a set of dense row ids as one packed bit plane.
+//!
+//! Row ids are dense integers in `[0, num_rows)`, so a set of them — a
+//! query's answer, the ground truth, a labelled sample — is a plane of
+//! 64-row words: membership is a load, a union is an OR per word, the
+//! size of an intersection a popcount per word, and the ascending id
+//! list is the plane read out in order (no sort). Word `w`, bit `i`
+//! speaks for row `64 * w + i` — the layout [`crate::table::GroupBy::runs`]
+//! and the evaluation caches' planes share, so a group's rows meet a set
+//! one `mask & word` at a time.
+
+/// The positions of `word`'s set bits, ascending.
+#[inline]
+pub fn bits(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// A set of row ids drawn from `[0, rows)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowSet {
+    words: Vec<u64>,
+}
+
+impl RowSet {
+    /// The empty set over rows `[0, rows)`.
+    pub fn new(rows: usize) -> Self {
+        Self {
+            words: vec![0; rows.div_ceil(64)],
+        }
+    }
+
+    /// The rows of `[0, flags.len())` whose flag is set, in one pass.
+    pub fn from_flags(flags: impl ExactSizeIterator<Item = bool>) -> Self {
+        let mut set = Self::new(flags.len());
+        for (row, flag) in flags.enumerate() {
+            set.words[row / 64] |= u64::from(flag) << (row % 64);
+        }
+        set
+    }
+
+    /// Adds `row`.
+    ///
+    /// # Panics
+    ///
+    /// If `row` is past the end the set was sized for.
+    #[inline]
+    pub fn insert(&mut self, row: usize) {
+        self.words[row / 64] |= 1 << (row % 64);
+    }
+
+    /// Adds the rows of word `word` whose bits are set in `rows`.
+    ///
+    /// # Panics
+    ///
+    /// If `word` is past the end the set was sized for.
+    #[inline]
+    pub fn insert_word(&mut self, word: usize, rows: u64) {
+        self.words[word] |= rows;
+    }
+
+    /// Whether `row` is in the set (`false` past the end).
+    #[inline]
+    pub fn contains(&self, row: usize) -> bool {
+        self.word(row / 64) & (1 << (row % 64)) != 0
+    }
+
+    /// The members among rows `[64 * word, 64 * word + 64)`; zero past
+    /// the end.
+    #[inline]
+    pub fn word(&self, word: usize) -> u64 {
+        self.words.get(word).copied().unwrap_or(0)
+    }
+
+    /// Number of rows in the set.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Number of rows in both `self` and `other`.
+    pub fn intersection_len(&self, other: &RowSet) -> usize {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
+    }
+
+    /// The rows of the set as an ascending id list.
+    pub fn to_vec(&self) -> Vec<u32> {
+        let mut rows = Vec::with_capacity(self.len());
+        for (w, &word) in self.words.iter().enumerate() {
+            rows.extend(bits(word).map(|bit| w as u32 * 64 + bit));
+        }
+        rows
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bits_come_out_ascending() {
+        assert_eq!(bits(0).count(), 0);
+        assert_eq!(bits(0b1010_0001).collect::<Vec<_>>(), vec![0, 5, 7]);
+        assert_eq!(bits(1 << 63 | 1).collect::<Vec<_>>(), vec![0, 63]);
+        assert_eq!(bits(u64::MAX).count(), 64);
+    }
+
+    #[test]
+    fn membership_and_read_out_across_word_boundaries() {
+        let mut set = RowSet::new(130);
+        assert!(set.is_empty());
+        for row in [129, 0, 64, 63, 64] {
+            set.insert(row);
+        }
+        set.insert_word(1, 0b110);
+        assert_eq!(set.to_vec(), vec![0, 63, 64, 65, 66, 129]);
+        assert_eq!(set.len(), 6);
+        assert!(set.contains(65) && !set.contains(1));
+        assert!(!set.contains(130) && !set.contains(usize::MAX));
+        assert_eq!((set.word(1), set.word(9)), (0b111, 0));
+    }
+
+    #[test]
+    fn from_flags_and_intersections() {
+        let flags: Vec<bool> = (0..200).map(|i| i % 3 == 0).collect();
+        let thirds = RowSet::from_flags(flags.iter().copied());
+        assert_eq!(thirds.len(), 67);
+        let want: Vec<u32> = (0..200).filter(|i| i % 3 == 0).collect();
+        assert_eq!(thirds.to_vec(), want);
+        let evens = RowSet::from_flags((0..200).map(|i| i % 2 == 0));
+        assert_eq!(thirds.intersection_len(&evens), 34);
+        assert_eq!(thirds.intersection_len(&RowSet::new(200)), 0);
+    }
+}

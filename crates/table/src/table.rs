@@ -317,11 +317,25 @@ impl Table {
 }
 
 /// The result of partitioning a table's rows by a column's values.
+///
+/// Each group's rows are held twice: as an ascending id list
+/// ([`GroupBy::rows`]) and as ascending `(word, mask)` runs
+/// ([`GroupBy::runs`]) — the 64-row words the group touches, each with
+/// the bits of the group's rows in it. The runs are what the pipelines'
+/// read path walks: "which rows of this group are decided, and which
+/// passed?" is an AND and a popcount per run against the caches' bit
+/// planes, not a probe per row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupBy {
     column: String,
     keys: Vec<Value>,
     rows: Vec<Vec<u32>>,
+    /// Every group's runs, group after group, as two flat columns — run
+    /// `i` is `(run_words[i], run_masks[i])`; group `g` owns runs
+    /// `run_starts[g]..run_starts[g + 1]`.
+    run_words: Vec<u32>,
+    run_masks: Vec<u64>,
+    run_starts: Vec<usize>,
     num_rows: usize,
 }
 
@@ -331,18 +345,51 @@ impl GroupBy {
     /// This is also the entry point for *virtual* columns (paper §4.4):
     /// bucketized classifier scores never materialize as a table column,
     /// they arrive here directly.
+    ///
+    /// # Panics
+    ///
+    /// If there is not one key per group, a group is empty, the group
+    /// sizes do not add up to `num_rows`, or a group's row ids are not
+    /// strictly ascending — walking a group's runs in bit order must
+    /// visit its rows in list order, which is what keeps a run-based
+    /// scan drawing the random stream a row-list scan drew.
     pub fn new(column: String, keys: Vec<Value>, rows: Vec<Vec<u32>>, num_rows: usize) -> Self {
         assert_eq!(keys.len(), rows.len(), "one key per group required");
-        assert!(
-            rows.iter().all(|g| !g.is_empty()),
-            "groups must be nonempty"
-        );
         let total: usize = rows.iter().map(|g| g.len()).sum();
         assert_eq!(total, num_rows, "groups must partition all rows");
+        // No more runs than rows, and no more than every group touching
+        // every word up to the largest id.
+        let words = rows.iter().filter_map(|g| g.last()).max();
+        let words = words.map_or(0, |&last| last as usize / 64 + 1);
+        let capacity = total.min(rows.len().saturating_mul(words));
+        let mut run_words = Vec::with_capacity(capacity);
+        let mut run_masks = Vec::with_capacity(capacity);
+        let mut run_starts = Vec::with_capacity(rows.len() + 1);
+        run_starts.push(0);
+        for group in &rows {
+            let (&first, rest) = group.split_first().expect("groups must be nonempty");
+            let (mut word, mut mask, mut last) = (first / 64, 1u64 << (first % 64), first);
+            for &row in rest {
+                assert!(last < row, "a group's row ids must be strictly ascending");
+                if row / 64 != word {
+                    run_words.push(word);
+                    run_masks.push(mask);
+                    (word, mask) = (row / 64, 0);
+                }
+                mask |= 1 << (row % 64);
+                last = row;
+            }
+            run_words.push(word);
+            run_masks.push(mask);
+            run_starts.push(run_words.len());
+        }
         Self {
             column,
             keys,
             rows,
+            run_words,
+            run_masks,
+            run_starts,
             num_rows,
         }
     }
@@ -387,9 +434,18 @@ impl GroupBy {
         &self.keys[g]
     }
 
-    /// The row ids in group `g`.
+    /// The row ids in group `g`, ascending.
     pub fn rows(&self, g: usize) -> &[u32] {
         &self.rows[g]
+    }
+
+    /// Group `g`'s rows as `(word, mask)` runs, ascending by word: bit
+    /// `i` of `mask` speaks for row `64 * word + i`, every mask is
+    /// nonzero, and together they hold exactly [`GroupBy::rows`]`(g)`.
+    pub fn runs(&self, g: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let range = self.run_starts[g]..self.run_starts[g + 1];
+        let words = self.run_words[range.clone()].iter().copied();
+        words.zip(self.run_masks[range].iter().copied())
     }
 
     /// The size `t_a` of group `g`.
@@ -503,6 +559,40 @@ mod tests {
     fn group_by_missing_column_errors() {
         let t = sample_table();
         assert!(t.group_by("nope").is_err());
+    }
+
+    #[test]
+    fn runs_hold_each_groups_rows_word_by_word() {
+        // 200 rows dealt round-robin into three groups: every group
+        // touches every word, and the last word is partial.
+        let assignments: Vec<usize> = (0..200).map(|row| row % 3).collect();
+        let g = GroupBy::from_assignments("virt", &assignments);
+        for (gi, _, rows) in g.iter() {
+            let runs: Vec<(u32, u64)> = g.runs(gi).collect();
+            assert_eq!(runs.len(), 4, "words 0..=3");
+            assert!(runs.windows(2).all(|w| w[0].0 < w[1].0));
+            let read_out: Vec<u32> = runs
+                .iter()
+                .flat_map(|&(word, mask)| crate::rowset::bits(mask).map(move |b| word * 64 + b))
+                .collect();
+            assert_eq!(read_out, rows);
+        }
+        // A group may skip words entirely.
+        let sparse = GroupBy::new(
+            "sparse".into(),
+            vec![Value::Int(0), Value::Int(1)],
+            vec![vec![3, 640, 641], vec![64]],
+            4,
+        );
+        let runs = |g| sparse.runs(g).collect::<Vec<_>>();
+        assert_eq!(runs(0), [(0, 1 << 3), (10, 0b11)]);
+        assert_eq!(runs(1), [(1, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn descending_group_rows_are_rejected() {
+        GroupBy::new("bad".into(), vec![Value::Int(0)], vec![vec![0, 2, 1]], 3);
     }
 
     #[test]

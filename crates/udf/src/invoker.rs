@@ -14,16 +14,28 @@
 //!
 //! # The read path
 //!
-//! Row ids are dense, so both cache layers are bitmaps: the per-query
-//! memo is a [`RowBits`] sized to the table, the session store behind it
-//! pages of the same planes ([`expred_exec::CacheStore`]). Pipelines ask
-//! "which of these rows are already decided?" for whole groups at a time
-//! through [`UdfInvoker::known_many`]; it and
-//! [`UdfInvoker::evaluate_batch`] walk their rows with one cursor that
-//! reads the memo, then the store, and promotes store hits into the memo
-//! a 64-row word at a time — a handful of loads per row, two atomic ORs
-//! per touched word, and one update of the bill and of the store's
-//! hit/miss statistics per call.
+//! Row ids are dense, so both cache layers are bit planes over 64-row
+//! words: the per-query memo is a [`RowBits`] sized to the table, the
+//! session store behind it pages of the same planes
+//! ([`expred_exec::CacheStore`]). The unit of a read is therefore the
+//! word, not the row. A visit to a word loads the memo's `(known,
+//! answer)` planes for it — and the store's, once a row the memo cannot
+//! decide needs them — answers from those copies, and on leaving
+//! *settles* the word once: store hits are promoted into the memo with
+//! one merge (two atomic ORs), marked referenced in the store, and
+//! counted — with the visit's misses — toward the store's statistics;
+//! the reuse charge and the statistics land once per call.
+//!
+//! Two walks share that visit. Pipelines ask "which rows of this group
+//! are already decided, and which passed?" through
+//! [`UdfInvoker::scan_runs`], handing it the group's `(word, mask)` runs
+//! ([`expred_table::GroupBy::runs`]): every row of a run is answered at
+//! once — hits are `store.known & !memo.known & mask`, misses a popcount
+//! — and the caller gets the word's `known` and `answer` masks back, to
+//! tally with popcounts or OR into an answer plane. Arbitrary row lists
+//! ([`UdfInvoker::known_many`], [`UdfInvoker::evaluate_batch`]) move the
+//! same cursor a row at a time. Either way the memo, the bill and the
+//! store see exactly what a per-row loop would have shown them.
 
 use crate::cost::{CostCounts, CostModel, CostTracker};
 use crate::udf::BooleanUdf;
@@ -89,9 +101,11 @@ pub struct UdfInvoker<'a> {
 }
 
 /// A read cursor over the local memo and, behind it, the shared store,
-/// one 64-row word at a time: arriving at a word loads both layers'
-/// planes for it, its rows are then answered from those copies (store
-/// hits collecting in `promote`), and leaving it lands the hits in the
+/// one 64-row word at a time: arriving at a word loads the memo's planes
+/// for it (the store's follow when a row first needs them), its rows are
+/// then answered from those copies — one at a time ([`Lookup::local`],
+/// [`Lookup::shared`]) or a whole run at once ([`Lookup::run`]), store
+/// hits collecting in `promote` — and leaving it lands the hits in the
 /// memo and settles the store's accounting. The memo copy is a snapshot:
 /// a worker racing on the same invoker may promote a row after it was
 /// taken, and the row is then promoted twice but charged once —
@@ -104,8 +118,10 @@ struct Lookup<'i> {
     /// Rows of `word` this query holds an answer for — memoized on
     /// arrival, or promoted since — and those answers.
     local: (u64, u64),
-    /// Rows of `word` the shared store held on arrival, and its answers.
-    shared: (u64, u64),
+    /// Rows of `word` the shared store held, and its answers — read when
+    /// the visit first needs the store (`None` until then: a word whose
+    /// rows the memo all decides costs the store nothing).
+    shared: Option<(u64, u64)>,
     /// Store hits of this visit, awaiting promotion.
     promote: u64,
     /// Store misses of this visit.
@@ -122,12 +138,17 @@ impl Lookup<'_> {
             self.leave();
             self.word = row / 64;
             self.local = self.memo.word(self.word);
-            self.shared = match &mut self.reader {
-                Some(reader) => reader.word(self.word),
-                None => (0, 0),
-            };
+            self.shared = None;
         }
         1u64 << (row % 64)
+    }
+
+    /// The shared store's planes for the cursor's word; `None` without a
+    /// store.
+    #[inline]
+    fn store_word(&mut self) -> Option<(u64, u64)> {
+        let reader = self.reader.as_mut()?;
+        Some(*self.shared.get_or_insert_with(|| reader.word(self.word)))
     }
 
     /// The answer this query already holds for `row`: memoized, or a
@@ -142,29 +163,52 @@ impl Lookup<'_> {
     #[inline]
     fn shared(&mut self, row: usize) -> Option<bool> {
         let bit = self.seek(row);
-        self.reader.as_ref()?;
-        if self.shared.0 & bit == 0 {
+        let (known, answer) = self.store_word()?;
+        if known & bit == 0 {
             self.misses += 1;
             return None;
         }
         self.promote |= bit;
         self.local.0 |= bit;
-        self.local.1 |= self.shared.1 & bit;
-        Some(self.shared.1 & bit != 0)
+        self.local.1 |= answer & bit;
+        Some(answer & bit != 0)
+    }
+
+    /// Answers every row of `mask` in `word` at once: what probing each
+    /// (memo first, then the store) in ascending order would do. Returns
+    /// the rows of `mask` now decided and, of those, the ones that passed.
+    #[inline]
+    fn run(&mut self, word: usize, mask: u64) -> (u64, u64) {
+        self.seek(word * 64);
+        let unknown = mask & !self.local.0;
+        if unknown != 0 {
+            if let Some((known, answer)) = self.store_word() {
+                let hits = unknown & known;
+                self.misses += u64::from((unknown & !hits).count_ones());
+                self.promote |= hits;
+                self.local.0 |= hits;
+                self.local.1 = (self.local.1 & !hits) | (answer & hits);
+            }
+        }
+        let known = self.local.0 & mask;
+        (known, self.local.1 & known)
     }
 
     /// Lands this visit's store hits in the memo and accounts for the
-    /// visit's probes in the store.
+    /// visit's probes in the store: the one place a word is settled,
+    /// whichever walk visited it.
     fn leave(&mut self) {
         if self.promote != 0 {
             let new = self.memo.merge_word(self.word, self.promote, self.local.1);
             self.promoted += u64::from(new.count_ones());
             self.raced += u64::from((self.promote & !new).count_ones());
         }
-        if let Some(reader) = &mut self.reader {
-            reader.record(self.word, self.promote, self.misses);
+        if self.promote != 0 || self.misses != 0 {
+            if let Some(reader) = &mut self.reader {
+                reader.record(self.word, self.promote, self.misses);
+            }
+            (self.promote, self.misses) = (0, 0);
         }
-        (self.promote, self.misses) = (0, 0);
     }
 
     /// Ends the walk and charges the reuse. Returns how many store hits
@@ -232,7 +276,7 @@ impl<'a> UdfInvoker<'a> {
             reader: self.shared.as_ref().map(CacheHandle::reader),
             word: usize::MAX,
             local: (0, 0),
-            shared: (0, 0),
+            shared: None,
             promote: 0,
             misses: 0,
             promoted: 0,
@@ -352,11 +396,11 @@ impl<'a> UdfInvoker<'a> {
         self.known_many([row]).pop().flatten()
     }
 
-    /// [`UdfInvoker::memoized`] for a run of rows, in input order — the
-    /// pipelines' "which of these are already decided?" scan. Action for
-    /// action the per-row loop (same answers, same promotions, one store
-    /// hit or miss per probe), with the reuse charge and the store
-    /// statistics added once per call.
+    /// [`UdfInvoker::memoized`] for an arbitrary list of rows, in input
+    /// order (a group's rows go through [`UdfInvoker::scan_runs`]).
+    /// Action for action the per-row loop (same answers, same
+    /// promotions, one store hit or miss per probe), with the reuse
+    /// charge and the store statistics added once per call.
     pub fn known_many(&self, rows: impl IntoIterator<Item = usize>) -> Vec<Option<bool>> {
         let mut lookup = self.lookup();
         let known = rows
@@ -365,6 +409,30 @@ impl<'a> UdfInvoker<'a> {
             .collect();
         lookup.finish(&self.tracker);
         known
+    }
+
+    /// The pipelines' group scan: [`UdfInvoker::known_many`] over the
+    /// rows of `(word, mask)` runs — bit `i` of `mask` is row
+    /// `64 * word + i`; a group's are [`expred_table::GroupBy::runs`] —
+    /// a word at a time. `visit` receives, per run, `(word, mask, known,
+    /// answer)`: the rows of `mask` this query or the session has decided
+    /// and, of those, the ones that passed (`answer ⊆ known ⊆ mask`).
+    /// Action for action the per-row walk over the same rows in
+    /// ascending order — same promotions into the memo, same referenced
+    /// marks, one store hit or miss per undecided row — with the reuse
+    /// charge and the store statistics added once per call.
+    pub fn scan_runs(
+        &self,
+        runs: impl IntoIterator<Item = (u32, u64)>,
+        mut visit: impl FnMut(usize, u64, u64, u64),
+    ) {
+        let mut lookup = self.lookup();
+        for (word, mask) in runs {
+            let word = word as usize;
+            let (known, answer) = lookup.run(word, mask);
+            visit(word, mask, known, answer);
+        }
+        lookup.finish(&self.tracker);
     }
 
     /// Retrieves and evaluates `row` in one step (charges both actions).
@@ -404,6 +472,7 @@ impl<'a> UdfInvoker<'a> {
 mod tests {
     use super::*;
     use crate::udf::OracleUdf;
+    use expred_table::rowset::bits;
     use expred_table::{DataType, Field, Schema, Table, Value};
 
     fn table_with_labels(labels: &[bool]) -> Table {
@@ -719,6 +788,34 @@ mod tests {
         // Cold rows may be paid by several racing workers, warm rows by none.
         let cold = (ROWS - WARM) as u64;
         assert!((cold..=8 * cold).contains(&c.evaluated), "{c:?}");
+
+        // The same race a word at a time: two threads scan one warm
+        // group of a fresh query, meeting before every run. Both see
+        // every row decided; only the merge that flipped a row's `known`
+        // bit charges it.
+        let inv = UdfInvoker::with_context(&udf, &t, &ctx);
+        let group: Vec<(u32, u64)> = (0..ROWS.div_ceil(64) as u32)
+            .map(|word| (word, 0x5555_5555_5555_5555))
+            .collect();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let runs = group.iter().map(|&run| {
+                        barrier.wait();
+                        run
+                    });
+                    inv.scan_runs(runs, |word, mask, known, passed| {
+                        assert_eq!(known, mask, "every row of word {word} is session-known");
+                        let want = bits(mask).filter(|bit| labels[word * 64 + *bit as usize]);
+                        assert_eq!(bits(passed).collect::<Vec<_>>(), want.collect::<Vec<_>>());
+                    });
+                });
+            }
+        });
+        let c = inv.counts();
+        assert_eq!(c.reuse_hits, ROWS as u64 / 2, "one reuse per scanned row");
+        assert_eq!(c.demanded(), c.reuse_hits, "a scan charges nothing else");
     }
 
     #[test]

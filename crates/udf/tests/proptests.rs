@@ -16,16 +16,22 @@
 //!
 //! The bulk read path is held to the per-row one: `known_many` over any
 //! run of rows — repeats included, on a half-warm session and a half-warm
-//! memo — equals a `memoized` loop action for action.
+//! memo — equals a `memoized` loop action for action. And the group scan
+//! is held to `known_many`: `scan_runs` over a group's `(word, mask)`
+//! runs equals `known_many` over the group's rows — answers, bill, store
+//! statistics and the referenced marks that steer later evictions.
 
 use expred_exec::{CacheStore, ExecContext, Sequential};
-use expred_table::{DataType, Field, Schema, Table, Value};
-use expred_udf::{OracleUdf, UdfInvoker};
+use expred_table::rowset::bits;
+use expred_table::{DataType, Field, GroupBy, Schema, Table, Value};
+use expred_udf::{cache_namespace, OracleUdf, UdfInvoker};
 use proptest::prelude::*;
 
 const ROWS: usize = 48;
 /// Wide enough to span several 64-row words of the bitmap layers.
 const WIDE_ROWS: usize = 300;
+/// Tall enough to span two 4096-row pages of the session store.
+const TALL_ROWS: usize = 4_200;
 
 fn labelled_table(rows: usize) -> Table {
     let schema = Schema::new(vec![Field::new("good", DataType::Bool)]);
@@ -170,6 +176,94 @@ proptest! {
         }
         prop_assert_eq!(bulk.counts(), per_row.counts());
         prop_assert_eq!(bulk_store.stats(), loop_store.stats());
+    }
+
+    #[test]
+    fn group_scan_matches_known_many_action_for_action(
+        k in 1usize..6,
+        stride in 1usize..200,
+        session in 0usize..4,
+        warm in prop::collection::vec(0usize..TALL_ROWS, 0..500),
+        own in prop::collection::vec(0usize..TALL_ROWS, 0..80),
+        newcomers in 0usize..40,
+    ) {
+        // Groups interleave (so each touches most words) in stretches of
+        // `stride` rows (so some words and whole pages are skipped).
+        let assignments: Vec<usize> = (0..TALL_ROWS).map(|row| (row / stride + row) % k).collect();
+        let groups = GroupBy::from_assignments("g", &assignments);
+        let table = labelled_table(TALL_ROWS);
+        let udf = OracleUdf::new("good");
+        let namespace = cache_namespace(&udf, &table).expect("the oracle has an identity");
+        // The session an earlier query left behind: none at all (a
+        // store-less invoker), cold, half-warm or fully warm.
+        let warm: Vec<usize> = match session {
+            0 | 1 => Vec::new(),
+            2 => warm,
+            _ => (0..TALL_ROWS).collect(),
+        };
+        let mut resident: Vec<usize> = warm.iter().chain(&own).copied().collect();
+        resident.sort_unstable();
+        resident.dedup();
+
+        let run = |by_runs: bool| {
+            // Exactly full once both queries have evaluated, so every
+            // newcomer evicts — the unreferenced entries first.
+            let store = CacheStore::with_capacity(resident.len());
+            let ctx = match session {
+                0 => ExecContext::sequential(),
+                _ => ExecContext::sequential().with_cache(&store),
+            };
+            UdfInvoker::with_context(&udf, &table, &ctx).evaluate_batch(&Sequential, &warm);
+            let invoker = UdfInvoker::with_context(&udf, &table, &ctx);
+            invoker.evaluate_batch(&Sequential, &own);
+            // Two passes: the second finds every hit of the first promoted.
+            let mut seen = Vec::new();
+            for _ in 0..2 {
+                for g in 0..groups.num_groups() {
+                    let known = if by_runs {
+                        let mut known = Vec::new();
+                        invoker.scan_runs(groups.runs(g), |_, mask, decided, passed| {
+                            assert_eq!((decided & !mask, passed & !decided), (0, 0));
+                            known.extend(bits(mask).map(|bit| {
+                                (decided >> bit & 1 == 1).then_some(passed >> bit & 1 == 1)
+                            }));
+                        });
+                        known
+                    } else {
+                        invoker.known_many(groups.rows(g).iter().map(|&row| row as usize))
+                    };
+                    seen.push((known, invoker.counts(), store.stats()));
+                }
+            }
+            let handle = store.handle(namespace);
+            for newcomer in 0..newcomers {
+                handle.insert(TALL_ROWS + newcomer, true);
+            }
+            let mut survivors = Vec::new();
+            store.for_each_entry(|_, row, answer| survivors.push((row, answer)));
+            survivors.sort_unstable();
+            (seen, store.stats(), survivors)
+        };
+        let (by_runs, by_rows) = (run(true), run(false));
+        for (step, (got, want)) in by_runs.0.iter().zip(&by_rows.0).enumerate() {
+            prop_assert_eq!(got, want, "scan {}", step);
+        }
+        prop_assert_eq!(by_runs.1, by_rows.1);
+        prop_assert_eq!(by_runs.2, by_rows.2, "the scans left different referenced marks");
+        // The scan is honest: every answer it reports is the oracle's,
+        // and a fully warm session is reused row for row.
+        let scanned_groups = (0..groups.num_groups()).cycle();
+        for ((known, _, _), g) in by_runs.0.iter().zip(scanned_groups) {
+            for (&row, known) in groups.rows(g).iter().zip(known) {
+                prop_assert!(known.is_none_or(|answer| answer == (row % 3 == 0)));
+            }
+        }
+        if session == 3 {
+            let (_, counts, _) = by_runs.0.last().expect("at least one group");
+            let own_rows: std::collections::HashSet<_> = own.iter().collect();
+            prop_assert_eq!(counts.reuse_hits as usize, TALL_ROWS);
+            prop_assert_eq!(counts.cache_hits as usize, own.len() - own_rows.len());
+        }
     }
 
     #[test]
