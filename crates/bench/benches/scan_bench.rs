@@ -9,13 +9,13 @@
 //! Scenarios (each at table sizes ≥4096 rows):
 //!
 //! * `group_by_<rows>` — `Table::group_by` (the `Column::group_codes`
-//!   kernel) vs `group_by_reference` (the legacy `HashMap<ValueKey>`
-//!   per-cell path) on the PROSPER `grade` column. Both produce the same
-//!   `GroupBy` byte for byte; the kernel skips the per-cell `Value`
-//!   materialization.
-//! * `group_by_str_<rows>` — the same pair on `zip3` (40 values): on a
+//!   kernel) on the PROSPER `grade` column. The per-cell
+//!   `HashMap<ValueKey>` path it replaced is no longer public API (it
+//!   lives on as `expred-table`'s property-test oracle), so these rows
+//!   carry the kernel's ns/row alone.
+//! * `group_by_str_<rows>` — the same on `zip3` (40 values): on a
 //!   dictionary-encoded string column the kernel sorts 40 entries and
-//!   remaps codes; the reference hashes every cell.
+//!   remaps codes.
 //! * `generate_<rows>` — materializing the PROSPER table: backend `rows`
 //!   rebuilds it through `Table::from_rows` from its row values (cloned
 //!   inside the timed region, as a row-wise producer builds them — the
@@ -24,8 +24,8 @@
 //!   `Table::from_columns`) including its PRNG draws. Both drop the
 //!   table they built.
 //! * `one_hot_<rows>` — `extract_features` (dictionary-coded one-hot)
-//!   vs `extract_features_reference` (per-cell `to_string` keys) over
-//!   the full PROSPER candidate set.
+//!   over the full PROSPER candidate set; like `group_by`, its per-cell
+//!   predecessor is now `expred-ml`'s test oracle, not a baseline row.
 //! * `zone_scan_<rows>` — `Table::scan` with a selective `IntRange` on
 //!   value-clustered data (zone maps skip non-matching 1024-row chunks)
 //!   vs the naive full-column filter the scan replaces.
@@ -33,13 +33,13 @@
 //!   query vs serving it from a warmed session [`DerivedCache`].
 //!
 //! Results land in `BENCH_scan.json` (schema: `expred_bench::report`);
-//! the legacy path is the per-scenario speedup baseline. Full mode
+//! where a scenario has a legacy path, it is the speedup baseline. Full mode
 //! prints a WARNING (it does not panic) if a kernel fails to beat its
 //! baseline — CI smoke runs make no timing claims.
 
 use expred_bench::report::measure_ns_per_unit;
 use expred_bench::BenchReport;
-use expred_ml::features::{extract_features, extract_features_reference, FeatureSpec};
+use expred_ml::features::{extract_features, FeatureSpec};
 use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
 use expred_table::{DerivedCache, ScanPredicate, Table, Value};
 use std::hint::black_box;
@@ -97,37 +97,16 @@ fn main() {
         let ds = Dataset::generate(DatasetSpec { rows, ..PROSPER }, 7);
         let units = rows as u64;
 
-        // Group-by: legacy HashMap<ValueKey> vs the group_codes kernel.
-        let scenario = format!("group_by_{rows}");
-        let legacy = measure_ns_per_unit(units, reps, || {
-            black_box(ds.table.group_by_reference("grade").unwrap());
-        });
-        let kernel = measure_ns_per_unit(units, reps, || {
-            black_box(ds.table.group_by("grade").unwrap());
-        });
-        report.record(&scenario, "legacy", legacy, 1.0);
-        report.record(&scenario, "kernel", kernel, legacy / kernel);
-        println!(
-            "{scenario:<24} legacy {legacy:>8.1} ns/row | kernel {kernel:>8.1} ({:>5.2}x)",
-            legacy / kernel
-        );
-        check(&scenario, legacy, kernel);
-
-        // The same pair on a 40-value string column.
-        let scenario = format!("group_by_str_{rows}");
-        let legacy = measure_ns_per_unit(units, reps, || {
-            black_box(ds.table.group_by_reference("zip3").unwrap());
-        });
-        let kernel = measure_ns_per_unit(units, reps, || {
-            black_box(ds.table.group_by("zip3").unwrap());
-        });
-        report.record(&scenario, "legacy", legacy, 1.0);
-        report.record(&scenario, "kernel", kernel, legacy / kernel);
-        println!(
-            "{scenario:<24} legacy {legacy:>8.1} ns/row | kernel {kernel:>8.1} ({:>5.2}x)",
-            legacy / kernel
-        );
-        check(&scenario, legacy, kernel);
+        // The group_codes kernel on an integer-like column, then on a
+        // 40-value dictionary-encoded string column.
+        for (scenario, column) in [("group_by", "grade"), ("group_by_str", "zip3")] {
+            let scenario = format!("{scenario}_{rows}");
+            let kernel = measure_ns_per_unit(units, reps, || {
+                black_box(ds.table.group_by(column).unwrap());
+            });
+            report.record(&scenario, "kernel", kernel, 1.0);
+            println!("{scenario:<24} kernel {kernel:>8.1} ns/row");
+        }
 
         // Materializing the table: row at a time vs column at a time.
         let scenario = format!("generate_{rows}");
@@ -146,16 +125,9 @@ fn main() {
         );
         check(&scenario, by_rows, columnar);
 
-        // One-hot encoding: per-cell to_string keys vs dictionary codes.
+        // One-hot encoding from dictionary codes.
         let scenario = format!("one_hot_{rows}");
         let exclude = ["label", "row_id"];
-        let legacy = measure_ns_per_unit(units, reps.div_ceil(3), || {
-            black_box(extract_features_reference(
-                &ds.table,
-                &exclude,
-                FeatureSpec::default(),
-            ));
-        });
         let kernel = measure_ns_per_unit(units, reps.div_ceil(3), || {
             black_box(extract_features(
                 &ds.table,
@@ -163,13 +135,8 @@ fn main() {
                 FeatureSpec::default(),
             ));
         });
-        report.record(&scenario, "legacy", legacy, 1.0);
-        report.record(&scenario, "kernel", kernel, legacy / kernel);
-        println!(
-            "{scenario:<24} legacy {legacy:>8.1} ns/row | kernel {kernel:>8.1} ({:>5.2}x)",
-            legacy / kernel
-        );
-        check(&scenario, legacy, kernel);
+        report.record(&scenario, "kernel", kernel, 1.0);
+        println!("{scenario:<24} kernel {kernel:>8.1} ns/row");
 
         // Zone-mapped scan: selective range on clustered data.
         let clustered = clustered_int_table(rows);

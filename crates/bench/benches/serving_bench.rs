@@ -8,7 +8,7 @@
 //!                                              # assertions relaxed)
 //! ```
 //!
-//! Three load scenarios and two codec rows (→ `BENCH_serving.json`):
+//! Three load scenarios and three hit-path rows (→ `BENCH_serving.json`):
 //!
 //! * `zipf_mixed` — N tenant threads, each replaying a zipf-skewed mix
 //!   of tables and query kinds (popular queries repeat, so the memo and
@@ -27,17 +27,20 @@
 //!   (`attempts == 200s + 429s`, `engine queries == 200s`) is asserted,
 //!   not measured.
 //!
-//! * `render_outcome_9k_ids` / `write_response_57kb` — the response
-//!   codec in-process, no sockets: [`render_outcome`] on a real ≈ 9 k-id
-//!   answer (`optimal` on `grade` over 20 000 `prosper` rows — what a
-//!   result-memo hit has left to do), and [`HttpResponse::write_to`] of a
-//!   57 KB body into a `Vec` sink. Best of five batches each.
+//! * `memo_hit_submit` / `render_outcome_9k_ids` / `write_response_57kb`
+//!   — everything a result-memo hit does, in-process, no sockets, on a
+//!   real ≈ 9 k-id answer (`optimal` on `grade` over 20 000 `prosper`
+//!   rows): the repeat [`QueryEngine::submit`] itself (validate, identity,
+//!   memo probe, a refcount bump on the shared outcome), [`render_outcome`]
+//!   walking the answer plane into the body, and
+//!   [`HttpResponse::write_to`] of a 57 KB body into a `Vec` sink. Best
+//!   of five batches each.
 //!
 //! Value semantics per row: `ns_per_probe` holds per-query nanoseconds
 //! for backends, latency nanoseconds for `*_p50_ns`/`*_p99_ns` rows,
 //! queries/sec for `queries_per_sec`, a percentage for `shed_rate_pct`,
-//! nanoseconds per row id for `ns_per_id`, and nanoseconds per response
-//! for `ns_per_response`.
+//! nanoseconds per memoized repeat for `ns_per_hit`, nanoseconds per row
+//! id for `ns_per_id`, and nanoseconds per response for `ns_per_response`.
 //!
 //! [`QueryEngine::submit`]: expred_core::QueryEngine::submit
 //! [`render_outcome`]: expred_serve::api::render_outcome
@@ -392,7 +395,7 @@ fn main() {
 
     drop(handle);
 
-    // -- response codec ----------------------------------------------------
+    // -- the hit path: submit, render, write --------------------------------
     let ds = Dataset::generate(
         DatasetSpec {
             rows: 20_000,
@@ -400,12 +403,9 @@ fn main() {
         },
         0,
     );
-    let outcome = QueryEngine::new()
-        .submit(
-            &ds,
-            &QueryRequest::optimal(QuerySpec::paper_default(), "grade"),
-        )
-        .expect("direct submit");
+    let engine = QueryEngine::new();
+    let request = QueryRequest::optimal(QuerySpec::paper_default(), "grade");
+    let outcome = engine.submit(&ds, &request).expect("direct submit");
     let ids = outcome.returned.len();
     // The scenarios above mostly sleep, and this box takes a few hundred
     // ms of busy time to reach its steady clock: report the best of five
@@ -416,6 +416,11 @@ fn main() {
             .map(|_| measure_ns_per_unit(units, reps, &mut *f))
             .fold(f64::INFINITY, f64::min)
     };
+    let hit_ns = best_of_five(1, &mut || {
+        black_box(engine.submit(black_box(&ds), black_box(&request))).expect("memo hit");
+    });
+    assert_eq!(engine.stats().queries, engine.stats().result_hits + 1);
+    report.record("memo_hit_submit", "ns_per_hit", hit_ns, 1.0);
     let render_ns = best_of_five(ids as u64, &mut || {
         black_box(render_outcome(black_box("t0"), black_box(&outcome)));
     });
@@ -431,7 +436,7 @@ fn main() {
     });
     report.record("write_response_57kb", "ns_per_response", write_ns, 1.0);
     println!(
-        "codec: render {ids} ids ({} B body) {render_ns:.1} ns/id | \
+        "hit path: submit {hit_ns:.0} ns/hit | render {ids} ids ({} B body) {render_ns:.1} ns/id | \
          write 57 KB response {write_ns:.0} ns",
         render_outcome("t0", &outcome).len()
     );

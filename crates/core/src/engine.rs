@@ -9,6 +9,12 @@
 //! repeated request (same table state, same query, same seed) is answered
 //! without touching the UDF at all.
 //!
+//! An outcome is one shared allocation: [`QueryEngine::submit`] returns
+//! `Arc<RunOutcome>`, and the memo, a cold race's followers and the caller
+//! all hold that same `Arc` — a memo hit is a refcount bump, a fresh
+//! request copies nothing. The answer inside is the bit plane the
+//! pipeline filled ([`RunOutcome::returned`]), never an id list.
+//!
 //! The two tiers compose:
 //!
 //! 1. **Row tier** ([`CacheStore`]) — namespaced by `(udf, table id,
@@ -103,7 +109,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Default bound on memoized whole-query outcomes.
+/// Default bound on memoized whole-query outcomes. An entry holds its
+/// answer as a plane — table rows / 8 bytes (2.5 KB over 20 000 rows,
+/// whatever the answer's size) plus a few hundred bytes of identity and
+/// bill — so a full memo over 20 000-row tables is about 3 MB.
 pub const DEFAULT_RESULT_MEMO_CAPACITY: usize = 1024;
 
 /// Session-level statistics beyond the cost counters.
@@ -196,8 +205,8 @@ impl ResultKey {
 enum FlightState {
     /// The leader is still executing the pipeline.
     Running,
-    /// The leader finished; followers clone this outcome.
-    Done(RunOutcome),
+    /// The leader finished; followers share this outcome.
+    Done(Arc<RunOutcome>),
     /// The leader unwound without an outcome; followers run themselves.
     Aborted,
 }
@@ -224,14 +233,14 @@ impl InFlight {
 
     /// Parks until the leader resolves the flight; `None` means the
     /// leader aborted and the caller should execute for itself.
-    fn wait(&self) -> Option<RunOutcome> {
+    fn wait(&self) -> Option<Arc<RunOutcome>> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             match &*state {
                 FlightState::Running => {
                     state = self.finished.wait(state).unwrap_or_else(|e| e.into_inner());
                 }
-                FlightState::Done(outcome) => return Some(outcome.clone()),
+                FlightState::Done(outcome) => return Some(Arc::clone(outcome)),
                 FlightState::Aborted => return None,
             }
         }
@@ -282,7 +291,7 @@ pub struct QueryEngine {
     executor: Box<dyn Executor>,
     store: CacheStore,
     session: CostTracker,
-    results: ShardedResultMemo<ResultKey, RunOutcome>,
+    results: ShardedResultMemo<ResultKey, Arc<RunOutcome>>,
     udf_latency: Option<Duration>,
     stats: AtomicEngineStats,
     /// Cold-race waiter table: result-memo hash -> in-flight run.
@@ -432,8 +441,9 @@ impl QueryEngine {
     /// (bad input surfaces as [`EngineError`] before any UDF money is
     /// spent and before the request is counted). An identical request —
     /// same dataset state, same strategy identity, same seed — returns
-    /// the memoized [`RunOutcome`] (its `counts` describe the original
-    /// run) and charges nothing new to the session. A fresh request runs
+    /// the memoized [`RunOutcome`] itself — the same allocation, behind
+    /// the same `Arc`; its `counts` describe the original run — and
+    /// charges nothing new to the session. A fresh request runs
     /// the strategy against the shared row cache and folds its bill into
     /// [`QueryEngine::session_counts`]. Two threads racing on the
     /// identical fresh request execute it once: the first becomes the
@@ -444,7 +454,7 @@ impl QueryEngine {
     /// to evaluate-everything is reported as [`EngineError::Infeasible`]
     /// (the fallback outcome itself is still memoized — see the policy's
     /// docs).
-    pub fn submit(&self, ds: &Dataset, req: &QueryRequest) -> Result<RunOutcome, EngineError> {
+    pub fn submit(&self, ds: &Dataset, req: &QueryRequest) -> Result<Arc<RunOutcome>, EngineError> {
         let strategy = req.strategy();
         strategy.validate(ds)?;
         // With persistence wired: register the table's durable identity
@@ -479,7 +489,7 @@ impl QueryEngine {
         req: &QueryRequest,
         key: u64,
         identity: ResultKey,
-    ) -> Result<RunOutcome, EngineError> {
+    ) -> Result<Arc<RunOutcome>, EngineError> {
         // The memo verifies the full identity: a colliding key is
         // treated as a miss, never served.
         if let Some(hit) = self.results.get(key, &identity) {
@@ -517,10 +527,11 @@ impl QueryEngine {
                 // Re-probe the memo: our earlier miss may be stale (a
                 // previous leader published and unregistered between our
                 // probe and our registration), and re-running a memoized
-                // request would waste the whole pipeline.
-                if let Some(hit) = self.results.get(key, &identity) {
+                // request would waste the whole pipeline. A `peek`: this
+                // request's lookup was counted by the probe above.
+                if let Some(hit) = self.results.peek(key, &identity) {
                     self.stats.result_hits.fetch_add(1, Ordering::AcqRel);
-                    flight.resolve(FlightState::Done(hit.clone()));
+                    flight.resolve(FlightState::Done(Arc::clone(&hit)));
                     drop(guard);
                     return Ok(hit);
                 }
@@ -528,7 +539,7 @@ impl QueryEngine {
                 // Publish to the memo first, then release followers,
                 // then (via the guard) unregister: an arrival in any
                 // window finds the answer somewhere.
-                flight.resolve(FlightState::Done(outcome.clone()));
+                flight.resolve(FlightState::Done(Arc::clone(&outcome)));
                 drop(guard);
                 Ok(outcome)
             }
@@ -553,13 +564,13 @@ impl QueryEngine {
         req: &QueryRequest,
         key: u64,
         identity: ResultKey,
-    ) -> Result<RunOutcome, EngineError> {
+    ) -> Result<Arc<RunOutcome>, EngineError> {
         let outcome = {
             let ctx = self.context();
-            req.strategy().execute(ds, req.seed(), &ctx)?
+            Arc::new(req.strategy().execute(ds, req.seed(), &ctx)?)
         };
         self.session.absorb(&outcome.counts);
-        self.results.insert(key, identity, outcome.clone());
+        self.results.insert(key, identity, Arc::clone(&outcome));
         Ok(outcome)
     }
 
@@ -730,6 +741,108 @@ mod tests {
     }
 
     #[test]
+    fn a_memo_hit_is_the_leaders_allocation() {
+        let ds = small_prosper(1);
+        let engine = QueryEngine::new();
+        let first = engine.submit(&ds, &intel_query().with_seed(5)).unwrap();
+        let again = engine.submit(&ds, &intel_query().with_seed(5)).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "a hit bumps a refcount");
+        // Caller, caller, memo: nobody holds a copy.
+        assert_eq!(Arc::strong_count(&first), 3);
+    }
+
+    #[test]
+    fn each_request_counts_one_memo_lookup() {
+        // A fresh request probes the memo twice (before registering its
+        // flight and again as leader); only the first probe is counted.
+        let ds = small_prosper(4);
+        let engine = QueryEngine::new();
+        let spec = QuerySpec::paper_default();
+        for seed in 0..5 {
+            engine.submit(&ds, &naive(spec, seed)).unwrap();
+        }
+        let cold = engine.result_memo_stats();
+        assert_eq!((cold.hits, cold.misses, cold.insertions), (0, 5, 5));
+        for seed in 0..5 {
+            engine.submit(&ds, &naive(spec, seed)).unwrap();
+            engine.submit(&ds, &naive(spec, seed)).unwrap();
+        }
+        let warm = engine.result_memo_stats();
+        assert_eq!((warm.hits, warm.misses), (10, 5));
+        assert_eq!(
+            warm.hits + warm.misses + warm.collision_rejects,
+            engine.stats().queries
+        );
+        assert_eq!(engine.stats().result_hits, warm.hits);
+    }
+
+    /// A strategy whose run announces itself and then waits to be let go,
+    /// so a test can hold a leader in flight.
+    struct Gated {
+        entered: Mutex<std::sync::mpsc::Sender<()>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl crate::strategy::Strategy for Gated {
+        fn name(&self) -> &str {
+            "gated"
+        }
+        fn fingerprint(&self, _fp: &mut crate::strategy::Fingerprint) {}
+        fn execute(
+            &self,
+            ds: &Dataset,
+            _seed: u64,
+            _ctx: &ExecContext<'_>,
+        ) -> Result<RunOutcome, EngineError> {
+            self.entered.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+            let rows = ds.table.num_rows();
+            Ok(RunOutcome::trivial(expred_table::RowSet::from_ids(
+                rows,
+                0..rows as u32,
+            )))
+        }
+    }
+
+    #[test]
+    fn a_cold_race_follower_shares_the_leaders_allocation() {
+        let ds = small_prosper(10);
+        let engine = QueryEngine::new();
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let request = QueryRequest::new(Gated {
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        });
+        let (led, followed) = std::thread::scope(|scope| {
+            let leader = scope.spawn(|| engine.submit(&ds, &request).unwrap());
+            entered.recv().unwrap();
+            let follower = scope.spawn(|| engine.submit(&ds, &request).unwrap());
+            // The leader's frame holds the flight twice and the waiter
+            // table once; a fourth holder is the follower, which from
+            // there can only park on it.
+            loop {
+                let waiters = engine.inflight.lock().unwrap();
+                let flight = waiters.values().next().expect("the leader is in flight");
+                if Arc::strong_count(flight) >= 4 {
+                    break;
+                }
+                drop(waiters);
+                std::thread::yield_now();
+            }
+            release.send(()).unwrap();
+            (leader.join().unwrap(), follower.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&led, &followed), "followers share, not copy");
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.queries, stats.dedup_joins, stats.result_hits),
+            (2, 1, 0)
+        );
+        assert!(entered.try_recv().is_err(), "the strategy ran once");
+    }
+
+    #[test]
     fn first_run_matches_the_legacy_pipeline_exactly() {
         let ds = small_prosper(2);
         let engine = QueryEngine::new();
@@ -854,7 +967,7 @@ mod tests {
         // A barrier makes the storm simultaneous: every thread misses the
         // memo together, one becomes leader, seven park on its flight.
         let barrier = std::sync::Barrier::new(8);
-        let outcomes: Vec<RunOutcome> = std::thread::scope(|scope| {
+        let outcomes: Vec<Arc<RunOutcome>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     scope.spawn(|| {
@@ -868,6 +981,8 @@ mod tests {
         for outcome in &outcomes {
             assert_eq!(outcome.returned, reference.returned);
             assert_eq!(outcome.counts, reference.counts);
+            // Memo hit or waiter-table join, it is the leader's outcome.
+            assert!(Arc::ptr_eq(outcome, &outcomes[0]));
         }
         assert_eq!(
             engine.session_counts().evaluated,
@@ -898,7 +1013,7 @@ mod tests {
         let engine = QueryEngine::new()
             .with_result_capacity(0)
             .with_udf_latency(Duration::from_micros(100));
-        let outcomes: Vec<RunOutcome> = std::thread::scope(|scope| {
+        let outcomes: Vec<Arc<RunOutcome>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| scope.spawn(|| engine.submit(&ds, &naive(spec, 5)).unwrap()))
                 .collect();

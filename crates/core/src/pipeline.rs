@@ -13,6 +13,13 @@
 //! [`crate::adaptive`] and the two in [`crate::baselines`]) are bodies
 //! inside one frame, `run_framed`: the single place a run obtains its
 //! predicate, is clocked, billed and scored.
+//!
+//! The answer is one bit plane from body to wire: a body fills a
+//! [`RowSet`] over the table's rows, the frame scores it by popcount and
+//! moves it into [`RunOutcome::returned`], the engine memoizes and shares
+//! that outcome behind an `Arc`, and the serving tier's writer walks the
+//! plane's words straight into the response body. No id list exists in
+//! between.
 
 use crate::column_select::{rank_columns, virtual_column};
 use crate::error::EngineError;
@@ -109,8 +116,10 @@ impl IntelSampleConfig {
 /// The outcome of one pipeline run.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// Row ids returned as the query answer.
-    pub returned: Vec<u32>,
+    /// The rows returned as the query answer: the plane the pipeline
+    /// body filled, over the table's rows — 8 rows a byte whatever the
+    /// answer's size. Read it with `len`/`contains`/`iter`/`to_vec`.
+    pub returned: RowSet,
     /// Audited action counts (retrievals, UDF evaluations, memo hits).
     pub counts: CostCounts,
     /// Total cost under the query's cost model.
@@ -170,8 +179,9 @@ pub(crate) struct Answer {
 /// The one frame under all seven pipelines: obtains the predicate,
 /// builds the audited invoker and the seeded generator, clocks `body`,
 /// then scores its answer against ground truth — both are planes, so
-/// `|R ∩ C|` is a popcount of `answer & truth` — reads the answer plane
-/// out as the ascending id list and assembles the bill under `cost`.
+/// `|R ∩ C|` is a popcount of `answer & truth` — and assembles the bill
+/// under `cost`. The answer plane moves into the outcome as it is: no
+/// id list is built between the body and the response writer.
 /// `compute_seconds` stops when the body returns, so it excludes both.
 ///
 /// Takes the body as a closure because the invoker borrows the boxed
@@ -200,7 +210,7 @@ pub(crate) fn run_framed(
     );
     let counts = frame.invoker.counts();
     Ok(RunOutcome {
-        returned: answer.returned.to_vec(),
+        returned: answer.returned,
         counts,
         cost: counts.cost(cost),
         summary,

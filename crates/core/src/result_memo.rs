@@ -155,31 +155,37 @@ impl<K: PartialEq, V: Clone> ShardedResultMemo<K, V> {
 
     /// The value stored under `key`, provided its stored identity equals
     /// `identity` exactly. A colliding occupant is a miss (counted as a
-    /// [`ResultMemoStats::collision_rejects`]), never served.
+    /// [`ResultMemoStats::collision_rejects`]), never served. Every call
+    /// counts exactly one of hit, miss or collision reject.
     pub fn get(&self, key: u64, identity: &K) -> Option<V> {
+        let (value, counter) = self.probe(key, identity);
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
+    }
+
+    /// [`ShardedResultMemo::get`] without the statistics: for a caller
+    /// that already counted this request's lookup and is only looking
+    /// again (the engine's leader re-probe). A found entry is still
+    /// marked referenced for the CLOCK sweep.
+    pub fn peek(&self, key: u64, identity: &K) -> Option<V> {
+        self.probe(key, identity).0
+    }
+
+    /// The verified value under `key`, and the counter that lookup
+    /// outcome belongs to. `V::clone` runs under the shard's read lock,
+    /// so `V` should be cheap to clone (the engine stores an `Arc`).
+    fn probe(&self, key: u64, identity: &K) -> (Option<V>, &AtomicU64) {
         if self.shard_capacity == 0 {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+            return (None, &self.stats.misses);
         }
         let guard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
         match guard.map.get(&key) {
             Some(entry) if entry.identity == *identity => {
                 entry.referenced.store(true, Ordering::Relaxed);
-                let value = entry.value.clone();
-                drop(guard);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
+                (Some(entry.value.clone()), &self.stats.hits)
             }
-            Some(_) => {
-                drop(guard);
-                self.stats.collision_rejects.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                drop(guard);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            Some(_) => (None, &self.stats.collision_rejects),
+            None => (None, &self.stats.misses),
         }
     }
 
@@ -284,6 +290,17 @@ mod tests {
         assert_eq!(memo.get(7, &"query-b"), None);
         let s = memo.stats();
         assert_eq!((s.hits, s.misses, s.collision_rejects), (1, 0, 1));
+    }
+
+    #[test]
+    fn peek_serves_without_counting() {
+        let memo: ShardedResultMemo<&str, u32> = ShardedResultMemo::with_capacity(16);
+        assert_eq!(memo.peek(7, &"a"), None);
+        memo.insert(7, "a", 1);
+        assert_eq!(memo.peek(7, &"a"), Some(1));
+        assert_eq!(memo.peek(7, &"b"), None, "peek verifies identity too");
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses, s.collision_rejects), (0, 0, 0));
     }
 
     #[test]

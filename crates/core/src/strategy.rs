@@ -43,7 +43,7 @@ use expred_exec::ExecContext;
 use expred_ml::metrics::PrSummary;
 use expred_stats::hash::Fnv64;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
-use expred_table::{DataType, Table};
+use expred_table::{DataType, RowSet, Table};
 use expred_udf::{evaluate_expr_batch, BooleanUdf, CostModel, CostTracker, PredicateExpr};
 use std::time::Instant;
 
@@ -144,6 +144,7 @@ impl StrategyIdentity {
 /// use expred_core::{EngineError, Fingerprint, RunOutcome, Strategy};
 /// use expred_exec::ExecContext;
 /// use expred_table::datasets::Dataset;
+/// use expred_table::RowSet;
 ///
 /// /// A strategy that returns the first `k` rows without evaluating.
 /// struct FirstK(usize);
@@ -161,8 +162,9 @@ impl StrategyIdentity {
 ///         _seed: u64,
 ///         _ctx: &ExecContext<'_>,
 ///     ) -> Result<RunOutcome, EngineError> {
-///         let returned: Vec<u32> = (0..self.0.min(ds.table.num_rows()) as u32).collect();
-///         Ok(RunOutcome::trivial(returned))
+///         let rows = ds.table.num_rows();
+///         let first_k = 0..self.0.min(rows) as u32;
+///         Ok(RunOutcome::trivial(RowSet::from_ids(rows, first_k)))
 ///     }
 /// }
 /// ```
@@ -195,7 +197,7 @@ impl RunOutcome {
     /// An outcome carrying only a returned row set — zero counts, perfect
     /// summary, one group. For strategies (tests, trivial baselines) that
     /// do not run a planned pipeline.
-    pub fn trivial(returned: Vec<u32>) -> Self {
+    pub fn trivial(returned: RowSet) -> Self {
         let returned_len = returned.len();
         Self {
             returned,
@@ -725,12 +727,7 @@ impl Strategy for ExprScan {
                 reason: e.to_string(),
             }
         })?;
-        let returned: Vec<u32> = rows
-            .iter()
-            .zip(&answers)
-            .filter(|&(_, &passed)| passed)
-            .map(|(&row, _)| row as u32)
-            .collect();
+        let returned = RowSet::from_flags(answers.iter().copied());
         let compute_seconds = start.elapsed().as_secs_f64();
         let counts = tracker.snapshot();
         Ok(RunOutcome {
@@ -858,8 +855,9 @@ mod tests {
 
     #[test]
     fn trivial_outcome_is_well_formed() {
-        let out = RunOutcome::trivial(vec![1, 2, 3]);
-        assert_eq!(out.returned, vec![1, 2, 3]);
+        let out = RunOutcome::trivial(RowSet::from_ids(10, [1, 2, 3]));
+        assert_eq!(out.returned.to_vec(), vec![1, 2, 3]);
+        assert_eq!(out.summary.returned, 3);
         assert_eq!(out.summary.precision, 1.0);
         assert_eq!(out.counts.evaluated, 0);
         assert!(out.plan_feasible);

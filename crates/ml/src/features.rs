@@ -10,9 +10,9 @@
 //! ([`expred_table::GroupCodes`]): per row it costs an integer lookup,
 //! and the category strings are rendered once per *distinct* value
 //! rather than once per cell. The historical per-cell-`String` encoder
-//! is kept as [`extract_features_reference`], and the kernel path is
-//! unit-tested to match it byte for byte (the dictionary's value-sorted
-//! codes are remapped to the reference's string-sorted category slots).
+//! survives as this module's test oracle, which the kernel path must
+//! match byte for byte (the dictionary's value-sorted codes are remapped
+//! to the reference's string-sorted category slots).
 
 use expred_table::kernels::GroupCodes;
 use expred_table::{Column, DataType, DerivedCache, Table, Value};
@@ -246,129 +246,128 @@ fn key_string(v: &Value) -> String {
     }
 }
 
-/// The historical per-cell scalar encoder: renders an owned key `String`
-/// per cell and buckets through a `BTreeMap`. Kept as the reference the
-/// kernel-coded path is tested (and benched) against; output is byte-
-/// identical to [`extract_features`].
-pub fn extract_features_reference(
-    table: &Table,
-    exclude: &[&str],
-    spec: FeatureSpec,
-) -> FeatureMatrix {
-    let n = table.num_rows();
-    let mut columns: Vec<(String, ReferenceEncoding)> = Vec::new();
-    for field in table.schema().fields() {
-        if exclude.contains(&field.name()) {
-            continue;
-        }
-        let col = table.column(field.name()).expect("schema-listed column");
-        let enc = match field.data_type() {
-            DataType::Float => reference_numeric(col, n),
-            DataType::Int => {
-                if col.distinct_count() <= spec.int_categorical_threshold {
-                    reference_categorical(col, n, spec.max_categorical_cardinality)
-                } else {
-                    reference_numeric(col, n)
-                }
-            }
-            DataType::Bool | DataType::Str => {
-                reference_categorical(col, n, spec.max_categorical_cardinality)
-            }
-        };
-        if let Some(enc) = enc {
-            columns.push((field.name().to_owned(), enc));
-        }
-    }
-
-    let dim: usize = columns.iter().map(|(_, e)| e.width()).sum();
-    let mut data = vec![0.0; n * dim];
-    let mut feature_names = Vec::with_capacity(dim);
-    let mut offset = 0;
-    for (name, enc) in &columns {
-        match enc {
-            ReferenceEncoding::Numeric { mean, std } => {
-                feature_names.push(name.clone());
-                let col = table.column(name).unwrap();
-                for r in 0..n {
-                    let v = col.float_at(r).unwrap_or(*mean);
-                    data[r * dim + offset] = if *std > 0.0 { (v - mean) / std } else { 0.0 };
-                }
-                offset += 1;
-            }
-            ReferenceEncoding::OneHot { categories } => {
-                for cat in categories.keys() {
-                    feature_names.push(format!("{name}={cat}"));
-                }
-                let col = table.column(name).unwrap();
-                for r in 0..n {
-                    let key = cell_key(col, r);
-                    if let Some(&slot) = categories.get(&key) {
-                        data[r * dim + offset + slot] = 1.0;
-                    }
-                }
-                offset += categories.len();
-            }
-        }
-    }
-    debug_assert_eq!(offset, dim);
-    FeatureMatrix {
-        rows: n,
-        dim,
-        data,
-        feature_names,
-    }
-}
-
-enum ReferenceEncoding {
-    Numeric { mean: f64, std: f64 },
-    OneHot { categories: BTreeMap<String, usize> },
-}
-
-impl ReferenceEncoding {
-    fn width(&self) -> usize {
-        match self {
-            ReferenceEncoding::Numeric { .. } => 1,
-            ReferenceEncoding::OneHot { categories } => categories.len(),
-        }
-    }
-}
-
-fn reference_numeric(col: &Column, n: usize) -> Option<ReferenceEncoding> {
-    match numeric_encoding(col, n) {
-        Some(Encoding::Numeric { mean, std }) => Some(ReferenceEncoding::Numeric { mean, std }),
-        _ => None,
-    }
-}
-
-fn reference_categorical(col: &Column, n: usize, max_card: usize) -> Option<ReferenceEncoding> {
-    let mut categories: BTreeMap<String, usize> = BTreeMap::new();
-    for r in 0..n {
-        let key = cell_key(col, r);
-        let next = categories.len();
-        categories.entry(key).or_insert(next);
-        if categories.len() > max_card {
-            return None; // too many distinct values: drop the column
-        }
-    }
-    // Re-index in sorted order for determinism.
-    let keys: Vec<String> = categories.keys().cloned().collect();
-    let categories = keys.into_iter().enumerate().map(|(i, k)| (k, i)).collect();
-    Some(ReferenceEncoding::OneHot { categories })
-}
-
-fn cell_key(col: &Column, r: usize) -> String {
-    let v = col.value(r);
-    if v.is_null() {
-        "\u{0}NULL".to_owned()
-    } else {
-        v.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use expred_table::{Field, Schema, Value};
+
+    /// The historical per-cell scalar encoder: renders an owned key `String`
+    /// per cell and buckets through a `BTreeMap`. Kept as the reference the
+    /// kernel-coded path must match byte for byte.
+    fn extract_features_reference(
+        table: &Table,
+        exclude: &[&str],
+        spec: FeatureSpec,
+    ) -> FeatureMatrix {
+        let n = table.num_rows();
+        let mut columns: Vec<(String, ReferenceEncoding)> = Vec::new();
+        for field in table.schema().fields() {
+            if exclude.contains(&field.name()) {
+                continue;
+            }
+            let col = table.column(field.name()).expect("schema-listed column");
+            let enc = match field.data_type() {
+                DataType::Float => reference_numeric(col, n),
+                DataType::Int => {
+                    if col.distinct_count() <= spec.int_categorical_threshold {
+                        reference_categorical(col, n, spec.max_categorical_cardinality)
+                    } else {
+                        reference_numeric(col, n)
+                    }
+                }
+                DataType::Bool | DataType::Str => {
+                    reference_categorical(col, n, spec.max_categorical_cardinality)
+                }
+            };
+            if let Some(enc) = enc {
+                columns.push((field.name().to_owned(), enc));
+            }
+        }
+
+        let dim: usize = columns.iter().map(|(_, e)| e.width()).sum();
+        let mut data = vec![0.0; n * dim];
+        let mut feature_names = Vec::with_capacity(dim);
+        let mut offset = 0;
+        for (name, enc) in &columns {
+            match enc {
+                ReferenceEncoding::Numeric { mean, std } => {
+                    feature_names.push(name.clone());
+                    let col = table.column(name).unwrap();
+                    for r in 0..n {
+                        let v = col.float_at(r).unwrap_or(*mean);
+                        data[r * dim + offset] = if *std > 0.0 { (v - mean) / std } else { 0.0 };
+                    }
+                    offset += 1;
+                }
+                ReferenceEncoding::OneHot { categories } => {
+                    for cat in categories.keys() {
+                        feature_names.push(format!("{name}={cat}"));
+                    }
+                    let col = table.column(name).unwrap();
+                    for r in 0..n {
+                        let key = cell_key(col, r);
+                        if let Some(&slot) = categories.get(&key) {
+                            data[r * dim + offset + slot] = 1.0;
+                        }
+                    }
+                    offset += categories.len();
+                }
+            }
+        }
+        debug_assert_eq!(offset, dim);
+        FeatureMatrix {
+            rows: n,
+            dim,
+            data,
+            feature_names,
+        }
+    }
+
+    enum ReferenceEncoding {
+        Numeric { mean: f64, std: f64 },
+        OneHot { categories: BTreeMap<String, usize> },
+    }
+
+    impl ReferenceEncoding {
+        fn width(&self) -> usize {
+            match self {
+                ReferenceEncoding::Numeric { .. } => 1,
+                ReferenceEncoding::OneHot { categories } => categories.len(),
+            }
+        }
+    }
+
+    fn reference_numeric(col: &Column, n: usize) -> Option<ReferenceEncoding> {
+        match numeric_encoding(col, n) {
+            Some(Encoding::Numeric { mean, std }) => Some(ReferenceEncoding::Numeric { mean, std }),
+            _ => None,
+        }
+    }
+
+    fn reference_categorical(col: &Column, n: usize, max_card: usize) -> Option<ReferenceEncoding> {
+        let mut categories: BTreeMap<String, usize> = BTreeMap::new();
+        for r in 0..n {
+            let key = cell_key(col, r);
+            let next = categories.len();
+            categories.entry(key).or_insert(next);
+            if categories.len() > max_card {
+                return None; // too many distinct values: drop the column
+            }
+        }
+        // Re-index in sorted order for determinism.
+        let keys: Vec<String> = categories.keys().cloned().collect();
+        let categories = keys.into_iter().enumerate().map(|(i, k)| (k, i)).collect();
+        Some(ReferenceEncoding::OneHot { categories })
+    }
+
+    fn cell_key(col: &Column, r: usize) -> String {
+        let v = col.value(r);
+        if v.is_null() {
+            "\u{0}NULL".to_owned()
+        } else {
+            v.to_string()
+        }
+    }
 
     fn sample_table() -> Table {
         let schema = Schema::new(vec![

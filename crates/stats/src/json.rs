@@ -15,11 +15,14 @@
 //! [`JsonValue::render`] walks its tree onto it (compact output, stable
 //! field order — objects preserve insertion order, no hashing, so output
 //! is reproducible byte for byte), and producers that already hold their
-//! data in another shape (a `&[u32]` answer set, a counter snapshot) push
-//! events at it directly instead of building a tree first.
+//! data in another shape (an answer set's bit plane, a counter snapshot)
+//! push events at it directly instead of building a tree first. A query's
+//! answer reaches the wire through [`JsonWriter::id_plane`], the one id
+//! array writer: it reads the plane's words, so no id list is ever built.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
+use std::sync::OnceLock;
 
 /// One parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -358,6 +361,18 @@ const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
       6061626364656667686970717273747576777879\
       8081828384858687888990919293949596979899";
 
+/// The positions of `word`'s set bits, ascending.
+#[inline]
+fn set_bits(mut word: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = u64::from(word.trailing_zeros());
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
 /// How many decimal digits `v` prints as.
 #[inline]
 fn digit_count(v: u64) -> usize {
@@ -385,11 +400,46 @@ fn write_digits(dst: &mut [u8], mut v: u64) {
     }
 }
 
-/// Upper bound on the bytes [`JsonWriter::u32_array`] writes between the
-/// brackets: every id at the widest id's digit count, plus its comma.
-pub fn u32_array_len(ids: &[u32]) -> usize {
-    let widest = ids.iter().fold(0, |widest, &id| widest.max(id));
-    ids.len() * (digit_count(widest.into()) + 1)
+/// Ids below this bound are written from [`id_texts`]; the table is one
+/// `u64` per id, so the bound is its size: 2¹⁶ ids → 512 KB. A whole
+/// number of 64-id plane words, so a word is wholly on one side.
+const ID_TEXT_BOUND: usize = 1 << 16;
+
+/// Every id below [`ID_TEXT_BOUND`] pre-rendered as `"<id>,"`: the text
+/// (at most five digits and the comma) in the low bytes of a
+/// little-endian `u64`, its length in the top byte — so writing an id is
+/// one 8-byte store and `pos += entry >> 56`. Built once per process, on
+/// the first plane written.
+fn id_texts() -> &'static [u64; ID_TEXT_BOUND] {
+    static TEXTS: OnceLock<Box<[u64; ID_TEXT_BOUND]>> = OnceLock::new();
+    TEXTS.get_or_init(|| {
+        let texts: Vec<u64> = (0..ID_TEXT_BOUND as u64)
+            .map(|id| {
+                let n = digit_count(id);
+                let mut entry = [0u8; 8];
+                write_digits(&mut entry[..n], id);
+                entry[n] = b',';
+                entry[7] = n as u8 + 1;
+                u64::from_le_bytes(entry)
+            })
+            .collect();
+        texts
+            .into_boxed_slice()
+            .try_into()
+            .expect("one entry per id below the bound")
+    })
+}
+
+/// Upper bound on the bytes [`JsonWriter::id_plane`] writes between the
+/// brackets: every set bit at the highest set bit's digit count, plus its
+/// comma. Reads the plane's words (a popcount each), never its ids.
+pub fn id_plane_len(words: &[u64]) -> usize {
+    let Some(last) = words.iter().rposition(|&word| word != 0) else {
+        return 0;
+    };
+    let widest = last as u64 * 64 + 63 - u64::from(words[last].leading_zeros());
+    let ids: usize = words.iter().map(|word| word.count_ones() as usize).sum();
+    ids * (digit_count(widest) + 1)
 }
 
 /// Appends `v` in decimal.
@@ -583,38 +633,55 @@ impl JsonWriter {
         self
     }
 
-    /// Writes an array of row ids — the bulk of every answer body. The
-    /// output is sized once from the widest id, so the loop does no
-    /// per-id capacity check.
-    pub fn u32_array(&mut self, ids: &[u32]) -> &mut Self {
+    /// Writes a set of row ids, given as its bit plane (word `w`, bit `i`
+    /// is id `64 * w + i`), as an ascending array — the bulk of every
+    /// answer body. The output is sized once from the plane, so the loop
+    /// does no per-id capacity check; ids below 2¹⁶ are copied from a
+    /// process-wide table of pre-rendered `"<id>,"` texts (512 KB, built
+    /// on first use), the rest formatted in place.
+    pub fn id_plane(&mut self, words: &[u64]) -> &mut Self {
         self.begin_array();
-        if self.pretty || ids.is_empty() {
-            for &id in ids {
-                self.u64(id.into());
+        let bound = id_plane_len(words);
+        if self.pretty || bound == 0 {
+            for (w, &word) in words.iter().enumerate() {
+                for bit in set_bits(word) {
+                    self.u64(w as u64 * 64 + bit);
+                }
             }
-        } else {
-            let at = self.out.len();
-            self.out.resize(at + u32_array_len(ids), 0);
-            let buf = &mut self.out[at..];
-            let mut pos = 0;
-            // Ids mostly arrive sorted, so the digit count rarely changes:
-            // recount only when an id leaves the range sharing the last.
-            let (mut n, mut same_count) = (0, 0..0);
-            for &id in ids {
-                let id = u64::from(id);
+            return self.end_array();
+        }
+        let at = self.out.len();
+        // Eight bytes past the bound: a table entry is stored whole.
+        self.out.resize(at + bound + 8, 0);
+        let buf = &mut self.out[at..];
+        let texts = id_texts();
+        let table_words = words.len().min(ID_TEXT_BOUND / 64);
+        let mut pos = 0;
+        for (w, &word) in words[..table_words].iter().enumerate() {
+            for bit in set_bits(word) {
+                let entry = texts[w * 64 + bit as usize];
+                buf[pos..pos + 8].copy_from_slice(&entry.to_le_bytes());
+                pos += (entry >> 56) as usize;
+            }
+        }
+        // Past the table ids ascend through at most five more widths:
+        // recount only when one leaves the range sharing the last's.
+        let (mut n, mut same_count) = (0, 0..0);
+        for (w, &word) in words.iter().enumerate().skip(table_words) {
+            for bit in set_bits(word) {
+                let id = w as u64 * 64 + bit;
                 if !same_count.contains(&id) {
                     n = digit_count(id);
-                    same_count =
-                        if n == 1 { 0 } else { 10u64.pow(n as u32 - 1) }..10u64.pow(n as u32);
+                    same_count = 10u64.pow(n as u32 - 1)..10u64.pow(n as u32);
                 }
                 write_digits(&mut buf[pos..pos + n], id);
                 buf[pos + n] = b',';
                 pos += n + 1;
             }
-            // Every id wrote a comma after itself; the last one goes.
-            self.out.truncate(at + pos - 1);
-            self.sep = Sep::Comma;
         }
+        // Every id wrote a comma after itself; the last one goes.
+        self.out.truncate(at + pos - 1);
+        self.sep = Sep::Comma;
         self.end_array()
     }
 

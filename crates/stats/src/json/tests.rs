@@ -354,47 +354,152 @@ fn counters_serialize_both_ways() {
     assert_eq!(bare, "serve_shed 1\n");
 }
 
+/// The id-list writer [`JsonWriter::id_plane`] replaced, kept verbatim as
+/// its reference (beside the element loop): sized from the widest id, one
+/// `write_digits` per id.
+fn oracle_u32_array<'w>(w: &'w mut JsonWriter, ids: &[u32]) -> &'w mut JsonWriter {
+    w.begin_array();
+    if w.pretty || ids.is_empty() {
+        for &id in ids {
+            w.u64(id.into());
+        }
+    } else {
+        let widest = ids.iter().fold(0, |widest, &id| widest.max(id));
+        let at = w.out.len();
+        w.out
+            .resize(at + ids.len() * (digit_count(widest.into()) + 1), 0);
+        let buf = &mut w.out[at..];
+        let mut pos = 0;
+        for &id in ids {
+            let n = digit_count(id.into());
+            write_digits(&mut buf[pos..pos + n], id.into());
+            buf[pos + n] = b',';
+            pos += n + 1;
+        }
+        w.out.truncate(at + pos - 1);
+        w.sep = Sep::Comma;
+    }
+    w.end_array()
+}
+
+/// The plane holding exactly `ids` (word `w`, bit `i` is id `64 * w + i`),
+/// `spare` empty words past the last one needed.
+fn plane_of(ids: &[u32], spare: usize) -> Vec<u64> {
+    let top = ids.iter().max().map_or(0, |&id| id as usize / 64 + 1);
+    let mut words = vec![0u64; top + spare];
+    for &id in ids {
+        words[id as usize / 64] |= 1 << (id % 64);
+    }
+    words
+}
+
+/// `id_plane` over `ids`' plane equals both references, with members on
+/// either side so the separators are exercised too.
+fn assert_plane_matches(ids: &[u32], spare: usize, pretty: bool) {
+    let mut ids = ids.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    let words = plane_of(&ids, spare);
+    let writer = || {
+        let mut w = if pretty {
+            JsonWriter::pretty()
+        } else {
+            JsonWriter::new()
+        };
+        w.begin_object().key("before").u64(0).key("ids");
+        w
+    };
+    let finish = |mut w: JsonWriter| {
+        w.key("after").u64(1).end_object();
+        w.finish()
+    };
+    let mut plane = writer();
+    plane.id_plane(&words);
+    let plane = finish(plane);
+    let mut looped = writer();
+    looped.begin_array();
+    for &id in &ids {
+        looped.u64(id.into());
+    }
+    looped.end_array();
+    assert_eq!(plane, finish(looped), "{ids:?} vs the element loop");
+    let mut list = writer();
+    oracle_u32_array(&mut list, &ids);
+    assert_eq!(plane, finish(list), "{ids:?} vs the id-list writer");
+    let between: usize = ids.iter().map(|id| id.to_string().len() + 1).sum();
+    assert!(between <= id_plane_len(&words), "bound too small");
+}
+
 proptest! {
     #[test]
-    fn u32_array_matches_the_element_loop(
-        ids in prop::collection::vec(any::<u32>(), 0..60),
-        small in prop::collection::vec(0u32..1200, 0..60),
-        sorted in any::<bool>(),
+    fn id_plane_matches_the_element_loop(
+        small in prop::collection::vec(0u32..1_200, 0..60),
+        table in prop::collection::vec(0u32..ID_TEXT_BOUND as u32, 0..60),
+        // Straddles the table's last word and the first formatted one.
+        seam in prop::collection::vec(65_400u32..65_700, 0..40),
+        past in prop::collection::vec(0u32..2_000_000, 0..40),
+        full_words in prop::collection::vec(0u32..1_100, 0..4),
+        spare in 0usize..3,
         pretty in any::<bool>(),
     ) {
-        // Mixed widths, sorted (the cached digit count's case) or not.
-        let mut ids: Vec<u32> = ids.into_iter().chain(small).collect();
-        if sorted {
-            ids.sort_unstable();
-        }
-        let writer = || if pretty { JsonWriter::pretty() } else { JsonWriter::new() };
-        let mut bulk = writer();
-        bulk.begin_object().key("ids").u32_array(&ids).key("after").u64(1).end_object();
-        let mut looped = writer();
-        looped.begin_object().key("ids").begin_array();
-        for &id in &ids {
-            looped.u64(id.into());
-        }
-        looped.end_array().key("after").u64(1).end_object();
-        prop_assert_eq!(bulk.finish(), looped.finish());
+        let ids: Vec<u32> = small
+            .into_iter()
+            .chain(table)
+            .chain(seam)
+            .chain(past)
+            .chain(full_words.into_iter().flat_map(|w| w * 64..w * 64 + 64))
+            .collect();
+        assert_plane_matches(&ids, spare, pretty);
     }
 }
 
 #[test]
-fn u32_array_handles_every_width_boundary() {
-    let ids: Vec<u32> = (0..10)
+fn id_plane_handles_empty_single_and_full_planes() {
+    for pretty in [false, true] {
+        let mut empty = JsonWriter::new();
+        empty.id_plane(&[]);
+        assert_eq!(empty.finish(), "[]");
+        assert_plane_matches(&[], 0, pretty);
+        assert_plane_matches(&[], 3, pretty);
+        for single in [0, 63, 64, 65_535, 65_536, 1_000_000] {
+            assert_plane_matches(&[single], 1, pretty);
+        }
+    }
+    // Every id of a plane that ends past the table bound: both paths, and
+    // the seam between them, with no gap.
+    let all: Vec<u32> = (0..70_000).collect();
+    assert_plane_matches(&all, 0, false);
+    assert_eq!(id_plane_len(&[]), 0);
+    assert_eq!(id_plane_len(&[0, 0]), 0);
+    assert_eq!(id_plane_len(&[0b101, 1 << 36]), 3 * 4, "3 ids, widest 100");
+}
+
+#[test]
+fn id_plane_handles_every_width_boundary() {
+    // 9/10, 99/100, … 99 999 999/100 000 000 (a 12.5 MB plane; the last
+    // `u32` boundary, 10⁹, would need 125 MB and is left to the element
+    // formatter's own width tests).
+    let ids: Vec<u32> = (0..9)
         .flat_map(|p| {
             let power = 10u32.pow(p);
             [power - 1, power, power + 1]
         })
-        .chain([u32::MAX - 1, u32::MAX, 0, 5])
+        .chain([0, 5, 65_535, 65_536])
         .collect();
-    let mut w = JsonWriter::new();
-    w.u32_array(&ids);
-    let expected: Vec<String> = ids.iter().map(u32::to_string).collect();
-    assert_eq!(w.finish(), format!("[{}]", expected.join(",")));
-    assert!(u32_array_len(&ids) >= expected.join(",").len());
-    let mut empty = JsonWriter::new();
-    empty.u32_array(&[]);
-    assert_eq!(empty.finish(), "[]");
+    assert_plane_matches(&ids, 0, false);
+    for power in (1..9).map(|p| 10u32.pow(p)) {
+        assert_plane_matches(&[power - 1, power], 0, false);
+        assert_plane_matches(&[power], 0, false);
+        assert_plane_matches(&[power - 1], 0, false);
+    }
+}
+
+#[test]
+fn id_texts_hold_every_id_below_the_bound() {
+    let texts = id_texts();
+    for id in [0usize, 9, 10, 99, 100, 999, 1_000, 9_999, 10_000, 65_535] {
+        let entry = texts[id].to_le_bytes();
+        let len = entry[7] as usize;
+        assert_eq!(&entry[..len], format!("{id},").as_bytes());
+    }
 }

@@ -29,9 +29,10 @@
 //!
 //! * [`kernels`] — vectorized grouping: [`kernels::GroupCodes`] dictionary-
 //!   encodes a column into dense group ids plus a key-sorted dictionary
-//!   in one typed pass (byte-identical output to the scalar reference
-//!   [`table::Table::group_by_reference`]); on a string column it sorts
-//!   the stored dictionary and remaps the stored codes, hashing nothing.
+//!   in one typed pass (byte-identical output to the scalar
+//!   hash-per-cell reference the property tests keep); on a string
+//!   column it sorts the stored dictionary and remaps the stored codes,
+//!   hashing nothing.
 //!   Also the substrate for one-hot feature encoding in `expred-ml`.
 //! * [`stats`] — lazily computed, memoized per-`(column, version)`
 //!   statistics: min/max bounds, NULL census, distinct count, and

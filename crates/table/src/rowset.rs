@@ -21,7 +21,9 @@ pub fn bits(mut word: u64) -> impl Iterator<Item = u32> {
     })
 }
 
-/// A set of row ids drawn from `[0, rows)`.
+/// A set of row ids drawn from `[0, rows)`. Equality compares planes:
+/// two sets are equal when they hold the same rows *and* were sized for
+/// the same number of 64-row words — always so for answers over one table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowSet {
     words: Vec<u64>,
@@ -33,6 +35,19 @@ impl RowSet {
         Self {
             words: vec![0; rows.div_ceil(64)],
         }
+    }
+
+    /// The set of `ids` over rows `[0, rows)` (any order, repeats merge).
+    ///
+    /// # Panics
+    ///
+    /// If an id is past the end the set is sized for.
+    pub fn from_ids(rows: usize, ids: impl IntoIterator<Item = u32>) -> Self {
+        let mut set = Self::new(rows);
+        for id in ids {
+            set.insert(id as usize);
+        }
+        set
     }
 
     /// The rows of `[0, flags.len())` whose flag is set, in one pass.
@@ -77,6 +92,13 @@ impl RowSet {
         self.words.get(word).copied().unwrap_or(0)
     }
 
+    /// The whole plane, word 0 first — what a consumer that walks set
+    /// bits itself (the JSON id writer) reads instead of an id list.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of rows in the set.
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -96,12 +118,18 @@ impl RowSet {
             .sum()
     }
 
+    /// The rows of the set, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| bits(word).map(move |bit| w as u32 * 64 + bit))
+    }
+
     /// The rows of the set as an ascending id list.
     pub fn to_vec(&self) -> Vec<u32> {
         let mut rows = Vec::with_capacity(self.len());
-        for (w, &word) in self.words.iter().enumerate() {
-            rows.extend(bits(word).map(|bit| w as u32 * 64 + bit));
-        }
+        rows.extend(self.iter());
         rows
     }
 }
@@ -131,6 +159,36 @@ mod tests {
         assert!(set.contains(65) && !set.contains(1));
         assert!(!set.contains(130) && !set.contains(usize::MAX));
         assert_eq!((set.word(1), set.word(9)), (0b111, 0));
+    }
+
+    #[test]
+    fn iter_is_the_ascending_read_out() {
+        assert_eq!(RowSet::new(0).iter().count(), 0);
+        assert_eq!(RowSet::new(200).iter().count(), 0);
+        let mut set = RowSet::new(200);
+        for row in [199, 64, 0, 63, 128] {
+            set.insert(row);
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 63, 64, 128, 199]);
+        assert_eq!(set.iter().collect::<Vec<_>>(), set.to_vec());
+        assert_eq!(set.words().len(), 4);
+        assert_eq!(set.words()[1], 1);
+    }
+
+    #[test]
+    fn from_ids_ignores_order_and_repeats() {
+        let set = RowSet::from_ids(130, [129, 5, 64, 5, 0]);
+        assert_eq!(set.to_vec(), vec![0, 5, 64, 129]);
+        assert_eq!(set, RowSet::from_ids(130, set.iter()));
+        // Equality is of planes: the same ids over a longer table differ.
+        assert_ne!(set, RowSet::from_ids(300, set.iter()));
+        assert!(RowSet::from_ids(0, []).is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn from_ids_rejects_an_id_past_the_end() {
+        RowSet::from_ids(64, [64]);
     }
 
     #[test]

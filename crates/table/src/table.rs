@@ -9,8 +9,7 @@
 use crate::column::Column;
 use crate::schema::Schema;
 use crate::stats::{scan_column, ColumnStats, ScanPredicate, ScanStats, StatsCache};
-use crate::value::{Value, ValueKey};
-use std::collections::HashMap;
+use crate::value::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -246,42 +245,14 @@ impl Table {
     /// Group order is deterministic: ascending by the group key's total
     /// order (NULL first), so downstream algorithms and experiments are
     /// reproducible. Runs on the vectorized grouping kernel
-    /// ([`Column::group_codes`](crate::kernels::GroupCodes)); output is
-    /// byte-identical to the scalar [`Self::group_by_reference`].
+    /// ([`Column::group_codes`](crate::kernels::GroupCodes)); the crate's
+    /// property tests hold its output byte-identical to a scalar
+    /// hash-per-cell reference.
     pub fn group_by(&self, column: &str) -> Result<GroupBy, String> {
         let col = self
             .column(column)
             .ok_or_else(|| format!("no column named {column:?}"))?;
         Ok(col.group_codes().to_group_by(column))
-    }
-
-    /// The legacy per-[`Value`] group-by: materializes an owned value per
-    /// cell and buckets through a `HashMap<ValueKey, _>`. Kept as the
-    /// scalar reference the kernel path is property-tested (and benched)
-    /// against.
-    pub fn group_by_reference(&self, column: &str) -> Result<GroupBy, String> {
-        let col = self
-            .column(column)
-            .ok_or_else(|| format!("no column named {column:?}"))?;
-        // First pass: bucket row ids by key.
-        let mut buckets: HashMap<ValueKey<'_>, Vec<u32>> = HashMap::new();
-        let keys_owned: Vec<Value> = (0..self.num_rows).map(|r| col.value(r)).collect();
-        for (row, key) in keys_owned.iter().enumerate() {
-            buckets.entry(key.sort_key()).or_default().push(row as u32);
-        }
-        // Deterministic group order: sort by key.
-        let mut entries: Vec<(ValueKey<'_>, Vec<u32>)> = buckets.into_iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut keys = Vec::with_capacity(entries.len());
-        let mut rows = Vec::with_capacity(entries.len());
-        for (key, group_rows) in entries {
-            // Recover an owned Value for the key from its first row.
-            let first = group_rows[0] as usize;
-            debug_assert_eq!(keys_owned[first].sort_key(), key);
-            keys.push(keys_owned[first].clone());
-            rows.push(group_rows);
-        }
-        Ok(GroupBy::new(column.to_owned(), keys, rows, self.num_rows))
     }
 
     /// Memoized per-column statistics (bounds, NULL census, distinct

@@ -88,7 +88,7 @@ fn concurrent_mix_is_byte_identical_to_serial_reference_and_conserves_the_bill()
         .sum();
 
     let engine = QueryEngine::new();
-    let outcomes: Vec<Vec<RunOutcome>> = std::thread::scope(|scope| {
+    let outcomes: Vec<Vec<Arc<RunOutcome>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let engine = &engine;

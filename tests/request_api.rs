@@ -9,7 +9,9 @@ use expred::core::{
 };
 use expred::exec::ExecContext;
 use expred::table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
+use expred::table::RowSet;
 use expred::udf::{BooleanUdf, CostModel, OracleUdf, Pred};
+use std::sync::Arc;
 
 fn dataset(rows: usize, seed: u64) -> Dataset {
     Dataset::generate(DatasetSpec { rows, ..PROSPER }, seed)
@@ -201,7 +203,8 @@ impl Strategy for AlwaysInfeasible {
         _seed: u64,
         _ctx: &ExecContext<'_>,
     ) -> Result<RunOutcome, EngineError> {
-        let mut outcome = RunOutcome::trivial((0..ds.table.num_rows() as u32).collect());
+        let rows = ds.table.num_rows();
+        let mut outcome = RunOutcome::trivial(RowSet::from_ids(rows, 0..rows as u32));
         outcome.plan_feasible = false;
         Ok(outcome)
     }
@@ -251,9 +254,11 @@ impl Strategy for FirstK {
         _seed: u64,
         _ctx: &ExecContext<'_>,
     ) -> Result<RunOutcome, EngineError> {
-        Ok(RunOutcome::trivial(
-            (0..self.0.min(ds.table.num_rows()) as u32).collect(),
-        ))
+        let rows = ds.table.num_rows();
+        Ok(RunOutcome::trivial(RowSet::from_ids(
+            rows,
+            0..self.0.min(rows) as u32,
+        )))
     }
 }
 
@@ -305,7 +310,7 @@ fn expr_scan_runs_through_the_session_cache() {
         .filter(|&r| conjunction.evaluate(&ds.table, r))
         .map(|r| r as u32)
         .collect();
-    assert_eq!(first.returned, reference);
+    assert_eq!(first.returned.to_vec(), reference);
 
     // A *disjunction* over the same leaves: its leaf probes were largely
     // paid for by the conjunction and arrive as cross-query reuse.
@@ -395,7 +400,7 @@ fn submit_memoizes_and_dedups_like_run() {
     let engine = QueryEngine::new().with_udf_latency(Duration::from_micros(100));
     let request = QueryRequest::naive(QuerySpec::paper_default()).with_seed(3);
     let barrier = std::sync::Barrier::new(4);
-    let outcomes: Vec<RunOutcome> = std::thread::scope(|scope| {
+    let outcomes: Vec<Arc<RunOutcome>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 scope.spawn(|| {
