@@ -19,11 +19,13 @@
 //!   factoring hoists the shared `common` conjunct, then the reorder
 //!   pass runs the cheap disjunction first.
 //!
-//! `static` submits [`QueryRequest::expr_scan`] (cost-ordered stages);
-//! `learned` submits [`QueryRequest::expr_scan_optimized`] against an
-//! engine whose selectivity tracker the priming run has warmed. Between
-//! reps the engine's caches are cleared — the tracker survives by
-//! design — so every rep pays fresh evaluations in its order.
+//! `static_direct` is the baseline the one expression scan replaced:
+//! [`evaluate_expr_batch`] called directly on the unrewritten tree
+//! (cost-ordered stages) inside an engine's context. `learned` submits
+//! [`QueryRequest::expr_scan`] against an engine whose selectivity
+//! tracker the priming run has warmed. Between reps the engine's caches
+//! are cleared — the tracker survives by design — so every rep pays
+//! fresh evaluations in its order.
 //!
 //! `ns_per_probe` is measured wall time per row; `speedup_vs_baseline`
 //! on the `learned` rows is the *bill* ratio (static fresh evaluations /
@@ -35,7 +37,9 @@ use expred_bench::{report::measure_ns_per_unit, BenchReport};
 use expred_core::{QueryEngine, QueryRequest};
 use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
 use expred_table::{DataType, Field, Schema, Table, Value};
-use expred_udf::{parse_predicate, CostModel, OracleUdf, Pred, PredicateExpr};
+use expred_udf::{
+    evaluate_expr_batch, parse_predicate, CostModel, CostTracker, OracleUdf, Pred, PredicateExpr,
+};
 use std::collections::HashMap;
 
 /// Three bool columns with pass rates ≈1% (`rare`), 50% (`mid`), and
@@ -103,18 +107,21 @@ fn main() {
 
         // Static: every rep pays the written/cost order from scratch.
         let engine = QueryEngine::new();
-        let request = QueryRequest::expr_scan(expr.clone(), cost);
+        let all_rows: Vec<usize> = (0..rows).collect();
         let mut static_bill = 0u64;
         let static_ns = measure_ns_per_unit(rows as u64, reps, || {
             engine.clear_caches();
-            static_bill = engine.submit(&ds, &request).unwrap().counts.evaluated;
+            let tracker = CostTracker::new();
+            evaluate_expr_batch(&expr, &ds.table, &all_rows, &tracker, &engine.context())
+                .expect("workload costs are valid");
+            static_bill = tracker.snapshot().evaluated;
         });
 
         // Learned: the priming call inside the measurer warms the
         // tracker; every timed rep then re-optimizes against the
         // accumulated observations.
         let engine = QueryEngine::new();
-        let request = QueryRequest::expr_scan_optimized(expr, cost);
+        let request = QueryRequest::expr_scan(expr, cost);
         let mut learned_bill = 0u64;
         let learned_ns = measure_ns_per_unit(rows as u64, reps, || {
             engine.clear_caches();
@@ -122,7 +129,7 @@ fn main() {
         });
 
         let bill_speedup = static_bill as f64 / learned_bill as f64;
-        report.record(scenario, "static", static_ns, 1.0);
+        report.record(scenario, "static_direct", static_ns, 1.0);
         report.record(scenario, "learned", learned_ns, bill_speedup);
         println!(
             "{scenario:<10} {predicate:<42} static {static_bill:>6} evals \

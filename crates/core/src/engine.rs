@@ -99,13 +99,14 @@ use expred_exec::{
     CacheStats, CacheStore, ExecContext, Executor, SelectivityTracker, Sequential, SpillSink,
 };
 use expred_persist::{PersistConfig, PersistError, PersistStore};
+use expred_stats::counters::{CounterSet, Section};
 use expred_stats::hash::Fnv64;
 use expred_table::datasets::Dataset;
 use expred_table::{DerivedCache, DerivedCacheStats};
 use expred_udf::{CostCounts, CostTracker};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -115,63 +116,28 @@ use std::time::Duration;
 /// bill — so a full memo over 20 000-row tables is about 3 MB.
 pub const DEFAULT_RESULT_MEMO_CAPACITY: usize = 1024;
 
-/// Session-level statistics beyond the cost counters.
-///
-/// # Snapshot consistency
-///
-/// [`QueryEngine::stats`] reads the underlying atomics in an order that
-/// guarantees `result_hits <= queries` in every snapshot, even while
-/// other threads are mid-`submit`: the hit counter is incremented *after*
-/// its query counter (release), and the snapshot loads `result_hits`
-/// *before* `queries` (acquire), so any observed hit's query increment is
-/// observed too. Both counters are monotone; a snapshot may trail
-/// in-flight queries but never invents or loses events.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Queries served, including memoized repeats.
-    pub queries: u64,
-    /// Queries answered entirely from the result memo.
-    pub result_hits: u64,
-    /// Queries answered by joining an identical in-flight run (cold-race
-    /// suppression): the arrival parked until the leader finished and
-    /// shared its outcome, charging the session nothing.
-    pub dedup_joins: u64,
-}
-
-impl EngineStats {
-    /// The snapshot as named counters, in stable declaration order — the
-    /// serialization-ready view the `/metrics` endpoint and the bench
-    /// artifacts share (render with [`expred_stats::json::counters_to_json`]
-    /// or [`expred_stats::json::counters_to_text`]).
-    pub fn fields(&self) -> [(&'static str, u64); 3] {
-        [
-            ("queries", self.queries),
-            ("result_hits", self.result_hits),
-            ("dedup_joins", self.dedup_joins),
-        ]
-    }
-}
-
-/// The engine's live counters behind [`EngineStats`] snapshots.
-#[derive(Debug, Default)]
-struct AtomicEngineStats {
-    queries: AtomicU64,
-    result_hits: AtomicU64,
-    dedup_joins: AtomicU64,
-}
-
-impl AtomicEngineStats {
-    fn snapshot(&self) -> EngineStats {
-        // Load order is the consistency guarantee: see [`EngineStats`] —
-        // both free-ride counters load before their query increments.
-        let dedup_joins = self.dedup_joins.load(Ordering::Acquire);
-        let result_hits = self.result_hits.load(Ordering::Acquire);
-        let queries = self.queries.load(Ordering::Acquire);
-        EngineStats {
-            queries,
-            result_hits,
-            dedup_joins,
-        }
+expred_stats::counter_set! {
+    /// Session-level statistics beyond the cost counters.
+    ///
+    /// # Snapshot consistency
+    ///
+    /// `result_hits <= queries` and `dedup_joins <= queries` hold in every
+    /// [`QueryEngine::stats`] snapshot, even while other threads are
+    /// mid-`submit`, by construction of the counter set: a free-ride
+    /// counter is incremented *after* its query counter (`AcqRel`), and a
+    /// snapshot loads in reverse declaration order (`Acquire`), so any
+    /// observed hit's query increment is observed too. All counters are
+    /// monotone; a snapshot may trail in-flight queries but never invents
+    /// or loses events.
+    pub struct EngineStats, atomic struct AtomicEngineStats {
+        /// Queries served, including memoized repeats.
+        queries,
+        /// Queries answered entirely from the result memo.
+        result_hits,
+        /// Queries answered by joining an identical in-flight run
+        /// (cold-race suppression): the arrival parked until the leader
+        /// finished and shared its outcome, charging the session nothing.
+        dedup_joins,
     }
 }
 
@@ -301,7 +267,7 @@ pub struct QueryEngine {
     derived: DerivedCache,
     /// Observed per-`(udf, table version)` pass rates, fed by every fresh
     /// audited evaluation and read by the expression optimizer
-    /// ([`crate::strategy::ExprScan::optimized`]). Statistics, not cached
+    /// ([`crate::strategy::ExprScan`]). Statistics, not cached
     /// answers: [`QueryEngine::clear_caches`] leaves them alone.
     selectivity: SelectivityTracker,
     /// Durable persistence bridge ([`QueryEngine::with_persistence`]):
@@ -429,7 +395,7 @@ impl QueryEngine {
     }
 
     /// The session's observed per-leaf pass rates (diagnostics, and the
-    /// statistics behind [`crate::strategy::ExprScan::optimized`]).
+    /// statistics behind [`crate::strategy::ExprScan`]).
     pub fn selectivity(&self) -> &SelectivityTracker {
         &self.selectivity
     }
@@ -572,6 +538,25 @@ impl QueryEngine {
         self.session.absorb(&outcome.counts);
         self.results.insert(key, identity, Arc::clone(&outcome));
         Ok(outcome)
+    }
+
+    /// Every counter set this engine keeps, in export order, each named
+    /// once with its `/metrics.json` key and its `/metrics` line prefix —
+    /// the one walk both exports render. A layer that grows a counter set
+    /// adds its line here and appears in both.
+    pub fn counter_sections(&self, visit: &mut dyn FnMut(Section, &dyn CounterSet)) {
+        visit(Section::new("engine", "engine"), &self.stats());
+        visit(Section::new("cache", "engine_cache"), &self.cache_stats());
+        let memo = self.result_memo_stats();
+        visit(Section::new("result_memo", "engine_memo"), &memo);
+        visit(
+            Section::new("derived", "engine_derived"),
+            &self.derived_stats(),
+        );
+        if let Some(persist) = self.persist_stats() {
+            visit(Section::new("persist", "engine_persist"), &persist);
+        }
+        visit(Section::new("bill", "engine_bill"), &self.session_counts());
     }
 
     /// Cumulative audited counts across every non-memoized query served.

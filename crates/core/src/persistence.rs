@@ -28,10 +28,10 @@
 //! reboot.
 
 use expred_exec::{CacheNamespace, CacheStore, SelectivityTracker, SpillSink};
-use expred_persist::{PersistKey, PersistStats, PersistStore};
+use expred_persist::{PersistKey, PersistStore};
 use expred_table::datasets::Dataset;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::RwLock;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -53,76 +53,43 @@ struct TableReg {
     hydrated: HashSet<u64>,
 }
 
-/// Counters the engine layer adds on top of [`PersistStats`].
-#[derive(Debug, Default)]
-struct LayerCounters {
-    spilled_offers: AtomicU64,
-    skipped_unregistered: AtomicU64,
-    skipped_row_overflow: AtomicU64,
-    rehydrated_rows: AtomicU64,
-    rehydrated_namespaces: AtomicU64,
-    selectivity_seeded: AtomicU64,
-}
-
-/// A session-level snapshot of the whole persistence pipeline: the
-/// store's own counters plus the engine layer's translation/rehydration
-/// counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistSessionStats {
-    /// Row answers accepted into the durable index.
-    pub appended: u64,
-    /// WAL records dropped under backpressure (recaptured by compaction).
-    pub shed: u64,
-    /// Records written to the WAL by the flusher.
-    pub flushed: u64,
-    /// `fsync` calls issued.
-    pub fsyncs: u64,
-    /// Snapshot compactions completed.
-    pub compactions: u64,
-    /// Row answers recovered from disk at open.
-    pub recovered_rows: u64,
-    /// Namespaces recovered from disk at open.
-    pub recovered_namespaces: u64,
-    /// Corrupt/truncated tail bytes discarded at open.
-    pub tail_bytes_discarded: u64,
-    /// Cache writes offered to the store (fresh inserts + evictions).
-    pub spilled_offers: u64,
-    /// Offers dropped because their table was never registered.
-    pub skipped_unregistered: u64,
-    /// Offers dropped because the row index exceeds the on-disk `u32`
-    /// key width.
-    pub skipped_row_overflow: u64,
-    /// Rows prefill-loaded into the live cache from disk.
-    pub rehydrated_rows: u64,
-    /// Namespaces prefill-loaded into the live cache from disk.
-    pub rehydrated_namespaces: u64,
-    /// Selectivity namespaces seeded from persisted counters.
-    pub selectivity_seeded: u64,
-}
-
-impl PersistSessionStats {
-    /// The snapshot as named counters, in stable declaration order — the
-    /// serialization-ready view the `/metrics` endpoint and the bench
-    /// artifacts share (render with
-    /// [`expred_stats::json::counters_to_json`] /
-    /// [`expred_stats::json::counters_to_text`]).
-    pub fn fields(&self) -> [(&'static str, u64); 14] {
-        [
-            ("appended", self.appended),
-            ("shed", self.shed),
-            ("flushed", self.flushed),
-            ("fsyncs", self.fsyncs),
-            ("compactions", self.compactions),
-            ("recovered_rows", self.recovered_rows),
-            ("recovered_namespaces", self.recovered_namespaces),
-            ("tail_bytes_discarded", self.tail_bytes_discarded),
-            ("spilled_offers", self.spilled_offers),
-            ("skipped_unregistered", self.skipped_unregistered),
-            ("skipped_row_overflow", self.skipped_row_overflow),
-            ("rehydrated_rows", self.rehydrated_rows),
-            ("rehydrated_namespaces", self.rehydrated_namespaces),
-            ("selectivity_seeded", self.selectivity_seeded),
-        ]
+expred_stats::counter_set! {
+    /// A session-level snapshot of the whole persistence pipeline: the
+    /// store's own counters ([`expred_persist::PersistStats`], copied in by
+    /// `PersistLayer::session_stats` — their slots in the atomic twin stay
+    /// zero) followed by the engine layer's translation/rehydration
+    /// counters, which the twin counts.
+    pub struct PersistSessionStats, atomic struct LayerCounters {
+        /// Row answers accepted into the durable index.
+        appended,
+        /// WAL records dropped under backpressure (recaptured by
+        /// compaction).
+        shed,
+        /// Records written to the WAL by the flusher.
+        flushed,
+        /// `fsync` calls issued.
+        fsyncs,
+        /// Snapshot compactions completed.
+        compactions,
+        /// Row answers recovered from disk at open.
+        recovered_rows,
+        /// Namespaces recovered from disk at open.
+        recovered_namespaces,
+        /// Corrupt/truncated tail bytes discarded at open.
+        tail_bytes_discarded,
+        /// Cache writes offered to the store (fresh inserts + evictions).
+        spilled_offers,
+        /// Offers dropped because their table was never registered.
+        skipped_unregistered,
+        /// Offers dropped because the row index exceeds the on-disk `u32`
+        /// key width.
+        skipped_row_overflow,
+        /// Rows prefill-loaded into the live cache from disk.
+        rehydrated_rows,
+        /// Namespaces prefill-loaded into the live cache from disk.
+        rehydrated_namespaces,
+        /// Selectivity namespaces seeded from persisted counters.
+        selectivity_seeded,
     }
 }
 
@@ -260,31 +227,17 @@ impl PersistLayer {
 
     /// Session-level statistics: store counters + layer counters.
     pub(crate) fn session_stats(&self) -> PersistSessionStats {
-        let PersistStats {
-            appended,
-            shed,
-            flushed,
-            fsyncs,
-            compactions,
-            recovered_rows,
-            recovered_namespaces,
-            tail_bytes_discarded,
-        } = self.store.stats();
+        let store = self.store.stats();
         PersistSessionStats {
-            appended,
-            shed,
-            flushed,
-            fsyncs,
-            compactions,
-            recovered_rows,
-            recovered_namespaces,
-            tail_bytes_discarded,
-            spilled_offers: self.counters.spilled_offers.load(Ordering::Relaxed),
-            skipped_unregistered: self.counters.skipped_unregistered.load(Ordering::Relaxed),
-            skipped_row_overflow: self.counters.skipped_row_overflow.load(Ordering::Relaxed),
-            rehydrated_rows: self.counters.rehydrated_rows.load(Ordering::Relaxed),
-            rehydrated_namespaces: self.counters.rehydrated_namespaces.load(Ordering::Relaxed),
-            selectivity_seeded: self.counters.selectivity_seeded.load(Ordering::Relaxed),
+            appended: store.appended,
+            shed: store.shed,
+            flushed: store.flushed,
+            fsyncs: store.fsyncs,
+            compactions: store.compactions,
+            recovered_rows: store.recovered_rows,
+            recovered_namespaces: store.recovered_namespaces,
+            tail_bytes_discarded: store.tail_bytes_discarded,
+            ..self.counters.snapshot()
         }
     }
 }

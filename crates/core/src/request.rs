@@ -140,18 +140,11 @@ impl QueryRequest {
     }
 
     /// Exact multi-predicate selection: evaluates `expr` on every row
-    /// through the session cache with cost-ordered short-circuiting
+    /// through the session cache, short-circuiting in the order the
+    /// session's selectivity-aware optimizer picks
     /// ([`crate::strategy::ExprScan`]).
     pub fn expr_scan(expr: PredicateExpr, cost: CostModel) -> Self {
         Self::new(ExprScan::new(expr, cost))
-    }
-
-    /// [`QueryRequest::expr_scan`] with the session's selectivity-aware
-    /// optimizer enabled ([`crate::strategy::ExprScan::optimized`]):
-    /// identical answers, smaller bill once the session has observed the
-    /// leaves' pass rates.
-    pub fn expr_scan_optimized(expr: PredicateExpr, cost: CostModel) -> Self {
-        Self::new(ExprScan::optimized(expr, cost))
     }
 
     /// Sets the random seed (identical requests differing only in seed

@@ -616,7 +616,11 @@ impl Strategy for Multiple {
 
 /// Exact multi-predicate selection as a strategy: evaluates a
 /// [`PredicateExpr`] on every row through the session cache, with
-/// cost-ordered short-circuiting inside each conjunction/disjunction.
+/// short-circuiting inside each conjunction/disjunction. The expression
+/// is first rewritten by the session's selectivity-aware optimizer
+/// ([`expred_udf::optimize_expr`]): shared conjuncts factor out and
+/// `AND`/`OR` siblings reorder by observed pass rates — the static cost
+/// order until the session has observations, never a larger bill after.
 ///
 /// `SELECT * FROM R WHERE expr = 1`, answered exactly — the returned set
 /// is precisely the rows where the expression holds, so the reported
@@ -628,35 +632,12 @@ impl Strategy for Multiple {
 pub struct ExprScan {
     expr: PredicateExpr,
     cost: CostModel,
-    /// Whether to run the selectivity-aware rewrite
-    /// ([`expred_udf::optimize_expr`]) before evaluating. Answers are
-    /// byte-identical either way; the flag still enters the strategy
-    /// fingerprint because the *bill* differs, and a memoized outcome
-    /// replays its bill.
-    optimize: bool,
 }
 
 impl ExprScan {
-    /// A full-table scan of `expr` billed under `cost`, evaluated with
-    /// static cost-ordered short-circuiting.
+    /// A full-table scan of `expr` billed under `cost`.
     pub fn new(expr: PredicateExpr, cost: CostModel) -> Self {
-        Self {
-            expr,
-            cost,
-            optimize: false,
-        }
-    }
-
-    /// A scan that first rewrites `expr` through the session's
-    /// selectivity-aware optimizer: shared conjuncts factor out and
-    /// `AND`/`OR` siblings reorder by observed pass rates. Same answers,
-    /// smaller bill once the session has observations.
-    pub fn optimized(expr: PredicateExpr, cost: CostModel) -> Self {
-        Self {
-            expr,
-            cost,
-            optimize: true,
-        }
+        Self { expr, cost }
     }
 
     /// The expression this scan evaluates.
@@ -678,7 +659,6 @@ impl Strategy for ExprScan {
         fp.write_u64(self.expr.fingerprint().map_or(0, |id| id.as_u64()));
         fp.write_f64(self.cost.retrieve);
         fp.write_f64(self.cost.evaluate);
-        fp.write_u64(self.optimize as u64);
     }
 
     fn validate(&self, ds: &Dataset) -> Result<(), EngineError> {
@@ -713,14 +693,8 @@ impl Strategy for ExprScan {
         let tracker = CostTracker::new();
         let rows: Vec<usize> = (0..table.num_rows()).collect();
         tracker.add_retrievals(rows.len() as u64);
-        let expr;
-        let expr = if self.optimize {
-            expr = expred_udf::optimize_expr(&self.expr, table, ctx.selectivity);
-            &expr
-        } else {
-            &self.expr
-        };
-        let answers = evaluate_expr_batch(expr, table, &rows, &tracker, ctx).map_err(|e| {
+        let expr = expred_udf::optimize_expr(&self.expr, table, ctx.selectivity);
+        let answers = evaluate_expr_batch(&expr, table, &rows, &tracker, ctx).map_err(|e| {
             // Unreachable through the engine: validate() already rejected
             // invalid costs. Kept as a typed error for direct callers.
             EngineError::BadExpression {

@@ -457,9 +457,7 @@ struct PoolShared {
     /// Per-probe latency estimate driving the inline fast path.
     latency: LatencyEwma,
     /// Batches fanned out as jobs / run inline, and rows through either.
-    jobs: AtomicU64,
-    inline_batches: AtomicU64,
-    rows: AtomicU64,
+    counters: PoolCounters,
     /// Test hook: the worker count past which spawning "fails".
     #[cfg(test)]
     spawn_limit: AtomicUsize,
@@ -511,35 +509,25 @@ fn worker_loop(shared: Arc<PoolShared>) {
     }
 }
 
-/// What a pool is doing, for `/metrics` and benches: "why was this query
-/// slow?" can be answered with "the width was 2".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolStats {
-    /// Threads, caller included, a job is shared among right now.
-    pub width: usize,
-    /// Workers spawned so far.
-    pub workers: usize,
-    /// The per-probe latency estimate, in ns (0 before the first batch).
-    pub probe_latency_ns: u64,
-    /// Batches published to the workers.
-    pub jobs: u64,
-    /// Batches that ran on their caller (cheap, or a single row).
-    pub inline_batches: u64,
-    /// Rows evaluated either way.
-    pub rows: u64,
-}
-
-impl PoolStats {
-    /// The snapshot as named counters, in export order.
-    pub fn fields(&self) -> [(&'static str, u64); 6] {
-        [
-            ("width", self.width as u64),
-            ("workers", self.workers as u64),
-            ("probe_latency_ns", self.probe_latency_ns),
-            ("jobs", self.jobs),
-            ("inline_batches", self.inline_batches),
-            ("rows", self.rows),
-        ]
+expred_stats::counter_set! {
+    /// What a pool is doing, for `/metrics` and benches: "why was this
+    /// query slow?" can be answered with "the width was 2". The first
+    /// three are gauges [`WorkerPool::stats`] reads off the pool (their
+    /// slots in the atomic twin stay zero); the twin counts the rest.
+    pub struct PoolStats, atomic struct PoolCounters {
+        /// Threads, caller included, a job is shared among right now.
+        width,
+        /// Workers spawned so far.
+        workers,
+        /// The per-probe latency estimate, in ns (0 before the first
+        /// batch).
+        probe_latency_ns,
+        /// Batches published to the workers.
+        jobs,
+        /// Batches that ran on their caller (cheap, or a single row).
+        inline_batches,
+        /// Rows evaluated either way.
+        rows,
     }
 }
 
@@ -581,9 +569,7 @@ impl WorkerPool {
             }),
             work_available: Condvar::new(),
             latency: LatencyEwma::default(),
-            jobs: AtomicU64::new(0),
-            inline_batches: AtomicU64::new(0),
-            rows: AtomicU64::new(0),
+            counters: PoolCounters::default(),
             #[cfg(test)]
             spawn_limit: AtomicUsize::new(usize::MAX),
         });
@@ -615,14 +601,12 @@ impl WorkerPool {
             (state.width.proven, state.workers.len())
         };
         PoolStats {
-            width,
-            workers,
+            width: width as u64,
+            workers: workers as u64,
             probe_latency_ns: self
                 .latency_estimate()
                 .map_or(0, |estimate| estimate.as_nanos() as u64),
-            jobs: self.shared.jobs.load(Ordering::Relaxed),
-            inline_batches: self.shared.inline_batches.load(Ordering::Relaxed),
-            rows: self.shared.rows.load(Ordering::Relaxed),
+            ..self.shared.counters.snapshot()
         }
     }
 
@@ -663,7 +647,10 @@ impl WorkerPool {
     /// rows fan out to the workers instead of serializing an arbitrarily
     /// expensive batch on the caller.
     fn evaluate_inline(&self, probe: &dyn BatchProbe, rows: &[usize]) -> Vec<bool> {
-        self.shared.inline_batches.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .counters
+            .inline_batches
+            .fetch_add(1, Ordering::Relaxed);
         let began = Instant::now();
         let mut answers = Vec::with_capacity(rows.len());
         for &row in rows {
@@ -687,7 +674,10 @@ impl WorkerPool {
 
     fn finish_inline(&self, rows: usize, elapsed: Duration) {
         self.shared.latency.observe(rows, elapsed);
-        self.shared.rows.fetch_add(rows as u64, Ordering::Relaxed);
+        self.shared
+            .counters
+            .rows
+            .fetch_add(rows as u64, Ordering::Relaxed);
     }
 
     /// Spawns workers until there are `wanted` (or spawning fails: the
@@ -789,10 +779,9 @@ impl WorkerPool {
             }
         }
         self.shared.latency.observe(rows.len(), work);
-        self.shared.jobs.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .rows
-            .fetch_add(rows.len() as u64, Ordering::Relaxed);
+        self.shared.counters.jobs.fetch_add(1, Ordering::Relaxed);
+        let rows = rows.len() as u64;
+        self.shared.counters.rows.fetch_add(rows, Ordering::Relaxed);
         if job.panicked.load(Ordering::Acquire) {
             panic!("WorkerPool: probe panicked while evaluating a batch");
         }
@@ -1222,7 +1211,8 @@ mod tests {
         assert_eq!((stats.jobs, stats.inline_batches, stats.rows), (1, 2, 201));
         assert_eq!(stats.workers, 2);
         assert!(stats.probe_latency_ns < 10_000);
-        let names: Vec<&str> = stats.fields().iter().map(|(name, _)| *name).collect();
+        use expred_stats::counters::CounterSet;
+        let names: Vec<&str> = stats.pairs().iter().map(|(name, _)| *name).collect();
         assert_eq!(
             names,
             [

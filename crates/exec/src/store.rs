@@ -90,62 +90,24 @@ pub struct CacheNamespace {
     pub version: u64,
 }
 
-/// A snapshot of store-wide cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the store.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries written.
-    pub insertions: u64,
-    /// Entries discarded by the capacity bound.
-    pub evictions: u64,
-    /// Entries discarded by namespace invalidation (version bumps,
-    /// explicit invalidation).
-    pub invalidated: u64,
-    /// Entries discarded because their namespace outlived the store's
-    /// time-to-live ([`CacheStore::set_ttl`]), checked lazily on borrow.
-    pub ttl_expirations: u64,
-}
-
-impl CacheStats {
-    /// The snapshot as named counters, in stable declaration order — the
-    /// serialization-ready view shared by the serving `/metrics` endpoint
-    /// and the bench artifacts (render with
-    /// `expred_stats::json::counters_to_json` / `counters_to_text`).
-    pub fn fields(&self) -> [(&'static str, u64); 6] {
-        [
-            ("hits", self.hits),
-            ("misses", self.misses),
-            ("insertions", self.insertions),
-            ("evictions", self.evictions),
-            ("invalidated", self.invalidated),
-            ("ttl_expirations", self.ttl_expirations),
-        ]
-    }
-}
-
-#[derive(Debug, Default)]
-struct AtomicStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    invalidated: AtomicU64,
-    ttl_expirations: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
-            ttl_expirations: self.ttl_expirations.load(Ordering::Relaxed),
-        }
+expred_stats::counter_set! {
+    /// A snapshot of store-wide cache statistics.
+    pub struct CacheStats, atomic struct AtomicStats {
+        /// Lookups answered from the store.
+        hits,
+        /// Lookups that found nothing.
+        misses,
+        /// Entries written.
+        insertions,
+        /// Entries discarded by the capacity bound.
+        evictions,
+        /// Entries discarded by namespace invalidation (version bumps,
+        /// explicit invalidation).
+        invalidated,
+        /// Entries discarded because their namespace outlived the store's
+        /// time-to-live ([`CacheStore::set_ttl`]), checked lazily on
+        /// borrow.
+        ttl_expirations,
     }
 }
 

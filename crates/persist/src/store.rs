@@ -40,7 +40,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -57,9 +57,6 @@ pub enum FsyncPolicy {
     /// every record the queue accumulated while the previous batch was
     /// writing.
     EveryBatch,
-    /// At most once per `n` flushed records — bounds fsync traffic under
-    /// sustained load at the price of a wider crash window.
-    EveryRecords(u64),
     /// Never (benchmarks and tests; the OS still writes back
     /// eventually). [`PersistStore::sync`] fsyncs regardless.
     Never,
@@ -144,70 +141,26 @@ fn io_err(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> PersistE
     move |source| PersistError::Io { context, source }
 }
 
-/// Counters describing the store's life so far (monotone; survive
-/// compaction, reset by reopen).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistStats {
-    /// Row answers accepted into the index (first write per row).
-    pub appended: u64,
-    /// Queue records dropped by backpressure shedding.
-    pub shed: u64,
-    /// Records written to the WAL by the flusher.
-    pub flushed: u64,
-    /// WAL fsync calls.
-    pub fsyncs: u64,
-    /// Snapshot compactions completed.
-    pub compactions: u64,
-    /// Row answers recovered from disk at open.
-    pub recovered_rows: u64,
-    /// Namespaces recovered from disk at open.
-    pub recovered_namespaces: u64,
-    /// Bytes of corrupt or truncated tail discarded at open.
-    pub tail_bytes_discarded: u64,
-}
-
-impl PersistStats {
-    /// The snapshot as named counters, in stable declaration order (the
-    /// same serialization-ready shape every stats struct in the
-    /// workspace exposes).
-    pub fn fields(&self) -> [(&'static str, u64); 8] {
-        [
-            ("appended", self.appended),
-            ("shed", self.shed),
-            ("flushed", self.flushed),
-            ("fsyncs", self.fsyncs),
-            ("compactions", self.compactions),
-            ("recovered_rows", self.recovered_rows),
-            ("recovered_namespaces", self.recovered_namespaces),
-            ("tail_bytes_discarded", self.tail_bytes_discarded),
-        ]
-    }
-}
-
-#[derive(Debug, Default)]
-struct AtomicPersistStats {
-    appended: AtomicU64,
-    shed: AtomicU64,
-    flushed: AtomicU64,
-    fsyncs: AtomicU64,
-    compactions: AtomicU64,
-    recovered_rows: AtomicU64,
-    recovered_namespaces: AtomicU64,
-    tail_bytes_discarded: AtomicU64,
-}
-
-impl AtomicPersistStats {
-    fn snapshot(&self) -> PersistStats {
-        PersistStats {
-            appended: self.appended.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            flushed: self.flushed.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            recovered_rows: self.recovered_rows.load(Ordering::Relaxed),
-            recovered_namespaces: self.recovered_namespaces.load(Ordering::Relaxed),
-            tail_bytes_discarded: self.tail_bytes_discarded.load(Ordering::Relaxed),
-        }
+expred_stats::counter_set! {
+    /// Counters describing the store's life so far (monotone; survive
+    /// compaction, reset by reopen).
+    pub struct PersistStats, atomic struct AtomicPersistStats {
+        /// Row answers accepted into the index (first write per row).
+        appended,
+        /// Queue records dropped by backpressure shedding.
+        shed,
+        /// Records written to the WAL by the flusher.
+        flushed,
+        /// WAL fsync calls.
+        fsyncs,
+        /// Snapshot compactions completed.
+        compactions,
+        /// Row answers recovered from disk at open.
+        recovered_rows,
+        /// Namespaces recovered from disk at open.
+        recovered_namespaces,
+        /// Bytes of corrupt or truncated tail discarded at open.
+        tail_bytes_discarded,
     }
 }
 
@@ -770,7 +723,6 @@ fn compact_now(shared: &Shared, generation: u64) -> Result<(File, u64), PersistE
 
 /// The flusher thread: drain → encode → append → fsync → maybe compact.
 fn flusher_loop(shared: Arc<Shared>, mut wal: File, mut generation: u64) {
-    let mut since_fsync = 0u64;
     let mut since_compact = 0u64;
     loop {
         let (batch, ticket, compact_ticket, shutdown) = {
@@ -801,14 +753,9 @@ fn flusher_loop(shared: Arc<Shared>, mut wal: File, mut generation: u64) {
             // index, so the next compaction retries the disk with them.
             let _ = wal.write_all(&buf);
             shared.stats.flushed.fetch_add(flushed, Ordering::Relaxed);
-            since_fsync += flushed;
             since_compact += flushed;
         }
-        let want_fsync = match shared.config.fsync {
-            FsyncPolicy::EveryBatch => flushed > 0,
-            FsyncPolicy::EveryRecords(n) => since_fsync >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
+        let want_fsync = shared.config.fsync == FsyncPolicy::EveryBatch && flushed > 0;
         // A sync caller is parked on this ticket: sync() is the
         // durability barrier, so it always fsyncs regardless of policy.
         let answering_sync = {
@@ -818,7 +765,6 @@ fn flusher_loop(shared: Arc<Shared>, mut wal: File, mut generation: u64) {
         if want_fsync || answering_sync || shutdown {
             let _ = wal.sync_all();
             shared.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-            since_fsync = 0;
         }
         // Compaction between batches: explicit requests, or the
         // automatic threshold.
@@ -835,7 +781,6 @@ fn flusher_loop(shared: Arc<Shared>, mut wal: File, mut generation: u64) {
                     wal = new_wal;
                     generation = next;
                     shared.stats.compactions.fetch_add(1, Ordering::Relaxed);
-                    since_fsync = 0;
                 }
                 // The error must reach any waiter parked on a compact
                 // ticket (below); the records themselves stay in the

@@ -24,7 +24,7 @@
 //!   deadline × retry budget.
 //!
 //! Billing is *not* done here: the client counts wire work (requests,
-//! retries, hedges, timeouts) in [`RemoteStats`] and mirrors the
+//! retries, hedges, timeouts — [`RemoteStatsSnapshot`]) and mirrors the
 //! retry/hedge ledger into an optional shared
 //! [`CostTracker`], but the paper-model `o_e`
 //! bill is charged exactly once per row by the `UdfInvoker` above this
@@ -185,66 +185,32 @@ impl From<RemoteError> for expred_core::EngineError {
     }
 }
 
-/// Wire-level counters, exported through `GET /metrics` by the serving
-/// tier via the same `fields()` snapshot pattern as `CostCounts`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RemoteStatsSnapshot {
-    /// Probes issued (not counting retries/hedges).
-    pub requests: u64,
-    /// Extra attempts after a timeout or transport failure.
-    pub retries: u64,
-    /// Speculative duplicate requests sent.
-    pub hedges: u64,
-    /// Hedges whose answer arrived before the primary's.
-    pub hedge_wins: u64,
-    /// Attempts that hit their per-attempt deadline.
-    pub timeouts: u64,
-    /// Attempts that died in transport (connect/write/reader poison).
-    pub transport_errors: u64,
-    /// Successful (re)dials of pool connections.
-    pub reconnects: u64,
-    /// Times the circuit breaker tripped open.
-    pub breaker_opens: u64,
-    /// Probes failed fast by an open breaker.
-    pub breaker_rejections: u64,
-    /// Probes answered by the caller-supplied local fallback evaluator.
-    pub fallback_local: u64,
-}
-
-impl RemoteStatsSnapshot {
-    /// Stable `(name, value)` pairs for the metrics endpoint.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("requests", self.requests),
-            ("retries", self.retries),
-            ("hedges", self.hedges),
-            ("hedge_wins", self.hedge_wins),
-            ("timeouts", self.timeouts),
-            ("transport_errors", self.transport_errors),
-            ("reconnects", self.reconnects),
-            ("breaker_opens", self.breaker_opens),
-            ("breaker_rejections", self.breaker_rejections),
-            ("fallback_local", self.fallback_local),
-        ]
-    }
-}
-
-/// Shared atomic counters behind [`RemoteStatsSnapshot`].
-#[derive(Debug, Default)]
-pub struct RemoteStats {
-    requests: AtomicU64,
-    retries: AtomicU64,
-    hedges: AtomicU64,
-    hedge_wins: AtomicU64,
-    timeouts: AtomicU64,
-    transport_errors: AtomicU64,
-    reconnects: AtomicU64,
-    fallback_local: AtomicU64,
-}
-
-impl RemoteStats {
-    pub(crate) fn note_fallback(&self) {
-        self.fallback_local.fetch_add(1, Ordering::Relaxed);
+expred_stats::counter_set! {
+    /// Wire-level counters, exported through `GET /metrics` by the serving
+    /// tier. The two `breaker_*` counters are the circuit breaker's own:
+    /// [`RemoteClient::stats`] copies them in, and their slots in the
+    /// atomic twin stay zero.
+    pub struct RemoteStatsSnapshot, atomic struct RemoteStats {
+        /// Probes issued (not counting retries/hedges).
+        requests,
+        /// Extra attempts after a timeout or transport failure.
+        retries,
+        /// Speculative duplicate requests sent.
+        hedges,
+        /// Hedges whose answer arrived before the primary's.
+        hedge_wins,
+        /// Attempts that hit their per-attempt deadline.
+        timeouts,
+        /// Attempts that died in transport (connect/write/reader poison).
+        transport_errors,
+        /// Successful (re)dials of pool connections.
+        reconnects,
+        /// Times the circuit breaker tripped open.
+        breaker_opens,
+        /// Probes failed fast by an open breaker.
+        breaker_rejections,
+        /// Probes answered by the caller-supplied local fallback evaluator.
+        fallback_local,
     }
 }
 
@@ -435,16 +401,9 @@ impl RemoteClient {
     /// Current wire counters.
     pub fn stats(&self) -> RemoteStatsSnapshot {
         RemoteStatsSnapshot {
-            requests: self.stats.requests.load(Ordering::Relaxed),
-            retries: self.stats.retries.load(Ordering::Relaxed),
-            hedges: self.stats.hedges.load(Ordering::Relaxed),
-            hedge_wins: self.stats.hedge_wins.load(Ordering::Relaxed),
-            timeouts: self.stats.timeouts.load(Ordering::Relaxed),
-            transport_errors: self.stats.transport_errors.load(Ordering::Relaxed),
-            reconnects: self.stats.reconnects.load(Ordering::Relaxed),
             breaker_opens: self.breaker.opens(),
             breaker_rejections: self.breaker.rejections(),
-            fallback_local: self.stats.fallback_local.load(Ordering::Relaxed),
+            ..self.stats.snapshot()
         }
     }
 
@@ -454,7 +413,7 @@ impl RemoteClient {
     }
 
     pub(crate) fn note_fallback(&self) {
-        self.stats.note_fallback();
+        self.stats.fallback_local.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The hedge delay for the next probe: the observed p99 attempt

@@ -40,9 +40,7 @@ pub mod server;
 pub mod udf;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
-pub use client::{
-    ClientConfig, HedgeConfig, RemoteClient, RemoteError, RemoteStats, RemoteStatsSnapshot,
-};
+pub use client::{ClientConfig, HedgeConfig, RemoteClient, RemoteError, RemoteStatsSnapshot};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, ResponseFate};
 pub use server::{OracleMap, UdfServer};
 pub use udf::RemoteUdf;

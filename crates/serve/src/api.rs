@@ -176,10 +176,10 @@ pub struct ApiQuery {
 /// * `"expr"` — `predicate` (required): a pypred-style boolean string
 ///   over the table's boolean columns, e.g.
 ///   `"udf_label and (vip or not flagged)"` (`not` binds tighter than
-///   `and`, which binds tighter than `or`); `optimize` (default `true`)
-///   runs the session's selectivity-aware rewrite before evaluating —
-///   identical answers either way, smaller bill once the session has
-///   observations. Parse failures are 400 `bad_expression`.
+///   `and`, which binds tighter than `or`). The scan always runs the
+///   session's selectivity-aware rewrite first — identical answers, a
+///   smaller bill once the session has observations. Parse failures are
+///   400 `bad_expression`.
 ///
 /// Work-multiplier fields are admission-controlled here, not just in
 /// the engine: `imputations` ≤ [`MAX_IMPUTATIONS`], `rounds` ≤
@@ -319,7 +319,6 @@ struct QueryFields<'a> {
     imputations: usize,
     rounds: usize,
     predicate: Option<String>,
-    optimize: bool,
 }
 
 fn parse_query(value: &JsonValue) -> Result<QueryRequest, ApiError> {
@@ -339,7 +338,6 @@ fn parse_query(value: &JsonValue) -> Result<QueryRequest, ApiError> {
         imputations: 5,
         rounds: 2,
         predicate: None,
-        optimize: true,
     };
     let number = |field: &JsonValue, name: &str| {
         field
@@ -414,11 +412,6 @@ fn parse_query(value: &JsonValue) -> Result<QueryRequest, ApiError> {
                         .to_owned(),
                 )
             }
-            "optimize" => {
-                f.optimize = field
-                    .as_bool()
-                    .ok_or_else(|| ApiError::bad_request("\"optimize\" must be a boolean"))?
-            }
             other => {
                 return Err(ApiError::bad_request(format!(
                     "unknown query field {other:?}"
@@ -471,11 +464,7 @@ fn parse_query(value: &JsonValue) -> Result<QueryRequest, ApiError> {
             // (400 bad_expression).
             let expr = expred_udf::parse_predicate(&predicate, &expred_udf::OracleRegistry::new())
                 .map_err(|e| ApiError::from(EngineError::from(e)))?;
-            Ok(if f.optimize {
-                QueryRequest::expr_scan_optimized(expr, f.cost)
-            } else {
-                QueryRequest::expr_scan(expr, f.cost)
-            })
+            Ok(QueryRequest::expr_scan(expr, f.cost))
         }
         "" => Err(ApiError::bad_request("missing \"query.kind\"")),
         other => Err(ApiError::bad_request(format!(
@@ -757,27 +746,6 @@ mod tests {
         )
         .expect("parses");
         assert_eq!(q.request.strategy().name(), "expr_scan");
-        // The default submits through the optimizer; "optimize": false
-        // must produce a *distinct* request identity (different bill).
-        let raw = parse(
-            r#"{"table": {"spec": "prosper", "rows": 100},
-                "query": {"kind": "expr", "predicate": "udf_label", "optimize": false}}"#,
-        )
-        .unwrap();
-        let opt = parse(
-            r#"{"table": {"spec": "prosper", "rows": 100},
-                "query": {"kind": "expr", "predicate": "udf_label"}}"#,
-        )
-        .unwrap();
-        assert_eq!(raw.request.strategy().name(), "expr_scan");
-        let identity = |q: &ApiQuery| {
-            expred_core::strategy::StrategyIdentity::of(q.request.strategy()).digest64()
-        };
-        assert_ne!(
-            identity(&raw),
-            identity(&opt),
-            "optimize flag must enter the request identity"
-        );
     }
 
     #[test]
@@ -802,12 +770,14 @@ mod tests {
             parse(r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "expr"}}"#)
                 .expect_err("predicate required");
         assert!(missing.detail.contains("requires \"predicate\""));
-        let wrong_type = parse(
+        // There is one expression scan: the old opt-out flag is not a field.
+        let flag = parse(
             r#"{"table": {"spec": "prosper", "rows": 10},
-                "query": {"kind": "expr", "predicate": "udf_label", "optimize": 1}}"#,
+                "query": {"kind": "expr", "predicate": "udf_label", "optimize": true}}"#,
         )
-        .expect_err("optimize must be a bool");
-        assert!(wrong_type.detail.contains("\"optimize\" must be a boolean"));
+        .expect_err("\"optimize\" is gone");
+        assert_eq!(flag.status, 400);
+        assert!(flag.detail.contains("unknown query field \"optimize\""));
     }
 
     #[test]

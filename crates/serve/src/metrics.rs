@@ -4,16 +4,23 @@
 //!
 //! Everything here is updated on the request path, so it is all atomics:
 //! counters are relaxed `fetch_add`s and the histograms are fixed arrays
-//! of atomic buckets — no locks, no allocation per observation. The
-//! renderers pull the engine-side counters ([`expred_core::EngineStats`],
-//! [`expred_exec::CacheStats`], [`expred_core::ResultMemoStats`]) per
-//! tenant through the same `fields()` → [`counters_to_text`] /
-//! [`JsonWriter::counters`] funnel the bench artifacts use, so both
-//! exports agree on names.
+//! of atomic buckets — no locks, no allocation per observation.
+//!
+//! Both exports are renderers over **one walk** of counter sections
+//! (`ServeMetrics::walk`): the server's own, each route's, the remote
+//! client's, then per tenant whatever [`crate::Tenant::counter_sections`]
+//! yields — the engine's sections ([`expred_core::QueryEngine::counter_sections`]:
+//! engine, cache, result memo, derived, persist, bill) and the table
+//! tier's — and the registry's pool. A section carries its JSON key and
+//! its text prefix, and a counter set is declared once
+//! ([`expred_stats::counter_set!`]), so the two exports cannot disagree
+//! on which sections or counters exist: a new counter is one line in its
+//! set, a new section one line in its owner's walk, and no edit here.
 
 use crate::gate::AdmissionGate;
 use crate::tenant::TenantRegistry;
 use expred_remote::RemoteStatsSnapshot;
+use expred_stats::counters::{CounterSet, Section};
 use expred_stats::json::{counters_to_text, JsonWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -206,12 +213,8 @@ impl ServeMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn routes(&self) -> [&RouteMetrics; 3] {
-        [&self.query, &self.metrics, &self.health]
-    }
-
-    fn server_counters(&self, ctx: &MetricsContext<'_>) -> Vec<(&'static str, u64)> {
-        vec![
+    fn server_counters(&self, ctx: &MetricsContext<'_>) -> [(&'static str, u64); 12] {
+        [
             (
                 "connections_accepted",
                 self.connections_accepted.load(Ordering::Relaxed),
@@ -230,115 +233,115 @@ impl ServeMetrics {
         ]
     }
 
-    /// Exposition-format text for `GET /metrics`: serving counters,
-    /// per-route latency summaries, remote-UDF client counters (when a
-    /// backend is configured), per-tenant engine counters, then the
-    /// shared worker pool's (when engines are pooled).
-    pub fn render_text(&self, ctx: &MetricsContext<'_>) -> String {
-        let tenants = ctx.tenants;
-        let mut out = counters_to_text("serve", &[], &self.server_counters(ctx));
-        for route in self.routes() {
-            let labels = [("route", route.name)];
-            out.push_str(&counters_to_text(
-                "serve_route",
-                &labels,
+    /// The one walk both exports render: serving counters, per-route
+    /// latency summaries, remote-UDF client counters (when a backend is
+    /// configured), every tenant's sections, then the shared worker
+    /// pool's (when engines are pooled). Each section is named here, or by
+    /// the layer that owns it, exactly once.
+    fn walk(&self, ctx: &MetricsContext<'_>, emit: &mut dyn FnMut(Event<'_>)) {
+        let server = self.server_counters(ctx);
+        emit(Event::Section(Section::new("server", "serve"), &server));
+        emit(Event::Open("routes", None));
+        for route in [&self.query, &self.metrics, &self.health] {
+            emit(Event::Open(route.name, Some(("route", route.name))));
+            emit(Event::Section(
+                Section::new("", "serve_route"),
                 &[
                     ("requests", route.requests.load(Ordering::Relaxed)),
                     ("latency_p50_micros", route.latency.p50_micros()),
                     ("latency_p99_micros", route.latency.p99_micros()),
                 ],
             ));
+            // The one value the text export does not carry: a float.
+            emit(Event::JsonOnly(&|w| {
+                w.key("latency_mean_micros")
+                    .f64_tenths(route.latency.mean_micros());
+            }));
+            emit(Event::Close);
         }
+        emit(Event::Close);
         if let Some((endpoint, snapshot)) = &ctx.remote {
-            let labels = [("endpoint", endpoint.as_str())];
-            out.push_str(&counters_to_text("remote_udf", &labels, &snapshot.fields()));
+            emit(Event::Open("remote", Some(("endpoint", endpoint))));
+            emit(Event::JsonOnly(&|w| {
+                w.key("endpoint").str(endpoint);
+            }));
+            emit(Event::Section(
+                Section::new("counters", "remote_udf"),
+                snapshot,
+            ));
+            emit(Event::Close);
         }
-        for tenant in tenants.snapshot() {
-            let name = tenant.name().to_owned();
-            let labels = [("tenant", name.as_str())];
-            let engine = tenant.engine();
-            out.push_str(&counters_to_text(
-                "engine",
-                &labels,
-                &engine.stats().fields(),
-            ));
-            out.push_str(&counters_to_text(
-                "engine_cache",
-                &labels,
-                &engine.cache_stats().fields(),
-            ));
-            out.push_str(&counters_to_text(
-                "engine_memo",
-                &labels,
-                &engine.result_memo_stats().fields(),
-            ));
-            if let Some(persist) = engine.persist_stats() {
-                out.push_str(&counters_to_text(
-                    "engine_persist",
-                    &labels,
-                    &persist.fields(),
-                ));
+        emit(Event::Open("tenants", None));
+        for tenant in ctx.tenants.snapshot() {
+            emit(Event::Open(tenant.name(), Some(("tenant", tenant.name()))));
+            tenant.counter_sections(&mut |section, set| emit(Event::Section(section, set)));
+            emit(Event::Close);
+        }
+        emit(Event::Close);
+        ctx.tenants
+            .counter_sections(&mut |section, set| emit(Event::Section(section, set)));
+    }
+
+    /// Exposition-format text for `GET /metrics`: one
+    /// `prefix_counter{label="…"} value` line per counter of the walk,
+    /// labelled by the enclosing labelled object (they never nest).
+    pub fn render_text(&self, ctx: &MetricsContext<'_>) -> String {
+        let mut out = String::new();
+        let mut label: Option<(&'static str, String)> = None;
+        self.walk(ctx, &mut |event| match event {
+            Event::Open(_, labelled) => {
+                label = labelled.map(|(name, value)| (name, value.to_owned()));
             }
-            out.push_str(&counters_to_text(
-                "engine",
-                &labels,
-                &tenant.table_counters(),
-            ));
-        }
-        if let Some(pool) = tenants.pool_stats() {
-            out.push_str(&counters_to_text("pool", &[], &pool.fields()));
-        }
+            Event::Close => label = None,
+            Event::Section(section, counters) => {
+                let labels: Vec<_> = label.iter().map(|(n, v)| (*n, v.as_str())).collect();
+                out.push_str(&counters_to_text(section.prefix, &labels, counters));
+            }
+            Event::JsonOnly(_) => {}
+        });
         out
     }
 
-    /// JSON snapshot for `GET /metrics.json` — same numbers, one object.
+    /// JSON snapshot for `GET /metrics.json` — same walk, one object.
     /// The `"remote"` key is present only when a backend is configured,
     /// the `"pool"` key only when engines run on the shared worker pool.
     pub fn render_json(&self, ctx: &MetricsContext<'_>) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("server").counters(&self.server_counters(ctx));
-        w.key("routes").begin_object();
-        for route in self.routes() {
-            w.key(route.name).begin_object();
-            w.key("requests")
-                .u64(route.requests.load(Ordering::Relaxed));
-            w.key("latency_p50_micros").u64(route.latency.p50_micros());
-            w.key("latency_p99_micros").u64(route.latency.p99_micros());
-            w.key("latency_mean_micros")
-                .f64_tenths(route.latency.mean_micros());
-            w.end_object();
-        }
-        w.end_object();
-        if let Some((endpoint, snapshot)) = &ctx.remote {
-            w.key("remote").begin_object();
-            w.key("endpoint").str(endpoint);
-            w.key("counters").counters(&snapshot.fields());
-            w.end_object();
-        }
-        w.key("tenants").begin_object();
-        for tenant in ctx.tenants.snapshot() {
-            let engine = tenant.engine();
-            w.key(tenant.name()).begin_object();
-            w.key("engine").counters(&engine.stats().fields());
-            w.key("cache").counters(&engine.cache_stats().fields());
-            w.key("result_memo")
-                .counters(&engine.result_memo_stats().fields());
-            if let Some(persist) = engine.persist_stats() {
-                w.key("persist").counters(&persist.fields());
+        self.walk(ctx, &mut |event| match event {
+            Event::Open(key, _) => {
+                w.key(key).begin_object();
             }
-            for (name, value) in tenant.table_counters() {
-                w.key(name).u64(value);
+            Event::Close => {
+                w.end_object();
             }
-            w.end_object();
-        }
-        w.end_object();
-        if let Some(pool) = ctx.tenants.pool_stats() {
-            w.key("pool").counters(&pool.fields());
-        }
+            Event::Section(section, counters) if section.key.is_empty() => {
+                counters.visit(&mut |name, value| {
+                    w.key(name).u64(value);
+                });
+            }
+            Event::Section(section, counters) => {
+                w.key(section.key).counters(counters);
+            }
+            Event::JsonOnly(write) => write(&mut w),
+        });
         w.end_object();
         w.finish()
     }
+}
+
+/// One step of [`ServeMetrics::walk`], as both renderers see it.
+enum Event<'a> {
+    /// Enters the JSON object of this key; text lines inside it carry the
+    /// label (`name="value"`), when one is given.
+    Open(&'a str, Option<(&'static str, &'a str)>),
+    /// Leaves the innermost open object.
+    Close,
+    /// One counter set, under its JSON key (empty: inline in the open
+    /// object) and its text prefix.
+    Section(Section, &'a dyn CounterSet),
+    /// A value only the JSON export carries.
+    JsonOnly(&'a dyn Fn(&mut JsonWriter)),
 }
 
 impl Default for ServeMetrics {

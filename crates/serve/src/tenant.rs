@@ -28,7 +28,8 @@
 
 use crate::api::TableKey;
 use expred_core::{PersistConfig, QueryEngine};
-use expred_exec::{PoolStats, WorkerPool};
+use expred_exec::WorkerPool;
+use expred_stats::counters::{CounterSet, Section};
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -264,15 +265,20 @@ impl Tenant {
         self.table_materialize_micros.load(Ordering::Relaxed)
     }
 
-    /// The table tier's counters as `/metrics` exports them: "this query
-    /// was slow because its table had been evicted" reads as a miss and
-    /// its materialization time.
-    pub fn table_counters(&self) -> [(&'static str, u64); 3] {
-        [
-            ("tables", self.table_count() as u64),
-            ("table_misses", self.table_misses()),
-            ("table_materialize_micros", self.table_materialize_micros()),
-        ]
+    /// The tenant's counter sections: its engine's, then the table tier's
+    /// — "this query was slow because its table had been evicted" reads
+    /// as a miss and its materialization time. The table counters sit
+    /// inline in the tenant's JSON object and share the `engine` prefix.
+    pub fn counter_sections(&self, visit: &mut dyn FnMut(Section, &dyn CounterSet)) {
+        self.engine.counter_sections(visit);
+        visit(
+            Section::new("", "engine"),
+            &[
+                ("tables", self.table_count() as u64),
+                ("table_misses", self.table_misses()),
+                ("table_materialize_micros", self.table_materialize_micros()),
+            ],
+        );
     }
 }
 
@@ -315,10 +321,13 @@ impl TenantRegistry {
         }
     }
 
-    /// The shared pool's width, size and traffic (`None` when tenant
-    /// engines run sequentially).
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.pool.as_ref().map(|pool| pool.stats())
+    /// The registry's own counter section: the shared pool's width, size
+    /// and traffic, when tenant engines are pooled. (A tenant's sections
+    /// are [`Tenant::counter_sections`].)
+    pub fn counter_sections(&self, visit: &mut dyn FnMut(Section, &dyn CounterSet)) {
+        if let Some(pool) = &self.pool {
+            visit(Section::new("pool", "pool"), &pool.stats());
+        }
     }
 
     /// Routes `name` to its session, creating it if the bound allows.

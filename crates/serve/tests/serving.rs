@@ -627,14 +627,13 @@ fn predicate_strings_match_direct_submit_byte_identically() {
     let registry = expred_udf::OracleRegistry::new();
     let parsed = || expred_udf::parse_predicate(predicate, &registry).expect("valid predicate");
 
-    // Optimized (the default), twice: the repeat must answer from the
-    // result memo on both sides and still render identically.
+    // Twice: the repeat must answer from the result memo on both sides
+    // and still render identically.
     let body = format!(
         "{{\"tenant\":\"{tenant}\",{table},\"seed\":3,\
          \"query\":{{\"kind\":\"expr\",\"predicate\":\"{predicate}\"}}}}"
     );
-    let request =
-        QueryRequest::expr_scan_optimized(parsed(), CostModel::PAPER_DEFAULT).with_seed(3);
+    let request = QueryRequest::expr_scan(parsed(), CostModel::PAPER_DEFAULT).with_seed(3);
     for round in 0..2 {
         let response = client.post("/query", &body).unwrap();
         assert_eq!(response.status, 200, "round {round}");
@@ -646,17 +645,15 @@ fn predicate_strings_match_direct_submit_byte_identically() {
         );
     }
 
-    // `"optimize": false` routes to the static-order strategy — a
-    // distinct memo identity, still byte-identical to the direct path.
+    // There is one expression scan: the retired opt-out flag is an
+    // unknown field, refused at the door.
     let body = format!(
         "{{\"tenant\":\"{tenant}\",{table},\"seed\":3,\
-         \"query\":{{\"kind\":\"expr\",\"predicate\":\"{predicate}\",\"optimize\":false}}}}"
+         \"query\":{{\"kind\":\"expr\",\"predicate\":\"{predicate}\",\"optimize\":true}}}}"
     );
     let response = client.post("/query", &body).unwrap();
-    assert_eq!(response.status, 200);
-    let request = QueryRequest::expr_scan(parsed(), CostModel::PAPER_DEFAULT).with_seed(3);
-    let expected = mirror.submit(tenant, &key, &request);
-    assert_eq!(response.body_text(), expected);
+    assert_eq!(response.status, 400);
+    assert!(response.body_text().contains("unknown query field"));
 
     // A malformed predicate is absorbed at the door: 400 bad_expression
     // with the parser's byte position, no engine touch, no panic.

@@ -20,6 +20,7 @@
 //! answer reaches the wire through [`JsonWriter::id_plane`], the one id
 //! array writer: it reads the plane's words, so no id list is ever built.
 
+use crate::counters::CounterSet;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::OnceLock;
@@ -766,32 +767,21 @@ impl JsonWriter {
         }
     }
 
-    /// Writes named `u64` counters as one object — the shared shape of
-    /// stats snapshots ([`EngineStats`], `CacheStats`, the serving
-    /// counters), so `/metrics.json` and the bench artifacts agree.
-    ///
-    /// [`EngineStats`]: https://docs.rs/expred-core
-    pub fn counters(&mut self, pairs: &[(&str, u64)]) -> &mut Self {
+    /// Writes a counter set as one object of named `u64`s — the shared
+    /// shape of every stats snapshot in `/metrics.json`.
+    pub fn counters(&mut self, set: &dyn CounterSet) -> &mut Self {
         self.begin_object();
-        for (name, value) in pairs {
-            self.key(name).u64(*value);
-        }
+        set.visit(&mut |name, value| {
+            self.key(name).u64(value);
+        });
         self.end_object()
     }
 }
 
-/// Renders named `u64` counters as one compact JSON object
-/// ([`JsonWriter::counters`] as a stand-alone document).
-pub fn counters_to_json(pairs: &[(&str, u64)]) -> String {
-    let mut w = JsonWriter::new();
-    w.counters(pairs);
-    w.finish()
-}
-
-/// Renders named `u64` counters as exposition-format text lines:
+/// Renders a counter set as exposition-format text lines:
 /// `prefix_name{label="value",...} 123`, one per counter — the shared
 /// text serializer behind `GET /metrics`.
-pub fn counters_to_text(prefix: &str, labels: &[(&str, &str)], pairs: &[(&str, u64)]) -> String {
+pub fn counters_to_text(prefix: &str, labels: &[(&str, &str)], set: &dyn CounterSet) -> String {
     let mut out = String::new();
     let rendered_labels = if labels.is_empty() {
         String::new()
@@ -802,9 +792,9 @@ pub fn counters_to_text(prefix: &str, labels: &[(&str, &str)], pairs: &[(&str, u
             .collect();
         format!("{{{}}}", inner.join(","))
     };
-    for (name, value) in pairs {
+    set.visit(&mut |name, value| {
         let _ = writeln!(out, "{prefix}_{name}{rendered_labels} {value}");
-    }
+    });
     out
 }
 

@@ -341,10 +341,9 @@ fn as_u64_is_exact() {
 #[test]
 fn counters_serialize_both_ways() {
     let pairs = [("queries", 5u64), ("result_hits", 2)];
-    assert_eq!(
-        counters_to_json(&pairs),
-        "{\"queries\":5,\"result_hits\":2}"
-    );
+    let mut w = JsonWriter::new();
+    w.counters(&pairs);
+    assert_eq!(w.finish(), "{\"queries\":5,\"result_hits\":2}");
     let text = counters_to_text("engine", &[("tenant", "a\"b")], &pairs);
     assert_eq!(
         text,

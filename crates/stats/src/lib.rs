@@ -28,10 +28,18 @@
 //! * [`json`] — the workspace's one no-serde JSON parser/writer, shared
 //!   by the serving tier's request/response bodies, the `/metrics`
 //!   endpoint, and the `BENCH_<name>.json` perf artifacts.
+//! * [`counters`] — [`counter_set!`], the one declaration behind every
+//!   layer's counters, and the [`counters::CounterSet`] walk the metrics
+//!   exports read.
+//! * [`clock`] — [`clock::ClockCache`], the workspace's one striped
+//!   second-chance cache (the engine's result memo and the derived-data
+//!   cache are both instances).
 
 pub mod beta;
 pub mod binomial;
 pub mod bounds;
+pub mod clock;
+pub mod counters;
 pub mod descriptive;
 pub mod estimator;
 pub mod hash;

@@ -11,18 +11,19 @@
 //! entry simply stops being addressable, and diverged clones (same id,
 //! different versions) can never cross-serve.
 //!
-//! The cache is `&self`-safe for the concurrent engine: lookups and
-//! inserts take a single mutex, while the derivation itself runs outside
-//! the lock (racing identical derivations are benign — both compute the
-//! same deterministic value and one wins the insert). Capacity is
-//! bounded with the same second-chance (clock) policy the result memo
-//! uses: a hit marks the entry, the evictor skips marked entries once.
+//! The cache is `&self`-safe for the concurrent engine, and it is an
+//! [`expred_stats::clock::ClockCache`] — the same striped second-chance
+//! cache as the engine's result memo: a lookup takes one stripe's read
+//! lock, a hit marks the entry, the evictor skips marked entries once.
+//! The derivation itself runs outside any lock (racing identical
+//! derivations are benign — both compute the same deterministic value
+//! and the later insert replaces the earlier in place).
 
 use crate::kernels::GroupCodes;
 use crate::table::{GroupBy, Table};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use expred_stats::clock::{ClockCache, ClockCacheStats, StripeKey};
+use expred_stats::hash::Fnv64;
+use std::sync::Arc;
 
 /// Default number of derived entries a session retains. A session rarely
 /// touches more than a handful of `(table, column)` pairs at a time;
@@ -44,56 +45,41 @@ struct DerivedKey {
     kind: DerivedKind,
 }
 
+impl DerivedKey {
+    fn new(table: &Table, column: &str, kind: DerivedKind) -> Self {
+        Self {
+            table: table.id().as_u64(),
+            version: table.version(),
+            column: column.to_owned(),
+            kind,
+        }
+    }
+}
+
+impl StripeKey for DerivedKey {
+    /// Column included: one table's columns must not share a stripe.
+    fn stripe_bits(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(self.table);
+        h.write_u64(self.version);
+        h.write_bytes(self.column.as_bytes());
+        h.finish()
+    }
+}
+
 #[derive(Debug, Clone)]
 enum DerivedValue {
     Groups(Arc<GroupBy>),
     Codes(Arc<GroupCodes>),
 }
 
-#[derive(Debug)]
-struct CachedEntry {
-    value: DerivedValue,
-    /// Second-chance bit: set on hit, cleared (then evicted) by the clock.
-    touched: bool,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<DerivedKey, CachedEntry>,
-    clock: VecDeque<DerivedKey>,
-}
-
-/// Counter snapshot for observability (see [`DerivedCache::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DerivedCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to derive fresh.
-    pub misses: u64,
-    /// Entries evicted by the capacity bound.
-    pub evictions: u64,
-}
-
-impl DerivedCacheStats {
-    /// `(name, value)` pairs in a stable order, for metrics exporters.
-    pub fn fields(&self) -> [(&'static str, u64); 3] {
-        [
-            ("derived_hits", self.hits),
-            ("derived_misses", self.misses),
-            ("derived_evictions", self.evictions),
-        ]
-    }
-}
+/// Counter snapshot for observability (see [`DerivedCache::stats`]): the
+/// cache's own counter set.
+pub type DerivedCacheStats = ClockCacheStats;
 
 /// Capacity-bounded, thread-safe cache of derived per-column artifacts.
 #[derive(Debug)]
-pub struct DerivedCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
+pub struct DerivedCache(ClockCache<DerivedKey, DerivedValue>);
 
 impl Default for DerivedCache {
     fn default() -> Self {
@@ -111,135 +97,61 @@ impl DerivedCache {
     /// retention entirely: every lookup derives fresh (and counts as a
     /// miss).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(Inner::default()),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        Self(ClockCache::with_capacity(capacity))
     }
 
-    /// The configured entry bound.
+    /// The enforced entry bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.0.capacity()
     }
 
     /// Entries currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("derived cache poisoned").map.len()
+        self.0.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
-    /// Hit/miss/eviction counters since construction (or the last
-    /// counter-preserving [`clear`](Self::clear)).
+    /// Hit/miss/eviction counters since construction (a
+    /// [`clear`](Self::clear) preserves them).
     pub fn stats(&self) -> DerivedCacheStats {
-        DerivedCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.0.stats()
     }
 
     /// Drops every entry (counters are preserved).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("derived cache poisoned");
-        inner.map.clear();
-        inner.clock.clear();
+        self.0.clear();
     }
 
     /// The partition of `table` by `column`, served from the cache when
     /// the same `(table id, version, column)` was grouped before.
     /// Byte-identical to [`Table::group_by`].
     pub fn group_by(&self, table: &Table, column: &str) -> Result<Arc<GroupBy>, String> {
-        let key = DerivedKey {
-            table: table.id().as_u64(),
-            version: table.version(),
-            column: column.to_owned(),
-            kind: DerivedKind::Groups,
-        };
-        if let Some(DerivedValue::Groups(hit)) = self.lookup(&key) {
+        let key = DerivedKey::new(table, column, DerivedKind::Groups);
+        if let Some(DerivedValue::Groups(hit)) = self.0.get(&key, |v| Some(v.clone())) {
             return Ok(hit);
         }
         let fresh = Arc::new(table.group_by(column)?);
-        self.insert(key, DerivedValue::Groups(Arc::clone(&fresh)));
+        self.0.insert(key, DerivedValue::Groups(Arc::clone(&fresh)));
         Ok(fresh)
     }
 
     /// The dictionary codes of `column`, cached per `(table id, version,
     /// column)`. The substrate for one-hot feature encoding.
     pub fn group_codes(&self, table: &Table, column: &str) -> Result<Arc<GroupCodes>, String> {
-        let key = DerivedKey {
-            table: table.id().as_u64(),
-            version: table.version(),
-            column: column.to_owned(),
-            kind: DerivedKind::Codes,
-        };
-        if let Some(DerivedValue::Codes(hit)) = self.lookup(&key) {
+        let key = DerivedKey::new(table, column, DerivedKind::Codes);
+        if let Some(DerivedValue::Codes(hit)) = self.0.get(&key, |v| Some(v.clone())) {
             return Ok(hit);
         }
         let col = table
             .column(column)
             .ok_or_else(|| format!("no column named {column:?}"))?;
         let fresh = Arc::new(col.group_codes());
-        self.insert(key, DerivedValue::Codes(Arc::clone(&fresh)));
+        self.0.insert(key, DerivedValue::Codes(Arc::clone(&fresh)));
         Ok(fresh)
-    }
-
-    fn lookup(&self, key: &DerivedKey) -> Option<DerivedValue> {
-        let mut inner = self.inner.lock().expect("derived cache poisoned");
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.touched = true;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, key: DerivedKey, value: DerivedValue) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("derived cache poisoned");
-        if inner.map.contains_key(&key) {
-            // A racing derivation beat us; keep the incumbent (equal
-            // content) and don't double-queue the key.
-            return;
-        }
-        // Second-chance eviction: recently hit entries get one more lap.
-        while inner.map.len() >= self.capacity {
-            let Some(victim) = inner.clock.pop_front() else {
-                break;
-            };
-            match inner.map.get_mut(&victim) {
-                Some(entry) if entry.touched => {
-                    entry.touched = false;
-                    inner.clock.push_back(victim);
-                }
-                Some(_) => {
-                    inner.map.remove(&victim);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {}
-            }
-        }
-        inner.clock.push_back(key.clone());
-        inner.map.insert(
-            key,
-            CachedEntry {
-                value,
-                touched: false,
-            },
-        );
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::column::Column;
 use crate::schema::Schema;
 use crate::stats::{scan_column, ColumnStats, ScanPredicate, ScanStats, StatsCache};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -121,9 +121,7 @@ impl Table {
     /// **same** row-major [`Self::version`] fingerprint, so a table built
     /// either way from the same cells has the same version; a string's
     /// fingerprint is taken once per dictionary entry instead of once per
-    /// cell. (One asymmetry: an `Int` value that `push_row` widened into
-    /// a float column was fingerprinted as the `Int` it arrived as; here
-    /// the cell is the float.)
+    /// cell.
     pub fn from_columns(schema: Schema, columns: Vec<Column>) -> Result<Self, String> {
         if columns.len() != schema.len() {
             return Err(format!(
@@ -162,8 +160,8 @@ impl Table {
     }
 
     /// Appends one row. Errors on arity or type mismatch, and on NULLs in
-    /// non-nullable fields.
-    pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), String> {
+    /// non-nullable fields; a failed push changes nothing.
+    pub fn push_row(&mut self, mut row: Vec<Value>) -> Result<(), String> {
         if row.len() != self.schema.len() {
             return Err(format!(
                 "row arity {} does not match schema arity {}",
@@ -171,19 +169,34 @@ impl Table {
                 self.schema.len()
             ));
         }
-        for (idx, value) in row.iter().enumerate() {
-            let field = self.schema.field_at(idx);
-            if value.is_null() && !field.is_nullable() {
-                return Err(format!("NULL in non-nullable field {:?}", field.name()));
+        // Every cell is checked against its column before any is pushed,
+        // so a failed push leaves neither the columns nor the version
+        // (and hence cache keys) touched.
+        for (field, value) in self.schema.fields().iter().zip(&mut row) {
+            // The cell as its column stores it — an `Int` widens into a
+            // float column — which is also the cell the version
+            // fingerprints, as `from_columns` does.
+            if let (DataType::Float, Value::Int(i)) = (field.data_type(), &*value) {
+                *value = Value::Float(*i as f64);
+            }
+            match value.data_type() {
+                None if !field.is_nullable() => {
+                    return Err(format!("NULL in non-nullable field {:?}", field.name()));
+                }
+                Some(found) if found != field.data_type() => {
+                    return Err(format!(
+                        "type mismatch: cannot push {value:?} into {} column",
+                        field.data_type()
+                    ));
+                }
+                _ => {}
             }
         }
-        // Fold the row into the version fingerprint *after* validation, so
-        // failed pushes leave the version (and hence cache keys) untouched.
         let row_hash = row.iter().fold(ROW_HASH_SEED, |hash, value| {
             fold_cell(hash, value.fingerprint())
         });
-        for (idx, value) in row.into_iter().enumerate() {
-            self.columns[idx].push(value)?;
+        for (column, value) in self.columns.iter_mut().zip(row) {
+            column.push(value).expect("cell checked against its column");
         }
         self.num_rows += 1;
         self.version = fold_row(self.version, row_hash);
@@ -616,6 +629,38 @@ mod tests {
             .push_row(vec![Value::Null, Value::from("q"), Value::Bool(true)])
             .is_err());
         assert_eq!(t.version(), before);
+    }
+
+    #[test]
+    fn failed_push_leaves_no_ragged_columns() {
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Int),
+        ]);
+        let mut t = Table::from_rows(schema, vec![vec![Value::Int(1), Value::Int(2)]]).unwrap();
+        let lens = |t: &Table| (t.column_at(0).len(), t.column_at(1).len(), t.num_rows());
+        let before = t.version();
+        // The first cell fits its column, the second does not.
+        let err = t
+            .push_row(vec![Value::Int(7), Value::from("x")])
+            .unwrap_err();
+        assert!(err.contains("type mismatch"), "{err}");
+        assert_eq!(lens(&t), (1, 1, 1), "no cell of a refused row is kept");
+        assert_eq!(t.version(), before);
+        t.push_row(vec![Value::Int(7), Value::Int(8)]).unwrap();
+        assert_eq!(lens(&t), (2, 2, 2));
+        assert_eq!(t.row(1), [Value::Int(7), Value::Int(8)]);
+        assert_ne!(t.version(), before);
+    }
+
+    #[test]
+    fn a_widened_int_is_versioned_as_the_float_it_is_stored_as() {
+        let schema = || Schema::new(vec![Field::new("x", DataType::Float)]);
+        let by_rows = Table::from_rows(schema(), vec![vec![Value::Int(3)]]).unwrap();
+        let by_columns =
+            Table::from_columns(schema(), vec![Column::Float(vec![Some(3.0)])]).unwrap();
+        assert_eq!(by_rows, by_columns, "equal cells");
+        assert_eq!(by_rows.version(), by_columns.version());
     }
 
     #[test]

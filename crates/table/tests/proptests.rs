@@ -3,7 +3,9 @@
 use expred_table::csv::{read_csv, write_csv};
 use expred_table::datasets::{all_specs, Dataset, DatasetSpec};
 use expred_table::value::ValueKey;
-use expred_table::{DataType, DerivedCache, Field, GroupBy, ScanPredicate, Schema, Table, Value};
+use expred_table::{
+    Column, DataType, DerivedCache, Field, GroupBy, ScanPredicate, Schema, Table, Value,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -247,6 +249,36 @@ proptest! {
         let again = cache.group_by(&t, "g").unwrap();
         prop_assert_eq!(again.as_ref(), first.as_ref());
         prop_assert!(cache.stats().hits >= 1);
+    }
+
+    #[test]
+    fn from_rows_and_from_columns_agree_on_the_version(
+        cells in prop::collection::vec((0u8..4, -3i64..4), 0..60),
+    ) {
+        // A float column fed a mix of floats, ints (widened on push) and
+        // NULLs: one set of stored cells, one version, either constructor.
+        let schema = || Schema::new(vec![Field::nullable("x", DataType::Float)]);
+        let pushed: Vec<Value> = cells
+            .iter()
+            .map(|&(kind, i)| match kind {
+                0 => Value::Null,
+                1 => Value::Int(i),
+                _ => Value::Float(i as f64 / 2.0),
+            })
+            .collect();
+        let stored: Vec<Option<f64>> = pushed
+            .iter()
+            .map(|value| match value {
+                Value::Int(i) => Some(*i as f64),
+                Value::Float(f) => Some(*f),
+                _ => None,
+            })
+            .collect();
+        let by_rows = Table::from_rows(schema(), pushed.into_iter().map(|v| vec![v]).collect());
+        let by_rows = by_rows.unwrap();
+        let by_columns = Table::from_columns(schema(), vec![Column::Float(stored)]).unwrap();
+        prop_assert_eq!(&by_rows, &by_columns);
+        prop_assert_eq!(by_rows.version(), by_columns.version());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! expensive than retrieving the tuple", §6.1).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Per-action costs `(o_r, o_e)`.
@@ -43,29 +43,31 @@ impl Default for CostModel {
     }
 }
 
-/// A snapshot of accumulated action counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CostCounts {
-    /// Tuples retrieved from storage.
-    pub retrieved: u64,
-    /// UDF evaluations actually performed (fresh external calls).
-    pub evaluated: u64,
-    /// Evaluations answered from this query's own memo without invoking
-    /// the UDF.
-    pub cache_hits: u64,
-    /// Evaluations answered from the *cross-query* cache: rows some
-    /// earlier query in the session already paid `o_e` for. Counted once
-    /// per row and query (subsequent re-reads are `cache_hits`).
-    pub reuse_hits: u64,
-    /// Extra wire attempts a remote backend made after a timeout or
-    /// transport failure. A ledger, not a bill: a retried probe still
-    /// charges `o_e` exactly once (under `evaluated`) — this counts the
-    /// re-sends so fault-handling overhead is auditable.
-    pub retries: u64,
-    /// Speculative duplicate requests a remote backend launched to cut
-    /// tail latency (first answer wins). Like `retries`, a ledger only:
-    /// a hedged probe bills `o_e` once no matter which copy answered.
-    pub hedges: u64,
+expred_stats::counter_set! {
+    /// A snapshot of accumulated action counts.
+    pub struct CostCounts, atomic struct AtomicCounts {
+        /// Tuples retrieved from storage.
+        retrieved,
+        /// UDF evaluations actually performed (fresh external calls).
+        evaluated,
+        /// Evaluations answered from this query's own memo without
+        /// invoking the UDF.
+        cache_hits,
+        /// Evaluations answered from the *cross-query* cache: rows some
+        /// earlier query in the session already paid `o_e` for. Counted
+        /// once per row and query (subsequent re-reads are `cache_hits`).
+        reuse_hits,
+        /// Extra wire attempts a remote backend made after a timeout or
+        /// transport failure. A ledger, not a bill: a retried probe still
+        /// charges `o_e` exactly once (under `evaluated`) — this counts
+        /// the re-sends so fault-handling overhead is auditable.
+        retries,
+        /// Speculative duplicate requests a remote backend launched to cut
+        /// tail latency (first answer wins). Like `retries`, a ledger
+        /// only: a hedged probe bills `o_e` once no matter which copy
+        /// answered.
+        hedges,
+    }
 }
 
 impl CostCounts {
@@ -82,19 +84,6 @@ impl CostCounts {
     /// demand is not comparable across warm and cold runs.)
     pub fn demanded(&self) -> u64 {
         self.evaluated + self.cache_hits + self.reuse_hits
-    }
-
-    /// `(name, value)` pairs for metrics export, in stable order — the
-    /// same `fields()` snapshot pattern the engine/cache/memo stats use.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("retrieved", self.retrieved),
-            ("evaluated", self.evaluated),
-            ("cache_hits", self.cache_hits),
-            ("reuse_hits", self.reuse_hits),
-            ("retries", self.retries),
-            ("hedges", self.hedges),
-        ]
     }
 }
 
@@ -132,16 +121,6 @@ impl fmt::Display for CostCounts {
 #[derive(Debug, Clone, Default)]
 pub struct CostTracker {
     counts: Arc<AtomicCounts>,
-}
-
-#[derive(Debug, Default)]
-struct AtomicCounts {
-    retrieved: AtomicU64,
-    evaluated: AtomicU64,
-    cache_hits: AtomicU64,
-    reuse_hits: AtomicU64,
-    retries: AtomicU64,
-    hedges: AtomicU64,
 }
 
 impl CostTracker {
@@ -189,35 +168,18 @@ impl CostTracker {
 
     /// Current counts.
     pub fn snapshot(&self) -> CostCounts {
-        CostCounts {
-            retrieved: self.counts.retrieved.load(Ordering::Relaxed),
-            evaluated: self.counts.evaluated.load(Ordering::Relaxed),
-            cache_hits: self.counts.cache_hits.load(Ordering::Relaxed),
-            reuse_hits: self.counts.reuse_hits.load(Ordering::Relaxed),
-            retries: self.counts.retries.load(Ordering::Relaxed),
-            hedges: self.counts.hedges.load(Ordering::Relaxed),
-        }
+        self.counts.snapshot()
     }
 
     /// Adds another snapshot's counts onto this tracker (session-level
     /// aggregation over per-query trackers).
     pub fn absorb(&self, counts: &CostCounts) {
-        self.add_retrievals(counts.retrieved);
-        self.add_evaluations(counts.evaluated);
-        self.add_cache_hits(counts.cache_hits);
-        self.add_reuse_hits(counts.reuse_hits);
-        self.add_retries(counts.retries);
-        self.add_hedges(counts.hedges);
+        self.counts.absorb(counts);
     }
 
     /// Resets all counters to zero.
     pub fn reset(&self) {
-        self.counts.retrieved.store(0, Ordering::Relaxed);
-        self.counts.evaluated.store(0, Ordering::Relaxed);
-        self.counts.cache_hits.store(0, Ordering::Relaxed);
-        self.counts.reuse_hits.store(0, Ordering::Relaxed);
-        self.counts.retries.store(0, Ordering::Relaxed);
-        self.counts.hedges.store(0, Ordering::Relaxed);
+        self.counts.reset();
     }
 }
 
@@ -358,7 +320,7 @@ mod tests {
             hedges: 6,
         };
         assert_eq!(
-            c.fields(),
+            expred_stats::counters::CounterSet::pairs(&c),
             vec![
                 ("retrieved", 1),
                 ("evaluated", 2),
