@@ -15,16 +15,31 @@
 //! are already decided), `execute_plan_warm` (a fresh query executing a
 //! plan over it: the answer is the reused positives, read out of one
 //! plane) and `evaluate_batch_warm` (the same rows demanded as one
-//! batch).
+//! batch). `fresh_commit` is the write path: `evaluate_batch` over a cold
+//! namespace — every row probed, memoized and committed to the session
+//! store — with no spill sink and with one that takes the offers.
 
 use expred_bench::{report::measure_ns_per_unit, BenchReport};
 use expred_core::execute::execute_plan;
 use expred_core::plan::Plan;
-use expred_exec::{CacheStore, ExecContext, Sequential};
+use expred_exec::{CacheNamespace, CacheStore, ExecContext, Sequential, SpillSink};
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB};
 use expred_udf::{OracleUdf, UdfInvoker};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// A sink that takes every offer and keeps a count: the offer path's own
+/// cost, without a disk behind it.
+#[derive(Debug, Default)]
+struct CountingSink(AtomicU64);
+
+impl SpillSink for CountingSink {
+    fn spill(&self, _: CacheNamespace, rows: &[(usize, bool)]) {
+        self.0.fetch_add(rows.len() as u64, Ordering::Relaxed);
+    }
+}
 
 fn main() {
     if std::env::args().any(|a| a == "--test") {
@@ -133,6 +148,27 @@ fn main() {
     });
     report.record("evaluate_batch_warm", "sequential", ns, 1.0);
     println!("{:<30} {ns:>8.1} ns/row", "evaluate_batch_warm");
+
+    // The write path: a cold namespace every repetition.
+    for (backend, sink) in [
+        ("no_sink", None),
+        ("counting_sink", Some(Arc::new(CountingSink::default()))),
+    ] {
+        let ns = measure_ns_per_unit(rows as u64, reps, || {
+            let store = CacheStore::new();
+            store.set_spill(sink.clone().map(|sink| sink as Arc<dyn SpillSink>));
+            let ctx = ExecContext::sequential().with_cache(&store);
+            let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
+            black_box(invoker.evaluate_batch(&Sequential, &all_rows));
+            assert_eq!(store.stats().insertions, rows as u64);
+        });
+        if let Some(sink) = sink {
+            let offered = sink.0.load(Ordering::Relaxed);
+            assert_eq!(offered, (reps as u64 + 1) * rows as u64);
+        }
+        report.record_metric("fresh_commit", backend, "ns_per_row", "ns", ns);
+        println!("{:<30} {ns:>8.1} ns/row ({backend})", "fresh_commit");
+    }
 
     match report.write() {
         Ok(path) => println!("results written to {}", path.display()),

@@ -17,9 +17,19 @@
 //!   the bounded queue and batched-fsync flusher, ns/record.
 //! * `recovery` — reopening the store over that WAL: CRC-checked replay
 //!   cost per recovered record.
+//! * `wal_append_batch` — the same rows through
+//!   [`PersistStore::append_rows`], one stage-sized batch at a time:
+//!   ns/row until the calls return, and until the final sync does.
+//! * `compact` — one snapshot compaction of a 25-namespace index: ns per
+//!   persisted row, and `longest_append_stall`, the worst latency of a
+//!   re-offer (which needs the index lock and nothing else) issued while
+//!   the compaction ran — what a request's append waits for the freeze.
+//! * `rehydrate` — that snapshot back into a live
+//!   [`expred_exec::CacheStore`]: open, planes, prefill, ns/row.
 
 use expred_bench::BenchReport;
 use expred_core::{PersistConfig, QueryEngine, QueryRequest, QuerySpec};
+use expred_exec::{CacheNamespace, CacheStore};
 use expred_persist::{PersistKey, PersistStore};
 use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
 use expred_udf::CostModel;
@@ -153,8 +163,131 @@ fn main() {
     report.record("recovery", "open_wal", recovery_ns, append_ns / recovery_ns);
     println!("recovery                    {recovery_ns:>8.1} ns/record");
 
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&wal_dir);
+    // ---- The same rows as stage batches. ----
+    let batch_dir = scratch("batch");
+    let store = PersistStore::open(
+        PersistConfig::new(&batch_dir)
+            .with_queue_capacity(records as usize)
+            .with_compact_after(0),
+    )
+    .expect("open WAL store");
+    let stage = 10_000u32;
+    let batches: Vec<Vec<(u32, bool)>> = (0..records / stage)
+        .map(|b| {
+            (b * stage..(b + 1) * stage)
+                .map(|i| (i, i % 2 == 0))
+                .collect()
+        })
+        .collect();
+    let start = Instant::now();
+    for (batch, ts) in batches.iter().zip(1_000u64..) {
+        store.append_rows(key, batch, ts);
+    }
+    // What the caller waits for, then what the flusher still owes.
+    let caller_ns = start.elapsed().as_secs_f64() * 1e9 / records as f64;
+    store.sync().expect("drain and fsync the WAL");
+    let batch_ns = start.elapsed().as_secs_f64() * 1e9 / records as f64;
+    assert_eq!(store.stats().flushed, records as u64);
+    drop(store);
+    for (backend, ns) in [
+        ("append_rows", caller_ns),
+        ("append_rows_plus_batched_fsync", batch_ns),
+    ] {
+        report.record_metric("wal_append_batch", backend, "ns_per_row", "ns", ns);
+    }
+    println!(
+        "wal_append_batch            {batch_ns:>8.1} ns/row ({stage}-row batches, {:.1}x; \
+         {caller_ns:.1} ns/row on the caller)",
+        append_ns / batch_ns
+    );
+
+    // ---- Compaction: the snapshot, and what an append waits for it. ----
+    let snap_dir = scratch("snapshot");
+    let (namespaces, table_rows) = (25u64, if smoke { 4_000u32 } else { 20_000 });
+    let persisted = namespaces * table_rows as u64;
+    let ns_key = |n: u64| PersistKey { udf: n, ..key };
+    let store = PersistStore::open(PersistConfig::new(&snap_dir).with_compact_after(0))
+        .expect("open snapshot store");
+    let table: Vec<(u32, bool)> = (0..table_rows).map(|i| (i, i % 3 == 0)).collect();
+    for n in 0..namespaces {
+        store.append_rows(ns_key(n), &table, 1_000 + n);
+    }
+    store.sync().expect("flush before compacting");
+    let compacting = std::sync::atomic::AtomicBool::new(true);
+    let (compact_secs, stall) = std::thread::scope(|scope| {
+        let prober = scope.spawn(|| {
+            let mut worst = Duration::ZERO;
+            while compacting.load(std::sync::atomic::Ordering::Acquire) {
+                let asked = Instant::now();
+                store.append_row(ns_key(0), 0, true, 0);
+                worst = worst.max(asked.elapsed());
+            }
+            worst
+        });
+        let start = Instant::now();
+        store.compact().expect("compact");
+        let secs = start.elapsed().as_secs_f64();
+        compacting.store(false, std::sync::atomic::Ordering::Release);
+        (secs, prober.join().expect("prober"))
+    });
+    drop(store);
+    let compact_ns = compact_secs * 1e9 / persisted as f64;
+    let snapshot_bytes: u64 = std::fs::read_dir(&snap_dir)
+        .expect("list snapshot dir")
+        .filter_map(|e| e.ok()?.metadata().ok())
+        .map(|m| m.len())
+        .sum();
+    report.record_metric(
+        "compact",
+        "page_images",
+        "ns_per_persisted_row",
+        "ns",
+        compact_ns,
+    );
+    let stall_ns = stall.as_nanos() as f64;
+    report.record_metric(
+        "compact",
+        "longest_append_stall",
+        "append_latency_max",
+        "ns",
+        stall_ns,
+    );
+    println!(
+        "compact                     {compact_ns:>8.1} ns/row ({persisted} rows, {:.2} B/row, \
+         longest append stall {:.0} us)",
+        snapshot_bytes as f64 / persisted as f64,
+        stall_ns / 1e3
+    );
+
+    // ---- Rehydration: that disk image into a live cache. ----
+    let start = Instant::now();
+    let store = PersistStore::open(PersistConfig::new(&snap_dir)).expect("reopen snapshot");
+    let cache = CacheStore::new();
+    let mut loaded = 0usize;
+    for persist_key in store.namespaces() {
+        let planes = store.planes(persist_key).expect("listed namespace");
+        let namespace = CacheNamespace {
+            udf: persist_key.udf,
+            table: 1,
+            version: persist_key.version,
+        };
+        loaded += cache.prefill(namespace, &planes.words, Duration::ZERO);
+    }
+    let rehydrate_ns = start.elapsed().as_secs_f64() * 1e9 / persisted as f64;
+    assert_eq!((loaded as u64, cache.len() as u64), (persisted, persisted));
+    drop(store);
+    report.record_metric(
+        "rehydrate",
+        "disk_to_live_cache",
+        "ns_per_row",
+        "ns",
+        rehydrate_ns,
+    );
+    println!("rehydrate                   {rehydrate_ns:>8.1} ns/row");
+
+    for dir in [&dir, &wal_dir, &batch_dir, &snap_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     match report.write() {
         Ok(path) => println!("results written to {}", path.display()),
         Err(err) => eprintln!("could not write bench report: {err}"),

@@ -24,6 +24,11 @@
 //! `speedup_vs_baseline` is relative to whichever backend the bench
 //! declares as its baseline for the scenario (by convention
 //! `sequential`; the baseline row itself reports `1.0`).
+//!
+//! A row may say what its number is — `"metric": "ns_per_row", "unit":
+//! "ns"` after `backend` ([`BenchReport::record_metric`]) — for
+//! measurements that are not a time per probe. The value still travels
+//! in `ns_per_probe`, the field `bench-diff` joins and compares on.
 
 use expred_stats::json::{JsonValue, JsonWriter};
 use std::io::Write as _;
@@ -36,7 +41,10 @@ pub struct BenchRecord {
     pub scenario: String,
     /// Which executor/backend ran it.
     pub backend: String,
-    /// Mean wall-clock nanoseconds per probe.
+    /// What `ns_per_probe` holds and in which unit — `(metric, unit)` —
+    /// when it is not nanoseconds per probe.
+    pub metric: Option<(String, String)>,
+    /// Mean wall-clock nanoseconds per probe (or the row's `metric`).
     pub ns_per_probe: f64,
     /// Wall-clock ratio baseline/this for the same scenario (1.0 for the
     /// baseline itself; >1 is faster than baseline).
@@ -70,9 +78,25 @@ impl BenchReport {
         self.records.push(BenchRecord {
             scenario: scenario.into(),
             backend: backend.into(),
+            metric: None,
             ns_per_probe,
             speedup_vs_baseline,
         });
+    }
+
+    /// Appends one row that names its measurement: `value` is `metric`,
+    /// in `unit` (its own baseline: the speedup column reads 1.0).
+    pub fn record_metric(
+        &mut self,
+        scenario: &str,
+        backend: &str,
+        metric: &str,
+        unit: &str,
+        value: f64,
+    ) {
+        self.record(scenario, backend, value, 1.0);
+        let row = self.records.last_mut().expect("just pushed");
+        row.metric = Some((metric.to_owned(), unit.to_owned()));
     }
 
     /// The rows recorded so far.
@@ -89,6 +113,10 @@ impl BenchReport {
             w.begin_object();
             w.key("scenario").str(&r.scenario);
             w.key("backend").str(&r.backend);
+            if let Some((metric, unit)) = &r.metric {
+                w.key("metric").str(metric);
+                w.key("unit").str(unit);
+            }
             w.key("ns_per_probe").f64_tenths(r.ns_per_probe);
             w.key("speedup_vs_baseline")
                 .f64_tenths(r.speedup_vs_baseline);
@@ -174,13 +202,21 @@ impl BenchReport {
 }
 
 /// Extracts one measurement row, strictly: all four fields required,
-/// unknown fields rejected, `null` measurements surfaced as NaN.
+/// `metric` and `unit` both or neither, unknown fields rejected, `null`
+/// measurements surfaced as NaN.
 fn record_from_json(row: &JsonValue) -> Result<BenchRecord, String> {
     if !matches!(row, JsonValue::Object(_)) {
         return Err("each result row must be a JSON object".to_owned());
     }
     let (mut scenario, mut backend) = (None, None);
+    let (mut metric, mut unit) = (None, None);
     let (mut ns_per_probe, mut speedup) = (None, None);
+    let string = |value: &JsonValue, field: &str| {
+        let text = value
+            .as_str()
+            .ok_or(format!("{field:?} must be a string"))?;
+        Ok::<_, String>(Some(text.to_owned()))
+    };
     let number_or_null = |value: &JsonValue, field: &str| match value {
         JsonValue::Null => Ok(f64::NAN),
         other => other
@@ -190,30 +226,22 @@ fn record_from_json(row: &JsonValue) -> Result<BenchRecord, String> {
     for key in row.keys() {
         let value = row.get(key).expect("listed key is present");
         match key {
-            "scenario" => {
-                scenario = Some(
-                    value
-                        .as_str()
-                        .ok_or("\"scenario\" must be a string")?
-                        .to_owned(),
-                )
-            }
-            "backend" => {
-                backend = Some(
-                    value
-                        .as_str()
-                        .ok_or("\"backend\" must be a string")?
-                        .to_owned(),
-                )
-            }
+            "scenario" => scenario = string(value, key)?,
+            "backend" => backend = string(value, key)?,
+            "metric" => metric = string(value, key)?,
+            "unit" => unit = string(value, key)?,
             "ns_per_probe" => ns_per_probe = Some(number_or_null(value, "ns_per_probe")?),
             "speedup_vs_baseline" => speedup = Some(number_or_null(value, "speedup_vs_baseline")?),
             other => return Err(format!("unexpected record field {other:?}")),
         }
     }
+    if metric.is_some() != unit.is_some() {
+        return Err("\"metric\" and \"unit\" come together".to_owned());
+    }
     Ok(BenchRecord {
         scenario: scenario.ok_or("record missing \"scenario\"")?,
         backend: backend.ok_or("record missing \"backend\"")?,
+        metric: metric.zip(unit),
         ns_per_probe: ns_per_probe.ok_or("record missing \"ns_per_probe\"")?,
         speedup_vs_baseline: speedup.ok_or("record missing \"speedup_vs_baseline\"")?,
     })
@@ -304,9 +332,14 @@ mod tests {
         report.record("batch_8_udf_1us", "sequential", 1000.5, 1.0);
         report.record("a\\b", "c\nd", 250.0, 4.0);
         report.record("failed", "b", f64::NAN, f64::INFINITY);
+        report.record_metric("compact", "page_images", "ns_per_row", "ns", 1.5);
         let parsed = BenchReport::from_json(&report.to_json()).expect("own output parses");
         assert_eq!(parsed.name, report.name);
-        assert_eq!(parsed.records().len(), 3);
+        assert_eq!(parsed.records().len(), 4);
+        assert_eq!(parsed.records()[3], report.records()[3]);
+        assert!(report
+            .to_json()
+            .contains("\"metric\": \"ns_per_row\",\n      \"unit\": \"ns\""));
         assert_eq!(parsed.records()[0], report.records()[0]);
         assert_eq!(parsed.records()[1].scenario, "a\\b");
         assert_eq!(parsed.records()[1].backend, "c\nd");
@@ -325,6 +358,8 @@ mod tests {
             "{\"bench\": \"x\", \"results\": [{\"scenario\": \"s\"}]}",
             "{\"bench\": \"x\", \"results\": [{\"scenario\": \"s\", \"backend\": \"b\", \
              \"ns_per_probe\": oops, \"speedup_vs_baseline\": 1.0}]}",
+            "{\"bench\": \"x\", \"results\": [{\"scenario\": \"s\", \"backend\": \"b\", \
+             \"metric\": \"m\", \"ns_per_probe\": 1.0, \"speedup_vs_baseline\": 1.0}]}",
         ] {
             assert!(BenchReport::from_json(bad).is_err(), "accepted: {bad}");
         }

@@ -553,8 +553,18 @@ impl QueryEngine {
             Section::new("derived", "engine_derived"),
             &self.derived_stats(),
         );
-        if let Some(persist) = self.persist_stats() {
-            visit(Section::new("persist", "engine_persist"), &persist);
+        if let Some(layer) = &self.persist {
+            visit(
+                Section::new("persist", "engine_persist"),
+                &layer.session_stats(),
+            );
+            // Beside the 14 session counters rather than among them: a
+            // disk that stopped taking WAL writes.
+            let write_failures = layer.store().stats().write_failures;
+            visit(
+                Section::new("persist_wal", "engine_persist_wal"),
+                &[("write_failures", write_failures)],
+            );
         }
         visit(Section::new("bill", "engine_bill"), &self.session_counts());
     }
@@ -601,7 +611,7 @@ impl QueryEngine {
     /// re-offers every live row-tier entry (catching answers whose table
     /// was unregistered at insert time; already-persisted ones
     /// deduplicate to no-ops), writes the current selectivity counters
-    /// through, compacts if any WAL record was ever shed (a shed record
+    /// through, compacts if any WAL row was ever shed (a shed row
     /// lives only in the store's in-memory index — re-offers dedup
     /// against the index without re-enqueuing, so only a snapshot of the
     /// index gets it to disk), and blocks until everything accepted so
@@ -611,7 +621,7 @@ impl QueryEngine {
             return Ok(());
         };
         self.store
-            .for_each_entry(|namespace, row, answer| layer.spill(namespace, row, answer));
+            .for_each_namespace(|namespace, entries| layer.spill(namespace, entries));
         layer.flush_selectivity(&self.selectivity);
         if layer.store().stats().shed > 0 {
             layer.store().compact()?;

@@ -146,16 +146,16 @@ pub(crate) fn execute_plan_into(
 /// before a request runs, so only harness code that skips validation can
 /// get here with such a table.
 pub fn truth_set(table: &Table, label_column: &str) -> RowSet {
-    let bad_column =
-        || -> ! { panic!("label column {label_column:?} must be a boolean column without NULLs") };
-    match table.column(label_column) {
-        Some(Column::Bool(values)) => RowSet::from_flags(
-            values
-                .iter()
-                .map(|label| label.unwrap_or_else(|| bad_column())),
-        ),
-        _ => bad_column(),
-    }
+    table
+        .column(label_column)
+        .and_then(Column::true_rows)
+        .unwrap_or_else(|| bad_label_column(label_column))
+}
+
+/// The panic of [`truth_set`], for the session path that derives the
+/// same plane through the derived cache.
+pub(crate) fn bad_label_column(label_column: &str) -> ! {
+    panic!("label column {label_column:?} must be a boolean column without NULLs")
 }
 
 /// [`truth_set`] as one `bool` per row, for harness code that indexes

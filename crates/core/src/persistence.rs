@@ -9,23 +9,28 @@
 //! translation in both directions:
 //!
 //! * **Spill** (live → disk): the layer implements
-//!   [`expred_exec::SpillSink`], so every fresh answer entering the
-//!   [`expred_exec::CacheStore`] (and every answer the capacity bound
-//!   evicts) is offered to the WAL, translated through the table-id
-//!   registry. Offers for unregistered tables are dropped and counted —
-//!   never guessed.
+//!   [`expred_exec::SpillSink`], so every batch of fresh answers entering
+//!   the [`expred_exec::CacheStore`] (and every answer the capacity bound
+//!   evicts) is offered to the WAL as one
+//!   [`PersistStore::append_rows`] call: the namespace is translated
+//!   through the table-id registry and the clock is read once per offer,
+//!   not once per row. Offers for unregistered tables are dropped and
+//!   counted — never guessed.
 //! * **Rehydrate** (disk → live): the first time a session submits a
 //!   query over a dataset, the layer registers the table and prefill-loads
 //!   every persisted namespace whose `(schema fingerprint, content
 //!   version)` *both* match the live table — a version-checked hydration
-//!   that can serve stale answers to no one. Selectivity counters ride
-//!   along into the session's [`expred_exec::SelectivityTracker`].
+//!   that can serve stale answers to no one. The answers move as bit
+//!   planes ([`PersistStore::planes`] → [`CacheStore::prefill`]), a
+//!   64-row word at a time. Selectivity counters ride along into the
+//!   session's [`expred_exec::SelectivityTracker`].
 //!
-//! Row timestamps are wall-clock (`UNIX_EPOCH` nanos) so a cache TTL
-//! ([`expred_exec::CacheStore::set_ttl`]) measures answer age across
-//! restarts: a rehydrated namespace is backdated by its oldest persisted
-//! answer's age and expires on schedule, not one full TTL after every
-//! reboot.
+//! Write timestamps are wall-clock (`UNIX_EPOCH` nanos), one per offered
+//! batch, kept per 4 096-row page by the store (a page is as old as its
+//! oldest write), so a cache TTL ([`expred_exec::CacheStore::set_ttl`])
+//! measures answer age across restarts: a rehydrated namespace is
+//! backdated by its oldest page's age and expires on schedule, not one
+//! full TTL after every reboot.
 
 use expred_exec::{CacheNamespace, CacheStore, SelectivityTracker, SpillSink};
 use expred_persist::{PersistKey, PersistStore};
@@ -62,10 +67,11 @@ expred_stats::counter_set! {
     pub struct PersistSessionStats, atomic struct LayerCounters {
         /// Row answers accepted into the durable index.
         appended,
-        /// WAL records dropped under backpressure (recaptured by
+        /// Queued WAL rows dropped under backpressure (recaptured by
         /// compaction).
         shed,
-        /// Records written to the WAL by the flusher.
+        /// Rows (and selectivity/tombstone records, one each) written to
+        /// the WAL by the flusher.
         flushed,
         /// `fsync` calls issued.
         fsyncs,
@@ -171,24 +177,16 @@ impl PersistLayer {
             if key.table != schema_fp || key.version != version {
                 continue;
             }
-            let Some(rows) = self.store.rows(key) else {
+            let Some(planes) = self.store.planes(key) else {
                 continue;
             };
-            if rows.is_empty() {
-                continue;
-            }
-            let oldest = rows.iter().map(|&(_, _, ts)| ts).min().unwrap_or(now);
-            let age = Duration::from_nanos(now.saturating_sub(oldest));
-            let pairs: Vec<(usize, bool)> = rows
-                .iter()
-                .map(|&(row, answer, _)| (row as usize, answer))
-                .collect();
+            let age = Duration::from_nanos(now.saturating_sub(planes.oldest_ts));
             let namespace = CacheNamespace {
                 udf: key.udf,
                 table: tid,
                 version,
             };
-            let loaded = cache.prefill(namespace, &pairs, age);
+            let loaded = cache.prefill(namespace, &planes.words, age);
             if loaded > 0 {
                 self.counters
                     .rehydrated_rows
@@ -243,23 +241,27 @@ impl PersistLayer {
 }
 
 impl SpillSink for PersistLayer {
-    fn spill(&self, namespace: CacheNamespace, row: usize, answer: bool) {
-        // The on-disk format stores row keys as u32; a row index beyond
-        // that (no bundled dataset comes close) is dropped rather than
-        // aliased onto a truncated key.
-        let Ok(row) = u32::try_from(row) else {
-            self.counters
-                .skipped_row_overflow
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        };
+    fn spill(&self, namespace: CacheNamespace, rows: &[(usize, bool)]) {
         let Some(key) = self.durable_key(namespace) else {
             self.counters
                 .skipped_unregistered
-                .fetch_add(1, Ordering::Relaxed);
+                .fetch_add(rows.len() as u64, Ordering::Relaxed);
             return;
         };
-        self.counters.spilled_offers.fetch_add(1, Ordering::Relaxed);
-        self.store.append_row(key, row, answer, now_unix_nanos());
+        // The on-disk format stores row keys as u32; a row index beyond
+        // that (no bundled dataset comes close) is dropped rather than
+        // aliased onto a truncated key.
+        let narrow = |&(row, answer): &(usize, bool)| Some((u32::try_from(row).ok()?, answer));
+        let offered: Vec<(u32, bool)> = rows.iter().filter_map(narrow).collect();
+        let overflow = (rows.len() - offered.len()) as u64;
+        if overflow > 0 {
+            self.counters
+                .skipped_row_overflow
+                .fetch_add(overflow, Ordering::Relaxed);
+        }
+        self.counters
+            .spilled_offers
+            .fetch_add(offered.len() as u64, Ordering::Relaxed);
+        self.store.append_rows(key, &offered, now_unix_nanos());
     }
 }

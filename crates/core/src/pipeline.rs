@@ -23,7 +23,7 @@
 
 use crate::column_select::{rank_columns, virtual_column};
 use crate::error::EngineError;
-use crate::execute::{execute_plan_into, truth_set};
+use crate::execute::{bad_label_column, execute_plan_into, truth_set};
 use crate::optimize::{solve_estimated, solve_perfect_selectivities, CorrelationModel, PlanError};
 use crate::plan::Plan;
 use crate::query::QuerySpec;
@@ -65,6 +65,18 @@ pub(crate) fn session_group_by(
         None => table.group_by(column).map(Arc::new),
     }
     .map_err(|_| EngineError::unknown_column(table, column))
+}
+
+/// The ground-truth plane of `table` ([`truth_set`] over the label
+/// column): derived once per table version in a session with a
+/// [`expred_table::DerivedCache`], once per call without one.
+fn session_truth(table: &Table, ctx: &ExecContext<'_>) -> Arc<RowSet> {
+    match ctx.derived {
+        Some(cache) => cache
+            .true_rows(table, LABEL_COLUMN)
+            .unwrap_or_else(|| bad_label_column(LABEL_COLUMN)),
+        None => Arc::new(truth_set(table, LABEL_COLUMN)),
+    }
 }
 
 /// How the correlated column is obtained.
@@ -147,7 +159,7 @@ pub(crate) struct Frame<'a> {
     /// the paper hands it to for free may look (`Optimal`'s
     /// selectivities, the ML baselines' oracle-tuned training size) —
     /// never planning code.
-    pub truth: RowSet,
+    pub truth: Arc<RowSet>,
 }
 
 impl Frame<'_> {
@@ -193,7 +205,7 @@ pub(crate) fn run_framed(
     ctx: &ExecContext<'_>,
     body: impl FnOnce(&mut Frame<'_>) -> Result<Answer, EngineError>,
 ) -> Result<RunOutcome, EngineError> {
-    let truth = truth_set(&ds.table, LABEL_COLUMN);
+    let truth = session_truth(&ds.table, ctx);
     let start = Instant::now();
     let udf = label_udf(ctx);
     let mut frame = Frame {

@@ -20,6 +20,20 @@
 //! Writers serialize per namespace on the CLOCK hand's mutex, which is
 //! also what makes the capacity bound exact.
 //!
+//! # The write path
+//!
+//! The unit of a write is the batch, as the unit of a read is the word:
+//! [`CacheHandle::insert_many`] (and [`CacheHandle::insert`], its
+//! one-row call) takes the `hand` lock once, lands the rows the
+//! namespace has room for a word at a time — consecutive rows of one
+//! 64-row word become one merge into the planes, behind a cursor that
+//! remembers the page — and only the rows past the capacity bound go
+//! one by one through the second-chance sweep. Statistics are added
+//! once per batch, and the [`SpillSink`] hears the batch as slices,
+//! after the lock drops. Contents, `len`, statistics, evictions and the
+//! order of the sink's offers are exactly what inserting the rows one
+//! at a time would leave.
+//!
 //! # Keying and invalidation
 //!
 //! A [`CacheNamespace`] is three raw `u64`s so this crate stays
@@ -42,6 +56,7 @@
 //! and treat the store as a best-effort accelerator.
 
 use crate::cache::{assign_bits, zeroed_plane, RowBits};
+use expred_stats::bits::bits;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -56,12 +71,18 @@ use std::time::{Duration, Instant};
 /// [`CacheStore::prefill`]ed entries: those came *from* the sink, and
 /// echoing them back would re-log every restart.
 ///
+/// Offers arrive as slices of one namespace's `(row, answer)` pairs: a
+/// batch that evicted nothing is one call with the caller's rows in
+/// order; one that did is cut so every row is still followed by what it
+/// evicted. A slice is never empty, and may repeat a row (within itself
+/// or across calls) — a sink keeps the first answer it heard.
+///
 /// Implementations must never block meaningfully (the store calls them
 /// outside its locks, but on the evaluation hot path) and must not call
 /// back into the store.
 pub trait SpillSink: Send + Sync + std::fmt::Debug {
-    /// Offers one `(namespace, row, answer)` for durable storage.
-    fn spill(&self, namespace: CacheNamespace, row: usize, answer: bool);
+    /// Offers `rows` of `namespace` for durable storage.
+    fn spill(&self, namespace: CacheNamespace, rows: &[(usize, bool)]);
 }
 
 /// The store's current sink, shared by every namespace so
@@ -216,11 +237,13 @@ impl NamespaceCache {
         pages.get(&page_key).cloned()
     }
 
-    /// Inserts `rows` in order. With `offer`, the rows and then whatever
-    /// they evicted are offered to the spill sink, after the writers'
-    /// lock drops: for a persistent sink the re-offer is a deduplicated
-    /// no-op (first write wins), but it guarantees no answer leaves
-    /// memory without the sink having heard of it.
+    /// Inserts `rows` in order under one `hand` lock: the rows the
+    /// namespace has room for land a word at a time, the rest one by one
+    /// through the eviction sweep. With `offer`, each row and then
+    /// whatever it evicted is offered to the spill sink, after the
+    /// writers' lock drops: for a persistent sink the re-offer is a
+    /// deduplicated no-op (first write wins), but it guarantees no answer
+    /// leaves memory without the sink having heard of it.
     ///
     /// Without `offer` (the prefill path) the sink is not touched at all:
     /// the rows came *from* it, and anything they evict is either another
@@ -230,10 +253,20 @@ impl NamespaceCache {
     /// rehydration path holds its table registry's write lock).
     fn insert_all(&self, rows: &[(usize, bool)], offer: bool) {
         let mut evicted = Vec::new();
+        // `(index of an insert that evicted, evicted.len() after it)`.
+        let mut causes: Vec<(usize, usize)> = Vec::new();
         {
             let mut hand = self.hand.lock().unwrap_or_else(|e| e.into_inner());
-            for &(key, value) in rows {
+            // Each insert adds at most one entry, so the first `room`
+            // rows cannot meet a full namespace.
+            let room = self.capacity.saturating_sub(self.len());
+            let (roomy, tight) = rows.split_at(room.min(rows.len()));
+            self.land_rows(roomy);
+            for (i, &(key, value)) in tight.iter().enumerate() {
                 self.insert_locked(&mut hand, key, value, &mut evicted);
+                if causes.last().map_or(0, |c| c.1) < evicted.len() {
+                    causes.push((roomy.len() + i, evicted.len()));
+                }
             }
         }
         let (inserted, evictions) = (rows.len() as u64, evicted.len() as u64);
@@ -244,10 +277,102 @@ impl NamespaceCache {
         }
         let sink = self.spill.read().unwrap_or_else(|e| e.into_inner()).clone();
         if let Some(sink) = sink {
-            for &(row, answer) in rows.iter().chain(&evicted) {
-                sink.spill(self.namespace, row, answer);
+            let (mut next_row, mut next_evicted) = (0, 0);
+            for (cause, evicted_to) in causes {
+                sink.spill(self.namespace, &rows[next_row..=cause]);
+                sink.spill(self.namespace, &evicted[next_evicted..evicted_to]);
+                (next_row, next_evicted) = (cause + 1, evicted_to);
+            }
+            if next_row < rows.len() {
+                sink.spill(self.namespace, &rows[next_row..]);
             }
         }
+    }
+
+    /// Lands rows that cannot overflow the namespace (the caller holds
+    /// the `hand` lock and checked the room): runs of rows sharing a
+    /// 64-row word are merged into the planes together. A row repeated
+    /// within a run closes it, so the repeat refreshes the entry its
+    /// first occurrence created, as it would one row at a time.
+    fn land_rows(&self, rows: &[(usize, bool)]) {
+        let mut cursor = None;
+        let (mut word, mut known, mut answer) = (usize::MAX, 0u64, 0u64);
+        for &(key, value) in rows {
+            let bit = 1u64 << (key % 64);
+            if key / 64 != word || known & bit != 0 {
+                self.land_word(&mut cursor, word, known, answer);
+                (word, known, answer) = (key / 64, 0, 0);
+            }
+            known |= bit;
+            answer |= if value { bit } else { 0 };
+        }
+        self.land_word(&mut cursor, word, known, answer);
+    }
+
+    /// Caches the rows of `known` in row word `word` with the answers in
+    /// `answer`, under the `hand` lock and with room for all of them.
+    /// `cursor` is the page the previous call wrote to.
+    fn land_word(
+        &self,
+        cursor: &mut Option<(usize, Arc<Page>)>,
+        word: usize,
+        known: u64,
+        answer: u64,
+    ) {
+        if known == 0 {
+            return;
+        }
+        let page_key = word / PAGE_WORDS;
+        let (_, page) = match cursor.take() {
+            Some(at) if at.0 == page_key => cursor.insert(at),
+            _ => cursor.insert((page_key, self.page_or_new(page_key))),
+        };
+        let new = page.bits.merge_word(word % PAGE_WORDS, known, answer);
+        // A new entry starts unreferenced; a refreshed one was just used.
+        let referenced = &page.referenced[word % PAGE_WORDS];
+        assign_bits(referenced, known, known & !new, Ordering::Relaxed);
+        self.len
+            .fetch_add(new.count_ones() as usize, Ordering::Relaxed);
+    }
+
+    /// The page for `page_key`, created if absent (under the `hand`
+    /// lock).
+    fn page_or_new(&self, page_key: usize) -> Arc<Page> {
+        self.page(page_key).unwrap_or_else(|| {
+            let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
+            Arc::clone(
+                pages
+                    .entry(page_key)
+                    .or_insert_with(|| Arc::new(Page::new())),
+            )
+        })
+    }
+
+    /// Installs rehydrated planes — `(row word, known, answer)` triples —
+    /// sink-silently, like `insert_all(.., false)`: whole words at a time
+    /// while the namespace has room for every row, otherwise row by row
+    /// through the eviction sweep.
+    fn install(&self, words: &[(usize, u64, u64)], rows: usize) {
+        {
+            let _hand = self.hand.lock().unwrap_or_else(|e| e.into_inner());
+            if rows <= self.capacity.saturating_sub(self.len()) {
+                let mut cursor = None;
+                for &(word, known, answer) in words {
+                    self.land_word(&mut cursor, word, known, answer);
+                }
+                self.stats
+                    .insertions
+                    .fetch_add(rows as u64, Ordering::Relaxed);
+                return;
+            }
+        }
+        let pairs: Vec<(usize, bool)> = words
+            .iter()
+            .flat_map(|&(word, known, answer)| {
+                bits(known).map(move |bit| (word * 64 + bit as usize, answer >> bit & 1 != 0))
+            })
+            .collect();
+        self.insert_all(&pairs, false);
     }
 
     /// The write path proper, under the `hand` lock: refresh a cached
@@ -272,14 +397,7 @@ impl NamespaceCache {
         }
         // Looked up (again) only now: the sweep above may have emptied
         // and dropped the very page this key belongs to.
-        let page = self.page(page_key).unwrap_or_else(|| {
-            let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(
-                pages
-                    .entry(page_key)
-                    .or_insert_with(|| Arc::new(Page::new())),
-            )
-        });
+        let page = self.page_or_new(page_key);
         // A new entry starts unreferenced; a refreshed one was just used.
         let new = page.bits.insert(offset, value);
         let bit = 1u64 << (offset % 64);
@@ -332,24 +450,23 @@ impl NamespaceCache {
         Some((row, answer))
     }
 
-    /// Visits every live entry (a snapshot of the page table, then plain
-    /// loads — no global freeze).
-    fn for_each(&self, f: &mut dyn FnMut(usize, bool)) {
+    /// Every live entry in ascending row order (a snapshot of the page
+    /// table, then plain loads — no global freeze).
+    fn entries(&self) -> Vec<(usize, bool)> {
         let pages: Vec<(usize, Arc<Page>)> = {
             let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
             pages.iter().map(|(&k, p)| (k, Arc::clone(p))).collect()
         };
+        let mut entries = Vec::with_capacity(self.len());
         for (page_key, page) in pages {
             for word in 0..PAGE_WORDS {
-                let (mut known, answer) = page.bits.word(word);
-                while known != 0 {
-                    let offset = word * 64 + known.trailing_zeros() as usize;
-                    let bit = known & known.wrapping_neg();
-                    f(page_key * PAGE_ROWS + offset, answer & bit != 0);
-                    known ^= bit;
-                }
+                let (known, answer) = page.bits.word(word);
+                let first = page_key * PAGE_ROWS + word * 64;
+                entries
+                    .extend(bits(known).map(|bit| (first + bit as usize, answer >> bit & 1 != 0)));
             }
         }
+        entries
     }
 
     fn len(&self) -> usize {
@@ -400,9 +517,17 @@ impl CacheHandle {
     }
 
     /// Caches `value` for `key`, possibly evicting under the capacity
-    /// bound.
+    /// bound: a one-row [`CacheHandle::insert_many`].
     pub fn insert(&self, key: usize, value: bool) {
-        self.cache.insert_all(&[(key, value)], true)
+        self.insert_many(&[(key, value)])
+    }
+
+    /// Caches every `(key, value)` of `rows`, in order, under one writers'
+    /// lock (see the module docs). What the store holds, counts, evicts
+    /// and offers its sink afterwards is what calling
+    /// [`CacheHandle::insert`] per row would leave.
+    pub fn insert_many(&self, rows: &[(usize, bool)]) {
+        self.cache.insert_all(rows, true)
     }
 
     /// Number of live entries in this namespace.
@@ -719,12 +844,17 @@ impl CacheStore {
         CacheHandle { namespace, cache }
     }
 
-    /// Bulk-loads rehydrated `(row, answer)` pairs into `namespace`
-    /// without touching the spill sink at all, and returns the number of
-    /// rows loaded. The loaded entries came *from* the sink, and any
-    /// entry the capacity bound evicts mid-prefill is either another
-    /// prefilled entry or a live one the sink already heard — so prefill
-    /// is safe to call while holding locks the sink would re-take.
+    /// Bulk-loads rehydrated planes into `namespace` without touching the
+    /// spill sink at all, and returns the number of rows loaded. `words`
+    /// holds `(row word, known, answer)` triples — bit `i` of `known`
+    /// caches row `64 * word + i` with bit `i` of `answer` — and lands a
+    /// word at a time while the namespace has room for every row (a
+    /// rehydration larger than the capacity goes row by row through the
+    /// eviction sweep instead). The loaded entries came *from* the sink,
+    /// and any entry the capacity bound evicts mid-prefill is either
+    /// another prefilled entry or a live one the sink already heard — so
+    /// prefill is safe to call while holding locks the sink would
+    /// re-take.
     ///
     /// A prefilled version counts as recently borrowed (it may push an
     /// old one out, exactly like [`CacheStore::handle`]). A namespace
@@ -736,29 +866,33 @@ impl CacheStore {
     pub fn prefill(
         &self,
         namespace: CacheNamespace,
-        rows: &[(usize, bool)],
+        words: &[(usize, u64, u64)],
         age: Duration,
     ) -> usize {
+        let rows: usize = words.iter().map(|w| w.1.count_ones() as usize).sum();
         // If the whole batch is already over-age, loading it would only
         // hand the next borrower an expired namespace to tear down.
-        if rows.is_empty() || self.ttl().is_some_and(|ttl| age > ttl) {
+        if rows == 0 || self.ttl().is_some_and(|ttl| age > ttl) {
             return 0;
         }
         let born = Instant::now().checked_sub(age).unwrap_or_else(Instant::now);
         let cache = self.inner.touch(&mut self.inner.write(), namespace, born);
-        cache.insert_all(rows, false);
-        rows.len()
+        cache.install(words, rows);
+        rows
     }
 
-    /// Visits every live entry across all namespaces — the spill-on-flush
-    /// walk. Entries are read without freezing writers, so concurrent
+    /// Visits every namespace's live entries, in ascending row order —
+    /// the spill-on-flush walk, one slice per namespace (empty ones are
+    /// skipped). Entries are read without freezing writers, so concurrent
     /// inserts may or may not be visited; every entry present for the
     /// whole walk is.
-    pub fn for_each_entry(&self, mut f: impl FnMut(CacheNamespace, usize, bool)) {
+    pub fn for_each_namespace(&self, mut f: impl FnMut(CacheNamespace, &[(usize, bool)])) {
         let caches: Vec<Arc<NamespaceCache>> = self.inner.read().map.values().cloned().collect();
         for cache in caches {
-            let namespace = cache.namespace;
-            cache.for_each(&mut |row, answer| f(namespace, row, answer));
+            let entries = cache.entries();
+            if !entries.is_empty() {
+                f(cache.namespace, &entries);
+            }
         }
     }
 
@@ -1004,12 +1138,27 @@ mod tests {
     }
 
     impl SpillSink for RecordingSink {
-        fn spill(&self, namespace: CacheNamespace, row: usize, answer: bool) {
+        fn spill(&self, namespace: CacheNamespace, rows: &[(usize, bool)]) {
+            assert!(!rows.is_empty(), "an empty offer");
             self.offers
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .push((namespace, row, answer));
+                .extend(rows.iter().map(|&(row, answer)| (namespace, row, answer)));
         }
+    }
+
+    /// `rows` (distinct, ascending) as the planes `prefill` takes.
+    fn words(rows: &[(usize, bool)]) -> Vec<(usize, u64, u64)> {
+        let mut words: Vec<(usize, u64, u64)> = Vec::new();
+        for &(row, answer) in rows {
+            if words.last().is_none_or(|w| w.0 != row / 64) {
+                words.push((row / 64, 0, 0));
+            }
+            let word = words.last_mut().unwrap();
+            word.1 |= 1 << (row % 64);
+            word.2 |= u64::from(answer) << (row % 64);
+        }
+        words
     }
 
     impl RecordingSink {
@@ -1028,7 +1177,11 @@ mod tests {
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
         // Prefilled entries must not echo back to the sink.
         assert_eq!(
-            store.prefill(ns(1, 1, 0), &[(10, true), (11, false)], Duration::ZERO),
+            store.prefill(
+                ns(1, 1, 0),
+                &words(&[(10, true), (11, false)]),
+                Duration::ZERO
+            ),
             2
         );
         assert!(sink.offers().is_empty());
@@ -1050,7 +1203,10 @@ mod tests {
         let sink = Arc::new(RecordingSink::default());
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
         let rows: Vec<(usize, bool)> = (0..1_000).map(|r| (r, r % 2 == 0)).collect();
-        assert_eq!(store.prefill(ns(1, 1, 0), &rows, Duration::ZERO), 1_000);
+        assert_eq!(
+            store.prefill(ns(1, 1, 0), &words(&rows), Duration::ZERO),
+            1_000
+        );
         assert!(store.stats().evictions > 0, "capacity bound not exercised");
         assert!(
             sink.offers().is_empty(),
@@ -1116,7 +1272,7 @@ mod tests {
         store.set_ttl(Some(Duration::from_millis(25)));
         // Rehydrated with most of its TTL already spent…
         assert_eq!(
-            store.prefill(ns(1, 1, 0), &[(1, true)], Duration::from_millis(15)),
+            store.prefill(ns(1, 1, 0), &[(0, 2, 2)], Duration::from_millis(15)),
             1
         );
         assert_eq!(store.handle(ns(1, 1, 0)).get(1), Some(true));
@@ -1127,7 +1283,7 @@ mod tests {
         // A batch already past the TTL is refused outright: no namespace
         // is created for it (only the reborrowed ns(1,..) remains).
         assert_eq!(
-            store.prefill(ns(2, 1, 0), &[(1, true)], Duration::from_millis(60)),
+            store.prefill(ns(2, 1, 0), &[(0, 2, 2)], Duration::from_millis(60)),
             0
         );
         assert_eq!(store.num_namespaces(), 1);
@@ -1150,9 +1306,15 @@ mod tests {
         let store = CacheStore::new();
         store.handle(ns(1, 1, 0)).insert(1, true);
         store.handle(ns(2, 1, 0)).insert(2, false);
-        store.prefill(ns(3, 1, 0), &[(3, true)], Duration::ZERO);
+        store.prefill(ns(3, 1, 0), &[(0, 8, 8)], Duration::ZERO);
         let mut seen: Vec<(CacheNamespace, usize, bool)> = Vec::new();
-        store.for_each_entry(|namespace, row, answer| seen.push((namespace, row, answer)));
+        store.for_each_namespace(|namespace, entries| {
+            seen.extend(
+                entries
+                    .iter()
+                    .map(|&(row, answer)| (namespace, row, answer)),
+            );
+        });
         seen.sort_by_key(|(n, r, _)| (n.udf, *r));
         assert_eq!(
             seen,
@@ -1171,7 +1333,7 @@ mod tests {
         store.handle(ns(1, 9, 101)).insert(1, true);
         // Prefilling a third version pushes the oldest out, exactly like
         // a borrow would.
-        store.prefill(ns(1, 9, 102), &[(1, false)], Duration::ZERO);
+        store.prefill(ns(1, 9, 102), &[(0, 2, 0)], Duration::ZERO);
         assert_eq!(store.num_namespaces(), MAX_LIVE_VERSIONS);
         assert_eq!(store.stats().invalidated, 1);
         assert_eq!(store.handle(ns(1, 9, 102)).get(1), Some(false));

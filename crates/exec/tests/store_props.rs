@@ -11,7 +11,11 @@
 //! * under a tight capacity, never answer wrongly, never hold more than
 //!   `capacity` entries, and re-offer every entry an `insert` evicts to
 //!   the spill sink (while `prefill` stays silent);
-//! * give a just-read row its second chance.
+//! * give a just-read row its second chance;
+//! * land a batch (`insert_many`) exactly as the per-row loop would:
+//!   contents, `len`, statistics, evictions and the sink's offers in
+//!   order — with room, at capacity and past it, across page edges, and
+//!   over rows already cached.
 
 use expred_exec::{CacheNamespace, CacheStore, SpillSink};
 use proptest::prelude::*;
@@ -56,10 +60,35 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 struct RecordingSink(Mutex<Vec<(usize, bool)>>);
 
 impl SpillSink for RecordingSink {
-    fn spill(&self, namespace: CacheNamespace, row: usize, answer: bool) {
+    fn spill(&self, namespace: CacheNamespace, rows: &[(usize, bool)]) {
         assert_eq!(namespace, NS);
-        self.0.lock().unwrap().push((row, answer));
+        assert!(!rows.is_empty(), "an empty offer");
+        self.0.lock().unwrap().extend_from_slice(rows);
     }
+}
+
+/// Two distinct rows as the planes [`CacheStore::prefill`] takes.
+fn planes(rows: [(usize, bool); 2]) -> Vec<(usize, u64, u64)> {
+    let mut words: Vec<(usize, u64, u64)> = Vec::new();
+    for (row, answer) in rows {
+        let bit = 1u64 << (row % 64);
+        let answer = if answer { bit } else { 0 };
+        match words.iter_mut().find(|w| w.0 == row / 64) {
+            Some(word) => (word.1, word.2) = (word.1 | bit, word.2 | answer),
+            None => words.push((row / 64, bit, answer)),
+        }
+    }
+    words
+}
+
+/// The live entries of `NS`, ascending.
+fn live_entries(store: &CacheStore) -> Vec<(usize, bool)> {
+    let mut live = Vec::new();
+    store.for_each_namespace(|namespace, entries| {
+        assert_eq!(namespace, NS);
+        live.extend_from_slice(entries);
+    });
+    live
 }
 
 /// What the reference run tallies, to hold against [`CacheStore::stats`].
@@ -118,7 +147,7 @@ fn drive(
             }
             7..=8 => {
                 let rows = [(key, value), (KEYS[(selector + 3) % 14], !value)];
-                prop_assert_eq!(store.prefill(NS, &rows, Duration::ZERO), 2);
+                prop_assert_eq!(store.prefill(NS, &planes(rows), Duration::ZERO), 2);
                 model.extend(rows);
                 tally.insertions += 2;
             }
@@ -140,13 +169,12 @@ fn drive(
     // The live entries are a sub-map of the reference (all of it, when
     // nothing was evicted), and `len` counts exactly them.
     let mut live = HashMap::new();
-    store.for_each_entry(|namespace, row, answer| {
-        assert_eq!(namespace, NS);
+    for (row, answer) in live_entries(store) {
         assert!(
             live.insert(row, answer).is_none(),
             "row {row} visited twice"
         );
-    });
+    }
     prop_assert_eq!(live.len(), store.len());
     for (row, answer) in &live {
         prop_assert_eq!(model.get(row), Some(answer));
@@ -239,5 +267,57 @@ proptest! {
         prop_assert!(victim != hot && KEYS[..capacity].contains(&victim));
         prop_assert_eq!(answer, victim.is_multiple_of(2), "re-offer carries the cached answer");
         prop_assert_eq!(handle.get(victim), None);
+    }
+
+    // `insert_many` is the per-row loop under one lock: whatever the
+    // capacity (roomy, exactly full, overflowing), wherever the batch
+    // falls (inside a word, across a page edge, onto cached rows, onto
+    // itself), both stores end up holding, counting and offering the same.
+    #[test]
+    fn insert_many_is_the_per_row_loop(
+        // 1..=40 entries, or (one draw in nine) room for everything.
+        capacity in (1usize..46).prop_map(|c| if c > 40 { usize::MAX } else { c }),
+        warm in prop::collection::vec((0usize..KEYS.len(), any::<bool>()), 0..20),
+        reads in prop::collection::vec(0usize..KEYS.len(), 0..6),
+        batches in prop::collection::vec(
+            prop::collection::vec((0usize..KEYS.len() + 40, any::<bool>()), 0..60),
+            1..4,
+        ),
+    ) {
+        // Selectors past `KEYS` are a dense run straddling the first
+        // page edge, so a batch has words to merge as well as strays.
+        let key = |selector: usize| match KEYS.get(selector) {
+            Some(&key) => key,
+            None => 4_096 - 20 + (selector - KEYS.len()),
+        };
+        let run = |batched: bool| {
+            let store = CacheStore::with_capacity(capacity);
+            let sink = Arc::new(RecordingSink::default());
+            store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
+            let handle = store.handle(NS);
+            for &(selector, value) in &warm {
+                handle.insert(key(selector), value);
+            }
+            for batch in &batches {
+                // Reads between batches leave referenced marks for the
+                // sweep to honour.
+                for &selector in &reads {
+                    handle.get(key(selector));
+                }
+                let rows: Vec<(usize, bool)> =
+                    batch.iter().map(|&(selector, value)| (key(selector), value)).collect();
+                if batched {
+                    handle.insert_many(&rows);
+                } else {
+                    for &(row, value) in &rows {
+                        handle.insert(row, value);
+                    }
+                }
+                assert!(handle.len() <= capacity);
+            }
+            let offers = sink.0.lock().unwrap().clone();
+            (live_entries(&store), handle.len(), store.stats(), offers)
+        };
+        prop_assert_eq!(run(true), run(false));
     }
 }

@@ -13,17 +13,20 @@
 //!   tails are *skipped, never trusted*: recovery keeps the longest
 //!   valid prefix and never panics on file contents.
 //! * **WAL** ([`store`]): fresh `(udf, table, version, row) → bool`
-//!   answers append to a write-ahead log through a bounded queue drained
-//!   by a background flusher thread with a batched-fsync policy. The
-//!   queue sheds its *oldest* pending records under backpressure, so
+//!   answers append a stage batch at a time to a write-ahead log through
+//!   a bounded queue drained by a background flusher thread with a
+//!   batched-fsync policy. A batch that arrives to find a queue's worth
+//!   of rows already pending sheds the *oldest* pending frames, so
 //!   persistence can never stall the hot path — shedding trades
 //!   crash-window durability only, never correctness, because the
 //!   in-memory index (the snapshot source) is updated synchronously and
 //!   the next compaction re-captures anything the WAL dropped.
-//! * **Snapshots**: the WAL periodically compacts into a
-//!   generation-numbered snapshot file written as temp-then-rename, so
-//!   a crash at any byte leaves either the old generation or the new
-//!   one, never a half state.
+//! * **Index and snapshots**: the index is pages of `known`/`answer`
+//!   bit planes with one timestamp per 4 096-row page, and a snapshot is
+//!   those pages — one CRC-checked page image each — in a
+//!   generation-numbered file written as temp-then-rename, so a crash
+//!   at any byte leaves either the old generation or the new one, never
+//!   a half state.
 //! * **Rehydration**: namespaces are keyed by `(udf fingerprint, schema
 //!   fingerprint, content version)` — all process-independent — and the
 //!   engine checks versions on load, so a persisted namespace whose
@@ -37,5 +40,5 @@
 pub mod format;
 pub mod store;
 
-pub use format::{PersistKey, Record};
-pub use store::{FsyncPolicy, PersistConfig, PersistError, PersistStats, PersistStore};
+pub use format::{PagePlanes, PersistKey, Record, PAGE_ROWS};
+pub use store::{FsyncPolicy, PersistConfig, PersistError, PersistStats, PersistStore, RowPlanes};

@@ -2,31 +2,62 @@
 //!
 //! # Write path
 //!
-//! [`PersistStore::append_row`] updates the in-memory index
-//! *synchronously* (first write per `(namespace, row)` wins — answers
-//! are deterministic per table version, so a re-offer of the same row is
-//! a no-op that also keeps the original TTL timestamp) and enqueues a
-//! WAL record on a bounded queue. A background flusher thread drains the
-//! queue in batches, appends frames to the current WAL file, and fsyncs
-//! per [`FsyncPolicy`]. When the queue is full the *oldest* pending
-//! record is shed: the hot path never blocks on disk. Shedding trades
-//! durability-until-compaction only — the index still holds the answer,
-//! and the next *snapshot compaction* re-captures it. Nothing else
-//! does: [`PersistStore::sync`] and a graceful drop flush the pending
-//! *queue*, which no longer contains the shed record, and a re-offer of
-//! the same row deduplicates against the index without re-enqueuing.
-//! Callers that must not lose shed records across a restart therefore
-//! compact before exiting (the engine's `flush_persistence` does so
-//! whenever `shed > 0`). Losing one anyway is a re-buy, never a wrong
-//! answer.
+//! The unit of a write is the stage batch. [`PersistStore::append_rows`]
+//! takes the index lock once, merges the batch into the namespace's
+//! page planes (first write per `(namespace, row)` wins — answers are
+//! deterministic per table version, so a re-offer of the same row is a
+//! mask-and-OR that changes nothing) and enqueues the rows that were new
+//! as WAL frames of at most one page ([`PAGE_ROWS`] rows) each on a
+//! bounded queue; [`PersistStore::append_row`] is its one-row call. A
+//! background flusher thread drains the queue in batches, appends the
+//! frames to the current WAL file, and fsyncs per [`FsyncPolicy`].
+//!
+//! # The index: page planes, and what TTL sees
+//!
+//! A namespace is pages of 4 096 rows, each a `known` and an `answer`
+//! bit plane plus **one** timestamp — the page's oldest write
+//! ([`PagePlanes`]). Two bits and a sliver of a `u64` per answer instead
+//! of a hash-map entry, and the snapshot of a page is the page. The
+//! price is a coarser clock: [`PersistStore::rows`] and
+//! [`PersistStore::planes`] report every row of a page as old as the
+//! page's oldest write, so a TTL can expire an answer *earlier* than its
+//! own write time would — conservative: nothing is ever served past its
+//! TTL, and the cost of being early is a re-buy.
+//!
+//! # Overload: what sheds, and when
+//!
+//! The queue, the compaction threshold and [`PersistStats::flushed`] all
+//! count **rows** (a selectivity or tombstone record weighs one). The
+//! bound is on the backlog an arriving batch *finds*: while
+//! `queue_capacity` rows or more are already pending, the oldest pending
+//! frame is shed — its rows counted in [`PersistStats::shed`] — and then
+//! every frame of the batch is admitted. So a batch never sheds its own
+//! rows however large it is, the queue never holds more than
+//! `queue_capacity − 1` rows plus the batch being admitted, and a shed
+//! means the flusher has fallen a whole queue behind: the hot path never
+//! blocks on disk. Shedding trades durability-until-compaction only —
+//! the index still holds the answer, and the next *snapshot compaction*
+//! re-captures it. Nothing else does: [`PersistStore::sync`] and a
+//! graceful drop flush the pending *queue*, which no longer contains the
+//! shed frame, and a re-offer of the same row deduplicates against the
+//! index without re-enqueuing. Callers that must not lose shed rows
+//! across a restart therefore compact before exiting (the engine's
+//! `flush_persistence` does so whenever `shed > 0`). Losing one anyway
+//! is a re-buy, never a wrong answer. A WAL write the disk refuses is
+//! not retried either: its rows are not counted as
+//! [`PersistStats::flushed`], [`PersistStats::write_failures`] says the
+//! disk stopped taking writes, and the next compaction offers the disk
+//! the whole index again.
 //!
 //! # Files and crash consistency
 //!
 //! The directory holds generation-numbered pairs: `snapshot-<g>` (the
-//! whole index at the moment generation `g` began) and `wal-<g>`
-//! (appends since). Compaction writes `snapshot-<g+1>` as a temp file,
-//! fsyncs, renames (atomic on POSIX), creates `wal-<g+1>`, and only then
-//! deletes generation `g`'s files — a crash at any byte boundary leaves
+//! whole index at the moment generation `g` began: one page-image frame
+//! per page, its own CRC each, so a damaged frame costs that page and
+//! the ones after it) and `wal-<g>` (appends since, row-granular).
+//! Compaction writes `snapshot-<g+1>` as a temp file, fsyncs, renames
+//! (atomic on POSIX), creates `wal-<g+1>`, and only then deletes
+//! generation `g`'s files — a crash at any byte boundary leaves
 //! either a complete old generation or a complete new one. Recovery
 //! picks the highest generation with a readable snapshot header, replays
 //! the snapshot, then replays `wal-<g>` on top, stopping at the first
@@ -34,9 +65,11 @@
 //! prefix so later appends never land after garbage.
 
 use crate::format::{
-    check_header, encode_frame, file_header, replay_frames, PersistKey, Record, HEADER_LEN,
+    check_header, encode_frame, file_header, replay_frames, PagePlanes, PersistKey, Record,
+    HEADER_LEN, PAGE_ROWS, PAGE_WORDS,
 };
-use std::collections::{HashMap, VecDeque};
+use expred_stats::bits::bits;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -44,10 +77,11 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Default bound on queued-but-unflushed WAL records.
+/// Default bound on queued-but-unflushed WAL rows.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 8_192;
 
-/// Default WAL record count that triggers background compaction.
+/// Default number of rows written to a WAL that triggers background
+/// compaction.
 pub const DEFAULT_COMPACT_AFTER: u64 = 65_536;
 
 /// When the flusher fsyncs the WAL.
@@ -68,13 +102,15 @@ pub struct PersistConfig {
     /// Directory holding this store's snapshot and WAL files. Created
     /// (with parents) if absent.
     pub dir: PathBuf,
-    /// Bound on queued-but-unflushed WAL records; beyond it the oldest
-    /// pending record is shed (see the module docs).
+    /// Bound, in rows, on the backlog of queued-but-unflushed WAL frames
+    /// an arriving batch may find; at or beyond it the oldest pending
+    /// frames are shed (see the module docs).
     pub queue_capacity: usize,
     /// Batched-fsync policy for the flusher thread.
     pub fsync: FsyncPolicy,
-    /// WAL records between automatic compactions; 0 disables automatic
-    /// compaction (explicit [`PersistStore::compact`] still works).
+    /// Rows written to the WAL between automatic compactions; 0 disables
+    /// automatic compaction (explicit [`PersistStore::compact`] still
+    /// works).
     pub compact_after: u64,
 }
 
@@ -147,9 +183,10 @@ expred_stats::counter_set! {
     pub struct PersistStats, atomic struct AtomicPersistStats {
         /// Row answers accepted into the index (first write per row).
         appended,
-        /// Queue records dropped by backpressure shedding.
+        /// Queued rows dropped by backpressure shedding.
         shed,
-        /// Records written to the WAL by the flusher.
+        /// Rows (and selectivity/tombstone records, one each) the flusher
+        /// wrote to the WAL.
         flushed,
         /// WAL fsync calls.
         fsyncs,
@@ -161,22 +198,104 @@ expred_stats::counter_set! {
         recovered_namespaces,
         /// Bytes of corrupt or truncated tail discarded at open.
         tail_bytes_discarded,
+        /// Flusher batches the WAL refused (a disk that stopped taking
+        /// writes); their rows stay in the index for the next compaction.
+        write_failures,
     }
 }
 
-/// One namespace's recovered/accepted rows: `row -> (answer, ts_nanos)`.
-type NamespaceRows = HashMap<u32, (bool, u64)>;
+/// One namespace's answers: pages of bit planes keyed by `row / 4096`,
+/// so memory follows the pages actually touched.
+#[derive(Debug, Default, Clone)]
+struct NamespacePlanes {
+    pages: BTreeMap<u32, Box<PagePlanes>>,
+    len: usize,
+}
+
+impl NamespacePlanes {
+    /// Merges `planes` into page `page` (first write per row wins).
+    fn merge_page(&mut self, page: u32, planes: &PagePlanes) -> u64 {
+        let into = self
+            .pages
+            .entry(page)
+            .or_insert_with(|| Box::new(PagePlanes::empty()));
+        let new: u32 = (0..PAGE_WORDS)
+            .map(|w| {
+                let (known, answer) = (planes.known[w], planes.answer[w]);
+                into.merge(w, known, answer, planes.oldest_ts).count_ones()
+            })
+            .sum();
+        self.len += new as usize;
+        u64::from(new)
+    }
+
+    /// Merges `(row, answer, ts_nanos)` triples, keeping the first write
+    /// per row. Calls `accepted` with every triple that was new, in
+    /// order.
+    fn merge_rows(
+        &mut self,
+        rows: impl IntoIterator<Item = (u32, bool, u64)>,
+        mut accepted: impl FnMut(u32, bool, u64),
+    ) {
+        // The page the previous row landed on: batches run along pages.
+        let mut cursor: Option<(u32, &mut PagePlanes)> = None;
+        for (row, answer, ts_nanos) in rows {
+            let page_no = row / PAGE_ROWS as u32;
+            let page = match cursor {
+                Some((at, page)) if at == page_no => page,
+                _ => self
+                    .pages
+                    .entry(page_no)
+                    .or_insert_with(|| Box::new(PagePlanes::empty())),
+            };
+            let (word, bit) = (row as usize % PAGE_ROWS / 64, 1u64 << (row % 64));
+            if page.merge(word, bit, if answer { bit } else { 0 }, ts_nanos) != 0 {
+                self.len += 1;
+                accepted(row, answer, ts_nanos);
+            }
+            cursor = Some((page_no, page));
+        }
+    }
+
+    /// Every answer as `(row, answer, page timestamp)`, ascending.
+    fn rows(&self) -> Vec<(u32, bool, u64)> {
+        let mut rows = Vec::with_capacity(self.len);
+        for (&page_no, page) in &self.pages {
+            for (w, &known) in page.known.iter().enumerate() {
+                let first = page_no * PAGE_ROWS as u32 + w as u32 * 64;
+                rows.extend(bits(known).map(|bit| {
+                    let answer = page.answer[w] >> bit & 1 != 0;
+                    (first + bit, answer, page.oldest_ts)
+                }));
+            }
+        }
+        rows
+    }
+}
+
+/// One namespace's answers as the live cache takes them: every 64-row
+/// word that holds an answer, and the age the whole namespace reads as.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowPlanes {
+    /// `(row word, known, answer)`, ascending by word: bit `i` of `known`
+    /// says row `64 * word + i` has an answer, bit `i` of `answer` is it.
+    pub words: Vec<(usize, u64, u64)>,
+    /// The oldest page timestamp of the namespace (Unix nanos).
+    pub oldest_ts: u64,
+}
 
 /// The authoritative in-memory image of the store. The WAL and snapshots
 /// only exist to rebuild this after a restart.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Index {
-    rows: HashMap<PersistKey, NamespaceRows>,
+    rows: HashMap<PersistKey, NamespacePlanes>,
     selectivity: HashMap<PersistKey, (u64, u64)>,
 }
 
 impl Index {
+    /// Applies one replayed record; returns the row answers it added.
     fn apply(&mut self, record: Record) -> u64 {
+        let mut added = 0;
         match record {
             Record::Row {
                 key,
@@ -184,61 +303,66 @@ impl Index {
                 answer,
                 ts_nanos,
             } => {
-                self.rows
-                    .entry(key)
-                    .or_default()
-                    .entry(row)
-                    .or_insert((answer, ts_nanos));
-                1
+                let ns = self.rows.entry(key).or_default();
+                ns.merge_rows([(row, answer, ts_nanos)], |_, _, _| added += 1);
             }
             Record::RowBatch { key, rows } => {
                 let ns = self.rows.entry(key).or_default();
-                let count = rows.len() as u64;
-                for (row, answer, ts_nanos) in rows {
-                    ns.entry(row).or_insert((answer, ts_nanos));
-                }
-                count
+                ns.merge_rows(rows, |_, _, _| added += 1);
+            }
+            Record::PageImage { key, page, planes } => {
+                added = self.rows.entry(key).or_default().merge_page(page, &planes);
             }
             Record::TombstoneAll => {
                 self.rows.clear();
                 self.selectivity.clear();
-                0
             }
             Record::Selectivity { key, passes, total } => {
                 self.selectivity.insert(key, (passes, total));
-                0
             }
         }
+        added
     }
 
-    fn to_records(&self) -> Vec<Record> {
-        let mut records: Vec<Record> = Vec::with_capacity(self.rows.len() + self.selectivity.len());
-        let mut keys: Vec<&PersistKey> = self.rows.keys().collect();
-        keys.sort();
-        for key in keys {
-            let ns = &self.rows[key];
-            let mut rows: Vec<(u32, bool, u64)> =
-                ns.iter().map(|(&r, &(a, t))| (r, a, t)).collect();
-            rows.sort_unstable_by_key(|&(r, _, _)| r);
-            records.push(Record::RowBatch { key: *key, rows });
-        }
-        let mut sel: Vec<(&PersistKey, &(u64, u64))> = self.selectivity.iter().collect();
-        sel.sort();
-        for (key, &(passes, total)) in sel {
-            records.push(Record::Selectivity {
-                key: *key,
-                passes,
-                total,
-            });
-        }
+    /// The snapshot of this index: one page image per page, then the
+    /// selectivity counters, in key order (a snapshot's bytes are a
+    /// function of the index alone).
+    fn into_records(self) -> Vec<Record> {
+        let mut namespaces: Vec<(PersistKey, NamespacePlanes)> = self.rows.into_iter().collect();
+        namespaces.sort_unstable_by_key(|&(key, _)| key);
+        let mut records: Vec<Record> = namespaces
+            .into_iter()
+            .flat_map(|(key, ns)| {
+                let pages = ns.pages.into_iter();
+                pages.map(move |(page, planes)| Record::PageImage { key, page, planes })
+            })
+            .collect();
+        let mut selectivity: Vec<(PersistKey, (u64, u64))> = self.selectivity.into_iter().collect();
+        selectivity.sort_unstable();
+        records.extend(
+            selectivity
+                .into_iter()
+                .map(|(key, (passes, total))| Record::Selectivity { key, passes, total }),
+        );
         records
     }
 }
 
+/// What a record counts for in the queue bound, the compaction threshold
+/// and `flushed`: the rows it carries, one for a record that carries none.
+fn weight(record: &Record) -> u64 {
+    match record {
+        Record::RowBatch { rows, .. } => rows.len() as u64,
+        _ => 1,
+    }
+}
+
 /// What the hot path hands the flusher thread.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct FlushQueue {
     pending: VecDeque<Record>,
+    /// The [`weight`] of `pending`: what the queue bound measures.
+    pending_rows: u64,
     /// Monotone ticket the flusher has fully flushed up to (every record
     /// enqueued before `flushed_ticket` was issued is on disk).
     enqueued_ticket: u64,
@@ -258,6 +382,29 @@ struct FlushQueue {
     compact_failed_through: u64,
     compact_error: Option<String>,
     shutdown: bool,
+}
+
+impl FlushQueue {
+    /// Admits the frames of one append under the overload policy of the
+    /// module docs: the backlog the append finds gives way first —
+    /// oldest frame out while `capacity` rows or more are pending — then
+    /// every frame goes in. Returns the rows shed.
+    fn admit(&mut self, frames: impl IntoIterator<Item = Record>, capacity: u64) -> u64 {
+        let mut shed = 0;
+        while self.pending_rows >= capacity {
+            let Some(oldest) = self.pending.pop_front() else {
+                break;
+            };
+            self.pending_rows -= weight(&oldest);
+            shed += weight(&oldest);
+        }
+        for frame in frames {
+            self.pending_rows += weight(&frame);
+            self.pending.push_back(frame);
+        }
+        self.enqueued_ticket += 1;
+        shed
+    }
 }
 
 /// Shared state between the store handle and the flusher thread.
@@ -449,16 +596,7 @@ impl PersistStore {
 
         let shared = Arc::new(Shared {
             index: Mutex::new(index),
-            queue: Mutex::new(FlushQueue {
-                pending: VecDeque::new(),
-                enqueued_ticket: 0,
-                flushed_ticket: 0,
-                compact_requested: 0,
-                compact_done: 0,
-                compact_failed_through: 0,
-                compact_error: None,
-                shutdown: false,
-            }),
+            queue: Mutex::new(FlushQueue::default()),
             work: Condvar::new(),
             flushed: Condvar::new(),
             stats,
@@ -477,35 +615,50 @@ impl PersistStore {
         })
     }
 
-    /// Accepts one fresh row answer. First write per `(key, row)` wins
-    /// (deterministic answers make a re-offer a no-op); a new row updates
-    /// the index synchronously and enqueues a WAL record, shedding the
-    /// oldest pending record if the queue is full. Never blocks on disk.
+    /// Accepts one fresh row answer: a one-row
+    /// [`PersistStore::append_rows`].
     pub fn append_row(&self, key: PersistKey, row: u32, answer: bool, ts_nanos: u64) {
+        self.append_rows(key, &[(row, answer)], ts_nanos);
+    }
+
+    /// Accepts a batch of fresh row answers of one namespace, all stamped
+    /// `ts_nanos`. First write per `(key, row)` wins (deterministic
+    /// answers make a re-offer a no-op): under one index lock the batch
+    /// is merged into the namespace's planes, and the rows that were new
+    /// are enqueued for the WAL in frames of at most [`PAGE_ROWS`] rows,
+    /// shedding the oldest pending frames if the flusher is a queue
+    /// behind (see the module docs). Never blocks on disk.
+    pub fn append_rows(&self, key: PersistKey, rows: &[(u32, bool)], ts_nanos: u64) {
+        if rows.is_empty() {
+            return;
+        }
+        let mut accepted: Vec<(u32, bool, u64)> = Vec::new();
         {
             let mut index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
+            let stamped = rows.iter().map(|&(row, answer)| (row, answer, ts_nanos));
             let ns = index.rows.entry(key).or_default();
-            match ns.entry(row) {
-                std::collections::hash_map::Entry::Occupied(existing) => {
-                    debug_assert_eq!(
-                        existing.get().0,
-                        answer,
-                        "answer flip for persisted row {row} — nondeterministic UDF?"
-                    );
-                    return;
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert((answer, ts_nanos));
-                }
-            }
+            ns.merge_rows(stamped, |row, answer, ts| accepted.push((row, answer, ts)));
         }
-        self.shared.stats.appended.fetch_add(1, Ordering::Relaxed);
-        self.enqueue(Record::Row {
-            key,
-            row,
-            answer,
-            ts_nanos,
-        });
+        let appended = accepted.len() as u64;
+        self.shared
+            .stats
+            .appended
+            .fetch_add(appended, Ordering::Relaxed);
+        // One new row stays the single-row record it always was on disk
+        // (and costs no frame buffer); more become batch frames.
+        match accepted[..] {
+            [] => {}
+            [(row, answer, ts_nanos)] => self.enqueue([Record::Row {
+                key,
+                row,
+                answer,
+                ts_nanos,
+            }]),
+            _ => self.enqueue(accepted.chunks(PAGE_ROWS).map(|frame| Record::RowBatch {
+                key,
+                rows: frame.to_vec(),
+            })),
+        }
     }
 
     /// Records absolute selectivity counters for `key` (overwrite
@@ -519,7 +672,7 @@ impl PersistStore {
             let mut index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
             index.selectivity.insert(key, (passes, total));
         }
-        self.enqueue(Record::Selectivity { key, passes, total });
+        self.enqueue([Record::Selectivity { key, passes, total }]);
     }
 
     /// Durably forgets everything: clears the index, logs a tombstone,
@@ -540,11 +693,12 @@ impl PersistStore {
         {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             queue.pending.clear();
+            queue.pending_rows = 0;
         }
         // The tombstone record makes the clear durable in the WAL; the
         // compaction makes it durable even if that record is later
         // superseded (and reclaims the dead bytes immediately).
-        self.enqueue(Record::TombstoneAll);
+        self.enqueue([Record::TombstoneAll]);
         self.compact()
     }
 
@@ -604,15 +758,34 @@ impl PersistStore {
         index.rows.keys().copied().collect()
     }
 
-    /// The rows persisted under `key`: `(row, answer, ts_nanos)`.
+    /// The rows persisted under `key`: `(row, answer, ts_nanos)`,
+    /// ascending, each stamped with its page's oldest write (see the
+    /// module docs).
     pub fn rows(&self, key: PersistKey) -> Option<Vec<(u32, bool, u64)>> {
         let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        index.rows.get(&key).map(|ns| {
-            let mut rows: Vec<(u32, bool, u64)> =
-                ns.iter().map(|(&r, &(a, t))| (r, a, t)).collect();
-            rows.sort_unstable_by_key(|&(r, _, _)| r);
-            rows
-        })
+        index.rows.get(&key).map(NamespacePlanes::rows)
+    }
+
+    /// The answers persisted under `key` as bit planes — what
+    /// rehydration installs into the live cache a word at a time.
+    pub fn planes(&self, key: PersistKey) -> Option<RowPlanes> {
+        let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
+        let ns = index.rows.get(&key)?;
+        let mut planes = RowPlanes {
+            words: Vec::new(),
+            oldest_ts: u64::MAX,
+        };
+        for (&page_no, page) in &ns.pages {
+            planes.oldest_ts = planes.oldest_ts.min(page.oldest_ts);
+            let first = page_no as usize * PAGE_WORDS;
+            let words = page.known.iter().zip(&page.answer).enumerate();
+            planes.words.extend(
+                words
+                    .filter(|(_, (&known, _))| known != 0)
+                    .map(|(w, (&known, &answer))| (first + w, known, answer)),
+            );
+        }
+        Some(planes)
     }
 
     /// The absolute selectivity counters persisted under `key`.
@@ -637,7 +810,7 @@ impl PersistStore {
     /// Total persisted row answers across namespaces.
     pub fn len(&self) -> usize {
         let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        index.rows.values().map(|ns| ns.len()).sum()
+        index.rows.values().map(|ns| ns.len).sum()
     }
 
     /// Whether nothing is persisted.
@@ -655,14 +828,11 @@ impl PersistStore {
         &self.shared.config.dir
     }
 
-    fn enqueue(&self, record: Record) {
+    /// Queues the frames of one append and wakes the flusher.
+    fn enqueue(&self, frames: impl IntoIterator<Item = Record>) {
         let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-        if queue.pending.len() >= self.shared.config.queue_capacity {
-            queue.pending.pop_front();
-            self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-        }
-        queue.pending.push_back(record);
-        queue.enqueued_ticket += 1;
+        let shed = queue.admit(frames, self.shared.config.queue_capacity as u64);
+        self.shared.stats.shed.fetch_add(shed, Ordering::Relaxed);
         self.shared.work.notify_one();
     }
 }
@@ -690,14 +860,17 @@ impl Drop for PersistStore {
 /// one.
 fn compact_now(shared: &Shared, generation: u64) -> Result<(File, u64), PersistError> {
     let dir = &shared.config.dir;
-    // Freeze a consistent image. Appends racing this freeze also sit in
-    // the queue and will flush into the *new* WAL after rotation — a
-    // record landing in both the snapshot and the new WAL replays
-    // idempotently (first write wins, identical values).
-    let records = {
+    // Freeze a consistent image: the index lock is held for a copy of
+    // the planes, nothing else — ordering, encoding, checksumming and
+    // the disk all happen after it drops. Appends racing this freeze
+    // also sit in the queue and will flush into the *new* WAL after
+    // rotation — a record landing in both the snapshot and the new WAL
+    // replays idempotently (first write wins, identical values).
+    let frozen = {
         let index = shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        index.to_records()
+        index.clone()
     };
+    let records = frozen.into_records();
     let next = generation + 1;
     let tmp = dir.join(format!("snapshot-{next:06}.tmp"));
     {
@@ -721,6 +894,29 @@ fn compact_now(shared: &Shared, generation: u64) -> Result<(File, u64), PersistE
     Ok((new_wal, next))
 }
 
+/// Encodes `batch` and appends it to the WAL in one write, counting its
+/// rows as `flushed` only if the disk took them. A write error is not
+/// recoverable from here (the hot path must never block or fail on
+/// disk): it is counted as a `write_failure`, and the rows stay in the
+/// index, so the next compaction retries the disk with them — which is
+/// why the returned weight, what the batch brings the next compaction
+/// nearer by, counts them either way.
+fn write_frames(wal: &mut impl Write, batch: &[Record], stats: &AtomicPersistStats) -> u64 {
+    if batch.is_empty() {
+        return 0;
+    }
+    let mut buf = Vec::with_capacity(batch.len() * 48);
+    for record in batch {
+        encode_frame(record, &mut buf);
+    }
+    let rows = batch.iter().map(weight).sum();
+    match wal.write_all(&buf) {
+        Ok(()) => stats.flushed.fetch_add(rows, Ordering::Relaxed),
+        Err(_) => stats.write_failures.fetch_add(1, Ordering::Relaxed),
+    };
+    rows
+}
+
 /// The flusher thread: drain → encode → append → fsync → maybe compact.
 fn flusher_loop(shared: Arc<Shared>, mut wal: File, mut generation: u64) {
     let mut since_compact = 0u64;
@@ -735,6 +931,7 @@ fn flusher_loop(shared: Arc<Shared>, mut wal: File, mut generation: u64) {
                 queue = shared.work.wait(queue).unwrap_or_else(|e| e.into_inner());
             }
             let batch: Vec<Record> = queue.pending.drain(..).collect();
+            queue.pending_rows = 0;
             (
                 batch,
                 queue.enqueued_ticket,
@@ -742,20 +939,8 @@ fn flusher_loop(shared: Arc<Shared>, mut wal: File, mut generation: u64) {
                 queue.shutdown,
             )
         };
-        let flushed = batch.len() as u64;
-        if !batch.is_empty() {
-            let mut buf = Vec::with_capacity(batch.len() * 48);
-            for record in &batch {
-                encode_frame(record, &mut buf);
-            }
-            // A write error is not recoverable from here (the hot path
-            // must never block or fail on disk); the records stay in the
-            // index, so the next compaction retries the disk with them.
-            let _ = wal.write_all(&buf);
-            shared.stats.flushed.fetch_add(flushed, Ordering::Relaxed);
-            since_compact += flushed;
-        }
-        let want_fsync = shared.config.fsync == FsyncPolicy::EveryBatch && flushed > 0;
+        since_compact += write_frames(&mut wal, &batch, &shared.stats);
+        let want_fsync = shared.config.fsync == FsyncPolicy::EveryBatch && !batch.is_empty();
         // A sync caller is parked on this ticket: sync() is the
         // durability barrier, so it always fsyncs regardless of policy.
         let answering_sync = {
@@ -811,19 +996,10 @@ fn flusher_loop(shared: Arc<Shared>, mut wal: File, mut generation: u64) {
         if shutdown {
             let remaining: Vec<Record> = {
                 let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+                queue.pending_rows = 0;
                 queue.pending.drain(..).collect()
             };
-            if !remaining.is_empty() {
-                let mut buf = Vec::new();
-                for record in &remaining {
-                    encode_frame(record, &mut buf);
-                }
-                let _ = wal.write_all(&buf);
-                shared
-                    .stats
-                    .flushed
-                    .fetch_add(remaining.len() as u64, Ordering::Relaxed);
-            }
+            write_frames(&mut wal, &remaining, &shared.stats);
             let _ = wal.sync_all();
             shared.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
             // Release anyone still parked on a sync or compact ticket.
@@ -870,14 +1046,313 @@ mod tests {
             store.sync().unwrap();
         }
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+        // One page, one timestamp: row 1 reads as old as row 0.
         assert_eq!(
             store.rows(key(1)).unwrap(),
-            vec![(0, true, 10), (1, false, 11)]
+            vec![(0, true, 10), (1, false, 10)]
         );
         assert_eq!(store.rows(key(2)).unwrap(), vec![(7, true, 12)]);
         assert_eq!(store.selectivity(key(1)), Some((3, 9)));
         assert_eq!(store.stats().recovered_rows, 3);
         assert_eq!(store.stats().recovered_namespaces, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every frame of the persist file at `path`, which must be intact.
+    fn frames_of(path: &Path) -> Vec<Record> {
+        let (records, valid, len) = read_frames(path);
+        assert_eq!(valid, len, "{} has a damaged tail", path.display());
+        records
+    }
+
+    #[test]
+    fn append_rows_is_a_loop_of_append_row() {
+        // Rows across word and page edges, a repeat inside the batch, a
+        // second batch re-offering part of the first.
+        let first: Vec<(u32, bool)> = [0, 63, 64, 4_095, 4_096, 9_000, 64, 1 << 31]
+            .iter()
+            .map(|&row| (row, row % 3 == 0))
+            .collect();
+        let second: Vec<(u32, bool)> = (4_090..4_100).map(|row| (row, row % 3 == 0)).collect();
+        let run = |tag: &str, batched: bool| {
+            let dir = tmpdir(tag);
+            let store = PersistStore::open(PersistConfig::new(&dir).with_compact_after(0)).unwrap();
+            for (batch, ts) in [(&first, 100), (&second, 200), (&first, 300)] {
+                if batched {
+                    store.append_rows(key(1), batch, ts);
+                } else {
+                    for &(row, answer) in batch {
+                        store.append_row(key(1), row, answer, ts);
+                    }
+                }
+            }
+            store.append_rows(key(2), &[], 400);
+            store.sync().unwrap();
+            let live = (store.rows(key(1)), store.namespaces(), store.len());
+            let (appended, flushed) = (store.stats().appended, store.stats().flushed);
+            drop(store);
+            let reopened = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+            let recovered = (reopened.rows(key(1)), reopened.namespaces(), reopened.len());
+            drop(reopened);
+            let _ = fs::remove_dir_all(&dir);
+            (live, appended, flushed, recovered)
+        };
+        let batched = run("batchloop-a", true);
+        assert_eq!(batched, run("batchloop-b", false));
+        let (live, appended, flushed, recovered) = batched;
+        assert_eq!(live, recovered, "a reopen recovers the index");
+        assert_eq!(live.2, 7 + 8, "distinct rows of both batches");
+        assert_eq!((appended, flushed), (15, 15), "re-offers are free");
+        assert_eq!(live.1, vec![key(1)], "an empty batch names no namespace");
+    }
+
+    #[test]
+    fn a_batch_larger_than_the_queue_reaches_the_wal_in_page_frames_unshed() {
+        let dir = tmpdir("bigbatch");
+        let rows: Vec<(u32, bool)> = (0..10_000).map(|row| (row, row % 2 == 0)).collect();
+        {
+            let config = PersistConfig::new(&dir)
+                .with_queue_capacity(1_000)
+                .with_compact_after(0);
+            let store = PersistStore::open(config).unwrap();
+            store.append_rows(key(1), &rows, 7);
+            store.sync().unwrap();
+            let stats = store.stats();
+            assert_eq!(
+                (stats.appended, stats.shed, stats.flushed),
+                (10_000, 0, 10_000)
+            );
+        }
+        let frames: Vec<usize> = frames_of(&wal_path(&dir, 0))
+            .iter()
+            .map(|record| match record {
+                Record::RowBatch { rows, .. } => rows.len(),
+                other => panic!("not a batch frame: {other:?}"),
+            })
+            .collect();
+        assert_eq!(frames, [PAGE_ROWS, PAGE_ROWS, 10_000 - 2 * PAGE_ROWS]);
+        let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+        assert_eq!(store.len(), 10_000);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_backlog_an_append_finds_sheds_oldest_first_never_the_append() {
+        let batch = |rows: std::ops::Range<u32>| Record::RowBatch {
+            key: key(1),
+            rows: rows.map(|row| (row, true, 0)).collect(),
+        };
+        let row = |row| Record::Row {
+            key: key(1),
+            row,
+            answer: true,
+            ts_nanos: 0,
+        };
+        let mut queue = FlushQueue::default();
+        // Below the bound nothing sheds, however large the arrival.
+        assert_eq!(queue.admit([batch(0..40), batch(40..80)], 100), 0);
+        assert_eq!(queue.admit([batch(80..99)], 100), 0);
+        assert_eq!((queue.pending.len(), queue.pending_rows), (3, 99));
+        assert_eq!(queue.admit([row(99)], 100), 0);
+        // At the bound the oldest frames go, one whole frame at a time,
+        // until the backlog is under it; then the arrival is admitted
+        // whole, larger than the queue or not.
+        assert_eq!(queue.admit([batch(100..400), batch(400..700)], 100), 40);
+        assert_eq!((queue.pending.len(), queue.pending_rows), (5, 660));
+        assert_eq!(
+            queue.admit([row(700)], 100),
+            660,
+            "the disk is a queue behind"
+        );
+        assert_eq!(queue.pending.into_iter().collect::<Vec<_>>(), [row(700)]);
+        // A record without rows weighs one.
+        assert_eq!(weight(&Record::TombstoneAll), 1);
+    }
+
+    #[test]
+    fn a_wal_write_the_disk_refuses_is_counted_as_failed_not_flushed() {
+        struct FullDisk;
+        impl Write for FullDisk {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("no space left on device"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let batch = [
+            Record::RowBatch {
+                key: key(1),
+                rows: vec![(0, true, 1), (1, false, 1), (2, true, 1)],
+            },
+            Record::Selectivity {
+                key: key(1),
+                passes: 2,
+                total: 3,
+            },
+        ];
+        let stats = AtomicPersistStats::default();
+        // Either way the rows bring the next compaction nearer.
+        assert_eq!(write_frames(&mut FullDisk, &batch, &stats), 4);
+        let s = stats.snapshot();
+        assert_eq!((s.flushed, s.write_failures), (0, 1));
+        let mut wal = Vec::new();
+        assert_eq!(write_frames(&mut wal, &batch, &stats), 4);
+        let s = stats.snapshot();
+        assert_eq!((s.flushed, s.write_failures), (4, 1));
+        let mut replayed = Vec::new();
+        assert_eq!(replay_frames(&wal, |r| replayed.push(r)), wal.len());
+        assert_eq!(replayed, batch);
+        assert_eq!(write_frames(&mut FullDisk, &[], &stats), 0);
+        assert_eq!(stats.snapshot().write_failures, 1, "nothing to write");
+    }
+
+    #[test]
+    fn a_page_ages_with_its_oldest_write_never_later() {
+        let dir = tmpdir("pagettl");
+        // (row, write time): page 0 is written at 500, 100 and 900, page
+        // 2 at 900 only.
+        let writes = [(10, 500), (11, 100), (4_000, 900), (8_192, 900)];
+        let check = |store: &PersistStore, stage: &str| {
+            let rows = store.rows(key(1)).unwrap();
+            assert_eq!(
+                rows,
+                [
+                    (10, true, 100),
+                    (11, true, 100),
+                    (4_000, true, 100),
+                    (8_192, true, 900)
+                ],
+                "{stage}"
+            );
+            for (&(row, _, read_as), &(_, written)) in rows.iter().zip(&writes) {
+                assert!(
+                    read_as <= written,
+                    "{stage}: row {row} reads younger than it is"
+                );
+            }
+            let planes = store.planes(key(1)).unwrap();
+            let rows: u32 = planes.words.iter().map(|w| w.1.count_ones()).sum();
+            assert_eq!((rows, planes.oldest_ts), (4, 100), "{stage}");
+        };
+        {
+            let store = PersistStore::open(PersistConfig::new(&dir).with_compact_after(0)).unwrap();
+            for (row, ts) in writes {
+                store.append_row(key(1), row, true, ts);
+            }
+            // A later re-offer does not make the page younger.
+            store.append_row(key(1), 10, true, 2_000);
+            check(&store, "live");
+            store.sync().unwrap();
+        }
+        {
+            let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+            check(&store, "replayed from the WAL");
+            store.compact().unwrap();
+        }
+        let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+        check(&store, "loaded from page images");
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_full_namespace_snapshots_under_a_byte_per_answer() {
+        let dir = tmpdir("pageimage");
+        let rows: Vec<(u32, bool)> = (0..20_000).map(|row| (row, row % 3 == 0)).collect();
+        {
+            let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+            store.append_rows(key(1), &rows, 42);
+            store.record_selectivity(key(1), 6_667, 20_000);
+            store.compact().unwrap();
+        }
+        let snapshot = snapshot_path(&dir, 1);
+        let bytes = fs::metadata(&snapshot).unwrap().len();
+        assert!(bytes <= 20_000, "{bytes} bytes for 20 000 answers");
+        let frames = frames_of(&snapshot);
+        let pages = frames
+            .iter()
+            .filter(|r| matches!(r, Record::PageImage { .. }))
+            .count();
+        assert_eq!(
+            (pages, frames.len()),
+            (5, 6),
+            "one image per page, then selectivity"
+        );
+        assert_eq!(frames_of(&wal_path(&dir, 1)), [], "the WAL was retired");
+        let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+        let recovered = store.rows(key(1)).unwrap();
+        assert_eq!(recovered.len(), 20_000);
+        assert!(recovered
+            .iter()
+            .zip(&rows)
+            .all(|(&(r, a, ts), &want)| (r, a) == want && ts == 42));
+        assert_eq!(store.selectivity(key(1)), Some((6_667, 20_000)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_directory_written_before_page_images_still_opens() {
+        // What the previous release left behind: a snapshot holding one
+        // row batch per namespace, and a WAL of single-row records.
+        let dir = tmpdir("legacy");
+        fs::create_dir_all(&dir).unwrap();
+        let mut snapshot = file_header().to_vec();
+        let old: Vec<(u32, bool, u64)> =
+            (0..6_000).map(|r| (r, r % 2 == 0, 50 + r as u64)).collect();
+        encode_frame(
+            &Record::RowBatch {
+                key: key(1),
+                rows: old.clone(),
+            },
+            &mut snapshot,
+        );
+        let selectivity = Record::Selectivity {
+            key: key(1),
+            passes: 3_000,
+            total: 6_000,
+        };
+        encode_frame(&selectivity, &mut snapshot);
+        fs::write(snapshot_path(&dir, 3), snapshot).unwrap();
+        let mut wal = file_header().to_vec();
+        for row in 6_000..6_010u32 {
+            let record = Record::Row {
+                key: key(1),
+                row,
+                answer: true,
+                ts_nanos: 9_000,
+            };
+            encode_frame(&record, &mut wal);
+        }
+        fs::write(wal_path(&dir, 3), wal).unwrap();
+
+        let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+        assert_eq!(store.stats().recovered_rows, 6_010);
+        let rows = store.rows(key(1)).unwrap();
+        assert_eq!(rows.len(), 6_010);
+        for (&(row, answer, ts), want) in rows.iter().zip(0u32..) {
+            assert_eq!(row, want);
+            assert_eq!(answer, row >= 6_000 || row % 2 == 0);
+            // Each page reads as old as its oldest row.
+            assert_eq!(ts, if row < 4_096 { 50 } else { 50 + 4_096 });
+        }
+        assert_eq!(store.selectivity(key(1)), Some((3_000, 6_000)));
+        // And the next compaction rewrites it as page images.
+        store.compact().unwrap();
+        drop(store);
+        let frames = frames_of(&snapshot_path(&dir, 4));
+        assert!(matches!(
+            frames[..],
+            [
+                Record::PageImage { .. },
+                Record::PageImage { .. },
+                Record::Selectivity { .. }
+            ]
+        ));
+        assert_eq!(
+            PersistStore::open(PersistConfig::new(&dir)).unwrap().len(),
+            6_010
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -3,8 +3,8 @@
 //! sinks over one section walk (`golden/metrics_*.{txt,json}`): every
 //! line and key that commit exported must still be there, byte for byte
 //! and in order. The only additions since are the per-tenant `derived`
-//! and `bill` sections, which the comparison strips (and checks on their
-//! own). A third test holds the two exports to one set of sections and
+//! and `bill` sections and a durable tenant's `persist_wal`, which the
+//! comparison strips (and checks on their own). A third test holds the two exports to one set of sections and
 //! counters, so they cannot drift apart again.
 //!
 //! Values that depend on the box or the clock — the pool's section, table
@@ -143,16 +143,24 @@ fn flat_object(json: &str, key: &str) -> Option<std::ops::Range<usize>> {
     Some(start..start + json[start..].find('}')? + 1)
 }
 
+/// The sections added since the goldens were captured: JSON key, text
+/// line prefix.
+const ADDED: [(&str, &str); 3] = [
+    ("derived", "engine_derived_"),
+    ("bill", "engine_bill_"),
+    ("persist_wal", "engine_persist_wal_"),
+];
+
 /// The export as the parent commit wrote it: without the sections added
 /// since.
 fn without_additions(text: &str, json: &str) -> (String, String) {
     let text: String = text
         .lines()
-        .filter(|l| !l.starts_with("engine_bill_") && !l.starts_with("engine_derived_"))
+        .filter(|l| !ADDED.iter().any(|(_, prefix)| l.starts_with(prefix)))
         .flat_map(|l| [l, "\n"])
         .collect();
     let mut json = json.to_owned();
-    for key in ["derived", "bill"] {
+    for (key, _) in ADDED {
         while let Some(span) = flat_object(&json, key) {
             json.replace_range(span, "");
         }
@@ -201,8 +209,18 @@ fn pooled_registry_exports_every_parent_line_and_key() {
 
 #[test]
 fn durable_registry_exports_every_parent_line_and_key() {
+    let rendered = durable_scenario("golden");
+    // The addition: the WAL's health, beside the persistence counters.
+    let doc = JsonValue::parse(&rendered.1).unwrap();
+    let tenant = doc.get("tenants").unwrap().get("disk").unwrap();
+    let wal = tenant.get("persist_wal").unwrap();
+    assert_eq!(wal.keys(), ["write_failures"]);
+    assert_eq!(wal.get("write_failures").unwrap().as_u64(), Some(0));
+    assert!(rendered
+        .0
+        .contains("engine_persist_wal_write_failures{tenant=\"disk\"} 0\n"));
     assert_matches_parent(
-        durable_scenario("golden"),
+        rendered,
         include_str!("golden/metrics_durable.txt"),
         include_str!("golden/metrics_durable.json"),
     );
@@ -287,6 +305,7 @@ fn text_and_json_exports_carry_the_same_sections_and_counters() {
         ("engine_memo", "result_memo"),
         ("engine_derived", "derived"),
         ("engine_persist", "persist"),
+        ("engine_persist_wal", "persist_wal"),
         ("engine_bill", "bill"),
         ("pool", "pool"),
     ];

@@ -1,0 +1,14 @@
+//! Bit-plane helpers shared by every layer that keeps rows as 64-row
+//! words (row sets, the evaluation caches, the durable index).
+
+/// The positions of `word`'s set bits, ascending.
+#[inline]
+pub fn bits(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            bit
+        })
+    })
+}

@@ -23,6 +23,7 @@
 //! * [`histogram`] — equi-depth bucketing of probability scores, used to
 //!   turn a classifier's output into a *virtual* correlated column
 //!   (paper §4.4, §6.3.2).
+//! * [`bits`] — reading a 64-row bit-plane word out as row offsets.
 //! * [`hash`] — deterministic FNV-1a fingerprinting shared by the
 //!   table/UDF/engine cache-key layers.
 //! * [`json`] — the workspace's one no-serde JSON parser/writer, shared
@@ -37,6 +38,7 @@
 
 pub mod beta;
 pub mod binomial;
+pub mod bits;
 pub mod bounds;
 pub mod clock;
 pub mod counters;

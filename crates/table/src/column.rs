@@ -8,6 +8,7 @@
 //! categorical column *is* a small dictionary plus one code per row. The
 //! accessors below are what those consumers iterate over.
 
+use crate::rowset::RowSet;
 use crate::value::{DataType, Value, ValueKey};
 use std::collections::HashMap;
 use std::fmt;
@@ -324,6 +325,16 @@ impl Column {
             Column::Bool(v) => v[row],
             _ => None,
         }
+    }
+
+    /// The rows where this column is `true`, as a plane over the column's
+    /// rows; `None` unless it is a boolean column without NULLs.
+    pub fn true_rows(&self) -> Option<RowSet> {
+        let Column::Bool(values) = self else {
+            return None;
+        };
+        let complete = values.iter().all(Option::is_some);
+        complete.then(|| RowSet::from_flags(values.iter().map(|&label| label == Some(true))))
     }
 
     /// The float at `row`, widening integers, if non-NULL numeric.

@@ -1,9 +1,10 @@
-//! Session-level cache of derived data: group partitions and encoding
-//! dictionaries.
+//! Session-level cache of derived data: group partitions, encoding
+//! dictionaries and boolean-column planes.
 //!
 //! Every query that predicts through a real column re-derives the same
-//! [`GroupBy`] over the same table, and every learning baseline re-builds
-//! the same one-hot dictionaries. [`DerivedCache`] is the session-scoped
+//! [`GroupBy`] over the same table, every learning baseline re-builds
+//! the same one-hot dictionaries, and every scored run re-reads the same
+//! label column into a plane. [`DerivedCache`] is the session-scoped
 //! memo that stops paying that tax: entries are keyed by
 //! `(TableId, version, column, kind)`, mirroring the `CacheStore`
 //! namespacing in `expred-exec` and inheriting its invalidation
@@ -20,6 +21,7 @@
 //! and the later insert replaces the earlier in place).
 
 use crate::kernels::GroupCodes;
+use crate::rowset::RowSet;
 use crate::table::{GroupBy, Table};
 use expred_stats::clock::{ClockCache, ClockCacheStats, StripeKey};
 use expred_stats::hash::Fnv64;
@@ -35,6 +37,7 @@ pub const DEFAULT_DERIVED_CAPACITY: usize = 128;
 enum DerivedKind {
     Groups,
     Codes,
+    TrueRows,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -71,6 +74,7 @@ impl StripeKey for DerivedKey {
 enum DerivedValue {
     Groups(Arc<GroupBy>),
     Codes(Arc<GroupCodes>),
+    TrueRows(Arc<RowSet>),
 }
 
 /// Counter snapshot for observability (see [`DerivedCache::stats`]): the
@@ -153,6 +157,22 @@ impl DerivedCache {
         self.0.insert(key, DerivedValue::Codes(Arc::clone(&fresh)));
         Ok(fresh)
     }
+
+    /// The rows where boolean `column` is true ([`Column::true_rows`]),
+    /// cached per `(table id, version, column)`. `None` — and nothing
+    /// cached — unless `column` is a boolean column without NULLs.
+    ///
+    /// [`Column::true_rows`]: crate::Column::true_rows
+    pub fn true_rows(&self, table: &Table, column: &str) -> Option<Arc<RowSet>> {
+        let key = DerivedKey::new(table, column, DerivedKind::TrueRows);
+        if let Some(DerivedValue::TrueRows(hit)) = self.0.get(&key, |v| Some(v.clone())) {
+            return Some(hit);
+        }
+        let fresh = Arc::new(table.column(column)?.true_rows()?);
+        self.0
+            .insert(key, DerivedValue::TrueRows(Arc::clone(&fresh)));
+        Some(fresh)
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +239,35 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.codes(), &[0, 0, 1]);
         assert!(cache.group_codes(&t, "nope").is_err());
+    }
+
+    #[test]
+    fn true_rows_are_cached_per_table_version() {
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::nullable("ok", DataType::Bool),
+        ]);
+        let row = |a, ok| vec![Value::Int(a), ok];
+        let rows = vec![
+            row(1, Value::Bool(true)),
+            row(2, Value::Bool(false)),
+            row(3, Value::Bool(true)),
+        ];
+        let mut t = Table::from_rows(schema, rows).unwrap();
+        let cache = DerivedCache::new();
+        let a = cache.true_rows(&t, "ok").unwrap();
+        let b = cache.true_rows(&t, "ok").unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "second lookup shares the plane");
+        assert_eq!(a.to_vec(), [0, 2]);
+        // Not a complete boolean column: nothing derived, nothing cached.
+        assert!(cache.true_rows(&t, "a").is_none());
+        assert!(cache.true_rows(&t, "nope").is_none());
+        assert_eq!(cache.len(), 1);
+        // A new version derives again — and a NULL label is no plane.
+        t.push_row(row(4, Value::Bool(true))).unwrap();
+        assert_eq!(cache.true_rows(&t, "ok").unwrap().to_vec(), [0, 2, 3]);
+        t.push_row(row(5, Value::Null)).unwrap();
+        assert!(cache.true_rows(&t, "ok").is_none());
     }
 
     #[test]

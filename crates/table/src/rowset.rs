@@ -9,17 +9,7 @@
 //! and the evaluation caches' planes share, so a group's rows meet a set
 //! one `mask & word` at a time.
 
-/// The positions of `word`'s set bits, ascending.
-#[inline]
-pub fn bits(mut word: u64) -> impl Iterator<Item = u32> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let bit = word.trailing_zeros();
-            word &= word - 1;
-            bit
-        })
-    })
-}
+pub use expred_stats::bits::bits;
 
 /// A set of row ids drawn from `[0, rows)`. Equality compares planes:
 /// two sets are equal when they hold the same rows *and* were sized for

@@ -38,7 +38,7 @@
 //! store see exactly what a per-row loop would have shown them.
 
 use crate::cost::{CostCounts, CostModel, CostTracker};
-use crate::udf::BooleanUdf;
+use crate::udf::{BooleanUdf, BoundUdf};
 use expred_exec::{
     CacheHandle, CacheNamespace, CacheReader, ExecContext, Executor, RowBits, SelectivityHandle,
 };
@@ -89,7 +89,9 @@ pub fn cache_namespace(udf: &dyn BooleanUdf, table: &Table) -> Option<CacheNames
 /// [`CostCounts::demanded`]. Answers are unaffected either way: the
 /// store is keyed by table version and UDFs are row-deterministic.
 pub struct UdfInvoker<'a> {
-    udf: &'a dyn BooleanUdf,
+    /// The UDF bound to `table` ([`BooleanUdf::bind`]): every fresh
+    /// evaluation of the query probes through it.
+    probe: BoundUdf<'a>,
     table: &'a Table,
     tracker: CostTracker,
     memo: RowBits,
@@ -231,7 +233,7 @@ impl<'a> UdfInvoker<'a> {
     /// aggregate sampling and execution costs in one place).
     pub fn with_tracker(udf: &'a dyn BooleanUdf, table: &'a Table, tracker: CostTracker) -> Self {
         Self {
-            udf,
+            probe: udf.bind(table),
             table,
             tracker,
             memo: RowBits::new(table.num_rows()),
@@ -284,11 +286,12 @@ impl<'a> UdfInvoker<'a> {
         }
     }
 
-    /// Writes a freshly evaluated answer through both cache layers.
-    fn commit(&self, row: usize, answer: bool) {
-        self.memo.insert(row, answer);
+    /// Writes freshly evaluated answers through the session store and
+    /// its sink — one store call per batch — after the caller memoized
+    /// them.
+    fn commit(&self, fresh: &[(usize, bool)]) {
         if let Some(shared) = &self.shared {
-            shared.insert(row, answer);
+            shared.insert_many(fresh);
         }
     }
 
@@ -313,12 +316,13 @@ impl<'a> UdfInvoker<'a> {
             self.tracker.add_cache_hits(hits);
             return answer;
         }
-        let answer = self.udf.evaluate(self.table, row);
+        let answer = (self.probe)(row);
         self.tracker.add_evaluation();
         if let Some(sel) = &self.selectivity {
             sel.record(answer);
         }
-        self.commit(row, answer);
+        self.memo.insert(row, answer);
+        self.commit(&[(row, answer)]);
         answer
     }
 
@@ -339,19 +343,20 @@ impl<'a> UdfInvoker<'a> {
     pub fn evaluate_batch(&self, executor: &dyn Executor, rows: &[usize]) -> Vec<bool> {
         let mut answers = vec![false; rows.len()];
         // The distinct rows to evaluate, every position — first
-        // occurrences and repeats — awaiting them, and a scratch plane
-        // over the table's rows: first the set of queued rows, then the
-        // set of those that passed.
+        // occurrences and repeats — awaiting them, and two scratch planes
+        // over the table's rows: the queued rows and, once evaluated,
+        // those of them that passed.
         let mut fresh: Vec<usize> = Vec::new();
         let mut waiting: Vec<usize> = Vec::new();
-        let mut plane = vec![0u64; self.table.num_rows().div_ceil(64)];
+        let words = self.table.num_rows().div_ceil(64);
+        let (mut queued, mut passed) = (vec![0u64; words], vec![0u64; words]);
         let mut hits = 0u64;
         let mut lookup = self.lookup();
         for (i, &row) in rows.iter().enumerate() {
             if let Some(answer) = lookup.local(row) {
                 answers[i] = answer;
                 hits += 1;
-            } else if plane[row / 64] & (1 << (row % 64)) != 0 {
+            } else if queued[row / 64] & (1 << (row % 64)) != 0 {
                 // Repeat within the batch: evaluated once, re-read free.
                 waiting.push(i);
                 hits += 1;
@@ -359,7 +364,7 @@ impl<'a> UdfInvoker<'a> {
                 // Paid for by an earlier query: a reuse, not a hit.
                 answers[i] = answer;
             } else {
-                plane[row / 64] |= 1 << (row % 64);
+                queued[row / 64] |= 1 << (row % 64);
                 fresh.push(row);
                 waiting.push(i);
             }
@@ -367,22 +372,27 @@ impl<'a> UdfInvoker<'a> {
         hits += lookup.finish(&self.tracker);
         self.tracker.add_cache_hits(hits);
         if !fresh.is_empty() {
-            let probe = |row: usize| self.udf.evaluate(self.table, row);
-            let fresh_answers = executor.evaluate_batch(&probe, &fresh);
+            let fresh_answers = executor.evaluate_batch(&self.probe, &fresh);
             self.tracker.add_evaluations(fresh.len() as u64);
-            if let Some(sel) = &self.selectivity {
-                let passes = fresh_answers.iter().filter(|&&a| a).count() as u64;
-                sel.record_many(passes, fresh.len() as u64);
+            let commits: Vec<(usize, bool)> = fresh.into_iter().zip(fresh_answers).collect();
+            for &(row, answer) in &commits {
+                passed[row / 64] |= u64::from(answer) << (row % 64);
             }
-            for (&row, &answer) in fresh.iter().zip(&fresh_answers) {
-                self.commit(row, answer);
-                if !answer {
-                    plane[row / 64] &= !(1 << (row % 64));
+            if let Some(sel) = &self.selectivity {
+                let passes = passed.iter().map(|w| u64::from(w.count_ones())).sum();
+                sel.record_many(passes, commits.len() as u64);
+            }
+            // The batch lands in the memo a word at a time and in the
+            // session store in one call.
+            for (word, (&queued, &passed)) in queued.iter().zip(&passed).enumerate() {
+                if queued != 0 {
+                    self.memo.merge_word(word, queued, passed);
                 }
             }
+            self.commit(&commits);
             for position in waiting {
                 let row = rows[position];
-                answers[position] = plane[row / 64] & (1 << (row % 64)) != 0;
+                answers[position] = passed[row / 64] & (1 << (row % 64)) != 0;
             }
         }
         answers
@@ -663,6 +673,76 @@ mod tests {
         assert_eq!(batch_hits, loop_hits, "store hits must match");
         assert_eq!(batch_misses, loop_misses, "store misses must match");
         assert!(batch_counts.reuse_hits > 0, "the warm rows must be reused");
+    }
+
+    /// A sink that records every offered row, in order.
+    #[derive(Debug, Default)]
+    struct RecordingSink(std::sync::Mutex<Vec<(usize, bool)>>);
+
+    impl expred_exec::SpillSink for RecordingSink {
+        fn spill(&self, _: CacheNamespace, rows: &[(usize, bool)]) {
+            self.0.lock().unwrap().extend_from_slice(rows);
+        }
+    }
+
+    #[test]
+    fn batched_commit_matches_the_per_row_commit_loop() {
+        // One store call per batch must leave what one per row left: the
+        // memo, the bill, the store's statistics and contents, the
+        // selectivity counters and the sink's offers, in order — under
+        // both backends (the pool evaluates out of order, the commit
+        // does not).
+        let labels: Vec<bool> = (0..5_000).map(|i| i % 5 < 2).collect();
+        let t = table_with_labels(&labels);
+        let udf = OracleUdf::new("good");
+        let ns = cache_namespace(&udf, &t).expect("oracle has identity");
+        let warm: Vec<usize> = (0..48).collect();
+        // Out of order, across the page edge, repeats, warm rows.
+        let request: Vec<usize> = (4_090..4_200)
+            .chain(0..96)
+            .chain(24..72)
+            .rev()
+            .chain([4_999, 4_096, 4_999])
+            .collect();
+        let pool = expred_exec::WorkerPool::with_threads(4);
+        let run = |executor: Option<&dyn Executor>| {
+            let store = expred_exec::CacheStore::new();
+            let sink = std::sync::Arc::new(RecordingSink::default());
+            store.set_spill(Some(
+                sink.clone() as std::sync::Arc<dyn expred_exec::SpillSink>
+            ));
+            let sel = expred_exec::SelectivityTracker::new();
+            let ctx = expred_exec::ExecContext::sequential()
+                .with_cache(&store)
+                .with_selectivity(&sel);
+            UdfInvoker::with_context(&udf, &t, &ctx)
+                .evaluate_batch(&expred_exec::Sequential, &warm);
+            let inv = UdfInvoker::with_context(&udf, &t, &ctx);
+            let answers = match executor {
+                Some(executor) => inv.evaluate_batch(executor, &request),
+                None => request.iter().map(|&r| inv.evaluate(r)).collect(),
+            };
+            let (counts, stats) = (inv.counts(), store.stats());
+            let mut cached = Vec::new();
+            store.for_each_namespace(|_, entries| cached.extend_from_slice(entries));
+            let memo: Vec<Option<bool>> = (0..labels.len()).map(|r| inv.memo.get(r)).collect();
+            let observed = (sel.handle(ns).observations(), sel.pass_rate(ns));
+            let offers = sink.0.lock().unwrap().clone();
+            (answers, counts, stats, cached, memo, observed, offers)
+        };
+        let per_row = run(None);
+        assert_eq!(run(Some(&expred_exec::Sequential)), per_row);
+        assert_eq!(run(Some(&pool)), per_row);
+        let fresh = per_row.1.evaluated as usize;
+        assert_eq!(
+            per_row.6.len(),
+            warm.len() + fresh,
+            "every fresh answer offered once"
+        );
+        assert_eq!(
+            &per_row.6[warm.len()..][..3],
+            [(71, true), (70, true), (69, false)]
+        );
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! value … of this attribute for that tuple". [`OracleUdf`] implements
 //! exactly that; wrappers add timing or noise for robustness experiments.
 
-use expred_table::Table;
+use expred_table::{Column, Table};
 use std::time::Duration;
+
+/// A UDF bound to one table: `row -> answer`, every per-table lookup
+/// (a column by name, say) already done. See [`BooleanUdf::bind`].
+pub type BoundUdf<'a> = Box<dyn Fn(usize) -> bool + Send + Sync + 'a>;
 
 /// A stable identity for one UDF *semantics*: two UDFs with the same id
 /// must answer identically on every `(table, row)`.
@@ -53,6 +57,15 @@ pub trait BooleanUdf: Send + Sync {
     /// Evaluates the UDF on one row. This is the *expensive* call.
     fn evaluate(&self, table: &Table, row: usize) -> bool;
 
+    /// The probe for `table`: what [`BooleanUdf::evaluate`] answers, with
+    /// whatever depends on the table alone resolved once instead of on
+    /// every row. The invoker binds once per query and probes through
+    /// the result. Binding never evaluates and never fails — a UDF that
+    /// cannot answer over `table` still says so from the probe.
+    fn bind<'a>(&'a self, table: &'a Table) -> BoundUdf<'a> {
+        Box::new(move |row| self.evaluate(table, row))
+    }
+
     /// Short human-readable name for diagnostics.
     fn name(&self) -> &str {
         "udf"
@@ -95,15 +108,25 @@ impl OracleUdf {
     pub fn column(&self) -> &str {
         &self.column
     }
+
+    /// The label of `row` in the resolved `column`.
+    fn label(&self, column: Option<&Column>, row: usize) -> bool {
+        column
+            .unwrap_or_else(|| panic!("oracle column {:?} missing", self.column))
+            .bool_at(row)
+            .unwrap_or_else(|| panic!("oracle column {:?} NULL/non-bool at row {row}", self.column))
+    }
 }
 
 impl BooleanUdf for OracleUdf {
     fn evaluate(&self, table: &Table, row: usize) -> bool {
-        table
-            .column(&self.column)
-            .unwrap_or_else(|| panic!("oracle column {:?} missing", self.column))
-            .bool_at(row)
-            .unwrap_or_else(|| panic!("oracle column {:?} NULL/non-bool at row {row}", self.column))
+        self.label(table.column(&self.column), row)
+    }
+
+    /// Resolves the column by name once; the probe is an index into it.
+    fn bind<'a>(&'a self, table: &'a Table) -> BoundUdf<'a> {
+        let column = table.column(&self.column);
+        Box::new(move |row| self.label(column, row))
     }
 
     fn name(&self) -> &str {
@@ -140,6 +163,14 @@ impl<U: BooleanUdf> BooleanUdf for SlowUdf<U> {
     fn evaluate(&self, table: &Table, row: usize) -> bool {
         std::thread::sleep(self.delay);
         self.inner.evaluate(table, row)
+    }
+
+    fn bind<'a>(&'a self, table: &'a Table) -> BoundUdf<'a> {
+        let inner = self.inner.bind(table);
+        Box::new(move |row| {
+            std::thread::sleep(self.delay);
+            inner(row)
+        })
     }
 
     fn name(&self) -> &str {
@@ -291,6 +322,37 @@ mod tests {
         assert!(udf.evaluate(&t, 2));
         assert_eq!(udf.name(), "oracle");
         assert_eq!(udf.column(), "good");
+    }
+
+    #[test]
+    fn a_bound_udf_answers_like_evaluate() {
+        let labels = [true, false, true, true];
+        let t = table_with_labels(&labels);
+        let udfs: [Box<dyn BooleanUdf>; 3] = [
+            Box::new(OracleUdf::new("good")),
+            Box::new(SlowUdf::new(
+                OracleUdf::new("good"),
+                Duration::from_micros(1),
+            )),
+            // No override: the default binds to `evaluate`.
+            Box::new(NoisyUdf::new(OracleUdf::new("good"), 0.5, 3)),
+        ];
+        for udf in &udfs {
+            let probe = udf.bind(&t);
+            for row in 0..labels.len() {
+                assert_eq!(
+                    probe(row),
+                    udf.evaluate(&t, row),
+                    "{} row {row}",
+                    udf.name()
+                );
+            }
+        }
+        // Binding a UDF that cannot answer is not an error yet; probing is.
+        let missing = OracleUdf::new("nope");
+        let probe = missing.bind(&t);
+        let probed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| probe(0)));
+        assert!(probed.is_err());
     }
 
     #[test]

@@ -240,7 +240,7 @@ proptest! {
                 handle.insert(TALL_ROWS + newcomer, true);
             }
             let mut survivors = Vec::new();
-            store.for_each_entry(|_, row, answer| survivors.push((row, answer)));
+            store.for_each_namespace(|_, entries| survivors.extend_from_slice(entries));
             survivors.sort_unstable();
             (seen, store.stats(), survivors)
         };

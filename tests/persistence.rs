@@ -156,9 +156,12 @@ fn rehydration_larger_than_the_cache_capacity_does_not_deadlock() {
 fn graceful_drain_compacts_shed_wal_records_so_the_restart_stays_free() {
     let dir = unique_dir("shed");
     let q = QueryRequest::naive(QuerySpec::paper_default());
-    // A one-record queue guarantees shedding under any real workload,
-    // and auto-compaction is off so only the drain itself can get the
-    // shed records (which live solely in the in-memory index) to disk.
+    // The queue sheds when a batch arrives to find a backlog at the
+    // bound, so a one-row bound sheds whenever two batches arrive
+    // within one flusher cycle (a WAL write and its fsync): two threads
+    // submitting back to back over tables generated up front. And
+    // auto-compaction is off so only the drain itself can get the shed
+    // rows (which live solely in the in-memory index) to disk.
     let cfg = || {
         PersistConfig::new(&dir)
             .with_queue_capacity(1)
@@ -169,15 +172,18 @@ fn graceful_drain_compacts_shed_wal_records_so_the_restart_stays_free() {
         .with_result_capacity(0)
         .with_persistence(cfg())
         .expect("open persistence");
-    let mut datasets = Vec::new();
-    for seed in 0..50u64 {
-        let ds = prosper(400, seed);
-        a.submit(&ds, &q.clone().with_seed(seed)).unwrap();
-        datasets.push(ds);
-        if a.persist_stats().expect("stats").shed > 0 {
-            break;
+    let datasets: Vec<Dataset> = (0..50).map(|seed| prosper(400, seed)).collect();
+    std::thread::scope(|scope| {
+        for (half, tables) in datasets.chunks(25).enumerate() {
+            let (a, q) = (&a, &q);
+            scope.spawn(move || {
+                for (i, ds) in tables.iter().enumerate() {
+                    let seed = (25 * half + i) as u64;
+                    a.submit(ds, &q.clone().with_seed(seed)).unwrap();
+                }
+            });
         }
-    }
+    });
     assert!(
         a.persist_stats().expect("stats").shed > 0,
         "workload never tripped the queue bound; widen the flood"
