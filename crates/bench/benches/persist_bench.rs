@@ -1,5 +1,8 @@
-//! Persistence-tier benchmarks: the cost of durability and the payoff
-//! of a warm restart.
+//! Persistence-tier benchmarks: the cost of durability — appending,
+//! compacting and rehydrating — below the serving path. The payoff of a
+//! warm restart (zero fresh `o_e` after a reboot) is measured end to end
+//! by the `durable_cold` workload in `benchmark/` and asserted by
+//! `crates/serve/tests/warm_restart.rs`.
 //!
 //! ```text
 //! cargo bench --bench persist_bench            # full run
@@ -8,11 +11,6 @@
 //!
 //! Scenarios (→ `BENCH_persist.json`):
 //!
-//! * `warm_restart_naive_beta1` — a β = 1.0 naive query over a slow UDF,
-//!   timed in the process that pays for every row vs a fresh process
-//!   rehydrating the same directory. The restarted run must charge
-//!   **zero** fresh `o_e` (asserted, and exported as the
-//!   `warm_restart_bill` row, which must stay 0).
 //! * `wal_append` — raw [`PersistStore::append_row`] throughput through
 //!   the bounded queue and batched-fsync flusher, ns/record.
 //! * `recovery` — reopening the store over that WAL: CRC-checked replay
@@ -28,11 +26,9 @@
 //!   [`expred_exec::CacheStore`]: open, planes, prefill, ns/row.
 
 use expred_bench::BenchReport;
-use expred_core::{PersistConfig, QueryEngine, QueryRequest, QuerySpec};
+use expred_core::PersistConfig;
 use expred_exec::{CacheNamespace, CacheStore};
 use expred_persist::{PersistKey, PersistStore};
-use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
-use expred_udf::CostModel;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -52,76 +48,6 @@ fn main() {
     println!(
         "persist_bench ({} mode)",
         if smoke { "smoke" } else { "full" }
-    );
-
-    // ---- Warm restart: pay once, reboot, answer for free. ----
-    let rows = if smoke { 400 } else { 2_000 };
-    let latency = Duration::from_micros(if smoke { 50 } else { 100 });
-    let ds = Dataset::generate(DatasetSpec { rows, ..PROSPER }, 7);
-    // β = 1.0: the naive pipeline evaluates every row, so the cold run
-    // is `rows` slow UDF calls and the restart covers the whole table.
-    let spec = QuerySpec::try_new(0.8, 1.0, 0.8, CostModel::PAPER_DEFAULT).expect("valid spec");
-    let request = QueryRequest::naive(spec).with_seed(7);
-    let dir = scratch("engine");
-
-    let engine = |dir: &PathBuf| {
-        QueryEngine::new()
-            .with_result_capacity(0)
-            .with_udf_latency(latency)
-            .with_persistence(PersistConfig::new(dir))
-            .expect("open persistence")
-    };
-    let first = engine(&dir);
-    let start = Instant::now();
-    let cold = first.submit(&ds, &request).expect("cold submit");
-    let cold_secs = start.elapsed().as_secs_f64();
-    assert_eq!(cold.counts.evaluated as usize, rows, "β = 1.0 pays for all");
-    first.flush_persistence().expect("flush before the restart");
-    drop(first);
-
-    let second = engine(&dir);
-    let start = Instant::now();
-    let warm = second.submit(&ds, &request).expect("rehydrated submit");
-    let warm_secs = start.elapsed().as_secs_f64();
-    assert_eq!(
-        warm.counts.evaluated, 0,
-        "a warm restart must charge zero fresh o_e"
-    );
-    assert_eq!(warm.counts.reuse_hits as usize, rows);
-    assert_eq!(warm.returned, cold.returned, "restart changed answers");
-    let rehydrated = second
-        .persist_stats()
-        .expect("persistent engine exports stats")
-        .rehydrated_rows;
-    assert_eq!(rehydrated as usize, rows, "every row came back from disk");
-    drop(second);
-
-    let per_row = |secs: f64| secs * 1e9 / rows as f64;
-    let ratio = cold_secs / warm_secs;
-    report.record(
-        "warm_restart_naive_beta1",
-        "cold_process",
-        per_row(cold_secs),
-        1.0,
-    );
-    report.record(
-        "warm_restart_naive_beta1",
-        "rehydrated_process",
-        per_row(warm_secs),
-        ratio,
-    );
-    // The acceptance row: fresh evaluations after the restart. Must stay
-    // 0 forever; bench-diff treats a 0 baseline as unmeasured, so this
-    // documents the bill without ever tripping the perf gate.
-    report.record(
-        "warm_restart_bill",
-        "fresh_evaluations_after_restart",
-        warm.counts.evaluated as f64,
-        1.0,
-    );
-    println!(
-        "warm_restart_naive_beta1    cold {cold_secs:.3}s, rehydrated {warm_secs:.3}s \
-         ({rows} rows, 0 fresh o_e) -> {ratio:.0}x"
     );
 
     // ---- Raw WAL append throughput. ----
@@ -285,7 +211,7 @@ fn main() {
     );
     println!("rehydrate                   {rehydrate_ns:>8.1} ns/row");
 
-    for dir in [&dir, &wal_dir, &batch_dir, &snap_dir] {
+    for dir in [&wal_dir, &batch_dir, &snap_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
     match report.write() {

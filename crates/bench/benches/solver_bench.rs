@@ -1,5 +1,7 @@
 //! Solver micro-benchmarks: the paper's `O(|A| log |A|)` BiGreedy
-//! algorithm against the general simplex, across group counts.
+//! algorithm against the general simplex, across group counts, and the
+//! estimated-selectivity convex program behind the paper's "less than a
+//! second on each of the datasets" (§6.2).
 //!
 //! ```text
 //! cargo bench --bench solver_bench            # full run
@@ -11,10 +13,15 @@
 //! matters. Results land in `BENCH_solver.json` (`ns_per_probe` is ns per
 //! group; `bigreedy` is the per-scenario baseline, so the simplex rows'
 //! `speedup_vs_baseline` is BiGreedy's advantage inverted — well under 1).
+//! `convex_optimizer_<dataset>` times `solve_estimated` alone on group
+//! statistics shaped like each paper dataset (7–10 groups), ns per group.
 
 use expred_bench::{report::measure_ns_per_unit, BenchReport};
+use expred_core::optimize::{solve_estimated, CorrelationModel, EstimatedGroup};
+use expred_core::query::QuerySpec;
 use expred_solver::bigreedy::GreedyProblem;
 use expred_stats::rng::Prng;
+use expred_table::datasets::{all_specs, Dataset};
 use std::hint::black_box;
 
 /// A reproducible structured instance with `k` groups.
@@ -91,6 +98,37 @@ fn main() {
         });
         report.record(&scenario, "bigreedy", ns, 1.0);
         println!("{scenario:<22} bigreedy {ns:>10.0} ns/group");
+    }
+
+    // The convex optimizer alone, on group statistics shaped like each
+    // paper dataset (7–10 groups, 30k–53k tuples).
+    let spec = QuerySpec::paper_default();
+    for ds_spec in all_specs() {
+        let ds = Dataset::generate(ds_spec, 1);
+        let stats = ds.group_stats(ds.predictor());
+        let groups: Vec<EstimatedGroup> = stats
+            .per_group
+            .iter()
+            .map(|&(t, s)| {
+                let f = (t as f64 * 0.05).round();
+                EstimatedGroup {
+                    size: t as f64,
+                    sampled: f,
+                    sampled_positive: (f * s).round(),
+                    sel: s,
+                    var: s * (1.0 - s) / (f + 3.0),
+                }
+            })
+            .collect();
+        let scenario = format!("convex_optimizer_{}", ds_spec.name);
+        let ns = measure_ns_per_unit(groups.len() as u64, if smoke { 5 } else { 50 }, || {
+            black_box(solve_estimated(&groups, &spec, CorrelationModel::Independent).unwrap());
+        });
+        report.record(&scenario, "solver", ns, 1.0);
+        println!(
+            "{scenario:<26} solver {ns:>10.0} ns/group ({} groups)",
+            groups.len()
+        );
     }
 
     match report.write() {

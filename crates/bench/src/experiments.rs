@@ -1,9 +1,9 @@
 //! One function per table/figure of the paper's evaluation (§6).
 //!
 //! Each function returns a [`TextTable`] whose rows mirror the series the
-//! paper plots; EXPERIMENTS.md records the rendered output next to the
-//! paper's own numbers. Defaults follow §6.1: `α = β = ρ = 0.8`,
-//! `o_r = 1`, `o_e = 3`, 5% sampling for Experiment 1.
+//! paper plots; the `experiments` binary renders them by name (its
+//! module docs list the subcommands). Defaults follow §6.1:
+//! `α = β = ρ = 0.8`, `o_r = 1`, `o_e = 3`, 5% sampling for Experiment 1.
 
 use crate::harness::{fmt, paper_datasets, run_many, summarize, HarnessConfig, TextTable};
 use expred_core::baselines::{run_learning, run_multiple};

@@ -1,8 +1,10 @@
 //! Experiment harness reproducing every table and figure of the paper's
-//! evaluation (§6), plus shared utilities for the Criterion benchmarks.
+//! evaluation (§6), plus the `BENCH_<name>.json` report shared by the
+//! mechanism benches in `benches/`.
 //!
 //! The binary `experiments` (in `src/bin`) exposes one subcommand per
-//! table/figure; see DESIGN.md's per-experiment index for the mapping.
+//! table/figure (its module docs list them); each is one function in
+//! [`experiments`].
 
 pub mod experiments;
 pub mod harness;

@@ -99,6 +99,11 @@ impl BenchReport {
         row.metric = Some((metric.to_owned(), unit.to_owned()));
     }
 
+    /// The bench this report belongs to (the `<name>` of its file).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
     /// The rows recorded so far.
     pub fn records(&self) -> &[BenchRecord] {
         &self.records

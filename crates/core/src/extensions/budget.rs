@@ -26,7 +26,10 @@ pub struct BudgetOutcome {
 /// precision bound `alpha`, for known selectivities.
 ///
 /// Returns `None` when even `β = 0` is unaffordable (i.e. the precision
-/// constraint alone forces spending beyond the budget) or infeasible.
+/// constraint alone forces spending beyond the budget) or infeasible —
+/// including an out-of-range `alpha`, `rho` or `cost` (see
+/// [`QuerySpec::try_new`]) and a negative or NaN `budget`, which no plan's
+/// nonnegative cost fits under. It never panics on its inputs.
 pub fn maximize_recall_under_budget(
     sizes: &[f64],
     sels: &[f64],
@@ -35,9 +38,8 @@ pub fn maximize_recall_under_budget(
     cost: CostModel,
     budget: f64,
 ) -> Option<BudgetOutcome> {
-    assert!(budget >= 0.0, "budget must be nonnegative");
     let try_beta = |beta: f64| -> Option<(Plan, f64)> {
-        let spec = QuerySpec::new(alpha, beta, rho, cost);
+        let spec = QuerySpec::try_new(alpha, beta, rho, cost).ok()?;
         let plan = solve_perfect_selectivities(sizes, sels, &spec).ok()?;
         let c = plan.expected_cost(sizes, &cost);
         (c <= budget + 1e-9).then_some((plan, c))
@@ -112,6 +114,26 @@ mod tests {
                 .expect("beta = 0 costs nothing");
         assert!(out.achieved_beta < 1e-6);
         assert_eq!(out.expected_cost, 0.0);
+    }
+
+    #[test]
+    fn out_of_range_input_is_none_not_a_panic() {
+        let (sizes, sels) = groups();
+        let solve = |alpha, rho, budget| {
+            maximize_recall_under_budget(
+                &sizes,
+                &sels,
+                alpha,
+                rho,
+                CostModel::PAPER_DEFAULT,
+                budget,
+            )
+        };
+        assert!(solve(0.8, 0.8, 1e9).is_some(), "the baseline is feasible");
+        assert!(solve(0.8, 1.0, 1e9).is_none(), "rho out of [0, 1)");
+        assert!(solve(1.5, 0.8, 1e9).is_none(), "alpha out of [0, 1]");
+        assert!(solve(0.8, 0.8, -1.0).is_none(), "negative budget");
+        assert!(solve(0.8, 0.8, f64::NAN).is_none(), "NaN budget");
     }
 
     #[test]

@@ -58,8 +58,8 @@
 //!   a real or *virtual* correlated column.
 //! * [`csv`] — minimal RFC-4180 CSV ingestion for users with real data.
 //! * [`datasets`] — synthetic clones of the paper's four evaluation
-//!   datasets, calibrated to the published Table 2/3 statistics (see
-//!   DESIGN.md for the substitution argument), generated column by
+//!   datasets, calibrated to the published Table 2/3 statistics (the
+//!   module docs give the substitution argument), generated column by
 //!   column.
 
 pub mod column;
