@@ -57,6 +57,7 @@
 
 use crate::cache::{assign_bits, zeroed_plane, RowBits};
 use expred_stats::bits::bits;
+use expred_stats::PAGE_ROWS;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -132,8 +133,6 @@ expred_stats::counter_set! {
     }
 }
 
-/// Rows per page: 64 words of 64 bits in each plane.
-const PAGE_ROWS: usize = 4096;
 const PAGE_WORDS: usize = PAGE_ROWS / 64;
 
 /// 4096 consecutive rows of one namespace: which are cached and their

@@ -48,8 +48,8 @@ pub const FRAME_OVERHEAD: usize = 8;
 pub const MAX_PAYLOAD: usize = 1 << 26;
 
 /// Rows per page: the unit of a snapshot frame, of the index's planes and
-/// of TTL ageing. 64 words of 64 rows, as in the live cache.
-pub const PAGE_ROWS: usize = 4_096;
+/// of TTL ageing — the workspace's one page size, as in the live cache.
+pub use expred_stats::PAGE_ROWS;
 
 /// 64-row words per page plane.
 pub const PAGE_WORDS: usize = PAGE_ROWS / 64;

@@ -23,7 +23,8 @@
 //! * [`histogram`] — equi-depth bucketing of probability scores, used to
 //!   turn a classifier's output into a *virtual* correlated column
 //!   (paper §4.4, §6.3.2).
-//! * [`bits`] — reading a 64-row bit-plane word out as row offsets.
+//! * [`bits`] — reading a 64-row bit-plane word out as row offsets, and
+//!   [`PAGE_ROWS`], the one page size every paged layer shares.
 //! * [`hash`] — deterministic FNV-1a fingerprinting shared by the
 //!   table/UDF/engine cache-key layers.
 //! * [`json`] — the workspace's one no-serde JSON parser/writer, shared
@@ -52,6 +53,7 @@ pub mod special;
 
 pub use beta::Beta;
 pub use binomial::Binomial;
+pub use bits::PAGE_ROWS;
 pub use bounds::{chebyshev_scale, hoeffding_threshold};
 pub use descriptive::{pearson, Accumulator};
 pub use estimator::SelectivityEstimate;

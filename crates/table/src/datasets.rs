@@ -18,15 +18,35 @@
 //! and [`Dataset::group_stats`] reports the *achieved* statistics; the
 //! Table 3 experiment prints achieved-vs-paper side by side.
 //!
-//! Generation is **columnar**: the per-row loop draws from the PRNG and
-//! pushes numbers into typed vectors (a label number per categorical
-//! cell), each label is rendered to a string once per value, and the
-//! table is assembled by [`Table::from_columns`] — a few hundred
-//! allocations for a 20 000-row table, where a row at a time was one per
-//! cell. The PRNG draw order, and with it every cell and the table's
-//! [`Table::version`] (the durable half of every persisted cache key), is
-//! frozen: the tests pin `version` for six `(spec, rows, seed)` triples
-//! and compare every generated table with a row-at-a-time oracle.
+//! Generation is **columnar, one tight loop per column**. The row plan —
+//! group sizes and selectivities, then every row's shuffled `(group,
+//! label)` — decides the predictor column and the hidden label, and with
+//! them every answer a `grade`, `expr` or `naive` query returns. Each
+//! auxiliary column is then its own loop over the plan that pushes
+//! numbers into a typed vector (a label number per categorical cell;
+//! each label is rendered to a string once per value), and the table is
+//! assembled by [`Table::from_columns`].
+//!
+//! **Streams.** Every auxiliary column draws each [`PAGE_ROWS`]-row page
+//! from its own stream: stream `(column, page)` is
+//! `Prng::fork(column << 32 | page)` off the plan's generator, `column`
+//! being the column's schema position. A page's cells therefore follow
+//! from the plan's rows on that page alone — a parallel or lazy generator
+//! needs no further re-seed. Each cell is one draw: a noisy predictor
+//! cell splits one `u64` between keeping the group and picking a
+//! replacement, a label-driven categorical counts one uniform's place in
+//! a precomputed inverse CDF, and a numeric cell is a ziggurat normal
+//! (no `ln` or `cos` for about 99 % of draws).
+//!
+//! **The re-seed.** Moving the auxiliary columns onto these streams
+//! re-drew them once, deliberately (ROADMAP 5(c)), with the laws the
+//! row-major generator drew them from. Every predictor and label cell
+//! is what it was; every other cell — so every [`Table::version`], half
+//! of every durable cache key — moved, which orphans any `--data-dir`
+//! written before it. The tests pin `version` for six `(spec, rows,
+//! seed)` triples, pin the predictor and label columns at their
+//! pre-re-seed fingerprint, hold each sampler to the row-major law, and
+//! compare every generated table with a row-at-a-time oracle.
 
 use crate::column::{Column, StrColumn};
 use crate::schema::{Field, Schema};
@@ -34,6 +54,8 @@ use crate::table::Table;
 use crate::value::DataType;
 use expred_stats::descriptive::{pearson, Accumulator};
 use expred_stats::rng::Prng;
+use expred_stats::PAGE_ROWS;
+use std::sync::OnceLock;
 
 /// Name of the hidden ground-truth column carried by every synthetic
 /// dataset. Algorithms must never read it directly; the `expred-udf` crate
@@ -156,8 +178,10 @@ impl Dataset {
     ///
     /// If the spec has fewer than two groups, or fewer rows than groups.
     pub fn generate(spec: DatasetSpec, seed: u64) -> Self {
-        let (plan, mut rng) = row_plan(&spec, seed);
-        let table = build_table(&spec, &plan, &mut rng);
+        let (plan, streams) = row_plan(&spec, seed);
+        let columns = build_columns(&spec, &plan, &streams, 0);
+        let table = Table::from_columns(dataset_schema(&spec), columns)
+            .expect("generated columns match the schema");
         Self { table, spec, seed }
     }
 
@@ -229,8 +253,8 @@ impl Dataset {
 }
 
 /// The per-row plan — `(group index, ground-truth label)`, shuffled so
-/// that physical row order carries no signal — and the PRNG, positioned
-/// where the cell draws start.
+/// that physical row order carries no signal — and the PRNG the
+/// auxiliary columns' page streams are forked off.
 fn row_plan(spec: &DatasetSpec, seed: u64) -> (Vec<(usize, bool)>, Prng) {
     let mut rng = Prng::seeded(seed ^ hash_name(spec.name));
     let (sizes, sels) = calibrate_groups(spec, &mut rng);
@@ -441,70 +465,207 @@ fn dataset_schema(spec: &DatasetSpec) -> Schema {
     Schema::new(fields)
 }
 
-/// One draw from a label-driven categorical distribution: geometric
-/// weights, reversed between the two label classes; `strength`
-/// interpolates with uniform.
-fn categorical_value(rng: &mut Prng, label: bool, strength: f64, card: usize) -> usize {
-    if !rng.bernoulli(strength) {
-        return rng.below(card);
+/// 2^31 and 2^32 as floats: the scales of the uniforms and abscissas cut
+/// from one `u64` draw.
+const TWO_31: f64 = (1u64 << 31) as f64;
+const TWO_32: f64 = (1u64 << 32) as f64;
+
+/// A noisy copy of the predictor, one `u64` per cell: the high half keeps
+/// the row's group with probability `fidelity`, the low half picks the
+/// replacement among all `k` groups by multiply-shift — the law of
+/// `bernoulli(fidelity)` then `below(k)`, to within 2^-32.
+#[derive(Debug, Clone, Copy)]
+struct NoisyGroup {
+    keep_below: u64,
+    groups: u64,
+}
+
+impl NoisyGroup {
+    fn new(fidelity: f64, groups: usize) -> Self {
+        Self {
+            keep_below: (fidelity * TWO_32) as u64,
+            groups: groups as u64,
+        }
     }
-    // Geometric-ish skew toward one end, direction depends on label.
-    let mut idx = 0usize;
-    while idx + 1 < card && rng.bernoulli(0.45) {
-        idx += 1;
-    }
-    if label {
-        idx
-    } else {
-        card - 1 - idx
+
+    /// Selects by mask: left as a branch, this is a coin flip the CPU
+    /// mispredicts about half the time.
+    #[inline]
+    fn draw(self, rng: &mut Prng, group: usize) -> u32 {
+        let bits = rng.next_u64();
+        let replacement = (((bits & u64::from(u32::MAX)) * self.groups) >> 32) as u32;
+        let keep = u32::from(bits >> 32 < self.keep_below).wrapping_neg();
+        replacement ^ ((replacement ^ group as u32) & keep)
     }
 }
 
-/// Fills the table column by column: the per-row loop only draws from the
-/// PRNG and pushes numbers — a label number per categorical cell, a float
-/// per numeric cell — and each label is rendered to a string once per
-/// value afterwards, into the column's dictionary.
-///
-/// The draw order per row (noisy predictors, label-driven categoricals,
-/// noise categoricals, numerics) is **frozen**: it decides every cell, so
-/// it decides [`Table::version`], which is half of every durable cache
-/// key. `generated_versions_are_pinned` holds it in place.
-fn build_table(spec: &DatasetSpec, plan: &[(usize, bool)], rng: &mut Prng) -> Table {
-    let k = spec.groups;
-    let n = plan.len();
-    let codes = || Vec::<u32>::with_capacity(n);
-    let mut predictor = codes();
-    let mut noisy = NOISY_PREDICTORS.map(|_| codes());
-    let mut aux = AUX_CATEGORICALS.map(|_| codes());
-    let mut noise = NOISE_CATEGORICALS.map(|_| codes());
-    let mut numeric = NUMERIC_FEATURES.map(|_| Vec::<Option<f64>>::with_capacity(n));
-    let mut labels = Vec::with_capacity(n);
+/// The most values a label-driven categorical takes.
+const MAX_CARD: usize = 12;
 
-    for &(group, label) in plan {
-        predictor.push(group as u32);
-        for ((_, fidelity), column) in NOISY_PREDICTORS.into_iter().zip(&mut noisy) {
-            let g = if rng.bernoulli(fidelity) {
-                group
-            } else {
-                rng.below(k)
-            };
-            column.push(g as u32);
-        }
-        for ((_, strength, card), column) in AUX_CATEGORICALS.into_iter().zip(&mut aux) {
-            column.push(categorical_value(rng, label, strength, card) as u32);
-        }
-        for ((_, card), column) in NOISE_CATEGORICALS.into_iter().zip(&mut noise) {
-            column.push(rng.below(card) as u32);
-        }
-        for ((_, base, delta_sigmas, sigma), column) in
-            NUMERIC_FEATURES.into_iter().zip(&mut numeric)
-        {
-            let shift = if label { delta_sigmas * sigma } else { 0.0 };
-            column.push(Some(base + shift + sigma * rng.gaussian()));
-        }
-        labels.push(Some(label));
+/// A label-driven categorical as one inverse CDF per label class: a cell
+/// is how many cut points one 31-bit uniform reaches, counted without a
+/// branch (in 32-bit lanes, which the compiler counts several at a time).
+/// The law, to within 2^-31: with probability `strength`, a geometric
+/// skew (`0.55 · 0.45^i` for the `i`-th value, the last value taking the
+/// tail) from value 0 up for a true label and from `card - 1` down for a
+/// false one; uniform otherwise.
+#[derive(Debug, Clone)]
+struct LabelDriven {
+    /// `cuts[label][v]`: `P(value <= v) · 2^31`; slots past the last
+    /// value hold `u32::MAX`, which no 31-bit uniform reaches.
+    cuts: [[u32; MAX_CARD - 1]; 2],
+}
+
+impl LabelDriven {
+    fn new(strength: f64, card: usize) -> Self {
+        assert!((1..=MAX_CARD).contains(&card), "cardinality {card}");
+        let cuts = [false, true].map(|label| {
+            let mut cuts = [u32::MAX; MAX_CARD - 1];
+            let mut cdf = 0.0;
+            for (value, cut) in cuts.iter_mut().enumerate().take(card - 1) {
+                let step = if label { value } else { card - 1 - value };
+                let stop = if step + 1 < card { 0.55 } else { 1.0 };
+                cdf += (1.0 - strength) / card as f64 + strength * stop * 0.45f64.powi(step as i32);
+                *cut = (cdf * TWO_31) as u32;
+            }
+            cuts
+        });
+        Self { cuts }
     }
 
+    #[inline]
+    fn draw(&self, rng: &mut Prng, label: bool) -> u32 {
+        let uniform = (rng.next_u64() >> 33) as u32;
+        self.cuts[usize::from(label)]
+            .iter()
+            .map(|&cut| u32::from(cut <= uniform))
+            .sum()
+    }
+}
+
+/// Marsaglia and Tsang's ziggurat for the standard normal: 128 layers
+/// of equal area under the density. One `u64` picks a layer (7 bits) and
+/// a signed 32-bit abscissa in it; about 99 % of draws fall inside the
+/// layer's rectangle and cost a multiply and a compare. The rest take
+/// the wedge test (one `exp`) or, in the base layer, the tail (two
+/// `ln`s), and draw again when rejected. (`Prng::gaussian`, Box–Muller,
+/// pays `ln`, `sqrt` and `cos` on every draw.)
+#[derive(Debug)]
+struct Ziggurat {
+    /// Below `inner[i]`, a layer-`i` abscissa is inside the rectangle.
+    inner: [u32; 128],
+    /// Layer `i`'s width over 2^31: abscissa to `x`.
+    scale: [f64; 128],
+    /// The density at layer `i`'s right edge.
+    density: [f64; 128],
+}
+
+impl Ziggurat {
+    /// The tables, computed once per process.
+    fn get() -> &'static Self {
+        static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            // The base layer's edge and each layer's area.
+            const EDGE: f64 = 3.442_619_855_899;
+            const AREA: f64 = 9.912_563_035_262_17e-3;
+            let density = |x: f64| (-0.5 * x * x).exp();
+            let mut tables = Self {
+                inner: [0; 128],
+                scale: [0.0; 128],
+                density: [0.0; 128],
+            };
+            let base = AREA / density(EDGE);
+            tables.inner[0] = (EDGE / base * TWO_31) as u32;
+            tables.scale[0] = base / TWO_31;
+            tables.scale[127] = EDGE / TWO_31;
+            tables.density[0] = 1.0;
+            tables.density[127] = density(EDGE);
+            let (mut edge, mut outer) = (EDGE, EDGE);
+            for i in (1..127).rev() {
+                edge = (-2.0 * (AREA / edge + density(edge)).ln()).sqrt();
+                tables.inner[i + 1] = (edge / outer * TWO_31) as u32;
+                outer = edge;
+                tables.density[i] = density(edge);
+                tables.scale[i] = edge / TWO_31;
+            }
+            tables
+        })
+    }
+
+    #[inline]
+    fn draw(&self, rng: &mut Prng) -> f64 {
+        loop {
+            let bits = rng.next_u64();
+            let abscissa = bits as u32 as i32;
+            let layer = (bits >> 32) as usize % 128;
+            let x = f64::from(abscissa) * self.scale[layer];
+            if abscissa.unsigned_abs() < self.inner[layer] {
+                return x;
+            }
+            if layer == 0 {
+                return self.tail(rng, abscissa > 0);
+            }
+            let below =
+                self.density[layer] + rng.f64() * (self.density[layer - 1] - self.density[layer]);
+            if below < (-0.5 * x * x).exp() {
+                return x;
+            }
+        }
+    }
+
+    /// A draw beyond the base layer's edge, by Marsaglia's exponential
+    /// rejection.
+    #[cold]
+    fn tail(&self, rng: &mut Prng, positive: bool) -> f64 {
+        let edge = self.scale[127] * TWO_31;
+        loop {
+            let x = -(1.0 - rng.f64()).ln() / edge;
+            let y = -(1.0 - rng.f64()).ln();
+            if 2.0 * y >= x * x {
+                return if positive { edge + x } else { -edge - x };
+            }
+        }
+    }
+}
+
+/// Column `column`'s stream on page `page`, forked off the plan's
+/// generator.
+fn page_stream(streams: &Prng, column: usize, page: usize) -> Prng {
+    streams.fork((column as u64) << 32 | page as u64)
+}
+
+/// One column's cells over `plan` — whole pages' rows, the first of them
+/// page `first_page` — each page drawn from its own stream.
+fn draw_column<T>(
+    plan: &[(usize, bool)],
+    streams: &Prng,
+    column: usize,
+    first_page: usize,
+    mut cell: impl FnMut(&mut Prng, usize, bool) -> T,
+) -> Vec<T> {
+    let mut cells = Vec::with_capacity(plan.len());
+    for (page, rows) in plan.chunks(PAGE_ROWS).enumerate() {
+        let mut rng = page_stream(streams, column, first_page + page);
+        cells.extend(
+            rows.iter()
+                .map(|&(group, label)| cell(&mut rng, group, label)),
+        );
+    }
+    cells
+}
+
+/// Every column of the rows in `plan`, which start at page `first_page`:
+/// the row ids and the predictor and label straight from the plan, and
+/// each auxiliary column one loop over it, drawing from the streams of
+/// its schema position. Each label is rendered to a string once per
+/// value, into the column's dictionary.
+fn build_columns(
+    spec: &DatasetSpec,
+    plan: &[(usize, bool)],
+    streams: &Prng,
+    first_page: usize,
+) -> Vec<Column> {
+    let k = spec.groups;
     // One rendered label per value a column can take; values no row drew
     // (small tables) and labels two groups share (letters wrap after `Z`)
     // are `StrColumn::from_dictionary`'s to tidy.
@@ -514,22 +675,48 @@ fn build_table(spec: &DatasetSpec, plan: &[(usize, bool)], rng: &mut Prng) -> Ta
             StrColumn::from_dictionary(&dictionary, codes).expect("labels are below `card`"),
         )
     };
+    let first_row = first_page * PAGE_ROWS;
+    let predictor = plan.iter().map(|&(group, _)| group as u32).collect();
     let mut columns = vec![
-        Column::Int((0..n as i64).map(Some).collect()),
+        Column::Int(
+            (first_row..first_row + plan.len())
+                .map(|r| Some(r as i64))
+                .collect(),
+        ),
         categorical(k, predictor, &|g| group_label(spec.predictor, g)),
     ];
-    for codes in noisy {
+    for (_, fidelity) in NOISY_PREDICTORS {
+        let noisy = NoisyGroup::new(fidelity, k);
+        let codes = draw_column(plan, streams, columns.len(), first_page, |rng, group, _| {
+            noisy.draw(rng, group)
+        });
         columns.push(categorical(k, codes, &|g| group_label("noisy", g)));
     }
-    for ((name, _, card), codes) in AUX_CATEGORICALS.into_iter().zip(aux) {
+    for (name, strength, card) in AUX_CATEGORICALS {
+        let law = LabelDriven::new(strength, card);
+        let codes = draw_column(plan, streams, columns.len(), first_page, |rng, _, label| {
+            law.draw(rng, label)
+        });
         columns.push(categorical(card, codes, &|v| format!("{name}_{v}")));
     }
-    for ((name, card), codes) in NOISE_CATEGORICALS.into_iter().zip(noise) {
+    for (name, card) in NOISE_CATEGORICALS {
+        let codes = draw_column(plan, streams, columns.len(), first_page, |rng, _, _| {
+            rng.below(card) as u32
+        });
         columns.push(categorical(card, codes, &|v| format!("{name}_{v}")));
     }
-    columns.extend(numeric.into_iter().map(Column::Float));
-    columns.push(Column::Bool(labels));
-    Table::from_columns(dataset_schema(spec), columns).expect("generated columns match the schema")
+    let normal = Ziggurat::get();
+    for (_, base, delta_sigmas, sigma) in NUMERIC_FEATURES {
+        let mean = [base, base + delta_sigmas * sigma];
+        let cells = draw_column(plan, streams, columns.len(), first_page, |rng, _, label| {
+            Some(mean[usize::from(label)] + sigma * normal.draw(rng))
+        });
+        columns.push(Column::Float(cells));
+    }
+    columns.push(Column::Bool(
+        plan.iter().map(|&(_, label)| Some(label)).collect(),
+    ));
+    columns
 }
 
 /// Human-readable group labels: letters for grade-like columns, numbered
@@ -548,35 +735,45 @@ mod tests {
     use super::*;
     use crate::value::Value;
 
-    /// The row-at-a-time generator `build_table` replaced, kept as its
-    /// oracle: one `Vec<Value>` and one heap `String` per categorical
-    /// cell, through `push_row`.
+    /// A row-at-a-time rendering of the same streams, kept as the
+    /// columnar generator's oracle: each row takes its next cell from the
+    /// stream of each auxiliary column's current page, and goes in as one
+    /// `Vec<Value>` (one heap `String` per categorical cell) through
+    /// `push_row`.
     fn generate_by_rows(spec: DatasetSpec, seed: u64) -> Table {
-        let (plan, mut rng) = row_plan(&spec, seed);
-        let rng = &mut rng;
+        let (plan, streams) = row_plan(&spec, seed);
         let mut table = Table::empty(dataset_schema(&spec));
+        // Everything between the predictor and the label.
+        let auxiliary = 2..table.num_columns() - 1;
+        let mut rngs = Vec::new();
         for (row_id, &(group, label)) in plan.iter().enumerate() {
+            if row_id % PAGE_ROWS == 0 {
+                let page = row_id / PAGE_ROWS;
+                rngs = auxiliary
+                    .clone()
+                    .map(|column| page_stream(&streams, column, page))
+                    .collect();
+            }
+            let mut rngs = rngs.iter_mut();
+            let mut rng = || rngs.next().expect("one stream per auxiliary column");
             let mut row: Vec<Value> = Vec::with_capacity(table.num_columns());
             row.push(Value::Int(row_id as i64));
             row.push(Value::Str(group_label(spec.predictor, group)));
             for (_, fidelity) in NOISY_PREDICTORS {
-                let g = if rng.bernoulli(fidelity) {
-                    group
-                } else {
-                    rng.below(spec.groups)
-                };
-                row.push(Value::Str(group_label("noisy", g)));
+                let g = NoisyGroup::new(fidelity, spec.groups).draw(rng(), group);
+                row.push(Value::Str(group_label("noisy", g as usize)));
             }
             for (name, strength, card) in AUX_CATEGORICALS {
-                let v = categorical_value(rng, label, strength, card);
+                let v = LabelDriven::new(strength, card).draw(rng(), label);
                 row.push(Value::Str(format!("{name}_{v}")));
             }
             for (name, card) in NOISE_CATEGORICALS {
-                row.push(Value::Str(format!("{name}_{}", rng.below(card))));
+                row.push(Value::Str(format!("{name}_{}", rng().below(card))));
             }
             for (_, base, delta_sigmas, sigma) in NUMERIC_FEATURES {
                 let shift = if label { delta_sigmas * sigma } else { 0.0 };
-                row.push(Value::Float(base + shift + sigma * rng.gaussian()));
+                let z = Ziggurat::get().draw(rng());
+                row.push(Value::Float(base + shift + sigma * z));
             }
             row.push(Value::Bool(label));
             table
@@ -586,11 +783,179 @@ mod tests {
         table
     }
 
+    /// The row-major generator's label-driven categorical, kept as the
+    /// law [`LabelDriven`] must follow: a Bernoulli for the skew, then a
+    /// rejection loop for its geometric steps.
+    fn categorical_value(rng: &mut Prng, label: bool, strength: f64, card: usize) -> usize {
+        if !rng.bernoulli(strength) {
+            return rng.below(card);
+        }
+        let mut idx = 0usize;
+        while idx + 1 < card && rng.bernoulli(0.45) {
+            idx += 1;
+        }
+        if label {
+            idx
+        } else {
+            card - 1 - idx
+        }
+    }
+
+    /// Two-sample χ² over `bins` outcomes, `n` draws a side: how far
+    /// `new` lies from `old`'s law. With `bins - 1` degrees of freedom,
+    /// under `df + 10·sqrt(2·df)` is far inside the null.
+    fn chi_square(
+        bins: usize,
+        n: usize,
+        mut new: impl FnMut() -> usize,
+        mut old: impl FnMut() -> usize,
+    ) -> (f64, f64) {
+        let (mut a, mut b) = (vec![0f64; bins], vec![0f64; bins]);
+        for _ in 0..n {
+            a[new()] += 1.0;
+            b[old()] += 1.0;
+        }
+        let chi2 = a
+            .iter()
+            .zip(&b)
+            .filter(|(x, y)| *x + *y > 0.0)
+            .map(|(x, y)| (x - y) * (x - y) / (x + y))
+            .sum();
+        let df = (bins - 1) as f64;
+        (chi2, df + 10.0 * (2.0 * df).sqrt())
+    }
+
+    #[test]
+    fn label_driven_categoricals_keep_the_row_generators_law() {
+        let (mut new, mut old) = (Prng::seeded(1), Prng::seeded(2));
+        for (name, strength, card) in AUX_CATEGORICALS {
+            let law = LabelDriven::new(strength, card);
+            for label in [false, true] {
+                let (chi2, bound) = chi_square(
+                    card,
+                    200_000,
+                    || law.draw(&mut new, label) as usize,
+                    || categorical_value(&mut old, label, strength, card),
+                );
+                assert!(
+                    chi2 < bound,
+                    "{name}, label {label}: χ² {chi2:.1} ≥ {bound:.1}"
+                );
+                // And the test can tell the two label classes apart.
+                let (flipped, bound) = chi_square(
+                    card,
+                    200_000,
+                    || law.draw(&mut new, label) as usize,
+                    || categorical_value(&mut old, !label, strength, card),
+                );
+                assert!(flipped > bound, "{name}: label flip reads χ² {flipped:.1}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_draw_noisy_predictors_keep_bernoulli_then_below() {
+        let (mut new, mut old) = (Prng::seeded(3), Prng::seeded(4));
+        for (name, fidelity) in NOISY_PREDICTORS {
+            for (groups, group) in [(7, 0), (8, 5), (30, 29)] {
+                let noisy = NoisyGroup::new(fidelity, groups);
+                let (chi2, bound) = chi_square(
+                    groups,
+                    200_000,
+                    || noisy.draw(&mut new, group) as usize,
+                    || {
+                        if old.bernoulli(fidelity) {
+                            group
+                        } else {
+                            old.below(groups)
+                        }
+                    },
+                );
+                assert!(
+                    chi2 < bound,
+                    "{name} over {groups} groups: χ² {chi2:.1} ≥ {bound:.1}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_normal_sampler_has_the_normal_moments_and_quantiles() {
+        let normal = Ziggurat::get();
+        let mut rng = Prng::seeded(5);
+        let mut draws: Vec<f64> = (0..400_000).map(|_| normal.draw(&mut rng)).collect();
+        let acc = Accumulator::from_slice(&draws);
+        assert!(acc.mean().abs() < 0.01, "mean {}", acc.mean());
+        assert!(
+            (acc.variance() - 1.0).abs() < 0.01,
+            "variance {}",
+            acc.variance()
+        );
+        let moment = |k: i32| draws.iter().map(|x| x.powi(k)).sum::<f64>() / draws.len() as f64;
+        assert!(moment(3).abs() < 0.03, "skew {}", moment(3));
+        assert!((moment(4) - 3.0).abs() < 0.06, "kurtosis {}", moment(4));
+        // Exact quantiles: the 1/5/50/95/99 % ones read off the sorted
+        // draws, and all of them — out to the tail path, past the base
+        // layer's edge at 3.44 — as bins for a χ² against the normal.
+        let quantiles = [
+            (1e-4, -3.719_016_485_455_68),
+            (1e-3, -3.090_232_306_167_813),
+            (0.01, -2.326_347_874_040_840_8),
+            (0.05, -1.644_853_626_951_472_6),
+            (0.25, -0.674_489_750_196_081_7),
+            (0.5, 0.0),
+            (0.75, 0.674_489_750_196_081_7),
+            (0.95, 1.644_853_626_951_471_5),
+            (0.99, 2.326_347_874_040_840_8),
+            (0.999, 3.090_232_306_167_813),
+            (0.9999, 3.719_016_485_455_708_4),
+        ];
+        draws.sort_by(f64::total_cmp);
+        for (q, z) in quantiles {
+            if [0.01, 0.05, 0.5, 0.95, 0.99].contains(&q) {
+                let got = draws[(q * draws.len() as f64) as usize];
+                assert!((got - z).abs() < 0.02, "{q} quantile {got} vs {z}");
+            }
+        }
+        let mut chi2 = 0.0;
+        let mut below = (0.0, 0);
+        for (q, z) in quantiles.into_iter().chain([(1.0, f64::INFINITY)]) {
+            let count = draws.partition_point(|&x| x < z);
+            let expected = (q - below.0) * draws.len() as f64;
+            let observed = (count - below.1) as f64;
+            chi2 += (observed - expected).powi(2) / expected;
+            below = (q, count);
+        }
+        let df = quantiles.len() as f64;
+        assert!(
+            chi2 < df + 10.0 * (2.0 * df).sqrt(),
+            "χ² {chi2:.1} over {df} df"
+        );
+    }
+
+    #[test]
+    fn a_page_regenerated_alone_has_the_whole_tables_cells() {
+        let spec = DatasetSpec {
+            rows: 2 * PAGE_ROWS + 100,
+            ..LENDING_CLUB
+        };
+        let whole = Dataset::generate(spec, 9).table;
+        let (plan, streams) = row_plan(&spec, 9);
+        for (page, rows) in plan.chunks(PAGE_ROWS).enumerate() {
+            let columns = build_columns(&spec, rows, &streams, page);
+            let alone = Table::from_columns(dataset_schema(&spec), columns).unwrap();
+            for r in 0..rows.len() {
+                let row = page * PAGE_ROWS + r;
+                assert_eq!(alone.row(r), whole.row(row), "page {page}, row {row}");
+            }
+        }
+    }
+
     #[test]
     fn columnar_generation_equals_the_row_oracle() {
         for spec in all_specs() {
             let k = spec.groups;
-            for rows in [k, k + 1, 63, 64, 65, 200, 2_000] {
+            for rows in [k, k + 1, 63, 64, 65, 200, 2_000, 2 * PAGE_ROWS + 1] {
                 for seed in [0, 7, 0xdead_beef] {
                     let spec = DatasetSpec { rows, ..spec };
                     let columnar = Dataset::generate(spec, seed).table;
@@ -620,8 +985,10 @@ mod tests {
 
     /// `Table::version` is the `version` half of every `PersistKey` and
     /// the schema fingerprint keys cross-table reuse: a generator change
-    /// that moves either orphans every `--data-dir` ever written. These
-    /// constants were recorded before the generator went columnar.
+    /// that moves either orphans every `--data-dir` ever written. The
+    /// versions below are the deliberate ROADMAP 5(c) re-seed (per-column,
+    /// per-page streams), which orphans any `--data-dir` written before
+    /// it; the schema fingerprints did not move.
     #[test]
     fn generated_versions_are_pinned() {
         for (spec, rows, seed, version, schema) in [
@@ -629,42 +996,42 @@ mod tests {
                 PROSPER,
                 2_000,
                 7,
-                0xaf92_1da1_9a84_9e5f_u64,
+                0x660b_f7c0_e257_b1df_u64,
                 0x8b3e_bf6d_d7b4_775c_u64,
             ),
             (
                 LENDING_CLUB,
                 2_000,
                 7,
-                0x66dd_c59f_5c23_7b25,
+                0xa387_c375_6144_9751,
                 0x8b3e_bf6d_d7b4_775c,
             ),
             (
                 PROSPER,
                 20_000,
                 1,
-                0x376a_252a_0f03_5593,
+                0xd7ad_3e05_d4c5_a78b,
                 0x8b3e_bf6d_d7b4_775c,
             ),
             (
                 LENDING_CLUB,
                 20_000,
                 3,
-                0x5442_d20e_a4f7_842f,
+                0x80bf_ae27_e507_d571,
                 0x8b3e_bf6d_d7b4_775c,
             ),
             (
                 CENSUS,
                 45_000,
                 1,
-                0xedf4_b3d1_6650_2ffb,
+                0x11e3_53b8_93a0_d3fb,
                 0x5f97_ebf5_fa97_b5b9,
             ),
             (
                 MARKETING,
                 41_000,
                 1,
-                0x99dc_fb73_363d_36f5,
+                0xe3f3_ed01_0ad5_9327,
                 0x2f28_84a2_0e8d_f1a7,
             ),
         ] {
@@ -672,6 +1039,36 @@ mod tests {
             let what = format!("{} @ {rows} rows, seed {seed}", spec.name);
             assert_eq!(table.version(), version, "{what}: version");
             assert_eq!(table.schema().fingerprint(), schema, "{what}: schema");
+        }
+    }
+
+    /// The columns the row plan decides — the predictor and the hidden
+    /// label, and so every answer a `grade`, `expr` or `naive` query
+    /// returns — are cell for cell what they were before the re-seed:
+    /// these fingerprints were recorded at its parent commit.
+    #[test]
+    fn predictor_and_label_cells_survive_the_re_seed() {
+        for (spec, rows, seed, pinned) in [
+            (PROSPER, 2_000, 7, 0xb0d5_7abc_ad71_57d6_u64),
+            (LENDING_CLUB, 2_000, 7, 0xfe5a_e0b6_c045_58dd),
+            (PROSPER, 20_000, 1, 0x3837_b574_31e5_be0e),
+            (LENDING_CLUB, 20_000, 3, 0x19e7_b3ef_5484_8985),
+            (CENSUS, 45_000, 1, 0x037f_03a1_392a_325c),
+            (MARKETING, 41_000, 1, 0xb3dd_0e8a_4935_4e4b),
+        ] {
+            let table = Dataset::generate(DatasetSpec { rows, ..spec }, seed).table;
+            let mut h = expred_stats::hash::Fnv64::new();
+            for r in 0..rows {
+                for column in [spec.predictor, LABEL_COLUMN] {
+                    h.write_u64(table.value(r, column).unwrap().fingerprint());
+                }
+            }
+            assert_eq!(
+                h.finish(),
+                pinned,
+                "{} @ {rows} rows, seed {seed}",
+                spec.name
+            );
         }
     }
 
