@@ -11,21 +11,28 @@
 //! probes — this measures the executor's own bookkeeping, not UDF cost),
 //! plus the read path over a warm session, where every row is a store
 //! hit promoted into the query's memo: `memoized_scan_warm` (a fresh
-//! query asking, group by group over the groups' word runs, which rows
-//! are already decided), `execute_plan_warm` (a fresh query executing a
-//! plan over it: the answer is the reused positives, read out of one
-//! plane) and `evaluate_batch_warm` (the same rows demanded as one
-//! batch). `fresh_commit` is the write path: `evaluate_batch` over a cold
-//! namespace — every row probed, memoized and committed to the session
-//! store — with no spill sink and with one that takes the offers.
+//! query asking, in one word-major pass over the grouping, which rows
+//! are already decided and which passed), `execute_plan_warm` (a fresh query
+//! executing a plan over it: the answer is the reused positives, read
+//! out of one plane), `evaluate_batch_warm` (the same rows demanded as
+//! one batch) and `expr_scan_warm` (an `ExprScan` of `not udf_label`:
+//! one plane read of the leaf, then plane algebra). `group_scan_partial`
+//! is the sampling tally over a session holding 80 % of the rows — the
+//! shape a warm `novel_queries` request reads — so the pass pays a store
+//! miss per fifth row as well as the promotions. `fresh_commit` is the
+//! write path: `evaluate_batch` over a cold namespace — every row probed,
+//! memoized and committed to the session store — with no spill sink and
+//! with one that takes the offers.
 
 use expred_bench::{report::measure_ns_per_unit, BenchReport};
 use expred_core::execute::execute_plan;
 use expred_core::plan::Plan;
+use expred_core::sampling::{sample_groups, SampleSizeRule};
+use expred_core::strategy::{ExprScan, Strategy};
 use expred_exec::{CacheNamespace, CacheStore, ExecContext, Sequential, SpillSink};
 use expred_stats::rng::Prng;
-use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB};
-use expred_udf::{OracleUdf, UdfInvoker};
+use expred_table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, LENDING_CLUB};
+use expred_udf::{parse_predicate, CostModel, OracleRegistry, OracleUdf, UdfInvoker};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,7 +69,7 @@ fn main() {
     );
     let groups = ds.table.group_by("grade").unwrap();
     let k = groups.num_groups();
-    let udf = OracleUdf::new(expred_table::datasets::LABEL_COLUMN);
+    let udf = OracleUdf::new(LABEL_COLUMN);
     let reps = if smoke { 3 } else { 20 };
 
     let plans = [
@@ -84,7 +91,8 @@ fn main() {
                 &invoker,
                 &mut rng,
                 &ExecContext::sequential(),
-            ));
+            ))
+            .unwrap();
         });
         let scenario = format!("execute_plan_{name}");
         report.record(&scenario, "sequential", ns, 1.0);
@@ -107,7 +115,8 @@ fn main() {
             &invoker,
             &mut rng,
             &ExecContext::sequential(),
-        ));
+        ))
+        .unwrap();
     });
     let scenario = "execute_plan_fractional_with_memo";
     report.record(scenario, "sequential", ns, 1.0);
@@ -120,13 +129,8 @@ fn main() {
     UdfInvoker::with_context(&udf, &ds.table, &ctx).evaluate_batch(&Sequential, &all_rows);
     let ns = measure_ns_per_unit(rows as u64, reps, || {
         let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
-        let mut passed = 0u32;
-        for g in 0..k {
-            invoker.scan_runs(groups.runs(g), |_, _, _, answer| {
-                passed += answer.count_ones()
-            });
-        }
-        black_box(passed);
+        let (_, passed) = invoker.scan_groups(&groups);
+        black_box(passed.len());
         assert_eq!(invoker.counts().reuse_hits, rows as u64);
     });
     report.record("memoized_scan_warm", "sequential", ns, 1.0);
@@ -136,7 +140,7 @@ fn main() {
         seed += 1;
         let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
         let mut rng = Prng::seeded(seed);
-        black_box(execute_plan(&plan, &groups, &invoker, &mut rng, &ctx));
+        black_box(execute_plan(&plan, &groups, &invoker, &mut rng, &ctx)).unwrap();
         assert_eq!(invoker.counts().reuse_hits, rows as u64);
     });
     report.record("execute_plan_warm", "sequential", ns, 1.0);
@@ -148,6 +152,31 @@ fn main() {
     });
     report.record("evaluate_batch_warm", "sequential", ns, 1.0);
     println!("{:<30} {ns:>8.1} ns/row", "evaluate_batch_warm");
+    let not_label = parse_predicate(&format!("not {LABEL_COLUMN}"), &OracleRegistry::new())
+        .expect("the label parses");
+    let scan = ExprScan::new(not_label, CostModel::PAPER_DEFAULT);
+    let ns = measure_ns_per_unit(rows as u64, reps, || {
+        let outcome = scan.execute(&ds, 0, &ctx).expect("a valid scan");
+        assert_eq!(outcome.counts.reuse_hits, rows as u64);
+        black_box(outcome);
+    });
+    report.record_metric("expr_scan_warm", "sequential", "ns_per_row", "ns", ns);
+    println!("{:<30} {ns:>8.1} ns/row", "expr_scan_warm");
+
+    // The sampling tally over a session that holds four rows in five.
+    let store = CacheStore::new();
+    let ctx = ExecContext::sequential().with_cache(&store);
+    let warm: Vec<usize> = (0..rows).filter(|row| row % 5 != 0).collect();
+    UdfInvoker::with_context(&udf, &ds.table, &ctx).evaluate_batch(&Sequential, &warm);
+    let ns = measure_ns_per_unit(rows as u64, reps, || {
+        let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
+        let mut rng = Prng::seeded(1);
+        let tally = SampleSizeRule::Constant(0);
+        black_box(sample_groups(&groups, &invoker, tally, &mut rng, &ctx));
+        assert_eq!(invoker.counts().reuse_hits, warm.len() as u64);
+    });
+    report.record_metric("group_scan_partial", "sequential", "ns_per_row", "ns", ns);
+    println!("{:<30} {ns:>8.1} ns/row", "group_scan_partial");
 
     // The write path: a cold namespace every repetition.
     for (backend, sink) in [

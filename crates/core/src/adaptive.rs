@@ -39,7 +39,7 @@ pub fn run_intel_sample_adaptive(
             groups.num_groups(),
         );
         let mut returned = f.empty_answer();
-        execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned);
+        execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
         Ok(Answer {
             returned,
             num_groups: groups.num_groups(),
@@ -125,9 +125,11 @@ pub fn run_intel_sample_iterative(
                 &mut f.rng,
                 ctx,
                 &mut returned,
-            );
+            )?;
 
-            // Fold everything evaluated so far back into the estimates.
+            // Fold everything evaluated so far back into the estimates:
+            // a tally-only pass (no group is short of a zero target), so
+            // one word-major read of the grouping.
             sample = sample_groups(
                 &groups,
                 &f.invoker,

@@ -15,15 +15,19 @@
 //! # Runs and planes
 //!
 //! On a warm session that bypass is all an execution does, so it runs a
-//! 64-row word at a time. A group is walked as its `(word, mask)` runs
-//! ([`GroupBy::runs`]) through [`UdfInvoker::scan_runs`], which answers
-//! "which rows of this run are decided, and which passed?" with two
-//! masks; the passing rows join the answer — a [`RowSet`] plane over the
-//! table — with one OR, and only the undecided bits are visited singly,
-//! in ascending order, to draw their retrieve/evaluate decisions. The
-//! answer is never sorted: groups partition the rows, every path sets
-//! bits, and the ascending id list is the plane read out once.
+//! 64-row word at a time, and each word once. One word-major pass over
+//! the grouping ([`UdfInvoker::scan_groups`]) answers "which rows are
+//! decided, and which passed?" as two planes, loading and settling each
+//! word the groups touch once however many groups share it. The passing
+//! rows join the answer — a [`RowSet`] plane over the table — with one OR
+//! per word. The groups then take their `(word, mask)` runs
+//! ([`GroupBy::runs`]) in group order, and only the undecided bits of a
+//! run, `mask & !decided`, are visited singly, in ascending order, to
+//! draw their retrieve/evaluate decisions. The answer is never sorted:
+//! groups partition the rows, every path sets bits, and the ascending id
+//! list is the plane read out once.
 
+use crate::error::EngineError;
 use crate::plan::Plan;
 use expred_exec::ExecContext;
 use expred_stats::rng::Prng;
@@ -55,19 +59,22 @@ pub struct ExecutionResult {
 /// follow. How that batch is chunked and overlapped is the executor's
 /// decision alone. The result is therefore byte-identical across
 /// backends for a fixed seed; only wall-clock time changes.
+///
+/// Errors with [`EngineError::InvalidRequest`] if the plan and the
+/// grouping disagree on the number of groups.
 pub fn execute_plan(
     plan: &Plan,
     groups: &GroupBy,
     invoker: &UdfInvoker<'_>,
     rng: &mut Prng,
     ctx: &ExecContext<'_>,
-) -> ExecutionResult {
+) -> Result<ExecutionResult, EngineError> {
     let mut answer = RowSet::new(invoker.table().num_rows());
-    let reused_positives = execute_plan_into(plan, groups, invoker, rng, ctx, &mut answer);
-    ExecutionResult {
+    let reused_positives = execute_plan_into(plan, groups, invoker, rng, ctx, &mut answer)?;
+    Ok(ExecutionResult {
         returned: answer.to_vec(),
         reused_positives,
-    }
+    })
 }
 
 /// [`execute_plan`] adding its answer rows to `answer` — a plane over
@@ -75,11 +82,12 @@ pub fn execute_plan(
 /// pipeline executes a slice of every group per round into one plane).
 /// Returns how many of them were reused positives.
 ///
-/// Each group is walked as its `(word, mask)` runs: the decided rows of
-/// a run join the plane with one OR of `known & answer`, and the
-/// undecided ones are drawn in bit order — ascending row order, the
-/// order the group's row list has, so the random stream is the one a
-/// row-at-a-time walk draws.
+/// One word-major pass ([`UdfInvoker::scan_groups`]) reads what every
+/// group has decided, and the decided rows that passed join the plane
+/// with one OR per word. Then each group walks its `(word, mask)` runs in
+/// group order and draws for its undecided rows, `mask & !decided`, in
+/// bit order — ascending row order, the order the group's row list has,
+/// so the random stream is the one a row-at-a-time walk draws.
 pub(crate) fn execute_plan_into(
     plan: &Plan,
     groups: &GroupBy,
@@ -87,27 +95,33 @@ pub(crate) fn execute_plan_into(
     rng: &mut Prng,
     ctx: &ExecContext<'_>,
     answer: &mut RowSet,
-) -> usize {
-    assert_eq!(
-        plan.num_groups(),
-        groups.num_groups(),
-        "plan and grouping must agree on group count"
-    );
+) -> Result<usize, EngineError> {
+    if plan.num_groups() != groups.num_groups() {
+        return Err(EngineError::InvalidRequest {
+            reason: format!(
+                "a plan over {} groups cannot execute a grouping of {}",
+                plan.num_groups(),
+                groups.num_groups()
+            ),
+        });
+    }
+    // Sampled tuples are already decided: what every group knows, in one
+    // word-major pass, and the passing ones join the answer whole.
+    let (decided, passed) = invoker.scan_groups(groups);
+    answer.union_with(&passed);
+    let reused_positives = passed.len();
     let mut queued = Vec::new();
-    let mut reused_positives = 0;
+    let mut retrieved = 0u64;
     for g in 0..groups.num_groups() {
         let r = plan.r()[g];
         let e = plan.e()[g];
         let eval_given_retrieved = if r > 0.0 { (e / r).min(1.0) } else { 0.0 };
-        let mut retrieved = 0u64;
-        invoker.scan_runs(groups.runs(g), |word, mask, known, passed| {
-            // Sampled tuples are already decided.
-            answer.insert_word(word, passed);
-            reused_positives += passed.count_ones() as usize;
-            if r <= 0.0 {
-                return;
-            }
-            for bit in bits(mask & !known) {
+        if r <= 0.0 {
+            continue;
+        }
+        for (word, mask) in groups.runs(g) {
+            let word = word as usize;
+            for bit in bits(mask & !decided.word(word)) {
                 if !rng.bernoulli(r) {
                     continue;
                 }
@@ -118,9 +132,9 @@ pub(crate) fn execute_plan_into(
                     answer.insert_word(word, 1 << bit);
                 }
             }
-        });
-        invoker.charge_retrievals(retrieved);
+        }
     }
+    invoker.charge_retrievals(retrieved);
     // Every queued row is fresh (the scan above skipped the decided ones)
     // and distinct (groups partition rows), so the audited batch charges
     // exactly one evaluation per row — the same bill the serial loop
@@ -132,7 +146,7 @@ pub(crate) fn execute_plan_into(
             answer.insert(row);
         }
     }
-    reused_positives
+    Ok(reused_positives)
 }
 
 /// Reads the ground truth for evaluation purposes (never available to
@@ -255,7 +269,7 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::new(vec![1.0, 1.0, 0.0], vec![0.0, 1.0, 0.0]);
         let mut rng = Prng::seeded(1);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
+        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
         // Group 0 returned unevaluated (rows 0,1); group 1 evaluated, only
         // row 2 passes; group 2 dropped.
         assert_eq!(result.returned, vec![0, 1, 2]);
@@ -280,7 +294,7 @@ mod tests {
         // Plan discards the group entirely; sampled positive still returns.
         let plan = Plan::discard_all(1);
         let mut rng = Prng::seeded(2);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
+        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
         assert_eq!(result.returned, vec![0]);
         assert_eq!(result.reused_positives, 1);
         assert_eq!(invoker.counts(), before, "no new cost for reuse");
@@ -298,7 +312,7 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::new(vec![0.6], vec![0.3]);
         let mut rng = Prng::seeded(3);
-        let _ = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
+        let _ = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
         let counts = invoker.counts();
         let retrieved_rate = counts.retrieved as f64 / n as f64;
         let evaluated_rate = counts.evaluated as f64 / n as f64;
@@ -318,7 +332,7 @@ mod tests {
         // Evaluate everything: answer must be exactly the true set.
         let plan = Plan::evaluate_all(1);
         let mut rng = Prng::seeded(4);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
+        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
         let truth = truth_vector(&table, "label");
         assert!(result.returned.iter().all(|&r| truth[r as usize]));
         assert_eq!(result.returned.len(), n / 4);
@@ -349,7 +363,7 @@ mod tests {
         let run = |ctx: ExecContext<'_>| {
             let invoker = UdfInvoker::new(&udf, &table);
             let mut rng = Prng::seeded(17);
-            let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
+            let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
             (result, invoker.counts())
         };
         let recorder = Recorder::default();
@@ -436,7 +450,7 @@ mod tests {
                 }
                 let mut rng = Prng::seeded(seed);
                 let result = if planes {
-                    execute_plan(&plan, &groups, &invoker, &mut rng, &ctx)
+                    execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap()
                 } else {
                     execute_plan_push_and_sort(&plan, &groups, &invoker, &mut rng, &ctx)
                 };
@@ -462,8 +476,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn plan_group_mismatch_panics() {
+    fn plan_group_mismatch_is_a_typed_error() {
         let ctx = ExecContext::sequential();
         let table = test_table(&[true], &[0]);
         let udf = OracleUdf::new("label");
@@ -471,6 +484,12 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::discard_all(2);
         let mut rng = Prng::seeded(5);
-        execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
+        let err = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx)
+            .expect_err("two plan groups cannot execute one group");
+        assert!(
+            matches!(&err, EngineError::InvalidRequest { reason } if reason.contains("2 groups")),
+            "{err}"
+        );
+        assert_eq!(invoker.counts(), Default::default(), "nothing was charged");
     }
 }

@@ -312,7 +312,7 @@ pub fn run_intel_sample(
 
         // Step 3: execute.
         let mut returned = f.empty_answer();
-        execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned);
+        execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
         Ok(Answer {
             returned,
             num_groups: groups.num_groups(),
@@ -347,7 +347,7 @@ pub fn run_optimal(
             groups.num_groups(),
         );
         let mut returned = f.empty_answer();
-        execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned);
+        execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
         Ok(Answer {
             returned,
             num_groups: groups.num_groups(),

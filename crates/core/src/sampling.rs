@@ -9,12 +9,17 @@
 //!   §6.2), reusing any tuples that were already evaluated (e.g. the 1%
 //!   used for predictor selection — "the 1% labelled tuples can be re-used
 //!   for both selectivity estimation and as part of the output", §4.4).
-//!   What a group already knows is read a 64-row word at a time: its
-//!   `(word, mask)` runs ([`GroupBy::runs`]) go through
-//!   [`UdfInvoker::scan_runs`], the tally `(evaluated, positives)` is two
-//!   popcounts per run, and a group short of its target lists its
-//!   undecided rows by walking `mask & !known` in bit order — ascending
-//!   row order, so the draw that follows is the one a row list gave.
+//!   What the groups already know is read in one word-major pass over
+//!   the whole grouping ([`UdfInvoker::scan_groups`]): each 64-row word
+//!   the groups touch is loaded and settled once, into a plane of the
+//!   decided rows and one of those that passed. The tally `(evaluated,
+//!   positives)` is two ANDs and two popcounts per `(word, mask)` run,
+//!   folded per group.
+//!   A group short of its target then lists its undecided rows by
+//!   rescanning its own `(word, mask)` runs ([`GroupBy::runs`],
+//!   [`UdfInvoker::scan_runs`]) and walking `mask & !known` in bit order
+//!   — ascending row order, so the draw that follows is the one a row
+//!   list gave, and the groups draw in group order as before.
 //! * [`adaptive_num_search`] — §4.3's adaptive scheme: grow `num`, re-plan,
 //!   and stop when the estimated total cost starts rising.
 
@@ -108,6 +113,9 @@ pub fn sample_groups(
     ctx: &ExecContext<'_>,
 ) -> GroupSample {
     let n = groups.num_rows();
+    // Free information first: rows already evaluated, read for every
+    // group in one word-major pass and tallied per run.
+    let (decided, passed) = invoker.scan_groups(groups);
     // Per group: (evaluated, positives) among already-known rows, and
     // how many drawn rows it contributed to `batch`.
     let mut tallies: Vec<(usize, usize, usize)> = Vec::with_capacity(groups.num_groups());
@@ -115,12 +123,11 @@ pub fn sample_groups(
     let mut fresh: Vec<usize> = Vec::new();
     for g in 0..groups.num_groups() {
         let target = rule.sample_size(groups.size(g), n);
-        // Free information first: rows already evaluated.
-        let (mut total, mut pos) = (0usize, 0usize);
-        invoker.scan_runs(groups.runs(g), |_, _, known, answer| {
-            total += known.count_ones() as usize;
-            pos += answer.count_ones() as usize;
-        });
+        let (mut total, mut pos) = (0, 0);
+        for (word, mask) in groups.runs(g) {
+            total += (decided.word(word as usize) & mask).count_ones() as usize;
+            pos += (passed.word(word as usize) & mask).count_ones() as usize;
+        }
         let before = batch.len();
         if total < target {
             // Pay for the shortfall with fresh random rows. The group is

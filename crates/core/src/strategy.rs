@@ -44,7 +44,7 @@ use expred_ml::metrics::PrSummary;
 use expred_stats::hash::Fnv64;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
 use expred_table::{DataType, RowSet, Table};
-use expred_udf::{evaluate_expr_batch, BooleanUdf, CostModel, CostTracker, PredicateExpr};
+use expred_udf::{evaluate_expr, BooleanUdf, CostModel, CostTracker, PredicateExpr};
 use std::time::Instant;
 
 /// An order-significant identity stream for one strategy configuration.
@@ -691,17 +691,16 @@ impl Strategy for ExprScan {
         let start = Instant::now();
         let table = &ds.table;
         let tracker = CostTracker::new();
-        let rows: Vec<usize> = (0..table.num_rows()).collect();
-        tracker.add_retrievals(rows.len() as u64);
+        tracker.add_retrievals(table.num_rows() as u64);
         let expr = expred_udf::optimize_expr(&self.expr, table, ctx.selectivity);
-        let answers = evaluate_expr_batch(&expr, table, &rows, &tracker, ctx).map_err(|e| {
+        let rows = RowSet::full(table.num_rows());
+        let returned = evaluate_expr(&expr, table, &rows, &tracker, ctx).map_err(|e| {
             // Unreachable through the engine: validate() already rejected
             // invalid costs. Kept as a typed error for direct callers.
             EngineError::BadExpression {
                 reason: e.to_string(),
             }
         })?;
-        let returned = RowSet::from_flags(answers.iter().copied());
         let compute_seconds = start.elapsed().as_secs_f64();
         let counts = tracker.snapshot();
         Ok(RunOutcome {

@@ -112,7 +112,8 @@ proptest! {
         let e = r * e_frac;
         let plan = Plan::new(vec![r], vec![e]);
         let mut rng = Prng::seeded(seed);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ExecContext::sequential());
+        let result =
+            execute_plan(&plan, &groups, &invoker, &mut rng, &ExecContext::sequential()).unwrap();
         let counts = invoker.counts();
         // Everything evaluated was retrieved first.
         prop_assert!(counts.evaluated <= counts.retrieved);
@@ -150,7 +151,8 @@ proptest! {
         let udf = OracleUdf::new("label");
         let invoker = UdfInvoker::new(&udf, &table);
         let mut rng = Prng::seeded(1);
-        let result = execute_plan(&Plan::evaluate_all(1), &groups, &invoker, &mut rng, &ExecContext::sequential());
+        let result = execute_plan(&Plan::evaluate_all(1), &groups, &invoker, &mut rng, &ExecContext::sequential())
+            .unwrap();
         let want: Vec<u32> = labels
             .iter()
             .enumerate()

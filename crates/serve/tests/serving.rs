@@ -474,6 +474,19 @@ fn a_fixed_query_answers_the_golden_bytes() {
         r.body_text(),
         include_str!("golden/prosper_naive_seed42.json")
     );
+    // CI sends the expression scan next, over the rows the naive query
+    // just paid for: its body pins the plane reads' reuse charge too.
+    let r = client
+        .post(
+            "/query",
+            r#"{"table":{"spec":"prosper","rows":200,"seed":7},"query":{"kind":"expr","predicate":"not udf_label"},"seed":42}"#,
+        )
+        .unwrap();
+    assert_eq!(r.status, 200);
+    assert_eq!(
+        r.body_text(),
+        include_str!("golden/prosper_expr_not_seed42.json")
+    );
 }
 
 /// Response-body digests harvested on a checkout of the commit before
@@ -562,6 +575,89 @@ fn every_request_shape_answers_the_bytes_the_parent_commit_answered() {
         got.push((query, row));
     }
     assert_eq!(got, CROSS_COMMIT_GOLDEN.to_vec(), "got {got:#x?}");
+}
+
+/// The two expression shapes the warm-session golden adds to
+/// [`CROSS_COMMIT_GOLDEN`]'s: a tautology and a contradiction over the
+/// label, so an `or` stage and an `and` stage each see every row.
+const WARM_EXTRA_SHAPES: [&str; 2] = [
+    r#"{"kind":"expr","predicate":"udf_label or not udf_label"}"#,
+    r#"{"kind":"expr","predicate":"udf_label and not udf_label"}"#,
+];
+
+/// Response-body digests of one warm session, harvested on the parent of
+/// the word-major read path: per table (`prosper`, then `lc`), a `naive`
+/// warm-up and then every request shape of [`CROSS_COMMIT_GOLDEN`]
+/// followed by [`WARM_EXTRA_SHAPES`], all on one engine. A body carries
+/// the bill's `cache_hits` and `reuse_hits`, so this pins what the reads
+/// of earlier queries' answers charge, not only what they return.
+/// The warm-up and the first shapes buy every row of both tables (the
+/// store's 4 000 insertions), so the later shapes read only answers
+/// earlier requests paid for.
+const WARM_SESSION_GOLDEN: [[u64; 2]; 13] = [
+    [0x8e4b929129f18422, 0xb5e9cc0350aad4c3],
+    [0x6e858d3afe519a5a, 0xb4783946a7ad1932],
+    [0xa94bf9254b55f64c, 0x2fb7856272b302a5],
+    [0x83779d7fe52eaa1c, 0xbfbe39bd863b7ddf],
+    [0x8921d7965657c96a, 0x462327ebca1c805f],
+    [0x8921d7965657c96a, 0x462327ebca1c805f],
+    [0x8921d7965657c96a, 0x462327ebca1c805f],
+    [0x8921d7965657c96a, 0x462327ebca1c805f],
+    [0x75869f69fac01214, 0x5f4deac2f92130c7],
+    [0x2027d2ee07910198, 0xaa710e13e52a0572],
+    [0x8f382be412b16824, 0xe94768f11c894925],
+    [0x324fec1d2712b4f7, 0x5e2a5c8ea3d7eb60],
+    [0x11a7546e5258a05b, 0x51438de6290238b4],
+];
+
+/// The session store's `(hits, misses, insertions)` after the sequence
+/// above.
+const WARM_SESSION_STORE_GOLDEN: (u64, u64, u64) = (48_137, 5_154, 4_000);
+
+#[test]
+fn a_warm_session_answers_the_bytes_and_store_probes_the_parent_commit_did() {
+    let engine = QueryEngine::new();
+    let shapes: Vec<&str> = CROSS_COMMIT_GOLDEN
+        .iter()
+        .map(|(query, _)| *query)
+        .chain(WARM_EXTRA_SHAPES)
+        .collect();
+    let mut got = vec![[0u64; 2]; shapes.len()];
+    for (column, (name, base)) in [("prosper", PROSPER), ("lc", LENDING_CLUB)]
+        .into_iter()
+        .enumerate()
+    {
+        let ds = Dataset::generate(
+            DatasetSpec {
+                rows: 2_000,
+                ..base
+            },
+            7,
+        );
+        let body = |query: &str, seed: u64| {
+            format!(
+                r#"{{"table":{{"spec":"{name}","rows":2000,"seed":7}},"seed":{seed},"query":{query}}}"#
+            )
+        };
+        let submit = |body: String| {
+            let api = expred_serve::api::parse_query_body(body.as_bytes(), 5_000).unwrap();
+            let outcome = engine.submit(&ds, &api.request).unwrap();
+            expred_serve::api::render_outcome("golden", &outcome)
+        };
+        submit(body(r#"{"kind":"naive"}"#, 0));
+        for (row, query) in got.iter_mut().zip(&shapes) {
+            let mut h = expred_stats::hash::Fnv64::new();
+            h.write_bytes(submit(body(query, 42)).as_bytes());
+            row[column] = h.finish();
+        }
+    }
+    let stats = engine.cache_stats();
+    let store = (stats.hits, stats.misses, stats.insertions);
+    assert_eq!(
+        (got.as_slice(), store),
+        (WARM_SESSION_GOLDEN.as_slice(), WARM_SESSION_STORE_GOLDEN),
+        "got {got:#x?}, store {store:?}"
+    );
 }
 
 #[test]

@@ -27,6 +27,22 @@ impl RowSet {
         }
     }
 
+    /// Every row of `[0, rows)`.
+    pub fn full(rows: usize) -> Self {
+        let mut words = vec![u64::MAX; rows.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            *last >>= (64 - rows % 64) % 64;
+        }
+        Self { words }
+    }
+
+    /// The set whose word `w` is `words[w]` (the layout of
+    /// [`RowSet::words`]). Bits past the last row the set is meant to
+    /// hold must be clear.
+    pub fn from_words(words: Vec<u64>) -> Self {
+        Self { words }
+    }
+
     /// The set of `ids` over rows `[0, rows)` (any order, repeats merge).
     ///
     /// # Panics
@@ -87,6 +103,20 @@ impl RowSet {
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Adds every row of `other`, a set over the same rows.
+    pub fn union_with(&mut self, other: &RowSet) {
+        for (word, &add) in self.words.iter_mut().zip(&other.words) {
+            *word |= add;
+        }
+    }
+
+    /// Removes every row of `other`, a set over the same rows.
+    pub fn difference_with(&mut self, other: &RowSet) {
+        for (word, &remove) in self.words.iter_mut().zip(&other.words) {
+            *word &= !remove;
+        }
     }
 
     /// Number of rows in the set.
@@ -191,5 +221,26 @@ mod tests {
         let evens = RowSet::from_flags((0..200).map(|i| i % 2 == 0));
         assert_eq!(thirds.intersection_len(&evens), 34);
         assert_eq!(thirds.intersection_len(&RowSet::new(200)), 0);
+    }
+
+    #[test]
+    fn full_sets_and_plane_algebra() {
+        for rows in [0, 1, 63, 64, 65, 200] {
+            let full = RowSet::full(rows);
+            assert_eq!(full.to_vec(), (0..rows as u32).collect::<Vec<_>>());
+            assert_eq!(full, RowSet::from_flags((0..rows).map(|_| true)));
+        }
+        let thirds = RowSet::from_flags((0..200).map(|i| i % 3 == 0));
+        let evens = RowSet::from_flags((0..200).map(|i| i % 2 == 0));
+        let mut either = thirds.clone();
+        either.union_with(&evens);
+        assert_eq!(
+            either,
+            RowSet::from_flags((0..200).map(|i| i % 3 == 0 || i % 2 == 0))
+        );
+        let mut odd_thirds = thirds.clone();
+        odd_thirds.difference_with(&evens);
+        assert_eq!(odd_thirds, RowSet::from_flags((0..200).map(|i| i % 6 == 3)));
+        assert_eq!(RowSet::from_words(thirds.words().to_vec()), thirds);
     }
 }

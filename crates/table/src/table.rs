@@ -7,6 +7,7 @@
 //! of §4.4. [`Table`] provides exactly that.
 
 use crate::column::Column;
+use crate::rowset::RowSet;
 use crate::schema::Schema;
 use crate::stats::{scan_column, ColumnStats, ScanPredicate, ScanStats, StatsCache};
 use crate::value::{DataType, Value};
@@ -309,6 +310,12 @@ impl Table {
 /// read path walks: "which rows of this group are decided, and which
 /// passed?" is an AND and a popcount per run against the caches' bit
 /// planes, not a probe per row.
+///
+/// Groups partition their rows, so the runs of all groups in one word
+/// never overlap, and their union is the word of one plane
+/// ([`GroupBy::row_plane`]): a read of that plane a word at a time visits
+/// each word once however many groups share it, and a group's run takes
+/// its share of what the read found with one AND.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupBy {
     column: String,
@@ -430,6 +437,25 @@ impl GroupBy {
         let range = self.run_starts[g]..self.run_starts[g + 1];
         let words = self.run_words[range.clone()].iter().copied();
         words.zip(self.run_masks[range].iter().copied())
+    }
+
+    /// The rows of every group as one plane, sized to the largest row id
+    /// held. A grouping of every row of a table — any grouping built by
+    /// [`Table::group_by`] — is the full plane, filled without a pass
+    /// over the runs; a grouping of fewer rows (a slice of each group, as
+    /// the iterative pipeline executes per round) ORs its runs together.
+    pub fn row_plane(&self) -> RowSet {
+        let end = self.rows.iter().filter_map(|g| g.last()).max();
+        let end = end.map_or(0, |&last| last as usize + 1);
+        // Groups hold distinct rows below `end`: as many as `end` is all.
+        if self.num_rows == end {
+            return RowSet::full(end);
+        }
+        let mut plane = RowSet::new(end);
+        for (&word, &mask) in self.run_words.iter().zip(&self.run_masks) {
+            plane.insert_word(word as usize, mask);
+        }
+        plane
     }
 
     /// The size `t_a` of group `g`.
@@ -571,6 +597,20 @@ mod tests {
         let runs = |g| sparse.runs(g).collect::<Vec<_>>();
         assert_eq!(runs(0), [(0, 1 << 3), (10, 0b11)]);
         assert_eq!(runs(1), [(1, 1)]);
+        // The union of the groups' runs, as one plane.
+        assert_eq!(sparse.row_plane().to_vec(), [3, 64, 640, 641]);
+        assert_eq!(sparse.row_plane().words().len(), 11);
+        assert_eq!(g.row_plane(), RowSet::full(200));
+        let slice = GroupBy::new(
+            "slice".into(),
+            vec![Value::Int(0), Value::Int(1)],
+            vec![g.rows(0)[..5].to_vec(), g.rows(2)[..3].to_vec()],
+            8,
+        );
+        assert_eq!(slice.row_plane().to_vec(), [0, 2, 3, 5, 6, 8, 9, 12]);
+        assert!(GroupBy::new("none".into(), vec![], vec![], 0)
+            .row_plane()
+            .is_empty());
     }
 
     #[test]

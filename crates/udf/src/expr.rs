@@ -22,18 +22,20 @@
 //!   operator tree and every leaf's [`UdfId`] into one id, so a whole
 //!   expression is cacheable/memoizable exactly like a single UDF (it
 //!   even implements [`BooleanUdf`] itself).
-//! * **Session-cached evaluation** — [`evaluate_expr_batch`] gives
-//!   every *leaf* its own audited [`UdfInvoker`] over the shared
+//! * **Session-cached evaluation** — [`evaluate_expr`] gives every
+//!   *leaf* its own audited [`UdfInvoker`] over the shared
 //!   [`expred_exec::CacheStore`] namespace, so a leaf some earlier query
 //!   already paid for arrives as a free
 //!   [`crate::CostCounts::reuse_hits`], whatever expression it appeared
 //!   in back then.
-//! * **Cost-ordered short-circuiting** — inside each `AND`/`OR`, child
-//!   subtrees are evaluated cheapest-first ([`PredicateExpr::cost`]) in
-//!   staged batches: survivors of one stage form the next stage's batch,
-//!   exactly like the column-store disjunction evaluation strategy.
-//!   Answers are independent of the order (the predicates are
-//!   deterministic); only the bill changes.
+//! * **Cost-ordered short-circuiting over planes** — inside each
+//!   `AND`/`OR`, child subtrees are evaluated cheapest-first
+//!   ([`PredicateExpr::cost`]) in staged batches, each stage over a bit
+//!   plane of the rows still in play: an `AND` narrows the plane of
+//!   surviving rows, an `OR` the plane of rows no child accepted yet, and
+//!   a `NOT` is `rows & !inner` — the column-store disjunction strategy,
+//!   with bitmaps of surviving rows. Answers are independent of the
+//!   order (the predicates are deterministic); only the bill changes.
 //!
 //! Expressions also round-trip through the predicate DSL
 //! ([`crate::parse_predicate`]): a parsed expression remembers its leaf
@@ -47,7 +49,7 @@ use crate::cost::CostTracker;
 use crate::invoker::UdfInvoker;
 use crate::udf::{BooleanUdf, UdfId};
 use expred_exec::ExecContext;
-use expred_table::Table;
+use expred_table::{RowSet, Table};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -368,7 +370,7 @@ impl BooleanUdf for PredicateExpr {
     /// opaque UDF, and this path is a hot loop, so it skips the
     /// cost-ordering bookkeeping, which cannot change answers anyway).
     /// Batched, audited, session-cached, cost-ordered evaluation is
-    /// [`evaluate_expr_batch`].
+    /// [`evaluate_expr`].
     fn evaluate(&self, table: &Table, row: usize) -> bool {
         fn walk(node: &Node, table: &Table, row: usize) -> bool {
             match node {
@@ -451,13 +453,20 @@ impl std::fmt::Debug for PredicateExpr {
     }
 }
 
-/// Evaluates `expr` over `rows` in staged, audited batches: every leaf
-/// gets its own [`UdfInvoker`] charging to `tracker` (and borrowing the
-/// context's session cache, when present); inside each `AND`/`OR`,
-/// children run cheapest-first over the surviving/undecided rows only —
-/// or in stored order when the optimizer pinned it
-/// ([`PredicateExpr::is_pinned`]). Answers come back in input order and
-/// are identical across executor backends and orderings.
+/// Evaluates `expr` over the plane `rows` — a set over `table`'s rows —
+/// in staged, audited batches, returning the plane of the rows where it
+/// holds. Every leaf gets its own [`UdfInvoker`] charging to `tracker`
+/// (and borrowing the context's session cache, when present) and reads
+/// its rows a 64-row word at a time ([`UdfInvoker::evaluate_plane`]):
+/// what the memo or the session already decided is answered by the word,
+/// and only the undecided rows go to the executor, as one batch in
+/// ascending order. The operators are plane algebra: `NOT` is `rows &
+/// !inner`; inside an `AND` each child evaluates only the rows every
+/// earlier child passed (the alive plane narrows), inside an `OR` only
+/// the rows no earlier child accepted (the undecided plane narrows).
+/// Children run cheapest-first — or in stored order when the optimizer
+/// pinned it ([`PredicateExpr::is_pinned`]). Answers are identical across
+/// executor backends and orderings.
 ///
 /// Errors with [`InvalidCostsError`] if any declared leaf cost is NaN,
 /// infinite, or negative (such a cost cannot order stages) — the same
@@ -466,17 +475,17 @@ impl std::fmt::Debug for PredicateExpr {
 /// Retrieval is *not* charged here — the caller decided to touch the
 /// rows; each leaf invocation is charged one evaluation (or arrives as a
 /// memo/reuse hit).
-pub fn evaluate_expr_batch(
+pub fn evaluate_expr(
     expr: &PredicateExpr,
     table: &Table,
-    rows: &[usize],
+    rows: &RowSet,
     tracker: &CostTracker,
     ctx: &ExecContext<'_>,
-) -> Result<Vec<bool>, InvalidCostsError> {
+) -> Result<RowSet, InvalidCostsError> {
     if !expr.costs_valid() {
         return Err(InvalidCostsError);
     }
-    Ok(eval_node(
+    Ok(eval_plane(
         &expr.node,
         expr.pinned,
         table,
@@ -486,77 +495,58 @@ pub fn evaluate_expr_batch(
     ))
 }
 
-fn eval_node(
+/// The order the children of an `AND`/`OR` run in: stored order for a
+/// tree the optimizer pinned, cheapest-first otherwise. Either way it is
+/// deterministic and cannot change answers.
+fn stage_order(parts: &[Node], pinned: bool) -> Vec<usize> {
+    if pinned {
+        (0..parts.len()).collect()
+    } else {
+        cost_order(parts)
+    }
+}
+
+fn eval_plane(
     node: &Node,
     pinned: bool,
     table: &Table,
-    rows: &[usize],
+    rows: &RowSet,
     tracker: &CostTracker,
     ctx: &ExecContext<'_>,
-) -> Vec<bool> {
-    // Pinned trees honor the optimizer's stored sibling order; unpinned
-    // trees sort cheapest-first. Either way the order is deterministic
-    // and cannot change answers.
-    let stage_order = |parts: &[Node]| -> Vec<usize> {
-        if pinned {
-            (0..parts.len()).collect()
-        } else {
-            cost_order(parts)
-        }
-    };
+) -> RowSet {
     match node {
         Node::Leaf { udf, .. } => {
             let invoker =
                 UdfInvoker::with_tracker_and_context(udf.as_ref(), table, tracker.clone(), ctx);
-            invoker.evaluate_batch(ctx.executor, rows)
+            invoker.evaluate_plane(ctx.executor, rows)
         }
-        Node::Not(inner) => eval_node(inner, pinned, table, rows, tracker, ctx)
-            .into_iter()
-            .map(|v| !v)
-            .collect(),
+        Node::Not(inner) => {
+            let mut out = rows.clone();
+            out.difference_with(&eval_plane(inner, pinned, table, rows, tracker, ctx));
+            out
+        }
         Node::And(parts) => {
-            // Positions (into `rows`) still alive after the stages so far.
-            let mut alive: Vec<usize> = (0..rows.len()).collect();
-            for part in stage_order(parts) {
+            let mut alive = rows.clone();
+            for part in stage_order(parts, pinned) {
                 if alive.is_empty() {
                     break;
                 }
-                let batch: Vec<usize> = alive.iter().map(|&pos| rows[pos]).collect();
-                let verdicts = eval_node(&parts[part], pinned, table, &batch, tracker, ctx);
-                alive = alive
-                    .into_iter()
-                    .zip(verdicts)
-                    .filter(|&(_, passed)| passed)
-                    .map(|(pos, _)| pos)
-                    .collect();
+                alive = eval_plane(&parts[part], pinned, table, &alive, tracker, ctx);
             }
-            let mut answers = vec![false; rows.len()];
-            for pos in alive {
-                answers[pos] = true;
-            }
-            answers
+            alive
         }
         Node::Or(parts) => {
-            // Positions not yet accepted by any earlier (cheaper) child.
-            let mut undecided: Vec<usize> = (0..rows.len()).collect();
-            let mut answers = vec![false; rows.len()];
-            for part in stage_order(parts) {
+            let mut undecided = rows.clone();
+            let mut accepted = RowSet::new(table.num_rows());
+            for part in stage_order(parts, pinned) {
                 if undecided.is_empty() {
                     break;
                 }
-                let batch: Vec<usize> = undecided.iter().map(|&pos| rows[pos]).collect();
-                let verdicts = eval_node(&parts[part], pinned, table, &batch, tracker, ctx);
-                let mut rest = Vec::with_capacity(undecided.len());
-                for (pos, passed) in undecided.into_iter().zip(verdicts) {
-                    if passed {
-                        answers[pos] = true;
-                    } else {
-                        rest.push(pos);
-                    }
-                }
-                undecided = rest;
+                let passed = eval_plane(&parts[part], pinned, table, &undecided, tracker, ctx);
+                undecided.difference_with(&passed);
+                accepted.union_with(&passed);
             }
-            answers
+            accepted
         }
     }
 }
@@ -565,7 +555,200 @@ fn eval_node(
 mod tests {
     use super::*;
     use crate::udf::OracleUdf;
+    use expred_exec::{CacheNamespace, CacheStore, Sequential, SpillSink};
     use expred_table::{DataType, Field, Schema, Value};
+    use proptest::prelude::*;
+    use std::sync::Mutex;
+
+    /// The row-list walk [`evaluate_expr`] replaced — each stage a batch
+    /// of row ids, answers in input order — kept as the oracle the plane
+    /// evaluator must match action for action over ascending, distinct
+    /// rows.
+    fn evaluate_rows(
+        node: &Node,
+        pinned: bool,
+        table: &Table,
+        rows: &[usize],
+        tracker: &CostTracker,
+        ctx: &ExecContext<'_>,
+    ) -> Vec<bool> {
+        let eval =
+            |node: &Node, batch: &[usize]| evaluate_rows(node, pinned, table, batch, tracker, ctx);
+        match node {
+            Node::Leaf { udf, .. } => {
+                let invoker =
+                    UdfInvoker::with_tracker_and_context(udf.as_ref(), table, tracker.clone(), ctx);
+                invoker.evaluate_batch(ctx.executor, rows)
+            }
+            Node::Not(inner) => eval(inner, rows).into_iter().map(|v| !v).collect(),
+            Node::And(parts) => {
+                // Positions (into `rows`) still alive after the stages so far.
+                let mut alive: Vec<usize> = (0..rows.len()).collect();
+                for part in stage_order(parts, pinned) {
+                    if alive.is_empty() {
+                        break;
+                    }
+                    let batch: Vec<usize> = alive.iter().map(|&pos| rows[pos]).collect();
+                    let verdicts = eval(&parts[part], &batch);
+                    alive = alive
+                        .into_iter()
+                        .zip(verdicts)
+                        .filter(|&(_, passed)| passed)
+                        .map(|(pos, _)| pos)
+                        .collect();
+                }
+                let mut answers = vec![false; rows.len()];
+                for pos in alive {
+                    answers[pos] = true;
+                }
+                answers
+            }
+            Node::Or(parts) => {
+                // Positions not yet accepted by any earlier child.
+                let mut undecided: Vec<usize> = (0..rows.len()).collect();
+                let mut answers = vec![false; rows.len()];
+                for part in stage_order(parts, pinned) {
+                    if undecided.is_empty() {
+                        break;
+                    }
+                    let batch: Vec<usize> = undecided.iter().map(|&pos| rows[pos]).collect();
+                    let verdicts = eval(&parts[part], &batch);
+                    let mut rest = Vec::with_capacity(undecided.len());
+                    for (pos, passed) in undecided.into_iter().zip(verdicts) {
+                        if passed {
+                            answers[pos] = true;
+                        } else {
+                            rest.push(pos);
+                        }
+                    }
+                    undecided = rest;
+                }
+                answers
+            }
+        }
+    }
+
+    /// [`evaluate_expr`] over every row of `t`, as one flag per row.
+    fn evaluate_all(
+        expr: &PredicateExpr,
+        t: &Table,
+        tracker: &CostTracker,
+        ctx: &ExecContext<'_>,
+    ) -> Result<Vec<bool>, InvalidCostsError> {
+        let passed = evaluate_expr(expr, t, &RowSet::full(t.num_rows()), tracker, ctx)?;
+        Ok((0..t.num_rows()).map(|row| passed.contains(row)).collect())
+    }
+
+    /// A sink that records every offered row, in order.
+    #[derive(Debug, Default)]
+    struct RecordingSink(Mutex<Vec<(usize, bool)>>);
+
+    impl SpillSink for RecordingSink {
+        fn spill(&self, _: CacheNamespace, rows: &[(usize, bool)]) {
+            self.0.lock().unwrap().extend_from_slice(rows);
+        }
+    }
+
+    /// Deterministic xorshift64*: the proptest shim has no recursive
+    /// strategies, so tree shapes derive from one seed.
+    struct Shapes(u64);
+
+    impl Shapes {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        }
+
+        /// A random tree over the columns `c0..c3`, each leaf with one of
+        /// four costs (so unpinned stages really reorder).
+        fn tree(&mut self, depth: u32) -> PredicateExpr {
+            match if depth == 0 { 0 } else { self.below(4) } {
+                0 => {
+                    let column = format!("c{}", self.below(4));
+                    let cost = [0.5, 1.0, 2.0, 4.0][self.below(4) as usize];
+                    Pred::udf_with_cost(OracleUdf::new(column), cost)
+                }
+                1 => self.tree(depth - 1).not(),
+                op => {
+                    let mut tree = self.tree(depth - 1);
+                    for _ in 0..1 + self.below(3) {
+                        let child = self.tree(depth - 1);
+                        tree = if op == 2 {
+                            tree.and(child)
+                        } else {
+                            tree.or(child)
+                        };
+                    }
+                    tree
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn planes_match_the_row_list_walk_action_for_action(
+            seed in any::<u64>(),
+            n in 1usize..300,
+            cells in prop::collection::vec(any::<u64>(), 4),
+            keep in any::<u64>(),
+            warm in prop::collection::vec((0usize..4, any::<u64>()), 0..4),
+            pinned in any::<bool>(),
+        ) {
+            // Four label columns off random bits, a random subset of the
+            // rows to evaluate, and a session an earlier query left some
+            // leaves' answers in.
+            let schema = Schema::new(
+                (0..4).map(|c| Field::new(format!("c{c}"), DataType::Bool)).collect(),
+            );
+            let data = (0..n)
+                .map(|row| {
+                    cells.iter()
+                        .map(|bits| Value::Bool((bits.rotate_left(row as u32 * 7) ^ row as u64) & 1 == 1))
+                        .collect()
+                })
+                .collect();
+            let t = Table::from_rows(schema, data).unwrap();
+            let rows: Vec<usize> = (0..n).filter(|row| keep.rotate_left(*row as u32) & 3 != 0).collect();
+            let mut expr = Shapes(seed | 1).tree(3);
+            expr.pinned = pinned;
+
+            let run = |planes: bool| {
+                let store = CacheStore::new();
+                let sink = std::sync::Arc::new(RecordingSink::default());
+                store.set_spill(Some(sink.clone() as std::sync::Arc<dyn SpillSink>));
+                let ctx = ExecContext::sequential().with_cache(&store);
+                for &(column, bits) in &warm {
+                    let udf = OracleUdf::new(format!("c{column}"));
+                    let earlier: Vec<usize> =
+                        (0..n).filter(|row| bits.rotate_left(*row as u32) & 1 == 1).collect();
+                    UdfInvoker::with_context(&udf, &t, &ctx).evaluate_batch(&Sequential, &earlier);
+                }
+                let tracker = CostTracker::new();
+                let answers: Vec<bool> = if planes {
+                    let plane = RowSet::from_ids(n, rows.iter().map(|&row| row as u32));
+                    let passed = evaluate_expr(&expr, &t, &plane, &tracker, &ctx).unwrap();
+                    rows.iter().map(|&row| passed.contains(row)).collect()
+                } else {
+                    evaluate_rows(&expr.node, expr.pinned, &t, &rows, &tracker, &ctx)
+                };
+                let offers = sink.0.lock().unwrap().clone();
+                (answers, tracker.snapshot(), store.stats(), offers)
+            };
+            let (got, want) = (run(true), run(false));
+            prop_assert_eq!(&got.0, &want.0, "answers of {:?}", expr);
+            for (&row, &answer) in rows.iter().zip(&got.0) {
+                prop_assert_eq!(answer, expr.evaluate(&t, row), "row {}", row);
+            }
+            prop_assert_eq!(got.1, want.1, "the bills differ");
+            prop_assert_eq!(got.2, want.2, "the store saw different probes");
+            prop_assert_eq!(&got.3, &want.3, "the sink saw different offers");
+        }
+    }
 
     fn table(cols: &[(&str, &[bool])]) -> Table {
         let schema = Schema::new(
@@ -589,7 +772,6 @@ mod tests {
         let a = [true, true, false, false];
         let b = [true, false, true, false];
         let t = table(&[("a", &a), ("b", &b)]);
-        let rows: Vec<usize> = (0..4).collect();
         let tracker = CostTracker::new();
         type Semantics = Box<dyn Fn(bool, bool) -> bool>;
         let cases: Vec<(PredicateExpr, Semantics)> = vec![
@@ -600,12 +782,12 @@ mod tests {
             (leaf("a").or(leaf("b")).not(), Box::new(|x, y| !(x || y))),
         ];
         for (expr, want) in cases {
-            let got = evaluate_expr_batch(&expr, &t, &rows, &tracker, &ExecContext::sequential())
-                .expect("valid costs");
+            let got =
+                evaluate_all(&expr, &t, &tracker, &ExecContext::sequential()).expect("valid costs");
             let expect: Vec<bool> = a.iter().zip(&b).map(|(&x, &y)| want(x, y)).collect();
             assert_eq!(got, expect, "{expr:?}");
             // Per-row evaluation (the BooleanUdf view) agrees.
-            for (&row, &e) in rows.iter().zip(&expect) {
+            for (row, &e) in expect.iter().enumerate() {
                 assert_eq!(expr.evaluate(&t, row), e, "{expr:?} row {row}");
             }
         }
@@ -618,7 +800,6 @@ mod tests {
         let cheap_vals = [true, false, true, false, true, false];
         let pricey_vals = [true, true, false, false, true, true];
         let t = table(&[("cheap", &cheap_vals), ("pricey", &pricey_vals)]);
-        let rows: Vec<usize> = (0..6).collect();
         for expr in [
             Pred::udf_with_cost(OracleUdf::new("pricey"), 10.0)
                 .and(Pred::udf_with_cost(OracleUdf::new("cheap"), 1.0)),
@@ -627,8 +808,7 @@ mod tests {
         ] {
             let tracker = CostTracker::new();
             let answers =
-                evaluate_expr_batch(&expr, &t, &rows, &tracker, &ExecContext::sequential())
-                    .expect("valid costs");
+                evaluate_all(&expr, &t, &tracker, &ExecContext::sequential()).expect("valid costs");
             let want: Vec<bool> = cheap_vals
                 .iter()
                 .zip(&pricey_vals)
@@ -645,12 +825,11 @@ mod tests {
         let cheap_vals = [true, false, true, false];
         let pricey_vals = [false, true, true, false];
         let t = table(&[("cheap", &cheap_vals), ("pricey", &pricey_vals)]);
-        let rows: Vec<usize> = (0..4).collect();
         let expr = Pred::udf_with_cost(OracleUdf::new("pricey"), 10.0)
             .or(Pred::udf_with_cost(OracleUdf::new("cheap"), 1.0));
         let tracker = CostTracker::new();
-        let answers = evaluate_expr_batch(&expr, &t, &rows, &tracker, &ExecContext::sequential())
-            .expect("valid costs");
+        let answers =
+            evaluate_all(&expr, &t, &tracker, &ExecContext::sequential()).expect("valid costs");
         assert_eq!(answers, vec![true, true, true, false]);
         // 4 cheap probes; only the 2 cheap-rejected rows reach pricey.
         assert_eq!(tracker.snapshot().evaluated, 4 + 2);
@@ -663,10 +842,9 @@ mod tests {
         // panic). The batch entry points now reject it up front…
         let vals = [true, false];
         let t = table(&[("a", &vals), ("b", &vals)]);
-        let rows: Vec<usize> = (0..2).collect();
         let nan = Pred::udf_with_cost(OracleUdf::new("a"), f64::NAN).and(leaf("b"));
         let tracker = CostTracker::new();
-        let err = evaluate_expr_batch(&nan, &t, &rows, &tracker, &ExecContext::sequential())
+        let err = evaluate_all(&nan, &t, &tracker, &ExecContext::sequential())
             .expect_err("NaN cost must be rejected");
         assert_eq!(err, InvalidCostsError);
         assert_eq!(tracker.snapshot().evaluated, 0, "no money was spent");
@@ -780,20 +958,18 @@ mod tests {
         let a = [true, false, true, false];
         let b = [true, true, false, false];
         let t = table(&[("a", &a), ("b", &b)]);
-        let rows: Vec<usize> = (0..4).collect();
-        let store = expred_exec::CacheStore::new();
-        let ctx = expred_exec::ExecContext::sequential().with_cache(&store);
+        let store = CacheStore::new();
+        let ctx = ExecContext::sequential().with_cache(&store);
 
         let first = CostTracker::new();
-        evaluate_expr_batch(&leaf("a").and(leaf("b")), &t, &rows, &first, &ctx)
-            .expect("valid costs");
+        evaluate_all(&leaf("a").and(leaf("b")), &t, &first, &ctx).expect("valid costs");
         assert_eq!(first.snapshot().reuse_hits, 0, "cold session");
 
         // A *different* expression over the same leaves: every leaf probe
         // the conjunction already paid for arrives as reuse.
         let second = CostTracker::new();
-        let answers = evaluate_expr_batch(&leaf("b").or(leaf("a").not()), &t, &rows, &second, &ctx)
-            .expect("valid costs");
+        let answers =
+            evaluate_all(&leaf("b").or(leaf("a").not()), &t, &second, &ctx).expect("valid costs");
         let want: Vec<bool> = a.iter().zip(&b).map(|(&x, &y)| y || !x).collect();
         assert_eq!(answers, want);
         let counts = second.snapshot();
@@ -810,20 +986,14 @@ mod tests {
         let b: Vec<bool> = (0..n).map(|i| i % 5 != 0).collect();
         let c: Vec<bool> = (0..n).map(|i| i % 7 == 0).collect();
         let t = table(&[("a", &a), ("b", &b), ("c", &c)]);
-        let rows: Vec<usize> = (0..n).rev().collect();
         let expr = leaf("a").and(leaf("b").or(leaf("c").not())).or(leaf("c"));
         let seq_tracker = CostTracker::new();
-        let want = evaluate_expr_batch(&expr, &t, &rows, &seq_tracker, &ExecContext::sequential())
-            .expect("valid costs");
+        let want =
+            evaluate_all(&expr, &t, &seq_tracker, &ExecContext::sequential()).expect("valid costs");
         let par_tracker = CostTracker::new();
-        let got = evaluate_expr_batch(
-            &expr,
-            &t,
-            &rows,
-            &par_tracker,
-            &ExecContext::new(&expred_exec::WorkerPool::with_threads(4)),
-        )
-        .expect("valid costs");
+        let pool = expred_exec::WorkerPool::with_threads(4);
+        let got =
+            evaluate_all(&expr, &t, &par_tracker, &ExecContext::new(&pool)).expect("valid costs");
         assert_eq!(want, got);
         assert_eq!(seq_tracker.snapshot(), par_tracker.snapshot());
     }

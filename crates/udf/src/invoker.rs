@@ -26,23 +26,33 @@
 //! counted — with the visit's misses — toward the store's statistics;
 //! the reuse charge and the statistics land once per call.
 //!
-//! Two walks share that visit. Pipelines ask "which rows of this group
-//! are already decided, and which passed?" through
-//! [`UdfInvoker::scan_runs`], handing it the group's `(word, mask)` runs
-//! ([`expred_table::GroupBy::runs`]): every row of a run is answered at
-//! once — hits are `store.known & !memo.known & mask`, misses a popcount
-//! — and the caller gets the word's `known` and `answer` masks back, to
-//! tally with popcounts or OR into an answer plane. Arbitrary row lists
+//! A warm query reads each word once. Its multi-row reads are planes:
+//! the pipelines ask "which rows of these groups are already decided,
+//! and which passed?" through [`UdfInvoker::scan_groups`], which reads
+//! the union of every group's rows ([`GroupBy::row_plane`]) word by word
+//! — one visit per word however many groups share it, every row of the
+//! word answered at once: hits are `store.known & !memo.known & rows`,
+//! misses a popcount — and hands back a decided plane and a passed plane
+//! that a group's `(word, mask)` runs ([`GroupBy::runs`]) AND against to
+//! tally with popcounts or OR into an answer. An expression leaf
+//! ([`UdfInvoker::evaluate_plane`]) makes the same read over the plane of
+//! rows still in play and sends only the undecided ones to the executor,
+//! as one batch in ascending order. One group's runs
+//! ([`UdfInvoker::scan_runs`]) and arbitrary row lists
 //! ([`UdfInvoker::known_many`], [`UdfInvoker::evaluate_batch`]) move the
-//! same cursor a row at a time. Either way the memo, the bill and the
-//! store see exactly what a per-row loop would have shown them.
+//! same cursor a run or a row at a time. Whichever walk, the memo, the
+//! bill and the store see exactly what a per-row loop over the same rows
+//! in ascending order would have shown them — only the order of the
+//! store's probes within a call differs, and the store's statistics and
+//! referenced marks do not record order.
 
 use crate::cost::{CostCounts, CostModel, CostTracker};
 use crate::udf::{BooleanUdf, BoundUdf};
 use expred_exec::{
     CacheHandle, CacheNamespace, CacheReader, ExecContext, Executor, RowBits, SelectivityHandle,
 };
-use expred_table::Table;
+use expred_table::rowset::bits;
+use expred_table::{GroupBy, RowSet, Table};
 
 /// The cross-query cache namespace for `udf` over `table`'s current
 /// state, or `None` when the UDF opted out of identity
@@ -178,14 +188,17 @@ impl Lookup<'_> {
 
     /// Answers every row of `mask` in `word` at once: what probing each
     /// (memo first, then the store) in ascending order would do. Returns
-    /// the rows of `mask` now decided and, of those, the ones that passed.
+    /// the rows of `mask` now decided, of those the ones that passed, and
+    /// of the decided ones those the store answered (the rest the memo
+    /// already held).
     #[inline]
-    fn run(&mut self, word: usize, mask: u64) -> (u64, u64) {
+    fn run(&mut self, word: usize, mask: u64) -> (u64, u64, u64) {
         self.seek(word * 64);
         let unknown = mask & !self.local.0;
+        let mut hits = 0;
         if unknown != 0 {
             if let Some((known, answer)) = self.store_word() {
-                let hits = unknown & known;
+                hits = unknown & known;
                 self.misses += u64::from((unknown & !hits).count_ones());
                 self.promote |= hits;
                 self.local.0 |= hits;
@@ -193,7 +206,7 @@ impl Lookup<'_> {
             }
         }
         let known = self.local.0 & mask;
-        (known, self.local.1 & known)
+        (known, self.local.1 & known, hits)
     }
 
     /// Lands this visit's store hits in the memo and accounts for the
@@ -372,30 +385,93 @@ impl<'a> UdfInvoker<'a> {
         hits += lookup.finish(&self.tracker);
         self.tracker.add_cache_hits(hits);
         if !fresh.is_empty() {
-            let fresh_answers = executor.evaluate_batch(&self.probe, &fresh);
-            self.tracker.add_evaluations(fresh.len() as u64);
-            let commits: Vec<(usize, bool)> = fresh.into_iter().zip(fresh_answers).collect();
-            for &(row, answer) in &commits {
-                passed[row / 64] |= u64::from(answer) << (row % 64);
-            }
-            if let Some(sel) = &self.selectivity {
-                let passes = passed.iter().map(|w| u64::from(w.count_ones())).sum();
-                sel.record_many(passes, commits.len() as u64);
-            }
-            // The batch lands in the memo a word at a time and in the
-            // session store in one call.
-            for (word, (&queued, &passed)) in queued.iter().zip(&passed).enumerate() {
-                if queued != 0 {
-                    self.memo.merge_word(word, queued, passed);
-                }
-            }
-            self.commit(&commits);
+            self.evaluate_fresh(executor, fresh, &queued, &mut passed);
             for position in waiting {
                 let row = rows[position];
                 answers[position] = passed[row / 64] & (1 << (row % 64)) != 0;
             }
         }
         answers
+    }
+
+    /// [`UdfInvoker::evaluate_batch`] over a plane of rows — `rows` is a
+    /// set over this invoker's table — returning the plane of those that
+    /// passed. One word-wise read answers what the memo and the session
+    /// store hold (a word's memo hits charged as hits, its store hits
+    /// promoted and charged as reuse, the word settled once), and the
+    /// undecided rows go to `executor` as one batch in ascending order.
+    /// Action for action `evaluate_batch` over the plane's ascending id
+    /// list: same bill, same store probes, same memo, same store inserts
+    /// and sink offers in the same order.
+    pub fn evaluate_plane(&self, executor: &dyn Executor, rows: &RowSet) -> RowSet {
+        let (mut queued, mut passed, hits) = self.read_plane(rows);
+        self.tracker.add_cache_hits(hits);
+        // The decided plane becomes the undecided one, word by word.
+        let mut fresh = Vec::new();
+        for (word, (queued, &mask)) in queued.iter_mut().zip(rows.words()).enumerate() {
+            *queued = mask & !*queued;
+            fresh.extend(bits(*queued).map(|bit| word * 64 + bit as usize));
+        }
+        if !fresh.is_empty() {
+            self.evaluate_fresh(executor, fresh, &queued, &mut passed);
+        }
+        RowSet::from_words(passed)
+    }
+
+    /// What this query and the session already hold for the rows of the
+    /// plane `rows`, read a word at a time — each word loaded, its store
+    /// hits promoted (and charged as reuse) and its probes settled once.
+    /// Returns, per word of the table, the rows of `rows` now decided and
+    /// those of them that passed, and how many decided rows the memo held
+    /// before the read (with any store hit a racing worker promoted
+    /// first): the memo hits, for callers that charge them.
+    fn read_plane(&self, rows: &RowSet) -> (Vec<u64>, Vec<u64>, u64) {
+        let words = self.table.num_rows().div_ceil(64);
+        let (mut known, mut passed) = (vec![0u64; words], vec![0u64; words]);
+        let mut memo_hits = 0u64;
+        let mut lookup = self.lookup();
+        for (word, &mask) in rows.words().iter().enumerate() {
+            if mask != 0 {
+                let (decided, answer, reused) = lookup.run(word, mask);
+                (known[word], passed[word]) = (decided, answer);
+                memo_hits += u64::from((decided & !reused).count_ones());
+            }
+        }
+        memo_hits += lookup.finish(&self.tracker);
+        (known, passed, memo_hits)
+    }
+
+    /// Evaluates `fresh` — distinct rows neither the memo nor the store
+    /// could answer, marked in the plane `queued` — as one executor batch,
+    /// memoizes the answers, writes them through to the session store in
+    /// `fresh`'s order, and sets the bits of those that passed in
+    /// `passed`.
+    fn evaluate_fresh(
+        &self,
+        executor: &dyn Executor,
+        fresh: Vec<usize>,
+        queued: &[u64],
+        passed: &mut [u64],
+    ) {
+        let fresh_answers = executor.evaluate_batch(&self.probe, &fresh);
+        self.tracker.add_evaluations(fresh.len() as u64);
+        let commits: Vec<(usize, bool)> = fresh.into_iter().zip(fresh_answers).collect();
+        let mut passes = 0;
+        for &(row, answer) in &commits {
+            passed[row / 64] |= u64::from(answer) << (row % 64);
+            passes += u64::from(answer);
+        }
+        if let Some(sel) = &self.selectivity {
+            sel.record_many(passes, commits.len() as u64);
+        }
+        // The batch lands in the memo a word at a time and in the session
+        // store in one call.
+        for (word, (&queued, &passed)) in queued.iter().zip(passed.iter()).enumerate() {
+            if queued != 0 {
+                self.memo.merge_word(word, queued, passed);
+            }
+        }
+        self.commit(&commits);
     }
 
     /// The known answer for `row`, if this query or an earlier one in the
@@ -421,12 +497,13 @@ impl<'a> UdfInvoker<'a> {
         known
     }
 
-    /// The pipelines' group scan: [`UdfInvoker::known_many`] over the
-    /// rows of `(word, mask)` runs — bit `i` of `mask` is row
-    /// `64 * word + i`; a group's are [`expred_table::GroupBy::runs`] —
-    /// a word at a time. `visit` receives, per run, `(word, mask, known,
-    /// answer)`: the rows of `mask` this query or the session has decided
-    /// and, of those, the ones that passed (`answer ⊆ known ⊆ mask`).
+    /// A scan of one group: [`UdfInvoker::known_many`] over the rows of
+    /// `(word, mask)` runs — bit `i` of `mask` is row `64 * word + i`; a
+    /// group's are [`GroupBy::runs`] — a word at a time (a whole
+    /// grouping goes through [`UdfInvoker::scan_groups`]). `visit`
+    /// receives, per run, `(word, mask, known, answer)`: the rows of
+    /// `mask` this query or the session has decided and, of those, the
+    /// ones that passed (`answer ⊆ known ⊆ mask`).
     /// Action for action the per-row walk over the same rows in
     /// ascending order — same promotions into the memo, same referenced
     /// marks, one store hit or miss per undecided row — with the reuse
@@ -439,10 +516,28 @@ impl<'a> UdfInvoker<'a> {
         let mut lookup = self.lookup();
         for (word, mask) in runs {
             let word = word as usize;
-            let (known, answer) = lookup.run(word, mask);
+            let (known, answer, _) = lookup.run(word, mask);
             visit(word, mask, known, answer);
         }
         lookup.finish(&self.tracker);
+    }
+
+    /// [`UdfInvoker::scan_runs`] over every group of `groups` in one
+    /// word-major pass: the groups' runs in a word never overlap, so the
+    /// pass reads their union ([`GroupBy::row_plane`]) and each 64-row
+    /// word the grouping touches is loaded, promoted and settled once,
+    /// however many groups have rows in it. Returns two planes over the
+    /// table: the grouping's rows this query or the session has decided,
+    /// and of those the ones that passed. A run `(word, mask)` of any
+    /// group takes its `known` and `answer` masks with one AND each —
+    /// `decided.word(word) & mask`, `passed.word(word) & mask`. Action for
+    /// action the per-group loop `for g { scan_runs(groups.runs(g), ..) }`
+    /// — same masks, same promotions, same referenced marks, one store
+    /// hit or miss per undecided row — with the reuse charge and the
+    /// store statistics added once per call.
+    pub fn scan_groups(&self, groups: &GroupBy) -> (RowSet, RowSet) {
+        let (decided, passed, _) = self.read_plane(&groups.row_plane());
+        (RowSet::from_words(decided), RowSet::from_words(passed))
     }
 
     /// Retrieves and evaluates `row` in one step (charges both actions).
@@ -482,7 +577,6 @@ impl<'a> UdfInvoker<'a> {
 mod tests {
     use super::*;
     use crate::udf::OracleUdf;
-    use expred_table::rowset::bits;
     use expred_table::{DataType, Field, Schema, Table, Value};
 
     fn table_with_labels(labels: &[bool]) -> Table {
@@ -743,6 +837,51 @@ mod tests {
             &per_row.6[warm.len()..][..3],
             [(71, true), (70, true), (69, false)]
         );
+    }
+
+    #[test]
+    fn a_plane_read_matches_the_ascending_batch_action_for_action() {
+        // A memo and a store both partly warm, rows across the page edge:
+        // the plane read must charge, probe, memoize, commit and offer
+        // exactly what `evaluate_batch` over the ascending id list does.
+        let labels: Vec<bool> = (0..5_000).map(|i| i % 5 < 2).collect();
+        let t = table_with_labels(&labels);
+        let udf = OracleUdf::new("good");
+        let ns = cache_namespace(&udf, &t).expect("oracle has identity");
+        let earlier: Vec<usize> = (0..4_300).step_by(3).collect();
+        let own: Vec<usize> = (0..4_300).step_by(7).collect();
+        let rows: Vec<usize> = (0..5_000).filter(|row| row % 4 != 1).collect();
+        let run = |planes: bool| {
+            let store = expred_exec::CacheStore::new();
+            let sink = std::sync::Arc::new(RecordingSink::default());
+            store.set_spill(Some(
+                sink.clone() as std::sync::Arc<dyn expred_exec::SpillSink>
+            ));
+            let sel = expred_exec::SelectivityTracker::new();
+            let ctx = expred_exec::ExecContext::sequential()
+                .with_cache(&store)
+                .with_selectivity(&sel);
+            UdfInvoker::with_context(&udf, &t, &ctx)
+                .evaluate_batch(&expred_exec::Sequential, &earlier);
+            let inv = UdfInvoker::with_context(&udf, &t, &ctx);
+            inv.evaluate_batch(&expred_exec::Sequential, &own);
+            let answers: Vec<bool> = if planes {
+                let plane = RowSet::from_ids(t.num_rows(), rows.iter().map(|&row| row as u32));
+                let passed = inv.evaluate_plane(&expred_exec::Sequential, &plane);
+                assert!(passed.iter().all(|row| plane.contains(row as usize)));
+                rows.iter().map(|&row| passed.contains(row)).collect()
+            } else {
+                inv.evaluate_batch(&expred_exec::Sequential, &rows)
+            };
+            let memo: Vec<Option<bool>> = (0..labels.len()).map(|r| inv.memo.get(r)).collect();
+            let observed = (sel.handle(ns).observations(), sel.pass_rate(ns));
+            let offers = sink.0.lock().unwrap().clone();
+            (answers, inv.counts(), store.stats(), memo, observed, offers)
+        };
+        let plane = run(true);
+        assert_eq!(plane, run(false));
+        let counts = plane.1;
+        assert!(counts.cache_hits > 0 && counts.reuse_hits > 0 && counts.evaluated > 0);
     }
 
     #[test]

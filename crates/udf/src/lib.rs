@@ -17,9 +17,9 @@
 //!   [`expred_exec::CacheHandle`] when running inside a session
 //!   ([`UdfInvoker::with_context`]).
 //! * [`expr`] — [`PredicateExpr`] (alias [`Pred`]): and/or/not
-//!   expressions over UDFs with derived cache identities, evaluated in
-//!   staged batches with cost-ordered short-circuiting through the
-//!   session cache ([`evaluate_expr_batch`]).
+//!   expressions over UDFs with derived cache identities, evaluated over
+//!   bit planes of rows in staged batches with cost-ordered
+//!   short-circuiting through the session cache ([`evaluate_expr`]).
 //! * [`parse`] — the predicate DSL ([`parse_predicate`]): pypred-style
 //!   strings (`"a and (b or not c)"`) resolved to expressions through a
 //!   caller-supplied [`UdfRegistry`], with typed positioned errors.
@@ -37,7 +37,7 @@ pub mod parse;
 pub mod udf;
 
 pub use cost::{CostCounts, CostModel, CostTracker};
-pub use expr::{evaluate_expr_batch, InvalidCostsError, Pred, PredicateExpr, DEFAULT_LEAF_COST};
+pub use expr::{evaluate_expr, InvalidCostsError, Pred, PredicateExpr, DEFAULT_LEAF_COST};
 pub use invoker::{cache_namespace, UdfInvoker};
 pub use optimize::optimize_expr;
 pub use parse::{parse_predicate, OracleRegistry, ParseError, ParseErrorKind, UdfRegistry};

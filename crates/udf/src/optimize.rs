@@ -350,10 +350,10 @@ fn estimate_pass_rate(node: &Node, table: &Table, selectivity: Option<&Selectivi
 mod tests {
     use super::*;
     use crate::cost::CostTracker;
-    use crate::expr::{evaluate_expr_batch, Pred};
+    use crate::expr::{evaluate_expr, Pred};
     use crate::udf::OracleUdf;
     use expred_exec::ExecContext;
-    use expred_table::{DataType, Field, Schema, Value};
+    use expred_table::{DataType, Field, RowSet, Schema, Value};
 
     fn table(cols: &[(&str, &[bool])]) -> Table {
         let schema = Schema::new(
@@ -376,9 +376,9 @@ mod tests {
     /// leaf once through an audited, selectivity-fed evaluation.
     fn observe(tracker: &SelectivityTracker, t: &Table, cols: &[&str]) {
         let ctx = ExecContext::sequential().with_selectivity(tracker);
-        let rows: Vec<usize> = (0..t.num_rows()).collect();
+        let rows = RowSet::full(t.num_rows());
         for col in cols {
-            evaluate_expr_batch(&leaf(col), t, &rows, &CostTracker::new(), &ctx).unwrap();
+            evaluate_expr(&leaf(col), t, &rows, &CostTracker::new(), &ctx).unwrap();
         }
     }
 
@@ -452,7 +452,7 @@ mod tests {
         let common_vals: Vec<bool> = (0..n).map(|i| i % 10 != 0).collect();
         let rare_vals: Vec<bool> = (0..n).map(|i| i % 10 == 0).collect();
         let t = table(&[("common", &common_vals), ("rare", &rare_vals)]);
-        let rows: Vec<usize> = (0..n).collect();
+        let rows = RowSet::full(n);
         let tracker = SelectivityTracker::new();
         observe(&tracker, &t, &["common", "rare"]);
 
@@ -462,12 +462,12 @@ mod tests {
 
         let static_bill = {
             let costs = CostTracker::new();
-            let got = evaluate_expr_batch(&expr, &t, &rows, &costs, &ctx).unwrap();
+            let got = evaluate_expr(&expr, &t, &rows, &costs, &ctx).unwrap();
             (got, costs.snapshot().evaluated)
         };
         let learned_bill = {
             let costs = CostTracker::new();
-            let got = evaluate_expr_batch(&optimized, &t, &rows, &costs, &ctx).unwrap();
+            let got = evaluate_expr(&optimized, &t, &rows, &costs, &ctx).unwrap();
             (got, costs.snapshot().evaluated)
         };
         assert_eq!(static_bill.0, learned_bill.0, "answers are identical");
@@ -482,12 +482,12 @@ mod tests {
         let or_optimized = optimize_expr(&or_expr, &t, Some(&tracker));
         let or_static = {
             let costs = CostTracker::new();
-            evaluate_expr_batch(&or_expr, &t, &rows, &costs, &ctx).unwrap();
+            evaluate_expr(&or_expr, &t, &rows, &costs, &ctx).unwrap();
             costs.snapshot().evaluated
         };
         let or_learned = {
             let costs = CostTracker::new();
-            evaluate_expr_batch(&or_optimized, &t, &rows, &costs, &ctx).unwrap();
+            evaluate_expr(&or_optimized, &t, &rows, &costs, &ctx).unwrap();
             costs.snapshot().evaluated
         };
         assert!(
@@ -504,7 +504,7 @@ mod tests {
         let b: Vec<bool> = (0..n).map(|i| i % 4 == 0).collect();
         let c: Vec<bool> = (0..n).map(|i| i % 7 != 0).collect();
         let t = table(&[("a", &a), ("b", &b), ("c", &c)]);
-        let rows: Vec<usize> = (0..n).collect();
+        let rows = RowSet::full(n);
         let tracker = SelectivityTracker::new();
         observe(&tracker, &t, &["a", "b", "c"]);
         let cases = vec![
@@ -515,9 +515,8 @@ mod tests {
         ];
         for expr in cases {
             let optimized = optimize_expr(&expr, &t, Some(&tracker));
-            let want = evaluate_expr_batch(&expr, &t, &rows, &CostTracker::new(), &ctx).unwrap();
-            let got =
-                evaluate_expr_batch(&optimized, &t, &rows, &CostTracker::new(), &ctx).unwrap();
+            let want = evaluate_expr(&expr, &t, &rows, &CostTracker::new(), &ctx).unwrap();
+            let got = evaluate_expr(&optimized, &t, &rows, &CostTracker::new(), &ctx).unwrap();
             assert_eq!(want, got, "{expr:?} vs {optimized:?}");
         }
     }
@@ -533,7 +532,7 @@ mod tests {
         let a: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
         let b: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
         let t = table(&[("gate", &gate), ("a", &a), ("b", &b)]);
-        let rows: Vec<usize> = (0..n).collect();
+        let rows = RowSet::full(n);
         let tracker = SelectivityTracker::new();
         observe(&tracker, &t, &["gate", "a", "b"]);
         let expr = leaf("gate").and(leaf("a")).or(leaf("gate").and(leaf("b")));
@@ -541,8 +540,7 @@ mod tests {
 
         let run = |e: &PredicateExpr| {
             let costs = CostTracker::new();
-            let got =
-                evaluate_expr_batch(e, &t, &rows, &costs, &ExecContext::sequential()).unwrap();
+            let got = evaluate_expr(e, &t, &rows, &costs, &ExecContext::sequential()).unwrap();
             (got, costs.snapshot().evaluated)
         };
         let (want, static_bill) = run(&expr);

@@ -364,9 +364,9 @@ impl<'a> Parser<'a, '_> {
 mod tests {
     use super::*;
     use crate::cost::CostTracker;
-    use crate::expr::{evaluate_expr_batch, Pred};
+    use crate::expr::{evaluate_expr, Pred};
     use crate::udf::BooleanUdf;
-    use expred_table::{DataType, Field, Schema, Table, Value};
+    use expred_table::{DataType, Field, RowSet, Schema, Table, Value};
 
     fn parse(input: &str) -> Result<PredicateExpr, ParseError> {
         parse_predicate(input, &OracleRegistry::new())
@@ -472,15 +472,15 @@ mod tests {
         let t = Table::from_rows(schema, rows).unwrap();
         let expr = combinator("a and not b");
         let tracker = CostTracker::new();
-        let got = evaluate_expr_batch(
+        let got = evaluate_expr(
             &expr,
             &t,
-            &[0, 1, 2, 3],
+            &RowSet::full(4),
             &tracker,
             &expred_exec::ExecContext::sequential(),
         )
         .unwrap();
-        assert_eq!(got, vec![false, true, false, false]);
+        assert_eq!(got.to_vec(), vec![1]);
         assert_eq!(BooleanUdf::required_columns(&expr), vec!["a", "b"]);
     }
 

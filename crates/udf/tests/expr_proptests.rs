@@ -13,9 +13,9 @@
 //!   static written order — ascending rank is provably optimal there.
 
 use expred_exec::{ExecContext, SelectivityTracker};
-use expred_table::{DataType, Field, Schema, Table, Value};
+use expred_table::{DataType, Field, RowSet, Schema, Table, Value};
 use expred_udf::{
-    evaluate_expr_batch, optimize_expr, parse_predicate, CostTracker, OracleRegistry, PredicateExpr,
+    evaluate_expr, optimize_expr, parse_predicate, CostTracker, OracleRegistry, PredicateExpr,
 };
 use proptest::prelude::*;
 
@@ -104,16 +104,16 @@ fn gen_expr(rng: &mut Rng, reg: &OracleRegistry, depth: u32) -> PredicateExpr {
 /// Teaches `tracker` every column's exact pass rate.
 fn observe(tracker: &SelectivityTracker, t: &Table, reg: &OracleRegistry) {
     let ctx = ExecContext::sequential().with_selectivity(tracker);
-    let rows: Vec<usize> = (0..t.num_rows()).collect();
+    let rows = RowSet::full(t.num_rows());
     for col in COLS {
-        evaluate_expr_batch(&leaf(col, reg), t, &rows, &CostTracker::new(), &ctx).unwrap();
+        evaluate_expr(&leaf(col, reg), t, &rows, &CostTracker::new(), &ctx).unwrap();
     }
 }
 
-fn answers(expr: &PredicateExpr, t: &Table) -> (Vec<bool>, u64) {
-    let rows: Vec<usize> = (0..t.num_rows()).collect();
+fn answers(expr: &PredicateExpr, t: &Table) -> (RowSet, u64) {
+    let rows = RowSet::full(t.num_rows());
     let costs = CostTracker::new();
-    let got = evaluate_expr_batch(expr, t, &rows, &costs, &ExecContext::sequential()).unwrap();
+    let got = evaluate_expr(expr, t, &rows, &costs, &ExecContext::sequential()).unwrap();
     (got, costs.snapshot().evaluated)
 }
 

@@ -19,7 +19,11 @@
 //! memo — equals a `memoized` loop action for action. And the group scan
 //! is held to `known_many`: `scan_runs` over a group's `(word, mask)`
 //! runs equals `known_many` over the group's rows — answers, bill, store
-//! statistics and the referenced marks that steer later evictions.
+//! statistics and the referenced marks that steer later evictions. The
+//! word-major scan is held to the group scan in turn: `scan_groups` over
+//! a whole grouping — sparse, or sliced so it does not cover the table —
+//! equals `scan_runs` group after group, mask for mask, leaving the same
+//! memo, bill, store statistics and referenced marks.
 
 use expred_exec::{CacheStore, ExecContext, Sequential};
 use expred_table::rowset::bits;
@@ -263,6 +267,111 @@ proptest! {
             let own_rows: std::collections::HashSet<_> = own.iter().collect();
             prop_assert_eq!(counts.reuse_hits as usize, TALL_ROWS);
             prop_assert_eq!(counts.cache_hits as usize, own.len() - own_rows.len());
+        }
+    }
+
+    #[test]
+    fn word_major_scan_matches_the_per_group_loop_action_for_action(
+        k in 1usize..7,
+        stride in 1usize..200,
+        keep_one_in in 1usize..4,
+        session in 0usize..4,
+        warm in prop::collection::vec(0usize..TALL_ROWS, 0..500),
+        own in prop::collection::vec(0usize..TALL_ROWS, 0..80),
+        newcomers in 0usize..40,
+    ) {
+        // Interleaved groups in stretches of `stride` rows (sparse: some
+        // words and whole pages skipped), sliced to every `keep_one_in`th
+        // share of each group's rows, as the iterative pipeline's rounds
+        // slice them — a grouping that need not cover the table.
+        let assignments: Vec<usize> = (0..TALL_ROWS).map(|row| (row / stride + row) % k).collect();
+        let whole = GroupBy::from_assignments("g", &assignments);
+        let slices: Vec<Vec<u32>> = (0..whole.num_groups())
+            .map(|g| {
+                let rows = whole.rows(g);
+                rows[..rows.len().div_ceil(keep_one_in)].to_vec()
+            })
+            .collect();
+        let sliced = slices.iter().map(Vec::len).sum();
+        let keys = (0..whole.num_groups()).map(|g| whole.key(g).clone()).collect();
+        let groups = GroupBy::new("g#slice".into(), keys, slices, sliced);
+        let table = labelled_table(TALL_ROWS);
+        let udf = OracleUdf::new("good");
+        let namespace = cache_namespace(&udf, &table).expect("the oracle has an identity");
+        // No store at all, a cold one, a partly warm one, a full one.
+        let warm: Vec<usize> = match session {
+            0 | 1 => Vec::new(),
+            2 => warm,
+            _ => (0..TALL_ROWS).collect(),
+        };
+        let mut resident: Vec<usize> = warm.iter().chain(&own).copied().collect();
+        resident.sort_unstable();
+        resident.dedup();
+
+        let run = |word_major: bool| {
+            let store = CacheStore::with_capacity(resident.len());
+            let ctx = match session {
+                0 => ExecContext::sequential(),
+                _ => ExecContext::sequential().with_cache(&store),
+            };
+            UdfInvoker::with_context(&udf, &table, &ctx).evaluate_batch(&Sequential, &warm);
+            let invoker = UdfInvoker::with_context(&udf, &table, &ctx);
+            invoker.evaluate_batch(&Sequential, &own);
+            // Two passes: the second finds every hit of the first promoted.
+            let mut seen = Vec::new();
+            for _ in 0..2 {
+                // Per run of every group, group after group: its masks.
+                let decided: Vec<(u64, u64)> = if word_major {
+                    let (known, passed) = invoker.scan_groups(&groups);
+                    (0..groups.num_groups())
+                        .flat_map(|g| groups.runs(g))
+                        .map(|(word, mask)| {
+                            let word = word as usize;
+                            (known.word(word) & mask, passed.word(word) & mask)
+                        })
+                        .collect()
+                } else {
+                    let mut decided = Vec::new();
+                    for g in 0..groups.num_groups() {
+                        invoker.scan_runs(groups.runs(g), |_, _, known, passed| {
+                            decided.push((known, passed));
+                        });
+                    }
+                    decided
+                };
+                seen.push((decided, invoker.counts(), store.stats()));
+            }
+            // What the memo holds now: a batch over every row charges a
+            // memo hit for each row it holds and re-probes the store for
+            // the rest.
+            let all: Vec<usize> = (0..TALL_ROWS).collect();
+            let answers = invoker.evaluate_batch(&Sequential, &all);
+            let memo = (answers, invoker.counts(), store.stats());
+            let handle = store.handle(namespace);
+            for newcomer in 0..newcomers {
+                handle.insert(TALL_ROWS + newcomer, true);
+            }
+            let mut survivors = Vec::new();
+            store.for_each_namespace(|_, entries| survivors.extend_from_slice(entries));
+            survivors.sort_unstable();
+            (seen, memo, store.stats(), survivors)
+        };
+        let (word_major, per_group) = (run(true), run(false));
+        for (pass, (got, want)) in word_major.0.iter().zip(&per_group.0).enumerate() {
+            prop_assert_eq!(got, want, "pass {}", pass);
+        }
+        prop_assert_eq!(&word_major.1, &per_group.1, "the scans left different memos");
+        prop_assert_eq!(word_major.2, per_group.2);
+        prop_assert_eq!(&word_major.3, &per_group.3, "the scans left different referenced marks");
+        // The masks are honest: within their runs, and the oracle's.
+        let (decided, _, _) = &word_major.0[0];
+        let runs = (0..groups.num_groups()).flat_map(|g| groups.runs(g));
+        for ((word, mask), &(known, passed)) in runs.zip(decided) {
+            prop_assert_eq!((known & !mask, passed & !known), (0, 0));
+            for bit in bits(known) {
+                let row = word as usize * 64 + bit as usize;
+                prop_assert_eq!(passed >> bit & 1 == 1, row.is_multiple_of(3));
+            }
         }
     }
 

@@ -85,7 +85,8 @@ fn main() {
             plan.e()[g]
         );
     }
-    let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx);
+    let result =
+        execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).expect("one plan group per group");
 
     // Report: achieved accuracy and cost vs the evaluate-everything bound.
     let truth = truth_vector(&table, "good_credit");

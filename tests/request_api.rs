@@ -365,11 +365,11 @@ fn optimized_expr_scan_matches_static_and_learns_across_cache_clears() {
     let expr = || common().and(rare());
 
     // The static baseline: the unrewritten tree, evaluated directly.
-    let rows: Vec<usize> = (0..ds.table.num_rows()).collect();
+    let rows = RowSet::full(ds.table.num_rows());
     let tracker = expred::udf::CostTracker::new();
     let ctx = ExecContext::sequential();
-    let fixed = expred::udf::evaluate_expr_batch(&expr(), &ds.table, &rows, &tracker, &ctx)
-        .expect("valid costs");
+    let fixed =
+        expred::udf::evaluate_expr(&expr(), &ds.table, &rows, &tracker, &ctx).expect("valid costs");
     let static_bill = tracker.snapshot().evaluated;
 
     // First submit: nothing is observed yet, so the optimizer keeps the
@@ -378,7 +378,7 @@ fn optimized_expr_scan_matches_static_and_learns_across_cache_clears() {
     let first = engine
         .submit(&ds, &QueryRequest::expr_scan(expr(), cost))
         .unwrap();
-    assert_eq!(first.returned, RowSet::from_flags(fixed.iter().copied()));
+    assert_eq!(first.returned, fixed);
     assert_eq!(first.counts.evaluated, static_bill);
 
     // Drop every cached answer; the selectivity statistics survive by
