@@ -19,10 +19,12 @@
 //! * `generate_<rows>` — materializing the PROSPER table: backend `rows`
 //!   rebuilds it through `Table::from_rows` from its row values (cloned
 //!   inside the timed region, as a row-wise producer builds them — the
-//!   path `csv` and every `push_row` caller use), backend `columnar` is
-//!   `Dataset::generate` (typed vectors, labels rendered once, through
-//!   `Table::from_columns`) including its PRNG draws. Both drop the
-//!   table they built.
+//!   path `csv` and every `push_row` caller use); backend `columnar` is
+//!   `Dataset::generate` and then a read of every column (typed vectors,
+//!   labels rendered once) including its PRNG draws; backend `lazy` is
+//!   `Dataset::generate` alone — the predictor and the label, what a
+//!   query on a named predictor reads. All three drop the table they
+//!   built.
 //! * `one_hot_<rows>` — `extract_features` (dictionary-coded one-hot)
 //!   over the full PROSPER candidate set; like `group_by`, its per-cell
 //!   predecessor is now `expred-ml`'s test oracle, not a baseline row.
@@ -115,15 +117,25 @@ fn main() {
             black_box(Table::from_rows(ds.table.schema().clone(), cells.clone()).unwrap());
         });
         let columnar = measure_ns_per_unit(units, reps.div_ceil(3), || {
+            let table = Dataset::generate(ds.spec, black_box(ds.seed)).table;
+            for idx in 0..table.num_columns() {
+                black_box(table.column_at(idx));
+            }
+        });
+        let lazy = measure_ns_per_unit(units, reps.div_ceil(3), || {
             black_box(Dataset::generate(ds.spec, black_box(ds.seed)));
         });
         report.record(&scenario, "rows", by_rows, 1.0);
         report.record(&scenario, "columnar", columnar, by_rows / columnar);
+        report.record(&scenario, "lazy", lazy, by_rows / lazy);
         println!(
-            "{scenario:<24} rows   {by_rows:>8.1} ns/row | columnar {columnar:>6.1} ({:>5.2}x)",
-            by_rows / columnar
+            "{scenario:<24} rows   {by_rows:>8.1} ns/row | columnar {columnar:>6.1} ({:>5.2}x) \
+             | lazy {lazy:>6.1} ({:>5.2}x)",
+            by_rows / columnar,
+            by_rows / lazy,
         );
         check(&scenario, by_rows, columnar);
+        check(&scenario, columnar, lazy);
 
         // One-hot encoding from dictionary codes.
         let scenario = format!("one_hot_{rows}");

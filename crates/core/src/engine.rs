@@ -351,7 +351,7 @@ impl QueryEngine {
     /// the first submit over each table state rehydrates matching
     /// persisted namespaces into the row tier, so a restarted process
     /// re-serves previously-paid answers at zero `o_e`. Matching is by
-    /// *(schema fingerprint, content version)* — both process-independent
+    /// *(schema fingerprint, table version)* — both process-independent
     /// — so a mutated or different table can never be served another
     /// table's answers. [`QueryEngine::clear_caches`] tombstones the
     /// durable tier along with the in-memory ones.

@@ -2,7 +2,7 @@
 //! rehydration.
 //!
 //! [`expred_persist::PersistStore`] speaks *process-independent* keys —
-//! `(udf fingerprint, schema fingerprint, content version)` — because a
+//! `(udf fingerprint, schema fingerprint, table version)` — because a
 //! [`expred_table::TableId`] is a process-local counter that means
 //! nothing after a restart. The live cache tiers speak *process-local*
 //! [`CacheNamespace`]s keyed by that id. `PersistLayer` owns the
@@ -51,7 +51,7 @@ pub(crate) fn now_unix_nanos() -> u64 {
 }
 
 /// One registered table: its process-independent schema identity plus
-/// which content versions have already been rehydrated this session.
+/// which table versions have already been rehydrated this session.
 #[derive(Debug, Default)]
 struct TableReg {
     schema_fp: u64,

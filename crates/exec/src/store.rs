@@ -38,7 +38,7 @@
 //!
 //! A [`CacheNamespace`] is three raw `u64`s so this crate stays
 //! foundational (no dependency on the table/UDF crates): the UDF's
-//! fingerprint, the table's instance id, and the table's content version.
+//! fingerprint, the table's instance id, and the table's version.
 //! A mutated table presents a new version, which is simply a *different*
 //! namespace — stale entries become unreachable immediately. To keep
 //! superseded versions from pinning memory without punishing *diverged
@@ -108,7 +108,7 @@ pub struct CacheNamespace {
     pub udf: u64,
     /// The table's instance id.
     pub table: u64,
-    /// The table's content version; bumping it abandons the namespace.
+    /// The table's version; bumping it abandons the namespace.
     pub version: u64,
 }
 

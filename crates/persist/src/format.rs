@@ -117,7 +117,7 @@ pub struct PersistKey {
     pub udf: u64,
     /// The table's schema (structure) fingerprint.
     pub table: u64,
-    /// The table's content version fingerprint.
+    /// The table's version (`expred_table::Table::version`).
     pub version: u64,
 }
 

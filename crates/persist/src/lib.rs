@@ -28,7 +28,7 @@
 //!   at any byte leaves either the old generation or the new one, never
 //!   a half state.
 //! * **Rehydration**: namespaces are keyed by `(udf fingerprint, schema
-//!   fingerprint, content version)` — all process-independent — and the
+//!   fingerprint, table version)` — all process-independent — and the
 //!   engine checks versions on load, so a persisted namespace whose
 //!   table no longer matches is ignored, not served.
 //!

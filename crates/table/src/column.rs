@@ -388,18 +388,25 @@ impl Column {
         }
     }
 
-    /// Number of distinct non-NULL values.
+    /// Number of distinct non-NULL values (floats distinct by bit
+    /// pattern). Hashes nothing: a boolean column ORs one bit per value it
+    /// holds, a numeric one sorts its values and counts the runs, and a
+    /// string column's dictionary is its distinct values.
     pub fn distinct_count(&self) -> usize {
-        use std::collections::HashSet;
+        fn sorted_runs<T: Ord>(mut values: Vec<T>) -> usize {
+            values.sort_unstable();
+            values.dedup();
+            values.len()
+        }
         match self {
-            Column::Bool(v) => v.iter().flatten().collect::<HashSet<_>>().len(),
-            Column::Int(v) => v.iter().flatten().collect::<HashSet<_>>().len(),
-            Column::Float(v) => v
-                .iter()
-                .flatten()
-                .map(|f| f.to_bits())
-                .collect::<HashSet<_>>()
-                .len(),
+            Column::Bool(v) => {
+                let seen = v.iter().fold(0u8, |seen, cell| {
+                    seen | cell.map_or(0, |b| 1 << u8::from(b))
+                });
+                seen.count_ones() as usize
+            }
+            Column::Int(v) => sorted_runs(v.iter().flatten().copied().collect()),
+            Column::Float(v) => sorted_runs(v.iter().flatten().map(|f| f.to_bits()).collect()),
             Column::Str(v) => v.dictionary().len(),
         }
     }

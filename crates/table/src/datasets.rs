@@ -22,40 +22,60 @@
 //! group sizes and selectivities, then every row's shuffled `(group,
 //! label)` — decides the predictor column and the hidden label, and with
 //! them every answer a `grade`, `expr` or `naive` query returns. Each
-//! auxiliary column is then its own loop over the plan that pushes
-//! numbers into a typed vector (a label number per categorical cell;
-//! each label is rendered to a string once per value), and the table is
-//! assembled by [`Table::from_columns`].
+//! auxiliary column is its own loop over the plan that pushes numbers
+//! into a typed vector (a label number per categorical cell; each label
+//! is rendered to a string once per value).
+//!
+//! **Lazy columns.** [`Dataset::generate`] builds only the predictor and
+//! the label. The other thirteen columns — the row ids and the auxiliary
+//! suite, read by column selection and the ML baselines but by no query
+//! on a named predictor — are left to the table's *recipe*, its spec and
+//! seed, and each is built the first time it is read. The first such
+//! build re-derives the row plan and keeps it for the rest. A column
+//! built late is cell for cell the column an eager build would make, and
+//! it passes [`Table::from_columns`]' checks when it is built.
 //!
 //! **Streams.** Every auxiliary column draws each [`PAGE_ROWS`]-row page
 //! from its own stream: stream `(column, page)` is
 //! `Prng::fork(column << 32 | page)` off the plan's generator, `column`
 //! being the column's schema position. A page's cells therefore follow
-//! from the plan's rows on that page alone — a parallel or lazy generator
-//! needs no further re-seed. Each cell is one draw: a noisy predictor
+//! from the plan's rows on that page alone, and a column from the plan
+//! alone, whenever it is built. Each cell is one draw: a noisy predictor
 //! cell splits one `u64` between keeping the group and picking a
 //! replacement, a label-driven categorical counts one uniform's place in
 //! a precomputed inverse CDF, and a numeric cell is a ziggurat normal
 //! (no `ln` or `cos` for about 99 % of draws).
 //!
-//! **The re-seed.** Moving the auxiliary columns onto these streams
+//! **The version and `GENERATOR_REVISION`.** A generated table's
+//! [`Table::version`] — half of every durable cache key — is a
+//! fingerprint of its recipe: a generator revision constant, every
+//! [`DatasetSpec`] field, and the seed. Folding the cells would build
+//! them all. The recipe version only stands for the cells while the
+//! generator draws the same cells, so **any change that moves a generated
+//! cell must bump `GENERATOR_REVISION`**. The tests hold to it: they pin
+//! the content fold of every cell (what [`Table::from_columns`] gives the
+//! built columns) beside the recipe version for six `(spec, rows, seed)`
+//! triples. A moved cell fails the content pins, and they are re-pinned
+//! only with a revision bump, which moves every recipe pin too. A new
+//! revision orphans every `--data-dir` written before it, as moving to
+//! recipe versions did.
+//!
+//! **The re-seed.** Moving the auxiliary columns onto per-page streams
 //! re-drew them once, deliberately (ROADMAP 5(c)), with the laws the
-//! row-major generator drew them from. Every predictor and label cell
-//! is what it was; every other cell — so every [`Table::version`], half
-//! of every durable cache key — moved, which orphans any `--data-dir`
-//! written before it. The tests pin `version` for six `(spec, rows,
-//! seed)` triples, pin the predictor and label columns at their
+//! row-major generator drew them from. Every predictor and label cell is
+//! what it was. The tests pin the predictor and label columns at their
 //! pre-re-seed fingerprint, hold each sampler to the row-major law, and
 //! compare every generated table with a row-at-a-time oracle.
 
 use crate::column::{Column, StrColumn};
 use crate::schema::{Field, Schema};
-use crate::table::Table;
+use crate::table::{ColumnSource, Table};
 use crate::value::DataType;
 use expred_stats::descriptive::{pearson, Accumulator};
+use expred_stats::hash::Fnv64;
 use expred_stats::rng::Prng;
 use expred_stats::PAGE_ROWS;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Name of the hidden ground-truth column carried by every synthetic
 /// dataset. Algorithms must never read it directly; the `expred-udf` crate
@@ -179,9 +199,21 @@ impl Dataset {
     /// If the spec has fewer than two groups, or fewer rows than groups.
     pub fn generate(spec: DatasetSpec, seed: u64) -> Self {
         let (plan, streams) = row_plan(&spec, seed);
-        let columns = build_columns(&spec, &plan, &streams, 0);
-        let table = Table::from_columns(dataset_schema(&spec), columns)
-            .expect("generated columns match the schema");
+        let eager =
+            [PREDICTOR_AT, LABEL_AT].map(|idx| (idx, build_column(&spec, &plan, &streams, 0, idx)));
+        let recipe = Recipe {
+            spec,
+            seed,
+            plan: OnceLock::new(),
+        };
+        let table = Table::lazy(
+            dataset_schema(&spec),
+            spec.rows,
+            recipe.version(),
+            eager,
+            Arc::new(recipe),
+        )
+        .expect("generated columns match the schema");
         Self { table, spec, seed }
     }
 
@@ -249,6 +281,59 @@ impl Dataset {
             .filter(|f| matches!(f.data_type(), DataType::Float | DataType::Int))
             .map(|f| f.name().to_owned())
             .collect()
+    }
+}
+
+/// Bumped by every change that moves a generated cell. A generated
+/// table's [`Table::version`] fingerprints this revision with the spec and
+/// seed instead of folding the cells, so under an unchanged revision a
+/// `--data-dir` written before the move would answer for cells it never
+/// saw. Such a change fails the content pins in the tests; re-pin them
+/// only with a bump, which moves every pinned recipe version too.
+const GENERATOR_REVISION: u64 = 1;
+
+/// What a generated table's unbuilt columns are drawn from: its spec and
+/// seed, and, from the first build on, the row plan they re-derive.
+#[derive(Debug)]
+struct Recipe {
+    spec: DatasetSpec,
+    seed: u64,
+    plan: OnceLock<(Vec<(usize, bool)>, Prng)>,
+}
+
+impl Recipe {
+    /// The generated table's version: a fingerprint of the generator
+    /// revision, every spec field, and the seed.
+    fn version(&self) -> u64 {
+        let DatasetSpec {
+            name,
+            rows,
+            groups,
+            selectivity,
+            size_dev,
+            sel_dev,
+            size_sel_corr,
+            predictor,
+        } = self.spec;
+        let mut h = Fnv64::new();
+        h.write_u64(GENERATOR_REVISION);
+        h.write_str(name);
+        h.write_u64(rows as u64);
+        h.write_u64(groups as u64);
+        for float in [selectivity, size_dev, sel_dev, size_sel_corr] {
+            h.write_u64(float.to_bits());
+        }
+        h.write_str(predictor);
+        h.write_u64(self.seed);
+        // Never 0, the empty table's version.
+        h.finish() | 1
+    }
+}
+
+impl ColumnSource for Recipe {
+    fn build(&self, idx: usize) -> Column {
+        let (plan, streams) = self.plan.get_or_init(|| row_plan(&self.spec, self.seed));
+        build_column(&self.spec, plan, streams, 0, idx)
     }
 }
 
@@ -441,6 +526,15 @@ const NUMERIC_FEATURES: [(&str, f64, f64, f64); 3] = [
     ("debt_to_income", 0.42, -0.25, 0.16),
     ("account_age", 7.5, 0.10, 3.0),
 ];
+
+/// Schema positions: row id, predictor, the auxiliary suite in the order
+/// above, then the hidden label.
+const PREDICTOR_AT: usize = 1;
+const NOISY_AT: usize = PREDICTOR_AT + 1;
+const AUX_AT: usize = NOISY_AT + NOISY_PREDICTORS.len();
+const NOISE_AT: usize = AUX_AT + AUX_CATEGORICALS.len();
+const NUMERIC_AT: usize = NOISE_AT + NOISE_CATEGORICALS.len();
+const LABEL_AT: usize = NUMERIC_AT + NUMERIC_FEATURES.len();
 
 /// Every generated table's schema: row id, predictor, the auxiliary
 /// suite in the order above, then the hidden label.
@@ -654,17 +748,18 @@ fn draw_column<T>(
     cells
 }
 
-/// Every column of the rows in `plan`, which start at page `first_page`:
-/// the row ids and the predictor and label straight from the plan, and
-/// each auxiliary column one loop over it, drawing from the streams of
-/// its schema position. Each label is rendered to a string once per
-/// value, into the column's dictionary.
-fn build_columns(
+/// The column at schema position `idx` of the rows in `plan`, which
+/// start at page `first_page`: the row ids, predictor and label straight
+/// from the plan, an auxiliary column one loop over it, drawing from the
+/// streams of its schema position. Each label is rendered to a string
+/// once per value, into the column's dictionary.
+fn build_column(
     spec: &DatasetSpec,
     plan: &[(usize, bool)],
     streams: &Prng,
     first_page: usize,
-) -> Vec<Column> {
+    idx: usize,
+) -> Column {
     let k = spec.groups;
     // One rendered label per value a column can take; values no row drew
     // (small tables) and labels two groups share (letters wrap after `Z`)
@@ -675,48 +770,53 @@ fn build_columns(
             StrColumn::from_dictionary(&dictionary, codes).expect("labels are below `card`"),
         )
     };
-    let first_row = first_page * PAGE_ROWS;
-    let predictor = plan.iter().map(|&(group, _)| group as u32).collect();
-    let mut columns = vec![
-        Column::Int(
-            (first_row..first_row + plan.len())
-                .map(|r| Some(r as i64))
-                .collect(),
-        ),
-        categorical(k, predictor, &|g| group_label(spec.predictor, g)),
-    ];
-    for (_, fidelity) in NOISY_PREDICTORS {
-        let noisy = NoisyGroup::new(fidelity, k);
-        let codes = draw_column(plan, streams, columns.len(), first_page, |rng, group, _| {
-            noisy.draw(rng, group)
-        });
-        columns.push(categorical(k, codes, &|g| group_label("noisy", g)));
+    match idx {
+        0 => {
+            let first_row = first_page * PAGE_ROWS;
+            let ids = first_row..first_row + plan.len();
+            Column::Int(ids.map(|r| Some(r as i64)).collect())
+        }
+        PREDICTOR_AT => {
+            let codes = plan.iter().map(|&(group, _)| group as u32).collect();
+            categorical(k, codes, &|g| group_label(spec.predictor, g))
+        }
+        _ if idx < AUX_AT => {
+            let noisy = NoisyGroup::new(NOISY_PREDICTORS[idx - NOISY_AT].1, k);
+            let codes = draw_column(plan, streams, idx, first_page, |rng, group, _| {
+                noisy.draw(rng, group)
+            });
+            categorical(k, codes, &|g| group_label("noisy", g))
+        }
+        _ if idx < NOISE_AT => {
+            let (name, strength, card) = AUX_CATEGORICALS[idx - AUX_AT];
+            let law = LabelDriven::new(strength, card);
+            let codes = draw_column(plan, streams, idx, first_page, |rng, _, label| {
+                law.draw(rng, label)
+            });
+            categorical(card, codes, &|v| format!("{name}_{v}"))
+        }
+        _ if idx < NUMERIC_AT => {
+            let (name, card) = NOISE_CATEGORICALS[idx - NOISE_AT];
+            let codes = draw_column(plan, streams, idx, first_page, |rng, _, _| {
+                rng.below(card) as u32
+            });
+            categorical(card, codes, &|v| format!("{name}_{v}"))
+        }
+        _ if idx < LABEL_AT => {
+            let (_, base, delta_sigmas, sigma) = NUMERIC_FEATURES[idx - NUMERIC_AT];
+            let mean = [base, base + delta_sigmas * sigma];
+            let normal = Ziggurat::get();
+            Column::Float(draw_column(
+                plan,
+                streams,
+                idx,
+                first_page,
+                |rng, _, label| Some(mean[usize::from(label)] + sigma * normal.draw(rng)),
+            ))
+        }
+        LABEL_AT => Column::Bool(plan.iter().map(|&(_, label)| Some(label)).collect()),
+        _ => panic!("a generated table has no column at position {idx}"),
     }
-    for (name, strength, card) in AUX_CATEGORICALS {
-        let law = LabelDriven::new(strength, card);
-        let codes = draw_column(plan, streams, columns.len(), first_page, |rng, _, label| {
-            law.draw(rng, label)
-        });
-        columns.push(categorical(card, codes, &|v| format!("{name}_{v}")));
-    }
-    for (name, card) in NOISE_CATEGORICALS {
-        let codes = draw_column(plan, streams, columns.len(), first_page, |rng, _, _| {
-            rng.below(card) as u32
-        });
-        columns.push(categorical(card, codes, &|v| format!("{name}_{v}")));
-    }
-    let normal = Ziggurat::get();
-    for (_, base, delta_sigmas, sigma) in NUMERIC_FEATURES {
-        let mean = [base, base + delta_sigmas * sigma];
-        let cells = draw_column(plan, streams, columns.len(), first_page, |rng, _, label| {
-            Some(mean[usize::from(label)] + sigma * normal.draw(rng))
-        });
-        columns.push(Column::Float(cells));
-    }
-    columns.push(Column::Bool(
-        plan.iter().map(|&(_, label)| Some(label)).collect(),
-    ));
-    columns
 }
 
 /// Human-readable group labels: letters for grade-like columns, numbered
@@ -734,6 +834,30 @@ fn group_label(prefix: &str, group: usize) -> String {
 mod tests {
     use super::*;
     use crate::value::Value;
+
+    /// Every column of the rows in `plan`, which start at page
+    /// `first_page`, in schema order.
+    fn build_columns(
+        spec: &DatasetSpec,
+        plan: &[(usize, bool)],
+        streams: &Prng,
+        first_page: usize,
+    ) -> Vec<Column> {
+        (0..=LABEL_AT)
+            .map(|idx| build_column(spec, plan, streams, first_page, idx))
+            .collect()
+    }
+
+    /// The content fold of a table's cells — what [`Table::from_columns`]
+    /// gives the same columns — whatever kind of version the table has.
+    fn content_version(table: &Table) -> u64 {
+        let columns = (0..table.num_columns())
+            .map(|idx| table.column_at(idx).clone())
+            .collect();
+        Table::from_columns(table.schema().clone(), columns)
+            .unwrap()
+            .version()
+    }
 
     /// A row-at-a-time rendering of the same streams, kept as the
     /// columnar generator's oracle: each row takes its next cell from the
@@ -962,7 +1086,7 @@ mod tests {
                     let by_rows = generate_by_rows(spec, seed);
                     let what = format!("{} @ {rows} rows, seed {seed}", spec.name);
                     assert_eq!(columnar, by_rows, "{what}");
-                    assert_eq!(columnar.version(), by_rows.version(), "{what}");
+                    assert_eq!(content_version(&columnar), by_rows.version(), "{what}");
                 }
             }
         }
@@ -980,23 +1104,33 @@ mod tests {
         assert_eq!(columnar.column("grade").unwrap().distinct_count(), 26);
         let by_rows = generate_by_rows(spec, 5);
         assert_eq!(columnar, by_rows);
-        assert_eq!(columnar.version(), by_rows.version());
+        assert_eq!(content_version(&columnar), by_rows.version());
     }
 
     /// `Table::version` is the `version` half of every `PersistKey` and
     /// the schema fingerprint keys cross-table reuse: a generator change
-    /// that moves either orphans every `--data-dir` ever written. The
-    /// versions below are the deliberate ROADMAP 5(c) re-seed (per-column,
-    /// per-page streams), which orphans any `--data-dir` written before
-    /// it; the schema fingerprints did not move.
+    /// that moves either orphans every `--data-dir` ever written. Two
+    /// numbers are pinned per table:
+    ///
+    /// * `content`, the fold of every cell (`Table::from_columns` over the
+    ///   fully built columns). These are the ROADMAP 5(c) re-seed's
+    ///   versions, recorded at revision 1; a change that moves any
+    ///   generated cell moves one of them, and re-pinning them comes with
+    ///   a bump of [`GENERATOR_REVISION`].
+    /// * `recipe`, the version a generated table carries: revision, spec
+    ///   and seed, so a bump re-pins all six. Moving to recipe versions
+    ///   orphaned every `--data-dir` written before; the schema
+    ///   fingerprints did not move.
     #[test]
     fn generated_versions_are_pinned() {
-        for (spec, rows, seed, version, schema) in [
+        assert_eq!(GENERATOR_REVISION, 1, "the content pins are revision 1's");
+        for (spec, rows, seed, content, recipe, schema) in [
             (
                 PROSPER,
                 2_000,
                 7,
                 0x660b_f7c0_e257_b1df_u64,
+                0x9961_db1f_c227_9943_u64,
                 0x8b3e_bf6d_d7b4_775c_u64,
             ),
             (
@@ -1004,6 +1138,7 @@ mod tests {
                 2_000,
                 7,
                 0xa387_c375_6144_9751,
+                0x77cf_7294_cb5c_6339,
                 0x8b3e_bf6d_d7b4_775c,
             ),
             (
@@ -1011,6 +1146,7 @@ mod tests {
                 20_000,
                 1,
                 0xd7ad_3e05_d4c5_a78b,
+                0x1796_f626_bc42_1305,
                 0x8b3e_bf6d_d7b4_775c,
             ),
             (
@@ -1018,6 +1154,7 @@ mod tests {
                 20_000,
                 3,
                 0x80bf_ae27_e507_d571,
+                0x9f95_2fcd_c0c5_011d,
                 0x8b3e_bf6d_d7b4_775c,
             ),
             (
@@ -1025,6 +1162,7 @@ mod tests {
                 45_000,
                 1,
                 0x11e3_53b8_93a0_d3fb,
+                0xb9c6_26af_c109_5c29,
                 0x5f97_ebf5_fa97_b5b9,
             ),
             (
@@ -1032,14 +1170,97 @@ mod tests {
                 41_000,
                 1,
                 0xe3f3_ed01_0ad5_9327,
+                0x5570_eece_9576_c4e7,
                 0x2f28_84a2_0e8d_f1a7,
             ),
         ] {
             let table = Dataset::generate(DatasetSpec { rows, ..spec }, seed).table;
             let what = format!("{} @ {rows} rows, seed {seed}", spec.name);
-            assert_eq!(table.version(), version, "{what}: version");
+            assert_eq!(content_version(&table), content, "{what}: content");
+            assert_eq!(table.version(), recipe, "{what}: recipe");
             assert_eq!(table.schema().fingerprint(), schema, "{what}: schema");
         }
+    }
+
+    /// Every spec field, the seed and the generator revision each move
+    /// the recipe version; nothing else goes into it.
+    #[test]
+    fn recipe_versions_cover_every_spec_field_and_the_seed() {
+        let version = |spec: DatasetSpec, seed: u64| {
+            Recipe {
+                spec,
+                seed,
+                plan: OnceLock::new(),
+            }
+            .version()
+        };
+        let base = version(PROSPER, 7);
+        assert_eq!(base, version(PROSPER, 7), "deterministic");
+        let variants = [
+            DatasetSpec {
+                name: "prosper2",
+                ..PROSPER
+            },
+            DatasetSpec {
+                rows: PROSPER.rows + 1,
+                ..PROSPER
+            },
+            DatasetSpec {
+                groups: PROSPER.groups + 1,
+                ..PROSPER
+            },
+            DatasetSpec {
+                selectivity: 0.46,
+                ..PROSPER
+            },
+            DatasetSpec {
+                size_dev: 1_522.0,
+                ..PROSPER
+            },
+            DatasetSpec {
+                sel_dev: 0.21,
+                ..PROSPER
+            },
+            DatasetSpec {
+                size_sel_corr: 0.21,
+                ..PROSPER
+            },
+            DatasetSpec {
+                predictor: "grade2",
+                ..PROSPER
+            },
+        ];
+        let mut seen = vec![base, version(PROSPER, 8)];
+        seen.extend(variants.map(|spec| version(spec, 7)));
+        let distinct: std::collections::BTreeSet<u64> = seen.iter().copied().collect();
+        assert_eq!(distinct.len(), seen.len(), "{seen:#x?}");
+    }
+
+    /// A fresh table serves what every `durable_cold` request reads — the
+    /// predictor's groups and the label column and its stats — from its two
+    /// eager columns: no auxiliary column is built, and the first one read
+    /// is built alone.
+    #[test]
+    fn the_label_and_predictor_reads_build_no_auxiliary_column() {
+        let spec = DatasetSpec {
+            rows: 20_000,
+            ..PROSPER
+        };
+        let table = Dataset::generate(spec, 1).table;
+        let built = |table: &Table| -> Vec<usize> {
+            (0..table.num_columns())
+                .filter(|&idx| table.is_built(idx))
+                .collect()
+        };
+        assert_eq!(built(&table), [PREDICTOR_AT, LABEL_AT]);
+        table.group_by(spec.predictor).unwrap();
+        table.column(LABEL_COLUMN).unwrap();
+        let stats = table.column_stats(LABEL_COLUMN).unwrap();
+        assert_eq!((stats.null_count, stats.distinct_count), (0, 2));
+        assert_eq!(built(&table), [PREDICTOR_AT, LABEL_AT]);
+        table.group_by("zip3").unwrap();
+        let zip3 = table.schema().index_of("zip3").unwrap();
+        assert_eq!(built(&table), [PREDICTOR_AT, zip3, LABEL_AT]);
     }
 
     /// The columns the row plan decides — the predictor and the hidden

@@ -8,7 +8,7 @@
 //! memo that stops paying that tax: entries are keyed by
 //! `(TableId, version, column, kind)`, mirroring the `CacheStore`
 //! namespacing in `expred-exec` and inheriting its invalidation
-//! semantics — `push_row` bumps the content version, so every stale
+//! semantics — `push_row` bumps the version, so every stale
 //! entry simply stops being addressable, and diverged clones (same id,
 //! different versions) can never cross-serve.
 //!

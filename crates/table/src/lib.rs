@@ -22,10 +22,12 @@
 //! [`value::Value`] is a *cell view* for ingestion, display, and group
 //! keys; it is materialized at the edges, never stored per cell. A table
 //! is built a row at a time ([`table::Table::push_row`], what [`csv`]
-//! uses) or from whole columns ([`table::Table::from_columns`], what
-//! [`datasets`] uses); both make the same checks and fold the same
-//! content [`table::Table::version`]. Hot paths run on the typed vectors
-//! and the codes directly:
+//! uses) or from whole columns ([`table::Table::from_columns`]); both
+//! make the same checks and fold the same content
+//! [`table::Table::version`]. A generated table ([`datasets`]) builds
+//! each column on its first read, and its version fingerprints the
+//! generator's recipe instead of the cells. Hot paths run on the typed
+//! vectors and the codes directly:
 //!
 //! * [`kernels`] — vectorized grouping: [`kernels::GroupCodes`] dictionary-
 //!   encodes a column into dense group ids plus a key-sorted dictionary

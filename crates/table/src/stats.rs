@@ -2,7 +2,7 @@
 //!
 //! [`ColumnStats`] is computed lazily, once per `(column, version)`, and
 //! memoized on the [`Table`](crate::table::Table) (clones share the memo
-//! because it is keyed by the content version). It carries what the
+//! because it is keyed by the version). It carries what the
 //! session layer keeps re-deriving by scanning:
 //!
 //! * `distinct_count` — `column_select` eligibility checks it per
@@ -389,7 +389,7 @@ fn scan_zone(
 
 /// Bounded per-table memo of `(column index, version) ->`
 /// [`ColumnStats`]. Shared by clones via `Arc` — safe because entries are
-/// keyed by the content version, so diverged clones never see each
+/// keyed by the version, so diverged clones never see each
 /// other's stats. When the memo grows past its bound (old versions of a
 /// mutating table), it is cleared wholesale: it is a cache of cheap
 /// recomputations, not a store.

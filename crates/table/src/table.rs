@@ -8,11 +8,12 @@
 
 use crate::column::Column;
 use crate::rowset::RowSet;
-use crate::schema::Schema;
+use crate::schema::{Field, Schema};
 use crate::stats::{scan_column, ColumnStats, ScanPredicate, ScanStats, StatsCache};
 use crate::value::{DataType, Value};
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Process-unique identity of one [`Table`] instance.
 ///
@@ -57,11 +58,57 @@ fn fold_row(version: u64, row_hash: u64) -> u64 {
         | 1
 }
 
+/// What builds a lazy table's columns on first read: the column at a
+/// schema position, every row of it. Only generated tables are lazy
+/// ([`crate::datasets`]); a source must return the same cells however
+/// often it is asked, because a clone taken before a build builds its own
+/// copy.
+pub(crate) trait ColumnSource: Debug + Send + Sync {
+    /// The column at schema position `idx`.
+    fn build(&self, idx: usize) -> Column;
+}
+
+/// The checks a column passes before a table holds it: its field's type,
+/// the table's row count, and no NULL in a non-nullable field.
+fn check_column(field: &Field, column: &Column, num_rows: usize) -> Result<(), String> {
+    if column.data_type() != field.data_type() {
+        return Err(format!(
+            "type mismatch: {} column for {} field {:?}",
+            column.data_type(),
+            field.data_type(),
+            field.name()
+        ));
+    }
+    if column.len() != num_rows {
+        return Err(format!(
+            "column {:?} has {} rows, the table has {num_rows}",
+            field.name(),
+            column.len()
+        ));
+    }
+    if !field.is_nullable() && column.null_count() > 0 {
+        return Err(format!("NULL in non-nullable field {:?}", field.name()));
+    }
+    Ok(())
+}
+
 /// An immutable-after-build, columnar, in-memory relation.
+///
+/// A table built by [`Self::from_rows`], [`Self::from_columns`] or
+/// [`crate::csv`] holds every column from the start, and its
+/// [`Self::version`] is a fold of every cell. A generated table
+/// ([`crate::datasets::Dataset::generate`]) holds the columns its recipe
+/// built eagerly and builds each other column the first time it is read;
+/// its version fingerprints the recipe, since a content fold would have to
+/// build every cell. Either way, what a reader sees is the same cells.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
-    columns: Vec<Column>,
+    /// One slot per field. A slot is empty only while `source` can fill it.
+    columns: Vec<OnceLock<Column>>,
+    /// What fills the empty slots; `None` for a table built whole, and
+    /// from a lazy table's first `push_row` on.
+    source: Option<Arc<dyn ColumnSource>>,
     num_rows: usize,
     id: TableId,
     version: u64,
@@ -74,10 +121,11 @@ pub struct Table {
 impl PartialEq for Table {
     /// Content equality: identity (id, version) is deliberately excluded,
     /// so two tables built independently from the same rows compare equal.
+    /// Builds every column of a lazy table.
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
-            && self.columns == other.columns
             && self.num_rows == other.num_rows
+            && (0..self.num_columns()).all(|idx| self.column_at(idx) == other.column_at(idx))
     }
 }
 
@@ -87,7 +135,8 @@ impl Table {
     fn new(schema: Schema, columns: Vec<Column>, num_rows: usize, version: u64) -> Self {
         Self {
             schema,
-            columns,
+            columns: columns.into_iter().map(OnceLock::from).collect(),
+            source: None,
             num_rows,
             id: TableId(NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed)),
             version,
@@ -133,24 +182,7 @@ impl Table {
         }
         let num_rows = columns.first().map_or(0, Column::len);
         for (field, column) in schema.fields().iter().zip(&columns) {
-            if column.data_type() != field.data_type() {
-                return Err(format!(
-                    "type mismatch: {} column for {} field {:?}",
-                    column.data_type(),
-                    field.data_type(),
-                    field.name()
-                ));
-            }
-            if column.len() != num_rows {
-                return Err(format!(
-                    "column {:?} has {} rows, the first column has {num_rows}",
-                    field.name(),
-                    column.len()
-                ));
-            }
-            if !field.is_nullable() && column.null_count() > 0 {
-                return Err(format!("NULL in non-nullable field {:?}", field.name()));
-            }
+            check_column(field, column, num_rows)?;
         }
         let mut row_hashes = vec![ROW_HASH_SEED; num_rows];
         for column in &columns {
@@ -158,6 +190,50 @@ impl Table {
         }
         let version = row_hashes.into_iter().fold(0, fold_row);
         Ok(Self::new(schema, columns, num_rows, version))
+    }
+
+    /// A table of `num_rows` rows at `version` that holds the `built`
+    /// columns, given by schema position, and leaves every other column
+    /// to `source`, to build on first read. The built columns pass
+    /// [`Self::from_columns`]' checks here; a column `source` builds
+    /// passes them when it is built, or the read panics naming its field.
+    pub(crate) fn lazy(
+        schema: Schema,
+        num_rows: usize,
+        version: u64,
+        built: impl IntoIterator<Item = (usize, Column)>,
+        source: Arc<dyn ColumnSource>,
+    ) -> Result<Self, String> {
+        let mut columns: Vec<_> = schema.fields().iter().map(|_| OnceLock::new()).collect();
+        for (idx, column) in built {
+            check_column(&schema.fields()[idx], &column, num_rows)?;
+            columns[idx] = OnceLock::from(column);
+        }
+        Ok(Self {
+            columns,
+            source: Some(source),
+            ..Self::new(schema, Vec::new(), num_rows, version)
+        })
+    }
+
+    /// Builds the column at `idx` from the table's source, checked
+    /// against its field.
+    fn build(&self, idx: usize) -> Column {
+        let source = self
+            .source
+            .as_ref()
+            .expect("an empty column slot has a source");
+        let column = source.build(idx);
+        if let Err(err) = check_column(&self.schema.fields()[idx], &column, self.num_rows) {
+            panic!("a lazily built column broke its field: {err}");
+        }
+        column
+    }
+
+    /// Whether the column at `idx` has been built.
+    #[cfg(test)]
+    pub(crate) fn is_built(&self, idx: usize) -> bool {
+        self.columns[idx].get().is_some()
     }
 
     /// Appends one row. Errors on arity or type mismatch, and on NULLs in
@@ -196,7 +272,13 @@ impl Table {
         let row_hash = row.iter().fold(ROW_HASH_SEED, |hash, value| {
             fold_cell(hash, value.fingerprint())
         });
+        // A lazy table builds what it has not yet, and stops being lazy.
+        for idx in 0..self.num_columns() {
+            self.column_at(idx);
+        }
+        self.source = None;
         for (column, value) in self.columns.iter_mut().zip(row) {
+            let column = column.get_mut().expect("every column is built");
             column.push(value).expect("cell checked against its column");
         }
         self.num_rows += 1;
@@ -209,12 +291,17 @@ impl Table {
         self.id
     }
 
-    /// Content fingerprint of the table's current state.
+    /// Fingerprint of the table's current state.
     ///
-    /// Deterministic in the sequence of pushed rows: every mutation bumps
-    /// it, equal construction histories produce equal versions, and
-    /// diverging clones diverge. Cache entries keyed by `(id, version)`
-    /// are therefore invalidated wholesale by any mutation.
+    /// For a table built from rows, columns or CSV it is a fold of every
+    /// cell, row by row: equal cells give equal versions, however the
+    /// table was built. For a generated table it is a fingerprint of the
+    /// recipe — generator revision, spec and seed — which names the same
+    /// cells without building them ([`crate::datasets`] pins both kinds).
+    /// Either way it is deterministic across processes, every
+    /// [`Self::push_row`] folds its row onto it, and diverging clones
+    /// diverge. Cache entries keyed by `(id, version)` are therefore
+    /// invalidated wholesale by any mutation.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -234,14 +321,15 @@ impl Table {
         self.columns.len()
     }
 
-    /// The column with the given name.
+    /// The column with the given name (built now if it is not yet).
     pub fn column(&self, name: &str) -> Option<&Column> {
-        self.schema.index_of(name).map(|i| &self.columns[i])
+        self.schema.index_of(name).map(|i| self.column_at(i))
     }
 
-    /// The column at an index.
+    /// The column at an index (built now if it is not yet). Threads
+    /// racing to read an unbuilt column build it once.
     pub fn column_at(&self, idx: usize) -> &Column {
-        &self.columns[idx]
+        self.columns[idx].get_or_init(|| self.build(idx))
     }
 
     /// The cell at `(row, column-name)`.
@@ -251,7 +339,9 @@ impl Table {
 
     /// Materializes one full row (mostly for tests and display).
     pub fn row(&self, row: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.value(row)).collect()
+        (0..self.num_columns())
+            .map(|idx| self.column_at(idx).value(row))
+            .collect()
     }
 
     /// Partitions all rows by the value of `column`.
@@ -280,7 +370,7 @@ impl Table {
     /// [`Self::column_stats`] by column index.
     pub fn column_stats_at(&self, idx: usize) -> Arc<ColumnStats> {
         self.stats
-            .get_or_compute(idx, self.version, &self.columns[idx])
+            .get_or_compute(idx, self.version, self.column_at(idx))
     }
 
     /// Evaluates a cheap predicate over `column` through its zone maps:
@@ -297,7 +387,7 @@ impl Table {
             .index_of(column)
             .ok_or_else(|| format!("no column named {column:?}"))?;
         let stats = self.column_stats_at(idx);
-        scan_column(&self.columns[idx], &stats, pred)
+        scan_column(self.column_at(idx), &stats, pred)
     }
 }
 
@@ -761,6 +851,136 @@ mod tests {
         let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
         let t = Table::empty(schema);
         assert_eq!(t.version(), 0);
+    }
+
+    /// A column source that records every build: column `idx` holds
+    /// `1000 * idx + row` for each of its `rows` rows. A build waits up to
+    /// `linger` for a second build to start beside it, so builders that
+    /// were let in together are all recorded.
+    #[derive(Debug)]
+    struct Counting {
+        rows: usize,
+        builds: std::sync::Mutex<Vec<usize>>,
+        linger: std::time::Duration,
+        building: (std::sync::Mutex<usize>, std::sync::Condvar),
+    }
+
+    impl Counting {
+        fn new(rows: usize, linger: std::time::Duration) -> Arc<Self> {
+            Arc::new(Self {
+                rows,
+                builds: Default::default(),
+                linger,
+                building: Default::default(),
+            })
+        }
+    }
+
+    impl ColumnSource for Counting {
+        fn build(&self, idx: usize) -> Column {
+            self.builds.lock().unwrap().push(idx);
+            let (started, cond) = &self.building;
+            let mut started = started.lock().unwrap();
+            *started += 1;
+            cond.notify_all();
+            drop(cond.wait_timeout_while(started, self.linger, |n| *n < 2));
+            Column::Int(
+                (0..self.rows)
+                    .map(|r| Some((1000 * idx + r) as i64))
+                    .collect(),
+            )
+        }
+    }
+
+    /// Three Int columns `a`, `b`, `c` over `rows` rows at version 42:
+    /// `a` built eagerly, `b` and `c` left to `source`.
+    fn lazy_table(rows: usize, source: &Arc<Counting>) -> Table {
+        let schema = Schema::new(
+            ["a", "b", "c"]
+                .map(|name| Field::new(name, DataType::Int))
+                .to_vec(),
+        );
+        let a = Column::Int((0..rows).map(|r| Some(r as i64)).collect());
+        Table::lazy(schema, rows, 42, [(0, a)], source.clone()).unwrap()
+    }
+
+    fn builds(source: &Counting) -> Vec<usize> {
+        source.builds.lock().unwrap().clone()
+    }
+
+    #[test]
+    fn racing_reads_build_a_lazy_column_once() {
+        let source = Counting::new(500, std::time::Duration::from_millis(100));
+        let table = lazy_table(500, &source);
+        let barrier = std::sync::Barrier::new(8);
+        let read: Vec<Column> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        table.column_at(1).clone()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(builds(&source), [1], "one build for eight readers");
+        assert!(read.iter().all(|column| *column == read[0]));
+        assert_eq!(read[0].value(499), Value::Int(1499));
+        assert!(table.is_built(1) && !table.is_built(2));
+    }
+
+    #[test]
+    fn a_clone_taken_before_the_build_builds_an_identical_copy() {
+        let source = Counting::new(100, Default::default());
+        let table = lazy_table(100, &source);
+        let clone = table.clone();
+        assert_eq!(table.column_at(2), clone.column_at(2));
+        assert_eq!(builds(&source), [2, 2], "each instance builds its own");
+        assert_eq!(table.id(), clone.id());
+        assert_eq!(table.version(), clone.version());
+        // Equality reads every column, building what is left.
+        assert_eq!(table, clone);
+        assert_eq!(builds(&source), [2, 2, 1, 1]);
+    }
+
+    #[test]
+    fn push_row_builds_every_column_then_folds_onto_the_version() {
+        let source = Counting::new(3, Default::default());
+        let mut table = lazy_table(3, &source);
+        table.column_at(2);
+        let row = vec![Value::Int(7), Value::Int(8), Value::Int(9)];
+        let row_hash = row.iter().fold(ROW_HASH_SEED, |hash, value| {
+            fold_cell(hash, value.fingerprint())
+        });
+        // A refused row builds nothing.
+        assert!(table.push_row(vec![Value::Int(7)]).is_err());
+        assert_eq!(builds(&source), [2]);
+        table.push_row(row).unwrap();
+        assert_eq!(builds(&source), [2, 1]);
+        assert_eq!(table.version(), fold_row(42, row_hash));
+        assert_eq!(table.num_rows(), 4);
+        assert_eq!(table.row(1), [1, 1001, 2001].map(Value::Int));
+        assert_eq!(table.row(3), [7, 8, 9].map(Value::Int));
+        assert_eq!(builds(&source), [2, 1], "no source after the push");
+    }
+
+    #[test]
+    #[should_panic(expected = "column \"b\" has 2 rows, the table has 3")]
+    fn a_built_column_that_breaks_its_field_panics_naming_it() {
+        lazy_table(3, &Counting::new(2, Default::default())).column_at(1);
+    }
+
+    #[test]
+    fn lazy_checks_its_built_columns() {
+        let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
+        let source = Counting::new(2, Default::default());
+        let built = |column| Table::lazy(schema.clone(), 2, 1, [column], source.clone());
+        let err = built((0, Column::Bool(vec![Some(true); 2]))).unwrap_err();
+        assert!(err.contains("type mismatch"), "{err}");
+        let err = built((0, Column::Int(vec![Some(1), None]))).unwrap_err();
+        assert!(err.contains("non-nullable"), "{err}");
+        assert!(builds(&source).is_empty());
     }
 
     #[test]

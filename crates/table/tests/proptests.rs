@@ -45,6 +45,27 @@ fn same_grouping(a: &GroupBy, b: &GroupBy) -> bool {
             .all(|g| a.key(g).sort_key() == b.key(g).sort_key() && a.rows(g) == b.rows(g))
 }
 
+/// The `HashSet` count [`Column::distinct_count`] replaced, kept as its
+/// oracle: every non-NULL cell hashed (floats by bit pattern, strings
+/// cell by cell rather than through the dictionary).
+fn hash_set_distinct(column: &Column) -> usize {
+    use std::collections::HashSet;
+    match column {
+        Column::Bool(v) => v.iter().flatten().collect::<HashSet<_>>().len(),
+        Column::Int(v) => v.iter().flatten().collect::<HashSet<_>>().len(),
+        Column::Float(v) => v
+            .iter()
+            .flatten()
+            .map(|f| f.to_bits())
+            .collect::<HashSet<_>>()
+            .len(),
+        Column::Str(v) => (0..v.len())
+            .filter_map(|row| v.get(row))
+            .collect::<HashSet<_>>()
+            .len(),
+    }
+}
+
 /// Decodes a small index into a float drawn from a set that stresses the
 /// grouping kernel's total-order contract: signed zeros, infinities, and
 /// two distinct NaN payloads.
@@ -282,11 +303,22 @@ proptest! {
     }
 
     #[test]
-    fn distinct_count_matches_naive(values in prop::collection::vec(0i64..10, 0..200)) {
-        let schema = Schema::new(vec![Field::new("v", DataType::Int)]);
-        let rows: Vec<Vec<Value>> = values.iter().map(|&v| vec![Value::Int(v)]).collect();
-        let table = Table::from_rows(schema, rows).unwrap();
-        let naive: std::collections::HashSet<i64> = values.iter().copied().collect();
-        prop_assert_eq!(table.column_at(0).distinct_count(), naive.len());
+    fn distinct_count_matches_naive(
+        cells in prop::collection::vec((0u8..4, 0u8..2, -4i64..4, 0u8..8, "[ab]{0,2}"), 0..200),
+    ) {
+        // Selector 0 is a NULL in every column; floats include both zeros
+        // and two NaN payloads, which count by bit pattern.
+        let cell = |selector: u8, value: Value| if selector == 0 { Value::Null } else { value };
+        let columns = [
+            (DataType::Bool, cells.iter().map(|c| cell(c.0, Value::Bool(c.1 == 1))).collect::<Vec<_>>()),
+            (DataType::Int, cells.iter().map(|c| cell(c.0, Value::Int(c.2))).collect()),
+            (DataType::Float, cells.iter().map(|c| cell(c.0, Value::Float(float_from_index(c.3)))).collect()),
+            (DataType::Str, cells.iter().map(|c| cell(c.0, Value::Str(c.4.clone()))).collect()),
+        ];
+        for (data_type, values) in columns {
+            let table = one_column_table("v", data_type, values);
+            let column = table.column_at(0);
+            prop_assert_eq!(column.distinct_count(), hash_set_distinct(column), "{}", data_type);
+        }
     }
 }
