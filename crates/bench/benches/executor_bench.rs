@@ -31,6 +31,7 @@ use expred_core::sampling::{sample_groups, SampleSizeRule};
 use expred_core::strategy::{ExprScan, Strategy};
 use expred_exec::{CacheNamespace, CacheStore, ExecContext, Sequential, SpillSink};
 use expred_stats::rng::Prng;
+use expred_stats::PagePlanes;
 use expred_table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, LENDING_CLUB};
 use expred_udf::{parse_predicate, CostModel, OracleRegistry, OracleUdf, UdfInvoker};
 use std::hint::black_box;
@@ -43,8 +44,9 @@ use std::sync::Arc;
 struct CountingSink(AtomicU64);
 
 impl SpillSink for CountingSink {
-    fn spill(&self, _: CacheNamespace, rows: &[(usize, bool)]) {
-        self.0.fetch_add(rows.len() as u64, Ordering::Relaxed);
+    fn spill(&self, _: CacheNamespace, pages: &[(usize, PagePlanes)]) {
+        let rows: usize = pages.iter().map(|(_, planes)| planes.len()).sum();
+        self.0.fetch_add(rows as u64, Ordering::Relaxed);
     }
 }
 

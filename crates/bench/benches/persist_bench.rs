@@ -16,19 +16,22 @@
 //! * `recovery` — reopening the store over that WAL: CRC-checked replay
 //!   cost per recovered record.
 //! * `wal_append_batch` — the same rows through
-//!   [`PersistStore::append_rows`], one stage-sized batch at a time:
-//!   ns/row until the calls return, and until the final sync does.
+//!   [`PersistStore::append_pages`], one stage-sized batch of pages at a
+//!   time: ns/row until the calls return, and until the final sync does
+//!   (the backends keep their `append_rows` names, so `bench-diff` still
+//!   compares like with like).
 //! * `compact` — one snapshot compaction of a 25-namespace index: ns per
 //!   persisted row, and `longest_append_stall`, the worst latency of a
 //!   re-offer (which needs the index lock and nothing else) issued while
 //!   the compaction ran — what a request's append waits for the freeze.
 //! * `rehydrate` — that snapshot back into a live
-//!   [`expred_exec::CacheStore`]: open, planes, prefill, ns/row.
+//!   [`expred_exec::CacheStore`]: open, page copies, prefill, ns/row.
 
 use expred_bench::BenchReport;
 use expred_core::PersistConfig;
 use expred_exec::{CacheNamespace, CacheStore};
-use expred_persist::{PersistKey, PersistStore};
+use expred_persist::{PagePlanes, PersistKey, PersistStore};
+use expred_stats::bits::pages_of;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -97,17 +100,13 @@ fn main() {
             .with_compact_after(0),
     )
     .expect("open WAL store");
-    let stage = 10_000u32;
-    let batches: Vec<Vec<(u32, bool)>> = (0..records / stage)
-        .map(|b| {
-            (b * stage..(b + 1) * stage)
-                .map(|i| (i, i % 2 == 0))
-                .collect()
-        })
+    let stage = 10_000usize;
+    let batches: Vec<Vec<(usize, PagePlanes)>> = (0..records as usize / stage)
+        .map(|b| pages_of((b * stage..(b + 1) * stage).map(|i| (i, i % 2 == 0))))
         .collect();
     let start = Instant::now();
     for (batch, ts) in batches.iter().zip(1_000u64..) {
-        store.append_rows(key, batch, ts);
+        store.append_pages(key, batch, ts);
     }
     // What the caller waits for, then what the flusher still owes.
     let caller_ns = start.elapsed().as_secs_f64() * 1e9 / records as f64;
@@ -134,9 +133,9 @@ fn main() {
     let ns_key = |n: u64| PersistKey { udf: n, ..key };
     let store = PersistStore::open(PersistConfig::new(&snap_dir).with_compact_after(0))
         .expect("open snapshot store");
-    let table: Vec<(u32, bool)> = (0..table_rows).map(|i| (i, i % 3 == 0)).collect();
+    let table = pages_of((0..table_rows as usize).map(|i| (i, i % 3 == 0)));
     for n in 0..namespaces {
-        store.append_rows(ns_key(n), &table, 1_000 + n);
+        store.append_pages(ns_key(n), &table, 1_000 + n);
     }
     store.sync().expect("flush before compacting");
     let compacting = std::sync::atomic::AtomicBool::new(true);
@@ -191,13 +190,13 @@ fn main() {
     let cache = CacheStore::new();
     let mut loaded = 0usize;
     for persist_key in store.namespaces() {
-        let planes = store.planes(persist_key).expect("listed namespace");
+        let (pages, _) = store.pages(persist_key).expect("listed namespace");
         let namespace = CacheNamespace {
             udf: persist_key.udf,
             table: 1,
             version: persist_key.version,
         };
-        loaded += cache.prefill(namespace, &planes.words, Duration::ZERO);
+        loaded += cache.prefill(namespace, &pages, Duration::ZERO);
     }
     let rehydrate_ns = start.elapsed().as_secs_f64() * 1e9 / persisted as f64;
     assert_eq!((loaded as u64, cache.len() as u64), (persisted, persisted));

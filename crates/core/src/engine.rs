@@ -621,7 +621,7 @@ impl QueryEngine {
             return Ok(());
         };
         self.store
-            .for_each_namespace(|namespace, entries| layer.spill(namespace, entries));
+            .for_each_namespace(|namespace, pages| layer.spill(namespace, pages));
         layer.flush_selectivity(&self.selectivity);
         if layer.store().stats().shed > 0 {
             layer.store().compact()?;

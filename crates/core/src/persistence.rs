@@ -10,19 +10,21 @@
 //!
 //! * **Spill** (live → disk): the layer implements
 //!   [`expred_exec::SpillSink`], so every batch of fresh answers entering
-//!   the [`expred_exec::CacheStore`] (and every answer the capacity bound
-//!   evicts) is offered to the WAL as one
-//!   [`PersistStore::append_rows`] call: the namespace is translated
-//!   through the table-id registry and the clock is read once per offer,
-//!   not once per row. Offers for unregistered tables are dropped and
-//!   counted — never guessed.
+//!   the [`expred_exec::CacheStore`] (with every answer it made the
+//!   capacity bound evict) reaches the WAL as one
+//!   [`PersistStore::append_pages`] call over the same pages: only the
+//!   namespace is translated, through the table-id registry, and the
+//!   clock is read once per offer. The rows are never unpacked; the
+//!   counters are popcounts of the pages. Offers for unregistered tables
+//!   are dropped and counted — never guessed — and so are pages past the
+//!   `u32` row space the format can name.
 //! * **Rehydrate** (disk → live): the first time a session submits a
 //!   query over a dataset, the layer registers the table and prefill-loads
-//!   every persisted namespace whose `(schema fingerprint, content
+//!   every persisted namespace whose `(schema fingerprint, table
 //!   version)` *both* match the live table — a version-checked hydration
-//!   that can serve stale answers to no one. The answers move as bit
-//!   planes ([`PersistStore::planes`] → [`CacheStore::prefill`]), a
-//!   64-row word at a time. Selectivity counters ride along into the
+//!   that can serve stale answers to no one. The answers move as page
+//!   copies ([`PersistStore::pages`] → [`CacheStore::prefill`]), landing
+//!   a 64-row word at a time. Selectivity counters ride along into the
 //!   session's [`expred_exec::SelectivityTracker`].
 //!
 //! Write timestamps are wall-clock (`UNIX_EPOCH` nanos), one per offered
@@ -33,7 +35,7 @@
 //! full TTL after every reboot.
 
 use expred_exec::{CacheNamespace, CacheStore, SelectivityTracker, SpillSink};
-use expred_persist::{PersistKey, PersistStore};
+use expred_persist::{PagePlanes, PersistKey, PersistStore, PAGE_LIMIT};
 use expred_table::datasets::Dataset;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -177,16 +179,16 @@ impl PersistLayer {
             if key.table != schema_fp || key.version != version {
                 continue;
             }
-            let Some(planes) = self.store.planes(key) else {
+            let Some((pages, oldest_ts)) = self.store.pages(key) else {
                 continue;
             };
-            let age = Duration::from_nanos(now.saturating_sub(planes.oldest_ts));
+            let age = Duration::from_nanos(now.saturating_sub(oldest_ts));
             let namespace = CacheNamespace {
                 udf: key.udf,
                 table: tid,
                 version,
             };
-            let loaded = cache.prefill(namespace, &planes.words, age);
+            let loaded = cache.prefill(namespace, &pages, age);
             if loaded > 0 {
                 self.counters
                     .rehydrated_rows
@@ -241,27 +243,86 @@ impl PersistLayer {
 }
 
 impl SpillSink for PersistLayer {
-    fn spill(&self, namespace: CacheNamespace, rows: &[(usize, bool)]) {
+    fn spill(&self, namespace: CacheNamespace, pages: &[(usize, PagePlanes)]) {
+        // The on-disk format stores row keys as u32; pages past that space
+        // (no bundled dataset comes close) come last, are dropped by the
+        // store rather than aliased onto truncated keys, and are counted.
+        let rows = |pages: &[(usize, PagePlanes)]| -> u64 {
+            pages.iter().map(|(_, planes)| planes.len() as u64).sum()
+        };
+        let (fits, past) = pages.split_at(pages.partition_point(|(page, _)| *page < PAGE_LIMIT));
         let Some(key) = self.durable_key(namespace) else {
             self.counters
                 .skipped_unregistered
-                .fetch_add(rows.len() as u64, Ordering::Relaxed);
+                .fetch_add(rows(pages), Ordering::Relaxed);
             return;
         };
-        // The on-disk format stores row keys as u32; a row index beyond
-        // that (no bundled dataset comes close) is dropped rather than
-        // aliased onto a truncated key.
-        let narrow = |&(row, answer): &(usize, bool)| Some((u32::try_from(row).ok()?, answer));
-        let offered: Vec<(u32, bool)> = rows.iter().filter_map(narrow).collect();
-        let overflow = (rows.len() - offered.len()) as u64;
-        if overflow > 0 {
+        if !past.is_empty() {
             self.counters
                 .skipped_row_overflow
-                .fetch_add(overflow, Ordering::Relaxed);
+                .fetch_add(rows(past), Ordering::Relaxed);
         }
         self.counters
             .spilled_offers
-            .fetch_add(offered.len() as u64, Ordering::Relaxed);
-        self.store.append_rows(key, &offered, now_unix_nanos());
+            .fetch_add(rows(fits), Ordering::Relaxed);
+        self.store.append_pages(key, fits, now_unix_nanos());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use expred_persist::{PersistConfig, PAGE_ROWS};
+    use expred_stats::bits::pages_of;
+    use expred_table::datasets::{DatasetSpec, PROSPER};
+
+    #[test]
+    fn offers_count_page_rows_and_drop_pages_past_the_u32_row_space() {
+        let dir = std::env::temp_dir().join(format!("expred-layer-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let layer = PersistLayer::new(PersistStore::open(PersistConfig::new(&dir)).unwrap());
+        let ds = Dataset::generate(
+            DatasetSpec {
+                rows: 64,
+                ..PROSPER
+            },
+            1,
+        );
+        layer.register(&ds, &CacheStore::new(), &SelectivityTracker::new());
+        let namespace = CacheNamespace {
+            udf: 9,
+            table: ds.table.id().as_u64(),
+            version: ds.table.version(),
+        };
+        let beyond = PAGE_LIMIT * PAGE_ROWS;
+        let pages = pages_of([(3, true), (5, false), (beyond, true), (beyond + 1, true)]);
+        layer.spill(namespace, &pages);
+        let stats = layer.session_stats();
+        assert_eq!(
+            (
+                stats.spilled_offers,
+                stats.skipped_row_overflow,
+                stats.appended
+            ),
+            (2, 2, 2)
+        );
+        layer.spill(
+            CacheNamespace {
+                table: u64::MAX,
+                ..namespace
+            },
+            &pages,
+        );
+        assert_eq!(layer.session_stats().skipped_unregistered, 4);
+        let key = PersistKey {
+            udf: 9,
+            table: ds.table.schema().fingerprint(),
+            version: ds.table.version(),
+        };
+        let rows = layer.store().rows(key).unwrap();
+        let rows: Vec<(u32, bool)> = rows.iter().map(|&(row, answer, _)| (row, answer)).collect();
+        assert_eq!(rows, [(3, true), (5, false)]);
+        drop(layer);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -29,10 +29,13 @@
 //! 64-row word become one merge into the planes, behind a cursor that
 //! remembers the page — and only the rows past the capacity bound go
 //! one by one through the second-chance sweep. Statistics are added
-//! once per batch, and the [`SpillSink`] hears the batch as slices,
-//! after the lock drops. Contents, `len`, statistics, evictions and the
-//! order of the sink's offers are exactly what inserting the rows one
-//! at a time would leave.
+//! once per batch. Contents, `len`, statistics and evictions are exactly
+//! what inserting the rows one at a time would leave.
+//!
+//! After the lock drops, the [`SpillSink`] hears the batch once: its
+//! rows plus whatever they evicted, as the [`PagePlanes`] they touch —
+//! the rows one-at-a-time inserts would have offered, gathered into
+//! pages. A store without a sink builds no pages.
 //!
 //! # Keying and invalidation
 //!
@@ -56,8 +59,7 @@
 //! and treat the store as a best-effort accelerator.
 
 use crate::cache::{assign_bits, zeroed_plane, RowBits};
-use expred_stats::bits::bits;
-use expred_stats::PAGE_ROWS;
+use expred_stats::bits::{pages_of, rows_of, PagePlanes, PAGE_ROWS, PAGE_WORDS};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -72,18 +74,17 @@ use std::time::{Duration, Instant};
 /// [`CacheStore::prefill`]ed entries: those came *from* the sink, and
 /// echoing them back would re-log every restart.
 ///
-/// Offers arrive as slices of one namespace's `(row, answer)` pairs: a
-/// batch that evicted nothing is one call with the caller's rows in
-/// order; one that did is cut so every row is still followed by what it
-/// evicted. A slice is never empty, and may repeat a row (within itself
-/// or across calls) — a sink keeps the first answer it heard.
+/// An offer is one batch of one namespace as `(page number, planes)`
+/// pairs, ascending by page, none of them empty: the rows the batch
+/// inserted and the rows they evicted, a row's first answer kept. Rows
+/// may repeat across offers — a sink keeps the first answer it heard.
 ///
 /// Implementations must never block meaningfully (the store calls them
 /// outside its locks, but on the evaluation hot path) and must not call
 /// back into the store.
 pub trait SpillSink: Send + Sync + std::fmt::Debug {
-    /// Offers `rows` of `namespace` for durable storage.
-    fn spill(&self, namespace: CacheNamespace, rows: &[(usize, bool)]);
+    /// Offers `pages` of `namespace` for durable storage.
+    fn spill(&self, namespace: CacheNamespace, pages: &[(usize, PagePlanes)]);
 }
 
 /// The store's current sink, shared by every namespace so
@@ -132,8 +133,6 @@ expred_stats::counter_set! {
         ttl_expirations,
     }
 }
-
-const PAGE_WORDS: usize = PAGE_ROWS / 64;
 
 /// 4096 consecutive rows of one namespace: which are cached and their
 /// answers (a [`RowBits`] over row offsets), plus each entry's CLOCK
@@ -238,11 +237,12 @@ impl NamespaceCache {
 
     /// Inserts `rows` in order under one `hand` lock: the rows the
     /// namespace has room for land a word at a time, the rest one by one
-    /// through the eviction sweep. With `offer`, each row and then
-    /// whatever it evicted is offered to the spill sink, after the
-    /// writers' lock drops: for a persistent sink the re-offer is a
-    /// deduplicated no-op (first write wins), but it guarantees no answer
-    /// leaves memory without the sink having heard of it.
+    /// through the eviction sweep. With `offer`, the rows and whatever
+    /// they evicted are offered to the spill sink as one set of pages,
+    /// after the writers' lock drops: for a persistent sink the re-offer
+    /// of an evicted row is a deduplicated no-op (first write wins), but
+    /// it guarantees no answer leaves memory without the sink having
+    /// heard of it.
     ///
     /// Without `offer` (the prefill path) the sink is not touched at all:
     /// the rows came *from* it, and anything they evict is either another
@@ -251,9 +251,10 @@ impl NamespaceCache {
     /// prefill while holding locks the sink would re-take (the
     /// rehydration path holds its table registry's write lock).
     fn insert_all(&self, rows: &[(usize, bool)], offer: bool) {
+        if rows.is_empty() {
+            return;
+        }
         let mut evicted = Vec::new();
-        // `(index of an insert that evicted, evicted.len() after it)`.
-        let mut causes: Vec<(usize, usize)> = Vec::new();
         {
             let mut hand = self.hand.lock().unwrap_or_else(|e| e.into_inner());
             // Each insert adds at most one entry, so the first `room`
@@ -261,11 +262,8 @@ impl NamespaceCache {
             let room = self.capacity.saturating_sub(self.len());
             let (roomy, tight) = rows.split_at(room.min(rows.len()));
             self.land_rows(roomy);
-            for (i, &(key, value)) in tight.iter().enumerate() {
+            for &(key, value) in tight {
                 self.insert_locked(&mut hand, key, value, &mut evicted);
-                if causes.last().map_or(0, |c| c.1) < evicted.len() {
-                    causes.push((roomy.len() + i, evicted.len()));
-                }
             }
         }
         let (inserted, evictions) = (rows.len() as u64, evicted.len() as u64);
@@ -276,15 +274,8 @@ impl NamespaceCache {
         }
         let sink = self.spill.read().unwrap_or_else(|e| e.into_inner()).clone();
         if let Some(sink) = sink {
-            let (mut next_row, mut next_evicted) = (0, 0);
-            for (cause, evicted_to) in causes {
-                sink.spill(self.namespace, &rows[next_row..=cause]);
-                sink.spill(self.namespace, &evicted[next_evicted..evicted_to]);
-                (next_row, next_evicted) = (cause + 1, evicted_to);
-            }
-            if next_row < rows.len() {
-                sink.spill(self.namespace, &rows[next_row..]);
-            }
+            let offered = rows.iter().chain(&evicted).copied();
+            sink.spill(self.namespace, &pages_of(offered));
         }
     }
 
@@ -345,33 +336,6 @@ impl NamespaceCache {
                     .or_insert_with(|| Arc::new(Page::new())),
             )
         })
-    }
-
-    /// Installs rehydrated planes — `(row word, known, answer)` triples —
-    /// sink-silently, like `insert_all(.., false)`: whole words at a time
-    /// while the namespace has room for every row, otherwise row by row
-    /// through the eviction sweep.
-    fn install(&self, words: &[(usize, u64, u64)], rows: usize) {
-        {
-            let _hand = self.hand.lock().unwrap_or_else(|e| e.into_inner());
-            if rows <= self.capacity.saturating_sub(self.len()) {
-                let mut cursor = None;
-                for &(word, known, answer) in words {
-                    self.land_word(&mut cursor, word, known, answer);
-                }
-                self.stats
-                    .insertions
-                    .fetch_add(rows as u64, Ordering::Relaxed);
-                return;
-            }
-        }
-        let pairs: Vec<(usize, bool)> = words
-            .iter()
-            .flat_map(|&(word, known, answer)| {
-                bits(known).map(move |bit| (word * 64 + bit as usize, answer >> bit & 1 != 0))
-            })
-            .collect();
-        self.insert_all(&pairs, false);
     }
 
     /// The write path proper, under the `hand` lock: refresh a cached
@@ -449,23 +413,19 @@ impl NamespaceCache {
         Some((row, answer))
     }
 
-    /// Every live entry in ascending row order (a snapshot of the page
-    /// table, then plain loads — no global freeze).
-    fn entries(&self) -> Vec<(usize, bool)> {
-        let pages: Vec<(usize, Arc<Page>)> = {
-            let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
-            pages.iter().map(|(&k, p)| (k, Arc::clone(p))).collect()
-        };
-        let mut entries = Vec::with_capacity(self.len());
-        for (page_key, page) in pages {
+    /// Every non-empty page's live entries, ascending by page: plain
+    /// loads under the page table's read lock — no writer is frozen.
+    fn planes(&self) -> Vec<(usize, PagePlanes)> {
+        let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
+        let copy = |(&page_key, page): (&usize, &Arc<Page>)| {
+            let mut planes = PagePlanes::empty();
             for word in 0..PAGE_WORDS {
                 let (known, answer) = page.bits.word(word);
-                let first = page_key * PAGE_ROWS + word * 64;
-                entries
-                    .extend(bits(known).map(|bit| (first + bit as usize, answer >> bit & 1 != 0)));
+                planes.merge(word, known, answer);
             }
-        }
-        entries
+            (!planes.is_empty()).then_some((page_key, planes))
+        };
+        pages.iter().filter_map(copy).collect()
     }
 
     fn len(&self) -> usize {
@@ -843,13 +803,12 @@ impl CacheStore {
         CacheHandle { namespace, cache }
     }
 
-    /// Bulk-loads rehydrated planes into `namespace` without touching the
-    /// spill sink at all, and returns the number of rows loaded. `words`
-    /// holds `(row word, known, answer)` triples — bit `i` of `known`
-    /// caches row `64 * word + i` with bit `i` of `answer` — and lands a
-    /// word at a time while the namespace has room for every row (a
-    /// rehydration larger than the capacity goes row by row through the
-    /// eviction sweep instead). The loaded entries came *from* the sink,
+    /// Bulk-loads rehydrated pages into `namespace` without touching the
+    /// spill sink at all, and returns the number of rows loaded. The
+    /// pages land a word at a time while the namespace has room for every
+    /// row (a rehydration larger than the capacity goes row by row through
+    /// the eviction sweep, like `insert_all(.., false)`). The loaded
+    /// entries came *from* the sink,
     /// and any entry the capacity bound evicts mid-prefill is either
     /// another prefilled entry or a live one the sink already heard — so
     /// prefill is safe to call while holding locks the sink would
@@ -865,10 +824,10 @@ impl CacheStore {
     pub fn prefill(
         &self,
         namespace: CacheNamespace,
-        words: &[(usize, u64, u64)],
+        pages: &[(usize, PagePlanes)],
         age: Duration,
     ) -> usize {
-        let rows: usize = words.iter().map(|w| w.1.count_ones() as usize).sum();
+        let rows: usize = pages.iter().map(|(_, planes)| planes.len()).sum();
         // If the whole batch is already over-age, loading it would only
         // hand the next borrower an expired namespace to tear down.
         if rows == 0 || self.ttl().is_some_and(|ttl| age > ttl) {
@@ -876,21 +835,36 @@ impl CacheStore {
         }
         let born = Instant::now().checked_sub(age).unwrap_or_else(Instant::now);
         let cache = self.inner.touch(&mut self.inner.write(), namespace, born);
-        cache.install(words, rows);
+        {
+            let _hand = cache.hand.lock().unwrap_or_else(|e| e.into_inner());
+            if rows <= cache.capacity.saturating_sub(cache.len()) {
+                let mut cursor = None;
+                for (page, planes) in pages {
+                    for w in 0..PAGE_WORDS {
+                        let word = page * PAGE_WORDS + w;
+                        cache.land_word(&mut cursor, word, planes.known[w], planes.answer[w]);
+                    }
+                }
+                let stats = &self.inner.stats;
+                stats.insertions.fetch_add(rows as u64, Ordering::Relaxed);
+                return rows;
+            }
+        }
+        cache.insert_all(&rows_of(pages).collect::<Vec<_>>(), false);
         rows
     }
 
-    /// Visits every namespace's live entries, in ascending row order —
-    /// the spill-on-flush walk, one slice per namespace (empty ones are
-    /// skipped). Entries are read without freezing writers, so concurrent
-    /// inserts may or may not be visited; every entry present for the
-    /// whole walk is.
-    pub fn for_each_namespace(&self, mut f: impl FnMut(CacheNamespace, &[(usize, bool)])) {
+    /// Visits every namespace's live entries as its non-empty pages,
+    /// ascending — the spill-on-flush walk, one slice per namespace
+    /// (empty ones are skipped). Entries are read without freezing
+    /// writers, so concurrent inserts may or may not be visited; every
+    /// entry present for the whole walk is.
+    pub fn for_each_namespace(&self, mut f: impl FnMut(CacheNamespace, &[(usize, PagePlanes)])) {
         let caches: Vec<Arc<NamespaceCache>> = self.inner.read().map.values().cloned().collect();
         for cache in caches {
-            let entries = cache.entries();
-            if !entries.is_empty() {
-                f(cache.namespace, &entries);
+            let pages = cache.planes();
+            if !pages.is_empty() {
+                f(cache.namespace, &pages);
             }
         }
     }
@@ -1137,27 +1111,14 @@ mod tests {
     }
 
     impl SpillSink for RecordingSink {
-        fn spill(&self, namespace: CacheNamespace, rows: &[(usize, bool)]) {
-            assert!(!rows.is_empty(), "an empty offer");
+        fn spill(&self, namespace: CacheNamespace, pages: &[(usize, PagePlanes)]) {
+            assert!(!pages.is_empty(), "an empty offer");
+            assert!(pages.iter().all(|(_, planes)| !planes.is_empty()));
             self.offers
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .extend(rows.iter().map(|&(row, answer)| (namespace, row, answer)));
+                .extend(rows_of(pages).map(|(row, answer)| (namespace, row, answer)));
         }
-    }
-
-    /// `rows` (distinct, ascending) as the planes `prefill` takes.
-    fn words(rows: &[(usize, bool)]) -> Vec<(usize, u64, u64)> {
-        let mut words: Vec<(usize, u64, u64)> = Vec::new();
-        for &(row, answer) in rows {
-            if words.last().is_none_or(|w| w.0 != row / 64) {
-                words.push((row / 64, 0, 0));
-            }
-            let word = words.last_mut().unwrap();
-            word.1 |= 1 << (row % 64);
-            word.2 |= u64::from(answer) << (row % 64);
-        }
-        words
     }
 
     impl RecordingSink {
@@ -1178,7 +1139,7 @@ mod tests {
         assert_eq!(
             store.prefill(
                 ns(1, 1, 0),
-                &words(&[(10, true), (11, false)]),
+                &pages_of([(10, true), (11, false)]),
                 Duration::ZERO
             ),
             2
@@ -1201,9 +1162,9 @@ mod tests {
         let store = CacheStore::with_capacity(64);
         let sink = Arc::new(RecordingSink::default());
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
-        let rows: Vec<(usize, bool)> = (0..1_000).map(|r| (r, r % 2 == 0)).collect();
+        let rows = (0..1_000).map(|r| (r, r % 2 == 0));
         assert_eq!(
-            store.prefill(ns(1, 1, 0), &words(&rows), Duration::ZERO),
+            store.prefill(ns(1, 1, 0), &pages_of(rows), Duration::ZERO),
             1_000
         );
         assert!(store.stats().evictions > 0, "capacity bound not exercised");
@@ -1271,7 +1232,11 @@ mod tests {
         store.set_ttl(Some(Duration::from_millis(25)));
         // Rehydrated with most of its TTL already spent…
         assert_eq!(
-            store.prefill(ns(1, 1, 0), &[(0, 2, 2)], Duration::from_millis(15)),
+            store.prefill(
+                ns(1, 1, 0),
+                &pages_of([(1, true)]),
+                Duration::from_millis(15)
+            ),
             1
         );
         assert_eq!(store.handle(ns(1, 1, 0)).get(1), Some(true));
@@ -1282,7 +1247,11 @@ mod tests {
         // A batch already past the TTL is refused outright: no namespace
         // is created for it (only the reborrowed ns(1,..) remains).
         assert_eq!(
-            store.prefill(ns(2, 1, 0), &[(0, 2, 2)], Duration::from_millis(60)),
+            store.prefill(
+                ns(2, 1, 0),
+                &pages_of([(1, true)]),
+                Duration::from_millis(60)
+            ),
             0
         );
         assert_eq!(store.num_namespaces(), 1);
@@ -1305,14 +1274,10 @@ mod tests {
         let store = CacheStore::new();
         store.handle(ns(1, 1, 0)).insert(1, true);
         store.handle(ns(2, 1, 0)).insert(2, false);
-        store.prefill(ns(3, 1, 0), &[(0, 8, 8)], Duration::ZERO);
+        store.prefill(ns(3, 1, 0), &pages_of([(3, true)]), Duration::ZERO);
         let mut seen: Vec<(CacheNamespace, usize, bool)> = Vec::new();
-        store.for_each_namespace(|namespace, entries| {
-            seen.extend(
-                entries
-                    .iter()
-                    .map(|&(row, answer)| (namespace, row, answer)),
-            );
+        store.for_each_namespace(|namespace, pages| {
+            seen.extend(rows_of(pages).map(|(row, answer)| (namespace, row, answer)));
         });
         seen.sort_by_key(|(n, r, _)| (n.udf, *r));
         assert_eq!(
@@ -1332,7 +1297,7 @@ mod tests {
         store.handle(ns(1, 9, 101)).insert(1, true);
         // Prefilling a third version pushes the oldest out, exactly like
         // a borrow would.
-        store.prefill(ns(1, 9, 102), &[(0, 2, 0)], Duration::ZERO);
+        store.prefill(ns(1, 9, 102), &pages_of([(1, false)]), Duration::ZERO);
         assert_eq!(store.num_namespaces(), MAX_LIVE_VERSIONS);
         assert_eq!(store.stats().invalidated, 1);
         assert_eq!(store.handle(ns(1, 9, 102)).get(1), Some(false));

@@ -6,20 +6,25 @@
 //! (4095, 4096), a table's last row, and a sparse key far beyond any
 //! table (`1 << 40`) — must:
 //!
-//! * with room for everything, answer exactly like the map and count
-//!   exactly the map's hits, misses and insertions;
+//! * with room for everything, answer exactly like the map, count
+//!   exactly the map's hits, misses and insertions, and offer the spill
+//!   sink exactly the rows inserted;
 //! * under a tight capacity, never answer wrongly, never hold more than
-//!   `capacity` entries, and re-offer every entry an `insert` evicts to
-//!   the spill sink (while `prefill` stays silent);
+//!   `capacity` entries, and offer the spill sink each inserted row with
+//!   every entry its `insert` evicted (while `prefill` offers nothing);
 //! * give a just-read row its second chance;
 //! * land a batch (`insert_many`) exactly as the per-row loop would:
-//!   contents, `len`, statistics, evictions and the sink's offers in
-//!   order — with room, at capacity and past it, across page edges, and
-//!   over rows already cached.
+//!   contents, `len`, statistics, evictions and the rows the sink was
+//!   offered — with room, at capacity and past it, across page edges,
+//!   and over rows already cached.
+//!
+//! The sink hears pages; these properties compare the rows on them as
+//! sets, since a batch is one offer however many rows it carries.
 
 use expred_exec::{CacheNamespace, CacheStore, SpillSink};
+use expred_stats::bits::{pages_of, rows_of, PagePlanes};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -56,39 +61,51 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec((0u8..10, 0usize..KEYS.len(), any::<bool>()), 1..120)
 }
 
+/// Records the rows of every offer, one list per offer.
 #[derive(Debug, Default)]
-struct RecordingSink(Mutex<Vec<(usize, bool)>>);
+struct RecordingSink(Mutex<Vec<Vec<(usize, bool)>>>);
 
 impl SpillSink for RecordingSink {
-    fn spill(&self, namespace: CacheNamespace, rows: &[(usize, bool)]) {
+    fn spill(&self, namespace: CacheNamespace, pages: &[(usize, PagePlanes)]) {
         assert_eq!(namespace, NS);
-        assert!(!rows.is_empty(), "an empty offer");
-        self.0.lock().unwrap().extend_from_slice(rows);
+        assert!(!pages.is_empty(), "an empty offer");
+        assert!(
+            pages.windows(2).all(|w| w[0].0 < w[1].0),
+            "pages out of order"
+        );
+        assert!(pages.iter().all(|(_, planes)| !planes.is_empty()));
+        self.0.lock().unwrap().push(rows_of(pages).collect());
     }
 }
 
-/// Two distinct rows as the planes [`CacheStore::prefill`] takes.
-fn planes(rows: [(usize, bool); 2]) -> Vec<(usize, u64, u64)> {
-    let mut words: Vec<(usize, u64, u64)> = Vec::new();
-    for (row, answer) in rows {
-        let bit = 1u64 << (row % 64);
-        let answer = if answer { bit } else { 0 };
-        match words.iter_mut().find(|w| w.0 == row / 64) {
-            Some(word) => (word.1, word.2) = (word.1 | bit, word.2 | answer),
-            None => words.push((row / 64, bit, answer)),
-        }
+impl RecordingSink {
+    fn offers(&self) -> Vec<Vec<(usize, bool)>> {
+        self.0.lock().unwrap().clone()
     }
-    words
+
+    /// Every row offered so far.
+    fn rows(&self) -> BTreeSet<usize> {
+        let offers = self.0.lock().unwrap();
+        offers.iter().flatten().map(|&(row, _)| row).collect()
+    }
 }
 
 /// The live entries of `NS`, ascending.
 fn live_entries(store: &CacheStore) -> Vec<(usize, bool)> {
     let mut live = Vec::new();
-    store.for_each_namespace(|namespace, entries| {
+    store.for_each_namespace(|namespace, pages| {
         assert_eq!(namespace, NS);
-        live.extend_from_slice(entries);
+        live.extend(rows_of(pages));
     });
     live
+}
+
+/// The rows of [`live_entries`].
+fn live_rows(store: &CacheStore) -> BTreeSet<usize> {
+    live_entries(store)
+        .into_iter()
+        .map(|(row, _)| row)
+        .collect()
 }
 
 /// What the reference run tallies, to hold against [`CacheStore::stats`].
@@ -99,19 +116,35 @@ struct Tally {
     insertions: u64,
 }
 
-/// Drives `store` and the reference map through `ops`. `exact` demands
-/// the store answer like the map; otherwise (capacity pressure) a miss
-/// is always acceptable but a hit must carry the map's value. Returns
-/// the tally and the `(key, value)` of every `insert` in order.
+/// What an insert must offer the sink: its own row and the rows it
+/// evicted — the rows live before it and gone after it.
+fn expected_offer(
+    key: usize,
+    before: &BTreeSet<usize>,
+    after: &BTreeSet<usize>,
+) -> BTreeSet<usize> {
+    let mut offer: BTreeSet<usize> = before.difference(after).copied().collect();
+    offer.insert(key);
+    offer
+}
+
+/// Drives `store` and the reference map through `ops`, checking that
+/// each insert offers `sink` exactly [`expected_offer`] and a prefill
+/// nothing. `exact` demands the store answer like the map; otherwise
+/// (capacity pressure) a miss is always acceptable but a hit must carry
+/// the map's value. Returns the tally, the rows `insert` wrote, and how
+/// many entries inserts evicted.
 fn drive(
     store: &CacheStore,
+    sink: &RecordingSink,
     ops: &[Op],
     exact: bool,
     capacity: usize,
-) -> Result<(Tally, Vec<(usize, bool)>), TestCaseError> {
+) -> Result<(Tally, BTreeSet<usize>, u64), TestCaseError> {
     let mut model: HashMap<usize, bool> = HashMap::new();
     let mut tally = Tally::default();
-    let mut inserts = Vec::new();
+    let mut inserts = BTreeSet::new();
+    let mut evicted = 0;
     let lookup = |tally: &mut Tally, model: &HashMap<usize, bool>, key, got: Option<bool>| {
         match got {
             Some(answer) => {
@@ -140,14 +173,23 @@ fn drive(
                 }
             }
             4..=6 => {
+                let (before, heard) = (live_rows(store), sink.offers().len());
                 handle.insert(key, value);
+                let after = live_rows(store);
+                let offers = sink.offers();
+                prop_assert_eq!(offers.len(), heard + 1, "one offer per insert");
+                let offer: BTreeSet<usize> = offers[heard].iter().map(|&(row, _)| row).collect();
+                prop_assert_eq!(&offer, &expected_offer(key, &before, &after));
+                evicted += offer.len() as u64 - 1;
                 model.insert(key, value);
-                inserts.push((key, value));
+                inserts.insert(key);
                 tally.insertions += 1;
             }
             7..=8 => {
                 let rows = [(key, value), (KEYS[(selector + 3) % 14], !value)];
-                prop_assert_eq!(store.prefill(NS, &planes(rows), Duration::ZERO), 2);
+                let heard = sink.offers().len();
+                prop_assert_eq!(store.prefill(NS, &pages_of(rows), Duration::ZERO), 2);
+                prop_assert_eq!(sink.offers().len(), heard, "a prefill offered");
                 model.extend(rows);
                 tally.insertions += 2;
             }
@@ -182,7 +224,7 @@ fn drive(
     if exact {
         prop_assert_eq!(live.len(), model.len());
     }
-    Ok((tally, inserts))
+    Ok((tally, inserts, evicted))
 }
 
 proptest! {
@@ -193,15 +235,15 @@ proptest! {
         let store = CacheStore::new();
         let sink = Arc::new(RecordingSink::default());
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
-        let (tally, inserts) = drive(&store, &ops, true, usize::MAX)?;
+        let (tally, inserts, _) = drive(&store, &sink, &ops, true, usize::MAX)?;
         let stats = store.stats();
         prop_assert_eq!(
             tally,
             Tally { hits: stats.hits, misses: stats.misses, insertions: stats.insertions }
         );
         prop_assert_eq!(stats.evictions, 0);
-        // The sink heard every insert once, in order, and no prefill.
-        prop_assert_eq!(&*sink.0.lock().unwrap(), &inserts);
+        // The rows offered are the rows inserted: no prefilled row.
+        prop_assert_eq!(sink.rows(), inserts);
     }
 
     #[test]
@@ -212,31 +254,20 @@ proptest! {
         let store = CacheStore::with_capacity(capacity);
         let sink = Arc::new(RecordingSink::default());
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
-        let (tally, inserts) = drive(&store, &ops, false, capacity)?;
+        // `drive` checked every insert's offer: its row and what it
+        // evicted.
+        let (tally, inserts, evicted) = drive(&store, &sink, &ops, false, capacity)?;
         let stats = store.stats();
         prop_assert_eq!(
             tally,
             Tally { hits: stats.hits, misses: stats.misses, insertions: stats.insertions }
         );
-        // Offers are each insert followed by what it evicted; an evicted
-        // entry was written earlier (by an insert or a silent prefill)
-        // and is no longer live.
-        let offers = sink.0.lock().unwrap().clone();
-        let mut expected = inserts.iter().peekable();
-        let mut reoffers = 0u64;
-        for offer in &offers {
-            if expected.peek() == Some(&offer) {
-                expected.next();
-            } else {
-                reoffers += 1;
-            }
-        }
-        prop_assert!(expected.next().is_none(), "an insert was never offered");
-        prop_assert!(reoffers <= stats.evictions, "{} re-offers, {} evictions", reoffers, stats.evictions);
+        prop_assert!(inserts.is_subset(&sink.rows()));
         // Prefill evictions are the silent remainder; without prefills
-        // every eviction is re-offered.
+        // every eviction was offered.
+        prop_assert!(evicted <= stats.evictions, "{} offered, {} evictions", evicted, stats.evictions);
         if !ops.iter().any(|&(op, _, _)| (7..=8).contains(&op)) {
-            prop_assert_eq!(reoffers, stats.evictions);
+            prop_assert_eq!(evicted, stats.evictions);
         }
     }
 
@@ -262,8 +293,10 @@ proptest! {
         prop_assert_eq!(store.stats().evictions, 1);
         prop_assert_eq!(handle.len(), capacity);
         prop_assert_eq!(handle.get(hot), Some(hot.is_multiple_of(2)), "hot row {} evicted", hot);
-        let offers = sink.0.lock().unwrap().clone();
-        let (victim, answer) = offers[offers.len() - 1];
+        let last = sink.offers().pop().unwrap();
+        let newcomer = (KEYS[newcomer], true);
+        prop_assert!(last.len() == 2 && last.contains(&newcomer), "{:?}", last);
+        let (victim, answer) = last.into_iter().find(|&offer| offer != newcomer).unwrap();
         prop_assert!(victim != hot && KEYS[..capacity].contains(&victim));
         prop_assert_eq!(answer, victim.is_multiple_of(2), "re-offer carries the cached answer");
         prop_assert_eq!(handle.get(victim), None);
@@ -315,8 +348,7 @@ proptest! {
                 }
                 assert!(handle.len() <= capacity);
             }
-            let offers = sink.0.lock().unwrap().clone();
-            (live_entries(&store), handle.len(), store.stats(), offers)
+            (live_entries(&store), handle.len(), store.stats(), sink.rows())
         };
         prop_assert_eq!(run(true), run(false));
     }

@@ -19,12 +19,13 @@
 //! # What a frame holds, and what a torn one costs
 //!
 //! The WAL is row-granular: a fresh answer is a [`Record::Row`], a stage
-//! batch one [`Record::RowBatch`] per run of at most [`PAGE_ROWS`] rows,
-//! each row with its own timestamp. A snapshot is page-granular: one
-//! [`Record::PageImage`] per 4 096-row page of a namespace — the page's
-//! `known` and `answer` bit planes (only the 64-row words that hold an
-//! answer are written) and the page's one timestamp, ≈ 0.26 bytes per
-//! answer on a full page against 13 in a row batch. Every frame carries
+//! batch one [`Record::RowBatch`] per page it brought new rows to (so at
+//! most [`PAGE_ROWS`] rows), each row with its own timestamp. A snapshot
+//! is page-granular: one [`Record::PageImage`] per 4 096-row page of a
+//! namespace — the page's [`PagePlanes`] (only the 64-row words that hold
+//! an answer are written) and the page's one timestamp, ≈ 0.26 bytes per
+//! answer on a full page against 13 in a row batch. Page numbers stop at
+//! [`PAGE_LIMIT`], where row ids leave the `u32` space. Every frame carries
 //! its own CRC, so damage costs the frame it hits and the frames after
 //! it — at most a page of answers per frame — and never a frame before
 //! it. Files written before page images existed (row-batch snapshots)
@@ -47,12 +48,13 @@ pub const FRAME_OVERHEAD: usize = 8;
 /// must not make recovery attempt a multi-gigabyte allocation.
 pub const MAX_PAYLOAD: usize = 1 << 26;
 
-/// Rows per page: the unit of a snapshot frame, of the index's planes and
-/// of TTL ageing — the workspace's one page size, as in the live cache.
-pub use expred_stats::PAGE_ROWS;
+/// The page the index holds, the snapshot writes and rehydration copies:
+/// the workspace's one page size and page type, as in the live cache.
+pub use expred_stats::bits::{PagePlanes, PAGE_ROWS, PAGE_WORDS};
 
-/// 64-row words per page plane.
-pub const PAGE_WORDS: usize = PAGE_ROWS / 64;
+/// Pages in the `u32` row space: a page numbered at or past this holds
+/// rows no frame can name.
+pub const PAGE_LIMIT: usize = u32::MAX as usize / PAGE_ROWS + 1;
 
 /// The serialized file header.
 pub fn file_header() -> [u8; HEADER_LEN] {
@@ -121,54 +123,6 @@ pub struct PersistKey {
     pub version: u64,
 }
 
-/// The answers of one 4 096-row page as bit planes: bit `i` of
-/// `known[w]` says row `64 * w + i` of the page has an answer, the same
-/// bit of `answer[w]` is that answer (zero where `known` is).
-///
-/// A page carries **one** timestamp: its oldest write. Every row of the
-/// page reads as old as that, so a TTL may expire an answer earlier than
-/// its own write time would — never later.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PagePlanes {
-    /// Which rows of the page hold an answer.
-    pub known: [u64; PAGE_WORDS],
-    /// The answers, under `known`.
-    pub answer: [u64; PAGE_WORDS],
-    /// The page's oldest write, nanoseconds since the Unix epoch.
-    pub oldest_ts: u64,
-}
-
-impl PagePlanes {
-    /// A page without answers (no write yet: the timestamp is the
-    /// maximum, so the first merge sets it).
-    pub fn empty() -> Self {
-        Self {
-            known: [0; PAGE_WORDS],
-            answer: [0; PAGE_WORDS],
-            oldest_ts: u64::MAX,
-        }
-    }
-
-    /// Merges the rows of `known` in word `word` (answers in `answer`,
-    /// written at `ts_nanos`); the first write per row wins. Returns the
-    /// mask of rows that were new.
-    #[inline]
-    pub fn merge(&mut self, word: usize, known: u64, answer: u64, ts_nanos: u64) -> u64 {
-        let new = known & !self.known[word];
-        debug_assert_eq!(
-            (self.answer[word] ^ answer) & known & !new,
-            0,
-            "answer flip for a persisted row — nondeterministic UDF?"
-        );
-        if new != 0 {
-            self.known[word] |= new;
-            self.answer[word] |= answer & new;
-            self.oldest_ts = self.oldest_ts.min(ts_nanos);
-        }
-        new
-    }
-}
-
 /// One durable record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
@@ -197,10 +151,14 @@ pub enum Record {
     PageImage {
         /// Namespace the page belongs to.
         key: PersistKey,
-        /// Page number: the page holds rows `[4096 * page, 4096 * page + 4096)`.
+        /// Page number, below [`PAGE_LIMIT`]: the page holds rows
+        /// `[4096 * page, 4096 * page + 4096)`.
         page: u32,
-        /// The page's answers and its one timestamp.
+        /// The page's answers.
         planes: Box<PagePlanes>,
+        /// The page's one timestamp: its oldest write, nanoseconds since
+        /// the Unix epoch.
+        oldest_ts: u64,
     },
     /// Everything before this point is cleared (durable
     /// `clear_caches`): replay drops all namespaces seen so far.
@@ -271,11 +229,16 @@ pub fn encode_frame(record: &Record, out: &mut Vec<u8>) {
                 payload.extend_from_slice(&ts_nanos.to_le_bytes());
             }
         }
-        Record::PageImage { key, page, planes } => {
+        Record::PageImage {
+            key,
+            page,
+            planes,
+            oldest_ts,
+        } => {
             payload.push(TAG_PAGE_IMAGE);
             put_key(&mut payload, *key);
             payload.extend_from_slice(&page.to_le_bytes());
-            payload.extend_from_slice(&planes.oldest_ts.to_le_bytes());
+            payload.extend_from_slice(&oldest_ts.to_le_bytes());
             // Only the words that hold an answer are written; `present`
             // says which.
             let present = (0..PAGE_WORDS)
@@ -391,14 +354,24 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Record, usize), DecodeError> {
         TAG_PAGE_IMAGE => {
             let key = c.key()?;
             let page = c.u32()?;
+            // A page past the u32 row space names rows no other frame
+            // can: its payload disagrees with its tag.
+            if page as usize >= PAGE_LIMIT {
+                return Err(DecodeError::Malformed);
+            }
+            let oldest_ts = c.u64()?;
             let mut planes = Box::new(PagePlanes::empty());
-            planes.oldest_ts = c.u64()?;
             let present = c.u64()?;
             for w in (0..PAGE_WORDS).filter(|w| present >> w & 1 != 0) {
                 planes.known[w] = c.u64()?;
                 planes.answer[w] = c.u64()? & planes.known[w];
             }
-            Record::PageImage { key, page, planes }
+            Record::PageImage {
+                key,
+                page,
+                planes,
+                oldest_ts,
+            }
         }
         TAG_TOMBSTONE_ALL => Record::TombstoneAll,
         TAG_SELECTIVITY => Record::Selectivity {
@@ -474,15 +447,17 @@ mod tests {
                 page: 7,
                 planes: {
                     let mut planes = Box::new(PagePlanes::empty());
-                    planes.merge(0, 0b1011, 0b0010, 99);
-                    planes.merge(63, 1 << 63, 1 << 63, 55);
+                    planes.merge(0, 0b1011, 0b0010);
+                    planes.merge(63, 1 << 63, 1 << 63);
                     planes
                 },
+                oldest_ts: 55,
             },
             Record::PageImage {
                 key: key(4),
-                page: u32::MAX >> 12,
+                page: (PAGE_LIMIT - 1) as u32,
                 planes: Box::new(PagePlanes::empty()),
+                oldest_ts: u64::MAX,
             },
         ];
         let mut buf = Vec::new();
@@ -550,46 +525,33 @@ mod tests {
         }
     }
 
-    fn answers(planes: &PagePlanes) -> usize {
-        planes.known.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     #[test]
     fn a_page_image_writes_only_the_words_that_hold_answers() {
+        let image = |planes: &PagePlanes, page: usize| Record::PageImage {
+            key: key(1),
+            page: page as u32,
+            planes: Box::new(planes.clone()),
+            oldest_ts: 10,
+        };
         let frame_len = |planes: &PagePlanes| {
             let mut buf = Vec::new();
-            let record = Record::PageImage {
-                key: key(1),
-                page: 0,
-                planes: Box::new(planes.clone()),
-            };
-            encode_frame(&record, &mut buf);
-            assert_eq!(decode_frame(&buf), Ok((record, buf.len())));
+            encode_frame(&image(planes, 0), &mut buf);
+            assert_eq!(decode_frame(&buf), Ok((image(planes, 0), buf.len())));
             buf.len()
         };
         let mut planes = PagePlanes::empty();
-        planes.merge(5, 1, 1, 10);
+        planes.merge(5, 1, 1);
         assert_eq!(frame_len(&planes), FRAME_OVERHEAD + 1 + 24 + 4 + 8 + 8 + 16);
         for w in 0..PAGE_WORDS {
-            planes.merge(w, u64::MAX, w as u64, 20);
+            planes.merge(w, u64::MAX, w as u64);
         }
-        assert_eq!((answers(&planes), planes.oldest_ts), (PAGE_ROWS, 10));
+        assert_eq!(planes.len(), PAGE_ROWS);
         let full = frame_len(&planes);
         assert!(full * 3 < PAGE_ROWS, "{full} bytes for a full page");
-    }
-
-    #[test]
-    fn page_merge_keeps_the_first_write_and_the_oldest_stamp() {
-        let mut planes = PagePlanes::empty();
-        assert_eq!(answers(&planes), 0);
-        assert_eq!(planes.merge(1, 0b110, 0b100, 500), 0b110);
-        // A later offer of a known row changes nothing — not even the
-        // stamp; an earlier-stamped new row pulls the page's stamp back.
-        assert_eq!(planes.merge(1, 0b100, 0b100, 100), 0);
-        assert_eq!(planes.oldest_ts, 500);
-        assert_eq!(planes.merge(1, 0b1001, 0b0001, 300), 0b1001);
-        assert_eq!((planes.known[1], planes.answer[1]), (0b1111, 0b0101));
-        assert_eq!((planes.oldest_ts, answers(&planes)), (300, 4));
+        // A page past the u32 row space is refused, not decoded.
+        let mut buf = Vec::new();
+        encode_frame(&image(&planes, PAGE_LIMIT), &mut buf);
+        assert_eq!(decode_frame(&buf), Err(DecodeError::Malformed));
     }
 
     #[test]

@@ -21,12 +21,13 @@
 //!   crash-window durability only, never correctness, because the
 //!   in-memory index (the snapshot source) is updated synchronously and
 //!   the next compaction re-captures anything the WAL dropped.
-//! * **Index and snapshots**: the index is pages of `known`/`answer`
-//!   bit planes with one timestamp per 4 096-row page, and a snapshot is
-//!   those pages — one CRC-checked page image each — in a
-//!   generation-numbered file written as temp-then-rename, so a crash
-//!   at any byte leaves either the old generation or the new one, never
-//!   a half state.
+//! * **Index and snapshots**: the index is [`PagePlanes`] — the
+//!   workspace's one page of `known`/`answer` bit planes — with one
+//!   timestamp per 4 096-row page, and a snapshot is those pages — one
+//!   CRC-checked page image each — in a generation-numbered file written
+//!   as temp-then-rename, so a crash at any byte leaves either the old
+//!   generation or the new one, never a half state. Appends arrive and
+//!   rehydration leaves as the same pages.
 //! * **Rehydration**: namespaces are keyed by `(udf fingerprint, schema
 //!   fingerprint, table version)` — all process-independent — and the
 //!   engine checks versions on load, so a persisted namespace whose
@@ -40,5 +41,5 @@
 pub mod format;
 pub mod store;
 
-pub use format::{PagePlanes, PersistKey, Record, PAGE_ROWS};
-pub use store::{FsyncPolicy, PersistConfig, PersistError, PersistStats, PersistStore, RowPlanes};
+pub use format::{PagePlanes, PersistKey, Record, PAGE_LIMIT, PAGE_ROWS};
+pub use store::{FsyncPolicy, PersistConfig, PersistError, PersistStats, PersistStore};

@@ -2,24 +2,28 @@
 //!
 //! # Write path
 //!
-//! The unit of a write is the stage batch. [`PersistStore::append_rows`]
-//! takes the index lock once, merges the batch into the namespace's
-//! page planes (first write per `(namespace, row)` wins — answers are
-//! deterministic per table version, so a re-offer of the same row is a
-//! mask-and-OR that changes nothing) and enqueues the rows that were new
-//! as WAL frames of at most one page ([`PAGE_ROWS`] rows) each on a
-//! bounded queue; [`PersistStore::append_row`] is its one-row call. A
-//! background flusher thread drains the queue in batches, appends the
-//! frames to the current WAL file, and fsyncs per [`FsyncPolicy`].
+//! The unit of a write is the stage batch, and it arrives as pages:
+//! [`PersistStore::append_pages`] takes the index lock once and merges
+//! each [`PagePlanes`] into the namespace's page a word at a time,
+//! through the same first-write-wins merge that loading a snapshot image
+//! uses (answers are deterministic per table version, so a re-offer of
+//! the same row is a mask-and-OR that changes nothing). The rows that
+//! were new are enqueued on a bounded queue as one WAL frame per page
+//! (at most [`PAGE_ROWS`] rows), or as a single-row record when the
+//! batch brought one new row; [`PersistStore::append_row`] is the
+//! one-row call. A background flusher thread drains the queue in
+//! batches, appends the frames to the current WAL file, and fsyncs per
+//! [`FsyncPolicy`].
 //!
 //! # The index: page planes, and what TTL sees
 //!
-//! A namespace is pages of 4 096 rows, each a `known` and an `answer`
-//! bit plane plus **one** timestamp — the page's oldest write
-//! ([`PagePlanes`]). Two bits and a sliver of a `u64` per answer instead
-//! of a hash-map entry, and the snapshot of a page is the page. The
-//! price is a coarser clock: [`PersistStore::rows`] and
-//! [`PersistStore::planes`] report every row of a page as old as the
+//! A namespace is pages of 4 096 rows, each a [`PagePlanes`] — a `known`
+//! and an `answer` bit plane — plus **one** timestamp, the page's oldest
+//! write. Two bits and a sliver of a `u64` per answer instead of a
+//! hash-map entry; the snapshot image of a page is the page, and
+//! rehydration ([`PersistStore::pages`]) copies the pages out as they
+//! are. The price is a coarser clock: [`PersistStore::rows`] and
+//! [`PersistStore::pages`] report every row of a page as old as the
 //! page's oldest write, so a TTL can expire an answer *earlier* than its
 //! own write time would — conservative: nothing is ever served past its
 //! TTL, and the cost of being early is a re-buy.
@@ -66,7 +70,7 @@
 
 use crate::format::{
     check_header, encode_frame, file_header, replay_frames, PagePlanes, PersistKey, Record,
-    HEADER_LEN, PAGE_ROWS, PAGE_WORDS,
+    HEADER_LEN, PAGE_LIMIT, PAGE_ROWS, PAGE_WORDS,
 };
 use expred_stats::bits::bits;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -204,91 +208,40 @@ expred_stats::counter_set! {
     }
 }
 
-/// One namespace's answers: pages of bit planes keyed by `row / 4096`,
-/// so memory follows the pages actually touched.
-#[derive(Debug, Default, Clone)]
-struct NamespacePlanes {
-    pages: BTreeMap<u32, Box<PagePlanes>>,
-    len: usize,
+/// One namespace's answers: page number (`row / 4096`) → the page's
+/// planes and its one timestamp, its oldest write (Unix nanos). Memory
+/// follows the pages actually touched.
+type Pages = BTreeMap<u32, (Box<PagePlanes>, u64)>;
+
+/// Merges the rows of `known` in word `word` of page `page`, answers in
+/// `answer`, written at `ts_nanos` — the one merge that appends, snapshot
+/// images and replayed rows all go through. The first write per row
+/// wins, and a write that lands a row makes its page at least that old.
+/// Returns the rows that were new.
+fn merge(pages: &mut Pages, page: u32, word: usize, known: u64, answer: u64, ts_nanos: u64) -> u64 {
+    let (planes, oldest) = pages
+        .entry(page)
+        .or_insert_with(|| (Box::new(PagePlanes::empty()), u64::MAX));
+    let new = planes.merge(word, known, answer);
+    if new != 0 {
+        *oldest = (*oldest).min(ts_nanos);
+    }
+    new
 }
 
-impl NamespacePlanes {
-    /// Merges `planes` into page `page` (first write per row wins).
-    fn merge_page(&mut self, page: u32, planes: &PagePlanes) -> u64 {
-        let into = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| Box::new(PagePlanes::empty()));
-        let new: u32 = (0..PAGE_WORDS)
-            .map(|w| {
-                let (known, answer) = (planes.known[w], planes.answer[w]);
-                into.merge(w, known, answer, planes.oldest_ts).count_ones()
-            })
-            .sum();
-        self.len += new as usize;
-        u64::from(new)
-    }
-
-    /// Merges `(row, answer, ts_nanos)` triples, keeping the first write
-    /// per row. Calls `accepted` with every triple that was new, in
-    /// order.
-    fn merge_rows(
-        &mut self,
-        rows: impl IntoIterator<Item = (u32, bool, u64)>,
-        mut accepted: impl FnMut(u32, bool, u64),
-    ) {
-        // The page the previous row landed on: batches run along pages.
-        let mut cursor: Option<(u32, &mut PagePlanes)> = None;
-        for (row, answer, ts_nanos) in rows {
-            let page_no = row / PAGE_ROWS as u32;
-            let page = match cursor {
-                Some((at, page)) if at == page_no => page,
-                _ => self
-                    .pages
-                    .entry(page_no)
-                    .or_insert_with(|| Box::new(PagePlanes::empty())),
-            };
-            let (word, bit) = (row as usize % PAGE_ROWS / 64, 1u64 << (row % 64));
-            if page.merge(word, bit, if answer { bit } else { 0 }, ts_nanos) != 0 {
-                self.len += 1;
-                accepted(row, answer, ts_nanos);
-            }
-            cursor = Some((page_no, page));
-        }
-    }
-
-    /// Every answer as `(row, answer, page timestamp)`, ascending.
-    fn rows(&self) -> Vec<(u32, bool, u64)> {
-        let mut rows = Vec::with_capacity(self.len);
-        for (&page_no, page) in &self.pages {
-            for (w, &known) in page.known.iter().enumerate() {
-                let first = page_no * PAGE_ROWS as u32 + w as u32 * 64;
-                rows.extend(bits(known).map(|bit| {
-                    let answer = page.answer[w] >> bit & 1 != 0;
-                    (first + bit, answer, page.oldest_ts)
-                }));
-            }
-        }
-        rows
-    }
-}
-
-/// One namespace's answers as the live cache takes them: every 64-row
-/// word that holds an answer, and the age the whole namespace reads as.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowPlanes {
-    /// `(row word, known, answer)`, ascending by word: bit `i` of `known`
-    /// says row `64 * word + i` has an answer, bit `i` of `answer` is it.
-    pub words: Vec<(usize, u64, u64)>,
-    /// The oldest page timestamp of the namespace (Unix nanos).
-    pub oldest_ts: u64,
+/// Merges one replayed row; returns 1 if it was new.
+fn merge_row(pages: &mut Pages, row: u32, answer: bool, ts_nanos: u64) -> u64 {
+    let (page, word) = (row / PAGE_ROWS as u32, row as usize % PAGE_ROWS / 64);
+    let (known, answer) = (1 << (row % 64), u64::from(answer) << (row % 64));
+    let new = merge(pages, page, word, known, answer, ts_nanos);
+    u64::from(new.count_ones())
 }
 
 /// The authoritative in-memory image of the store. The WAL and snapshots
 /// only exist to rebuild this after a restart.
 #[derive(Debug, Default, Clone)]
 struct Index {
-    rows: HashMap<PersistKey, NamespacePlanes>,
+    rows: HashMap<PersistKey, Pages>,
     selectivity: HashMap<PersistKey, (u64, u64)>,
 }
 
@@ -302,16 +255,23 @@ impl Index {
                 row,
                 answer,
                 ts_nanos,
-            } => {
-                let ns = self.rows.entry(key).or_default();
-                ns.merge_rows([(row, answer, ts_nanos)], |_, _, _| added += 1);
-            }
+            } => added = merge_row(self.rows.entry(key).or_default(), row, answer, ts_nanos),
             Record::RowBatch { key, rows } => {
                 let ns = self.rows.entry(key).or_default();
-                ns.merge_rows(rows, |_, _, _| added += 1);
+                let merged = rows.into_iter().map(|(r, a, ts)| merge_row(ns, r, a, ts));
+                added = merged.sum();
             }
-            Record::PageImage { key, page, planes } => {
-                added = self.rows.entry(key).or_default().merge_page(page, &planes);
+            Record::PageImage {
+                key,
+                page,
+                planes,
+                oldest_ts,
+            } => {
+                let ns = self.rows.entry(key).or_default();
+                for w in 0..PAGE_WORDS {
+                    let new = merge(ns, page, w, planes.known[w], planes.answer[w], oldest_ts);
+                    added += u64::from(new.count_ones());
+                }
             }
             Record::TombstoneAll => {
                 self.rows.clear();
@@ -328,13 +288,18 @@ impl Index {
     /// selectivity counters, in key order (a snapshot's bytes are a
     /// function of the index alone).
     fn into_records(self) -> Vec<Record> {
-        let mut namespaces: Vec<(PersistKey, NamespacePlanes)> = self.rows.into_iter().collect();
+        let mut namespaces: Vec<(PersistKey, Pages)> = self.rows.into_iter().collect();
         namespaces.sort_unstable_by_key(|&(key, _)| key);
         let mut records: Vec<Record> = namespaces
             .into_iter()
-            .flat_map(|(key, ns)| {
-                let pages = ns.pages.into_iter();
-                pages.map(move |(page, planes)| Record::PageImage { key, page, planes })
+            .flat_map(|(key, pages)| {
+                let image = move |(page, (planes, oldest_ts))| Record::PageImage {
+                    key,
+                    page,
+                    planes,
+                    oldest_ts,
+                };
+                pages.into_iter().map(image)
             })
             .collect();
         let mut selectivity: Vec<(PersistKey, (u64, u64))> = self.selectivity.into_iter().collect();
@@ -616,37 +581,52 @@ impl PersistStore {
     }
 
     /// Accepts one fresh row answer: a one-row
-    /// [`PersistStore::append_rows`].
+    /// [`PersistStore::append_pages`].
     pub fn append_row(&self, key: PersistKey, row: u32, answer: bool, ts_nanos: u64) {
-        self.append_rows(key, &[(row, answer)], ts_nanos);
+        let (mut planes, row, bit) = (PagePlanes::empty(), row as usize, row % 64);
+        planes.merge(row % PAGE_ROWS / 64, 1 << bit, u64::from(answer) << bit);
+        self.append_pages(key, &[(row / PAGE_ROWS, planes)], ts_nanos);
     }
 
-    /// Accepts a batch of fresh row answers of one namespace, all stamped
-    /// `ts_nanos`. First write per `(key, row)` wins (deterministic
-    /// answers make a re-offer a no-op): under one index lock the batch
-    /// is merged into the namespace's planes, and the rows that were new
-    /// are enqueued for the WAL in frames of at most [`PAGE_ROWS`] rows,
-    /// shedding the oldest pending frames if the flusher is a queue
-    /// behind (see the module docs). Never blocks on disk.
-    pub fn append_rows(&self, key: PersistKey, rows: &[(u32, bool)], ts_nanos: u64) {
-        if rows.is_empty() {
-            return;
-        }
-        let mut accepted: Vec<(u32, bool, u64)> = Vec::new();
+    /// Accepts a batch of fresh answers of one namespace as pages, all
+    /// stamped `ts_nanos`; pages at or past [`PAGE_LIMIT`] hold rows the
+    /// format cannot name and are skipped. First write per `(key, row)`
+    /// wins (deterministic answers make a re-offer a no-op): under one
+    /// index lock each page is merged into the index a word at a time,
+    /// and the rows that were new are enqueued for the WAL — one new row
+    /// as a `Row` record, more as one `RowBatch` frame per page — shedding
+    /// the oldest pending frames if the flusher is a queue behind (see
+    /// the module docs). Never blocks on disk.
+    pub fn append_pages(&self, key: PersistKey, pages: &[(usize, PagePlanes)], ts_nanos: u64) {
+        let mut fresh: Vec<(u32, bool, u64)> = Vec::new();
         {
             let mut index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-            let stamped = rows.iter().map(|&(row, answer)| (row, answer, ts_nanos));
-            let ns = index.rows.entry(key).or_default();
-            ns.merge_rows(stamped, |row, answer, ts| accepted.push((row, answer, ts)));
+            for (page, planes) in pages {
+                if *page >= PAGE_LIMIT || planes.is_empty() {
+                    continue;
+                }
+                let ns = index.rows.entry(key).or_default();
+                for w in (0..PAGE_WORDS).filter(|&w| planes.known[w] != 0) {
+                    let first = (page * PAGE_ROWS + w * 64) as u32;
+                    let (known, answer) = (planes.known[w], planes.answer[w]);
+                    let new = merge(ns, *page as u32, w, known, answer, ts_nanos);
+                    let row = |bit| (first + bit, answer >> bit & 1 != 0, ts_nanos);
+                    fresh.extend(bits(new).map(row));
+                }
+            }
         }
-        let appended = accepted.len() as u64;
         self.shared
             .stats
             .appended
-            .fetch_add(appended, Ordering::Relaxed);
-        // One new row stays the single-row record it always was on disk
-        // (and costs no frame buffer); more become batch frames.
-        match accepted[..] {
+            .fetch_add(fresh.len() as u64, Ordering::Relaxed);
+        // One new row stays the single-row record it always was on disk;
+        // more become one batch frame per page.
+        let page = |row: &(u32, bool, u64)| row.0 as usize / PAGE_ROWS;
+        let frame = |rows: &[(u32, bool, u64)]| Record::RowBatch {
+            key,
+            rows: rows.to_vec(),
+        };
+        match fresh[..] {
             [] => {}
             [(row, answer, ts_nanos)] => self.enqueue([Record::Row {
                 key,
@@ -654,10 +634,7 @@ impl PersistStore {
                 answer,
                 ts_nanos,
             }]),
-            _ => self.enqueue(accepted.chunks(PAGE_ROWS).map(|frame| Record::RowBatch {
-                key,
-                rows: frame.to_vec(),
-            })),
+            _ => self.enqueue(fresh.chunk_by(|a, b| page(a) == page(b)).map(frame)),
         }
     }
 
@@ -763,29 +740,24 @@ impl PersistStore {
     /// module docs).
     pub fn rows(&self, key: PersistKey) -> Option<Vec<(u32, bool, u64)>> {
         let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        index.rows.get(&key).map(NamespacePlanes::rows)
+        let pages = index.rows.get(&key)?.iter();
+        let rows = pages.flat_map(|(&page, (planes, oldest))| {
+            let rows = planes.rows(page as usize * PAGE_ROWS);
+            rows.map(|(row, answer)| (row as u32, answer, *oldest))
+        });
+        Some(rows.collect())
     }
 
-    /// The answers persisted under `key` as bit planes — what
-    /// rehydration installs into the live cache a word at a time.
-    pub fn planes(&self, key: PersistKey) -> Option<RowPlanes> {
+    /// The pages persisted under `key`, ascending, and the oldest page's
+    /// timestamp — what rehydration copies into the live cache, every
+    /// row as old as that (see the module docs).
+    pub fn pages(&self, key: PersistKey) -> Option<(Vec<(usize, PagePlanes)>, u64)> {
         let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
         let ns = index.rows.get(&key)?;
-        let mut planes = RowPlanes {
-            words: Vec::new(),
-            oldest_ts: u64::MAX,
-        };
-        for (&page_no, page) in &ns.pages {
-            planes.oldest_ts = planes.oldest_ts.min(page.oldest_ts);
-            let first = page_no as usize * PAGE_WORDS;
-            let words = page.known.iter().zip(&page.answer).enumerate();
-            planes.words.extend(
-                words
-                    .filter(|(_, (&known, _))| known != 0)
-                    .map(|(w, (&known, &answer))| (first + w, known, answer)),
-            );
-        }
-        Some(planes)
+        let oldest = ns.values().map(|page| page.1).min();
+        let pages = ns.iter();
+        let pages = pages.map(|(&page, (planes, _))| (page as usize, PagePlanes::clone(planes)));
+        Some((pages.collect(), oldest.unwrap_or(u64::MAX)))
     }
 
     /// The absolute selectivity counters persisted under `key`.
@@ -810,7 +782,8 @@ impl PersistStore {
     /// Total persisted row answers across namespaces.
     pub fn len(&self) -> usize {
         let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        index.rows.values().map(|ns| ns.len).sum()
+        let pages = index.rows.values().flat_map(|ns| ns.values());
+        pages.map(|(planes, _)| planes.len()).sum()
     }
 
     /// Whether nothing is persisted.
@@ -1058,6 +1031,11 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `rows` as the pages [`PersistStore::append_pages`] takes.
+    fn pages(rows: &[(u32, bool)]) -> Vec<(usize, PagePlanes)> {
+        expred_stats::bits::pages_of(rows.iter().map(|&(row, answer)| (row as usize, answer)))
+    }
+
     /// Every frame of the persist file at `path`, which must be intact.
     fn frames_of(path: &Path) -> Vec<Record> {
         let (records, valid, len) = read_frames(path);
@@ -1066,7 +1044,7 @@ mod tests {
     }
 
     #[test]
-    fn append_rows_is_a_loop_of_append_row() {
+    fn append_pages_is_a_loop_of_append_row() {
         // Rows across word and page edges, a repeat inside the batch, a
         // second batch re-offering part of the first.
         let first: Vec<(u32, bool)> = [0, 63, 64, 4_095, 4_096, 9_000, 64, 1 << 31]
@@ -1079,14 +1057,15 @@ mod tests {
             let store = PersistStore::open(PersistConfig::new(&dir).with_compact_after(0)).unwrap();
             for (batch, ts) in [(&first, 100), (&second, 200), (&first, 300)] {
                 if batched {
-                    store.append_rows(key(1), batch, ts);
+                    store.append_pages(key(1), &pages(batch), ts);
                 } else {
                     for &(row, answer) in batch {
                         store.append_row(key(1), row, answer, ts);
                     }
                 }
             }
-            store.append_rows(key(2), &[], 400);
+            store.append_pages(key(2), &[], 400);
+            store.append_pages(key(2), &[(0, PagePlanes::empty())], 400);
             store.sync().unwrap();
             let live = (store.rows(key(1)), store.namespaces(), store.len());
             let (appended, flushed) = (store.stats().appended, store.stats().flushed);
@@ -1115,7 +1094,7 @@ mod tests {
                 .with_queue_capacity(1_000)
                 .with_compact_after(0);
             let store = PersistStore::open(config).unwrap();
-            store.append_rows(key(1), &rows, 7);
+            store.append_pages(key(1), &pages(&rows), 7);
             store.sync().unwrap();
             let stats = store.stats();
             assert_eq!(
@@ -1231,9 +1210,9 @@ mod tests {
                     "{stage}: row {row} reads younger than it is"
                 );
             }
-            let planes = store.planes(key(1)).unwrap();
-            let rows: u32 = planes.words.iter().map(|w| w.1.count_ones()).sum();
-            assert_eq!((rows, planes.oldest_ts), (4, 100), "{stage}");
+            let (pages, oldest) = store.pages(key(1)).unwrap();
+            let page_rows: Vec<(usize, usize)> = pages.iter().map(|p| (p.0, p.1.len())).collect();
+            assert_eq!((page_rows, oldest), (vec![(0, 3), (2, 1)], 100), "{stage}");
         };
         {
             let store = PersistStore::open(PersistConfig::new(&dir).with_compact_after(0)).unwrap();
@@ -1257,12 +1236,65 @@ mod tests {
     }
 
     #[test]
+    fn page_merge_keeps_the_first_write_and_the_oldest_stamp() {
+        let mut pages = Pages::new();
+        assert_eq!(merge(&mut pages, 0, 1, 0b110, 0b100, 500), 0b110);
+        // A later offer of a known row changes nothing — not even the
+        // stamp; an earlier-stamped new row pulls the page's stamp back.
+        assert_eq!(merge(&mut pages, 0, 1, 0b100, 0b000, 100), 0);
+        assert_eq!(pages[&0].1, 500);
+        assert_eq!(merge(&mut pages, 0, 1, 0b1001, 0b0001, 300), 0b1001);
+        // A replayed row merges the same way.
+        assert_eq!(merge_row(&mut pages, 66, false, 10), 0);
+        assert_eq!(merge_row(&mut pages, 68, true, 400), 1);
+        let (planes, oldest) = &pages[&0];
+        let rows: Vec<(usize, bool)> = planes.rows(0).collect();
+        assert_eq!(
+            (rows, *oldest),
+            (
+                vec![(64, true), (65, false), (66, true), (67, false), (68, true)],
+                300
+            )
+        );
+    }
+
+    #[test]
+    fn a_page_image_past_the_u32_row_space_is_a_discarded_tail() {
+        // A CRC-valid frame whose page number would put its rows past
+        // `u32::MAX`: recovery keeps the frame before it, counts it as
+        // tail, and reading the rows back cannot overflow.
+        let dir = tmpdir("pagelimit");
+        fs::create_dir_all(&dir).unwrap();
+        let image = |page: usize| Record::PageImage {
+            key: key(1),
+            page: page as u32,
+            planes: Box::new(pages(&[(5, true)]).remove(0).1),
+            oldest_ts: 7,
+        };
+        let mut wal = file_header().to_vec();
+        encode_frame(&image(PAGE_LIMIT - 1), &mut wal);
+        let good = wal.len();
+        encode_frame(&image(PAGE_LIMIT), &mut wal);
+        fs::write(wal_path(&dir, 0), &wal).unwrap();
+        let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+        let row = u32::MAX - (PAGE_ROWS as u32 - 1) + 5;
+        assert_eq!(store.rows(key(1)).unwrap(), [(row, true, 7)]);
+        let stats = store.stats();
+        assert_eq!(
+            (stats.recovered_rows, stats.tail_bytes_discarded),
+            (1, (wal.len() - good) as u64)
+        );
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_full_namespace_snapshots_under_a_byte_per_answer() {
         let dir = tmpdir("pageimage");
         let rows: Vec<(u32, bool)> = (0..20_000).map(|row| (row, row % 3 == 0)).collect();
         {
             let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
-            store.append_rows(key(1), &rows, 42);
+            store.append_pages(key(1), &pages(&rows), 42);
             store.record_selectivity(key(1), 6_667, 20_000);
             store.compact().unwrap();
         }

@@ -9,7 +9,7 @@
 //! frame and what follows it, never what precedes it: the rows that come
 //! back are always a prefix of the write order.
 
-use expred_persist::{PersistConfig, PersistKey, PersistStore, PAGE_ROWS};
+use expred_persist::{PagePlanes, PersistConfig, PersistKey, PersistStore, PAGE_ROWS};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -36,7 +36,7 @@ fn unique_dir(tag: &str) -> PathBuf {
 enum Layout {
     /// One `append_row` each: single-row records in the WAL.
     Rows,
-    /// `append_rows` in batches of this many: batch frames in the WAL.
+    /// `append_pages` in batches of this many: batch frames in the WAL.
     Batches(usize),
     /// Appended, then compacted: page-image frames in the snapshot.
     Snapshot,
@@ -48,6 +48,11 @@ const LAYOUTS: [Layout; 4] = [
     Layout::Batches(64),
     Layout::Snapshot,
 ];
+
+/// `rows` as the pages `append_pages` takes.
+fn pages(rows: impl IntoIterator<Item = (u32, bool)>) -> Vec<(usize, PagePlanes)> {
+    expred_stats::bits::pages_of(rows.into_iter().map(|(row, answer)| (row as usize, answer)))
+}
 
 /// The `i`-th row written: ids ascend with `i` and step across pages
 /// every few rows, so a snapshot of them has several page frames.
@@ -77,8 +82,8 @@ fn write_store(dir: &Path, rows: u32, layout: Layout) -> PathBuf {
         }
         Layout::Batches(size) => {
             for batch in written.chunks(size) {
-                let pairs: Vec<(u32, bool)> = batch.iter().map(|&(r, a, _)| (r, a)).collect();
-                store.append_rows(KEY, &pairs, batch[0].2);
+                let pairs = pages(batch.iter().map(|&(r, a, _)| (r, a)));
+                store.append_pages(KEY, &pairs, batch[0].2);
             }
         }
     }
@@ -144,7 +149,7 @@ fn check_recovery(dir: &Path, rows: u32, layout: Layout) -> u32 {
     // A reopened store must also be writable: damage to the old tail
     // cannot poison new appends.
     let beyond = row_id(rows) + 7;
-    store.append_rows(KEY, &[(beyond, true), (beyond + 1, false)], 9_999);
+    store.append_pages(KEY, &pages([(beyond, true), (beyond + 1, false)]), 9_999);
     store.sync().expect("post-recovery writes flush");
     let after = store.rows(KEY).expect("namespace lives");
     assert_eq!(after.len() as u32, n + 2);
@@ -270,10 +275,11 @@ fn appends_racing_compactions_all_survive_the_reopen() {
                 scope.spawn(move || {
                     start.wait();
                     for batch in 0..BATCHES {
-                        let rows: Vec<(u32, bool)> = (batch * BATCH..(batch + 1) * BATCH)
-                            .map(|row| (row, row.is_multiple_of(3)))
-                            .collect();
-                        store.append_rows(key(writer), &rows, 1 + u64::from(batch));
+                        let rows = pages(
+                            (batch * BATCH..(batch + 1) * BATCH)
+                                .map(|row| (row, row.is_multiple_of(3))),
+                        );
+                        store.append_pages(key(writer), &rows, 1 + u64::from(batch));
                     }
                 });
             }

@@ -23,8 +23,9 @@
 //! * [`histogram`] — equi-depth bucketing of probability scores, used to
 //!   turn a classifier's output into a *virtual* correlated column
 //!   (paper §4.4, §6.3.2).
-//! * [`bits`] — reading a 64-row bit-plane word out as row offsets, and
-//!   [`PAGE_ROWS`], the one page size every paged layer shares.
+//! * [`bits`] — reading a 64-row bit-plane word out as row offsets,
+//!   [`PAGE_ROWS`], the one page size every paged layer shares, and
+//!   [`PagePlanes`], the one page of answers they pass each other.
 //! * [`hash`] — deterministic FNV-1a fingerprinting shared by the
 //!   table/UDF/engine cache-key layers.
 //! * [`json`] — the workspace's one no-serde JSON parser/writer, shared
@@ -53,7 +54,7 @@ pub mod special;
 
 pub use beta::Beta;
 pub use binomial::Binomial;
-pub use bits::PAGE_ROWS;
+pub use bits::{PagePlanes, PAGE_ROWS};
 pub use bounds::{chebyshev_scale, hoeffding_threshold};
 pub use descriptive::{pearson, Accumulator};
 pub use estimator::SelectivityEstimate;

@@ -556,6 +556,7 @@ mod tests {
     use super::*;
     use crate::udf::OracleUdf;
     use expred_exec::{CacheNamespace, CacheStore, Sequential, SpillSink};
+    use expred_stats::bits::{rows_of, PagePlanes};
     use expred_table::{DataType, Field, Schema, Value};
     use proptest::prelude::*;
     use std::sync::Mutex;
@@ -644,8 +645,8 @@ mod tests {
     struct RecordingSink(Mutex<Vec<(usize, bool)>>);
 
     impl SpillSink for RecordingSink {
-        fn spill(&self, _: CacheNamespace, rows: &[(usize, bool)]) {
-            self.0.lock().unwrap().extend_from_slice(rows);
+        fn spill(&self, _: CacheNamespace, pages: &[(usize, PagePlanes)]) {
+            self.0.lock().unwrap().extend(rows_of(pages));
         }
     }
 

@@ -577,6 +577,7 @@ impl<'a> UdfInvoker<'a> {
 mod tests {
     use super::*;
     use crate::udf::OracleUdf;
+    use expred_stats::bits::{rows_of, PagePlanes};
     use expred_table::{DataType, Field, Schema, Table, Value};
 
     fn table_with_labels(labels: &[bool]) -> Table {
@@ -769,13 +770,15 @@ mod tests {
         assert!(batch_counts.reuse_hits > 0, "the warm rows must be reused");
     }
 
-    /// A sink that records every offered row, in order.
+    /// A sink that records every offered row, sorted.
     #[derive(Debug, Default)]
     struct RecordingSink(std::sync::Mutex<Vec<(usize, bool)>>);
 
     impl expred_exec::SpillSink for RecordingSink {
-        fn spill(&self, _: CacheNamespace, rows: &[(usize, bool)]) {
-            self.0.lock().unwrap().extend_from_slice(rows);
+        fn spill(&self, _: CacheNamespace, pages: &[(usize, PagePlanes)]) {
+            let mut offers = self.0.lock().unwrap();
+            offers.extend(rows_of(pages));
+            offers.sort_unstable();
         }
     }
 
@@ -783,7 +786,7 @@ mod tests {
     fn batched_commit_matches_the_per_row_commit_loop() {
         // One store call per batch must leave what one per row left: the
         // memo, the bill, the store's statistics and contents, the
-        // selectivity counters and the sink's offers, in order — under
+        // selectivity counters and the rows offered to the sink — under
         // both backends (the pool evaluates out of order, the commit
         // does not).
         let labels: Vec<bool> = (0..5_000).map(|i| i % 5 < 2).collect();
@@ -818,7 +821,7 @@ mod tests {
             };
             let (counts, stats) = (inv.counts(), store.stats());
             let mut cached = Vec::new();
-            store.for_each_namespace(|_, entries| cached.extend_from_slice(entries));
+            store.for_each_namespace(|_, pages| cached.extend(rows_of(pages)));
             let memo: Vec<Option<bool>> = (0..labels.len()).map(|r| inv.memo.get(r)).collect();
             let observed = (sel.handle(ns).observations(), sel.pass_rate(ns));
             let offers = sink.0.lock().unwrap().clone();
@@ -833,10 +836,11 @@ mod tests {
             warm.len() + fresh,
             "every fresh answer offered once"
         );
-        assert_eq!(
-            &per_row.6[warm.len()..][..3],
-            [(71, true), (70, true), (69, false)]
-        );
+        let mut evaluated: Vec<usize> = warm.iter().chain(&request).copied().collect();
+        evaluated.sort_unstable();
+        evaluated.dedup();
+        let labelled: Vec<(usize, bool)> = evaluated.iter().map(|&r| (r, labels[r])).collect();
+        assert_eq!(per_row.6, labelled);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! memo, bill, store statistics and referenced marks.
 
 use expred_exec::{CacheStore, ExecContext, Sequential};
+use expred_stats::bits::rows_of;
 use expred_table::rowset::bits;
 use expred_table::{DataType, Field, GroupBy, Schema, Table, Value};
 use expred_udf::{cache_namespace, OracleUdf, UdfInvoker};
@@ -244,7 +245,7 @@ proptest! {
                 handle.insert(TALL_ROWS + newcomer, true);
             }
             let mut survivors = Vec::new();
-            store.for_each_namespace(|_, entries| survivors.extend_from_slice(entries));
+            store.for_each_namespace(|_, pages| survivors.extend(rows_of(pages)));
             survivors.sort_unstable();
             (seen, store.stats(), survivors)
         };
@@ -352,7 +353,7 @@ proptest! {
                 handle.insert(TALL_ROWS + newcomer, true);
             }
             let mut survivors = Vec::new();
-            store.for_each_namespace(|_, entries| survivors.extend_from_slice(entries));
+            store.for_each_namespace(|_, pages| survivors.extend(rows_of(pages)));
             survivors.sort_unstable();
             (seen, memo, store.stats(), survivors)
         };
