@@ -23,6 +23,13 @@
 //!   rows); the spinning control must leave it at the core budget.
 //!   The settled width is in the row's backend name
 //!   (`elastic_pool@<width>`).
+//! * `concurrent_2_sleep_100us` / `concurrent_4_sleep_100us` /
+//!   `concurrent_2_spin_100us` — 2 or 4 threads of 512-row batches at
+//!   once on one warmed `WorkerPool::new()`. The row is a ratio
+//!   (`wall_vs_alone`): the slowest caller's per-job wall time over one
+//!   caller's alone. Each waiting job gets its own width, so sleeping
+//!   callers should read near 1×; spinning callers share the cores and
+//!   read about N×.
 //!
 //! Results land in `BENCH_pool.json` (schema: `expred_bench::report`),
 //! with `sequential` as the per-scenario speedup baseline.
@@ -39,6 +46,7 @@
 use expred_bench::BenchReport;
 use expred_exec::{Executor, Sequential, WorkerPool};
 use std::hint::black_box;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// Core budget for the grid's pool (see module docs).
@@ -133,6 +141,64 @@ fn elastic_scenario(
          at width {width} (core budget {})",
         sequential / elastic,
         pool.threads()
+    );
+}
+
+/// Mean wall time per job, in ns, of each of `callers` threads running
+/// `jobs` batches of `rows` on `pool` at once.
+fn per_job_walls(
+    pool: &WorkerPool,
+    probe: &(dyn Fn(usize) -> bool + Sync),
+    rows: &[usize],
+    callers: usize,
+    jobs: usize,
+) -> Vec<f64> {
+    let start = Barrier::new(callers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..callers)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let begin = Instant::now();
+                    for _ in 0..jobs {
+                        black_box(pool.evaluate_batch(&probe, rows));
+                    }
+                    begin.elapsed().as_nanos() as f64 / jobs as f64
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// One `concurrent_*` scenario: `callers` threads of 512-row batches on
+/// one machine-sized pool that has learned `probe` (and spawned what
+/// concurrent jobs of it ask for). Records the slowest caller's per-job
+/// wall time over one caller's alone.
+fn concurrent_scenario(
+    report: &mut BenchReport,
+    scenario: &str,
+    probe: &(dyn Fn(usize) -> bool + Sync),
+    callers: usize,
+    jobs: usize,
+) {
+    let rows: Vec<usize> = (0..512).collect();
+    let pool = WorkerPool::new();
+    for _ in 0..ELASTIC_WARMUP {
+        black_box(pool.evaluate_batch(&probe, &rows));
+    }
+    per_job_walls(&pool, probe, &rows, callers, 2);
+    let alone = per_job_walls(&pool, probe, &rows, 1, jobs)[0];
+    let together = per_job_walls(&pool, probe, &rows, callers, jobs);
+    let ratio = together.iter().copied().fold(0.0, f64::max) / alone;
+    report.record_metric(scenario, "worker_pool", "wall_vs_alone", "ratio", ratio);
+    println!(
+        "{scenario:<28} alone {:>7.0} us/job | {callers} callers {:>7.0} us/job ({ratio:>4.2}x) \
+         on {} workers at width {}",
+        alone / 1e3,
+        together.iter().sum::<f64>() / callers as f64 / 1e3,
+        pool.stats().workers,
+        pool.width()
     );
 }
 
@@ -260,6 +326,13 @@ fn main() {
         512,
         reps.min(5),
     );
+
+    // Concurrent callers on one pool: each job in flight gets a width.
+    let jobs = if smoke { 4 } else { 20 };
+    let spinning = spinning_probe(latency);
+    concurrent_scenario(&mut report, "concurrent_2_sleep_100us", &sleeping, 2, jobs);
+    concurrent_scenario(&mut report, "concurrent_4_sleep_100us", &sleeping, 4, jobs);
+    concurrent_scenario(&mut report, "concurrent_2_spin_100us", &spinning, 2, jobs);
 
     match report.write() {
         Ok(path) => println!("results written to {}", path.display()),

@@ -60,11 +60,23 @@
 //! must tune is wrong for the next UDF.
 //!
 //! One pool is meant to serve a whole process — share it as an
-//! `Arc<WorkerPool>` (`Arc<E>` is an [`Executor`]). Concurrent callers
-//! publish into a small FIFO job queue, and idle workers always take the
-//! *oldest* job that still wants help, so a later batch can never starve
-//! an earlier one down to single-threaded execution, and N sessions cost
-//! one set of threads instead of N.
+//! `Arc<WorkerPool>` (`Arc<E>` is an [`Executor`]), and N sessions cost
+//! one set of threads instead of N. The width is **per job**: a job
+//! grows the pool to cover the helpers every queued job was published
+//! with plus its own, so two callers' waiting probes overlap as if each
+//! had the pool alone. The pool stops growing at a ceiling of
+//! `MAX_WIDTH` workers per core of the budget, less one (127 on the
+//! reference box); a job published past it keeps its planned width and
+//! collects workers as older jobs finish, since idle workers always take
+//! the *oldest* job that still wants help — so a later batch can never
+//! starve an earlier one down to single-threaded execution. On a 2-vCPU
+//! VM, 512 × 100 µs sleeping probes per job, two concurrent callers took
+//! 1.78× one caller's time per job when they shared one job's worth of
+//! workers and take 1.1–1.35× under this rule; four took 3.47× and take
+//! 1.9–2.7× (wake-ups load the CPUs, so the spread follows the load on
+//! the host). Probes that compute gain nothing from the extra threads
+//! and lose nothing either: two spinning callers run at about 2× one
+//! caller's time under both rules.
 //!
 //! # Inline fast path
 //!
@@ -101,15 +113,24 @@ use std::time::{Duration, Instant};
 /// batches with less estimated total probe work than this run inline.
 const DISPATCH_COST_NS: f64 = 30_000.0;
 
-/// The most threads, caller included, that one job is shared among —
-/// so also one more than the most workers the pool ever spawns (a pool
-/// given a larger core budget keeps that budget). Measured on the
+/// The most threads, caller included, that one job is shared among (a
+/// pool given a larger core budget keeps that budget). Measured on the
 /// 2-vCPU reference box, 2 048 sleeping 100 µs probes: 17 / 91 / 175 /
 /// 330 rows per ms at 3 / 17 / 33 / 65 threads with per-probe latency
 /// flat at 174–189 µs — still near-linear at 64 — while each parked
 /// worker costs a stack's worth of address space and one wake-up per
 /// wide job. Past this, a backend that needs more concurrency wants
 /// asynchronous I/O, not more threads.
+///
+/// It is also the pool's ceiling per core. Concurrent jobs each get
+/// their own width, but the pool never spawns more than `MAX_WIDTH ×
+/// threads − 1` workers (127 on the reference box). Workers are never
+/// retired, so this bounds what a process keeps parked after its
+/// busiest moment, in proportion to its cores. It is a bound on
+/// threads, not a tuned optimum: where wake-ups saturate a box depends
+/// on the box, and on the 2-vCPU VM this was measured on, four
+/// concurrent callers of 512 sleeping 100 µs probes ran 2.6 ms a job at
+/// the ceiling and 2.2 ms uncapped (252 workers).
 const MAX_WIDTH: usize = 64;
 
 /// A trial at twice the width is kept when a probe cost at most this
@@ -528,6 +549,9 @@ expred_stats::counter_set! {
         inline_batches,
         /// Rows evaluated either way.
         rows,
+        /// Jobs that had another caller's job in the queue while they
+        /// ran.
+        shared_jobs,
     }
 }
 
@@ -721,7 +745,14 @@ impl WorkerPool {
                 .width
                 .plan(rows.len())
                 .min(self.worth_waking(rows.len()));
-            self.grow(&mut state, planned - 1);
+            // Each job in flight gets its own width: the pool covers the
+            // helpers every queued job was published with, plus this
+            // one's, up to the ceiling. Past it the job is still
+            // published at its planned width and collects workers as
+            // older jobs finish.
+            let queued: usize = state.jobs.iter().map(|job| job.stealers - 1).sum();
+            let ceiling = MAX_WIDTH * self.threads - 1;
+            self.grow(&mut state, (queued + planned - 1).min(ceiling));
             let job = Arc::new(Job {
                 probe: probe_erased,
                 rows: rows.as_ptr(),
@@ -759,6 +790,11 @@ impl WorkerPool {
         {
             let mut state = self.shared.lock();
             state.jobs.retain(|j| !Arc::ptr_eq(j, &job));
+            let alone = ticket == Some(state.published);
+            if !alone {
+                let shared_jobs = &self.shared.counters.shared_jobs;
+                shared_jobs.fetch_add(1, Ordering::Relaxed);
+            }
             // A job that gave its threads less work than waking them
             // costs says nothing about width.
             if work.as_nanos() as f64 >= job.stealers as f64 * DISPATCH_COST_NS {
@@ -773,7 +809,6 @@ impl WorkerPool {
                 // counts for a job that had the pool to itself.
                 let inside = work.as_nanos() as f64 / rows.len() as f64;
                 let outside = wall.as_nanos() as f64 / rows.len().div_ceil(job.stealers) as f64;
-                let alone = ticket == Some(state.published);
                 let per_probe = if alone { inside.max(outside) } else { inside };
                 state.width.observe(job.stealers, per_probe);
             }
@@ -1209,6 +1244,7 @@ mod tests {
         pool.evaluate_batch(&probe, &[7]); // single row: inline
         let stats = pool.stats();
         assert_eq!((stats.jobs, stats.inline_batches, stats.rows), (1, 2, 201));
+        assert_eq!(stats.shared_jobs, 0, "one caller never shares the queue");
         assert_eq!(stats.workers, 2);
         assert!(stats.probe_latency_ns < 10_000);
         use expred_stats::counters::CounterSet;
@@ -1221,8 +1257,48 @@ mod tests {
                 "probe_latency_ns",
                 "jobs",
                 "inline_batches",
-                "rows"
+                "rows",
+                "shared_jobs"
             ]
         );
+    }
+
+    #[test]
+    fn concurrent_wide_jobs_stop_growing_the_pool_at_the_ceiling() {
+        let pool = WorkerPool::with_threads(2);
+        drive(&mut pool.shared.lock().width, WAITING, 512, 8);
+        let callers = 8;
+        // Every probe holds its job open until all eight are queued, so
+        // they are all in flight at once, each planned 64 wide.
+        let queued = AtomicBool::new(false);
+        let probe = |row: usize| {
+            while !queued.load(Ordering::Acquire) {
+                if pool.shared.lock().jobs.len() == callers {
+                    queued.store(true, Ordering::Release);
+                } else {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            }
+            row.is_multiple_of(3)
+        };
+        std::thread::scope(|scope| {
+            for caller in 0..callers {
+                let (pool, probe) = (&pool, &probe);
+                scope.spawn(move || {
+                    let rows: Vec<usize> = (caller * 1000..caller * 1000 + 256).collect();
+                    assert_eq!(
+                        pool.evaluate_batch(probe, &rows),
+                        Sequential.evaluate_batch(&|row: usize| row.is_multiple_of(3), &rows)
+                    );
+                });
+            }
+        });
+        let stats = pool.stats();
+        assert_eq!(
+            stats.workers as usize,
+            MAX_WIDTH * 2 - 1,
+            "eight 64-wide jobs want 504 helpers; the ceiling is two cores' worth"
+        );
+        assert_eq!(stats.shared_jobs, callers as u64);
     }
 }

@@ -13,11 +13,13 @@
 //!
 //! What tenants do share is threads: with [`EngineConfig::pooled`] the
 //! registry owns **one** [`WorkerPool`] for the process and every
-//! tenant's engine borrows it. Threads carry no answers and no bill, a
-//! pool's width follows the probes rather than the tenant count, and its
-//! oldest-job-first queue already shares workers fairly across callers —
-//! a pool per tenant would be up to 32 sets of parked threads for the
-//! same work.
+//! tenant's engine borrows it. Threads carry no answers and no bill, and
+//! a pool's width follows the probes rather than the tenant count. Each
+//! tenant's job in flight gets its own width: the pool grows to cover
+//! every queued job's helpers, up to a ceiling of 64 workers per core
+//! less one, and a job published past it collects workers as older jobs
+//! finish. A pool per tenant would be up to 32 sets of parked threads
+//! for the same work.
 //!
 //! Tables are tenant-local too: a [`TableKey`] names a calibrated
 //! generator (`prosper` / `lc`), a row count, and a generation seed, and

@@ -96,13 +96,14 @@ fn durable_scenario(tag: &str) -> (String, String) {
 /// Counters whose values depend on the clock or the box, and the pool's
 /// (all of them do); `"rows"` as a whole key is the pool's alone.
 const MASKED: [&str; 2] = ["table_materialize_micros", "fsyncs"];
-const POOL: [&str; 6] = [
+const POOL: [&str; 7] = [
     "width",
     "workers",
     "probe_latency_ns",
     "jobs",
     "inline_batches",
     "rows",
+    "shared_jobs",
 ];
 
 /// Masks the clock- and box-dependent values of a text export.

@@ -13,6 +13,8 @@ use expred::core::{
 };
 use expred::exec::{ExecContext, Executor, Sequential, WorkerPool};
 use expred::table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 fn small(spec: DatasetSpec, rows: usize, seed: u64) -> Dataset {
     Dataset::generate(DatasetSpec { rows, ..spec }, seed)
@@ -336,6 +338,47 @@ fn submit_is_byte_identical_to_legacy_run_for_all_seven_strategies() {
             "strategy {i}: a memo hit charges nothing"
         );
     }
+}
+
+#[test]
+fn engines_sharing_one_pool_match_sequential_engines() {
+    // What `expred-serve --pool` runs: two sessions on one process-wide
+    // pool, submitting at once with a latency-bound UDF, so their jobs
+    // meet in the pool's queue and each grows it for its own width.
+    // Neither session may see the other in an answer or a bill.
+    let ds = small(PROSPER, 2_000, 12);
+    let spec = QuerySpec::paper_default();
+    let pool = Arc::new(WorkerPool::new());
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for engine in 0..2u64 {
+            let (ds, pool, start) = (&ds, &pool, &start);
+            scope.spawn(move || {
+                let requests: Vec<QueryRequest> = all_seven(spec)
+                    .into_iter()
+                    .zip(0u64..)
+                    .map(|((request, _), i)| request.with_seed(90 + 10 * engine + i))
+                    .collect();
+                let sequential = QueryEngine::new();
+                let want: Vec<_> = requests
+                    .iter()
+                    .map(|request| sequential.submit(ds, request).unwrap())
+                    .collect();
+                let pooled = QueryEngine::with_executor(Box::new(Arc::clone(pool)))
+                    .with_udf_latency(Duration::from_micros(50));
+                start.wait();
+                for (i, (request, want)) in requests.iter().zip(&want).enumerate() {
+                    let got = pooled.submit(ds, request).unwrap();
+                    assert_identical(want, &got, &format!("engine {engine} strategy {i}"));
+                }
+                assert_eq!(
+                    pooled.session_counts(),
+                    sequential.session_counts(),
+                    "engine {engine}: the session bill"
+                );
+            });
+        }
+    });
 }
 
 // Property: for random contracts and seeds, every request answers
