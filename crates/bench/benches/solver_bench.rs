@@ -1,20 +1,19 @@
-//! Solver micro-benchmarks: the paper's `O(|A| log |A|)` BiGreedy
-//! algorithm against the general simplex, across group counts, and the
-//! estimated-selectivity convex program behind the paper's "less than a
-//! second on each of the datasets" (§6.2).
+//! Solver micro-benchmarks: the exact plan-LP solve across group counts,
+//! and the estimated-selectivity convex program behind the paper's "less
+//! than a second on each of the datasets" (§6.2).
 //!
 //! ```text
 //! cargo bench --bench solver_bench            # full run
 //! cargo bench --bench solver_bench -- --smoke # CI: compile-and-run proof
 //! ```
 //!
-//! Expected shape: BiGreedy stays microseconds out to thousands of groups
-//! while the dense simplex grows superlinearly — the reason Theorem 3.8
-//! matters. Results land in `BENCH_solver.json` (`ns_per_probe` is ns per
-//! group; `bigreedy` is the per-scenario baseline, so the simplex rows'
-//! `speedup_vs_baseline` is BiGreedy's advantage inverted — well under 1).
-//! `convex_optimizer_<dataset>` times `solve_estimated` alone on group
-//! statistics shaped like each paper dataset (7–10 groups), ns per group.
+//! Results land in `BENCH_solver.json`. `structured_lp_<k>` times one
+//! `GreedyProblem::solve` over `k` groups and records ns per group
+//! (`ns_per_group`), so slow growth across `k` is the `O(k log k)` per
+//! dual step, times about `log₂ k` steps, made visible.
+//! `convex_optimizer_<dataset>` times one whole `solve_estimated` on group
+//! statistics shaped like each paper dataset (7–10 groups) and records ns
+//! per solve (`ns_per_solve`).
 
 use expred_bench::{report::measure_ns_per_unit, BenchReport};
 use expred_core::optimize::{solve_estimated, CorrelationModel, EstimatedGroup};
@@ -59,45 +58,19 @@ fn main() {
     );
 
     let sizes: &[usize] = if smoke {
-        &[16, 256]
+        &[16, 256, 4096]
     } else {
-        &[16, 64, 256, 1024]
+        &[16, 64, 256, 1024, 4096, 16384]
     };
     let reps = if smoke { 5 } else { 20 };
     for &k in sizes {
         let problem = instance(k, 42);
         let scenario = format!("structured_lp_{k}");
-        let greedy_ns = measure_ns_per_unit(k as u64, reps, || {
+        let ns = measure_ns_per_unit(k as u64, reps, || {
             let _ = black_box(problem.solve());
         });
-        report.record(&scenario, "bigreedy", greedy_ns, 1.0);
-        // The simplex path is only affordable at smaller sizes.
-        if k <= 256 {
-            let lp = problem.to_linear_program();
-            let simplex_ns = measure_ns_per_unit(k as u64, reps, || {
-                black_box(lp.solve());
-            });
-            report.record(&scenario, "simplex", simplex_ns, greedy_ns / simplex_ns);
-            println!(
-                "{scenario:<22} bigreedy {greedy_ns:>10.0} ns/group | simplex \
-                 {simplex_ns:>12.0} ns/group ({:.0}x slower)",
-                simplex_ns / greedy_ns
-            );
-        } else {
-            println!("{scenario:<22} bigreedy {greedy_ns:>10.0} ns/group");
-        }
-    }
-
-    // BiGreedy alone at scale: near-linear ns/group is the claim.
-    let scaling: &[usize] = if smoke { &[4096] } else { &[4096, 16384] };
-    for &k in scaling {
-        let problem = instance(k, 7);
-        let scenario = format!("bigreedy_scaling_{k}");
-        let ns = measure_ns_per_unit(k as u64, reps.min(10), || {
-            let _ = black_box(problem.solve());
-        });
-        report.record(&scenario, "bigreedy", ns, 1.0);
-        println!("{scenario:<22} bigreedy {ns:>10.0} ns/group");
+        report.record_metric(&scenario, "exact", "ns_per_group", "ns", ns);
+        println!("{scenario:<26} exact  {ns:>10.1} ns/group");
     }
 
     // The convex optimizer alone, on group statistics shaped like each
@@ -121,12 +94,12 @@ fn main() {
             })
             .collect();
         let scenario = format!("convex_optimizer_{}", ds_spec.name);
-        let ns = measure_ns_per_unit(groups.len() as u64, if smoke { 5 } else { 50 }, || {
+        let ns = measure_ns_per_unit(1, if smoke { 5 } else { 50 }, || {
             black_box(solve_estimated(&groups, &spec, CorrelationModel::Independent).unwrap());
         });
-        report.record(&scenario, "solver", ns, 1.0);
+        report.record_metric(&scenario, "solver", "ns_per_solve", "ns", ns);
         println!(
-            "{scenario:<26} solver {ns:>10.0} ns/group ({} groups)",
+            "{scenario:<26} solver {ns:>10.0} ns/solve ({} groups)",
             groups.len()
         );
     }

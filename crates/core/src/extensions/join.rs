@@ -41,27 +41,18 @@ pub fn solve_select_join(
 ) -> Result<Plan, PlanError> {
     assert!((0.0..=1.0).contains(&alpha) && (0.0..=1.0).contains(&beta));
     let recall_mass: f64 = subgroups.iter().map(|g| g.size * g.sel * g.fanout).sum();
-    let groups: Vec<GreedyGroup> = subgroups
-        .iter()
-        .map(|g| {
-            let (t, s, w) = (g.size, g.sel, g.fanout);
-            GreedyGroup {
-                selectivity: s,
-                cost_r: t * cost.retrieve,
-                cost_e: t * cost.evaluate,
-                recall_r: w * t * s,
-                prec_r: w * (t * s * (1.0 - alpha) - alpha * t * (1.0 - s)),
-                prec_e: w * alpha * t * (1.0 - s),
-            }
-        })
-        .collect();
-    let problem = GreedyProblem {
-        groups,
-        recall_target: beta * recall_mass,
-        precision_target: 0.0,
-    };
-    let plan = problem
-        .solve_robust(true)
+    let groups = subgroups.iter().map(|g| {
+        let (t, s, w) = (g.size, g.sel, g.fanout);
+        GreedyGroup {
+            cost_r: t * cost.retrieve,
+            cost_e: t * cost.evaluate,
+            recall_r: w * t * s,
+            prec_r: w * (t * s * (1.0 - alpha) - alpha * t * (1.0 - s)),
+            prec_e: w * alpha * t * (1.0 - s),
+        }
+    });
+    let plan = GreedyProblem::new(groups, beta * recall_mass, 0.0)
+        .solve()
         .map_err(|e| PlanError::Infeasible(e.to_string()))?;
     Ok(Plan::new(plan.r, plan.e))
 }
@@ -97,8 +88,8 @@ mod tests {
     #[test]
     fn paper_motivation_low_sel_high_fanout_beats_high_sel_low_fanout() {
         // A lower-selectivity subgroup with huge fan-out should be planned
-        // in before a higher-selectivity subgroup with tiny fan-out — note
-        // the greedy sorts by selectivity, so this requires the exact LP.
+        // in before a higher-selectivity subgroup with tiny fan-out, even
+        // though a selectivity-ordered greedy would pick the latter first.
         let subs = vec![
             JoinSubgroup {
                 size: 100.0,
@@ -201,7 +192,7 @@ mod tests {
         let sels = [0.9, 0.5, 0.1];
         let plain =
             GreedyProblem::from_group_stats(&sizes, &sels, 0.9, 1.0, 3.0, 0.9 * 1500.0, 0.0)
-                .solve_robust(true)
+                .solve()
                 .unwrap();
         let join_cost = plan.expected_cost(&sizes, &CostModel::PAPER_DEFAULT);
         assert!((join_cost - plain.cost).abs() < 1e-6 * (1.0 + plain.cost));

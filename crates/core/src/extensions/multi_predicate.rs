@@ -12,11 +12,12 @@
 //! `x_{a,act} ≥ 0`, `Σ_act x ≤ 1` (the remainder is discarded), with
 //! expectation-level precision/recall constraints (the paper derives no
 //! concentration slack for this extension; neither do we — callers can
-//! tighten `alpha`/`beta` to taste). Solved exactly with the workspace
-//! simplex.
+//! tighten `alpha`/`beta` to taste). Every action returns the group's
+//! correct tuples, so recall is per group, and the LP is the plan LP that
+//! `expred_solver::ChoiceLp` solves exactly, one group per `a`.
 
 use crate::optimize::PlanError;
-use expred_solver::lp::{Constraint, LinearProgram, LpOutcome, Relation};
+use expred_solver::{Action, ChoiceLp};
 
 /// Per-group statistics for a two-predicate conjunction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,65 +116,30 @@ pub fn solve_multi_predicate(
     cost: &MultiCost,
 ) -> Result<MultiPlan, PlanError> {
     assert!((0.0..=1.0).contains(&alpha) && (0.0..=1.0).contains(&beta));
-    let k = groups.len();
-    let nv = 4 * k;
-    let mut objective = vec![0.0; nv];
-    let mut precision_row = vec![0.0; nv];
-    let mut recall_row = vec![0.0; nv];
-    let total_correct: f64 = groups.iter().map(|g| g.size * g.s_both()).sum();
-    for (a, g) in groups.iter().enumerate() {
-        for (i, &action) in ACTIONS.iter().enumerate() {
+    let mut lp = ChoiceLp::default();
+    for g in groups {
+        let actions = ACTIONS.map(|action| {
             let (c, out, correct) = action_rates(g, cost, action);
-            let v = 4 * a + i;
-            objective[v] = g.size * c;
             // precision: correct − α·output ≥ 0 summed.
-            precision_row[v] = g.size * (correct - alpha * out);
-            recall_row[v] = g.size * correct;
-        }
-    }
-    let mut constraints = vec![
-        Constraint {
-            coeffs: precision_row,
-            relation: Relation::Ge,
-            rhs: 0.0,
-        },
-        Constraint {
-            coeffs: recall_row,
-            relation: Relation::Ge,
-            rhs: beta * total_correct,
-        },
-    ];
-    for a in 0..k {
-        let mut row = vec![0.0; nv];
-        for i in 0..4 {
-            row[4 * a + i] = 1.0;
-        }
-        constraints.push(Constraint {
-            coeffs: row,
-            relation: Relation::Le,
-            rhs: 1.0,
-        });
-    }
-    match LinearProgram::new(objective, constraints).solve() {
-        LpOutcome::Optimal(s) => {
-            let mut probs = Vec::with_capacity(k);
-            for a in 0..k {
-                let mut p = [0.0; 4];
-                for (i, slot) in p.iter_mut().enumerate() {
-                    *slot = s.x[4 * a + i].clamp(0.0, 1.0);
-                }
-                probs.push(p);
+            Action {
+                cost: g.size * c,
+                precision: g.size * (correct - alpha * out),
             }
-            Ok(MultiPlan {
-                probs,
-                expected_cost: s.objective,
-            })
-        }
-        LpOutcome::Infeasible => Err(PlanError::Infeasible(
-            "two-predicate constraints unsatisfiable".into(),
-        )),
-        LpOutcome::Unbounded => unreachable!("nonnegative costs cannot be unbounded"),
+        });
+        lp.push_group(g.size * g.s_both(), actions);
     }
+    let total_correct: f64 = groups.iter().map(|g| g.size * g.s_both()).sum();
+    let plan = lp.solve(beta * total_correct, 0.0).map_err(|e| {
+        PlanError::Infeasible(format!("two-predicate constraints unsatisfiable: {e}"))
+    })?;
+    Ok(MultiPlan {
+        probs: plan
+            .x
+            .chunks_exact(4)
+            .map(|x| std::array::from_fn(|i| x[i]))
+            .collect(),
+        expected_cost: plan.cost,
+    })
 }
 
 /// One group's statistics for an `n`-predicate conjunction chain.
@@ -220,7 +186,7 @@ fn subset_cost(mask: usize, sels: &[f64], eval_costs: &[f64], retrieve: f64) -> 
     members.sort_by(|&a, &b| {
         let ka = eval_costs[a] / (1.0 - sels[a]).max(1e-12);
         let kb = eval_costs[b] / (1.0 - sels[b]).max(1e-12);
-        ka.partial_cmp(&kb).unwrap().then(a.cmp(&b))
+        ka.total_cmp(&kb).then(a.cmp(&b))
     });
     let mut cost = retrieve;
     let mut pass_prob = 1.0;
@@ -253,68 +219,34 @@ pub fn solve_predicate_chain(
         assert_eq!(g.sels.len(), n, "one selectivity per predicate required");
     }
     let num_actions = 1usize << n;
-    let k = groups.len();
-    let nv = num_actions * k;
-    let mut objective = vec![0.0; nv];
-    let mut precision_row = vec![0.0; nv];
-    let mut recall_row = vec![0.0; nv];
-    let total_correct: f64 = groups.iter().map(|g| g.size * g.s_all()).sum();
-    for (a, g) in groups.iter().enumerate() {
+    let mut lp = ChoiceLp::default();
+    for g in groups {
         let s_all = g.s_all();
-        for mask in 0..num_actions {
-            let v = num_actions * a + mask;
+        let actions = (0..num_actions).map(|mask| {
             // Output iff every evaluated predicate passes.
             let out: f64 = (0..n)
                 .filter(|i| mask & (1 << i) != 0)
                 .map(|i| g.sels[i])
                 .product();
-            objective[v] = g.size * subset_cost(mask, &g.sels, eval_costs, retrieve);
-            precision_row[v] = g.size * (s_all - alpha * out);
-            recall_row[v] = g.size * s_all;
-        }
-    }
-    let mut constraints = vec![
-        Constraint {
-            coeffs: precision_row,
-            relation: Relation::Ge,
-            rhs: 0.0,
-        },
-        Constraint {
-            coeffs: recall_row,
-            relation: Relation::Ge,
-            rhs: beta * total_correct,
-        },
-    ];
-    for a in 0..k {
-        let mut row = vec![0.0; nv];
-        for m in 0..num_actions {
-            row[num_actions * a + m] = 1.0;
-        }
-        constraints.push(Constraint {
-            coeffs: row,
-            relation: Relation::Le,
-            rhs: 1.0,
+            Action {
+                cost: g.size * subset_cost(mask, &g.sels, eval_costs, retrieve),
+                precision: g.size * (s_all - alpha * out),
+            }
         });
+        lp.push_group(g.size * s_all, actions);
     }
-    match LinearProgram::new(objective, constraints).solve() {
-        LpOutcome::Optimal(s) => {
-            let probs = (0..k)
-                .map(|a| {
-                    (0..num_actions)
-                        .map(|m| s.x[num_actions * a + m].clamp(0.0, 1.0))
-                        .collect()
-                })
-                .collect();
-            Ok(ChainPlan {
-                probs,
-                expected_cost: s.objective,
-            })
-        }
-        LpOutcome::Infeasible => Err(PlanError::Infeasible(
-            "predicate-chain constraints unsatisfiable".into(),
-        )),
-        LpOutcome::Unbounded => unreachable!("nonnegative costs cannot be unbounded"),
-    }
+    let total_correct: f64 = groups.iter().map(|g| g.size * g.s_all()).sum();
+    let plan = lp.solve(beta * total_correct, 0.0).map_err(|e| {
+        PlanError::Infeasible(format!("predicate-chain constraints unsatisfiable: {e}"))
+    })?;
+    Ok(ChainPlan {
+        probs: plan
+            .x
+            .chunks_exact(num_actions)
+            .map(<[f64]>::to_vec)
+            .collect(),
+        expected_cost: plan.cost,
+    })
 }
 
 #[cfg(test)]

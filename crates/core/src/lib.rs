@@ -6,9 +6,10 @@
 //!
 //! * [`query`] / [`plan`] — the accuracy contract and the per-group
 //!   probabilistic plan `(R_a, E_a)`.
-//! * [`optimize`] — Problem 2 (perfect selectivities, Hoeffding slack,
-//!   BiGreedy) and Problem 3 (estimated selectivities, Chebyshev slack,
-//!   ConvexProgs 3.10/3.11/4.1 via a monotone fixed-point).
+//! * [`optimize`] — Problem 2 (perfect selectivities, Hoeffding slack)
+//!   and Problem 3 (estimated selectivities, Chebyshev slack,
+//!   ConvexProgs 3.10/3.11/4.1 via a damped fixed-point), each LP solved
+//!   exactly by `expred_solver`'s plan-LP solve.
 //! * [`sampling`] — §4: per-group sampling rules (Constant,
 //!   Two-Third-Power, fixed fraction), Beta-posterior estimates, and the
 //!   adaptive `num` search.

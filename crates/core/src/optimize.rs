@@ -2,11 +2,12 @@
 //!
 //! * [`solve_perfect_selectivities`] — Problem 2 / LinearProg 3.4 (§3.2):
 //!   Hoeffding slack terms turn the probabilistic constraints into linear
-//!   thresholds, solved by BiGreedy (with exact-LP fallback).
+//!   thresholds, solved exactly by `expred_solver`'s plan-LP solve.
 //! * [`solve_estimated`] — Problem 3 / ConvexProgs 3.10 & 3.11 (§3.3) and
 //!   their sampling-aware refinement ConvexProg 4.1 (§4.2): Chebyshev
 //!   deviation terms make the thresholds depend on the plan itself; we
-//!   solve by a damped fixed-point over the structured LP, keeping the
+//!   solve by a damped fixed-point over that same LP (its coefficients
+//!   built once, each iterate moving only the two targets), keeping the
 //!   cheapest iterate that passes the *exact* convex feasibility check
 //!   ([`estimated_feasible`]) — correctness rests on that verification,
 //!   not on the iteration converging.
@@ -15,10 +16,6 @@ use crate::plan::Plan;
 use crate::query::QuerySpec;
 use expred_solver::bigreedy::GreedyProblem;
 use expred_stats::bounds::{chebyshev_scale, precision_slack, recall_slack};
-
-/// Group counts above which the exact-LP cross-check is skipped and the
-/// `O(|A| log |A|)` greedy answer is trusted directly.
-const EXACT_LP_LIMIT: usize = 512;
 
 /// Plan construction failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +69,7 @@ pub fn solve_perfect_selectivities(
         hp,
     );
     let plan = problem
-        .solve_robust(sizes.len() <= EXACT_LP_LIMIT)
+        .solve()
         .map_err(|e| PlanError::Infeasible(e.to_string()))?;
     Ok(Plan::new(plan.r, plan.e))
 }
@@ -258,18 +255,21 @@ pub fn solve_estimated(
     // The always-feasible anchor, if one exists at all.
     consider(Plan::evaluate_all(k), &mut best);
 
+    let problem = GreedyProblem::from_group_stats(
+        &sizes,
+        &sels,
+        spec.alpha,
+        spec.cost.retrieve,
+        spec.cost.evaluate,
+        0.0,
+        0.0,
+    );
     let solve_at = |x: f64, y: f64| -> Option<Plan> {
-        let problem = GreedyProblem::from_group_stats(
-            &sizes,
-            &sels,
-            spec.alpha,
-            spec.cost.retrieve,
-            spec.cost.evaluate,
-            y + spec.beta * expected_correct - sampled_pos,
-            x - (1.0 - spec.alpha) * sampled_pos,
-        );
         problem
-            .solve_robust(k <= EXACT_LP_LIMIT)
+            .solve_with(
+                y + spec.beta * expected_correct - sampled_pos,
+                x - (1.0 - spec.alpha) * sampled_pos,
+            )
             .ok()
             .map(|p| Plan::new(p.r, p.e))
     };

@@ -8,10 +8,16 @@ use expred_core::optimize::{
 use expred_core::plan::Plan;
 use expred_core::query::QuerySpec;
 use expred_exec::ExecContext;
+use expred_stats::bounds::{precision_slack, recall_slack};
 use expred_stats::rng::Prng;
 use expred_table::{DataType, Field, GroupBy, Schema, Table, Value};
 use expred_udf::{CostModel, OracleUdf, UdfInvoker};
+use lp::LpOutcome;
 use proptest::prelude::*;
+
+/// The solver crate's simplex oracle.
+#[path = "../../solver/tests/lp/mod.rs"]
+mod lp;
 
 /// Random group statistics in the paper's ranges.
 fn group_stats() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
@@ -25,6 +31,49 @@ fn group_stats() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
 fn specs() -> impl Strategy<Value = QuerySpec> {
     (0.3f64..0.95, 0.3f64..0.95, 0.5f64..0.95)
         .prop_map(|(a, b, r)| QuerySpec::new(a, b, r, CostModel::PAPER_DEFAULT))
+}
+
+/// The over-retrieval regime at more than 512 groups: BiGreedy's two
+/// phases evaluate here, where retrieving more of the `s > α` class is
+/// cheaper. 600 groups in two classes of 300: the LP is convex and
+/// symmetric within a class, so one of its optima is constant on each
+/// class, and the oracle solves the LP with each class merged into one
+/// group.
+#[test]
+fn over_retrieval_plans_above_512_groups_cost_what_the_oracle_does() {
+    let spec = QuerySpec::new(0.5, 0.1, 0.8, CostModel::PAPER_DEFAULT);
+    let classes = [(1.0, 0.6), (2.0, 0.3)];
+    let (sizes, sels): (Vec<f64>, Vec<f64>) = classes
+        .iter()
+        .flat_map(|&class| std::iter::repeat_n(class, 300))
+        .unzip();
+    let plan = solve_perfect_selectivities(&sizes, &sels, &spec).expect("feasible");
+    let cost = plan.expected_cost(&sizes, &spec.cost);
+    // LinearProg 3.4's targets, as `solve_perfect_selectivities` sets them.
+    let n: f64 = sizes.iter().sum();
+    let mass: f64 = sizes.iter().zip(&sels).map(|(t, s)| t * s).sum();
+    let recall = spec.beta * mass + recall_slack(n, spec.beta, spec.rho);
+    let precision = precision_slack(n, spec.rho);
+    let merged = classes.map(|(t, _)| 300.0 * t);
+    let merged_sels = classes.map(|(_, s)| s);
+    let (alpha, costs) = (spec.alpha, spec.cost);
+    let oracle = lp::paper_lp(
+        &merged,
+        &merged_sels,
+        alpha,
+        costs.retrieve,
+        costs.evaluate,
+        recall,
+        precision,
+    );
+    match oracle.solve() {
+        LpOutcome::Optimal(s) => assert!(
+            (cost - s.objective).abs() <= 1e-9 * (1.0 + s.objective),
+            "plan {cost} vs simplex {}",
+            s.objective
+        ),
+        other => panic!("simplex failed: {other:?}"),
+    }
 }
 
 proptest! {

@@ -495,7 +495,12 @@ fn a_fixed_query_answers_the_golden_bytes() {
 /// auto-predictor `intel_sample` rows read the auxiliary columns, and were
 /// re-pinned once by the generator's per-page-stream re-seed (ROADMAP
 /// 5(c)); every other row reads only the predictor and the label, which
-/// the re-seed left cell for cell unchanged.
+/// the re-seed left cell for cell unchanged. Four digests (`adaptive` on
+/// `prosper`; `iterative`, `intel_sample` by `grade` and auto
+/// `intel_sample` on `lc`) were re-pinned once when one exact plan-LP
+/// solve replaced the simplex: on every LP those requests solve, the two
+/// solvers' optimal costs agree within 2e-15 relative, and the bodies
+/// moved only because ties between equal-cost optima break differently.
 const CROSS_COMMIT_GOLDEN: [(&str, [u64; 2]); 11] = [
     (
         r#"{"kind":"naive"}"#,
@@ -515,7 +520,7 @@ const CROSS_COMMIT_GOLDEN: [(&str, [u64; 2]); 11] = [
     ),
     (
         r#"{"kind":"adaptive","predictor":"grade"}"#,
-        [0x0288428d2ca2132a, 0x065b493ee72acbc9],
+        [0xc3c3480e62d71884, 0x065b493ee72acbc9],
     ),
     (
         r#"{"kind":"adaptive","predictor":"grade","corr":"unknown"}"#,
@@ -523,15 +528,15 @@ const CROSS_COMMIT_GOLDEN: [(&str, [u64; 2]); 11] = [
     ),
     (
         r#"{"kind":"iterative","predictor":"grade"}"#,
-        [0xb612741929b9032e, 0x09b6a9abfaed41a0],
+        [0xb612741929b9032e, 0x6e824ea1258f0117],
     ),
     (
         r#"{"kind":"intel_sample","predictor":"grade"}"#,
-        [0x286a3a021cfdf5c6, 0x0e520c99451756af],
+        [0x286a3a021cfdf5c6, 0xb1e9b83eb2bbd846],
     ),
     (
         r#"{"kind":"intel_sample"}"#,
-        [0xc9ac9f26211d09b6, 0xabf27534266b6fd5],
+        [0xc9ac9f26211d09b6, 0xcd468be4c27bbab9],
     ),
     (
         r#"{"kind":"expr","predicate":"udf_label"}"#,

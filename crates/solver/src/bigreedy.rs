@@ -1,30 +1,254 @@
-//! The paper's BiGreedy algorithm (§3.2.2).
+//! The plan LP and its one exact solve; the paper's BiGreedy (§3.2.2) is
+//! its two-action special case.
 //!
-//! BiGreedy solves the structured LP of LinearProg 3.4 in `O(|A| log |A|)`
-//! without a generic solver:
+//! Every plan the optimizer makes solves one LP shape: LinearProg 3.4
+//! (§3.2), each fixed-point iterate of ConvexProgs 3.10/3.11/4.1 (§3.3,
+//! §4.2), and the §5 join, two-predicate and chain extensions. Group `a`
+//! takes each of its actions with probability `x_{a,i} ≥ 0`,
+//! `Σ_i x_{a,i} ≤ 1` (the rest is discarded), to
 //!
-//! 1. raise retrieval probabilities `R_a` to 1 in *decreasing* selectivity
-//!    order until the recall constraint is met (fractionally at the last
-//!    group), then
-//! 2. raise evaluation probabilities `E_a` toward `R_a` in *increasing*
-//!    selectivity order (over groups with `R_a > 0`) until the precision
-//!    constraint is met.
+//! ```text
+//! minimise Σ c·x   s.t.   Σ u_a·x ≥ U (recall),   Σ v·x ≥ V (precision).
+//! ```
 //!
-//! The module is written against abstract per-group coefficients, so the
-//! same kernel serves Problem 2 (perfect selectivities), the fixed-point
-//! iterations of the estimated-selectivity convex programs (§3.3), and the
-//! sampling-aware program of §4.2 — they differ only in how coefficients
-//! and thresholds are computed.
+//! Evaluating only ever filters out wrong tuples, so every action of a
+//! group returns the same correct tuples: the recall coefficient
+//! `u_a ≥ 0` is per group. [`ChoiceLp::solve`] is exact and builds no
+//! tableau:
+//!
+//! 1. Dualise the precision row with one multiplier `μ ≥ 0`.
+//! 2. For fixed `μ`, each group's best action minimises `c − μ·v`, and
+//!    what is left is a fractional knapsack over the recall row: one sort
+//!    of the groups by reduced cost per unit of recall solves it exactly.
+//! 3. The dual `g(μ)` is concave and piecewise linear. A Newton search
+//!    over its pieces (intersect the two best lines, then cut at the
+//!    intersection) finds its maximum `μ*`.
+//! 4. The sub-solutions on either side of `μ*` are both optimal there, so
+//!    the mix of the two that makes the precision row tight is optimal.
+//!
+//! With two actions per group ("return unevaluated" and "evaluate"), step
+//! 2 at `μ = 0` retrieves groups in decreasing selectivity order, which is
+//! BiGreedy's Phase R, and raising `μ` switches groups to "evaluate" in
+//! increasing selectivity order, which is its Phase E. Under Theorem 3.8's
+//! preconditions those two phases are the answer. Outside them the search
+//! also finds the plans that over-retrieve high-selectivity groups.
 
-/// Per-group coefficients of the structured LP.
+/// Relative tolerance of the feasibility verdicts.
+const TOL: f64 = 1e-9;
+/// Relative gap at which the dual search accepts its bracket as optimal.
+const STOP: f64 = 1e-12;
+/// Dual steps before the search settles for its current bracket. Each step
+/// finds a new piece of `g`; random instances take about `log₂ k` steps
+/// (5 at 8 groups, 17 at 65 536), so this bounds only float stalls.
+const MAX_STEPS: usize = 100;
+
+/// One action of a group, per unit of the group's probability mass.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Action {
+    /// Objective weight.
+    pub cost: f64,
+    /// Precision-row coefficient (may be negative).
+    pub precision: f64,
+}
+
+/// The plan LP's coefficients, group by group; the two targets come with
+/// each [`ChoiceLp::solve`], so one set of coefficients serves many.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ChoiceLp {
+    /// Per group: its recall coefficient `u_a` and one past its last action.
+    groups: Vec<(f64, usize)>,
+    actions: Vec<Action>,
+}
+
+/// An optimal plan of a [`ChoiceLp`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChoicePlan {
+    /// One probability per action, in the order the actions were pushed.
+    pub x: Vec<f64>,
+    /// Objective value `Σ c·x`.
+    pub cost: f64,
+}
+
+/// Why no plan meets both rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GreedyError {
+    /// Even retrieving every group cannot meet the recall target.
+    RecallUnreachable,
+    /// No plan that meets the recall target meets the precision target.
+    PrecisionUnreachable,
+}
+
+impl std::fmt::Display for GreedyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GreedyError::RecallUnreachable => {
+                write!(f, "recall target exceeds the total available recall mass")
+            }
+            GreedyError::PrecisionUnreachable => write!(
+                f,
+                "precision target exceeds what any plan meeting the recall target can reach"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GreedyError {}
+
+/// The minimiser of `Σ (cost_w·c − prec_w·v)·x` under the recall row alone:
+/// per group, the mass it retrieves and the action (an index into
+/// [`ChoiceLp::actions`]) that mass takes.
+struct Response {
+    picks: Vec<(f64, usize)>,
+    cost: f64,
+    precision: f64,
+}
+
+impl Response {
+    /// This plan's Lagrangian value at multiplier `mu`: a line in `mu`
+    /// that lies on or above the dual `g`.
+    fn line(&self, mu: f64, precision_target: f64) -> f64 {
+        self.cost - mu * (self.precision - precision_target)
+    }
+}
+
+impl ChoiceLp {
+    /// Appends a group whose every action returns `recall` correct tuples
+    /// per unit of mass.
+    pub fn push_group(&mut self, recall: f64, actions: impl IntoIterator<Item = Action>) {
+        self.actions.extend(actions);
+        self.groups.push((recall, self.actions.len()));
+    }
+
+    /// Each group's recall coefficient and actions, in push order.
+    pub fn groups(&self) -> impl Iterator<Item = (f64, &[Action])> + '_ {
+        let mut start = 0;
+        self.groups.iter().map(move |&(recall, end)| {
+            let actions = &self.actions[start..end];
+            start = end;
+            (recall, actions)
+        })
+    }
+
+    /// The minimum-cost plan with recall LHS `≥ recall_target` and
+    /// precision LHS `≥ precision_target`, or which row no plan can meet.
+    pub fn solve(
+        &self,
+        recall_target: f64,
+        precision_target: f64,
+    ) -> Result<ChoicePlan, GreedyError> {
+        let mass: f64 = self.groups.iter().map(|g| g.0).sum();
+        if recall_target > mass + TOL * (1.0 + mass.abs()) {
+            return Err(GreedyError::RecallUnreachable);
+        }
+        let mut lo = self.respond(1.0, 0.0, recall_target);
+        if lo.precision >= precision_target {
+            return Ok(self.mix(&lo, &lo, 1.0));
+        }
+        let mut hi = self.respond(0.0, 1.0, recall_target);
+        if hi.precision < precision_target - TOL * (1.0 + precision_target.abs()) {
+            return Err(GreedyError::PrecisionUnreachable);
+        }
+        // `lo` misses the precision target and `hi` meets it; each is a
+        // best response at some multiplier, and the optimum lies between.
+        for _ in 0..MAX_STEPS {
+            if hi.precision <= lo.precision {
+                break;
+            }
+            let mu = (hi.cost - lo.cost) / (hi.precision - lo.precision);
+            let model = lo
+                .line(mu, precision_target)
+                .min(hi.line(mu, precision_target));
+            let next = self.respond(1.0, mu, recall_target);
+            if next.line(mu, precision_target) >= model - STOP * (1.0 + model.abs()) {
+                break;
+            }
+            if next.precision >= precision_target {
+                hi = next;
+            } else {
+                lo = next;
+            }
+        }
+        let span = hi.precision - lo.precision;
+        let theta = if span > 0.0 {
+            ((hi.precision - precision_target) / span).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        Ok(self.mix(&lo, &hi, theta))
+    }
+
+    /// Step 2: each group takes its cheapest action under the weights, and
+    /// groups fill the recall row in order of weighted cost per unit of
+    /// recall, the last one fractionally.
+    fn respond(&self, cost_w: f64, prec_w: f64, recall_target: f64) -> Response {
+        let mut picks = Vec::with_capacity(self.groups.len());
+        let mut queue = Vec::with_capacity(self.groups.len());
+        let mut recall = 0.0;
+        let mut start = 0;
+        for (a, &(u, end)) in self.groups.iter().enumerate() {
+            let (w, i) = self.actions[start..end]
+                .iter()
+                .zip(start..)
+                .map(|(action, i)| (cost_w * action.cost - prec_w * action.precision, i))
+                .min_by(|x, y| x.0.total_cmp(&y.0))
+                .unwrap_or((0.0, start));
+            start = end;
+            let mass = if w < 0.0 {
+                1.0
+            } else {
+                if u > 0.0 {
+                    queue.push((w / u, a));
+                }
+                0.0
+            };
+            recall += u * mass;
+            picks.push((mass, i));
+        }
+        queue.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+        for (_, a) in queue {
+            let deficit = recall_target - recall;
+            if deficit <= 0.0 {
+                break;
+            }
+            let u = self.groups[a].0;
+            let mass = (deficit / u).min(1.0);
+            picks[a].0 = mass;
+            recall += u * mass;
+        }
+        let (mut cost, mut precision) = (0.0, 0.0);
+        for &(mass, i) in picks.iter().filter(|p| p.0 > 0.0) {
+            cost += mass * self.actions[i].cost;
+            precision += mass * self.actions[i].precision;
+        }
+        Response {
+            picks,
+            cost,
+            precision,
+        }
+    }
+
+    /// Step 4: the plan `theta·lo + (1 − theta)·hi`.
+    fn mix(&self, lo: &Response, hi: &Response, theta: f64) -> ChoicePlan {
+        let mut x = vec![0.0; self.actions.len()];
+        for (response, weight) in [(lo, theta), (hi, 1.0 - theta)] {
+            for &(mass, i) in response.picks.iter().filter(|p| p.0 > 0.0) {
+                x[i] += weight * mass;
+            }
+        }
+        ChoicePlan {
+            x,
+            cost: theta * lo.cost + (1.0 - theta) * hi.cost,
+        }
+    }
+}
+
+/// Per-group coefficients of the paper's `(R, E)` form of the plan LP.
 ///
 /// With the paper's Problem-2 instantiation: `cost_r = t_a·o_r`,
 /// `cost_e = t_a·o_e`, `recall_r = t_a·s_a`,
 /// `prec_r = t_a·s_a·(1-α) − α·t_a·(1-s_a)`, `prec_e = α·t_a·(1-s_a)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GreedyGroup {
-    /// Sort key: the group's (estimated) selectivity `s_a`.
-    pub selectivity: f64,
     /// Objective weight per unit of `R_a`.
     pub cost_r: f64,
     /// Objective weight per unit of `E_a`.
@@ -37,13 +261,14 @@ pub struct GreedyGroup {
     pub prec_e: f64,
 }
 
-/// The structured LP: minimize `Σ cost_r·R + cost_e·E` subject to
+/// LinearProg 3.4's form: minimize `Σ cost_r·R + cost_e·E` subject to
 /// `Σ recall_r·R ≥ recall_target`, `Σ prec_r·R + prec_e·E ≥
-/// precision_target`, `0 ≤ E_a ≤ R_a ≤ 1`.
+/// precision_target`, `0 ≤ E_a ≤ R_a ≤ 1`. As a [`ChoiceLp`], group `a`
+/// has two actions: "return unevaluated" (`R_a − E_a`) and "evaluate"
+/// (`E_a`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GreedyProblem {
-    /// Per-group coefficients.
-    pub groups: Vec<GreedyGroup>,
+    lp: ChoiceLp,
     /// Required recall-constraint LHS.
     pub recall_target: f64,
     /// Required precision-constraint LHS.
@@ -61,35 +286,32 @@ pub struct GreedyPlan {
     pub cost: f64,
 }
 
-/// Why BiGreedy could not produce a feasible plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GreedyError {
-    /// Even `R ≡ 1` cannot meet the recall target.
-    RecallUnreachable,
-    /// Even `E ≡ R` on all retrieved groups cannot meet the precision
-    /// target given the chosen retrievals.
-    PrecisionUnreachable,
-}
-
-impl std::fmt::Display for GreedyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GreedyError::RecallUnreachable => {
-                write!(f, "recall target exceeds the total available recall mass")
-            }
-            GreedyError::PrecisionUnreachable => {
-                write!(
-                    f,
-                    "precision target unreachable even evaluating every retrieved tuple"
-                )
-            }
+impl GreedyProblem {
+    /// The problem over `groups`, in order.
+    pub fn new(
+        groups: impl IntoIterator<Item = GreedyGroup>,
+        recall_target: f64,
+        precision_target: f64,
+    ) -> Self {
+        let mut lp = ChoiceLp::default();
+        for g in groups {
+            let evaluate = Action {
+                cost: g.cost_r + g.cost_e,
+                precision: g.prec_r + g.prec_e,
+            };
+            let unevaluated = Action {
+                cost: g.cost_r,
+                precision: g.prec_r,
+            };
+            lp.push_group(g.recall_r, [unevaluated, evaluate]);
+        }
+        Self {
+            lp,
+            recall_target,
+            precision_target,
         }
     }
-}
 
-impl std::error::Error for GreedyError {}
-
-impl GreedyProblem {
     /// Builds the Problem-2 instantiation from raw group statistics.
     ///
     /// `sizes[a] = t_a` (effective group size), `sels[a] = s_a`,
@@ -106,241 +328,41 @@ impl GreedyProblem {
         recall_target: f64,
         precision_target: f64,
     ) -> Self {
-        assert_eq!(sizes.len(), sels.len());
-        let groups = sizes
-            .iter()
-            .zip(sels)
-            .map(|(&t, &s)| GreedyGroup {
-                selectivity: s,
-                cost_r: t * cost_retrieve,
-                cost_e: t * cost_evaluate,
-                recall_r: t * s,
-                prec_r: t * s * (1.0 - alpha) - alpha * t * (1.0 - s),
-                prec_e: alpha * t * (1.0 - s),
-            })
-            .collect();
-        Self {
-            groups,
-            recall_target,
-            precision_target,
-        }
+        let groups = sizes.iter().zip(sels).map(|(&t, &s)| GreedyGroup {
+            cost_r: t * cost_retrieve,
+            cost_e: t * cost_evaluate,
+            recall_r: t * s,
+            prec_r: t * s * (1.0 - alpha) - alpha * t * (1.0 - s),
+            prec_e: alpha * t * (1.0 - s),
+        });
+        Self::new(groups, recall_target, precision_target)
     }
 
-    /// Recall-constraint LHS for a plan.
-    pub fn recall_lhs(&self, r: &[f64]) -> f64 {
-        self.groups
-            .iter()
-            .zip(r)
-            .map(|(g, &ra)| g.recall_r * ra)
-            .sum()
-    }
-
-    /// Precision-constraint LHS for a plan.
-    pub fn precision_lhs(&self, r: &[f64], e: &[f64]) -> f64 {
-        self.groups
-            .iter()
-            .zip(r.iter().zip(e))
-            .map(|(g, (&ra, &ea))| g.prec_r * ra + g.prec_e * ea)
-            .sum()
-    }
-
-    /// Objective value for a plan.
-    pub fn cost(&self, r: &[f64], e: &[f64]) -> f64 {
-        self.groups
-            .iter()
-            .zip(r.iter().zip(e))
-            .map(|(g, (&ra, &ea))| g.cost_r * ra + g.cost_e * ea)
-            .sum()
-    }
-
-    /// Runs BiGreedy. Returns the plan or a structured infeasibility.
+    /// The minimum-cost plan at this problem's targets.
     pub fn solve(&self) -> Result<GreedyPlan, GreedyError> {
-        let k = self.groups.len();
-        let mut r = vec![0.0; k];
-        let mut e = vec![0.0; k];
-
-        // Phase R: raise retrievals in decreasing selectivity order.
-        let mut by_sel_desc: Vec<usize> = (0..k).collect();
-        by_sel_desc.sort_by(|&a, &b| {
-            self.groups[b]
-                .selectivity
-                .partial_cmp(&self.groups[a].selectivity)
-                .expect("NaN selectivity")
-                .then(a.cmp(&b))
-        });
-        let mut recall = 0.0;
-        if self.recall_target > 0.0 {
-            let mut met = false;
-            for &a in &by_sel_desc {
-                let g = &self.groups[a];
-                if g.recall_r <= 0.0 {
-                    // Zero-selectivity groups cannot help recall.
-                    continue;
-                }
-                let deficit = self.recall_target - recall;
-                if deficit <= 0.0 {
-                    met = true;
-                    break;
-                }
-                if g.recall_r >= deficit {
-                    r[a] = (deficit / g.recall_r).min(1.0);
-                    recall += g.recall_r * r[a];
-                    met = recall >= self.recall_target - 1e-12;
-                    if met {
-                        break;
-                    }
-                } else {
-                    r[a] = 1.0;
-                    recall += g.recall_r;
-                }
-            }
-            if !met && recall < self.recall_target - 1e-9 {
-                return Err(GreedyError::RecallUnreachable);
-            }
-        }
-
-        // Phase E: raise evaluations in increasing selectivity order over
-        // retrieved groups.
-        let mut precision = self.precision_lhs(&r, &e);
-        if precision < self.precision_target {
-            let mut by_sel_asc = by_sel_desc;
-            by_sel_asc.reverse();
-            for &a in &by_sel_asc {
-                if precision >= self.precision_target - 1e-12 {
-                    break;
-                }
-                if r[a] <= 0.0 {
-                    continue;
-                }
-                let g = &self.groups[a];
-                if g.prec_e <= 0.0 {
-                    continue;
-                }
-                let deficit = self.precision_target - precision;
-                let full_gain = g.prec_e * r[a];
-                if full_gain >= deficit {
-                    e[a] = deficit / g.prec_e;
-                    precision += deficit;
-                } else {
-                    e[a] = r[a];
-                    precision += full_gain;
-                }
-            }
-            if precision < self.precision_target - 1e-9 {
-                return Err(GreedyError::PrecisionUnreachable);
-            }
-        }
-
-        let cost = self.cost(&r, &e);
-        Ok(GreedyPlan { r, e, cost })
+        self.solve_with(self.recall_target, self.precision_target)
     }
 
-    /// Whether the sufficient conditions of the paper's Theorem 3.8 hold,
-    /// under which BiGreedy solves the LP exactly:
-    ///
-    /// * `precision_target < Σ_a max(t_a (s_a − α), 0)` — in coefficient
-    ///   form, `Σ max(prec_r + prec_e·0, …)`; note `prec_r = t_a(s_a − α)`
-    ///   for the Problem-2 instantiation, and
-    /// * `recall_target < Σ_a recall_r` (the recall mass strictly covers
-    ///   the target).
-    pub fn theorem_38_preconditions(&self) -> bool {
-        let prec_cap: f64 = self.groups.iter().map(|g| g.prec_r.max(0.0)).sum();
-        let recall_cap: f64 = self.groups.iter().map(|g| g.recall_r).sum();
-        self.precision_target < prec_cap && self.recall_target < recall_cap
-    }
-
-    /// BiGreedy with an exact fallback.
-    ///
-    /// The literal two-phase greedy of §3.2.2 only covers plans whose
-    /// recall constraint is tight; when the cheapest way to reach the
-    /// precision target is to *over-retrieve* high-selectivity groups
-    /// (possible when `s_a > α` groups remain unretrieved after the recall
-    /// phase), it misreports infeasibility or returns a suboptimal plan.
-    /// This wrapper runs BiGreedy first and falls back to the from-scratch
-    /// simplex solver whenever the greedy fails; callers that need the
-    /// exact LP optimum regardless of regime can pass
-    /// `always_exact = true` (cheap for the paper's |A| ≤ ~50).
-    pub fn solve_robust(&self, always_exact: bool) -> Result<GreedyPlan, GreedyError> {
-        let greedy = self.solve();
-        if !always_exact {
-            if let Ok(plan) = greedy {
-                return Ok(plan);
-            }
-        }
-        match self.to_linear_program().solve() {
-            crate::lp::LpOutcome::Optimal(s) => {
-                let k = self.groups.len();
-                let r = s.x[..k].to_vec();
-                // Clamp tiny simplex noise into the box; enforce E <= R.
-                let e: Vec<f64> = s.x[k..2 * k]
-                    .iter()
-                    .zip(&r)
-                    .map(|(&e, &r)| e.clamp(0.0, r.max(0.0)))
-                    .collect();
-                let r: Vec<f64> = r.into_iter().map(|v| v.clamp(0.0, 1.0)).collect();
-                let cost = self.cost(&r, &e);
-                Ok(GreedyPlan { r, e, cost })
-            }
-            // If the greedy found a (constructively feasible) plan but the
-            // simplex calls the instance infeasible, the instance is
-            // numerically borderline — trust the constructive answer.
-            crate::lp::LpOutcome::Infeasible => greedy,
-            crate::lp::LpOutcome::Unbounded => {
-                unreachable!("bounded variables and nonnegative costs cannot be unbounded")
-            }
-        }
-    }
-
-    /// Converts this structured problem into a general [`crate::lp::LinearProgram`]
-    /// (variables ordered `R_0..R_{k-1}, E_0..E_{k-1}`), used to
-    /// cross-validate BiGreedy against the simplex solver.
-    pub fn to_linear_program(&self) -> crate::lp::LinearProgram {
-        use crate::lp::{Constraint, LinearProgram, Relation};
-        let k = self.groups.len();
-        let nv = 2 * k;
-        let mut objective = vec![0.0; nv];
-        for (a, g) in self.groups.iter().enumerate() {
-            objective[a] = g.cost_r;
-            objective[k + a] = g.cost_e;
-        }
-        let mut constraints = Vec::with_capacity(2 + 2 * k);
-        let mut recall_row = vec![0.0; nv];
-        let mut prec_row = vec![0.0; nv];
-        for (a, g) in self.groups.iter().enumerate() {
-            recall_row[a] = g.recall_r;
-            prec_row[a] = g.prec_r;
-            prec_row[k + a] = g.prec_e;
-        }
-        constraints.push(Constraint {
-            coeffs: recall_row,
-            relation: Relation::Ge,
-            rhs: self.recall_target,
-        });
-        constraints.push(Constraint {
-            coeffs: prec_row,
-            relation: Relation::Ge,
-            rhs: self.precision_target,
-        });
-        for a in 0..k {
-            // R_a <= 1
-            let mut row = vec![0.0; nv];
-            row[a] = 1.0;
-            constraints.push(Constraint {
-                coeffs: row,
-                relation: Relation::Le,
-                rhs: 1.0,
-            });
-            // E_a - R_a <= 0
-            let mut row = vec![0.0; nv];
-            row[k + a] = 1.0;
-            row[a] = -1.0;
-            constraints.push(Constraint {
-                coeffs: row,
-                relation: Relation::Le,
-                rhs: 0.0,
-            });
-        }
-        LinearProgram::new(objective, constraints)
+    /// The minimum-cost plan at other targets, over the same coefficients.
+    pub fn solve_with(
+        &self,
+        recall_target: f64,
+        precision_target: f64,
+    ) -> Result<GreedyPlan, GreedyError> {
+        let plan = self.lp.solve(recall_target, precision_target)?;
+        let (r, e) = plan
+            .x
+            .chunks_exact(2)
+            .map(|x| {
+                let r = (x[0] + x[1]).min(1.0);
+                (r, x[1].min(r))
+            })
+            .unzip();
+        Ok(GreedyPlan {
+            r,
+            e,
+            cost: plan.cost,
+        })
     }
 }
 
@@ -362,22 +384,31 @@ mod tests {
         )
     }
 
+    /// The paper example's precision-constraint LHS for a plan.
+    fn paper_precision(plan: &GreedyPlan) -> f64 {
+        [0.9, 0.5, 0.1]
+            .iter()
+            .zip(plan.r.iter().zip(&plan.e))
+            .map(|(s, (r, e))| 1000.0 * (s * 0.1 * r - 0.9 * (1.0 - s) * (r - e)))
+            .sum()
+    }
+
     #[test]
     fn paper_example_zero_slack() {
         // With zero slack thresholds: recall target = beta * sum(t s) =
         // 0.9 * 1500 = 1350.
         let p = paper_example(1350.0, 0.0);
         let plan = p.solve().expect("feasible");
-        // Greedy retrieves group 0 fully (900 recall mass), then covers the
-        // remaining 450 with 450/500 of group 1 -> R_1 = 0.9.
+        // Group 0 is retrieved fully (900 recall mass), and the remaining
+        // 450 come from 450/500 of group 1 -> R_1 = 0.9.
         assert!((plan.r[0] - 1.0).abs() < 1e-9);
         assert!((plan.r[1] - 0.9).abs() < 1e-9);
         assert_eq!(plan.r[2], 0.0);
         // At alpha = 0.9, the retrieved mix (900 good : 100 bad in group 0
-        // plus a 50/50 slice of group 1) misses precision, so Phase E must
-        // evaluate the low-selectivity retrieved group. Solving
+        // plus a 50/50 slice of group 1) misses precision, so the plan
+        // must evaluate the low-selectivity retrieved group. Solving
         // 45 + 450·E - 405 >= 0 gives E_1 = 0.8.
-        assert!(p.precision_lhs(&plan.r, &plan.e) >= -1e-9);
+        assert!(paper_precision(&plan) >= -1e-9);
         assert_eq!(plan.e[0], 0.0);
         assert!((plan.e[1] - 0.8).abs() < 1e-9, "e1={}", plan.e[1]);
         assert_eq!(plan.e[2], 0.0);
@@ -385,10 +416,10 @@ mod tests {
 
     #[test]
     fn evaluations_rise_for_precision() {
-        // Force a positive precision target so Phase E must engage.
+        // Force a positive precision target so evaluations must engage.
         let p = paper_example(1350.0, 30.0);
         let plan = p.solve().expect("feasible");
-        assert!(p.precision_lhs(&plan.r, &plan.e) >= 30.0 - 1e-9);
+        assert!(paper_precision(&plan) >= 30.0 - 1e-9);
         // Evaluations must start at the lowest-selectivity retrieved group
         // (group 1 here, since group 2 is not retrieved).
         assert!(plan.e[1] > 0.0);
@@ -404,8 +435,8 @@ mod tests {
 
     #[test]
     fn precision_unreachable_reported() {
-        // Precision target above what full evaluation of retrieved groups
-        // can deliver.
+        // Precision target above what evaluating every retrieved tuple of
+        // every group can deliver.
         let p = paper_example(1350.0, 1e9);
         assert_eq!(p.solve(), Err(GreedyError::PrecisionUnreachable));
     }
@@ -429,35 +460,23 @@ mod tests {
     }
 
     #[test]
-    fn matches_simplex_on_paper_example() {
-        let p = paper_example(1350.0, 50.0);
-        let greedy = p.solve().expect("feasible");
-        match p.to_linear_program().solve() {
-            crate::lp::LpOutcome::Optimal(s) => {
-                assert!(
-                    (greedy.cost - s.objective).abs() < 1e-6 * (1.0 + s.objective.abs()),
-                    "greedy {} vs simplex {}",
-                    greedy.cost,
-                    s.objective
-                );
-            }
-            other => panic!("simplex failed: {other:?}"),
-        }
-    }
-
-    #[test]
     fn cost_accounting_is_consistent() {
         let p = paper_example(1350.0, 40.0);
         let plan = p.solve().expect("feasible");
-        assert!((p.cost(&plan.r, &plan.e) - plan.cost).abs() < 1e-9);
+        let cost: f64 = plan
+            .r
+            .iter()
+            .zip(&plan.e)
+            .map(|(r, e)| 1000.0 * (r + 3.0 * e))
+            .sum();
+        assert!((cost - plan.cost).abs() < 1e-9 * cost);
     }
 
-    /// The regime the paper's Theorem 3.8 preconditions exclude: precision
-    /// must be reached by *over-retrieving* a high-selectivity group, which
-    /// the literal two-phase greedy cannot express. The robust wrapper must
-    /// catch it via the LP fallback.
+    /// The regime Theorem 3.8's preconditions exclude: precision is
+    /// cheapest to reach by *over-retrieving* a high-selectivity group,
+    /// which BiGreedy's two phases cannot express.
     #[test]
-    fn over_retrieval_regime_needs_fallback() {
+    fn over_retrieval_regime_is_solved_exactly() {
         // One high-selectivity group; tiny recall target; precision target
         // reachable only by retrieving more than recall requires.
         let p = GreedyProblem::from_group_stats(
@@ -469,34 +488,37 @@ mod tests {
             1.0,  // recall: satisfied by a sliver of group 0
             30.0, // precision: needs R_0 well beyond that sliver
         );
-        // prec_r for group 0 = 100*(0.9-0.5) = 40 > 30, so the LP is
-        // feasible via retrieval alone…
-        assert!(p.theorem_38_preconditions());
-        // …but the literal greedy stops raising R once recall is met and
-        // cannot reach the target with evaluations alone.
-        assert_eq!(p.solve(), Err(GreedyError::PrecisionUnreachable));
-        // The robust path recovers the optimum.
-        let plan = p.solve_robust(false).expect("LP fallback must succeed");
-        assert!(p.precision_lhs(&plan.r, &plan.e) >= 30.0 - 1e-9);
-        assert!(p.recall_lhs(&plan.r) >= 1.0 - 1e-9);
-        match p.to_linear_program().solve() {
-            crate::lp::LpOutcome::Optimal(s) => {
-                assert!((plan.cost - s.objective).abs() < 1e-6 * (1.0 + s.objective));
-            }
-            other => panic!("simplex failed: {other:?}"),
+        // prec_r = 40 for group 0 and 10 for group 1, per 100 of cost;
+        // evaluating buys at most 20 per 300. So the optimum retrieves
+        // 30/40 of group 0 and evaluates nothing.
+        let plan = p.solve().expect("feasible by retrieval alone");
+        assert!((plan.r[0] - 0.75).abs() < 1e-12, "{plan:?}");
+        assert_eq!((plan.r[1], plan.e[0], plan.e[1]), (0.0, 0.0, 0.0));
+        assert!((plan.cost - 75.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn targets_move_without_rebuilding_the_coefficients() {
+        let p = paper_example(0.0, 0.0);
+        for (recall, precision) in [(1350.0, 0.0), (1350.0, 30.0), (1400.0, 120.0)] {
+            assert_eq!(
+                p.solve_with(recall, precision),
+                paper_example(recall, precision).solve()
+            );
         }
     }
 
     #[test]
-    fn robust_exact_agrees_with_greedy_in_standard_regime() {
-        let p = paper_example(1350.0, 50.0);
-        let greedy = p.solve().expect("feasible");
-        let exact = p.solve_robust(true).expect("feasible");
-        assert!(
-            (greedy.cost - exact.cost).abs() < 1e-6 * (1.0 + exact.cost),
-            "greedy {} vs exact {}",
-            greedy.cost,
-            exact.cost
+    fn nan_coefficients_do_not_panic() {
+        let p = GreedyProblem::from_group_stats(
+            &[10.0, 10.0],
+            &[f64::NAN, 0.5],
+            0.5,
+            1.0,
+            3.0,
+            1.0,
+            0.0,
         );
+        let _ = p.solve();
     }
 }

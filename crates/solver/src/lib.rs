@@ -2,23 +2,26 @@
 //!
 //! Everything the paper's query optimizer needs, built from scratch:
 //!
-//! * [`lp`] — a dense two-phase simplex solver; the workspace's
-//!   independent reference for linear programs.
-//! * [`bigreedy`] — the paper's `O(|A| log |A|)` BiGreedy algorithm
-//!   (§3.2.2) over abstract per-group coefficients; the production path
-//!   for LinearProg 3.4 and the kernel inside the convex fixed-point
-//!   iterations of §3.3/§4.2.
+//! * [`bigreedy`] — the one plan LP every optimizer builds ([`ChoiceLp`]:
+//!   per-group action choices under a recall row and a precision row) and
+//!   its exact, tableau-free solve. The paper's BiGreedy (§3.2.2) is its
+//!   two-action special case, and [`GreedyProblem`] is LinearProg 3.4's
+//!   `(R, E)` form of it.
 //! * [`perfect_info`] — Problem 1 (perfect information): exact
 //!   branch-and-bound plus an LP-relaxation heuristic.
 //! * [`knapsack`] — minimum knapsack (exact DP + greedy) and the
 //!   Theorem 3.2 reduction from min-knapsack to Problem 1, executable as a
 //!   test rather than just a citation.
+//!
+//! A dense two-phase simplex lives under this crate's `tests/` as the
+//! oracle the property tests hold the plan-LP solve to; no production path
+//! runs it.
 
 pub mod bigreedy;
 pub mod knapsack;
-pub mod lp;
 pub mod perfect_info;
 
-pub use bigreedy::{GreedyError, GreedyGroup, GreedyPlan, GreedyProblem};
-pub use lp::{Constraint, LinearProgram, LpOutcome, LpSolution, Relation};
+pub use bigreedy::{
+    Action, ChoiceLp, ChoicePlan, GreedyError, GreedyGroup, GreedyPlan, GreedyProblem,
+};
 pub use perfect_info::{Decision, PerfectGroup, PerfectInfoInstance, PerfectInfoSolution};

@@ -296,14 +296,14 @@ impl PerfectInfoInstance {
         })
     }
 
-    /// LP-relaxation + safe rounding: solve the fractional problem with
-    /// BiGreedy (zero concentration slack — information is perfect), then
-    /// round every positive probability up to 1.
+    /// LP-relaxation + safe rounding: solve the fractional problem exactly
+    /// (zero concentration slack — information is perfect), then round
+    /// every positive probability up to 1.
     ///
     /// Rounding up is *safe*: raising `R_a` (with `E_a = R_a`) can only
     /// increase both constraint LHS values, so the rounded plan stays
-    /// feasible; at most two groups are fractional after BiGreedy so the
-    /// cost overshoot is bounded by two group costs.
+    /// feasible; the cost overshoot is bounded by the costs of the groups
+    /// the relaxation left fractional.
     pub fn solve_heuristic(&self) -> Option<PerfectInfoSolution> {
         let sizes: Vec<f64> = self.groups.iter().map(|g| g.size() as f64).collect();
         let sels: Vec<f64> = self.groups.iter().map(|g| g.selectivity()).collect();

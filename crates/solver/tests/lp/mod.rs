@@ -1,17 +1,109 @@
-//! A dense two-phase simplex LP solver.
+//! A dense two-phase simplex LP solver: the test oracle.
 //!
-//! Built from scratch so the workspace has an *independent* reference
-//! solver: the paper's BiGreedy algorithm (§3.2.2) is cross-validated
-//! against this implementation on randomized instances (see the property
-//! tests), and the perfect-information branch-and-bound uses it for
-//! relaxation bounds.
+//! It shares no code with `expred_solver`'s plan-LP solve, so the property
+//! tests hold that solve to an *independent* reference on randomized
+//! instances. No production path runs it. Test targets include this file
+//! as a module, each using a subset of it.
 //!
 //! Scope: minimize `c·x` subject to `a_i · x {≤,≥,=} b_i` and `x ≥ 0`.
 //! Callers encode upper bounds and ordering constraints as rows. Dense
-//! tableau with Bland's anti-cycling rule — `O(m·n)` per pivot, entirely
-//! adequate for the paper's instance sizes (|A| ≤ a few thousand rows is
-//! handled by BiGreedy instead; simplex is for validation and small exact
-//! solves).
+//! tableau with Bland's anti-cycling rule — `O(m·n)` per pivot, adequate
+//! for the tens of groups the oracle checks.
+#![allow(dead_code)]
+
+use expred_solver::ChoiceLp;
+
+/// LinearProg 3.4 over raw group statistics (the Problem-2 instantiation),
+/// with variables ordered `R_0..R_{k-1}, E_0..E_{k-1}`.
+pub fn paper_lp(
+    sizes: &[f64],
+    sels: &[f64],
+    alpha: f64,
+    cost_retrieve: f64,
+    cost_evaluate: f64,
+    recall_target: f64,
+    precision_target: f64,
+) -> LinearProgram {
+    let k = sizes.len();
+    let mut objective = vec![0.0; 2 * k];
+    let mut recall_row = vec![0.0; 2 * k];
+    let mut prec_row = vec![0.0; 2 * k];
+    let mut constraints = Vec::with_capacity(2 + 2 * k);
+    for (a, (&t, &s)) in sizes.iter().zip(sels).enumerate() {
+        objective[a] = t * cost_retrieve;
+        objective[k + a] = t * cost_evaluate;
+        recall_row[a] = t * s;
+        prec_row[a] = t * s * (1.0 - alpha) - alpha * t * (1.0 - s);
+        prec_row[k + a] = alpha * t * (1.0 - s);
+        // R_a <= 1 and E_a - R_a <= 0.
+        let mut row = vec![0.0; 2 * k];
+        row[a] = 1.0;
+        constraints.push(Constraint {
+            coeffs: row.clone(),
+            relation: Relation::Le,
+            rhs: 1.0,
+        });
+        row[a] = -1.0;
+        row[k + a] = 1.0;
+        constraints.push(Constraint {
+            coeffs: row,
+            relation: Relation::Le,
+            rhs: 0.0,
+        });
+    }
+    constraints.push(Constraint {
+        coeffs: recall_row,
+        relation: Relation::Ge,
+        rhs: recall_target,
+    });
+    constraints.push(Constraint {
+        coeffs: prec_row,
+        relation: Relation::Ge,
+        rhs: precision_target,
+    });
+    LinearProgram::new(objective, constraints)
+}
+
+/// A [`ChoiceLp`] with one variable per action, in push order, and one
+/// `Σ x ≤ 1` row per group.
+pub fn choice_lp(lp: &ChoiceLp, recall_target: f64, precision_target: f64) -> LinearProgram {
+    let mut objective = Vec::new();
+    let mut recall_row = Vec::new();
+    let mut prec_row = Vec::new();
+    let mut groups = Vec::new();
+    for (recall, actions) in lp.groups() {
+        groups.push(objective.len()..objective.len() + actions.len());
+        for action in actions {
+            objective.push(action.cost);
+            recall_row.push(recall);
+            prec_row.push(action.precision);
+        }
+    }
+    let n = objective.len();
+    let mut constraints: Vec<Constraint> = groups
+        .into_iter()
+        .map(|vars| {
+            let mut coeffs = vec![0.0; n];
+            coeffs[vars].fill(1.0);
+            Constraint {
+                coeffs,
+                relation: Relation::Le,
+                rhs: 1.0,
+            }
+        })
+        .collect();
+    constraints.push(Constraint {
+        coeffs: recall_row,
+        relation: Relation::Ge,
+        rhs: recall_target,
+    });
+    constraints.push(Constraint {
+        coeffs: prec_row,
+        relation: Relation::Ge,
+        rhs: precision_target,
+    });
+    LinearProgram::new(objective, constraints)
+}
 
 /// Direction of one linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -371,146 +463,4 @@ impl Simplex {
 enum PivotResult {
     Optimal,
     Unbounded,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn c(coeffs: Vec<f64>, relation: Relation, rhs: f64) -> Constraint {
-        Constraint {
-            coeffs,
-            relation,
-            rhs,
-        }
-    }
-
-    #[test]
-    fn simple_minimization() {
-        // min x + y s.t. x + 2y >= 4, 3x + y >= 6, x,y >= 0.
-        // Optimum at intersection: x=1.6, y=1.2, objective 2.8.
-        let lp = LinearProgram::new(
-            vec![1.0, 1.0],
-            vec![
-                c(vec![1.0, 2.0], Relation::Ge, 4.0),
-                c(vec![3.0, 1.0], Relation::Ge, 6.0),
-            ],
-        );
-        match lp.solve() {
-            LpOutcome::Optimal(s) => {
-                assert!((s.objective - 2.8).abs() < 1e-7, "obj={}", s.objective);
-                assert!((s.x[0] - 1.6).abs() < 1e-7);
-                assert!((s.x[1] - 1.2).abs() < 1e-7);
-            }
-            other => panic!("expected optimal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn maximization_via_negation() {
-        // max 3x + 2y s.t. x + y <= 4, x + 3y <= 6  => min -3x -2y.
-        // Optimum x=4, y=0, value 12.
-        let lp = LinearProgram::new(
-            vec![-3.0, -2.0],
-            vec![
-                c(vec![1.0, 1.0], Relation::Le, 4.0),
-                c(vec![1.0, 3.0], Relation::Le, 6.0),
-            ],
-        );
-        match lp.solve() {
-            LpOutcome::Optimal(s) => {
-                assert!((s.objective + 12.0).abs() < 1e-7, "obj={}", s.objective);
-            }
-            other => panic!("expected optimal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn detects_infeasible() {
-        // x >= 2 and x <= 1.
-        let lp = LinearProgram::new(
-            vec![1.0],
-            vec![
-                c(vec![1.0], Relation::Ge, 2.0),
-                c(vec![1.0], Relation::Le, 1.0),
-            ],
-        );
-        assert_eq!(lp.solve(), LpOutcome::Infeasible);
-    }
-
-    #[test]
-    fn detects_unbounded() {
-        // min -x s.t. x >= 1 (x can grow without bound).
-        let lp = LinearProgram::new(vec![-1.0], vec![c(vec![1.0], Relation::Ge, 1.0)]);
-        assert_eq!(lp.solve(), LpOutcome::Unbounded);
-    }
-
-    #[test]
-    fn equality_constraints() {
-        // min x + y s.t. x + y = 5, x - y = 1  => x=3, y=2.
-        let lp = LinearProgram::new(
-            vec![1.0, 1.0],
-            vec![
-                c(vec![1.0, 1.0], Relation::Eq, 5.0),
-                c(vec![1.0, -1.0], Relation::Eq, 1.0),
-            ],
-        );
-        match lp.solve() {
-            LpOutcome::Optimal(s) => {
-                assert!((s.x[0] - 3.0).abs() < 1e-7);
-                assert!((s.x[1] - 2.0).abs() < 1e-7);
-            }
-            other => panic!("expected optimal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn negative_rhs_normalization() {
-        // min x s.t. -x <= -3  (i.e. x >= 3).
-        let lp = LinearProgram::new(vec![1.0], vec![c(vec![-1.0], Relation::Le, -3.0)]);
-        match lp.solve() {
-            LpOutcome::Optimal(s) => assert!((s.x[0] - 3.0).abs() < 1e-7),
-            other => panic!("expected optimal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn degenerate_lp_terminates() {
-        // Classic degeneracy: multiple constraints active at the optimum.
-        let lp = LinearProgram::new(
-            vec![-0.75, 150.0, -0.02, 6.0],
-            vec![
-                c(vec![0.25, -60.0, -0.04, 9.0], Relation::Le, 0.0),
-                c(vec![0.5, -90.0, -0.02, 3.0], Relation::Le, 0.0),
-                c(vec![0.0, 0.0, 1.0, 0.0], Relation::Le, 1.0),
-            ],
-        );
-        // Beale's cycling example: Bland's rule must terminate (optimum
-        // -0.05 at x = (0.04, 0, 1, 0)).
-        match lp.solve() {
-            LpOutcome::Optimal(s) => {
-                assert!((s.objective + 0.05).abs() < 1e-7, "obj={}", s.objective);
-            }
-            other => panic!("expected optimal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn feasibility_checker() {
-        let lp = LinearProgram::new(vec![1.0, 1.0], vec![c(vec![1.0, 1.0], Relation::Ge, 1.0)]);
-        assert!(lp.is_feasible(&[0.5, 0.6], 1e-9));
-        assert!(!lp.is_feasible(&[0.2, 0.2], 1e-9));
-        assert!(!lp.is_feasible(&[-0.5, 2.0], 1e-9));
-        assert!(!lp.is_feasible(&[1.0], 1e-9));
-    }
-
-    #[test]
-    fn zero_constraint_lp() {
-        // Unconstrained minimization of x over x >= 0: optimum 0.
-        let lp = LinearProgram::new(vec![1.0], vec![]);
-        match lp.solve() {
-            LpOutcome::Optimal(s) => assert_eq!(s.objective, 0.0),
-            other => panic!("expected optimal, got {other:?}"),
-        }
-    }
 }

@@ -1,18 +1,25 @@
 //! Property tests for the optimization substrate.
 //!
-//! The centerpiece: BiGreedy (the paper's `O(|A| log |A|)` special-purpose
-//! algorithm) must agree with the from-scratch simplex solver on randomized
-//! instances of the structured LP — same feasibility verdict, same optimal
-//! cost.
+//! The centerpiece: the plan-LP solve must agree with the simplex oracle
+//! (`tests/lp`) on randomized instances of every shape the optimizer
+//! builds — the same feasibility verdict, the same optimal cost within
+//! `1e-9 × (1 + |cost|)`, and a plan that meets both rows and every box
+//! constraint within that tolerance.
 
-use expred_solver::bigreedy::GreedyProblem;
+mod lp;
+
+use expred_solver::bigreedy::{Action, ChoiceLp, GreedyProblem};
 use expred_solver::knapsack::{greedy_min_knapsack, solve_min_knapsack, Item};
-use expred_solver::lp::{Constraint, LinearProgram, LpOutcome, Relation};
 use expred_solver::perfect_info::{Decision, PerfectGroup, PerfectInfoInstance};
+use lp::{Constraint, LinearProgram, LpOutcome, Relation};
 use proptest::prelude::*;
 
+/// Raw statistics of one paper-shaped instance: sizes, selectivities,
+/// `alpha`, and the recall and precision targets.
+type PaperInstance = (Vec<f64>, Vec<f64>, f64, f64, f64);
+
 /// Strategy: a random structured instance in the paper's parameter ranges.
-fn greedy_instance() -> impl Strategy<Value = GreedyProblem> {
+fn greedy_instance() -> impl Strategy<Value = PaperInstance> {
     let group = (10usize..2000, 0.01f64..0.99);
     (
         prop::collection::vec(group, 2..8),
@@ -30,41 +37,229 @@ fn greedy_instance() -> impl Strategy<Value = GreedyProblem> {
                 .zip(&sels)
                 .map(|(t, s)| t * s * (1.0 - alpha))
                 .sum();
-            GreedyProblem::from_group_stats(
-                &sizes,
-                &sels,
-                alpha,
-                1.0,
-                3.0,
-                beta * recall_mass,
-                prec_frac * prec_max,
-            )
+            (sizes, sels, alpha, beta * recall_mass, prec_frac * prec_max)
         })
+}
+
+/// LinearProg 3.4's recall and precision LHS for an `(R, E)` plan.
+fn paper_lhs(sizes: &[f64], sels: &[f64], alpha: f64, r: &[f64], e: &[f64]) -> (f64, f64) {
+    let mut lhs = (0.0, 0.0);
+    for ((&t, &s), (&r, &e)) in sizes.iter().zip(sels).zip(r.iter().zip(e)) {
+        lhs.0 += t * s * r;
+        lhs.1 += t * s * (1.0 - alpha) * r - alpha * t * (1.0 - s) * (r - e);
+    }
+    lhs
+}
+
+/// One group's raw draws: size, selectivity, how the selectivity ties
+/// (0: `s = α`; 1: a three-value grid shared across groups; else free),
+/// and two draws per action (output fraction, evaluation cost).
+type RawGroup = (usize, f64, u8, Vec<f64>);
+
+/// Strategy: the raw draws of one plan LP of any shape — shapes 0 and 1
+/// are the paper's `(R, E)` form, 2 the two-predicate form (4 actions per
+/// group), 3 the `n`-predicate chain (2ⁿ actions, n ≤ 3) — with `alpha`,
+/// the targets as fractions of their rows' ranges (above 1 is
+/// unreachable), the two unit costs and `n`.
+#[allow(clippy::type_complexity)]
+fn plan_lp_instance() -> impl Strategy<Value = (u8, Vec<RawGroup>, f64, (f64, f64), (f64, f64), u32)>
+{
+    let group = (
+        0usize..2000,
+        0.0f64..1.0,
+        0u8..4,
+        prop::collection::vec(0.0f64..1.0, 16),
+    );
+    (
+        0u8..4,
+        prop::collection::vec(group, 0..9),
+        0.05f64..0.95,
+        (0.0f64..1.15, -0.1f64..1.1),
+        (0.0f64..2.0, 0.0f64..5.0),
+        1u32..4,
+    )
+}
+
+/// A raw group's size (zero for about one group in thirteen) and
+/// selectivity.
+fn size_and_sel(&(size, sel, tie, _): &RawGroup, alpha: f64) -> (f64, f64) {
+    let t = if size < 150 { 0.0 } else { size as f64 };
+    let s = match tie {
+        0 => alpha,
+        1 => [0.25, 0.5, 0.75][(sel * 3.0) as usize % 3],
+        _ => sel,
+    };
+    (t, s)
+}
+
+/// What the checks need of a returned plan: its cost, its smallest
+/// action probability, its largest per-group total, and both rows' LHS.
+#[derive(Debug)]
+struct Summary {
+    cost: f64,
+    min_prob: f64,
+    max_mass: f64,
+    recall: f64,
+    precision: f64,
+}
+
+/// Holds a solve's answer to the oracle's.
+fn agrees_with_oracle(
+    got: Result<Summary, String>,
+    oracle: &LinearProgram,
+    recall_target: f64,
+    precision_target: f64,
+) -> TestCaseResult {
+    match (got, oracle.solve()) {
+        (Ok(plan), LpOutcome::Optimal(s)) => {
+            let tol = 1e-9 * (1.0 + s.objective.abs());
+            prop_assert!(
+                (plan.cost - s.objective).abs() <= tol,
+                "solve {} vs simplex {}",
+                plan.cost,
+                s.objective
+            );
+            prop_assert!(
+                plan.min_prob >= -tol && plan.max_mass <= 1.0 + tol,
+                "{plan:?}"
+            );
+            prop_assert!(
+                plan.recall >= recall_target - tol,
+                "{plan:?} vs {recall_target}"
+            );
+            prop_assert!(
+                plan.precision >= precision_target - tol,
+                "{plan:?} vs {precision_target}"
+            );
+        }
+        (Err(_), LpOutcome::Infeasible) => {}
+        (got, want) => prop_assert!(false, "solve {got:?} vs simplex {want:?}"),
+    }
+    Ok(())
+}
+
+#[test]
+fn matches_simplex_on_paper_example() {
+    let (sizes, sels) = ([1000.0; 3], [0.9, 0.5, 0.1]);
+    let plan = GreedyProblem::from_group_stats(&sizes, &sels, 0.9, 1.0, 3.0, 1350.0, 50.0)
+        .solve()
+        .expect("feasible");
+    match lp::paper_lp(&sizes, &sels, 0.9, 1.0, 3.0, 1350.0, 50.0).solve() {
+        LpOutcome::Optimal(s) => assert!(
+            (plan.cost - s.objective).abs() < 1e-9 * (1.0 + s.objective.abs()),
+            "solve {} vs simplex {}",
+            plan.cost,
+            s.objective
+        ),
+        other => panic!("simplex failed: {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    #[test]
+    fn plan_lp_solve_matches_simplex(
+        (shape, raw, alpha, (recall_frac, prec_frac), (o_r, o_e), n) in plan_lp_instance()
+    ) {
+        let (sizes, sels): (Vec<f64>, Vec<f64>) =
+            raw.iter().map(|g| size_and_sel(g, alpha)).unzip();
+        let recall_mass: f64 = sizes.iter().zip(&sels).map(|(t, s)| t * s).sum();
+        let recall_target = recall_frac * recall_mass;
+        if shape < 2 {
+            // The paper's form, through `GreedyProblem`, against the
+            // oracle's own (R, E) formulation of the raw statistics.
+            let lo: f64 = sizes.iter().zip(&sels).map(|(t, s)| (t * (s - alpha)).min(0.0)).sum();
+            let hi: f64 = sizes.iter().zip(&sels).map(|(t, s)| t * s * (1.0 - alpha)).sum();
+            let precision_target = lo + prec_frac * (hi - lo);
+            let got = GreedyProblem::from_group_stats(
+                &sizes, &sels, alpha, o_r, o_e, recall_target, precision_target,
+            )
+            .solve()
+            .map(|p| {
+                let (recall, precision) = paper_lhs(&sizes, &sels, alpha, &p.r, &p.e);
+                let min_prob = p.r.iter().zip(&p.e).map(|(r, e)| e.min(r - e)).fold(0.0, f64::min);
+                let max_mass = p.r.iter().copied().fold(0.0, f64::max);
+                Summary { cost: p.cost, min_prob, max_mass, recall, precision }
+            })
+            .map_err(|e| e.to_string());
+            let oracle = lp::paper_lp(
+                &sizes, &sels, alpha, o_r, o_e, recall_target, precision_target,
+            );
+            agrees_with_oracle(got, &oracle, recall_target, precision_target)?;
+        } else {
+            // Multi-action groups: action 0 returns blind, the last
+            // evaluates every predicate (output = s), the rest in between.
+            let width = if shape == 2 { 4 } else { 1usize << n };
+            let mut choice = ChoiceLp::default();
+            let (mut lo, mut hi) = (0.0, 0.0);
+            for (g, (&t, &s)) in raw.iter().zip(sizes.iter().zip(&sels)) {
+                let actions: Vec<Action> = (0..width)
+                    .map(|i| {
+                        let (out, eval) = match i {
+                            0 => (1.0, 0.0),
+                            _ if i == width - 1 => (s, g.3[1]),
+                            _ => (s + (1.0 - s) * g.3[2 * i], g.3[2 * i + 1]),
+                        };
+                        Action { cost: t * (o_r + o_e * eval), precision: t * (s - alpha * out) }
+                    })
+                    .collect();
+                lo += actions.iter().map(|a| a.precision).fold(0.0, f64::min);
+                hi += actions.iter().map(|a| a.precision).fold(0.0, f64::max);
+                choice.push_group(t * s, actions);
+            }
+            let precision_target = lo + prec_frac * (hi - lo);
+            let got = choice
+                .solve(recall_target, precision_target)
+                .map(|p| {
+                    let mut summary = Summary {
+                        cost: p.cost,
+                        min_prob: p.x.iter().copied().fold(0.0, f64::min),
+                        max_mass: 0.0,
+                        recall: 0.0,
+                        precision: 0.0,
+                    };
+                    for ((u, actions), x) in choice.groups().zip(p.x.chunks(width)) {
+                        let mass: f64 = x.iter().sum();
+                        summary.max_mass = summary.max_mass.max(mass);
+                        summary.recall += u * mass;
+                        summary.precision +=
+                            actions.iter().zip(x).map(|(a, x)| a.precision * x).sum::<f64>();
+                    }
+                    summary
+                })
+                .map_err(|e| e.to_string());
+            let oracle = lp::choice_lp(&choice, recall_target, precision_target);
+            agrees_with_oracle(got, &oracle, recall_target, precision_target)?;
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn bigreedy_plans_are_feasible_and_bounded_below_by_lp(problem in greedy_instance()) {
-        let lp = problem.to_linear_program();
-        let simplex = lp.solve();
+    fn bigreedy_plans_are_feasible_and_bounded_below_by_lp(
+        (sizes, sels, alpha, recall, precision) in greedy_instance()
+    ) {
+        let simplex = lp::paper_lp(&sizes, &sels, alpha, 1.0, 3.0, recall, precision).solve();
+        let problem =
+            GreedyProblem::from_group_stats(&sizes, &sels, alpha, 1.0, 3.0, recall, precision);
         if let Ok(plan) = problem.solve() {
             // Plan must satisfy its own constraints and bounds.
-            prop_assert!(problem.recall_lhs(&plan.r) >= problem.recall_target - 1e-6);
-            prop_assert!(
-                problem.precision_lhs(&plan.r, &plan.e) >= problem.precision_target - 1e-6
-            );
+            let (recall_lhs, precision_lhs) = paper_lhs(&sizes, &sels, alpha, &plan.r, &plan.e);
+            prop_assert!(recall_lhs >= recall - 1e-6);
+            prop_assert!(precision_lhs >= precision - 1e-6);
             for (r, e) in plan.r.iter().zip(&plan.e) {
                 prop_assert!((0.0..=1.0 + 1e-9).contains(r));
                 prop_assert!(*e >= -1e-9 && *e <= *r + 1e-9);
             }
             match simplex {
                 LpOutcome::Optimal(s) => {
-                    // A feasible greedy plan can never beat the LP optimum.
+                    // A feasible plan can never beat the LP optimum.
                     prop_assert!(
                         plan.cost >= s.objective - 1e-5 * (1.0 + s.objective.abs()),
-                        "greedy {} below LP optimum {}",
+                        "plan {} below LP optimum {}",
                         plan.cost,
                         s.objective
                     );
@@ -75,46 +270,8 @@ proptest! {
     }
 
     #[test]
-    fn solve_robust_matches_simplex_exactly(problem in greedy_instance()) {
-        let lp = problem.to_linear_program();
-        match (problem.solve_robust(true), lp.solve()) {
-            (Ok(plan), LpOutcome::Optimal(s)) => {
-                let scale = 1.0 + s.objective.abs();
-                prop_assert!(
-                    (plan.cost - s.objective).abs() < 1e-5 * scale,
-                    "robust {} vs simplex {}",
-                    plan.cost,
-                    s.objective
-                );
-                prop_assert!(problem.recall_lhs(&plan.r) >= problem.recall_target - 1e-6);
-                prop_assert!(
-                    problem.precision_lhs(&plan.r, &plan.e) >= problem.precision_target - 1e-6
-                );
-            }
-            (Err(_), LpOutcome::Infeasible) => {}
-            (got, want) => prop_assert!(false, "robust {got:?} vs simplex {want:?}"),
-        }
-    }
-
-    #[test]
-    fn bigreedy_fast_path_feasible_whenever_it_answers(problem in greedy_instance()) {
-        // The production fast path (greedy first, simplex fallback) must
-        // always return a feasible plan when one exists.
-        match (problem.solve_robust(false), problem.to_linear_program().solve()) {
-            (Ok(plan), _) => {
-                prop_assert!(problem.recall_lhs(&plan.r) >= problem.recall_target - 1e-6);
-                prop_assert!(
-                    problem.precision_lhs(&plan.r, &plan.e) >= problem.precision_target - 1e-6
-                );
-            }
-            (Err(_), LpOutcome::Infeasible) => {}
-            (Err(e), other) => prop_assert!(false, "fast path {e:?} but simplex {other:?}"),
-        }
-    }
-
-    #[test]
-    fn simplex_solutions_are_feasible(problem in greedy_instance()) {
-        let lp = problem.to_linear_program();
+    fn simplex_solutions_are_feasible((sizes, sels, alpha, recall, precision) in greedy_instance()) {
+        let lp = lp::paper_lp(&sizes, &sels, alpha, 1.0, 3.0, recall, precision);
         if let LpOutcome::Optimal(s) = lp.solve() {
             prop_assert!(lp.is_feasible(&s.x, 1e-6));
         }
