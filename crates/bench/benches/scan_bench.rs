@@ -25,6 +25,10 @@
 //!   `Dataset::generate` alone — the predictor and the label, what a
 //!   query on a named predictor reads. All three drop the table they
 //!   built.
+//! * `cold_table_<rows>` — what a query over a table the session has
+//!   never seen pays before its first probe, in ns/row: `Dataset::generate`,
+//!   then `Table::group_by` on the predictor, then the label column's
+//!   `Column::true_rows` plane.
 //! * `one_hot_<rows>` — `extract_features` (dictionary-coded one-hot)
 //!   over the full PROSPER candidate set; like `group_by`, its per-cell
 //!   predecessor is now `expred-ml`'s test oracle, not a baseline row.
@@ -42,7 +46,7 @@
 use expred_bench::report::measure_ns_per_unit;
 use expred_bench::BenchReport;
 use expred_ml::features::{extract_features, FeatureSpec};
-use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
+use expred_table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
 use expred_table::{DerivedCache, ScanPredicate, Table, Value};
 use std::hint::black_box;
 
@@ -136,6 +140,18 @@ fn main() {
         );
         check(&scenario, by_rows, columnar);
         check(&scenario, columnar, lazy);
+
+        // What a query over a table the session has never seen pays
+        // before its first probe: generate, group by the predictor, and
+        // the label's truth plane.
+        let scenario = format!("cold_table_{rows}");
+        let cold = measure_ns_per_unit(units, reps.div_ceil(3), || {
+            let table = Dataset::generate(ds.spec, black_box(ds.seed)).table;
+            black_box(table.group_by(ds.spec.predictor).unwrap());
+            black_box(table.column(LABEL_COLUMN).unwrap().true_rows());
+        });
+        report.record_metric(&scenario, "kernel", "ns_per_row", "ns", cold);
+        println!("{scenario:<24} kernel {cold:>8.1} ns/row");
 
         // One-hot encoding from dictionary codes.
         let scenario = format!("one_hot_{rows}");

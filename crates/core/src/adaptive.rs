@@ -20,6 +20,8 @@ use crate::query::QuerySpec;
 use crate::sampling::{adaptive_num_search, sample_groups, SampleSizeRule};
 use expred_exec::ExecContext;
 use expred_table::datasets::Dataset;
+use expred_table::GroupBy;
+use std::ops::Range;
 
 /// §4.3's adaptive pipeline: no sampling parameter needs to be supplied.
 pub fn run_intel_sample_adaptive(
@@ -79,8 +81,8 @@ pub fn run_intel_sample_iterative(
         let mut sample = sample_groups(&groups, &f.invoker, initial_rule, &mut f.rng, ctx);
         // Every round's answer rows join one plane over the table.
         let mut returned = f.empty_answer();
-        // Rows not yet touched by execution, per group.
-        let mut pending: Vec<Vec<u32>> = (0..k).map(|g| groups.rows(g).to_vec()).collect();
+        // Rows of each group executed so far: its first ones by rank.
+        let mut executed = vec![0; k];
         let mut plan_feasible = true;
 
         for round in 0..rounds {
@@ -88,35 +90,17 @@ pub fn run_intel_sample_iterative(
             let (plan, feasible) =
                 solve_or_evaluate_all(solve_estimated(&est_groups, spec, corr), k);
             plan_feasible &= feasible;
-            // Slice each group's pending rows for this round, restricting the
-            // plan to the groups that still have rows.
-            let remaining_rounds = rounds - round;
-            let mut keys = Vec::new();
-            let mut slice_rows: Vec<Vec<u32>> = Vec::new();
-            let mut slice_r = Vec::new();
-            let mut slice_e = Vec::new();
-            let mut total = 0usize;
-            for (g, p) in pending.iter_mut().enumerate() {
-                let take = p.len().div_ceil(remaining_rounds).min(p.len());
-                if take == 0 {
-                    continue;
-                }
-                let slice: Vec<u32> = p.drain(..take).collect();
-                total += slice.len();
-                keys.push(groups.key(g).clone());
-                slice_rows.push(slice);
-                slice_r.push(plan.r()[g]);
-                slice_e.push(plan.e()[g]);
-            }
-            if total == 0 {
+            // Slice each group's pending rows for this round off its runs,
+            // restricting the plan to the groups that still have rows.
+            let ranks = next_slices(&groups, &mut executed, rounds - round);
+            let (slice_r, slice_e): (Vec<f64>, Vec<f64>) = (0..k)
+                .filter(|&g| !ranks[g].is_empty())
+                .map(|g| (plan.r()[g], plan.e()[g]))
+                .unzip();
+            if slice_r.is_empty() {
                 break;
             }
-            let slice_groups = expred_table::GroupBy::new(
-                format!("{predictor}#round{round}"),
-                keys,
-                slice_rows,
-                total,
-            );
+            let slice_groups = groups.slice(format!("{predictor}#round{round}"), &ranks);
             let slice_plan = Plan::new(slice_r, slice_e);
             execute_plan_into(
                 &slice_plan,
@@ -146,11 +130,68 @@ pub fn run_intel_sample_iterative(
     })
 }
 
+/// Each group's slice for the next round, as a range of ranks among its
+/// rows: a `1/remaining_rounds` share, rounded up, of the rows after the
+/// `executed` ones, which it then counts as executed.
+fn next_slices(
+    groups: &GroupBy,
+    executed: &mut [usize],
+    remaining_rounds: usize,
+) -> Vec<Range<usize>> {
+    executed
+        .iter_mut()
+        .enumerate()
+        .map(|(g, executed)| {
+            let start = *executed;
+            *executed += (groups.size(g) - start).div_ceil(remaining_rounds);
+            start..*executed
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{run_intel_sample, run_naive, IntelSampleConfig, PredictorChoice};
     use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn run_slices_are_the_row_list_slices_round_by_round(
+            assignments in prop::collection::vec(0usize..9, 1..400),
+            rounds in 1usize..6,
+        ) {
+            let groups = GroupBy::from_assignments("g", &assignments);
+            let k = groups.num_groups();
+            // The slicing the runs replaced: drain each group's row list
+            // and rebuild a grouping through `GroupBy::new`.
+            let mut pending: Vec<Vec<u32>> = (0..k).map(|g| groups.rows(g).collect()).collect();
+            let mut executed = vec![0; k];
+            for round in 0..rounds {
+                let remaining_rounds = rounds - round;
+                let (mut keys, mut rows, mut total) = (Vec::new(), Vec::new(), 0);
+                for (g, p) in pending.iter_mut().enumerate() {
+                    let take = p.len().div_ceil(remaining_rounds).min(p.len());
+                    if take > 0 {
+                        total += take;
+                        keys.push(groups.key(g).clone());
+                        rows.push(p.drain(..take).collect::<Vec<u32>>());
+                    }
+                }
+                let ranks = next_slices(&groups, &mut executed, remaining_rounds);
+                let kept = ranks.iter().filter(|r| !r.is_empty()).count();
+                prop_assert_eq!(kept, keys.len(), "round {}", round);
+                let label = format!("g#round{round}");
+                let want = GroupBy::new(label.clone(), keys, rows, total);
+                prop_assert_eq!(groups.slice(label, &ranks), want, "round {}", round);
+            }
+            prop_assert!(pending.iter().all(Vec::is_empty), "rounds left rows behind");
+            prop_assert_eq!(executed, groups.sizes());
+        }
+    }
 
     fn small_prosper() -> Dataset {
         Dataset::generate(

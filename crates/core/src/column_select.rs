@@ -15,13 +15,13 @@ use crate::error::EngineError;
 use crate::optimize::solve_perfect_selectivities;
 use crate::pipeline::session_group_by;
 use crate::query::QuerySpec;
+use crate::sampling::draw_by_rank;
 use expred_exec::ExecContext;
 use expred_ml::features::{extract_features_cached, FeatureSpec};
 use expred_ml::logistic::{train, TrainConfig};
 use expred_stats::estimator::SelectivityEstimate;
 use expred_stats::histogram::bucketize;
 use expred_stats::rng::Prng;
-use expred_table::rowset::bits;
 use expred_table::{GroupBy, RowSet, Table};
 use expred_udf::UdfInvoker;
 
@@ -74,25 +74,20 @@ pub fn rank_columns(
         // Grow the labelled sample to the current target.
         let missing = target.saturating_sub(labelled.len());
         if missing > 0 {
-            // Every row of the table, as runs: full words, then the tail.
-            let every_row = (0..n.div_ceil(64)).map(|word| {
-                let rows_left = n - word * 64;
-                let mask = if rows_left < 64 {
-                    (1 << rows_left) - 1
-                } else {
-                    u64::MAX
-                };
-                (word as u32, mask)
-            });
-            let mut unlabelled: Vec<usize> = Vec::new();
-            invoker.scan_runs(every_row, |word, mask, known, _| {
-                unlabelled.extend(bits(mask & !known).map(|bit| word * 64 + bit as usize));
-            });
-            let batch: Vec<usize> = rng
-                .sample_indices(unlabelled.len(), missing)
-                .into_iter()
-                .map(|idx| unlabelled[idx])
+            // Every row of the table, read a word at a time; the sample
+            // is drawn by rank among the undecided ones.
+            let every_row = RowSet::full(n);
+            let (decided, _) = invoker.scan_plane(&every_row);
+            let unlabelled: Vec<(u32, u64)> = every_row
+                .words()
+                .iter()
+                .zip(decided.words())
+                .enumerate()
+                .map(|(word, (&rows, &decided))| (word as u32, rows & !decided))
+                .filter(|&(_, open)| open != 0)
                 .collect();
+            let mut batch = Vec::with_capacity(missing);
+            draw_by_rank(&unlabelled, missing, rng, &mut batch);
             let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
             for (&row, passed) in batch.iter().zip(answers) {
                 labelled_set.insert(row);
@@ -327,8 +322,8 @@ mod tests {
         let truth = crate::execute::truth_vector(&ds.table, LABEL_COLUMN);
         let sels: Vec<f64> = (0..groups.num_groups())
             .map(|g| {
-                let rows = groups.rows(g);
-                rows.iter().filter(|&&r| truth[r as usize]).count() as f64 / rows.len() as f64
+                let correct = groups.rows(g).filter(|&r| truth[r as usize]).count();
+                correct as f64 / groups.size(g) as f64
             })
             .collect();
         let first = sels.first().copied().unwrap();

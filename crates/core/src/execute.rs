@@ -204,7 +204,8 @@ mod tests {
         let mut queued = Vec::new();
         let mut returned = Vec::new();
         let mut reused_positives = 0;
-        for (g, _, rows) in groups.iter() {
+        for g in 0..groups.num_groups() {
+            let rows: Vec<u32> = groups.rows(g).collect();
             let r = plan.r()[g];
             let e = plan.e()[g];
             let eval_given_retrieved = if r > 0.0 { (e / r).min(1.0) } else { 0.0 };
@@ -379,8 +380,8 @@ mod tests {
         // store insertions and spill offers follow. Strictly ascending,
         // so every row is distinct too.
         let mut place = vec![(0, 0); n];
-        for (g, _, rows) in groups.iter() {
-            for (position, &row) in rows.iter().enumerate() {
+        for g in 0..groups.num_groups() {
+            for (position, row) in groups.rows(g).enumerate() {
                 place[row as usize] = (g, position);
             }
         }
@@ -422,10 +423,7 @@ mod tests {
             // executes — a slice of every group: fewer rows than the table.
             let whole = table.group_by("g").unwrap();
             let slices: Vec<Vec<u32>> = (0..k)
-                .map(|g| {
-                    let rows = whole.rows(g);
-                    rows[..rows.len().div_ceil(keep_one_in)].to_vec()
-                })
+                .map(|g| whole.rows(g).take(whole.size(g).div_ceil(keep_one_in)).collect())
                 .collect();
             let sliced: usize = slices.iter().map(Vec::len).sum();
             let keys = (0..k).map(|g| whole.key(g).clone()).collect();

@@ -15,11 +15,14 @@
 //!   decided rows and one of those that passed. The tally `(evaluated,
 //!   positives)` is two ANDs and two popcounts per `(word, mask)` run,
 //!   folded per group.
-//!   A group short of its target then lists its undecided rows by
-//!   rescanning its own `(word, mask)` runs ([`GroupBy::runs`],
-//!   [`UdfInvoker::scan_runs`]) and walking `mask & !known` in bit order
-//!   — ascending row order, so the draw that follows is the one a row
-//!   list gave, and the groups draw in group order as before.
+//!   The groups short of their targets are then read again, all at once:
+//!   one word-major read of the union of their runs
+//!   ([`UdfInvoker::scan_plane`]), which makes the store probes a rescan
+//!   of each short group made. Each group, in group order, draws its
+//!   shortfall by rank among its undecided bits, `mask & !decided` over
+//!   its runs: `sample_indices` picks ranks, and prefix popcounts map
+//!   each rank to its row — the rows, order and draws of indexing a list
+//!   of the undecided rows, which is never built.
 //! * [`adaptive_num_search`] — §4.3's adaptive scheme: grow `num`, re-plan,
 //!   and stop when the estimated total cost starts rising.
 
@@ -28,8 +31,7 @@ use crate::query::QuerySpec;
 use expred_exec::ExecContext;
 use expred_stats::estimator::SelectivityEstimate;
 use expred_stats::rng::Prng;
-use expred_table::rowset::bits;
-use expred_table::GroupBy;
+use expred_table::{GroupBy, RowSet};
 use expred_udf::UdfInvoker;
 
 /// How many tuples to sample from each group.
@@ -117,10 +119,10 @@ pub fn sample_groups(
     // group in one word-major pass and tallied per run.
     let (decided, passed) = invoker.scan_groups(groups);
     // Per group: (evaluated, positives) among already-known rows, and
-    // how many drawn rows it contributed to `batch`.
+    // its shortfall — then how many drawn rows it contributed to `batch`.
     let mut tallies: Vec<(usize, usize, usize)> = Vec::with_capacity(groups.num_groups());
-    let mut batch: Vec<usize> = Vec::new();
-    let mut fresh: Vec<usize> = Vec::new();
+    // The rows of every group short of its target, if any is.
+    let mut short: Option<RowSet> = None;
     for g in 0..groups.num_groups() {
         let target = rule.sample_size(groups.size(g), n);
         let (mut total, mut pos) = (0, 0);
@@ -128,24 +130,39 @@ pub fn sample_groups(
             total += (decided.word(word as usize) & mask).count_ones() as usize;
             pos += (passed.word(word as usize) & mask).count_ones() as usize;
         }
-        let before = batch.len();
         if total < target {
-            // Pay for the shortfall with fresh random rows. The group is
-            // scanned again rather than remembered from the tally: a row
-            // another query of the session landed in between is neither
-            // drawn fresh nor counted (and the store sees the same probes
-            // the per-row walk made).
-            fresh.clear();
-            invoker.scan_runs(groups.runs(g), |word, mask, known, _| {
-                fresh.extend(bits(mask & !known).map(|bit| word * 64 + bit as usize));
-            });
-            batch.extend(
-                rng.sample_indices(fresh.len(), target - total)
-                    .into_iter()
-                    .map(|idx| fresh[idx]),
-            );
+            let short = short.get_or_insert_with(|| RowSet::new(invoker.table().num_rows()));
+            for (word, mask) in groups.runs(g) {
+                short.insert_word(word as usize, mask);
+            }
         }
-        tallies.push((total, pos, batch.len() - before));
+        tallies.push((total, pos, target.saturating_sub(total)));
+    }
+    let mut batch: Vec<usize> = Vec::new();
+    if let Some(short) = short {
+        // Pay for the shortfalls with fresh random rows. The short groups
+        // are read again rather than remembered from the tally: a row
+        // another query of the session landed in between is neither
+        // drawn fresh nor counted (and the store sees the probes a
+        // per-group rescan made). Each group then draws by rank among
+        // its undecided rows, in group order.
+        let (decided, _) = invoker.scan_plane(&short);
+        let mut open = Vec::new();
+        for (g, tally) in tallies.iter_mut().enumerate() {
+            if tally.2 == 0 {
+                continue;
+            }
+            open.clear();
+            open.extend(
+                groups
+                    .runs(g)
+                    .map(|(word, mask)| (word, mask & !decided.word(word as usize)))
+                    .filter(|&(_, mask)| mask != 0),
+            );
+            let before = batch.len();
+            draw_by_rank(&open, tally.2, rng, &mut batch);
+            tally.2 = batch.len() - before;
+        }
     }
     let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
     let mut answers = answers.iter();
@@ -164,6 +181,55 @@ pub fn sample_groups(
         sample.positives.push(pos);
     }
     sample
+}
+
+/// Draws `need` of the rows set in `open` — `(word, mask)` runs,
+/// ascending by word — onto `out` by rank: `rng.sample_indices` picks
+/// ranks among the rows (rank 0 the lowest row), and each rank is found
+/// through the runs' prefix popcounts and one [`select`] within its run.
+/// The rows, their order and the draws are those of indexing the rows
+/// listed out, without the list. Fewer than `need` rows in `open` draws
+/// them all.
+pub(crate) fn draw_by_rank(open: &[(u32, u64)], need: usize, rng: &mut Prng, out: &mut Vec<usize>) {
+    // Rows in the runs before each run.
+    let mut before = Vec::with_capacity(open.len());
+    let mut count = 0;
+    for &(_, mask) in open {
+        before.push(count);
+        count += mask.count_ones() as usize;
+    }
+    for rank in rng.sample_indices(count, need) {
+        // The last run starting at or below `rank`: an empty run shares
+        // its start with the next, so it is never the one picked.
+        let run = before.partition_point(|&start| start <= rank) - 1;
+        let (word, mask) = open[run];
+        out.push(word as usize * 64 + select(mask, (rank - before[run]) as u32) as usize);
+    }
+}
+
+/// The position of the set bit of `mask` with `rank` set bits below it
+/// (`rank < mask.count_ones()`), without a loop or a branch: the byte
+/// lanes' running popcounts find the byte that holds it, and the same
+/// count over that byte's bits, one to a lane, finds the bit.
+fn select(mask: u64, rank: u32) -> u32 {
+    // One in every byte lane, and every lane's top bit.
+    let (ones, highs) = (0x0101_0101_0101_0101_u64, 0x8080_8080_8080_8080_u64);
+    // How many byte lanes of `running` — a running count, at most 64 per
+    // lane, so no lane borrows from the next — are at most `rank`.
+    let lanes_at_most = |running: u64, rank: u32| {
+        ((((u64::from(rank) * ones) | highs) - running) & highs).count_ones()
+    };
+    let mut counts = mask - ((mask >> 1) & 0x5555_5555_5555_5555);
+    counts = (counts & 0x3333_3333_3333_3333) + ((counts >> 2) & 0x3333_3333_3333_3333);
+    counts = (counts + (counts >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    // Lane `i`: the set bits of bytes `0..=i`.
+    let running = counts.wrapping_mul(ones);
+    let byte = lanes_at_most(running, rank) * 8;
+    let rank = rank - ((running << 8 >> byte) & 0xFF) as u32;
+    // Lane `i`: 1 if bit `i` of the byte is set, then the running count.
+    let spread = ((mask >> byte) & 0xFF).wrapping_mul(ones) & 0x8040_2010_0804_0201;
+    let bits = ((spread + !highs) & highs) >> 7;
+    byte + lanes_at_most(bits.wrapping_mul(ones), rank)
 }
 
 /// Result of the adaptive `num` search (§4.3).
@@ -255,7 +321,8 @@ mod tests {
         let mut estimates = Vec::with_capacity(groups.num_groups());
         let mut evaluated = Vec::with_capacity(groups.num_groups());
         let mut positives = Vec::with_capacity(groups.num_groups());
-        for (g, _, rows) in groups.iter() {
+        for g in 0..groups.num_groups() {
+            let rows: Vec<u32> = groups.rows(g).collect();
             let target = rule.sample_size(groups.size(g), n);
             let scan = || invoker.known_many(rows.iter().map(|&row| row as usize));
             let known = scan();
@@ -326,6 +393,55 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_rank_draw_is_list_and_index(
+            // Sparse, dense and empty words; steps skip words.
+            runs in prop::collection::vec((1u32..4, any::<u64>(), 0u8..4), 0..40),
+            need in 0usize..300,
+            seed in any::<u64>(),
+        ) {
+            let mut open = Vec::new();
+            let mut word = 0;
+            for &(step, bits, density) in &runs {
+                word += step;
+                let mask = match density {
+                    0 => 0,
+                    1 => bits & bits.rotate_left(17) & bits.rotate_left(31),
+                    2 => bits,
+                    _ => u64::MAX,
+                };
+                open.push((word, mask));
+            }
+            let listed: Vec<usize> = open
+                .iter()
+                .flat_map(|&(word, mask)| {
+                    expred_table::rowset::bits(mask).map(move |bit| word as usize * 64 + bit as usize)
+                })
+                .collect();
+            let (mut by_list, mut by_rank) = (Prng::seeded(seed), Prng::seeded(seed));
+            let want: Vec<usize> = by_list
+                .sample_indices(listed.len(), need)
+                .into_iter()
+                .map(|idx| listed[idx])
+                .collect();
+            // Onto rows already drawn, as a group after the first does.
+            let mut got = vec![7, 3];
+            draw_by_rank(&open, need, &mut by_rank, &mut got);
+            prop_assert_eq!(&got[..2], &[7, 3]);
+            prop_assert_eq!(&got[2..], &want[..]);
+            prop_assert_eq!(by_rank.next_u64(), by_list.next_u64(), "the RNG moved differently");
+        }
+
+        #[test]
+        fn select_finds_every_rank(bits in any::<u64>(), sparse in any::<bool>()) {
+            let mask = if sparse { bits & bits.rotate_left(23) } else { bits };
+            for mask in [mask, mask | 1 << 63, mask | 1, u64::MAX] {
+                let want: Vec<u32> = expred_table::rowset::bits(mask).collect();
+                let got: Vec<u32> = (0..mask.count_ones()).map(|rank| select(mask, rank)).collect();
+                prop_assert_eq!(got, want, "mask {:#x}", mask);
+            }
+        }
 
         #[test]
         fn one_batch_per_round_matches_the_per_group_loop(

@@ -24,18 +24,23 @@
 //!
 //! The unit of a write is the batch, as the unit of a read is the word:
 //! [`CacheHandle::insert_many`] (and [`CacheHandle::insert`], its
-//! one-row call) takes the `hand` lock once, lands the rows the
-//! namespace has room for a word at a time — consecutive rows of one
-//! 64-row word become one merge into the planes, behind a cursor that
-//! remembers the page — and only the rows past the capacity bound go
-//! one by one through the second-chance sweep. Statistics are added
-//! once per batch. Contents, `len`, statistics and evictions are exactly
-//! what inserting the rows one at a time would leave.
+//! one-row call) takes the `hand` lock once. On a store with a
+//! [`SpillSink`], the batch is first scattered, outside the lock, into
+//! the [`PagePlanes`] it touches ([`scatter`]); if its rows are distinct
+//! and the namespace has room for every one, those pages land a 64-row
+//! word at a time — one merge into the planes per word. Any other batch,
+//! and every batch of a store without a sink, lands the rows there is
+//! room for in runs of one word (a repeat closes a run), and only the
+//! rows past the bound go one by one through the second-chance sweep.
+//! Statistics are added once per batch. Contents, `len`, statistics and
+//! evictions are exactly what inserting the rows one at a time would
+//! leave.
 //!
-//! After the lock drops, the [`SpillSink`] hears the batch once: its
-//! rows plus whatever they evicted, as the [`PagePlanes`] they touch —
-//! the rows one-at-a-time inserts would have offered, gathered into
-//! pages. A store without a sink builds no pages.
+//! After the lock drops, the sink hears the batch once: its rows plus
+//! whatever they evicted, as the pages they touch — the rows
+//! one-at-a-time inserts would have offered, gathered into pages. The
+//! pages scattered before the lock are that offer; the evicted rows are
+//! merged into them. A store without a sink builds no pages.
 //!
 //! # Keying and invalidation
 //!
@@ -59,7 +64,7 @@
 //! and treat the store as a best-effort accelerator.
 
 use crate::cache::{assign_bits, zeroed_plane, RowBits};
-use expred_stats::bits::{pages_of, rows_of, PagePlanes, PAGE_ROWS, PAGE_WORDS};
+use expred_stats::bits::{rows_of, scatter, PagePlanes, PAGE_ROWS, PAGE_WORDS};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -254,29 +259,52 @@ impl NamespaceCache {
         if rows.is_empty() {
             return;
         }
+        // Only a batch offered to a sink is scattered into pages, once and
+        // before the lock: they are the offer, and if the rows are
+        // distinct and all fit, they land page by page.
+        let sink = if offer {
+            self.spill.read().unwrap_or_else(|e| e.into_inner()).clone()
+        } else {
+            None
+        };
+        let mut offered = Vec::new();
+        let distinct = sink.is_some() && scatter(&mut offered, rows.iter().copied());
         let mut evicted = Vec::new();
         {
             let mut hand = self.hand.lock().unwrap_or_else(|e| e.into_inner());
             // Each insert adds at most one entry, so the first `room`
             // rows cannot meet a full namespace.
             let room = self.capacity.saturating_sub(self.len());
-            let (roomy, tight) = rows.split_at(room.min(rows.len()));
-            self.land_rows(roomy);
-            for &(key, value) in tight {
-                self.insert_locked(&mut hand, key, value, &mut evicted);
+            if distinct && rows.len() <= room {
+                self.land_pages(&offered);
+            } else {
+                let (roomy, tight) = rows.split_at(room.min(rows.len()));
+                self.land_rows(roomy);
+                for &(key, value) in tight {
+                    self.insert_locked(&mut hand, key, value, &mut evicted);
+                }
             }
         }
         let (inserted, evictions) = (rows.len() as u64, evicted.len() as u64);
         self.stats.insertions.fetch_add(inserted, Ordering::Relaxed);
         self.stats.evictions.fetch_add(evictions, Ordering::Relaxed);
-        if !offer {
-            return;
-        }
-        let sink = self.spill.read().unwrap_or_else(|e| e.into_inner()).clone();
         if let Some(sink) = sink {
-            let offered = rows.iter().chain(&evicted).copied();
-            sink.spill(self.namespace, &pages_of(offered));
+            scatter(&mut offered, evicted);
+            sink.spill(self.namespace, &offered);
         }
+    }
+
+    /// Lands whole pages of rows, a word at a time (the caller holds the
+    /// `hand` lock and checked the room).
+    fn land_pages(&self, pages: &[(usize, PagePlanes)]) {
+        let (mut cursor, mut new) = (None, 0);
+        for (page, planes) in pages {
+            for w in (0..PAGE_WORDS).filter(|&w| planes.known[w] != 0) {
+                let word = page * PAGE_WORDS + w;
+                new += self.land_word(&mut cursor, word, planes.known[w], planes.answer[w]);
+            }
+        }
+        self.len.fetch_add(new, Ordering::Relaxed);
     }
 
     /// Lands rows that cannot overflow the namespace (the caller holds
@@ -285,32 +313,34 @@ impl NamespaceCache {
     /// within a run closes it, so the repeat refreshes the entry its
     /// first occurrence created, as it would one row at a time.
     fn land_rows(&self, rows: &[(usize, bool)]) {
-        let mut cursor = None;
+        let (mut cursor, mut new) = (None, 0);
         let (mut word, mut known, mut answer) = (usize::MAX, 0u64, 0u64);
         for &(key, value) in rows {
             let bit = 1u64 << (key % 64);
             if key / 64 != word || known & bit != 0 {
-                self.land_word(&mut cursor, word, known, answer);
+                new += self.land_word(&mut cursor, word, known, answer);
                 (word, known, answer) = (key / 64, 0, 0);
             }
             known |= bit;
             answer |= if value { bit } else { 0 };
         }
-        self.land_word(&mut cursor, word, known, answer);
+        new += self.land_word(&mut cursor, word, known, answer);
+        self.len.fetch_add(new, Ordering::Relaxed);
     }
 
     /// Caches the rows of `known` in row word `word` with the answers in
-    /// `answer`, under the `hand` lock and with room for all of them.
-    /// `cursor` is the page the previous call wrote to.
+    /// `answer`, under the `hand` lock and with room for all of them, and
+    /// returns how many were new entries, for the caller to add to `len`
+    /// once per batch. `cursor` is the page the previous call wrote to.
     fn land_word(
         &self,
         cursor: &mut Option<(usize, Arc<Page>)>,
         word: usize,
         known: u64,
         answer: u64,
-    ) {
+    ) -> usize {
         if known == 0 {
-            return;
+            return 0;
         }
         let page_key = word / PAGE_WORDS;
         let (_, page) = match cursor.take() {
@@ -321,8 +351,7 @@ impl NamespaceCache {
         // A new entry starts unreferenced; a refreshed one was just used.
         let referenced = &page.referenced[word % PAGE_WORDS];
         assign_bits(referenced, known, known & !new, Ordering::Relaxed);
-        self.len
-            .fetch_add(new.count_ones() as usize, Ordering::Relaxed);
+        new.count_ones() as usize
     }
 
     /// The page for `page_key`, created if absent (under the `hand`
@@ -838,13 +867,7 @@ impl CacheStore {
         {
             let _hand = cache.hand.lock().unwrap_or_else(|e| e.into_inner());
             if rows <= cache.capacity.saturating_sub(cache.len()) {
-                let mut cursor = None;
-                for (page, planes) in pages {
-                    for w in 0..PAGE_WORDS {
-                        let word = page * PAGE_WORDS + w;
-                        cache.land_word(&mut cursor, word, planes.known[w], planes.answer[w]);
-                    }
-                }
+                cache.land_pages(pages);
                 let stats = &self.inner.stats;
                 stats.insertions.fetch_add(rows as u64, Ordering::Relaxed);
                 return rows;
@@ -916,6 +939,7 @@ impl Default for CacheStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use expred_stats::bits::pages_of;
 
     fn ns(udf: u64, table: u64, version: u64) -> CacheNamespace {
         CacheNamespace {

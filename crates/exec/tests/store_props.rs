@@ -304,41 +304,56 @@ proptest! {
 
     // `insert_many` is the per-row loop under one lock: whatever the
     // capacity (roomy, exactly full, overflowing), wherever the batch
-    // falls (inside a word, across a page edge, onto cached rows, onto
+    // falls (inside a word, across page edges, onto cached rows, onto
     // itself), both stores end up holding, counting and offering the same.
+    // A batch of distinct rows with room lands as pages; one that repeats
+    // a row must take the row path, where the repeat's answer wins.
     #[test]
     fn insert_many_is_the_per_row_loop(
-        // 1..=40 entries, or (one draw in nine) room for everything.
-        capacity in (1usize..46).prop_map(|c| if c > 40 { usize::MAX } else { c }),
+        // 1..=40 entries, or (one draw in three) room for everything.
+        capacity in (1usize..61).prop_map(|c| if c > 40 { usize::MAX } else { c }),
         warm in prop::collection::vec((0usize..KEYS.len(), any::<bool>()), 0..20),
         reads in prop::collection::vec(0usize..KEYS.len(), 0..6),
         batches in prop::collection::vec(
-            prop::collection::vec((0usize..KEYS.len() + 40, any::<bool>()), 0..60),
+            (
+                prop::collection::vec((0usize..KEYS.len() + 80, any::<bool>()), 0..60),
+                // Repeat the batch's first row, its answer flipped, at the end.
+                any::<bool>(),
+            ),
             1..4,
         ),
+        // A store without a sink lands every batch as rows.
+        with_sink in any::<bool>(),
     ) {
-        // Selectors past `KEYS` are a dense run straddling the first
-        // page edge, so a batch has words to merge as well as strays.
+        // Selectors past `KEYS` are dense runs straddling the first and
+        // the second page edge, so a batch has words to merge as well as
+        // strays, on several pages.
         let key = |selector: usize| match KEYS.get(selector) {
             Some(&key) => key,
-            None => 4_096 - 20 + (selector - KEYS.len()),
+            None if selector < KEYS.len() + 40 => 4_096 - 20 + (selector - KEYS.len()),
+            None => 8_192 - 20 + (selector - KEYS.len() - 40),
         };
         let run = |batched: bool| {
             let store = CacheStore::with_capacity(capacity);
             let sink = Arc::new(RecordingSink::default());
-            store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
+            if with_sink {
+                store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
+            }
             let handle = store.handle(NS);
             for &(selector, value) in &warm {
                 handle.insert(key(selector), value);
             }
-            for batch in &batches {
+            for (batch, repeat) in &batches {
                 // Reads between batches leave referenced marks for the
                 // sweep to honour.
                 for &selector in &reads {
                     handle.get(key(selector));
                 }
-                let rows: Vec<(usize, bool)> =
+                let mut rows: Vec<(usize, bool)> =
                     batch.iter().map(|&(selector, value)| (key(selector), value)).collect();
+                if let (true, Some(&(row, value))) = (*repeat, rows.first()) {
+                    rows.push((row, !value));
+                }
                 if batched {
                     handle.insert_many(&rows);
                 } else {

@@ -8,8 +8,6 @@
 //! number, PagePlanes)`, page `p` holding rows `PAGE_ROWS * p ..
 //! PAGE_ROWS * (p + 1)`, so no layer translates pages into rows and back.
 
-use std::collections::BTreeMap;
-
 /// Rows per page: 64 words of 64 rows. The one page size of the
 /// workspace — the live cache's pages, the durable tier's WAL frames and
 /// snapshot images, and the synthetic generator's per-page streams.
@@ -84,15 +82,49 @@ impl PagePlanes {
 /// `(row, answer)` pairs as the pages they touch, ascending by page; the
 /// first answer heard per row wins.
 pub fn pages_of(rows: impl IntoIterator<Item = (usize, bool)>) -> Vec<(usize, PagePlanes)> {
-    let mut pages = BTreeMap::new();
+    let mut pages = Vec::new();
+    scatter(&mut pages, rows);
+    pages
+}
+
+/// Merges `rows` into `pages` (ascending by page, as [`pages_of`] leaves
+/// them, and so after the call), the first answer per row kept, and
+/// tells whether every row was new. A row on the page of the row before
+/// it goes straight to that page; any other finds its page through a
+/// sorted index of page numbers. So a batch costs one merge per row and
+/// a lookup per change of page.
+pub fn scatter(
+    pages: &mut Vec<(usize, PagePlanes)>,
+    rows: impl IntoIterator<Item = (usize, bool)>,
+) -> bool {
+    // `(page number, position in pages)`, ascending by page number.
+    let mut index: Vec<(usize, usize)> = pages
+        .iter()
+        .enumerate()
+        .map(|(at, &(page, _))| (page, at))
+        .collect();
+    let (mut page, mut at) = (usize::MAX, 0);
+    let mut distinct = true;
     for (row, answer) in rows {
-        let page = pages
-            .entry(row / PAGE_ROWS)
-            .or_insert_with(PagePlanes::empty);
+        if row / PAGE_ROWS != page {
+            page = row / PAGE_ROWS;
+            at = match index.binary_search_by_key(&page, |&(page, _)| page) {
+                Ok(found) => index[found].1,
+                Err(place) => {
+                    index.insert(place, (page, pages.len()));
+                    pages.push((page, PagePlanes::empty()));
+                    pages.len() - 1
+                }
+            };
+        }
         let bit = row % 64;
-        page.merge(row % PAGE_ROWS / 64, 1 << bit, u64::from(answer) << bit);
+        let new = pages[at]
+            .1
+            .merge(row % PAGE_ROWS / 64, 1 << bit, u64::from(answer) << bit);
+        distinct &= new != 0;
     }
-    pages.into_iter().collect()
+    pages.sort_unstable_by_key(|&(page, _)| page);
+    distinct
 }
 
 /// Every answer of `pages` as `(row, answer)`, in page order.
@@ -143,5 +175,23 @@ mod tests {
             [(0, true), (4_095, false), (4_096, true), (8_192, true)]
         );
         assert!(pages_of([]).is_empty());
+        let mut scattered = Vec::new();
+        assert!(scatter(&mut scattered, rows[..4].iter().copied()));
+        assert_eq!(scattered, pages);
+        assert!(scatter(&mut scattered, []));
+        // More rows merge into the pages held: a repeat keeps its first
+        // answer and reports itself, and a new page lands in order.
+        assert!(!scatter(&mut scattered, [(4_095, true), (12_288, false)]));
+        let back: Vec<(usize, bool)> = rows_of(&scattered).collect();
+        assert_eq!(
+            back,
+            [
+                (0, true),
+                (4_095, false),
+                (4_096, true),
+                (8_192, true),
+                (12_288, false)
+            ]
+        );
     }
 }

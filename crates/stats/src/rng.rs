@@ -90,7 +90,9 @@ impl Prng {
     }
 
     /// Uniform integer in `[0, n)` via Lemire's unbiased bounded sampling.
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0`. Inlined across crates, so a shuffle keeps the
+    /// generator's state in registers instead of calling out per draw.
+    #[inline]
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below(0) is an empty range");
         let n = n as u64;
@@ -110,6 +112,9 @@ impl Prng {
     }
 
     /// A Bernoulli draw: `true` with probability `p` (clamped to `[0,1]`).
+    /// Inlined across crates, like [`Prng::below`]: plan execution draws
+    /// one or two per undecided row.
+    #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false

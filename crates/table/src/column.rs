@@ -328,13 +328,39 @@ impl Column {
     }
 
     /// The rows where this column is `true`, as a plane over the column's
-    /// rows; `None` unless it is a boolean column without NULLs.
+    /// rows; `None` unless it is a boolean column without NULLs. One pass,
+    /// 64 cells to a word: eight cells at a time become one byte lane
+    /// each (0 false, 1 true, 2 NULL), and one multiply gathers the eight
+    /// low bits into the word's byte.
     pub fn true_rows(&self) -> Option<RowSet> {
         let Column::Bool(values) = self else {
             return None;
         };
-        let complete = values.iter().all(Option::is_some);
-        complete.then(|| RowSet::from_flags(values.iter().map(|&label| label == Some(true))))
+        let mut words = Vec::with_capacity(values.len().div_ceil(64));
+        for cells in values.chunks(64) {
+            let (mut word, mut nulls) = (0u64, 0u64);
+            for (byte, cells) in cells.chunks(8).enumerate() {
+                let mut lanes = [0u8; 8];
+                for (lane, &cell) in lanes.iter_mut().zip(cells) {
+                    *lane = match cell {
+                        Some(false) => 0,
+                        Some(true) => 1,
+                        None => 2,
+                    };
+                }
+                let lanes = u64::from_le_bytes(lanes);
+                nulls |= lanes & 0x0202_0202_0202_0202;
+                // Lane `i`'s low bit lands on bit `56 + i`, and nothing
+                // carries into the top byte.
+                let gathered = (lanes & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080);
+                word |= (gathered >> 56) << (8 * byte);
+            }
+            if nulls != 0 {
+                return None;
+            }
+            words.push(word);
+        }
+        Some(RowSet::from_words(words))
     }
 
     /// The float at `row`, widening integers, if non-NULL numeric.
@@ -466,6 +492,25 @@ mod tests {
         }
         // NaN == NaN at the bit level here, so distinct = {1.0, 2.0, NaN}.
         assert_eq!(c.distinct_count(), 3);
+    }
+
+    #[test]
+    fn true_rows_is_the_flag_plane_or_none_on_any_null() {
+        let flags = |n: usize| (0..n).map(move |row| (row * 7 + row / 5) % 3 == 0);
+        for rows in [0, 1, 63, 64, 65, 127, 128, 129, 300] {
+            let column = Column::Bool(flags(rows).map(Some).collect());
+            let oracle = RowSet::from_flags(flags(rows));
+            assert_eq!(column.true_rows(), Some(oracle), "{rows} rows");
+            // A NULL anywhere — first cell, last, a word edge — is `None`.
+            for null in [0, rows / 2, 63, 64, rows.saturating_sub(1)] {
+                if null < rows {
+                    let mut cells: Vec<Option<bool>> = flags(rows).map(Some).collect();
+                    cells[null] = None;
+                    assert_eq!(Column::Bool(cells).true_rows(), None, "NULL at {null}");
+                }
+            }
+        }
+        assert_eq!(Column::Int(vec![Some(1)]).true_rows(), None);
     }
 
     #[test]

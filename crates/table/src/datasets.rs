@@ -20,8 +20,10 @@
 //!
 //! Generation is **columnar, one tight loop per column**. The row plan —
 //! group sizes and selectivities, then every row's shuffled `(group,
-//! label)` — decides the predictor column and the hidden label, and with
-//! them every answer a `grade`, `expr` or `naive` query returns. Each
+//! label)`, packed into one `u32` cell, `group << 1 | label`, and
+//! shuffled in place — decides the predictor column and the hidden
+//! label, and with them every answer a `grade`, `expr` or `naive` query
+//! returns; both columns are read straight off the packed cells. Each
 //! auxiliary column is its own loop over the plan that pushes numbers
 //! into a typed vector (a label number per categorical cell; each label
 //! is rendered to a string once per value).
@@ -229,24 +231,26 @@ impl Dataset {
             .table
             .group_by(column)
             .expect("group column must exist");
-        let labels = self
+        let truth = self
             .table
             .column(LABEL_COLUMN)
-            .expect("label column must exist");
+            .and_then(Column::true_rows)
+            .expect("a generated label column is boolean without NULLs");
         let mut sizes = Vec::new();
         let mut sels = Vec::new();
         let mut per_group = Vec::new();
         let mut correct_total = 0usize;
-        for (_, _, rows) in groups.iter() {
-            let correct = rows
-                .iter()
-                .filter(|&&r| labels.bool_at(r as usize) == Some(true))
-                .count();
+        for g in 0..groups.num_groups() {
+            let correct: usize = groups
+                .runs(g)
+                .map(|(word, mask)| (truth.word(word as usize) & mask).count_ones() as usize)
+                .sum();
             correct_total += correct;
-            let sel = correct as f64 / rows.len() as f64;
-            sizes.push(rows.len() as f64);
+            let size = groups.size(g);
+            let sel = correct as f64 / size as f64;
+            sizes.push(size as f64);
             sels.push(sel);
-            per_group.push((rows.len(), sel));
+            per_group.push((size, sel));
         }
         GroupStatsSummary {
             num_groups: sizes.len(),
@@ -298,7 +302,7 @@ const GENERATOR_REVISION: u64 = 1;
 struct Recipe {
     spec: DatasetSpec,
     seed: u64,
-    plan: OnceLock<(Vec<(usize, bool)>, Prng)>,
+    plan: OnceLock<(Vec<u32>, Prng)>,
 }
 
 impl Recipe {
@@ -337,22 +341,36 @@ impl ColumnSource for Recipe {
     }
 }
 
-/// The per-row plan — `(group index, ground-truth label)`, shuffled so
-/// that physical row order carries no signal — and the PRNG the
-/// auxiliary columns' page streams are forked off.
-fn row_plan(spec: &DatasetSpec, seed: u64) -> (Vec<(usize, bool)>, Prng) {
+/// The per-row plan — one packed cell per row, `group << 1 | label`
+/// ([`group_of`], [`label_of`]), shuffled so that physical row order
+/// carries no signal — and the PRNG the auxiliary columns' page streams
+/// are forked off. Each group's cells are laid down, its labels shuffled
+/// in place, and then the whole plan is shuffled: the draws and swaps of
+/// shuffling a label list per group and then a list of `(group, label)`
+/// pairs, on 4-byte cells.
+fn row_plan(spec: &DatasetSpec, seed: u64) -> (Vec<u32>, Prng) {
     let mut rng = Prng::seeded(seed ^ hash_name(spec.name));
     let (sizes, sels) = calibrate_groups(spec, &mut rng);
-    let mut plan: Vec<(usize, bool)> = Vec::with_capacity(spec.rows);
+    let mut plan: Vec<u32> = Vec::with_capacity(spec.rows);
     for (g, (&t, &s)) in sizes.iter().zip(&sels).enumerate() {
         let correct = ((t as f64) * s).round().clamp(0.0, t as f64) as usize;
-        let mut labels = vec![true; correct];
-        labels.extend(std::iter::repeat_n(false, t - correct));
-        rng.shuffle(&mut labels);
-        plan.extend(labels.into_iter().map(|l| (g, l)));
+        let (start, cell) = (plan.len(), (g as u32) << 1);
+        plan.extend(std::iter::repeat_n(cell | 1, correct));
+        plan.extend(std::iter::repeat_n(cell, t - correct));
+        rng.shuffle(&mut plan[start..]);
     }
     rng.shuffle(&mut plan);
     (plan, rng)
+}
+
+/// The group of a row-plan cell.
+fn group_of(cell: u32) -> usize {
+    (cell >> 1) as usize
+}
+
+/// The ground-truth label of a row-plan cell.
+fn label_of(cell: u32) -> bool {
+    cell & 1 != 0
 }
 
 fn hash_name(name: &str) -> u64 {
@@ -731,7 +749,7 @@ fn page_stream(streams: &Prng, column: usize, page: usize) -> Prng {
 /// One column's cells over `plan` — whole pages' rows, the first of them
 /// page `first_page` — each page drawn from its own stream.
 fn draw_column<T>(
-    plan: &[(usize, bool)],
+    plan: &[u32],
     streams: &Prng,
     column: usize,
     first_page: usize,
@@ -742,7 +760,7 @@ fn draw_column<T>(
         let mut rng = page_stream(streams, column, first_page + page);
         cells.extend(
             rows.iter()
-                .map(|&(group, label)| cell(&mut rng, group, label)),
+                .map(|&row| cell(&mut rng, group_of(row), label_of(row))),
         );
     }
     cells
@@ -755,7 +773,7 @@ fn draw_column<T>(
 /// once per value, into the column's dictionary.
 fn build_column(
     spec: &DatasetSpec,
-    plan: &[(usize, bool)],
+    plan: &[u32],
     streams: &Prng,
     first_page: usize,
     idx: usize,
@@ -777,7 +795,7 @@ fn build_column(
             Column::Int(ids.map(|r| Some(r as i64)).collect())
         }
         PREDICTOR_AT => {
-            let codes = plan.iter().map(|&(group, _)| group as u32).collect();
+            let codes = plan.iter().map(|&row| group_of(row) as u32).collect();
             categorical(k, codes, &|g| group_label(spec.predictor, g))
         }
         _ if idx < AUX_AT => {
@@ -814,7 +832,7 @@ fn build_column(
                 |rng, _, label| Some(mean[usize::from(label)] + sigma * normal.draw(rng)),
             ))
         }
-        LABEL_AT => Column::Bool(plan.iter().map(|&(_, label)| Some(label)).collect()),
+        LABEL_AT => Column::Bool(plan.iter().map(|&row| Some(label_of(row))).collect()),
         _ => panic!("a generated table has no column at position {idx}"),
     }
 }
@@ -839,7 +857,7 @@ mod tests {
     /// `first_page`, in schema order.
     fn build_columns(
         spec: &DatasetSpec,
-        plan: &[(usize, bool)],
+        plan: &[u32],
         streams: &Prng,
         first_page: usize,
     ) -> Vec<Column> {
@@ -870,7 +888,8 @@ mod tests {
         // Everything between the predictor and the label.
         let auxiliary = 2..table.num_columns() - 1;
         let mut rngs = Vec::new();
-        for (row_id, &(group, label)) in plan.iter().enumerate() {
+        for (row_id, &cell) in plan.iter().enumerate() {
+            let (group, label) = (group_of(cell), label_of(cell));
             if row_id % PAGE_ROWS == 0 {
                 let page = row_id / PAGE_ROWS;
                 rngs = auxiliary
@@ -905,6 +924,41 @@ mod tests {
                 .expect("generated row must match schema");
         }
         table
+    }
+
+    /// The row plan as `(group, label)` pairs, built the way the packed
+    /// plan replaced: a label list per group, shuffled, then the pairs.
+    fn pair_plan(spec: &DatasetSpec, seed: u64) -> (Vec<(usize, bool)>, Prng) {
+        let mut rng = Prng::seeded(seed ^ hash_name(spec.name));
+        let (sizes, sels) = calibrate_groups(spec, &mut rng);
+        let mut plan = Vec::with_capacity(spec.rows);
+        for (g, (&t, &s)) in sizes.iter().zip(&sels).enumerate() {
+            let correct = ((t as f64) * s).round().clamp(0.0, t as f64) as usize;
+            let mut labels = vec![true; correct];
+            labels.extend(std::iter::repeat_n(false, t - correct));
+            rng.shuffle(&mut labels);
+            plan.extend(labels.into_iter().map(|l| (g, l)));
+        }
+        rng.shuffle(&mut plan);
+        (plan, rng)
+    }
+
+    #[test]
+    fn the_packed_row_plan_is_the_pair_plan() {
+        for spec in all_specs() {
+            for rows in [spec.groups, 65, 2_000, PAGE_ROWS + 3] {
+                for seed in [0, 7, 0xdead_beef] {
+                    let spec = DatasetSpec { rows, ..spec };
+                    let (packed, streams) = row_plan(&spec, seed);
+                    let (pairs, want) = pair_plan(&spec, seed);
+                    let unpacked: Vec<(usize, bool)> =
+                        packed.iter().map(|&c| (group_of(c), label_of(c))).collect();
+                    let what = format!("{} @ {rows} rows, seed {seed}", spec.name);
+                    assert_eq!(unpacked, pairs, "{what}");
+                    assert_eq!(streams, want, "{what}: the generator moved differently");
+                }
+            }
+        }
     }
 
     /// The row-major generator's label-driven categorical, kept as the

@@ -8,7 +8,13 @@
 //! primitive keys, the (small) dictionary is sorted, and a dense `u32`
 //! code per row is remapped into final group ids. A string column
 //! already *is* a dictionary plus codes ([`StrColumn`]), so it skips the
-//! hashing pass: sort its dictionary, remap its codes.
+//! hashing pass: sort its dictionary, remap its codes — or copy them,
+//! when the dictionary is already in key order and no row is NULL.
+//!
+//! [`GroupCodes::to_group_by`] turns the codes into the pipelines'
+//! grouping in one more word-major pass: each 64-row word ORs its rows
+//! into a mask per group it touches, and those masks are the groups'
+//! `(word, mask)` runs.
 //!
 //! The output contract is *byte-identical* to the legacy path:
 //!
@@ -68,23 +74,12 @@ impl GroupCodes {
         matches!(self.keys.first(), Some(Value::Null))
     }
 
-    /// Expands the codes into the row-list representation used by the
-    /// pipelines, labelled with `column`. Equals the legacy
+    /// The grouping the pipelines read, labelled with `column`: every
+    /// group's `(word, mask)` runs, built in one word-major pass over the
+    /// codes — no row list is made. Equals the legacy
     /// [`Table::group_by`](crate::table::Table::group_by) output exactly.
     pub fn to_group_by(&self, column: &str) -> GroupBy {
-        let k = self.keys.len();
-        let mut sizes = vec![0u32; k];
-        for &c in &self.codes {
-            sizes[c as usize] += 1;
-        }
-        let mut rows: Vec<Vec<u32>> = sizes
-            .iter()
-            .map(|&n| Vec::with_capacity(n as usize))
-            .collect();
-        for (row, &c) in self.codes.iter().enumerate() {
-            rows[c as usize].push(row as u32);
-        }
-        GroupBy::new(column.to_owned(), self.keys.clone(), rows, self.codes.len())
+        GroupBy::from_codes(column, self.keys.clone(), &self.codes)
     }
 }
 
@@ -177,13 +172,20 @@ fn str_codes(column: &StrColumn) -> GroupCodes {
     let (order, rank) = column.dictionary_order();
     let has_null = column.null_count() > 0;
     let remap: Vec<u32> = rank.iter().map(|r| r + has_null as u32).collect();
-    // NULL's code lies past every dictionary entry, so the one bounds
-    // check also sends NULL rows to group 0.
-    let codes = column
-        .codes()
-        .iter()
-        .map(|&code| remap.get(code as usize).copied().unwrap_or(0))
-        .collect();
+    // A dictionary stored in key order without NULLs (a generated
+    // predictor's) keeps its codes: a copy, not a pass.
+    let in_order = (0..).zip(&remap).all(|(code, &to)| to == code);
+    let codes = if in_order && !has_null {
+        column.codes().to_vec()
+    } else {
+        // NULL's code lies past every dictionary entry, so the one bounds
+        // check also sends NULL rows to group 0.
+        column
+            .codes()
+            .iter()
+            .map(|&code| remap.get(code as usize).copied().unwrap_or(0))
+            .collect()
+    };
     let entries = column.dictionary();
     let keys = has_null
         .then_some(Value::Null)
@@ -271,8 +273,8 @@ mod tests {
         );
         let g = c.group_codes().to_group_by("a");
         assert_eq!(g.num_groups(), 2);
-        assert_eq!(g.rows(0), &[0, 2]);
-        assert_eq!(g.rows(1), &[1]);
+        assert_eq!(g.rows(0).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(g.rows(1).collect::<Vec<_>>(), [1]);
         assert_eq!(g.key(0), &Value::Int(1));
     }
 

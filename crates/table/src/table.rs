@@ -7,7 +7,7 @@
 //! of §4.4. [`Table`] provides exactly that.
 
 use crate::column::Column;
-use crate::rowset::RowSet;
+use crate::rowset::{bits, RowSet};
 use crate::schema::{Field, Schema};
 use crate::stats::{scan_column, ColumnStats, ScanPredicate, ScanStats, StatsCache};
 use crate::value::{DataType, Value};
@@ -393,13 +393,13 @@ impl Table {
 
 /// The result of partitioning a table's rows by a column's values.
 ///
-/// Each group's rows are held twice: as an ascending id list
-/// ([`GroupBy::rows`]) and as ascending `(word, mask)` runs
-/// ([`GroupBy::runs`]) — the 64-row words the group touches, each with
-/// the bits of the group's rows in it. The runs are what the pipelines'
-/// read path walks: "which rows of this group are decided, and which
-/// passed?" is an AND and a popcount per run against the caches' bit
-/// planes, not a probe per row.
+/// Each group's rows are held as ascending `(word, mask)` runs
+/// ([`GroupBy::runs`]) and nothing else: the 64-row words the group
+/// touches, each with the bits of the group's rows in it. A group's id
+/// list ([`GroupBy::rows`]) is its runs read out bit by bit. The runs are
+/// what the pipelines' read path walks: "which rows of this group are
+/// decided, and which passed?" is an AND and a popcount per run against
+/// the caches' bit planes, not a probe per row.
 ///
 /// Groups partition their rows, so the runs of all groups in one word
 /// never overlap, and their union is the word of one plane
@@ -410,22 +410,71 @@ impl Table {
 pub struct GroupBy {
     column: String,
     keys: Vec<Value>,
-    rows: Vec<Vec<u32>>,
     /// Every group's runs, group after group, as two flat columns — run
     /// `i` is `(run_words[i], run_masks[i])`; group `g` owns runs
     /// `run_starts[g]..run_starts[g + 1]`.
     run_words: Vec<u32>,
     run_masks: Vec<u64>,
     run_starts: Vec<usize>,
+    /// Rows per group.
+    sizes: Vec<usize>,
     num_rows: usize,
+    /// One past the largest row id held (0 without rows): the size of
+    /// [`GroupBy::row_plane`].
+    extent: usize,
+}
+
+/// One past the last row of the run `(word, mask)`.
+fn run_end(word: u32, mask: u64) -> usize {
+    word as usize * 64 + 64 - mask.leading_zeros() as usize
+}
+
+/// The bits of `mask` whose rank among its set bits — 0 for the lowest —
+/// lies in `lo..hi`. At most 64 steps, however far past the run `hi` is.
+fn ranked_bits(mask: u64, lo: usize, hi: usize) -> u64 {
+    let drop_lowest = |mut mask: u64, n: usize| {
+        for _ in 0..n {
+            mask &= mask.wrapping_sub(1);
+        }
+        mask
+    };
+    let count = mask.count_ones() as usize;
+    let (lo, hi) = (lo.min(count), hi.min(count));
+    if lo == 0 && hi == count {
+        return mask;
+    }
+    drop_lowest(mask, lo) & !drop_lowest(mask, hi)
 }
 
 impl GroupBy {
-    /// Builds a grouping from externally computed assignments.
-    ///
-    /// This is also the entry point for *virtual* columns (paper §4.4):
-    /// bucketized classifier scores never materialize as a table column,
-    /// they arrive here directly.
+    /// A grouping labelled `column` of no group yet; groups are pushed in
+    /// order with [`Self::push_group`].
+    fn empty(column: String) -> Self {
+        Self {
+            column,
+            keys: Vec::new(),
+            run_words: Vec::new(),
+            run_masks: Vec::new(),
+            run_starts: vec![0],
+            sizes: Vec::new(),
+            num_rows: 0,
+            extent: 0,
+        }
+    }
+
+    /// Closes the group of `size` rows whose runs were pushed since the
+    /// previous group, keyed `key`.
+    fn push_group(&mut self, key: Value, size: usize) {
+        let last = self.run_words.len() - 1;
+        let end = run_end(self.run_words[last], self.run_masks[last]);
+        self.extent = self.extent.max(end);
+        self.keys.push(key);
+        self.sizes.push(size);
+        self.num_rows += size;
+        self.run_starts.push(self.run_words.len());
+    }
+
+    /// Builds a grouping from externally computed row lists.
     ///
     /// # Panics
     ///
@@ -438,61 +487,148 @@ impl GroupBy {
         assert_eq!(keys.len(), rows.len(), "one key per group required");
         let total: usize = rows.iter().map(|g| g.len()).sum();
         assert_eq!(total, num_rows, "groups must partition all rows");
-        // No more runs than rows, and no more than every group touching
-        // every word up to the largest id.
-        let words = rows.iter().filter_map(|g| g.last()).max();
-        let words = words.map_or(0, |&last| last as usize / 64 + 1);
-        let capacity = total.min(rows.len().saturating_mul(words));
-        let mut run_words = Vec::with_capacity(capacity);
-        let mut run_masks = Vec::with_capacity(capacity);
-        let mut run_starts = Vec::with_capacity(rows.len() + 1);
-        run_starts.push(0);
-        for group in &rows {
+        let mut grouping = Self::empty(column);
+        for (key, group) in keys.into_iter().zip(&rows) {
             let (&first, rest) = group.split_first().expect("groups must be nonempty");
             let (mut word, mut mask, mut last) = (first / 64, 1u64 << (first % 64), first);
             for &row in rest {
                 assert!(last < row, "a group's row ids must be strictly ascending");
                 if row / 64 != word {
-                    run_words.push(word);
-                    run_masks.push(mask);
+                    grouping.run_words.push(word);
+                    grouping.run_masks.push(mask);
                     (word, mask) = (row / 64, 0);
                 }
                 mask |= 1 << (row % 64);
                 last = row;
             }
-            run_words.push(word);
-            run_masks.push(mask);
-            run_starts.push(run_words.len());
+            grouping.run_words.push(word);
+            grouping.run_masks.push(mask);
+            grouping.push_group(key, group.len());
+        }
+        grouping
+    }
+
+    /// The grouping of `codes` — row `r` in group `codes[r]`, every group
+    /// of `0..keys.len()` holding a row — labelled `column`, built in one
+    /// word-major pass: each 64-row word ORs its rows into one mask per
+    /// group it touches and emits those masks as runs, which one more
+    /// pass over the runs (not the rows) deals out group by group.
+    pub(crate) fn from_codes(column: &str, keys: Vec<Value>, codes: &[u32]) -> Self {
+        let k = keys.len();
+        // Per group: the mask of the current word, its runs and its rows.
+        let mut masks = vec![0u64; k];
+        let (mut next, mut sizes) = (vec![0usize; k], vec![0usize; k]);
+        // The groups the current word touches, in first-touch order: a
+        // row's group is written past the end and kept only on its first
+        // touch, so no row branches.
+        let mut touched = [0u32; 64];
+        // `(group, word, mask)` in word order.
+        let words = codes.len().div_ceil(64);
+        let mut runs: Vec<(u32, u32, u64)> = Vec::with_capacity(codes.len().min(k * words));
+        for (word, chunk) in codes.chunks(64).enumerate() {
+            let mut num_touched = 0;
+            for (bit, &code) in chunk.iter().enumerate() {
+                let mask = &mut masks[code as usize];
+                touched[num_touched] = code;
+                num_touched += usize::from(*mask == 0);
+                *mask |= 1 << bit;
+            }
+            for &code in &touched[..num_touched] {
+                let mask = std::mem::take(&mut masks[code as usize]);
+                next[code as usize] += 1;
+                sizes[code as usize] += mask.count_ones() as usize;
+                runs.push((code, word as u32, mask));
+            }
+        }
+        // Each group's first run slot, then its next free one.
+        let mut run_starts = Vec::with_capacity(k + 1);
+        run_starts.push(0);
+        for slot in &mut next {
+            let start = run_starts[run_starts.len() - 1];
+            run_starts.push(start + *slot);
+            *slot = start;
+        }
+        let (mut run_words, mut run_masks) = (vec![0; runs.len()], vec![0; runs.len()]);
+        for (code, word, mask) in runs {
+            let slot = &mut next[code as usize];
+            (run_words[*slot], run_masks[*slot]) = (word, mask);
+            *slot += 1;
         }
         Self {
-            column,
+            column: column.to_owned(),
             keys,
-            rows,
             run_words,
             run_masks,
             run_starts,
-            num_rows,
+            sizes,
+            num_rows: codes.len(),
+            extent: codes.len(),
         }
     }
 
-    /// Builds a grouping from a per-row group-id assignment (ids must be
-    /// dense `0..k`).
+    /// Builds a grouping from a per-row group-id assignment: the entry
+    /// point for *virtual* columns (paper §4.4) — bucketized classifier
+    /// scores never materialize as a table column, they arrive here
+    /// directly. Ids are `0..k`; an id no row carries is dropped and the
+    /// groups keep ascending id order, keyed by their ids.
     pub fn from_assignments(column: &str, assignments: &[usize]) -> Self {
         let k = assignments.iter().copied().max().map_or(0, |m| m + 1);
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for (row, &g) in assignments.iter().enumerate() {
-            rows[g].push(row as u32);
+        let mut code_of = vec![None; k];
+        for &g in assignments {
+            code_of[g] = Some(0);
         }
-        // Drop empty buckets while preserving order, renumbering keys.
         let mut keys = Vec::new();
-        let mut kept = Vec::new();
-        for (id, group) in rows.into_iter().enumerate() {
-            if !group.is_empty() {
+        for (id, code) in code_of.iter_mut().enumerate() {
+            if code.is_some() {
+                *code = Some(keys.len() as u32);
                 keys.push(Value::Int(id as i64));
-                kept.push(group);
             }
         }
-        Self::new(column.to_owned(), keys, kept, assignments.len())
+        let codes: Vec<u32> = assignments
+            .iter()
+            .map(|&g| code_of[g].expect("every assigned id has a code"))
+            .collect();
+        Self::from_codes(column, keys, &codes)
+    }
+
+    /// The rows of each group `g` whose rank among the group's rows — its
+    /// position in [`Self::rows`]`(g)` — lies in `ranks[g]`, as a grouping
+    /// labelled `column`: what the iterative pipeline executes of each
+    /// group in one round. A group whose range holds none of its rows is
+    /// left out; the others keep their keys and order. Read off the runs:
+    /// whole runs are copied, and only a run a range starts or ends in is
+    /// split.
+    ///
+    /// # Panics
+    ///
+    /// If there is not one range per group.
+    pub fn slice(&self, column: String, ranks: &[std::ops::Range<usize>]) -> Self {
+        assert_eq!(ranks.len(), self.num_groups(), "one rank range per group");
+        let mut slice = Self::empty(column);
+        for (g, ranks) in ranks.iter().enumerate() {
+            let ranks = ranks.start..ranks.end.min(self.size(g));
+            if ranks.is_empty() {
+                continue;
+            }
+            // Rows of the group before the current run.
+            let mut before = 0;
+            for (word, mask) in self.runs(g) {
+                let count = mask.count_ones() as usize;
+                if before + count > ranks.start {
+                    let lo = ranks.start.saturating_sub(before);
+                    slice.run_words.push(word);
+                    slice
+                        .run_masks
+                        .push(ranked_bits(mask, lo, ranks.end - before));
+                }
+                before += count;
+                if before >= ranks.end {
+                    break;
+                }
+            }
+            slice.push_group(self.keys[g].clone(), ranks.len());
+        }
+        slice
     }
 
     /// The grouping column's name (or the virtual column's label).
@@ -515,9 +651,15 @@ impl GroupBy {
         &self.keys[g]
     }
 
-    /// The row ids in group `g`, ascending.
-    pub fn rows(&self, g: usize) -> &[u32] {
-        &self.rows[g]
+    /// Every group's key, in group order.
+    pub fn keys(&self) -> &[Value] {
+        &self.keys
+    }
+
+    /// The row ids in group `g`, ascending: its runs read out bit by bit.
+    pub fn rows(&self, g: usize) -> impl Iterator<Item = u32> + '_ {
+        self.runs(g)
+            .flat_map(|(word, mask)| bits(mask).map(move |bit| word * 64 + bit))
     }
 
     /// Group `g`'s rows as `(word, mask)` runs, ascending by word: bit
@@ -535,13 +677,12 @@ impl GroupBy {
     /// over the runs; a grouping of fewer rows (a slice of each group, as
     /// the iterative pipeline executes per round) ORs its runs together.
     pub fn row_plane(&self) -> RowSet {
-        let end = self.rows.iter().filter_map(|g| g.last()).max();
-        let end = end.map_or(0, |&last| last as usize + 1);
-        // Groups hold distinct rows below `end`: as many as `end` is all.
-        if self.num_rows == end {
-            return RowSet::full(end);
+        // Groups hold distinct rows below the extent: as many as the
+        // extent is all.
+        if self.num_rows == self.extent {
+            return RowSet::full(self.extent);
         }
-        let mut plane = RowSet::new(end);
+        let mut plane = RowSet::new(self.extent);
         for (&word, &mask) in self.run_words.iter().zip(&self.run_masks) {
             plane.insert_word(word as usize, mask);
         }
@@ -550,31 +691,12 @@ impl GroupBy {
 
     /// The size `t_a` of group `g`.
     pub fn size(&self, g: usize) -> usize {
-        self.rows[g].len()
+        self.sizes[g]
     }
 
     /// All group sizes.
     pub fn sizes(&self) -> Vec<usize> {
-        self.rows.iter().map(|g| g.len()).collect()
-    }
-
-    /// Iterator over `(group_index, key, row_ids)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Value, &[u32])> {
-        self.keys
-            .iter()
-            .enumerate()
-            .map(move |(i, k)| (i, k, self.rows[i].as_slice()))
-    }
-
-    /// Inverse mapping: for each row, which group contains it.
-    pub fn group_of_rows(&self) -> Vec<usize> {
-        let mut out = vec![usize::MAX; self.num_rows];
-        for (g, rows) in self.rows.iter().enumerate() {
-            for &r in rows {
-                out[r as usize] = g;
-            }
-        }
-        out
+        self.sizes.clone()
     }
 }
 
@@ -636,23 +758,12 @@ mod tests {
         assert_eq!(g.num_rows(), 5);
         // Sorted keys: 1, 2, 3.
         assert_eq!(g.key(0), &Value::Int(1));
-        assert_eq!(g.rows(0), &[0, 2]);
+        assert_eq!(g.rows(0).collect::<Vec<_>>(), [0, 2]);
         assert_eq!(g.key(1), &Value::Int(2));
-        assert_eq!(g.rows(1), &[1, 4]);
+        assert_eq!(g.rows(1).collect::<Vec<_>>(), [1, 4]);
         assert_eq!(g.size(2), 1);
         assert_eq!(g.sizes(), vec![2, 2, 1]);
-    }
-
-    #[test]
-    fn group_of_rows_inverts() {
-        let t = sample_table();
-        let g = t.group_by("a").unwrap();
-        let inv = g.group_of_rows();
-        for (gi, _, rows) in g.iter() {
-            for &r in rows {
-                assert_eq!(inv[r as usize], gi);
-            }
-        }
+        assert_eq!(g.keys(), [1, 2, 3].map(Value::Int));
     }
 
     #[test]
@@ -667,15 +778,13 @@ mod tests {
         // touches every word, and the last word is partial.
         let assignments: Vec<usize> = (0..200).map(|row| row % 3).collect();
         let g = GroupBy::from_assignments("virt", &assignments);
-        for (gi, _, rows) in g.iter() {
+        for gi in 0..3 {
             let runs: Vec<(u32, u64)> = g.runs(gi).collect();
             assert_eq!(runs.len(), 4, "words 0..=3");
             assert!(runs.windows(2).all(|w| w[0].0 < w[1].0));
-            let read_out: Vec<u32> = runs
-                .iter()
-                .flat_map(|&(word, mask)| crate::rowset::bits(mask).map(move |b| word * 64 + b))
-                .collect();
-            assert_eq!(read_out, rows);
+            let want: Vec<u32> = (0..200).filter(|row| row % 3 == gi as u32).collect();
+            assert_eq!(g.rows(gi).collect::<Vec<_>>(), want);
+            assert_eq!(g.size(gi), want.len());
         }
         // A group may skip words entirely.
         let sparse = GroupBy::new(
@@ -694,13 +803,53 @@ mod tests {
         let slice = GroupBy::new(
             "slice".into(),
             vec![Value::Int(0), Value::Int(1)],
-            vec![g.rows(0)[..5].to_vec(), g.rows(2)[..3].to_vec()],
+            vec![g.rows(0).take(5).collect(), g.rows(2).take(3).collect()],
             8,
         );
         assert_eq!(slice.row_plane().to_vec(), [0, 2, 3, 5, 6, 8, 9, 12]);
         assert!(GroupBy::new("none".into(), vec![], vec![], 0)
             .row_plane()
             .is_empty());
+    }
+
+    #[test]
+    fn a_slice_takes_each_groups_rows_by_rank() {
+        // Group 0 holds every row below 200 but the multiples of 3, so
+        // its runs are full words but for the bits of group 1.
+        let assignments: Vec<usize> = (0..200).map(|row| usize::from(row % 3 == 0)).collect();
+        let g = GroupBy::from_assignments("virt", &assignments);
+        let rows = |g: &GroupBy, group| g.rows(group).collect::<Vec<_>>();
+        // Ranks 40..90 of group 0 straddle words 0..=2; group 1 keeps one
+        // row; a range past a group's end is cut to it.
+        let slice = g.slice("cut".into(), &[40..90, 66..70]);
+        assert_eq!(slice.column(), "cut");
+        assert_eq!(slice.keys(), [Value::Int(0), Value::Int(1)]);
+        assert_eq!(rows(&slice, 0), rows(&g, 0)[40..90]);
+        assert_eq!(rows(&slice, 1), [198]);
+        assert_eq!((slice.sizes(), slice.num_rows()), (vec![50, 1], 51));
+        assert_eq!(
+            slice.row_plane().to_vec(),
+            [rows(&g, 0)[40..90].to_vec(), vec![198]].concat()
+        );
+        // An empty range drops its group, keys and all.
+        let slice = g.slice("one".into(), &[3..3, 0..2]);
+        assert_eq!(slice.keys(), [Value::Int(1)]);
+        assert_eq!(rows(&slice, 0), [0, 3]);
+        assert_eq!(slice.row_plane().words().len(), 1);
+        // Every rank is the grouping itself, under its new label.
+        let whole = g.slice("virt".into(), &[0..200, 0..200]);
+        assert_eq!(whole, g);
+    }
+
+    #[test]
+    fn ranked_bits_stop_at_the_runs_popcount() {
+        // Bits 1, 2, 4, 5 and 7: ranks 0..5. A bound past the run costs
+        // nothing more than the run's own bits.
+        let mask = 0b1011_0110u64;
+        assert_eq!(ranked_bits(mask, 1, 3), 0b0001_0100);
+        assert_eq!(ranked_bits(mask, 2, usize::MAX), 0b1011_0000);
+        assert_eq!(ranked_bits(mask, 0, usize::MAX), mask);
+        assert_eq!(ranked_bits(mask, usize::MAX, usize::MAX), 0);
     }
 
     #[test]
@@ -713,8 +862,8 @@ mod tests {
     fn from_assignments_drops_empty_buckets() {
         let g = GroupBy::from_assignments("virt", &[0, 2, 2, 0]);
         assert_eq!(g.num_groups(), 2);
-        assert_eq!(g.rows(0), &[0, 3]);
-        assert_eq!(g.rows(1), &[1, 2]);
+        assert_eq!(g.rows(0).collect::<Vec<_>>(), [0, 3]);
+        assert_eq!(g.rows(1).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(g.key(0), &Value::Int(0));
         assert_eq!(g.key(1), &Value::Int(2));
     }

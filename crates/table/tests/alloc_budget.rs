@@ -60,11 +60,12 @@ fn materializing_a_table_allocates_per_column_not_per_cell() {
     let rows = 20_000;
     let spec = DatasetSpec { rows, ..PROSPER };
 
-    // Generation builds the predictor and the label; the rest waits for
-    // its first read.
+    // Generation builds the predictor and the label, both straight off a
+    // packed row plan (no label list per group); the rest waits for its
+    // first read. Pinned at its count: it may fall, never rise.
     let (allocations, _, dataset) = counted(|| Dataset::generate(spec, 7));
     assert!(
-        allocations <= 300,
+        allocations <= 79,
         "generating {rows} rows made {allocations} allocations"
     );
 
@@ -80,16 +81,18 @@ fn materializing_a_table_allocates_per_column_not_per_cell() {
         "building every column of {rows} rows made {allocations} allocations"
     );
 
-    // Group-by on a built 40-value string column: a few vectors, then one
-    // key and one row list per group — no string per row.
-    let (allocations, _, groups) = counted(|| table.group_by("zip3").unwrap());
-    let k = groups.num_groups() as u64;
-    assert_eq!(k, 40);
-    assert!(
-        allocations <= 4 * k + 32,
-        "group_by over {rows} rows made {allocations} allocations for {k} groups"
-    );
-    drop(groups);
+    // Group-by: a few vectors of codes and runs, and each group's key
+    // twice (the codes' dictionary and the grouping's) — no row list and
+    // no string per row. Pinned at their counts for the 8-group predictor
+    // and a built 40-value string column: they may fall, never rise.
+    for (column, k, pinned) in [("grade", 8, 31), ("zip3", 40, 95)] {
+        let (allocations, _, groups) = counted(|| table.group_by(column).unwrap());
+        assert_eq!(groups.num_groups(), k);
+        assert!(
+            allocations <= pinned,
+            "group_by({column:?}) over {rows} rows made {allocations} allocations for {k} groups"
+        );
+    }
 
     let (_, frees, ()) = counted(|| drop(dataset));
     assert!(frees <= 2_000, "dropping {rows} rows made {frees} frees");

@@ -42,7 +42,26 @@ fn same_grouping(a: &GroupBy, b: &GroupBy) -> bool {
         && a.num_rows() == b.num_rows()
         && a.num_groups() == b.num_groups()
         && (0..a.num_groups())
-            .all(|g| a.key(g).sort_key() == b.key(g).sort_key() && a.rows(g) == b.rows(g))
+            .all(|g| a.key(g).sort_key() == b.key(g).sort_key() && a.rows(g).eq(b.rows(g)))
+}
+
+/// Holds `got` to `want` view by view — keys, sizes, runs, the row
+/// iterator, the row plane — so a failure names the view that broke.
+fn assert_same_views(got: &GroupBy, want: &GroupBy) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.column(), want.column());
+    prop_assert_eq!(got.num_rows(), want.num_rows());
+    prop_assert_eq!(got.num_groups(), want.num_groups());
+    prop_assert_eq!(got.sizes(), want.sizes());
+    for g in 0..want.num_groups() {
+        prop_assert_eq!(got.key(g).sort_key(), want.key(g).sort_key(), "key {}", g);
+        prop_assert_eq!(got.size(g), want.size(g), "size {}", g);
+        let runs = |grouping: &GroupBy| grouping.runs(g).collect::<Vec<_>>();
+        prop_assert_eq!(runs(got), runs(want), "runs of group {}", g);
+        let rows = |grouping: &GroupBy| grouping.rows(g).collect::<Vec<_>>();
+        prop_assert_eq!(rows(got), rows(want), "rows of group {}", g);
+    }
+    prop_assert_eq!(got.row_plane(), want.row_plane());
+    Ok(())
 }
 
 /// The `HashSet` count [`Column::distinct_count`] replaced, kept as its
@@ -93,11 +112,11 @@ proptest! {
         let groups = table.group_by("g").unwrap();
         // Partition: every row exactly once.
         let mut seen = vec![false; values.len()];
-        for (_, key, rows) in groups.iter() {
-            for &r in rows {
+        for g in 0..groups.num_groups() {
+            for r in groups.rows(g) {
                 prop_assert!(!seen[r as usize], "row {r} in two groups");
                 seen[r as usize] = true;
-                prop_assert_eq!(&Value::Int(values[r as usize]), key);
+                prop_assert_eq!(&Value::Int(values[r as usize]), groups.key(g));
             }
         }
         prop_assert!(seen.iter().all(|&s| s));
@@ -198,6 +217,9 @@ proptest! {
             .collect();
         let t = one_column_table("g", DataType::Str, values);
         prop_assert_eq!(t.group_by("g").unwrap(), group_by_reference(&t, "g"));
+        // All NULL: an empty dictionary, every row in the NULL group.
+        let t = one_column_table("g", DataType::Str, vec![Value::Null; cells.len()]);
+        prop_assert_eq!(t.group_by("g").unwrap(), group_by_reference(&t, "g"));
     }
 
     #[test]
@@ -208,6 +230,60 @@ proptest! {
             .collect();
         let t = one_column_table("g", DataType::Bool, values);
         prop_assert_eq!(t.group_by("g").unwrap(), group_by_reference(&t, "g"));
+    }
+
+    #[test]
+    fn to_group_by_matches_the_reference_on_every_view(
+        cells in prop::collection::vec(0u8..41, 0..300),
+        groups in 1u8..41,
+        nulls in any::<bool>(),
+    ) {
+        // Up to 40 groups over lengths that are rarely a multiple of 64;
+        // with `nulls`, one value in `groups + 1` is a NULL group.
+        let values: Vec<Value> = cells
+            .iter()
+            .map(|&cell| match cell % (groups + u8::from(nulls)) {
+                v if v == groups => Value::Null,
+                v => Value::Int(i64::from(v)),
+            })
+            .collect();
+        let t = one_column_table("g", DataType::Int, values);
+        let got = t.group_by("g").unwrap();
+        let want = group_by_reference(&t, "g");
+        assert_same_views(&got, &want)?;
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn to_group_by_matches_the_reference_past_the_alphabet(
+        groups in 27usize..41,
+        extra in 0usize..260,
+        seed in any::<u64>(),
+    ) {
+        // Grade labels wrap after `Z`, so groups 26.. share letters with
+        // 0..: the string column has fewer groups than the plan.
+        let spec = DatasetSpec { rows: groups + extra, groups, ..all_specs()[1] };
+        let table = Dataset::generate(spec, seed).table;
+        let got = table.group_by("grade").unwrap();
+        prop_assert!(got.num_groups() <= 26);
+        assert_same_views(&got, &group_by_reference(&table, "grade"))?;
+    }
+
+    #[test]
+    fn true_rows_matches_the_flag_oracle(
+        cells in prop::collection::vec(0u8..40, 0..300),
+        // Past the column's end: no NULL.
+        null_at in 0usize..450,
+    ) {
+        let mut labels: Vec<Option<bool>> = cells.iter().map(|&c| Some(c % 3 == 0)).collect();
+        if let Some(label) = labels.get_mut(null_at) {
+            *label = None;
+        }
+        let complete = labels.iter().all(Option::is_some);
+        let oracle = complete.then(|| {
+            expred_table::RowSet::from_flags(labels.iter().map(|&l| l == Some(true)))
+        });
+        prop_assert_eq!(Column::Bool(labels).true_rows(), oracle);
     }
 
     #[test]

@@ -34,13 +34,14 @@
 //! word answered at once: hits are `store.known & !memo.known & rows`,
 //! misses a popcount — and hands back a decided plane and a passed plane
 //! that a group's `(word, mask)` runs ([`GroupBy::runs`]) AND against to
-//! tally with popcounts or OR into an answer. An expression leaf
+//! tally with popcounts or OR into an answer; [`UdfInvoker::scan_plane`]
+//! makes the same read of any plane (the rows of the groups a sampling
+//! round is short in, a whole table). An expression leaf
 //! ([`UdfInvoker::evaluate_plane`]) makes the same read over the plane of
 //! rows still in play and sends only the undecided ones to the executor,
-//! as one batch in ascending order. One group's runs
-//! ([`UdfInvoker::scan_runs`]) and arbitrary row lists
+//! as one batch in ascending order. Arbitrary row lists
 //! ([`UdfInvoker::known_many`], [`UdfInvoker::evaluate_batch`]) move the
-//! same cursor a run or a row at a time. Whichever walk, the memo, the
+//! same cursor a row at a time. Whichever walk, the memo, the
 //! bill and the store see exactly what a per-row loop over the same rows
 //! in ascending order would have shown them — only the order of the
 //! store's probes within a call differs, and the store's statistics and
@@ -483,7 +484,7 @@ impl<'a> UdfInvoker<'a> {
     }
 
     /// [`UdfInvoker::memoized`] for an arbitrary list of rows, in input
-    /// order (a group's rows go through [`UdfInvoker::scan_runs`]).
+    /// order (a set of rows goes through [`UdfInvoker::scan_plane`]).
     /// Action for action the per-row loop (same answers, same
     /// promotions, one store hit or miss per probe), with the reuse
     /// charge and the store statistics added once per call.
@@ -497,46 +498,29 @@ impl<'a> UdfInvoker<'a> {
         known
     }
 
-    /// A scan of one group: [`UdfInvoker::known_many`] over the rows of
-    /// `(word, mask)` runs — bit `i` of `mask` is row `64 * word + i`; a
-    /// group's are [`GroupBy::runs`] — a word at a time (a whole
-    /// grouping goes through [`UdfInvoker::scan_groups`]). `visit`
-    /// receives, per run, `(word, mask, known, answer)`: the rows of
-    /// `mask` this query or the session has decided and, of those, the
-    /// ones that passed (`answer ⊆ known ⊆ mask`).
-    /// Action for action the per-row walk over the same rows in
-    /// ascending order — same promotions into the memo, same referenced
-    /// marks, one store hit or miss per undecided row — with the reuse
-    /// charge and the store statistics added once per call.
-    pub fn scan_runs(
-        &self,
-        runs: impl IntoIterator<Item = (u32, u64)>,
-        mut visit: impl FnMut(usize, u64, u64, u64),
-    ) {
-        let mut lookup = self.lookup();
-        for (word, mask) in runs {
-            let word = word as usize;
-            let (known, answer, _) = lookup.run(word, mask);
-            visit(word, mask, known, answer);
-        }
-        lookup.finish(&self.tracker);
-    }
-
-    /// [`UdfInvoker::scan_runs`] over every group of `groups` in one
+    /// [`UdfInvoker::scan_plane`] over every row of `groups` in one
     /// word-major pass: the groups' runs in a word never overlap, so the
     /// pass reads their union ([`GroupBy::row_plane`]) and each 64-row
     /// word the grouping touches is loaded, promoted and settled once,
-    /// however many groups have rows in it. Returns two planes over the
-    /// table: the grouping's rows this query or the session has decided,
-    /// and of those the ones that passed. A run `(word, mask)` of any
+    /// however many groups have rows in it. A run `(word, mask)` of any
     /// group takes its `known` and `answer` masks with one AND each —
-    /// `decided.word(word) & mask`, `passed.word(word) & mask`. Action for
-    /// action the per-group loop `for g { scan_runs(groups.runs(g), ..) }`
-    /// — same masks, same promotions, same referenced marks, one store
-    /// hit or miss per undecided row — with the reuse charge and the
-    /// store statistics added once per call.
+    /// `decided.word(word) & mask`, `passed.word(word) & mask` — and the
+    /// store sees the probes one read per group would have made.
     pub fn scan_groups(&self, groups: &GroupBy) -> (RowSet, RowSet) {
-        let (decided, passed, _) = self.read_plane(&groups.row_plane());
+        self.scan_plane(&groups.row_plane())
+    }
+
+    /// What this query or the session has decided of the rows of `rows`,
+    /// a set over this invoker's table, and of those the ones that
+    /// passed, as two planes over the table, read a word at a time: each
+    /// 64-row word `rows` touches is loaded, its store hits promoted into
+    /// the memo (and charged as reuse) and its probes settled once.
+    /// Action for action [`UdfInvoker::known_many`] over the plane's rows
+    /// in ascending order — same promotions, same referenced marks, one
+    /// store hit or miss per undecided row — with the reuse charge and
+    /// the store statistics added once per call.
+    pub fn scan_plane(&self, rows: &RowSet) -> (RowSet, RowSet) {
+        let (decided, passed, _) = self.read_plane(rows);
         (RowSet::from_words(decided), RowSet::from_words(passed))
     }
 
@@ -1013,26 +997,25 @@ mod tests {
         assert!((cold..=8 * cold).contains(&c.evaluated), "{c:?}");
 
         // The same race a word at a time: two threads scan one warm
-        // group of a fresh query, meeting before every run. Both see
+        // group of a fresh query, meeting before every word. Both see
         // every row decided; only the merge that flipped a row's `known`
         // bit charges it.
         let inv = UdfInvoker::with_context(&udf, &t, &ctx);
-        let group: Vec<(u32, u64)> = (0..ROWS.div_ceil(64) as u32)
-            .map(|word| (word, 0x5555_5555_5555_5555))
-            .collect();
+        let mask = 0x5555_5555_5555_5555;
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 scope.spawn(|| {
-                    let runs = group.iter().map(|&run| {
+                    for word in 0..ROWS.div_ceil(64) {
+                        let mut run = RowSet::new(ROWS);
+                        run.insert_word(word, mask);
                         barrier.wait();
-                        run
-                    });
-                    inv.scan_runs(runs, |word, mask, known, passed| {
-                        assert_eq!(known, mask, "every row of word {word} is session-known");
+                        let (known, passed) = inv.scan_plane(&run);
+                        assert_eq!(known, run, "every row of word {word} is session-known");
                         let want = bits(mask).filter(|bit| labels[word * 64 + *bit as usize]);
-                        assert_eq!(bits(passed).collect::<Vec<_>>(), want.collect::<Vec<_>>());
-                    });
+                        let passed = bits(passed.word(word)).collect::<Vec<_>>();
+                        assert_eq!(passed, want.collect::<Vec<_>>());
+                    }
                 });
             }
         });

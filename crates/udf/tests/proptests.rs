@@ -17,18 +17,19 @@
 //! The bulk read path is held to the per-row one: `known_many` over any
 //! run of rows — repeats included, on a half-warm session and a half-warm
 //! memo — equals a `memoized` loop action for action. And the group scan
-//! is held to `known_many`: `scan_runs` over a group's `(word, mask)`
-//! runs equals `known_many` over the group's rows — answers, bill, store
-//! statistics and the referenced marks that steer later evictions. The
-//! word-major scan is held to the group scan in turn: `scan_groups` over
-//! a whole grouping — sparse, or sliced so it does not cover the table —
-//! equals `scan_runs` group after group, mask for mask, leaving the same
-//! memo, bill, store statistics and referenced marks.
+//! is held to `known_many`: `scan_plane` over the plane of a group's
+//! `(word, mask)` runs equals `known_many` over the group's rows —
+//! answers, bill, store statistics and the referenced marks that steer
+//! later evictions. The word-major scan is held to the group scan in
+//! turn: `scan_groups` over a whole grouping — sparse, or sliced so it
+//! does not cover the table — equals one group scan after another, mask
+//! for mask, leaving the same memo, bill, store statistics and
+//! referenced marks.
 
 use expred_exec::{CacheStore, ExecContext, Sequential};
 use expred_stats::bits::rows_of;
 use expred_table::rowset::bits;
-use expred_table::{DataType, Field, GroupBy, Schema, Table, Value};
+use expred_table::{DataType, Field, GroupBy, RowSet, Schema, Table, Value};
 use expred_udf::{cache_namespace, OracleUdf, UdfInvoker};
 use proptest::prelude::*;
 
@@ -37,6 +38,15 @@ const ROWS: usize = 48;
 const WIDE_ROWS: usize = 300;
 /// Tall enough to span two 4096-row pages of the session store.
 const TALL_ROWS: usize = 4_200;
+
+/// Group `g`'s rows as a plane over a table of `rows` rows.
+fn group_plane(groups: &GroupBy, g: usize, rows: usize) -> RowSet {
+    let mut plane = RowSet::new(rows);
+    for (word, mask) in groups.runs(g) {
+        plane.insert_word(word as usize, mask);
+    }
+    plane
+}
 
 fn labelled_table(rows: usize) -> Table {
     let schema = Schema::new(vec![Field::new("good", DataType::Bool)]);
@@ -226,16 +236,22 @@ proptest! {
             for _ in 0..2 {
                 for g in 0..groups.num_groups() {
                     let known = if by_runs {
-                        let mut known = Vec::new();
-                        invoker.scan_runs(groups.runs(g), |_, mask, decided, passed| {
+                        let plane = group_plane(&groups, g, TALL_ROWS);
+                        let (decided, passed) = invoker.scan_plane(&plane);
+                        for (word, mask) in groups.runs(g) {
+                            let (decided, passed) =
+                                (decided.word(word as usize), passed.word(word as usize));
                             assert_eq!((decided & !mask, passed & !decided), (0, 0));
-                            known.extend(bits(mask).map(|bit| {
-                                (decided >> bit & 1 == 1).then_some(passed >> bit & 1 == 1)
-                            }));
-                        });
-                        known
+                        }
+                        groups
+                            .rows(g)
+                            .map(|row| {
+                                let row = row as usize;
+                                decided.contains(row).then_some(passed.contains(row))
+                            })
+                            .collect()
                     } else {
-                        invoker.known_many(groups.rows(g).iter().map(|&row| row as usize))
+                        invoker.known_many(groups.rows(g).map(|row| row as usize))
                     };
                     seen.push((known, invoker.counts(), store.stats()));
                 }
@@ -259,7 +275,7 @@ proptest! {
         // and a fully warm session is reused row for row.
         let scanned_groups = (0..groups.num_groups()).cycle();
         for ((known, _, _), g) in by_runs.0.iter().zip(scanned_groups) {
-            for (&row, known) in groups.rows(g).iter().zip(known) {
+            for (row, known) in groups.rows(g).zip(known) {
                 prop_assert!(known.is_none_or(|answer| answer == (row % 3 == 0)));
             }
         }
@@ -288,10 +304,7 @@ proptest! {
         let assignments: Vec<usize> = (0..TALL_ROWS).map(|row| (row / stride + row) % k).collect();
         let whole = GroupBy::from_assignments("g", &assignments);
         let slices: Vec<Vec<u32>> = (0..whole.num_groups())
-            .map(|g| {
-                let rows = whole.rows(g);
-                rows[..rows.len().div_ceil(keep_one_in)].to_vec()
-            })
+            .map(|g| whole.rows(g).take(whole.size(g).div_ceil(keep_one_in)).collect())
             .collect();
         let sliced = slices.iter().map(Vec::len).sum();
         let keys = (0..whole.num_groups()).map(|g| whole.key(g).clone()).collect();
@@ -334,9 +347,12 @@ proptest! {
                 } else {
                     let mut decided = Vec::new();
                     for g in 0..groups.num_groups() {
-                        invoker.scan_runs(groups.runs(g), |_, _, known, passed| {
-                            decided.push((known, passed));
-                        });
+                        let (known, passed) =
+                            invoker.scan_plane(&group_plane(&groups, g, TALL_ROWS));
+                        decided.extend(groups.runs(g).map(|(word, mask)| {
+                            let word = word as usize;
+                            (known.word(word) & mask, passed.word(word) & mask)
+                        }));
                     }
                     decided
                 };

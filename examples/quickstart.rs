@@ -66,7 +66,7 @@ fn main() {
         &mut rng,
         &ctx,
     );
-    for (g, key, _) in groups.iter() {
+    for (g, key) in groups.keys().iter().enumerate() {
         println!(
             "group A={key}: sampled {} tuples, estimated selectivity {:.2}",
             sample.evaluated[g],
@@ -78,7 +78,7 @@ fn main() {
     let est = sample.to_estimated_groups(&groups);
     let plan = solve_estimated(&est, &spec, CorrelationModel::Independent)
         .expect("constraints are satisfiable");
-    for (g, key, _) in groups.iter() {
+    for (g, key) in groups.keys().iter().enumerate() {
         println!(
             "plan for A={key}: retrieve {:.2}, evaluate {:.2}",
             plan.r()[g],

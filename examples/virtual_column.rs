@@ -78,12 +78,13 @@ fn main() {
         &ctx,
     );
     println!("\nvirtual-column buckets (score-ordered):");
-    for (g, _, rows) in groups.iter() {
-        let sel = rows.iter().filter(|&&r| truth[r as usize]).count() as f64 / rows.len() as f64;
+    for g in 0..groups.num_groups() {
+        let correct = groups.rows(g).filter(|&r| truth[r as usize]).count();
+        let sel = correct as f64 / groups.size(g) as f64;
         let bar = "#".repeat((sel * 40.0).round() as usize);
         println!(
             "bucket {g:>2}: {:>6} rows, selectivity {sel:>5.2} {bar}",
-            rows.len()
+            groups.size(g)
         );
     }
 }
