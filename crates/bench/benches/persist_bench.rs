@@ -19,7 +19,8 @@
 //!   [`PersistStore::append_pages`], one stage-sized batch of pages at a
 //!   time: ns/row until the calls return, and until the final sync does
 //!   (the backends keep their `append_rows` names, so `bench-diff` still
-//!   compares like with like).
+//!   compares like with like), and the WAL bytes the batches wrote per
+//!   row (`wal_bytes`).
 //! * `compact` — one snapshot compaction of a 25-namespace index: ns per
 //!   persisted row, and `longest_append_stall`, the worst latency of a
 //!   re-offer (which needs the index lock and nothing else) issued while
@@ -120,9 +121,20 @@ fn main() {
     ] {
         report.record_metric("wal_append_batch", backend, "ns_per_row", "ns", ns);
     }
+    let wal_bytes = std::fs::metadata(batch_dir.join("wal-000000"))
+        .expect("the batches' WAL")
+        .len();
+    let bytes_per_row = wal_bytes as f64 / records as f64;
+    report.record_metric(
+        "wal_append_batch",
+        "wal_bytes",
+        "wal_bytes_per_row",
+        "bytes",
+        bytes_per_row,
+    );
     println!(
         "wal_append_batch            {batch_ns:>8.1} ns/row ({stage}-row batches, {:.1}x; \
-         {caller_ns:.1} ns/row on the caller)",
+         {caller_ns:.1} ns/row on the caller; {bytes_per_row:.2} WAL bytes/row)",
         append_ns / batch_ns
     );
 

@@ -34,12 +34,9 @@ pub fn run_intel_sample_adaptive(
 ) -> Result<RunOutcome, EngineError> {
     run_framed(ds, &spec.cost, seed, ctx, |f| {
         let groups = session_group_by(&ds.table, predictor, ctx)?;
+        // The search already solved the sample it stopped at.
         let outcome = adaptive_num_search(&groups, &f.invoker, spec, corr, &mut f.rng, ctx);
-        let est_groups = outcome.sample.to_estimated_groups(&groups);
-        let (plan, plan_feasible) = solve_or_evaluate_all(
-            solve_estimated(&est_groups, spec, corr),
-            groups.num_groups(),
-        );
+        let (plan, plan_feasible) = solve_or_evaluate_all(outcome.plan, groups.num_groups());
         let mut returned = f.empty_answer();
         execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
         Ok(Answer {

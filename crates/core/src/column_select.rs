@@ -39,8 +39,8 @@ pub struct ColumnScore {
 
 /// Evaluates a labelled sample and ranks `candidates` by estimated plan
 /// cost (method 1), labelling each round's sample as one executor batch.
-/// Returns the ranking (best first) plus the labelled rows, which callers
-/// re-use for selectivity estimation and output.
+/// Returns the ranking (best first) plus the labelled rows, ascending,
+/// which callers re-use for selectivity estimation and output.
 ///
 /// `label_fraction` is the initial sample size as a fraction of the table
 /// (the paper uses 1%); if no candidate has ≤ √t distinct values the
@@ -64,18 +64,17 @@ pub fn rank_columns(
     let n = table.num_rows();
     let max_rounds = 4;
     let mut target = ((label_fraction * n as f64).ceil() as usize).clamp(1, n);
-    let mut labelled: Vec<u32> = Vec::new();
-    // The labelled rows again, as planes over the table — which rows,
-    // and which of them passed — for scoring columns a word at a time.
-    let mut labelled_set = RowSet::new(n);
-    let mut passed_set = RowSet::new(n);
+    // The labelled rows as planes over the table — which rows, and which
+    // of them passed — for scoring columns a word at a time.
+    let mut labelled = RowSet::new(n);
+    let mut passed = RowSet::new(n);
 
     for round in 0..max_rounds {
         // Grow the labelled sample to the current target.
         let missing = target.saturating_sub(labelled.len());
         if missing > 0 {
             // Every row of the table, read a word at a time; the sample
-            // is drawn by rank among the undecided ones.
+            // is drawn by rank among the undecided ones, into a plane.
             let every_row = RowSet::full(n);
             let (decided, _) = invoker.scan_plane(&every_row);
             let unlabelled: Vec<(u32, u64)> = every_row
@@ -86,16 +85,11 @@ pub fn rank_columns(
                 .map(|(word, (&rows, &decided))| (word as u32, rows & !decided))
                 .filter(|&(_, open)| open != 0)
                 .collect();
-            let mut batch = Vec::with_capacity(missing);
-            draw_by_rank(&unlabelled, missing, rng, &mut batch);
-            let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
-            for (&row, passed) in batch.iter().zip(answers) {
-                labelled_set.insert(row);
-                if passed {
-                    passed_set.insert(row);
-                }
-            }
-            labelled.extend(batch.into_iter().map(|row| row as u32));
+            let mut batch = RowSet::new(n);
+            let drawn = draw_by_rank(&unlabelled, missing, rng, |row| batch.insert(row));
+            invoker.charge_retrievals(drawn as u64);
+            passed.union_with(&invoker.evaluate_plane(ctx.executor, &batch));
+            labelled.union_with(&batch);
         }
         let limit = (labelled.len() as f64).sqrt().ceil() as usize;
         // Eligibility reads the memoized per-column stats: the distinct
@@ -121,14 +115,14 @@ pub fn rank_columns(
         };
         let mut scores = pool
             .into_iter()
-            .map(|c| score_column(table, c, spec, &labelled_set, &passed_set, ctx))
+            .map(|c| score_column(table, c, spec, &labelled, &passed, ctx))
             .collect::<Result<Vec<ColumnScore>, EngineError>>()?;
         scores.sort_by(|a, b| {
             a.estimated_cost
                 .total_cmp(&b.estimated_cost)
                 .then(a.column.cmp(&b.column))
         });
-        return Ok((scores, labelled));
+        return Ok((scores, labelled.to_vec()));
     }
     unreachable!("loop always returns by the final round");
 }

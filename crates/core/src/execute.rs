@@ -23,7 +23,9 @@
 //! per word. The groups then take their `(word, mask)` runs
 //! ([`GroupBy::runs`]) in group order, and only the undecided bits of a
 //! run, `mask & !decided`, are visited singly, in ascending order, to
-//! draw their retrieve/evaluate decisions. The answer is never sorted:
+//! draw their retrieve/evaluate decisions. The rows to evaluate gather
+//! in one more plane, which [`UdfInvoker::evaluate_plane`] evaluates and
+//! answers as a plane of those that passed. The answer is never sorted:
 //! groups partition the rows, every path sets bits, and the ascending id
 //! list is the plane read out once.
 
@@ -53,12 +55,13 @@ pub struct ExecutionResult {
 ///
 /// The random decisions (retrieve? evaluate?) are drawn on the calling
 /// thread in group order — exactly the stream the sequential executor
-/// consumes — and only then do the chosen rows go to `ctx.executor`, as
-/// one batch ordered by correlation group (ascending) and by position
-/// within the group: the order store insertions and spill offers
-/// follow. How that batch is chunked and overlapped is the executor's
-/// decision alone. The result is therefore byte-identical across
-/// backends for a fixed seed; only wall-clock time changes.
+/// consumes — into a plane of the rows to evaluate, and only then do
+/// those rows go to `ctx.executor`, as one batch in ascending row order;
+/// their answers reach the store and the spill sink as the pages they
+/// fill. How that batch is chunked and overlapped is the executor's
+/// decision alone, and answers and bills do not depend on its order. The
+/// result is therefore byte-identical across backends for a fixed seed;
+/// only wall-clock time changes.
 ///
 /// Errors with [`EngineError::InvalidRequest`] if the plan and the
 /// grouping disagree on the number of groups.
@@ -110,7 +113,7 @@ pub(crate) fn execute_plan_into(
     let (decided, passed) = invoker.scan_groups(groups);
     answer.union_with(&passed);
     let reused_positives = passed.len();
-    let mut queued = Vec::new();
+    let mut queued = RowSet::new(invoker.table().num_rows());
     let mut retrieved = 0u64;
     for g in 0..groups.num_groups() {
         let r = plan.r()[g];
@@ -127,7 +130,7 @@ pub(crate) fn execute_plan_into(
                 }
                 retrieved += 1;
                 if eval_given_retrieved > 0.0 && rng.bernoulli(eval_given_retrieved) {
-                    queued.push(word * 64 + bit as usize);
+                    queued.insert_word(word, 1 << bit);
                 } else {
                     answer.insert_word(word, 1 << bit);
                 }
@@ -136,16 +139,11 @@ pub(crate) fn execute_plan_into(
     }
     invoker.charge_retrievals(retrieved);
     // Every queued row is fresh (the scan above skipped the decided ones)
-    // and distinct (groups partition rows), so the audited batch charges
+    // and distinct (groups partition rows), so the audited plane charges
     // exactly one evaluation per row — the same bill the serial loop
     // paid. Through the invoker, never the raw probe: the invoker is what
     // memoizes the answers and charges the tracker.
-    let answers = invoker.evaluate_batch(ctx.executor, &queued);
-    for (&row, passed) in queued.iter().zip(answers) {
-        if passed {
-            answer.insert(row);
-        }
-    }
+    answer.union_with(&invoker.evaluate_plane(ctx.executor, &queued));
     Ok(reused_positives)
 }
 
@@ -352,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn the_queue_reaches_the_executor_as_one_batch_in_group_order() {
+    fn the_queue_reaches_the_executor_as_one_batch_in_ascending_order() {
         let n = 12_000;
         let labels: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
         let group_ids: Vec<i64> = (0..n as i64).map(|i| i % 4).collect();
@@ -376,16 +374,11 @@ mod tests {
         let batch = &batches[0];
         assert_eq!(batch.len() as u64, recorded.1.evaluated);
         assert!(batch.len() > 10_000, "{} rows queued", batch.len());
-        // Ascending group, then position within the group — the order
-        // store insertions and spill offers follow. Strictly ascending,
-        // so every row is distinct too.
-        let mut place = vec![(0, 0); n];
-        for g in 0..groups.num_groups() {
-            for (position, row) in groups.rows(g).enumerate() {
-                place[row as usize] = (g, position);
-            }
-        }
-        assert!(batch.windows(2).all(|w| place[w[0]] < place[w[1]]));
+        // Ascending row order — the queue is a plane read out — though
+        // the groups interleave, so group order would differ. Strictly
+        // ascending, so every row is distinct too.
+        assert!(batch.windows(2).all(|w| w[0] < w[1]));
+        assert!(batch.windows(2).any(|w| group_ids[w[0]] > group_ids[w[1]]));
     }
 
     proptest! {
@@ -452,7 +445,10 @@ mod tests {
                 } else {
                     execute_plan_push_and_sort(&plan, &groups, &invoker, &mut rng, &ctx)
                 };
-                let batches = recorder.0.into_inner().unwrap();
+                // The executor's batch as a set: the plane sends it in
+                // ascending order, the row-at-a-time walk in group order.
+                let mut batches = recorder.0.into_inner().unwrap();
+                batches.iter_mut().for_each(|batch| batch.sort_unstable());
                 (result, invoker.counts(), store.stats(), batches, rng.next_u64())
             };
             let (got, want) = (run(true), run(false));

@@ -367,14 +367,12 @@ pub fn run_naive(
     run_framed(ds, &spec.cost, seed, ctx, |f| {
         let n = ds.table.num_rows();
         let k = ((spec.beta * n as f64).ceil() as usize).min(n);
-        let batch = f.rng.sample_indices(n, k);
-        let answers = f.invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
-        let mut returned = f.empty_answer();
-        for (row, passed) in batch.into_iter().zip(answers) {
-            if passed {
-                returned.insert(row);
-            }
+        let mut batch = RowSet::new(n);
+        for row in f.rng.sample_indices(n, k) {
+            batch.insert(row);
         }
+        f.invoker.charge_retrievals(k as u64);
+        let returned = f.invoker.evaluate_plane(ctx.executor, &batch);
         Ok(Answer {
             returned,
             num_groups: 1,

@@ -22,11 +22,14 @@
 //!   shortfall by rank among its undecided bits, `mask & !decided` over
 //!   its runs: `sample_indices` picks ranks, and prefix popcounts map
 //!   each rank to its row — the rows, order and draws of indexing a list
-//!   of the undecided rows, which is never built.
+//!   of the undecided rows, which is never built. The draws land in one
+//!   plane, evaluated as one batch ([`UdfInvoker::evaluate_plane`]), and
+//!   a group's drawn positives are again a popcount per run.
 //! * [`adaptive_num_search`] — §4.3's adaptive scheme: grow `num`, re-plan,
 //!   and stop when the estimated total cost starts rising.
 
-use crate::optimize::{solve_estimated, CorrelationModel, EstimatedGroup};
+use crate::optimize::{solve_estimated, CorrelationModel, EstimatedGroup, PlanError};
+use crate::plan::Plan;
 use crate::query::QuerySpec;
 use expred_exec::ExecContext;
 use expred_stats::estimator::SelectivityEstimate;
@@ -138,15 +141,17 @@ pub fn sample_groups(
         }
         tallies.push((total, pos, target.saturating_sub(total)));
     }
-    let mut batch: Vec<usize> = Vec::new();
+    // Of the rows drawn, those that passed.
+    let mut passed = None;
     if let Some(short) = short {
         // Pay for the shortfalls with fresh random rows. The short groups
         // are read again rather than remembered from the tally: a row
         // another query of the session landed in between is neither
         // drawn fresh nor counted (and the store sees the probes a
         // per-group rescan made). Each group then draws by rank among
-        // its undecided rows, in group order.
+        // its undecided rows, in group order, into one plane.
         let (decided, _) = invoker.scan_plane(&short);
+        let mut batch = RowSet::new(invoker.table().num_rows());
         let mut open = Vec::new();
         for (g, tally) in tallies.iter_mut().enumerate() {
             if tally.2 == 0 {
@@ -159,21 +164,29 @@ pub fn sample_groups(
                     .map(|(word, mask)| (word, mask & !decided.word(word as usize)))
                     .filter(|&(_, mask)| mask != 0),
             );
-            let before = batch.len();
-            draw_by_rank(&open, tally.2, rng, &mut batch);
-            tally.2 = batch.len() - before;
+            tally.2 = draw_by_rank(&open, tally.2, rng, |row| batch.insert(row));
         }
+        invoker.charge_retrievals(batch.len() as u64);
+        passed = Some(invoker.evaluate_plane(ctx.executor, &batch));
     }
-    let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
-    let mut answers = answers.iter();
     let mut sample = GroupSample {
         estimates: Vec::with_capacity(tallies.len()),
         evaluated: Vec::with_capacity(tallies.len()),
         positives: Vec::with_capacity(tallies.len()),
     };
-    for (known, known_pos, drawn) in tallies {
-        let drawn_pos = answers.by_ref().take(drawn).filter(|&&a| a).count();
-        let (pos, total) = ((known_pos + drawn_pos) as u64, (known + drawn) as u64);
+    for (g, (known, known_pos, drawn)) in tallies.into_iter().enumerate() {
+        // A group's drawn positives: one popcount per run of the group.
+        let drawn_pos: u32 = match &passed {
+            Some(passed) if drawn > 0 => groups
+                .runs(g)
+                .map(|(word, mask)| (passed.word(word as usize) & mask).count_ones())
+                .sum(),
+            _ => 0,
+        };
+        let (pos, total) = (
+            (known_pos + drawn_pos as usize) as u64,
+            (known + drawn) as u64,
+        );
         sample
             .estimates
             .push(SelectivityEstimate::from_sample(pos, total));
@@ -184,13 +197,18 @@ pub fn sample_groups(
 }
 
 /// Draws `need` of the rows set in `open` — `(word, mask)` runs,
-/// ascending by word — onto `out` by rank: `rng.sample_indices` picks
-/// ranks among the rows (rank 0 the lowest row), and each rank is found
-/// through the runs' prefix popcounts and one [`select`] within its run.
-/// The rows, their order and the draws are those of indexing the rows
-/// listed out, without the list. Fewer than `need` rows in `open` draws
-/// them all.
-pub(crate) fn draw_by_rank(open: &[(u32, u64)], need: usize, rng: &mut Prng, out: &mut Vec<usize>) {
+/// ascending by word — by rank, handing each to `take`, and returns how
+/// many it drew: `rng.sample_indices` picks ranks among the rows (rank 0
+/// the lowest row), and each rank is found through the runs' prefix
+/// popcounts and one [`select`] within its run. The rows, their order and
+/// the draws are those of indexing the rows listed out, without the list.
+/// Fewer than `need` rows in `open` draws them all.
+pub(crate) fn draw_by_rank(
+    open: &[(u32, u64)],
+    need: usize,
+    rng: &mut Prng,
+    mut take: impl FnMut(usize),
+) -> usize {
     // Rows in the runs before each run.
     let mut before = Vec::with_capacity(open.len());
     let mut count = 0;
@@ -198,13 +216,15 @@ pub(crate) fn draw_by_rank(open: &[(u32, u64)], need: usize, rng: &mut Prng, out
         before.push(count);
         count += mask.count_ones() as usize;
     }
-    for rank in rng.sample_indices(count, need) {
+    let ranks = rng.sample_indices(count, need);
+    for &rank in &ranks {
         // The last run starting at or below `rank`: an empty run shares
         // its start with the next, so it is never the one picked.
         let run = before.partition_point(|&start| start <= rank) - 1;
         let (word, mask) = open[run];
-        out.push(word as usize * 64 + select(mask, (rank - before[run]) as u32) as usize);
+        take(word as usize * 64 + select(mask, (rank - before[run]) as u32) as usize);
     }
+    ranks.len()
 }
 
 /// The position of the set bit of `mask` with `rank` set bits below it
@@ -242,6 +262,9 @@ pub struct AdaptiveOutcome {
     /// Estimated total cost (sampling already spent + planned remainder)
     /// at the stopping point.
     pub estimated_cost: f64,
+    /// ConvexProg 4.1's solve over `sample` — the plan the search costed,
+    /// so callers need not solve the same sample again.
+    pub plan: Result<Plan, PlanError>,
 }
 
 /// §4.3's adaptive scheme: start from a small `num`, keep enlarging the
@@ -271,7 +294,8 @@ pub fn adaptive_num_search(
         );
         let est_groups = sample.to_estimated_groups(groups);
         let spent = invoker.cost(&spec.cost);
-        let planned = match solve_estimated(&est_groups, spec, corr) {
+        let plan = solve_estimated(&est_groups, spec, corr);
+        let planned = match &plan {
             Ok(plan) => {
                 let sizes: Vec<f64> = est_groups.iter().map(|g| g.remaining()).collect();
                 plan.expected_cost(&sizes, &spec.cost)
@@ -285,6 +309,7 @@ pub fn adaptive_num_search(
                 sample,
                 num,
                 estimated_cost: total,
+                plan,
             });
             rises = 0;
         } else {
@@ -427,7 +452,8 @@ mod tests {
                 .collect();
             // Onto rows already drawn, as a group after the first does.
             let mut got = vec![7, 3];
-            draw_by_rank(&open, need, &mut by_rank, &mut got);
+            let drawn = draw_by_rank(&open, need, &mut by_rank, |row| got.push(row));
+            prop_assert_eq!(drawn, want.len());
             prop_assert_eq!(&got[..2], &[7, 3]);
             prop_assert_eq!(&got[2..], &want[..]);
             prop_assert_eq!(by_rank.next_u64(), by_list.next_u64(), "the RNG moved differently");

@@ -22,25 +22,22 @@
 //!
 //! # The write path
 //!
-//! The unit of a write is the batch, as the unit of a read is the word:
-//! [`CacheHandle::insert_many`] (and [`CacheHandle::insert`], its
-//! one-row call) takes the `hand` lock once. On a store with a
-//! [`SpillSink`], the batch is first scattered, outside the lock, into
-//! the [`PagePlanes`] it touches ([`scatter`]); if its rows are distinct
-//! and the namespace has room for every one, those pages land a 64-row
-//! word at a time — one merge into the planes per word. Any other batch,
-//! and every batch of a store without a sink, lands the rows there is
-//! room for in runs of one word (a repeat closes a run), and only the
-//! rows past the bound go one by one through the second-chance sweep.
-//! Statistics are added once per batch. Contents, `len`, statistics and
-//! evictions are exactly what inserting the rows one at a time would
-//! leave.
+//! The unit of a write is the batch, and a batch is pages, as the unit
+//! of a read is the word: [`CacheHandle::insert_pages`] takes the
+//! [`PagePlanes`] a stage batch filled (its rows distinct by
+//! construction) and the `hand` lock once. If the namespace has room for
+//! every row, the pages land a 64-row word at a time — one merge into
+//! the planes per word. Otherwise the rows go one by one, ascending,
+//! through the second-chance sweep. [`CacheStore::prefill`] lands
+//! rehydrated pages the same way. Statistics are added once per batch.
+//! Contents, `len`, statistics and evictions are exactly what inserting
+//! the rows one at a time, ascending, would leave.
 //!
 //! After the lock drops, the sink hears the batch once: its rows plus
 //! whatever they evicted, as the pages they touch — the rows
 //! one-at-a-time inserts would have offered, gathered into pages. The
-//! pages scattered before the lock are that offer; the evicted rows are
-//! merged into them. A store without a sink builds no pages.
+//! batch's pages are that offer as they are; evicted rows are merged
+//! into a copy of them ([`scatter`]).
 //!
 //! # Keying and invalidation
 //!
@@ -64,7 +61,7 @@
 //! and treat the store as a best-effort accelerator.
 
 use crate::cache::{assign_bits, zeroed_plane, RowBits};
-use expred_stats::bits::{rows_of, scatter, PagePlanes, PAGE_ROWS, PAGE_WORDS};
+use expred_stats::bits::{pages_of, rows_of, scatter, PagePlanes, PAGE_ROWS, PAGE_WORDS};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -240,14 +237,15 @@ impl NamespaceCache {
         pages.get(&page_key).cloned()
     }
 
-    /// Inserts `rows` in order under one `hand` lock: the rows the
-    /// namespace has room for land a word at a time, the rest one by one
-    /// through the eviction sweep. With `offer`, the rows and whatever
-    /// they evicted are offered to the spill sink as one set of pages,
-    /// after the writers' lock drops: for a persistent sink the re-offer
-    /// of an evicted row is a deduplicated no-op (first write wins), but
-    /// it guarantees no answer leaves memory without the sink having
-    /// heard of it.
+    /// Inserts the rows of `pages` (ascending by page, as every crossing
+    /// carries them) under one `hand` lock: with room for all of them they
+    /// land a word at a time, and otherwise one by one, ascending, through
+    /// the eviction sweep. With `offer`, the pages and whatever they
+    /// evicted are offered to the spill sink as one set of pages, after
+    /// the writers' lock drops: for a persistent sink the re-offer of an
+    /// evicted row is a deduplicated no-op (first write wins), but it
+    /// guarantees no answer leaves memory without the sink having heard
+    /// of it.
     ///
     /// Without `offer` (the prefill path) the sink is not touched at all:
     /// the rows came *from* it, and anything they evict is either another
@@ -255,43 +253,38 @@ impl NamespaceCache {
     /// its own insert. Staying sink-silent is also what lets a caller
     /// prefill while holding locks the sink would re-take (the
     /// rehydration path holds its table registry's write lock).
-    fn insert_all(&self, rows: &[(usize, bool)], offer: bool) {
-        if rows.is_empty() {
-            return;
+    fn insert_pages(&self, pages: &[(usize, PagePlanes)], offer: bool) -> usize {
+        let rows: usize = pages.iter().map(|(_, planes)| planes.len()).sum();
+        if rows == 0 {
+            return 0;
         }
-        // Only a batch offered to a sink is scattered into pages, once and
-        // before the lock: they are the offer, and if the rows are
-        // distinct and all fit, they land page by page.
-        let sink = if offer {
-            self.spill.read().unwrap_or_else(|e| e.into_inner()).clone()
-        } else {
-            None
-        };
-        let mut offered = Vec::new();
-        let distinct = sink.is_some() && scatter(&mut offered, rows.iter().copied());
         let mut evicted = Vec::new();
         {
             let mut hand = self.hand.lock().unwrap_or_else(|e| e.into_inner());
-            // Each insert adds at most one entry, so the first `room`
-            // rows cannot meet a full namespace.
-            let room = self.capacity.saturating_sub(self.len());
-            if distinct && rows.len() <= room {
-                self.land_pages(&offered);
+            if rows <= self.capacity.saturating_sub(self.len()) {
+                self.land_pages(pages);
             } else {
-                let (roomy, tight) = rows.split_at(room.min(rows.len()));
-                self.land_rows(roomy);
-                for &(key, value) in tight {
+                for (key, value) in rows_of(pages) {
                     self.insert_locked(&mut hand, key, value, &mut evicted);
                 }
             }
         }
-        let (inserted, evictions) = (rows.len() as u64, evicted.len() as u64);
+        let (inserted, evictions) = (rows as u64, evicted.len() as u64);
         self.stats.insertions.fetch_add(inserted, Ordering::Relaxed);
         self.stats.evictions.fetch_add(evictions, Ordering::Relaxed);
+        let sink = offer
+            .then(|| self.spill.read().unwrap_or_else(|e| e.into_inner()).clone())
+            .flatten();
         if let Some(sink) = sink {
-            scatter(&mut offered, evicted);
-            sink.spill(self.namespace, &offered);
+            if evicted.is_empty() {
+                sink.spill(self.namespace, pages);
+            } else {
+                let mut offered = pages.to_vec();
+                scatter(&mut offered, evicted);
+                sink.spill(self.namespace, &offered);
+            }
         }
+        rows
     }
 
     /// Lands whole pages of rows, a word at a time (the caller holds the
@@ -304,27 +297,6 @@ impl NamespaceCache {
                 new += self.land_word(&mut cursor, word, planes.known[w], planes.answer[w]);
             }
         }
-        self.len.fetch_add(new, Ordering::Relaxed);
-    }
-
-    /// Lands rows that cannot overflow the namespace (the caller holds
-    /// the `hand` lock and checked the room): runs of rows sharing a
-    /// 64-row word are merged into the planes together. A row repeated
-    /// within a run closes it, so the repeat refreshes the entry its
-    /// first occurrence created, as it would one row at a time.
-    fn land_rows(&self, rows: &[(usize, bool)]) {
-        let (mut cursor, mut new) = (None, 0);
-        let (mut word, mut known, mut answer) = (usize::MAX, 0u64, 0u64);
-        for &(key, value) in rows {
-            let bit = 1u64 << (key % 64);
-            if key / 64 != word || known & bit != 0 {
-                new += self.land_word(&mut cursor, word, known, answer);
-                (word, known, answer) = (key / 64, 0, 0);
-            }
-            known |= bit;
-            answer |= if value { bit } else { 0 };
-        }
-        new += self.land_word(&mut cursor, word, known, answer);
         self.len.fetch_add(new, Ordering::Relaxed);
     }
 
@@ -505,17 +477,18 @@ impl CacheHandle {
     }
 
     /// Caches `value` for `key`, possibly evicting under the capacity
-    /// bound: a one-row [`CacheHandle::insert_many`].
+    /// bound: a one-row [`CacheHandle::insert_pages`].
     pub fn insert(&self, key: usize, value: bool) {
-        self.insert_many(&[(key, value)])
+        self.insert_pages(&pages_of([(key, value)]))
     }
 
-    /// Caches every `(key, value)` of `rows`, in order, under one writers'
-    /// lock (see the module docs). What the store holds, counts, evicts
-    /// and offers its sink afterwards is what calling
-    /// [`CacheHandle::insert`] per row would leave.
-    pub fn insert_many(&self, rows: &[(usize, bool)]) {
-        self.cache.insert_all(rows, true)
+    /// Caches every row of `pages` — `(page number, planes)`, ascending
+    /// by page — under one writers' lock (see the module docs). What the
+    /// store holds, counts, evicts and offers its sink afterwards is what
+    /// calling [`CacheHandle::insert`] per row, in ascending order, would
+    /// leave.
+    pub fn insert_pages(&self, pages: &[(usize, PagePlanes)]) {
+        self.cache.insert_pages(pages, true);
     }
 
     /// Number of live entries in this namespace.
@@ -834,10 +807,10 @@ impl CacheStore {
 
     /// Bulk-loads rehydrated pages into `namespace` without touching the
     /// spill sink at all, and returns the number of rows loaded. The
-    /// pages land a word at a time while the namespace has room for every
-    /// row (a rehydration larger than the capacity goes row by row through
-    /// the eviction sweep, like `insert_all(.., false)`). The loaded
-    /// entries came *from* the sink,
+    /// pages land as a [`CacheHandle::insert_pages`] batch does: a word
+    /// at a time while the namespace has room for every row, row by row
+    /// through the eviction sweep otherwise. The loaded entries came
+    /// *from* the sink,
     /// and any entry the capacity bound evicts mid-prefill is either
     /// another prefilled entry or a live one the sink already heard — so
     /// prefill is safe to call while holding locks the sink would
@@ -856,25 +829,16 @@ impl CacheStore {
         pages: &[(usize, PagePlanes)],
         age: Duration,
     ) -> usize {
-        let rows: usize = pages.iter().map(|(_, planes)| planes.len()).sum();
         // If the whole batch is already over-age, loading it would only
         // hand the next borrower an expired namespace to tear down.
-        if rows == 0 || self.ttl().is_some_and(|ttl| age > ttl) {
+        if pages.iter().all(|(_, planes)| planes.is_empty())
+            || self.ttl().is_some_and(|ttl| age > ttl)
+        {
             return 0;
         }
         let born = Instant::now().checked_sub(age).unwrap_or_else(Instant::now);
         let cache = self.inner.touch(&mut self.inner.write(), namespace, born);
-        {
-            let _hand = cache.hand.lock().unwrap_or_else(|e| e.into_inner());
-            if rows <= cache.capacity.saturating_sub(cache.len()) {
-                cache.land_pages(pages);
-                let stats = &self.inner.stats;
-                stats.insertions.fetch_add(rows as u64, Ordering::Relaxed);
-                return rows;
-            }
-        }
-        cache.insert_all(&rows_of(pages).collect::<Vec<_>>(), false);
-        rows
+        cache.insert_pages(pages, false)
     }
 
     /// Visits every namespace's live entries as its non-empty pages,
@@ -939,7 +903,6 @@ impl Default for CacheStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expred_stats::bits::pages_of;
 
     fn ns(udf: u64, table: u64, version: u64) -> CacheNamespace {
         CacheNamespace {

@@ -13,10 +13,11 @@
 //!   `capacity` entries, and offer the spill sink each inserted row with
 //!   every entry its `insert` evicted (while `prefill` offers nothing);
 //! * give a just-read row its second chance;
-//! * land a batch (`insert_many`) exactly as the per-row loop would:
-//!   contents, `len`, statistics, evictions and the rows the sink was
-//!   offered — with room, at capacity and past it, across page edges,
-//!   and over rows already cached.
+//! * land a batch of pages (`insert_pages`) exactly as the per-row loop
+//!   over its rows, ascending, would: contents, `len`, statistics,
+//!   evictions and the rows the sink was offered — with room, at
+//!   capacity and past it, across page edges, and over rows already
+//!   cached.
 //!
 //! The sink hears pages; these properties compare the rows on them as
 //! sets, since a batch is one offer however many rows it carries.
@@ -302,27 +303,21 @@ proptest! {
         prop_assert_eq!(handle.get(victim), None);
     }
 
-    // `insert_many` is the per-row loop under one lock: whatever the
+    // `insert_pages` is the per-row loop under one lock: whatever the
     // capacity (roomy, exactly full, overflowing), wherever the batch
-    // falls (inside a word, across page edges, onto cached rows, onto
-    // itself), both stores end up holding, counting and offering the same.
-    // A batch of distinct rows with room lands as pages; one that repeats
-    // a row must take the row path, where the repeat's answer wins.
+    // falls (inside a word, across page edges, onto cached rows), both
+    // stores end up holding, counting and offering the same. A batch with
+    // room lands as pages; one past the bound goes through the sweep.
     #[test]
-    fn insert_many_is_the_per_row_loop(
+    fn insert_pages_is_the_per_row_loop(
         // 1..=40 entries, or (one draw in three) room for everything.
         capacity in (1usize..61).prop_map(|c| if c > 40 { usize::MAX } else { c }),
         warm in prop::collection::vec((0usize..KEYS.len(), any::<bool>()), 0..20),
         reads in prop::collection::vec(0usize..KEYS.len(), 0..6),
         batches in prop::collection::vec(
-            (
-                prop::collection::vec((0usize..KEYS.len() + 80, any::<bool>()), 0..60),
-                // Repeat the batch's first row, its answer flipped, at the end.
-                any::<bool>(),
-            ),
+            prop::collection::vec((0usize..KEYS.len() + 80, any::<bool>()), 0..60),
             1..4,
         ),
-        // A store without a sink lands every batch as rows.
         with_sink in any::<bool>(),
     ) {
         // Selectors past `KEYS` are dense runs straddling the first and
@@ -343,28 +338,46 @@ proptest! {
             for &(selector, value) in &warm {
                 handle.insert(key(selector), value);
             }
-            for (batch, repeat) in &batches {
+            // Per batch: the rows the sink heard while it landed.
+            let mut offered = Vec::new();
+            for batch in &batches {
                 // Reads between batches leave referenced marks for the
                 // sweep to honour.
                 for &selector in &reads {
                     handle.get(key(selector));
                 }
-                let mut rows: Vec<(usize, bool)> =
-                    batch.iter().map(|&(selector, value)| (key(selector), value)).collect();
-                if let (true, Some(&(row, value))) = (*repeat, rows.first()) {
-                    rows.push((row, !value));
-                }
+                let pages = pages_of(batch.iter().map(|&(selector, value)| (key(selector), value)));
+                let heard = sink.offers().len();
                 if batched {
-                    handle.insert_many(&rows);
+                    handle.insert_pages(&pages);
                 } else {
-                    for &(row, value) in &rows {
+                    for (row, value) in rows_of(&pages) {
                         handle.insert(row, value);
                     }
                 }
+                let offers = sink.offers();
+                // Rows, not answers: a batch that overwrites a cached row
+                // the same batch evicted is offered its answers once each
+                // row by row, but once per row as pages (first one kept).
+                let rows: BTreeSet<usize> = offers[heard..].iter().flatten().map(|&(row, _)| row).collect();
+                offered.push(rows);
                 assert!(handle.len() <= capacity);
             }
-            (live_entries(&store), handle.len(), store.stats(), sink.rows())
+            (live_entries(&store), handle.len(), store.stats(), offered)
         };
-        prop_assert_eq!(run(true), run(false));
+        let (batched, per_row) = (run(true), run(false));
+        prop_assert_eq!(&batched.0, &per_row.0, "contents");
+        prop_assert_eq!(batched.1, per_row.1, "len");
+        prop_assert_eq!(batched.2, per_row.2, "statistics");
+        prop_assert_eq!(&batched.3, &per_row.3, "offers");
+        // A batch is one offer — its rows and what they evicted — or none.
+        if with_sink {
+            for (batch, offer) in batches.iter().zip(&batched.3) {
+                let rows: BTreeSet<usize> = batch.iter().map(|&(selector, _)| key(selector)).collect();
+                prop_assert!(rows.is_subset(offer), "{:?} not all offered", rows);
+            }
+        } else {
+            prop_assert!(batched.3.iter().all(BTreeSet::is_empty));
+        }
     }
 }

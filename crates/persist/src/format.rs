@@ -18,18 +18,20 @@
 //!
 //! # What a frame holds, and what a torn one costs
 //!
-//! The WAL is row-granular: a fresh answer is a [`Record::Row`], a stage
-//! batch one [`Record::RowBatch`] per page it brought new rows to (so at
-//! most [`PAGE_ROWS`] rows), each row with its own timestamp. A snapshot
-//! is page-granular: one [`Record::PageImage`] per 4 096-row page of a
-//! namespace — the page's [`PagePlanes`] (only the 64-row words that hold
-//! an answer are written) and the page's one timestamp, ≈ 0.26 bytes per
-//! answer on a full page against 13 in a row batch. Page numbers stop at
+//! Both files are page-granular. A snapshot holds one
+//! [`Record::PageImage`] per 4 096-row page of a namespace: the page's
+//! [`PagePlanes`] (only the 64-row words that hold an answer are written)
+//! and the page's one timestamp, ≈ 0.26 bytes per answer on a full page.
+//! The WAL holds, per page a stage batch added two or more rows to, a
+//! page image of just those rows stamped with the batch's time, and a
+//! [`Record::Row`] for a page that gained one row. Page numbers stop at
 //! [`PAGE_LIMIT`], where row ids leave the `u32` space. Every frame carries
 //! its own CRC, so damage costs the frame it hits and the frames after
 //! it — at most a page of answers per frame — and never a frame before
-//! it. Files written before page images existed (row-batch snapshots)
-//! replay unchanged: the version number did not move, a new tag did.
+//! it. [`Record::RowBatch`], 13 bytes per row, is no longer written, but
+//! files that hold it (row-batch snapshots, and WALs before page-image
+//! frames) replay unchanged: the version number did not move, a new tag
+//! did.
 
 /// File magic: the first four bytes of every persist file.
 pub const MAGIC: [u8; 4] = *b"EXPD";
@@ -138,16 +140,19 @@ pub enum Record {
         /// Write timestamp, nanoseconds since the Unix epoch.
         ts_nanos: u64,
     },
-    /// Several rows of one namespace in one frame: a stage batch in the
-    /// WAL (at most [`PAGE_ROWS`] rows per frame), and a whole namespace
-    /// in a snapshot written before page images existed.
+    /// Several rows of one namespace in one frame, each with its own
+    /// timestamp: what stage batches in the WAL, and whole namespaces in
+    /// snapshots, were written as before page images. Read, never
+    /// written.
     RowBatch {
         /// Namespace the rows belong to.
         key: PersistKey,
         /// `(row, answer, ts_nanos)` triples.
         rows: Vec<(u32, bool, u64)>,
     },
-    /// One page of a namespace as bit planes (snapshot compaction).
+    /// One page of a namespace as bit planes: a page of the index
+    /// (snapshot compaction), or the rows a stage batch added to a page
+    /// (the WAL).
     PageImage {
         /// Namespace the page belongs to.
         key: PersistKey,

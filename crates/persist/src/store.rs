@@ -8,12 +8,14 @@
 //! through the same first-write-wins merge that loading a snapshot image
 //! uses (answers are deterministic per table version, so a re-offer of
 //! the same row is a mask-and-OR that changes nothing). The rows that
-//! were new are enqueued on a bounded queue as one WAL frame per page
-//! (at most [`PAGE_ROWS`] rows), or as a single-row record when the
-//! batch brought one new row; [`PersistStore::append_row`] is the
-//! one-row call. A background flusher thread drains the queue in
-//! batches, appends the frames to the current WAL file, and fsyncs per
-//! [`FsyncPolicy`].
+//! were new are enqueued on a bounded queue as the pages they came in:
+//! a page that gained two or more rows as one page-image frame holding
+//! the planes of just those rows, stamped with the batch's time, and a
+//! page that gained one as a single-row record. Replay merges an image
+//! exactly as it merges the rows it holds, so the WAL a batch writes is
+//! the index it built. [`PersistStore::append_row`] is the one-row call.
+//! A background flusher thread drains the queue in batches, appends the
+//! frames to the current WAL file, and fsyncs per [`FsyncPolicy`].
 //!
 //! # The index: page planes, and what TTL sees
 //!
@@ -58,7 +60,8 @@
 //! The directory holds generation-numbered pairs: `snapshot-<g>` (the
 //! whole index at the moment generation `g` began: one page-image frame
 //! per page, its own CRC each, so a damaged frame costs that page and
-//! the ones after it) and `wal-<g>` (appends since, row-granular).
+//! the ones after it) and `wal-<g>` (appends since: page images of the
+//! rows each batch added to a page, single-row records for a lone row).
 //! Compaction writes `snapshot-<g+1>` as a temp file, fsyncs, renames
 //! (atomic on POSIX), creates `wal-<g+1>`, and only then deletes
 //! generation `g`'s files — a crash at any byte boundary leaves
@@ -72,7 +75,6 @@ use crate::format::{
     check_header, encode_frame, file_header, replay_frames, PagePlanes, PersistKey, Record,
     HEADER_LEN, PAGE_LIMIT, PAGE_ROWS, PAGE_WORDS,
 };
-use expred_stats::bits::bits;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -317,7 +319,7 @@ impl Index {
 /// and `flushed`: the rows it carries, one for a record that carries none.
 fn weight(record: &Record) -> u64 {
     match record {
-        Record::RowBatch { rows, .. } => rows.len() as u64,
+        Record::PageImage { planes, .. } => planes.len() as u64,
         _ => 1,
     }
 }
@@ -593,12 +595,14 @@ impl PersistStore {
     /// format cannot name and are skipped. First write per `(key, row)`
     /// wins (deterministic answers make a re-offer a no-op): under one
     /// index lock each page is merged into the index a word at a time,
-    /// and the rows that were new are enqueued for the WAL — one new row
-    /// as a `Row` record, more as one `RowBatch` frame per page — shedding
-    /// the oldest pending frames if the flusher is a queue behind (see
-    /// the module docs). Never blocks on disk.
+    /// and the rows that were new are enqueued for the WAL — a page's one
+    /// new row as a `Row` record, two or more as one `PageImage` frame
+    /// holding just those rows — shedding the oldest pending frames if
+    /// the flusher is a queue behind (see the module docs). Never blocks
+    /// on disk.
     pub fn append_pages(&self, key: PersistKey, pages: &[(usize, PagePlanes)], ts_nanos: u64) {
-        let mut fresh: Vec<(u32, bool, u64)> = Vec::new();
+        let mut frames = Vec::new();
+        let mut appended = 0;
         {
             let mut index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
             for (page, planes) in pages {
@@ -606,35 +610,43 @@ impl PersistStore {
                     continue;
                 }
                 let ns = index.rows.entry(key).or_default();
+                // The rows this page gained, as a page of their own: how
+                // many, and the last one's word and bit.
+                let mut image = PagePlanes::empty();
+                let (mut rows, mut last) = (0, (0, 0));
                 for w in (0..PAGE_WORDS).filter(|&w| planes.known[w] != 0) {
-                    let first = (page * PAGE_ROWS + w * 64) as u32;
                     let (known, answer) = (planes.known[w], planes.answer[w]);
                     let new = merge(ns, *page as u32, w, known, answer, ts_nanos);
-                    let row = |bit| (first + bit, answer >> bit & 1 != 0, ts_nanos);
-                    fresh.extend(bits(new).map(row));
+                    if new != 0 {
+                        image.merge(w, new, answer);
+                        rows += new.count_ones();
+                        last = (w, 63 - new.leading_zeros());
+                    }
                 }
+                appended += u64::from(rows);
+                frames.extend(match rows {
+                    0 => None,
+                    1 => Some(Record::Row {
+                        key,
+                        row: (page * PAGE_ROWS + last.0 * 64) as u32 + last.1,
+                        answer: image.answer[last.0] >> last.1 & 1 != 0,
+                        ts_nanos,
+                    }),
+                    _ => Some(Record::PageImage {
+                        key,
+                        page: *page as u32,
+                        planes: Box::new(image),
+                        oldest_ts: ts_nanos,
+                    }),
+                });
             }
         }
         self.shared
             .stats
             .appended
-            .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-        // One new row stays the single-row record it always was on disk;
-        // more become one batch frame per page.
-        let page = |row: &(u32, bool, u64)| row.0 as usize / PAGE_ROWS;
-        let frame = |rows: &[(u32, bool, u64)]| Record::RowBatch {
-            key,
-            rows: rows.to_vec(),
-        };
-        match fresh[..] {
-            [] => {}
-            [(row, answer, ts_nanos)] => self.enqueue([Record::Row {
-                key,
-                row,
-                answer,
-                ts_nanos,
-            }]),
-            _ => self.enqueue(fresh.chunk_by(|a, b| page(a) == page(b)).map(frame)),
+            .fetch_add(appended, Ordering::Relaxed);
+        if !frames.is_empty() {
+            self.enqueue(frames);
         }
     }
 
@@ -1105,8 +1117,13 @@ mod tests {
         let frames: Vec<usize> = frames_of(&wal_path(&dir, 0))
             .iter()
             .map(|record| match record {
-                Record::RowBatch { rows, .. } => rows.len(),
-                other => panic!("not a batch frame: {other:?}"),
+                Record::PageImage {
+                    planes, oldest_ts, ..
+                } => {
+                    assert_eq!(*oldest_ts, 7, "an image carries the batch's stamp");
+                    planes.len()
+                }
+                other => panic!("not a page image: {other:?}"),
             })
             .collect();
         assert_eq!(frames, [PAGE_ROWS, PAGE_ROWS, 10_000 - 2 * PAGE_ROWS]);
@@ -1116,10 +1133,92 @@ mod tests {
     }
 
     #[test]
+    fn a_page_image_wal_truncated_at_every_byte_recovers_its_frame_prefix() {
+        // Three stage batches: images across a page edge, a page that
+        // gained one row (a `Row` record), and an image over rows the
+        // first batch had already landed (only its new rows are framed).
+        let batches: [(&[u32], u64); 3] = [
+            (&[0, 1, 63, 64, 4_095, 4_096, 4_200], 10),
+            (&[9_000], 20),
+            (&[0, 1, 2, 3, 4_096, 4_097], 30),
+        ];
+        let dir = tmpdir("walcut");
+        {
+            let store = PersistStore::open(PersistConfig::new(&dir).with_compact_after(0)).unwrap();
+            for (rows, ts) in batches {
+                let rows: Vec<(u32, bool)> = rows.iter().map(|&row| (row, row % 3 == 0)).collect();
+                store.append_pages(key(1), &pages(&rows), ts);
+            }
+            store.sync().unwrap();
+        }
+        let wal = fs::read(wal_path(&dir, 0)).unwrap();
+        let frames = frames_of(&wal_path(&dir, 0));
+        let kinds: Vec<(&str, usize)> = frames
+            .iter()
+            .map(|record| match record {
+                Record::PageImage { planes, .. } => ("image", planes.len()),
+                Record::Row { .. } => ("row", 1),
+                other => panic!("unexpected frame {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                ("image", 5),
+                ("image", 2),
+                ("row", 1),
+                ("image", 2),
+                ("row", 1)
+            ]
+        );
+        // Where each frame ends, and the index its prefix rebuilds.
+        let mut ends = vec![HEADER_LEN];
+        for record in &frames {
+            let mut buf = Vec::new();
+            encode_frame(record, &mut buf);
+            ends.push(ends.last().unwrap() + buf.len());
+        }
+        assert_eq!(*ends.last().unwrap(), wal.len());
+        // The rows the first `n` frames rebuild, each with its page's stamp.
+        let prefix = |n: usize| {
+            let mut index = Index::default();
+            for record in &frames[..n] {
+                index.apply(record.clone());
+            }
+            let pages = index.rows.remove(&key(1))?;
+            let rows = pages.into_iter().flat_map(|(page, (planes, oldest))| {
+                let rows: Vec<_> = planes.rows(page as usize * PAGE_ROWS).collect();
+                rows.into_iter()
+                    .map(move |(row, answer)| (row as u32, answer, oldest))
+            });
+            Some(rows.collect::<Vec<_>>())
+        };
+        let cut_dir = tmpdir("walcut-copy");
+        for cut in HEADER_LEN..=wal.len() {
+            let _ = fs::remove_dir_all(&cut_dir);
+            fs::create_dir_all(&cut_dir).unwrap();
+            fs::write(wal_path(&cut_dir, 0), &wal[..cut]).unwrap();
+            let store = PersistStore::open(PersistConfig::new(&cut_dir)).unwrap();
+            let whole = ends.iter().filter(|&&end| end <= cut).count() - 1;
+            assert_eq!(store.rows(key(1)), prefix(whole), "cut at {cut}");
+            let stats = store.stats();
+            assert_eq!(stats.tail_bytes_discarded, (cut - ends[whole]) as u64);
+        }
+        let _ = fs::remove_dir_all(&cut_dir);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn the_backlog_an_append_finds_sheds_oldest_first_never_the_append() {
-        let batch = |rows: std::ops::Range<u32>| Record::RowBatch {
+        let batch = |rows: std::ops::Range<u32>| Record::PageImage {
             key: key(1),
-            rows: rows.map(|row| (row, true, 0)).collect(),
+            page: 0,
+            planes: Box::new(
+                pages(&rows.map(|row| (row, true)).collect::<Vec<_>>())
+                    .remove(0)
+                    .1,
+            ),
+            oldest_ts: 0,
         };
         let row = |row| Record::Row {
             key: key(1),
@@ -1160,9 +1259,11 @@ mod tests {
             }
         }
         let batch = [
-            Record::RowBatch {
+            Record::PageImage {
                 key: key(1),
-                rows: vec![(0, true, 1), (1, false, 1), (2, true, 1)],
+                page: 0,
+                planes: Box::new(pages(&[(0, true), (1, false), (2, true)]).remove(0).1),
+                oldest_ts: 1,
             },
             Record::Selectivity {
                 key: key(1),

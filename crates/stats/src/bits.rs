@@ -88,15 +88,14 @@ pub fn pages_of(rows: impl IntoIterator<Item = (usize, bool)>) -> Vec<(usize, Pa
 }
 
 /// Merges `rows` into `pages` (ascending by page, as [`pages_of`] leaves
-/// them, and so after the call), the first answer per row kept, and
-/// tells whether every row was new. A row on the page of the row before
-/// it goes straight to that page; any other finds its page through a
-/// sorted index of page numbers. So a batch costs one merge per row and
-/// a lookup per change of page.
+/// them, and so after the call), the first answer per row kept. A row on
+/// the page of the row before it goes straight to that page; any other
+/// finds its page through a sorted index of page numbers. So a batch
+/// costs one merge per row and a lookup per change of page.
 pub fn scatter(
     pages: &mut Vec<(usize, PagePlanes)>,
     rows: impl IntoIterator<Item = (usize, bool)>,
-) -> bool {
+) {
     // `(page number, position in pages)`, ascending by page number.
     let mut index: Vec<(usize, usize)> = pages
         .iter()
@@ -104,7 +103,6 @@ pub fn scatter(
         .map(|(at, &(page, _))| (page, at))
         .collect();
     let (mut page, mut at) = (usize::MAX, 0);
-    let mut distinct = true;
     for (row, answer) in rows {
         if row / PAGE_ROWS != page {
             page = row / PAGE_ROWS;
@@ -118,13 +116,11 @@ pub fn scatter(
             };
         }
         let bit = row % 64;
-        let new = pages[at]
+        pages[at]
             .1
             .merge(row % PAGE_ROWS / 64, 1 << bit, u64::from(answer) << bit);
-        distinct &= new != 0;
     }
     pages.sort_unstable_by_key(|&(page, _)| page);
-    distinct
 }
 
 /// Every answer of `pages` as `(row, answer)`, in page order.
@@ -176,12 +172,13 @@ mod tests {
         );
         assert!(pages_of([]).is_empty());
         let mut scattered = Vec::new();
-        assert!(scatter(&mut scattered, rows[..4].iter().copied()));
+        scatter(&mut scattered, rows[..4].iter().copied());
         assert_eq!(scattered, pages);
-        assert!(scatter(&mut scattered, []));
+        scatter(&mut scattered, []);
+        assert_eq!(scattered, pages);
         // More rows merge into the pages held: a repeat keeps its first
-        // answer and reports itself, and a new page lands in order.
-        assert!(!scatter(&mut scattered, [(4_095, true), (12_288, false)]));
+        // answer, and a new page lands in order.
+        scatter(&mut scattered, [(4_095, true), (12_288, false)]);
         let back: Vec<(usize, bool)> = rows_of(&scattered).collect();
         assert_eq!(
             back,

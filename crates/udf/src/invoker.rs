@@ -36,15 +36,19 @@
 //! that a group's `(word, mask)` runs ([`GroupBy::runs`]) AND against to
 //! tally with popcounts or OR into an answer; [`UdfInvoker::scan_plane`]
 //! makes the same read of any plane (the rows of the groups a sampling
-//! round is short in, a whole table). An expression leaf
-//! ([`UdfInvoker::evaluate_plane`]) makes the same read over the plane of
-//! rows still in play and sends only the undecided ones to the executor,
-//! as one batch in ascending order. Arbitrary row lists
-//! ([`UdfInvoker::known_many`], [`UdfInvoker::evaluate_batch`]) move the
-//! same cursor a row at a time. Whichever walk, the memo, the
-//! bill and the store see exactly what a per-row loop over the same rows
-//! in ascending order would have shown them — only the order of the
-//! store's probes within a call differs, and the store's statistics and
+//! round is short in, a whole table). Every batch is a plane too: a
+//! sampling round's draws, a plan's queued rows, a ranking sample and an
+//! expression leaf's rows in play go to [`UdfInvoker::evaluate_plane`],
+//! which makes the same read and sends only the undecided rows to the
+//! executor, as one batch in ascending order. Their answers come back as
+//! a plane, land in the memo a word at a time and reach the session store
+//! as the pages they fill ([`expred_exec::CacheHandle::insert_pages`]).
+//! [`UdfInvoker::evaluate_batch`] is that path over a row list's distinct
+//! rows. Only [`UdfInvoker::evaluate`] and [`UdfInvoker::known_many`]
+//! move the cursor a row at a time. Whichever walk, the memo, the bill
+//! and the store see exactly what a per-row loop over the same rows in
+//! ascending order would have shown them — only the order of the store's
+//! probes within a call differs, and the store's statistics and
 //! referenced marks do not record order.
 
 use crate::cost::{CostCounts, CostModel, CostTracker};
@@ -52,6 +56,7 @@ use crate::udf::{BooleanUdf, BoundUdf};
 use expred_exec::{
     CacheHandle, CacheNamespace, CacheReader, ExecContext, Executor, RowBits, SelectivityHandle,
 };
+use expred_stats::bits::{PagePlanes, PAGE_WORDS};
 use expred_table::rowset::bits;
 use expred_table::{GroupBy, RowSet, Table};
 
@@ -64,6 +69,22 @@ pub fn cache_namespace(udf: &dyn BooleanUdf, table: &Table) -> Option<CacheNames
         table: table.id().as_u64(),
         version: table.version(),
     })
+}
+
+/// The pages two planes over a table make — `known` and, under it,
+/// `answer` — ascending, those without a row skipped.
+fn page_planes(known: &[u64], answer: &[u64]) -> Vec<(usize, PagePlanes)> {
+    let pages = known.chunks(PAGE_WORDS).zip(answer.chunks(PAGE_WORDS));
+    pages
+        .enumerate()
+        .filter(|(_, (known, _))| known.iter().any(|&word| word != 0))
+        .map(|(page, (known, answer))| {
+            let mut planes = PagePlanes::empty();
+            planes.known[..known.len()].copy_from_slice(known);
+            planes.answer[..answer.len()].copy_from_slice(answer);
+            (page, planes)
+        })
+        .collect()
 }
 
 /// Counted, memoized access to a UDF over one table.
@@ -117,7 +138,8 @@ pub struct UdfInvoker<'a> {
 /// one 64-row word at a time: arriving at a word loads the memo's planes
 /// for it (the store's follow when a row first needs them), its rows are
 /// then answered from those copies — one at a time ([`Lookup::local`],
-/// [`Lookup::shared`]) or a whole run at once ([`Lookup::run`]), store
+/// [`Lookup::shared`], for [`UdfInvoker::evaluate`] and
+/// [`UdfInvoker::known_many`]) or a whole run at once ([`Lookup::run`]), store
 /// hits collecting in `promote` — and leaving it lands the hits in the
 /// memo and settles the store's accounting. The memo copy is a snapshot:
 /// a worker racing on the same invoker may promote a row after it was
@@ -300,15 +322,6 @@ impl<'a> UdfInvoker<'a> {
         }
     }
 
-    /// Writes freshly evaluated answers through the session store and
-    /// its sink — one store call per batch — after the caller memoized
-    /// them.
-    fn commit(&self, fresh: &[(usize, bool)]) {
-        if let Some(shared) = &self.shared {
-            shared.insert_many(fresh);
-        }
-    }
-
     /// Charges `n` tuple retrievals.
     pub fn charge_retrievals(&self, n: u64) {
         self.tracker.add_retrievals(n);
@@ -336,85 +349,54 @@ impl<'a> UdfInvoker<'a> {
             sel.record(answer);
         }
         self.memo.insert(row, answer);
-        self.commit(&[(row, answer)]);
+        if let Some(shared) = &self.shared {
+            shared.insert(row, answer);
+        }
         answer
     }
 
     /// Evaluates the UDF on every row of `rows` through `executor`,
-    /// returning answers in input order.
-    ///
-    /// Memoized rows are answered from the cache (charged as hits); the
-    /// remaining rows are deduplicated, evaluated in one batch (charging
-    /// exactly one `o_e` each — duplicates beyond the first occurrence
-    /// count as cache hits, matching a sequential evaluation loop), and
-    /// memoized. With the [`expred_exec::Sequential`] backend this is
-    /// action-for-action identical to calling [`UdfInvoker::evaluate`] in
-    /// a loop: each distinct row the memo cannot answer probes the
-    /// session store exactly once (repeats resolve against the promoted
-    /// memo or the batch's own fresh set), so the bill and the store's
-    /// hit/miss statistics match to the action — they are just settled
-    /// once per batch instead of once per row.
+    /// returning answers in input order: [`UdfInvoker::evaluate_plane`]
+    /// over the plane of the distinct rows, its answers read back by
+    /// position. A repeated occurrence is a memo hit — the first one
+    /// memoized the row, whatever it cost — so the bill, the memo and the
+    /// store's hit/miss statistics are those of calling
+    /// [`UdfInvoker::evaluate`] in a loop; only the order of the store's
+    /// probes and of the executor's batch (ascending) differ, and neither
+    /// is recorded.
     pub fn evaluate_batch(&self, executor: &dyn Executor, rows: &[usize]) -> Vec<bool> {
-        let mut answers = vec![false; rows.len()];
-        // The distinct rows to evaluate, every position — first
-        // occurrences and repeats — awaiting them, and two scratch planes
-        // over the table's rows: the queued rows and, once evaluated,
-        // those of them that passed.
-        let mut fresh: Vec<usize> = Vec::new();
-        let mut waiting: Vec<usize> = Vec::new();
-        let words = self.table.num_rows().div_ceil(64);
-        let (mut queued, mut passed) = (vec![0u64; words], vec![0u64; words]);
-        let mut hits = 0u64;
-        let mut lookup = self.lookup();
-        for (i, &row) in rows.iter().enumerate() {
-            if let Some(answer) = lookup.local(row) {
-                answers[i] = answer;
-                hits += 1;
-            } else if queued[row / 64] & (1 << (row % 64)) != 0 {
-                // Repeat within the batch: evaluated once, re-read free.
-                waiting.push(i);
-                hits += 1;
-            } else if let Some(answer) = lookup.shared(row) {
-                // Paid for by an earlier query: a reuse, not a hit.
-                answers[i] = answer;
-            } else {
-                queued[row / 64] |= 1 << (row % 64);
-                fresh.push(row);
-                waiting.push(i);
-            }
+        let mut plane = RowSet::new(self.table.num_rows());
+        for &row in rows {
+            plane.insert(row);
         }
-        hits += lookup.finish(&self.tracker);
-        self.tracker.add_cache_hits(hits);
-        if !fresh.is_empty() {
-            self.evaluate_fresh(executor, fresh, &queued, &mut passed);
-            for position in waiting {
-                let row = rows[position];
-                answers[position] = passed[row / 64] & (1 << (row % 64)) != 0;
-            }
-        }
-        answers
+        self.tracker
+            .add_cache_hits((rows.len() - plane.len()) as u64);
+        let passed = self.evaluate_plane(executor, &plane);
+        rows.iter().map(|&row| passed.contains(row)).collect()
     }
 
-    /// [`UdfInvoker::evaluate_batch`] over a plane of rows — `rows` is a
-    /// set over this invoker's table — returning the plane of those that
-    /// passed. One word-wise read answers what the memo and the session
-    /// store hold (a word's memo hits charged as hits, its store hits
-    /// promoted and charged as reuse, the word settled once), and the
-    /// undecided rows go to `executor` as one batch in ascending order.
-    /// Action for action `evaluate_batch` over the plane's ascending id
-    /// list: same bill, same store probes, same memo, same store inserts
-    /// and sink offers in the same order.
+    /// Evaluates the UDF on the rows of the plane `rows` — a set over
+    /// this invoker's table — through `executor`, returning the plane of
+    /// those that passed. One word-wise read answers what the memo and
+    /// the session store hold (a word's memo hits charged as hits, its
+    /// store hits promoted and charged as reuse, the word settled once),
+    /// and the undecided rows go to `executor` as one batch in ascending
+    /// order, charged one evaluation each. Action for action the
+    /// [`UdfInvoker::evaluate`] loop over the plane's rows in ascending
+    /// order: same bill, same store probes, same memo, same store
+    /// contents and sink offers.
     pub fn evaluate_plane(&self, executor: &dyn Executor, rows: &RowSet) -> RowSet {
         let (mut queued, mut passed, hits) = self.read_plane(rows);
         self.tracker.add_cache_hits(hits);
         // The decided plane becomes the undecided one, word by word.
-        let mut fresh = Vec::new();
-        for (word, (queued, &mask)) in queued.iter_mut().zip(rows.words()).enumerate() {
+        for (queued, &mask) in queued.iter_mut().zip(rows.words()) {
             *queued = mask & !*queued;
-            fresh.extend(bits(*queued).map(|bit| word * 64 + bit as usize));
         }
-        if !fresh.is_empty() {
-            self.evaluate_fresh(executor, fresh, &queued, &mut passed);
+        if queued.iter().any(|&word| word != 0) {
+            let fresh = self.evaluate_fresh(executor, &queued);
+            for (passed, fresh) in passed.iter_mut().zip(fresh) {
+                *passed |= fresh;
+            }
         }
         RowSet::from_words(passed)
     }
@@ -442,37 +424,36 @@ impl<'a> UdfInvoker<'a> {
         (known, passed, memo_hits)
     }
 
-    /// Evaluates `fresh` — distinct rows neither the memo nor the store
-    /// could answer, marked in the plane `queued` — as one executor batch,
-    /// memoizes the answers, writes them through to the session store in
-    /// `fresh`'s order, and sets the bits of those that passed in
-    /// `passed`.
-    fn evaluate_fresh(
-        &self,
-        executor: &dyn Executor,
-        fresh: Vec<usize>,
-        queued: &[u64],
-        passed: &mut [u64],
-    ) {
-        let fresh_answers = executor.evaluate_batch(&self.probe, &fresh);
+    /// Evaluates the rows of `queued` — a plane over the table of rows
+    /// neither the memo nor the store could answer — as one executor
+    /// batch in ascending order, and returns the plane of those that
+    /// passed. The answers land in the memo a word at a time and in the
+    /// session store as the `(page, planes)` pairs the two planes make,
+    /// in one call.
+    fn evaluate_fresh(&self, executor: &dyn Executor, queued: &[u64]) -> Vec<u64> {
+        let mut fresh = Vec::new();
+        for (word, &mask) in queued.iter().enumerate() {
+            fresh.extend(bits(mask).map(|bit| word * 64 + bit as usize));
+        }
+        let answers = executor.evaluate_batch(&self.probe, &fresh);
         self.tracker.add_evaluations(fresh.len() as u64);
-        let commits: Vec<(usize, bool)> = fresh.into_iter().zip(fresh_answers).collect();
-        let mut passes = 0;
-        for &(row, answer) in &commits {
+        let mut passed = vec![0u64; queued.len()];
+        for (&row, answer) in fresh.iter().zip(answers) {
             passed[row / 64] |= u64::from(answer) << (row % 64);
-            passes += u64::from(answer);
         }
         if let Some(sel) = &self.selectivity {
-            sel.record_many(passes, commits.len() as u64);
+            let passes = passed.iter().map(|word| u64::from(word.count_ones())).sum();
+            sel.record_many(passes, fresh.len() as u64);
         }
-        // The batch lands in the memo a word at a time and in the session
-        // store in one call.
-        for (word, (&queued, &passed)) in queued.iter().zip(passed.iter()).enumerate() {
+        for (word, (&queued, &passed)) in queued.iter().zip(&passed).enumerate() {
             if queued != 0 {
                 self.memo.merge_word(word, queued, passed);
             }
         }
-        self.commit(&commits);
+        if let Some(shared) = &self.shared {
+            shared.insert_pages(&page_planes(queued, &passed));
+        }
+        passed
     }
 
     /// The known answer for `row`, if this query or an earlier one in the
