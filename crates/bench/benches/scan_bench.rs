@@ -38,6 +38,17 @@
 //! * `derived_group_by_<rows>` — re-deriving the `grade` partition per
 //!   query vs serving it from a warmed session [`DerivedCache`].
 //!
+//! And two rows for the read path's bit counts, at 20 000 rows in either
+//! mode, each timed for the `portable` copy of its kernel and for the
+//! `selected` one (POPCNT where the CPU reports it):
+//!
+//! * `warm_read_20000` — a fresh session invoker reads a session-warm
+//!   table end to end ([`expred_udf::invoker::read_plane`]: every row a
+//!   store hit promoted into the query's memo), in ns/row.
+//! * `group_counts_20000` — the per-group counts of two planes over the
+//!   `grade` grouping ([`expred_table::bitcount::group_counts`]), in
+//!   ns/run.
+//!
 //! Results land in `BENCH_scan.json` (schema: `expred_bench::report`);
 //! where a scenario has a legacy path, it is the speedup baseline. Full mode
 //! prints a WARNING (it does not panic) if a kernel fails to beat its
@@ -45,9 +56,12 @@
 
 use expred_bench::report::measure_ns_per_unit;
 use expred_bench::BenchReport;
+use expred_exec::{CacheStore, ExecContext, Sequential};
 use expred_ml::features::{extract_features, FeatureSpec};
+use expred_table::bitcount;
 use expred_table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
-use expred_table::{DerivedCache, ScanPredicate, Table, Value};
+use expred_table::{Column, DerivedCache, GroupBy, RowSet, ScanPredicate, Table, Value};
+use expred_udf::{invoker, OracleUdf, UdfInvoker};
 use std::hint::black_box;
 
 /// A one-column Int table whose values are clustered (non-decreasing),
@@ -206,6 +220,53 @@ fn main() {
             legacy / kernel
         );
         check(&scenario, legacy, kernel);
+    }
+
+    // The read path's bit counts, portable copy and selected copy.
+    let rows = 20_000;
+    let ds = Dataset::generate(DatasetSpec { rows, ..PROSPER }, 7);
+    let udf = OracleUdf::new(LABEL_COLUMN);
+    let store = CacheStore::with_capacity(rows);
+    let ctx = ExecContext::sequential().with_cache(&store);
+    let every_row = RowSet::full(rows);
+    UdfInvoker::with_context(&udf, &ds.table, &ctx).evaluate_plane(&Sequential, &every_row);
+    type Read = fn(&UdfInvoker<'_>, &RowSet) -> (Vec<u64>, Vec<u64>, u64);
+    let reads: [(&str, Read); 2] = [
+        ("portable", invoker::portable::read_plane),
+        ("selected", invoker::read_plane),
+    ];
+    for (backend, read) in reads {
+        let ns = measure_ns_per_unit(rows as u64, reps, || {
+            let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
+            black_box(read(&invoker, &every_row));
+        });
+        report.record_metric("warm_read_20000", backend, "ns_per_row", "ns", ns);
+        println!("{:<24} {backend:<8} {ns:>8.2} ns/row", "warm_read_20000");
+    }
+    let groups = ds.table.group_by("grade").unwrap();
+    let runs: usize = (0..groups.num_groups())
+        .map(|g| groups.runs(g).count())
+        .sum();
+    let truth = ds
+        .table
+        .column(LABEL_COLUMN)
+        .and_then(Column::true_rows)
+        .unwrap();
+    let sevenths = RowSet::from_flags((0..rows).map(|row| row % 7 == 0));
+    type Counts = fn(&GroupBy, [&[u64]; 2]) -> Vec<[usize; 2]>;
+    let counts: [(&str, Counts); 2] = [
+        ("portable", bitcount::portable::group_counts),
+        ("selected", bitcount::group_counts),
+    ];
+    for (backend, count) in counts {
+        let ns = measure_ns_per_unit(runs as u64, reps * 10, || {
+            black_box(count(&groups, [truth.words(), sevenths.words()]));
+        });
+        report.record_metric("group_counts_20000", backend, "ns_per_run", "ns", ns);
+        println!(
+            "{:<24} {backend:<8} {ns:>8.2} ns/run ({runs} runs)",
+            "group_counts_20000"
+        );
     }
 
     if warnings > 0 {

@@ -69,7 +69,9 @@ pub fn rank_columns(
     let mut labelled = RowSet::new(n);
     let mut passed = RowSet::new(n);
 
-    for round in 0..max_rounds {
+    // Sample until some column qualifies, or the last round is spent.
+    let mut round = 1;
+    let eligible = loop {
         // Grow the labelled sample to the current target.
         let missing = target.saturating_sub(labelled.len());
         if missing > 0 {
@@ -104,27 +106,28 @@ pub fn rank_columns(
                     .unwrap_or(false)
             })
             .collect();
-        if eligible.is_empty() && round + 1 < max_rounds {
-            target = (target * 2).min(n);
-            continue;
+        if !eligible.is_empty() || round == max_rounds {
+            break eligible;
         }
-        let pool = if eligible.is_empty() {
-            candidates.iter().collect::<Vec<_>>()
-        } else {
-            eligible
-        };
-        let mut scores = pool
-            .into_iter()
-            .map(|c| score_column(table, c, spec, &labelled, &passed, ctx))
-            .collect::<Result<Vec<ColumnScore>, EngineError>>()?;
-        scores.sort_by(|a, b| {
-            a.estimated_cost
-                .total_cmp(&b.estimated_cost)
-                .then(a.column.cmp(&b.column))
-        });
-        return Ok((scores, labelled.to_vec()));
-    }
-    unreachable!("loop always returns by the final round");
+        target = (target * 2).min(n);
+        round += 1;
+    };
+    // No column qualified even at the last round's sample: rank them all.
+    let pool = if eligible.is_empty() {
+        candidates.iter().collect::<Vec<_>>()
+    } else {
+        eligible
+    };
+    let mut scores = pool
+        .into_iter()
+        .map(|c| score_column(table, c, spec, &labelled, &passed, ctx))
+        .collect::<Result<Vec<ColumnScore>, EngineError>>()?;
+    scores.sort_by(|a, b| {
+        a.estimated_cost
+            .total_cmp(&b.estimated_cost)
+            .then(a.column.cmp(&b.column))
+    });
+    Ok((scores, labelled.to_vec()))
 }
 
 /// Scores one column: group the table by it, estimate each group's
@@ -141,21 +144,11 @@ fn score_column(
     ctx: &ExecContext<'_>,
 ) -> Result<ColumnScore, EngineError> {
     let groups = session_group_by(table, column, ctx)?;
-    let (mut pos, mut tot) = (Vec::new(), Vec::new());
-    for g in 0..groups.num_groups() {
-        let (mut group_pos, mut group_tot) = (0u64, 0u64);
-        for (word, mask) in groups.runs(g) {
-            group_tot += u64::from((mask & labelled.word(word as usize)).count_ones());
-            group_pos += u64::from((mask & passed.word(word as usize)).count_ones());
-        }
-        pos.push(group_pos);
-        tot.push(group_tot);
-    }
     let sizes: Vec<f64> = groups.sizes().iter().map(|&s| s as f64).collect();
-    let sels: Vec<f64> = pos
-        .iter()
-        .zip(&tot)
-        .map(|(&p, &t)| SelectivityEstimate::from_sample(p, t).mean())
+    let sels: Vec<f64> = groups
+        .counts([passed, labelled])
+        .into_iter()
+        .map(|[pos, tot]| SelectivityEstimate::from_sample(pos as u64, tot as u64).mean())
         .collect();
     let estimated_cost = match solve_perfect_selectivities(&sizes, &sels, spec) {
         Ok(plan) => plan.expected_cost(&sizes, &spec.cost),

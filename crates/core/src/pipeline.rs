@@ -333,14 +333,11 @@ pub fn run_optimal(
     run_framed(ds, &spec.cost, seed, ctx, |f| {
         let groups = session_group_by(&ds.table, predictor, ctx)?;
         let sizes: Vec<f64> = groups.sizes().iter().map(|&s| s as f64).collect();
-        let sels: Vec<f64> = (0..groups.num_groups())
-            .map(|g| {
-                let correct: u32 = groups
-                    .runs(g)
-                    .map(|(word, mask)| (mask & f.truth.word(word as usize)).count_ones())
-                    .sum();
-                f64::from(correct) / groups.size(g) as f64
-            })
+        let sels: Vec<f64> = groups
+            .counts([&f.truth])
+            .iter()
+            .zip(&sizes)
+            .map(|(&[correct], &size)| correct as f64 / size)
             .collect();
         let (plan, plan_feasible) = solve_or_evaluate_all(
             solve_perfect_selectivities(&sizes, &sels, spec),

@@ -14,7 +14,8 @@
 //!   the groups touch is loaded and settled once, into a plane of the
 //!   decided rows and one of those that passed. The tally `(evaluated,
 //!   positives)` is two ANDs and two popcounts per `(word, mask)` run,
-//!   folded per group.
+//!   folded per group ([`GroupBy::counts`], with the POPCNT instruction
+//!   where the CPU has it).
 //!   The groups short of their targets are then read again, all at once:
 //!   one word-major read of the union of their runs
 //!   ([`UdfInvoker::scan_plane`]), which makes the store probes a rescan
@@ -24,7 +25,8 @@
 //!   each rank to its row — the rows, order and draws of indexing a list
 //!   of the undecided rows, which is never built. The draws land in one
 //!   plane, evaluated as one batch ([`UdfInvoker::evaluate_plane`]), and
-//!   a group's drawn positives are again a popcount per run.
+//!   the groups' drawn positives are again a popcount per run, counted
+//!   for every group in one pass.
 //! * [`adaptive_num_search`] — §4.3's adaptive scheme: grow `num`, re-plan,
 //!   and stop when the estimated total cost starts rising.
 
@@ -126,13 +128,8 @@ pub fn sample_groups(
     let mut tallies: Vec<(usize, usize, usize)> = Vec::with_capacity(groups.num_groups());
     // The rows of every group short of its target, if any is.
     let mut short: Option<RowSet> = None;
-    for g in 0..groups.num_groups() {
+    for (g, [total, pos]) in groups.counts([&decided, &passed]).into_iter().enumerate() {
         let target = rule.sample_size(groups.size(g), n);
-        let (mut total, mut pos) = (0, 0);
-        for (word, mask) in groups.runs(g) {
-            total += (decided.word(word as usize) & mask).count_ones() as usize;
-            pos += (passed.word(word as usize) & mask).count_ones() as usize;
-        }
         if total < target {
             let short = short.get_or_insert_with(|| RowSet::new(invoker.table().num_rows()));
             for (word, mask) in groups.runs(g) {
@@ -174,19 +171,12 @@ pub fn sample_groups(
         evaluated: Vec::with_capacity(tallies.len()),
         positives: Vec::with_capacity(tallies.len()),
     };
+    // Each group's drawn positives: the drawn rows that passed are all
+    // some group's draws, so a group without draws counts none.
+    let drawn_pos = passed.map(|passed| groups.counts([&passed]));
     for (g, (known, known_pos, drawn)) in tallies.into_iter().enumerate() {
-        // A group's drawn positives: one popcount per run of the group.
-        let drawn_pos: u32 = match &passed {
-            Some(passed) if drawn > 0 => groups
-                .runs(g)
-                .map(|(word, mask)| (passed.word(word as usize) & mask).count_ones())
-                .sum(),
-            _ => 0,
-        };
-        let (pos, total) = (
-            (known_pos + drawn_pos as usize) as u64,
-            (known + drawn) as u64,
-        );
+        let drawn_pos = drawn_pos.as_ref().map_or(0, |counts| counts[g][0]);
+        let (pos, total) = ((known_pos + drawn_pos) as u64, (known + drawn) as u64);
         sample
             .estimates
             .push(SelectivityEstimate::from_sample(pos, total));

@@ -1,13 +1,17 @@
-//! [`RowBits`]: a dense, lock-free `row -> bool` memo.
+//! [`RowBits`]: a dense, lock-free `row -> bool` bitmap — the answer
+//! planes of one [`crate::CacheStore`] page, which every query of a
+//! session may read at once while a writer adds rows.
 //!
-//! Row ids are dense integers in `[0, num_rows)`, so a memo of boolean
+//! Row ids are dense integers in `[0, num_rows)`, so a map of boolean
 //! answers needs no hashing and no locks: two bit planes — `known`
 //! (has this row been answered?) and `answer` — one bit per row each.
 //! A lookup is two loads — for up to 64 neighbouring rows at once
 //! ([`RowBits::word`]); an insert is at most two atomic ORs, and the
-//! *previous* value of the `known` bit tells the caller whether it was
-//! the one that made the row known (what keeps a promotion charged
-//! exactly once when two workers race on the same row).
+//! *previous* value of the `known` bit tells the caller which rows it
+//! made known (what the store counts as insertions).
+//!
+//! A query's own memo is not a `RowBits`: it has one reader and writer,
+//! so `expred_udf`'s invoker keeps it as plain planes of its own.
 //!
 //! # Publication order
 //!
@@ -37,7 +41,8 @@ pub(crate) fn assign_bits(word: &AtomicU64, mask: u64, value: u64, order: Orderi
     }
 }
 
-/// A concurrent `row -> bool` memo over the rows `[0, rows)`.
+/// A concurrent `row -> bool` bitmap over the rows `[0, rows)`: the
+/// planes of a [`crate::CacheStore`] page.
 ///
 /// All operations take `&self` and never block. Answers are expected to
 /// be row-deterministic (every writer of a row writes the same answer);

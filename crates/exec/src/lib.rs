@@ -17,7 +17,7 @@
 //!   backends) overlap by connection-pool math, CPU-bound ones by core
 //!   count, with no setting to say which;
 //! * [`cache`] — [`RowBits`], the dense lock-free `row -> bool` bitmap
-//!   an invoker memoizes one query's answers in;
+//!   each page of the session store keeps its answers in;
 //! * [`store`] — [`CacheStore`], the long-lived, capacity-bounded,
 //!   `(udf, table, version)`-namespaced bitmap cache that outlives
 //!   individual queries; invokers borrow [`CacheHandle`]s from it;

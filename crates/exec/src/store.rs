@@ -2,8 +2,8 @@
 //!
 //! The paper's §4.2 observation — an already-evaluated tuple "can be
 //! simply returned as part of the query result without re-evaluating" —
-//! does not stop at a query boundary. [`crate::RowBits`] is the
-//! *within-query* memo; this store is the *cross-query* one: entries are
+//! does not stop at a query boundary. An invoker's own memo is the
+//! *within-query* one; this store is the *cross-query* one: entries are
 //! namespaced by `(udf, table, table version)`, memory is bounded per
 //! namespace with second-chance (CLOCK) eviction, and the store reports
 //! hit/miss/eviction/invalidation statistics.

@@ -1,5 +1,7 @@
 //! Bit-plane helpers shared by every layer that keeps rows as 64-row
-//! words (row sets, the evaluation caches, the durable index).
+//! words (row sets, the evaluation caches, the durable index), and
+//! [`bit_kernels!`](crate::bit_kernels), which compiles a bit-count
+//! kernel twice — with POPCNT where the CPU has it, and portably.
 //!
 //! [`PagePlanes`] is the one plain page type of the workspace: what the
 //! live cache offers its spill sink, what the durable index holds and
@@ -15,6 +17,76 @@ pub const PAGE_ROWS: usize = 4_096;
 
 /// 64-row words per page.
 pub const PAGE_WORDS: usize = PAGE_ROWS / 64;
+
+/// Defines bit-count kernels twice over: a portable copy of each, and a
+/// copy compiled for POPCNT that runs where the CPU reports it.
+///
+/// The default x86-64 target promises only SSE2, so a plain
+/// `count_ones` compiles to a software count of about a dozen
+/// instructions. Each kernel given here becomes
+///
+/// * `portable::name` — the body as written, `#[inline(always)]`: the
+///   only copy off x86-64, and the reference the selected copy is
+///   tested against;
+/// * `name` — the copy callers use: on x86-64, the body compiled under
+///   `#[target_feature(enable = "popcnt")]` when
+///   `is_x86_feature_detected!("popcnt")` holds, else the portable copy.
+///
+/// Only code inlined into the feature-enabled copy gets the instruction:
+/// a closure or an iterator adaptor compiles as a function of its own,
+/// without the feature. So write a body as plain loops, and mark any
+/// helper holding a count `#[inline(always)]`.
+///
+/// One invocation per module (it defines the modules `portable` and
+/// `popcnt` there); the kernels' argument types resolve as in that
+/// module.
+#[macro_export]
+macro_rules! bit_kernels {
+    ($(
+        $(#[$attr:meta])*
+        pub fn $name:ident $(<const $n:ident: usize>)? ($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty
+        $body:block
+    )*) => {
+        /// The portable copy of every kernel of this module: the only
+        /// copy off x86-64, and the reference the selected copies are
+        /// tested against.
+        pub mod portable {
+            #[allow(unused_imports)]
+            use super::*;
+            $(
+                $(#[$attr])*
+                #[inline(always)]
+                pub fn $name $(<const $n: usize>)? ($($arg: $ty),*) -> $ret $body
+            )*
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        mod popcnt {
+            #[allow(unused_imports)]
+            use super::*;
+            $(
+                #[target_feature(enable = "popcnt")]
+                pub(super) fn $name $(<const $n: usize>)? ($($arg: $ty),*) -> $ret {
+                    super::portable::$name($($arg),*)
+                }
+            )*
+        }
+
+        $(
+            $(#[$attr])*
+            #[inline]
+            pub fn $name $(<const $n: usize>)? ($($arg: $ty),*) -> $ret {
+                #[cfg(target_arch = "x86_64")]
+                if ::std::arch::is_x86_feature_detected!("popcnt") {
+                    // SAFETY: this copy needs POPCNT, and the CPU running
+                    // it has just reported the feature.
+                    return unsafe { popcnt::$name($($arg),*) };
+                }
+                portable::$name($($arg),*)
+            }
+        )*
+    };
+}
 
 /// The positions of `word`'s set bits, ascending.
 #[inline]

@@ -240,11 +240,7 @@ impl Dataset {
         let mut sels = Vec::new();
         let mut per_group = Vec::new();
         let mut correct_total = 0usize;
-        for g in 0..groups.num_groups() {
-            let correct: usize = groups
-                .runs(g)
-                .map(|(word, mask)| (truth.word(word as usize) & mask).count_ones() as usize)
-                .sum();
+        for (g, [correct]) in groups.counts([&truth]).into_iter().enumerate() {
             correct_total += correct;
             let size = groups.size(g);
             let sel = correct as f64 / size as f64;

@@ -47,6 +47,9 @@
 //!   64-row word layout [`table::GroupBy::runs`] shares: a group meets a
 //!   set one `mask & word` at a time, and an ascending answer list is
 //!   the plane read out in order.
+//! * [`bitcount`] — the read path's bit counts (a plane's size, a
+//!   group's share of a plane, a group's rank cut), each compiled twice:
+//!   with the POPCNT instruction where the CPU has it, and portably.
 //! * [`derived`] — [`derived::DerivedCache`], the session-level memo of
 //!   derived artifacts ([`table::GroupBy`] partitions, encoding
 //!   dictionaries) keyed by `(TableId, version, column)`; `push_row`
@@ -64,6 +67,7 @@
 //!   module docs give the substitution argument), generated column by
 //!   column.
 
+pub mod bitcount;
 pub mod column;
 pub mod csv;
 pub mod datasets;

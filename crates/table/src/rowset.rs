@@ -121,7 +121,7 @@ impl RowSet {
 
     /// Number of rows in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        crate::bitcount::count(&self.words)
     }
 
     /// Whether the set holds no row.
@@ -131,11 +131,7 @@ impl RowSet {
 
     /// Number of rows in both `self` and `other`.
     pub fn intersection_len(&self, other: &RowSet) -> usize {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
+        crate::bitcount::count_and(&self.words, &other.words)
     }
 
     /// The rows of the set, ascending.

@@ -6,6 +6,7 @@
 //! per-column metadata (distinct counts) for the column-selection procedure
 //! of §4.4. [`Table`] provides exactly that.
 
+use crate::bitcount;
 use crate::column::Column;
 use crate::rowset::{bits, RowSet};
 use crate::schema::{Field, Schema};
@@ -413,9 +414,9 @@ pub struct GroupBy {
     /// Every group's runs, group after group, as two flat columns — run
     /// `i` is `(run_words[i], run_masks[i])`; group `g` owns runs
     /// `run_starts[g]..run_starts[g + 1]`.
-    run_words: Vec<u32>,
-    run_masks: Vec<u64>,
-    run_starts: Vec<usize>,
+    pub(crate) run_words: Vec<u32>,
+    pub(crate) run_masks: Vec<u64>,
+    pub(crate) run_starts: Vec<usize>,
     /// Rows per group.
     sizes: Vec<usize>,
     num_rows: usize,
@@ -596,8 +597,9 @@ impl GroupBy {
     /// labelled `column`: what the iterative pipeline executes of each
     /// group in one round. A group whose range holds none of its rows is
     /// left out; the others keep their keys and order. Read off the runs:
-    /// whole runs are copied, and only a run a range starts or ends in is
-    /// split.
+    /// the prefix popcounts find the runs a range starts and ends in
+    /// ([`bitcount::rank_cut`]), those two are split, and the runs
+    /// between them are copied whole.
     ///
     /// # Panics
     ///
@@ -610,21 +612,22 @@ impl GroupBy {
             if ranks.is_empty() {
                 continue;
             }
-            // Rows of the group before the current run.
-            let mut before = 0;
-            for (word, mask) in self.runs(g) {
-                let count = mask.count_ones() as usize;
-                if before + count > ranks.start {
-                    let lo = ranks.start.saturating_sub(before);
-                    slice.run_words.push(word);
-                    slice
-                        .run_masks
-                        .push(ranked_bits(mask, lo, ranks.end - before));
-                }
-                before += count;
-                if before >= ranks.end {
-                    break;
-                }
+            let runs = self.run_starts[g]..self.run_starts[g + 1];
+            let (words, masks) = (&self.run_words[runs.clone()], &self.run_masks[runs]);
+            let [(first, lo_before), (last, hi_before)] =
+                bitcount::rank_cut(masks, ranks.start, ranks.end);
+            slice.run_words.push(words[first]);
+            slice.run_masks.push(ranked_bits(
+                masks[first],
+                ranks.start - lo_before,
+                ranks.end - lo_before,
+            ));
+            if first < last {
+                slice.run_words.extend_from_slice(&words[first + 1..=last]);
+                slice.run_masks.extend_from_slice(&masks[first + 1..last]);
+                slice
+                    .run_masks
+                    .push(ranked_bits(masks[last], 0, ranks.end - hi_before));
             }
             slice.push_group(self.keys[g].clone(), ranks.len());
         }
@@ -687,6 +690,15 @@ impl GroupBy {
             plane.insert_word(word as usize, mask);
         }
         plane
+    }
+
+    /// Per group, in group order, how many of its rows each of `planes`
+    /// holds — sets over the grouped table; a plane shorter than the
+    /// grouping holds no row past its end. One popcount per run and
+    /// plane ([`bitcount::group_counts`]): the tallies "how many of this
+    /// group are decided, and how many passed?" for every group at once.
+    pub fn counts<const N: usize>(&self, planes: [&RowSet; N]) -> Vec<[usize; N]> {
+        bitcount::group_counts(self, planes.map(RowSet::words))
     }
 
     /// The size `t_a` of group `g`.

@@ -25,11 +25,20 @@
 //! does not cover the table — equals one group scan after another, mask
 //! for mask, leaving the same memo, bill, store statistics and
 //! referenced marks.
+//!
+//! The bit-count kernels are held to their portable copies and to the
+//! per-run loops they replaced: whole-plane counts, per-group counts and
+//! rank cuts over groupings with empty buckets, a NULL group and slices,
+//! against planes shorter than the grouping and ending in a partial
+//! word; and the invoker's plane read, run by its selected and its
+//! portable copy on two identical sessions, against `known_many`.
 
 use expred_exec::{CacheStore, ExecContext, Sequential};
 use expred_stats::bits::rows_of;
+use expred_table::bitcount;
 use expred_table::rowset::bits;
 use expred_table::{DataType, Field, GroupBy, RowSet, Schema, Table, Value};
+use expred_udf::invoker::{portable, read_plane};
 use expred_udf::{cache_namespace, OracleUdf, UdfInvoker};
 use proptest::prelude::*;
 
@@ -46,6 +55,34 @@ fn group_plane(groups: &GroupBy, g: usize, rows: usize) -> RowSet {
         plane.insert_word(word as usize, mask);
     }
     plane
+}
+
+/// A plane over rows `[0, rows)` holding each row with odds of one in
+/// `1 << sparsity`, from a xorshift stream seeded by `seed`.
+fn random_plane(rows: usize, seed: u64, sparsity: u32) -> RowSet {
+    let mut state = seed | 1;
+    RowSet::from_flags((0..rows).map(|_| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.trailing_zeros() >= sparsity
+    }))
+}
+
+/// Per group, the rows of each plane among the group's rows: one
+/// popcount per run, the loop `GroupBy::counts` replaced.
+fn per_run_counts<const N: usize>(groups: &GroupBy, planes: [&RowSet; N]) -> Vec<[usize; N]> {
+    (0..groups.num_groups())
+        .map(|g| {
+            let mut counts = [0; N];
+            for (word, mask) in groups.runs(g) {
+                for (count, plane) in counts.iter_mut().zip(planes) {
+                    *count += (plane.word(word as usize) & mask).count_ones() as usize;
+                }
+            }
+            counts
+        })
+        .collect()
 }
 
 fn labelled_table(rows: usize) -> Table {
@@ -388,6 +425,157 @@ proptest! {
             for bit in bits(known) {
                 let row = word as usize * 64 + bit as usize;
                 prop_assert_eq!(passed >> bit & 1 == 1, row.is_multiple_of(3));
+            }
+        }
+    }
+
+    #[test]
+    fn popcnt_kernels_match_their_portable_copies_and_the_per_run_loops(
+        rows in 1usize..700,
+        k in 1usize..9,
+        stride in 1usize..4,
+        null_every in 2usize..9,
+        seeds in (any::<u64>(), any::<u64>(), any::<u64>()),
+        sparsity in 0u32..4,
+        short_by in 0usize..200,
+        ranks in (0usize..60, 0usize..90),
+        warm in prop::collection::vec(0usize..700, 0..400),
+        own in prop::collection::vec(0usize..700, 0..80),
+    ) {
+        // Groupings: bucket ids `stride` apart (empty buckets between
+        // them), a nullable column's groups (NULL first), and a slice of
+        // each, as the iterative pipeline's rounds cut them.
+        let ids: Vec<usize> = (0..rows).map(|row| (row * 7 + row / 13) % k * stride).collect();
+        let virt = GroupBy::from_assignments("virt", &ids);
+        let schema = Schema::new(vec![
+            Field::new("good", DataType::Bool),
+            Field::nullable("a", DataType::Int),
+        ]);
+        let cells = (0..rows)
+            .map(|row| {
+                let a = match row % null_every {
+                    0 => Value::Null,
+                    _ => Value::Int((row % k) as i64),
+                };
+                vec![Value::Bool(row % 3 == 0), a]
+            })
+            .collect();
+        let table = Table::from_rows(schema, cells).unwrap();
+        let nullable = table.group_by("a").unwrap();
+        prop_assert_eq!(nullable.key(0), &Value::Null);
+        let (lo, len) = ranks;
+        let mut groupings = vec![virt, nullable];
+        for whole in groupings.clone() {
+            let cut = vec![lo..lo + len; whole.num_groups()];
+            let slice = whole.slice("slice".into(), &cut);
+            // The slice is the row-list slice of every group it keeps.
+            let mut kept = (0..whole.num_groups()).filter(|&g| lo < (lo + len).min(whole.size(g)));
+            for g in 0..slice.num_groups() {
+                let from = kept.next().expect("a slice group is a kept group");
+                let want: Vec<u32> = whole.rows(from).skip(lo).take(len).collect();
+                prop_assert_eq!(slice.rows(g).collect::<Vec<_>>(), want);
+                prop_assert_eq!(slice.key(g), whole.key(from));
+            }
+            prop_assert!(kept.next().is_none());
+            // The rank cut against the prefix walk it replaced, for a
+            // range starting at every rank of every group.
+            for g in 0..whole.num_groups() {
+                let masks: Vec<u64> = whole.runs(g).map(|(_, mask)| mask).collect();
+                let mut prefix = vec![0];
+                for mask in &masks {
+                    prefix.push(prefix[prefix.len() - 1] + mask.count_ones() as usize);
+                }
+                let holding = |rank: usize| {
+                    let run = prefix.partition_point(|&before| before <= rank) - 1;
+                    (run, prefix[run])
+                };
+                for lo in 0..whole.size(g) {
+                    let hi = (lo + len.max(1)).min(whole.size(g));
+                    let want = [holding(lo), holding(hi - 1)];
+                    prop_assert_eq!(bitcount::rank_cut(&masks, lo, hi), want);
+                    prop_assert_eq!(bitcount::portable::rank_cut(&masks, lo, hi), want);
+                }
+            }
+            groupings.push(slice);
+        }
+
+        // Planes over the table, or shorter, ending in a partial word.
+        let short = rows.saturating_sub(short_by).max(1);
+        let (a, b) = (random_plane(rows, seeds.0, sparsity), random_plane(short, seeds.1, 1));
+        for plane in [&a, &b] {
+            let want = plane.iter().count();
+            prop_assert_eq!(bitcount::count(plane.words()), want);
+            prop_assert_eq!(bitcount::portable::count(plane.words()), want);
+            prop_assert_eq!(plane.len(), want);
+        }
+        let both = a.iter().filter(|&row| b.contains(row as usize)).count();
+        prop_assert_eq!(bitcount::count_and(a.words(), b.words()), both);
+        prop_assert_eq!(bitcount::portable::count_and(b.words(), a.words()), both);
+        prop_assert_eq!(a.intersection_len(&b), both);
+        for groups in &groupings {
+            let want = per_run_counts(groups, [&a, &b]);
+            prop_assert_eq!(groups.counts([&a, &b]), want.clone());
+            let planes = [a.words(), b.words()];
+            prop_assert_eq!(bitcount::group_counts(groups, planes), want.clone());
+            prop_assert_eq!(bitcount::portable::group_counts(groups, planes), want.clone());
+            let one: Vec<[usize; 1]> = want.iter().map(|&[_, b]| [b]).collect();
+            prop_assert_eq!(groups.counts([&b]), one);
+        }
+
+        // The plane read, selected and portable, on identical sessions,
+        // and the per-row walk it stands for.
+        let udf = OracleUdf::new("good");
+        let warm: Vec<usize> = warm.into_iter().filter(|&row| row < rows).collect();
+        let own: Vec<usize> = own.into_iter().filter(|&row| row < rows).collect();
+        let read = random_plane(rows, seeds.2, sparsity);
+        let session = |how: u8| {
+            let store = CacheStore::new();
+            let ctx = ExecContext::sequential().with_cache(&store);
+            UdfInvoker::with_context(&udf, &table, &ctx).evaluate_batch(&Sequential, &warm);
+            let invoker = UdfInvoker::with_context(&udf, &table, &ctx);
+            invoker.evaluate_batch(&Sequential, &own);
+            let before = invoker.counts();
+            let (decided, passed, memo_hits) = match how {
+                0 => read_plane(&invoker, &read),
+                1 => portable::read_plane(&invoker, &read),
+                _ => {
+                    // The memo hits are the rows of the read this query
+                    // had evaluated itself.
+                    let memo_hits =
+                        read.iter().filter(|&row| own.contains(&(row as usize))).count();
+                    let (mut decided, mut passed) = (RowSet::new(rows), RowSet::new(rows));
+                    let ids: Vec<usize> = read.iter().map(|row| row as usize).collect();
+                    for (&row, known) in ids.iter().zip(invoker.known_many(ids.iter().copied())) {
+                        if let Some(answer) = known {
+                            decided.insert(row);
+                            if answer {
+                                passed.insert(row);
+                            }
+                        }
+                    }
+                    (decided.words().to_vec(), passed.words().to_vec(), memo_hits as u64)
+                }
+            };
+            let read_counts = invoker.counts();
+            let stats = store.stats();
+            // What the memo holds now.
+            let all: Vec<usize> = (0..rows).collect();
+            let answers = invoker.evaluate_batch(&Sequential, &all);
+            let scan = (decided, passed, memo_hits, before, read_counts, stats);
+            (scan, answers, invoker.counts())
+        };
+        let (selected, copy, walk) = (session(0), session(1), session(2));
+        prop_assert_eq!(&selected, &copy);
+        prop_assert_eq!(&selected, &walk);
+        // The read and the memo it left are the oracle's.
+        let labels: Vec<bool> = (0..rows).map(|row| row % 3 == 0).collect();
+        prop_assert_eq!(&selected.1, &labels);
+        let (decided, passed) = (&selected.0 .0, &selected.0 .1);
+        for (word, (&decided, &passed)) in decided.iter().zip(passed).enumerate() {
+            prop_assert_eq!(decided & !read.word(word), 0);
+            prop_assert_eq!(passed & !decided, 0);
+            for bit in bits(decided) {
+                prop_assert_eq!(passed >> bit & 1 == 1, labels[word * 64 + bit as usize]);
             }
         }
     }
