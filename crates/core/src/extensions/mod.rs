@@ -5,12 +5,9 @@
 //! derived for the extensions), so do we — each module documents that.
 
 pub mod budget;
-pub mod join;
 pub mod multi_predicate;
 
 pub use budget::{maximize_recall_under_budget, BudgetOutcome};
-pub use join::{solve_select_join, JoinSubgroup};
 pub use multi_predicate::{
-    solve_multi_predicate, solve_predicate_chain, ChainGroup, ChainPlan, MultiAction, MultiCost,
-    MultiPlan, PredicatePairGroup,
+    solve_multi_predicate, MultiAction, MultiCost, MultiPlan, PredicatePairGroup,
 };

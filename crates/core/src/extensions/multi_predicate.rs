@@ -142,113 +142,6 @@ pub fn solve_multi_predicate(
     })
 }
 
-/// One group's statistics for an `n`-predicate conjunction chain.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainGroup {
-    /// Group size `t_a`.
-    pub size: f64,
-    /// Per-predicate selectivities within the group (independent).
-    pub sels: Vec<f64>,
-}
-
-impl ChainGroup {
-    /// Probability all predicates hold.
-    pub fn s_all(&self) -> f64 {
-        self.sels.iter().product()
-    }
-}
-
-/// A fractional plan over subset-evaluation actions for `n` predicates.
-///
-/// Action index `m ∈ 0..2^n` means "retrieve and evaluate exactly the
-/// predicates in bitmask `m` (short-circuited, cheapest-rejecter first),
-/// assume the rest"; the residual probability mass is discarded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainPlan {
-    /// `probs[a][m]` = probability group `a` takes subset-action `m`.
-    pub probs: Vec<Vec<f64>>,
-    /// Expected total cost.
-    pub expected_cost: f64,
-}
-
-impl ChainPlan {
-    /// Discard probability of group `a`.
-    pub fn discard_prob(&self, a: usize) -> f64 {
-        (1.0 - self.probs[a].iter().sum::<f64>()).max(0.0)
-    }
-}
-
-/// Expected per-tuple cost of evaluating predicate subset `mask` with
-/// short-circuiting, using the classic optimal filter order: ascending
-/// `cost_i / (1 - s_i)` (cheapest expected rejection first).
-fn subset_cost(mask: usize, sels: &[f64], eval_costs: &[f64], retrieve: f64) -> f64 {
-    let mut members: Vec<usize> = (0..sels.len()).filter(|i| mask & (1 << i) != 0).collect();
-    members.sort_by(|&a, &b| {
-        let ka = eval_costs[a] / (1.0 - sels[a]).max(1e-12);
-        let kb = eval_costs[b] / (1.0 - sels[b]).max(1e-12);
-        ka.total_cmp(&kb).then(a.cmp(&b))
-    });
-    let mut cost = retrieve;
-    let mut pass_prob = 1.0;
-    for &i in &members {
-        cost += pass_prob * eval_costs[i];
-        pass_prob *= sels[i];
-    }
-    cost
-}
-
-/// Solves the general `n`-predicate conjunction (§10.7.2's "number of
-/// variables is exponential in the number of predicates, but still linear
-/// in table size"): minimize expected cost subject to expectation-level
-/// precision ≥ `alpha` and recall ≥ `beta`.
-///
-/// `eval_costs[i]` is predicate `i`'s evaluation cost; `retrieve` the
-/// per-tuple retrieval cost. Every group must carry one selectivity per
-/// predicate. Practical up to ~10 predicates (2^n actions per group).
-pub fn solve_predicate_chain(
-    groups: &[ChainGroup],
-    alpha: f64,
-    beta: f64,
-    eval_costs: &[f64],
-    retrieve: f64,
-) -> Result<ChainPlan, PlanError> {
-    assert!((0.0..=1.0).contains(&alpha) && (0.0..=1.0).contains(&beta));
-    let n = eval_costs.len();
-    assert!((1..=16).contains(&n), "1..=16 predicates supported");
-    for g in groups {
-        assert_eq!(g.sels.len(), n, "one selectivity per predicate required");
-    }
-    let num_actions = 1usize << n;
-    let mut lp = ChoiceLp::default();
-    for g in groups {
-        let s_all = g.s_all();
-        let actions = (0..num_actions).map(|mask| {
-            // Output iff every evaluated predicate passes.
-            let out: f64 = (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| g.sels[i])
-                .product();
-            Action {
-                cost: g.size * subset_cost(mask, &g.sels, eval_costs, retrieve),
-                precision: g.size * (s_all - alpha * out),
-            }
-        });
-        lp.push_group(g.size * s_all, actions);
-    }
-    let total_correct: f64 = groups.iter().map(|g| g.size * g.s_all()).sum();
-    let plan = lp.solve(beta * total_correct, 0.0).map_err(|e| {
-        PlanError::Infeasible(format!("predicate-chain constraints unsatisfiable: {e}"))
-    })?;
-    Ok(ChainPlan {
-        probs: plan
-            .x
-            .chunks_exact(num_actions)
-            .map(<[f64]>::to_vec)
-            .collect(),
-        expected_cost: plan.cost,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,90 +256,6 @@ mod tests {
         let gs = groups();
         let plan = solve_multi_predicate(&gs, 1.0, 1.0, &cost()).expect("feasible");
         check_constraints(&plan, &gs, 1.0, 1.0);
-    }
-
-    #[test]
-    fn chain_with_two_predicates_matches_pairwise_solver() {
-        // The 2-predicate chain's action space covers the pairwise
-        // solver's (plus better short-circuit ordering), so its optimum
-        // can only be at least as cheap.
-        let gs = groups();
-        let chain_groups: Vec<ChainGroup> = gs
-            .iter()
-            .map(|g| ChainGroup {
-                size: g.size,
-                sels: vec![g.s1, g.s2],
-            })
-            .collect();
-        let pair = solve_multi_predicate(&gs, 0.8, 0.8, &cost()).unwrap();
-        let chain = solve_predicate_chain(&chain_groups, 0.8, 0.8, &[3.0, 3.0], 1.0).unwrap();
-        assert!(
-            chain.expected_cost <= pair.expected_cost + 1e-6,
-            "chain {} vs pair {}",
-            chain.expected_cost,
-            pair.expected_cost
-        );
-        // With symmetric costs the optima coincide.
-        assert!(
-            (chain.expected_cost - pair.expected_cost).abs() < 1e-6 * (1.0 + pair.expected_cost),
-            "chain {} vs pair {}",
-            chain.expected_cost,
-            pair.expected_cost
-        );
-    }
-
-    #[test]
-    fn chain_three_predicates_solves_and_meets_constraints() {
-        let groups = vec![
-            ChainGroup {
-                size: 1000.0,
-                sels: vec![0.9, 0.8, 0.95],
-            },
-            ChainGroup {
-                size: 1000.0,
-                sels: vec![0.5, 0.7, 0.4],
-            },
-            ChainGroup {
-                size: 500.0,
-                sels: vec![0.2, 0.3, 0.9],
-            },
-        ];
-        let eval_costs = [2.0, 5.0, 1.0];
-        let plan = solve_predicate_chain(&groups, 0.85, 0.8, &eval_costs, 1.0).unwrap();
-        // Verify the expectation-level constraints directly.
-        let total_correct: f64 = groups.iter().map(|g| g.size * g.s_all()).sum();
-        let (mut correct, mut output) = (0.0, 0.0);
-        for (a, g) in groups.iter().enumerate() {
-            for (mask, &p) in plan.probs[a].iter().enumerate() {
-                let out: f64 = (0..3)
-                    .filter(|i| mask & (1 << i) != 0)
-                    .map(|i| g.sels[i])
-                    .product();
-                output += g.size * p * out;
-                correct += g.size * p * g.s_all();
-            }
-        }
-        assert!(correct >= 0.85 * output - 1e-6, "precision violated");
-        assert!(correct >= 0.8 * total_correct - 1e-6, "recall violated");
-    }
-
-    #[test]
-    fn subset_cost_orders_by_rejection_density() {
-        // Predicate 1 is cheap and selective: it must be evaluated first,
-        // discounting predicate 0's cost by s_1.
-        let sels = [0.9, 0.2];
-        let eval_costs = [10.0, 1.0];
-        let c = subset_cost(0b11, &sels, &eval_costs, 1.0);
-        // Order: predicate 1 (1/(0.8) = 1.25) before 0 (10/0.1 = 100):
-        // cost = 1 + 1.0 + 0.2 * 10 = 4.0.
-        assert!((c - 4.0).abs() < 1e-12, "got {c}");
-    }
-
-    #[test]
-    fn chain_empty_subset_action_is_blind_return() {
-        let sels = [0.5, 0.5];
-        let c = subset_cost(0, &sels, &[3.0, 3.0], 1.0);
-        assert_eq!(c, 1.0, "no evaluations, retrieval only");
     }
 
     #[test]

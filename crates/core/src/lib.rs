@@ -18,8 +18,8 @@
 //! * [`execute`] — the probabilistic executor with sample reuse.
 //! * [`pipeline`] — end-to-end contestants: Intel-Sample, Optimal, Naive.
 //! * [`baselines`] — the ML baselines Learning and Multiple.
-//! * [`extensions`] — §5: budgeted objectives, multiple predicates, and
-//!   selection-before-join weighting.
+//! * [`extensions`] — §5: budgeted objectives and two-predicate
+//!   conjunctions.
 //! * [`engine`] — the session layer: [`QueryEngine`] runs many queries
 //!   against one executor, one cross-query [`expred_exec::CacheStore`],
 //!   and a memo of whole query outcomes. The engine is `Send + Sync`

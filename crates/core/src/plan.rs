@@ -78,16 +78,6 @@ impl Plan {
             .map(|(&t, (&r, &e))| t * (cost.retrieve * r + cost.evaluate * e))
             .sum()
     }
-
-    /// Expected number of evaluations over `sizes`.
-    pub fn expected_evaluations(&self, sizes: &[f64]) -> f64 {
-        sizes.iter().zip(&self.e).map(|(&t, &e)| t * e).sum()
-    }
-
-    /// Expected number of retrievals over `sizes`.
-    pub fn expected_retrievals(&self, sizes: &[f64]) -> f64 {
-        sizes.iter().zip(&self.r).map(|(&t, &r)| t * r).sum()
-    }
 }
 
 #[cfg(test)]
@@ -100,17 +90,15 @@ mod tests {
         let sizes = [100.0, 200.0, 300.0];
         let cost = CostModel::PAPER_DEFAULT;
         // Retrievals: 100 + 100 = 200; evaluations: 50 + 100 = 150.
-        assert_eq!(plan.expected_retrievals(&sizes), 200.0);
-        assert_eq!(plan.expected_evaluations(&sizes), 150.0);
         assert_eq!(plan.expected_cost(&sizes, &cost), 200.0 + 450.0);
     }
 
     #[test]
     fn canned_plans() {
         let d = Plan::discard_all(3);
-        assert_eq!(d.expected_retrievals(&[1.0, 1.0, 1.0]), 0.0);
+        assert_eq!(d.r(), [0.0; 3]);
         let e = Plan::evaluate_all(2);
-        assert_eq!(e.expected_evaluations(&[10.0, 20.0]), 30.0);
+        assert_eq!(e.e(), [1.0; 2]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! of atomic buckets — no locks, no allocation per observation.
 //!
 //! Both exports are renderers over **one walk** of counter sections
-//! (`ServeMetrics::walk`): the server's own, each route's, the remote
-//! client's, then per tenant whatever [`crate::Tenant::counter_sections`]
+//! (`ServeMetrics::walk`): the server's own, each route's, then per
+//! tenant whatever [`crate::Tenant::counter_sections`]
 //! yields — the engine's sections ([`expred_core::QueryEngine::counter_sections`]:
 //! engine, cache, result memo, derived, persist, bill) and the table
 //! tier's — and the registry's pool. A section carries its JSON key and
@@ -19,15 +19,13 @@
 
 use crate::gate::AdmissionGate;
 use crate::tenant::TenantRegistry;
-use expred_remote::RemoteStatsSnapshot;
 use expred_stats::counters::{CounterSet, Section};
 use expred_stats::json::{counters_to_text, JsonWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Everything the renderers snapshot besides [`ServeMetrics`] itself:
-/// the two admission gates, the tenant registry, and (when the server
-/// fronts a remote UDF backend) that client's wire counters.
+/// the two admission gates and the tenant registry.
 pub struct MetricsContext<'a> {
     /// The `/query` in-flight gate.
     pub gate: &'a AdmissionGate,
@@ -35,8 +33,6 @@ pub struct MetricsContext<'a> {
     pub connections: &'a AdmissionGate,
     /// Per-tenant engines.
     pub tenants: &'a TenantRegistry,
-    /// `(endpoint, counters)` of the remote UDF client, if configured.
-    pub remote: Option<(String, RemoteStatsSnapshot)>,
 }
 
 /// Log-scale latency histogram over microseconds.
@@ -234,8 +230,7 @@ impl ServeMetrics {
     }
 
     /// The one walk both exports render: serving counters, per-route
-    /// latency summaries, remote-UDF client counters (when a backend is
-    /// configured), every tenant's sections, then the shared worker
+    /// latency summaries, every tenant's sections, then the shared worker
     /// pool's (when engines are pooled). Each section is named here, or by
     /// the layer that owns it, exactly once.
     fn walk(&self, ctx: &MetricsContext<'_>, emit: &mut dyn FnMut(Event<'_>)) {
@@ -260,17 +255,6 @@ impl ServeMetrics {
             emit(Event::Close);
         }
         emit(Event::Close);
-        if let Some((endpoint, snapshot)) = &ctx.remote {
-            emit(Event::Open("remote", Some(("endpoint", endpoint))));
-            emit(Event::JsonOnly(&|w| {
-                w.key("endpoint").str(endpoint);
-            }));
-            emit(Event::Section(
-                Section::new("counters", "remote_udf"),
-                snapshot,
-            ));
-            emit(Event::Close);
-        }
         emit(Event::Open("tenants", None));
         for tenant in ctx.tenants.snapshot() {
             emit(Event::Open(tenant.name(), Some(("tenant", tenant.name()))));
@@ -303,8 +287,8 @@ impl ServeMetrics {
     }
 
     /// JSON snapshot for `GET /metrics.json` — same walk, one object.
-    /// The `"remote"` key is present only when a backend is configured,
-    /// the `"pool"` key only when engines run on the shared worker pool.
+    /// The `"pool"` key is present only when engines run on the shared
+    /// worker pool.
     pub fn render_json(&self, ctx: &MetricsContext<'_>) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
@@ -384,13 +368,11 @@ mod tests {
         gate: &'a AdmissionGate,
         connections: &'a AdmissionGate,
         tenants: &'a TenantRegistry,
-        remote: Option<(String, RemoteStatsSnapshot)>,
     ) -> MetricsContext<'a> {
         MetricsContext {
             gate,
             connections,
             tenants,
-            remote,
         }
     }
 
@@ -403,7 +385,7 @@ mod tests {
         tenants.route("acme").unwrap();
         metrics.record_status(200);
         metrics.query.observe(Duration::from_micros(120));
-        let text = metrics.render_text(&context(&gate, &connections, &tenants, None));
+        let text = metrics.render_text(&context(&gate, &connections, &tenants));
         assert!(text.contains("serve_responses_2xx 1\n"));
         assert!(text.contains("serve_in_flight_capacity 4\n"));
         assert!(text.contains("serve_connections_capacity 64\n"));
@@ -426,15 +408,11 @@ mod tests {
         for seed in [1, 2, 3, 1] {
             acme.dataset(&key(seed));
         }
-        let text = metrics.render_text(&context(&gate, &connections, &tenants, None));
+        let text = metrics.render_text(&context(&gate, &connections, &tenants));
         assert!(text.contains("engine_tables{tenant=\"acme\"} 2\n"));
         assert!(
             text.contains("engine_table_misses{tenant=\"acme\"} 4\n"),
             "seed 1 was evicted by seed 3 and materialized again"
-        );
-        assert!(
-            !text.contains("remote_udf_"),
-            "no remote section without a backend"
         );
     }
 
@@ -446,11 +424,10 @@ mod tests {
         // In-memory tenants: no persist section anywhere.
         let tenants = TenantRegistry::new(4, 2, EngineConfig::default());
         let mem_tenant = tenants.route("mem").unwrap();
-        let text = metrics.render_text(&context(&gate, &connections, &tenants, None));
+        let text = metrics.render_text(&context(&gate, &connections, &tenants));
         assert!(!text.contains("engine_persist_"));
-        let doc =
-            JsonValue::parse(&metrics.render_json(&context(&gate, &connections, &tenants, None)))
-                .unwrap();
+        let doc = JsonValue::parse(&metrics.render_json(&context(&gate, &connections, &tenants)))
+            .unwrap();
         let mem = doc.get("tenants").unwrap().get("mem").unwrap();
         assert!(mem.get("persist").is_none());
         mem_tenant.dataset(&crate::api::TableKey {
@@ -458,9 +435,8 @@ mod tests {
             rows: 100,
             seed: 1,
         });
-        let doc =
-            JsonValue::parse(&metrics.render_json(&context(&gate, &connections, &tenants, None)))
-                .unwrap();
+        let doc = JsonValue::parse(&metrics.render_json(&context(&gate, &connections, &tenants)))
+            .unwrap();
         let mem = doc.get("tenants").unwrap().get("mem").unwrap();
         assert_eq!(mem.get("tables").unwrap().as_u64(), Some(1));
         assert_eq!(mem.get("table_misses").unwrap().as_u64(), Some(1));
@@ -485,16 +461,12 @@ mod tests {
             },
         );
         persistent.route("disk").unwrap();
-        let text = metrics.render_text(&context(&gate, &connections, &persistent, None));
+        let text = metrics.render_text(&context(&gate, &connections, &persistent));
         assert!(text.contains("engine_persist_appended{tenant=\"disk\"} 0\n"));
         assert!(text.contains("engine_persist_rehydrated_rows{tenant=\"disk\"} 0\n"));
-        let doc = JsonValue::parse(&metrics.render_json(&context(
-            &gate,
-            &connections,
-            &persistent,
-            None,
-        )))
-        .expect("valid JSON with persist section");
+        let doc =
+            JsonValue::parse(&metrics.render_json(&context(&gate, &connections, &persistent)))
+                .expect("valid JSON with persist section");
         let disk = doc.get("tenants").unwrap().get("disk").unwrap();
         let persist = disk.get("persist").unwrap();
         assert_eq!(persist.get("appended").unwrap().as_u64(), Some(0));
@@ -512,9 +484,9 @@ mod tests {
         let gate = AdmissionGate::new(4);
         let connections = AdmissionGate::new(64);
         let sequential = TenantRegistry::new(4, 2, EngineConfig::default());
-        let text = metrics.render_text(&context(&gate, &connections, &sequential, None));
+        let text = metrics.render_text(&context(&gate, &connections, &sequential));
         assert!(!text.contains("pool_"));
-        let json = metrics.render_json(&context(&gate, &connections, &sequential, None));
+        let json = metrics.render_json(&context(&gate, &connections, &sequential));
         assert!(JsonValue::parse(&json).unwrap().get("pool").is_none());
 
         let pooled = TenantRegistry::new(
@@ -526,13 +498,13 @@ mod tests {
             },
         );
         pooled.route("a").unwrap();
-        let text = metrics.render_text(&context(&gate, &connections, &pooled, None));
+        let text = metrics.render_text(&context(&gate, &connections, &pooled));
         assert!(
             text.contains("pool_workers 0\n"),
             "no thread before a batch"
         );
         assert!(text.contains("pool_jobs 0\n"));
-        let json = metrics.render_json(&context(&gate, &connections, &pooled, None));
+        let json = metrics.render_json(&context(&gate, &connections, &pooled));
         let doc = JsonValue::parse(&json).expect("valid JSON with pool section");
         let keys: Vec<&str> = match &doc {
             JsonValue::Object(entries) => entries.iter().map(|(key, _)| key.as_str()).collect(),
@@ -553,24 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn render_text_exports_remote_counters_when_configured() {
-        let metrics = ServeMetrics::new();
-        let gate = AdmissionGate::new(4);
-        let connections = AdmissionGate::new(64);
-        let tenants = TenantRegistry::new(4, 2, EngineConfig::default());
-        let snapshot = RemoteStatsSnapshot {
-            requests: 10,
-            retries: 3,
-            ..RemoteStatsSnapshot::default()
-        };
-        let remote = Some(("10.0.0.7:9400".to_owned(), snapshot));
-        let text = metrics.render_text(&context(&gate, &connections, &tenants, remote));
-        assert!(text.contains("remote_udf_requests{endpoint=\"10.0.0.7:9400\"} 10\n"));
-        assert!(text.contains("remote_udf_retries{endpoint=\"10.0.0.7:9400\"} 3\n"));
-        assert!(text.contains("remote_udf_breaker_opens{endpoint=\"10.0.0.7:9400\"} 0\n"));
-    }
-
-    #[test]
     fn render_json_is_parseable_and_complete() {
         let metrics = ServeMetrics::new();
         let gate = AdmissionGate::new(2);
@@ -580,7 +534,7 @@ mod tests {
         tenants.route("b").unwrap();
         metrics.record_status(429);
         metrics.record_status(500);
-        let plain = metrics.render_json(&context(&gate, &connections, &tenants, None));
+        let plain = metrics.render_json(&context(&gate, &connections, &tenants));
         let doc = JsonValue::parse(&plain).expect("valid JSON");
         let server = doc.get("server").unwrap();
         assert_eq!(server.get("responses_4xx").unwrap().as_u64(), Some(1));
@@ -590,7 +544,6 @@ mod tests {
             server.get("connections_capacity").unwrap().as_u64(),
             Some(8)
         );
-        assert!(doc.get("remote").is_none(), "no remote key without backend");
         let routes = doc.get("routes").unwrap();
         for name in ["query", "metrics", "health"] {
             assert!(routes.get(name).is_some(), "route {name} exported");
@@ -605,21 +558,5 @@ mod tests {
             assert!(t.get("cache").is_some());
             assert!(t.get("result_memo").is_some());
         }
-        let snapshot = RemoteStatsSnapshot {
-            hedges: 2,
-            hedge_wins: 1,
-            ..RemoteStatsSnapshot::default()
-        };
-        let remote = Some(("backend:1".to_owned(), snapshot));
-        let with_remote = metrics.render_json(&context(&gate, &connections, &tenants, remote));
-        let doc = JsonValue::parse(&with_remote).expect("valid JSON with remote");
-        let remote_obj = doc.get("remote").unwrap();
-        assert_eq!(
-            remote_obj.get("endpoint").unwrap().as_str(),
-            Some("backend:1")
-        );
-        let counters = remote_obj.get("counters").unwrap();
-        assert_eq!(counters.get("hedges").unwrap().as_u64(), Some(2));
-        assert_eq!(counters.get("hedge_wins").unwrap().as_u64(), Some(1));
     }
 }

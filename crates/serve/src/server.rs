@@ -31,7 +31,6 @@ use crate::gate::{AdmissionGate, OwnedGatePass};
 use crate::http::{read_request, HttpError, HttpRequest, HttpResponse, Limits, IDLE_TIMEOUT};
 use crate::metrics::{MetricsContext, ServeMetrics};
 use crate::tenant::{EngineConfig, TenantError, TenantRegistry};
-use expred_remote::RemoteClient;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,7 +43,7 @@ use std::time::{Duration, Instant};
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
 /// Server tuning knobs.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Concurrent `/query` requests allowed past the admission gate.
     pub max_in_flight: usize,
@@ -67,9 +66,6 @@ pub struct ServeConfig {
     pub pooled: bool,
     /// Artificial per-evaluation UDF latency (load testing).
     pub udf_latency: Duration,
-    /// A remote UDF client whose wire counters (retries, hedges,
-    /// timeouts, breaker state) are exported through `GET /metrics`.
-    pub remote: Option<Arc<RemoteClient>>,
     /// Root directory for durable per-tenant persistence: tenant engines
     /// spill fresh answers to WAL-backed stores under
     /// `<data_dir>/<tenant>/` and rehydrate them on the next boot, so a
@@ -79,25 +75,6 @@ pub struct ServeConfig {
     /// Row-tier answer TTL for tenant engines; with `data_dir` set, the
     /// age survives restarts. `None` disables expiry.
     pub cache_ttl: Option<Duration>,
-}
-
-impl std::fmt::Debug for ServeConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeConfig")
-            .field("max_in_flight", &self.max_in_flight)
-            .field("max_connections", &self.max_connections)
-            .field("drain_deadline", &self.drain_deadline)
-            .field("max_tenants", &self.max_tenants)
-            .field("max_tables_per_tenant", &self.max_tables_per_tenant)
-            .field("max_rows", &self.max_rows)
-            .field("max_body_bytes", &self.max_body_bytes)
-            .field("pooled", &self.pooled)
-            .field("udf_latency", &self.udf_latency)
-            .field("remote", &self.remote.as_ref().map(|c| c.endpoint()))
-            .field("data_dir", &self.data_dir)
-            .field("cache_ttl", &self.cache_ttl)
-            .finish()
-    }
 }
 
 impl Default for ServeConfig {
@@ -112,7 +89,6 @@ impl Default for ServeConfig {
             max_body_bytes: 1 << 20,
             pooled: false,
             udf_latency: Duration::ZERO,
-            remote: None,
             data_dir: None,
             cache_ttl: None,
         }
@@ -134,11 +110,6 @@ impl Shared {
             gate: &self.gate,
             connections: &self.connections,
             tenants: &self.tenants,
-            remote: self
-                .config
-                .remote
-                .as_ref()
-                .map(|client| (client.endpoint().to_owned(), client.stats())),
         }
     }
 }

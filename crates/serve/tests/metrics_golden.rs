@@ -4,15 +4,18 @@
 //! line and key that commit exported must still be there, byte for byte
 //! and in order. The only additions since are the per-tenant `derived`
 //! and `bill` sections and a durable tenant's `persist_wal`, which the
-//! comparison strips (and checks on their own). A third test holds the two exports to one set of sections and
-//! counters, so they cannot drift apart again.
+//! comparison strips (and checks on their own). The one removal is the
+//! pooled golden's `remote_udf` section (text) and `"remote"` key (JSON):
+//! the server no longer fronts a remote UDF client, so there is no such
+//! section to export, and those lines were cut from the golden. A third
+//! test holds the two exports to one set of sections and counters, so
+//! they cannot drift apart again.
 //!
 //! Values that depend on the box or the clock — the pool's section, table
 //! materialization time, the WAL's fsync count — are masked to `#` on
 //! both sides.
 
 use expred_core::{IntelSampleConfig, PredictorChoice, QueryRequest, QuerySpec};
-use expred_remote::RemoteStatsSnapshot;
 use expred_serve::{
     AdmissionGate, EngineConfig, MetricsContext, ServeMetrics, TableKey, TenantRegistry,
 };
@@ -22,7 +25,7 @@ use std::time::Duration;
 
 /// Renders both exports of one scenario: fixed server traffic, then the
 /// same four requests (a repeat among them) on every tenant.
-fn render(registry: &TenantRegistry, tenants: &[&str], remote: bool) -> (String, String) {
+fn render(registry: &TenantRegistry, tenants: &[&str]) -> (String, String) {
     let metrics = ServeMetrics::new();
     let gate = AdmissionGate::new(4);
     let connections = AdmissionGate::new(64);
@@ -52,30 +55,21 @@ fn render(registry: &TenantRegistry, tenants: &[&str], remote: bool) -> (String,
         }
         tenant.engine().flush_persistence().unwrap();
     }
-    let snapshot = RemoteStatsSnapshot {
-        requests: 10,
-        retries: 3,
-        hedges: 2,
-        hedge_wins: 1,
-        breaker_opens: 1,
-        ..RemoteStatsSnapshot::default()
-    };
     let ctx = MetricsContext {
         gate: &gate,
         connections: &connections,
         tenants: registry,
-        remote: remote.then(|| ("10.0.0.7:9400".to_owned(), snapshot)),
     };
     (metrics.render_text(&ctx), metrics.render_json(&ctx))
 }
 
-/// In-memory engines on the shared pool, two tenants, a remote backend.
+/// In-memory engines on the shared pool, two tenants.
 fn pooled_scenario() -> (String, String) {
     let config = EngineConfig {
         pooled: true,
         ..EngineConfig::default()
     };
-    render(&TenantRegistry::new(4, 2, config), &["acme", "zed"], true)
+    render(&TenantRegistry::new(4, 2, config), &["acme", "zed"])
 }
 
 /// One persistent tenant on the sequential backend (`tag` keeps
@@ -88,7 +82,7 @@ fn durable_scenario(tag: &str) -> (String, String) {
         data_dir: Some(root.clone()),
         ..EngineConfig::default()
     };
-    let rendered = render(&TenantRegistry::new(4, 2, config), &["disk"], false);
+    let rendered = render(&TenantRegistry::new(4, 2, config), &["disk"]);
     let _ = std::fs::remove_dir_all(&root);
     rendered
 }
@@ -228,7 +222,7 @@ fn durable_registry_exports_every_parent_line_and_key() {
 }
 
 /// `(section, counter)` pairs of a text export: the line's name up to its
-/// counter, with the tenant/route/endpoint label folded into the section.
+/// counter, with the tenant/route label folded into the section.
 fn text_counters(text: &str, sections: &[(&str, &str)]) -> Vec<(String, String)> {
     text.lines()
         .map(|line| {
@@ -267,15 +261,6 @@ fn json_counters(doc: &JsonValue) -> Vec<(String, String)> {
     for route in routes.keys() {
         section(&mut out, route, "route", routes.get(route).unwrap());
     }
-    if let Some(remote) = doc.get("remote") {
-        let endpoint = remote.get("endpoint").unwrap().as_str().unwrap();
-        section(
-            &mut out,
-            endpoint,
-            "counters",
-            remote.get("counters").unwrap(),
-        );
-    }
     let tenants = doc.get("tenants").unwrap();
     for tenant in tenants.keys() {
         let sections = tenants.get(tenant).unwrap();
@@ -300,7 +285,6 @@ fn text_and_json_exports_carry_the_same_sections_and_counters() {
     let sections = [
         ("serve", "server"),
         ("serve_route", "route"),
-        ("remote_udf", "counters"),
         ("engine", "engine"),
         ("engine_cache", "cache"),
         ("engine_memo", "result_memo"),

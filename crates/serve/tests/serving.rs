@@ -864,56 +864,6 @@ fn shutdown_drains_idle_connections_within_the_deadline() {
     );
 }
 
-#[test]
-fn remote_backend_counters_surface_in_both_metrics_exports() {
-    use expred_remote::{ClientConfig, FaultPlan, RemoteClient, UdfServer};
-    use std::sync::Arc;
-
-    // A healthy in-process UDF backend with one oracle.
-    let labels: Arc<Vec<bool>> = Arc::new((0..64).map(|i| i % 3 == 0).collect());
-    let mut oracles = std::collections::HashMap::new();
-    oracles.insert("default".to_owned(), labels);
-    let backend = UdfServer::bind("127.0.0.1:0", oracles, FaultPlan::healthy()).unwrap();
-    let endpoint = backend.addr().to_string();
-
-    let remote = Arc::new(RemoteClient::new(ClientConfig::new(endpoint.clone())));
-    assert_eq!(remote.probe("default", 0), Ok(true));
-    assert_eq!(remote.probe("default", 1), Ok(false));
-
-    let handle = serve(
-        "127.0.0.1:0",
-        ServeConfig {
-            remote: Some(Arc::clone(&remote)),
-            ..small_config()
-        },
-    )
-    .unwrap();
-    let mut client = HttpClient::connect(handle.local_addr()).unwrap();
-
-    let text = client.get("/metrics").unwrap().body_text();
-    let requests_line = format!("remote_udf_requests{{endpoint=\"{endpoint}\"}} 2\n");
-    assert!(text.contains(&requests_line), "{text}");
-    assert!(text.contains(&format!(
-        "remote_udf_breaker_opens{{endpoint=\"{endpoint}\"}} 0\n"
-    )));
-
-    let doc = JsonValue::parse(&client.get("/metrics.json").unwrap().body_text()).unwrap();
-    let remote_obj = doc.get("remote").expect("remote key present");
-    assert_eq!(
-        remote_obj.get("endpoint").unwrap().as_str(),
-        Some(endpoint.as_str())
-    );
-    assert_eq!(
-        remote_obj
-            .get("counters")
-            .unwrap()
-            .get("requests")
-            .unwrap()
-            .as_u64(),
-        Some(2)
-    );
-}
-
 /// Pool threads alive in this process (`None` where `/proc` is not).
 fn pool_threads() -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;

@@ -242,30 +242,16 @@ impl ChoiceLp {
     }
 }
 
-/// Per-group coefficients of the paper's `(R, E)` form of the plan LP.
-///
-/// With the paper's Problem-2 instantiation: `cost_r = t_a·o_r`,
-/// `cost_e = t_a·o_e`, `recall_r = t_a·s_a`,
-/// `prec_r = t_a·s_a·(1-α) − α·t_a·(1-s_a)`, `prec_e = α·t_a·(1-s_a)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GreedyGroup {
-    /// Objective weight per unit of `R_a`.
-    pub cost_r: f64,
-    /// Objective weight per unit of `E_a`.
-    pub cost_e: f64,
-    /// Recall-constraint coefficient of `R_a` (must be ≥ 0).
-    pub recall_r: f64,
-    /// Precision-constraint coefficient of `R_a` (may be negative).
-    pub prec_r: f64,
-    /// Precision-constraint coefficient of `E_a` (must be ≥ 0).
-    pub prec_e: f64,
-}
-
 /// LinearProg 3.4's form: minimize `Σ cost_r·R + cost_e·E` subject to
 /// `Σ recall_r·R ≥ recall_target`, `Σ prec_r·R + prec_e·E ≥
 /// precision_target`, `0 ≤ E_a ≤ R_a ≤ 1`. As a [`ChoiceLp`], group `a`
 /// has two actions: "return unevaluated" (`R_a − E_a`) and "evaluate"
 /// (`E_a`).
+///
+/// With the paper's Problem-2 instantiation
+/// ([`GreedyProblem::from_group_stats`]): `cost_r = t_a·o_r`,
+/// `cost_e = t_a·o_e`, `recall_r = t_a·s_a`,
+/// `prec_r = t_a·s_a·(1-α) − α·t_a·(1-s_a)`, `prec_e = α·t_a·(1-s_a)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GreedyProblem {
     lp: ChoiceLp,
@@ -287,31 +273,6 @@ pub struct GreedyPlan {
 }
 
 impl GreedyProblem {
-    /// The problem over `groups`, in order.
-    pub fn new(
-        groups: impl IntoIterator<Item = GreedyGroup>,
-        recall_target: f64,
-        precision_target: f64,
-    ) -> Self {
-        let mut lp = ChoiceLp::default();
-        for g in groups {
-            let evaluate = Action {
-                cost: g.cost_r + g.cost_e,
-                precision: g.prec_r + g.prec_e,
-            };
-            let unevaluated = Action {
-                cost: g.cost_r,
-                precision: g.prec_r,
-            };
-            lp.push_group(g.recall_r, [unevaluated, evaluate]);
-        }
-        Self {
-            lp,
-            recall_target,
-            precision_target,
-        }
-    }
-
     /// Builds the Problem-2 instantiation from raw group statistics.
     ///
     /// `sizes[a] = t_a` (effective group size), `sels[a] = s_a`,
@@ -328,14 +289,25 @@ impl GreedyProblem {
         recall_target: f64,
         precision_target: f64,
     ) -> Self {
-        let groups = sizes.iter().zip(sels).map(|(&t, &s)| GreedyGroup {
-            cost_r: t * cost_retrieve,
-            cost_e: t * cost_evaluate,
-            recall_r: t * s,
-            prec_r: t * s * (1.0 - alpha) - alpha * t * (1.0 - s),
-            prec_e: alpha * t * (1.0 - s),
-        });
-        Self::new(groups, recall_target, precision_target)
+        let mut lp = ChoiceLp::default();
+        for (&t, &s) in sizes.iter().zip(sels) {
+            let cost_r = t * cost_retrieve;
+            let prec_r = t * s * (1.0 - alpha) - alpha * t * (1.0 - s);
+            let unevaluated = Action {
+                cost: cost_r,
+                precision: prec_r,
+            };
+            let evaluate = Action {
+                cost: cost_r + t * cost_evaluate,
+                precision: prec_r + alpha * t * (1.0 - s),
+            };
+            lp.push_group(t * s, [unevaluated, evaluate]);
+        }
+        Self {
+            lp,
+            recall_target,
+            precision_target,
+        }
     }
 
     /// The minimum-cost plan at this problem's targets.

@@ -9,6 +9,10 @@
 //! * [`reduce_to_perfect_info`], the constructive reduction from the
 //!   paper's proof — tested end-to-end against the exact perfect-info
 //!   solver to *demonstrate* the reduction rather than merely cite it.
+//!
+//! A test oracle: no production path runs it. `tests/proptests.rs`
+//! includes this file as a module, beside `tests/perfect_info`.
+#![allow(dead_code)]
 
 use crate::perfect_info::{Decision, PerfectGroup, PerfectInfoInstance};
 

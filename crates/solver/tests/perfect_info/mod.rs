@@ -9,11 +9,15 @@
 //!   `(1-α) Σ C_a R_a − α Σ W_a (R_a − E_a) ≥ 0`
 //!
 //! This is NP-hard (Theorem 3.2, by min-knapsack reduction — see
-//! [`crate::knapsack`]). We provide an exact branch-and-bound for the
+//! `tests/knapsack`). We provide an exact branch-and-bound for the
 //! moderate group counts the paper's datasets exhibit (≤ ~25 groups) and
 //! an LP-relaxation + safe-rounding heuristic for larger instances.
+//!
+//! A test oracle: no query runs Problem 1, so no production path runs
+//! this. `tests/proptests.rs` includes this file as a module.
+#![allow(dead_code)]
 
-use crate::bigreedy::GreedyProblem;
+use expred_solver::bigreedy::GreedyProblem;
 
 /// Per-group exact counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

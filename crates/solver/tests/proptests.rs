@@ -6,12 +6,14 @@
 //! `1e-9 × (1 + |cost|)`, and a plan that meets both rows and every box
 //! constraint within that tolerance.
 
+mod knapsack;
 mod lp;
+mod perfect_info;
 
 use expred_solver::bigreedy::{Action, ChoiceLp, GreedyProblem};
-use expred_solver::knapsack::{greedy_min_knapsack, solve_min_knapsack, Item};
-use expred_solver::perfect_info::{Decision, PerfectGroup, PerfectInfoInstance};
+use knapsack::{greedy_min_knapsack, solve_min_knapsack, Item};
 use lp::{Constraint, LinearProgram, LpOutcome, Relation};
+use perfect_info::{Decision, PerfectGroup, PerfectInfoInstance};
 use proptest::prelude::*;
 
 /// Raw statistics of one paper-shaped instance: sizes, selectivities,

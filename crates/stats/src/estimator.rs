@@ -2,66 +2,29 @@
 //!
 //! Every optimizer in `expred-core` consumes selectivity information in the
 //! same shape: a mean and a variance per group. This module defines that
-//! shape, [`SelectivityEstimate`], and the three ways the paper obtains it:
-//!
-//! * **exact** knowledge (Problem 2, the `Optimal` baseline): variance 0;
-//! * a **Beta posterior over samples** (paper §4.1): mean
-//!   `(F⁺+1)/(F+2)`, variance `s(1-s)/(F+3)`;
-//! * an externally supplied **(mean, variance)** pair (e.g. from a
-//!   logistic-regression bucket, §6.3.2).
+//! shape, [`SelectivityEstimate`], built from a sample the way the paper
+//! does (§4.1): the moments of the posterior `Beta(F⁺+1, F⁻+1)`, mean
+//! `(F⁺+1)/(F+2)` and variance `s(1-s)/(F+3)`.
 
-use crate::beta::Beta;
-
-/// A (possibly uncertain) estimate of one group's selectivity.
+/// An uncertain estimate of one group's selectivity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectivityEstimate {
     mean: f64,
     variance: f64,
-    /// Number of tuples evaluated to form the estimate (0 if exact/external).
-    samples: u64,
-    /// Number of sampled tuples that satisfied the predicate.
-    positives: u64,
 }
 
 impl SelectivityEstimate {
-    /// An exact selectivity (no uncertainty); used by the perfect-
-    /// selectivities setting of §3.2.
-    pub fn exact(selectivity: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&selectivity),
-            "selectivity must be in [0,1], got {selectivity}"
-        );
-        Self {
-            mean: selectivity,
-            variance: 0.0,
-            samples: 0,
-            positives: 0,
-        }
-    }
-
     /// The Beta-posterior estimate after observing `positives` of `samples`
-    /// evaluated tuples satisfy the predicate (paper §4.1).
+    /// evaluated tuples satisfy the predicate (paper §4.1): the mean and
+    /// variance of `Beta(a, b)` with `a = F⁺+1`, `b = F⁻+1`.
     pub fn from_sample(positives: u64, samples: u64) -> Self {
-        let post = Beta::posterior(positives, samples);
+        assert!(positives <= samples, "positives cannot exceed trials");
+        let a = positives as f64 + 1.0;
+        let b = (samples - positives) as f64 + 1.0;
+        let s = a + b;
         Self {
-            mean: post.mean(),
-            variance: post.variance(),
-            samples,
-            positives,
-        }
-    }
-
-    /// An externally supplied estimate with explicit uncertainty.
-    pub fn with_variance(mean: f64, variance: f64) -> Self {
-        assert!((0.0..=1.0).contains(&mean), "mean must be in [0,1]");
-        assert!(variance >= 0.0, "variance must be nonnegative");
-        // A [0,1]-supported variable's variance is at most 1/4.
-        assert!(variance <= 0.25 + 1e-12, "variance exceeds 1/4");
-        Self {
-            mean,
-            variance,
-            samples: 0,
-            positives: 0,
+            mean: a / s,
+            variance: a * b / (s * s * (s + 1.0)),
         }
     }
 
@@ -74,48 +37,6 @@ impl SelectivityEstimate {
     pub fn variance(&self) -> f64 {
         self.variance
     }
-
-    /// Estimate standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
-    /// Number of evaluated sample tuples behind the estimate.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Number of those samples that satisfied the predicate (`F⁺_a`).
-    pub fn positives(&self) -> u64 {
-        self.positives
-    }
-
-    /// Whether the estimate carries no uncertainty.
-    pub fn is_exact(&self) -> bool {
-        self.variance == 0.0 && self.samples == 0
-    }
-
-    /// The Beta posterior this estimate corresponds to, when sample-based.
-    pub fn posterior(&self) -> Option<Beta> {
-        if self.samples > 0 || self.positives > 0 {
-            Some(Beta::posterior(self.positives, self.samples))
-        } else {
-            None
-        }
-    }
-
-    /// Folds additional sample evidence into the estimate.
-    ///
-    /// Only valid for sample-based estimates; exact/external estimates are
-    /// replaced wholesale instead. Used by the adaptive sampling loop of
-    /// §4.2/§4.3 which alternates estimation and exploitation.
-    pub fn absorb(&mut self, extra_positives: u64, extra_samples: u64) {
-        assert!(extra_positives <= extra_samples);
-        *self = Self::from_sample(
-            self.positives + extra_positives,
-            self.samples + extra_samples,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -123,23 +44,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exact_estimate_has_no_variance() {
-        let e = SelectivityEstimate::exact(0.72);
-        assert_eq!(e.mean(), 0.72);
-        assert_eq!(e.variance(), 0.0);
-        assert!(e.is_exact());
-        assert!(e.posterior().is_none());
-    }
-
-    #[test]
     fn sample_estimate_matches_paper_formulas() {
         let e = SelectivityEstimate::from_sample(90, 100);
         assert!((e.mean() - 91.0 / 102.0).abs() < 1e-12);
         let s = e.mean();
         assert!((e.variance() - s * (1.0 - s) / 103.0).abs() < 1e-12);
-        assert!(!e.is_exact());
-        assert_eq!(e.samples(), 100);
-        assert_eq!(e.positives(), 90);
+    }
+
+    #[test]
+    fn posterior_moments_match_paper_formulas() {
+        // Paper §4.1: s_a = (F⁺+1)/(F+2), v_a = s_a(1-s_a)/(F+3).
+        let cases = [(0u64, 0u64), (5, 10), (90, 100), (0, 7), (7, 7)];
+        for (pos, n) in cases {
+            let e = SelectivityEstimate::from_sample(pos, n);
+            let s = (pos as f64 + 1.0) / (n as f64 + 2.0);
+            let v = s * (1.0 - s) / (n as f64 + 3.0);
+            assert!((e.mean() - s).abs() < 1e-12, "mean for ({pos},{n})");
+            assert!((e.variance() - v).abs() < 1e-12, "var for ({pos},{n})");
+        }
+        // Bit for bit, the closed forms of the posterior's moments:
+        // (p+1)/(n+2) and (p+1)(n−p+1)/((n+2)²(n+3)).
+        for n in 0..=64u64 {
+            for p in 0..=n {
+                let e = SelectivityEstimate::from_sample(p, n);
+                let (a, b, s) = (p as f64 + 1.0, (n - p) as f64 + 1.0, n as f64 + 2.0);
+                assert_eq!(e.mean().to_bits(), (a / s).to_bits(), "mean ({p},{n})");
+                assert_eq!(
+                    e.variance().to_bits(),
+                    (a * b / (s * s * (n as f64 + 3.0))).to_bits(),
+                    "variance ({p},{n})"
+                );
+            }
+        }
     }
 
     #[test]
@@ -150,11 +86,9 @@ mod tests {
     }
 
     #[test]
-    fn absorb_accumulates_counts() {
-        let mut e = SelectivityEstimate::from_sample(3, 10);
-        e.absorb(7, 10);
-        let fresh = SelectivityEstimate::from_sample(10, 20);
-        assert_eq!(e, fresh);
+    #[should_panic(expected = "positives cannot exceed trials")]
+    fn posterior_rejects_excess_positives() {
+        SelectivityEstimate::from_sample(4, 3);
     }
 
     #[test]
@@ -162,24 +96,5 @@ mod tests {
         let small = SelectivityEstimate::from_sample(5, 10);
         let large = SelectivityEstimate::from_sample(500, 1000);
         assert!(large.variance() < small.variance());
-    }
-
-    #[test]
-    fn with_variance_validates() {
-        let e = SelectivityEstimate::with_variance(0.4, 0.01);
-        assert_eq!(e.mean(), 0.4);
-        assert_eq!(e.variance(), 0.01);
-    }
-
-    #[test]
-    #[should_panic]
-    fn with_variance_rejects_impossible_variance() {
-        SelectivityEstimate::with_variance(0.5, 0.3);
-    }
-
-    #[test]
-    #[should_panic]
-    fn exact_rejects_out_of_range() {
-        SelectivityEstimate::exact(1.2);
     }
 }

@@ -6,17 +6,12 @@
 //! * [`rng`] — deterministic, forkable random number generation. Every
 //!   experiment in the workspace is seeded, so results are reproducible
 //!   run-to-run.
-//! * [`special`] — special functions (`ln Γ`, regularized incomplete beta)
-//!   needed by the distributions.
-//! * [`beta`] — the Beta distribution; the posterior over a group's
-//!   selectivity after observing UDF outcomes (paper §4.1).
-//! * [`binomial`] — the Binomial distribution; the number of correct tuples
-//!   in a group under the perfect-selectivity model (paper §3.2).
 //! * [`bounds`] — Hoeffding and Chebyshev concentration thresholds used to
 //!   turn probabilistic precision/recall constraints into deterministic
 //!   ones (paper §3.2.1 and §3.3.1).
-//! * [`estimator`] — selectivity estimates (mean + variance) derived either
-//!   from samples or from exact knowledge.
+//! * [`estimator`] — selectivity estimates: the mean and variance of the
+//!   Beta posterior over a group's selectivity after observing UDF
+//!   outcomes (paper §4.1).
 //! * [`descriptive`] — streaming descriptive statistics (Welford), Pearson
 //!   correlation, quantiles; used to calibrate and verify the synthetic
 //!   dataset generators against the paper's Table 3.
@@ -38,8 +33,6 @@
 //!   second-chance cache (the engine's result memo and the derived-data
 //!   cache are both instances).
 
-pub mod beta;
-pub mod binomial;
 pub mod bits;
 pub mod bounds;
 pub mod clock;
@@ -50,10 +43,7 @@ pub mod hash;
 pub mod histogram;
 pub mod json;
 pub mod rng;
-pub mod special;
 
-pub use beta::Beta;
-pub use binomial::Binomial;
 pub use bits::{PagePlanes, PAGE_ROWS};
 pub use bounds::{chebyshev_scale, hoeffding_threshold};
 pub use descriptive::{pearson, Accumulator};

@@ -160,11 +160,6 @@ pub fn all_specs() -> [DatasetSpec; 4] {
     [LENDING_CLUB, PROSPER, CENSUS, MARKETING]
 }
 
-/// Looks up a spec by name (`lc`, `prosper`, `census`, `marketing`).
-pub fn spec_by_name(name: &str) -> Option<DatasetSpec> {
-    all_specs().into_iter().find(|s| s.name == name)
-}
-
 /// A generated dataset: the table plus the metadata experiments need.
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -267,18 +262,6 @@ impl Dataset {
             .iter()
             .filter(|f| f.name() != LABEL_COLUMN && f.name() != "row_id")
             .filter(|f| f.data_type() == DataType::Str)
-            .map(|f| f.name().to_owned())
-            .collect()
-    }
-
-    /// Names of the numeric feature columns (for the ML baselines).
-    pub fn numeric_columns(&self) -> Vec<String> {
-        self.table
-            .schema()
-            .fields()
-            .iter()
-            .filter(|f| f.name() != "row_id")
-            .filter(|f| matches!(f.data_type(), DataType::Float | DataType::Int))
             .map(|f| f.name().to_owned())
             .collect()
     }
@@ -1345,8 +1328,6 @@ mod tests {
 
     #[test]
     fn specs_lookup() {
-        assert_eq!(spec_by_name("lc"), Some(LENDING_CLUB));
-        assert_eq!(spec_by_name("nope"), None);
         assert_eq!(all_specs().len(), 4);
     }
 
@@ -1447,9 +1428,10 @@ mod tests {
     #[test]
     fn numeric_columns_present() {
         let ds = Dataset::generate(CENSUS, 3);
-        let nums = ds.numeric_columns();
-        assert!(nums.contains(&"annual_income".to_owned()));
-        assert!(nums.contains(&"debt_to_income".to_owned()));
+        for name in ["annual_income", "debt_to_income"] {
+            let field = ds.table.schema().field(name).unwrap();
+            assert!(matches!(field.data_type(), DataType::Float | DataType::Int));
+        }
     }
 
     #[test]

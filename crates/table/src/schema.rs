@@ -95,11 +95,6 @@ impl Schema {
         self.fields.iter().find(|f| f.name() == name)
     }
 
-    /// The field at a position.
-    pub fn field_at(&self, idx: usize) -> &Field {
-        &self.fields[idx]
-    }
-
     /// A 64-bit structural fingerprint, stable across processes (FNV-1a
     /// over field names, types, and nullability, in declaration order).
     ///
@@ -158,8 +153,8 @@ mod tests {
         assert_eq!(schema.index_of("b"), Some(1));
         assert_eq!(schema.index_of("missing"), None);
         assert_eq!(schema.field("a").unwrap().data_type(), DataType::Int);
-        assert!(schema.field_at(1).is_nullable());
-        assert!(!schema.field_at(0).is_nullable());
+        assert!(schema.field("b").unwrap().is_nullable());
+        assert!(!schema.field("a").unwrap().is_nullable());
     }
 
     #[test]

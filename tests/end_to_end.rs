@@ -143,9 +143,8 @@ fn browsing_scenario_returns_only_evaluated_tuples() {
 #[test]
 fn facade_reexports_compose() {
     // Spot-check that the facade exposes the full toolchain.
-    let mut rng = expred::stats::Prng::seeded(1);
-    let beta = expred::stats::Beta::posterior(3, 10);
-    assert!(beta.sample(&mut rng) <= 1.0);
+    let estimate = expred::stats::SelectivityEstimate::from_sample(3, 10);
+    assert_eq!(estimate.mean(), 4.0 / 12.0);
     let plan = expred::core::Plan::evaluate_all(2);
     assert_eq!(plan.num_groups(), 2);
     let model = expred::udf::CostModel::PAPER_DEFAULT;

@@ -1,8 +1,7 @@
 //! Integration tests for the §5 extensions and the CSV ingestion path.
 
 use expred::core::extensions::{
-    maximize_recall_under_budget, solve_multi_predicate, solve_select_join, JoinSubgroup,
-    MultiCost, PredicatePairGroup,
+    maximize_recall_under_budget, solve_multi_predicate, MultiCost, PredicatePairGroup,
 };
 use expred::core::optimize::CorrelationModel;
 use expred::core::{
@@ -72,40 +71,6 @@ fn multi_predicate_cheaper_than_eval_both_everywhere() {
         plan.expected_cost,
         naive
     );
-}
-
-#[test]
-fn join_weighting_changes_the_plan() {
-    // Same statistics; flipping which subgroup carries the fan-out must
-    // flip where the retrieval probability goes.
-    let forward = vec![
-        JoinSubgroup {
-            size: 500.0,
-            sel: 0.5,
-            fanout: 8.0,
-        },
-        JoinSubgroup {
-            size: 500.0,
-            sel: 0.5,
-            fanout: 1.0,
-        },
-    ];
-    let reversed = vec![
-        JoinSubgroup {
-            size: 500.0,
-            sel: 0.5,
-            fanout: 1.0,
-        },
-        JoinSubgroup {
-            size: 500.0,
-            sel: 0.5,
-            fanout: 8.0,
-        },
-    ];
-    let a = solve_select_join(&forward, 0.0, 0.5, &CostModel::PAPER_DEFAULT).unwrap();
-    let b = solve_select_join(&reversed, 0.0, 0.5, &CostModel::PAPER_DEFAULT).unwrap();
-    assert!(a.r()[0] > a.r()[1]);
-    assert!(b.r()[1] > b.r()[0]);
 }
 
 #[test]
