@@ -32,9 +32,6 @@
 //! * `one_hot_<rows>` — `extract_features` (dictionary-coded one-hot)
 //!   over the full PROSPER candidate set; like `group_by`, its per-cell
 //!   predecessor is now `expred-ml`'s test oracle, not a baseline row.
-//! * `zone_scan_<rows>` — `Table::scan` with a selective `IntRange` on
-//!   value-clustered data (zone maps skip non-matching 1024-row chunks)
-//!   vs the naive full-column filter the scan replaces.
 //! * `derived_group_by_<rows>` — re-deriving the `grade` partition per
 //!   query vs serving it from a warmed session [`DerivedCache`].
 //!
@@ -60,35 +57,9 @@ use expred_exec::{CacheStore, ExecContext, Sequential};
 use expred_ml::features::{extract_features, FeatureSpec};
 use expred_table::bitcount;
 use expred_table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
-use expred_table::{Column, DerivedCache, GroupBy, RowSet, ScanPredicate, Table, Value};
+use expred_table::{Column, DerivedCache, GroupBy, RowSet, Table, Value};
 use expred_udf::{invoker, OracleUdf, UdfInvoker};
 use std::hint::black_box;
-
-/// A one-column Int table whose values are clustered (non-decreasing),
-/// so a selective range predicate can prune whole zones.
-fn clustered_int_table(rows: usize) -> Table {
-    use expred_table::{DataType, Field, Schema};
-    let schema = Schema::new(vec![Field::new("reading", DataType::Int)]);
-    let cells: Vec<Vec<Value>> = (0..rows)
-        .map(|r| vec![Value::Int((r / 64) as i64)])
-        .collect();
-    Table::from_rows(schema, cells).expect("schema matches rows")
-}
-
-/// The naive filter `Table::scan` replaces: materialize every cell,
-/// compare, collect.
-fn naive_int_range(table: &Table, lo: i64, hi: i64) -> Vec<u32> {
-    let n = table.num_rows();
-    let mut hits = Vec::new();
-    for r in 0..n {
-        if let Some(Value::Int(v)) = table.value(r, "reading") {
-            if v >= lo && v <= hi {
-                hits.push(r as u32);
-            }
-        }
-    }
-    hits
-}
 
 fn main() {
     // `cargo test` probes bench binaries with --test; do nothing.
@@ -180,30 +151,6 @@ fn main() {
         report.record(&scenario, "kernel", kernel, 1.0);
         println!("{scenario:<24} kernel {kernel:>8.1} ns/row");
 
-        // Zone-mapped scan: selective range on clustered data.
-        let clustered = clustered_int_table(rows);
-        let hi = (rows / 64) as i64;
-        let (lo, hi) = (hi - hi / 8, hi); // top ~12.5% of the value range
-        let scenario = format!("zone_scan_{rows}");
-        let legacy = measure_ns_per_unit(units, reps, || {
-            black_box(naive_int_range(&clustered, lo, hi));
-        });
-        let pred = ScanPredicate::IntRange { lo, hi };
-        let kernel = measure_ns_per_unit(units, reps, || {
-            black_box(clustered.scan("reading", &pred).unwrap());
-        });
-        let (_, stats) = clustered.scan("reading", &pred).unwrap();
-        report.record(&scenario, "legacy", legacy, 1.0);
-        report.record(&scenario, "kernel", kernel, legacy / kernel);
-        println!(
-            "{scenario:<24} legacy {legacy:>8.1} ns/row | kernel {kernel:>8.1} ({:>5.2}x) \
-             [{}/{} zones skipped]",
-            legacy / kernel,
-            stats.zones_skipped,
-            stats.zones_total,
-        );
-        check(&scenario, legacy, kernel);
-
         // Derived cache: per-query re-derivation vs a warmed session memo.
         let scenario = format!("derived_group_by_{rows}");
         let legacy = measure_ns_per_unit(units, reps, || {
@@ -226,7 +173,7 @@ fn main() {
     let rows = 20_000;
     let ds = Dataset::generate(DatasetSpec { rows, ..PROSPER }, 7);
     let udf = OracleUdf::new(LABEL_COLUMN);
-    let store = CacheStore::with_capacity(rows);
+    let store = CacheStore::new();
     let ctx = ExecContext::sequential().with_cache(&store);
     let every_row = RowSet::full(rows);
     UdfInvoker::with_context(&udf, &ds.table, &ctx).evaluate_plane(&Sequential, &every_row);

@@ -318,20 +318,6 @@ impl QueryEngine {
         Self::with_executor(Box::new(expred_exec::WorkerPool::new()))
     }
 
-    /// Replaces the row-tier cache with one bounded at `capacity` entries
-    /// per namespace (the TTL and persistence wiring, if any, carry
-    /// over).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        let ttl = self.store.ttl();
-        self.store = CacheStore::with_capacity(capacity);
-        self.store.set_ttl(ttl);
-        if let Some(layer) = &self.persist {
-            self.store
-                .set_spill(Some(Arc::clone(layer) as Arc<dyn SpillSink>));
-        }
-        self
-    }
-
     /// Bounds the staleness of row-tier answers: a cache namespace older
     /// than `ttl` is dropped on next borrow ([`CacheStats::ttl_expirations`]).
     /// With persistence wired, rehydrated namespaces carry the age of

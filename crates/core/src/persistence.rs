@@ -10,8 +10,7 @@
 //!
 //! * **Spill** (live → disk): the layer implements
 //!   [`expred_exec::SpillSink`], so every batch of fresh answers entering
-//!   the [`expred_exec::CacheStore`] (with every answer it made the
-//!   capacity bound evict) reaches the WAL as one
+//!   the [`expred_exec::CacheStore`] reaches the WAL as one
 //!   [`PersistStore::append_pages`] call over the same pages: only the
 //!   namespace is translated, through the table-id registry, and the
 //!   clock is read once per offer. The rows are never unpacked; the
@@ -85,7 +84,7 @@ expred_stats::counter_set! {
         recovered_namespaces,
         /// Corrupt/truncated tail bytes discarded at open.
         tail_bytes_discarded,
-        /// Cache writes offered to the store (fresh inserts + evictions).
+        /// Rows of fresh cache writes offered to the store.
         spilled_offers,
         /// Offers dropped because their table was never registered.
         skipped_unregistered,

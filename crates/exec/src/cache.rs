@@ -1,14 +1,16 @@
 //! [`RowBits`]: a dense, lock-free `row -> bool` bitmap — the answer
 //! planes of one [`crate::CacheStore`] page, which every query of a
-//! session may read at once while a writer adds rows.
+//! session may read at once while writers add rows.
 //!
 //! Row ids are dense integers in `[0, num_rows)`, so a map of boolean
 //! answers needs no hashing and no locks: two bit planes — `known`
 //! (has this row been answered?) and `answer` — one bit per row each.
-//! A lookup is two loads — for up to 64 neighbouring rows at once
-//! ([`RowBits::word`]); an insert is at most two atomic ORs, and the
-//! *previous* value of the `known` bit tells the caller which rows it
-//! made known (what the store counts as insertions).
+//! A lookup is two loads for up to 64 neighbouring rows at once
+//! ([`RowBits::word`]); a write lands up to 64 rows of one word
+//! ([`RowBits::merge_word`]) with at most two atomic updates of `answer`
+//! and one `fetch_or` of `known`, whose *previous* value tells the
+//! caller which rows it made known (what the store counts as entries).
+//! Of racing writers of one row, exactly one sees it as new.
 //!
 //! A query's own memo is not a `RowBits`: it has one reader and writer,
 //! so `expred_udf`'s invoker keeps it as plain planes of its own.
@@ -22,14 +24,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A zeroed plane of `words` atomic 64-bit words.
-pub(crate) fn zeroed_plane(words: usize) -> Box<[AtomicU64]> {
+fn zeroed_plane(words: usize) -> Box<[AtomicU64]> {
     (0..words).map(|_| AtomicU64::new(0)).collect()
 }
 
 /// Makes the bits of `mask` in `word` equal `value`'s bits, touching the
 /// cache line for writing only when something actually changes.
 #[inline]
-pub(crate) fn assign_bits(word: &AtomicU64, mask: u64, value: u64, order: Ordering) {
+fn assign_bits(word: &AtomicU64, mask: u64, value: u64, order: Ordering) {
     let current = word.load(Ordering::Relaxed);
     let set = value & mask & !current;
     let clear = !value & mask & current;
@@ -77,27 +79,6 @@ impl RowBits {
         }
     }
 
-    /// The memoized answer for `row`; `None` for unknown rows, including
-    /// rows past the end.
-    #[inline]
-    pub fn get(&self, row: usize) -> Option<bool> {
-        let (known, answer) = self.word(row / 64);
-        let bit = 1u64 << (row % 64);
-        (known & bit != 0).then_some(answer & bit != 0)
-    }
-
-    /// Memoizes `answer` for `row`. Returns whether this call made the
-    /// row known (`false` when it already was).
-    ///
-    /// # Panics
-    ///
-    /// If `row` is past the end the memo was sized for.
-    #[inline]
-    pub fn insert(&self, row: usize, answer: bool) -> bool {
-        let bit = 1u64 << (row % 64);
-        self.merge_word(row / 64, bit, if answer { bit } else { 0 }) != 0
-    }
-
     /// Memoizes up to 64 rows of one word at once: the rows whose bits
     /// are set in `known`, with their answers in `answer`. Returns the
     /// mask of rows this call made known.
@@ -110,72 +91,66 @@ impl RowBits {
         assign_bits(&self.answer[word], known, answer, Ordering::Release);
         known & !self.known[word].fetch_or(known, Ordering::AcqRel)
     }
-
-    /// Forgets `row`, returning the answer it held.
-    pub fn remove(&self, row: usize) -> Option<bool> {
-        let bit = 1u64 << (row % 64);
-        let known = self.known.get(row / 64)?.fetch_and(!bit, Ordering::AcqRel);
-        (known & bit != 0).then(|| self.answer[row / 64].load(Ordering::Relaxed) & bit != 0)
-    }
-
-    /// Number of memoized rows (exact only while no writers are active).
-    pub fn len(&self) -> usize {
-        self.known
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
-    }
-
-    /// Whether no row is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One row's answer, read through its word.
+    fn get(memo: &RowBits, row: usize) -> Option<bool> {
+        let (known, answer) = memo.word(row / 64);
+        let bit = 1u64 << (row % 64);
+        (known & bit != 0).then_some(answer & bit != 0)
+    }
+
+    /// Lands one row through its word; whether this call made it known.
+    fn insert(memo: &RowBits, row: usize, answer: bool) -> bool {
+        let bit = 1u64 << (row % 64);
+        memo.merge_word(row / 64, bit, if answer { bit } else { 0 }) != 0
+    }
+
+    fn len(memo: &RowBits) -> usize {
+        let words = memo.known.len();
+        (0..words)
+            .map(|w| memo.word(w).0.count_ones() as usize)
+            .sum()
+    }
+
     #[test]
     fn get_insert_round_trips_at_word_boundaries() {
         let memo = RowBits::new(130);
-        assert!(memo.is_empty());
+        assert_eq!(len(&memo), 0);
         for row in [0, 63, 64, 127, 128, 129] {
-            assert_eq!(memo.get(row), None);
-            assert!(memo.insert(row, row % 2 == 0), "row {row} is new");
-            assert_eq!(memo.get(row), Some(row % 2 == 0));
-            assert!(!memo.insert(row, row % 2 == 0), "row {row} was known");
+            assert_eq!(get(&memo, row), None);
+            assert!(insert(&memo, row, row % 2 == 0), "row {row} is new");
+            assert_eq!(get(&memo, row), Some(row % 2 == 0));
+            assert!(!insert(&memo, row, row % 2 == 0), "row {row} was known");
         }
-        assert_eq!(memo.len(), 6);
-        assert_eq!(memo.get(1), None, "neighbours stay unknown");
-        assert_eq!(memo.get(130), None, "past the end is unknown");
-        assert_eq!(memo.get(usize::MAX), None);
+        assert_eq!(len(&memo), 6);
+        assert_eq!(get(&memo, 1), None, "neighbours stay unknown");
+        assert_eq!(get(&memo, 130), None, "past the end is unknown");
+        assert_eq!(get(&memo, usize::MAX), None);
     }
 
     #[test]
     fn reinsert_overwrites_the_answer() {
         let memo = RowBits::new(8);
-        memo.insert(3, true);
-        assert!(!memo.insert(3, false));
-        assert_eq!(memo.get(3), Some(false));
-        assert_eq!(memo.remove(3), Some(false));
-        assert_eq!(
-            (memo.remove(3), memo.get(3), memo.remove(8)),
-            (None, None, None)
-        );
-        assert!(memo.insert(3, true), "a removed row is new again");
-        assert_eq!(RowBits::new(0).get(0), None);
+        insert(&memo, 3, true);
+        assert!(!insert(&memo, 3, false));
+        assert_eq!(get(&memo, 3), Some(false));
+        assert_eq!(get(&RowBits::new(0), 0), None);
     }
 
     #[test]
     fn merge_word_reports_only_newly_known_rows() {
         let memo = RowBits::new(128);
-        memo.insert(64, true);
+        insert(&memo, 64, true);
         let fresh = memo.merge_word(1, 0b111, 0b010);
         assert_eq!(fresh, 0b110, "row 64 was already known");
-        assert_eq!(memo.get(64), Some(false), "merge overwrites answers");
-        assert_eq!(memo.get(65), Some(true));
-        assert_eq!(memo.get(66), Some(false));
+        assert_eq!(get(&memo, 64), Some(false), "merge overwrites answers");
+        assert_eq!(get(&memo, 65), Some(true));
+        assert_eq!(get(&memo, 66), Some(false));
         assert_eq!(memo.merge_word(1, 0, 0), 0);
     }
 
@@ -189,7 +164,7 @@ mod tests {
                     scope.spawn(|| {
                         barrier.wait();
                         (0..4_096)
-                            .filter(|&row| memo.insert(row, row % 3 == 0))
+                            .filter(|&row| insert(&memo, row, row % 3 == 0))
                             .count()
                     })
                 })
@@ -198,7 +173,7 @@ mod tests {
         });
         assert_eq!(wins, 4_096, "every row has exactly one first writer");
         for row in 0..4_096 {
-            assert_eq!(memo.get(row), Some(row % 3 == 0));
+            assert_eq!(get(&memo, row), Some(row % 3 == 0));
         }
     }
 }

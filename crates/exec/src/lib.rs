@@ -18,9 +18,10 @@
 //!   count, with no setting to say which;
 //! * [`cache`] — [`RowBits`], the dense lock-free `row -> bool` bitmap
 //!   each page of the session store keeps its answers in;
-//! * [`store`] — [`CacheStore`], the long-lived, capacity-bounded,
+//! * [`store`] — [`CacheStore`], the long-lived,
 //!   `(udf, table, version)`-namespaced bitmap cache that outlives
-//!   individual queries; invokers borrow [`CacheHandle`]s from it;
+//!   individual queries and keeps every answer it is given; invokers
+//!   borrow [`CacheHandle`]s from it;
 //! * [`selectivity`] — [`SelectivityTracker`], the session's observed
 //!   per-namespace pass rates: invokers feed it with every fresh answer,
 //!   and the expression optimizer ranks `AND`/`OR` siblings by it;
@@ -62,6 +63,5 @@ pub use executor::{BatchProbe, Executor, Sequential};
 pub use pool::{PoolStats, WorkerPool};
 pub use selectivity::{SelectivityHandle, SelectivityTracker, DEFAULT_SELECTIVITY_CAPACITY};
 pub use store::{
-    CacheHandle, CacheNamespace, CacheReader, CacheStats, CacheStore, SpillSink,
-    DEFAULT_CACHE_CAPACITY, MAX_LIVE_VERSIONS,
+    CacheHandle, CacheNamespace, CacheReader, CacheStats, CacheStore, SpillSink, MAX_LIVE_VERSIONS,
 };

@@ -4,40 +4,38 @@
 //! simply returned as part of the query result without re-evaluating" —
 //! does not stop at a query boundary. An invoker's own memo is the
 //! *within-query* one; this store is the *cross-query* one: entries are
-//! namespaced by `(udf, table, table version)`, memory is bounded per
-//! namespace with second-chance (CLOCK) eviction, and the store reports
-//! hit/miss/eviction/invalidation statistics.
+//! namespaced by `(udf, table, table version)`, a namespace keeps every
+//! answer it is given, and the store reports hit/miss/invalidation
+//! statistics.
 //!
 //! # Layout
 //!
 //! Row ids are dense integers, so a namespace is a position bitmap, the
 //! representation column engines use for predicate results: on-demand
-//! pages of 4096 rows, each three bit planes (`known`, `answer`,
-//! `referenced`) — 3 bits per cached row, 1.5 KB per touched page,
-//! nothing allocated in proportion to the largest key. A lookup is a
-//! page-table probe (skipped for runs of nearby rows by
-//! [`CacheReader`]) and two loads; it takes no lock on the planes.
-//! Writers serialize per namespace on the CLOCK hand's mutex, which is
-//! also what makes the capacity bound exact.
+//! pages of 4096 rows, each two bit planes (`known`, `answer`) — 2 bits
+//! per cached row, 1 KB per touched page, nothing allocated in
+//! proportion to the largest key. A namespace's keys are the row ids of
+//! one table, so its size is bounded by the table's; there is no
+//! per-namespace cap. A lookup is a page-table probe (skipped for runs of
+//! nearby rows by [`CacheReader`]) and two loads; it takes no lock on the
+//! planes.
 //!
 //! # The write path
 //!
 //! The unit of a write is the batch, and a batch is pages, as the unit
 //! of a read is the word: [`CacheHandle::insert_pages`] takes the
 //! [`PagePlanes`] a stage batch filled (its rows distinct by
-//! construction) and the `hand` lock once. If the namespace has room for
-//! every row, the pages land a 64-row word at a time — one merge into
-//! the planes per word. Otherwise the rows go one by one, ascending,
-//! through the second-chance sweep. [`CacheStore::prefill`] lands
-//! rehydrated pages the same way. Statistics are added once per batch.
-//! Contents, `len`, statistics and evictions are exactly what inserting
-//! the rows one at a time, ascending, would leave.
+//! construction) and lands them a 64-row word at a time — one merge into
+//! the planes per word. [`CacheStore::prefill`] lands rehydrated pages
+//! the same way. Statistics are added once per batch, and the sink hears
+//! the batch once, as exactly its pages.
 //!
-//! After the lock drops, the sink hears the batch once: its rows plus
-//! whatever they evicted, as the pages they touch — the rows
-//! one-at-a-time inserts would have offered, gathered into pages. The
-//! batch's pages are that offer as they are; evicted rows are merged
-//! into a copy of them ([`scatter`]).
+//! Writers take no lock of their own. A page is created under the page
+//! table's write lock, so racing writers of one page land in one page.
+//! Within a page, [`RowBits::merge_word`] stores the answers, then
+//! publishes `known` with one `fetch_or` whose previous value hands each
+//! newly known row to exactly one writer — so `len` counts every row
+//! once, however many writers raced to land it.
 //!
 //! # Keying and invalidation
 //!
@@ -54,36 +52,32 @@
 //!
 //! # Consistency contract
 //!
-//! The store is a *cache*, not a ledger: any entry may disappear at any
-//! moment (eviction, invalidation). Callers that need read-your-writes
+//! A whole namespace may disappear between borrows (invalidation, version
+//! garbage collection, TTL expiry, [`CacheStore::clear`]); a borrowed
+//! handle keeps its namespace alive. Callers that need read-your-writes
 //! stability within one query — the paper's sample-reuse logic does —
-//! must layer a per-query memo in front (the invoker does exactly that)
-//! and treat the store as a best-effort accelerator.
+//! layer a per-query memo in front (the invoker does exactly that).
 
-use crate::cache::{assign_bits, zeroed_plane, RowBits};
-use expred_stats::bits::{pages_of, rows_of, scatter, PagePlanes, PAGE_ROWS, PAGE_WORDS};
+use crate::cache::RowBits;
+use expred_stats::bits::{pages_of, PagePlanes, PAGE_ROWS, PAGE_WORDS};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Receives cache writes for durable storage.
 ///
 /// A sink hears about every answer that *enters* a namespace (fresh
-/// evaluations — the invoker only writes through on fresh) and every
-/// answer the capacity bound *evicts* (a second offer; sinks deduplicate
-/// by key, so re-offers are cheap no-ops). It never hears about
-/// [`CacheStore::prefill`]ed entries: those came *from* the sink, and
-/// echoing them back would re-log every restart.
+/// evaluations — the invoker only writes through on fresh). It never
+/// hears about [`CacheStore::prefill`]ed entries: those came *from* the
+/// sink, and echoing them back would re-log every restart.
 ///
 /// An offer is one batch of one namespace as `(page number, planes)`
-/// pairs, ascending by page, none of them empty: the rows the batch
-/// inserted and the rows they evicted, a row's first answer kept. Rows
-/// may repeat across offers — a sink keeps the first answer it heard.
+/// pairs, ascending by page, none of them empty. Rows may repeat across
+/// offers — a sink keeps the first answer it heard.
 ///
 /// Implementations must never block meaningfully (the store calls them
-/// outside its locks, but on the evaluation hot path) and must not call
-/// back into the store.
+/// on the evaluation hot path) and must not call back into the store.
 pub trait SpillSink: Send + Sync + std::fmt::Debug {
     /// Offers `pages` of `namespace` for durable storage.
     fn spill(&self, namespace: CacheNamespace, pages: &[(usize, PagePlanes)]);
@@ -92,10 +86,6 @@ pub trait SpillSink: Send + Sync + std::fmt::Debug {
 /// The store's current sink, shared by every namespace so
 /// [`CacheStore::set_spill`] reaches caches created before wiring.
 type SharedSink = Arc<RwLock<Option<Arc<dyn SpillSink>>>>;
-
-/// Default per-namespace entry budget: roomy for the bundled datasets
-/// while still exercising eviction on million-row workloads.
-pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
 /// How many versions of one `(udf, table)` pair stay live at once.
 ///
@@ -124,7 +114,9 @@ expred_stats::counter_set! {
         misses,
         /// Entries written.
         insertions,
-        /// Entries discarded by the capacity bound.
+        /// Always 0: a namespace keeps every answer it is given. Still
+        /// exported because the benchmark harness reads it (ROADMAP
+        /// direction 4 removes it).
         evictions,
         /// Entries discarded by namespace invalidation (version bumps,
         /// explicit invalidation).
@@ -136,65 +128,17 @@ expred_stats::counter_set! {
     }
 }
 
-/// 4096 consecutive rows of one namespace: which are cached and their
-/// answers (a [`RowBits`] over row offsets), plus each entry's CLOCK
-/// referenced bit. All atomic, so lookups — which also mark
-/// `referenced` — never take a lock.
-#[derive(Debug)]
-struct Page {
-    bits: RowBits,
-    referenced: Box<[AtomicU64]>,
-}
-
-impl Page {
-    fn new() -> Self {
-        Self {
-            bits: RowBits::new(PAGE_ROWS),
-            referenced: zeroed_plane(PAGE_WORDS),
-        }
-    }
-
-    /// Advances the CLOCK hand over this page from row offset `from`:
-    /// referenced entries it passes lose their bit (their second
-    /// chance), and the first unreferenced entry's offset is returned.
-    fn sweep(&self, from: usize) -> Option<usize> {
-        for word in from / 64..PAGE_WORDS {
-            let ahead = if word == from / 64 {
-                u64::MAX << (from % 64)
-            } else {
-                u64::MAX
-            };
-            let known = self.bits.word(word).0 & ahead;
-            let victims = known & !self.referenced[word].load(Ordering::Relaxed);
-            // Entries below the first victim (all of them, without one)
-            // are the referenced ones the hand passes over.
-            let passed = known & (victims & victims.wrapping_neg()).wrapping_sub(1);
-            assign_bits(&self.referenced[word], passed, 0, Ordering::Relaxed);
-            if victims != 0 {
-                return Some(word * 64 + victims.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-}
-
-/// The entries of one namespace: on-demand [`Page`]s keyed by
-/// `row / 4096`, so memory follows the rows actually cached (three bits
-/// each, in 1.5 KB pages), never the largest key.
+/// The entries of one namespace: on-demand [`RowBits`] pages of 4096
+/// rows keyed by `row / 4096`, so memory follows the rows actually cached
+/// (two bits each, in 1 KB pages), never the largest key.
 ///
 /// Lookups are lock-free on the planes and take the page table's read
-/// lock only to find a page. Every mutation — insert, eviction, page
-/// creation and removal, the entry count — happens under the `hand`
-/// mutex, which is what keeps `len <= capacity` exact.
+/// lock only to find a page; a page is created under its write lock (see
+/// the module docs for why writers need no other lock).
 #[derive(Debug)]
 struct NamespaceCache {
     namespace: CacheNamespace,
-    capacity: usize,
-    pages: RwLock<BTreeMap<usize, Arc<Page>>>,
-    /// The CLOCK hand — the next row the eviction sweep examines — and
-    /// the writers' lock. The hand walks rows in ascending order, page
-    /// after page, and wraps.
-    hand: Mutex<usize>,
+    pages: RwLock<BTreeMap<usize, Arc<RowBits>>>,
     len: AtomicUsize,
     stats: Arc<AtomicStats>,
     /// The store's durable sink slot (shared, so late wiring applies to
@@ -210,16 +154,13 @@ struct NamespaceCache {
 impl NamespaceCache {
     fn new(
         namespace: CacheNamespace,
-        capacity: usize,
         stats: Arc<AtomicStats>,
         spill: SharedSink,
         born: Instant,
     ) -> Self {
         Self {
             namespace,
-            capacity,
             pages: RwLock::new(BTreeMap::new()),
-            hand: Mutex::new(0),
             len: AtomicUsize::new(0),
             stats,
             spill,
@@ -232,196 +173,66 @@ impl NamespaceCache {
         self.born.elapsed() > ttl
     }
 
-    fn page(&self, page_key: usize) -> Option<Arc<Page>> {
+    fn page(&self, page_key: usize) -> Option<Arc<RowBits>> {
         let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
         pages.get(&page_key).cloned()
     }
 
-    /// Inserts the rows of `pages` (ascending by page, as every crossing
-    /// carries them) under one `hand` lock: with room for all of them they
-    /// land a word at a time, and otherwise one by one, ascending, through
-    /// the eviction sweep. With `offer`, the pages and whatever they
-    /// evicted are offered to the spill sink as one set of pages, after
-    /// the writers' lock drops: for a persistent sink the re-offer of an
-    /// evicted row is a deduplicated no-op (first write wins), but it
-    /// guarantees no answer leaves memory without the sink having heard
-    /// of it.
+    /// Lands the rows of `pages` (ascending by page, as every crossing
+    /// carries them) a word at a time and, with `offer`, offers the
+    /// spill sink exactly those pages.
     ///
     /// Without `offer` (the prefill path) the sink is not touched at all:
-    /// the rows came *from* it, and anything they evict is either another
-    /// prefilled (already durable) entry or a live one the sink heard at
-    /// its own insert. Staying sink-silent is also what lets a caller
-    /// prefill while holding locks the sink would re-take (the
+    /// the rows came *from* it. Staying sink-silent is also what lets a
+    /// caller prefill while holding locks the sink would re-take (the
     /// rehydration path holds its table registry's write lock).
     fn insert_pages(&self, pages: &[(usize, PagePlanes)], offer: bool) -> usize {
         let rows: usize = pages.iter().map(|(_, planes)| planes.len()).sum();
         if rows == 0 {
             return 0;
         }
-        let mut evicted = Vec::new();
-        {
-            let mut hand = self.hand.lock().unwrap_or_else(|e| e.into_inner());
-            if rows <= self.capacity.saturating_sub(self.len()) {
-                self.land_pages(pages);
-            } else {
-                for (key, value) in rows_of(pages) {
-                    self.insert_locked(&mut hand, key, value, &mut evicted);
-                }
+        let mut new = 0;
+        for (page, planes) in pages.iter().filter(|(_, planes)| !planes.is_empty()) {
+            let page = self.page_or_new(*page);
+            for w in (0..PAGE_WORDS).filter(|&w| planes.known[w] != 0) {
+                let landed = page.merge_word(w, planes.known[w], planes.answer[w]);
+                new += landed.count_ones() as usize;
             }
         }
-        let (inserted, evictions) = (rows as u64, evicted.len() as u64);
-        self.stats.insertions.fetch_add(inserted, Ordering::Relaxed);
-        self.stats.evictions.fetch_add(evictions, Ordering::Relaxed);
+        self.len.fetch_add(new, Ordering::Relaxed);
+        self.stats
+            .insertions
+            .fetch_add(rows as u64, Ordering::Relaxed);
         let sink = offer
             .then(|| self.spill.read().unwrap_or_else(|e| e.into_inner()).clone())
             .flatten();
         if let Some(sink) = sink {
-            if evicted.is_empty() {
-                sink.spill(self.namespace, pages);
-            } else {
-                let mut offered = pages.to_vec();
-                scatter(&mut offered, evicted);
-                sink.spill(self.namespace, &offered);
-            }
+            sink.spill(self.namespace, pages);
         }
         rows
     }
 
-    /// Lands whole pages of rows, a word at a time (the caller holds the
-    /// `hand` lock and checked the room).
-    fn land_pages(&self, pages: &[(usize, PagePlanes)]) {
-        let (mut cursor, mut new) = (None, 0);
-        for (page, planes) in pages {
-            for w in (0..PAGE_WORDS).filter(|&w| planes.known[w] != 0) {
-                let word = page * PAGE_WORDS + w;
-                new += self.land_word(&mut cursor, word, planes.known[w], planes.answer[w]);
-            }
-        }
-        self.len.fetch_add(new, Ordering::Relaxed);
-    }
-
-    /// Caches the rows of `known` in row word `word` with the answers in
-    /// `answer`, under the `hand` lock and with room for all of them, and
-    /// returns how many were new entries, for the caller to add to `len`
-    /// once per batch. `cursor` is the page the previous call wrote to.
-    fn land_word(
-        &self,
-        cursor: &mut Option<(usize, Arc<Page>)>,
-        word: usize,
-        known: u64,
-        answer: u64,
-    ) -> usize {
-        if known == 0 {
-            return 0;
-        }
-        let page_key = word / PAGE_WORDS;
-        let (_, page) = match cursor.take() {
-            Some(at) if at.0 == page_key => cursor.insert(at),
-            _ => cursor.insert((page_key, self.page_or_new(page_key))),
-        };
-        let new = page.bits.merge_word(word % PAGE_WORDS, known, answer);
-        // A new entry starts unreferenced; a refreshed one was just used.
-        let referenced = &page.referenced[word % PAGE_WORDS];
-        assign_bits(referenced, known, known & !new, Ordering::Relaxed);
-        new.count_ones() as usize
-    }
-
-    /// The page for `page_key`, created if absent (under the `hand`
-    /// lock).
-    fn page_or_new(&self, page_key: usize) -> Arc<Page> {
+    /// The page for `page_key`, created under the page table's write lock
+    /// if absent.
+    fn page_or_new(&self, page_key: usize) -> Arc<RowBits> {
         self.page(page_key).unwrap_or_else(|| {
             let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
             Arc::clone(
                 pages
                     .entry(page_key)
-                    .or_insert_with(|| Arc::new(Page::new())),
+                    .or_insert_with(|| Arc::new(RowBits::new(PAGE_ROWS))),
             )
         })
-    }
-
-    /// The write path proper, under the `hand` lock: refresh a cached
-    /// row in place, or make room (pushing what the sweep discards onto
-    /// `evicted`) and land a new entry.
-    fn insert_locked(
-        &self,
-        hand: &mut usize,
-        key: usize,
-        value: bool,
-        evicted: &mut Vec<(usize, bool)>,
-    ) {
-        let (page_key, offset) = (key / PAGE_ROWS, key % PAGE_ROWS);
-        let cached = |page: Arc<Page>| page.bits.get(offset).is_some();
-        if !self.page(page_key).is_some_and(cached) {
-            while self.len.load(Ordering::Relaxed) >= self.capacity {
-                match self.evict_one(hand) {
-                    Some(entry) => evicted.push(entry),
-                    None => break,
-                }
-            }
-        }
-        // Looked up (again) only now: the sweep above may have emptied
-        // and dropped the very page this key belongs to.
-        let page = self.page_or_new(page_key);
-        // A new entry starts unreferenced; a refreshed one was just used.
-        let new = page.bits.insert(offset, value);
-        let bit = 1u64 << (offset % 64);
-        let referenced = if new { 0 } else { bit };
-        assign_bits(
-            &page.referenced[offset / 64],
-            bit,
-            referenced,
-            Ordering::Relaxed,
-        );
-        self.len.fetch_add(usize::from(new), Ordering::Relaxed);
-    }
-
-    /// Second-chance sweep for one victim: referenced entries get one
-    /// more lap, the first unreferenced one goes. Scans from the hand to
-    /// the last page, then whole laps from row 0; the second whole lap
-    /// finds only cleared bits, so three scans suffice unless concurrent
-    /// readers keep re-marking every entry (then the caller runs one
-    /// entry over until the next insert).
-    fn evict_one(&self, hand: &mut usize) -> Option<(usize, bool)> {
-        let (page_key, page, offset) = {
-            let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
-            let mut scans = 0;
-            loop {
-                let first = *hand / PAGE_ROWS;
-                let found = pages.range(first..).find_map(|(&page_key, page)| {
-                    let from = if page_key == first {
-                        *hand % PAGE_ROWS
-                    } else {
-                        0
-                    };
-                    Some((page_key, Arc::clone(page), page.sweep(from)?))
-                });
-                scans += 1;
-                match found {
-                    Some(found) => break found,
-                    None if scans == 3 => return None,
-                    None => *hand = 0,
-                }
-            }
-        };
-        let row = page_key * PAGE_ROWS + offset;
-        let answer = page.bits.remove(offset)?;
-        self.len.fetch_sub(1, Ordering::Relaxed);
-        *hand = row.wrapping_add(1);
-        if page.bits.is_empty() {
-            let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
-            pages.remove(&page_key);
-        }
-        Some((row, answer))
     }
 
     /// Every non-empty page's live entries, ascending by page: plain
     /// loads under the page table's read lock — no writer is frozen.
     fn planes(&self) -> Vec<(usize, PagePlanes)> {
         let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
-        let copy = |(&page_key, page): (&usize, &Arc<Page>)| {
+        let copy = |(&page_key, page): (&usize, &Arc<RowBits>)| {
             let mut planes = PagePlanes::empty();
             for word in 0..PAGE_WORDS {
-                let (known, answer) = page.bits.word(word);
+                let (known, answer) = page.word(word);
                 planes.merge(word, known, answer);
             }
             (!planes.is_empty()).then_some((page_key, planes))
@@ -476,17 +287,15 @@ impl CacheHandle {
         keys.iter().map(|&key| reader.get(key)).collect()
     }
 
-    /// Caches `value` for `key`, possibly evicting under the capacity
-    /// bound: a one-row [`CacheHandle::insert_pages`].
+    /// Caches `value` for `key`: a one-row [`CacheHandle::insert_pages`].
     pub fn insert(&self, key: usize, value: bool) {
         self.insert_pages(&pages_of([(key, value)]))
     }
 
     /// Caches every row of `pages` — `(page number, planes)`, ascending
-    /// by page — under one writers' lock (see the module docs). What the
-    /// store holds, counts, evicts and offers its sink afterwards is what
-    /// calling [`CacheHandle::insert`] per row, in ascending order, would
-    /// leave.
+    /// by page — a word at a time (see the module docs). What the store
+    /// holds and counts afterwards is what calling [`CacheHandle::insert`]
+    /// per row would leave; the sink hears `pages` as one offer.
     pub fn insert_pages(&self, pages: &[(usize, PagePlanes)]) {
         self.cache.insert_pages(pages, true);
     }
@@ -513,7 +322,7 @@ impl std::fmt::Debug for CacheHandle {
 
 /// A lookup cursor over one namespace: the read path of a bulk scan.
 /// Each [`CacheReader::get`] behaves exactly like [`CacheHandle::get`] —
-/// same answer, same referenced mark, one hit or miss — but the cursor
+/// same answer, one hit or miss — but the cursor
 /// remembers the page it last touched (runs of nearby rows skip the page
 /// table) and adds its hits and misses to the store's statistics once,
 /// when it drops, instead of once per row. Scans that visit many rows of
@@ -524,7 +333,7 @@ pub struct CacheReader<'a> {
     /// The page `page` was looked up for (`usize::MAX`: none yet — no
     /// word index divides down to it).
     page_key: usize,
-    page: Option<Arc<Page>>,
+    page: Option<Arc<RowBits>>,
     hits: u64,
     misses: u64,
 }
@@ -532,7 +341,7 @@ pub struct CacheReader<'a> {
 impl CacheReader<'_> {
     /// The page holding row word `word`, if it exists.
     #[inline]
-    fn page(&mut self, word: usize) -> Option<&Page> {
+    fn page(&mut self, word: usize) -> Option<&RowBits> {
         if word / PAGE_WORDS != self.page_key {
             self.page_key = word / PAGE_WORDS;
             self.page = self.cache.page(self.page_key);
@@ -542,28 +351,21 @@ impl CacheReader<'_> {
 
     /// The cached rows of `[64 * word, 64 * word + 64)` as `(known,
     /// answer)` bit masks (bit `i` speaks for row `64 * word + i`;
-    /// `answer` is meaningful only under `known`). Counts nothing and
-    /// marks nothing: pair it with [`CacheReader::record`].
+    /// `answer` is meaningful only under `known`). Counts nothing: pair it
+    /// with [`CacheReader::record`].
     #[inline]
     pub fn word(&mut self, word: usize) -> (u64, u64) {
         match self.page(word) {
-            Some(page) => page.bits.word(word % PAGE_WORDS),
+            Some(page) => page.word(word % PAGE_WORDS),
             None => (0, 0),
         }
     }
 
     /// Accounts for lookups answered from [`CacheReader::word`]: the rows
-    /// of `hits` (a mask over row word `word`) were served — each counts
-    /// a hit and is marked referenced — and `misses` lookups found
-    /// nothing.
+    /// of `hits` (a mask over one row word) were served, one hit each, and
+    /// `misses` lookups found nothing.
     #[inline]
-    pub fn record(&mut self, word: usize, hits: u64, misses: u64) {
-        if hits != 0 {
-            if let Some(page) = self.page(word) {
-                let referenced = &page.referenced[word % PAGE_WORDS];
-                assign_bits(referenced, hits, hits, Ordering::Relaxed);
-            }
-        }
+    pub fn record(&mut self, hits: u64, misses: u64) {
         self.hits += u64::from(hits.count_ones());
         self.misses += misses;
     }
@@ -574,7 +376,7 @@ impl CacheReader<'_> {
         let (known, answer) = self.word(key / 64);
         let bit = 1u64 << (key % 64);
         let hit = known & bit;
-        self.record(key / 64, hit, u64::from(hit == 0));
+        self.record(hit, u64::from(hit == 0));
         (hit != 0).then_some(answer & bit != 0)
     }
 }
@@ -591,8 +393,8 @@ impl Drop for CacheReader<'_> {
     }
 }
 
-/// The cross-query evaluation cache: a capacity-bounded map of
-/// namespaces, shared by every query an engine session runs.
+/// The cross-query evaluation cache: a map of namespaces, shared by every
+/// query an engine session runs.
 ///
 /// Cloning shares the underlying storage (the store is an `Arc`
 /// internally), so an engine, its pipelines, and diagnostic code can all
@@ -633,7 +435,6 @@ impl Namespaces {
 #[derive(Debug)]
 struct StoreInner {
     namespaces: RwLock<Namespaces>,
-    capacity: usize,
     stats: Arc<AtomicStats>,
     /// The durable sink slot shared with every namespace (see
     /// [`SharedSink`]); empty unless persistence is wired.
@@ -684,7 +485,6 @@ impl StoreInner {
         let cache = guard.map.entry(namespace).or_insert_with(|| {
             Arc::new(NamespaceCache::new(
                 namespace,
-                self.capacity,
                 Arc::clone(&self.stats),
                 Arc::clone(&self.spill),
                 born,
@@ -695,18 +495,11 @@ impl StoreInner {
 }
 
 impl CacheStore {
-    /// A store with the default per-namespace capacity.
+    /// An empty store: no namespaces, no TTL, no sink.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// A store holding at most `capacity` entries per namespace (at
-    /// least one).
-    pub fn with_capacity(capacity: usize) -> Self {
         Self {
             inner: Arc::new(StoreInner {
                 namespaces: RwLock::new(Namespaces::default()),
-                capacity: capacity.max(1),
                 stats: Arc::new(AtomicStats::default()),
                 spill: Arc::new(RwLock::new(None)),
                 ttl_nanos: AtomicU64::new(0),
@@ -744,10 +537,8 @@ impl CacheStore {
     ///
     /// The slot is shared with every namespace, including ones created
     /// before this call, so wiring order doesn't matter. The sink hears
-    /// every fresh insert and every capacity eviction a fresh insert
-    /// causes; prefill never touches the sink — neither its inserts nor
-    /// the evictions they trigger (everything involved is already
-    /// durable; see [`CacheStore::prefill`]).
+    /// every fresh insert; prefill never touches the sink (its rows are
+    /// already durable; see [`CacheStore::prefill`]).
     pub fn set_spill(&self, sink: Option<Arc<dyn SpillSink>>) {
         *self.inner.spill.write().unwrap_or_else(|e| e.into_inner()) = sink;
     }
@@ -807,14 +598,9 @@ impl CacheStore {
 
     /// Bulk-loads rehydrated pages into `namespace` without touching the
     /// spill sink at all, and returns the number of rows loaded. The
-    /// pages land as a [`CacheHandle::insert_pages`] batch does: a word
-    /// at a time while the namespace has room for every row, row by row
-    /// through the eviction sweep otherwise. The loaded entries came
-    /// *from* the sink,
-    /// and any entry the capacity bound evicts mid-prefill is either
-    /// another prefilled entry or a live one the sink already heard — so
-    /// prefill is safe to call while holding locks the sink would
-    /// re-take.
+    /// pages land as a [`CacheHandle::insert_pages`] batch does, a word at
+    /// a time. The loaded entries came *from* the sink, so prefill is
+    /// safe to call while holding locks the sink would re-take.
     ///
     /// A prefilled version counts as recently borrowed (it may push an
     /// old one out, exactly like [`CacheStore::handle`]). A namespace
@@ -903,6 +689,7 @@ impl Default for CacheStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use expred_stats::bits::rows_of;
 
     fn ns(udf: u64, table: u64, version: u64) -> CacheNamespace {
         CacheNamespace {
@@ -950,19 +737,6 @@ mod tests {
         assert_eq!(batched_stats.hits, 100);
         assert_eq!(batched_stats.misses, 100);
         assert!(h.get_many(&[]).is_empty());
-    }
-
-    #[test]
-    fn get_many_marks_entries_referenced_for_eviction() {
-        // A key read through get_many must survive a second-chance sweep
-        // exactly like one read through get.
-        let store = CacheStore::with_capacity(256);
-        let h = store.handle(ns(1, 1, 0));
-        h.insert(0, true);
-        for cold in 1..5_000usize {
-            assert_eq!(h.get_many(&[0]), vec![Some(true)], "evicted at {cold}");
-            h.insert(cold, false);
-        }
     }
 
     #[test]
@@ -1024,52 +798,22 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_entries_and_counts_evictions() {
-        let store = CacheStore::with_capacity(64);
-        let h = store.handle(ns(1, 1, 0));
-        for key in 0..1_000 {
-            h.insert(key, key % 2 == 0);
-            assert!(h.len() <= 64, "len {} over bound", h.len());
-        }
-        let s = store.stats();
-        assert_eq!(s.insertions, 1_000);
-        assert_eq!(s.evictions, 1_000 - 64, "the bound is exact");
-        // A zero capacity still holds one entry.
-        let tiny = CacheStore::with_capacity(0);
-        let h = tiny.handle(ns(1, 1, 0));
-        h.insert(1, true);
-        h.insert(2, false);
-        assert_eq!((h.get(1), h.get(2), h.len()), (None, Some(false), 1));
-    }
-
-    #[test]
     fn pages_follow_the_cached_rows_not_the_largest_key() {
-        let store = CacheStore::with_capacity(1);
+        let store = CacheStore::new();
         let h = store.handle(ns(1, 1, 0));
         let pages = |h: &CacheHandle| h.cache.pages.read().unwrap().len();
         // A sparse huge key costs one page, not a plane up to it.
         h.insert(1 << 40, true);
         assert_eq!((h.get(1 << 40), pages(&h)), (Some(true), 1));
-        // Each newcomer evicts its predecessor — across a word boundary,
-        // then a page boundary — and a page emptied that way is freed.
-        for (key, evicted) in [(63, 1 << 40), (64, 63), (4_096, 64)] {
+        // Rows across a word boundary share a page; the next page edge
+        // opens one more, and every entry stays.
+        for (key, pages_after) in [(63, 2), (64, 2), (4_096, 3)] {
             h.insert(key, key % 2 == 0);
-            assert_eq!((h.get(key), h.get(evicted)), (Some(key % 2 == 0), None));
-            assert_eq!((h.len(), pages(&h)), (1, 1), "after inserting {key}");
+            assert_eq!(h.get(key), Some(key % 2 == 0));
+            assert_eq!(pages(&h), pages_after, "after inserting {key}");
         }
-        assert_eq!(store.stats().evictions, 3);
-    }
-
-    #[test]
-    fn second_chance_protects_hot_entries() {
-        let store = CacheStore::with_capacity(256);
-        let h = store.handle(ns(1, 1, 0));
-        // A hot key that is re-read between every burst of cold inserts.
-        h.insert(0, true);
-        for cold in 1..5_000usize {
-            assert_eq!(h.get(0), Some(true), "hot key evicted at {cold}");
-            h.insert(cold, false);
-        }
+        assert_eq!((h.len(), h.get(1 << 40)), (4, Some(true)));
+        assert_eq!(store.stats().evictions, 0);
     }
 
     #[test]
@@ -1142,26 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn prefill_past_capacity_evicts_without_touching_the_sink() {
-        // Regression: prefilling more rows than the capacity bound used
-        // to re-offer the evictions to the sink, re-entering the
-        // rehydration caller's locks on the same thread (deadlock).
-        let store = CacheStore::with_capacity(64);
-        let sink = Arc::new(RecordingSink::default());
-        store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
-        let rows = (0..1_000).map(|r| (r, r % 2 == 0));
-        assert_eq!(
-            store.prefill(ns(1, 1, 0), &pages_of(rows), Duration::ZERO),
-            1_000
-        );
-        assert!(store.stats().evictions > 0, "capacity bound not exercised");
-        assert!(
-            sink.offers().is_empty(),
-            "prefill must stay sink-silent even when it evicts"
-        );
-    }
-
-    #[test]
     fn spill_sink_wired_late_still_hears_old_namespaces() {
         let store = CacheStore::new();
         let h = store.handle(ns(1, 1, 0));
@@ -1169,26 +893,6 @@ mod tests {
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
         h.insert(5, false);
         assert_eq!(sink.offers(), vec![(ns(1, 1, 0), 5, false)]);
-    }
-
-    #[test]
-    fn evictions_are_reoffered_to_sink() {
-        let store = CacheStore::with_capacity(1);
-        let sink = Arc::new(RecordingSink::default());
-        store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
-        let h = store.handle(ns(1, 1, 0));
-        for key in 0..1_000usize {
-            h.insert(key, key % 2 == 0);
-        }
-        let offers = sink.offers();
-        let evictions = store.stats().evictions;
-        assert!(evictions > 0);
-        // Every insert offered once, every eviction re-offered once.
-        assert_eq!(offers.len() as u64, 1_000 + evictions);
-        // Re-offers carry the answer originally cached.
-        for &(_, row, answer) in &offers {
-            assert_eq!(answer, row % 2 == 0);
-        }
     }
 
     #[test]
@@ -1292,18 +996,54 @@ mod tests {
 
     #[test]
     fn concurrent_borrowers_land_every_entry() {
+        // Eight writers, no lock ordering them. Worker `w` writes rows
+        // `[1000 w, 1000 w + 5000)` as batches, overlapping its
+        // neighbours' over three pages, after writing row `w` of pages
+        // 3..515 one at a time, so every worker races the others to open
+        // each of those pages. A ninth thread prefills the first three
+        // pages meanwhile. Each row must still count once in `len`, and
+        // every answer must land.
+        const WORKERS: usize = 8;
+        let answer = |row: usize| row.is_multiple_of(3);
+        let shared = |w: usize| 1_000 * w..1_000 * w + 5_000;
+        let opener = |w: usize| (3..515).map(move |page| page * PAGE_ROWS + w);
         let store = CacheStore::new();
+        let barrier = std::sync::Barrier::new(WORKERS + 1);
         std::thread::scope(|scope| {
-            for worker in 0..8usize {
-                let store = store.clone();
+            for worker in 0..WORKERS {
+                let (store, barrier) = (store.clone(), &barrier);
                 scope.spawn(move || {
                     let h = store.handle(ns(1, 1, 0));
-                    for i in 0..500 {
-                        h.insert(worker * 500 + i, true);
+                    barrier.wait();
+                    for row in opener(worker) {
+                        h.insert(row, answer(row));
+                    }
+                    for chunk in shared(worker).collect::<Vec<_>>().chunks(100) {
+                        h.insert_pages(&pages_of(chunk.iter().map(|&row| (row, answer(row)))));
                     }
                 });
             }
+            let (store, barrier) = (store.clone(), &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                let prefilled = (0..shared(WORKERS - 1).end).step_by(7);
+                let pages = pages_of(prefilled.map(|row| (row, answer(row))));
+                store.prefill(ns(1, 1, 0), &pages, Duration::ZERO);
+            });
         });
-        assert_eq!(store.len(), 4_000);
+        let mut distinct: Vec<usize> = (0..WORKERS).flat_map(opener).collect();
+        distinct.extend(0..shared(WORKERS - 1).end);
+        let offered = WORKERS * (shared(0).len() + opener(0).len())
+            + (0..shared(WORKERS - 1).end).step_by(7).len();
+        assert_eq!(store.len(), distinct.len());
+        assert_eq!(store.stats().insertions as usize, offered);
+        // Every answer reads back, and nothing else is cached.
+        distinct.sort_unstable();
+        let expected: Vec<(usize, bool)> = distinct.iter().map(|&r| (r, answer(r))).collect();
+        let h = store.handle(ns(1, 1, 0));
+        assert_eq!(rows_of(&h.cache.planes()).collect::<Vec<_>>(), expected);
+        for &row in &distinct {
+            assert_eq!(h.get(row), Some(answer(row)), "row {row}");
+        }
     }
 }

@@ -199,10 +199,12 @@ impl Tenant {
     }
 
     /// The tenant's table for `key`, materializing it on first use.
-    /// Dropping a table past the LRU bound also abandons its cache
-    /// namespaces: a re-materialized instance gets a fresh
-    /// [`expred_table::table::TableId`], so stale entries simply age out
-    /// of the store.
+    /// Dropping a table past the LRU bound abandons its cache namespaces
+    /// without freeing them: a re-materialized instance gets a fresh
+    /// [`expred_table::table::TableId`], so nothing borrows the old
+    /// namespaces again, and TTL expiry (which runs only when a namespace
+    /// is borrowed) never reaches them. They stay in the tenant's store,
+    /// unread, for the engine's lifetime.
     pub fn dataset(&self, key: &TableKey) -> Arc<Dataset> {
         let (slot, evicted) = {
             let mut tables = self.tables.lock().unwrap_or_else(|e| e.into_inner());

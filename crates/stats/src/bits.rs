@@ -152,28 +152,14 @@ impl PagePlanes {
 }
 
 /// `(row, answer)` pairs as the pages they touch, ascending by page; the
-/// first answer heard per row wins.
+/// first answer heard per row wins. A row on the page of the row before
+/// it goes straight to that page; any other finds its page through a
+/// sorted index of page numbers. So a batch costs one merge per row and a
+/// lookup per change of page.
 pub fn pages_of(rows: impl IntoIterator<Item = (usize, bool)>) -> Vec<(usize, PagePlanes)> {
     let mut pages = Vec::new();
-    scatter(&mut pages, rows);
-    pages
-}
-
-/// Merges `rows` into `pages` (ascending by page, as [`pages_of`] leaves
-/// them, and so after the call), the first answer per row kept. A row on
-/// the page of the row before it goes straight to that page; any other
-/// finds its page through a sorted index of page numbers. So a batch
-/// costs one merge per row and a lookup per change of page.
-pub fn scatter(
-    pages: &mut Vec<(usize, PagePlanes)>,
-    rows: impl IntoIterator<Item = (usize, bool)>,
-) {
     // `(page number, position in pages)`, ascending by page number.
-    let mut index: Vec<(usize, usize)> = pages
-        .iter()
-        .enumerate()
-        .map(|(at, &(page, _))| (page, at))
-        .collect();
+    let mut index: Vec<(usize, usize)> = Vec::new();
     let (mut page, mut at) = (usize::MAX, 0);
     for (row, answer) in rows {
         if row / PAGE_ROWS != page {
@@ -193,6 +179,7 @@ pub fn scatter(
             .merge(row % PAGE_ROWS / 64, 1 << bit, u64::from(answer) << bit);
     }
     pages.sort_unstable_by_key(|&(page, _)| page);
+    pages
 }
 
 /// Every answer of `pages` as `(row, answer)`, in page order.
@@ -243,24 +230,5 @@ mod tests {
             [(0, true), (4_095, false), (4_096, true), (8_192, true)]
         );
         assert!(pages_of([]).is_empty());
-        let mut scattered = Vec::new();
-        scatter(&mut scattered, rows[..4].iter().copied());
-        assert_eq!(scattered, pages);
-        scatter(&mut scattered, []);
-        assert_eq!(scattered, pages);
-        // More rows merge into the pages held: a repeat keeps its first
-        // answer, and a new page lands in order.
-        scatter(&mut scattered, [(4_095, true), (12_288, false)]);
-        let back: Vec<(usize, bool)> = rows_of(&scattered).collect();
-        assert_eq!(
-            back,
-            [
-                (0, true),
-                (4_095, false),
-                (4_096, true),
-                (8_192, true),
-                (12_288, false)
-            ]
-        );
     }
 }

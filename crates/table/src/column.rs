@@ -171,11 +171,6 @@ impl StrColumn {
         &self.dictionary
     }
 
-    /// The code rows holding `s` carry, if any row does.
-    pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied()
-    }
-
     /// Number of NULL rows.
     pub fn null_count(&self) -> usize {
         self.nulls

@@ -37,11 +37,7 @@
 //!   hashing nothing.
 //!   Also the substrate for one-hot feature encoding in `expred-ml`.
 //! * [`stats`] — lazily computed, memoized per-`(column, version)`
-//!   statistics: min/max bounds, NULL census, distinct count, and
-//!   per-chunk *zone maps* that let [`table::Table::scan`] skip chunks a
-//!   cheap predicate cannot match without touching a row. String bounds
-//!   compare dictionary ranks, and a string-equality scan resolves its
-//!   needle to a code once.
+//!   NULL and distinct counts.
 //! * [`rowset`] — [`rowset::RowSet`], a set of dense row ids as one
 //!   packed bit plane (answers, ground truth, labelled samples), in the
 //!   64-row word layout [`table::GroupBy::runs`] shares: a group meets a
@@ -85,6 +81,6 @@ pub use derived::{DerivedCache, DerivedCacheStats, DEFAULT_DERIVED_CAPACITY};
 pub use kernels::GroupCodes;
 pub use rowset::RowSet;
 pub use schema::{Field, Schema};
-pub use stats::{ColumnStats, ScanPredicate, ScanStats, Zone, ZONE_ROWS};
+pub use stats::ColumnStats;
 pub use table::{GroupBy, Table, TableId};
 pub use value::{DataType, Value};

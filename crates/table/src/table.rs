@@ -10,7 +10,7 @@ use crate::bitcount;
 use crate::column::Column;
 use crate::rowset::{bits, RowSet};
 use crate::schema::{Field, Schema};
-use crate::stats::{scan_column, ColumnStats, ScanPredicate, ScanStats, StatsCache};
+use crate::stats::{ColumnStats, StatsCache};
 use crate::value::{DataType, Value};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -360,35 +360,16 @@ impl Table {
         Ok(col.group_codes().to_group_by(column))
     }
 
-    /// Memoized per-column statistics (bounds, NULL census, distinct
-    /// count, zone maps) for the named column. Computed lazily, once per
-    /// `(column, version)`; repeat calls — including across clones at the
-    /// same version — are a map lookup.
+    /// Memoized per-column statistics (NULL and distinct counts) for the
+    /// named column. Computed lazily, once per `(column, version)`; repeat
+    /// calls — including across clones at the same version — are a map
+    /// lookup.
     pub fn column_stats(&self, name: &str) -> Option<Arc<ColumnStats>> {
-        self.schema.index_of(name).map(|i| self.column_stats_at(i))
-    }
-
-    /// [`Self::column_stats`] by column index.
-    pub fn column_stats_at(&self, idx: usize) -> Arc<ColumnStats> {
-        self.stats
-            .get_or_compute(idx, self.version, self.column_at(idx))
-    }
-
-    /// Evaluates a cheap predicate over `column` through its zone maps:
-    /// chunks whose bounds prove no row can match are skipped without any
-    /// per-row work. Returns matching row ids (ascending) and the skip
-    /// accounting.
-    pub fn scan(
-        &self,
-        column: &str,
-        pred: &ScanPredicate,
-    ) -> Result<(Vec<u32>, ScanStats), String> {
-        let idx = self
-            .schema
-            .index_of(column)
-            .ok_or_else(|| format!("no column named {column:?}"))?;
-        let stats = self.column_stats_at(idx);
-        scan_column(self.column_at(idx), &stats, pred)
+        let idx = self.schema.index_of(name)?;
+        Some(
+            self.stats
+                .get_or_compute(idx, self.version, self.column_at(idx)),
+        )
     }
 }
 

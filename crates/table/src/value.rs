@@ -59,39 +59,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Extracts a bool, if the value is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Extracts an integer, if the value is one.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// Extracts a float; integers widen losslessly.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// Extracts a string slice, if the value is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// A 64-bit content fingerprint, stable across processes.
     ///
     /// Feeds [`crate::table::Table`]'s version fingerprint: equal values
@@ -222,13 +189,13 @@ mod tests {
 
     #[test]
     fn accessors_round_trip() {
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert_eq!(Value::Int(-3).as_int(), Some(-3));
-        assert_eq!(Value::Float(2.5).as_float(), Some(2.5));
-        assert_eq!(Value::Int(2).as_float(), Some(2.0));
-        assert_eq!(Value::Str("hi".into()).as_str(), Some("hi"));
+        assert_eq!(Value::from(true), Value::Bool(true));
+        assert_eq!(Value::from(-3i64), Value::Int(-3));
+        assert_eq!(Value::from(2.5), Value::Float(2.5));
+        assert_eq!(Value::from("hi"), Value::Str("hi".into()));
+        assert_eq!(Value::from(String::from("hi")), Value::Str("hi".into()));
         assert!(Value::Null.is_null());
-        assert_eq!(Value::Null.as_int(), None);
+        assert!(!Value::Int(0).is_null());
     }
 
     #[test]
@@ -247,10 +214,11 @@ mod tests {
             Value::Float(f64::NAN),
         ];
         vals.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        assert_eq!(vals[0].as_float(), Some(-1.0));
-        assert_eq!(vals[1].as_float(), Some(0.0));
-        assert_eq!(vals[2].as_float(), Some(2.0));
-        assert!(vals[3].as_float().unwrap().is_nan());
+        assert_eq!(
+            vals[..3],
+            [Value::Float(-1.0), Value::Float(0.0), Value::Float(2.0)]
+        );
+        assert!(matches!(vals[3], Value::Float(f) if f.is_nan()));
     }
 
     #[test]

@@ -130,14 +130,21 @@ proptest! {
                 ]
             })
             .collect();
-        let column = |idx: usize| -> Vec<&Value> { rows.iter().map(|row| &row[idx]).collect() };
+        // The same cells, built column by column from the raw draws.
+        fn cell<T>(selector: u8, value: T) -> Option<T> {
+            (selector != 0).then_some(value)
+        }
         let strings: Vec<Option<String>> =
-            column(4).iter().map(|v| v.as_str().map(str::to_owned)).collect();
+            raw.iter().map(|(.., (ns, s))| cell(*ns, s.clone())).collect();
         let columns = vec![
-            Column::Int(column(0).iter().map(|v| v.as_int()).collect()),
-            Column::Bool(column(1).iter().map(|v| v.as_bool()).collect()),
-            Column::Int(column(2).iter().map(|v| v.as_int()).collect()),
-            Column::Float(column(3).iter().map(|v| v.as_float()).collect()),
+            Column::Int((0..raw.len() as i64).map(Some).collect()),
+            Column::Bool(raw.iter().map(|((nb, b), ..)| cell(*nb, *b == 1)).collect()),
+            Column::Int(raw.iter().map(|(_, (ni, i), ..)| cell(*ni, *i)).collect()),
+            Column::Float(
+                raw.iter()
+                    .map(|(_, _, (nf, f), _)| cell(*nf, floats[*f as usize]))
+                    .collect(),
+            ),
             from_untidy_dictionary(&strings),
         ];
         let by_columns = Table::from_columns(schema.clone(), columns).unwrap();

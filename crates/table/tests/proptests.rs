@@ -3,9 +3,7 @@
 use expred_table::csv::{read_csv, write_csv};
 use expred_table::datasets::{all_specs, Dataset, DatasetSpec};
 use expred_table::value::ValueKey;
-use expred_table::{
-    Column, DataType, DerivedCache, Field, GroupBy, ScanPredicate, Schema, Table, Value,
-};
+use expred_table::{Column, DataType, DerivedCache, Field, GroupBy, Schema, Table, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -284,38 +282,6 @@ proptest! {
             expred_table::RowSet::from_flags(labels.iter().map(|&l| l == Some(true)))
         });
         prop_assert_eq!(Column::Bool(labels).true_rows(), oracle);
-    }
-
-    #[test]
-    fn zone_mapped_scan_matches_naive_filter(
-        cells in prop::collection::vec((0u8..12, -50i64..50), 0..300),
-        lo in -60i64..60,
-        width in 0i64..40,
-    ) {
-        let values: Vec<Value> = cells
-            .iter()
-            .map(|&(null, v)| if null == 0 { Value::Null } else { Value::Int(v) })
-            .collect();
-        let t = one_column_table("v", DataType::Int, values.clone());
-        let hi = lo + width;
-        let (rows, stats) = t.scan("v", &ScanPredicate::IntRange { lo, hi }).unwrap();
-        let naive: Vec<u32> = values
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.as_int().is_some_and(|x| x >= lo && x <= hi))
-            .map(|(r, _)| r as u32)
-            .collect();
-        prop_assert_eq!(rows, naive);
-        prop_assert!(stats.rows_tested <= t.num_rows());
-
-        let (null_rows, _) = t.scan("v", &ScanPredicate::IsNull).unwrap();
-        let naive_nulls: Vec<u32> = values
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_null())
-            .map(|(r, _)| r as u32)
-            .collect();
-        prop_assert_eq!(null_rows, naive_nulls);
     }
 
     #[test]

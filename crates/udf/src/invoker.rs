@@ -23,9 +23,8 @@
 //! loads the memo's `(known, answer)` planes for it — and the store's,
 //! once a row the memo cannot decide needs them — answers from those
 //! copies, and on leaving *settles* the word once: store hits are
-//! promoted into the memo with two plain stores, marked referenced in
-//! the store, and counted — with the visit's misses — toward the store's
-//! statistics; the reuse charge and the statistics land once per call.
+//! promoted into the memo with two plain stores and counted — with the
+//! visit's misses — toward the store's statistics; the reuse charge and the statistics land once per call.
 //!
 //! A warm query reads each word once. Its multi-row reads are planes:
 //! the pipelines ask "which rows of these groups are already decided,
@@ -50,8 +49,8 @@
 //! move the cursor a row at a time. Whichever walk, the memo, the bill
 //! and the store see exactly what a per-row loop over the same rows in
 //! ascending order would have shown them — only the order of the store's
-//! probes within a call differs, and the store's statistics and
-//! referenced marks do not record order.
+//! probes within a call differs, and the store's statistics do not
+//! record order.
 //!
 //! The plane read is a bit-count kernel ([`read_plane`], defined through
 //! [`expred_stats::bit_kernels`]): its per-word popcounts — the store's
@@ -155,11 +154,12 @@ impl Memo {
 /// [`expred_exec::CacheStore`], the invoker additionally *borrows* a
 /// [`CacheHandle`] scoped to `(udf fingerprint, table id, table
 /// version)`. Lookups layer local-memo-first, then the shared store: a
-/// shared hit is *promoted* into the local memo (so this query keeps a
-/// stable view even if the store later evicts the entry) and charged
-/// exactly once as a [`CostCounts::reuse_hits`] — a promoted row is a
-/// memo hit from then on — because the row's `o_e` was paid by an
-/// earlier query, not this one. Fresh evaluations are written through to
+/// shared hit is *promoted* into the local memo and charged exactly once
+/// as a [`CostCounts::reuse_hits`] — a promoted row is a memo hit from
+/// then on — because the row's `o_e` was paid by an earlier query, not
+/// this one. The memo is what keeps that local-versus-reuse split (and
+/// what a store-less invoker has instead of a store); the store itself
+/// never drops an entry a borrowed handle can see. Fresh evaluations are written through to
 /// both layers. Without a context (or for UDFs with no fingerprint)
 /// behavior is bit-identical to the pre-session invoker.
 ///
@@ -297,7 +297,7 @@ impl Lookup<'_> {
         }
         if self.promote != 0 || self.misses != 0 {
             if let Some(reader) = &mut self.reader {
-                reader.record(self.word, self.promote, self.misses);
+                reader.record(self.promote, self.misses);
             }
             (self.promote, self.misses) = (0, 0);
         }
@@ -510,8 +510,8 @@ impl<'a> UdfInvoker<'a> {
 
     /// The known answer for `row`, if this query or an earlier one in the
     /// session evaluated it. A free lookup cost-wise; a session-cache hit
-    /// is promoted (and counted once as a reuse) so the answer stays
-    /// available for the rest of the query even under store eviction.
+    /// is promoted into the query's memo, so it counts once as a reuse
+    /// and as a memo hit from then on.
     pub fn memoized(&self, row: usize) -> Option<bool> {
         self.known_many([row]).pop().flatten()
     }
@@ -549,8 +549,8 @@ impl<'a> UdfInvoker<'a> {
     /// 64-row word `rows` touches is loaded, its store hits promoted into
     /// the memo (and charged as reuse) and its probes settled once.
     /// Action for action [`UdfInvoker::known_many`] over the plane's rows
-    /// in ascending order — same promotions, same referenced marks, one
-    /// store hit or miss per undecided row — with the reuse charge and
+    /// in ascending order — same promotions, one store hit or miss per
+    /// undecided row — with the reuse charge and
     /// the store statistics added once per call.
     pub fn scan_plane(&self, rows: &RowSet) -> (RowSet, RowSet) {
         let (decided, passed, _) = read_plane(self, rows);

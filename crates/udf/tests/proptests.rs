@@ -19,12 +19,11 @@
 //! memo — equals a `memoized` loop action for action. And the group scan
 //! is held to `known_many`: `scan_plane` over the plane of a group's
 //! `(word, mask)` runs equals `known_many` over the group's rows —
-//! answers, bill, store statistics and the referenced marks that steer
-//! later evictions. The word-major scan is held to the group scan in
-//! turn: `scan_groups` over a whole grouping — sparse, or sliced so it
-//! does not cover the table — equals one group scan after another, mask
-//! for mask, leaving the same memo, bill, store statistics and
-//! referenced marks.
+//! answers, bill and store statistics. The word-major scan is held to the
+//! group scan in turn: `scan_groups` over a whole grouping — sparse, or
+//! sliced so it does not cover the table — equals one group scan after
+//! another, mask for mask, leaving the same memo, bill and store
+//! statistics.
 //!
 //! The bit-count kernels are held to their portable copies and to the
 //! per-run loops they replaced: whole-plane counts, per-group counts and
@@ -34,12 +33,11 @@
 //! portable copy on two identical sessions, against `known_many`.
 
 use expred_exec::{CacheStore, ExecContext, Sequential};
-use expred_stats::bits::rows_of;
 use expred_table::bitcount;
 use expred_table::rowset::bits;
 use expred_table::{DataType, Field, GroupBy, RowSet, Schema, Table, Value};
 use expred_udf::invoker::{portable, read_plane};
-use expred_udf::{cache_namespace, OracleUdf, UdfInvoker};
+use expred_udf::{OracleUdf, UdfInvoker};
 use proptest::prelude::*;
 
 const ROWS: usize = 48;
@@ -237,7 +235,6 @@ proptest! {
         session in 0usize..4,
         warm in prop::collection::vec(0usize..TALL_ROWS, 0..500),
         own in prop::collection::vec(0usize..TALL_ROWS, 0..80),
-        newcomers in 0usize..40,
     ) {
         // Groups interleave (so each touches most words) in stretches of
         // `stride` rows (so some words and whole pages are skipped).
@@ -245,7 +242,6 @@ proptest! {
         let groups = GroupBy::from_assignments("g", &assignments);
         let table = labelled_table(TALL_ROWS);
         let udf = OracleUdf::new("good");
-        let namespace = cache_namespace(&udf, &table).expect("the oracle has an identity");
         // The session an earlier query left behind: none at all (a
         // store-less invoker), cold, half-warm or fully warm.
         let warm: Vec<usize> = match session {
@@ -253,14 +249,9 @@ proptest! {
             2 => warm,
             _ => (0..TALL_ROWS).collect(),
         };
-        let mut resident: Vec<usize> = warm.iter().chain(&own).copied().collect();
-        resident.sort_unstable();
-        resident.dedup();
 
         let run = |by_runs: bool| {
-            // Exactly full once both queries have evaluated, so every
-            // newcomer evicts — the unreferenced entries first.
-            let store = CacheStore::with_capacity(resident.len());
+            let store = CacheStore::new();
             let ctx = match session {
                 0 => ExecContext::sequential(),
                 _ => ExecContext::sequential().with_cache(&store),
@@ -293,21 +284,13 @@ proptest! {
                     seen.push((known, invoker.counts(), store.stats()));
                 }
             }
-            let handle = store.handle(namespace);
-            for newcomer in 0..newcomers {
-                handle.insert(TALL_ROWS + newcomer, true);
-            }
-            let mut survivors = Vec::new();
-            store.for_each_namespace(|_, pages| survivors.extend(rows_of(pages)));
-            survivors.sort_unstable();
-            (seen, store.stats(), survivors)
+            (seen, store.stats())
         };
         let (by_runs, by_rows) = (run(true), run(false));
         for (step, (got, want)) in by_runs.0.iter().zip(&by_rows.0).enumerate() {
             prop_assert_eq!(got, want, "scan {}", step);
         }
         prop_assert_eq!(by_runs.1, by_rows.1);
-        prop_assert_eq!(by_runs.2, by_rows.2, "the scans left different referenced marks");
         // The scan is honest: every answer it reports is the oracle's,
         // and a fully warm session is reused row for row.
         let scanned_groups = (0..groups.num_groups()).cycle();
@@ -332,7 +315,6 @@ proptest! {
         session in 0usize..4,
         warm in prop::collection::vec(0usize..TALL_ROWS, 0..500),
         own in prop::collection::vec(0usize..TALL_ROWS, 0..80),
-        newcomers in 0usize..40,
     ) {
         // Interleaved groups in stretches of `stride` rows (sparse: some
         // words and whole pages skipped), sliced to every `keep_one_in`th
@@ -348,19 +330,15 @@ proptest! {
         let groups = GroupBy::new("g#slice".into(), keys, slices, sliced);
         let table = labelled_table(TALL_ROWS);
         let udf = OracleUdf::new("good");
-        let namespace = cache_namespace(&udf, &table).expect("the oracle has an identity");
         // No store at all, a cold one, a partly warm one, a full one.
         let warm: Vec<usize> = match session {
             0 | 1 => Vec::new(),
             2 => warm,
             _ => (0..TALL_ROWS).collect(),
         };
-        let mut resident: Vec<usize> = warm.iter().chain(&own).copied().collect();
-        resident.sort_unstable();
-        resident.dedup();
 
         let run = |word_major: bool| {
-            let store = CacheStore::with_capacity(resident.len());
+            let store = CacheStore::new();
             let ctx = match session {
                 0 => ExecContext::sequential(),
                 _ => ExecContext::sequential().with_cache(&store),
@@ -401,22 +379,13 @@ proptest! {
             let all: Vec<usize> = (0..TALL_ROWS).collect();
             let answers = invoker.evaluate_batch(&Sequential, &all);
             let memo = (answers, invoker.counts(), store.stats());
-            let handle = store.handle(namespace);
-            for newcomer in 0..newcomers {
-                handle.insert(TALL_ROWS + newcomer, true);
-            }
-            let mut survivors = Vec::new();
-            store.for_each_namespace(|_, pages| survivors.extend(rows_of(pages)));
-            survivors.sort_unstable();
-            (seen, memo, store.stats(), survivors)
+            (seen, memo)
         };
         let (word_major, per_group) = (run(true), run(false));
         for (pass, (got, want)) in word_major.0.iter().zip(&per_group.0).enumerate() {
             prop_assert_eq!(got, want, "pass {}", pass);
         }
         prop_assert_eq!(&word_major.1, &per_group.1, "the scans left different memos");
-        prop_assert_eq!(word_major.2, per_group.2);
-        prop_assert_eq!(&word_major.3, &per_group.3, "the scans left different referenced marks");
         // The masks are honest: within their runs, and the oracle's.
         let (decided, _, _) = &word_major.0[0];
         let runs = (0..groups.num_groups()).flat_map(|g| groups.runs(g));
@@ -577,32 +546,6 @@ proptest! {
             for bit in bits(decided) {
                 prop_assert_eq!(passed >> bit & 1 == 1, labels[word * 64 + bit as usize]);
             }
-        }
-    }
-
-    #[test]
-    fn eviction_preserves_answers_and_the_ledger(
-        queries in prop::collection::vec(
-            prop::collection::vec((0usize..ROWS, any::<bool>()), 1..60),
-            2..6,
-        )
-    ) {
-        // A pathologically small store: constant eviction pressure. Reuse
-        // may shrink, but correctness and the ledger must survive.
-        let table = labelled_table(ROWS);
-        let udf = OracleUdf::new("good");
-        let store = CacheStore::with_capacity(1);
-        let ctx = ExecContext::sequential().with_cache(&store);
-
-        for requests in &queries {
-            let warm = UdfInvoker::with_context(&udf, &table, &ctx);
-            let warm_answers = drive(&warm, requests);
-            let cold = UdfInvoker::new(&udf, &table);
-            let cold_answers = drive(&cold, requests);
-            prop_assert_eq!(warm_answers, cold_answers);
-            let (w, c) = (warm.counts(), cold.counts());
-            prop_assert_eq!(w.evaluated + w.reuse_hits, c.evaluated);
-            prop_assert_eq!(w.cache_hits, c.cache_hits);
         }
     }
 }

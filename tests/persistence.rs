@@ -117,42 +117,6 @@ proptest::proptest! {
 }
 
 #[test]
-fn rehydration_larger_than_the_cache_capacity_does_not_deadlock() {
-    let dir = unique_dir("overflow");
-    let ds = prosper(600, 21);
-    let q = QueryRequest::naive(QuerySpec::paper_default());
-
-    let a = persistent(&dir);
-    let cold = a.submit(&ds, &q.clone().with_seed(5)).unwrap();
-    assert!(cold.counts.evaluated > 0);
-    a.flush_persistence().expect("flush");
-    drop(a);
-
-    // The reboot's cache holds far fewer rows than were persisted, so
-    // prefill must evict mid-rehydration — which used to re-offer the
-    // evictions to the spill sink and re-enter the persistence layer's
-    // registry lock on the thread already holding it for write. Run on a
-    // watchdog thread so a regression fails the test instead of hanging
-    // the suite.
-    let (tx, rx) = std::sync::mpsc::channel();
-    let thread_dir = dir.clone();
-    std::thread::spawn(move || {
-        let b = QueryEngine::new()
-            .with_result_capacity(0)
-            .with_persistence(PersistConfig::new(&thread_dir))
-            .expect("open persistence")
-            .with_cache_capacity(32);
-        let _ = tx.send(b.submit(&ds, &q.clone().with_seed(5)).unwrap());
-    });
-    let warm = rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("rehydration deadlocked (or died) under an over-capacity prefill");
-    // Evictions mean some rows are re-bought, but never a wrong answer.
-    assert_eq!(warm.returned, cold.returned);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn graceful_drain_compacts_shed_wal_records_so_the_restart_stays_free() {
     let dir = unique_dir("shed");
     let q = QueryRequest::naive(QuerySpec::paper_default());
