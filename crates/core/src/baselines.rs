@@ -48,25 +48,20 @@ fn baseline_train_config() -> SelfTrainConfig {
     }
 }
 
-/// Labels the permutation prefix `perm[..m]` through the runtime,
-/// extending past steps' coverage (`labelled_so_far`) with one batch, and
-/// returns the prefix's labels read back from the invoker's memo.
+/// Extends `labels` — the labels of a prefix of the permutation — to
+/// the prefix `perm[..m]`, labelling the new slice through the runtime
+/// as one batch and keeping the answers it returns.
 fn label_prefix(
     invoker: &UdfInvoker<'_>,
     perm: &[usize],
     m: usize,
-    labelled_so_far: &mut usize,
+    labels: &mut Vec<bool>,
     ctx: &ExecContext<'_>,
-) -> Vec<bool> {
-    if m > *labelled_so_far {
-        invoker.retrieve_and_evaluate_batch(ctx.executor, &perm[*labelled_so_far..m]);
-        *labelled_so_far = m;
+) {
+    if m > labels.len() {
+        let new = &perm[labels.len()..m];
+        labels.extend(invoker.retrieve_and_evaluate_batch(ctx.executor, new));
     }
-    invoker
-        .known_many(perm[..m].iter().copied())
-        .into_iter()
-        .map(|label| label.expect("labelled rows must be evaluated"))
-        .collect()
 }
 
 /// The grid both ML baselines walk: label a growing prefix of one
@@ -95,7 +90,7 @@ fn run_grid(
         let mut perm: Vec<usize> = (0..n).collect();
         f.rng.shuffle(&mut perm);
         let cfg = baseline_train_config();
-        let mut labelled_so_far = 0usize;
+        let mut perm_labels = Vec::new();
 
         // Even full evaluation of the grid's maximum can fail (possible
         // only for extreme constraints); the last attempt is then
@@ -103,11 +98,11 @@ fn run_grid(
         let mut last: Option<(Vec<usize>, usize, bool)> = None;
         for frac in SIZE_GRID {
             let m = ((frac * n as f64).ceil() as usize).clamp(1, n);
-            let labels = label_prefix(&f.invoker, &perm, m, &mut labelled_so_far, ctx);
-            let labelled = &perm[..m];
-            let outcome = self_train(&features, labelled, &labels, cfg);
-            let returned = learning_returned_set(&outcome, labelled, &labels);
-            let accepted = accept(&outcome, labelled, &labels, &returned, f);
+            label_prefix(&f.invoker, &perm, m, &mut perm_labels, ctx);
+            let (labelled, labels) = (&perm[..m], &perm_labels[..m]);
+            let outcome = self_train(&features, labelled, labels, cfg);
+            let returned = learning_returned_set(&outcome, labelled, labels);
+            let accepted = accept(&outcome, labelled, labels, &returned, f);
             last = Some((returned, m, accepted));
             if accepted {
                 break;

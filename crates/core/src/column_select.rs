@@ -162,28 +162,23 @@ fn score_column(
 }
 
 /// Builds the §6.3.2 virtual column (method 2): train a logistic
-/// regressor on the labelled rows, score all tuples, and bucketize the
-/// scores into `buckets` equal-depth groups.
+/// regressor on the `labelled` rows and their evaluated `labels`, score
+/// all tuples, and bucketize the scores into `buckets` equal-depth
+/// groups.
 ///
 /// `exclude` must contain at least the hidden label column; the paper also
 /// excludes identifiers.
 pub fn virtual_column(
     table: &Table,
     exclude: &[&str],
-    invoker: &UdfInvoker<'_>,
-    labelled: &[u32],
+    labelled: &[usize],
+    labels: &[bool],
     buckets: usize,
     ctx: &ExecContext<'_>,
 ) -> GroupBy {
     assert!(!labelled.is_empty(), "virtual column needs labelled rows");
     let features = extract_features_cached(table, exclude, FeatureSpec::default(), ctx.derived);
-    let rows: Vec<usize> = labelled.iter().map(|&r| r as usize).collect();
-    let labels: Vec<bool> = invoker
-        .known_many(rows.iter().copied())
-        .into_iter()
-        .map(|label| label.expect("labelled rows must be evaluated"))
-        .collect();
-    let model = train(&features, &rows, &labels, TrainConfig::default());
+    let model = train(&features, labelled, labels, TrainConfig::default());
     let scores = model.predict_all(&features);
     let assignments = bucketize(&scores, buckets);
     GroupBy::from_assignments("virtual:logistic", &assignments)
@@ -282,19 +277,16 @@ mod tests {
         let mut rng = Prng::seeded(14);
         // Label 2% of rows.
         let n = ds.table.num_rows();
-        let labelled: Vec<u32> = rng
-            .sample_indices(n, n / 50)
-            .into_iter()
-            .map(|r| {
-                invoker.retrieve_and_evaluate(r);
-                r as u32
-            })
+        let labelled = rng.sample_indices(n, n / 50);
+        let labels: Vec<bool> = labelled
+            .iter()
+            .map(|&r| invoker.retrieve_and_evaluate(r))
             .collect();
         let groups = virtual_column(
             &ds.table,
             &[LABEL_COLUMN, "row_id"],
-            &invoker,
             &labelled,
+            &labels,
             10,
             &ctx,
         );

@@ -95,9 +95,7 @@ use crate::pipeline::RunOutcome;
 use crate::request::{InfeasiblePolicy, QueryRequest};
 use crate::result_memo::{ResultMemoStats, ShardedResultMemo};
 use crate::strategy::StrategyIdentity;
-use expred_exec::{
-    CacheStats, CacheStore, ExecContext, Executor, SelectivityTracker, Sequential, SpillSink,
-};
+use expred_exec::{CacheStats, CacheStore, ExecContext, Executor, Sequential, SpillSink};
 use expred_persist::{PersistConfig, PersistError, PersistStore};
 use expred_stats::counters::{CounterSet, Section};
 use expred_stats::hash::Fnv64;
@@ -265,11 +263,6 @@ pub struct QueryEngine {
     /// Session memo of derived per-column artifacts (group partitions,
     /// encoding dictionaries), keyed by `(table id, version, column)`.
     derived: DerivedCache,
-    /// Observed per-`(udf, table version)` pass rates, fed by every fresh
-    /// audited evaluation and read by the expression optimizer
-    /// ([`crate::strategy::ExprScan`]). Statistics, not cached
-    /// answers: [`QueryEngine::clear_caches`] leaves them alone.
-    selectivity: SelectivityTracker,
     /// Durable persistence bridge ([`QueryEngine::with_persistence`]):
     /// spills fresh answers to a WAL-backed store and rehydrates them —
     /// version-checked — on the first submit over each table state.
@@ -302,7 +295,6 @@ impl QueryEngine {
             stats: AtomicEngineStats::default(),
             inflight: Mutex::new(HashMap::new()),
             derived: DerivedCache::new(),
-            selectivity: SelectivityTracker::new(),
             persist: None,
         }
     }
@@ -372,18 +364,11 @@ impl QueryEngine {
     pub fn context(&self) -> ExecContext<'_> {
         let ctx = ExecContext::new(self.executor.as_ref())
             .with_cache(&self.store)
-            .with_derived(&self.derived)
-            .with_selectivity(&self.selectivity);
+            .with_derived(&self.derived);
         match self.udf_latency {
             Some(latency) => ctx.with_udf_latency(latency),
             None => ctx,
         }
-    }
-
-    /// The session's observed per-leaf pass rates (diagnostics, and the
-    /// statistics behind [`crate::strategy::ExprScan`]).
-    pub fn selectivity(&self) -> &SelectivityTracker {
-        &self.selectivity
     }
 
     /// Serves one request — the engine's primary entry point. Callable
@@ -413,7 +398,7 @@ impl QueryEngine {
         // and, once per (table, version), rehydrate persisted answers
         // into the row tier before any evaluation is planned.
         if let Some(layer) = &self.persist {
-            layer.register(ds, &self.store, &self.selectivity);
+            layer.register(ds, &self.store);
         }
         // `queries` before the memo probe, `result_hits` after the hit:
         // this increment order is what makes stats snapshots consistent.
@@ -596,19 +581,19 @@ impl QueryEngine {
     /// Pushes the session's durable state to disk and waits for it:
     /// re-offers every live row-tier entry (catching answers whose table
     /// was unregistered at insert time; already-persisted ones
-    /// deduplicate to no-ops), writes the current selectivity counters
-    /// through, compacts if any WAL row was ever shed (a shed row
-    /// lives only in the store's in-memory index — re-offers dedup
-    /// against the index without re-enqueuing, so only a snapshot of the
-    /// index gets it to disk), and blocks until everything accepted so
-    /// far is fsynced. A no-op without persistence.
+    /// deduplicate to no-ops), compacts if any WAL row was ever shed (a
+    /// shed row lives only in the store's in-memory index — re-offers
+    /// dedup against the index without re-enqueuing, so only a snapshot
+    /// of the index gets it to disk), and blocks until everything
+    /// accepted so far is fsynced. The answers are the whole durable
+    /// state: the pass rates the optimizer reads come back with them. A
+    /// no-op without persistence.
     pub fn flush_persistence(&self) -> Result<(), PersistError> {
         let Some(layer) = &self.persist else {
             return Ok(());
         };
         self.store
             .for_each_namespace(|namespace, pages| layer.spill(namespace, pages));
-        layer.flush_selectivity(&self.selectivity);
         if layer.store().stats().shed > 0 {
             layer.store().compact()?;
         }
@@ -631,17 +616,15 @@ impl QueryEngine {
     /// and full request identity, so the worst post-clear outcome is
     /// paying full price once more.
     ///
-    /// The selectivity tracker is deliberately *not* cleared: it holds
-    /// statistics, not cached answers — dropping cached rows never
-    /// invalidates what was observed about the data, and a cleared-cache
-    /// session should keep planning with everything it has learned.
+    /// The pass rates the expression optimizer orders siblings by are
+    /// read off the row tier's answers, so they go with them: a cleared
+    /// session plans its next expression scans in the static cost order,
+    /// as a cold one does. Answers never move; only the bill of a
+    /// multi-leaf expression can.
     ///
     /// With persistence wired, the durable tier is tombstoned too —
     /// synchronously, via an immediate compaction — so a clear followed
     /// by a restart cannot resurrect the cleared answers from disk.
-    /// (Persisted selectivity counters are cleared along with the rows;
-    /// the session's in-memory counters survive and are re-persisted on
-    /// the next flush.)
     pub fn clear_caches(&self) {
         self.store.clear();
         self.results.clear();
@@ -651,19 +634,6 @@ impl QueryEngine {
             // cleared and the durable tier intact (it will be tombstoned
             // again by the next clear or superseded by future snapshots).
             let _ = layer.store().tombstone_all();
-        }
-    }
-}
-
-impl Drop for QueryEngine {
-    fn drop(&mut self) {
-        // Selectivity counters only reach the store on explicit flushes;
-        // catch whatever the session learned since the last one. Row
-        // answers need no help here: they were offered as they were
-        // cached, and `PersistStore`'s own Drop drains and fsyncs the
-        // WAL.
-        if let Some(layer) = &self.persist {
-            layer.flush_selectivity(&self.selectivity);
         }
     }
 }

@@ -23,8 +23,9 @@
 //!   version)` *both* match the live table — a version-checked hydration
 //!   that can serve stale answers to no one. The answers move as page
 //!   copies ([`PersistStore::pages`] → [`CacheStore::prefill`]), landing
-//!   a 64-row word at a time. Selectivity counters ride along into the
-//!   session's [`expred_exec::SelectivityTracker`].
+//!   a 64-row word at a time — and with them the pass rates the
+//!   expression optimizer reads ([`CacheStore::pass_rate`]), so a
+//!   restarted session plans as the one that paid for the answers did.
 //!
 //! Write timestamps are wall-clock (`UNIX_EPOCH` nanos), one per offered
 //! batch, kept per 4 096-row page by the store (a page is as old as its
@@ -33,7 +34,7 @@
 //! backdated by its oldest page's age and expires on schedule, not one
 //! full TTL after every reboot.
 
-use expred_exec::{CacheNamespace, CacheStore, SelectivityTracker, SpillSink};
+use expred_exec::{CacheNamespace, CacheStore, SpillSink};
 use expred_persist::{PagePlanes, PersistKey, PersistStore, PAGE_LIMIT};
 use expred_table::datasets::Dataset;
 use std::collections::{HashMap, HashSet};
@@ -71,8 +72,8 @@ expred_stats::counter_set! {
         /// Queued WAL rows dropped under backpressure (recaptured by
         /// compaction).
         shed,
-        /// Rows (and selectivity/tombstone records, one each) written to
-        /// the WAL by the flusher.
+        /// Rows (and tombstone records, one each) written to the WAL by
+        /// the flusher.
         flushed,
         /// `fsync` calls issued.
         fsyncs,
@@ -95,8 +96,6 @@ expred_stats::counter_set! {
         rehydrated_rows,
         /// Namespaces prefill-loaded into the live cache from disk.
         rehydrated_namespaces,
-        /// Selectivity namespaces seeded from persisted counters.
-        selectivity_seeded,
     }
 }
 
@@ -136,14 +135,8 @@ impl PersistLayer {
 
     /// Registers `ds`'s current state and — exactly once per `(table,
     /// version)` per session — rehydrates every matching persisted
-    /// namespace into `cache` and seeds `selectivity` with persisted
-    /// counters.
-    pub(crate) fn register(
-        &self,
-        ds: &Dataset,
-        cache: &CacheStore,
-        selectivity: &SelectivityTracker,
-    ) {
+    /// namespace into `cache`.
+    pub(crate) fn register(&self, ds: &Dataset, cache: &CacheStore) {
         let tid = ds.table.id().as_u64();
         let schema_fp = ds.table.schema().fingerprint();
         let version = ds.table.version();
@@ -195,31 +188,6 @@ impl PersistLayer {
                 self.counters
                     .rehydrated_namespaces
                     .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        for (key, passes, total) in self.store.selectivities() {
-            if key.table != schema_fp || key.version != version {
-                continue;
-            }
-            let namespace = CacheNamespace {
-                udf: key.udf,
-                table: tid,
-                version,
-            };
-            selectivity.seed_counts(namespace, passes, total);
-            self.counters
-                .selectivity_seeded
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Writes the session's current selectivity counters through to the
-    /// store (absolute overwrite semantics: repeated flushes never
-    /// double-count).
-    pub(crate) fn flush_selectivity(&self, selectivity: &SelectivityTracker) {
-        for (namespace, passes, total) in selectivity.snapshot_counts() {
-            if let Some(key) = self.durable_key(namespace) {
-                self.store.record_selectivity(key, passes, total);
             }
         }
     }
@@ -287,7 +255,7 @@ mod tests {
             },
             1,
         );
-        layer.register(&ds, &CacheStore::new(), &SelectivityTracker::new());
+        layer.register(&ds, &CacheStore::new());
         let namespace = CacheNamespace {
             udf: 9,
             table: ds.table.id().as_u64(),

@@ -286,14 +286,15 @@ pub fn run_intel_sample(
             } => {
                 let n = table.num_rows();
                 let want = ((label_fraction * n as f64).ceil() as usize).clamp(1, n);
-                let batch = f.rng.sample_indices(n, want);
-                f.invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
-                let labelled: Vec<u32> = batch.into_iter().map(|r| r as u32).collect();
+                let labelled = f.rng.sample_indices(n, want);
+                let labels = f
+                    .invoker
+                    .retrieve_and_evaluate_batch(ctx.executor, &labelled);
                 Arc::new(virtual_column(
                     table,
                     &[LABEL_COLUMN, "row_id"],
-                    &f.invoker,
                     &labelled,
+                    &labels,
                     *buckets,
                     ctx,
                 ))

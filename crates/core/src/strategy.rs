@@ -620,8 +620,9 @@ impl Strategy for Multiple {
 /// short-circuiting inside each conjunction/disjunction. The expression
 /// is first rewritten by the session's selectivity-aware optimizer
 /// ([`expred_udf::optimize_expr`]): shared conjuncts factor out and
-/// `AND`/`OR` siblings reorder by observed pass rates — the static cost
-/// order until the session has observations, never a larger bill after.
+/// `AND`/`OR` siblings reorder by the pass rates the session store's
+/// answers show — the static cost order until the store holds answers
+/// for the leaves.
 ///
 /// `SELECT * FROM R WHERE expr = 1`, answered exactly — the returned set
 /// is precisely the rows where the expression holds, so the reported
@@ -693,7 +694,7 @@ impl Strategy for ExprScan {
         let table = &ds.table;
         let tracker = CostTracker::new();
         tracker.add_retrievals(table.num_rows() as u64);
-        let expr = expred_udf::optimize_expr(&self.expr, table, ctx.selectivity);
+        let expr = expred_udf::optimize_expr(&self.expr, table, ctx.cache);
         let rows = RowSet::full(table.num_rows());
         let returned = evaluate_expr(&expr, table, &rows, &tracker, ctx).map_err(|e| {
             // Unreachable through the engine: validate() already rejected

@@ -7,7 +7,6 @@
 //! reference every backend and session tier must match bit for bit.
 
 use crate::executor::{Executor, Sequential};
-use crate::selectivity::SelectivityTracker;
 use crate::store::CacheStore;
 use expred_table::DerivedCache;
 use std::time::Duration;
@@ -37,11 +36,6 @@ pub struct ExecContext<'a> {
     /// keyed by `(table id, version, column)`, so pipelines may reuse
     /// them freely: outputs are byte-identical with or without it.
     pub derived: Option<&'a DerivedCache>,
-    /// The session's observed per-leaf pass rates, if this query runs
-    /// inside a session: audited invokers feed it with every fresh
-    /// answer, and the expression optimizer reads it to reorder
-    /// `AND`/`OR` siblings. Statistics only — it never changes answers.
-    pub selectivity: Option<&'a SelectivityTracker>,
 }
 
 impl<'a> ExecContext<'a> {
@@ -52,7 +46,6 @@ impl<'a> ExecContext<'a> {
             cache: None,
             udf_latency: None,
             derived: None,
-            selectivity: None,
         }
     }
 
@@ -81,14 +74,6 @@ impl<'a> ExecContext<'a> {
         self.derived = Some(derived);
         self
     }
-
-    /// Attaches a session [`SelectivityTracker`]: audited invokers feed
-    /// observed pass rates into it, and the expression optimizer ranks
-    /// `AND`/`OR` siblings by them.
-    pub fn with_selectivity(mut self, tracker: &'a SelectivityTracker) -> Self {
-        self.selectivity = Some(tracker);
-        self
-    }
 }
 
 impl std::fmt::Debug for ExecContext<'_> {
@@ -97,7 +82,6 @@ impl std::fmt::Debug for ExecContext<'_> {
             .field("executor", &self.executor.name())
             .field("cached", &self.cache.is_some())
             .field("derived", &self.derived.is_some())
-            .field("selectivity", &self.selectivity.is_some())
             .finish()
     }
 }
@@ -117,16 +101,12 @@ mod tests {
     fn builders_compose() {
         let store = CacheStore::new();
         let derived = DerivedCache::new();
-        let selectivity = SelectivityTracker::new();
         let ctx = ExecContext::new(&Sequential)
             .with_cache(&store)
-            .with_derived(&derived)
-            .with_selectivity(&selectivity);
+            .with_derived(&derived);
         assert!(ctx.cache.is_some());
         assert!(ctx.derived.is_some());
-        assert!(ctx.selectivity.is_some());
         assert!(ExecContext::sequential().derived.is_none());
-        assert!(ExecContext::sequential().selectivity.is_none());
         let copy = ctx; // Copy must hold: contexts are passed around freely.
         assert!(copy.cache.is_some());
         assert!(format!("{ctx:?}").contains("sequential"));

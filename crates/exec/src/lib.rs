@@ -21,10 +21,9 @@
 //! * [`store`] — [`CacheStore`], the long-lived,
 //!   `(udf, table, version)`-namespaced bitmap cache that outlives
 //!   individual queries and keeps every answer it is given; invokers
-//!   borrow [`CacheHandle`]s from it;
-//! * [`selectivity`] — [`SelectivityTracker`], the session's observed
-//!   per-namespace pass rates: invokers feed it with every fresh answer,
-//!   and the expression optimizer ranks `AND`/`OR` siblings by it;
+//!   borrow [`CacheHandle`]s from it, and the expression optimizer ranks
+//!   `AND`/`OR` siblings by the pass rates its answers show
+//!   ([`CacheStore::pass_rate`]);
 //! * [`context`] — [`ExecContext`], the single execution parameter
 //!   (backend + cache) threaded through every pipeline.
 //!
@@ -54,14 +53,12 @@ pub mod cache;
 pub mod context;
 pub mod executor;
 pub mod pool;
-pub mod selectivity;
 pub mod store;
 
 pub use cache::RowBits;
 pub use context::ExecContext;
 pub use executor::{BatchProbe, Executor, Sequential};
 pub use pool::{PoolStats, WorkerPool};
-pub use selectivity::{SelectivityHandle, SelectivityTracker, DEFAULT_SELECTIVITY_CAPACITY};
 pub use store::{
     CacheHandle, CacheNamespace, CacheReader, CacheStats, CacheStore, SpillSink, MAX_LIVE_VERSIONS,
 };

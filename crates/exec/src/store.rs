@@ -35,7 +35,16 @@
 //! Within a page, [`RowBits::merge_word`] stores the answers, then
 //! publishes `known` with one `fetch_or` whose previous value hands each
 //! newly known row to exactly one writer — so `len` counts every row
-//! once, however many writers raced to land it.
+//! once, however many writers raced to land it, and `passed` counts each
+//! of those rows that passed once, by the answer that landed it.
+//!
+//! # Observed pass rates
+//!
+//! A namespace holds every answer its UDF gave over one table version,
+//! so its pass rate is `passed / len` ([`CacheStore::pass_rate`]). The
+//! expression optimizer ranks `AND`/`OR` siblings by it. The rate lives
+//! and dies with the answers: a cleared, expired or garbage-collected
+//! namespace has none, and a rehydrated one has it back.
 //!
 //! # Keying and invalidation
 //!
@@ -140,6 +149,8 @@ struct NamespaceCache {
     namespace: CacheNamespace,
     pages: RwLock<BTreeMap<usize, Arc<RowBits>>>,
     len: AtomicUsize,
+    /// Of the `len` rows, those whose answer was `true`.
+    passed: AtomicUsize,
     stats: Arc<AtomicStats>,
     /// The store's durable sink slot (shared, so late wiring applies to
     /// every namespace); the slot holds `None` on stores without
@@ -162,6 +173,7 @@ impl NamespaceCache {
             namespace,
             pages: RwLock::new(BTreeMap::new()),
             len: AtomicUsize::new(0),
+            passed: AtomicUsize::new(0),
             stats,
             spill,
             born,
@@ -191,15 +203,17 @@ impl NamespaceCache {
         if rows == 0 {
             return 0;
         }
-        let mut new = 0;
+        let (mut new, mut passed) = (0, 0);
         for (page, planes) in pages.iter().filter(|(_, planes)| !planes.is_empty()) {
             let page = self.page_or_new(*page);
             for w in (0..PAGE_WORDS).filter(|&w| planes.known[w] != 0) {
                 let landed = page.merge_word(w, planes.known[w], planes.answer[w]);
                 new += landed.count_ones() as usize;
+                passed += (landed & planes.answer[w]).count_ones() as usize;
             }
         }
         self.len.fetch_add(new, Ordering::Relaxed);
+        self.passed.fetch_add(passed, Ordering::Relaxed);
         self.stats
             .insertions
             .fetch_add(rows as u64, Ordering::Relaxed);
@@ -642,6 +656,24 @@ impl CacheStore {
         }
     }
 
+    /// The observed pass rate of `namespace` — its passed rows over its
+    /// known rows — or `None` if it holds no answers (never borrowed,
+    /// empty, expired or dropped). A read-only lookup: it creates no
+    /// namespace and refreshes no recency.
+    pub fn pass_rate(&self, namespace: CacheNamespace) -> Option<f64> {
+        let ttl = self.ttl();
+        let guard = self.inner.read();
+        let cache = guard.map.get(&namespace)?;
+        let len = cache.len();
+        if len == 0 || ttl.is_some_and(|t| cache.expired(t)) {
+            return None;
+        }
+        // A read racing a write may see a batch in one counter and not
+        // yet in the other; the clamp keeps the rate a rate.
+        let passed = cache.passed.load(Ordering::Relaxed).min(len);
+        Some(passed as f64 / len as f64)
+    }
+
     /// Drops one namespace outright.
     pub fn invalidate(&self, namespace: CacheNamespace) {
         let dropped = self.inner.write().remove(&namespace);
@@ -828,6 +860,39 @@ mod tests {
     }
 
     #[test]
+    fn pass_rate_is_passed_over_known_rows_and_only_reads() {
+        let store = CacheStore::new();
+        assert_eq!(store.pass_rate(ns(1, 9, 0)), None);
+        assert_eq!(store.num_namespaces(), 0, "a lookup creates nothing");
+        let h = store.handle(ns(1, 9, 0));
+        assert_eq!(store.pass_rate(ns(1, 9, 0)), None, "no answers yet");
+        h.insert_pages(&pages_of((0..40).map(|row| (row, row < 10))));
+        // A re-offer lands nothing new, so it moves neither count.
+        h.insert_pages(&pages_of((0..40).map(|row| (row, row < 10))));
+        assert_eq!(store.pass_rate(ns(1, 9, 0)), Some(0.25));
+        // Another version of the same pair is its own namespace.
+        store.handle(ns(1, 9, 1)).insert(0, true);
+        assert_eq!(store.pass_rate(ns(1, 9, 1)), Some(1.0));
+        // Looking up v0 leaves v1 the freshest, so borrowing a third
+        // version drops v0, and its rate goes with its answers.
+        for _ in 0..3 {
+            store.pass_rate(ns(1, 9, 0));
+        }
+        store.handle(ns(1, 9, 2));
+        assert_eq!(store.pass_rate(ns(1, 9, 0)), None);
+        assert_eq!(store.pass_rate(ns(1, 9, 1)), Some(1.0));
+        store.clear();
+        assert_eq!(store.pass_rate(ns(1, 9, 1)), None);
+        // An expired namespace has no rate even before a borrow drops it.
+        store.prefill(ns(2, 9, 0), &pages_of([(1, false)]), Duration::ZERO);
+        assert_eq!(store.pass_rate(ns(2, 9, 0)), Some(0.0));
+        store.set_ttl(Some(Duration::from_millis(5)));
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(store.pass_rate(ns(2, 9, 0)), None);
+        assert_eq!(store.num_namespaces(), 1, "nor does it drop one");
+    }
+
+    #[test]
     fn clones_share_storage() {
         let store = CacheStore::new();
         let view = store.clone();
@@ -1001,8 +1066,8 @@ mod tests {
         // neighbours' over three pages, after writing row `w` of pages
         // 3..515 one at a time, so every worker races the others to open
         // each of those pages. A ninth thread prefills the first three
-        // pages meanwhile. Each row must still count once in `len`, and
-        // every answer must land.
+        // pages meanwhile. Each row must still count once in `len` (and
+        // in `passed` if its answer is `true`), and every answer must land.
         const WORKERS: usize = 8;
         let answer = |row: usize| row.is_multiple_of(3);
         let shared = |w: usize| 1_000 * w..1_000 * w + 5_000;
@@ -1041,7 +1106,16 @@ mod tests {
         distinct.sort_unstable();
         let expected: Vec<(usize, bool)> = distinct.iter().map(|&r| (r, answer(r))).collect();
         let h = store.handle(ns(1, 1, 0));
-        assert_eq!(rows_of(&h.cache.planes()).collect::<Vec<_>>(), expected);
+        let landed = h.cache.planes();
+        assert_eq!(rows_of(&landed).collect::<Vec<_>>(), expected);
+        let passed: usize = landed
+            .iter()
+            .flat_map(|(_, planes)| planes.answer.iter())
+            .map(|word| word.count_ones() as usize)
+            .sum();
+        assert_eq!(h.cache.passed.load(Ordering::Relaxed), passed);
+        let rate = passed as f64 / distinct.len() as f64;
+        assert_eq!(store.pass_rate(ns(1, 1, 0)), Some(rate));
         for &row in &distinct {
             assert_eq!(h.get(row), Some(answer(row)), "row {row}");
         }

@@ -34,9 +34,10 @@
 //!   table no longer matches is ignored, not served.
 //!
 //! The store itself is engine-agnostic: it maps [`PersistKey`]s to row
-//! answers and selectivity counters. `expred-core` wires it into
-//! `QueryEngine::with_persistence`, and `expred-serve` gives every
-//! tenant a directory under `--data-dir` for warm restarts.
+//! answers (a selectivity-counter frame an earlier build wrote is read
+//! and skipped, and the next snapshot leaves it out). `expred-core`
+//! wires it into `QueryEngine::with_persistence`, and `expred-serve`
+//! gives every tenant a directory under `--data-dir` for warm restarts.
 
 pub mod format;
 pub mod store;

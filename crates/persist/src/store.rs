@@ -33,7 +33,7 @@
 //! # Overload: what sheds, and when
 //!
 //! The queue, the compaction threshold and [`PersistStats::flushed`] all
-//! count **rows** (a selectivity or tombstone record weighs one). The
+//! count **rows** (a tombstone record weighs one). The
 //! bound is on the backlog an arriving batch *finds*: while
 //! `queue_capacity` rows or more are already pending, the oldest pending
 //! frame is shed — its rows counted in [`PersistStats::shed`] — and then
@@ -191,8 +191,8 @@ expred_stats::counter_set! {
         appended,
         /// Queued rows dropped by backpressure shedding.
         shed,
-        /// Rows (and selectivity/tombstone records, one each) the flusher
-        /// wrote to the WAL.
+        /// Rows (and tombstone records, one each) the flusher wrote to the
+        /// WAL.
         flushed,
         /// WAL fsync calls.
         fsyncs,
@@ -244,7 +244,6 @@ fn merge_row(pages: &mut Pages, row: u32, answer: bool, ts_nanos: u64) -> u64 {
 #[derive(Debug, Default, Clone)]
 struct Index {
     rows: HashMap<PersistKey, Pages>,
-    selectivity: HashMap<PersistKey, (u64, u64)>,
 }
 
 impl Index {
@@ -275,24 +274,21 @@ impl Index {
                     added += u64::from(new.count_ones());
                 }
             }
-            Record::TombstoneAll => {
-                self.rows.clear();
-                self.selectivity.clear();
-            }
-            Record::Selectivity { key, passes, total } => {
-                self.selectivity.insert(key, (passes, total));
-            }
+            Record::TombstoneAll => self.rows.clear(),
+            // Pass-rate counters an earlier build logged: the answers
+            // carry the rates now, so replay skips the frame and the
+            // next snapshot leaves it out.
+            Record::Selectivity { .. } => {}
         }
         added
     }
 
-    /// The snapshot of this index: one page image per page, then the
-    /// selectivity counters, in key order (a snapshot's bytes are a
-    /// function of the index alone).
+    /// The snapshot of this index: one page image per page, in key order
+    /// (a snapshot's bytes are a function of the index alone).
     fn into_records(self) -> Vec<Record> {
         let mut namespaces: Vec<(PersistKey, Pages)> = self.rows.into_iter().collect();
         namespaces.sort_unstable_by_key(|&(key, _)| key);
-        let mut records: Vec<Record> = namespaces
+        namespaces
             .into_iter()
             .flat_map(|(key, pages)| {
                 let image = move |(page, (planes, oldest_ts))| Record::PageImage {
@@ -303,15 +299,7 @@ impl Index {
                 };
                 pages.into_iter().map(image)
             })
-            .collect();
-        let mut selectivity: Vec<(PersistKey, (u64, u64))> = self.selectivity.into_iter().collect();
-        selectivity.sort_unstable();
-        records.extend(
-            selectivity
-                .into_iter()
-                .map(|(key, (passes, total))| Record::Selectivity { key, passes, total }),
-        );
-        records
+            .collect()
     }
 }
 
@@ -650,20 +638,6 @@ impl PersistStore {
         }
     }
 
-    /// Records absolute selectivity counters for `key` (overwrite
-    /// semantics — replay keeps the last record, so flushing live
-    /// counters repeatedly never double-counts).
-    pub fn record_selectivity(&self, key: PersistKey, passes: u64, total: u64) {
-        if total == 0 {
-            return;
-        }
-        {
-            let mut index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-            index.selectivity.insert(key, (passes, total));
-        }
-        self.enqueue([Record::Selectivity { key, passes, total }]);
-    }
-
     /// Durably forgets everything: clears the index, logs a tombstone,
     /// and synchronously compacts to an (empty or post-clear-only)
     /// snapshot, so a restart cannot resurrect cleared answers even if
@@ -675,7 +649,6 @@ impl PersistStore {
         {
             let mut index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
             index.rows.clear();
-            index.selectivity.clear();
         }
         // Pending queue records describe rows the index no longer holds;
         // drop them so the flusher cannot write them after the clear.
@@ -770,25 +743,6 @@ impl PersistStore {
         let pages = ns.iter();
         let pages = pages.map(|(&page, (planes, _))| (page as usize, PagePlanes::clone(planes)));
         Some((pages.collect(), oldest.unwrap_or(u64::MAX)))
-    }
-
-    /// The absolute selectivity counters persisted under `key`.
-    pub fn selectivity(&self, key: PersistKey) -> Option<(u64, u64)> {
-        let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        index.selectivity.get(&key).copied()
-    }
-
-    /// Every persisted selectivity counter: `(key, passes, total)`, in
-    /// key order (selectivity keys need not have persisted rows).
-    pub fn selectivities(&self) -> Vec<(PersistKey, u64, u64)> {
-        let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<(PersistKey, u64, u64)> = index
-            .selectivity
-            .iter()
-            .map(|(&k, &(p, t))| (k, p, t))
-            .collect();
-        out.sort_unstable_by_key(|&(k, _, _)| k);
-        out
     }
 
     /// Total persisted row answers across namespaces.
@@ -1027,7 +981,6 @@ mod tests {
             store.append_row(key(1), 0, true, 10);
             store.append_row(key(1), 1, false, 11);
             store.append_row(key(2), 7, true, 12);
-            store.record_selectivity(key(1), 3, 9);
             store.sync().unwrap();
         }
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
@@ -1037,7 +990,6 @@ mod tests {
             vec![(0, true, 10), (1, false, 10)]
         );
         assert_eq!(store.rows(key(2)).unwrap(), vec![(7, true, 12)]);
-        assert_eq!(store.selectivity(key(1)), Some((3, 9)));
         assert_eq!(store.stats().recovered_rows, 3);
         assert_eq!(store.stats().recovered_namespaces, 2);
         let _ = fs::remove_dir_all(&dir);
@@ -1265,11 +1217,7 @@ mod tests {
                 planes: Box::new(pages(&[(0, true), (1, false), (2, true)]).remove(0).1),
                 oldest_ts: 1,
             },
-            Record::Selectivity {
-                key: key(1),
-                passes: 2,
-                total: 3,
-            },
+            Record::TombstoneAll,
         ];
         let stats = AtomicPersistStats::default();
         // Either way the rows bring the next compaction nearer.
@@ -1396,7 +1344,6 @@ mod tests {
         {
             let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
             store.append_pages(key(1), &pages(&rows), 42);
-            store.record_selectivity(key(1), 6_667, 20_000);
             store.compact().unwrap();
         }
         let snapshot = snapshot_path(&dir, 1);
@@ -1407,11 +1354,7 @@ mod tests {
             .iter()
             .filter(|r| matches!(r, Record::PageImage { .. }))
             .count();
-        assert_eq!(
-            (pages, frames.len()),
-            (5, 6),
-            "one image per page, then selectivity"
-        );
+        assert_eq!((pages, frames.len()), (5, 5), "one image per page");
         assert_eq!(frames_of(&wal_path(&dir, 1)), [], "the WAL was retired");
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
         let recovered = store.rows(key(1)).unwrap();
@@ -1420,14 +1363,14 @@ mod tests {
             .iter()
             .zip(&rows)
             .all(|(&(r, a, ts), &want)| (r, a) == want && ts == 42));
-        assert_eq!(store.selectivity(key(1)), Some((6_667, 20_000)));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_directory_written_before_page_images_still_opens() {
-        // What the previous release left behind: a snapshot holding one
-        // row batch per namespace, and a WAL of single-row records.
+        // What an earlier release left behind: a snapshot holding one
+        // row batch per namespace and a selectivity record, and a WAL of
+        // single-row records.
         let dir = tmpdir("legacy");
         fs::create_dir_all(&dir).unwrap();
         let mut snapshot = file_header().to_vec();
@@ -1469,18 +1412,14 @@ mod tests {
             // Each page reads as old as its oldest row.
             assert_eq!(ts, if row < 4_096 { 50 } else { 50 + 4_096 });
         }
-        assert_eq!(store.selectivity(key(1)), Some((3_000, 6_000)));
-        // And the next compaction rewrites it as page images.
+        // And the next compaction rewrites it as page images, and only
+        // those: the selectivity record is dropped.
         store.compact().unwrap();
         drop(store);
         let frames = frames_of(&snapshot_path(&dir, 4));
         assert!(matches!(
             frames[..],
-            [
-                Record::PageImage { .. },
-                Record::PageImage { .. },
-                Record::Selectivity { .. }
-            ]
+            [Record::PageImage { .. }, Record::PageImage { .. }]
         ));
         assert_eq!(
             PersistStore::open(PersistConfig::new(&dir)).unwrap().len(),
@@ -1540,7 +1479,6 @@ mod tests {
             for row in 0..500 {
                 store.append_row(key(1), row, row % 3 == 0, row as u64);
             }
-            store.record_selectivity(key(1), 167, 500);
             store.compact().unwrap();
             // Post-compaction appends land in the new generation's WAL.
             store.append_row(key(2), 1, true, 7);
@@ -1548,7 +1486,6 @@ mod tests {
         }
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
         assert_eq!(store.rows(key(1)).unwrap().len(), 500);
-        assert_eq!(store.selectivity(key(1)), Some((167, 500)));
         assert_eq!(store.rows(key(2)).unwrap(), vec![(1, true, 7)]);
         let _ = fs::remove_dir_all(&dir);
     }

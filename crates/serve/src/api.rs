@@ -178,8 +178,8 @@ pub struct ApiQuery {
 ///   `"udf_label and (vip or not flagged)"` (`not` binds tighter than
 ///   `and`, which binds tighter than `or`). The scan always runs the
 ///   session's selectivity-aware rewrite first — identical answers, a
-///   smaller bill once the session has observations. Parse failures are
-///   400 `bad_expression`.
+///   smaller bill once the session's row tier holds answers for the
+///   leaves. Parse failures are 400 `bad_expression`.
 ///
 /// Work-multiplier fields are admission-controlled here, not just in
 /// the engine: `imputations` ≤ [`MAX_IMPUTATIONS`], `rounds` ≤

@@ -97,14 +97,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {

@@ -240,7 +240,7 @@ fn parses_the_full_grammar() {
     assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\\c\ndA"));
     assert_eq!(v.get("n").unwrap().as_f64(), Some(-125.0));
     assert_eq!(v.get("i").unwrap().as_u64(), Some(42));
-    assert_eq!(v.get("t").unwrap().as_bool(), Some(true));
+    assert_eq!(v.get("t").unwrap(), &JsonValue::Bool(true));
     assert!(v.get("z").unwrap().is_null());
     let arr = v.get("arr").unwrap().as_array().unwrap();
     assert_eq!(arr.len(), 3);

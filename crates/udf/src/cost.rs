@@ -176,11 +176,6 @@ impl CostTracker {
     pub fn absorb(&self, counts: &CostCounts) {
         self.counts.absorb(counts);
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.counts.reset();
-    }
 }
 
 #[cfg(test)]
@@ -215,14 +210,6 @@ mod tests {
         let t2 = t.clone();
         t2.add_retrievals(3);
         assert_eq!(t.snapshot().retrieved, 3);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let t = CostTracker::new();
-        t.add_retrievals(9);
-        t.reset();
-        assert_eq!(t.snapshot(), CostCounts::default());
     }
 
     #[test]
@@ -305,8 +292,6 @@ mod tests {
         // The bill only counts evaluations: re-sends are free.
         assert_eq!(c.cost(&CostModel::PAPER_DEFAULT), 30.0);
         assert_eq!(c.demanded(), 10);
-        t.reset();
-        assert_eq!(t.snapshot(), CostCounts::default());
     }
 
     #[test]

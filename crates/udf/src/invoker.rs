@@ -60,12 +60,10 @@
 
 use crate::cost::{CostCounts, CostModel, CostTracker};
 use crate::udf::{BooleanUdf, BoundUdf};
-use expred_exec::{
-    CacheHandle, CacheNamespace, CacheReader, ExecContext, Executor, SelectivityHandle,
-};
+use expred_exec::{CacheHandle, CacheNamespace, CacheReader, ExecContext, Executor};
 use expred_stats::bits::{PagePlanes, PAGE_WORDS};
 use expred_table::rowset::bits;
-use expred_table::{bitcount, GroupBy, RowSet, Table};
+use expred_table::{GroupBy, RowSet, Table};
 use std::cell::Cell;
 
 /// The cross-query cache namespace for `udf` over `table`'s current
@@ -185,10 +183,6 @@ pub struct UdfInvoker<'a> {
     tracker: CostTracker,
     memo: Memo,
     shared: Option<CacheHandle>,
-    /// The session's selectivity counters for this namespace, fed with
-    /// every *fresh* answer (memo/reuse hits were observed when first
-    /// computed). Statistics only — never read on the answer path.
-    selectivity: Option<SelectivityHandle>,
 }
 
 /// A read cursor over the local memo and, behind it, the shared store,
@@ -352,7 +346,6 @@ impl<'a> UdfInvoker<'a> {
             tracker,
             memo: Memo::new(table.num_rows()),
             shared: None,
-            selectivity: None,
         }
     }
 
@@ -373,10 +366,6 @@ impl<'a> UdfInvoker<'a> {
         let ns = cache_namespace(udf, table);
         Self {
             shared: ctx.cache.zip(ns).map(|(store, ns)| store.handle(ns)),
-            selectivity: ctx
-                .selectivity
-                .zip(ns)
-                .map(|(tracker, ns)| tracker.handle(ns)),
             ..Self::with_tracker(udf, table, tracker)
         }
     }
@@ -420,9 +409,6 @@ impl<'a> UdfInvoker<'a> {
         }
         let answer = (self.probe)(row);
         self.tracker.add_evaluation();
-        if let Some(sel) = &self.selectivity {
-            sel.record(answer);
-        }
         let bit = 1u64 << (row % 64);
         self.memo.add(row / 64, bit, if answer { bit } else { 0 });
         if let Some(shared) = &self.shared {
@@ -493,9 +479,6 @@ impl<'a> UdfInvoker<'a> {
         let mut passed = vec![0u64; queued.len()];
         for (&row, answer) in fresh.iter().zip(answers) {
             passed[row / 64] |= u64::from(answer) << (row % 64);
-        }
-        if let Some(sel) = &self.selectivity {
-            sel.record_many(bitcount::count(&passed) as u64, fresh.len() as u64);
         }
         for (word, (&queued, &passed)) in queued.iter().zip(&passed).enumerate() {
             if queued != 0 {
@@ -811,8 +794,8 @@ mod tests {
     #[test]
     fn batched_commit_matches_the_per_row_commit_loop() {
         // One store call per batch must leave what one per row left: the
-        // memo, the bill, the store's statistics and contents, the
-        // selectivity counters and the rows offered to the sink — under
+        // memo, the bill, the store's statistics, contents and pass rate
+        // and the rows offered to the sink — under
         // both backends (the pool evaluates out of order, the commit
         // does not).
         let labels: Vec<bool> = (0..5_000).map(|i| i % 5 < 2).collect();
@@ -834,10 +817,7 @@ mod tests {
             store.set_spill(Some(
                 sink.clone() as std::sync::Arc<dyn expred_exec::SpillSink>
             ));
-            let sel = expred_exec::SelectivityTracker::new();
-            let ctx = expred_exec::ExecContext::sequential()
-                .with_cache(&store)
-                .with_selectivity(&sel);
+            let ctx = expred_exec::ExecContext::sequential().with_cache(&store);
             UdfInvoker::with_context(&udf, &t, &ctx)
                 .evaluate_batch(&expred_exec::Sequential, &warm);
             let inv = UdfInvoker::with_context(&udf, &t, &ctx);
@@ -849,7 +829,7 @@ mod tests {
             let mut cached = Vec::new();
             store.for_each_namespace(|_, pages| cached.extend(rows_of(pages)));
             let memo: Vec<Option<bool>> = (0..labels.len()).map(|r| inv.memo.get(r)).collect();
-            let observed = (sel.handle(ns).observations(), sel.pass_rate(ns));
+            let observed = store.pass_rate(ns);
             let offers = sink.0.lock().unwrap().clone();
             (answers, counts, stats, cached, memo, observed, offers)
         };
@@ -887,10 +867,7 @@ mod tests {
             store.set_spill(Some(
                 sink.clone() as std::sync::Arc<dyn expred_exec::SpillSink>
             ));
-            let sel = expred_exec::SelectivityTracker::new();
-            let ctx = expred_exec::ExecContext::sequential()
-                .with_cache(&store)
-                .with_selectivity(&sel);
+            let ctx = expred_exec::ExecContext::sequential().with_cache(&store);
             UdfInvoker::with_context(&udf, &t, &ctx)
                 .evaluate_batch(&expred_exec::Sequential, &earlier);
             let inv = UdfInvoker::with_context(&udf, &t, &ctx);
@@ -904,7 +881,7 @@ mod tests {
                 inv.evaluate_batch(&expred_exec::Sequential, &rows)
             };
             let memo: Vec<Option<bool>> = (0..labels.len()).map(|r| inv.memo.get(r)).collect();
-            let observed = (sel.handle(ns).observations(), sel.pass_rate(ns));
+            let observed = store.pass_rate(ns);
             let offers = sink.0.lock().unwrap().clone();
             (answers, inv.counts(), store.stats(), memo, observed, offers)
         };
@@ -1062,35 +1039,31 @@ mod tests {
 
     #[test]
     fn selectivity_observes_fresh_evaluations_only() {
-        let t = table_with_labels(&[true, true, true, false]);
+        // The session's pass rate is what its store holds: each answer
+        // counts once, when a query first pays for it.
+        let t = table_with_labels(&[true, true, true, false, false]);
         let udf = OracleUdf::new("good");
         let store = expred_exec::CacheStore::new();
-        let sel = expred_exec::SelectivityTracker::new();
         let ns = cache_namespace(&udf, &t).expect("oracle has identity");
-        let ctx = expred_exec::ExecContext::sequential()
-            .with_cache(&store)
-            .with_selectivity(&sel);
+        let ctx = expred_exec::ExecContext::sequential().with_cache(&store);
 
         let q1 = UdfInvoker::with_context(&udf, &t, &ctx);
         q1.evaluate_batch(&expred_exec::Sequential, &[0, 1, 2, 3]);
-        assert_eq!(sel.pass_rate(ns), Some(0.75));
+        assert_eq!(store.pass_rate(ns), Some(0.75));
 
         // A second query reuses every answer: nothing fresh, nothing
-        // recorded — reuse would double-count the same rows.
+        // counted again.
         let q2 = UdfInvoker::with_context(&udf, &t, &ctx);
         q2.evaluate_batch(&expred_exec::Sequential, &[0, 1, 2, 3]);
         assert_eq!(q2.counts().evaluated, 0);
-        assert_eq!(sel.handle(ns).observations(), 4);
-        assert_eq!(sel.pass_rate(ns), Some(0.75));
+        assert_eq!((store.len(), store.pass_rate(ns)), (4, Some(0.75)));
 
-        // The per-row path records fresh answers too.
-        let sel2 = expred_exec::SelectivityTracker::new();
-        let ctx2 = expred_exec::ExecContext::sequential().with_selectivity(&sel2);
-        let inv = UdfInvoker::with_context(&udf, &t, &ctx2);
-        inv.evaluate(3);
-        inv.evaluate(3); // memo hit: not re-observed
-        assert_eq!(sel2.pass_rate(ns), Some(0.0));
-        assert_eq!(sel2.handle(ns).observations(), 1);
+        // The per-row path lands its fresh answers too.
+        let q3 = UdfInvoker::with_context(&udf, &t, &ctx);
+        q3.evaluate(4);
+        q3.evaluate(4); // a memo hit: nothing lands
+        assert_eq!(q3.counts().evaluated, 1);
+        assert_eq!((store.len(), store.pass_rate(ns)), (5, Some(0.6)));
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   caller-supplied [`UdfRegistry`], with typed positioned errors.
 //! * [`optimize`] — [`optimize_expr`], the selectivity-aware rewrite
 //!   pass: normalize/dedup, Kim-style factoring of shared conjuncts, and
-//!   sibling reordering by observed pass rates
-//!   ([`expred_exec::SelectivityTracker`]). Answers are byte-identical;
-//!   only the bill drops.
+//!   sibling reordering by the pass rates the session store's answers
+//!   show ([`expred_exec::CacheStore::pass_rate`]). Answers are
+//!   byte-identical; only the bill drops.
 
 pub mod cost;
 pub mod expr;

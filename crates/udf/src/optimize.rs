@@ -6,9 +6,10 @@
 //! Column-Oriented Engines*) show exactly where it breaks: with equal
 //! declared costs, a conjunct that almost never rejects still runs first,
 //! and a disjunction of conjunctions repeats work the disjuncts share.
-//! [`optimize_expr`] fixes both with statistics the session already has —
-//! the [`SelectivityTracker`] fed by audited invokers — in three
-//! answer-preserving passes:
+//! [`optimize_expr`] fixes both with what the session already has — the
+//! answers its [`CacheStore`] holds, whose pass rates
+//! ([`CacheStore::pass_rate`]) are each leaf's observed selectivity — in
+//! three answer-preserving passes:
 //!
 //! 1. **Normalize** — flatten nested same-operator nodes, collapse
 //!    double negation, drop duplicate siblings (same
@@ -23,9 +24,10 @@
 //! 3. **Reorder** — rank `AND` children by `cost / (1 − selectivity)`
 //!    (cheapest expected cost per rejected row first) and `OR` children
 //!    by `cost / selectivity` (per accepted row), using observed leaf
-//!    pass rates where the tracker has them and a 0.5 prior where it
+//!    pass rates where the store has them and a 0.5 prior where it
 //!    doesn't. With no observations every rank is `2·cost`, so the
-//!    result degrades to exactly the static cost order.
+//!    result degrades to exactly the static cost order: a cold or
+//!    cleared session plans statically.
 //!
 //! The output is *pinned* ([`PredicateExpr::is_pinned`]): the staged
 //! evaluator honors the chosen sibling order instead of re-sorting by
@@ -38,7 +40,7 @@
 
 use crate::expr::{Node, PredicateExpr};
 use crate::invoker::cache_namespace;
-use expred_exec::SelectivityTracker;
+use expred_exec::CacheStore;
 use expred_table::Table;
 
 /// Prior pass rate for a leaf with no observations. Chosen so that an
@@ -47,8 +49,8 @@ use expred_table::Table;
 const PRIOR_PASS_RATE: f64 = 0.5;
 
 /// Rewrites `expr` into an answer-equivalent, pinned expression ordered
-/// by observed selectivities (see the module docs). `selectivity` is the
-/// session's tracker — pass `None` (or an empty tracker) to get
+/// by observed selectivities (see the module docs). `store` is the
+/// session's row tier — pass `None` (or an empty store) to get
 /// normalization + factoring with static cost ordering.
 ///
 /// Pass rates are looked up per `(udf, table version)` namespace, so the
@@ -56,14 +58,14 @@ const PRIOR_PASS_RATE: f64 = 0.5;
 pub fn optimize_expr(
     expr: &PredicateExpr,
     table: &Table,
-    selectivity: Option<&SelectivityTracker>,
+    store: Option<&CacheStore>,
 ) -> PredicateExpr {
     let node = normalize(expr.node.clone());
     let node = factor(node);
     // Factoring can expose new same-op nesting (`c ∧ (a∨b)` under an
     // outer AND) and new duplicate siblings — normalize again.
     let node = normalize(node);
-    let node = reorder(node, table, selectivity);
+    let node = reorder(node, table, store);
     let mut optimized = PredicateExpr::from_node(node);
     optimized.pinned = true;
     optimized
@@ -243,14 +245,14 @@ fn wrap_dual(mut nodes: Vec<Node>, outer_is_and: bool) -> Node {
 /// recursively. Stable sort with a total key ([`f64::total_cmp`],
 /// non-finite ranks clamped to `+inf`): ties and unobserved workloads
 /// keep the static order, and ordering is always deterministic.
-fn reorder(node: Node, table: &Table, selectivity: Option<&SelectivityTracker>) -> Node {
+fn reorder(node: Node, table: &Table, store: Option<&CacheStore>) -> Node {
     match node {
         leaf @ Node::Leaf { .. } => leaf,
-        Node::Not(inner) => Node::Not(Box::new(reorder(*inner, table, selectivity))),
+        Node::Not(inner) => Node::Not(Box::new(reorder(*inner, table, store))),
         Node::And(parts) => {
             let parts: Vec<Node> = parts
                 .into_iter()
-                .map(|p| reorder(p, table, selectivity))
+                .map(|p| reorder(p, table, store))
                 .collect();
             // AND: a child is useful when it *rejects*; expected cost per
             // rejected row is cost / (1 − sel). A never-rejecting child
@@ -266,13 +268,13 @@ fn reorder(node: Node, table: &Table, selectivity: Option<&SelectivityTracker>) 
                     }
                 },
                 table,
-                selectivity,
+                store,
             ))
         }
         Node::Or(parts) => {
             let parts: Vec<Node> = parts
                 .into_iter()
-                .map(|p| reorder(p, table, selectivity))
+                .map(|p| reorder(p, table, store))
                 .collect();
             // OR: a child is useful when it *accepts*; expected cost per
             // accepted row is cost / sel. A never-accepting child
@@ -287,7 +289,7 @@ fn reorder(node: Node, table: &Table, selectivity: Option<&SelectivityTracker>) 
                     }
                 },
                 table,
-                selectivity,
+                store,
             ))
         }
     }
@@ -297,14 +299,14 @@ fn rank_sorted(
     parts: Vec<Node>,
     rank: impl Fn(f64, f64) -> f64,
     table: &Table,
-    selectivity: Option<&SelectivityTracker>,
+    store: Option<&CacheStore>,
 ) -> Vec<Node> {
     let keys: Vec<f64> = parts
         .iter()
         .map(|p| {
             let r = rank(
                 PredicateExpr::from_node(p.clone()).cost(),
-                estimate_pass_rate(p, table, selectivity),
+                estimate_pass_rate(p, table, store),
             );
             if r.is_finite() {
                 r
@@ -324,23 +326,23 @@ fn rank_sorted(
 }
 
 /// Estimated pass rate of a subtree: observed per-leaf rates where the
-/// tracker has them ([`PRIOR_PASS_RATE`] otherwise), composed assuming
+/// store has them ([`PRIOR_PASS_RATE`] otherwise), composed assuming
 /// independence (`Not`: `1−s`; `And`: `∏s`; `Or`: `1−∏(1−s)`).
-fn estimate_pass_rate(node: &Node, table: &Table, selectivity: Option<&SelectivityTracker>) -> f64 {
+fn estimate_pass_rate(node: &Node, table: &Table, store: Option<&CacheStore>) -> f64 {
     match node {
-        Node::Leaf { udf, .. } => selectivity
+        Node::Leaf { udf, .. } => store
             .zip(cache_namespace(udf.as_ref(), table))
-            .and_then(|(tracker, ns)| tracker.pass_rate(ns))
+            .and_then(|(store, ns)| store.pass_rate(ns))
             .unwrap_or(PRIOR_PASS_RATE),
-        Node::Not(inner) => 1.0 - estimate_pass_rate(inner, table, selectivity),
+        Node::Not(inner) => 1.0 - estimate_pass_rate(inner, table, store),
         Node::And(parts) => parts
             .iter()
-            .map(|p| estimate_pass_rate(p, table, selectivity))
+            .map(|p| estimate_pass_rate(p, table, store))
             .product(),
         Node::Or(parts) => {
             1.0 - parts
                 .iter()
-                .map(|p| 1.0 - estimate_pass_rate(p, table, selectivity))
+                .map(|p| 1.0 - estimate_pass_rate(p, table, store))
                 .product::<f64>()
         }
     }
@@ -372,10 +374,10 @@ mod tests {
         Pred::udf(OracleUdf::new(col))
     }
 
-    /// Teaches `tracker` each column's true pass rate by running every
-    /// leaf once through an audited, selectivity-fed evaluation.
-    fn observe(tracker: &SelectivityTracker, t: &Table, cols: &[&str]) {
-        let ctx = ExecContext::sequential().with_selectivity(tracker);
+    /// Teaches `store` each column's true pass rate by running every
+    /// leaf once through an audited evaluation that keeps its answers.
+    fn observe(store: &CacheStore, t: &Table, cols: &[&str]) {
+        let ctx = ExecContext::sequential().with_cache(store);
         let rows = RowSet::full(t.num_rows());
         for col in cols {
             evaluate_expr(&leaf(col), t, &rows, &CostTracker::new(), &ctx).unwrap();
@@ -453,11 +455,11 @@ mod tests {
         let rare_vals: Vec<bool> = (0..n).map(|i| i % 10 == 0).collect();
         let t = table(&[("common", &common_vals), ("rare", &rare_vals)]);
         let rows = RowSet::full(n);
-        let tracker = SelectivityTracker::new();
-        observe(&tracker, &t, &["common", "rare"]);
+        let store = CacheStore::new();
+        observe(&store, &t, &["common", "rare"]);
 
         let expr = leaf("common").and(leaf("rare"));
-        let optimized = optimize_expr(&expr, &t, Some(&tracker));
+        let optimized = optimize_expr(&expr, &t, Some(&store));
         assert!(optimized.is_pinned());
 
         let static_bill = {
@@ -479,7 +481,7 @@ mod tests {
         // OR rank is the mirror image: the common (likely-accepting)
         // child should run first.
         let or_expr = leaf("rare").or(leaf("common"));
-        let or_optimized = optimize_expr(&or_expr, &t, Some(&tracker));
+        let or_optimized = optimize_expr(&or_expr, &t, Some(&store));
         let or_static = {
             let costs = CostTracker::new();
             evaluate_expr(&or_expr, &t, &rows, &costs, &ctx).unwrap();
@@ -505,8 +507,8 @@ mod tests {
         let c: Vec<bool> = (0..n).map(|i| i % 7 != 0).collect();
         let t = table(&[("a", &a), ("b", &b), ("c", &c)]);
         let rows = RowSet::full(n);
-        let tracker = SelectivityTracker::new();
-        observe(&tracker, &t, &["a", "b", "c"]);
+        let store = CacheStore::new();
+        observe(&store, &t, &["a", "b", "c"]);
         let cases = vec![
             leaf("a").and(leaf("b")).or(leaf("a").and(leaf("c"))),
             leaf("a").and(leaf("a")).or(leaf("b").not().not()),
@@ -514,7 +516,7 @@ mod tests {
             leaf("a").and(leaf("b")).and(leaf("c")).not(),
         ];
         for expr in cases {
-            let optimized = optimize_expr(&expr, &t, Some(&tracker));
+            let optimized = optimize_expr(&expr, &t, Some(&store));
             let want = evaluate_expr(&expr, &t, &rows, &CostTracker::new(), &ctx).unwrap();
             let got = evaluate_expr(&optimized, &t, &rows, &CostTracker::new(), &ctx).unwrap();
             assert_eq!(want, got, "{expr:?} vs {optimized:?}");
@@ -533,10 +535,10 @@ mod tests {
         let b: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
         let t = table(&[("gate", &gate), ("a", &a), ("b", &b)]);
         let rows = RowSet::full(n);
-        let tracker = SelectivityTracker::new();
-        observe(&tracker, &t, &["gate", "a", "b"]);
+        let store = CacheStore::new();
+        observe(&store, &t, &["gate", "a", "b"]);
         let expr = leaf("gate").and(leaf("a")).or(leaf("gate").and(leaf("b")));
-        let optimized = optimize_expr(&expr, &t, Some(&tracker));
+        let optimized = optimize_expr(&expr, &t, Some(&store));
 
         let run = |e: &PredicateExpr| {
             let costs = CostTracker::new();

@@ -12,7 +12,7 @@
 //!   with equal leaf costs never bills more fresh evaluations than the
 //!   static written order — ascending rank is provably optimal there.
 
-use expred_exec::{ExecContext, SelectivityTracker};
+use expred_exec::{CacheStore, ExecContext};
 use expred_table::{DataType, Field, RowSet, Schema, Table, Value};
 use expred_udf::{
     evaluate_expr, optimize_expr, parse_predicate, CostTracker, OracleRegistry, PredicateExpr,
@@ -101,9 +101,9 @@ fn gen_expr(rng: &mut Rng, reg: &OracleRegistry, depth: u32) -> PredicateExpr {
     }
 }
 
-/// Teaches `tracker` every column's exact pass rate.
-fn observe(tracker: &SelectivityTracker, t: &Table, reg: &OracleRegistry) {
-    let ctx = ExecContext::sequential().with_selectivity(tracker);
+/// Teaches `store` every column's exact pass rate.
+fn observe(store: &CacheStore, t: &Table, reg: &OracleRegistry) {
+    let ctx = ExecContext::sequential().with_cache(store);
     let rows = RowSet::full(t.num_rows());
     for col in COLS {
         evaluate_expr(&leaf(col, reg), t, &rows, &CostTracker::new(), &ctx).unwrap();
@@ -158,9 +158,9 @@ proptest! {
         prop_assert_eq!(&answers(&cold, &t).0, &baseline, "cold rewrite changed answers");
 
         // Warm: exact observed pass rates drive the ordering.
-        let tracker = SelectivityTracker::new();
-        observe(&tracker, &t, &reg);
-        let warm = optimize_expr(&expr, &t, Some(&tracker));
+        let store = CacheStore::new();
+        observe(&store, &t, &reg);
+        let warm = optimize_expr(&expr, &t, Some(&store));
         prop_assert_eq!(&answers(&warm, &t).0, &baseline, "warm rewrite changed answers");
     }
 
@@ -187,9 +187,9 @@ proptest! {
             expr = if is_and { expr.and(child) } else { expr.or(child) };
         }
 
-        let tracker = SelectivityTracker::new();
-        observe(&tracker, &t, &reg);
-        let optimized = optimize_expr(&expr, &t, Some(&tracker));
+        let store = CacheStore::new();
+        observe(&store, &t, &reg);
+        let optimized = optimize_expr(&expr, &t, Some(&store));
 
         let (static_answers, static_bill) = answers(&expr, &t);
         let (learned_answers, learned_bill) = answers(&optimized, &t);

@@ -61,19 +61,16 @@ fn main() {
     let invoker = expred::udf::UdfInvoker::new(&udf, &ds.table);
     let mut rng = expred::stats::Prng::seeded(5);
     let n = ds.table.num_rows();
-    let labelled: Vec<u32> = rng
-        .sample_indices(n, n / 100)
-        .into_iter()
-        .map(|r| {
-            invoker.retrieve_and_evaluate(r);
-            r as u32
-        })
+    let labelled = rng.sample_indices(n, n / 100);
+    let labels: Vec<bool> = labelled
+        .iter()
+        .map(|&r| invoker.retrieve_and_evaluate(r))
         .collect();
     let groups = expred::core::column_select::virtual_column(
         &ds.table,
         &[LABEL_COLUMN, "row_id"],
-        &invoker,
         &labelled,
+        &labels,
         10,
         &ctx,
     );

@@ -123,6 +123,41 @@ fn intel_sample_virtual_predictor_is_backend_invariant() {
     }
 }
 
+/// Digests of the virtual-predictor `intel_sample` run above, harvested
+/// on the commit before the virtual column took its labels from the
+/// evaluated plane: per dataset (`prosper`, then `lc`, 4 000 rows each),
+/// the FNV-64 of the returned plane's words and the bill's `retrieved`,
+/// `evaluated`, `cache_hits` and `reuse_hits`.
+const VIRTUAL_PREDICTOR_GOLDEN: [(u64, [u64; 4]); 2] = [
+    (0xc1795cef98dc42ac, [3_004, 2_132, 0, 0]),
+    (0xa84d4b770504b771, [2_980, 1_046, 0, 0]),
+];
+
+#[test]
+fn intel_sample_virtual_predictor_answers_what_the_parent_commit_answered() {
+    let cfg = IntelSampleConfig::experiment1(PredictorChoice::Virtual {
+        buckets: 10,
+        label_fraction: 0.01,
+    });
+    let got: Vec<(u64, [u64; 4])> = [PROSPER, LENDING_CLUB]
+        .into_iter()
+        .map(|spec| {
+            let ds = small(spec, 4_000, 5);
+            let out = run_intel_sample(&ds, &cfg, 7, &ExecContext::sequential()).unwrap();
+            let mut h = expred::stats::hash::Fnv64::new();
+            for &word in out.returned.words() {
+                h.write_u64(word);
+            }
+            let c = out.counts;
+            (
+                h.finish(),
+                [c.retrieved, c.evaluated, c.cache_hits, c.reuse_hits],
+            )
+        })
+        .collect();
+    assert_eq!(got, VIRTUAL_PREDICTOR_GOLDEN, "got {got:#x?}");
+}
+
 #[test]
 fn adaptive_pipeline_is_backend_invariant() {
     let ds = small(PROSPER, 3_000, 6);

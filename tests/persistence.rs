@@ -13,10 +13,13 @@
 //! * Persisted write timestamps make the cache TTL survive restarts:
 //!   a reboot past the TTL refuses the stale answers a generous TTL
 //!   happily loads.
+//! * The pass rates the expression optimizer orders siblings by come
+//!   back with the rehydrated answers, so a reopened engine keeps the
+//!   order its first life learned.
 
 use expred::core::{PersistConfig, QueryEngine, QueryRequest, QuerySpec};
-use expred::table::datasets::{Dataset, DatasetSpec, PROSPER};
-use expred::udf::CostModel;
+use expred::table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
+use expred::udf::{optimize_expr, ConjunctionUdf, CostModel, NoisyUdf, OracleUdf, Pred};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -284,5 +287,59 @@ fn cache_ttl_survives_the_restart_via_persisted_timestamps() {
     assert_eq!(warm.counts.evaluated, 0, "within-TTL answers are free");
     assert_eq!(warm.counts.reuse_hits, cold.counts.evaluated);
     assert_eq!(warm.returned, cold.returned);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_reopened_engine_keeps_the_expression_order_its_answers_taught() {
+    let dir = unique_dir("learned-order");
+    let ds = prosper(2_000, 7);
+    let cost = CostModel::PAPER_DEFAULT;
+    // Equal declared costs: `common` passes most rows, `rare` (a triple
+    // conjunction) few, so the written order is the pessimal one.
+    let common = || Pred::udf(NoisyUdf::new(OracleUdf::new(LABEL_COLUMN), 0.9, 13));
+    let rare = || {
+        Pred::udf(ConjunctionUdf::new(vec![
+            Box::new(OracleUdf::new(LABEL_COLUMN)),
+            Box::new(NoisyUdf::new(OracleUdf::new(LABEL_COLUMN), 0.5, 11)),
+            Box::new(NoisyUdf::new(OracleUdf::new(LABEL_COLUMN), 0.5, 12)),
+        ]))
+    };
+    let expr = || common().and(rare());
+    let plan = |engine: &QueryEngine| {
+        optimize_expr(&expr(), &ds.table, Some(engine.store())).fingerprint()
+    };
+    let learned = rare().and(common()).fingerprint();
+
+    // First life: the scan runs in the static order and buys both
+    // leaves' answers, which teach the learned order. No explicit flush:
+    // the answers reach the WAL as they are bought.
+    let a = persistent(&dir);
+    assert_eq!(
+        plan(&a),
+        expr().fingerprint(),
+        "a cold engine plans statically"
+    );
+    let first = a
+        .submit(&ds, &QueryRequest::expr_scan(expr(), cost))
+        .unwrap();
+    assert_eq!(plan(&a), learned);
+    drop(a);
+
+    // Second life: nothing is known until the first submit over the
+    // table rehydrates its answers. A scan of `common` alone is free,
+    // and afterwards both leaves' pass rates are back.
+    let b = persistent(&dir);
+    assert_eq!(plan(&b), expr().fingerprint());
+    let warm = b
+        .submit(&ds, &QueryRequest::expr_scan(common(), cost))
+        .unwrap();
+    assert_eq!(warm.counts.evaluated, 0, "common's answers were rehydrated");
+    assert_eq!(b.persist_stats().expect("stats").rehydrated_namespaces, 2);
+    assert_eq!(plan(&b), learned, "the learned order survived the restart");
+    let again = b
+        .submit(&ds, &QueryRequest::expr_scan(expr(), cost))
+        .unwrap();
+    assert_eq!(again.returned, first.returned, "answers are still answers");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -373,27 +373,44 @@ fn optimized_expr_scan_matches_static_and_learns_across_cache_clears() {
     let static_bill = tracker.snapshot().evaluated;
 
     // First submit: nothing is observed yet, so the optimizer keeps the
-    // static order — same answers, same bill — and, as a side effect,
-    // the run feeds the session's selectivity tracker both pass rates.
+    // static order — same answers, same bill. The answers it bought stay
+    // in the session's row tier, and with them both leaves' pass rates.
     let first = engine
         .submit(&ds, &QueryRequest::expr_scan(expr(), cost))
         .unwrap();
     assert_eq!(first.returned, fixed);
     assert_eq!(first.counts.evaluated, static_bill);
 
-    // Drop every cached answer; the selectivity statistics survive by
-    // design, so the re-run pays fresh evaluations in the learned order.
-    engine.clear_caches();
-    let relearned = engine
-        .submit(&ds, &QueryRequest::expr_scan(expr(), cost))
-        .unwrap();
-    assert_eq!(relearned.returned, first.returned, "answers must not move");
+    // No clear needed to see what was learned: read off those answers,
+    // the optimizer now runs `rare` first, and that order, evaluated on
+    // its own, bills fewer fresh evaluations for the same answers.
+    let plan = |store| expred::udf::optimize_expr(&expr(), &ds.table, store).fingerprint();
+    assert_eq!(plan(None), expr().fingerprint(), "cold: the static order");
+    assert_eq!(
+        plan(Some(engine.store())),
+        rare().and(common()).fingerprint()
+    );
+    let learned = expred::udf::optimize_expr(&expr(), &ds.table, Some(engine.store()));
+    let tracker = expred::udf::CostTracker::new();
+    let got = expred::udf::evaluate_expr(&learned, &ds.table, &rows, &tracker, &ctx).unwrap();
+    assert_eq!(got, fixed, "answers must not move");
     assert!(
-        relearned.counts.evaluated < static_bill,
+        tracker.snapshot().evaluated < static_bill,
         "rare-first ordering must bill fewer fresh evaluations \
          (learned {} vs static {static_bill})",
-        relearned.counts.evaluated,
+        tracker.snapshot().evaluated,
     );
+
+    // Clearing the caches drops the answers and the pass rates with
+    // them: the re-run plans like a cold session, in the static order
+    // and at the static bill.
+    engine.clear_caches();
+    assert_eq!(plan(Some(engine.store())), expr().fingerprint());
+    let cleared = engine
+        .submit(&ds, &QueryRequest::expr_scan(expr(), cost))
+        .unwrap();
+    assert_eq!(cleared.returned, first.returned, "answers must not move");
+    assert_eq!(cleared.counts.evaluated, static_bill);
 }
 
 #[test]
