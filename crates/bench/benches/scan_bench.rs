@@ -46,6 +46,12 @@
 //!   `grade` grouping ([`expred_table::bitcount::group_counts`]), in
 //!   ns/run.
 //!
+//! And one row for the answer body a result-memo hit writes:
+//!
+//! * `id_plane_20000` — [`JsonWriter::id_plane`] over a 20 000-row plane
+//!   with ≈ 48 % of its bits set (the shape of a steady-state 57 KB
+//!   answer), into a buffer sized once and finished as bytes, in ns/id.
+//!
 //! Results land in `BENCH_scan.json` (schema: `expred_bench::report`);
 //! where a scenario has a legacy path, it is the speedup baseline. Full mode
 //! prints a WARNING (it does not panic) if a kernel fails to beat its
@@ -55,6 +61,8 @@ use expred_bench::report::measure_ns_per_unit;
 use expred_bench::BenchReport;
 use expred_exec::{CacheStore, ExecContext, Sequential};
 use expred_ml::features::{extract_features, FeatureSpec};
+use expred_stats::json::{id_plane_len, JsonWriter};
+use expred_stats::Prng;
 use expred_table::bitcount;
 use expred_table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
 use expred_table::{Column, DerivedCache, GroupBy, RowSet, Table, Value};
@@ -215,6 +223,21 @@ fn main() {
             "group_counts_20000"
         );
     }
+
+    // The answer plane a memo hit writes.
+    let mut rng = Prng::seeded(7);
+    let plane = RowSet::from_flags((0..rows).map(|_| rng.bernoulli(0.48)));
+    let ids = plane.len() as u64;
+    let ns = measure_ns_per_unit(ids, reps * 10, || {
+        let mut w = JsonWriter::with_capacity(id_plane_len(plane.words()) + 2);
+        w.id_plane(black_box(plane.words()));
+        black_box(w.finish_bytes());
+    });
+    report.record_metric("id_plane_20000", "writer", "ns_per_id", "ns", ns);
+    println!(
+        "{:<24} writer   {ns:>8.2} ns/id ({ids} ids)",
+        "id_plane_20000"
+    );
 
     if warnings > 0 {
         println!("{warnings} scenario(s) below target — see WARNINGs above");

@@ -168,10 +168,10 @@ pub enum Record {
     /// Everything before this point is cleared (durable
     /// `clear_caches`): replay drops all namespaces seen so far.
     TombstoneAll,
-    /// Absolute selectivity counters for one namespace. Overwrite
-    /// semantics — replay keeps the *last* record, so flushing a
-    /// snapshot of live counters can never double-count across
-    /// restarts.
+    /// Pass-rate counters for one namespace, as builds before the row
+    /// tier held every answer logged them. The codec still reads and
+    /// writes the frame so old logs decode, but replay skips it (the
+    /// answers carry the rates now) and no snapshot writes it again.
     Selectivity {
         /// Namespace the counters describe.
         key: PersistKey,

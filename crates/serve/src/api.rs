@@ -35,9 +35,13 @@
 //!
 //! [`render_outcome`] streams it: the answer is still the bit plane the
 //! pipeline filled, and [`JsonWriter::id_plane`] walks its words into one
-//! buffer sized up front from the plane, so a 9 k-id answer costs one
-//! allocation and under 2 ns per id — which matters because a result-memo
-//! hit (a refcount bump on the shared outcome) does no other work. There
+//! buffer sized up front from the plane, a word of one-width ids at a
+//! time. The buffer goes to the socket as the bytes it is, never checked
+//! back into a `String`, so a 9.5 k-id answer costs one allocation and
+//! ≈ 1.1 ns per id on a 2-vCPU Xeon — which matters because a
+//! result-memo hit (a refcount bump on the shared outcome) does no other
+//! work, and the request it answers is read off a
+//! [`JsonReader`] with no tree. There
 //! is deliberately no cache of rendered bodies beside the result memo: it
 //! would hold tens of MB per tenant (sized at +91 % RSS on the steady-state
 //! benchmark workload), need a size knob, and do nothing for requests
@@ -52,9 +56,10 @@ use expred_core::optimize::CorrelationModel;
 use expred_core::pipeline::{IntelSampleConfig, PredictorChoice, RunOutcome};
 use expred_core::sampling::SampleSizeRule;
 use expred_core::{EngineError, InfeasiblePolicy, QueryRequest, QuerySpec};
-use expred_stats::json::{id_plane_len, JsonValue, JsonWriter};
+use expred_stats::json::{id_plane_len, JsonError, JsonReader, JsonWriter, Token};
 use expred_table::RowSet;
 use expred_udf::CostModel;
+use std::borrow::Cow;
 
 /// A failed API call: the HTTP status to answer with, a stable
 /// machine-readable kind, and a human-readable detail message.
@@ -185,53 +190,148 @@ pub struct ApiQuery {
 /// the engine: `imputations` ≤ [`MAX_IMPUTATIONS`], `rounds` ≤
 /// [`MAX_ROUNDS`], and both fraction knobs must lie in `(0, 1]` —
 /// anything past a bound is a 400, mirroring the `max_rows` cap.
+///
+/// The fields are read straight off a [`JsonReader`], with no tree. A
+/// body that is not JSON is answered as such even when a field before the
+/// fault is wrong too, and when a key repeats, its first value is the one
+/// read (the rest are skipped unread).
 pub fn parse_query_body(body: &[u8], max_rows: usize) -> Result<ApiQuery, ApiError> {
     let text = std::str::from_utf8(body).map_err(|_| ApiError::bad_request("body is not UTF-8"))?;
-    let doc = JsonValue::parse(text)
-        .map_err(|e| ApiError::bad_request(format!("body is not valid JSON: {e}")))?;
-    if !matches!(doc, JsonValue::Object(_)) {
-        return Err(ApiError::bad_request("body must be a JSON object"));
+    let mut reader = JsonReader::new(text);
+    let mut read = read_body(&mut reader, max_rows);
+    if !matches!(read, Err(Stop::Syntax(_))) {
+        // Whatever the read left unread must be JSON too.
+        if let Err(error) = reader.end() {
+            read = Err(Stop::Syntax(error));
+        }
     }
+    read.map_err(|stop| match stop {
+        Stop::Syntax(error) => ApiError::bad_request(format!("body is not valid JSON: {error}")),
+        Stop::Field(error) => error,
+    })
+}
+
+/// Why reading a request body stopped.
+enum Stop {
+    /// The text is not JSON.
+    Syntax(JsonError),
+    /// A field is wrong (the text past it is still to be checked).
+    Field(ApiError),
+}
+
+impl From<JsonError> for Stop {
+    fn from(error: JsonError) -> Self {
+        Stop::Syntax(error)
+    }
+}
+
+impl From<ApiError> for Stop {
+    fn from(error: ApiError) -> Self {
+        Stop::Field(error)
+    }
+}
+
+fn bad_request(detail: impl Into<String>) -> Stop {
+    Stop::Field(ApiError::bad_request(detail))
+}
+
+/// The keys of one request object: a repeat of a known field is skipped
+/// unread, so the field's first value is the one that counts (the answer
+/// [`JsonValue::get`](expred_stats::json::JsonValue::get) gives). Any
+/// other key is passed on, and every caller rejects it at its first
+/// occurrence.
+struct Fields {
+    known: &'static [&'static str],
+    seen: u32,
+}
+
+impl Fields {
+    fn of(known: &'static [&'static str]) -> Self {
+        Self { known, seen: 0 }
+    }
+
+    /// The next key to act on, or `None` once the object closes.
+    fn next<'a>(&mut self, reader: &mut JsonReader<'a>) -> Result<Option<Cow<'a, str>>, Stop> {
+        while let Some(key) = reader.key()? {
+            match self.known.iter().position(|known| key == *known) {
+                Some(i) if self.seen & 1 << i != 0 => continue,
+                Some(i) => self.seen |= 1 << i,
+                None => {}
+            }
+            return Ok(Some(key));
+        }
+        Ok(None)
+    }
+}
+
+/// Opens the object that must come next, or fails with `error`.
+fn object(reader: &mut JsonReader<'_>, error: &str) -> Result<(), Stop> {
+    match reader.next()? {
+        Token::BeginObject => Ok(()),
+        _ => Err(bad_request(error)),
+    }
+}
+
+/// The string that must come next, or fails with `error`.
+fn string<'a>(reader: &mut JsonReader<'a>, error: &str) -> Result<Cow<'a, str>, Stop> {
+    match reader.next()? {
+        Token::String(text) => Ok(text),
+        _ => Err(bad_request(error)),
+    }
+}
+
+/// The non-negative integer that must come next, or fails with `error`.
+fn integer(reader: &mut JsonReader<'_>, error: &str) -> Result<u64, Stop> {
+    reader.next()?.as_u64().ok_or_else(|| bad_request(error))
+}
+
+fn read_body(reader: &mut JsonReader<'_>, max_rows: usize) -> Result<ApiQuery, Stop> {
+    object(reader, "body must be a JSON object")?;
     let mut tenant = None;
     let mut table = None;
     let mut query = None;
     let mut seed = 0u64;
     let mut policy = InfeasiblePolicy::FallbackEvaluateAll;
-    for key in doc.keys() {
-        let value = doc.get(key).expect("listed key is present");
-        match key {
+    let mut fields = Fields::of(&["tenant", "table", "query", "seed", "on_infeasible"]);
+    while let Some(key) = fields.next(reader)? {
+        match &*key {
             "tenant" => {
-                tenant = Some(
-                    value
-                        .as_str()
-                        .ok_or_else(|| ApiError::bad_request("\"tenant\" must be a string"))?
-                        .to_owned(),
-                )
+                tenant = Some(string(reader, "\"tenant\" must be a string")?.into_owned());
             }
-            "table" => table = Some(parse_table(value, max_rows)?),
-            "query" => query = Some(value),
-            "seed" => {
-                seed = value.as_u64().ok_or_else(|| {
-                    ApiError::bad_request("\"seed\" must be a non-negative integer")
-                })?
+            "table" => table = Some(read_table(reader, max_rows)?),
+            "query" => {
+                // The query's own fields are judged after every other
+                // field's: a wrong one is kept, and the body read on.
+                let depth = reader.depth();
+                query = Some(match read_query(reader) {
+                    Ok(fields) => Ok(fields),
+                    Err(Stop::Field(error)) => {
+                        reader.close_to(depth)?;
+                        Err(error)
+                    }
+                    Err(syntax) => return Err(syntax),
+                });
             }
+            "seed" => seed = integer(reader, "\"seed\" must be a non-negative integer")?,
             "on_infeasible" => {
-                policy = match value.as_str() {
-                    Some("fallback") => InfeasiblePolicy::FallbackEvaluateAll,
-                    Some("error") => InfeasiblePolicy::Error,
+                policy = match reader.next()? {
+                    Token::String(text) if text == "fallback" => {
+                        InfeasiblePolicy::FallbackEvaluateAll
+                    }
+                    Token::String(text) if text == "error" => InfeasiblePolicy::Error,
                     _ => {
-                        return Err(ApiError::bad_request(
+                        return Err(bad_request(
                             "\"on_infeasible\" must be \"fallback\" or \"error\"",
                         ))
                     }
                 }
             }
-            other => return Err(ApiError::bad_request(format!("unknown field {other:?}"))),
+            other => return Err(bad_request(format!("unknown field {other:?}"))),
         }
     }
-    let table = table.ok_or_else(|| ApiError::bad_request("missing \"table\""))?;
-    let query = query.ok_or_else(|| ApiError::bad_request("missing \"query\""))?;
-    let request = parse_query(query)?
+    let table = table.ok_or_else(|| bad_request("missing \"table\""))?;
+    let query = query.ok_or_else(|| bad_request("missing \"query\""))??;
+    let request = query_request(query)?
         .with_seed(seed)
         .with_on_infeasible(policy);
     Ok(ApiQuery {
@@ -241,43 +341,27 @@ pub fn parse_query_body(body: &[u8], max_rows: usize) -> Result<ApiQuery, ApiErr
     })
 }
 
-fn parse_table(value: &JsonValue, max_rows: usize) -> Result<TableKey, ApiError> {
-    if !matches!(value, JsonValue::Object(_)) {
-        return Err(ApiError::bad_request("\"table\" must be an object"));
-    }
+fn read_table(reader: &mut JsonReader<'_>, max_rows: usize) -> Result<TableKey, Stop> {
+    object(reader, "\"table\" must be an object")?;
     let (mut spec, mut rows, mut seed) = (None, None, 0u64);
-    for key in value.keys() {
-        let field = value.get(key).expect("listed key is present");
-        match key {
+    let mut fields = Fields::of(&["spec", "rows", "seed"]);
+    while let Some(key) = fields.next(reader)? {
+        match &*key {
             "spec" => {
-                spec = Some(
-                    field
-                        .as_str()
-                        .ok_or_else(|| ApiError::bad_request("\"table.spec\" must be a string"))?
-                        .to_owned(),
-                )
+                spec = Some(string(reader, "\"table.spec\" must be a string")?.into_owned());
             }
             "rows" => {
-                rows = Some(field.as_u64().ok_or_else(|| {
-                    ApiError::bad_request("\"table.rows\" must be a non-negative integer")
-                })? as usize)
+                rows =
+                    Some(integer(reader, "\"table.rows\" must be a non-negative integer")? as usize)
             }
-            "seed" => {
-                seed = field.as_u64().ok_or_else(|| {
-                    ApiError::bad_request("\"table.seed\" must be a non-negative integer")
-                })?
-            }
-            other => {
-                return Err(ApiError::bad_request(format!(
-                    "unknown table field {other:?}"
-                )))
-            }
+            "seed" => seed = integer(reader, "\"table.seed\" must be a non-negative integer")?,
+            other => return Err(bad_request(format!("unknown table field {other:?}"))),
         }
     }
-    let spec = spec.ok_or_else(|| ApiError::bad_request("missing \"table.spec\""))?;
-    let rows = rows.ok_or_else(|| ApiError::bad_request("missing \"table.rows\""))?;
+    let spec = spec.ok_or_else(|| bad_request("missing \"table.spec\""))?;
+    let rows = rows.ok_or_else(|| bad_request("missing \"table.rows\""))?;
     let Some(generator) = crate::tenant::generator(&spec) else {
-        return Err(ApiError::bad_request(format!(
+        return Err(bad_request(format!(
             "unknown table spec {spec:?} (available: prosper, lc)"
         )));
     };
@@ -286,7 +370,7 @@ fn parse_table(value: &JsonValue, max_rows: usize) -> Result<TableKey, ApiError>
     // lock: check the bound here, where it can still be a 400.
     let min_rows = generator.groups;
     if rows < min_rows || rows > max_rows {
-        return Err(ApiError::bad_request(format!(
+        return Err(bad_request(format!(
             "\"table.rows\" must be in {min_rows}..={max_rows} for spec {spec:?} \
              (at least one row per group), got {rows}"
         )));
@@ -307,7 +391,7 @@ pub const MAX_ROUNDS: u64 = 64;
 /// The `query` object's shared contract fields, collected before the
 /// kind-specific interpretation.
 struct QueryFields<'a> {
-    kind: &'a str,
+    kind: Cow<'a, str>,
     alpha: f64,
     beta: f64,
     rho: f64,
@@ -321,12 +405,43 @@ struct QueryFields<'a> {
     predicate: Option<String>,
 }
 
-fn parse_query(value: &JsonValue) -> Result<QueryRequest, ApiError> {
-    if !matches!(value, JsonValue::Object(_)) {
-        return Err(ApiError::bad_request("\"query\" must be an object"));
+fn number(reader: &mut JsonReader<'_>, name: &str) -> Result<f64, Stop> {
+    reader
+        .next()?
+        .as_f64()
+        .ok_or_else(|| bad_request(format!("{name:?} must be a number")))
+}
+
+/// A fraction knob sizes a sample or labeling budget relative to the
+/// table, so anything outside (0, 1] is either meaningless or a request
+/// for more-than-the-table work.
+fn fraction(reader: &mut JsonReader<'_>, name: &str) -> Result<f64, Stop> {
+    let n = number(reader, name)?;
+    if n > 0.0 && n <= 1.0 {
+        Ok(n)
+    } else {
+        Err(bad_request(format!("{name:?} must be in (0, 1], got {n}")))
     }
+}
+
+fn bounded(reader: &mut JsonReader<'_>, name: &str, max: u64) -> Result<usize, Stop> {
+    let n = reader
+        .next()?
+        .as_u64()
+        .ok_or_else(|| bad_request(format!("{name:?} must be an integer")))?;
+    if (1..=max).contains(&n) {
+        Ok(n as usize)
+    } else {
+        Err(bad_request(format!(
+            "{name:?} must be in 1..={max}, got {n}"
+        )))
+    }
+}
+
+fn read_query<'a>(reader: &mut JsonReader<'a>) -> Result<QueryFields<'a>, Stop> {
+    object(reader, "\"query\" must be an object")?;
     let mut f = QueryFields {
-        kind: "",
+        kind: Cow::Borrowed(""),
         alpha: 0.8,
         beta: 0.8,
         rho: 0.8,
@@ -339,86 +454,56 @@ fn parse_query(value: &JsonValue) -> Result<QueryRequest, ApiError> {
         rounds: 2,
         predicate: None,
     };
-    let number = |field: &JsonValue, name: &str| {
-        field
-            .as_f64()
-            .ok_or_else(|| ApiError::bad_request(format!("{name:?} must be a number")))
-    };
-    // A fraction knob sizes a sample or labeling budget relative to the
-    // table, so anything outside (0, 1] is either meaningless or a
-    // request for more-than-the-table work.
-    let fraction = |field: &JsonValue, name: &str| {
-        let n = number(field, name)?;
-        if n > 0.0 && n <= 1.0 {
-            Ok(n)
-        } else {
-            Err(ApiError::bad_request(format!(
-                "{name:?} must be in (0, 1], got {n}"
-            )))
-        }
-    };
-    let bounded = |field: &JsonValue, name: &str, max: u64| {
-        let n = field
-            .as_u64()
-            .ok_or_else(|| ApiError::bad_request(format!("{name:?} must be an integer")))?;
-        if (1..=max).contains(&n) {
-            Ok(n as usize)
-        } else {
-            Err(ApiError::bad_request(format!(
-                "{name:?} must be in 1..={max}, got {n}"
-            )))
-        }
-    };
-    for key in value.keys() {
-        let field = value.get(key).expect("listed key is present");
-        match key {
-            "kind" => {
-                f.kind = field
-                    .as_str()
-                    .ok_or_else(|| ApiError::bad_request("\"query.kind\" must be a string"))?
-            }
-            "alpha" => f.alpha = number(field, "alpha")?,
-            "beta" => f.beta = number(field, "beta")?,
-            "rho" => f.rho = number(field, "rho")?,
-            "cost" => f.cost = parse_cost(field)?,
+    let mut fields = Fields::of(&[
+        "kind",
+        "alpha",
+        "beta",
+        "rho",
+        "cost",
+        "predictor",
+        "label_fraction",
+        "sample_fraction",
+        "corr",
+        "imputations",
+        "rounds",
+        "predicate",
+    ]);
+    while let Some(key) = fields.next(reader)? {
+        match &*key {
+            "kind" => f.kind = string(reader, "\"query.kind\" must be a string")?,
+            "alpha" => f.alpha = number(reader, "alpha")?,
+            "beta" => f.beta = number(reader, "beta")?,
+            "rho" => f.rho = number(reader, "rho")?,
+            "cost" => f.cost = read_cost(reader)?,
             "predictor" => {
-                f.predictor = Some(
-                    field
-                        .as_str()
-                        .ok_or_else(|| ApiError::bad_request("\"predictor\" must be a string"))?
-                        .to_owned(),
-                )
+                f.predictor = Some(string(reader, "\"predictor\" must be a string")?.into_owned());
             }
-            "label_fraction" => f.label_fraction = fraction(field, "label_fraction")?,
-            "sample_fraction" => f.sample_fraction = fraction(field, "sample_fraction")?,
+            "label_fraction" => f.label_fraction = fraction(reader, "label_fraction")?,
+            "sample_fraction" => f.sample_fraction = fraction(reader, "sample_fraction")?,
             "corr" => {
-                f.corr = match field.as_str() {
-                    Some("independent") => CorrelationModel::Independent,
-                    Some("unknown") => CorrelationModel::Unknown,
+                f.corr = match reader.next()? {
+                    Token::String(text) if text == "independent" => CorrelationModel::Independent,
+                    Token::String(text) if text == "unknown" => CorrelationModel::Unknown,
                     _ => {
-                        return Err(ApiError::bad_request(
+                        return Err(bad_request(
                             "\"corr\" must be \"independent\" or \"unknown\"",
                         ))
                     }
                 }
             }
-            "imputations" => f.imputations = bounded(field, "imputations", MAX_IMPUTATIONS)?,
-            "rounds" => f.rounds = bounded(field, "rounds", MAX_ROUNDS)?,
+            "imputations" => f.imputations = bounded(reader, "imputations", MAX_IMPUTATIONS)?,
+            "rounds" => f.rounds = bounded(reader, "rounds", MAX_ROUNDS)?,
             "predicate" => {
-                f.predicate = Some(
-                    field
-                        .as_str()
-                        .ok_or_else(|| ApiError::bad_request("\"predicate\" must be a string"))?
-                        .to_owned(),
-                )
+                f.predicate = Some(string(reader, "\"predicate\" must be a string")?.into_owned());
             }
-            other => {
-                return Err(ApiError::bad_request(format!(
-                    "unknown query field {other:?}"
-                )))
-            }
+            other => return Err(bad_request(format!("unknown query field {other:?}"))),
         }
     }
+    Ok(f)
+}
+
+/// The engine request a `query` object's fields ask for.
+fn query_request(f: QueryFields<'_>) -> Result<QueryRequest, ApiError> {
     // The contract is validated here (fallibly) so a bad request is a 400
     // at the door; the engine re-validates on submit regardless.
     let spec = QuerySpec::try_new(f.alpha, f.beta, f.rho, f.cost).map_err(ApiError::from)?;
@@ -427,7 +512,7 @@ fn parse_query(value: &JsonValue) -> Result<QueryRequest, ApiError> {
             ApiError::bad_request(format!("query kind {:?} requires \"predictor\"", f.kind))
         })
     };
-    match f.kind {
+    match &*f.kind {
         "naive" => Ok(QueryRequest::naive(spec)),
         "learning" => Ok(QueryRequest::learning(spec)),
         "multiple" => Ok(QueryRequest::multiple(spec, f.imputations)),
@@ -474,24 +559,19 @@ fn parse_query(value: &JsonValue) -> Result<QueryRequest, ApiError> {
     }
 }
 
-fn parse_cost(value: &JsonValue) -> Result<CostModel, ApiError> {
-    if !matches!(value, JsonValue::Object(_)) {
-        return Err(ApiError::bad_request("\"cost\" must be an object"));
-    }
+fn read_cost(reader: &mut JsonReader<'_>) -> Result<CostModel, Stop> {
+    object(reader, "\"cost\" must be an object")?;
     let mut cost = CostModel::PAPER_DEFAULT;
-    for key in value.keys() {
-        let field = value.get(key).expect("listed key is present");
-        let n = field
+    let mut fields = Fields::of(&["retrieve", "evaluate"]);
+    while let Some(key) = fields.next(reader)? {
+        let n = reader
+            .next()?
             .as_f64()
-            .ok_or_else(|| ApiError::bad_request(format!("cost field {key:?} must be a number")))?;
-        match key {
+            .ok_or_else(|| bad_request(format!("cost field {key:?} must be a number")))?;
+        match &*key {
             "retrieve" => cost.retrieve = n,
             "evaluate" => cost.evaluate = n,
-            other => {
-                return Err(ApiError::bad_request(format!(
-                    "unknown cost field {other:?}"
-                )))
-            }
+            other => return Err(bad_request(format!("unknown cost field {other:?}"))),
         }
     }
     Ok(cost)
@@ -502,7 +582,7 @@ fn parse_cost(value: &JsonValue) -> Result<CostModel, ApiError> {
 /// of the outcome the engine memoizes — the end-to-end tests assert an
 /// HTTP answer is byte-identical to a direct submit rendered the same
 /// way.
-pub fn render_outcome(tenant: &str, outcome: &RunOutcome) -> String {
+pub fn render_outcome(tenant: &str, outcome: &RunOutcome) -> Vec<u8> {
     // Sized once, so a body is one allocation (past the bound, a regrow).
     let mut w = JsonWriter::with_capacity(outcome_capacity(tenant, &outcome.returned));
     w.begin_object().key("tenant").str(tenant);
@@ -519,7 +599,7 @@ pub fn render_outcome(tenant: &str, outcome: &RunOutcome) -> String {
     w.key("num_groups").u64(outcome.num_groups as u64);
     w.key("plan_feasible").bool(outcome.plan_feasible);
     w.end_object();
-    w.finish()
+    w.finish_bytes()
 }
 
 /// Upper bound on a 200 body's length for any outcome with ordinary
@@ -530,426 +610,4 @@ fn outcome_capacity(tenant: &str, returned: &RowSet) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use expred_core::QueryEngine;
-    use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
-    use proptest::prelude::*;
-
-    /// The tree-building renderer `render_outcome` replaced, as the
-    /// reference: `JsonValue::render` is itself proven equal to the old
-    /// tree renderer in `expred_stats::json`'s tests.
-    fn oracle_render_outcome(tenant: &str, outcome: &RunOutcome) -> String {
-        let n = JsonValue::Number;
-        JsonValue::Object(vec![
-            ("tenant".into(), JsonValue::String(tenant.to_owned())),
-            (
-                "returned".into(),
-                JsonValue::Array(outcome.returned.iter().map(|id| n(id as f64)).collect()),
-            ),
-            (
-                "counts".into(),
-                JsonValue::Object(vec![
-                    ("retrieved".into(), n(outcome.counts.retrieved as f64)),
-                    ("evaluated".into(), n(outcome.counts.evaluated as f64)),
-                    ("cache_hits".into(), n(outcome.counts.cache_hits as f64)),
-                    ("reuse_hits".into(), n(outcome.counts.reuse_hits as f64)),
-                ]),
-            ),
-            ("cost".into(), n(outcome.cost)),
-            ("precision".into(), n(outcome.summary.precision)),
-            ("recall".into(), n(outcome.summary.recall)),
-            ("num_groups".into(), n(outcome.num_groups as f64)),
-            (
-                "plan_feasible".into(),
-                JsonValue::Bool(outcome.plan_feasible),
-            ),
-        ])
-        .render()
-    }
-
-    /// A real outcome to mutate field by field (`PrSummary` lives in a
-    /// crate this one does not name).
-    fn base_outcome() -> RunOutcome {
-        let ds = Dataset::generate(
-            DatasetSpec {
-                rows: 60,
-                ..PROSPER
-            },
-            1,
-        );
-        let request = QueryRequest::naive(QuerySpec::paper_default());
-        let outcome = QueryEngine::new()
-            .submit(&ds, &request)
-            .expect("naive runs");
-        std::sync::Arc::unwrap_or_clone(outcome)
-    }
-
-    proptest! {
-        #[test]
-        fn render_outcome_matches_the_tree_renderer(
-            len_class in 0usize..8,
-            ids in prop::collection::vec(0u32..300_000, 0..40),
-            counts in prop::collection::vec(0u64..(1 << 53), 4),
-            floats in prop::collection::vec(-1e6f64..1e6, 3),
-            integral in any::<bool>(),
-            feasible in any::<bool>(),
-        ) {
-            let mut outcome = base_outcome();
-            // Planes over tables that end below, at and past the id-text
-            // table's 65 536-id bound.
-            outcome.returned = match len_class {
-                0 => RowSet::new(300_000),
-                1 => RowSet::from_ids(300_000, ids.first().copied()),
-                2 => RowSet::from_ids(200_000, 0..200_000),
-                3 => RowSet::from_ids(65_536, ids.iter().map(|id| id % 65_536)),
-                _ => RowSet::from_ids(300_000, ids),
-            };
-            outcome.counts.retrieved = counts[0];
-            outcome.counts.evaluated = counts[1];
-            outcome.counts.cache_hits = counts[2];
-            outcome.counts.reuse_hits = counts[3];
-            let float = |v: f64| if integral { v.trunc() } else { v };
-            outcome.cost = float(floats[0]);
-            outcome.summary.precision = float(floats[1]);
-            outcome.summary.recall = if feasible { floats[2] } else { f64::NAN };
-            outcome.num_groups = counts[0] as usize % 1000;
-            outcome.plan_feasible = feasible;
-            let body = render_outcome("t0", &outcome);
-            prop_assert_eq!(&body, &oracle_render_outcome("t0", &outcome));
-            let doc = JsonValue::parse(&body).expect("body parses");
-            prop_assert_eq!(JsonValue::parse(&doc.render()).expect("re-parses"), doc);
-        }
-    }
-
-    #[test]
-    fn a_real_body_is_one_allocation() {
-        let ds = Dataset::generate(
-            DatasetSpec {
-                rows: 20_000,
-                ..PROSPER
-            },
-            0,
-        );
-        let request = QueryRequest::naive(QuerySpec::paper_default());
-        let outcome = QueryEngine::new()
-            .submit(&ds, &request)
-            .expect("naive runs");
-        assert!(outcome.returned.len() > 5_000, "a body worth sizing");
-        let body = render_outcome("t0", &outcome);
-        assert_eq!(body, oracle_render_outcome("t0", &outcome));
-        // The buffer was reserved once and never outgrown.
-        let reserved = outcome_capacity("t0", &outcome.returned);
-        assert!(body.len() <= reserved, "{} > {reserved}", body.len());
-        assert!(
-            reserved < body.len() + body.len() / 4,
-            "reservation is tight"
-        );
-    }
-
-    #[test]
-    fn hostile_tenant_names_stay_inside_their_string() {
-        // The tenant reaches the body from the `x-tenant` header.
-        let tenant = "a\"b\\c\nd\u{1}é\u{1f600}\",\"returned\":[9]";
-        let outcome = base_outcome();
-        let body = render_outcome(tenant, &outcome);
-        assert_eq!(body, oracle_render_outcome(tenant, &outcome));
-        let doc = JsonValue::parse(&body).expect("body parses");
-        assert_eq!(doc.get("tenant").unwrap().as_str(), Some(tenant));
-        let ids: Vec<u64> = doc
-            .get("returned")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|id| id.as_u64().unwrap())
-            .collect();
-        let expected: Vec<u64> = outcome.returned.iter().map(u64::from).collect();
-        assert_eq!(ids, expected, "the injected \"returned\" did not take");
-        let error = ApiError::bad_request(tenant).body();
-        let doc = JsonValue::parse(&error).expect("error body parses");
-        assert_eq!(doc.get("detail").unwrap().as_str(), Some(tenant));
-    }
-
-    fn parse(body: &str) -> Result<ApiQuery, ApiError> {
-        parse_query_body(body.as_bytes(), 100_000)
-    }
-
-    #[test]
-    fn parses_a_full_request() {
-        let q = parse(
-            r#"{"tenant": "alice",
-                "table": {"spec": "prosper", "rows": 2000, "seed": 7},
-                "query": {"kind": "optimal", "alpha": 0.9, "predictor": "grade"},
-                "seed": 42, "on_infeasible": "error"}"#,
-        )
-        .expect("parses");
-        assert_eq!(q.tenant.as_deref(), Some("alice"));
-        assert_eq!(
-            q.table,
-            TableKey {
-                spec: "prosper".into(),
-                rows: 2000,
-                seed: 7
-            }
-        );
-        assert_eq!(q.request.seed(), 42);
-        assert_eq!(q.request.infeasible_policy(), InfeasiblePolicy::Error);
-        assert_eq!(q.request.strategy().name(), "optimal");
-    }
-
-    #[test]
-    fn defaults_are_the_paper_defaults() {
-        let q = parse(
-            r#"{"table": {"spec": "lc", "rows": 100},
-                "query": {"kind": "naive"}}"#,
-        )
-        .unwrap();
-        assert!(q.tenant.is_none());
-        assert_eq!(q.request.seed(), 0);
-        assert_eq!(
-            q.request.infeasible_policy(),
-            InfeasiblePolicy::FallbackEvaluateAll
-        );
-        assert_eq!(q.request.strategy().name(), "naive");
-    }
-
-    #[test]
-    fn every_kind_parses() {
-        for (kind, extra) in [
-            ("naive", ""),
-            ("learning", ""),
-            ("multiple", r#", "imputations": 3"#),
-            ("optimal", r#", "predictor": "grade""#),
-            ("adaptive", r#", "predictor": "grade", "corr": "unknown""#),
-            (
-                "iterative",
-                r#", "predictor": "grade", "rounds": 3, "sample_fraction": 0.1"#,
-            ),
-            ("intel_sample", ""),
-            ("intel_sample", r#", "predictor": "grade""#),
-        ] {
-            let body = format!(
-                r#"{{"table": {{"spec": "prosper", "rows": 50}},
-                     "query": {{"kind": "{kind}"{extra}}}}}"#
-            );
-            let q = parse(&body).unwrap_or_else(|e| panic!("kind {kind}: {e:?}"));
-            assert_eq!(q.request.strategy().name(), kind);
-        }
-    }
-
-    #[test]
-    fn expr_kind_parses_predicates() {
-        let q = parse(
-            r#"{"table": {"spec": "prosper", "rows": 100},
-                "query": {"kind": "expr", "predicate": "udf_label and (vip or not flagged)"}}"#,
-        )
-        .expect("parses");
-        assert_eq!(q.request.strategy().name(), "expr_scan");
-    }
-
-    #[test]
-    fn bad_predicates_are_400_bad_expression() {
-        for (predicate, needle) in [
-            ("udf_label and (oops", "unexpected end"),
-            ("a and and b", "unexpected token"),
-            ("a & b", "unexpected character"),
-            (")", "unmatched"),
-            ("", "empty predicate"),
-        ] {
-            let body = format!(
-                r#"{{"table": {{"spec": "prosper", "rows": 10}},
-                     "query": {{"kind": "expr", "predicate": "{predicate}"}}}}"#
-            );
-            let err = parse(&body).expect_err(predicate);
-            assert_eq!(err.status, 400, "{predicate}");
-            assert_eq!(err.kind, "bad_expression", "{predicate}");
-            assert!(err.detail.contains(needle), "{predicate}: {}", err.detail);
-        }
-        let missing =
-            parse(r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "expr"}}"#)
-                .expect_err("predicate required");
-        assert!(missing.detail.contains("requires \"predicate\""));
-        // There is one expression scan: the old opt-out flag is not a field.
-        let flag = parse(
-            r#"{"table": {"spec": "prosper", "rows": 10},
-                "query": {"kind": "expr", "predicate": "udf_label", "optimize": true}}"#,
-        )
-        .expect_err("\"optimize\" is gone");
-        assert_eq!(flag.status, 400);
-        assert!(flag.detail.contains("unknown query field \"optimize\""));
-    }
-
-    #[test]
-    fn rejections_are_400s_with_reasons() {
-        for (body, needle) in [
-            ("not json", "not valid JSON"),
-            ("[1]", "must be a JSON object"),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 10}}"#,
-                "missing \"query\"",
-            ),
-            (r#"{"query": {"kind": "naive"}}"#, "missing \"table\""),
-            (
-                r#"{"table": {"spec": "nope", "rows": 10}, "query": {"kind": "naive"}}"#,
-                "unknown table spec",
-            ),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 0}, "query": {"kind": "naive"}}"#,
-                "table.rows",
-            ),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "zigzag"}}"#,
-                "unknown query kind",
-            ),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "optimal"}}"#,
-                "requires \"predictor\"",
-            ),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "naive"}, "oops": 1}"#,
-                "unknown field",
-            ),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "naive", "turbo": 1}}"#,
-                "unknown query field",
-            ),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "naive"}, "seed": -1}"#,
-                "seed",
-            ),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "multiple", "imputations": 10000000000}}"#,
-                "\"imputations\" must be in 1..=",
-            ),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "multiple", "imputations": 0}}"#,
-                "\"imputations\" must be in 1..=",
-            ),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "iterative", "predictor": "grade", "rounds": 9999}}"#,
-                "\"rounds\" must be in 1..=",
-            ),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "intel_sample", "sample_fraction": 1.5}}"#,
-                "\"sample_fraction\" must be in (0, 1]",
-            ),
-            (
-                r#"{"table": {"spec": "prosper", "rows": 10}, "query": {"kind": "intel_sample", "label_fraction": 0}}"#,
-                "\"label_fraction\" must be in (0, 1]",
-            ),
-        ] {
-            let err = parse(body).expect_err(body);
-            assert_eq!(err.status, 400, "{body}");
-            assert!(
-                err.detail.contains(needle),
-                "{body}: {} !~ {needle}",
-                err.detail
-            );
-        }
-    }
-
-    #[test]
-    fn invalid_contract_surfaces_the_engine_error() {
-        let err = parse(
-            r#"{"table": {"spec": "prosper", "rows": 10},
-                "query": {"kind": "naive", "alpha": 1.5}}"#,
-        )
-        .expect_err("alpha out of range");
-        assert_eq!(err.status, 400);
-        assert_eq!(err.kind, "invalid_spec");
-    }
-
-    #[test]
-    fn row_cap_is_enforced() {
-        let err = parse_query_body(
-            br#"{"table": {"spec": "prosper", "rows": 999}, "query": {"kind": "naive"}}"#,
-            500,
-        )
-        .expect_err("row cap");
-        assert!(err.detail.contains("8..=500"));
-    }
-
-    #[test]
-    fn rows_below_the_group_count_are_400() {
-        // `Dataset::generate` needs a row per group: 8 for prosper, 7 for lc.
-        for (spec, groups) in [("prosper", 8), ("lc", 7)] {
-            let body = |rows: usize| {
-                format!(
-                    r#"{{"table": {{"spec": "{spec}", "rows": {rows}}}, "query": {{"kind": "naive"}}}}"#
-                )
-            };
-            let err = parse(&body(groups - 1)).expect_err("fewer rows than groups");
-            assert_eq!(err.status, 400);
-            assert!(
-                err.detail.contains(&format!("{groups}..=100000")),
-                "{}",
-                err.detail
-            );
-            assert_eq!(parse(&body(groups)).unwrap().table.rows, groups);
-        }
-    }
-
-    #[test]
-    fn status_mapping_covers_every_engine_error_variant() {
-        let cases = [
-            (
-                EngineError::InvalidSpec {
-                    field: "alpha",
-                    value: 2.0,
-                    expected: "in [0, 1]",
-                },
-                400,
-                "invalid_spec",
-            ),
-            (
-                EngineError::UnknownColumn {
-                    column: "x".into(),
-                    available: vec![],
-                },
-                404,
-                "unknown_column",
-            ),
-            (
-                EngineError::Infeasible {
-                    strategy: "naive".into(),
-                },
-                422,
-                "infeasible",
-            ),
-            (
-                EngineError::BadExpression { reason: "r".into() },
-                400,
-                "bad_expression",
-            ),
-            (
-                EngineError::InvalidRequest { reason: "r".into() },
-                400,
-                "invalid_request",
-            ),
-            (
-                EngineError::Unavailable {
-                    endpoint: "127.0.0.1:9099".into(),
-                    reason: "circuit breaker open".into(),
-                },
-                503,
-                "unavailable",
-            ),
-        ];
-        for (error, status, kind) in cases {
-            assert_eq!(engine_error_status(&error), status, "{error}");
-            assert_eq!(engine_error_kind(&error), kind, "{error}");
-            let api: ApiError = error.into();
-            assert_eq!(api.status, status);
-            assert!(api.body().contains(kind));
-        }
-    }
-
-    #[test]
-    fn error_bodies_are_json() {
-        let body = ApiError::bad_request("quote \" here").body();
-        let doc = JsonValue::parse(&body).expect("error body parses");
-        assert_eq!(doc.get("error").unwrap().as_str(), Some("bad_request"));
-        assert_eq!(doc.get("detail").unwrap().as_str(), Some("quote \" here"));
-    }
-}
+mod tests;

@@ -57,10 +57,9 @@ pub struct HttpRequest {
 impl HttpRequest {
     /// First header with this (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(k, _)| *k == name)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
@@ -76,12 +75,20 @@ impl HttpRequest {
 
     /// Whether the connection should persist after this exchange.
     pub fn keep_alive(&self) -> bool {
-        match self.header("connection").map(str::to_ascii_lowercase) {
-            Some(v) if v.contains("close") => false,
-            Some(v) if v.contains("keep-alive") => true,
+        match self.header("connection") {
+            Some(v) if contains_ignore_ascii_case(v, "close") => false,
+            Some(v) if contains_ignore_ascii_case(v, "keep-alive") => true,
             _ => self.http11,
         }
     }
+}
+
+/// Whether `needle` occurs in `haystack`, ASCII case ignored.
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    haystack
+        .as_bytes()
+        .windows(needle.len())
+        .any(|window| window.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 /// Why a request could not be parsed.
@@ -255,11 +262,13 @@ impl HttpResponse {
         }
     }
 
-    /// A response carrying a JSON body.
-    pub fn json(status: u16, body: impl Into<String>) -> Self {
+    /// A response carrying a JSON body: a `String`, a `&str`, or the
+    /// bytes a [`JsonWriter`](expred_stats::json::JsonWriter) finished
+    /// with (taken as they are).
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
         Self::new(status)
             .with_header("content-type", "application/json")
-            .with_body(body.into().into_bytes())
+            .with_body(body.into())
     }
 
     /// A response carrying a plain-text body.

@@ -457,7 +457,7 @@ fn query_route(request: &HttpRequest, shared: &Shared) -> HttpResponse {
     }
 }
 
-fn handle_query(request: &HttpRequest, shared: &Shared) -> Result<String, ApiError> {
+fn handle_query(request: &HttpRequest, shared: &Shared) -> Result<Vec<u8>, ApiError> {
     let query: ApiQuery = api::parse_query_body(&request.body, shared.config.max_rows)?;
     let tenant_name = request
         .header("x-tenant")

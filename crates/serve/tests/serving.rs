@@ -54,7 +54,8 @@ impl Mirror {
             .engine
             .submit(ds, request)
             .expect("mirror submit succeeds");
-        expred_serve::api::render_outcome(tenant, &outcome)
+        String::from_utf8(expred_serve::api::render_outcome(tenant, &outcome))
+            .expect("a body is UTF-8")
     }
 }
 
@@ -574,7 +575,7 @@ fn every_request_shape_answers_the_bytes_the_parent_commit_answered() {
             );
             let outcome = QueryEngine::new().submit(&ds, &api.request).unwrap();
             let mut h = expred_stats::hash::Fnv64::new();
-            h.write_bytes(expred_serve::api::render_outcome("golden", &outcome).as_bytes());
+            h.write_bytes(&expred_serve::api::render_outcome("golden", &outcome));
             *digest = h.finish();
         }
         got.push((query, row));
@@ -652,7 +653,7 @@ fn a_warm_session_answers_the_bytes_and_store_probes_the_parent_commit_did() {
         submit(body(r#"{"kind":"naive"}"#, 0));
         for (row, query) in got.iter_mut().zip(&shapes) {
             let mut h = expred_stats::hash::Fnv64::new();
-            h.write_bytes(submit(body(query, 42)).as_bytes());
+            h.write_bytes(&submit(body(query, 42)));
             row[column] = h.finish();
         }
     }

@@ -94,7 +94,6 @@ impl Section {
 ///   the earlier counter, which the later load then sees too. For
 ///   counters bumped with `Relaxed` it is simply a load.
 /// * `absorb(&snapshot)` — adds a snapshot's values on (`Relaxed`).
-/// * `reset()` — zeroes every counter (`Relaxed`).
 #[macro_export]
 macro_rules! counter_set {
     (
@@ -133,11 +132,6 @@ macro_rules! counter_set {
             /// Adds `delta`'s values onto the live counters.
             $twin_vis fn absorb(&self, delta: &$Snapshot) {
                 $( self.$counter.fetch_add(delta.$counter, ::std::sync::atomic::Ordering::Relaxed); )+
-            }
-
-            /// Zeroes every counter.
-            $twin_vis fn reset(&self) {
-                $( self.$counter.store(0, ::std::sync::atomic::Ordering::Relaxed); )+
             }
         }
     };
@@ -210,7 +204,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_adds_and_reset_zeroes() {
+    fn absorb_adds_onto_the_live_counters() {
         let live = TrafficCounters::default();
         live.refused.fetch_add(4, Ordering::Relaxed);
         let delta = Traffic {
@@ -228,7 +222,5 @@ mod tests {
                 refused: 10
             }
         );
-        live.reset();
-        assert_eq!(live.snapshot(), Traffic::default());
     }
 }

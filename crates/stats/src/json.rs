@@ -8,8 +8,11 @@
 //! workspace's leaf utility crate (it already hosts the shared
 //! [`crate::hash`]): every other crate can depend on it without cycles.
 //!
-//! [`JsonValue::parse`] accepts the full JSON grammar (objects, arrays,
-//! strings with escapes, numbers, booleans, null). Everything the
+//! Everything the workspace *reads* goes through one pull tokenizer,
+//! [`JsonReader`], over the text's bytes: [`JsonValue::parse`] builds a
+//! tree on it (the full JSON grammar: objects, arrays, strings with
+//! escapes, numbers, booleans, null), and the serving tier reads a
+//! request's fields straight off it, with no tree. Everything the
 //! workspace *emits* goes through one streaming [`JsonWriter`] — the only
 //! integer formatter, float rule and string escaper there is:
 //! [`JsonValue::render`] walks its tree onto it (compact output, stable
@@ -21,6 +24,7 @@
 //! array writer: it reads the plane's words, so no id list is ever built.
 
 use crate::counters::CounterSet;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::OnceLock;
@@ -38,19 +42,17 @@ pub enum JsonValue {
     String(String),
     /// An array.
     Array(Vec<JsonValue>),
-    /// An object, in insertion order (duplicate keys keep the last).
+    /// An object, in document order. Duplicate keys are all kept, and
+    /// [`JsonValue::get`] answers with the first.
     Object(Vec<(String, JsonValue)>),
 }
 
 impl JsonValue {
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser::new(text);
-        let value = p.parse_value()?;
-        p.skip_ws();
-        if p.pos < p.chars.len() {
-            return Err(p.fail("trailing characters after document"));
-        }
+        let mut reader = JsonReader::new(text);
+        let value = reader.value()?;
+        reader.end()?;
         Ok(value)
     }
 
@@ -90,9 +92,7 @@ impl JsonValue {
     /// exactly (rejects fractions, negatives, and overflow).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            JsonValue::Number(n) => exact_u64(*n),
             _ => None,
         }
     }
@@ -135,214 +135,410 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Deepest container nesting [`JsonValue::parse`] accepts. The parser
+/// Deepest container nesting a [`JsonReader`] accepts. Reading a value
 /// recurses once per level, so this bound is what keeps an adversarial
 /// body of nested `[` from overflowing the calling thread's stack (a
 /// stack overflow aborts the process — `catch_unwind` cannot contain
-/// it). 64 is far beyond any legitimate workspace document.
+/// it). 64 is far beyond any legitimate workspace document, and it is
+/// also the width of the reader's container stack.
 const MAX_DEPTH: usize = 64;
 
-struct Parser {
-    chars: Vec<char>,
-    pos: usize,
-    depth: usize,
+/// One token of a document as [`JsonReader::next`] reads it: a whole
+/// scalar, or the opening of a container.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number.
+    Number(f64),
+    /// A string, unescaped: borrowed from the text unless it held an
+    /// escape.
+    String(Cow<'a, str>),
+    /// `{`: read its members with [`JsonReader::key`].
+    BeginObject,
+    /// `[`: read its elements with [`JsonReader::item`].
+    BeginArray,
 }
 
-impl Parser {
-    fn new(text: &str) -> Self {
+impl Token<'_> {
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Token::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as a non-negative integer, if it is one
+    /// exactly (rejects fractions, negatives, and overflow).
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().and_then(exact_u64)
+    }
+}
+
+fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+}
+
+/// A pull reader over a JSON text: the workspace's one tokenizer.
+/// [`JsonValue::parse`] builds its tree on it, and a caller that wants a
+/// few fields reads them straight off it instead, with no tree and no
+/// allocation beyond strings that hold escapes:
+///
+/// ```
+/// use expred_stats::json::{JsonReader, Token};
+///
+/// let mut r = JsonReader::new(r#"{"skip": [1, {"x": null}], "n": 7}"#);
+/// assert_eq!(r.next().unwrap(), Token::BeginObject);
+/// let mut n = None;
+/// while let Some(key) = r.key().unwrap() {
+///     if key == "n" {
+///         n = r.next().unwrap().as_u64();
+///     } // a value left unread is skipped by the next `key`
+/// }
+/// r.end().unwrap();
+/// assert_eq!(n, Some(7));
+/// ```
+///
+/// It walks the text's bytes but speaks in characters: any
+/// `char::is_whitespace` may separate tokens, and an error's offset
+/// counts characters. A reader can stop anywhere; [`JsonReader::end`]
+/// then checks that the rest of the document is well-formed.
+pub struct JsonReader<'a> {
+    text: &'a str,
+    /// Byte offset of the next unread byte.
+    pos: usize,
+    /// Containers open.
+    depth: usize,
+    /// Bit `d - 1` is set when the container at depth `d` is an object.
+    objects: u64,
+    /// The innermost container has just opened: no comma is owed.
+    first: bool,
+    /// A value is due next (the document's, an element's or a member's).
+    pending: bool,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
         Self {
-            chars: text.chars().collect(),
+            text,
             pos: 0,
             depth: 0,
+            objects: 0,
+            first: false,
+            pending: true,
         }
     }
 
-    fn enter(&mut self) -> Result<(), JsonError> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            Err(self.fail(&format!("nesting deeper than {MAX_DEPTH} levels")))
-        } else {
-            Ok(())
-        }
+    /// How many containers are open.
+    pub fn depth(&self) -> usize {
+        self.depth
     }
 
-    fn fail(&self, message: &str) -> JsonError {
-        JsonError {
-            message: message.to_owned(),
-            offset: self.pos,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.chars.get(self.pos).is_some_and(|c| c.is_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.chars.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), JsonError> {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.fail(&format!("expected {want:?}")))
-        }
-    }
-
-    fn try_consume(&mut self, want: char) -> bool {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn consume_literal(&mut self, literal: &str) -> bool {
-        let chars: Vec<char> = literal.chars().collect();
-        if self.chars.get(self.pos..self.pos + chars.len()) == Some(&chars[..]) {
-            self.pos += chars.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
+    /// Reads the next value's first token: a whole scalar, or a
+    /// container's opening bracket.
+    #[allow(clippy::should_implement_trait)]
+    #[inline]
+    pub fn next(&mut self) -> Result<Token<'a>, JsonError> {
+        self.pending = false;
         match self.peek() {
-            Some('{') => self.parse_object(),
-            Some('[') => self.parse_array(),
-            Some('"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some('t') if self.consume_literal("true") => Ok(JsonValue::Bool(true)),
-            Some('f') if self.consume_literal("false") => Ok(JsonValue::Bool(false)),
-            Some('n') if self.consume_literal("null") => Ok(JsonValue::Null),
-            Some(c) if c.is_ascii_digit() || c == '-' => self.parse_number(),
+            Some(b'{') => self.open(true).map(|()| Token::BeginObject),
+            Some(b'[') => self.open(false).map(|()| Token::BeginArray),
+            Some(b'"') => {
+                self.pos += 1;
+                self.string_body().map(Token::String)
+            }
+            Some(b't') if self.literal(b"true") => Ok(Token::Bool(true)),
+            Some(b'f') if self.literal(b"false") => Ok(Token::Bool(false)),
+            Some(b'n') if self.literal(b"null") => Ok(Token::Null),
+            Some(b) if b.is_ascii_digit() || b == b'-' => self.number(),
             Some(_) => Err(self.fail("expected a JSON value")),
             None => Err(self.fail("unexpected end of document")),
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect('{')?;
-        self.enter()?;
-        let mut fields = Vec::new();
-        if !self.try_consume('}') {
-            loop {
-                let key = self.parse_string()?;
-                self.expect(':')?;
-                let value = self.parse_value()?;
-                fields.push((key, value));
-                if self.try_consume('}') {
-                    break;
-                }
-                self.expect(',')?;
-            }
+    /// The next member's key in the object just opened or read into, or
+    /// `None` once it closes. The member's value is due next; if it is
+    /// not read, the following call skips it.
+    #[inline]
+    pub fn key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        debug_assert!(self.in_object(), "key() outside an object");
+        if !self.more(b'}')? {
+            return Ok(None);
         }
-        self.depth -= 1;
-        Ok(JsonValue::Object(fields))
+        self.expect(b'"')?;
+        let key = self.string_body()?;
+        self.expect(b':')?;
+        self.pending = true;
+        Ok(Some(key))
     }
 
-    fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect('[')?;
-        self.enter()?;
-        let mut items = Vec::new();
-        if !self.try_consume(']') {
-            loop {
-                items.push(self.parse_value()?);
-                if self.try_consume(']') {
-                    break;
-                }
-                self.expect(',')?;
-            }
-        }
-        self.depth -= 1;
-        Ok(JsonValue::Array(items))
+    /// Whether the array just opened or read into has another element
+    /// (`false` once it closes). The element is due next; if it is not
+    /// read, the following call skips it.
+    #[inline]
+    pub fn item(&mut self) -> Result<bool, JsonError> {
+        debug_assert!(!self.in_object(), "item() outside an array");
+        let more = self.more(b']')?;
+        self.pending = more;
+        Ok(more)
     }
 
-    fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self
-                .chars
-                .get(self.pos)
-                .ok_or_else(|| self.fail("unterminated string"))?;
-            self.pos += 1;
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let escape = *self
-                        .chars
-                        .get(self.pos)
-                        .ok_or_else(|| self.fail("unterminated escape"))?;
-                    self.pos += 1;
-                    match escape {
-                        '"' | '\\' | '/' => out.push(escape),
-                        'n' => out.push('\n'),
-                        't' => out.push('\t'),
-                        'r' => out.push('\r'),
-                        'b' => out.push('\u{0008}'),
-                        'f' => out.push('\u{000c}'),
-                        'u' => {
-                            let code = self.parse_hex4()?;
-                            // Non-BMP characters arrive as a UTF-16
-                            // surrogate pair of \u escapes; combine the
-                            // high unit with the mandatory low unit.
-                            let code = if (0xd800..0xdc00).contains(&code) {
-                                if !(self.consume_literal("\\u")) {
-                                    return Err(self.fail("unpaired high surrogate \\u escape"));
-                                }
-                                let low = self.parse_hex4()?;
-                                if !(0xdc00..0xe000).contains(&low) {
-                                    return Err(self.fail("expected a low surrogate \\u escape"));
-                                }
-                                0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
-                            } else {
-                                code
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.fail("non-scalar \\u escape"))?,
-                            );
-                        }
-                        other => return Err(self.fail(&format!("bad escape \\{other}"))),
-                    }
-                }
-                other => out.push(other),
-            }
+    /// Reads and discards the next value.
+    fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.next()? {
+            Token::BeginObject | Token::BeginArray => self.close_to(self.depth - 1),
+            _ => Ok(()),
         }
     }
 
-    /// The four hex digits of a `\u` escape (the `\u` itself already
-    /// consumed).
-    fn parse_hex4(&mut self) -> Result<u32, JsonError> {
-        let hex: String = self
-            .chars
-            .get(self.pos..self.pos + 4)
-            .map(|w| w.iter().collect())
-            .ok_or_else(|| self.fail("truncated \\u escape"))?;
-        self.pos += 4;
-        u32::from_str_radix(&hex, 16).map_err(|_| self.fail("bad \\u escape"))
+    /// Skips the rest of every container nested deeper than `depth`
+    /// (and a value due first), leaving the reader just past the
+    /// container that was open at `depth + 1`.
+    pub fn close_to(&mut self, depth: usize) -> Result<(), JsonError> {
+        if self.pending {
+            self.skip_value()?;
+        }
+        while self.depth > depth {
+            if self.in_object() {
+                while self.key()?.is_some() {}
+            } else {
+                while self.item()? {}
+            }
+        }
+        Ok(())
     }
 
-    fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
+    /// Skips whatever of the document is still unread, then requires
+    /// nothing but whitespace after it.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        self.close_to(0)?;
         self.skip_ws();
-        let start = self.pos;
-        while self
-            .chars
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        {
-            self.pos += 1;
+        if self.pos < self.text.len() {
+            return Err(self.fail("trailing characters after document"));
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        text.parse()
-            .map(JsonValue::Number)
+        Ok(())
+    }
+
+    /// Reads the next value whole, as a tree.
+    fn value(&mut self) -> Result<JsonValue, JsonError> {
+        Ok(match self.next()? {
+            Token::Null => JsonValue::Null,
+            Token::Bool(b) => JsonValue::Bool(b),
+            Token::Number(n) => JsonValue::Number(n),
+            Token::String(s) => JsonValue::String(s.into_owned()),
+            Token::BeginArray => {
+                let mut items = Vec::new();
+                while self.item()? {
+                    items.push(self.value()?);
+                }
+                JsonValue::Array(items)
+            }
+            Token::BeginObject => {
+                let mut fields = Vec::new();
+                while let Some(key) = self.key()? {
+                    fields.push((key.into_owned(), self.value()?));
+                }
+                JsonValue::Object(fields)
+            }
+        })
+    }
+
+    #[inline]
+    fn in_object(&self) -> bool {
+        self.depth > 0 && self.objects >> (self.depth - 1) & 1 == 1
+    }
+
+    /// Consumes a container's opening bracket.
+    fn open(&mut self, object: bool) -> Result<(), JsonError> {
+        self.pos += 1;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.fail(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        let bit = 1 << (self.depth - 1);
+        self.objects = if object {
+            self.objects | bit
+        } else {
+            self.objects & !bit
+        };
+        self.first = true;
+        Ok(())
+    }
+
+    /// Past a value due but unread and then `close` or the comma before
+    /// the next entry: `false` once the container has closed.
+    #[inline]
+    fn more(&mut self, close: u8) -> Result<bool, JsonError> {
+        if self.pending {
+            self.skip_value()?;
+        }
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            self.first = false;
+            return Ok(false);
+        }
+        if !std::mem::take(&mut self.first) {
+            self.expect(b',')?;
+        }
+        Ok(true)
+    }
+
+    /// An error at the current position, as a character offset.
+    fn fail(&self, message: &str) -> JsonError {
+        // Every byte but a UTF-8 continuation byte starts a character.
+        let chars = self.text.as_bytes()[..self.pos]
+            .iter()
+            .filter(|&&b| b & 0xc0 != 0x80)
+            .count();
+        JsonError {
+            message: message.to_owned(),
+            offset: chars,
+        }
+    }
+
+    /// The character at the current position, if any.
+    fn char_here(&self) -> Option<char> {
+        self.text[self.pos..].chars().next()
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
+            if b.is_ascii() {
+                if !(b as char).is_whitespace() {
+                    return;
+                }
+                self.pos += 1;
+            } else {
+                match self.char_here() {
+                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                    _ => return,
+                }
+            }
+        }
+    }
+
+    /// The first byte of the next token (a character's lead byte).
+    #[inline]
+    fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    #[inline]
+    fn expect(&mut self, want: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(want) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.fail(&format!("expected {:?}", want as char)))
+        }
+    }
+
+    #[inline]
+    fn literal(&mut self, literal: &[u8]) -> bool {
+        let found = self.text.as_bytes()[self.pos..].starts_with(literal);
+        if found {
+            self.pos += literal.len();
+        }
+        found
+    }
+
+    #[inline]
+    fn number(&mut self) -> Result<Token<'a>, JsonError> {
+        let start = self.pos;
+        let rest = &self.text.as_bytes()[start..];
+        self.pos += rest
+            .iter()
+            .position(|&b| !(b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')))
+            .unwrap_or(rest.len());
+        self.text[start..self.pos]
+            .parse()
+            .map(Token::Number)
             .map_err(|_| self.fail("expected a number"))
+    }
+
+    /// A string's contents and closing quote (the opening one consumed):
+    /// a slice of the text, unless an escape forces a copy.
+    #[inline]
+    fn string_body(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let mut owned: Option<String> = None;
+        loop {
+            let start = self.pos;
+            let rest = &self.text.as_bytes()[start..];
+            let Some(at) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = self.text.len();
+                return Err(self.fail("unterminated string"));
+            };
+            self.pos += at + 1;
+            let run = &self.text[start..start + at];
+            if rest[at] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
+                    }
+                });
+            }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(run);
+            self.escape(out)?;
+        }
+    }
+
+    /// Appends the character an escape stands for (its `\` consumed).
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let escape = self
+            .char_here()
+            .ok_or_else(|| self.fail("unterminated escape"))?;
+        self.pos += escape.len_utf8();
+        match escape {
+            '"' | '\\' | '/' => out.push(escape),
+            'n' => out.push('\n'),
+            't' => out.push('\t'),
+            'r' => out.push('\r'),
+            'b' => out.push('\u{0008}'),
+            'f' => out.push('\u{000c}'),
+            'u' => {
+                let code = self.hex4()?;
+                // Non-BMP characters arrive as a UTF-16 surrogate pair of
+                // \u escapes; combine the high unit with the mandatory
+                // low unit.
+                let code = if (0xd800..0xdc00).contains(&code) {
+                    if !self.literal(b"\\u") {
+                        return Err(self.fail("unpaired high surrogate \\u escape"));
+                    }
+                    let low = self.hex4()?;
+                    if !(0xdc00..0xe000).contains(&low) {
+                        return Err(self.fail("expected a low surrogate \\u escape"));
+                    }
+                    0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                } else {
+                    code
+                };
+                out.push(char::from_u32(code).ok_or_else(|| self.fail("non-scalar \\u escape"))?);
+            }
+            other => return Err(self.fail(&format!("bad escape \\{other}"))),
+        }
+        Ok(())
+    }
+
+    /// The four characters after a `\u`, read as hex.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let rest = &self.text[self.pos..];
+        let len = rest
+            .char_indices()
+            .nth(3)
+            .map(|(at, c)| at + c.len_utf8())
+            .ok_or_else(|| self.fail("truncated \\u escape"))?;
+        self.pos += len;
+        u32::from_str_radix(&rest[..len], 16).map_err(|_| self.fail("bad \\u escape"))
     }
 }
 
@@ -422,6 +618,47 @@ fn id_texts() -> &'static [u64; ID_TEXT_BOUND] {
             .expect("one entry per id below the bound")
     })
 }
+
+/// Writes the ids of plane word `w` (its set bits are `word`) as
+/// `"<id>,"` texts from `buf[pos..]` on, and returns the position past
+/// the last. `put(window, id)` writes one id's text at the start of a
+/// [`ID_WINDOW`]-byte window and returns its length. A word whose 64 ids
+/// all print at one width — every word but the four below 10 000 that
+/// hold 10, 100, 1 000 and 10 000, and the few past that hold a higher
+/// power of ten — places each id one width past the one before, so no
+/// store waits on a length read from the table; the others advance by
+/// each length in turn.
+#[inline(always)]
+fn write_word(
+    buf: &mut [u8],
+    pos: usize,
+    w: usize,
+    word: u64,
+    put: impl Fn(&mut [u8], u64) -> usize,
+) -> usize {
+    let first = w as u64 * 64;
+    let width = digit_count(first) + 1;
+    if width == digit_count(first + 63) + 1 {
+        let ones = word.count_ones() as usize;
+        // One bounds check for the word's span; each window's is elided.
+        let span = &mut buf[pos..pos + ones * width + ID_WINDOW];
+        let mut at = 0;
+        for bit in set_bits(word) {
+            put(&mut span[at..at + ID_WINDOW], first + bit);
+            at += width;
+        }
+        pos + ones * width
+    } else {
+        set_bits(word).fold(pos, |pos, bit| {
+            pos + put(&mut buf[pos..pos + ID_WINDOW], first + bit)
+        })
+    }
+}
+
+/// The bytes [`write_word`] lets one id's text touch: a table entry is
+/// stored whole (8 bytes), and an id past the table has at most 15
+/// digits before its comma (a plane with 10¹⁵ rows would be 125 TB).
+const ID_WINDOW: usize = 16;
 
 /// Upper bound on the bytes [`JsonWriter::id_plane`] writes between the
 /// brackets: every set bit at the highest set bit's digit count, plus its
@@ -552,6 +789,12 @@ impl JsonWriter {
         into_string(self.out)
     }
 
+    /// The finished document's bytes, for a caller that sends them on as
+    /// bytes: no UTF-8 re-check of what the writer itself emitted.
+    pub fn finish_bytes(self) -> Vec<u8> {
+        self.out
+    }
+
     fn newline(&mut self) {
         if self.pretty {
             self.out.push(b'\n');
@@ -631,7 +874,8 @@ impl JsonWriter {
     /// answer body. The output is sized once from the plane, so the loop
     /// does no per-id capacity check; ids below 2¹⁶ are copied from a
     /// process-wide table of pre-rendered `"<id>,"` texts (512 KB, built
-    /// on first use), the rest formatted in place.
+    /// on first use), the rest formatted in place. A 64-id word whose ids
+    /// share one width is written with no store waiting on the one before.
     pub fn id_plane(&mut self, words: &[u64]) -> &mut Self {
         self.begin_array();
         let bound = id_plane_len(words);
@@ -644,33 +888,29 @@ impl JsonWriter {
             return self.end_array();
         }
         let at = self.out.len();
-        // Eight bytes past the bound: a table entry is stored whole.
-        self.out.resize(at + bound + 8, 0);
+        // A window's worth past the bound: the last id's text is written
+        // into a whole window.
+        self.out.resize(at + bound + ID_WINDOW, 0);
         let buf = &mut self.out[at..];
         let texts = id_texts();
         let table_words = words.len().min(ID_TEXT_BOUND / 64);
         let mut pos = 0;
         for (w, &word) in words[..table_words].iter().enumerate() {
-            for bit in set_bits(word) {
-                let entry = texts[w * 64 + bit as usize];
-                buf[pos..pos + 8].copy_from_slice(&entry.to_le_bytes());
-                pos += (entry >> 56) as usize;
-            }
+            pos = write_word(buf, pos, w, word, |dst, id| {
+                // `id` is below the bound: the mask changes nothing but
+                // spares the load its bounds check.
+                let entry = texts[id as usize % ID_TEXT_BOUND];
+                dst[..8].copy_from_slice(&entry.to_le_bytes());
+                (entry >> 56) as usize
+            });
         }
-        // Past the table ids ascend through at most five more widths:
-        // recount only when one leaves the range sharing the last's.
-        let (mut n, mut same_count) = (0, 0..0);
         for (w, &word) in words.iter().enumerate().skip(table_words) {
-            for bit in set_bits(word) {
-                let id = w as u64 * 64 + bit;
-                if !same_count.contains(&id) {
-                    n = digit_count(id);
-                    same_count = 10u64.pow(n as u32 - 1)..10u64.pow(n as u32);
-                }
-                write_digits(&mut buf[pos..pos + n], id);
-                buf[pos + n] = b',';
-                pos += n + 1;
-            }
+            pos = write_word(buf, pos, w, word, |dst, id| {
+                let n = digit_count(id);
+                write_digits(&mut dst[..n], id);
+                dst[n] = b',';
+                n + 1
+            });
         }
         // Every id wrote a comma after itself; the last one goes.
         self.out.truncate(at + pos - 1);

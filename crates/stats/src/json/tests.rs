@@ -77,6 +77,229 @@ mod oracle {
     }
 }
 
+/// The `Vec<char>` parser [`JsonReader`] replaced, kept verbatim as the
+/// reference it must match: the same value, or the same error message at
+/// the same character offset.
+mod oracle_parser {
+    use super::{JsonError, JsonValue, MAX_DEPTH};
+
+    pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
+        let mut p = Parser::new(text);
+        let value = p.parse_value()?;
+        p.skip_ws();
+        if p.pos < p.chars.len() {
+            return Err(p.fail("trailing characters after document"));
+        }
+        Ok(value)
+    }
+
+    struct Parser {
+        chars: Vec<char>,
+        pos: usize,
+        depth: usize,
+    }
+
+    impl Parser {
+        fn new(text: &str) -> Self {
+            Self {
+                chars: text.chars().collect(),
+                pos: 0,
+                depth: 0,
+            }
+        }
+
+        fn enter(&mut self) -> Result<(), JsonError> {
+            self.depth += 1;
+            if self.depth > MAX_DEPTH {
+                Err(self.fail(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            } else {
+                Ok(())
+            }
+        }
+
+        fn fail(&self, message: &str) -> JsonError {
+            JsonError {
+                message: message.to_owned(),
+                offset: self.pos,
+            }
+        }
+
+        fn skip_ws(&mut self) {
+            while self.chars.get(self.pos).is_some_and(|c| c.is_whitespace()) {
+                self.pos += 1;
+            }
+        }
+
+        fn peek(&mut self) -> Option<char> {
+            self.skip_ws();
+            self.chars.get(self.pos).copied()
+        }
+
+        fn expect(&mut self, want: char) -> Result<(), JsonError> {
+            if self.peek() == Some(want) {
+                self.pos += 1;
+                Ok(())
+            } else {
+                Err(self.fail(&format!("expected {want:?}")))
+            }
+        }
+
+        fn try_consume(&mut self, want: char) -> bool {
+            if self.peek() == Some(want) {
+                self.pos += 1;
+                true
+            } else {
+                false
+            }
+        }
+
+        fn consume_literal(&mut self, literal: &str) -> bool {
+            let chars: Vec<char> = literal.chars().collect();
+            if self.chars.get(self.pos..self.pos + chars.len()) == Some(&chars[..]) {
+                self.pos += chars.len();
+                true
+            } else {
+                false
+            }
+        }
+
+        fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
+            match self.peek() {
+                Some('{') => self.parse_object(),
+                Some('[') => self.parse_array(),
+                Some('"') => Ok(JsonValue::String(self.parse_string()?)),
+                Some('t') if self.consume_literal("true") => Ok(JsonValue::Bool(true)),
+                Some('f') if self.consume_literal("false") => Ok(JsonValue::Bool(false)),
+                Some('n') if self.consume_literal("null") => Ok(JsonValue::Null),
+                Some(c) if c.is_ascii_digit() || c == '-' => self.parse_number(),
+                Some(_) => Err(self.fail("expected a JSON value")),
+                None => Err(self.fail("unexpected end of document")),
+            }
+        }
+
+        fn parse_object(&mut self) -> Result<JsonValue, JsonError> {
+            self.expect('{')?;
+            self.enter()?;
+            let mut fields = Vec::new();
+            if !self.try_consume('}') {
+                loop {
+                    let key = self.parse_string()?;
+                    self.expect(':')?;
+                    let value = self.parse_value()?;
+                    fields.push((key, value));
+                    if self.try_consume('}') {
+                        break;
+                    }
+                    self.expect(',')?;
+                }
+            }
+            self.depth -= 1;
+            Ok(JsonValue::Object(fields))
+        }
+
+        fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
+            self.expect('[')?;
+            self.enter()?;
+            let mut items = Vec::new();
+            if !self.try_consume(']') {
+                loop {
+                    items.push(self.parse_value()?);
+                    if self.try_consume(']') {
+                        break;
+                    }
+                    self.expect(',')?;
+                }
+            }
+            self.depth -= 1;
+            Ok(JsonValue::Array(items))
+        }
+
+        fn parse_string(&mut self) -> Result<String, JsonError> {
+            self.expect('"')?;
+            let mut out = String::new();
+            loop {
+                let c = *self
+                    .chars
+                    .get(self.pos)
+                    .ok_or_else(|| self.fail("unterminated string"))?;
+                self.pos += 1;
+                match c {
+                    '"' => return Ok(out),
+                    '\\' => {
+                        let escape = *self
+                            .chars
+                            .get(self.pos)
+                            .ok_or_else(|| self.fail("unterminated escape"))?;
+                        self.pos += 1;
+                        match escape {
+                            '"' | '\\' | '/' => out.push(escape),
+                            'n' => out.push('\n'),
+                            't' => out.push('\t'),
+                            'r' => out.push('\r'),
+                            'b' => out.push('\u{0008}'),
+                            'f' => out.push('\u{000c}'),
+                            'u' => {
+                                let code = self.parse_hex4()?;
+                                // Non-BMP characters arrive as a UTF-16
+                                // surrogate pair of \u escapes; combine the
+                                // high unit with the mandatory low unit.
+                                let code = if (0xd800..0xdc00).contains(&code) {
+                                    if !(self.consume_literal("\\u")) {
+                                        return Err(self.fail("unpaired high surrogate \\u escape"));
+                                    }
+                                    let low = self.parse_hex4()?;
+                                    if !(0xdc00..0xe000).contains(&low) {
+                                        return Err(
+                                            self.fail("expected a low surrogate \\u escape")
+                                        );
+                                    }
+                                    0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                                } else {
+                                    code
+                                };
+                                out.push(
+                                    char::from_u32(code)
+                                        .ok_or_else(|| self.fail("non-scalar \\u escape"))?,
+                                );
+                            }
+                            other => return Err(self.fail(&format!("bad escape \\{other}"))),
+                        }
+                    }
+                    other => out.push(other),
+                }
+            }
+        }
+
+        /// The four hex digits of a `\u` escape (the `\u` itself already
+        /// consumed).
+        fn parse_hex4(&mut self) -> Result<u32, JsonError> {
+            let hex: String = self
+                .chars
+                .get(self.pos..self.pos + 4)
+                .map(|w| w.iter().collect())
+                .ok_or_else(|| self.fail("truncated \\u escape"))?;
+            self.pos += 4;
+            u32::from_str_radix(&hex, 16).map_err(|_| self.fail("bad \\u escape"))
+        }
+
+        fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
+            self.skip_ws();
+            let start = self.pos;
+            while self
+                .chars
+                .get(self.pos)
+                .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
+            {
+                self.pos += 1;
+            }
+            let text: String = self.chars[start..self.pos].iter().collect();
+            text.parse()
+                .map(JsonValue::Number)
+                .map_err(|_| self.fail("expected a number"))
+        }
+    }
+}
+
 /// Numbers on every branch of the float rule and next to its edges.
 const EDGE_NUMBERS: [f64; 16] = [
     0.0,
@@ -501,4 +724,266 @@ fn id_texts_hold_every_id_below_the_bound() {
         let len = entry[7] as usize;
         assert_eq!(&entry[..len], format!("{id},").as_bytes());
     }
+}
+
+/// Whitespace the grammar accepts between tokens (`char::is_whitespace`):
+/// ASCII, and Unicode such as U+00A0 and U+2028.
+const SPACES: [&str; 8] = [
+    " ", "\n", "\t\r", "\u{b}", "\u{85}", "\u{a0}", "\u{2028}", "\u{3000}",
+];
+
+fn space(rng: &mut Prng, out: &mut String) {
+    if rng.bernoulli(0.3) {
+        out.push_str(SPACES[rng.below(SPACES.len())]);
+    }
+}
+
+/// `s` as a JSON string literal in a random spelling: each character
+/// raw, in its short escape, or as `\u` escapes (a surrogate pair past
+/// the BMP).
+fn spelled_string(s: &str, rng: &mut Prng, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match (c, rng.below(3)) {
+            (_, 0) => {
+                let mut units = [0u16; 2];
+                for unit in c.encode_utf16(&mut units) {
+                    let _ = if rng.bernoulli(0.5) {
+                        write!(out, "\\u{unit:04x}")
+                    } else {
+                        write!(out, "\\u{unit:04X}")
+                    };
+                }
+            }
+            ('"' | '\\', _) => {
+                out.push('\\');
+                out.push(c);
+            }
+            ('/', 1) => out.push_str("\\/"),
+            ('\n', 1) => out.push_str("\\n"),
+            ('\t', 1) => out.push_str("\\t"),
+            _ => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// `value` as text in a random spelling, with random whitespace between
+/// its tokens.
+fn spelled(value: &JsonValue, rng: &mut Prng, out: &mut String) {
+    space(rng, out);
+    match value {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Number(n) if rng.bernoulli(0.5) => {
+            let _ = write!(out, "{n:e}");
+        }
+        JsonValue::Number(n) => {
+            let _ = write!(out, "{n}");
+        }
+        JsonValue::String(s) => spelled_string(s, rng, out),
+        JsonValue::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                spelled(item, rng, out);
+            }
+            space(rng, out);
+            out.push(']');
+        }
+        JsonValue::Object(fields) => {
+            out.push('{');
+            for (i, (key, value)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                space(rng, out);
+                spelled_string(key, rng, out);
+                space(rng, out);
+                out.push(':');
+                spelled(value, rng, out);
+            }
+            space(rng, out);
+            out.push('}');
+        }
+    }
+    space(rng, out);
+}
+
+/// Fragments a mutation splices in: broken and whole escapes, surrogate
+/// halves and pairs, Unicode whitespace and letters, stray structure.
+const SPLICES: [&str; 24] = [
+    "\\u",
+    "\\ud83d",
+    "\\ude00",
+    "\\ud83d\\ude00",
+    "\\u00e9",
+    "\\u+0a1",
+    "\\u12",
+    "\\x",
+    "\\\u{e9}",
+    "\\",
+    "\"",
+    "\u{a0}",
+    "\u{2028}",
+    "\u{e9}",
+    "\u{1f600}",
+    "[",
+    "{",
+    "]",
+    "}",
+    ",",
+    ":",
+    "-",
+    "1e",
+    "tru",
+];
+
+/// `text` after one to three mutations: a truncation, a bit flipped in
+/// an ASCII byte (it stays ASCII), a splice, or a deleted character.
+fn mutate(text: &str, rng: &mut Prng) -> String {
+    let mut chars: Vec<char> = text.chars().collect();
+    for _ in 0..1 + rng.below(3) {
+        let at = rng.below(chars.len() + 1);
+        match rng.below(4) {
+            0 => chars.truncate(at),
+            1 if at < chars.len() && chars[at].is_ascii() => {
+                chars[at] = (chars[at] as u8 ^ 1 << rng.below(7)) as char;
+            }
+            2 => {
+                let splice = SPLICES[rng.below(SPLICES.len())];
+                chars.splice(at..at, splice.chars());
+            }
+            _ if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ => {}
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// Reads up to `steps` tokens of `text` in document order and then ends
+/// the reader: its verdict on the whole document, wherever it stopped.
+fn skim(text: &str, steps: usize) -> Result<(), JsonError> {
+    let mut r = JsonReader::new(text);
+    for _ in 0..steps {
+        if r.pending {
+            r.next()?;
+        } else if r.depth() == 0 {
+            break;
+        } else if r.in_object() {
+            r.key()?;
+        } else {
+            r.item()?;
+        }
+    }
+    r.end()
+}
+
+/// The reader against the char parser on `text`: the same value or the
+/// same error, and the same verdict from a reader stopped after `steps`.
+fn assert_matches_the_char_parser(text: &str, steps: usize) -> Result<(), TestCaseError> {
+    let got = JsonValue::parse(text);
+    let want = oracle_parser::parse(text);
+    prop_assert_eq!(&got, &want, "{:?}: {:?} != {:?}", text, got, want);
+    let skimmed = skim(text, steps);
+    let verdict = got.map(|_| ());
+    prop_assert_eq!(&skimmed, &verdict, "{:?} skimmed {} steps", text, steps);
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn reader_parses_as_the_char_parser_did(seed in any::<u64>()) {
+        let mut rng = Prng::seeded(seed);
+        let value = arbitrary_value(&mut rng, 4, true);
+        let mut text = String::new();
+        spelled(&value, &mut rng, &mut text);
+        prop_assert_eq!(JsonValue::parse(&text), Ok(value), "{:?}", text);
+        assert_matches_the_char_parser(&text, rng.below(24))?;
+        for _ in 0..8 {
+            assert_matches_the_char_parser(&mutate(&text, &mut rng), rng.below(24))?;
+        }
+    }
+}
+
+#[test]
+fn reader_errors_match_the_char_parser_at_the_edges() {
+    let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    let cases = [
+        String::new(),
+        "\u{a0}\u{2028}{\u{3000}\"\u{e9}\":\u{85}[1 ,\u{a0}2]}\u{2029}".into(),
+        "\u{1c}1".into(),
+        "\u{e9}".into(),
+        "[\"\u{e9}\u{1f600}\" x]".into(),
+        "\"\u{e9}\\\u{e9}\"".into(),
+        "\"\\u\u{e9}abc\"".into(),
+        "\"\\u+0e9\"".into(),
+        "\"\\u-0e9\"".into(),
+        "\"\\ud83d\\u0041\"".into(),
+        "\"\\ud83d\u{e9}\"".into(),
+        "\"\\udc00\"".into(),
+        "\"\u{e9}\\".into(),
+        "[1e, 2]".into(),
+        "-".into(),
+        "01".into(),
+        "1.".into(),
+        "[tru]".into(),
+        "{\"a\":1,}".into(),
+        "{,}".into(),
+        "[,1]".into(),
+        "{\"a\" \u{a0}: 1 \u{e9}".into(),
+        deep(MAX_DEPTH),
+        deep(MAX_DEPTH + 1),
+        "{\"a\":[".repeat(MAX_DEPTH),
+    ];
+    for text in &cases {
+        for steps in [0, 1, 3, 100] {
+            assert_matches_the_char_parser(text, steps).unwrap();
+        }
+    }
+}
+
+#[test]
+fn strings_borrow_the_text_unless_they_hold_an_escape() {
+    let mut r = JsonReader::new(r#"["plain é", "esc\naped", {"k\u0065y": 1}]"#);
+    assert_eq!(r.next().unwrap(), Token::BeginArray);
+    assert!(r.item().unwrap());
+    assert!(matches!(
+        r.next().unwrap(),
+        Token::String(Cow::Borrowed("plain é"))
+    ));
+    assert!(r.item().unwrap());
+    assert!(matches!(r.next().unwrap(), Token::String(Cow::Owned(s)) if s == "esc\naped"));
+    assert!(r.item().unwrap());
+    assert_eq!(r.next().unwrap(), Token::BeginObject);
+    assert!(matches!(r.key().unwrap(), Some(Cow::Owned(k)) if k == "key"));
+    r.end().unwrap();
+}
+
+#[test]
+fn close_to_skips_back_out_to_a_depth() {
+    let text = r#"{"a": {"b": [1, [2, {"c": 3}]], "d": 4}, "e": 5}"#;
+    let mut r = JsonReader::new(text);
+    assert_eq!(r.next().unwrap(), Token::BeginObject);
+    assert_eq!(r.key().unwrap().as_deref(), Some("a"));
+    assert_eq!(r.next().unwrap(), Token::BeginObject);
+    assert_eq!(r.key().unwrap().as_deref(), Some("b"));
+    assert_eq!(r.next().unwrap(), Token::BeginArray);
+    assert!(r.item().unwrap());
+    assert_eq!(r.depth(), 3);
+    // The element due, the array and `a`'s object are skipped…
+    r.close_to(1).unwrap();
+    // …and the outer object reads on.
+    assert_eq!(r.key().unwrap().as_deref(), Some("e"));
+    assert_eq!(r.next().unwrap().as_u64(), Some(5));
+    assert_eq!(r.key().unwrap(), None);
+    r.end().unwrap();
+    // A fresh reader's `end` checks the whole document.
+    assert!(JsonReader::new(text).end().is_ok());
+    let err = JsonReader::new("[1, }").end().unwrap_err();
+    assert_eq!(err, oracle_parser::parse("[1, }").unwrap_err());
 }
