@@ -8,24 +8,28 @@
 //! — i.e. the training size is tuned against ground truth, and only the
 //! winning configuration's cost is charged.
 //!
-//! Labelling runs through the audited [`UdfInvoker`] and the `expred-exec`
-//! runtime (not a serial ground-truth loop): each grid step labels only
-//! its *new* slice of the shuffled permutation as one executor batch, so
-//! the cumulative bill at the winning step is exactly that step's
-//! labelling cost — and inside a session, labels paid for by earlier
-//! queries arrive as free reuse hits.
+//! Labelling runs through the audited [`expred_udf::UdfInvoker`] and the
+//! `expred-exec` runtime (not a serial ground-truth loop): each grid step
+//! labels only its *new* slice of the shuffled permutation as one
+//! executor batch, so the cumulative bill at the winning step is exactly
+//! that step's labelling cost — and inside a session, labels paid for by
+//! earlier queries arrive as free reuse hits. No deployment has the
+//! ground truth, so the baselines are not engine strategies; they still
+//! run in core's one frame, [`run_framed`], which bills and scores every
+//! pipeline.
 
-use crate::error::EngineError;
-use crate::pipeline::{run_framed, Answer, Frame, RunOutcome};
-use crate::query::QuerySpec;
+use crate::semisupervised::{
+    learning_returned_set, multiple_imputations, self_train, SelfTrainConfig, SelfTrainOutcome,
+};
+use expred_core::error::EngineError;
+use expred_core::pipeline::{run_framed, Answer, Frame, RunOutcome};
+use expred_core::query::QuerySpec;
 use expred_exec::ExecContext;
 use expred_ml::features::{extract_features_cached, FeatureSpec};
 use expred_ml::logistic::TrainConfig;
-use expred_ml::semisupervised::{
-    learning_returned_set, multiple_imputations, self_train, SelfTrainConfig, SelfTrainOutcome,
-};
+use expred_ml::metrics::PrSummary;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
-use expred_udf::UdfInvoker;
+use expred_table::RowSet;
 
 /// Training-set sizes to probe, as fractions of the table. The grid is
 /// geometric-ish: the baselines' cost is the *smallest* feasible size, so
@@ -35,33 +39,26 @@ const SIZE_GRID: [f64; 12] = [
 ];
 
 /// Cheaper training settings for the repeated grid probes.
-fn baseline_train_config() -> SelfTrainConfig {
-    SelfTrainConfig {
-        rounds: 2,
-        confidence: 0.92,
-        train: TrainConfig {
-            epochs: 80,
-            learning_rate: 1.0,
-            l2: 1e-4,
-            tolerance: 1e-6,
-        },
-    }
-}
+const TRAIN_CONFIG: SelfTrainConfig = SelfTrainConfig {
+    rounds: 2,
+    confidence: 0.92,
+    train: TrainConfig {
+        epochs: 80,
+        learning_rate: 1.0,
+        l2: 1e-4,
+        tolerance: 1e-6,
+    },
+};
 
-/// Extends `labels` — the labels of a prefix of the permutation — to
-/// the prefix `perm[..m]`, labelling the new slice through the runtime
-/// as one batch and keeping the answers it returns.
-fn label_prefix(
-    invoker: &UdfInvoker<'_>,
-    perm: &[usize],
-    m: usize,
-    labels: &mut Vec<bool>,
-    ctx: &ExecContext<'_>,
-) {
-    if m > labels.len() {
-        let new = &perm[labels.len()..m];
-        labels.extend(invoker.retrieve_and_evaluate_batch(ctx.executor, new));
+/// Scores a candidate answer against ground truth (the oracle-tuned
+/// acceptance test).
+fn score(truth: &RowSet, returned: impl IntoIterator<Item = usize>) -> PrSummary {
+    let (mut num_returned, mut true_positives) = (0, 0);
+    for row in returned {
+        num_returned += 1;
+        true_positives += usize::from(truth.contains(row));
     }
+    PrSummary::from_counts(num_returned, true_positives, truth.len())
 }
 
 /// The grid both ML baselines walk: label a growing prefix of one
@@ -70,7 +67,9 @@ fn label_prefix(
 /// self-train on it, and answer with the first size whose step `accept`s
 /// — the oracle-tuned acceptance test is all the two baselines differ in.
 /// `accept` sees the trained model, the labelled rows and their labels,
-/// and the step's answer set (evaluated-true plus predicted-true).
+/// and the step's answer set (evaluated-true plus predicted-true). An
+/// empty table has no seed to label and is an
+/// [`EngineError::InvalidRequest`].
 fn run_grid(
     ds: &Dataset,
     spec: &QuerySpec,
@@ -78,6 +77,11 @@ fn run_grid(
     ctx: &ExecContext<'_>,
     accept: impl Fn(&SelfTrainOutcome, &[usize], &[bool], &[usize], &Frame<'_>) -> bool,
 ) -> Result<RunOutcome, EngineError> {
+    if ds.table.num_rows() == 0 {
+        return Err(EngineError::InvalidRequest {
+            reason: "the ML baselines need a nonempty table to label".into(),
+        });
+    }
     run_framed(ds, &spec.cost, seed, ctx, |f| {
         let table = &ds.table;
         let features = extract_features_cached(
@@ -89,7 +93,6 @@ fn run_grid(
         let n = table.num_rows();
         let mut perm: Vec<usize> = (0..n).collect();
         f.rng.shuffle(&mut perm);
-        let cfg = baseline_train_config();
         let mut perm_labels = Vec::new();
 
         // Even full evaluation of the grid's maximum can fail (possible
@@ -98,9 +101,13 @@ fn run_grid(
         let mut last: Option<(Vec<usize>, usize, bool)> = None;
         for frac in SIZE_GRID {
             let m = ((frac * n as f64).ceil() as usize).clamp(1, n);
-            label_prefix(&f.invoker, &perm, m, &mut perm_labels, ctx);
+            // Label the prefix's new slice through the runtime, as one batch.
+            if m > perm_labels.len() {
+                let new = &perm[perm_labels.len()..m];
+                perm_labels.extend(f.invoker.retrieve_and_evaluate_batch(ctx.executor, new));
+            }
             let (labelled, labels) = (&perm[..m], &perm_labels[..m]);
-            let outcome = self_train(&features, labelled, labels, cfg);
+            let outcome = self_train(&features, labelled, labels, TRAIN_CONFIG);
             let returned = learning_returned_set(&outcome, labelled, labels);
             let accepted = accept(&outcome, labelled, labels, &returned, f);
             last = Some((returned, m, accepted));
@@ -136,8 +143,7 @@ pub fn run_learning(
     ctx: &ExecContext<'_>,
 ) -> Result<RunOutcome, EngineError> {
     run_grid(ds, spec, seed, ctx, |_, _, _, returned, f| {
-        f.score(returned.iter().copied())
-            .meets(spec.alpha, spec.beta)
+        score(&f.truth, returned.iter().copied()).meets(spec.alpha, spec.beta)
     })
 }
 
@@ -164,7 +170,7 @@ pub fn run_multiple(
         let (mut p_acc, mut r_acc) = (0.0, 0.0);
         for imp in &imps {
             let imputed_true = imp.iter().enumerate().filter(|(_, &label)| label);
-            let s = f.score(imputed_true.map(|(row, _)| row));
+            let s = score(&f.truth, imputed_true.map(|(row, _)| row));
             p_acc += s.precision;
             r_acc += s.recall;
         }

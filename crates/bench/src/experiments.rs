@@ -5,8 +5,8 @@
 //! module docs list the subcommands). Defaults follow §6.1:
 //! `α = β = ρ = 0.8`, `o_r = 1`, `o_e = 3`, 5% sampling for Experiment 1.
 
+use crate::baselines::{run_learning, run_multiple};
 use crate::harness::{fmt, paper_datasets, run_many, summarize, HarnessConfig, TextTable};
-use expred_core::baselines::{run_learning, run_multiple};
 use expred_core::optimize::CorrelationModel;
 use expred_core::pipeline::{
     run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice,

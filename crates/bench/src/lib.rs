@@ -5,10 +5,17 @@
 //! The binary `experiments` (in `src/bin`) exposes one subcommand per
 //! table/figure (its module docs list them); each is one function in
 //! [`experiments`].
+//!
+//! The paper's ML baselines, Learning and Multiple ([`baselines`], with
+//! their self-training and imputation in [`semisupervised`]), live here
+//! rather than in the engine: their training size is tuned against
+//! ground truth, which only an experiment has.
 
+pub mod baselines;
 pub mod experiments;
 pub mod harness;
 pub mod report;
+pub mod semisupervised;
 
 pub use harness::{HarnessConfig, TextTable};
 pub use report::{BenchRecord, BenchReport};

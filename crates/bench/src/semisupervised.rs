@@ -9,8 +9,8 @@
 //!   unlabelled tuples from those probabilities; constraints are then
 //!   checked *on average across the imputed datasets*.
 
-use crate::features::FeatureMatrix;
-use crate::logistic::{train, LogisticModel, TrainConfig};
+use expred_ml::features::FeatureMatrix;
+use expred_ml::logistic::{train, LogisticModel, TrainConfig};
 use expred_stats::rng::Prng;
 
 /// Configuration for self-training.
@@ -112,26 +112,9 @@ pub fn learning_returned_set(
     out
 }
 
-/// One imputed completion: evaluated labels stay fixed, unlabelled rows get
-/// labels drawn from their predicted probabilities.
-pub fn impute(
-    outcome: &SelfTrainOutcome,
-    labelled: &[usize],
-    labels: &[bool],
-    rng: &mut Prng,
-) -> Vec<bool> {
-    let mut imputed: Vec<bool> = outcome
-        .probabilities
-        .iter()
-        .map(|&p| rng.bernoulli(p))
-        .collect();
-    for (&r, &l) in labelled.iter().zip(labels) {
-        imputed[r] = l;
-    }
-    imputed
-}
-
-/// Draws `count` independent imputations (the **Multiple** baseline).
+/// Draws `count` independent imputed completions (the **Multiple**
+/// baseline): in each, evaluated labels stay fixed and unlabelled rows
+/// get labels drawn from their predicted probabilities.
 pub fn multiple_imputations(
     outcome: &SelfTrainOutcome,
     labelled: &[usize],
@@ -142,7 +125,15 @@ pub fn multiple_imputations(
     (0..count)
         .map(|i| {
             let mut child = rng.fork(i as u64);
-            impute(outcome, labelled, labels, &mut child)
+            let mut imputed: Vec<bool> = outcome
+                .probabilities
+                .iter()
+                .map(|&p| child.bernoulli(p))
+                .collect();
+            for (&r, &l) in labelled.iter().zip(labels) {
+                imputed[r] = l;
+            }
+            imputed
         })
         .collect()
 }
@@ -150,7 +141,7 @@ pub fn multiple_imputations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::{extract_features, FeatureSpec};
+    use expred_ml::features::{extract_features, FeatureSpec};
     use expred_table::{DataType, Field, Schema, Table, Value};
 
     /// 200 rows, signal x separates the classes with a little noise.
@@ -239,7 +230,7 @@ mod tests {
                 ..SelfTrainConfig::default()
             },
         );
-        let direct = crate::logistic::train(&features, &labelled, &labels, TrainConfig::default());
+        let direct = train(&features, &labelled, &labels, TrainConfig::default());
         assert_eq!(one.model, direct);
     }
 }

@@ -55,8 +55,8 @@ pub enum EngineError {
         /// What is wrong with the expression.
         reason: String,
     },
-    /// Any other malformed request parameter (zero imputations, an empty
-    /// label fraction, …).
+    /// Any other malformed request parameter (zero rounds, an empty
+    /// label fraction, an auto-ranked predictor on an empty table, …).
     InvalidRequest {
         /// What is wrong with the request.
         reason: String,

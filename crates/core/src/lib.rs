@@ -16,8 +16,9 @@
 //! * [`column_select`] — §4.4: ranking real columns, and the logistic
 //!   virtual column.
 //! * [`execute`] — the probabilistic executor with sample reuse.
-//! * [`pipeline`] — end-to-end contestants: Intel-Sample, Optimal, Naive.
-//! * [`baselines`] — the ML baselines Learning and Multiple.
+//! * [`pipeline`] — end-to-end contestants: Intel-Sample, Optimal, Naive;
+//!   and the frame every pipeline runs in, also the seam for a pipeline
+//!   written outside this crate (the ML baselines in `expred-bench`).
 //! * [`extensions`] — §5: budgeted objectives and two-predicate
 //!   conjunctions.
 //! * [`engine`] — the session layer: [`QueryEngine`] runs many queries
@@ -27,7 +28,7 @@
 //!   directly ([`result_memo`] holds the lock-striped memo behind it).
 //! * [`request`] / [`strategy`] / [`error`] — the primary query surface:
 //!   a [`QueryRequest`] builder over an open, object-safe
-//!   [`Strategy`] trait (the seven pipelines ship as built-in
+//!   [`Strategy`] trait (the five pipelines ship as built-in
 //!   implementations, plus [`strategy::ExprScan`] for
 //!   [`expred_udf::PredicateExpr`] multi-predicate requests), submitted
 //!   via the fallible [`QueryEngine::submit`] — invalid input surfaces
@@ -40,7 +41,6 @@
 //! session-level entry point over all of them.
 
 pub mod adaptive;
-pub mod baselines;
 pub mod column_select;
 pub mod engine;
 pub mod error;
@@ -57,7 +57,6 @@ pub mod sampling;
 pub mod strategy;
 
 pub use adaptive::{run_intel_sample_adaptive, run_intel_sample_iterative};
-pub use baselines::{run_learning, run_multiple};
 pub use engine::{EngineStats, QueryEngine};
 pub use error::EngineError;
 pub use execute::{execute_plan, truth_set, truth_vector, ExecutionResult};

@@ -9,10 +9,13 @@
 //!
 //! Every pipeline runs against the audited [`UdfInvoker`], so reported
 //! costs include sampling and predictor-selection evaluations, exactly as
-//! §6.2 requires. All seven pipelines (these three, the two in
-//! [`crate::adaptive`] and the two in [`crate::baselines`]) are bodies
-//! inside one frame, `run_framed`: the single place a run obtains its
-//! predicate, is clocked, billed and scored.
+//! §6.2 requires. All five pipelines (these three and the two in
+//! [`crate::adaptive`]) are bodies inside one frame, [`run_framed`]: the
+//! single place a run obtains its predicate, is clocked, billed and
+//! scored. A pipeline written outside this crate runs in the same frame
+//! — the frame, the [`Frame`] it lends and the [`Answer`] it takes back
+//! are public for that (the paper's ML baselines in `expred-bench` are
+//! such bodies).
 //!
 //! The answer is one bit plane from body to wire: a body fills a
 //! [`RowSet`] over the table's rows, the frame scores it by popcount and
@@ -151,14 +154,15 @@ pub struct RunOutcome {
 /// What the frame lends a pipeline body: the one audited invoker (and
 /// therefore one borrowed cache handle) serving predictor ranking,
 /// sampling *and* execution, and the seeded generator.
-pub(crate) struct Frame<'a> {
+pub struct Frame<'a> {
+    /// The audited invoker every probe of the run goes through.
     pub invoker: UdfInvoker<'a>,
+    /// The run's generator, seeded from the request.
     pub rng: Prng,
     /// Ground truth — the set of correct rows — read outside the clock.
-    /// The frame scores against it; of the bodies only the contestants
-    /// the paper hands it to for free may look (`Optimal`'s
-    /// selectivities, the ML baselines' oracle-tuned training size) —
-    /// never planning code.
+    /// The frame scores against it; of this crate's bodies only
+    /// `Optimal`, to which the paper hands exact selectivities for free,
+    /// may look — never planning code.
     pub truth: Arc<RowSet>,
 }
 
@@ -167,28 +171,19 @@ impl Frame<'_> {
     pub fn empty_answer(&self) -> RowSet {
         RowSet::new(self.invoker.table().num_rows())
     }
-
-    /// Scores a candidate answer against ground truth (the oracle-tuned
-    /// baselines' acceptance test).
-    pub fn score(&self, returned: impl IntoIterator<Item = usize>) -> PrSummary {
-        let (mut num_returned, mut true_positives) = (0, 0);
-        for row in returned {
-            num_returned += 1;
-            true_positives += usize::from(self.truth.contains(row));
-        }
-        PrSummary::from_counts(num_returned, true_positives, self.truth.len())
-    }
 }
 
 /// What a pipeline body hands back for the frame to score and bill.
-pub(crate) struct Answer {
+pub struct Answer {
     /// The rows in the answer, as a plane over the table.
     pub returned: RowSet,
+    /// Number of groups the plan was computed over.
     pub num_groups: usize,
+    /// False when the plan fell back to evaluating everything.
     pub plan_feasible: bool,
 }
 
-/// The one frame under all seven pipelines: obtains the predicate,
+/// The one frame under every pipeline: obtains the predicate,
 /// builds the audited invoker and the seeded generator, clocks `body`,
 /// then scores its answer against ground truth — both are planes, so
 /// `|R ∩ C|` is a popcount of `answer & truth` — and assembles the bill
@@ -197,8 +192,10 @@ pub(crate) struct Answer {
 /// `compute_seconds` stops when the body returns, so it excludes both.
 ///
 /// Takes the body as a closure because the invoker borrows the boxed
-/// UDF, which must outlive it on this stack frame.
-pub(crate) fn run_framed(
+/// UDF, which must outlive it on this stack frame. This is the seam a
+/// pipeline outside the crate uses: its outcome is then clocked, billed
+/// and scored by the same code as the built-ins'.
+pub fn run_framed(
     ds: &Dataset,
     cost: &CostModel,
     seed: u64,

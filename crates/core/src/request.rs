@@ -29,9 +29,7 @@ use crate::optimize::CorrelationModel;
 use crate::pipeline::IntelSampleConfig;
 use crate::query::QuerySpec;
 use crate::sampling::SampleSizeRule;
-use crate::strategy::{
-    Adaptive, ExprScan, IntelSample, Iterative, Learning, Multiple, Naive, Optimal, Strategy,
-};
+use crate::strategy::{Adaptive, ExprScan, IntelSample, Iterative, Naive, Optimal, Strategy};
 use expred_udf::{CostModel, PredicateExpr};
 use std::sync::Arc;
 
@@ -127,16 +125,6 @@ impl QueryRequest {
             rule,
             rounds,
         })
-    }
-
-    /// The `Learning` ML baseline ([`crate::baselines::run_learning`]).
-    pub fn learning(spec: QuerySpec) -> Self {
-        Self::new(Learning(spec))
-    }
-
-    /// The `Multiple` ML baseline ([`crate::baselines::run_multiple`]).
-    pub fn multiple(spec: QuerySpec, imputations: usize) -> Self {
-        Self::new(Multiple { spec, imputations })
     }
 
     /// Exact multi-predicate selection: evaluates `expr` on every row

@@ -24,14 +24,15 @@
 //!
 //! # Built-ins
 //!
-//! The seven pipelines the workspace grew as free functions are all here
+//! The five pipelines the workspace grew as free functions are all here
 //! as first-class strategies: [`IntelSample`], [`Naive`], [`Optimal`],
-//! [`Adaptive`], [`Iterative`], [`Learning`], and [`Multiple`] — plus
-//! [`ExprScan`], which evaluates a [`PredicateExpr`] over the whole table
-//! through the session cache with cost-ordered short-circuiting.
+//! [`Adaptive`], and [`Iterative`] — plus [`ExprScan`], which evaluates a
+//! [`PredicateExpr`] over the whole table through the session cache with
+//! cost-ordered short-circuiting. The paper's ML baselines are not
+//! strategies: their training size is tuned against ground truth, so
+//! they live with the experiments in `expred-bench`.
 
 use crate::adaptive::{run_intel_sample_adaptive, run_intel_sample_iterative};
-use crate::baselines::{run_learning, run_multiple};
 use crate::error::EngineError;
 use crate::optimize::CorrelationModel;
 use crate::pipeline::{
@@ -228,7 +229,7 @@ fn require_column(table: &Table, column: &str) -> Result<(), EngineError> {
 }
 
 /// Shared validation for every built-in pipeline: the label oracle
-/// column must exist and be a boolean column without NULLs (all seven
+/// column must exist and be a boolean column without NULLs (all five
 /// evaluate it as the expensive UDF and score their answer against it).
 /// Reads the memoized column statistics, so repeat requests pay a lookup.
 fn require_label_column(ds: &Dataset) -> Result<(), EngineError> {
@@ -266,6 +267,16 @@ fn validate_rule(rule: SampleSizeRule) -> Result<(), EngineError> {
 fn validate_predictor(ds: &Dataset, predictor: &PredictorChoice) -> Result<(), EngineError> {
     match predictor {
         PredictorChoice::Fixed(col) => require_column(&ds.table, col),
+        // Both label a sample of at least one row before they can group.
+        PredictorChoice::Auto { .. } | PredictorChoice::Virtual { .. }
+            if ds.table.num_rows() == 0 =>
+        {
+            Err(EngineError::InvalidRequest {
+                reason: "auto and virtual predictors label a sample and the table is empty; \
+                         name a predictor column instead"
+                    .into(),
+            })
+        }
         // Ranking has nothing to rank on a table without string-typed
         // columns (CSV ingestion of numeric features produces one).
         PredictorChoice::Auto { .. } if ds.candidate_columns().is_empty() => {
@@ -546,75 +557,6 @@ impl Strategy for Iterative {
     }
 }
 
-/// The `Learning` ML baseline as a strategy
-/// ([`crate::baselines::run_learning`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Learning(pub QuerySpec);
-
-impl Strategy for Learning {
-    fn name(&self) -> &str {
-        "learning"
-    }
-
-    fn fingerprint(&self, fp: &mut Fingerprint) {
-        spec_fp(fp, &self.0);
-    }
-
-    fn validate(&self, ds: &Dataset) -> Result<(), EngineError> {
-        self.0.validate()?;
-        require_label_column(ds)
-    }
-
-    fn execute(
-        &self,
-        ds: &Dataset,
-        seed: u64,
-        ctx: &ExecContext<'_>,
-    ) -> Result<RunOutcome, EngineError> {
-        run_learning(ds, &self.0, seed, ctx)
-    }
-}
-
-/// The `Multiple` ML baseline as a strategy
-/// ([`crate::baselines::run_multiple`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Multiple {
-    /// Accuracy contract.
-    pub spec: QuerySpec,
-    /// Number of imputed completions.
-    pub imputations: usize,
-}
-
-impl Strategy for Multiple {
-    fn name(&self) -> &str {
-        "multiple"
-    }
-
-    fn fingerprint(&self, fp: &mut Fingerprint) {
-        spec_fp(fp, &self.spec);
-        fp.write_u64(self.imputations as u64);
-    }
-
-    fn validate(&self, ds: &Dataset) -> Result<(), EngineError> {
-        self.spec.validate()?;
-        if self.imputations < 1 {
-            return Err(EngineError::InvalidRequest {
-                reason: "the Multiple baseline needs at least one imputation".into(),
-            });
-        }
-        require_label_column(ds)
-    }
-
-    fn execute(
-        &self,
-        ds: &Dataset,
-        seed: u64,
-        ctx: &ExecContext<'_>,
-    ) -> Result<RunOutcome, EngineError> {
-        run_multiple(ds, &self.spec, self.imputations, seed, ctx)
-    }
-}
-
 /// Exact multi-predicate selection as a strategy: evaluates a
 /// [`PredicateExpr`] on every row through the session cache, with
 /// short-circuiting inside each conjunction/disjunction. The expression
@@ -746,11 +688,13 @@ mod tests {
     fn identities_separate_strategies_and_parameters() {
         let spec = QuerySpec::paper_default();
         let naive = StrategyIdentity::of(&Naive(spec));
-        let learning = StrategyIdentity::of(&Learning(spec));
         // Same parameter stream, different names: distinct identities.
-        assert_eq!(naive.fingerprint, learning.fingerprint);
-        assert_ne!(naive, learning);
-        assert_ne!(naive.digest64(), learning.digest64());
+        let renamed = StrategyIdentity {
+            name: "renamed".into(),
+            ..naive.clone()
+        };
+        assert_ne!(naive, renamed);
+        assert_ne!(naive.digest64(), renamed.digest64());
         let other = StrategyIdentity::of(&Naive(QuerySpec::new(0.7, 0.8, 0.8, spec.cost)));
         assert_ne!(naive, other);
     }
@@ -809,14 +753,6 @@ mod tests {
         assert!(matches!(
             bad_spec.validate(&ds),
             Err(EngineError::InvalidSpec { field: "alpha", .. })
-        ));
-        let zero_imputations = Multiple {
-            spec: QuerySpec::paper_default(),
-            imputations: 0,
-        };
-        assert!(matches!(
-            zero_imputations.validate(&ds),
-            Err(EngineError::InvalidRequest { .. })
         ));
         let bad_rule = IntelSample(IntelSampleConfig {
             rule: SampleSizeRule::Fraction(0.0),

@@ -2,9 +2,10 @@
 //!
 //! The paper measures answers in information-retrieval terms: with `C` the
 //! true result set and `R` the returned set, precision is `|R∩C|/|R|` and
-//! recall `|R∩C|/|C|` (§1). These helpers are used both by the baselines
-//! (to find their smallest sufficient training size) and by the experiment
-//! harness (to verify constraint satisfaction).
+//! recall `|R∩C|/|C|` (§1). These helpers are used both by the pipelines
+//! (to score an answer) and by the experiment harness (to verify
+//! constraint satisfaction and, for the ML baselines, to find their
+//! smallest sufficient training size).
 
 /// Precision/recall of a returned row set against ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,17 +47,6 @@ impl PrSummary {
         }
     }
 
-    /// Harmonic mean of precision and recall (0 when both are 0).
-    pub fn f1(&self) -> f64 {
-        let p = self.precision;
-        let r = self.recall;
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
     /// Whether this outcome meets the paper's `(α, β)` constraints.
     pub fn meets(&self, alpha: f64, beta: f64) -> bool {
         self.precision >= alpha && self.recall >= beta
@@ -83,13 +73,6 @@ pub fn precision_recall(returned: impl IntoIterator<Item = usize>, truth: &[bool
     PrSummary::from_counts(num_returned, true_positives, total_correct)
 }
 
-/// Computes precision/recall from a boolean predicted-set vector.
-pub fn precision_recall_mask(predicted: &[bool], truth: &[bool]) -> PrSummary {
-    assert_eq!(predicted.len(), truth.len());
-    let returned = predicted.iter().enumerate().filter(|(_, &p)| p);
-    precision_recall(returned.map(|(i, _)| i), truth)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,7 +94,6 @@ mod tests {
         let s = precision_recall([], &truth);
         assert_eq!(s.precision, 1.0);
         assert_eq!(s.recall, 0.0);
-        assert_eq!(s.f1(), 0.0);
     }
 
     #[test]
@@ -128,17 +110,7 @@ mod tests {
         let s = precision_recall([0, 2], &truth);
         assert_eq!(s.precision, 1.0);
         assert_eq!(s.recall, 1.0);
-        assert_eq!(s.f1(), 1.0);
         assert!(s.meets(0.99, 0.99));
-    }
-
-    #[test]
-    fn mask_matches_index_form() {
-        let truth = [true, false, true, false];
-        let mask = [true, true, false, false];
-        let a = precision_recall_mask(&mask, &truth);
-        let b = precision_recall([0, 1], &truth);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use expred_ml::features::{extract_features, FeatureSpec};
 use expred_ml::logistic::{train, TrainConfig};
-use expred_ml::metrics::{precision_recall, precision_recall_mask};
+use expred_ml::metrics::precision_recall;
 use expred_table::{DataType, Field, Schema, Table, Value};
 use proptest::prelude::*;
 
@@ -49,10 +49,11 @@ proptest! {
     #[test]
     fn precision_recall_bounds(truth in prop::collection::vec(any::<bool>(), 1..120), mask in prop::collection::vec(any::<bool>(), 1..120)) {
         let n = truth.len().min(mask.len());
-        let s = precision_recall_mask(&mask[..n], &truth[..n]);
+        // The returned rows are the mask's true indices.
+        let returned = mask[..n].iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| i);
+        let s = precision_recall(returned, &truth[..n]);
         prop_assert!((0.0..=1.0).contains(&s.precision));
         prop_assert!((0.0..=1.0).contains(&s.recall));
-        prop_assert!((0.0..=1.0).contains(&s.f1()));
         prop_assert!(s.true_positives <= s.returned);
         prop_assert!(s.true_positives <= s.total_correct || s.total_correct == 0);
     }

@@ -168,7 +168,7 @@ pub struct ApiQuery {
 /// Per-kind fields of the `query` object (beyond
 /// `alpha`/`beta`/`rho`/`cost`):
 ///
-/// * `"naive"`, `"learning"` — none.
+/// * `"naive"` — none.
 /// * `"intel_sample"` — `predictor` (column name; omit for auto-ranking),
 ///   `label_fraction` (auto-ranking budget, default 0.01),
 ///   `sample_fraction` (default 0.05), `corr`
@@ -177,7 +177,6 @@ pub struct ApiQuery {
 ///   adaptive also takes `corr`.
 /// * `"iterative"` — `predictor` (required), `corr`, `sample_fraction`,
 ///   `rounds` (default 2).
-/// * `"multiple"` — `imputations` (default 5).
 /// * `"expr"` — `predicate` (required): a pypred-style boolean string
 ///   over the table's boolean columns, e.g.
 ///   `"udf_label and (vip or not flagged)"` (`not` binds tighter than
@@ -187,9 +186,11 @@ pub struct ApiQuery {
 ///   leaves. Parse failures are 400 `bad_expression`.
 ///
 /// Work-multiplier fields are admission-controlled here, not just in
-/// the engine: `imputations` ≤ [`MAX_IMPUTATIONS`], `rounds` ≤
-/// [`MAX_ROUNDS`], and both fraction knobs must lie in `(0, 1]` —
-/// anything past a bound is a 400, mirroring the `max_rows` cap.
+/// the engine: `rounds` ≤ [`MAX_ROUNDS`], and both fraction knobs must
+/// lie in `(0, 1]` — anything past a bound is a 400, mirroring the
+/// `max_rows` cap. Any other kind or `query` field is a 400 too; the
+/// paper's ML baselines (`learning`, `multiple` and their `imputations`)
+/// are not served, since they tune against ground truth.
 ///
 /// The fields are read straight off a [`JsonReader`], with no tree. A
 /// body that is not JSON is answered as such even when a field before the
@@ -378,14 +379,10 @@ fn read_table(reader: &mut JsonReader<'_>, max_rows: usize) -> Result<TableKey, 
     Ok(TableKey { spec, rows, seed })
 }
 
-/// Largest accepted `imputations` value. The engine only checks `>= 1`,
-/// so without an API-side ceiling a single admitted request could
-/// command unbounded CPU — the same admission-control hole `max_rows`
-/// closes for table size.
-pub const MAX_IMPUTATIONS: u64 = 100;
-
-/// Largest accepted `rounds` value (same rationale as
-/// [`MAX_IMPUTATIONS`]).
+/// Largest accepted `rounds` value. The engine only checks `>= 1`, so
+/// without an API-side ceiling a single admitted request could command
+/// unbounded CPU — the same admission-control hole `max_rows` closes for
+/// table size.
 pub const MAX_ROUNDS: u64 = 64;
 
 /// The `query` object's shared contract fields, collected before the
@@ -400,7 +397,6 @@ struct QueryFields<'a> {
     label_fraction: f64,
     sample_fraction: f64,
     corr: CorrelationModel,
-    imputations: usize,
     rounds: usize,
     predicate: Option<String>,
 }
@@ -450,7 +446,6 @@ fn read_query<'a>(reader: &mut JsonReader<'a>) -> Result<QueryFields<'a>, Stop> 
         label_fraction: 0.01,
         sample_fraction: 0.05,
         corr: CorrelationModel::Independent,
-        imputations: 5,
         rounds: 2,
         predicate: None,
     };
@@ -464,7 +459,6 @@ fn read_query<'a>(reader: &mut JsonReader<'a>) -> Result<QueryFields<'a>, Stop> 
         "label_fraction",
         "sample_fraction",
         "corr",
-        "imputations",
         "rounds",
         "predicate",
     ]);
@@ -491,7 +485,6 @@ fn read_query<'a>(reader: &mut JsonReader<'a>) -> Result<QueryFields<'a>, Stop> 
                     }
                 }
             }
-            "imputations" => f.imputations = bounded(reader, "imputations", MAX_IMPUTATIONS)?,
             "rounds" => f.rounds = bounded(reader, "rounds", MAX_ROUNDS)?,
             "predicate" => {
                 f.predicate = Some(string(reader, "\"predicate\" must be a string")?.into_owned());
@@ -514,8 +507,6 @@ fn query_request(f: QueryFields<'_>) -> Result<QueryRequest, ApiError> {
     };
     match &*f.kind {
         "naive" => Ok(QueryRequest::naive(spec)),
-        "learning" => Ok(QueryRequest::learning(spec)),
-        "multiple" => Ok(QueryRequest::multiple(spec, f.imputations)),
         "optimal" => Ok(QueryRequest::optimal(spec, needs_predictor()?)),
         "adaptive" => Ok(QueryRequest::adaptive(spec, f.corr, needs_predictor()?)),
         "iterative" => Ok(QueryRequest::iterative(
@@ -554,7 +545,7 @@ fn query_request(f: QueryFields<'_>) -> Result<QueryRequest, ApiError> {
         "" => Err(ApiError::bad_request("missing \"query.kind\"")),
         other => Err(ApiError::bad_request(format!(
             "unknown query kind {other:?} (available: naive, intel_sample, optimal, \
-             adaptive, iterative, learning, multiple, expr)"
+             adaptive, iterative, expr)"
         ))),
     }
 }

@@ -11,8 +11,8 @@
 //!   on the sequential context).
 
 use expred::core::{
-    run_intel_sample, run_learning, run_naive, IntelSampleConfig, PredictorChoice, QueryEngine,
-    QueryRequest, QuerySpec,
+    run_intel_sample, run_naive, IntelSampleConfig, PredictorChoice, QueryEngine, QueryRequest,
+    QuerySpec,
 };
 use expred::exec::{ExecContext, WorkerPool};
 use expred::table::datasets::{Dataset, DatasetSpec, PROSPER};
@@ -137,30 +137,6 @@ fn session_reuse_is_backend_invariant() {
     assert_eq!(b_seq.returned, b_par.returned);
     assert_eq!(b_seq.counts, b_par.counts);
     assert_eq!(seq.session_counts(), par.session_counts());
-}
-
-#[test]
-fn ml_baseline_reuses_labels_from_earlier_queries() {
-    // The Learning baseline now labels through the runtime, so a session
-    // that already evaluated much of the table makes its seed cheaper.
-    let ds = small_prosper(6);
-    let spec = QuerySpec::paper_default();
-    let cold = run_learning(&ds, &spec, 11, &ExecContext::sequential()).unwrap();
-
-    let engine = QueryEngine::new();
-    engine.submit(&ds, &naive(spec, 1)).unwrap(); // warms ~80% of the table
-    let warm = engine
-        .submit(&ds, &QueryRequest::learning(spec).with_seed(11))
-        .unwrap();
-    assert_eq!(warm.returned, cold.returned, "labels are labels");
-    assert_eq!(
-        warm.counts.evaluated + warm.counts.reuse_hits,
-        cold.counts.evaluated
-    );
-    assert!(
-        warm.counts.reuse_hits > 0,
-        "training labels must come from the session cache"
-    );
 }
 
 #[test]

@@ -69,10 +69,6 @@ fn invalid_request_parameters_are_typed_errors() {
     let engine = QueryEngine::new();
     let spec = QuerySpec::paper_default();
     assert!(matches!(
-        engine.submit(&ds, &QueryRequest::multiple(spec, 0)),
-        Err(EngineError::InvalidRequest { .. })
-    ));
-    assert!(matches!(
         engine.submit(
             &ds,
             &QueryRequest::iterative(
@@ -110,6 +106,63 @@ fn invalid_request_parameters_are_typed_errors() {
         engine.submit(&numeric, &QueryRequest::intel_sample(auto)),
         Err(EngineError::InvalidRequest { .. })
     ));
+    assert_eq!(engine.session_counts().evaluated, 0);
+}
+
+#[test]
+fn every_builtin_strategy_answers_a_zero_row_table_without_panicking() {
+    // A table with the label and a string predictor but no rows: each
+    // strategy answers with an empty set or refuses with a typed error.
+    // The auto-ranked and virtual predictors label a sample of at least
+    // one row, so validation refuses them before they size it.
+    use expred::core::{CorrelationModel, IntelSampleConfig, PredictorChoice, SampleSizeRule};
+    use expred::table::{DataType, Field, Schema, Table};
+    let empty = Dataset {
+        table: Table::from_rows(
+            Schema::new(vec![
+                Field::new(LABEL_COLUMN, DataType::Bool),
+                Field::new("grade", DataType::Str),
+            ]),
+            Vec::new(),
+        )
+        .unwrap(),
+        spec: PROSPER,
+        seed: 0,
+    };
+    let spec = QuerySpec::paper_default();
+    let corr = CorrelationModel::Independent;
+    let intel = |predictor| QueryRequest::intel_sample(IntelSampleConfig::experiment1(predictor));
+    let answered = [
+        QueryRequest::naive(spec),
+        QueryRequest::optimal(spec, "grade"),
+        QueryRequest::adaptive(spec, corr, "grade"),
+        QueryRequest::iterative(spec, corr, "grade", SampleSizeRule::Fraction(0.05), 2),
+        intel(PredictorChoice::Fixed("grade".into())),
+        QueryRequest::expr_scan(Pred::udf(OracleUdf::new(LABEL_COLUMN)), spec.cost),
+    ];
+    let refused = [
+        intel(PredictorChoice::Auto {
+            label_fraction: 0.01,
+        }),
+        intel(PredictorChoice::Virtual {
+            buckets: 10,
+            label_fraction: 0.01,
+        }),
+    ];
+    let engine = QueryEngine::new();
+    for request in &answered {
+        let name = request.strategy().name();
+        let outcome = engine
+            .submit(&empty, request)
+            .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        assert!(outcome.returned.is_empty(), "{name}");
+    }
+    for request in &refused {
+        assert!(matches!(
+            engine.submit(&empty, request),
+            Err(EngineError::InvalidRequest { .. })
+        ));
+    }
     assert_eq!(engine.session_counts().evaluated, 0);
 }
 
