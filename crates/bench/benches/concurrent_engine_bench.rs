@@ -5,7 +5,7 @@
 //! cargo bench --bench concurrent_engine_bench -- --smoke # CI proof
 //! ```
 //!
-//! Two serving shapes (→ `BENCH_concurrent_engine.json`):
+//! Three serving shapes (→ `BENCH_concurrent_engine.json`):
 //!
 //! * `tenant_scaling_100us` — a 100µs-UDF workload (eight tenants, each
 //!   querying its own table) through one shared engine, single-threaded
@@ -17,12 +17,21 @@
 //!   from 1 vs 8 threads. The hit path holds no exclusive lock, so
 //!   aggregate hit throughput under 8-way contention stays in the same
 //!   band as single-threaded instead of collapsing.
+//! * `dropped_tables` — a server's table churn: one engine asks about
+//!   many tables once each and drops them. `namespaces_left` counts what
+//!   the row tier still holds afterwards (the live tables' namespaces
+//!   only: none), and `ns_per_borrow` times a row-tier borrow of a table
+//!   that dies right after, sweeps included; the run prints its first
+//!   and last quarter apart, which read alike when the sweep is O(1)
+//!   per borrow.
 
 use expred_bench::{report::measure_ns_per_unit, BenchReport};
 use expred_core::engine::QueryEngine;
-use expred_core::{QueryRequest, QuerySpec};
+use expred_core::{IntelSampleConfig, PredictorChoice, QueryRequest, QuerySpec};
+use expred_exec::{CacheNamespace, CacheStore};
 use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const UDF_LATENCY: Duration = Duration::from_micros(100);
@@ -76,12 +85,14 @@ fn main() {
     let speedup = serial / concurrent;
     let per_probe = |secs: f64| secs * 1e9 / probes as f64;
     report.record("tenant_scaling_100us", "one_thread", per_probe(serial), 1.0);
+    report.name_last("ns_per_probe", "ns");
     report.record(
         "tenant_scaling_100us",
         "eight_threads",
         per_probe(concurrent),
         speedup,
     );
+    report.name_last("ns_per_probe", "ns");
     println!(
         "tenant_scaling_100us: serial {serial:.3}s, {THREADS} threads {concurrent:.3}s \
          -> {speedup:.1}x"
@@ -134,20 +145,88 @@ fn main() {
         })
     });
     report.record("memoized_repeats", "one_thread", one_ns, 1.0);
+    report.name_last("ns_per_hit", "ns");
     report.record(
         "memoized_repeats",
         "eight_threads",
         eight_ns,
         one_ns / eight_ns,
     );
+    report.name_last("ns_per_hit", "ns");
     println!(
         "memoized_repeats: one_thread {one_ns:>8.0} ns/hit | eight_threads {eight_ns:>8.0} \
          ns/hit ({:.2}x)",
         one_ns / eight_ns
     );
 
+    dropped_tables(&mut report, smoke);
+
     match report.write() {
         Ok(path) => println!("results written to {}", path.display()),
         Err(err) => eprintln!("could not write bench report: {err}"),
     }
+}
+
+/// Table churn through one engine, then through the row tier alone.
+fn dropped_tables(report: &mut BenchReport, smoke: bool) {
+    let tables: u64 = if smoke { 200 } else { 2_000 };
+    let intel = QueryRequest::intel_sample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
+        "grade".into(),
+    )));
+    let engine = QueryEngine::new();
+    for seed in 0..tables {
+        let ds = Dataset::generate(
+            DatasetSpec {
+                rows: 2_000,
+                ..PROSPER
+            },
+            seed,
+        );
+        black_box(
+            engine
+                .submit(&ds, &intel.clone().with_seed(seed))
+                .expect("submit"),
+        );
+    }
+    let left = engine.store().num_namespaces();
+    report.record_metric(
+        "dropped_tables",
+        "one_thread",
+        "namespaces_left",
+        "count",
+        left as f64,
+    );
+
+    // Every borrow names a table nothing else holds, so each one adds a
+    // pair that is dead by the next borrow.
+    let borrows: u64 = if smoke { 100_000 } else { 1_000_000 };
+    let store = CacheStore::new();
+    let mut quarters = Vec::new();
+    let start = Instant::now();
+    for quarter in 0..4 {
+        let begin = Instant::now();
+        for i in quarter * borrows / 4..(quarter + 1) * borrows / 4 {
+            let owner = Arc::new(());
+            let namespace = CacheNamespace {
+                udf: 1,
+                table: i,
+                version: 0,
+            };
+            black_box(store.handle(namespace, &owner));
+        }
+        quarters.push(begin.elapsed().as_nanos() as f64 / (borrows / 4) as f64);
+    }
+    let per_borrow = start.elapsed().as_nanos() as f64 / borrows as f64;
+    report.record_metric(
+        "dropped_tables",
+        "one_thread",
+        "ns_per_borrow",
+        "ns",
+        per_borrow,
+    );
+    println!(
+        "dropped_tables: {tables} tables -> {left} namespaces left | {per_borrow:.0} ns/borrow \
+         (first quarter {:.0}, last {:.0})",
+        quarters[0], quarters[3]
+    );
 }

@@ -200,6 +200,7 @@ fn main() {
     let start = Instant::now();
     let store = PersistStore::open(PersistConfig::new(&snap_dir)).expect("reopen snapshot");
     let cache = CacheStore::new();
+    let table = std::sync::Arc::new(());
     let mut loaded = 0usize;
     for persist_key in store.namespaces() {
         let (pages, _) = store.pages(persist_key).expect("listed namespace");
@@ -208,7 +209,7 @@ fn main() {
             table: 1,
             version: persist_key.version,
         };
-        loaded += cache.prefill(namespace, &pages, Duration::ZERO);
+        loaded += cache.prefill(namespace, &table, &pages, Duration::ZERO);
     }
     let rehydrate_ns = start.elapsed().as_secs_f64() * 1e9 / persisted as f64;
     assert_eq!((loaded as u64, cache.len() as u64), (persisted, persisted));

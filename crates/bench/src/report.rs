@@ -95,7 +95,13 @@ impl BenchReport {
         value: f64,
     ) {
         self.record(scenario, backend, value, 1.0);
-        let row = self.records.last_mut().expect("just pushed");
+        self.name_last(metric, unit);
+    }
+
+    /// Names what the last row's `ns_per_probe` holds: `metric`, in
+    /// `unit`. For rows that also carry a speedup.
+    pub fn name_last(&mut self, metric: &str, unit: &str) {
+        let row = self.records.last_mut().expect("a row to name");
         row.metric = Some((metric.to_owned(), unit.to_owned()));
     }
 

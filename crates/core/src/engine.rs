@@ -562,7 +562,7 @@ impl QueryEngine {
         self.results.stats()
     }
 
-    /// The shared row-tier store (e.g. for explicit invalidation).
+    /// The shared row-tier store (its statistics, its namespaces).
     pub fn store(&self) -> &CacheStore {
         &self.store
     }

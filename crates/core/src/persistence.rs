@@ -26,6 +26,15 @@
 //!   a 64-row word at a time — and with them the pass rates the
 //!   expression optimizer reads ([`CacheStore::pass_rate`]), so a
 //!   restarted session plans as the one that paid for the answers did.
+//! * **Hand-off** (a table dies): the row tier drops a dead table's
+//!   namespaces and offers each one's pages once more, outside its lock
+//!   and never from inside a prefill. The offer deduplicates against the
+//!   durable index, so rows already durable add no WAL record, and rows
+//!   that missed an earlier offer still reach the store, as
+//!   [`crate::QueryEngine::flush_persistence`] would have sent them. Then
+//!   the layer forgets the table's registration
+//!   ([`SpillSink::table_dropped`]), so the registry, too, is bounded by
+//!   the tables that are live.
 //!
 //! Write timestamps are wall-clock (`UNIX_EPOCH` nanos), one per offered
 //! batch, kept per 4 096-row page by the store (a page is as old as its
@@ -104,7 +113,8 @@ expred_stats::counter_set! {
 pub(crate) struct PersistLayer {
     store: PersistStore,
     /// Table instance id → registration (schema fingerprint + hydrated
-    /// versions). Read on every spill; written once per new table state.
+    /// versions). Read on every spill; written once per new table state,
+    /// and once more when the table dies.
     tables: RwLock<HashMap<u64, TableReg>>,
     counters: LayerCounters,
 }
@@ -180,7 +190,7 @@ impl PersistLayer {
                 table: tid,
                 version,
             };
-            let loaded = cache.prefill(namespace, &pages, age);
+            let loaded = cache.prefill(namespace, ds.table.identity(), &pages, age);
             if loaded > 0 {
                 self.counters
                     .rehydrated_rows
@@ -233,6 +243,11 @@ impl SpillSink for PersistLayer {
             .spilled_offers
             .fetch_add(rows(fits), Ordering::Relaxed);
         self.store.append_pages(key, fits, now_unix_nanos());
+    }
+
+    fn table_dropped(&self, table: u64) {
+        let mut tables = self.tables.write().unwrap_or_else(|e| e.into_inner());
+        tables.remove(&table);
     }
 }
 
@@ -289,6 +304,10 @@ mod tests {
         let rows = layer.store().rows(key).unwrap();
         let rows: Vec<(u32, bool)> = rows.iter().map(|&(row, answer, _)| (row, answer)).collect();
         assert_eq!(rows, [(3, true), (5, false)]);
+        // A dead table's registration goes: later offers are unregistered.
+        layer.table_dropped(namespace.table);
+        layer.spill(namespace, &pages);
+        assert_eq!(layer.session_stats().skipped_unregistered, 8);
         drop(layer);
         let _ = std::fs::remove_dir_all(&dir);
     }

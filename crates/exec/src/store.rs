@@ -59,27 +59,48 @@
 //! [`MAX_LIVE_VERSIONS`] most recently borrowed versions of each
 //! `(udf, table)` pair and garbage-collects the rest.
 //!
+//! # Liveness
+//!
+//! A namespace is worth keeping only while its table can still be asked
+//! about. Every borrow names the table's *owner* — an `Arc` that every
+//! clone of the table shares and nothing else holds — and the store keeps
+//! a `Weak` to it per `(udf, table)` pair. Once the owner is dead no one
+//! can borrow the pair again (a re-built table gets a fresh id), so the
+//! store drops the pair with its namespaces. The sweep runs on the
+//! borrow's write-lock path once the pairs have doubled since the last
+//! sweep, so its work is O(1) per borrow, and [`CacheStore::num_namespaces`]
+//! runs it on demand. A swept namespace's pages are offered to the spill
+//! sink once more, after the store's lock is released, and then the sink
+//! hears that the table is gone ([`SpillSink::table_dropped`]). The row
+//! tier is thus bounded by the tables that are live.
+//!
 //! # Consistency contract
 //!
-//! A whole namespace may disappear between borrows (invalidation, version
-//! garbage collection, TTL expiry, [`CacheStore::clear`]); a borrowed
-//! handle keeps its namespace alive. Callers that need read-your-writes
-//! stability within one query — the paper's sample-reuse logic does —
-//! layer a per-query memo in front (the invoker does exactly that).
+//! A whole namespace may disappear between borrows (version garbage
+//! collection, TTL expiry, [`CacheStore::clear`]), and it disappears for
+//! good once its table dies; a borrowed handle keeps its namespace alive.
+//! No live table loses a namespace to the liveness sweep: the sweep
+//! drops only pairs whose owner is dead, and a dead `Arc` never revives.
+//! Callers that need read-your-writes stability within one query — the
+//! paper's sample-reuse logic does — layer a per-query memo in front (the
+//! invoker does exactly that).
 
 use crate::cache::RowBits;
 use expred_stats::bits::{pages_of, PagePlanes, PAGE_ROWS, PAGE_WORDS};
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 use std::time::{Duration, Instant};
 
 /// Receives cache writes for durable storage.
 ///
 /// A sink hears about every answer that *enters* a namespace (fresh
-/// evaluations — the invoker only writes through on fresh). It never
-/// hears about [`CacheStore::prefill`]ed entries: those came *from* the
-/// sink, and echoing them back would re-log every restart.
+/// evaluations — the invoker only writes through on fresh). It does not
+/// hear [`CacheStore::prefill`]ed entries as they land: those came *from*
+/// the sink. It hears every row of a namespace once more when the
+/// namespace's table dies (see the module docs), prefilled rows included,
+/// so an answer the sink could not take earlier still gets to it.
 ///
 /// An offer is one batch of one namespace as `(page number, planes)`
 /// pairs, ascending by page, none of them empty. Rows may repeat across
@@ -90,6 +111,11 @@ use std::time::{Duration, Instant};
 pub trait SpillSink: Send + Sync + std::fmt::Debug {
     /// Offers `pages` of `namespace` for durable storage.
     fn spill(&self, namespace: CacheNamespace, pages: &[(usize, PagePlanes)]);
+
+    /// Hears that the table with instance id `table` has died: the store
+    /// has dropped its namespaces, each offered once through
+    /// [`SpillSink::spill`] just before. The default forgets nothing.
+    fn table_dropped(&self, _table: u64) {}
 }
 
 /// The store's current sink, shared by every namespace so
@@ -127,8 +153,9 @@ expred_stats::counter_set! {
         /// exported because the benchmark harness reads it (ROADMAP
         /// direction 4 removes it).
         evictions,
-        /// Entries discarded by namespace invalidation (version bumps,
-        /// explicit invalidation).
+        /// Entries discarded with their namespace: by version garbage
+        /// collection, by [`CacheStore::clear`], or because the
+        /// namespace's table died (see the module docs).
         invalidated,
         /// Entries discarded because their namespace outlived the store's
         /// time-to-live ([`CacheStore::set_ttl`]), checked lazily on
@@ -418,31 +445,86 @@ pub struct CacheStore {
     inner: Arc<StoreInner>,
 }
 
-/// The namespace table plus the per-`(udf, table)` borrow-recency lists
-/// driving [`MAX_LIVE_VERSIONS`] garbage collection. One struct, one
-/// lock: they must always be updated together.
+/// What owns a namespace: the table's shared identity, held weakly.
+type Owner = Weak<dyn Any + Send + Sync>;
+
+/// One `(udf, table)` pair: its live versions, most recently borrowed
+/// last, and its table's owner. A pair lives as long as its table; only
+/// the liveness sweep removes it.
+#[derive(Debug)]
+struct Pair {
+    versions: Vec<u64>,
+    owner: Owner,
+}
+
+/// The namespace table plus the per-`(udf, table)` pairs driving
+/// [`MAX_LIVE_VERSIONS`] garbage collection and the liveness sweep. One
+/// struct, one lock: they must always be updated together.
 #[derive(Debug, Default)]
 struct Namespaces {
     map: HashMap<CacheNamespace, Arc<NamespaceCache>>,
-    /// Live versions per `(udf, table)`, most recently borrowed last.
-    recency: HashMap<(u64, u64), Vec<u64>>,
+    pairs: HashMap<(u64, u64), Pair>,
+    /// How many pairs the last liveness sweep left; the next one is due
+    /// once there are more than twice as many.
+    swept_at: usize,
+}
+
+/// What a liveness sweep dropped, to hand the spill sink once the
+/// store's lock is released.
+#[derive(Debug, Default)]
+struct Swept {
+    caches: Vec<Arc<NamespaceCache>>,
+    tables: Vec<u64>,
 }
 
 impl Namespaces {
-    /// Removes one namespace, maintaining the recency index. Returns the
-    /// number of entries dropped.
+    /// Removes one namespace, maintaining its pair's version list.
+    /// Returns the number of entries dropped.
     fn remove(&mut self, namespace: &CacheNamespace) -> u64 {
         let Some(old) = self.map.remove(namespace) else {
             return 0;
         };
-        let pair = (namespace.udf, namespace.table);
-        if let Some(versions) = self.recency.get_mut(&pair) {
-            versions.retain(|&v| v != namespace.version);
-            if versions.is_empty() {
-                self.recency.remove(&pair);
-            }
+        if let Some(pair) = self.pairs.get_mut(&(namespace.udf, namespace.table)) {
+            pair.versions.retain(|&v| v != namespace.version);
         }
         old.len() as u64
+    }
+
+    /// Whether the pairs have more than doubled since the last sweep:
+    /// the sweep's work, one look per pair, is then paid for by the
+    /// borrows that created the pairs added since.
+    fn sweep_due(&self) -> bool {
+        self.pairs.len() > 2 * self.swept_at
+    }
+
+    /// Drops every pair whose owner is dead, with its namespaces, and
+    /// returns them. Their entries count as invalidated.
+    fn sweep(&mut self, stats: &AtomicStats) -> Swept {
+        let mut swept = Swept::default();
+        let map = &mut self.map;
+        self.pairs.retain(|&(udf, table), pair| {
+            if pair.owner.strong_count() > 0 {
+                return true;
+            }
+            for &version in &pair.versions {
+                let namespace = CacheNamespace {
+                    udf,
+                    table,
+                    version,
+                };
+                swept.caches.extend(map.remove(&namespace));
+            }
+            swept.tables.push(table);
+            false
+        });
+        self.swept_at = self.pairs.len();
+        swept.tables.sort_unstable();
+        swept.tables.dedup();
+        let dropped: usize = swept.caches.iter().map(|cache| cache.len()).sum();
+        stats
+            .invalidated
+            .fetch_add(dropped as u64, Ordering::Relaxed);
+        swept
     }
 }
 
@@ -467,19 +549,25 @@ impl StoreInner {
     }
 
     /// Makes `namespace` the most recently borrowed version of its
-    /// `(udf, table)` pair — dropping versions that fall off the
-    /// [`MAX_LIVE_VERSIONS`] window, their entries counted as
-    /// invalidated — and returns its cache, born at `born` if new.
-    fn touch(
+    /// `(udf, table)` pair — owned by `owner` if the pair is new —
+    /// dropping versions that fall off the [`MAX_LIVE_VERSIONS`] window,
+    /// their entries counted as invalidated, and returns its cache, born
+    /// at `born` if new.
+    fn touch<T: Any + Send + Sync>(
         &self,
         guard: &mut Namespaces,
         namespace: CacheNamespace,
+        owner: &Arc<T>,
         born: Instant,
     ) -> Arc<NamespaceCache> {
-        let versions = guard
-            .recency
+        let pair = guard
+            .pairs
             .entry((namespace.udf, namespace.table))
-            .or_default();
+            .or_insert_with(|| Pair {
+                versions: Vec::new(),
+                owner: Arc::downgrade(owner) as Owner,
+            });
+        let versions = &mut pair.versions;
         versions.retain(|&v| v != namespace.version);
         versions.push(namespace.version);
         let excess = versions.len().saturating_sub(MAX_LIVE_VERSIONS);
@@ -505,6 +593,28 @@ impl StoreInner {
             ))
         });
         Arc::clone(cache)
+    }
+
+    /// Hands the spill sink what a sweep dropped: each namespace's pages
+    /// once, then each dead table. Called with the store's lock released,
+    /// since the sink may take locks of its own.
+    fn retire(&self, swept: Swept) {
+        if swept.tables.is_empty() {
+            return;
+        }
+        let sink = self.spill.read().unwrap_or_else(|e| e.into_inner()).clone();
+        let Some(sink) = sink else {
+            return;
+        };
+        for cache in swept.caches {
+            let pages = cache.planes();
+            if !pages.is_empty() {
+                sink.spill(cache.namespace, &pages);
+            }
+        }
+        for table in swept.tables {
+            sink.table_dropped(table);
+        }
     }
 }
 
@@ -558,6 +668,8 @@ impl CacheStore {
     }
 
     /// Borrows the cache for `namespace`, creating it on first use.
+    /// `owner` is the table's shared identity (see the module docs): the
+    /// namespace lives no longer than it.
     ///
     /// Borrowing refreshes the namespace's recency; once more than
     /// [`MAX_LIVE_VERSIONS`] versions of one `(udf, table)` pair are
@@ -575,8 +687,14 @@ impl CacheStore {
     /// borrows of *diverging* versions settle under the write lock, and
     /// a handle borrowed before its namespace is GCed keeps a private
     /// `Arc` — its query's read-your-writes view stays intact; only new
-    /// borrowers start empty.
-    pub fn handle(&self, namespace: CacheNamespace) -> CacheHandle {
+    /// borrowers start empty. A borrow that takes the write lock also
+    /// runs the liveness sweep when it is due, and offers what it swept
+    /// to the sink after releasing the lock.
+    pub fn handle<T: Any + Send + Sync>(
+        &self,
+        namespace: CacheNamespace,
+        owner: &Arc<T>,
+    ) -> CacheHandle {
         let ttl = self.ttl();
         {
             // Fast path: borrowing the freshest, unexpired version
@@ -585,7 +703,7 @@ impl CacheStore {
             if let Some(cache) = guard.map.get(&namespace) {
                 if !ttl.is_some_and(|t| cache.expired(t)) {
                     let pair = (namespace.udf, namespace.table);
-                    let freshest = guard.recency.get(&pair).and_then(|v| v.last());
+                    let freshest = guard.pairs.get(&pair).and_then(|p| p.versions.last());
                     if freshest == Some(&namespace.version) {
                         return CacheHandle {
                             namespace,
@@ -606,15 +724,26 @@ impl CacheStore {
                 stats.ttl_expirations.fetch_add(dropped, Ordering::Relaxed);
             }
         }
-        let cache = self.inner.touch(&mut guard, namespace, Instant::now());
+        let cache = self
+            .inner
+            .touch(&mut guard, namespace, owner, Instant::now());
+        let swept = if guard.sweep_due() {
+            guard.sweep(&self.inner.stats)
+        } else {
+            Swept::default()
+        };
+        drop(guard);
+        self.inner.retire(swept);
         CacheHandle { namespace, cache }
     }
 
-    /// Bulk-loads rehydrated pages into `namespace` without touching the
-    /// spill sink at all, and returns the number of rows loaded. The
-    /// pages land as a [`CacheHandle::insert_pages`] batch does, a word at
-    /// a time. The loaded entries came *from* the sink, so prefill is
-    /// safe to call while holding locks the sink would re-take.
+    /// Bulk-loads rehydrated pages into `namespace`, owned by `owner` as
+    /// in [`CacheStore::handle`], without touching the spill sink at all,
+    /// and returns the number of rows loaded. The pages land as a
+    /// [`CacheHandle::insert_pages`] batch does, a word at a time. The
+    /// loaded entries came *from* the sink, and prefill never runs the
+    /// liveness sweep (whose offers reach the sink), so prefill is safe
+    /// to call while holding locks the sink would re-take.
     ///
     /// A prefilled version counts as recently borrowed (it may push an
     /// old one out, exactly like [`CacheStore::handle`]). A namespace
@@ -623,9 +752,10 @@ impl CacheStore {
     /// answer staleness across restarts instead of restarting the clock.
     /// Prefilling an already-live namespace keeps its existing birth
     /// time (fresh activity wins).
-    pub fn prefill(
+    pub fn prefill<T: Any + Send + Sync>(
         &self,
         namespace: CacheNamespace,
+        owner: &Arc<T>,
         pages: &[(usize, PagePlanes)],
         age: Duration,
     ) -> usize {
@@ -637,7 +767,9 @@ impl CacheStore {
             return 0;
         }
         let born = Instant::now().checked_sub(age).unwrap_or_else(Instant::now);
-        let cache = self.inner.touch(&mut self.inner.write(), namespace, born);
+        let cache = self
+            .inner
+            .touch(&mut self.inner.write(), namespace, owner, born);
         cache.insert_pages(pages, false)
     }
 
@@ -674,16 +806,16 @@ impl CacheStore {
         Some(passed as f64 / len as f64)
     }
 
-    /// Drops one namespace outright.
-    pub fn invalidate(&self, namespace: CacheNamespace) {
-        let dropped = self.inner.write().remove(&namespace);
-        let stats = &self.inner.stats;
-        stats.invalidated.fetch_add(dropped, Ordering::Relaxed);
-    }
-
-    /// Number of live namespaces.
+    /// Number of namespaces the store holds once the liveness sweep has
+    /// dropped those of dead tables: it runs the sweep now, whether due
+    /// or not, and hands the sink what it dropped.
     pub fn num_namespaces(&self) -> usize {
-        self.inner.read().map.len()
+        let mut guard = self.inner.write();
+        let swept = guard.sweep(&self.inner.stats);
+        let live = guard.map.len();
+        drop(guard);
+        self.inner.retire(swept);
+        live
     }
 
     /// Total live entries across namespaces.
@@ -701,14 +833,17 @@ impl CacheStore {
         self.inner.stats.snapshot()
     }
 
-    /// Drops every namespace (stats are preserved).
+    /// Drops every namespace (stats are preserved). The pairs stay, so
+    /// the sink still hears when their tables die.
     pub fn clear(&self) {
         let mut guard = self.inner.write();
         let entries: u64 = guard.map.values().map(|c| c.len() as u64).sum();
         let stats = &self.inner.stats;
         stats.invalidated.fetch_add(entries, Ordering::Relaxed);
         guard.map.clear();
-        guard.recency.clear();
+        for pair in guard.pairs.values_mut() {
+            pair.versions.clear();
+        }
     }
 }
 
@@ -731,10 +866,17 @@ mod tests {
         }
     }
 
+    /// An owner that never dies, for the tests about everything but
+    /// liveness.
+    fn live() -> &'static Arc<()> {
+        static OWNER: std::sync::OnceLock<Arc<()>> = std::sync::OnceLock::new();
+        OWNER.get_or_init(|| Arc::new(()))
+    }
+
     #[test]
     fn get_insert_round_trips_and_counts() {
         let store = CacheStore::new();
-        let h = store.handle(ns(1, 1, 0));
+        let h = store.handle(ns(1, 1, 0), live());
         assert_eq!(h.get(42), None);
         h.insert(42, true);
         assert_eq!(h.get(42), Some(true));
@@ -750,7 +892,7 @@ mod tests {
     #[test]
     fn get_many_matches_per_key_gets_including_stats() {
         let store = CacheStore::new();
-        let h = store.handle(ns(1, 1, 0));
+        let h = store.handle(ns(1, 1, 0), live());
         for key in (0..200).step_by(2) {
             h.insert(key, key % 4 == 0);
         }
@@ -759,7 +901,7 @@ mod tests {
         let batched_stats = store.stats();
 
         let twin = CacheStore::new();
-        let th = twin.handle(ns(1, 1, 0));
+        let th = twin.handle(ns(1, 1, 0), live());
         for key in (0..200).step_by(2) {
             th.insert(key, key % 4 == 0);
         }
@@ -774,8 +916,8 @@ mod tests {
     #[test]
     fn namespaces_are_isolated() {
         let store = CacheStore::new();
-        let a = store.handle(ns(1, 1, 0));
-        let b = store.handle(ns(2, 1, 0));
+        let a = store.handle(ns(1, 1, 0), live());
+        let b = store.handle(ns(2, 1, 0), live());
         a.insert(7, true);
         assert_eq!(b.get(7), None);
         assert_eq!(a.get(7), Some(true));
@@ -785,8 +927,8 @@ mod tests {
     #[test]
     fn handles_share_one_namespace() {
         let store = CacheStore::new();
-        let a = store.handle(ns(1, 1, 0));
-        let b = store.handle(ns(1, 1, 0));
+        let a = store.handle(ns(1, 1, 0), live());
+        let b = store.handle(ns(1, 1, 0), live());
         a.insert(5, true);
         assert_eq!(b.get(5), Some(true));
         assert_eq!(store.num_namespaces(), 1);
@@ -795,23 +937,23 @@ mod tests {
     #[test]
     fn version_bump_invalidates_and_old_versions_are_eventually_gced() {
         let store = CacheStore::new();
-        let v0 = store.handle(ns(1, 9, 100));
+        let v0 = store.handle(ns(1, 9, 100), live());
         v0.insert(1, true);
         v0.insert(2, false);
         // The bumped version never sees the old state's entries…
-        let v1 = store.handle(ns(1, 9, 101));
+        let v1 = store.handle(ns(1, 9, 101), live());
         assert_eq!(v1.get(1), None);
         // …but the old version stays live (diverged clones coexist) until
         // it falls off the MAX_LIVE_VERSIONS recency window.
         assert_eq!(store.num_namespaces(), 2);
         assert_eq!(store.stats().invalidated, 0);
-        let _v2 = store.handle(ns(1, 9, 102));
+        let _v2 = store.handle(ns(1, 9, 102), live());
         assert_eq!(store.num_namespaces(), MAX_LIVE_VERSIONS);
         assert_eq!(store.stats().invalidated, 2, "v100's entries dropped");
         // The orphaned handle still works (its Arc is alive) but new
         // borrowers of v100 start empty.
         assert_eq!(v0.get(1), Some(true));
-        assert_eq!(store.handle(ns(1, 9, 100)).get(1), None);
+        assert_eq!(store.handle(ns(1, 9, 100), live()).get(1), None);
     }
 
     #[test]
@@ -819,11 +961,11 @@ mod tests {
         // Two live versions of one (udf, table) — e.g. diverged clones —
         // queried alternately must keep their caches intact.
         let store = CacheStore::new();
-        store.handle(ns(1, 9, 7)).insert(1, true);
-        store.handle(ns(1, 9, 8)).insert(2, false);
+        store.handle(ns(1, 9, 7), live()).insert(1, true);
+        store.handle(ns(1, 9, 8), live()).insert(2, false);
         for _ in 0..10 {
-            assert_eq!(store.handle(ns(1, 9, 7)).get(1), Some(true));
-            assert_eq!(store.handle(ns(1, 9, 8)).get(2), Some(false));
+            assert_eq!(store.handle(ns(1, 9, 7), live()).get(1), Some(true));
+            assert_eq!(store.handle(ns(1, 9, 8), live()).get(2), Some(false));
         }
         assert_eq!(store.stats().invalidated, 0);
         assert_eq!(store.num_namespaces(), 2);
@@ -832,7 +974,7 @@ mod tests {
     #[test]
     fn pages_follow_the_cached_rows_not_the_largest_key() {
         let store = CacheStore::new();
-        let h = store.handle(ns(1, 1, 0));
+        let h = store.handle(ns(1, 1, 0), live());
         let pages = |h: &CacheHandle| h.cache.pages.read().unwrap().len();
         // A sparse huge key costs one page, not a plane up to it.
         h.insert(1 << 40, true);
@@ -851,7 +993,7 @@ mod tests {
     #[test]
     fn clear_empties_but_keeps_stats() {
         let store = CacheStore::new();
-        let h = store.handle(ns(1, 1, 0));
+        let h = store.handle(ns(1, 1, 0), live());
         h.insert(1, true);
         store.clear();
         assert!(store.is_empty());
@@ -864,27 +1006,27 @@ mod tests {
         let store = CacheStore::new();
         assert_eq!(store.pass_rate(ns(1, 9, 0)), None);
         assert_eq!(store.num_namespaces(), 0, "a lookup creates nothing");
-        let h = store.handle(ns(1, 9, 0));
+        let h = store.handle(ns(1, 9, 0), live());
         assert_eq!(store.pass_rate(ns(1, 9, 0)), None, "no answers yet");
         h.insert_pages(&pages_of((0..40).map(|row| (row, row < 10))));
         // A re-offer lands nothing new, so it moves neither count.
         h.insert_pages(&pages_of((0..40).map(|row| (row, row < 10))));
         assert_eq!(store.pass_rate(ns(1, 9, 0)), Some(0.25));
         // Another version of the same pair is its own namespace.
-        store.handle(ns(1, 9, 1)).insert(0, true);
+        store.handle(ns(1, 9, 1), live()).insert(0, true);
         assert_eq!(store.pass_rate(ns(1, 9, 1)), Some(1.0));
         // Looking up v0 leaves v1 the freshest, so borrowing a third
         // version drops v0, and its rate goes with its answers.
         for _ in 0..3 {
             store.pass_rate(ns(1, 9, 0));
         }
-        store.handle(ns(1, 9, 2));
+        store.handle(ns(1, 9, 2), live());
         assert_eq!(store.pass_rate(ns(1, 9, 0)), None);
         assert_eq!(store.pass_rate(ns(1, 9, 1)), Some(1.0));
         store.clear();
         assert_eq!(store.pass_rate(ns(1, 9, 1)), None);
         // An expired namespace has no rate even before a borrow drops it.
-        store.prefill(ns(2, 9, 0), &pages_of([(1, false)]), Duration::ZERO);
+        store.prefill(ns(2, 9, 0), live(), &pages_of([(1, false)]), Duration::ZERO);
         assert_eq!(store.pass_rate(ns(2, 9, 0)), Some(0.0));
         store.set_ttl(Some(Duration::from_millis(5)));
         std::thread::sleep(Duration::from_millis(10));
@@ -896,14 +1038,16 @@ mod tests {
     fn clones_share_storage() {
         let store = CacheStore::new();
         let view = store.clone();
-        store.handle(ns(1, 1, 0)).insert(3, true);
-        assert_eq!(view.handle(ns(1, 1, 0)).get(3), Some(true));
+        store.handle(ns(1, 1, 0), live()).insert(3, true);
+        assert_eq!(view.handle(ns(1, 1, 0), live()).get(3), Some(true));
     }
 
-    /// A sink that records every offer, for spill-path tests.
+    /// A sink that records every offer and every dropped table, for
+    /// spill-path tests.
     #[derive(Debug, Default)]
     struct RecordingSink {
         offers: std::sync::Mutex<Vec<(CacheNamespace, usize, bool)>>,
+        dropped: std::sync::Mutex<Vec<u64>>,
     }
 
     impl SpillSink for RecordingSink {
@@ -915,6 +1059,10 @@ mod tests {
                 .unwrap_or_else(|e| e.into_inner())
                 .extend(rows_of(pages).map(|(row, answer)| (namespace, row, answer)));
         }
+
+        fn table_dropped(&self, table: u64) {
+            self.dropped.lock().unwrap().push(table);
+        }
     }
 
     impl RecordingSink {
@@ -924,6 +1072,83 @@ mod tests {
                 .unwrap_or_else(|e| e.into_inner())
                 .clone()
         }
+
+        fn dropped(&self) -> Vec<u64> {
+            self.dropped.lock().unwrap().clone()
+        }
+    }
+
+    #[test]
+    fn a_dead_tables_namespaces_are_offered_once_and_dropped() {
+        let store = CacheStore::new();
+        let sink = Arc::new(RecordingSink::default());
+        store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
+        let (table, other) = (Arc::new(()), Arc::new(()));
+        // Two UDFs and two versions over one table, one of them
+        // prefilled, and an empty namespace; another table stays live.
+        store.prefill(ns(1, 9, 0), &table, &pages_of([(3, true)]), Duration::ZERO);
+        store.handle(ns(1, 9, 1), &table).insert(4, false);
+        store.handle(ns(2, 9, 1), &table);
+        store.handle(ns(1, 8, 0), &other).insert(5, true);
+        let fresh = sink.offers();
+        assert_eq!(fresh.len(), 2, "the two inserts");
+        // Alive, the table keeps everything through a sweep.
+        assert_eq!(store.num_namespaces(), 4);
+        assert_eq!(sink.offers(), fresh);
+        drop(table);
+        assert_eq!(store.num_namespaces(), 1);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.stats().invalidated, 2);
+        // Each dead namespace was offered once, prefilled rows included,
+        // and then the table was named dropped, once.
+        let mut retired = sink.offers()[fresh.len()..].to_vec();
+        retired.sort_by_key(|&(n, row, _)| (n.version, row));
+        assert_eq!(retired, [(ns(1, 9, 0), 3, true), (ns(1, 9, 1), 4, false)]);
+        assert_eq!(sink.dropped(), [9]);
+        assert_eq!(store.num_namespaces(), 1);
+        assert_eq!(sink.dropped(), [9], "a table is dropped once");
+        assert_eq!(store.handle(ns(1, 8, 0), &other).get(5), Some(true));
+    }
+
+    #[test]
+    fn borrows_sweep_dead_tables_once_the_pairs_double() {
+        let store = CacheStore::new();
+        let keep = Arc::new(());
+        store.handle(ns(1, 0, 0), &keep).insert(0, true);
+        let mut most = 0;
+        for table in 1..=1_000 {
+            let owner = Arc::new(());
+            store.handle(ns(1, table, 0), &owner).insert(1, true);
+            drop(owner);
+            // Two pairs are live at the borrow (`keep`'s and the new
+            // one), so a sweep is due by the fifth pair.
+            let held = store.inner.read().map.len();
+            assert!(held <= 4, "{held} namespaces held after table {table}");
+            most = most.max(held);
+        }
+        assert_eq!(most, 4, "sweeps are amortised, not run on every borrow");
+        assert!(store.stats().invalidated >= 997, "the borrows swept");
+        assert_eq!(store.num_namespaces(), 1);
+        assert_eq!(store.stats().invalidated, 1_000);
+        assert_eq!(store.handle(ns(1, 0, 0), &keep).get(0), Some(true));
+    }
+
+    #[test]
+    fn a_cleared_store_still_hears_its_tables_die() {
+        let store = CacheStore::new();
+        let sink = Arc::new(RecordingSink::default());
+        store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
+        let table = Arc::new(());
+        store.handle(ns(1, 9, 0), &table).insert(1, true);
+        store.clear();
+        drop(table);
+        assert_eq!(store.num_namespaces(), 0);
+        assert_eq!(
+            sink.offers().len(),
+            1,
+            "only the insert: clear offers nothing"
+        );
+        assert_eq!(sink.dropped(), [9]);
     }
 
     #[test]
@@ -935,6 +1160,7 @@ mod tests {
         assert_eq!(
             store.prefill(
                 ns(1, 1, 0),
+                live(),
                 &pages_of([(10, true), (11, false)]),
                 Duration::ZERO
             ),
@@ -943,17 +1169,17 @@ mod tests {
         assert!(sink.offers().is_empty());
         // Fresh inserts do reach it — including on namespaces created
         // before the sink was wired (the slot is shared).
-        store.handle(ns(1, 1, 0)).insert(12, true);
+        store.handle(ns(1, 1, 0), live()).insert(12, true);
         assert_eq!(sink.offers(), vec![(ns(1, 1, 0), 12, true)]);
         // And prefilled entries are still readable.
-        assert_eq!(store.handle(ns(1, 1, 0)).get(10), Some(true));
-        assert_eq!(store.handle(ns(1, 1, 0)).get(11), Some(false));
+        assert_eq!(store.handle(ns(1, 1, 0), live()).get(10), Some(true));
+        assert_eq!(store.handle(ns(1, 1, 0), live()).get(11), Some(false));
     }
 
     #[test]
     fn spill_sink_wired_late_still_hears_old_namespaces() {
         let store = CacheStore::new();
-        let h = store.handle(ns(1, 1, 0));
+        let h = store.handle(ns(1, 1, 0), live());
         let sink = Arc::new(RecordingSink::default());
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
         h.insert(5, false);
@@ -964,14 +1190,14 @@ mod tests {
     fn ttl_expires_namespaces_lazily_on_borrow() {
         let store = CacheStore::new();
         store.set_ttl(Some(Duration::from_millis(20)));
-        let h = store.handle(ns(1, 1, 0));
+        let h = store.handle(ns(1, 1, 0), live());
         h.insert(1, true);
         h.insert(2, false);
         // Young namespace: borrow serves the cached answers.
-        assert_eq!(store.handle(ns(1, 1, 0)).get(1), Some(true));
+        assert_eq!(store.handle(ns(1, 1, 0), live()).get(1), Some(true));
         std::thread::sleep(Duration::from_millis(40));
         // Over-age: the next borrow starts cold and counts expirations.
-        let reborrowed = store.handle(ns(1, 1, 0));
+        let reborrowed = store.handle(ns(1, 1, 0), live());
         assert_eq!(reborrowed.get(1), None);
         assert_eq!(store.stats().ttl_expirations, 2);
         // The pre-expiry handle keeps its private view (read-your-writes
@@ -979,7 +1205,7 @@ mod tests {
         assert_eq!(h.get(2), Some(false));
         // The replacement namespace ages from now, not from the original.
         reborrowed.insert(3, true);
-        assert_eq!(store.handle(ns(1, 1, 0)).get(3), Some(true));
+        assert_eq!(store.handle(ns(1, 1, 0), live()).get(3), Some(true));
     }
 
     #[test]
@@ -990,21 +1216,23 @@ mod tests {
         assert_eq!(
             store.prefill(
                 ns(1, 1, 0),
+                live(),
                 &pages_of([(1, true)]),
                 Duration::from_millis(15)
             ),
             1
         );
-        assert_eq!(store.handle(ns(1, 1, 0)).get(1), Some(true));
+        assert_eq!(store.handle(ns(1, 1, 0), live()).get(1), Some(true));
         // …so it expires after the *remaining* budget, not a full TTL.
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(store.handle(ns(1, 1, 0)).get(1), None);
+        assert_eq!(store.handle(ns(1, 1, 0), live()).get(1), None);
         assert_eq!(store.stats().ttl_expirations, 1);
         // A batch already past the TTL is refused outright: no namespace
         // is created for it (only the reborrowed ns(1,..) remains).
         assert_eq!(
             store.prefill(
                 ns(2, 1, 0),
+                live(),
                 &pages_of([(1, true)]),
                 Duration::from_millis(60)
             ),
@@ -1016,9 +1244,9 @@ mod tests {
     #[test]
     fn no_ttl_means_no_expiry() {
         let store = CacheStore::new();
-        store.handle(ns(1, 1, 0)).insert(1, true);
+        store.handle(ns(1, 1, 0), live()).insert(1, true);
         std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(store.handle(ns(1, 1, 0)).get(1), Some(true));
+        assert_eq!(store.handle(ns(1, 1, 0), live()).get(1), Some(true));
         assert_eq!(store.stats().ttl_expirations, 0);
         assert_eq!(store.ttl(), None);
         store.set_ttl(Some(Duration::from_secs(3600)));
@@ -1028,9 +1256,9 @@ mod tests {
     #[test]
     fn for_each_entry_visits_every_namespace() {
         let store = CacheStore::new();
-        store.handle(ns(1, 1, 0)).insert(1, true);
-        store.handle(ns(2, 1, 0)).insert(2, false);
-        store.prefill(ns(3, 1, 0), &pages_of([(3, true)]), Duration::ZERO);
+        store.handle(ns(1, 1, 0), live()).insert(1, true);
+        store.handle(ns(2, 1, 0), live()).insert(2, false);
+        store.prefill(ns(3, 1, 0), live(), &pages_of([(3, true)]), Duration::ZERO);
         let mut seen: Vec<(CacheNamespace, usize, bool)> = Vec::new();
         store.for_each_namespace(|namespace, pages| {
             seen.extend(rows_of(pages).map(|(row, answer)| (namespace, row, answer)));
@@ -1049,14 +1277,19 @@ mod tests {
     #[test]
     fn prefill_respects_version_recency_window() {
         let store = CacheStore::new();
-        store.handle(ns(1, 9, 100)).insert(1, true);
-        store.handle(ns(1, 9, 101)).insert(1, true);
+        store.handle(ns(1, 9, 100), live()).insert(1, true);
+        store.handle(ns(1, 9, 101), live()).insert(1, true);
         // Prefilling a third version pushes the oldest out, exactly like
         // a borrow would.
-        store.prefill(ns(1, 9, 102), &pages_of([(1, false)]), Duration::ZERO);
+        store.prefill(
+            ns(1, 9, 102),
+            live(),
+            &pages_of([(1, false)]),
+            Duration::ZERO,
+        );
         assert_eq!(store.num_namespaces(), MAX_LIVE_VERSIONS);
         assert_eq!(store.stats().invalidated, 1);
-        assert_eq!(store.handle(ns(1, 9, 102)).get(1), Some(false));
+        assert_eq!(store.handle(ns(1, 9, 102), live()).get(1), Some(false));
     }
 
     #[test]
@@ -1078,7 +1311,7 @@ mod tests {
             for worker in 0..WORKERS {
                 let (store, barrier) = (store.clone(), &barrier);
                 scope.spawn(move || {
-                    let h = store.handle(ns(1, 1, 0));
+                    let h = store.handle(ns(1, 1, 0), live());
                     barrier.wait();
                     for row in opener(worker) {
                         h.insert(row, answer(row));
@@ -1093,7 +1326,7 @@ mod tests {
                 barrier.wait();
                 let prefilled = (0..shared(WORKERS - 1).end).step_by(7);
                 let pages = pages_of(prefilled.map(|row| (row, answer(row))));
-                store.prefill(ns(1, 1, 0), &pages, Duration::ZERO);
+                store.prefill(ns(1, 1, 0), live(), &pages, Duration::ZERO);
             });
         });
         let mut distinct: Vec<usize> = (0..WORKERS).flat_map(opener).collect();
@@ -1105,7 +1338,7 @@ mod tests {
         // Every answer reads back, and nothing else is cached.
         distinct.sort_unstable();
         let expected: Vec<(usize, bool)> = distinct.iter().map(|&r| (r, answer(r))).collect();
-        let h = store.handle(ns(1, 1, 0));
+        let h = store.handle(ns(1, 1, 0), live());
         let landed = h.cache.planes();
         assert_eq!(rows_of(&landed).collect::<Vec<_>>(), expected);
         let passed: usize = landed

@@ -1,14 +1,17 @@
 //! Model-based tests for the bitmap-backed [`CacheStore`].
 //!
 //! A plain `HashMap<usize, bool>` is the reference. Arbitrary sequences
-//! of `get` / `get_many` / `insert` / `prefill` / `invalidate` over keys
-//! that sit on every layout boundary — word edges (63, 64), page edges
-//! (4095, 4096), a table's last row, and a sparse key far beyond any
-//! table (`1 << 40`) — must:
+//! of `get` / `get_many` / `insert` / `prefill` / "the table dies" over
+//! keys that sit on every layout boundary — word edges (63, 64), page
+//! edges (4095, 4096), a table's last row, and a sparse key far beyond
+//! any table (`1 << 40`) — must:
 //!
 //! * answer exactly like the map, count exactly the map's hits, misses
 //!   and insertions, and offer the spill sink exactly the row each
 //!   `insert` wrote (while `prefill` offers nothing);
+//! * once the table's owner dies, drop its namespace at the next sweep,
+//!   offering the sink every row it held in one offer, and naming the
+//!   table dropped once;
 //! * land a batch of pages (`insert_pages`) exactly as the per-row loop
 //!   over its rows, ascending, would: contents, `len`, statistics and
 //!   the rows the sink was offered — across page edges and over rows
@@ -57,9 +60,10 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec((0u8..10, 0usize..KEYS.len(), any::<bool>()), 1..120)
 }
 
-/// Records the rows of every offer, one list per offer.
+/// Records the rows of every offer, one list per offer, and every table
+/// named dropped.
 #[derive(Debug, Default)]
-struct RecordingSink(Mutex<Vec<Vec<(usize, bool)>>>);
+struct RecordingSink(Mutex<Vec<Vec<(usize, bool)>>>, Mutex<Vec<u64>>);
 
 impl SpillSink for RecordingSink {
     fn spill(&self, namespace: CacheNamespace, pages: &[(usize, PagePlanes)]) {
@@ -72,11 +76,19 @@ impl SpillSink for RecordingSink {
         assert!(pages.iter().all(|(_, planes)| !planes.is_empty()));
         self.0.lock().unwrap().push(rows_of(pages).collect());
     }
+
+    fn table_dropped(&self, table: u64) {
+        self.1.lock().unwrap().push(table);
+    }
 }
 
 impl RecordingSink {
     fn offers(&self) -> Vec<Vec<(usize, bool)>> {
         self.0.lock().unwrap().clone()
+    }
+
+    fn dropped(&self) -> Vec<u64> {
+        self.1.lock().unwrap().clone()
     }
 
     /// Every row offered so far.
@@ -106,8 +118,9 @@ struct Tally {
 
 /// Drives `store` and the reference map through `ops`, checking that
 /// the store answers like the map, that each insert offers `sink` exactly
-/// its own row and that a prefill offers nothing. Returns the tally and
-/// the rows `insert` wrote.
+/// its own row, that a prefill offers nothing, and that a dead table's
+/// rows are offered once, together. Returns the tally and the rows
+/// offered.
 fn drive(
     store: &CacheStore,
     sink: &RecordingSink,
@@ -115,7 +128,9 @@ fn drive(
 ) -> Result<(Tally, BTreeSet<usize>), TestCaseError> {
     let mut model: HashMap<usize, bool> = HashMap::new();
     let mut tally = Tally::default();
-    let mut inserts = BTreeSet::new();
+    let mut offered = BTreeSet::new();
+    // The table `NS` speaks for; it dies and is rebuilt by the last op.
+    let mut owner = Arc::new(());
     let lookup = |tally: &mut Tally, model: &HashMap<usize, bool>, key, got: Option<bool>| {
         match got {
             Some(answer) => {
@@ -131,8 +146,8 @@ fn drive(
     };
     for &(op, selector, value) in ops {
         let key = KEYS[selector];
-        // Re-borrowed per step: `invalidate` orphans older handles.
-        let handle = store.handle(NS);
+        // Re-borrowed per step: a sweep orphans older handles.
+        let handle = store.handle(NS, &owner);
         match op {
             0..=2 => lookup(&mut tally, &model, key, handle.get(key))?,
             3 => {
@@ -150,20 +165,30 @@ fn drive(
                 prop_assert_eq!(offers.len(), heard + 1, "one offer per insert");
                 prop_assert_eq!(&offers[heard], &vec![(key, value)]);
                 model.insert(key, value);
-                inserts.insert(key);
+                offered.insert(key);
                 tally.insertions += 1;
             }
             7..=8 => {
                 let rows = [(key, value), (KEYS[(selector + 3) % 14], !value)];
                 let heard = sink.offers().len();
-                prop_assert_eq!(store.prefill(NS, &pages_of(rows), Duration::ZERO), 2);
+                let pages = pages_of(rows);
+                prop_assert_eq!(store.prefill(NS, &owner, &pages, Duration::ZERO), 2);
                 prop_assert_eq!(sink.offers().len(), heard, "a prefill offered");
                 model.extend(rows);
                 tally.insertions += 2;
             }
             _ => {
-                store.invalidate(NS);
-                model.clear();
+                let (heard, dropped) = (sink.offers().len(), sink.dropped().len());
+                // The last clone goes; a rebuilt table gets a new owner.
+                drop(std::mem::replace(&mut owner, Arc::new(())));
+                prop_assert_eq!(store.num_namespaces(), 0);
+                let mut held: Vec<(usize, bool)> = model.drain().collect();
+                held.sort_unstable();
+                let offers = sink.offers();
+                let retired: &[Vec<(usize, bool)>] = if held.is_empty() { &[] } else { &[held] };
+                prop_assert_eq!(&offers[heard..], retired, "one offer of every held row");
+                prop_assert_eq!(&sink.dropped()[dropped..], &[NS.table]);
+                offered.extend(retired.iter().flatten().map(|&(row, _)| row));
             }
         }
         prop_assert_eq!(store.len(), model.len());
@@ -178,7 +203,7 @@ fn drive(
     }
     prop_assert_eq!(live.len(), store.len());
     prop_assert_eq!(live, model);
-    Ok((tally, inserts))
+    Ok((tally, offered))
 }
 
 proptest! {
@@ -189,15 +214,16 @@ proptest! {
         let store = CacheStore::new();
         let sink = Arc::new(RecordingSink::default());
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
-        let (tally, inserts) = drive(&store, &sink, &ops)?;
+        let (tally, offered) = drive(&store, &sink, &ops)?;
         let stats = store.stats();
         prop_assert_eq!(
             tally,
             Tally { hits: stats.hits, misses: stats.misses, insertions: stats.insertions }
         );
         prop_assert_eq!(stats.evictions, 0);
-        // The rows offered are the rows inserted: no prefilled row.
-        prop_assert_eq!(sink.rows(), inserts);
+        // The rows offered are the rows inserted or retired: a prefilled
+        // row is offered only when its table dies.
+        prop_assert_eq!(sink.rows(), offered);
     }
 
     // `insert_pages` is the per-row loop: wherever the batch falls
@@ -228,7 +254,8 @@ proptest! {
             if with_sink {
                 store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
             }
-            let handle = store.handle(NS);
+            let owner = Arc::new(());
+            let handle = store.handle(NS, &owner);
             for &(selector, value) in &warm {
                 handle.insert(key(selector), value);
             }

@@ -199,12 +199,12 @@ impl Tenant {
     }
 
     /// The tenant's table for `key`, materializing it on first use.
-    /// Dropping a table past the LRU bound abandons its cache namespaces
-    /// without freeing them: a re-materialized instance gets a fresh
-    /// [`expred_table::table::TableId`], so nothing borrows the old
-    /// namespaces again, and TTL expiry (which runs only when a namespace
-    /// is borrowed) never reaches them. They stay in the tenant's store,
-    /// unread, for the engine's lifetime.
+    /// Dropping a table past the LRU bound frees its row-tier answers
+    /// once the last request using it ends: a re-materialized instance
+    /// gets a fresh [`expred_table::table::TableId`], so nothing could
+    /// borrow the old namespaces again, and the engine's store drops
+    /// them at its next liveness sweep (see `expred_exec::store`),
+    /// offering them to the durable tier first when one is wired.
     pub fn dataset(&self, key: &TableKey) -> Arc<Dataset> {
         let (slot, evicted) = {
             let mut tables = self.tables.lock().unwrap_or_else(|e| e.into_inner());

@@ -12,6 +12,7 @@ use crate::rowset::{bits, RowSet};
 use crate::schema::{Field, Schema};
 use crate::stats::{ColumnStats, StatsCache};
 use crate::value::{DataType, Value};
+use std::any::Any;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -115,7 +116,8 @@ pub struct Table {
     version: u64,
     /// Lazily computed per-`(column, version)` stats memo, shared by
     /// clones (entries are version-keyed, so sharing is safe even after
-    /// clones diverge).
+    /// clones diverge). Nothing else holds it, so it is also the
+    /// instance's [`Self::identity`].
     stats: Arc<StatsCache>,
 }
 
@@ -290,6 +292,14 @@ impl Table {
     /// This instance's stable identity (shared by clones).
     pub fn id(&self) -> TableId {
         self.id
+    }
+
+    /// What every clone of this instance shares and nothing else holds:
+    /// it dies with the last clone. The row tier keeps a weak reference
+    /// to it, to drop the answers it holds for the instance once no one
+    /// can ask about it again (`expred_exec::CacheStore::handle`).
+    pub fn identity(&self) -> &Arc<impl Any + Send + Sync> {
+        &self.stats
     }
 
     /// Fingerprint of the table's current state.
@@ -870,6 +880,13 @@ mod tests {
         let c = a.clone();
         assert_eq!(a.id(), c.id());
         assert_eq!(a.version(), c.version());
+        // The identity lives while any clone does, and only that long.
+        let identity = Arc::downgrade(a.identity());
+        assert!(!Arc::ptr_eq(a.identity(), b.identity()));
+        drop(a);
+        assert_eq!(identity.strong_count(), 1, "the clone holds it");
+        drop(c);
+        assert_eq!(identity.strong_count(), 0);
     }
 
     #[test]

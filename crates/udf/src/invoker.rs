@@ -365,7 +365,10 @@ impl<'a> UdfInvoker<'a> {
     ) -> Self {
         let ns = cache_namespace(udf, table);
         Self {
-            shared: ctx.cache.zip(ns).map(|(store, ns)| store.handle(ns)),
+            shared: ctx
+                .cache
+                .zip(ns)
+                .map(|(store, ns)| store.handle(ns, table.identity())),
             ..Self::with_tracker(udf, table, tracker)
         }
     }

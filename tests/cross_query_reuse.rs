@@ -157,3 +157,89 @@ fn mutating_the_table_invalidates_the_session() {
     assert!(after.counts.evaluated >= first.counts.evaluated);
     assert_eq!(engine.stats().result_hits, 0, "result memo keys moved too");
 }
+
+#[test]
+fn the_row_tier_is_bounded_by_the_tables_that_are_live() {
+    // One engine queries many small tables once each and drops them, as
+    // a server's table LRU does; one table stays live throughout.
+    const TABLES: u64 = 300;
+    const ROWS: usize = 500;
+    let table = |seed| {
+        Dataset::generate(
+            DatasetSpec {
+                rows: ROWS,
+                ..PROSPER
+            },
+            seed,
+        )
+    };
+    let engine = QueryEngine::new();
+    let kept = table(0);
+    engine.submit(&kept, &intel("grade").with_seed(0)).unwrap();
+    let udfs = engine.store().num_namespaces();
+    assert!(udfs >= 1);
+    for seed in 1..=TABLES {
+        let ds = table(seed);
+        engine.submit(&ds, &intel("grade").with_seed(seed)).unwrap();
+        drop(ds);
+        // Before any forced sweep, the borrows alone keep the entries
+        // held to a few tables' worth: the pairs never more than double.
+        assert!(
+            engine.store().len() <= 4 * udfs * ROWS,
+            "{} entries held after {seed} dropped tables",
+            engine.store().len()
+        );
+    }
+    let live_tables = 1;
+    assert!(engine.store().num_namespaces() <= live_tables * udfs);
+    assert!(engine.store().stats().invalidated > 0);
+    // The live table kept its answers: asking again buys nothing.
+    let paid = engine.session_counts().evaluated;
+    engine.submit(&kept, &intel("grade").with_seed(1)).unwrap();
+    assert_eq!(engine.session_counts().evaluated, paid);
+    drop(kept);
+    assert_eq!(engine.store().num_namespaces(), 0);
+}
+
+#[test]
+fn a_clone_that_outlives_its_original_keeps_its_answers() {
+    let spec = QuerySpec::paper_default();
+    let engine = QueryEngine::new().with_result_capacity(0);
+    let original = small_prosper(11);
+    engine.submit(&original, &naive(spec, 1)).unwrap();
+    let clone = original.clone();
+    drop(original);
+    // Other tables come and go, and a sweep runs.
+    for seed in 100..110 {
+        engine
+            .submit(&small_prosper(seed), &naive(spec, 1))
+            .unwrap();
+    }
+    assert_eq!(engine.store().num_namespaces(), 1);
+    let paid = engine.session_counts().evaluated;
+    let again = engine.submit(&clone, &naive(spec, 1)).unwrap();
+    assert_eq!(again.counts.evaluated, 0, "the clone's answers survived");
+    assert_eq!(engine.session_counts().evaluated, paid);
+
+    // Two clones diverge; each keeps its own version live, and the
+    // original version falls off the window, whichever clone is asked.
+    let (mut left, mut right) = (clone.clone(), clone);
+    let row = left.table.row(0);
+    left.table.push_row(row).unwrap();
+    let row = right.table.row(1);
+    right.table.push_row(row).unwrap();
+    engine.submit(&left, &naive(spec, 1)).unwrap();
+    engine.submit(&right, &naive(spec, 1)).unwrap();
+    assert_eq!(
+        engine.store().num_namespaces(),
+        expred::exec::MAX_LIVE_VERSIONS
+    );
+    let paid = engine.session_counts().evaluated;
+    for _ in 0..3 {
+        engine.submit(&left, &naive(spec, 1)).unwrap();
+        engine.submit(&right, &naive(spec, 1)).unwrap();
+    }
+    assert_eq!(engine.session_counts().evaluated, paid, "no clone thrashed");
+    drop((left, right));
+    assert_eq!(engine.store().num_namespaces(), 0);
+}

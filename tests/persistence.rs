@@ -16,6 +16,9 @@
 //! * The pass rates the expression optimizer orders siblings by come
 //!   back with the rehydrated answers, so a reopened engine keeps the
 //!   order its first life learned.
+//! * A table that dies takes its row-tier answers with it, not its
+//!   durable ones: under a shedding WAL queue, every answer of every
+//!   dropped table still rehydrates after a restart.
 
 use expred::core::{PersistConfig, QueryEngine, QueryRequest, QuerySpec};
 use expred::table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
@@ -170,6 +173,55 @@ fn graceful_drain_compacts_shed_wal_records_so_the_restart_stays_free() {
         0,
         "shed WAL records lost across a graceful drain (flush must compact)"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn dropped_tables_under_a_shedding_queue_rehydrate_every_answer() {
+    let dir = unique_dir("dropped");
+    let q = QueryRequest::naive(QuerySpec::paper_default());
+    // As above: a one-row queue sheds, and only the drain compacts.
+    let cfg = || {
+        PersistConfig::new(&dir)
+            .with_queue_capacity(1)
+            .with_compact_after(0)
+    };
+    let a = QueryEngine::new()
+        .with_result_capacity(0)
+        .with_persistence(cfg())
+        .expect("open persistence");
+    // Two threads each build a table, ask about it once and drop it, so
+    // the row tier sweeps dead tables while the queue sheds.
+    std::thread::scope(|scope| {
+        for half in 0..2u64 {
+            let (a, q) = (&a, &q);
+            scope.spawn(move || {
+                for seed in (0..60).filter(|seed| seed % 2 == half) {
+                    a.submit(&prosper(400, seed), &q.clone().with_seed(seed))
+                        .unwrap();
+                }
+            });
+        }
+    });
+    assert!(a.persist_stats().expect("stats").shed > 0, "nothing shed");
+    assert_eq!(a.store().num_namespaces(), 0, "every table is dead");
+    assert!(a.store().is_empty());
+    let paid = a.session_counts().evaluated;
+    a.flush_persistence().expect("graceful drain");
+    drop(a);
+
+    let b = QueryEngine::new()
+        .with_result_capacity(0)
+        .with_persistence(cfg())
+        .expect("reopen");
+    for seed in 0..60 {
+        b.submit(&prosper(400, seed), &q.clone().with_seed(seed))
+            .unwrap();
+    }
+    let stats = b.persist_stats().expect("stats");
+    assert_eq!(stats.rehydrated_rows, paid, "every answer rehydrated");
+    assert_eq!(b.session_counts().evaluated, 0, "the replay bought nothing");
+    drop(b);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
