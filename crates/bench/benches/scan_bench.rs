@@ -30,10 +30,14 @@
 //!   then `Table::group_by` on the predictor, then the label column's
 //!   `Column::true_rows` plane.
 //! * `one_hot_<rows>` — `extract_features` (dictionary-coded one-hot)
-//!   over the full PROSPER candidate set; like `group_by`, its per-cell
-//!   predecessor is now `expred-ml`'s test oracle, not a baseline row.
-//! * `derived_group_by_<rows>` — re-deriving the `grade` partition per
-//!   query vs serving it from a warmed session [`DerivedCache`].
+//!   over the full PROSPER candidate set, with the codes already in the
+//!   table's memo (what every extraction after a table's first pays);
+//!   like `group_by`, its per-cell predecessor is now `expred-ml`'s test
+//!   oracle, not a baseline row.
+//! * `derived_group_by_<rows>` — building the `grade` partition from its
+//!   dictionary codes per query (`GroupCodes::to_group_by`, backend
+//!   `legacy`) vs a hit in the table's memo (`Table::partition`, backend
+//!   `cached`).
 //!
 //! And two rows for the read path's bit counts, at 20 000 rows in either
 //! mode, each timed for the `portable` copy of its kernel and for the
@@ -65,7 +69,7 @@ use expred_stats::json::{id_plane_len, JsonWriter};
 use expred_stats::Prng;
 use expred_table::bitcount;
 use expred_table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
-use expred_table::{Column, DerivedCache, GroupBy, RowSet, Table, Value};
+use expred_table::{Column, GroupBy, RowSet, Table, Value};
 use expred_udf::{invoker, OracleUdf, UdfInvoker};
 use std::hint::black_box;
 
@@ -154,22 +158,25 @@ fn main() {
                 &ds.table,
                 &exclude,
                 FeatureSpec::default(),
+                None,
             ));
         });
         report.record(&scenario, "kernel", kernel, 1.0);
         println!("{scenario:<24} kernel {kernel:>8.1} ns/row");
 
-        // Derived cache: per-query re-derivation vs a warmed session memo.
+        // The partition per query vs a hit in the table's memo.
         let scenario = format!("derived_group_by_{rows}");
+        let codes = ds.table.column("grade").unwrap().group_codes();
         let legacy = measure_ns_per_unit(units, reps, || {
-            black_box(ds.table.group_by("grade").unwrap());
+            black_box(codes.to_group_by("grade"));
         });
-        let cache = DerivedCache::new();
         let kernel = measure_ns_per_unit(units, reps, || {
-            black_box(cache.group_by(&ds.table, "grade").unwrap());
+            black_box(ds.table.partition("grade", None).unwrap());
         });
         report.record(&scenario, "legacy", legacy, 1.0);
+        report.name_last("ns_per_row", "ns");
         report.record(&scenario, "cached", kernel, legacy / kernel);
+        report.name_last("ns_per_row", "ns");
         println!(
             "{scenario:<24} derive {legacy:>8.1} ns/row | cached {kernel:>8.1} ({:>5.2}x)",
             legacy / kernel

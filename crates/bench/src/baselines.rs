@@ -25,7 +25,7 @@ use expred_core::error::EngineError;
 use expred_core::pipeline::{run_framed, Answer, Frame, RunOutcome};
 use expred_core::query::QuerySpec;
 use expred_exec::ExecContext;
-use expred_ml::features::{extract_features_cached, FeatureSpec};
+use expred_ml::features::{extract_features, FeatureSpec};
 use expred_ml::logistic::TrainConfig;
 use expred_ml::metrics::PrSummary;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
@@ -84,7 +84,7 @@ fn run_grid(
     }
     run_framed(ds, &spec.cost, seed, ctx, |f| {
         let table = &ds.table;
-        let features = extract_features_cached(
+        let features = extract_features(
             table,
             &[LABEL_COLUMN, "row_id"],
             FeatureSpec::default(),

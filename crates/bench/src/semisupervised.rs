@@ -157,7 +157,10 @@ mod tests {
             truth.push(label);
         }
         let table = Table::from_rows(schema, rows).unwrap();
-        (extract_features(&table, &[], FeatureSpec::default()), truth)
+        (
+            extract_features(&table, &[], FeatureSpec::default(), None),
+            truth,
+        )
     }
 
     #[test]

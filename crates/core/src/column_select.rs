@@ -17,7 +17,7 @@ use crate::pipeline::session_group_by;
 use crate::query::QuerySpec;
 use crate::sampling::draw_by_rank;
 use expred_exec::ExecContext;
-use expred_ml::features::{extract_features_cached, FeatureSpec};
+use expred_ml::features::{extract_features, FeatureSpec};
 use expred_ml::logistic::{train, TrainConfig};
 use expred_stats::estimator::SelectivityEstimate;
 use expred_stats::histogram::bucketize;
@@ -177,7 +177,7 @@ pub fn virtual_column(
     ctx: &ExecContext<'_>,
 ) -> GroupBy {
     assert!(!labelled.is_empty(), "virtual column needs labelled rows");
-    let features = extract_features_cached(table, exclude, FeatureSpec::default(), ctx.derived);
+    let features = extract_features(table, exclude, FeatureSpec::default(), ctx.derived);
     let model = train(&features, labelled, labels, TrainConfig::default());
     let scores = model.predict_all(&features);
     let assignments = bucketize(&scores, buckets);

@@ -100,7 +100,7 @@ use expred_persist::{PersistConfig, PersistError, PersistStore};
 use expred_stats::counters::{CounterSet, Section};
 use expred_stats::hash::Fnv64;
 use expred_table::datasets::Dataset;
-use expred_table::{DerivedCache, DerivedCacheStats};
+use expred_table::{DerivedCacheStats, DerivedCounters};
 use expred_udf::{CostCounts, CostTracker};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -260,9 +260,10 @@ pub struct QueryEngine {
     stats: AtomicEngineStats,
     /// Cold-race waiter table: result-memo hash -> in-flight run.
     inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
-    /// Session memo of derived per-column artifacts (group partitions,
-    /// encoding dictionaries), keyed by `(table id, version, column)`.
-    derived: DerivedCache,
+    /// Hits and misses of this session's table-memo lookups (group
+    /// partitions, encoding dictionaries, label planes); the memo itself
+    /// lives in each table.
+    derived: DerivedCounters,
     /// Durable persistence bridge ([`QueryEngine::with_persistence`]):
     /// spills fresh answers to a WAL-backed store and rehydrates them —
     /// version-checked — on the first submit over each table state.
@@ -294,7 +295,7 @@ impl QueryEngine {
             udf_latency: None,
             stats: AtomicEngineStats::default(),
             inflight: Mutex::new(HashMap::new()),
-            derived: DerivedCache::new(),
+            derived: DerivedCounters::default(),
             persist: None,
         }
     }
@@ -364,7 +365,7 @@ impl QueryEngine {
     pub fn context(&self) -> ExecContext<'_> {
         let ctx = ExecContext::new(self.executor.as_ref())
             .with_cache(&self.store)
-            .with_derived(&self.derived);
+            .with_derived_counters(&self.derived);
         match self.udf_latency {
             Some(latency) => ctx.with_udf_latency(latency),
             None => ctx,
@@ -567,9 +568,10 @@ impl QueryEngine {
         &self.store
     }
 
-    /// Derived-data cache statistics (partition/dictionary reuse).
+    /// Table-memo statistics (partition/dictionary/label-plane reuse):
+    /// a lookup that had to derive is a miss.
     pub fn derived_stats(&self) -> DerivedCacheStats {
-        self.derived.stats()
+        self.derived.snapshot()
     }
 
     /// Persistence-tier statistics, if persistence is wired
@@ -600,7 +602,10 @@ impl QueryEngine {
         layer.store().sync()
     }
 
-    /// Drops both reuse tiers, keeping the executor and counters.
+    /// Drops both reuse tiers, keeping the executor and counters. What
+    /// the tables memoize of their own columns stays: a partition or a
+    /// label plane is a pure function of its table, not an answer the
+    /// session bought, and it dies with the table.
     ///
     /// # Semantics under concurrent `submit`s
     ///
@@ -628,7 +633,6 @@ impl QueryEngine {
     pub fn clear_caches(&self) {
         self.store.clear();
         self.results.clear();
-        self.derived.clear();
         if let Some(layer) = &self.persist {
             // Best-effort: an IO failure here leaves the in-memory tiers
             // cleared and the durable tier intact (it will be tombstoned
@@ -1016,7 +1020,7 @@ mod tests {
         );
         assert!(after_second.hits > after_first.hits, "the repeat reuses");
         // Both runs are real answers over the same 3k-row table; the
-        // cache only changed who derived the partition, not the query.
+        // memo only changed who derived the partition, not the query.
         assert_eq!(first.num_groups, again.num_groups);
     }
 
@@ -1026,8 +1030,8 @@ mod tests {
         let engine = QueryEngine::new();
         engine.submit(&ds, &intel_query().with_seed(1)).unwrap();
         let warm = engine.derived_stats();
-        // Appending a row bumps the table version: every derived entry
-        // keyed to the old version is dead, so the next run must miss.
+        // Appending a row resets the table's memo, so the next run must
+        // derive again.
         let row = ds.table.row(0);
         ds.table.push_row(row).expect("row 0 matches the schema");
         engine.submit(&ds, &intel_query().with_seed(1)).unwrap();

@@ -164,8 +164,8 @@ pub fn truth_set(table: &Table, label_column: &str) -> RowSet {
         .unwrap_or_else(|| bad_label_column(label_column))
 }
 
-/// The panic of [`truth_set`], for the session path that derives the
-/// same plane through the derived cache.
+/// The panic of [`truth_set`], for the session path that reads the same
+/// plane through the table's memo.
 pub(crate) fn bad_label_column(label_column: &str) -> ! {
     panic!("label column {label_column:?} must be a boolean column without NULLs")
 }

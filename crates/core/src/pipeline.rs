@@ -26,7 +26,7 @@
 
 use crate::column_select::{rank_columns, virtual_column};
 use crate::error::EngineError;
-use crate::execute::{bad_label_column, execute_plan_into, truth_set};
+use crate::execute::{bad_label_column, execute_plan_into};
 use crate::optimize::{solve_estimated, solve_perfect_selectivities, CorrelationModel, PlanError};
 use crate::plan::Plan;
 use crate::query::QuerySpec;
@@ -52,34 +52,19 @@ fn label_udf(ctx: &ExecContext<'_>) -> Box<dyn BooleanUdf> {
     }
 }
 
-/// Partitions `table` by `column`, serving the partition from the
-/// context's session [`expred_table::DerivedCache`] when one is attached
-/// (repeat queries over an unchanged table skip the re-group; `push_row`
-/// bumps the version and forces a fresh derivation). Without a cache
-/// this is exactly [`Table::group_by`] — the partition is byte-identical
-/// either way. A column the table lacks is the only way to fail.
+/// Partitions `table` by `column` through the table's memo
+/// ([`Table::partition`]): repeat queries over an unchanged table skip
+/// the re-group, and `push_row` forces a fresh derivation. The lookup is
+/// counted on the context's session counters when it has them. A column
+/// the table lacks is the only way to fail.
 pub(crate) fn session_group_by(
     table: &Table,
     column: &str,
     ctx: &ExecContext<'_>,
 ) -> Result<Arc<GroupBy>, EngineError> {
-    match ctx.derived {
-        Some(cache) => cache.group_by(table, column),
-        None => table.group_by(column).map(Arc::new),
-    }
-    .map_err(|_| EngineError::unknown_column(table, column))
-}
-
-/// The ground-truth plane of `table` ([`truth_set`] over the label
-/// column): derived once per table version in a session with a
-/// [`expred_table::DerivedCache`], once per call without one.
-fn session_truth(table: &Table, ctx: &ExecContext<'_>) -> Arc<RowSet> {
-    match ctx.derived {
-        Some(cache) => cache
-            .true_rows(table, LABEL_COLUMN)
-            .unwrap_or_else(|| bad_label_column(LABEL_COLUMN)),
-        None => Arc::new(truth_set(table, LABEL_COLUMN)),
-    }
+    table
+        .partition(column, ctx.derived)
+        .map_err(|_| EngineError::unknown_column(table, column))
 }
 
 /// How the correlated column is obtained.
@@ -202,7 +187,11 @@ pub fn run_framed(
     ctx: &ExecContext<'_>,
     body: impl FnOnce(&mut Frame<'_>) -> Result<Answer, EngineError>,
 ) -> Result<RunOutcome, EngineError> {
-    let truth = session_truth(&ds.table, ctx);
+    // The ground-truth plane (`truth_set`), through the table's memo.
+    let truth = ds
+        .table
+        .true_rows(LABEL_COLUMN, ctx.derived)
+        .unwrap_or_else(|| bad_label_column(LABEL_COLUMN));
     let start = Instant::now();
     let udf = label_udf(ctx);
     let mut frame = Frame {

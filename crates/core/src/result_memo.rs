@@ -3,11 +3,10 @@
 //! [`crate::engine::QueryEngine`] memoizes entire query outcomes keyed by
 //! a 64-bit fingerprint of the request. The striping, the capacity bound
 //! and the second-chance eviction are [`expred_stats::clock::ClockCache`]
-//! (the one CLOCK cache in the workspace, shared with
-//! `expred_table::DerivedCache`); what this wrapper adds is what a key
-//! that is a *hash* needs: the full identity is stored beside the value
-//! and verified on every lookup, so a 64-bit collision can never serve
-//! one query's answer as another's.
+//! (the one CLOCK cache in the workspace, keyed by that fingerprint);
+//! what this wrapper adds is what a key that is a *hash* needs: the full
+//! identity is stored beside the value and verified on every lookup, so
+//! a 64-bit collision can never serve one query's answer as another's.
 //!
 //! The memo is generic over the identity (`K`) and value (`V`) types so
 //! its invariants can be property-tested in isolation (see
@@ -32,7 +31,7 @@ pub type ResultMemoStats = ClockCacheStats;
 /// `Sync` whenever `K` and `V` are `Send + Sync`; all methods take
 /// `&self`. See the module docs for the invariants.
 #[derive(Debug)]
-pub struct ShardedResultMemo<K, V>(ClockCache<u64, (K, V)>);
+pub struct ShardedResultMemo<K, V>(ClockCache<(K, V)>);
 
 impl<K: PartialEq, V: Clone> ShardedResultMemo<K, V> {
     /// A memo holding at most `capacity` entries in total, rounded down
@@ -60,7 +59,7 @@ impl<K: PartialEq, V: Clone> ShardedResultMemo<K, V> {
     /// runs under the stripe's read lock, so `V` should be cheap to clone
     /// (the engine stores an `Arc`).
     pub fn get(&self, key: u64, identity: &K) -> Option<V> {
-        self.0.get(&key, Self::verified(identity))
+        self.0.get(key, Self::verified(identity))
     }
 
     /// [`ShardedResultMemo::get`] without the statistics: for a caller
@@ -68,7 +67,7 @@ impl<K: PartialEq, V: Clone> ShardedResultMemo<K, V> {
     /// again (the engine's leader re-probe). A found entry is still
     /// marked referenced for the CLOCK sweep.
     pub fn peek(&self, key: u64, identity: &K) -> Option<V> {
-        self.0.peek(&key, Self::verified(identity))
+        self.0.peek(key, Self::verified(identity))
     }
 
     /// Stores `value` under `key`, evicting under the capacity bound. An

@@ -8,7 +8,7 @@
 
 use crate::executor::{Executor, Sequential};
 use crate::store::CacheStore;
-use expred_table::DerivedCache;
+use expred_table::DerivedCounters;
 use std::time::Duration;
 
 /// The sequential backend as a `'static` borrow for default contexts.
@@ -31,11 +31,11 @@ pub struct ExecContext<'a> {
     /// workload through the full session stack; answers and audited
     /// counts are unaffected (latency is not part of any cache identity).
     pub udf_latency: Option<Duration>,
-    /// The session's derived-data cache (group partitions, encoding
-    /// dictionaries), if this query runs inside a session. Entries are
-    /// keyed by `(table id, version, column)`, so pipelines may reuse
-    /// them freely: outputs are byte-identical with or without it.
-    pub derived: Option<&'a DerivedCache>,
+    /// The session's hit/miss counters for the table memo (group
+    /// partitions, encoding dictionaries, label planes), if this query
+    /// runs inside a session. Pipelines read derived data through the
+    /// memo either way; only whether it is counted differs.
+    pub derived: Option<&'a DerivedCounters>,
 }
 
 impl<'a> ExecContext<'a> {
@@ -67,11 +67,9 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// Attaches a session [`DerivedCache`]: pipelines serve group
-    /// partitions and encoding dictionaries from it instead of
-    /// re-deriving per query.
-    pub fn with_derived(mut self, derived: &'a DerivedCache) -> Self {
-        self.derived = Some(derived);
+    /// Counts the table-memo lookups pipelines make on `counters`.
+    pub fn with_derived_counters(mut self, counters: &'a DerivedCounters) -> Self {
+        self.derived = Some(counters);
         self
     }
 }
@@ -100,10 +98,10 @@ mod tests {
     #[test]
     fn builders_compose() {
         let store = CacheStore::new();
-        let derived = DerivedCache::new();
+        let derived = DerivedCounters::default();
         let ctx = ExecContext::new(&Sequential)
             .with_cache(&store)
-            .with_derived(&derived);
+            .with_derived_counters(&derived);
         assert!(ctx.cache.is_some());
         assert!(ctx.derived.is_some());
         assert!(ExecContext::sequential().derived.is_none());

@@ -12,10 +12,12 @@
 //! rather than once per cell. The historical per-cell-`String` encoder
 //! survives as this module's test oracle, which the kernel path must
 //! match byte for byte (the dictionary's value-sorted codes are remapped
-//! to the reference's string-sorted category slots).
+//! to the reference's string-sorted category slots). The codes come from
+//! the table's memo ([`Table::codes`]), so repeat extractions over an
+//! unchanged table skip the dictionary build.
 
 use expred_table::kernels::GroupCodes;
-use expred_table::{Column, DataType, DerivedCache, Table, Value};
+use expred_table::{Column, DataType, DerivedCounters, Table, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -79,21 +81,14 @@ impl FeatureMatrix {
 /// * Str/Bool columns (and low-cardinality Int columns) are one-hot
 ///   encoded; NULL becomes its own category. Columns whose cardinality
 ///   exceeds the spec's limit are dropped.
-pub fn extract_features(table: &Table, exclude: &[&str], spec: FeatureSpec) -> FeatureMatrix {
-    extract_features_cached(table, exclude, spec, None)
-}
-
-/// [`extract_features`] with an optional session [`DerivedCache`]: the
-/// per-column dictionary codes behind the one-hot encodings are served
-/// from (and populated into) the cache, keyed by `(table id, version,
-/// column)`, so repeat extractions over an unchanged table skip the
-/// dictionary build entirely. Output is identical with or without the
-/// cache.
-pub fn extract_features_cached(
+///
+/// The dictionary codes behind the one-hot encodings are read through
+/// the table's memo; `counters`, if given, counts those lookups.
+pub fn extract_features(
     table: &Table,
     exclude: &[&str],
     spec: FeatureSpec,
-    derived: Option<&DerivedCache>,
+    counters: Option<&DerivedCounters>,
 ) -> FeatureMatrix {
     let n = table.num_rows();
     let mut columns: Vec<(String, Encoding)> = Vec::new();
@@ -103,12 +98,7 @@ pub fn extract_features_cached(
         }
         let col = table.column(field.name()).expect("schema-listed column");
         let categorical = |name: &str| {
-            let codes = match derived {
-                Some(cache) => cache
-                    .group_codes(table, name)
-                    .expect("schema-listed column"),
-                None => Arc::new(col.group_codes()),
-            };
+            let codes = table.codes(name, counters).expect("schema-listed column");
             coded_encoding(codes, spec.max_categorical_cardinality)
         };
         let enc = match field.data_type() {
@@ -413,7 +403,7 @@ mod tests {
     #[test]
     fn excludes_and_encodes() {
         let t = sample_table();
-        let m = extract_features(&t, &["label", "id"], FeatureSpec::default());
+        let m = extract_features(&t, &["label", "id"], FeatureSpec::default(), None);
         assert_eq!(m.rows(), 4);
         // income (1) + grade one-hot (3) + flag one-hot (2) = 6.
         assert_eq!(m.dim(), 6);
@@ -429,6 +419,7 @@ mod tests {
             &t,
             &["label", "id", "grade", "flag"],
             FeatureSpec::default(),
+            None,
         );
         assert_eq!(m.dim(), 1);
         let mean: f64 = (0..4).map(|r| m.row(r)[0]).sum::<f64>() / 4.0;
@@ -444,6 +435,7 @@ mod tests {
             &t,
             &["label", "id", "income", "flag"],
             FeatureSpec::default(),
+            None,
         );
         // grade one-hot only: each row has exactly one hot slot.
         assert_eq!(m.dim(), 3);
@@ -460,7 +452,7 @@ mod tests {
             .map(|i| vec![Value::Str(format!("v{i}"))])
             .collect();
         let t = Table::from_rows(schema, rows).unwrap();
-        let m = extract_features(&t, &[], FeatureSpec::default());
+        let m = extract_features(&t, &[], FeatureSpec::default(), None);
         assert_eq!(m.dim(), 0, "100-distinct categorical must be dropped");
     }
 
@@ -469,7 +461,7 @@ mod tests {
         let schema = Schema::new(vec![Field::new("bucket", DataType::Int)]);
         let rows = (0..30).map(|i| vec![Value::Int(i % 3)]).collect();
         let t = Table::from_rows(schema, rows).unwrap();
-        let m = extract_features(&t, &[], FeatureSpec::default());
+        let m = extract_features(&t, &[], FeatureSpec::default(), None);
         assert_eq!(m.dim(), 3);
     }
 
@@ -510,23 +502,23 @@ mod tests {
             .collect();
         let t = Table::from_rows(schema, rows).unwrap();
         let spec = FeatureSpec::default();
-        let kernel = extract_features(&t, &[], spec);
+        let counters = DerivedCounters::default();
+        let kernel = extract_features(&t, &[], spec, Some(&counters));
         let reference = extract_features_reference(&t, &[], spec);
         assert_eq!(kernel, reference);
         assert!(kernel
             .feature_names()
             .iter()
             .any(|n| n == "bucket=\u{0}NULL"));
+        assert!(counters.snapshot().misses >= 1);
 
-        // And through the derived cache: identical again, with the codes
-        // dictionaries now retained for reuse.
-        let cache = expred_table::DerivedCache::new();
-        let cached = extract_features_cached(&t, &[], spec, Some(&cache));
-        assert_eq!(cached, reference);
-        assert!(cache.stats().misses >= 1);
-        let again = extract_features_cached(&t, &[], spec, Some(&cache));
+        // Again through the table's memo: identical, the codes reused.
+        let again = extract_features(&t, &[], spec, Some(&counters));
         assert_eq!(again, reference);
-        assert!(cache.stats().hits >= 1, "repeat extraction reuses codes");
+        assert!(
+            counters.snapshot().hits >= 1,
+            "repeat extraction reuses codes"
+        );
     }
 
     #[test]
@@ -541,7 +533,7 @@ mod tests {
             vec![Value::Float(3.0), Value::from("a")],
         ];
         let t = Table::from_rows(schema, rows).unwrap();
-        let m = extract_features(&t, &[], FeatureSpec::default());
+        let m = extract_features(&t, &[], FeatureSpec::default(), None);
         // x numeric (1) + c one-hot {a, NULL} (2).
         assert_eq!(m.dim(), 3);
         // NULL numeric row should sit at the (standardized) mean: 0.

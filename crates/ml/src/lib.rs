@@ -16,6 +16,6 @@ pub mod features;
 pub mod logistic;
 pub mod metrics;
 
-pub use features::{extract_features, extract_features_cached, FeatureMatrix, FeatureSpec};
+pub use features::{extract_features, FeatureMatrix, FeatureSpec};
 pub use logistic::{train, LogisticModel, TrainConfig};
 pub use metrics::{precision_recall, PrSummary};

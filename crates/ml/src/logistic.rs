@@ -153,7 +153,7 @@ mod tests {
             targets.push(x > 0.0);
         }
         let table = Table::from_rows(schema, rows).unwrap();
-        let features = extract_features(&table, &[], FeatureSpec::default());
+        let features = extract_features(&table, &[], FeatureSpec::default(), None);
         ((features), (0..100).collect(), targets)
     }
 

@@ -22,7 +22,7 @@ proptest! {
     ) {
         let n = xs.len().min(flips.len());
         let table = table_from(&xs[..n]);
-        let features = extract_features(&table, &[], FeatureSpec::default());
+        let features = extract_features(&table, &[], FeatureSpec::default(), None);
         let rows: Vec<usize> = (0..n).collect();
         let model = train(&features, &rows, &flips[..n], TrainConfig::default());
         for r in 0..n {
@@ -36,7 +36,7 @@ proptest! {
         let xs: Vec<f64> = (0..80).map(|i| boundary + (i as f64 - 39.5) * seed_shift / 10.0).collect();
         let labels: Vec<bool> = xs.iter().map(|&x| x > boundary).collect();
         let table = table_from(&xs);
-        let features = extract_features(&table, &[], FeatureSpec::default());
+        let features = extract_features(&table, &[], FeatureSpec::default(), None);
         let rows: Vec<usize> = (0..xs.len()).collect();
         let model = train(&features, &rows, &labels, TrainConfig::default());
         let correct = rows

@@ -175,7 +175,7 @@ fn assert_matches_parent(rendered: (String, String), golden_text: &str, golden_j
 #[test]
 fn pooled_registry_exports_every_parent_line_and_key() {
     let rendered = pooled_scenario();
-    // The additions: the audited bill and the derived cache, per tenant.
+    // The additions: the audited bill and the table-memo counters, per tenant.
     let doc = JsonValue::parse(&rendered.1).unwrap();
     for tenant in ["acme", "zed"] {
         let sections = doc.get("tenants").unwrap().get(tenant).unwrap();

@@ -1,10 +1,10 @@
 //! [`ClockCache`]: the workspace's one striped second-chance cache.
 //!
-//! Two session caches need the same thing — the engine's whole-result
-//! memo and the table layer's derived-data cache: readers and writers of
-//! different keys must not contend, the entry count must stay under a
-//! hard bound, and a hot entry must survive a stream of cold inserts.
-//! This is that mechanism, once:
+//! The engine's whole-result memo needs three things at once: readers
+//! and writers of different keys must not contend, the entry count must
+//! stay under a hard bound, and a hot entry must survive a stream of cold
+//! inserts. Its keys are caller-computed 64-bit hashes, so the cache is
+//! keyed by `u64`. This is that mechanism:
 //!
 //! * **Lock striping** — keys spread over up to 64 `RwLock`
 //!   stripes; a lookup takes one stripe's *read* lock.
@@ -27,7 +27,6 @@
 
 use crate::counter_set;
 use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::RwLock;
 
@@ -59,20 +58,6 @@ counter_set! {
     }
 }
 
-/// Picks a key's lock stripe. Any well-spread 64 bits of the key will do:
-/// the stripe's own map still hashes and compares the whole key.
-pub trait StripeKey: Hash + Eq + Clone {
-    /// The bits the stripe is chosen from.
-    fn stripe_bits(&self) -> u64;
-}
-
-/// A caller-computed hash is its own stripe selector.
-impl StripeKey for u64 {
-    fn stripe_bits(&self) -> u64 {
-        *self
-    }
-}
-
 /// One cached value and its CLOCK referenced bit (atomic so hits can mark
 /// it under a shared read lock).
 #[derive(Debug)]
@@ -83,17 +68,17 @@ struct Entry<V> {
 
 /// One lock stripe: entries plus the CLOCK ring over their keys.
 #[derive(Debug)]
-struct Shard<K, V> {
-    map: HashMap<K, Entry<V>>,
-    ring: VecDeque<K>,
+struct Shard<V> {
+    map: HashMap<u64, Entry<V>>,
+    ring: VecDeque<u64>,
 }
 
 /// A lock-striped, capacity-bounded second-chance cache. `Sync` whenever
-/// `K` and `V` are `Send + Sync`; all methods take `&self`. See the
+/// `V` is `Send + Sync`; all methods take `&self`. See the
 /// module docs for the invariants.
 #[derive(Debug)]
-pub struct ClockCache<K, V> {
-    shards: Box<[RwLock<Shard<K, V>>]>,
+pub struct ClockCache<V> {
+    shards: Box<[RwLock<Shard<V>>]>,
     mask: u64,
     shard_capacity: usize,
     stats: ClockCacheCounters,
@@ -105,7 +90,7 @@ fn prev_power_of_two(x: usize) -> usize {
     usize::MAX.wrapping_shr(x.leading_zeros()) / 2 + 1
 }
 
-impl<K: StripeKey, V> ClockCache<K, V> {
+impl<V> ClockCache<V> {
     /// A cache holding at most `capacity` entries in total. The effective
     /// bound ([`ClockCache::capacity`]) is rounded *down* so the sum of
     /// per-stripe budgets never exceeds the request; `capacity == 0`
@@ -135,9 +120,9 @@ impl<K: StripeKey, V> ClockCache<K, V> {
         self.shard_capacity * self.shards.len()
     }
 
-    fn shard(&self, key: &K) -> &RwLock<Shard<K, V>> {
+    fn shard(&self, key: u64) -> &RwLock<Shard<V>> {
         // Fibonacci spread: the key's bits may be weak at the low end.
-        let spread = key.stripe_bits().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let spread = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
         &self.shards[(spread & self.mask) as usize]
     }
 
@@ -147,7 +132,7 @@ impl<K: StripeKey, V> ClockCache<K, V> {
     /// exactly one of hit, miss or collision reject. `read` runs under
     /// the stripe's read lock, so it should be cheap (compare, clone an
     /// `Arc`).
-    pub fn get<R>(&self, key: &K, read: impl FnOnce(&V) -> Option<R>) -> Option<R> {
+    pub fn get<R>(&self, key: u64, read: impl FnOnce(&V) -> Option<R>) -> Option<R> {
         let served = self.probe(key, read);
         let counter = match served {
             Some(Some(_)) => &self.stats.hits,
@@ -161,18 +146,18 @@ impl<K: StripeKey, V> ClockCache<K, V> {
     /// [`ClockCache::get`] without the statistics: for a caller that
     /// already counted this lookup and is only looking again. A served
     /// entry is still marked referenced for the sweep.
-    pub fn peek<R>(&self, key: &K, read: impl FnOnce(&V) -> Option<R>) -> Option<R> {
+    pub fn peek<R>(&self, key: u64, read: impl FnOnce(&V) -> Option<R>) -> Option<R> {
         self.probe(key, read).flatten()
     }
 
     /// `None`: nothing under `key`. `Some(None)`: an entry the reader
     /// refused. `Some(Some(_))`: served, and marked referenced.
-    fn probe<R>(&self, key: &K, read: impl FnOnce(&V) -> Option<R>) -> Option<Option<R>> {
+    fn probe<R>(&self, key: u64, read: impl FnOnce(&V) -> Option<R>) -> Option<Option<R>> {
         if self.shard_capacity == 0 {
             return None;
         }
         let guard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
-        let entry = guard.map.get(key)?;
+        let entry = guard.map.get(&key)?;
         let served = read(&entry.value);
         if served.is_some() {
             entry.referenced.store(true, Ordering::Relaxed);
@@ -182,13 +167,13 @@ impl<K: StripeKey, V> ClockCache<K, V> {
 
     /// Stores `value` under `key`, evicting under the capacity bound. An
     /// occupied key is replaced in place and keeps its ring slot.
-    pub fn insert(&self, key: K, value: V) {
+    pub fn insert(&self, key: u64, value: V) {
         if self.shard_capacity == 0 {
             return;
         }
         let mut evicted = 0u64;
         {
-            let mut guard = self.shard(&key).write().unwrap_or_else(|e| e.into_inner());
+            let mut guard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
             let shard = &mut *guard;
             if let Some(entry) = shard.map.get_mut(&key) {
                 entry.value = value;
@@ -213,7 +198,7 @@ impl<K: StripeKey, V> ClockCache<K, V> {
                         None => {}
                     }
                 }
-                shard.ring.push_back(key.clone());
+                shard.ring.push_back(key);
                 let referenced = AtomicBool::new(false);
                 shard.map.insert(key, Entry { value, referenced });
             }

@@ -30,8 +30,8 @@
 //!   layer's counters, and the [`counters::CounterSet`] walk the metrics
 //!   exports read.
 //! * [`clock`] — [`clock::ClockCache`], the workspace's one striped
-//!   second-chance cache (the engine's result memo and the derived-data
-//!   cache are both instances).
+//!   second-chance cache, keyed by a 64-bit hash (the engine's result
+//!   memo is its instance).
 
 pub mod bits;
 pub mod bounds;

@@ -36,8 +36,8 @@
 //!   column it sorts the stored dictionary and remaps the stored codes,
 //!   hashing nothing.
 //!   Also the substrate for one-hot feature encoding in `expred-ml`.
-//! * [`stats`] — lazily computed, memoized per-`(column, version)`
-//!   NULL and distinct counts.
+//! * [`stats`] — [`stats::ColumnStats`], a column's NULL and distinct
+//!   counts.
 //! * [`rowset`] — [`rowset::RowSet`], a set of dense row ids as one
 //!   packed bit plane (answers, ground truth, labelled samples), in the
 //!   64-row word layout [`table::GroupBy::runs`] shares: a group meets a
@@ -46,11 +46,11 @@
 //! * [`bitcount`] — the read path's bit counts (a plane's size, a
 //!   group's share of a plane, a group's rank cut), each compiled twice:
 //!   with the POPCNT instruction where the CPU has it, and portably.
-//! * [`derived`] — [`derived::DerivedCache`], the session-level memo of
-//!   derived artifacts ([`table::GroupBy`] partitions, encoding
-//!   dictionaries) keyed by `(TableId, version, column)`; `push_row`
-//!   bumps the version, so mutation invalidates by making stale entries
-//!   unaddressable.
+//! * [`derived`] — the table memo: a column's [`table::GroupBy`]
+//!   partition, dictionary codes, true-row plane and stats, each derived
+//!   on first lookup and kept in the column's slot, so it dies with the
+//!   table and `push_row` resets it; [`derived::DerivedCounters`] counts
+//!   one caller's hits and misses.
 //!
 //! # Modules
 //!
@@ -77,7 +77,7 @@ pub mod value;
 
 pub use column::{Column, StrColumn};
 pub use datasets::{Dataset, DatasetSpec, LABEL_COLUMN};
-pub use derived::{DerivedCache, DerivedCacheStats, DEFAULT_DERIVED_CAPACITY};
+pub use derived::{DerivedCacheStats, DerivedCounters};
 pub use kernels::GroupCodes;
 pub use rowset::RowSet;
 pub use schema::{Field, Schema};

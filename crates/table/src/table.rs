@@ -8,18 +8,19 @@
 
 use crate::bitcount;
 use crate::column::Column;
+use crate::derived::{memo, Derived, DerivedCounters};
+use crate::kernels::GroupCodes;
 use crate::rowset::{bits, RowSet};
 use crate::schema::{Field, Schema};
-use crate::stats::{ColumnStats, StatsCache};
+use crate::stats::ColumnStats;
 use crate::value::{DataType, Value};
-use std::any::Any;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Process-unique identity of one [`Table`] instance.
 ///
-/// Cache layers key entries by `(TableId, version)`: the id distinguishes
+/// The row tier keys entries by `(TableId, version)`: the id distinguishes
 /// *instances* (two independently built tables never share cache entries,
 /// even with identical content), while [`Table::version`] distinguishes
 /// *states* of one instance across mutations. Clones share the id — they
@@ -94,6 +95,24 @@ fn check_column(field: &Field, column: &Column, num_rows: usize) -> Result<(), S
     Ok(())
 }
 
+/// One field's column and what is derived from it ([`crate::derived`]),
+/// each built on first read.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    /// Empty only while the table's `source` can fill it.
+    column: OnceLock<Column>,
+    derived: Derived,
+}
+
+impl From<Column> for Slot {
+    fn from(column: Column) -> Self {
+        Self {
+            column: OnceLock::from(column),
+            derived: Derived::default(),
+        }
+    }
+}
+
 /// An immutable-after-build, columnar, in-memory relation.
 ///
 /// A table built by [`Self::from_rows`], [`Self::from_columns`] or
@@ -103,22 +122,22 @@ fn check_column(field: &Field, column: &Column, num_rows: usize) -> Result<(), S
 /// built eagerly and builds each other column the first time it is read;
 /// its version fingerprints the recipe, since a content fold would have to
 /// build every cell. Either way, what a reader sees is the same cells.
+/// What is derived from a column is memoized beside it
+/// ([`Self::partition`], [`Self::codes`], [`Self::true_rows`],
+/// [`Self::column_stats`]).
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
-    /// One slot per field. A slot is empty only while `source` can fill it.
-    columns: Vec<OnceLock<Column>>,
+    /// One slot per field.
+    columns: Vec<Slot>,
     /// What fills the empty slots; `None` for a table built whole, and
     /// from a lazy table's first `push_row` on.
     source: Option<Arc<dyn ColumnSource>>,
     num_rows: usize,
-    id: TableId,
-    version: u64,
-    /// Lazily computed per-`(column, version)` stats memo, shared by
-    /// clones (entries are version-keyed, so sharing is safe even after
-    /// clones diverge). Nothing else holds it, so it is also the
+    /// Shared by clones and held by nothing else, so it is also the
     /// instance's [`Self::identity`].
-    stats: Arc<StatsCache>,
+    id: Arc<TableId>,
+    version: u64,
 }
 
 impl PartialEq for Table {
@@ -133,17 +152,16 @@ impl PartialEq for Table {
 }
 
 impl Table {
-    /// A new table instance (fresh [`TableId`], empty stats memo) over
+    /// A new table instance (fresh [`TableId`], nothing derived) over
     /// already-validated parts.
     fn new(schema: Schema, columns: Vec<Column>, num_rows: usize, version: u64) -> Self {
         Self {
             schema,
-            columns: columns.into_iter().map(OnceLock::from).collect(),
+            columns: columns.into_iter().map(Slot::from).collect(),
             source: None,
             num_rows,
-            id: TableId(NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed)),
+            id: Arc::new(TableId(NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed))),
             version,
-            stats: Arc::new(StatsCache::default()),
         }
     }
 
@@ -207,10 +225,10 @@ impl Table {
         built: impl IntoIterator<Item = (usize, Column)>,
         source: Arc<dyn ColumnSource>,
     ) -> Result<Self, String> {
-        let mut columns: Vec<_> = schema.fields().iter().map(|_| OnceLock::new()).collect();
+        let mut columns: Vec<_> = schema.fields().iter().map(|_| Slot::default()).collect();
         for (idx, column) in built {
             check_column(&schema.fields()[idx], &column, num_rows)?;
-            columns[idx] = OnceLock::from(column);
+            columns[idx] = Slot::from(column);
         }
         Ok(Self {
             columns,
@@ -236,11 +254,12 @@ impl Table {
     /// Whether the column at `idx` has been built.
     #[cfg(test)]
     pub(crate) fn is_built(&self, idx: usize) -> bool {
-        self.columns[idx].get().is_some()
+        self.columns[idx].column.get().is_some()
     }
 
     /// Appends one row. Errors on arity or type mismatch, and on NULLs in
-    /// non-nullable fields; a failed push changes nothing.
+    /// non-nullable fields; a failed push changes nothing. A push changes
+    /// every column, so it drops everything derived from them.
     pub fn push_row(&mut self, mut row: Vec<Value>) -> Result<(), String> {
         if row.len() != self.schema.len() {
             return Err(format!(
@@ -280,9 +299,10 @@ impl Table {
             self.column_at(idx);
         }
         self.source = None;
-        for (column, value) in self.columns.iter_mut().zip(row) {
-            let column = column.get_mut().expect("every column is built");
+        for (slot, value) in self.columns.iter_mut().zip(row) {
+            let column = slot.column.get_mut().expect("every column is built");
             column.push(value).expect("cell checked against its column");
+            slot.derived = Derived::default();
         }
         self.num_rows += 1;
         self.version = fold_row(self.version, row_hash);
@@ -291,15 +311,15 @@ impl Table {
 
     /// This instance's stable identity (shared by clones).
     pub fn id(&self) -> TableId {
-        self.id
+        *self.id
     }
 
     /// What every clone of this instance shares and nothing else holds:
     /// it dies with the last clone. The row tier keeps a weak reference
     /// to it, to drop the answers it holds for the instance once no one
     /// can ask about it again (`expred_exec::CacheStore::handle`).
-    pub fn identity(&self) -> &Arc<impl Any + Send + Sync> {
-        &self.stats
+    pub fn identity(&self) -> &Arc<TableId> {
+        &self.id
     }
 
     /// Fingerprint of the table's current state.
@@ -311,7 +331,7 @@ impl Table {
     /// cells without building them ([`crate::datasets`] pins both kinds).
     /// Either way it is deterministic across processes, every
     /// [`Self::push_row`] folds its row onto it, and diverging clones
-    /// diverge. Cache entries keyed by `(id, version)` are therefore
+    /// diverge. Row-tier entries keyed by `(id, version)` are therefore
     /// invalidated wholesale by any mutation.
     pub fn version(&self) -> u64 {
         self.version
@@ -340,7 +360,16 @@ impl Table {
     /// The column at an index (built now if it is not yet). Threads
     /// racing to read an unbuilt column build it once.
     pub fn column_at(&self, idx: usize) -> &Column {
-        self.columns[idx].get_or_init(|| self.build(idx))
+        self.columns[idx].column.get_or_init(|| self.build(idx))
+    }
+
+    /// The named column and its slot's memo.
+    fn derived(&self, name: &str) -> Result<(&Column, &Derived), String> {
+        let idx = self
+            .schema
+            .index_of(name)
+            .ok_or_else(|| format!("no column named {name:?}"))?;
+        Ok((self.column_at(idx), &self.columns[idx].derived))
     }
 
     /// The cell at `(row, column-name)`.
@@ -370,16 +399,55 @@ impl Table {
         Ok(col.group_codes().to_group_by(column))
     }
 
-    /// Memoized per-column statistics (NULL and distinct counts) for the
-    /// named column. Computed lazily, once per `(column, version)`; repeat
-    /// calls — including across clones at the same version — are a map
-    /// lookup.
+    /// [`Self::group_by`], memoized: derived on the first lookup of this
+    /// table state, shared by every later one. `counters`, if given,
+    /// counts the lookup as a hit or a miss ([`crate::derived`]).
+    pub fn partition(
+        &self,
+        column: &str,
+        counters: Option<&DerivedCounters>,
+    ) -> Result<Arc<GroupBy>, String> {
+        let (col, derived) = self.derived(column)?;
+        Ok(memo(&derived.groups, counters, || {
+            Arc::new(col.group_codes().to_group_by(column))
+        }))
+    }
+
+    /// The dictionary codes of `column` ([`Column::group_codes`]),
+    /// memoized like [`Self::partition`]. The substrate for one-hot
+    /// feature encoding.
+    pub fn codes(
+        &self,
+        column: &str,
+        counters: Option<&DerivedCounters>,
+    ) -> Result<Arc<GroupCodes>, String> {
+        let (col, derived) = self.derived(column)?;
+        Ok(memo(&derived.codes, counters, || {
+            Arc::new(col.group_codes())
+        }))
+    }
+
+    /// The rows where boolean `column` is true ([`Column::true_rows`]),
+    /// memoized like [`Self::partition`]. `None` unless `column` is a
+    /// boolean column without NULLs.
+    pub fn true_rows(
+        &self,
+        column: &str,
+        counters: Option<&DerivedCounters>,
+    ) -> Option<Arc<RowSet>> {
+        let (col, derived) = self.derived(column).ok()?;
+        memo(&derived.true_rows, counters, || {
+            col.true_rows().map(Arc::new)
+        })
+    }
+
+    /// The named column's NULL and distinct counts, memoized like
+    /// [`Self::partition`] but never counted.
     pub fn column_stats(&self, name: &str) -> Option<Arc<ColumnStats>> {
-        let idx = self.schema.index_of(name)?;
-        Some(
-            self.stats
-                .get_or_compute(idx, self.version, self.column_at(idx)),
-        )
+        let (col, derived) = self.derived(name).ok()?;
+        Some(memo(&derived.stats, None, || {
+            Arc::new(ColumnStats::of(col))
+        }))
     }
 }
 
@@ -1087,6 +1155,32 @@ mod tests {
         assert!(read.iter().all(|column| *column == read[0]));
         assert_eq!(read[0].value(499), Value::Int(1499));
         assert!(table.is_built(1) && !table.is_built(2));
+    }
+
+    #[test]
+    fn racing_reads_derive_a_partition_once() {
+        // The column build lingers, so all eight readers queue on it and
+        // then reach the partition's memo together.
+        let source = Counting::new(500, std::time::Duration::from_millis(100));
+        let table = lazy_table(500, &source);
+        let counters = DerivedCounters::default();
+        let barrier = std::sync::Barrier::new(8);
+        let read: Vec<Arc<GroupBy>> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        table.partition("b", Some(&counters)).unwrap()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(builds(&source), [1], "one build for eight readers");
+        let counted = counters.snapshot();
+        assert_eq!((counted.misses, counted.hits), (1, 7), "one derivation");
+        assert!(read.iter().all(|groups| Arc::ptr_eq(groups, &read[0])));
+        assert_eq!(*read[0], table.group_by("b").unwrap());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 use expred_table::csv::{read_csv, write_csv};
 use expred_table::datasets::{all_specs, Dataset, DatasetSpec};
 use expred_table::value::ValueKey;
-use expred_table::{Column, DataType, DerivedCache, Field, GroupBy, Schema, Table, Value};
+use expred_table::{Column, ColumnStats, DataType, Field, GroupBy, Schema, Table, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A single nullable column of `values` as a table.
 fn one_column_table(name: &str, data_type: DataType, values: Vec<Value>) -> Table {
@@ -30,6 +31,49 @@ fn group_by_reference(table: &Table, column: &str) -> GroupBy {
         .map(|(_, group_rows)| (keys_owned[group_rows[0] as usize].clone(), group_rows))
         .unzip();
     GroupBy::new(column.to_owned(), keys, rows, table.num_rows())
+}
+
+/// One row of [`memo_table`]: `g`, and a label that is NULL for flag 0
+/// and true for odd flags.
+fn memo_row((g, flag): (i64, u8)) -> Vec<Value> {
+    let ok = match flag {
+        0 => Value::Null,
+        _ => Value::Bool(flag % 2 == 1),
+    };
+    vec![Value::Int(g), ok]
+}
+
+/// An Int column `g` and a nullable Bool column `ok`.
+fn memo_table(rows: &[(i64, u8)]) -> Table {
+    let schema = Schema::new(vec![
+        Field::new("g", DataType::Int),
+        Field::nullable("ok", DataType::Bool),
+    ]);
+    Table::from_rows(schema, rows.iter().map(|&row| memo_row(row)).collect()).unwrap()
+}
+
+/// Holds every memoized artifact of `table` to its reference, twice: the
+/// second lookup must serve the first's `Arc`.
+fn assert_memo_matches(table: &Table) -> Result<(), TestCaseError> {
+    let (g, ok) = (table.column("g").unwrap(), table.column("ok").unwrap());
+    for _ in 0..2 {
+        prop_assert_eq!(
+            table.partition("g", None).unwrap(),
+            Arc::new(group_by_reference(table, "g"))
+        );
+        prop_assert_eq!(table.codes("g", None).unwrap(), Arc::new(g.group_codes()));
+        prop_assert_eq!(table.true_rows("ok", None), ok.true_rows().map(Arc::new));
+        prop_assert_eq!(table.column_stats("g"), Some(Arc::new(ColumnStats::of(g))));
+        prop_assert_eq!(
+            table.column_stats("ok"),
+            Some(Arc::new(ColumnStats::of(ok)))
+        );
+    }
+    prop_assert!(Arc::ptr_eq(
+        &table.partition("g", None).unwrap(),
+        &table.partition("g", None).unwrap()
+    ));
+    Ok(())
 }
 
 /// Structural grouping equality that treats NaN keys by their bit-level
@@ -285,33 +329,30 @@ proptest! {
     }
 
     #[test]
-    fn derived_cache_tracks_version_history(
-        base in prop::collection::vec(-3i64..3, 1..40),
-        extra_a in prop::collection::vec(-3i64..3, 1..10),
-        extra_b in prop::collection::vec(-3i64..3, 1..10),
+    fn memo_tracks_diverging_clone_histories(
+        base in prop::collection::vec((-3i64..3, 0u8..12), 1..40),
+        extra_a in prop::collection::vec((-3i64..3, 0u8..12), 1..10),
+        extra_b in prop::collection::vec((-3i64..3, 0u8..12), 1..10),
     ) {
-        // Two clones diverge by different push_row histories; a shared
-        // cache must serve each clone its own partition at every step and
-        // treat every version bump as a fresh entry.
-        let cache = DerivedCache::new();
-        let t = one_column_table("g", DataType::Int, base.iter().map(|&v| Value::Int(v)).collect());
+        // Two clones of one table diverge by different push_row
+        // histories, a row at a time in turn. At every step each serves
+        // its own partition, codes, label plane and stats, and the base
+        // keeps what it derived before the clones were taken.
+        let t = memo_table(&base);
+        let first = t.partition("g", None).unwrap();
         let (mut a, mut b) = (t.clone(), t.clone());
-        let first = cache.group_by(&t, "g").unwrap();
-        prop_assert_eq!(first.as_ref(), &group_by_reference(&t, "g"));
-        for &v in &extra_a {
-            a.push_row(vec![Value::Int(v)]).unwrap();
-            let got = cache.group_by(&a, "g").unwrap();
-            prop_assert_eq!(got.as_ref(), &group_by_reference(&a, "g"));
+        prop_assert!(Arc::ptr_eq(&first, &a.partition("g", None).unwrap()));
+        assert_memo_matches(&a)?;
+        for step in 0..extra_a.len().max(extra_b.len()) {
+            for (clone, extra) in [(&mut a, &extra_a), (&mut b, &extra_b)] {
+                if let Some(&row) = extra.get(step) {
+                    clone.push_row(memo_row(row)).unwrap();
+                }
+                assert_memo_matches(clone)?;
+            }
         }
-        for &v in &extra_b {
-            b.push_row(vec![Value::Int(v)]).unwrap();
-            let got = cache.group_by(&b, "g").unwrap();
-            prop_assert_eq!(got.as_ref(), &group_by_reference(&b, "g"));
-        }
-        // The base version's entry is still correct after both histories.
-        let again = cache.group_by(&t, "g").unwrap();
-        prop_assert_eq!(again.as_ref(), first.as_ref());
-        prop_assert!(cache.stats().hits >= 1);
+        prop_assert!(Arc::ptr_eq(&first, &t.partition("g", None).unwrap()));
+        assert_memo_matches(&t)?;
     }
 
     #[test]

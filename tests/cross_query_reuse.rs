@@ -243,3 +243,39 @@ fn a_clone_that_outlives_its_original_keeps_its_answers() {
     drop((left, right));
     assert_eq!(engine.store().num_namespaces(), 0);
 }
+
+#[test]
+fn a_dropped_table_frees_what_the_engine_derived_from_it() {
+    // One engine queries many small tables once each and drops them; the
+    // partition each query derived goes with its table. One table stays
+    // live throughout and keeps what was derived from it.
+    const TABLES: u64 = 300;
+    let table = |seed| {
+        Dataset::generate(
+            DatasetSpec {
+                rows: 200,
+                ..PROSPER
+            },
+            seed,
+        )
+    };
+    let engine = QueryEngine::new();
+    let kept = table(0);
+    engine.submit(&kept, &intel("grade").with_seed(0)).unwrap();
+    let mut partitions = Vec::new();
+    for seed in 1..=TABLES {
+        let ds = table(seed);
+        engine.submit(&ds, &intel("grade").with_seed(seed)).unwrap();
+        partitions.push(std::sync::Arc::downgrade(
+            &ds.table.partition("grade", None).unwrap(),
+        ));
+        drop(ds);
+    }
+    let held = partitions.iter().filter(|p| p.strong_count() > 0).count();
+    assert_eq!(held, 0, "{held} dropped tables' partitions are still held");
+    // The live table's re-query derives nothing.
+    let derived = engine.derived_stats().misses;
+    engine.submit(&kept, &intel("grade").with_seed(1)).unwrap();
+    assert_eq!(engine.derived_stats().misses, derived);
+    assert_eq!(engine.stats().result_hits, 0, "the re-query ran in full");
+}
