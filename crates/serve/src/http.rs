@@ -344,8 +344,10 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Per-connection socket read timeout: a idle keep-alive connection held
-/// open longer than this is closed so its thread can be reclaimed.
+/// A connection's only read timeout, set once when it opens: a read
+/// that waits longer than this (an abandoned idle keep-alive connection,
+/// or a stalled request) closes the connection so its thread can be
+/// reclaimed.
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 #[cfg(test)]

@@ -18,11 +18,13 @@
 //! **connection gate** (excess connections are answered `503` +
 //! `Retry-After` inline on the accept thread, before any thread is
 //! spawned), and serves any number of pipelined keep-alive requests.
-//! Idle connections wait in short poll quanta so a shutdown drains
-//! them promptly; the idle read timeout
-//! ([`crate::http::IDLE_TIMEOUT`]) still reclaims abandoned sockets.
-//! Shutdown is graceful: stop accepting, then wait for in-flight
-//! connections to finish up to [`ServeConfig::drain_deadline`].
+//! An idle connection simply blocks in its read; the read timeout
+//! ([`crate::http::IDLE_TIMEOUT`]) reclaims abandoned sockets.
+//! Shutdown is graceful and waits on events, not clocks: stop accepting,
+//! shut the read half of every live socket (a blocked read returns EOF
+//! at once, while an in-flight response still goes out whole), then
+//! wait for the last connection to leave, up to
+//! [`ServeConfig::drain_deadline`].
 //!
 //! [`EngineError`]: expred_core::EngineError
 
@@ -31,16 +33,13 @@ use crate::gate::{AdmissionGate, OwnedGatePass};
 use crate::http::{read_request, HttpError, HttpRequest, HttpResponse, Limits, IDLE_TIMEOUT};
 use crate::metrics::{MetricsContext, ServeMetrics};
 use crate::tenant::{EngineConfig, TenantError, TenantRegistry};
+use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// How often an idle connection re-checks the shutdown flag while
-/// waiting for its next request.
-const IDLE_POLL: Duration = Duration::from_millis(100);
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -102,9 +101,27 @@ struct Shared {
     metrics: ServeMetrics,
     tenants: TenantRegistry,
     shutting_down: AtomicBool,
+    live: Mutex<LiveConnections>,
+    /// Notified when the last live connection leaves.
+    drained: Condvar,
+}
+
+/// Every live connection, by id: a clone of its socket, so a drain can
+/// cut its read short, and its connection-gate slot, released when the
+/// entry leaves.
+#[derive(Default)]
+struct LiveConnections {
+    next_id: u64,
+    sockets: HashMap<u64, (TcpStream, OwnedGatePass)>,
 }
 
 impl Shared {
+    /// Every update is one insert or remove, so a guard recovered from a
+    /// poisoned lock still holds a valid registry.
+    fn live(&self) -> MutexGuard<'_, LiveConnections> {
+        self.live.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn metrics_context(&self) -> MetricsContext<'_> {
         MetricsContext {
             gate: &self.gate,
@@ -141,6 +158,8 @@ pub fn serve(addr: impl ToSocketAddrs, config: ServeConfig) -> std::io::Result<S
         ),
         metrics: ServeMetrics::new(),
         shutting_down: AtomicBool::new(false),
+        live: Mutex::default(),
+        drained: Condvar::new(),
         config,
     });
     let accept_shared = Arc::clone(&shared);
@@ -180,10 +199,13 @@ impl ServerHandle {
         &self.shared.tenants
     }
 
-    /// Graceful shutdown: stops the accept loop, then waits (up to
-    /// [`ServeConfig::drain_deadline`]) for live connections to finish
-    /// their current request and release their connection-gate slot.
-    /// Idle keep-alive connections notice within one poll quantum.
+    /// Graceful shutdown: stops the accept loop, shuts the read half of
+    /// every live connection, then waits (up to
+    /// [`ServeConfig::drain_deadline`]) for them to finish their current
+    /// request and release their connection-gate slot. An idle
+    /// keep-alive connection's blocked read returns EOF at once, so it
+    /// leaves without delay; a request already running still writes its
+    /// whole response.
     pub fn shutdown(&mut self) {
         if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
             return;
@@ -203,14 +225,20 @@ impl ServerHandle {
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
-        // Drain: connection threads are detached, so wait on the gate
-        // they hold slots in rather than joining them. A request that
-        // outlives the deadline is abandoned (its thread exits on its
-        // own once the response write fails or completes).
-        let deadline = Instant::now() + self.shared.config.drain_deadline;
-        while self.shared.connections.in_flight() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
+        // Drain: with the accept thread joined, every connection is
+        // registered. Connection threads are detached, so wait for the
+        // last one to leave the registry rather than joining them. A
+        // request that outlives the deadline is abandoned (its thread
+        // exits on its own once the response write fails or completes).
+        let live = self.shared.live();
+        for (socket, _) in live.sockets.values() {
+            let _ = socket.shutdown(Shutdown::Read);
         }
+        let _ = self.shared.drained.wait_timeout_while(
+            live,
+            self.shared.config.drain_deadline,
+            |live| !live.sockets.is_empty(),
+        );
         // With persistence configured, push every tenant's durable state
         // to disk now, deterministically — not via Drop ordering, which a
         // straggler connection thread holding the `Arc<Shared>` could
@@ -264,10 +292,49 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             refuse_connection(stream, &shared);
             continue;
         };
-        let conn_shared = Arc::clone(&shared);
+        // Register BEFORE spawning too, so a drain that starts once
+        // this thread is joined sees every connection.
+        let Some(registration) = Registration::new(&shared, &stream, pass) else {
+            continue;
+        };
         let _ = std::thread::Builder::new()
             .name("expred-serve-conn".into())
-            .spawn(move || connection_loop(stream, conn_shared, pass));
+            .spawn(move || connection_loop(stream, registration));
+    }
+}
+
+/// A connection's entry in the live registry. Dropping it (when the
+/// connection thread exits, or with the thread's closure if the spawn
+/// fails) removes the entry, which releases the gate slot, and then
+/// wakes a drain if it was the last one.
+struct Registration {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl Registration {
+    /// `None` when the socket cannot be cloned: the connection is
+    /// dropped and its slot released.
+    fn new(shared: &Arc<Shared>, stream: &TcpStream, pass: OwnedGatePass) -> Option<Self> {
+        let socket = stream.try_clone().ok()?;
+        let mut live = shared.live();
+        let id = live.next_id;
+        live.next_id += 1;
+        live.sockets.insert(id, (socket, pass));
+        Some(Self {
+            shared: Arc::clone(shared),
+            id,
+        })
+    }
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        let mut live = self.shared.live();
+        live.sockets.remove(&self.id);
+        if live.sockets.is_empty() {
+            self.shared.drained.notify_all();
+        }
     }
 }
 
@@ -292,49 +359,25 @@ fn refuse_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn connection_loop(stream: TcpStream, shared: Arc<Shared>, _pass: OwnedGatePass) {
+fn connection_loop(stream: TcpStream, registration: Registration) {
+    let shared = &registration.shared;
     let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let limits = Limits {
         max_body_bytes: shared.config.max_body_bytes,
         ..Limits::default()
     };
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let mut idle_since = Instant::now();
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
     loop {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
-        // Idle wait in short quanta: when no request bytes are pending,
-        // peek with a small timeout so a shutdown drains this
-        // connection within one quantum instead of one IDLE_TIMEOUT.
-        // (The read timeout lives on the shared socket, so it must be
-        // restored before the real request read below.)
-        if reader.buffer().is_empty() {
-            let _ = writer.set_read_timeout(Some(IDLE_POLL));
-            let mut peeked = [0u8; 1];
-            match writer.peek(&mut peeked) {
-                Ok(0) => break, // peer closed
-                Ok(_) => {}
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if idle_since.elapsed() >= IDLE_TIMEOUT {
-                        break; // abandoned socket: reclaim as before
-                    }
-                    continue;
-                }
-                Err(_) => break,
-            }
-            let _ = writer.set_read_timeout(Some(IDLE_TIMEOUT));
-        }
         let request = match read_request(&mut reader, &limits) {
             Ok(request) => request,
+            // The drain shut the read half: a request it cut short is
+            // not the client's error, so it gets no 400.
+            Err(_) if shared.shutting_down.load(Ordering::SeqCst) => break,
             Err(HttpError::Closed) | Err(HttpError::Io(_)) => break,
             Err(HttpError::Malformed(reason)) => {
                 let error = ApiError::bad_request(format!("malformed request: {reason}"));
@@ -356,7 +399,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>, _pass: OwnedGatePass)
             }
         };
         let keep_alive = request.keep_alive();
-        let response = dispatch(&request, &shared);
+        let response = dispatch(&request, shared);
         shared.metrics.record_status(response.status);
         if response.write_to(&mut writer, keep_alive).is_err() {
             break;
@@ -364,7 +407,6 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>, _pass: OwnedGatePass)
         if writer.flush().is_err() || !keep_alive {
             break;
         }
-        idle_since = Instant::now();
     }
     let _ = writer.shutdown(Shutdown::Both);
 }

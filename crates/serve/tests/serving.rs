@@ -4,10 +4,12 @@
 //! input, saturation, and tenant exhaustion.
 
 use expred_core::{QueryEngine, QueryRequest, QuerySpec};
-use expred_serve::{serve, HttpClient, ServeConfig, TableKey};
+use expred_serve::{serve, AdmissionGate, HttpClient, ServeConfig, TableKey};
 use expred_stats::json::JsonValue;
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 use expred_udf::CostModel;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn small_config() -> ServeConfig {
@@ -807,8 +809,8 @@ fn connection_cap_refuses_inline_with_503_and_recovers() {
     assert!(metrics.contains("serve_connections_open 2\n"));
     assert!(metrics.contains("serve_connections_shed 1\n"));
 
-    // Closing one connection frees its slot (the idle loop notices the
-    // peer's FIN within one poll quantum) and a new client is admitted.
+    // Closing one connection frees its slot (the server's blocked read
+    // returns EOF on the peer's FIN) and a new client is admitted.
     drop(b);
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
     while handle.connections().in_flight() > 1 && std::time::Instant::now() < deadline {
@@ -843,8 +845,9 @@ fn shutdown_drains_idle_connections_within_the_deadline() {
     assert_eq!(handle.connections().in_flight(), 2);
 
     // Graceful shutdown must not wait out the full drain deadline (let
-    // alone the 5s idle read timeout): idle connections poll the
-    // shutdown flag every 100ms and release their slots.
+    // alone the idle read timeout): shutting the read half of each
+    // socket ends the idle connections' blocked reads at once, and they
+    // release their slots.
     let started = std::time::Instant::now();
     handle.shutdown();
     assert!(
@@ -856,6 +859,148 @@ fn shutdown_drains_idle_connections_within_the_deadline() {
     assert!(
         a.get("/health").is_err() && b.get("/health").is_err(),
         "drained connections are closed"
+    );
+}
+
+/// A raw keep-alive socket that has served one `GET /health`.
+fn served_health(addr: std::net::SocketAddr) -> TcpStream {
+    let mut socket = TcpStream::connect(addr).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    socket
+        .write_all(b"GET /health HTTP/1.1\r\nhost: x\r\n\r\n")
+        .unwrap();
+    let mut received = Vec::new();
+    while !received.ends_with(b"ok\n") {
+        let mut buf = [0u8; 256];
+        let n = socket.read(&mut buf).unwrap();
+        assert!(n > 0, "server closed before answering /health");
+        received.extend_from_slice(&buf[..n]);
+    }
+    socket
+}
+
+/// Waits (bounded) until `holders` hold a slot in `gate`.
+fn await_in_flight(gate: &AdmissionGate, holders: usize) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while gate.in_flight() != holders && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(gate.in_flight(), holders);
+}
+
+#[test]
+fn shutdown_drains_idle_and_silent_connections_within_a_short_deadline() {
+    let mut handle = serve(
+        "127.0.0.1:0",
+        ServeConfig {
+            drain_deadline: Duration::from_millis(50),
+            ..small_config()
+        },
+    )
+    .unwrap();
+    let addr = handle.local_addr();
+    // Two idle keep-alive connections that each served a request, and
+    // one that never sent a byte.
+    let mut sockets = vec![served_health(addr), served_health(addr)];
+    let silent = TcpStream::connect(addr).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    sockets.push(silent);
+    await_in_flight(handle.connections(), 3);
+
+    // No wait on a clock: every blocked read ends when the drain shuts
+    // its socket's read half, well inside the 50 ms deadline.
+    handle.shutdown();
+    assert_eq!(handle.connections().in_flight(), 0, "all slots released");
+    for (i, socket) in sockets.iter_mut().enumerate() {
+        let read = socket.read(&mut [0u8; 64]);
+        assert!(matches!(read, Ok(0)), "client {i} read {read:?}, not EOF");
+    }
+}
+
+#[test]
+fn shutdown_lets_a_running_query_write_its_whole_response() {
+    let config = ServeConfig {
+        udf_latency: Duration::from_millis(1),
+        ..small_config()
+    };
+    // 200 rows at 1 ms per evaluation keep the query running well past
+    // the moment shutdown starts.
+    let body =
+        r#"{"table":{"spec":"prosper","rows":200,"seed":7},"query":{"kind":"naive"},"seed":42}"#;
+    let expected = {
+        let fresh = serve("127.0.0.1:0", config.clone()).unwrap();
+        let mut client = HttpClient::connect(fresh.local_addr()).unwrap();
+        let r = client.post("/query", body).unwrap();
+        assert_eq!(r.status, 200);
+        r.body
+    };
+
+    let mut handle = serve("127.0.0.1:0", config).unwrap();
+    let mut client = HttpClient::connect(handle.local_addr()).unwrap();
+    let running = std::thread::spawn(move || client.post("/query", body));
+    await_in_flight(handle.gate(), 1); // the query is running
+    handle.shutdown();
+    let r = running
+        .join()
+        .unwrap()
+        .expect("the in-flight response arrives");
+    assert_eq!(r.status, 200);
+    assert!(
+        r.body == expected,
+        "the drained response is byte-equal to a fresh server's"
+    );
+    assert_eq!(handle.connections().in_flight(), 0, "all slots released");
+}
+
+#[test]
+fn shutdown_closes_a_half_sent_request_without_a_400() {
+    let mut handle = serve(
+        "127.0.0.1:0",
+        ServeConfig {
+            drain_deadline: Duration::from_secs(2),
+            ..small_config()
+        },
+    )
+    .unwrap();
+    let mut socket = TcpStream::connect(handle.local_addr()).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    // The request line and one header, but not the blank line that ends
+    // the head: the server is left waiting inside the request.
+    socket
+        .write_all(b"POST /query HTTP/1.1\r\nhost: x\r\n")
+        .unwrap();
+    await_in_flight(handle.connections(), 1);
+    // Either order must end without a response; the pause lets the
+    // server take in the partial head, so the drain cuts short a read
+    // that is under way rather than one that has not started.
+    std::thread::sleep(Duration::from_millis(50));
+    let client_errors_before = handle
+        .metrics()
+        .responses_4xx
+        .load(std::sync::atomic::Ordering::Relaxed);
+
+    handle.shutdown();
+    assert_eq!(handle.connections().in_flight(), 0, "all slots released");
+    let mut received = Vec::new();
+    let read = socket.read_to_end(&mut received);
+    assert!(
+        received.is_empty(),
+        "the cut-short request was answered: {:?} ({read:?})",
+        String::from_utf8_lossy(&received)
+    );
+    assert_eq!(
+        handle
+            .metrics()
+            .responses_4xx
+            .load(std::sync::atomic::Ordering::Relaxed),
+        client_errors_before,
+        "no 4xx was recorded"
     );
 }
 
