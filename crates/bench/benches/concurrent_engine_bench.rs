@@ -207,11 +207,7 @@ fn dropped_tables(report: &mut BenchReport, smoke: bool) {
         let begin = Instant::now();
         for i in quarter * borrows / 4..(quarter + 1) * borrows / 4 {
             let owner = Arc::new(());
-            let namespace = CacheNamespace {
-                udf: 1,
-                table: i,
-                version: 0,
-            };
+            let namespace = CacheNamespace { udf: 1, table: i };
             black_box(store.handle(namespace, &owner));
         }
         quarters.push(begin.elapsed().as_nanos() as f64 / (borrows / 4) as f64);

@@ -204,10 +204,10 @@ fn main() {
     let mut loaded = 0usize;
     for persist_key in store.namespaces() {
         let (pages, _) = store.pages(persist_key).expect("listed namespace");
+        // One table id per persisted state, as the engine registers them.
         let namespace = CacheNamespace {
             udf: persist_key.udf,
-            table: 1,
-            version: persist_key.version,
+            table: persist_key.version,
         };
         loaded += cache.prefill(namespace, &table, &pages, Duration::ZERO);
     }

@@ -17,16 +17,17 @@
 //!
 //! The two tiers compose:
 //!
-//! 1. **Row tier** ([`CacheStore`]) — namespaced by `(udf, table id,
-//!    table version)`; overlapping-but-different queries stop re-paying
-//!    `o_e` for rows any earlier query evaluated.
+//! 1. **Row tier** ([`CacheStore`]) — namespaced by `(udf, table id)`;
+//!    overlapping-but-different queries stop re-paying `o_e` for rows any
+//!    earlier query evaluated.
 //! 2. **Query tier** (result memo) — keyed by a fingerprint of the query
 //!    request; identical repeats are free and charge zero additional
 //!    `o_e`, reported as [`EngineStats::result_hits`].
 //!
-//! Mutating a table bumps its version, which invalidates both tiers for
-//! that table automatically (row namespaces are GCed on next borrow;
-//! result keys simply never match again).
+//! A table id names one content state: mutating a table makes it a new
+//! table with a fresh id, so neither tier's keys match it again. The
+//! old state's row namespaces are freed once no clone of it is left, as
+//! a dropped table's are; its memoized results age out of the memo.
 //!
 //! # Concurrency: one engine, many worker threads
 //!
@@ -45,8 +46,8 @@
 //!   interleaved queries each land exactly once.
 //!
 //! **Answer stability.** Cached row answers are always *correct* — the
-//! row tier is keyed by `(udf, table id, table version)` and a UDF is
-//! deterministic per `(row, version)` — so pipelines whose demand stream
+//! row tier is keyed by `(udf, table id)` and a UDF is deterministic per
+//! row of one table state — so pipelines whose demand stream
 //! is independent of cache state (e.g. [`crate::strategy::Naive`]) return
 //! byte-identical answers no matter how queries interleave. Pipelines
 //! that *branch* on session-known rows (sampling counts them toward its
@@ -147,7 +148,6 @@ expred_stats::counter_set! {
 #[derive(Debug, Clone, PartialEq)]
 struct ResultKey {
     table: u64,
-    version: u64,
     seed: u64,
     strategy: StrategyIdentity,
 }
@@ -157,7 +157,6 @@ impl ResultKey {
     fn hash64(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write_u64(self.table);
-        h.write_u64(self.version);
         h.write_u64(self.seed);
         h.write_u64(self.strategy.digest64());
         h.finish()
@@ -266,7 +265,7 @@ pub struct QueryEngine {
     derived: DerivedCounters,
     /// Durable persistence bridge ([`QueryEngine::with_persistence`]):
     /// spills fresh answers to a WAL-backed store and rehydrates them —
-    /// version-checked — on the first submit over each table state.
+    /// version-checked — on the first submit over each table id.
     /// `None` (the default) keeps the engine fully in-memory.
     persist: Option<Arc<PersistLayer>>,
 }
@@ -324,16 +323,15 @@ impl QueryEngine {
     /// Attaches a durable persistence tier rooted at `config`'s
     /// directory, recovering whatever a previous process left there.
     ///
-    /// From this point on, every fresh `(udf, table, version, row) →
-    /// answer` the session pays `o_e` for is offered to a WAL-backed
-    /// store (asynchronously — the hot path never blocks on disk), and
-    /// the first submit over each table state rehydrates matching
-    /// persisted namespaces into the row tier, so a restarted process
-    /// re-serves previously-paid answers at zero `o_e`. Matching is by
-    /// *(schema fingerprint, table version)* — both process-independent
-    /// — so a mutated or different table can never be served another
-    /// table's answers. [`QueryEngine::clear_caches`] tombstones the
-    /// durable tier along with the in-memory ones.
+    /// From this point on, every fresh `(udf, table, row) → answer` the
+    /// session pays `o_e` for is offered to a WAL-backed store
+    /// (asynchronously — the hot path never blocks on disk), and the
+    /// first submit over each table id — one content state — rehydrates
+    /// matching persisted namespaces into the row tier, so a restarted
+    /// process re-serves previously-paid answers at zero `o_e`. Matching
+    /// is by *(schema fingerprint, table version)* — both
+    /// process-independent — so a mutated or different table can never
+    /// be served another table's answers.
     pub fn with_persistence(mut self, config: PersistConfig) -> Result<Self, PersistError> {
         let store = PersistStore::open(config)?;
         let layer = Arc::new(PersistLayer::new(store));
@@ -396,8 +394,8 @@ impl QueryEngine {
         let strategy = req.strategy();
         strategy.validate(ds)?;
         // With persistence wired: register the table's durable identity
-        // and, once per (table, version), rehydrate persisted answers
-        // into the row tier before any evaluation is planned.
+        // and, once per table id, rehydrate persisted answers into the
+        // row tier before any evaluation is planned.
         if let Some(layer) = &self.persist {
             layer.register(ds, &self.store);
         }
@@ -406,7 +404,6 @@ impl QueryEngine {
         self.stats.queries.fetch_add(1, Ordering::AcqRel);
         let identity = ResultKey {
             table: ds.table.id().as_u64(),
-            version: ds.table.version(),
             seed: req.seed(),
             strategy: StrategyIdentity::of(strategy),
         };
@@ -600,45 +597,6 @@ impl QueryEngine {
             layer.store().compact()?;
         }
         layer.store().sync()
-    }
-
-    /// Drops both reuse tiers, keeping the executor and counters. What
-    /// the tables memoize of their own columns stays: a partition or a
-    /// label plane is a pure function of its table, not an answer the
-    /// session bought, and it dies with the table.
-    ///
-    /// # Semantics under concurrent `submit`s
-    ///
-    /// Safe to call from any thread at any time. Every entry present in
-    /// either tier when the call starts is dropped. Queries in flight are
-    /// unaffected beyond losing cheap answers: an invoker that already
-    /// borrowed its [`expred_exec::CacheHandle`] keeps a private `Arc` to
-    /// the detached namespace (its own read-your-writes view stays
-    /// intact), and whatever an in-flight query inserts *after* the clear
-    /// is a freshly computed, correct entry for the current table
-    /// version — never a resurrection of cleared state. There is no
-    /// staleness hazard to begin with: both tiers key by table version
-    /// and full request identity, so the worst post-clear outcome is
-    /// paying full price once more.
-    ///
-    /// The pass rates the expression optimizer orders siblings by are
-    /// read off the row tier's answers, so they go with them: a cleared
-    /// session plans its next expression scans in the static cost order,
-    /// as a cold one does. Answers never move; only the bill of a
-    /// multi-leaf expression can.
-    ///
-    /// With persistence wired, the durable tier is tombstoned too —
-    /// synchronously, via an immediate compaction — so a clear followed
-    /// by a restart cannot resurrect the cleared answers from disk.
-    pub fn clear_caches(&self) {
-        self.store.clear();
-        self.results.clear();
-        if let Some(layer) = &self.persist {
-            // Best-effort: an IO failure here leaves the in-memory tiers
-            // cleared and the durable tier intact (it will be tombstoned
-            // again by the next clear or superseded by future snapshots).
-            let _ = layer.store().tombstone_all();
-        }
     }
 }
 
@@ -992,18 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_caches_forces_full_price_again() {
-        let ds = small_prosper(7);
-        let spec = QuerySpec::paper_default();
-        let engine = QueryEngine::new();
-        let first = engine.submit(&ds, &naive(spec, 1)).unwrap();
-        engine.clear_caches();
-        let again = engine.submit(&ds, &naive(spec, 1)).unwrap();
-        assert_eq!(again.counts.evaluated, first.counts.evaluated);
-        assert_eq!(again.counts.reuse_hits, 0);
-    }
-
-    #[test]
     fn repeat_queries_hit_the_derived_cache() {
         let ds = small_prosper(21);
         let engine = QueryEngine::new();
@@ -1038,7 +984,7 @@ mod tests {
         let after_push = engine.derived_stats();
         assert!(
             after_push.misses > warm.misses,
-            "a version bump must force re-derivation"
+            "a push must force re-derivation"
         );
     }
 }

@@ -279,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn memoized_positives_are_free_and_returned() {
+    fn already_sampled_positives_are_free_and_returned() {
         let ctx = ExecContext::sequential();
         let labels = [true, false, true];
         let table = test_table(&labels, &[0, 0, 0]);

@@ -18,12 +18,13 @@
 //!   are dropped and counted — never guessed — and so are pages past the
 //!   `u32` row space the format can name.
 //! * **Rehydrate** (disk → live): the first time a session submits a
-//!   query over a dataset, the layer registers the table and prefill-loads
-//!   every persisted namespace whose `(schema fingerprint, table
-//!   version)` *both* match the live table — a version-checked hydration
-//!   that can serve stale answers to no one. The answers move as page
-//!   copies ([`PersistStore::pages`] → [`CacheStore::prefill`]), landing
-//!   a 64-row word at a time — and with them the pass rates the
+//!   query over a table state (one [`expred_table::TableId`]: a mutated
+//!   table is a new table), the layer registers the state's one
+//!   `(schema fingerprint, table version)` and prefill-loads every
+//!   persisted namespace whose key matches *both* — a version-checked
+//!   hydration that can serve stale answers to no one. The answers move
+//!   as page copies ([`PersistStore::pages`] → [`CacheStore::prefill`]),
+//!   landing a 64-row word at a time — and with them the pass rates the
 //!   expression optimizer reads ([`CacheStore::pass_rate`]), so a
 //!   restarted session plans as the one that paid for the answers did.
 //! * **Hand-off** (a table dies): the row tier drops a dead table's
@@ -34,7 +35,7 @@
 //!   [`crate::QueryEngine::flush_persistence`] would have sent them. Then
 //!   the layer forgets the table's registration
 //!   ([`SpillSink::table_dropped`]), so the registry, too, is bounded by
-//!   the tables that are live.
+//!   the tables that are live. A superseded state leaves the same way.
 //!
 //! Write timestamps are wall-clock (`UNIX_EPOCH` nanos), one per offered
 //! batch, kept per 4 096-row page by the store (a page is as old as its
@@ -46,7 +47,8 @@
 use expred_exec::{CacheNamespace, CacheStore, SpillSink};
 use expred_persist::{PagePlanes, PersistKey, PersistStore, PAGE_LIMIT};
 use expred_table::datasets::Dataset;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::RwLock;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -61,12 +63,12 @@ pub(crate) fn now_unix_nanos() -> u64 {
         .unwrap_or(0)
 }
 
-/// One registered table: its process-independent schema identity plus
-/// which table versions have already been rehydrated this session.
-#[derive(Debug, Default)]
+/// One registered table state: its process-independent identity, the
+/// table half of every [`PersistKey`] its namespaces spill under.
+#[derive(Debug)]
 struct TableReg {
     schema_fp: u64,
-    hydrated: HashSet<u64>,
+    version: u64,
 }
 
 expred_stats::counter_set! {
@@ -81,8 +83,7 @@ expred_stats::counter_set! {
         /// Queued WAL rows dropped under backpressure (recaptured by
         /// compaction).
         shed,
-        /// Rows (and tombstone records, one each) written to the WAL by
-        /// the flusher.
+        /// Rows written to the WAL by the flusher.
         flushed,
         /// `fsync` calls issued.
         fsyncs,
@@ -112,9 +113,8 @@ expred_stats::counter_set! {
 #[derive(Debug)]
 pub(crate) struct PersistLayer {
     store: PersistStore,
-    /// Table instance id → registration (schema fingerprint + hydrated
-    /// versions). Read on every spill; written once per new table state,
-    /// and once more when the table dies.
+    /// Table id → registration. Read on every spill; written once per
+    /// table state, and once more when the state dies.
     tables: RwLock<HashMap<u64, TableReg>>,
     counters: LayerCounters,
 }
@@ -139,37 +139,28 @@ impl PersistLayer {
         tables.get(&namespace.table).map(|reg| PersistKey {
             udf: namespace.udf,
             table: reg.schema_fp,
-            version: namespace.version,
+            version: reg.version,
         })
     }
 
-    /// Registers `ds`'s current state and — exactly once per `(table,
-    /// version)` per session — rehydrates every matching persisted
-    /// namespace into `cache`.
+    /// Registers `ds`'s table state and — exactly once per state per
+    /// session — rehydrates every matching persisted namespace into
+    /// `cache`.
     pub(crate) fn register(&self, ds: &Dataset, cache: &CacheStore) {
         let tid = ds.table.id().as_u64();
-        let schema_fp = ds.table.schema().fingerprint();
-        let version = ds.table.version();
         {
             let tables = self.tables.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(reg) = tables.get(&tid) {
-                if reg.schema_fp == schema_fp && reg.hydrated.contains(&version) {
-                    return;
-                }
+            if tables.contains_key(&tid) {
+                return;
             }
         }
         let mut tables = self.tables.write().unwrap_or_else(|e| e.into_inner());
-        let reg = tables.entry(tid).or_default();
-        // A table id whose schema changed is a different durable identity:
-        // re-point the registration (hydration below is version-checked,
-        // so nothing stale can have leaked under the old mapping).
-        if reg.schema_fp != schema_fp {
-            reg.schema_fp = schema_fp;
-            reg.hydrated.clear();
-        }
-        if !reg.hydrated.insert(version) {
+        let Entry::Vacant(slot) = tables.entry(tid) else {
             return;
-        }
+        };
+        let schema_fp = ds.table.schema().fingerprint();
+        let version = ds.table.version();
+        slot.insert(TableReg { schema_fp, version });
         // Hydrate while holding the write lock: it happens once per table
         // state, and racing submits must not observe "registered" before
         // the prefill has landed (they would pay o_e for persisted rows).
@@ -188,7 +179,6 @@ impl PersistLayer {
             let namespace = CacheNamespace {
                 udf: key.udf,
                 table: tid,
-                version,
             };
             let loaded = cache.prefill(namespace, ds.table.identity(), &pages, age);
             if loaded > 0 {
@@ -257,6 +247,8 @@ mod tests {
     use expred_persist::{PersistConfig, PAGE_ROWS};
     use expred_stats::bits::pages_of;
     use expred_table::datasets::{DatasetSpec, PROSPER};
+    use std::collections::HashSet;
+    use std::sync::Arc;
 
     #[test]
     fn offers_count_page_rows_and_drop_pages_past_the_u32_row_space() {
@@ -274,7 +266,6 @@ mod tests {
         let namespace = CacheNamespace {
             udf: 9,
             table: ds.table.id().as_u64(),
-            version: ds.table.version(),
         };
         let beyond = PAGE_LIMIT * PAGE_ROWS;
         let pages = pages_of([(3, true), (5, false), (beyond, true), (beyond + 1, true)]);
@@ -308,6 +299,54 @@ mod tests {
         layer.table_dropped(namespace.table);
         layer.spill(namespace, &pages);
         assert_eq!(layer.session_stats().skipped_unregistered, 8);
+        drop(layer);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pushes_on_a_live_table_leave_one_registration() {
+        let dir = std::env::temp_dir().join(format!("expred-layer-push-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let layer = Arc::new(PersistLayer::new(
+            PersistStore::open(PersistConfig::new(&dir)).unwrap(),
+        ));
+        let cache = CacheStore::new();
+        cache.set_spill(Some(Arc::clone(&layer) as Arc<dyn SpillSink>));
+        let mut ds = Dataset::generate(
+            DatasetSpec {
+                rows: 64,
+                ..PROSPER
+            },
+            1,
+        );
+        // A submit per state: register, then a query's borrow and answer.
+        let submit = |ds: &Dataset| {
+            layer.register(ds, &cache);
+            let namespace = CacheNamespace {
+                udf: 9,
+                table: ds.table.id().as_u64(),
+            };
+            cache.handle(namespace, ds.table.identity()).insert(0, true);
+        };
+        submit(&ds);
+        for _ in 0..5 {
+            let row = ds.table.row(0);
+            ds.table.push_row(row).unwrap();
+            submit(&ds);
+        }
+        cache.num_namespaces();
+        let tables = layer.tables.read().unwrap();
+        let live: Vec<(u64, u64)> = tables.iter().map(|(&t, reg)| (t, reg.version)).collect();
+        assert_eq!(live, [(ds.table.id().as_u64(), ds.table.version())]);
+        drop(tables);
+        // Each state's answer went to disk under that state's version.
+        let versions: HashSet<u64> = layer
+            .store()
+            .namespaces()
+            .iter()
+            .map(|k| k.version)
+            .collect();
+        assert_eq!(versions.len(), 6);
         drop(layer);
         let _ = std::fs::remove_dir_all(&dir);
     }

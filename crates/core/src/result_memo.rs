@@ -87,13 +87,6 @@ impl<K: PartialEq, V: Clone> ShardedResultMemo<K, V> {
         self.0.is_empty()
     }
 
-    /// Drops every entry (statistics are preserved). Entries being
-    /// inserted concurrently by in-flight callers may land after the
-    /// clear; they are fresh values, not resurrections of cleared ones.
-    pub fn clear(&self) {
-        self.0.clear();
-    }
-
     /// Memo-wide statistics since construction.
     pub fn stats(&self) -> ResultMemoStats {
         self.0.stats()
@@ -168,16 +161,6 @@ mod tests {
             memo.insert(cold, cold, cold);
         }
         assert!(memo.stats().evictions > 0);
-    }
-
-    #[test]
-    fn clear_empties_and_keeps_stats() {
-        let memo: ShardedResultMemo<u64, u64> = ShardedResultMemo::with_capacity(8);
-        memo.insert(1, 1, 1);
-        memo.clear();
-        assert!(memo.is_empty());
-        assert_eq!(memo.stats().insertions, 1);
-        assert_eq!(memo.get(1, &1), None);
     }
 
     #[test]

@@ -168,7 +168,7 @@ proptest! {
         prop_assert!(counts.evaluated <= counts.retrieved);
         // Returned rows that were evaluated must satisfy the predicate.
         for &row in &result.returned {
-            if let Some(answer) = invoker.memoized(row as usize) {
+            if let Some(answer) = invoker.known_many([row as usize])[0] {
                 prop_assert!(answer, "returned an evaluated-false row");
             }
         }
@@ -176,7 +176,7 @@ proptest! {
         let evaluated_true = result
             .returned
             .iter()
-            .filter(|&&row| invoker.memoized(row as usize) == Some(true))
+            .filter(|&&row| invoker.known_many([row as usize])[0] == Some(true))
             .count();
         let unevaluated_returns = result.returned.len() - evaluated_true;
         prop_assert_eq!(

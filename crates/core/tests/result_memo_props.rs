@@ -5,17 +5,17 @@
 //!
 //! * **Collision safety** — `get` never returns a value whose stored
 //!   identity differs from the queried one; whatever it does return is
-//!   exactly the last value inserted under that hash since the last
-//!   clear (eviction may forget, it may never corrupt).
+//!   exactly the last value inserted under that hash (eviction may
+//!   forget, it may never corrupt).
 //! * **Capacity** — the live entry count never exceeds the configured
 //!   bound at any point in the sequence, including under gets that mark
-//!   CLOCK referenced bits and clears that race the ring.
+//!   CLOCK referenced bits.
 
 use expred_core::result_memo::ShardedResultMemo;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// One scripted operation: `kind` selects insert/get/wrong-get/clear,
+/// One scripted operation: `kind` selects insert/get/wrong-get,
 /// `hash` the (deliberately small, collision-prone) key space, `ident`
 /// the identity inserted or probed.
 fn ops() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
@@ -28,18 +28,13 @@ proptest! {
     #[test]
     fn memo_is_collision_safe_and_model_consistent(script in ops()) {
         let memo: ShardedResultMemo<u64, u64> = ShardedResultMemo::with_capacity(16);
-        // hash -> (identity, value) of the last insert since last clear.
+        // hash -> (identity, value) of the last insert.
         let mut model: HashMap<u64, (u64, u64)> = HashMap::new();
         for (i, &(kind, hash, ident)) in script.iter().enumerate() {
             match kind {
-                // Rare clear.
-                0 => {
-                    memo.clear();
-                    model.clear();
-                }
                 // Insert: value encodes (hash, ident) so a cross-served
                 // value is detectable.
-                1..=4 => {
+                0..=4 => {
                     let value = hash * 1_000 + ident;
                     memo.insert(hash, ident, value);
                     model.insert(hash, (ident, value));

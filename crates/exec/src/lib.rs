@@ -18,9 +18,9 @@
 //!   count, with no setting to say which;
 //! * [`cache`] — [`RowBits`], the dense lock-free `row -> bool` bitmap
 //!   each page of the session store keeps its answers in;
-//! * [`store`] — [`CacheStore`], the long-lived,
-//!   `(udf, table, version)`-namespaced bitmap cache that outlives
-//!   individual queries and keeps every answer it is given; invokers
+//! * [`store`] — [`CacheStore`], the long-lived, `(udf, table)`-namespaced
+//!   bitmap cache that outlives individual queries and keeps every answer
+//!   it is given while its table lives; invokers
 //!   borrow [`CacheHandle`]s from it, and the expression optimizer ranks
 //!   `AND`/`OR` siblings by the pass rates its answers show
 //!   ([`CacheStore::pass_rate`]);
@@ -59,6 +59,4 @@ pub use cache::RowBits;
 pub use context::ExecContext;
 pub use executor::{BatchProbe, Executor, Sequential};
 pub use pool::{PoolStats, WorkerPool};
-pub use store::{
-    CacheHandle, CacheNamespace, CacheReader, CacheStats, CacheStore, SpillSink, MAX_LIVE_VERSIONS,
-};
+pub use store::{CacheHandle, CacheNamespace, CacheReader, CacheStats, CacheStore, SpillSink};

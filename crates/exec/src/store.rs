@@ -4,9 +4,8 @@
 //! simply returned as part of the query result without re-evaluating" —
 //! does not stop at a query boundary. An invoker's own memo is the
 //! *within-query* one; this store is the *cross-query* one: entries are
-//! namespaced by `(udf, table, table version)`, a namespace keeps every
-//! answer it is given, and the store reports hit/miss/invalidation
-//! statistics.
+//! namespaced by `(udf, table)`, a namespace keeps every answer it is
+//! given, and the store reports hit/miss/invalidation statistics.
 //!
 //! # Layout
 //!
@@ -40,34 +39,31 @@
 //!
 //! # Observed pass rates
 //!
-//! A namespace holds every answer its UDF gave over one table version,
-//! so its pass rate is `passed / len` ([`CacheStore::pass_rate`]). The
+//! A namespace holds every answer its UDF gave over one table state, so
+//! its pass rate is `passed / len` ([`CacheStore::pass_rate`]). The
 //! expression optimizer ranks `AND`/`OR` siblings by it. The rate lives
-//! and dies with the answers: a cleared, expired or garbage-collected
-//! namespace has none, and a rehydrated one has it back.
+//! and dies with the answers: an expired or swept namespace has none,
+//! and a rehydrated one has it back.
 //!
 //! # Keying and invalidation
 //!
-//! A [`CacheNamespace`] is three raw `u64`s so this crate stays
+//! A [`CacheNamespace`] is two raw `u64`s so this crate stays
 //! foundational (no dependency on the table/UDF crates): the UDF's
-//! fingerprint, the table's instance id, and the table's version.
-//! A mutated table presents a new version, which is simply a *different*
-//! namespace — stale entries become unreachable immediately. To keep
-//! superseded versions from pinning memory without punishing *diverged
-//! clones* (two live tables sharing one id whose versions legitimately
-//! coexist), [`CacheStore::handle`] retains the
-//! [`MAX_LIVE_VERSIONS`] most recently borrowed versions of each
-//! `(udf, table)` pair and garbage-collects the rest.
+//! fingerprint and the table's id. The id names one content state: a
+//! mutated table gets a fresh id, so it is simply a *different*
+//! namespace, and stale entries become unreachable immediately. The
+//! superseded state's namespace is freed like a dropped table's (see
+//! below), once no clone of that state is left.
 //!
 //! # Liveness
 //!
 //! A namespace is worth keeping only while its table can still be asked
 //! about. Every borrow names the table's *owner* — an `Arc` that every
-//! clone of the table shares and nothing else holds — and the store keeps
-//! a `Weak` to it per `(udf, table)` pair. Once the owner is dead no one
-//! can borrow the pair again (a re-built table gets a fresh id), so the
-//! store drops the pair with its namespaces. The sweep runs on the
-//! borrow's write-lock path once the pairs have doubled since the last
+//! clone of the table state shares and nothing else holds — and the store
+//! keeps a `Weak` to it beside the namespace. Once the owner is dead no
+//! one can borrow the namespace again (a re-built or mutated table gets a
+//! fresh id), so the store drops it. The sweep runs on the borrow's
+//! write-lock path once the namespaces have doubled since the last
 //! sweep, so its work is O(1) per borrow, and [`CacheStore::num_namespaces`]
 //! runs it on demand. A swept namespace's pages are offered to the spill
 //! sink once more, after the store's lock is released, and then the sink
@@ -76,13 +72,14 @@
 //!
 //! # Consistency contract
 //!
-//! A whole namespace may disappear between borrows (version garbage
-//! collection, TTL expiry, [`CacheStore::clear`]), and it disappears for
-//! good once its table dies; a borrowed handle keeps its namespace alive.
-//! No live table loses a namespace to the liveness sweep: the sweep
-//! drops only pairs whose owner is dead, and a dead `Arc` never revives.
-//! Callers that need read-your-writes stability within one query — the
-//! paper's sample-reuse logic does — layer a per-query memo in front (the
+//! Answers leave a namespace only with their table or their TTL: a
+//! namespace older than the TTL is replaced by an empty one on borrow,
+//! and a namespace disappears for good once its table dies. A borrowed
+//! handle keeps its namespace alive. No live table loses a namespace to
+//! the liveness sweep: the sweep drops only namespaces whose owner is
+//! dead, and a dead `Arc` never revives. Callers that need
+//! read-your-writes stability within one query — the paper's
+//! sample-reuse logic does — layer a per-query memo in front (the
 //! invoker does exactly that).
 
 use crate::cache::RowBits;
@@ -122,22 +119,13 @@ pub trait SpillSink: Send + Sync + std::fmt::Debug {
 /// [`CacheStore::set_spill`] reaches caches created before wiring.
 type SharedSink = Arc<RwLock<Option<Arc<dyn SpillSink>>>>;
 
-/// How many versions of one `(udf, table)` pair stay live at once.
-///
-/// Two covers the common shapes: a linear mutation history (current +
-/// immediately superseded), and a pair of diverged clones queried
-/// alternately — which must *not* thrash each other's namespaces.
-pub const MAX_LIVE_VERSIONS: usize = 2;
-
 /// The key of one cache namespace: which UDF over which table state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheNamespace {
     /// The UDF's stable fingerprint.
     pub udf: u64,
-    /// The table's instance id.
+    /// The table's id, which names one content state.
     pub table: u64,
-    /// The table's version; bumping it abandons the namespace.
-    pub version: u64,
 }
 
 expred_stats::counter_set! {
@@ -153,9 +141,8 @@ expred_stats::counter_set! {
         /// exported because the benchmark harness reads it (ROADMAP
         /// direction 4 removes it).
         evictions,
-        /// Entries discarded with their namespace: by version garbage
-        /// collection, by [`CacheStore::clear`], or because the
-        /// namespace's table died (see the module docs).
+        /// Entries discarded with their namespace because its table died
+        /// (see the module docs).
         invalidated,
         /// Entries discarded because their namespace outlived the store's
         /// time-to-live ([`CacheStore::set_ttl`]), checked lazily on
@@ -448,24 +435,21 @@ pub struct CacheStore {
 /// What owns a namespace: the table's shared identity, held weakly.
 type Owner = Weak<dyn Any + Send + Sync>;
 
-/// One `(udf, table)` pair: its live versions, most recently borrowed
-/// last, and its table's owner. A pair lives as long as its table; only
-/// the liveness sweep removes it.
+/// One namespace and its table's owner. It lives as long as its table;
+/// only the liveness sweep removes it (a TTL expiry replaces its cache).
 #[derive(Debug)]
-struct Pair {
-    versions: Vec<u64>,
+struct Entry {
+    cache: Arc<NamespaceCache>,
     owner: Owner,
 }
 
-/// The namespace table plus the per-`(udf, table)` pairs driving
-/// [`MAX_LIVE_VERSIONS`] garbage collection and the liveness sweep. One
-/// struct, one lock: they must always be updated together.
+/// The namespace table and the liveness sweep's bookkeeping, under one
+/// lock.
 #[derive(Debug, Default)]
 struct Namespaces {
-    map: HashMap<CacheNamespace, Arc<NamespaceCache>>,
-    pairs: HashMap<(u64, u64), Pair>,
-    /// How many pairs the last liveness sweep left; the next one is due
-    /// once there are more than twice as many.
+    map: HashMap<CacheNamespace, Entry>,
+    /// How many namespaces the last liveness sweep left; the next one is
+    /// due once there are more than twice as many.
     swept_at: usize,
 }
 
@@ -478,46 +462,26 @@ struct Swept {
 }
 
 impl Namespaces {
-    /// Removes one namespace, maintaining its pair's version list.
-    /// Returns the number of entries dropped.
-    fn remove(&mut self, namespace: &CacheNamespace) -> u64 {
-        let Some(old) = self.map.remove(namespace) else {
-            return 0;
-        };
-        if let Some(pair) = self.pairs.get_mut(&(namespace.udf, namespace.table)) {
-            pair.versions.retain(|&v| v != namespace.version);
-        }
-        old.len() as u64
-    }
-
-    /// Whether the pairs have more than doubled since the last sweep:
-    /// the sweep's work, one look per pair, is then paid for by the
-    /// borrows that created the pairs added since.
+    /// Whether the namespaces have more than doubled since the last
+    /// sweep: the sweep's work, one look per namespace, is then paid for
+    /// by the borrows that created the namespaces added since.
     fn sweep_due(&self) -> bool {
-        self.pairs.len() > 2 * self.swept_at
+        self.map.len() > 2 * self.swept_at
     }
 
-    /// Drops every pair whose owner is dead, with its namespaces, and
-    /// returns them. Their entries count as invalidated.
+    /// Drops every namespace whose owner is dead and returns them. Their
+    /// entries count as invalidated.
     fn sweep(&mut self, stats: &AtomicStats) -> Swept {
         let mut swept = Swept::default();
-        let map = &mut self.map;
-        self.pairs.retain(|&(udf, table), pair| {
-            if pair.owner.strong_count() > 0 {
+        self.map.retain(|namespace, entry| {
+            if entry.owner.strong_count() > 0 {
                 return true;
             }
-            for &version in &pair.versions {
-                let namespace = CacheNamespace {
-                    udf,
-                    table,
-                    version,
-                };
-                swept.caches.extend(map.remove(&namespace));
-            }
-            swept.tables.push(table);
+            swept.caches.push(Arc::clone(&entry.cache));
+            swept.tables.push(namespace.table);
             false
         });
-        self.swept_at = self.pairs.len();
+        self.swept_at = self.map.len();
         swept.tables.sort_unstable();
         swept.tables.dedup();
         let dropped: usize = swept.caches.iter().map(|cache| cache.len()).sum();
@@ -548,51 +512,25 @@ impl StoreInner {
         self.namespaces.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Makes `namespace` the most recently borrowed version of its
-    /// `(udf, table)` pair — owned by `owner` if the pair is new —
-    /// dropping versions that fall off the [`MAX_LIVE_VERSIONS`] window,
-    /// their entries counted as invalidated, and returns its cache, born
-    /// at `born` if new.
-    fn touch<T: Any + Send + Sync>(
+    /// The cache of `namespace`, created owned by `owner` and born at
+    /// `born` if absent.
+    fn entry<T: Any + Send + Sync>(
         &self,
         guard: &mut Namespaces,
         namespace: CacheNamespace,
         owner: &Arc<T>,
         born: Instant,
     ) -> Arc<NamespaceCache> {
-        let pair = guard
-            .pairs
-            .entry((namespace.udf, namespace.table))
-            .or_insert_with(|| Pair {
-                versions: Vec::new(),
-                owner: Arc::downgrade(owner) as Owner,
-            });
-        let versions = &mut pair.versions;
-        versions.retain(|&v| v != namespace.version);
-        versions.push(namespace.version);
-        let excess = versions.len().saturating_sub(MAX_LIVE_VERSIONS);
-        let stale: Vec<u64> = versions.drain(..excess).collect();
-        let invalidated: u64 = stale
-            .into_iter()
-            .map(|version| {
-                guard.remove(&CacheNamespace {
-                    version,
-                    ..namespace
-                })
-            })
-            .sum();
-        self.stats
-            .invalidated
-            .fetch_add(invalidated, Ordering::Relaxed);
-        let cache = guard.map.entry(namespace).or_insert_with(|| {
-            Arc::new(NamespaceCache::new(
+        let entry = guard.map.entry(namespace).or_insert_with(|| Entry {
+            cache: Arc::new(NamespaceCache::new(
                 namespace,
                 Arc::clone(&self.stats),
                 Arc::clone(&self.spill),
                 born,
-            ))
+            )),
+            owner: Arc::downgrade(owner) as Owner,
         });
-        Arc::clone(cache)
+        Arc::clone(&entry.cache)
     }
 
     /// Hands the spill sink what a sweep dropped: each namespace's pages
@@ -671,46 +609,26 @@ impl CacheStore {
     /// `owner` is the table's shared identity (see the module docs): the
     /// namespace lives no longer than it.
     ///
-    /// Borrowing refreshes the namespace's recency; once more than
-    /// [`MAX_LIVE_VERSIONS`] versions of one `(udf, table)` pair are
-    /// live, the least recently borrowed ones are dropped (their entries
-    /// count as invalidated). A bumped version's entries are unreachable
-    /// from the new version immediately — retention only delays memory
-    /// reclamation, never serves stale answers — while two diverged
-    /// clones of one table can alternate without thrashing each other.
-    ///
     /// Concurrent borrows of the same namespace are the common case for a
     /// shared engine and return clones of one `Arc`'d cache; the steady
-    /// state (namespace exists and is already the most recently borrowed
-    /// version of its pair) takes only the shared read lock, so worker
-    /// threads starting queries do not serialize on each other. Racing
-    /// borrows of *diverging* versions settle under the write lock, and
-    /// a handle borrowed before its namespace is GCed keeps a private
-    /// `Arc` — its query's read-your-writes view stays intact; only new
-    /// borrowers start empty. A borrow that takes the write lock also
-    /// runs the liveness sweep when it is due, and offers what it swept
-    /// to the sink after releasing the lock.
+    /// state (the namespace exists and is unexpired) is one map lookup
+    /// under the shared read lock, so worker threads starting queries do
+    /// not serialize on each other. A handle borrowed before its
+    /// namespace expires keeps a private `Arc` — its query's
+    /// read-your-writes view stays intact; only new borrowers start
+    /// empty. A borrow that takes the write lock also runs the liveness
+    /// sweep when it is due, and offers what it swept to the sink after
+    /// releasing the lock.
     pub fn handle<T: Any + Send + Sync>(
         &self,
         namespace: CacheNamespace,
         owner: &Arc<T>,
     ) -> CacheHandle {
         let ttl = self.ttl();
-        {
-            // Fast path: borrowing the freshest, unexpired version
-            // changes neither the recency list nor the namespace table.
-            let guard = self.inner.read();
-            if let Some(cache) = guard.map.get(&namespace) {
-                if !ttl.is_some_and(|t| cache.expired(t)) {
-                    let pair = (namespace.udf, namespace.table);
-                    let freshest = guard.pairs.get(&pair).and_then(|p| p.versions.last());
-                    if freshest == Some(&namespace.version) {
-                        return CacheHandle {
-                            namespace,
-                            cache: Arc::clone(cache),
-                        };
-                    }
-                }
+        if let Some(entry) = self.inner.read().map.get(&namespace) {
+            if !ttl.is_some_and(|t| entry.cache.expired(t)) {
+                let cache = Arc::clone(&entry.cache);
+                return CacheHandle { namespace, cache };
             }
         }
         let mut guard = self.inner.write();
@@ -718,15 +636,21 @@ impl CacheStore {
         // borrow, so the borrower below starts from a fresh (re-aged)
         // cache rather than serving answers older than the bound.
         if let Some(ttl) = ttl {
-            if guard.map.get(&namespace).is_some_and(|c| c.expired(ttl)) {
-                let dropped = guard.remove(&namespace);
+            if guard
+                .map
+                .get(&namespace)
+                .is_some_and(|e| e.cache.expired(ttl))
+            {
+                let dropped = guard.map.remove(&namespace).map_or(0, |e| e.cache.len());
                 let stats = &self.inner.stats;
-                stats.ttl_expirations.fetch_add(dropped, Ordering::Relaxed);
+                stats
+                    .ttl_expirations
+                    .fetch_add(dropped as u64, Ordering::Relaxed);
             }
         }
         let cache = self
             .inner
-            .touch(&mut guard, namespace, owner, Instant::now());
+            .entry(&mut guard, namespace, owner, Instant::now());
         let swept = if guard.sweep_due() {
             guard.sweep(&self.inner.stats)
         } else {
@@ -745,13 +669,11 @@ impl CacheStore {
     /// liveness sweep (whose offers reach the sink), so prefill is safe
     /// to call while holding locks the sink would re-take.
     ///
-    /// A prefilled version counts as recently borrowed (it may push an
-    /// old one out, exactly like [`CacheStore::handle`]). A namespace
-    /// created by prefill is backdated by `age` — the time since its
-    /// oldest persisted answer was written — so a configured TTL measures
-    /// answer staleness across restarts instead of restarting the clock.
-    /// Prefilling an already-live namespace keeps its existing birth
-    /// time (fresh activity wins).
+    /// A namespace created by prefill is backdated by `age` — the time
+    /// since its oldest persisted answer was written — so a configured
+    /// TTL measures answer staleness across restarts instead of
+    /// restarting the clock. Prefilling an already-live namespace keeps
+    /// its existing birth time (fresh activity wins).
     pub fn prefill<T: Any + Send + Sync>(
         &self,
         namespace: CacheNamespace,
@@ -769,7 +691,7 @@ impl CacheStore {
         let born = Instant::now().checked_sub(age).unwrap_or_else(Instant::now);
         let cache = self
             .inner
-            .touch(&mut self.inner.write(), namespace, owner, born);
+            .entry(&mut self.inner.write(), namespace, owner, born);
         cache.insert_pages(pages, false)
     }
 
@@ -779,7 +701,13 @@ impl CacheStore {
     /// writers, so concurrent inserts may or may not be visited; every
     /// entry present for the whole walk is.
     pub fn for_each_namespace(&self, mut f: impl FnMut(CacheNamespace, &[(usize, PagePlanes)])) {
-        let caches: Vec<Arc<NamespaceCache>> = self.inner.read().map.values().cloned().collect();
+        let caches: Vec<Arc<NamespaceCache>> = self
+            .inner
+            .read()
+            .map
+            .values()
+            .map(|entry| Arc::clone(&entry.cache))
+            .collect();
         for cache in caches {
             let pages = cache.planes();
             if !pages.is_empty() {
@@ -791,11 +719,11 @@ impl CacheStore {
     /// The observed pass rate of `namespace` — its passed rows over its
     /// known rows — or `None` if it holds no answers (never borrowed,
     /// empty, expired or dropped). A read-only lookup: it creates no
-    /// namespace and refreshes no recency.
+    /// namespace.
     pub fn pass_rate(&self, namespace: CacheNamespace) -> Option<f64> {
         let ttl = self.ttl();
         let guard = self.inner.read();
-        let cache = guard.map.get(&namespace)?;
+        let cache = &guard.map.get(&namespace)?.cache;
         let len = cache.len();
         if len == 0 || ttl.is_some_and(|t| cache.expired(t)) {
             return None;
@@ -820,7 +748,7 @@ impl CacheStore {
 
     /// Total live entries across namespaces.
     pub fn len(&self) -> usize {
-        self.inner.read().map.values().map(|c| c.len()).sum()
+        self.inner.read().map.values().map(|e| e.cache.len()).sum()
     }
 
     /// Whether the store holds no entries.
@@ -831,19 +759,6 @@ impl CacheStore {
     /// Store-wide statistics since construction.
     pub fn stats(&self) -> CacheStats {
         self.inner.stats.snapshot()
-    }
-
-    /// Drops every namespace (stats are preserved). The pairs stay, so
-    /// the sink still hears when their tables die.
-    pub fn clear(&self) {
-        let mut guard = self.inner.write();
-        let entries: u64 = guard.map.values().map(|c| c.len() as u64).sum();
-        let stats = &self.inner.stats;
-        stats.invalidated.fetch_add(entries, Ordering::Relaxed);
-        guard.map.clear();
-        for pair in guard.pairs.values_mut() {
-            pair.versions.clear();
-        }
     }
 }
 
@@ -858,12 +773,8 @@ mod tests {
     use super::*;
     use expred_stats::bits::rows_of;
 
-    fn ns(udf: u64, table: u64, version: u64) -> CacheNamespace {
-        CacheNamespace {
-            udf,
-            table,
-            version,
-        }
+    fn ns(udf: u64, table: u64) -> CacheNamespace {
+        CacheNamespace { udf, table }
     }
 
     /// An owner that never dies, for the tests about everything but
@@ -876,7 +787,7 @@ mod tests {
     #[test]
     fn get_insert_round_trips_and_counts() {
         let store = CacheStore::new();
-        let h = store.handle(ns(1, 1, 0), live());
+        let h = store.handle(ns(1, 1), live());
         assert_eq!(h.get(42), None);
         h.insert(42, true);
         assert_eq!(h.get(42), Some(true));
@@ -892,7 +803,7 @@ mod tests {
     #[test]
     fn get_many_matches_per_key_gets_including_stats() {
         let store = CacheStore::new();
-        let h = store.handle(ns(1, 1, 0), live());
+        let h = store.handle(ns(1, 1), live());
         for key in (0..200).step_by(2) {
             h.insert(key, key % 4 == 0);
         }
@@ -901,7 +812,7 @@ mod tests {
         let batched_stats = store.stats();
 
         let twin = CacheStore::new();
-        let th = twin.handle(ns(1, 1, 0), live());
+        let th = twin.handle(ns(1, 1), live());
         for key in (0..200).step_by(2) {
             th.insert(key, key % 4 == 0);
         }
@@ -916,8 +827,8 @@ mod tests {
     #[test]
     fn namespaces_are_isolated() {
         let store = CacheStore::new();
-        let a = store.handle(ns(1, 1, 0), live());
-        let b = store.handle(ns(2, 1, 0), live());
+        let a = store.handle(ns(1, 1), live());
+        let b = store.handle(ns(2, 1), live());
         a.insert(7, true);
         assert_eq!(b.get(7), None);
         assert_eq!(a.get(7), Some(true));
@@ -927,8 +838,8 @@ mod tests {
     #[test]
     fn handles_share_one_namespace() {
         let store = CacheStore::new();
-        let a = store.handle(ns(1, 1, 0), live());
-        let b = store.handle(ns(1, 1, 0), live());
+        let a = store.handle(ns(1, 1), live());
+        let b = store.handle(ns(1, 1), live());
         a.insert(5, true);
         assert_eq!(b.get(5), Some(true));
         assert_eq!(store.num_namespaces(), 1);
@@ -936,36 +847,42 @@ mod tests {
 
     #[test]
     fn version_bump_invalidates_and_old_versions_are_eventually_gced() {
+        // A mutated table is a new table: a new id with a new owner.
         let store = CacheStore::new();
-        let v0 = store.handle(ns(1, 9, 100), live());
+        let (old, new) = (Arc::new(()), Arc::new(()));
+        let v0 = store.handle(ns(1, 9), &old);
         v0.insert(1, true);
         v0.insert(2, false);
-        // The bumped version never sees the old state's entries…
-        let v1 = store.handle(ns(1, 9, 101), live());
+        // The new state never sees the old state's entries…
+        let v1 = store.handle(ns(1, 10), &new);
         assert_eq!(v1.get(1), None);
-        // …but the old version stays live (diverged clones coexist) until
-        // it falls off the MAX_LIVE_VERSIONS recency window.
+        // …and the old state keeps them while a clone of it lives…
         assert_eq!(store.num_namespaces(), 2);
         assert_eq!(store.stats().invalidated, 0);
-        let _v2 = store.handle(ns(1, 9, 102), live());
-        assert_eq!(store.num_namespaces(), MAX_LIVE_VERSIONS);
-        assert_eq!(store.stats().invalidated, 2, "v100's entries dropped");
-        // The orphaned handle still works (its Arc is alive) but new
-        // borrowers of v100 start empty.
+        // …and no longer.
+        drop(old);
+        assert_eq!(store.num_namespaces(), 1);
+        assert_eq!(
+            store.stats().invalidated,
+            2,
+            "the old state's entries dropped"
+        );
+        // The orphaned handle still works: its Arc is alive.
         assert_eq!(v0.get(1), Some(true));
-        assert_eq!(store.handle(ns(1, 9, 100), live()).get(1), None);
     }
 
     #[test]
     fn alternating_diverged_clones_do_not_thrash_each_other() {
-        // Two live versions of one (udf, table) — e.g. diverged clones —
-        // queried alternately must keep their caches intact.
+        // Two live states of one UDF's namespaces — e.g. diverged clones,
+        // each a table of its own — queried alternately keep their caches
+        // intact.
         let store = CacheStore::new();
-        store.handle(ns(1, 9, 7), live()).insert(1, true);
-        store.handle(ns(1, 9, 8), live()).insert(2, false);
+        let (left, right) = (Arc::new(()), Arc::new(()));
+        store.handle(ns(1, 9), &left).insert(1, true);
+        store.handle(ns(1, 10), &right).insert(2, false);
         for _ in 0..10 {
-            assert_eq!(store.handle(ns(1, 9, 7), live()).get(1), Some(true));
-            assert_eq!(store.handle(ns(1, 9, 8), live()).get(2), Some(false));
+            assert_eq!(store.handle(ns(1, 9), &left).get(1), Some(true));
+            assert_eq!(store.handle(ns(1, 10), &right).get(2), Some(false));
         }
         assert_eq!(store.stats().invalidated, 0);
         assert_eq!(store.num_namespaces(), 2);
@@ -974,7 +891,7 @@ mod tests {
     #[test]
     fn pages_follow_the_cached_rows_not_the_largest_key() {
         let store = CacheStore::new();
-        let h = store.handle(ns(1, 1, 0), live());
+        let h = store.handle(ns(1, 1), live());
         let pages = |h: &CacheHandle| h.cache.pages.read().unwrap().len();
         // A sparse huge key costs one page, not a plane up to it.
         h.insert(1 << 40, true);
@@ -991,55 +908,40 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_but_keeps_stats() {
-        let store = CacheStore::new();
-        let h = store.handle(ns(1, 1, 0), live());
-        h.insert(1, true);
-        store.clear();
-        assert!(store.is_empty());
-        assert_eq!(store.stats().insertions, 1);
-        assert_eq!(store.stats().invalidated, 1);
-    }
-
-    #[test]
     fn pass_rate_is_passed_over_known_rows_and_only_reads() {
         let store = CacheStore::new();
-        assert_eq!(store.pass_rate(ns(1, 9, 0)), None);
+        assert_eq!(store.pass_rate(ns(1, 9)), None);
         assert_eq!(store.num_namespaces(), 0, "a lookup creates nothing");
-        let h = store.handle(ns(1, 9, 0), live());
-        assert_eq!(store.pass_rate(ns(1, 9, 0)), None, "no answers yet");
+        let h = store.handle(ns(1, 9), live());
+        assert_eq!(store.pass_rate(ns(1, 9)), None, "no answers yet");
         h.insert_pages(&pages_of((0..40).map(|row| (row, row < 10))));
         // A re-offer lands nothing new, so it moves neither count.
         h.insert_pages(&pages_of((0..40).map(|row| (row, row < 10))));
-        assert_eq!(store.pass_rate(ns(1, 9, 0)), Some(0.25));
-        // Another version of the same pair is its own namespace.
-        store.handle(ns(1, 9, 1), live()).insert(0, true);
-        assert_eq!(store.pass_rate(ns(1, 9, 1)), Some(1.0));
-        // Looking up v0 leaves v1 the freshest, so borrowing a third
-        // version drops v0, and its rate goes with its answers.
-        for _ in 0..3 {
-            store.pass_rate(ns(1, 9, 0));
-        }
-        store.handle(ns(1, 9, 2), live());
-        assert_eq!(store.pass_rate(ns(1, 9, 0)), None);
-        assert_eq!(store.pass_rate(ns(1, 9, 1)), Some(1.0));
-        store.clear();
-        assert_eq!(store.pass_rate(ns(1, 9, 1)), None);
+        assert_eq!(store.pass_rate(ns(1, 9)), Some(0.25));
+        // Another table state is its own namespace, and its rate goes
+        // with its answers when its table dies.
+        let other = Arc::new(());
+        store.handle(ns(1, 10), &other).insert(0, true);
+        assert_eq!(store.pass_rate(ns(1, 10)), Some(1.0));
+        drop(other);
+        assert_eq!(store.num_namespaces(), 1);
+        assert_eq!(store.pass_rate(ns(1, 10)), None);
+        assert_eq!(store.pass_rate(ns(1, 9)), Some(0.25));
         // An expired namespace has no rate even before a borrow drops it.
-        store.prefill(ns(2, 9, 0), live(), &pages_of([(1, false)]), Duration::ZERO);
-        assert_eq!(store.pass_rate(ns(2, 9, 0)), Some(0.0));
+        store.prefill(ns(2, 9), live(), &pages_of([(1, false)]), Duration::ZERO);
+        assert_eq!(store.pass_rate(ns(2, 9)), Some(0.0));
         store.set_ttl(Some(Duration::from_millis(5)));
         std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(store.pass_rate(ns(2, 9, 0)), None);
-        assert_eq!(store.num_namespaces(), 1, "nor does it drop one");
+        assert_eq!(store.pass_rate(ns(2, 9)), None);
+        assert_eq!(store.num_namespaces(), 2, "nor does it drop one");
     }
 
     #[test]
     fn clones_share_storage() {
         let store = CacheStore::new();
         let view = store.clone();
-        store.handle(ns(1, 1, 0), live()).insert(3, true);
-        assert_eq!(view.handle(ns(1, 1, 0), live()).get(3), Some(true));
+        store.handle(ns(1, 1), live()).insert(3, true);
+        assert_eq!(view.handle(ns(1, 1), live()).get(3), Some(true));
     }
 
     /// A sink that records every offer and every dropped table, for
@@ -1084,16 +986,16 @@ mod tests {
         let sink = Arc::new(RecordingSink::default());
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
         let (table, other) = (Arc::new(()), Arc::new(()));
-        // Two UDFs and two versions over one table, one of them
-        // prefilled, and an empty namespace; another table stays live.
-        store.prefill(ns(1, 9, 0), &table, &pages_of([(3, true)]), Duration::ZERO);
-        store.handle(ns(1, 9, 1), &table).insert(4, false);
-        store.handle(ns(2, 9, 1), &table);
-        store.handle(ns(1, 8, 0), &other).insert(5, true);
+        // Two UDFs over one table: one namespace prefilled and then
+        // written, one empty. Another table stays live.
+        store.prefill(ns(1, 9), &table, &pages_of([(3, true)]), Duration::ZERO);
+        store.handle(ns(1, 9), &table).insert(4, false);
+        store.handle(ns(2, 9), &table);
+        store.handle(ns(1, 8), &other).insert(5, true);
         let fresh = sink.offers();
         assert_eq!(fresh.len(), 2, "the two inserts");
         // Alive, the table keeps everything through a sweep.
-        assert_eq!(store.num_namespaces(), 4);
+        assert_eq!(store.num_namespaces(), 3);
         assert_eq!(sink.offers(), fresh);
         drop(table);
         assert_eq!(store.num_namespaces(), 1);
@@ -1101,27 +1003,26 @@ mod tests {
         assert_eq!(store.stats().invalidated, 2);
         // Each dead namespace was offered once, prefilled rows included,
         // and then the table was named dropped, once.
-        let mut retired = sink.offers()[fresh.len()..].to_vec();
-        retired.sort_by_key(|&(n, row, _)| (n.version, row));
-        assert_eq!(retired, [(ns(1, 9, 0), 3, true), (ns(1, 9, 1), 4, false)]);
+        let retired = sink.offers()[fresh.len()..].to_vec();
+        assert_eq!(retired, [(ns(1, 9), 3, true), (ns(1, 9), 4, false)]);
         assert_eq!(sink.dropped(), [9]);
         assert_eq!(store.num_namespaces(), 1);
         assert_eq!(sink.dropped(), [9], "a table is dropped once");
-        assert_eq!(store.handle(ns(1, 8, 0), &other).get(5), Some(true));
+        assert_eq!(store.handle(ns(1, 8), &other).get(5), Some(true));
     }
 
     #[test]
     fn borrows_sweep_dead_tables_once_the_pairs_double() {
         let store = CacheStore::new();
         let keep = Arc::new(());
-        store.handle(ns(1, 0, 0), &keep).insert(0, true);
+        store.handle(ns(1, 0), &keep).insert(0, true);
         let mut most = 0;
         for table in 1..=1_000 {
             let owner = Arc::new(());
-            store.handle(ns(1, table, 0), &owner).insert(1, true);
+            store.handle(ns(1, table), &owner).insert(1, true);
             drop(owner);
-            // Two pairs are live at the borrow (`keep`'s and the new
-            // one), so a sweep is due by the fifth pair.
+            // Two namespaces are live at the borrow (`keep`'s and the
+            // new one), so a sweep is due by the fifth.
             let held = store.inner.read().map.len();
             assert!(held <= 4, "{held} namespaces held after table {table}");
             most = most.max(held);
@@ -1130,25 +1031,7 @@ mod tests {
         assert!(store.stats().invalidated >= 997, "the borrows swept");
         assert_eq!(store.num_namespaces(), 1);
         assert_eq!(store.stats().invalidated, 1_000);
-        assert_eq!(store.handle(ns(1, 0, 0), &keep).get(0), Some(true));
-    }
-
-    #[test]
-    fn a_cleared_store_still_hears_its_tables_die() {
-        let store = CacheStore::new();
-        let sink = Arc::new(RecordingSink::default());
-        store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
-        let table = Arc::new(());
-        store.handle(ns(1, 9, 0), &table).insert(1, true);
-        store.clear();
-        drop(table);
-        assert_eq!(store.num_namespaces(), 0);
-        assert_eq!(
-            sink.offers().len(),
-            1,
-            "only the insert: clear offers nothing"
-        );
-        assert_eq!(sink.dropped(), [9]);
+        assert_eq!(store.handle(ns(1, 0), &keep).get(0), Some(true));
     }
 
     #[test]
@@ -1159,7 +1042,7 @@ mod tests {
         // Prefilled entries must not echo back to the sink.
         assert_eq!(
             store.prefill(
-                ns(1, 1, 0),
+                ns(1, 1),
                 live(),
                 &pages_of([(10, true), (11, false)]),
                 Duration::ZERO
@@ -1169,35 +1052,35 @@ mod tests {
         assert!(sink.offers().is_empty());
         // Fresh inserts do reach it — including on namespaces created
         // before the sink was wired (the slot is shared).
-        store.handle(ns(1, 1, 0), live()).insert(12, true);
-        assert_eq!(sink.offers(), vec![(ns(1, 1, 0), 12, true)]);
+        store.handle(ns(1, 1), live()).insert(12, true);
+        assert_eq!(sink.offers(), vec![(ns(1, 1), 12, true)]);
         // And prefilled entries are still readable.
-        assert_eq!(store.handle(ns(1, 1, 0), live()).get(10), Some(true));
-        assert_eq!(store.handle(ns(1, 1, 0), live()).get(11), Some(false));
+        assert_eq!(store.handle(ns(1, 1), live()).get(10), Some(true));
+        assert_eq!(store.handle(ns(1, 1), live()).get(11), Some(false));
     }
 
     #[test]
     fn spill_sink_wired_late_still_hears_old_namespaces() {
         let store = CacheStore::new();
-        let h = store.handle(ns(1, 1, 0), live());
+        let h = store.handle(ns(1, 1), live());
         let sink = Arc::new(RecordingSink::default());
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
         h.insert(5, false);
-        assert_eq!(sink.offers(), vec![(ns(1, 1, 0), 5, false)]);
+        assert_eq!(sink.offers(), vec![(ns(1, 1), 5, false)]);
     }
 
     #[test]
     fn ttl_expires_namespaces_lazily_on_borrow() {
         let store = CacheStore::new();
         store.set_ttl(Some(Duration::from_millis(20)));
-        let h = store.handle(ns(1, 1, 0), live());
+        let h = store.handle(ns(1, 1), live());
         h.insert(1, true);
         h.insert(2, false);
         // Young namespace: borrow serves the cached answers.
-        assert_eq!(store.handle(ns(1, 1, 0), live()).get(1), Some(true));
+        assert_eq!(store.handle(ns(1, 1), live()).get(1), Some(true));
         std::thread::sleep(Duration::from_millis(40));
         // Over-age: the next borrow starts cold and counts expirations.
-        let reborrowed = store.handle(ns(1, 1, 0), live());
+        let reborrowed = store.handle(ns(1, 1), live());
         assert_eq!(reborrowed.get(1), None);
         assert_eq!(store.stats().ttl_expirations, 2);
         // The pre-expiry handle keeps its private view (read-your-writes
@@ -1205,7 +1088,7 @@ mod tests {
         assert_eq!(h.get(2), Some(false));
         // The replacement namespace ages from now, not from the original.
         reborrowed.insert(3, true);
-        assert_eq!(store.handle(ns(1, 1, 0), live()).get(3), Some(true));
+        assert_eq!(store.handle(ns(1, 1), live()).get(3), Some(true));
     }
 
     #[test]
@@ -1215,23 +1098,23 @@ mod tests {
         // Rehydrated with most of its TTL already spent…
         assert_eq!(
             store.prefill(
-                ns(1, 1, 0),
+                ns(1, 1),
                 live(),
                 &pages_of([(1, true)]),
                 Duration::from_millis(15)
             ),
             1
         );
-        assert_eq!(store.handle(ns(1, 1, 0), live()).get(1), Some(true));
+        assert_eq!(store.handle(ns(1, 1), live()).get(1), Some(true));
         // …so it expires after the *remaining* budget, not a full TTL.
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(store.handle(ns(1, 1, 0), live()).get(1), None);
+        assert_eq!(store.handle(ns(1, 1), live()).get(1), None);
         assert_eq!(store.stats().ttl_expirations, 1);
         // A batch already past the TTL is refused outright: no namespace
         // is created for it (only the reborrowed ns(1,..) remains).
         assert_eq!(
             store.prefill(
-                ns(2, 1, 0),
+                ns(2, 1),
                 live(),
                 &pages_of([(1, true)]),
                 Duration::from_millis(60)
@@ -1244,9 +1127,9 @@ mod tests {
     #[test]
     fn no_ttl_means_no_expiry() {
         let store = CacheStore::new();
-        store.handle(ns(1, 1, 0), live()).insert(1, true);
+        store.handle(ns(1, 1), live()).insert(1, true);
         std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(store.handle(ns(1, 1, 0), live()).get(1), Some(true));
+        assert_eq!(store.handle(ns(1, 1), live()).get(1), Some(true));
         assert_eq!(store.stats().ttl_expirations, 0);
         assert_eq!(store.ttl(), None);
         store.set_ttl(Some(Duration::from_secs(3600)));
@@ -1256,9 +1139,9 @@ mod tests {
     #[test]
     fn for_each_entry_visits_every_namespace() {
         let store = CacheStore::new();
-        store.handle(ns(1, 1, 0), live()).insert(1, true);
-        store.handle(ns(2, 1, 0), live()).insert(2, false);
-        store.prefill(ns(3, 1, 0), live(), &pages_of([(3, true)]), Duration::ZERO);
+        store.handle(ns(1, 1), live()).insert(1, true);
+        store.handle(ns(2, 1), live()).insert(2, false);
+        store.prefill(ns(3, 1), live(), &pages_of([(3, true)]), Duration::ZERO);
         let mut seen: Vec<(CacheNamespace, usize, bool)> = Vec::new();
         store.for_each_namespace(|namespace, pages| {
             seen.extend(rows_of(pages).map(|(row, answer)| (namespace, row, answer)));
@@ -1267,29 +1150,28 @@ mod tests {
         assert_eq!(
             seen,
             vec![
-                (ns(1, 1, 0), 1, true),
-                (ns(2, 1, 0), 2, false),
-                (ns(3, 1, 0), 3, true),
+                (ns(1, 1), 1, true),
+                (ns(2, 1), 2, false),
+                (ns(3, 1), 3, true),
             ]
         );
     }
 
     #[test]
-    fn prefill_respects_version_recency_window() {
+    fn prefilled_namespaces_leave_with_their_table() {
         let store = CacheStore::new();
-        store.handle(ns(1, 9, 100), live()).insert(1, true);
-        store.handle(ns(1, 9, 101), live()).insert(1, true);
-        // Prefilling a third version pushes the oldest out, exactly like
-        // a borrow would.
-        store.prefill(
-            ns(1, 9, 102),
-            live(),
-            &pages_of([(1, false)]),
-            Duration::ZERO,
-        );
-        assert_eq!(store.num_namespaces(), MAX_LIVE_VERSIONS);
-        assert_eq!(store.stats().invalidated, 1);
-        assert_eq!(store.handle(ns(1, 9, 102), live()).get(1), Some(false));
+        let table = Arc::new(());
+        store.handle(ns(1, 9), &table).insert(1, true);
+        // Prefill lands beside a live namespace's answers, and a
+        // namespace it creates is owned as a borrowed one is.
+        store.prefill(ns(1, 9), &table, &pages_of([(2, false)]), Duration::ZERO);
+        store.prefill(ns(2, 9), &table, &pages_of([(1, false)]), Duration::ZERO);
+        let h = store.handle(ns(1, 9), &table);
+        assert_eq!((h.get(1), h.get(2)), (Some(true), Some(false)));
+        assert_eq!(store.num_namespaces(), 2);
+        drop(table);
+        assert_eq!(store.num_namespaces(), 0);
+        assert_eq!(store.stats().invalidated, 3);
     }
 
     #[test]
@@ -1311,7 +1193,7 @@ mod tests {
             for worker in 0..WORKERS {
                 let (store, barrier) = (store.clone(), &barrier);
                 scope.spawn(move || {
-                    let h = store.handle(ns(1, 1, 0), live());
+                    let h = store.handle(ns(1, 1), live());
                     barrier.wait();
                     for row in opener(worker) {
                         h.insert(row, answer(row));
@@ -1326,7 +1208,7 @@ mod tests {
                 barrier.wait();
                 let prefilled = (0..shared(WORKERS - 1).end).step_by(7);
                 let pages = pages_of(prefilled.map(|row| (row, answer(row))));
-                store.prefill(ns(1, 1, 0), live(), &pages, Duration::ZERO);
+                store.prefill(ns(1, 1), live(), &pages, Duration::ZERO);
             });
         });
         let mut distinct: Vec<usize> = (0..WORKERS).flat_map(opener).collect();
@@ -1338,7 +1220,7 @@ mod tests {
         // Every answer reads back, and nothing else is cached.
         distinct.sort_unstable();
         let expected: Vec<(usize, bool)> = distinct.iter().map(|&r| (r, answer(r))).collect();
-        let h = store.handle(ns(1, 1, 0), live());
+        let h = store.handle(ns(1, 1), live());
         let landed = h.cache.planes();
         assert_eq!(rows_of(&landed).collect::<Vec<_>>(), expected);
         let passed: usize = landed
@@ -1348,7 +1230,7 @@ mod tests {
             .sum();
         assert_eq!(h.cache.passed.load(Ordering::Relaxed), passed);
         let rate = passed as f64 / distinct.len() as f64;
-        assert_eq!(store.pass_rate(ns(1, 1, 0)), Some(rate));
+        assert_eq!(store.pass_rate(ns(1, 1)), Some(rate));
         for &row in &distinct {
             assert_eq!(h.get(row), Some(answer(row)), "row {row}");
         }

@@ -47,11 +47,7 @@ const KEYS: [usize; 14] = [
     (1 << 40) + 64,
 ];
 
-const NS: CacheNamespace = CacheNamespace {
-    udf: 7,
-    table: 3,
-    version: 1,
-};
+const NS: CacheNamespace = CacheNamespace { udf: 7, table: 3 };
 
 /// One step of a run: an operation code, a key selector, and a value.
 type Op = (u8, usize, bool);

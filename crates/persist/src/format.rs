@@ -165,8 +165,10 @@ pub enum Record {
         /// the Unix epoch.
         oldest_ts: u64,
     },
-    /// Everything before this point is cleared (durable
-    /// `clear_caches`): replay drops all namespaces seen so far.
+    /// Everything before this point is cleared: replay drops all
+    /// namespaces seen so far. Builds that could clear the whole store
+    /// logged it; the codec still reads and writes the frame so their
+    /// logs replay as they did, but no build writes it now.
     TombstoneAll,
     /// Pass-rate counters for one namespace, as builds before the row
     /// tier held every answer logged them. The codec still reads and

@@ -33,8 +33,7 @@
 //! # Overload: what sheds, and when
 //!
 //! The queue, the compaction threshold and [`PersistStats::flushed`] all
-//! count **rows** (a tombstone record weighs one). The
-//! bound is on the backlog an arriving batch *finds*: while
+//! count **rows**. The bound is on the backlog an arriving batch *finds*: while
 //! `queue_capacity` rows or more are already pending, the oldest pending
 //! frame is shed — its rows counted in [`PersistStats::shed`] — and then
 //! every frame of the batch is admitted. So a batch never sheds its own
@@ -191,8 +190,7 @@ expred_stats::counter_set! {
         appended,
         /// Queued rows dropped by backpressure shedding.
         shed,
-        /// Rows (and tombstone records, one each) the flusher wrote to the
-        /// WAL.
+        /// Rows the flusher wrote to the WAL.
         flushed,
         /// WAL fsync calls.
         fsyncs,
@@ -636,32 +634,6 @@ impl PersistStore {
         if !frames.is_empty() {
             self.enqueue(frames);
         }
-    }
-
-    /// Durably forgets everything: clears the index, logs a tombstone,
-    /// and synchronously compacts to an (empty or post-clear-only)
-    /// snapshot, so a restart cannot resurrect cleared answers even if
-    /// the process dies right after this call returns `Ok`. An `Err`
-    /// means the durable clear did *not* happen (the in-memory index is
-    /// cleared, but a restart may still see the old answers) — the
-    /// compaction failure is propagated, never swallowed.
-    pub fn tombstone_all(&self) -> Result<(), PersistError> {
-        {
-            let mut index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-            index.rows.clear();
-        }
-        // Pending queue records describe rows the index no longer holds;
-        // drop them so the flusher cannot write them after the clear.
-        {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            queue.pending.clear();
-            queue.pending_rows = 0;
-        }
-        // The tombstone record makes the clear durable in the WAL; the
-        // compaction makes it durable even if that record is later
-        // superseded (and reclaims the dead bytes immediately).
-        self.enqueue([Record::TombstoneAll]);
-        self.compact()
     }
 
     /// Blocks until every record enqueued before this call is on disk
@@ -1456,18 +1428,33 @@ mod tests {
 
     #[test]
     fn tombstone_survives_restart() {
+        // A WAL an older build wrote, which could clear everything: a
+        // row, the clear's `TombstoneAll` frame, and a row after it.
+        // Replay drops what came before the frame, as it always did.
         let dir = tmpdir("tombstone");
-        {
-            let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
-            store.append_row(key(1), 0, true, 1);
-            store.sync().unwrap();
-            store.tombstone_all().unwrap();
-            // Answers written *after* a clear are fresh state, kept.
-            store.append_row(key(2), 3, false, 2);
-        }
+        fs::create_dir_all(&dir).unwrap();
+        let mut wal = file_header().to_vec();
+        let row = |key, row, answer, ts_nanos| Record::Row {
+            key,
+            row,
+            answer,
+            ts_nanos,
+        };
+        encode_frame(&row(key(1), 0, true, 1), &mut wal);
+        encode_frame(&Record::TombstoneAll, &mut wal);
+        encode_frame(&row(key(2), 3, false, 2), &mut wal);
+        fs::write(wal_path(&dir, 0), &wal).unwrap();
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
         assert_eq!(store.rows(key(1)), None, "cleared namespace resurrected");
         assert_eq!(store.rows(key(2)).unwrap(), vec![(3, false, 2)]);
+        // Both rows were read back; the frame then dropped the first.
+        let stats = store.stats();
+        assert_eq!((stats.recovered_rows, stats.tail_bytes_discarded), (2, 0));
+        // The next snapshot holds only what survived the clear.
+        store.compact().unwrap();
+        drop(store);
+        let reopened = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+        assert_eq!(reopened.namespaces(), [key(2)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1551,10 +1538,6 @@ mod tests {
         // an Ok here would report durability that never happened.
         fs::remove_dir_all(&dir).unwrap();
         assert!(store.compact().is_err(), "compaction failure swallowed");
-        assert!(
-            store.tombstone_all().is_err(),
-            "tombstone claimed durability without a snapshot"
-        );
         assert_eq!(store.stats().compactions, 0);
         // Once the directory is back, the next request succeeds — the
         // recorded failure covers only the tickets it answered.

@@ -13,8 +13,8 @@
 //!   sweeps its ring, sparing referenced entries once (clearing the bit)
 //!   and evicting the first unreferenced one.
 //! * **Capacity** — the number of live entries never exceeds
-//!   [`ClockCache::capacity`], under any interleaving of inserts, gets
-//!   and clears.
+//!   [`ClockCache::capacity`], under any interleaving of inserts and
+//!   gets.
 //! * **Last-writer-wins** — inserting under an occupied key replaces the
 //!   occupant in place (its ring slot carries over), so two threads
 //!   racing to cache the same key settle on one entry.
@@ -220,17 +220,6 @@ impl<V> ClockCache<V> {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every entry (statistics are preserved). Entries being
-    /// inserted concurrently by in-flight callers may land after the
-    /// clear; they are fresh values, not resurrections of cleared ones.
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut guard = shard.write().unwrap_or_else(|e| e.into_inner());
-            guard.map.clear();
-            guard.ring.clear();
-        }
     }
 
     /// Cache-wide statistics since construction.

@@ -136,7 +136,7 @@ mod tests {
         );
         a.push_row(vec![Value::Int(10)]).unwrap();
         b.push_row(vec![Value::Int(20)]).unwrap();
-        assert_eq!(a.id(), b.id(), "clones share an id");
+        assert_ne!(a.id(), b.id(), "diverged clones are two tables");
         let ga = a.partition("a", None).unwrap();
         let gb = b.partition("a", None).unwrap();
         assert_eq!(*ga, a.group_by("a").unwrap());

@@ -18,14 +18,13 @@ use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Process-unique identity of one [`Table`] instance.
+/// Process-unique identity of one [`Table`] content state.
 ///
-/// The row tier keys entries by `(TableId, version)`: the id distinguishes
-/// *instances* (two independently built tables never share cache entries,
-/// even with identical content), while [`Table::version`] distinguishes
-/// *states* of one instance across mutations. Clones share the id — they
-/// start as the same logical table — and diverge by version as soon as
-/// their contents diverge.
+/// Every process-local cache keys by it alone. Two independently built
+/// tables never share an id, even with identical content, and every
+/// [`Table::push_row`] gives its table a fresh one: a mutated table is a
+/// new table. Clones share the id until one of them is pushed to, so
+/// diverged clones never share one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(u64);
 
@@ -39,6 +38,11 @@ impl TableId {
 /// Source of fresh [`TableId`]s. Starts at 1 so 0 can mean "no table" in
 /// downstream key encodings.
 static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
+
+/// A [`TableId`] no table state has had.
+fn fresh_id() -> Arc<TableId> {
+    Arc::new(TableId(NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed)))
+}
 
 /// What a row's hash starts from, before its cells are folded in.
 const ROW_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -135,7 +139,7 @@ pub struct Table {
     source: Option<Arc<dyn ColumnSource>>,
     num_rows: usize,
     /// Shared by clones and held by nothing else, so it is also the
-    /// instance's [`Self::identity`].
+    /// state's [`Self::identity`]; replaced by every push.
     id: Arc<TableId>,
     version: u64,
 }
@@ -160,7 +164,7 @@ impl Table {
             columns: columns.into_iter().map(Slot::from).collect(),
             source: None,
             num_rows,
-            id: Arc::new(TableId(NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed))),
+            id: fresh_id(),
             version,
         }
     }
@@ -259,7 +263,9 @@ impl Table {
 
     /// Appends one row. Errors on arity or type mismatch, and on NULLs in
     /// non-nullable fields; a failed push changes nothing. A push changes
-    /// every column, so it drops everything derived from them.
+    /// every column, so it drops everything derived from them, and it
+    /// makes the table a new table: a fresh [`Self::id`] that no clone
+    /// shares.
     pub fn push_row(&mut self, mut row: Vec<Value>) -> Result<(), String> {
         if row.len() != self.schema.len() {
             return Err(format!(
@@ -306,18 +312,21 @@ impl Table {
         }
         self.num_rows += 1;
         self.version = fold_row(self.version, row_hash);
+        self.id = fresh_id();
         Ok(())
     }
 
-    /// This instance's stable identity (shared by clones).
+    /// This content state's identity (shared by clones until one is
+    /// pushed to).
     pub fn id(&self) -> TableId {
         *self.id
     }
 
-    /// What every clone of this instance shares and nothing else holds:
-    /// it dies with the last clone. The row tier keeps a weak reference
-    /// to it, to drop the answers it holds for the instance once no one
-    /// can ask about it again (`expred_exec::CacheStore::handle`).
+    /// What every clone of this state shares and nothing else holds: it
+    /// dies with the last clone, or when the last one is pushed to. The
+    /// row tier keeps a weak reference to it, to drop the answers it
+    /// holds for the state once no one can ask about it again
+    /// (`expred_exec::CacheStore::handle`).
     pub fn identity(&self) -> &Arc<TableId> {
         &self.id
     }
@@ -329,10 +338,10 @@ impl Table {
     /// table was built. For a generated table it is a fingerprint of the
     /// recipe — generator revision, spec and seed — which names the same
     /// cells without building them ([`crate::datasets`] pins both kinds).
-    /// Either way it is deterministic across processes, every
-    /// [`Self::push_row`] folds its row onto it, and diverging clones
-    /// diverge. Row-tier entries keyed by `(id, version)` are therefore
-    /// invalidated wholesale by any mutation.
+    /// Either way it is deterministic across processes and every
+    /// [`Self::push_row`] folds its row onto it. It is the content half of
+    /// the durable key (`expred_persist::PersistKey`), which must name a
+    /// state across processes; within a process, [`Self::id`] names it.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -945,7 +954,7 @@ mod tests {
         let b = sample_table();
         assert_ne!(a.id(), b.id(), "independent tables get distinct ids");
         assert_eq!(a, b, "identity must not leak into content equality");
-        let c = a.clone();
+        let mut c = a.clone();
         assert_eq!(a.id(), c.id());
         assert_eq!(a.version(), c.version());
         // The identity lives while any clone does, and only that long.
@@ -953,7 +962,14 @@ mod tests {
         assert!(!Arc::ptr_eq(a.identity(), b.identity()));
         drop(a);
         assert_eq!(identity.strong_count(), 1, "the clone holds it");
-        drop(c);
+        // A refused push keeps the table what it was; a push makes it a
+        // new table, and the state it left dies with its last holder.
+        let state = c.id();
+        assert!(c.push_row(vec![Value::Int(1)]).is_err());
+        assert_eq!((c.id(), identity.strong_count()), (state, 1));
+        c.push_row(vec![Value::Int(9), Value::from("q"), Value::Bool(true)])
+            .unwrap();
+        assert_ne!(c.id(), state);
         assert_eq!(identity.strong_count(), 0);
     }
 

@@ -73,7 +73,6 @@ pub fn cache_namespace(udf: &dyn BooleanUdf, table: &Table) -> Option<CacheNames
     udf.fingerprint().map(|id| CacheNamespace {
         udf: id.as_u64(),
         table: table.id().as_u64(),
-        version: table.version(),
     })
 }
 
@@ -150,8 +149,8 @@ impl Memo {
 ///
 /// Built via [`UdfInvoker::with_context`] against a session's
 /// [`expred_exec::CacheStore`], the invoker additionally *borrows* a
-/// [`CacheHandle`] scoped to `(udf fingerprint, table id, table
-/// version)`. Lookups layer local-memo-first, then the shared store: a
+/// [`CacheHandle`] scoped to `(udf fingerprint, table id)`, the id
+/// naming one table state. Lookups layer local-memo-first, then the shared store: a
 /// shared hit is *promoted* into the local memo and charged exactly once
 /// as a [`CostCounts::reuse_hits`] — a promoted row is a memo hit from
 /// then on — because the row's `o_e` was paid by an earlier query, not
@@ -174,7 +173,7 @@ impl Memo {
 /// both pay `o_e` fresh where a serial ordering would have let the
 /// second reuse), never the per-query total
 /// [`CostCounts::demanded`]. Answers are unaffected either way: the
-/// store is keyed by table version and UDFs are row-deterministic.
+/// store is keyed by table state and UDFs are row-deterministic.
 pub struct UdfInvoker<'a> {
     /// The UDF bound to `table` ([`BooleanUdf::bind`]): every fresh
     /// evaluation of the query probes through it.
@@ -494,19 +493,14 @@ impl<'a> UdfInvoker<'a> {
         passed
     }
 
-    /// The known answer for `row`, if this query or an earlier one in the
-    /// session evaluated it. A free lookup cost-wise; a session-cache hit
-    /// is promoted into the query's memo, so it counts once as a reuse
-    /// and as a memo hit from then on.
-    pub fn memoized(&self, row: usize) -> Option<bool> {
-        self.known_many([row]).pop().flatten()
-    }
-
-    /// [`UdfInvoker::memoized`] for an arbitrary list of rows, in input
-    /// order (a set of rows goes through [`UdfInvoker::scan_plane`]).
-    /// Action for action the per-row loop (same answers, same
-    /// promotions, one store hit or miss per probe), with the reuse
-    /// charge and the store statistics added once per call.
+    /// The known answer for each of `rows`, in input order, if this query
+    /// or an earlier one in the session evaluated it (a set of rows goes
+    /// through [`UdfInvoker::scan_plane`]). A free lookup cost-wise; a
+    /// session-cache hit is promoted into the query's memo, so it counts
+    /// once as a reuse and as a memo hit from then on. Action for action
+    /// the per-row loop of one-row calls (same answers, same promotions,
+    /// one store hit or miss per probe), with the reuse charge and the
+    /// store statistics added once per call.
     pub fn known_many(&self, rows: impl IntoIterator<Item = usize>) -> Vec<Option<bool>> {
         let mut lookup = self.lookup();
         let known = rows
@@ -628,9 +622,9 @@ mod tests {
         let t = table_with_labels(&[true, false]);
         let udf = OracleUdf::new("good");
         let inv = UdfInvoker::new(&udf, &t);
-        assert_eq!(inv.memoized(0), None);
+        assert_eq!(inv.known_many([0])[0], None);
         inv.evaluate(0);
-        assert_eq!(inv.memoized(0), Some(true));
+        assert_eq!(inv.known_many([0])[0], Some(true));
         assert_eq!(inv.counts().evaluated, 1);
     }
 
@@ -895,7 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn memoized_promotes_session_answers_once() {
+    fn known_rows_promote_session_answers_once() {
         let t = table_with_labels(&[true, false]);
         let udf = OracleUdf::new("good");
         let store = expred_exec::CacheStore::new();
@@ -903,14 +897,14 @@ mod tests {
         UdfInvoker::with_context(&udf, &t, &ctx).evaluate(0);
 
         let q2 = UdfInvoker::with_context(&udf, &t, &ctx);
-        assert_eq!(q2.memoized(0), Some(true));
-        assert_eq!(q2.memoized(0), Some(true));
+        assert_eq!(q2.known_many([0])[0], Some(true));
+        assert_eq!(q2.known_many([0])[0], Some(true));
         assert!(q2.evaluate(0));
         let c = q2.counts();
         assert_eq!(c.reuse_hits, 1, "promotion charges exactly once");
         assert_eq!(c.evaluated, 0);
         assert_eq!(c.cache_hits, 1, "post-promotion reads are memo hits");
-        assert_eq!(q2.memoized(1), None, "unknown rows stay unknown");
+        assert_eq!(q2.known_many([1])[0], None, "unknown rows stay unknown");
     }
 
     #[test]
@@ -947,9 +941,9 @@ mod tests {
         let c = q2.counts();
         assert_eq!(c.evaluated, 1, "stale version must not serve answers");
         assert_eq!(c.reuse_hits, 0);
-        // The old version stays live until MAX_LIVE_VERSIONS newer ones
-        // supersede it (diverged clones may still be using it).
-        assert_eq!(store.num_namespaces(), 2);
+        // The mutated table is a new table, and nothing can ask about the
+        // old one any more: its namespace is gone.
+        assert_eq!(store.num_namespaces(), 1);
     }
 
     #[test]
@@ -991,7 +985,7 @@ mod tests {
         let inv = std::thread::scope(|scope| {
             scope
                 .spawn(move || {
-                    assert_eq!(inv.memoized(0), Some(true));
+                    assert_eq!(inv.known_many([0])[0], Some(true));
                     assert!(!inv.evaluate(1));
                     inv
                 })
@@ -1022,7 +1016,7 @@ mod tests {
             let known = if bulk {
                 inv.known_many(scan)
             } else {
-                scan.iter().map(|&row| inv.memoized(row)).collect()
+                scan.iter().map(|&row| inv.known_many([row])[0]).collect()
             };
             (known, inv.counts(), store.stats())
         };

@@ -26,8 +26,8 @@
 //!    by `cost / selectivity` (per accepted row), using observed leaf
 //!    pass rates where the store has them and a 0.5 prior where it
 //!    doesn't. With no observations every rank is `2·cost`, so the
-//!    result degrades to exactly the static cost order: a cold or
-//!    cleared session plans statically.
+//!    result degrades to exactly the static cost order: a cold session,
+//!    or a table state no query has asked about yet, plans statically.
 //!
 //! The output is *pinned* ([`PredicateExpr::is_pinned`]): the staged
 //! evaluator honors the chosen sibling order instead of re-sorting by
@@ -53,8 +53,9 @@ const PRIOR_PASS_RATE: f64 = 0.5;
 /// session's row tier — pass `None` (or an empty store) to get
 /// normalization + factoring with static cost ordering.
 ///
-/// Pass rates are looked up per `(udf, table version)` namespace, so the
-/// optimizer never carries observations across a table mutation.
+/// Pass rates are looked up per `(udf, table id)` namespace, and a
+/// mutated table is a new table, so the optimizer never carries
+/// observations across a table mutation.
 pub fn optimize_expr(
     expr: &PredicateExpr,
     table: &Table,

@@ -17,7 +17,7 @@ pub type BoundUdf<'a> = Box<dyn Fn(usize) -> bool + Send + Sync + 'a>;
 /// A stable identity for one UDF *semantics*: two UDFs with the same id
 /// must answer identically on every `(table, row)`.
 ///
-/// Cross-query caching keys entries by `(UdfId, table id, table version)`
+/// Cross-query caching keys entries by `(UdfId, table id)`
 /// — a wrong id silently serves one predicate's answers to another, so
 /// implementors must fold every answer-affecting parameter into it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -156,6 +156,9 @@ fn mutating_the_table_invalidates_the_session() {
     );
     assert!(after.counts.evaluated >= first.counts.evaluated);
     assert_eq!(engine.stats().result_hits, 0, "result memo keys moved too");
+    // A mutated table is a new table: the state it left can never be
+    // asked about again, so its answers went as a dropped table's do.
+    assert_eq!(engine.store().num_namespaces(), 1);
 }
 
 #[test]
@@ -221,8 +224,9 @@ fn a_clone_that_outlives_its_original_keeps_its_answers() {
     assert_eq!(again.counts.evaluated, 0, "the clone's answers survived");
     assert_eq!(engine.session_counts().evaluated, paid);
 
-    // Two clones diverge; each keeps its own version live, and the
-    // original version falls off the window, whichever clone is asked.
+    // Two clones diverge: two live states, two tables. Each keeps its
+    // own namespace, and the state they diverged from, which no clone
+    // holds any more, is gone.
     let (mut left, mut right) = (clone.clone(), clone);
     let row = left.table.row(0);
     left.table.push_row(row).unwrap();
@@ -230,10 +234,7 @@ fn a_clone_that_outlives_its_original_keeps_its_answers() {
     right.table.push_row(row).unwrap();
     engine.submit(&left, &naive(spec, 1)).unwrap();
     engine.submit(&right, &naive(spec, 1)).unwrap();
-    assert_eq!(
-        engine.store().num_namespaces(),
-        expred::exec::MAX_LIVE_VERSIONS
-    );
+    assert_eq!(engine.store().num_namespaces(), 2);
     let paid = engine.session_counts().evaluated;
     for _ in 0..3 {
         engine.submit(&left, &naive(spec, 1)).unwrap();
