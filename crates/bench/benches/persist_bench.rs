@@ -70,13 +70,14 @@ fn main() {
     };
     let start = Instant::now();
     for i in 0..records {
-        store.append_row(key, i, i % 2 == 0, 1_000 + i as u64);
+        store.append_row(key, i, i % 2 == 0, 0);
     }
     store.sync().expect("drain and fsync the WAL");
     let append_secs = start.elapsed().as_secs_f64();
     drop(store);
     let append_ns = append_secs * 1e9 / records as f64;
     report.record("wal_append", "append_plus_batched_fsync", append_ns, 1.0);
+    report.name_last("ns_per_record", "ns");
     println!("wal_append                  {append_ns:>8.1} ns/record ({records} records)");
 
     // ---- Recovery replay over that WAL. ----
@@ -91,6 +92,7 @@ fn main() {
     drop(recovered);
     let recovery_ns = recovery_secs * 1e9 / records as f64;
     report.record("recovery", "open_wal", recovery_ns, append_ns / recovery_ns);
+    report.name_last("ns_per_record", "ns");
     println!("recovery                    {recovery_ns:>8.1} ns/record");
 
     // ---- The same rows as stage batches. ----
@@ -106,8 +108,8 @@ fn main() {
         .map(|b| pages_of((b * stage..(b + 1) * stage).map(|i| (i, i % 2 == 0))))
         .collect();
     let start = Instant::now();
-    for (batch, ts) in batches.iter().zip(1_000u64..) {
-        store.append_pages(key, batch, ts);
+    for batch in &batches {
+        store.append_pages(key, batch);
     }
     // What the caller waits for, then what the flusher still owes.
     let caller_ns = start.elapsed().as_secs_f64() * 1e9 / records as f64;
@@ -147,7 +149,7 @@ fn main() {
         .expect("open snapshot store");
     let table = pages_of((0..table_rows as usize).map(|i| (i, i % 3 == 0)));
     for n in 0..namespaces {
-        store.append_pages(ns_key(n), &table, 1_000 + n);
+        store.append_pages(ns_key(n), &table);
     }
     store.sync().expect("flush before compacting");
     let compacting = std::sync::atomic::AtomicBool::new(true);
@@ -203,13 +205,13 @@ fn main() {
     let table = std::sync::Arc::new(());
     let mut loaded = 0usize;
     for persist_key in store.namespaces() {
-        let (pages, _) = store.pages(persist_key).expect("listed namespace");
+        let pages = store.pages(persist_key).expect("listed namespace");
         // One table id per persisted state, as the engine registers them.
         let namespace = CacheNamespace {
             udf: persist_key.udf,
             table: persist_key.version,
         };
-        loaded += cache.prefill(namespace, &table, &pages, Duration::ZERO);
+        loaded += cache.prefill(namespace, &table, &pages);
     }
     let rehydrate_ns = start.elapsed().as_secs_f64() * 1e9 / persisted as f64;
     assert_eq!((loaded as u64, cache.len() as u64), (persisted, persisted));

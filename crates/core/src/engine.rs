@@ -310,16 +310,6 @@ impl QueryEngine {
         Self::with_executor(Box::new(expred_exec::WorkerPool::new()))
     }
 
-    /// Bounds the staleness of row-tier answers: a cache namespace older
-    /// than `ttl` is dropped on next borrow ([`CacheStats::ttl_expirations`]).
-    /// With persistence wired, rehydrated namespaces carry the age of
-    /// their oldest persisted answer, so the bound holds across restarts
-    /// rather than resetting each boot.
-    pub fn with_cache_ttl(self, ttl: Duration) -> Self {
-        self.store.set_ttl(Some(ttl));
-        self
-    }
-
     /// Attaches a durable persistence tier rooted at `config`'s
     /// directory, recovering whatever a previous process left there.
     ///

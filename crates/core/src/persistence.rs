@@ -12,11 +12,10 @@
 //!   [`expred_exec::SpillSink`], so every batch of fresh answers entering
 //!   the [`expred_exec::CacheStore`] reaches the WAL as one
 //!   [`PersistStore::append_pages`] call over the same pages: only the
-//!   namespace is translated, through the table-id registry, and the
-//!   clock is read once per offer. The rows are never unpacked; the
-//!   counters are popcounts of the pages. Offers for unregistered tables
-//!   are dropped and counted — never guessed — and so are pages past the
-//!   `u32` row space the format can name.
+//!   namespace is translated, through the table-id registry. The rows
+//!   are never unpacked; the counters are popcounts of the pages. Offers
+//!   for unregistered tables are dropped and counted — never guessed —
+//!   and so are pages past the `u32` row space the format can name.
 //! * **Rehydrate** (disk → live): the first time a session submits a
 //!   query over a table state (one [`expred_table::TableId`]: a mutated
 //!   table is a new table), the layer registers the state's one
@@ -37,12 +36,9 @@
 //!   ([`SpillSink::table_dropped`]), so the registry, too, is bounded by
 //!   the tables that are live. A superseded state leaves the same way.
 //!
-//! Write timestamps are wall-clock (`UNIX_EPOCH` nanos), one per offered
-//! batch, kept per 4 096-row page by the store (a page is as old as its
-//! oldest write), so a cache TTL ([`expred_exec::CacheStore::set_ttl`])
-//! measures answer age across restarts: a rehydrated namespace is
-//! backdated by its oldest page's age and expires on schedule, not one
-//! full TTL after every reboot.
+//! No clock is read on either path: an answer is a fixed property of its
+//! row under one table version, so a rehydrated answer is as good as the
+//! day it was bought, and it leaves the row tier only with its table.
 
 use expred_exec::{CacheNamespace, CacheStore, SpillSink};
 use expred_persist::{PagePlanes, PersistKey, PersistStore, PAGE_LIMIT};
@@ -51,17 +47,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::RwLock;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
-
-/// Current wall-clock time as nanos since `UNIX_EPOCH` (0 if the clock
-/// is before the epoch — timestamps only feed TTL aging, so degrading to
-/// "brand new" is safe).
-pub(crate) fn now_unix_nanos() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_nanos().min(u64::MAX as u128) as u64)
-        .unwrap_or(0)
-}
 
 /// One registered table state: its process-independent identity, the
 /// table half of every [`PersistKey`] its namespaces spill under.
@@ -167,20 +152,18 @@ impl PersistLayer {
         // Safe only because `CacheStore::prefill` never touches the spill
         // sink — a sink offer would re-enter `durable_key`'s read lock on
         // this same thread and deadlock the std RwLock.
-        let now = now_unix_nanos();
         for key in self.store.namespaces() {
             if key.table != schema_fp || key.version != version {
                 continue;
             }
-            let Some((pages, oldest_ts)) = self.store.pages(key) else {
+            let Some(pages) = self.store.pages(key) else {
                 continue;
             };
-            let age = Duration::from_nanos(now.saturating_sub(oldest_ts));
             let namespace = CacheNamespace {
                 udf: key.udf,
                 table: tid,
             };
-            let loaded = cache.prefill(namespace, ds.table.identity(), &pages, age);
+            let loaded = cache.prefill(namespace, ds.table.identity(), &pages);
             if loaded > 0 {
                 self.counters
                     .rehydrated_rows
@@ -232,7 +215,7 @@ impl SpillSink for PersistLayer {
         self.counters
             .spilled_offers
             .fetch_add(rows(fits), Ordering::Relaxed);
-        self.store.append_pages(key, fits, now_unix_nanos());
+        self.store.append_pages(key, fits);
     }
 
     fn table_dropped(&self, table: u64) {
@@ -292,9 +275,7 @@ mod tests {
             table: ds.table.schema().fingerprint(),
             version: ds.table.version(),
         };
-        let rows = layer.store().rows(key).unwrap();
-        let rows: Vec<(u32, bool)> = rows.iter().map(|&(row, answer, _)| (row, answer)).collect();
-        assert_eq!(rows, [(3, true), (5, false)]);
+        assert_eq!(layer.store().rows(key).unwrap(), [(3, true), (5, false)]);
         // A dead table's registration goes: later offers are unregistered.
         layer.table_dropped(namespace.table);
         layer.spill(namespace, &pages);

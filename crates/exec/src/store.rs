@@ -42,8 +42,8 @@
 //! A namespace holds every answer its UDF gave over one table state, so
 //! its pass rate is `passed / len` ([`CacheStore::pass_rate`]). The
 //! expression optimizer ranks `AND`/`OR` siblings by it. The rate lives
-//! and dies with the answers: an expired or swept namespace has none,
-//! and a rehydrated one has it back.
+//! and dies with the answers: a swept namespace has none, and a
+//! rehydrated one has it back.
 //!
 //! # Keying and invalidation
 //!
@@ -72,9 +72,8 @@
 //!
 //! # Consistency contract
 //!
-//! Answers leave a namespace only with their table or their TTL: a
-//! namespace older than the TTL is replaced by an empty one on borrow,
-//! and a namespace disappears for good once its table dies. A borrowed
+//! Answers leave a namespace only with their table: a namespace
+//! disappears for good once its table dies, and never before. A borrowed
 //! handle keeps its namespace alive. No live table loses a namespace to
 //! the liveness sweep: the sweep drops only namespaces whose owner is
 //! dead, and a dead `Arc` never revives. Callers that need
@@ -86,9 +85,8 @@ use crate::cache::RowBits;
 use expred_stats::bits::{pages_of, PagePlanes, PAGE_ROWS, PAGE_WORDS};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
-use std::time::{Duration, Instant};
 
 /// Receives cache writes for durable storage.
 ///
@@ -144,9 +142,9 @@ expred_stats::counter_set! {
         /// Entries discarded with their namespace because its table died
         /// (see the module docs).
         invalidated,
-        /// Entries discarded because their namespace outlived the store's
-        /// time-to-live ([`CacheStore::set_ttl`]), checked lazily on
-        /// borrow.
+        /// Always 0: answers leave only with their table. Still exported
+        /// because the benchmark harness (`benchmark/src/http_run.rs`) and
+        /// the metrics goldens read it (ROADMAP direction 4 removes it).
         ttl_expirations,
     }
 }
@@ -170,19 +168,10 @@ struct NamespaceCache {
     /// every namespace); the slot holds `None` on stores without
     /// persistence.
     spill: SharedSink,
-    /// When this namespace was created — prefilled namespaces backdate
-    /// this by their oldest surviving entry's age so a TTL keeps counting
-    /// across restarts.
-    born: Instant,
 }
 
 impl NamespaceCache {
-    fn new(
-        namespace: CacheNamespace,
-        stats: Arc<AtomicStats>,
-        spill: SharedSink,
-        born: Instant,
-    ) -> Self {
+    fn new(namespace: CacheNamespace, stats: Arc<AtomicStats>, spill: SharedSink) -> Self {
         Self {
             namespace,
             pages: RwLock::new(BTreeMap::new()),
@@ -190,13 +179,7 @@ impl NamespaceCache {
             passed: AtomicUsize::new(0),
             stats,
             spill,
-            born,
         }
-    }
-
-    /// Whether this namespace has outlived `ttl`.
-    fn expired(&self, ttl: Duration) -> bool {
-        self.born.elapsed() > ttl
     }
 
     fn page(&self, page_key: usize) -> Option<Arc<RowBits>> {
@@ -436,7 +419,7 @@ pub struct CacheStore {
 type Owner = Weak<dyn Any + Send + Sync>;
 
 /// One namespace and its table's owner. It lives as long as its table;
-/// only the liveness sweep removes it (a TTL expiry replaces its cache).
+/// only the liveness sweep removes it.
 #[derive(Debug)]
 struct Entry {
     cache: Arc<NamespaceCache>,
@@ -499,8 +482,6 @@ struct StoreInner {
     /// The durable sink slot shared with every namespace (see
     /// [`SharedSink`]); empty unless persistence is wired.
     spill: SharedSink,
-    /// Namespace time-to-live in nanoseconds; `0` disables expiry.
-    ttl_nanos: AtomicU64,
 }
 
 impl StoreInner {
@@ -512,21 +493,18 @@ impl StoreInner {
         self.namespaces.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The cache of `namespace`, created owned by `owner` and born at
-    /// `born` if absent.
+    /// The cache of `namespace`, created owned by `owner` if absent.
     fn entry<T: Any + Send + Sync>(
         &self,
         guard: &mut Namespaces,
         namespace: CacheNamespace,
         owner: &Arc<T>,
-        born: Instant,
     ) -> Arc<NamespaceCache> {
         let entry = guard.map.entry(namespace).or_insert_with(|| Entry {
             cache: Arc::new(NamespaceCache::new(
                 namespace,
                 Arc::clone(&self.stats),
                 Arc::clone(&self.spill),
-                born,
             )),
             owner: Arc::downgrade(owner) as Owner,
         });
@@ -557,42 +535,15 @@ impl StoreInner {
 }
 
 impl CacheStore {
-    /// An empty store: no namespaces, no TTL, no sink.
+    /// An empty store: no namespaces, no sink.
     pub fn new() -> Self {
         Self {
             inner: Arc::new(StoreInner {
                 namespaces: RwLock::new(Namespaces::default()),
                 stats: Arc::new(AtomicStats::default()),
                 spill: Arc::new(RwLock::new(None)),
-                ttl_nanos: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Sets (or clears, with `None`) the namespace time-to-live.
-    ///
-    /// Expiry is *lazy*: a namespace older than the TTL is dropped the
-    /// next time someone borrows it via [`CacheStore::handle`], with its
-    /// entries counted under [`CacheStats::ttl_expirations`]. Handles
-    /// borrowed before expiry keep their private `Arc` — in-flight
-    /// queries are never interrupted; only new borrowers start cold.
-    /// Prefilled namespaces carry their age across restarts (see
-    /// [`CacheStore::prefill`]), so a TTL bounds *answer* staleness, not
-    /// merely process uptime.
-    pub fn set_ttl(&self, ttl: Option<Duration>) {
-        let nanos = match ttl {
-            // An explicit zero TTL means "expire immediately"; encode it
-            // as 1ns so it doesn't collide with the disabled sentinel.
-            Some(t) => (t.as_nanos().min(u64::MAX as u128) as u64).max(1),
-            None => 0,
-        };
-        self.inner.ttl_nanos.store(nanos, Ordering::Relaxed);
-    }
-
-    /// The configured namespace time-to-live, if any.
-    pub fn ttl(&self) -> Option<Duration> {
-        let nanos = self.inner.ttl_nanos.load(Ordering::Relaxed);
-        (nanos > 0).then(|| Duration::from_nanos(nanos))
     }
 
     /// Installs (or removes, with `None`) the durable spill sink.
@@ -611,46 +562,22 @@ impl CacheStore {
     ///
     /// Concurrent borrows of the same namespace are the common case for a
     /// shared engine and return clones of one `Arc`'d cache; the steady
-    /// state (the namespace exists and is unexpired) is one map lookup
-    /// under the shared read lock, so worker threads starting queries do
-    /// not serialize on each other. A handle borrowed before its
-    /// namespace expires keeps a private `Arc` — its query's
-    /// read-your-writes view stays intact; only new borrowers start
-    /// empty. A borrow that takes the write lock also runs the liveness
-    /// sweep when it is due, and offers what it swept to the sink after
-    /// releasing the lock.
+    /// state (the namespace exists) is one map lookup under the shared
+    /// read lock, so worker threads starting queries do not serialize on
+    /// each other. A borrow that takes the write lock also runs the
+    /// liveness sweep when it is due, and offers what it swept to the
+    /// sink after releasing the lock.
     pub fn handle<T: Any + Send + Sync>(
         &self,
         namespace: CacheNamespace,
         owner: &Arc<T>,
     ) -> CacheHandle {
-        let ttl = self.ttl();
         if let Some(entry) = self.inner.read().map.get(&namespace) {
-            if !ttl.is_some_and(|t| entry.cache.expired(t)) {
-                let cache = Arc::clone(&entry.cache);
-                return CacheHandle { namespace, cache };
-            }
+            let cache = Arc::clone(&entry.cache);
+            return CacheHandle { namespace, cache };
         }
         let mut guard = self.inner.write();
-        // Lazy TTL expiry: an over-age namespace is dropped here, on
-        // borrow, so the borrower below starts from a fresh (re-aged)
-        // cache rather than serving answers older than the bound.
-        if let Some(ttl) = ttl {
-            if guard
-                .map
-                .get(&namespace)
-                .is_some_and(|e| e.cache.expired(ttl))
-            {
-                let dropped = guard.map.remove(&namespace).map_or(0, |e| e.cache.len());
-                let stats = &self.inner.stats;
-                stats
-                    .ttl_expirations
-                    .fetch_add(dropped as u64, Ordering::Relaxed);
-            }
-        }
-        let cache = self
-            .inner
-            .entry(&mut guard, namespace, owner, Instant::now());
+        let cache = self.inner.entry(&mut guard, namespace, owner);
         let swept = if guard.sweep_due() {
             guard.sweep(&self.inner.stats)
         } else {
@@ -667,31 +594,18 @@ impl CacheStore {
     /// [`CacheHandle::insert_pages`] batch does, a word at a time. The
     /// loaded entries came *from* the sink, and prefill never runs the
     /// liveness sweep (whose offers reach the sink), so prefill is safe
-    /// to call while holding locks the sink would re-take.
-    ///
-    /// A namespace created by prefill is backdated by `age` — the time
-    /// since its oldest persisted answer was written — so a configured
-    /// TTL measures answer staleness across restarts instead of
-    /// restarting the clock. Prefilling an already-live namespace keeps
-    /// its existing birth time (fresh activity wins).
+    /// to call while holding locks the sink would re-take. A batch with
+    /// no rows creates no namespace.
     pub fn prefill<T: Any + Send + Sync>(
         &self,
         namespace: CacheNamespace,
         owner: &Arc<T>,
         pages: &[(usize, PagePlanes)],
-        age: Duration,
     ) -> usize {
-        // If the whole batch is already over-age, loading it would only
-        // hand the next borrower an expired namespace to tear down.
-        if pages.iter().all(|(_, planes)| planes.is_empty())
-            || self.ttl().is_some_and(|ttl| age > ttl)
-        {
+        if pages.iter().all(|(_, planes)| planes.is_empty()) {
             return 0;
         }
-        let born = Instant::now().checked_sub(age).unwrap_or_else(Instant::now);
-        let cache = self
-            .inner
-            .entry(&mut self.inner.write(), namespace, owner, born);
+        let cache = self.inner.entry(&mut self.inner.write(), namespace, owner);
         cache.insert_pages(pages, false)
     }
 
@@ -718,14 +632,12 @@ impl CacheStore {
 
     /// The observed pass rate of `namespace` — its passed rows over its
     /// known rows — or `None` if it holds no answers (never borrowed,
-    /// empty, expired or dropped). A read-only lookup: it creates no
-    /// namespace.
+    /// empty or dropped). A read-only lookup: it creates no namespace.
     pub fn pass_rate(&self, namespace: CacheNamespace) -> Option<f64> {
-        let ttl = self.ttl();
         let guard = self.inner.read();
         let cache = &guard.map.get(&namespace)?.cache;
         let len = cache.len();
-        if len == 0 || ttl.is_some_and(|t| cache.expired(t)) {
+        if len == 0 {
             return None;
         }
         // A read racing a write may see a batch in one counter and not
@@ -927,13 +839,6 @@ mod tests {
         assert_eq!(store.num_namespaces(), 1);
         assert_eq!(store.pass_rate(ns(1, 10)), None);
         assert_eq!(store.pass_rate(ns(1, 9)), Some(0.25));
-        // An expired namespace has no rate even before a borrow drops it.
-        store.prefill(ns(2, 9), live(), &pages_of([(1, false)]), Duration::ZERO);
-        assert_eq!(store.pass_rate(ns(2, 9)), Some(0.0));
-        store.set_ttl(Some(Duration::from_millis(5)));
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(store.pass_rate(ns(2, 9)), None);
-        assert_eq!(store.num_namespaces(), 2, "nor does it drop one");
     }
 
     #[test]
@@ -988,7 +893,7 @@ mod tests {
         let (table, other) = (Arc::new(()), Arc::new(()));
         // Two UDFs over one table: one namespace prefilled and then
         // written, one empty. Another table stays live.
-        store.prefill(ns(1, 9), &table, &pages_of([(3, true)]), Duration::ZERO);
+        store.prefill(ns(1, 9), &table, &pages_of([(3, true)]));
         store.handle(ns(1, 9), &table).insert(4, false);
         store.handle(ns(2, 9), &table);
         store.handle(ns(1, 8), &other).insert(5, true);
@@ -1041,12 +946,7 @@ mod tests {
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
         // Prefilled entries must not echo back to the sink.
         assert_eq!(
-            store.prefill(
-                ns(1, 1),
-                live(),
-                &pages_of([(10, true), (11, false)]),
-                Duration::ZERO
-            ),
+            store.prefill(ns(1, 1), live(), &pages_of([(10, true), (11, false)])),
             2
         );
         assert!(sink.offers().is_empty());
@@ -1070,78 +970,11 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_namespaces_lazily_on_borrow() {
-        let store = CacheStore::new();
-        store.set_ttl(Some(Duration::from_millis(20)));
-        let h = store.handle(ns(1, 1), live());
-        h.insert(1, true);
-        h.insert(2, false);
-        // Young namespace: borrow serves the cached answers.
-        assert_eq!(store.handle(ns(1, 1), live()).get(1), Some(true));
-        std::thread::sleep(Duration::from_millis(40));
-        // Over-age: the next borrow starts cold and counts expirations.
-        let reborrowed = store.handle(ns(1, 1), live());
-        assert_eq!(reborrowed.get(1), None);
-        assert_eq!(store.stats().ttl_expirations, 2);
-        // The pre-expiry handle keeps its private view (read-your-writes
-        // within a query survives).
-        assert_eq!(h.get(2), Some(false));
-        // The replacement namespace ages from now, not from the original.
-        reborrowed.insert(3, true);
-        assert_eq!(store.handle(ns(1, 1), live()).get(3), Some(true));
-    }
-
-    #[test]
-    fn prefill_age_counts_against_ttl() {
-        let store = CacheStore::new();
-        store.set_ttl(Some(Duration::from_millis(25)));
-        // Rehydrated with most of its TTL already spent…
-        assert_eq!(
-            store.prefill(
-                ns(1, 1),
-                live(),
-                &pages_of([(1, true)]),
-                Duration::from_millis(15)
-            ),
-            1
-        );
-        assert_eq!(store.handle(ns(1, 1), live()).get(1), Some(true));
-        // …so it expires after the *remaining* budget, not a full TTL.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(store.handle(ns(1, 1), live()).get(1), None);
-        assert_eq!(store.stats().ttl_expirations, 1);
-        // A batch already past the TTL is refused outright: no namespace
-        // is created for it (only the reborrowed ns(1,..) remains).
-        assert_eq!(
-            store.prefill(
-                ns(2, 1),
-                live(),
-                &pages_of([(1, true)]),
-                Duration::from_millis(60)
-            ),
-            0
-        );
-        assert_eq!(store.num_namespaces(), 1);
-    }
-
-    #[test]
-    fn no_ttl_means_no_expiry() {
-        let store = CacheStore::new();
-        store.handle(ns(1, 1), live()).insert(1, true);
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(store.handle(ns(1, 1), live()).get(1), Some(true));
-        assert_eq!(store.stats().ttl_expirations, 0);
-        assert_eq!(store.ttl(), None);
-        store.set_ttl(Some(Duration::from_secs(3600)));
-        assert_eq!(store.ttl(), Some(Duration::from_secs(3600)));
-    }
-
-    #[test]
     fn for_each_entry_visits_every_namespace() {
         let store = CacheStore::new();
         store.handle(ns(1, 1), live()).insert(1, true);
         store.handle(ns(2, 1), live()).insert(2, false);
-        store.prefill(ns(3, 1), live(), &pages_of([(3, true)]), Duration::ZERO);
+        store.prefill(ns(3, 1), live(), &pages_of([(3, true)]));
         let mut seen: Vec<(CacheNamespace, usize, bool)> = Vec::new();
         store.for_each_namespace(|namespace, pages| {
             seen.extend(rows_of(pages).map(|(row, answer)| (namespace, row, answer)));
@@ -1164,8 +997,8 @@ mod tests {
         store.handle(ns(1, 9), &table).insert(1, true);
         // Prefill lands beside a live namespace's answers, and a
         // namespace it creates is owned as a borrowed one is.
-        store.prefill(ns(1, 9), &table, &pages_of([(2, false)]), Duration::ZERO);
-        store.prefill(ns(2, 9), &table, &pages_of([(1, false)]), Duration::ZERO);
+        store.prefill(ns(1, 9), &table, &pages_of([(2, false)]));
+        store.prefill(ns(2, 9), &table, &pages_of([(1, false)]));
         let h = store.handle(ns(1, 9), &table);
         assert_eq!((h.get(1), h.get(2)), (Some(true), Some(false)));
         assert_eq!(store.num_namespaces(), 2);
@@ -1208,7 +1041,7 @@ mod tests {
                 barrier.wait();
                 let prefilled = (0..shared(WORKERS - 1).end).step_by(7);
                 let pages = pages_of(prefilled.map(|row| (row, answer(row))));
-                store.prefill(ns(1, 1), live(), &pages, Duration::ZERO);
+                store.prefill(ns(1, 1), live(), &pages);
             });
         });
         let mut distinct: Vec<usize> = (0..WORKERS).flat_map(opener).collect();

@@ -25,7 +25,6 @@ use expred_stats::bits::{pages_of, rows_of, PagePlanes};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 const NUM_ROWS: usize = 20_000;
 
@@ -168,7 +167,7 @@ fn drive(
                 let rows = [(key, value), (KEYS[(selector + 3) % 14], !value)];
                 let heard = sink.offers().len();
                 let pages = pages_of(rows);
-                prop_assert_eq!(store.prefill(NS, &owner, &pages, Duration::ZERO), 2);
+                prop_assert_eq!(store.prefill(NS, &owner, &pages), 2);
                 prop_assert_eq!(sink.offers().len(), heard, "a prefill offered");
                 model.extend(rows);
                 tally.insertions += 2;

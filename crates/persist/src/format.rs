@@ -20,18 +20,26 @@
 //!
 //! Both files are page-granular. A snapshot holds one
 //! [`Record::PageImage`] per 4 096-row page of a namespace: the page's
-//! [`PagePlanes`] (only the 64-row words that hold an answer are written)
-//! and the page's one timestamp, ≈ 0.26 bytes per answer on a full page.
-//! The WAL holds, per page a stage batch added two or more rows to, a
-//! page image of just those rows stamped with the batch's time, and a
-//! [`Record::Row`] for a page that gained one row. Page numbers stop at
-//! [`PAGE_LIMIT`], where row ids leave the `u32` space. Every frame carries
-//! its own CRC, so damage costs the frame it hits and the frames after
-//! it — at most a page of answers per frame — and never a frame before
-//! it. [`Record::RowBatch`], 13 bytes per row, is no longer written, but
+//! [`PagePlanes`] (only the 64-row words that hold an answer are written),
+//! ≈ 0.26 bytes per answer on a full page. The WAL holds, per page a
+//! stage batch added two or more rows to, a page image of just those
+//! rows, and a [`Record::Row`] for a page that gained one row. Page
+//! numbers stop at [`PAGE_LIMIT`], where row ids leave the `u32` space.
+//! Every frame carries its own CRC, so damage costs the frame it hits and
+//! the frames after it — at most a page of answers per frame — and never
+//! a frame before it. [`Record::RowBatch`], 13 bytes per row, is no longer written, but
 //! files that hold it (row-batch snapshots, and WALs before page-image
 //! frames) replay unchanged: the version number did not move, a new tag
 //! did.
+//!
+//! # The legacy timestamp bytes
+//!
+//! Row, row-batch and page-image payloads each keep eight bytes that
+//! once held a write time (Unix nanos) for a cache TTL. No answer
+//! expires now, so nothing reads them: this module is the only code
+//! that knows they exist. Encoding writes zeros there (`LEGACY_STAMP`)
+//! and decoding skips whatever is there, so the frame layout and sizes
+//! did not change, and a file an earlier build stamped reads as before.
 
 /// File magic: the first four bytes of every persist file.
 pub const MAGIC: [u8; 4] = *b"EXPD";
@@ -53,6 +61,10 @@ pub const MAX_PAYLOAD: usize = 1 << 26;
 /// The page the index holds, the snapshot writes and rehydration copies:
 /// the workspace's one page size and page type, as in the live cache.
 pub use expred_stats::bits::{PagePlanes, PAGE_ROWS, PAGE_WORDS};
+
+/// What the encoder writes in each frame's eight legacy timestamp bytes
+/// (see the module docs).
+const LEGACY_STAMP: [u8; 8] = [0; 8];
 
 /// Pages in the `u32` row space: a page numbered at or past this holds
 /// rows no frame can name.
@@ -128,8 +140,7 @@ pub struct PersistKey {
 /// One durable record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
-    /// One fresh row answer, stamped with its write time (Unix nanos)
-    /// so TTL policies survive a restart.
+    /// One fresh row answer.
     Row {
         /// Namespace the answer belongs to.
         key: PersistKey,
@@ -137,18 +148,15 @@ pub enum Record {
         row: u32,
         /// The UDF's answer.
         answer: bool,
-        /// Write timestamp, nanoseconds since the Unix epoch.
-        ts_nanos: u64,
     },
-    /// Several rows of one namespace in one frame, each with its own
-    /// timestamp: what stage batches in the WAL, and whole namespaces in
-    /// snapshots, were written as before page images. Read, never
-    /// written.
+    /// Several rows of one namespace in one frame: what stage batches in
+    /// the WAL, and whole namespaces in snapshots, were written as before
+    /// page images. Read, never written.
     RowBatch {
         /// Namespace the rows belong to.
         key: PersistKey,
-        /// `(row, answer, ts_nanos)` triples.
-        rows: Vec<(u32, bool, u64)>,
+        /// `(row, answer)` pairs.
+        rows: Vec<(u32, bool)>,
     },
     /// One page of a namespace as bit planes: a page of the index
     /// (snapshot compaction), or the rows a stage batch added to a page
@@ -161,9 +169,6 @@ pub enum Record {
         page: u32,
         /// The page's answers.
         planes: Box<PagePlanes>,
-        /// The page's one timestamp: its oldest write, nanoseconds since
-        /// the Unix epoch.
-        oldest_ts: u64,
     },
     /// Everything before this point is cleared: replay drops all
     /// namespaces seen so far. Builds that could clear the whole store
@@ -214,38 +219,28 @@ fn put_key(out: &mut Vec<u8>, key: PersistKey) {
 pub fn encode_frame(record: &Record, out: &mut Vec<u8>) {
     let mut payload = Vec::with_capacity(64);
     match record {
-        Record::Row {
-            key,
-            row,
-            answer,
-            ts_nanos,
-        } => {
+        Record::Row { key, row, answer } => {
             payload.push(TAG_ROW);
             put_key(&mut payload, *key);
             payload.extend_from_slice(&row.to_le_bytes());
             payload.push(*answer as u8);
-            payload.extend_from_slice(&ts_nanos.to_le_bytes());
+            payload.extend_from_slice(&LEGACY_STAMP);
         }
         Record::RowBatch { key, rows } => {
             payload.push(TAG_ROW_BATCH);
             put_key(&mut payload, *key);
             payload.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-            for (row, answer, ts_nanos) in rows {
+            for (row, answer) in rows {
                 payload.extend_from_slice(&row.to_le_bytes());
                 payload.push(*answer as u8);
-                payload.extend_from_slice(&ts_nanos.to_le_bytes());
+                payload.extend_from_slice(&LEGACY_STAMP);
             }
         }
-        Record::PageImage {
-            key,
-            page,
-            planes,
-            oldest_ts,
-        } => {
+        Record::PageImage { key, page, planes } => {
             payload.push(TAG_PAGE_IMAGE);
             put_key(&mut payload, *key);
             payload.extend_from_slice(&page.to_le_bytes());
-            payload.extend_from_slice(&oldest_ts.to_le_bytes());
+            payload.extend_from_slice(&LEGACY_STAMP);
             // Only the words that hold an answer are written; `present`
             // says which.
             let present = (0..PAGE_WORDS)
@@ -301,6 +296,11 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Skips the legacy timestamp bytes (see the module docs).
+    fn legacy_stamp(&mut self) -> Result<(), DecodeError> {
+        self.take(LEGACY_STAMP.len()).map(drop)
+    }
+
     fn key(&mut self) -> Result<PersistKey, DecodeError> {
         Ok(PersistKey {
             udf: self.u64()?,
@@ -338,12 +338,11 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Record, usize), DecodeError> {
         at: 0,
     };
     let record = match c.u8()? {
-        TAG_ROW => Record::Row {
-            key: c.key()?,
-            row: c.u32()?,
-            answer: c.u8()? != 0,
-            ts_nanos: c.u64()?,
-        },
+        TAG_ROW => {
+            let (key, row, answer) = (c.key()?, c.u32()?, c.u8()? != 0);
+            c.legacy_stamp()?;
+            Record::Row { key, row, answer }
+        }
         TAG_ROW_BATCH => {
             let key = c.key()?;
             let count = c.u32()? as usize;
@@ -354,7 +353,8 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Record, usize), DecodeError> {
             }
             let mut rows = Vec::with_capacity(count);
             for _ in 0..count {
-                rows.push((c.u32()?, c.u8()? != 0, c.u64()?));
+                rows.push((c.u32()?, c.u8()? != 0));
+                c.legacy_stamp()?;
             }
             Record::RowBatch { key, rows }
         }
@@ -366,19 +366,14 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Record, usize), DecodeError> {
             if page as usize >= PAGE_LIMIT {
                 return Err(DecodeError::Malformed);
             }
-            let oldest_ts = c.u64()?;
+            c.legacy_stamp()?;
             let mut planes = Box::new(PagePlanes::empty());
             let present = c.u64()?;
             for w in (0..PAGE_WORDS).filter(|w| present >> w & 1 != 0) {
                 planes.known[w] = c.u64()?;
                 planes.answer[w] = c.u64()? & planes.known[w];
             }
-            Record::PageImage {
-                key,
-                page,
-                planes,
-                oldest_ts,
-            }
+            Record::PageImage { key, page, planes }
         }
         TAG_TOMBSTONE_ALL => Record::TombstoneAll,
         TAG_SELECTIVITY => Record::Selectivity {
@@ -437,11 +432,10 @@ mod tests {
                 key: key(7),
                 row: 42,
                 answer: true,
-                ts_nanos: 123_456_789,
             },
             Record::RowBatch {
                 key: key(1),
-                rows: vec![(0, false, 1), (9, true, 2), (u32::MAX, true, u64::MAX)],
+                rows: vec![(0, false), (9, true), (u32::MAX, true)],
             },
             Record::TombstoneAll,
             Record::Selectivity {
@@ -458,13 +452,11 @@ mod tests {
                     planes.merge(63, 1 << 63, 1 << 63);
                     planes
                 },
-                oldest_ts: 55,
             },
             Record::PageImage {
                 key: key(4),
                 page: (PAGE_LIMIT - 1) as u32,
                 planes: Box::new(PagePlanes::empty()),
-                oldest_ts: u64::MAX,
             },
         ];
         let mut buf = Vec::new();
@@ -487,7 +479,6 @@ mod tests {
                     key: key(1),
                     row: i,
                     answer: i % 2 == 0,
-                    ts_nanos: 0,
                 },
                 &mut buf,
             );
@@ -514,7 +505,6 @@ mod tests {
                     key: key(2),
                     row: i,
                     answer: true,
-                    ts_nanos: i as u64,
                 },
                 &mut clean,
             );
@@ -538,7 +528,6 @@ mod tests {
             key: key(1),
             page: page as u32,
             planes: Box::new(planes.clone()),
-            oldest_ts: 10,
         };
         let frame_len = |planes: &PagePlanes| {
             let mut buf = Vec::new();
@@ -559,6 +548,47 @@ mod tests {
         let mut buf = Vec::new();
         encode_frame(&image(&planes, PAGE_LIMIT), &mut buf);
         assert_eq!(decode_frame(&buf), Err(DecodeError::Malformed));
+    }
+
+    #[test]
+    fn the_legacy_stamp_is_written_as_zeros_and_read_past() {
+        let mut planes = Box::new(PagePlanes::empty());
+        planes.merge(5, 1, 1);
+        // Each record, the frame length it has always had, and where in
+        // its payload the eight timestamp bytes sit (after tag, key, and
+        // the row and answer, or the page number).
+        let frames = [
+            (
+                Record::Row {
+                    key: key(7),
+                    row: 42,
+                    answer: true,
+                },
+                FRAME_OVERHEAD + 1 + 24 + 4 + 1 + 8,
+                1 + 24 + 4 + 1,
+            ),
+            (
+                Record::PageImage {
+                    key: key(4),
+                    page: 7,
+                    planes,
+                },
+                FRAME_OVERHEAD + 1 + 24 + 4 + 8 + 8 + 16,
+                1 + 24 + 4,
+            ),
+        ];
+        for (record, len, stamp_at) in frames {
+            let mut buf = Vec::new();
+            encode_frame(&record, &mut buf);
+            assert_eq!(buf.len(), len, "{record:?}");
+            let stamp = FRAME_OVERHEAD + stamp_at..FRAME_OVERHEAD + stamp_at + 8;
+            assert_eq!(buf[stamp.clone()], [0; 8], "{record:?}");
+            // A frame an earlier build stamped, CRC and all, reads the same.
+            buf[stamp].copy_from_slice(&1_700_000_000_123_456_789u64.to_le_bytes());
+            let crc = crc32(&buf[FRAME_OVERHEAD..]);
+            buf[4..FRAME_OVERHEAD].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(decode_frame(&buf), Ok((record, len)));
+        }
     }
 
     #[test]

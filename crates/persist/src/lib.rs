@@ -22,9 +22,10 @@
 //!   in-memory index (the snapshot source) is updated synchronously and
 //!   the next compaction re-captures anything the WAL dropped.
 //! * **Index and snapshots**: the index is [`PagePlanes`] — the
-//!   workspace's one page of `known`/`answer` bit planes — with one
-//!   timestamp per 4 096-row page, and a snapshot is those pages — one
-//!   CRC-checked page image each — in a generation-numbered file written
+//!   workspace's one page of `known`/`answer` bit planes, 4 096 rows a
+//!   page, and no clock: an answer never expires — and a snapshot is
+//!   those pages — one CRC-checked page image each — in a
+//!   generation-numbered file written
 //!   as temp-then-rename, so a crash at any byte leaves either the old
 //!   generation or the new one, never a half state. Appends arrive and
 //!   rehydration leaves as the same pages.

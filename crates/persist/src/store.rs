@@ -10,25 +10,21 @@
 //! the same row is a mask-and-OR that changes nothing). The rows that
 //! were new are enqueued on a bounded queue as the pages they came in:
 //! a page that gained two or more rows as one page-image frame holding
-//! the planes of just those rows, stamped with the batch's time, and a
-//! page that gained one as a single-row record. Replay merges an image
-//! exactly as it merges the rows it holds, so the WAL a batch writes is
-//! the index it built. [`PersistStore::append_row`] is the one-row call.
-//! A background flusher thread drains the queue in batches, appends the
-//! frames to the current WAL file, and fsyncs per [`FsyncPolicy`].
+//! the planes of just those rows, and a page that gained one as a
+//! single-row record. Replay merges an image exactly as it merges the
+//! rows it holds, so the WAL a batch writes is the index it built.
+//! [`PersistStore::append_row`] is the one-row call. A background
+//! flusher thread drains the queue in batches, appends the frames to the
+//! current WAL file, and fsyncs per [`FsyncPolicy`].
 //!
-//! # The index: page planes, and what TTL sees
+//! # The index: page planes
 //!
 //! A namespace is pages of 4 096 rows, each a [`PagePlanes`] — a `known`
-//! and an `answer` bit plane — plus **one** timestamp, the page's oldest
-//! write. Two bits and a sliver of a `u64` per answer instead of a
-//! hash-map entry; the snapshot image of a page is the page, and
-//! rehydration ([`PersistStore::pages`]) copies the pages out as they
-//! are. The price is a coarser clock: [`PersistStore::rows`] and
-//! [`PersistStore::pages`] report every row of a page as old as the
-//! page's oldest write, so a TTL can expire an answer *earlier* than its
-//! own write time would — conservative: nothing is ever served past its
-//! TTL, and the cost of being early is a re-buy.
+//! and an `answer` bit plane. Two bits per answer instead of a hash-map
+//! entry; the snapshot image of a page is the page, and rehydration
+//! ([`PersistStore::pages`]) copies the pages out as they are. An answer
+//! never expires: it is a fixed property of its row under one table
+//! version, so the index keeps no clock.
 //!
 //! # Overload: what sheds, and when
 //!
@@ -209,31 +205,25 @@ expred_stats::counter_set! {
 }
 
 /// One namespace's answers: page number (`row / 4096`) → the page's
-/// planes and its one timestamp, its oldest write (Unix nanos). Memory
-/// follows the pages actually touched.
-type Pages = BTreeMap<u32, (Box<PagePlanes>, u64)>;
+/// planes. Memory follows the pages actually touched.
+type Pages = BTreeMap<u32, Box<PagePlanes>>;
 
 /// Merges the rows of `known` in word `word` of page `page`, answers in
-/// `answer`, written at `ts_nanos` — the one merge that appends, snapshot
-/// images and replayed rows all go through. The first write per row
-/// wins, and a write that lands a row makes its page at least that old.
-/// Returns the rows that were new.
-fn merge(pages: &mut Pages, page: u32, word: usize, known: u64, answer: u64, ts_nanos: u64) -> u64 {
-    let (planes, oldest) = pages
+/// `answer` — the one merge that appends, snapshot images and replayed
+/// rows all go through. The first write per row wins. Returns the rows
+/// that were new.
+fn merge(pages: &mut Pages, page: u32, word: usize, known: u64, answer: u64) -> u64 {
+    let planes = pages
         .entry(page)
-        .or_insert_with(|| (Box::new(PagePlanes::empty()), u64::MAX));
-    let new = planes.merge(word, known, answer);
-    if new != 0 {
-        *oldest = (*oldest).min(ts_nanos);
-    }
-    new
+        .or_insert_with(|| Box::new(PagePlanes::empty()));
+    planes.merge(word, known, answer)
 }
 
 /// Merges one replayed row; returns 1 if it was new.
-fn merge_row(pages: &mut Pages, row: u32, answer: bool, ts_nanos: u64) -> u64 {
+fn merge_row(pages: &mut Pages, row: u32, answer: bool) -> u64 {
     let (page, word) = (row / PAGE_ROWS as u32, row as usize % PAGE_ROWS / 64);
     let (known, answer) = (1 << (row % 64), u64::from(answer) << (row % 64));
-    let new = merge(pages, page, word, known, answer, ts_nanos);
+    let new = merge(pages, page, word, known, answer);
     u64::from(new.count_ones())
 }
 
@@ -249,26 +239,17 @@ impl Index {
     fn apply(&mut self, record: Record) -> u64 {
         let mut added = 0;
         match record {
-            Record::Row {
-                key,
-                row,
-                answer,
-                ts_nanos,
-            } => added = merge_row(self.rows.entry(key).or_default(), row, answer, ts_nanos),
+            Record::Row { key, row, answer } => {
+                added = merge_row(self.rows.entry(key).or_default(), row, answer)
+            }
             Record::RowBatch { key, rows } => {
                 let ns = self.rows.entry(key).or_default();
-                let merged = rows.into_iter().map(|(r, a, ts)| merge_row(ns, r, a, ts));
-                added = merged.sum();
+                added = rows.into_iter().map(|(r, a)| merge_row(ns, r, a)).sum();
             }
-            Record::PageImage {
-                key,
-                page,
-                planes,
-                oldest_ts,
-            } => {
+            Record::PageImage { key, page, planes } => {
                 let ns = self.rows.entry(key).or_default();
                 for w in 0..PAGE_WORDS {
-                    let new = merge(ns, page, w, planes.known[w], planes.answer[w], oldest_ts);
+                    let new = merge(ns, page, w, planes.known[w], planes.answer[w]);
                     added += u64::from(new.count_ones());
                 }
             }
@@ -289,12 +270,7 @@ impl Index {
         namespaces
             .into_iter()
             .flat_map(|(key, pages)| {
-                let image = move |(page, (planes, oldest_ts))| Record::PageImage {
-                    key,
-                    page,
-                    planes,
-                    oldest_ts,
-                };
+                let image = move |(page, planes)| Record::PageImage { key, page, planes };
                 pages.into_iter().map(image)
             })
             .collect()
@@ -569,16 +545,19 @@ impl PersistStore {
     }
 
     /// Accepts one fresh row answer: a one-row
-    /// [`PersistStore::append_pages`].
-    pub fn append_row(&self, key: PersistKey, row: u32, answer: bool, ts_nanos: u64) {
+    /// [`PersistStore::append_pages`]. The last argument is ignored: it
+    /// was a write time, and stays only because the benchmark
+    /// harness (`benchmark/src/probes.rs`) passes one (ROADMAP direction
+    /// 4 removes it).
+    pub fn append_row(&self, key: PersistKey, row: u32, answer: bool, _: u64) {
         let (mut planes, row, bit) = (PagePlanes::empty(), row as usize, row % 64);
         planes.merge(row % PAGE_ROWS / 64, 1 << bit, u64::from(answer) << bit);
-        self.append_pages(key, &[(row / PAGE_ROWS, planes)], ts_nanos);
+        self.append_pages(key, &[(row / PAGE_ROWS, planes)]);
     }
 
-    /// Accepts a batch of fresh answers of one namespace as pages, all
-    /// stamped `ts_nanos`; pages at or past [`PAGE_LIMIT`] hold rows the
-    /// format cannot name and are skipped. First write per `(key, row)`
+    /// Accepts a batch of fresh answers of one namespace as pages; pages
+    /// at or past [`PAGE_LIMIT`] hold rows the format cannot name and are
+    /// skipped. First write per `(key, row)`
     /// wins (deterministic answers make a re-offer a no-op): under one
     /// index lock each page is merged into the index a word at a time,
     /// and the rows that were new are enqueued for the WAL — a page's one
@@ -586,7 +565,7 @@ impl PersistStore {
     /// holding just those rows — shedding the oldest pending frames if
     /// the flusher is a queue behind (see the module docs). Never blocks
     /// on disk.
-    pub fn append_pages(&self, key: PersistKey, pages: &[(usize, PagePlanes)], ts_nanos: u64) {
+    pub fn append_pages(&self, key: PersistKey, pages: &[(usize, PagePlanes)]) {
         let mut frames = Vec::new();
         let mut appended = 0;
         {
@@ -602,7 +581,7 @@ impl PersistStore {
                 let (mut rows, mut last) = (0, (0, 0));
                 for w in (0..PAGE_WORDS).filter(|&w| planes.known[w] != 0) {
                     let (known, answer) = (planes.known[w], planes.answer[w]);
-                    let new = merge(ns, *page as u32, w, known, answer, ts_nanos);
+                    let new = merge(ns, *page as u32, w, known, answer);
                     if new != 0 {
                         image.merge(w, new, answer);
                         rows += new.count_ones();
@@ -616,13 +595,11 @@ impl PersistStore {
                         key,
                         row: (page * PAGE_ROWS + last.0 * 64) as u32 + last.1,
                         answer: image.answer[last.0] >> last.1 & 1 != 0,
-                        ts_nanos,
                     }),
                     _ => Some(Record::PageImage {
                         key,
                         page: *page as u32,
                         planes: Box::new(image),
-                        oldest_ts: ts_nanos,
                     }),
                 });
             }
@@ -692,36 +669,31 @@ impl PersistStore {
         index.rows.keys().copied().collect()
     }
 
-    /// The rows persisted under `key`: `(row, answer, ts_nanos)`,
-    /// ascending, each stamped with its page's oldest write (see the
-    /// module docs).
-    pub fn rows(&self, key: PersistKey) -> Option<Vec<(u32, bool, u64)>> {
+    /// The rows persisted under `key`: `(row, answer)`, ascending.
+    pub fn rows(&self, key: PersistKey) -> Option<Vec<(u32, bool)>> {
         let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
         let pages = index.rows.get(&key)?.iter();
-        let rows = pages.flat_map(|(&page, (planes, oldest))| {
+        let rows = pages.flat_map(|(&page, planes)| {
             let rows = planes.rows(page as usize * PAGE_ROWS);
-            rows.map(|(row, answer)| (row as u32, answer, *oldest))
+            rows.map(|(row, answer)| (row as u32, answer))
         });
         Some(rows.collect())
     }
 
-    /// The pages persisted under `key`, ascending, and the oldest page's
-    /// timestamp — what rehydration copies into the live cache, every
-    /// row as old as that (see the module docs).
-    pub fn pages(&self, key: PersistKey) -> Option<(Vec<(usize, PagePlanes)>, u64)> {
+    /// The pages persisted under `key`, ascending — what rehydration
+    /// copies into the live cache.
+    pub fn pages(&self, key: PersistKey) -> Option<Vec<(usize, PagePlanes)>> {
         let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        let ns = index.rows.get(&key)?;
-        let oldest = ns.values().map(|page| page.1).min();
-        let pages = ns.iter();
-        let pages = pages.map(|(&page, (planes, _))| (page as usize, PagePlanes::clone(planes)));
-        Some((pages.collect(), oldest.unwrap_or(u64::MAX)))
+        let pages = index.rows.get(&key)?.iter();
+        let pages = pages.map(|(&page, planes)| (page as usize, PagePlanes::clone(planes)));
+        Some(pages.collect())
     }
 
     /// Total persisted row answers across namespaces.
     pub fn len(&self) -> usize {
         let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
         let pages = index.rows.values().flat_map(|ns| ns.values());
-        pages.map(|(planes, _)| planes.len()).sum()
+        pages.map(|planes| planes.len()).sum()
     }
 
     /// Whether nothing is persisted.
@@ -956,12 +928,8 @@ mod tests {
             store.sync().unwrap();
         }
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
-        // One page, one timestamp: row 1 reads as old as row 0.
-        assert_eq!(
-            store.rows(key(1)).unwrap(),
-            vec![(0, true, 10), (1, false, 10)]
-        );
-        assert_eq!(store.rows(key(2)).unwrap(), vec![(7, true, 12)]);
+        assert_eq!(store.rows(key(1)).unwrap(), vec![(0, true), (1, false)]);
+        assert_eq!(store.rows(key(2)).unwrap(), vec![(7, true)]);
         assert_eq!(store.stats().recovered_rows, 3);
         assert_eq!(store.stats().recovered_namespaces, 2);
         let _ = fs::remove_dir_all(&dir);
@@ -991,17 +959,17 @@ mod tests {
         let run = |tag: &str, batched: bool| {
             let dir = tmpdir(tag);
             let store = PersistStore::open(PersistConfig::new(&dir).with_compact_after(0)).unwrap();
-            for (batch, ts) in [(&first, 100), (&second, 200), (&first, 300)] {
+            for batch in [&first, &second, &first] {
                 if batched {
-                    store.append_pages(key(1), &pages(batch), ts);
+                    store.append_pages(key(1), &pages(batch));
                 } else {
                     for &(row, answer) in batch {
-                        store.append_row(key(1), row, answer, ts);
+                        store.append_row(key(1), row, answer, 0);
                     }
                 }
             }
-            store.append_pages(key(2), &[], 400);
-            store.append_pages(key(2), &[(0, PagePlanes::empty())], 400);
+            store.append_pages(key(2), &[]);
+            store.append_pages(key(2), &[(0, PagePlanes::empty())]);
             store.sync().unwrap();
             let live = (store.rows(key(1)), store.namespaces(), store.len());
             let (appended, flushed) = (store.stats().appended, store.stats().flushed);
@@ -1030,7 +998,7 @@ mod tests {
                 .with_queue_capacity(1_000)
                 .with_compact_after(0);
             let store = PersistStore::open(config).unwrap();
-            store.append_pages(key(1), &pages(&rows), 7);
+            store.append_pages(key(1), &pages(&rows));
             store.sync().unwrap();
             let stats = store.stats();
             assert_eq!(
@@ -1041,12 +1009,7 @@ mod tests {
         let frames: Vec<usize> = frames_of(&wal_path(&dir, 0))
             .iter()
             .map(|record| match record {
-                Record::PageImage {
-                    planes, oldest_ts, ..
-                } => {
-                    assert_eq!(*oldest_ts, 7, "an image carries the batch's stamp");
-                    planes.len()
-                }
+                Record::PageImage { planes, .. } => planes.len(),
                 other => panic!("not a page image: {other:?}"),
             })
             .collect();
@@ -1061,17 +1024,17 @@ mod tests {
         // Three stage batches: images across a page edge, a page that
         // gained one row (a `Row` record), and an image over rows the
         // first batch had already landed (only its new rows are framed).
-        let batches: [(&[u32], u64); 3] = [
-            (&[0, 1, 63, 64, 4_095, 4_096, 4_200], 10),
-            (&[9_000], 20),
-            (&[0, 1, 2, 3, 4_096, 4_097], 30),
+        let batches: [&[u32]; 3] = [
+            &[0, 1, 63, 64, 4_095, 4_096, 4_200],
+            &[9_000],
+            &[0, 1, 2, 3, 4_096, 4_097],
         ];
         let dir = tmpdir("walcut");
         {
             let store = PersistStore::open(PersistConfig::new(&dir).with_compact_after(0)).unwrap();
-            for (rows, ts) in batches {
+            for rows in batches {
                 let rows: Vec<(u32, bool)> = rows.iter().map(|&row| (row, row % 3 == 0)).collect();
-                store.append_pages(key(1), &pages(&rows), ts);
+                store.append_pages(key(1), &pages(&rows));
             }
             store.sync().unwrap();
         }
@@ -1103,17 +1066,16 @@ mod tests {
             ends.push(ends.last().unwrap() + buf.len());
         }
         assert_eq!(*ends.last().unwrap(), wal.len());
-        // The rows the first `n` frames rebuild, each with its page's stamp.
+        // The rows the first `n` frames rebuild.
         let prefix = |n: usize| {
             let mut index = Index::default();
             for record in &frames[..n] {
                 index.apply(record.clone());
             }
             let pages = index.rows.remove(&key(1))?;
-            let rows = pages.into_iter().flat_map(|(page, (planes, oldest))| {
+            let rows = pages.into_iter().flat_map(|(page, planes)| {
                 let rows: Vec<_> = planes.rows(page as usize * PAGE_ROWS).collect();
-                rows.into_iter()
-                    .map(move |(row, answer)| (row as u32, answer, oldest))
+                rows.into_iter().map(|(row, answer)| (row as u32, answer))
             });
             Some(rows.collect::<Vec<_>>())
         };
@@ -1142,13 +1104,11 @@ mod tests {
                     .remove(0)
                     .1,
             ),
-            oldest_ts: 0,
         };
         let row = |row| Record::Row {
             key: key(1),
             row,
             answer: true,
-            ts_nanos: 0,
         };
         let mut queue = FlushQueue::default();
         // Below the bound nothing sheds, however large the arrival.
@@ -1187,7 +1147,6 @@ mod tests {
                 key: key(1),
                 page: 0,
                 planes: Box::new(pages(&[(0, true), (1, false), (2, true)]).remove(0).1),
-                oldest_ts: 1,
             },
             Record::TombstoneAll,
         ];
@@ -1208,74 +1167,19 @@ mod tests {
     }
 
     #[test]
-    fn a_page_ages_with_its_oldest_write_never_later() {
-        let dir = tmpdir("pagettl");
-        // (row, write time): page 0 is written at 500, 100 and 900, page
-        // 2 at 900 only.
-        let writes = [(10, 500), (11, 100), (4_000, 900), (8_192, 900)];
-        let check = |store: &PersistStore, stage: &str| {
-            let rows = store.rows(key(1)).unwrap();
-            assert_eq!(
-                rows,
-                [
-                    (10, true, 100),
-                    (11, true, 100),
-                    (4_000, true, 100),
-                    (8_192, true, 900)
-                ],
-                "{stage}"
-            );
-            for (&(row, _, read_as), &(_, written)) in rows.iter().zip(&writes) {
-                assert!(
-                    read_as <= written,
-                    "{stage}: row {row} reads younger than it is"
-                );
-            }
-            let (pages, oldest) = store.pages(key(1)).unwrap();
-            let page_rows: Vec<(usize, usize)> = pages.iter().map(|p| (p.0, p.1.len())).collect();
-            assert_eq!((page_rows, oldest), (vec![(0, 3), (2, 1)], 100), "{stage}");
-        };
-        {
-            let store = PersistStore::open(PersistConfig::new(&dir).with_compact_after(0)).unwrap();
-            for (row, ts) in writes {
-                store.append_row(key(1), row, true, ts);
-            }
-            // A later re-offer does not make the page younger.
-            store.append_row(key(1), 10, true, 2_000);
-            check(&store, "live");
-            store.sync().unwrap();
-        }
-        {
-            let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
-            check(&store, "replayed from the WAL");
-            store.compact().unwrap();
-        }
-        let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
-        check(&store, "loaded from page images");
-        drop(store);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn page_merge_keeps_the_first_write_and_the_oldest_stamp() {
         let mut pages = Pages::new();
-        assert_eq!(merge(&mut pages, 0, 1, 0b110, 0b100, 500), 0b110);
-        // A later offer of a known row changes nothing — not even the
-        // stamp; an earlier-stamped new row pulls the page's stamp back.
-        assert_eq!(merge(&mut pages, 0, 1, 0b100, 0b000, 100), 0);
-        assert_eq!(pages[&0].1, 500);
-        assert_eq!(merge(&mut pages, 0, 1, 0b1001, 0b0001, 300), 0b1001);
+        assert_eq!(merge(&mut pages, 0, 1, 0b110, 0b100), 0b110);
+        // A later offer of a known row changes nothing; a new row lands.
+        assert_eq!(merge(&mut pages, 0, 1, 0b100, 0b000), 0);
+        assert_eq!(merge(&mut pages, 0, 1, 0b1001, 0b0001), 0b1001);
         // A replayed row merges the same way.
-        assert_eq!(merge_row(&mut pages, 66, false, 10), 0);
-        assert_eq!(merge_row(&mut pages, 68, true, 400), 1);
-        let (planes, oldest) = &pages[&0];
-        let rows: Vec<(usize, bool)> = planes.rows(0).collect();
+        assert_eq!(merge_row(&mut pages, 66, false), 0);
+        assert_eq!(merge_row(&mut pages, 68, true), 1);
+        let rows: Vec<(usize, bool)> = pages[&0].rows(0).collect();
         assert_eq!(
-            (rows, *oldest),
-            (
-                vec![(64, true), (65, false), (66, true), (67, false), (68, true)],
-                300
-            )
+            rows,
+            vec![(64, true), (65, false), (66, true), (67, false), (68, true)]
         );
     }
 
@@ -1290,7 +1194,6 @@ mod tests {
             key: key(1),
             page: page as u32,
             planes: Box::new(pages(&[(5, true)]).remove(0).1),
-            oldest_ts: 7,
         };
         let mut wal = file_header().to_vec();
         encode_frame(&image(PAGE_LIMIT - 1), &mut wal);
@@ -1299,7 +1202,7 @@ mod tests {
         fs::write(wal_path(&dir, 0), &wal).unwrap();
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
         let row = u32::MAX - (PAGE_ROWS as u32 - 1) + 5;
-        assert_eq!(store.rows(key(1)).unwrap(), [(row, true, 7)]);
+        assert_eq!(store.rows(key(1)).unwrap(), [(row, true)]);
         let stats = store.stats();
         assert_eq!(
             (stats.recovered_rows, stats.tail_bytes_discarded),
@@ -1315,7 +1218,7 @@ mod tests {
         let rows: Vec<(u32, bool)> = (0..20_000).map(|row| (row, row % 3 == 0)).collect();
         {
             let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
-            store.append_pages(key(1), &pages(&rows), 42);
+            store.append_pages(key(1), &pages(&rows));
             store.compact().unwrap();
         }
         let snapshot = snapshot_path(&dir, 1);
@@ -1331,10 +1234,7 @@ mod tests {
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
         let recovered = store.rows(key(1)).unwrap();
         assert_eq!(recovered.len(), 20_000);
-        assert!(recovered
-            .iter()
-            .zip(&rows)
-            .all(|(&(r, a, ts), &want)| (r, a) == want && ts == 42));
+        assert_eq!(recovered, rows);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1346,8 +1246,7 @@ mod tests {
         let dir = tmpdir("legacy");
         fs::create_dir_all(&dir).unwrap();
         let mut snapshot = file_header().to_vec();
-        let old: Vec<(u32, bool, u64)> =
-            (0..6_000).map(|r| (r, r % 2 == 0, 50 + r as u64)).collect();
+        let old: Vec<(u32, bool)> = (0..6_000).map(|r| (r, r % 2 == 0)).collect();
         encode_frame(
             &Record::RowBatch {
                 key: key(1),
@@ -1368,7 +1267,6 @@ mod tests {
                 key: key(1),
                 row,
                 answer: true,
-                ts_nanos: 9_000,
             };
             encode_frame(&record, &mut wal);
         }
@@ -1378,11 +1276,9 @@ mod tests {
         assert_eq!(store.stats().recovered_rows, 6_010);
         let rows = store.rows(key(1)).unwrap();
         assert_eq!(rows.len(), 6_010);
-        for (&(row, answer, ts), want) in rows.iter().zip(0u32..) {
+        for (&(row, answer), want) in rows.iter().zip(0u32..) {
             assert_eq!(row, want);
             assert_eq!(answer, row >= 6_000 || row % 2 == 0);
-            // Each page reads as old as its oldest row.
-            assert_eq!(ts, if row < 4_096 { 50 } else { 50 + 4_096 });
         }
         // And the next compaction rewrites it as page images, and only
         // those: the selectivity record is dropped.
@@ -1421,7 +1317,7 @@ mod tests {
         store.append_row(key(1), 5, true, 100);
         store.append_row(key(1), 5, true, 999);
         assert_eq!(store.stats().appended, 1, "re-offer is a no-op");
-        assert_eq!(store.rows(key(1)).unwrap(), vec![(5, true, 100)]);
+        assert_eq!(store.rows(key(1)).unwrap(), vec![(5, true)]);
         drop(store);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1434,19 +1330,14 @@ mod tests {
         let dir = tmpdir("tombstone");
         fs::create_dir_all(&dir).unwrap();
         let mut wal = file_header().to_vec();
-        let row = |key, row, answer, ts_nanos| Record::Row {
-            key,
-            row,
-            answer,
-            ts_nanos,
-        };
-        encode_frame(&row(key(1), 0, true, 1), &mut wal);
+        let row = |key, row, answer| Record::Row { key, row, answer };
+        encode_frame(&row(key(1), 0, true), &mut wal);
         encode_frame(&Record::TombstoneAll, &mut wal);
-        encode_frame(&row(key(2), 3, false, 2), &mut wal);
+        encode_frame(&row(key(2), 3, false), &mut wal);
         fs::write(wal_path(&dir, 0), &wal).unwrap();
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
         assert_eq!(store.rows(key(1)), None, "cleared namespace resurrected");
-        assert_eq!(store.rows(key(2)).unwrap(), vec![(3, false, 2)]);
+        assert_eq!(store.rows(key(2)).unwrap(), vec![(3, false)]);
         // Both rows were read back; the frame then dropped the first.
         let stats = store.stats();
         assert_eq!((stats.recovered_rows, stats.tail_bytes_discarded), (2, 0));
@@ -1473,7 +1364,7 @@ mod tests {
         }
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
         assert_eq!(store.rows(key(1)).unwrap().len(), 500);
-        assert_eq!(store.rows(key(2)).unwrap(), vec![(1, true, 7)]);
+        assert_eq!(store.rows(key(2)).unwrap(), vec![(1, true)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1593,7 +1484,7 @@ mod tests {
         store.sync().unwrap();
         drop(store);
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
-        assert_eq!(store.rows(key(1)).unwrap(), vec![(1, true, 1)]);
+        assert_eq!(store.rows(key(1)).unwrap(), vec![(1, true)]);
         let _ = fs::remove_dir_all(&dir);
     }
 

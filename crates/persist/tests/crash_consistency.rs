@@ -9,7 +9,7 @@
 //! frame and what follows it, never what precedes it: the rows that come
 //! back are always a prefix of the write order.
 
-use expred_persist::{PagePlanes, PersistConfig, PersistKey, PersistStore, PAGE_ROWS};
+use expred_persist::{PagePlanes, PersistConfig, PersistKey, PersistStore};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -60,10 +60,10 @@ fn row_id(i: u32) -> u32 {
     i * 1_500
 }
 
-/// The deterministic answer/timestamp written for the `i`-th row, so
-/// recovery can be audited without keeping a side copy of the data.
-fn expected(i: u32) -> (bool, u64) {
-    (i.is_multiple_of(3), 1_000 + i as u64)
+/// The deterministic answer written for the `i`-th row, so recovery can
+/// be audited without keeping a side copy of the data.
+fn expected(i: u32) -> bool {
+    i.is_multiple_of(3)
 }
 
 /// Writes `rows` row-answers under `layout` (auto-compaction off) and
@@ -71,19 +71,16 @@ fn expected(i: u32) -> (bool, u64) {
 fn write_store(dir: &Path, rows: u32, layout: Layout) -> PathBuf {
     let store =
         PersistStore::open(PersistConfig::new(dir).with_compact_after(0)).expect("open store");
-    let written: Vec<(u32, bool, u64)> = (0..rows)
-        .map(|i| (row_id(i), expected(i).0, expected(i).1))
-        .collect();
+    let written: Vec<(u32, bool)> = (0..rows).map(|i| (row_id(i), expected(i))).collect();
     match layout {
         Layout::Rows | Layout::Snapshot => {
-            for &(row, answer, ts) in &written {
-                store.append_row(KEY, row, answer, ts);
+            for &(row, answer) in &written {
+                store.append_row(KEY, row, answer, 0);
             }
         }
         Layout::Batches(size) => {
             for batch in written.chunks(size) {
-                let pairs = pages(batch.iter().map(|&(r, a, _)| (r, a)));
-                store.append_pages(KEY, &pairs, batch[0].2);
+                store.append_pages(KEY, &pages(batch.iter().copied()));
             }
         }
     }
@@ -116,46 +113,27 @@ fn write_store(dir: &Path, rows: u32, layout: Layout) -> PathBuf {
     file
 }
 
-/// The timestamp the `i`-th row was written with under `layout` (a batch
-/// shares its first row's).
-fn written_ts(i: u32, layout: Layout) -> u64 {
-    match layout {
-        Layout::Batches(size) => expected(i - i % size as u32).1,
-        _ => expected(i).1,
-    }
-}
-
 /// Reopens the store and checks the recovery contract: no panic; the
 /// rows that came back are the first `n` written, for some `n` — damage
-/// costs a frame and what follows, never what precedes; each carries its
-/// answer; and each reads as old as the oldest write of its page, never
-/// younger than its own. Returns `n`.
-fn check_recovery(dir: &Path, rows: u32, layout: Layout) -> u32 {
+/// costs a frame and what follows, never what precedes; and each carries
+/// its answer. Returns `n`.
+fn check_recovery(dir: &Path, rows: u32) -> u32 {
     let store = PersistStore::open(PersistConfig::new(dir)).expect("recovery must not fail");
     let recovered = store.rows(KEY).unwrap_or_default();
     let n = recovered.len() as u32;
     assert!(n <= rows, "recovery invented records");
-    for (i, &(row, answer, ts)) in (0..).zip(&recovered) {
+    for (i, &(row, answer)) in (0..).zip(&recovered) {
         assert_eq!(row, row_id(i), "not a prefix of the write order");
-        assert_eq!(answer, expected(i).0, "row {row}: recovered a wrong answer");
-        let page = row as usize / PAGE_ROWS;
-        let page_oldest = (0..n)
-            .filter(|&j| row_id(j) as usize / PAGE_ROWS == page)
-            .map(|j| written_ts(j, layout))
-            .min();
-        assert_eq!(Some(ts), page_oldest, "row {row}: not its page's stamp");
-        assert!(ts <= written_ts(i, layout), "row {row} reads younger");
+        assert_eq!(answer, expected(i), "row {row}: recovered a wrong answer");
     }
     // A reopened store must also be writable: damage to the old tail
     // cannot poison new appends.
     let beyond = row_id(rows) + 7;
-    store.append_pages(KEY, &pages([(beyond, true), (beyond + 1, false)]), 9_999);
+    store.append_pages(KEY, &pages([(beyond, true), (beyond + 1, false)]));
     store.sync().expect("post-recovery writes flush");
     let after = store.rows(KEY).expect("namespace lives");
     assert_eq!(after.len() as u32, n + 2);
-    assert!(after
-        .iter()
-        .any(|&(row, answer, _)| (row, answer) == (beyond, true)));
+    assert!(after.contains(&(beyond, true)));
     n
 }
 
@@ -180,7 +158,7 @@ proptest::proptest! {
         let bytes = std::fs::read(&file).expect("read file");
         std::fs::write(&file, &bytes[..cut as usize]).expect("truncate file");
 
-        let recovered = check_recovery(&dir, rows, layout);
+        let recovered = check_recovery(&dir, rows);
         if cut == len {
             assert_eq!(recovered, rows, "an untouched file recovers fully");
         }
@@ -206,7 +184,7 @@ proptest::proptest! {
         bytes[at] ^= xor;
         std::fs::write(&file, &bytes).expect("write damaged file");
 
-        check_recovery(&dir, rows, layout);
+        check_recovery(&dir, rows);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -225,7 +203,7 @@ proptest::proptest! {
         bytes.extend_from_slice(&garbage);
         std::fs::write(&file, &bytes).expect("write extended file");
 
-        let recovered = check_recovery(&dir, rows, layout);
+        let recovered = check_recovery(&dir, rows);
         assert_eq!(
             recovered, rows,
             "a torn tail must not cost any completed record"
@@ -279,7 +257,7 @@ fn appends_racing_compactions_all_survive_the_reopen() {
                             (batch * BATCH..(batch + 1) * BATCH)
                                 .map(|row| (row, row.is_multiple_of(3))),
                         );
-                        store.append_pages(key(writer), &rows, 1 + u64::from(batch));
+                        store.append_pages(key(writer), &rows);
                     }
                 });
             }
@@ -295,7 +273,7 @@ fn appends_racing_compactions_all_survive_the_reopen() {
     for writer in 0..WRITERS {
         let rows = store.rows(key(writer)).expect("the namespace survived");
         assert_eq!(rows.len() as u32, BATCHES * BATCH, "writer {writer}");
-        for (&(row, answer, _), want) in rows.iter().zip(0u32..) {
+        for (&(row, answer), want) in rows.iter().zip(0u32..) {
             assert_eq!((row, answer), (want, want.is_multiple_of(3)));
         }
     }

@@ -4,8 +4,10 @@
 //! the durable seam moved to pages, and is committed as bytes: a
 //! snapshot of two namespaces' page images plus a selectivity record,
 //! and a WAL holding one single-row append and one batch append that
-//! spans a page edge. Unlike tests that encode their own files, an
-//! encoder and a decoder that drift together cannot pass this one.
+//! spans a page edge. Its frames carry the write times that build
+//! stamped, which today's decoder reads past. Unlike tests that encode
+//! their own files, an encoder and a decoder that drift together cannot
+//! pass this one.
 
 use expred_persist::format::{check_header, replay_frames, HEADER_LEN};
 use expred_persist::{PersistConfig, PersistKey, PersistStore, Record};
@@ -51,50 +53,44 @@ fn records_at(path: &Path) -> Vec<Record> {
     records
 }
 
-/// `K1`'s rows, each stamped with its page's oldest write.
-const K1_ROWS: [(u32, bool, u64); 13] = [
-    (0, true, 500),
-    (1, false, 500),
-    (2, false, 500),
-    (63, true, 500),
-    (64, false, 500),
-    (100, false, 500),
-    (101, false, 500),
-    (102, true, 500),
-    (4_095, true, 500),
-    (4_096, false, 500),
-    (5_000, false, 500),
-    (8_191, true, 500),
-    (9_000, true, 1_000),
+/// `K1`'s rows.
+const K1_ROWS: [(u32, bool); 13] = [
+    (0, true),
+    (1, false),
+    (2, false),
+    (63, true),
+    (64, false),
+    (100, false),
+    (101, false),
+    (102, true),
+    (4_095, true),
+    (4_096, false),
+    (5_000, false),
+    (8_191, true),
+    (9_000, true),
 ];
 
-/// `K2`'s rows: the single-row append and the batch, page 0 as old as
-/// the single row.
-const K2_ROWS: [(u32, bool, u64); 6] = [
-    (7, false, 2_000),
-    (4_094, true, 2_000),
-    (4_095, false, 2_000),
-    (4_096, true, 3_000),
-    (4_097, false, 3_000),
-    (4_098, true, 3_000),
+/// `K2`'s rows: the single-row append and the batch.
+const K2_ROWS: [(u32, bool); 6] = [
+    (7, false),
+    (4_094, true),
+    (4_095, false),
+    (4_096, true),
+    (4_097, false),
+    (4_098, true),
 ];
 
 #[test]
 fn the_fixture_holds_the_frames_it_claims() {
     let snapshot = records("snapshot-000001");
-    let images: Vec<(PersistKey, u32, u64)> = snapshot
+    let images: Vec<(PersistKey, u32)> = snapshot
         .iter()
         .filter_map(|record| match record {
-            Record::PageImage {
-                key,
-                page,
-                oldest_ts,
-                ..
-            } => Some((*key, *page, *oldest_ts)),
+            Record::PageImage { key, page, .. } => Some((*key, *page)),
             _ => None,
         })
         .collect();
-    assert_eq!(images, [(K1, 0, 500), (K1, 1, 500), (K1, 2, 1_000)]);
+    assert_eq!(images, [(K1, 0), (K1, 1), (K1, 2)]);
     assert_eq!(
         snapshot.last(),
         Some(&Record::Selectivity {
@@ -120,9 +116,9 @@ fn a_directory_the_parent_release_wrote_opens_with_the_pinned_rows() {
     let check = |store: &PersistStore, stage: &str| {
         assert_eq!(store.rows(K1).as_deref(), Some(&K1_ROWS[..]), "{stage}");
         assert_eq!(store.rows(K2).as_deref(), Some(&K2_ROWS[..]), "{stage}");
-        let (pages, oldest) = store.pages(K2).expect("K2 persisted");
+        let pages = store.pages(K2).expect("K2 persisted");
         let pages: Vec<(usize, usize)> = pages.iter().map(|p| (p.0, p.1.len())).collect();
-        assert_eq!((pages, oldest), (vec![(0, 3), (1, 3)], 2_000), "{stage}");
+        assert_eq!(pages, vec![(0, 3), (1, 3)], "{stage}");
         assert_eq!(store.len(), 19, "{stage}");
     };
     let store = PersistStore::open(PersistConfig::new(&dir)).expect("open the fixture");

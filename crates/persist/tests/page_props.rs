@@ -2,21 +2,20 @@
 //! `append_pages` and `append_row` over rows on every word and page edge
 //! (and the last page of the `u32` row space), repeats within and across
 //! batches, with `compact` and reopen at arbitrary points, must leave
-//! exactly a first-write-wins map of row → (answer, oldest write that
-//! landed a row on its page) — live, after every reopen, and at the end —
-//! while `appended` and `flushed` count its distinct rows.
+//! exactly a first-write-wins map of row → answer — live, after every
+//! reopen, and at the end — while `appended` and `flushed` count its
+//! distinct rows.
 //!
 //! The WAL's page-image frames are held to the row-batch frames the
 //! previous writer produced for the same stage batches: replaying either
-//! rebuilds the same index — rows, answers, each page's oldest stamp —
-//! and recovers as many rows as the store appended and flushed.
+//! rebuilds the same index — rows and answers — and recovers as many
+//! rows as the store appended and flushed.
 
 use expred_persist::format::{encode_frame, file_header};
 use expred_persist::{PersistConfig, PersistKey, PersistStore, Record, PAGE_ROWS};
 use expred_stats::bits::{pages_of, rows_of};
 use proptest::prelude::*;
-use std::collections::btree_map::{BTreeMap, Entry};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const KEY: PersistKey = PersistKey {
@@ -42,35 +41,28 @@ const ROWS: [u32; 13] = [
     u32::MAX,
 ];
 
-/// One step: an operation code, the rows it offers (selectors into
-/// [`ROWS`] with answers), and its write time.
-type Op = (u8, Vec<(usize, bool)>, u64);
+/// One step: an operation code and the rows it offers (selectors into
+/// [`ROWS`] with answers).
+type Op = (u8, Vec<(usize, bool)>);
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     let rows = prop::collection::vec((0usize..ROWS.len(), any::<bool>()), 0..12);
-    prop::collection::vec((0u8..10, rows, 0u64..1_000), 1..40)
+    prop::collection::vec((0u8..10, rows), 1..40)
 }
 
-/// The reference: answers and per-page oldest stamps.
+/// The reference: the first answer written per row.
 #[derive(Debug, Default)]
 struct Model {
     answers: BTreeMap<u32, bool>,
-    stamps: BTreeMap<u32, u64>,
 }
 
 impl Model {
-    fn write(&mut self, row: u32, answer: bool, ts: u64) {
-        if let Entry::Vacant(slot) = self.answers.entry(row) {
-            slot.insert(answer);
-            let stamp = self.stamps.entry(row / PAGE_ROWS as u32).or_insert(ts);
-            *stamp = (*stamp).min(ts);
-        }
+    fn write(&mut self, row: u32, answer: bool) {
+        self.answers.entry(row).or_insert(answer);
     }
 
-    fn rows(&self) -> Option<Vec<(u32, bool, u64)>> {
-        let rows = self.answers.iter();
-        let rows =
-            rows.map(|(&row, &answer)| (row, answer, self.stamps[&(row / PAGE_ROWS as u32)]));
+    fn rows(&self) -> Option<Vec<(u32, bool)>> {
+        let rows = self.answers.iter().map(|(&row, &answer)| (row, answer));
         Some(rows.collect::<Vec<_>>()).filter(|rows| !rows.is_empty())
     }
 }
@@ -92,20 +84,19 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 
 /// The WAL frames the row-batch writer appended for one stage batch:
 /// the rows new to `seen`, one `Row` record if there is just one, else
-/// one `RowBatch` frame per page, every row stamped `ts`.
-fn row_batch_frames(seen: &mut BTreeSet<u32>, batch: &[(u32, bool)], ts: u64) -> Vec<Record> {
+/// one `RowBatch` frame per page.
+fn row_batch_frames(seen: &mut BTreeSet<u32>, batch: &[(u32, bool)]) -> Vec<Record> {
     let pages = pages_of(batch.iter().map(|&(row, answer)| (row as usize, answer)));
-    let fresh: Vec<(u32, bool, u64)> = rows_of(&pages)
+    let fresh: Vec<(u32, bool)> = rows_of(&pages)
         .filter(|&(row, _)| seen.insert(row as u32))
-        .map(|(row, answer)| (row as u32, answer, ts))
+        .map(|(row, answer)| (row as u32, answer))
         .collect();
     match fresh[..] {
         [] => Vec::new(),
-        [(row, answer, ts_nanos)] => vec![Record::Row {
+        [(row, answer)] => vec![Record::Row {
             key: KEY,
             row,
             answer,
-            ts_nanos,
         }],
         _ => fresh
             .chunk_by(|a, b| a.0 as usize / PAGE_ROWS == b.0 as usize / PAGE_ROWS)
@@ -126,20 +117,20 @@ proptest! {
         let mut model = Model::default();
         let (mut appended, mut flushed) = (0, 0);
         let mut store = open(&dir);
-        for (op, rows, ts) in ops {
+        for (op, rows) in ops {
             let rows: Vec<(u32, bool)> = rows.iter().map(|&(at, answer)| (ROWS[at], answer)).collect();
             match op {
                 0..=4 => {
                     let pages = pages_of(rows.iter().map(|&(row, answer)| (row as usize, answer)));
-                    store.append_pages(KEY, &pages, ts);
+                    store.append_pages(KEY, &pages);
                     for &(row, answer) in &rows {
-                        model.write(row, answer, ts);
+                        model.write(row, answer);
                     }
                 }
                 5..=6 => {
                     for &(row, answer) in &rows {
-                        store.append_row(KEY, row, answer, ts);
-                        model.write(row, answer, ts);
+                        store.append_row(KEY, row, answer, 0);
+                        model.write(row, answer);
                     }
                 }
                 7 => store.compact().expect("compact"),
@@ -168,7 +159,7 @@ proptest! {
         // Stage batches over every edge: repeats within and across
         // batches, lone rows, several pages at once.
         batches in prop::collection::vec(
-            (prop::collection::vec((0usize..ROWS.len() + 60, any::<bool>()), 0..40), 0u64..1_000),
+            prop::collection::vec((0usize..ROWS.len() + 60, any::<bool>()), 0..40),
             1..12,
         ),
     ) {
@@ -178,16 +169,16 @@ proptest! {
                 .copied()
                 .unwrap_or_else(|| 4_096 - 30 + (at - ROWS.len()) as u32)
         };
-        let batches: Vec<(Vec<(u32, bool)>, u64)> = batches
+        let batches: Vec<Vec<(u32, bool)>> = batches
             .iter()
-            .map(|(rows, ts)| (rows.iter().map(|&(at, answer)| (row(at), answer)).collect(), *ts))
+            .map(|rows| rows.iter().map(|&(at, answer)| (row(at), answer)).collect())
             .collect();
         // Through the page-image writer.
         let images = scratch_dir("images");
         let store = open(&images);
-        for (rows, ts) in &batches {
+        for rows in &batches {
             let pages = pages_of(rows.iter().map(|&(row, answer)| (row as usize, answer)));
-            store.append_pages(KEY, &pages, *ts);
+            store.append_pages(KEY, &pages);
         }
         store.sync().expect("sync");
         let (live, stats) = (store.rows(KEY), store.stats());
@@ -199,8 +190,8 @@ proptest! {
         let mut wal = file_header().to_vec();
         let mut seen = BTreeSet::new();
         let mut weight = 0;
-        for (rows, ts) in &batches {
-            for frame in row_batch_frames(&mut seen, rows, *ts) {
+        for rows in &batches {
+            for frame in row_batch_frames(&mut seen, rows) {
                 weight += match &frame {
                     Record::RowBatch { rows, .. } => rows.len(),
                     _ => 1,

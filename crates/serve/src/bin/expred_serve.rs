@@ -4,7 +4,6 @@
 //! expred-serve [--addr HOST:PORT] [--max-in-flight N] [--max-connections N]
 //!              [--max-tenants N] [--max-rows N] [--pool]
 //!              [--udf-latency-us MICROS] [--data-dir PATH]
-//!              [--cache-ttl-secs SECS]
 //! ```
 //!
 //! With `--data-dir`, every tenant's engine persists its paid-for answers
@@ -22,8 +21,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: expred-serve [--addr HOST:PORT] [--max-in-flight N] [--max-connections N]\n\
          \x20                   [--max-tenants N] [--max-rows N] [--pool]\n\
-         \x20                   [--udf-latency-us MICROS] [--data-dir PATH]\n\
-         \x20                   [--cache-ttl-secs SECS]"
+         \x20                   [--udf-latency-us MICROS] [--data-dir PATH]"
     );
     std::process::exit(2);
 }
@@ -135,9 +133,6 @@ fn main() {
                     &arg,
                     args.next(),
                 )))
-            }
-            "--cache-ttl-secs" => {
-                config.cache_ttl = Some(Duration::from_secs(parse_value(&arg, args.next())))
             }
             "--help" | "-h" => usage(),
             other => {

@@ -71,9 +71,6 @@ pub struct ServeConfig {
     /// warm restart re-serves previously-paid answers at zero `o_e`.
     /// `None` (the default) serves fully in-memory.
     pub data_dir: Option<std::path::PathBuf>,
-    /// Row-tier answer TTL for tenant engines; with `data_dir` set, the
-    /// age survives restarts. `None` disables expiry.
-    pub cache_ttl: Option<Duration>,
 }
 
 impl Default for ServeConfig {
@@ -89,7 +86,6 @@ impl Default for ServeConfig {
             pooled: false,
             udf_latency: Duration::ZERO,
             data_dir: None,
-            cache_ttl: None,
         }
     }
 }
@@ -153,7 +149,7 @@ pub fn serve(addr: impl ToSocketAddrs, config: ServeConfig) -> std::io::Result<S
                 pooled: config.pooled,
                 udf_latency: config.udf_latency,
                 data_dir: config.data_dir.clone(),
-                cache_ttl: config.cache_ttl,
+                ..EngineConfig::default()
             },
         ),
         metrics: ServeMetrics::new(),

@@ -64,9 +64,11 @@ pub struct EngineConfig {
     /// server re-serves every answer its tenants already paid for.
     /// `None` keeps engines fully in-memory.
     pub data_dir: Option<PathBuf>,
-    /// Row-tier answer TTL ([`QueryEngine::with_cache_ttl`]); with
-    /// persistence, the age carries across restarts.
-    pub cache_ttl: Option<Duration>,
+    /// Always `None`, and no other value can be built: answers leave the
+    /// row tier only with their table. The field stays only because the
+    /// benchmark harness (`benchmark/src/workload.rs`) names it
+    /// (ROADMAP direction 4 removes it).
+    pub cache_ttl: Option<std::convert::Infallible>,
 }
 
 impl Default for EngineConfig {
@@ -108,11 +110,7 @@ impl EngineConfig {
             Some(pool) => QueryEngine::with_executor(Box::new(Arc::clone(pool))),
             None => QueryEngine::new(),
         };
-        let engine = engine.with_udf_latency(self.udf_latency);
-        match self.cache_ttl {
-            Some(ttl) => engine.with_cache_ttl(ttl),
-            None => engine,
-        }
+        engine.with_udf_latency(self.udf_latency)
     }
 
     fn build(&self, tenant: &str, pool: Option<&Arc<WorkerPool>>) -> QueryEngine {

@@ -8,7 +8,7 @@
 
 use expred_serve::HttpClient;
 use expred_stats::json::JsonValue;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -50,6 +50,37 @@ fn boot(data_dir: &Path) -> (Child, SocketAddr) {
         }
     });
     (child, addr)
+}
+
+/// A flag the binary no longer has stops it at startup instead of being
+/// ignored: `--cache-ttl-secs` once set a row-tier TTL, and an operator
+/// still passing it must learn that answers now leave only with their
+/// table.
+#[test]
+fn a_removed_flag_is_refused_not_ignored() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_expred-serve"))
+        .args(["--addr", "127.0.0.1:0", "--cache-ttl-secs", "60"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn expred-serve");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll server exit") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("the server booted with --cache-ttl-secs");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    let mut pipe = child.stderr.take().expect("stderr is piped");
+    pipe.read_to_string(&mut stderr).expect("read stderr");
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --cache-ttl-secs"), "{stderr}");
 }
 
 /// SIGTERM (not `Child::kill`, which is SIGKILL) so the drain path runs,

@@ -8,9 +8,6 @@
 //!   first evaluated it, and never again.
 //! * A rehydrated row tier feeds the result memo the same identities as
 //!   fresh evaluation, so repeats after a restart still memo-hit.
-//! * Persisted write timestamps make the cache TTL survive restarts:
-//!   a reboot past the TTL refuses the stale answers a generous TTL
-//!   happily loads.
 //! * The pass rates the expression optimizer orders siblings by come
 //!   back with the rehydrated answers, so a reopened engine keeps the
 //!   order its first life learned.
@@ -23,7 +20,6 @@ use expred::table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
 use expred::udf::{optimize_expr, ConjunctionUdf, CostModel, NoisyUdf, OracleUdf, Pred};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// A fresh scratch directory per call — process id plus a counter, so
 /// parallel tests and repeated proptest cases never collide.
@@ -259,52 +255,6 @@ fn rehydrated_rows_feed_the_result_memo_the_same_identity_as_fresh() {
     );
     assert_eq!(second.returned, first.returned);
     assert_eq!(second.counts, first.counts);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cache_ttl_survives_the_restart_via_persisted_timestamps() {
-    let dir = unique_dir("ttl");
-    let ds = prosper(400, 5);
-    let q = QueryRequest::naive(QuerySpec::paper_default());
-
-    let a = persistent(&dir);
-    let cold = a.submit(&ds, &q.clone().with_seed(1)).unwrap();
-    assert!(cold.counts.evaluated > 0);
-    a.flush_persistence().expect("flush");
-    drop(a);
-
-    // Let the persisted answers age past the strict TTL below.
-    std::thread::sleep(Duration::from_millis(80));
-
-    // A reboot with a 50 ms TTL must refuse the now-stale answers: the
-    // write timestamps persisted with each row survive the restart, so
-    // age is measured from the original evaluation, not the reboot.
-    let strict = QueryEngine::new()
-        .with_result_capacity(0)
-        .with_cache_ttl(Duration::from_millis(50))
-        .with_persistence(PersistConfig::new(&dir))
-        .expect("open persistence");
-    let stale = strict.submit(&ds, &q.clone().with_seed(1)).unwrap();
-    assert_eq!(
-        strict.persist_stats().expect("stats").rehydrated_rows,
-        0,
-        "answers older than the TTL must not be rehydrated"
-    );
-    assert_eq!(stale.counts.reuse_hits, 0, "expired answers served");
-    assert_eq!(stale.counts.evaluated, cold.counts.evaluated);
-    drop(strict);
-
-    // The same directory under a generous TTL is a normal warm restart.
-    let generous = QueryEngine::new()
-        .with_result_capacity(0)
-        .with_cache_ttl(Duration::from_secs(3_600))
-        .with_persistence(PersistConfig::new(&dir))
-        .expect("open persistence");
-    let warm = generous.submit(&ds, &q.clone().with_seed(1)).unwrap();
-    assert_eq!(warm.counts.evaluated, 0, "within-TTL answers are free");
-    assert_eq!(warm.counts.reuse_hits, cold.counts.evaluated);
-    assert_eq!(warm.returned, cold.returned);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
