@@ -61,17 +61,6 @@ pub enum EngineError {
         /// What is wrong with the request.
         reason: String,
     },
-    /// A remote UDF backend the query depends on is unreachable: its
-    /// circuit breaker is open or every retry of a probe exhausted its
-    /// deadline, and no local fallback evaluator was configured. Unlike
-    /// the 4xx variants this is not the caller's fault — the serving
-    /// tier maps it to a retryable `503 Service Unavailable`.
-    Unavailable {
-        /// The backend that failed (e.g. the remote endpoint address).
-        endpoint: String,
-        /// Why it is unavailable (breaker open, deadline exhausted, …).
-        reason: String,
-    },
 }
 
 impl EngineError {
@@ -135,11 +124,6 @@ impl fmt::Display for EngineError {
                 write!(f, "bad predicate expression: {reason}")
             }
             EngineError::InvalidRequest { reason } => write!(f, "invalid request: {reason}"),
-            EngineError::Unavailable { endpoint, reason } => write!(
-                f,
-                "remote UDF backend {endpoint} is unavailable: {reason} \
-                 (retry later or configure a local fallback evaluator)"
-            ),
         }
     }
 }
@@ -183,18 +167,6 @@ mod tests {
         }
         .to_string()
         .contains("infeasible"));
-    }
-
-    #[test]
-    fn unavailable_names_the_endpoint_and_is_retry_worded() {
-        let e = EngineError::Unavailable {
-            endpoint: "127.0.0.1:9099".into(),
-            reason: "circuit breaker open after 5 consecutive failures".into(),
-        };
-        let text = e.to_string();
-        assert!(text.contains("127.0.0.1:9099"), "{text}");
-        assert!(text.contains("circuit breaker open"), "{text}");
-        assert!(text.contains("retry"), "{text}");
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Fingerprint {
         h.finish()
     }
 
-    /// The raw stream.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
     /// Consumes the recorder into its stream.
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes
@@ -582,11 +577,6 @@ impl ExprScan {
     /// A full-table scan of `expr` billed under `cost`.
     pub fn new(expr: PredicateExpr, cost: CostModel) -> Self {
         Self { expr, cost }
-    }
-
-    /// The expression this scan evaluates.
-    pub fn expr(&self) -> &PredicateExpr {
-        &self.expr
     }
 }
 

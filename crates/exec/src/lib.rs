@@ -13,9 +13,9 @@
 //! * [`pool`] — the [`WorkerPool`] backend: persistent work-stealing
 //!   workers with an atomic chunk cursor (no per-batch thread spawns, no
 //!   straggler-bound chunking), a latency-aware inline fast path, and a
-//!   width learned from the probes — blocking-RPC probes (remote UDF
-//!   backends) overlap by connection-pool math, CPU-bound ones by core
-//!   count, with no setting to say which;
+//!   width learned from the probes — probes that wait (a sleeping or
+//!   blocking-RPC UDF) overlap past the core count, CPU-bound ones stop
+//!   at it, with no setting to say which;
 //! * [`cache`] — [`RowBits`], the dense lock-free `row -> bool` bitmap
 //!   each page of the session store keeps its answers in;
 //! * [`store`] — [`CacheStore`], the long-lived, `(udf, table)`-namespaced

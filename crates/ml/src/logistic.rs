@@ -45,11 +45,6 @@ impl LogisticModel {
         &self.weights
     }
 
-    /// Trained intercept.
-    pub fn bias(&self) -> f64 {
-        self.bias
-    }
-
     /// Predicted probability for one feature vector.
     pub fn predict(&self, x: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), self.weights.len());

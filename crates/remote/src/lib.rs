@@ -1,46 +1,30 @@
-//! Fault-tolerant remote UDF backend.
+//! Remote UDF wire: the predicate's expensive call as a TCP round trip.
 //!
-//! The paper's expensive predicates are, in production, rarely local
-//! function calls: they are crowdsourcing tasks, model-serving
-//! endpoints, entity-resolution services — things on the other side of
-//! a network that stalls, drops, corrupts, and dies. This crate makes
-//! the engine's UDF abstraction survive that, without changing what
-//! the engine sees: a [`RemoteUdf`] is just a `BooleanUdf`, and the
-//! proof obligation (enforced by the `tests/faults.rs` suite) is that
-//! under *every* injected fault schedule it returns byte-identical
-//! answers to a local oracle and bills the paper-model `o_e` exactly
-//! once per row — retries and hedges are a wire-level ledger, never a
-//! second bill.
+//! The paper bills `o_e` once per evaluation and treats the predicate
+//! as a black box, so how the call travels is not part of the
+//! algorithm. This crate keeps just enough wire for the benchmark's two
+//! `remote.*` probes to time it: a healthy server, one client and one
+//! [`RemoteUdf`]. No request, example or experiment reaches it. It is
+//! deleted once the benchmark stops probing it.
 //!
 //! Layout:
 //!
-//! * [`proto`] — the length-prefixed TCP wire protocol (requests carry
-//!   a client-chosen id echoed back, enabling pipelined out-of-order
-//!   responses and hedge cancellation-by-deregistration);
-//! * [`server`] — the bundled std-only oracle server (also built as
-//!   the `expred-udf-server` binary) with a per-connection,
-//!   deterministically seeded fault-injection layer;
-//! * [`fault`] — the [`FaultPlan`] / [`FaultInjector`] knobs: fixed and
-//!   ramped latency, jittered tails, probabilistic drops, wrong-length
-//!   frames, mid-response disconnects, full blackouts;
-//! * [`client`] — [`RemoteClient`]: connection pool, per-probe
-//!   deadlines, bounded exponential-backoff retries, hedged requests
-//!   after a p99-derived delay, and a per-endpoint circuit breaker;
-//! * [`breaker`] — the closed → open → half-open state machine;
-//! * [`udf`] — [`RemoteUdf`], the `BooleanUdf` adapter with an
-//!   optional local fallback evaluator and a typed-error batch surface
-//!   (`try_evaluate_batch`) that degrades to
-//!   `EngineError::Unavailable` → HTTP 503 in the serving tier.
+//! * [`proto`] — the length-prefixed wire protocol (requests carry a
+//!   client-chosen id that the response echoes);
+//! * [`server`] — [`UdfServer`], which answers named oracles over that
+//!   protocol, each connection's requests in order;
+//! * [`client`] — [`RemoteClient`]: one lazily dialed connection that
+//!   pipelines a batch of probes and reads the answers in send order.
+//!   A failure drops the connection and the next call redials; nothing
+//!   is retried;
+//! * [`udf`] — [`RemoteUdf`], the `BooleanUdf` adapter, with a
+//!   typed-error batch surface (`try_evaluate_batch`).
 
-pub mod breaker;
 pub mod client;
-pub mod fault;
 pub mod proto;
 pub mod server;
 pub mod udf;
 
-pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
-pub use client::{ClientConfig, HedgeConfig, RemoteClient, RemoteError, RemoteStatsSnapshot};
-pub use fault::{FaultDecision, FaultInjector, FaultPlan, ResponseFate};
-pub use server::{OracleMap, UdfServer};
+pub use client::{ClientConfig, RemoteClient, RemoteError};
+pub use server::{FaultPlan, OracleMap, UdfServer};
 pub use udf::RemoteUdf;

@@ -12,21 +12,18 @@
 //! ```
 //!
 //! `len` counts the bytes *after* the prefix. `request_id` is chosen by
-//! the client and echoed verbatim, which is what lets one connection
-//! carry many interleaved in-flight probes (responses may arrive in any
-//! order) and lets the client discard a hedged loser by simply not
-//! recognizing its id anymore.
+//! the client and echoed verbatim, which is how a client with many
+//! pipelined probes on one connection checks that each answer is the
+//! one it expects.
 //!
 //! The decoder is paranoid by design: a length prefix over
 //! [`MAX_FRAME_BYTES`], a truncated body, or an undecodable payload is a
-//! [`ProtoError::Malformed`], never a panic or an unbounded allocation —
-//! the fault-injection harness deliberately sends wrong-length frames to
-//! prove the client survives them.
+//! [`ProtoError::Malformed`], never a panic or an unbounded allocation.
 
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame body. Real frames are tens of bytes; anything
-/// claiming more is corruption (or injected corruption) by definition.
+/// claiming more is corruption by definition.
 pub const MAX_FRAME_BYTES: usize = 4096;
 
 /// Request opcode: evaluate a named oracle on one row.

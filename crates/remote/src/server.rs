@@ -1,88 +1,71 @@
-//! The bundled UDF oracle server.
+//! The UDF oracle server.
 //!
 //! A std-only TCP server that evaluates *named oracles* — precomputed
 //! boolean label vectors registered under a string name — over the
-//! length-prefixed protocol in [`crate::proto`]. It exists for two jobs:
+//! length-prefixed protocol in [`crate::proto`]. Each accepted
+//! connection gets a worker thread that answers its requests in the
+//! order they arrive. A worker writes its answers through a buffer and
+//! flushes only when no request is waiting, so the answers to a
+//! pipelined batch leave together.
 //!
-//! 1. as the in-process test double the fault-injection suite and the
-//!    serving tier's integration tests spin up on a loopback port, and
-//! 2. as a standalone binary (`expred-udf-server`) so the remote client
-//!    can be exercised against a genuinely separate process.
-//!
-//! Each accepted connection gets its own worker thread and its own
-//! deterministic [`FaultInjector`](crate::fault::FaultInjector)
-//! derived from the server's current
-//! [`FaultPlan`] and the connection's accept index. The plan is
-//! hot-swappable ([`UdfServer::set_plan`]) so a test can let a client
-//! warm up healthy, then black-hole the endpoint mid-flight — live
-//! connections notice the swap on their next request (their fault
-//! stream restarts under the new plan's seed).
-//!
-//! Shutdown mirrors the serving tier's idiom: flip an atomic flag, then
-//! wake the blocking `accept` with a loopback connect. Connection
-//! workers poll the flag on a short read-timeout quantum so they exit
-//! promptly even when idle.
+//! Shutdown is event-driven: a loopback connect wakes the blocking
+//! `accept`, and the accept thread then shuts each live connection's
+//! socket, which wakes its worker's blocking read, and joins the
+//! workers. No thread polls a clock, and none outlives [`UdfServer::shutdown`].
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crate::fault::{FaultPlan, ResponseFate};
+use crate::client::TIMEOUT;
 use crate::proto::{
-    read_frame, write_frame, ProtoError, Request, Response, STATUS_BAD_REQUEST, STATUS_OK,
-    STATUS_UNKNOWN_ORACLE,
+    read_frame, Request, Response, STATUS_BAD_REQUEST, STATUS_OK, STATUS_UNKNOWN_ORACLE,
 };
-
-/// How often an idle connection worker wakes to check the stop flag.
-const POLL_QUANTUM: Duration = Duration::from_millis(50);
 
 /// A named-oracle registry: oracle name → the label for each row.
 pub type OracleMap = HashMap<String, Arc<Vec<bool>>>;
 
-struct Shared {
-    oracles: OracleMap,
-    plan: Mutex<FaultPlan>,
-    /// Bumped by every `set_plan`; workers rebuild their injector when it
-    /// moves so a hot swap takes effect on live connections.
-    plan_generation: AtomicU64,
-    stop: AtomicBool,
-    connections_accepted: AtomicU64,
-    requests_served: AtomicU64,
+/// The server's fault plan, of which only the healthy one is left. A
+/// shim kept because the benchmark passes it to [`UdfServer::bind`];
+/// directions 4 and 5 of ROADMAP.md remove it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultPlan;
+
+impl FaultPlan {
+    /// The only plan: every request is answered at once.
+    pub fn healthy() -> Self {
+        FaultPlan
+    }
 }
+
+/// Each live connection's socket, by accept index, so the accept thread
+/// can wake its worker at shutdown.
+type Live = Mutex<HashMap<u64, TcpStream>>;
 
 /// A running UDF oracle server (owns its accept thread).
 pub struct UdfServer {
-    shared: Arc<Shared>,
+    stop: Arc<AtomicBool>,
     addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
 }
 
 impl UdfServer {
     /// Binds `addr` (use `127.0.0.1:0` for an ephemeral test port),
-    /// registers `oracles`, and starts accepting under `plan`.
-    pub fn bind(addr: &str, oracles: OracleMap, plan: FaultPlan) -> io::Result<UdfServer> {
-        plan.validate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    /// registers `oracles`, and starts accepting. The plan is the
+    /// [`FaultPlan`] shim's and changes nothing.
+    pub fn bind(addr: &str, oracles: OracleMap, _plan: FaultPlan) -> io::Result<UdfServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            oracles,
-            plan: Mutex::new(plan),
-            plan_generation: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            connections_accepted: AtomicU64::new(0),
-            requests_served: AtomicU64::new(0),
-        });
-        let accept_shared = Arc::clone(&shared);
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept_stop = Arc::clone(&stop);
         let accept_thread = std::thread::Builder::new()
             .name("udf-server-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))?;
+            .spawn(move || accept_loop(listener, &oracles, &accept_stop))?;
         Ok(UdfServer {
-            shared,
+            stop,
             addr: local,
             accept_thread: Some(accept_thread),
         })
@@ -93,32 +76,15 @@ impl UdfServer {
         self.addr
     }
 
-    /// Hot-swaps the fault plan. New connections use it immediately;
-    /// live connections pick it up on their next request.
-    pub fn set_plan(&self, plan: FaultPlan) {
-        *self.shared.plan.lock().unwrap() = plan;
-        self.shared.plan_generation.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Connections accepted so far.
-    pub fn connections_accepted(&self) -> u64 {
-        self.shared.connections_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Requests read so far (including dropped/corrupted ones).
-    pub fn requests_served(&self) -> u64 {
-        self.shared.requests_served.load(Ordering::Relaxed)
-    }
-
-    /// Stops accepting and unblocks the accept thread. Connection
-    /// workers notice within one poll quantum.
+    /// Stops accepting, shuts every live connection and joins every
+    /// thread the server started.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept() the same way the serving tier does.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        let Some(handle) = self.accept_thread.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.addr, TIMEOUT);
+        let _ = handle.join();
     }
 }
 
@@ -128,131 +94,78 @@ impl Drop for UdfServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let index = shared.connections_accepted.fetch_add(1, Ordering::SeqCst);
-        let conn_shared = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name(format!("udf-server-conn-{index}"))
-            .spawn(move || {
-                // Worker threads are detached: they exit on their own when
-                // the peer closes or the stop flag flips.
-                let _ = serve_connection(stream, index, conn_shared);
-            });
-    }
+/// Each update of the live sockets is one insert or remove, so a guard
+/// recovered from a panicked holder still sees a whole map.
+fn lock(live: &Live) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+    live.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Sleeps `total` in poll quanta so injected stalls never outlive shutdown.
-fn interruptible_sleep(total: Duration, shared: &Shared) {
-    let mut remaining = total;
-    while remaining > Duration::ZERO {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
+fn accept_loop(listener: TcpListener, oracles: &OracleMap, stop: &AtomicBool) {
+    let live = &Live::default();
+    std::thread::scope(|scope| {
+        for index in 0u64.. {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(_) => continue,
+            };
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(handle) = stream.try_clone() else {
+                continue;
+            };
+            lock(live).insert(index, handle);
+            let spawned = std::thread::Builder::new()
+                .name(format!("udf-server-conn-{index}"))
+                .spawn_scoped(scope, move || {
+                    let _ = serve_connection(stream, oracles);
+                    lock(live).remove(&index);
+                });
+            if spawned.is_err() {
+                lock(live).remove(&index);
+            }
         }
-        let step = remaining.min(POLL_QUANTUM);
-        std::thread::sleep(step);
-        remaining = remaining.saturating_sub(step);
-    }
+        // This thread is the only one that registers sockets, so every
+        // worker still running is in the map. Leaving the scope joins them.
+        for stream in lock(live).values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    });
 }
 
-fn serve_connection(stream: TcpStream, index: u64, shared: Arc<Shared>) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(POLL_QUANTUM))?;
+fn serve_connection(stream: TcpStream, oracles: &OracleMap) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-
-    let mut generation = shared.plan_generation.load(Ordering::SeqCst);
-    let mut injector = shared.plan.lock().unwrap().injector(index);
-
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return Ok(());
+    // A clean close, a shut socket and a malformed frame all end it.
+    while let Ok(body) = read_frame(&mut reader) {
+        writer.write_all(&answer(&body, oracles).encode())?;
+        if reader.buffer().is_empty() {
+            writer.flush()?;
         }
-        let now = shared.plan_generation.load(Ordering::SeqCst);
-        if now != generation {
-            generation = now;
-            injector = shared.plan.lock().unwrap().injector(index);
-        }
+    }
+    Ok(())
+}
 
-        let body = match read_frame(&mut reader) {
-            Ok(body) => body,
-            Err(ProtoError::Closed) => return Ok(()),
-            Err(ProtoError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle quantum elapsed; re-check stop flag and plan.
-                continue;
-            }
-            Err(ProtoError::Io(e)) => return Err(e),
-            // A client that sends garbage gets its connection closed.
-            Err(ProtoError::Malformed(_)) => return Ok(()),
+fn answer(body: &[u8], oracles: &OracleMap) -> Response {
+    let Ok(request) = Request::decode(body) else {
+        return Response {
+            id: 0,
+            status: STATUS_BAD_REQUEST,
+            answer: false,
         };
-        shared.requests_served.fetch_add(1, Ordering::Relaxed);
-
-        if injector.blackout() {
-            // Swallow the request; answer nothing, ever.
-            continue;
-        }
-
-        let response = match Request::decode(&body) {
-            Ok(request) => {
-                let (status, answer) = match shared.oracles.get(&request.oracle) {
-                    Some(labels) => match labels.get(request.row as usize) {
-                        Some(&bit) => (STATUS_OK, bit),
-                        None => (STATUS_BAD_REQUEST, false),
-                    },
-                    None => (STATUS_UNKNOWN_ORACLE, false),
-                };
-                Response {
-                    id: request.id,
-                    status,
-                    answer,
-                }
-            }
-            Err(_) => Response {
-                id: 0,
-                status: STATUS_BAD_REQUEST,
-                answer: false,
-            },
-        };
-
-        let decision = injector.next();
-        if decision.delay > Duration::ZERO {
-            interruptible_sleep(decision.delay, &shared);
-            if shared.stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-        }
-        match decision.fate {
-            ResponseFate::Respond => {
-                write_frame(&mut writer, &response.encode())?;
-            }
-            ResponseFate::Drop => {
-                // Read, never answer: the client's deadline is its only out.
-            }
-            ResponseFate::CorruptLength => {
-                // A length prefix over the protocol bound followed by the
-                // real body: the client must reject it without allocating.
-                let mut corrupt = Vec::with_capacity(14);
-                corrupt.extend_from_slice(&1_000_000u32.to_le_bytes());
-                corrupt.extend_from_slice(&response.encode()[4..]);
-                writer.write_all(&corrupt)?;
-                writer.flush()?;
-            }
-            ResponseFate::TruncateAndClose => {
-                let frame = response.encode();
-                writer.write_all(&frame[..frame.len() / 2])?;
-                writer.flush()?;
-                return Ok(()); // FIN mid-response
-            }
-        }
+    };
+    let (status, answer) = match oracles.get(&request.oracle) {
+        Some(labels) => match labels.get(request.row as usize) {
+            Some(&bit) => (STATUS_OK, bit),
+            None => (STATUS_BAD_REQUEST, false),
+        },
+        None => (STATUS_UNKNOWN_ORACLE, false),
+    };
+    Response {
+        id: request.id,
+        status,
+        answer,
     }
 }
 
@@ -260,6 +173,7 @@ fn serve_connection(stream: TcpStream, index: u64, shared: Arc<Shared>) -> io::R
 mod tests {
     use super::*;
     use crate::proto::write_frame as send;
+    use std::time::{Duration, Instant};
 
     fn oracle(bits: &[bool]) -> OracleMap {
         let mut map = HashMap::new();
@@ -298,7 +212,6 @@ mod tests {
             probe(&mut stream, 5, "default", 99).status,
             STATUS_BAD_REQUEST
         );
-        assert_eq!(server.requests_served(), 5);
     }
 
     #[test]
@@ -311,79 +224,21 @@ mod tests {
     }
 
     #[test]
-    fn blackout_server_accepts_but_never_answers() {
-        let server =
-            UdfServer::bind("127.0.0.1:0", oracle(&[true]), FaultPlan::blackout()).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(150)))
-            .unwrap();
-        let request = Request {
-            id: 1,
-            oracle: "default".into(),
-            row: 0,
-        };
-        send(&mut stream, &request.encode()).unwrap();
-        let err = read_frame(&mut stream).unwrap_err();
-        assert!(
-            matches!(err, ProtoError::Io(ref e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut),
-            "expected a read timeout, got {err}"
-        );
-    }
-
-    #[test]
-    fn hot_swapped_plan_reaches_live_connections() {
-        let server = UdfServer::bind("127.0.0.1:0", oracle(&[true]), FaultPlan::healthy()).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        assert_eq!(probe(&mut stream, 1, "default", 0).status, STATUS_OK);
-
-        server.set_plan(FaultPlan::blackout());
-        // Give the worker a poll quantum to notice the generation bump.
-        std::thread::sleep(POLL_QUANTUM * 2);
-        stream
-            .set_read_timeout(Some(Duration::from_millis(150)))
-            .unwrap();
-        let request = Request {
-            id: 2,
-            oracle: "default".into(),
-            row: 0,
-        };
-        send(&mut stream, &request.encode()).unwrap();
-        assert!(read_frame(&mut stream).is_err(), "blackout must not answer");
-    }
-
-    #[test]
-    fn corrupt_fate_emits_oversized_length_prefix() {
-        let plan = FaultPlan {
-            corrupt_probability: 1.0,
-            ..FaultPlan::healthy()
-        };
-        let server = UdfServer::bind("127.0.0.1:0", oracle(&[true]), plan).unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let request = Request {
-            id: 1,
-            oracle: "default".into(),
-            row: 0,
-        };
-        send(&mut stream, &request.encode()).unwrap();
-        assert!(matches!(
-            read_frame(&mut stream),
-            Err(ProtoError::Malformed("frame length exceeds bound"))
-        ));
-    }
-
-    #[test]
     fn shutdown_is_prompt_even_with_idle_connections() {
         let mut server =
             UdfServer::bind("127.0.0.1:0", oracle(&[true]), FaultPlan::healthy()).unwrap();
-        let _idle = TcpStream::connect(server.addr()).unwrap();
-        let started = std::time::Instant::now();
+        let mut idle = TcpStream::connect(server.addr()).unwrap();
+        // One answer proves the worker is up and blocked on its next read.
+        assert_eq!(probe(&mut idle, 1, "default", 0).status, STATUS_OK);
+        let started = Instant::now();
         server.shutdown();
         assert!(
             started.elapsed() < Duration::from_secs(2),
             "shutdown took {:?}",
             started.elapsed()
         );
+        // The worker's socket was shut: the idle peer reads a close.
+        idle.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        assert!(read_frame(&mut idle).is_err());
     }
 }

@@ -100,10 +100,6 @@ impl ApiError {
 ///   column the table does not have.
 /// * `Infeasible` → **422**: the request parsed and validated, but its
 ///   contract is unsatisfiable under the declared policy.
-/// * `Unavailable` → **503**: nothing is wrong with the request — a
-///   remote UDF backend it depends on is unreachable (circuit breaker
-///   open, deadlines exhausted) and no local fallback was configured.
-///   Answered with `Retry-After`, because retrying is the right move.
 pub fn engine_error_status(error: &EngineError) -> u16 {
     match error {
         EngineError::InvalidSpec { .. } => 400,
@@ -111,7 +107,6 @@ pub fn engine_error_status(error: &EngineError) -> u16 {
         EngineError::InvalidRequest { .. } => 400,
         EngineError::UnknownColumn { .. } => 404,
         EngineError::Infeasible { .. } => 422,
-        EngineError::Unavailable { .. } => 503,
     }
 }
 
@@ -123,7 +118,6 @@ pub fn engine_error_kind(error: &EngineError) -> &'static str {
         EngineError::InvalidRequest { .. } => "invalid_request",
         EngineError::UnknownColumn { .. } => "unknown_column",
         EngineError::Infeasible { .. } => "infeasible",
-        EngineError::Unavailable { .. } => "unavailable",
     }
 }
 

@@ -713,14 +713,6 @@ fn status_mapping_covers_every_engine_error_variant() {
             400,
             "invalid_request",
         ),
-        (
-            EngineError::Unavailable {
-                endpoint: "127.0.0.1:9099".into(),
-                reason: "circuit breaker open".into(),
-            },
-            503,
-            "unavailable",
-        ),
     ];
     for (error, status, kind) in cases {
         assert_eq!(engine_error_status(&error), status, "{error}");

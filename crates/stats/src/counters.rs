@@ -1,8 +1,8 @@
 //! Counter sets: one declaration per set of named `u64` counters, one
 //! walk per export.
 //!
-//! Every layer that counts — the engine, its caches, the WAL, the remote
-//! client, the bill — declares its counters once with [`counter_set!`]:
+//! Every layer that counts — the engine, its caches, the WAL, the
+//! pool, the bill — declares its counters once with [`counter_set!`]:
 //! the list of documented names generates the `Copy` snapshot struct, its
 //! private atomic twin, the snapshot load and the name/value visit the
 //! exports read. Adding a counter is one line in that list (plus the

@@ -5,7 +5,7 @@
 //! one-hot dictionaries, every scored run the same label plane, and
 //! every ranking pass the same [`ColumnStats`]. Each is a pure function
 //! of one column, so each is kept beside that column in the table's slot
-//! ([`Derived`]), built on the first lookup and shared by every later
+//! (`Derived`), built on the first lookup and shared by every later
 //! one — from any thread: racing lookups derive once.
 //!
 //! Keeping the memo in the slot is what makes it need no key, no

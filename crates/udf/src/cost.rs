@@ -57,16 +57,6 @@ expred_stats::counter_set! {
         /// earlier query in the session already paid `o_e` for. Counted
         /// once per row and query (subsequent re-reads are `cache_hits`).
         reuse_hits,
-        /// Extra wire attempts a remote backend made after a timeout or
-        /// transport failure. A ledger, not a bill: a retried probe still
-        /// charges `o_e` exactly once (under `evaluated`) — this counts
-        /// the re-sends so fault-handling overhead is auditable.
-        retries,
-        /// Speculative duplicate requests a remote backend launched to cut
-        /// tail latency (first answer wins). Like `retries`, a ledger
-        /// only: a hedged probe bills `o_e` once no matter which copy
-        /// answered.
-        hedges,
     }
 }
 
@@ -95,17 +85,7 @@ impl fmt::Display for CostCounts {
             f,
             "retrieved {} | fresh evals {} | memo hits {} | cross-query reuse {}",
             self.retrieved, self.evaluated, self.cache_hits, self.reuse_hits
-        )?;
-        // Wire-level fault handling is worth a line only when it
-        // happened; local backends keep the familiar four-part bill.
-        if self.retries != 0 || self.hedges != 0 {
-            write!(
-                f,
-                " | wire retries {} | hedges {}",
-                self.retries, self.hedges
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -152,18 +132,6 @@ impl CostTracker {
     /// Records `n` evaluations answered from the cross-query cache.
     pub fn add_reuse_hits(&self, n: u64) {
         self.counts.reuse_hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` wire-level retry attempts (ledger only — the retried
-    /// probes' `o_e` is still charged exactly once via `add_evaluations`).
-    pub fn add_retries(&self, n: u64) {
-        self.counts.retries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` hedged (speculative duplicate) wire requests (ledger
-    /// only — a hedged probe bills once no matter which copy answered).
-    pub fn add_hedges(&self, n: u64) {
-        self.counts.hedges.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current counts.
@@ -219,7 +187,6 @@ mod tests {
             evaluated: 0,
             cache_hits: 100,
             reuse_hits: 40,
-            ..CostCounts::default()
         };
         assert_eq!(c.cost(&CostModel::PAPER_DEFAULT), 0.0);
         assert_eq!(c.demanded(), 140);
@@ -232,21 +199,10 @@ mod tests {
             evaluated: 75,
             cache_hits: 30,
             reuse_hits: 15,
-            ..CostCounts::default()
         };
         assert_eq!(
             c.to_string(),
             "retrieved 120 | fresh evals 75 | memo hits 30 | cross-query reuse 15"
-        );
-        let remote = CostCounts {
-            retries: 4,
-            hedges: 2,
-            ..c
-        };
-        assert_eq!(
-            remote.to_string(),
-            "retrieved 120 | fresh evals 75 | memo hits 30 | cross-query reuse 15 \
-             | wire retries 4 | hedges 2"
         );
     }
 
@@ -258,16 +214,12 @@ mod tests {
             evaluated: 5,
             cache_hits: 2,
             reuse_hits: 0,
-            retries: 3,
-            hedges: 1,
         };
         let q2 = CostCounts {
             retrieved: 4,
             evaluated: 0,
             cache_hits: 1,
             reuse_hits: 5,
-            retries: 0,
-            hedges: 2,
         };
         session.absorb(&q1);
         session.absorb(&q2);
@@ -276,22 +228,6 @@ mod tests {
         assert_eq!(total.evaluated, 5);
         assert_eq!(total.cache_hits, 3);
         assert_eq!(total.reuse_hits, 5);
-        assert_eq!(total.retries, 3);
-        assert_eq!(total.hedges, 3);
-    }
-
-    #[test]
-    fn retries_and_hedges_are_a_ledger_not_a_bill() {
-        let t = CostTracker::new();
-        t.add_evaluations(10);
-        t.add_retries(7);
-        t.add_hedges(3);
-        let c = t.snapshot();
-        assert_eq!(c.retries, 7);
-        assert_eq!(c.hedges, 3);
-        // The bill only counts evaluations: re-sends are free.
-        assert_eq!(c.cost(&CostModel::PAPER_DEFAULT), 30.0);
-        assert_eq!(c.demanded(), 10);
     }
 
     #[test]
@@ -301,8 +237,6 @@ mod tests {
             evaluated: 2,
             cache_hits: 3,
             reuse_hits: 4,
-            retries: 5,
-            hedges: 6,
         };
         assert_eq!(
             expred_stats::counters::CounterSet::pairs(&c),
@@ -311,8 +245,6 @@ mod tests {
                 ("evaluated", 2),
                 ("cache_hits", 3),
                 ("reuse_hits", 4),
-                ("retries", 5),
-                ("hedges", 6),
             ]
         );
     }
