@@ -567,6 +567,12 @@ impl QueryEngine {
         self.persist.as_ref().map(|layer| layer.session_stats())
     }
 
+    /// The durable store, if persistence is wired
+    /// ([`QueryEngine::with_persistence`]); `None` on in-memory engines.
+    pub fn persist_store(&self) -> Option<&PersistStore> {
+        self.persist.as_deref().map(PersistLayer::store)
+    }
+
     /// Pushes the session's durable state to disk and waits for it:
     /// re-offers every live row-tier entry (catching answers whose table
     /// was unregistered at insert time; already-persisted ones

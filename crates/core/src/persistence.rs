@@ -21,7 +21,9 @@
 //!   table is a new table), the layer registers the state's one
 //!   `(schema fingerprint, table version)` and prefill-loads every
 //!   persisted namespace whose key matches *both* — a version-checked
-//!   hydration that can serve stale answers to no one. The answers move
+//!   hydration that can serve stale answers to no one, and a lookup of
+//!   the state's own namespaces ([`PersistStore::state_namespaces`]), not
+//!   a scan of every key the store holds. The answers move
 //!   as page copies ([`PersistStore::pages`] → [`CacheStore::prefill`]),
 //!   landing a 64-row word at a time — and with them the pass rates the
 //!   expression optimizer reads ([`CacheStore::pass_rate`]), so a
@@ -33,8 +35,12 @@
 //!   that missed an earlier offer still reach the store, as
 //!   [`crate::QueryEngine::flush_persistence`] would have sent them. Then
 //!   the layer forgets the table's registration
-//!   ([`SpillSink::table_dropped`]), so the registry, too, is bounded by
-//!   the tables that are live. A superseded state leaves the same way.
+//!   ([`SpillSink::table_dropped`]) and releases its state in the store
+//!   ([`PersistStore::release`]): once no live table holds the state, its
+//!   pages leave the store's RAM as soon as a snapshot frame holds each
+//!   one whole, and a later registration reads them back. So the
+//!   registry and the durable index's RAM, too, are bounded by the tables
+//!   that are live. A superseded state leaves the same way.
 //!
 //! No clock is read on either path: an answer is a fixed property of its
 //! row under one table version, so a rehydrated answer is as good as the
@@ -146,16 +152,16 @@ impl PersistLayer {
         let schema_fp = ds.table.schema().fingerprint();
         let version = ds.table.version();
         slot.insert(TableReg { schema_fp, version });
+        // The state's pages stay in the store's RAM while this table is
+        // live (`table_dropped` releases them).
+        self.store.retain(schema_fp, version);
         // Hydrate while holding the write lock: it happens once per table
         // state, and racing submits must not observe "registered" before
         // the prefill has landed (they would pay o_e for persisted rows).
         // Safe only because `CacheStore::prefill` never touches the spill
         // sink — a sink offer would re-enter `durable_key`'s read lock on
         // this same thread and deadlock the std RwLock.
-        for key in self.store.namespaces() {
-            if key.table != schema_fp || key.version != version {
-                continue;
-            }
+        for key in self.store.state_namespaces(schema_fp, version) {
             let Some(pages) = self.store.pages(key) else {
                 continue;
             };
@@ -220,7 +226,11 @@ impl SpillSink for PersistLayer {
 
     fn table_dropped(&self, table: u64) {
         let mut tables = self.tables.write().unwrap_or_else(|e| e.into_inner());
-        tables.remove(&table);
+        let reg = tables.remove(&table);
+        drop(tables);
+        if let Some(reg) = reg {
+            self.store.release(reg.schema_fp, reg.version);
+        }
     }
 }
 

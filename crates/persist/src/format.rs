@@ -70,6 +70,10 @@ const LEGACY_STAMP: [u8; 8] = [0; 8];
 /// rows no frame can name.
 pub const PAGE_LIMIT: usize = u32::MAX as usize / PAGE_ROWS + 1;
 
+/// The longest page-image frame: a page with an answer in every word.
+pub(crate) const MAX_PAGE_IMAGE_FRAME: usize =
+    FRAME_OVERHEAD + 1 + 24 + 4 + 8 + 8 + 16 * PAGE_WORDS;
+
 /// The serialized file header.
 pub fn file_header() -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
@@ -85,10 +89,12 @@ pub fn check_header(bytes: &[u8]) -> bool {
         && bytes[4..HEADER_LEN] == FORMAT_VERSION.to_le_bytes()
 }
 
-/// CRC-32 (IEEE, reflected) lookup table, built at compile time so the
-/// crate stays dependency-free.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE, reflected) lookup tables for eight bytes at a time,
+/// built at compile time so the crate stays dependency-free. Table 0 is
+/// the byte-at-a-time table; table `k` advances a byte's contribution
+/// past `k` more bytes of zeros.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -101,17 +107,43 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = tables[k - 1][i];
+            tables[k][i] = (c >> 8) ^ tables[0][(c & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) over `bytes`.
+/// CRC-32 (IEEE) over `bytes`, eight bytes a step (every frame of every
+/// file is checked with it, and a compaction checks each frame it
+/// copies).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -237,20 +269,7 @@ pub fn encode_frame(record: &Record, out: &mut Vec<u8>) {
             }
         }
         Record::PageImage { key, page, planes } => {
-            payload.push(TAG_PAGE_IMAGE);
-            put_key(&mut payload, *key);
-            payload.extend_from_slice(&page.to_le_bytes());
-            payload.extend_from_slice(&LEGACY_STAMP);
-            // Only the words that hold an answer are written; `present`
-            // says which.
-            let present = (0..PAGE_WORDS)
-                .filter(|&w| planes.known[w] != 0)
-                .fold(0u64, |mask, w| mask | 1 << w);
-            payload.extend_from_slice(&present.to_le_bytes());
-            for w in (0..PAGE_WORDS).filter(|w| present >> w & 1 != 0) {
-                payload.extend_from_slice(&planes.known[w].to_le_bytes());
-                payload.extend_from_slice(&planes.answer[w].to_le_bytes());
-            }
+            return encode_page_image(*key, *page, planes, out);
         }
         Record::TombstoneAll => payload.push(TAG_TOMBSTONE_ALL),
         Record::Selectivity { key, passes, total } => {
@@ -260,9 +279,41 @@ pub fn encode_frame(record: &Record, out: &mut Vec<u8>) {
             payload.extend_from_slice(&total.to_le_bytes());
         }
     }
+    put_frame(&payload, out);
+}
+
+/// Appends `page` of `key` to `out` as one page-image frame: the frame
+/// [`encode_frame`] writes for a [`Record::PageImage`] of the same
+/// planes, read from wherever they are.
+pub(crate) fn encode_page_image(
+    key: PersistKey,
+    page: u32,
+    planes: &PagePlanes,
+    out: &mut Vec<u8>,
+) {
+    let mut payload = Vec::with_capacity(64);
+    payload.push(TAG_PAGE_IMAGE);
+    put_key(&mut payload, key);
+    payload.extend_from_slice(&page.to_le_bytes());
+    payload.extend_from_slice(&LEGACY_STAMP);
+    // Only the words that hold an answer are written; `present` says
+    // which.
+    let present = (0..PAGE_WORDS)
+        .filter(|&w| planes.known[w] != 0)
+        .fold(0u64, |mask, w| mask | 1 << w);
+    payload.extend_from_slice(&present.to_le_bytes());
+    for w in (0..PAGE_WORDS).filter(|w| present >> w & 1 != 0) {
+        payload.extend_from_slice(&planes.known[w].to_le_bytes());
+        payload.extend_from_slice(&planes.answer[w].to_le_bytes());
+    }
+    put_frame(&payload, out);
+}
+
+/// Frames `payload`: its length, its CRC, itself.
+fn put_frame(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// A little-endian cursor over a payload; every read is bounds-checked
@@ -426,6 +477,23 @@ mod tests {
     }
 
     #[test]
+    fn crc32_eight_bytes_a_step_matches_a_byte_at_a_time() {
+        let bytewise = |bytes: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            !c
+        };
+        let bytes: Vec<u8> = (0u32..300)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in 0..bytes.len() {
+            assert_eq!(crc32(&bytes[..len]), bytewise(&bytes[..len]), "{len} bytes");
+        }
+    }
+
+    #[test]
     fn every_record_kind_round_trips() {
         let records = [
             Record::Row {
@@ -544,6 +612,7 @@ mod tests {
         assert_eq!(planes.len(), PAGE_ROWS);
         let full = frame_len(&planes);
         assert!(full * 3 < PAGE_ROWS, "{full} bytes for a full page");
+        assert_eq!(full, MAX_PAGE_IMAGE_FRAME);
         // A page past the u32 row space is refused, not decoded.
         let mut buf = Vec::new();
         encode_frame(&image(&planes, PAGE_LIMIT), &mut buf);

@@ -19,16 +19,18 @@
 //!   of rows already pending sheds the *oldest* pending frames, so
 //!   persistence can never stall the hot path — shedding trades
 //!   crash-window durability only, never correctness, because the
-//!   in-memory index (the snapshot source) is updated synchronously and
+//!   index (the snapshot source) is updated synchronously and
 //!   the next compaction re-captures anything the WAL dropped.
 //! * **Index and snapshots**: the index is [`PagePlanes`] — the
 //!   workspace's one page of `known`/`answer` bit planes, 4 096 rows a
 //!   page, and no clock: an answer never expires — and a snapshot is
 //!   those pages — one CRC-checked page image each — in a
-//!   generation-numbered file written
+//!   generation-numbered file streamed a few pages at a time and written
 //!   as temp-then-rename, so a crash at any byte leaves either the old
-//!   generation or the new one, never a half state. Appends arrive and
-//!   rehydration leaves as the same pages.
+//!   generation or the new one, never a half state. Only live tables'
+//!   pages stay in RAM: a page no live table holds waits in its snapshot
+//!   frame, and is read back when a table of its state registers again.
+//!   Appends arrive and rehydration leaves as the same pages.
 //! * **Rehydration**: namespaces are keyed by `(udf fingerprint, schema
 //!   fingerprint, table version)` — all process-independent — and the
 //!   engine checks versions on load, so a persisted namespace whose

@@ -17,14 +17,31 @@
 //! flusher thread drains the queue in batches, appends the frames to the
 //! current WAL file, and fsyncs per [`FsyncPolicy`].
 //!
-//! # The index: page planes
+//! # The index: live tables' pages in RAM, the rest on disk
 //!
 //! A namespace is pages of 4 096 rows, each a [`PagePlanes`] — a `known`
-//! and an `answer` bit plane. Two bits per answer instead of a hash-map
-//! entry; the snapshot image of a page is the page, and rehydration
-//! ([`PersistStore::pages`]) copies the pages out as they are. An answer
-//! never expires: it is a fixed property of its row under one table
-//! version, so the index keeps no clock.
+//! and an `answer` bit plane — or the place of its latest full image on
+//! disk: a page-image frame of the current snapshot, named by its
+//! offset, length and row count (the namespace names the snapshot's
+//! generation). An answer never expires: it is a fixed property of its
+//! row under one table version, so the index keeps no clock.
+//!
+//! A page is resident while a table of its state (schema fingerprint,
+//! version) is live, and while no snapshot holds all of its rows. The
+//! engine says which states are live: [`PersistStore::retain`] when it
+//! registers a table, [`PersistStore::release`] when the table dies.
+//! Once the last live table of a state is released, each of its pages
+//! leaves RAM as soon as a snapshot frame holds all of its rows: at once
+//! if the last compaction wrote it so, or else when the next one does.
+//! So the RAM the index holds follows the live tables, not every table
+//! the store has seen. Rehydration ([`PersistStore::pages`]) reads a page
+//! that left RAM back from its frame, CRC-checked, and the page stays
+//! resident while its state is live. An append to a page that left RAM
+//! (the engine appends only for live tables, so only a bare store does)
+//! reads it back under the lock first. A frame that no longer reads back
+//! costs its page's rows — a re-buy, never a wrong answer. Opening a
+//! store indexes its snapshot without loading it: a page whose only
+//! image is a snapshot frame stays on disk.
 //!
 //! # Overload: what sheds, and when
 //!
@@ -37,18 +54,19 @@
 //! `queue_capacity − 1` rows plus the batch being admitted, and a shed
 //! means the flusher has fallen a whole queue behind: the hot path never
 //! blocks on disk. Shedding trades durability-until-compaction only —
-//! the index still holds the answer, and the next *snapshot compaction*
-//! re-captures it. Nothing else does: [`PersistStore::sync`] and a
-//! graceful drop flush the pending *queue*, which no longer contains the
-//! shed frame, and a re-offer of the same row deduplicates against the
-//! index without re-enqueuing. Callers that must not lose shed rows
-//! across a restart therefore compact before exiting (the engine's
-//! `flush_persistence` does so whenever `shed > 0`). Losing one anyway
-//! is a re-buy, never a wrong answer. A WAL write the disk refuses is
-//! not retried either: its rows are not counted as
-//! [`PersistStats::flushed`], [`PersistStats::write_failures`] says the
-//! disk stopped taking writes, and the next compaction offers the disk
-//! the whole index again.
+//! the index still holds the answer (a page with a shed row has no
+//! snapshot frame holding all of its rows, so it stays resident), and
+//! the next *snapshot compaction* re-captures it. Nothing else does:
+//! [`PersistStore::sync`] and a graceful drop flush the pending *queue*,
+//! which no longer contains the shed frame, and a re-offer of the same
+//! row deduplicates against the index without re-enqueuing. Callers that
+//! must not lose shed rows across a restart therefore compact before
+//! exiting (the engine's `flush_persistence` does so whenever
+//! `shed > 0`). Losing one anyway is a re-buy, never a wrong answer. A
+//! WAL write the disk refuses is not retried either: its rows are not
+//! counted as [`PersistStats::flushed`], [`PersistStats::write_failures`]
+//! says the disk stopped taking writes, and the next compaction offers
+//! the disk the whole index again.
 //!
 //! # Files and crash consistency
 //!
@@ -57,22 +75,30 @@
 //! per page, its own CRC each, so a damaged frame costs that page and
 //! the ones after it) and `wal-<g>` (appends since: page images of the
 //! rows each batch added to a page, single-row records for a lone row).
-//! Compaction writes `snapshot-<g+1>` as a temp file, fsyncs, renames
-//! (atomic on POSIX), creates `wal-<g+1>`, and only then deletes
-//! generation `g`'s files — a crash at any byte boundary leaves
-//! either a complete old generation or a complete new one. Recovery
-//! picks the highest generation with a readable snapshot header, replays
-//! the snapshot, then replays `wal-<g>` on top, stopping at the first
-//! corrupt or truncated frame and truncating the file back to the valid
-//! prefix so later appends never land after garbage.
+//! Compaction streams `snapshot-<g+1>` into a temp file a run at a time
+//! (see `compact_now`), fsyncs, renames (atomic on POSIX), creates
+//! `wal-<g+1>`, and only then deletes generation `g`'s files — a crash at
+//! any byte boundary leaves either a complete old generation or a
+//! complete new one. Recovery picks the highest generation with a
+//! readable snapshot header, streams the snapshot, then replays `wal-<g>`
+//! on top, stopping at the first corrupt or truncated frame and
+//! truncating the file back to the valid prefix so later appends never
+//! land after garbage. A reader of a page on disk holds the open handle
+//! of the snapshot its frame is in, taken under the lock, and a frame is
+//! only ever named once its snapshot is complete and renamed into place,
+//! so no reader sees a half-written file or loses one to the unlink.
 
 use crate::format::{
-    check_header, encode_frame, file_header, replay_frames, PagePlanes, PersistKey, Record,
-    HEADER_LEN, PAGE_LIMIT, PAGE_ROWS, PAGE_WORDS,
+    check_header, decode_frame, encode_frame, encode_page_image, file_header, PagePlanes,
+    PersistKey, Record, FRAME_OVERHEAD, HEADER_LEN, MAX_PAGE_IMAGE_FRAME, MAX_PAYLOAD, PAGE_LIMIT,
+    PAGE_ROWS, PAGE_WORDS,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
+use std::num::NonZeroU32;
+use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
@@ -84,6 +110,14 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 8_192;
 /// Default number of rows written to a WAL that triggers background
 /// compaction.
 pub const DEFAULT_COMPACT_AFTER: u64 = 65_536;
+
+/// Bytes a compaction gathers before it writes them to the snapshot: its
+/// buffer holds this and one more run of page-image frames, whatever the
+/// size of the index.
+const SNAPSHOT_CHUNK: usize = 64 * 1024;
+
+/// Pages a compaction takes per hold of the index lock.
+const WALK_RUN: usize = 16;
 
 /// When the flusher fsyncs the WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,76 +238,263 @@ expred_stats::counter_set! {
     }
 }
 
-/// One namespace's answers: page number (`row / 4096`) → the page's
-/// planes. Memory follows the pages actually touched.
-type Pages = BTreeMap<u32, Box<PagePlanes>>;
-
-/// Merges the rows of `known` in word `word` of page `page`, answers in
-/// `answer` — the one merge that appends, snapshot images and replayed
-/// rows all go through. The first write per row wins. Returns the rows
-/// that were new.
-fn merge(pages: &mut Pages, page: u32, word: usize, known: u64, answer: u64) -> u64 {
-    let planes = pages
-        .entry(page)
-        .or_insert_with(|| Box::new(PagePlanes::empty()));
-    planes.merge(word, known, answer)
+/// Where a page's latest full image is: the page-image frame of `len`
+/// bytes at `offset` in the snapshot its namespace names, holding `rows`
+/// answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Image {
+    offset: u64,
+    len: NonZeroU32,
+    rows: u32,
 }
 
-/// Merges one replayed row; returns 1 if it was new.
-fn merge_row(pages: &mut Pages, row: u32, answer: bool) -> u64 {
-    let (page, word) = (row / PAGE_ROWS as u32, row as usize % PAGE_ROWS / 64);
-    let (known, answer) = (1 << (row % 64), u64::from(answer) << (row % 64));
-    let new = merge(pages, page, word, known, answer);
-    u64::from(new.count_ones())
+/// The image of a frame of `len` bytes at `offset` holding `rows`
+/// answers (`None` only for an empty frame, which no frame is).
+fn image(offset: u64, len: usize, rows: usize) -> Option<Image> {
+    let len = NonZeroU32::new(u32::try_from(len).ok()?)?;
+    let rows = rows as u32;
+    Some(Image { offset, len, rows })
 }
 
-/// The authoritative in-memory image of the store. The WAL and snapshots
-/// only exist to rebuild this after a restart.
-#[derive(Debug, Default, Clone)]
+/// One page of a namespace: its planes while resident, and its latest
+/// full image on disk, if a snapshot holds one.
+#[derive(Debug)]
+struct Page {
+    /// The page number: the page holds rows `[4096 * number, 4096 *
+    /// number + 4096)`.
+    number: u32,
+    /// `None` once the page has left RAM; `image` then says where it is.
+    planes: Option<Box<PagePlanes>>,
+    /// A frame of the current snapshot that holds this page, kept only
+    /// while it holds every row the page does.
+    image: Option<Image>,
+    /// Where the compaction in progress wrote the page: it becomes
+    /// `image` once that snapshot is renamed into place.
+    staged: Option<Image>,
+}
+
+impl Page {
+    fn rows(&self) -> u32 {
+        match (&self.planes, self.image) {
+            (Some(planes), _) => planes.len() as u32,
+            (None, image) => image.map_or(0, |image| image.rows),
+        }
+    }
+
+    /// Whether a snapshot frame holds every row of the page, so that its
+    /// planes may leave RAM.
+    fn on_disk(&self) -> bool {
+        self.image.is_some_and(|image| image.rows == self.rows())
+    }
+}
+
+/// One namespace: its pages, ascending by number, and the generation of
+/// the snapshot their images are in.
+#[derive(Debug, Default)]
+struct Namespace {
+    generation: u64,
+    pages: Vec<Page>,
+}
+
+impl Namespace {
+    fn find(&self, number: u32) -> Result<usize, usize> {
+        self.pages.binary_search_by_key(&number, |page| page.number)
+    }
+
+    /// Page `number`, created empty if absent.
+    fn page(&mut self, number: u32) -> &mut Page {
+        let at = self.find(number).unwrap_or_else(|at| {
+            let page = Page {
+                number,
+                planes: None,
+                image: None,
+                staged: None,
+            };
+            self.pages.insert(at, page);
+            at
+        });
+        &mut self.pages[at]
+    }
+}
+
+/// A namespace's place in the index: its table state (schema
+/// fingerprint, version) first, so the namespaces of one state are one
+/// range, then its UDF.
+type Slot = (u64, u64, u64);
+
+fn slot(key: PersistKey) -> Slot {
+    (key.table, key.version, key.udf)
+}
+
+fn key_of((table, version, udf): Slot) -> PersistKey {
+    PersistKey {
+        udf,
+        table,
+        version,
+    }
+}
+
+/// The namespaces of the table state `(table, version)`.
+fn state_range(table: u64, version: u64) -> std::ops::RangeInclusive<Slot> {
+    (table, version, 0)..=(table, version, u64::MAX)
+}
+
+/// Checks that `frame` is the page-image frame `image` names: its CRC,
+/// and that it holds page `page` of `key` with `image.rows` answers.
+/// Returns the planes.
+fn check_image(frame: &[u8], image: Image, key: PersistKey, page: u32) -> Option<Box<PagePlanes>> {
+    match decode_frame(frame) {
+        Ok((
+            Record::PageImage {
+                key: k,
+                page: p,
+                planes,
+            },
+            used,
+        )) if (k, p, used) == (key, page, frame.len()) && planes.len() == image.rows as usize => {
+            Some(planes)
+        }
+        _ => None,
+    }
+}
+
+/// Reads back the page-image frame `image` names from `file`, checked
+/// as [`check_image`] checks it.
+fn read_image(file: &File, image: Image, key: PersistKey, page: u32) -> Option<Box<PagePlanes>> {
+    let mut frame = vec![0; image.len.get() as usize];
+    file.read_exact_at(&mut frame, image.offset).ok()?;
+    check_image(&frame, image, key, page)
+}
+
+/// The bytes a compaction last read from the snapshot it copies frames
+/// out of: the walk meets them in file order, so one read of
+/// [`SNAPSHOT_CHUNK`] bytes serves the frames that follow.
+#[derive(Debug, Default)]
+struct ReadAhead {
+    generation: u64,
+    at: u64,
+    bytes: Vec<u8>,
+}
+
+impl ReadAhead {
+    /// The bytes of the frame `image` names in `file`, the snapshot of
+    /// `generation`.
+    fn frame(&mut self, file: &File, generation: u64, image: Image) -> Option<&[u8]> {
+        let (start, len) = (image.offset, image.len.get() as usize);
+        let held = self.at..self.at + self.bytes.len() as u64;
+        if self.generation != generation || !held.contains(&start) || held.end - start < len as u64
+        {
+            self.bytes.resize(SNAPSHOT_CHUNK.max(len), 0);
+            let mut read = 0;
+            while read < self.bytes.len() {
+                match file.read_at(&mut self.bytes[read..], start + read as u64) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => read += n,
+                }
+            }
+            self.bytes.truncate(read);
+            (self.generation, self.at) = (generation, start);
+        }
+        let from = (start - self.at) as usize;
+        self.bytes.get(from..from + len)
+    }
+}
+
+/// The authoritative image of the store — the live tables' pages in RAM,
+/// where the rest are on disk. The WAL and snapshots only exist to
+/// rebuild this after a restart.
+#[derive(Debug, Default)]
 struct Index {
-    rows: HashMap<PersistKey, Pages>,
+    namespaces: BTreeMap<Slot, Namespace>,
+    /// Live tables per table state (schema fingerprint, version): while
+    /// a state has one, its pages stay resident.
+    live: HashMap<(u64, u64), usize>,
+    /// Read handles of the snapshots that images are in: the current one,
+    /// and during a compaction's hand-over the one before it.
+    snapshots: BTreeMap<u64, Arc<File>>,
 }
 
 impl Index {
+    /// The planes of page `page` of `slot`, created empty if absent and
+    /// read back from disk if the page left RAM (a frame that no longer
+    /// reads back leaves the page empty: its rows are re-bought).
+    fn planes_mut(&mut self, slot: Slot, page: u32) -> &mut PagePlanes {
+        let Self {
+            namespaces,
+            snapshots,
+            ..
+        } = self;
+        let ns = namespaces.entry(slot).or_default();
+        let file = snapshots.get(&ns.generation);
+        let Page { planes, image, .. } = ns.page(page);
+        planes.get_or_insert_with(|| {
+            let read = image.and_then(|at| read_image(file?, at, key_of(slot), page));
+            if read.is_none() {
+                *image = None;
+            }
+            read.unwrap_or_else(|| Box::new(PagePlanes::empty()))
+        })
+    }
+
+    /// Merges the rows of `known` in word `word` of page `page`, answers
+    /// in `answer` — the one merge that appends, snapshot images and
+    /// replayed rows all go through. The first write per row wins.
+    /// Returns the rows that were new.
+    fn merge(&mut self, slot: Slot, page: u32, word: usize, known: u64, answer: u64) -> u64 {
+        self.planes_mut(slot, page).merge(word, known, answer)
+    }
+
+    /// Merges one replayed row; returns 1 if it was new.
+    fn merge_row(&mut self, slot: Slot, row: u32, answer: bool) -> u64 {
+        let (page, word) = (row / PAGE_ROWS as u32, row as usize % PAGE_ROWS / 64);
+        let (known, answer) = (1 << (row % 64), u64::from(answer) << (row % 64));
+        let new = self.merge(slot, page, word, known, answer);
+        u64::from(new.count_ones())
+    }
+
     /// Applies one replayed record; returns the row answers it added.
     fn apply(&mut self, record: Record) -> u64 {
-        let mut added = 0;
         match record {
-            Record::Row { key, row, answer } => {
-                added = merge_row(self.rows.entry(key).or_default(), row, answer)
-            }
+            Record::Row { key, row, answer } => self.merge_row(slot(key), row, answer),
             Record::RowBatch { key, rows } => {
-                let ns = self.rows.entry(key).or_default();
-                added = rows.into_iter().map(|(r, a)| merge_row(ns, r, a)).sum();
+                let rows = rows.into_iter();
+                rows.map(|(r, a)| self.merge_row(slot(key), r, a)).sum()
             }
-            Record::PageImage { key, page, planes } => {
-                let ns = self.rows.entry(key).or_default();
-                for w in 0..PAGE_WORDS {
-                    let new = merge(ns, page, w, planes.known[w], planes.answer[w]);
-                    added += u64::from(new.count_ones());
-                }
+            Record::PageImage { key, page, planes } => (0..PAGE_WORDS)
+                .map(|w| self.merge(slot(key), page, w, planes.known[w], planes.answer[w]))
+                .map(|new| u64::from(new.count_ones()))
+                .sum(),
+            Record::TombstoneAll => {
+                self.namespaces.clear();
+                0
             }
-            Record::TombstoneAll => self.rows.clear(),
             // Pass-rate counters an earlier build logged: the answers
             // carry the rates now, so replay skips the frame and the
             // next snapshot leaves it out.
-            Record::Selectivity { .. } => {}
+            Record::Selectivity { .. } => 0,
         }
-        added
     }
 
-    /// The snapshot of this index: one page image per page, in key order
-    /// (a snapshot's bytes are a function of the index alone).
-    fn into_records(self) -> Vec<Record> {
-        let mut namespaces: Vec<(PersistKey, Pages)> = self.rows.into_iter().collect();
-        namespaces.sort_unstable_by_key(|&(key, _)| key);
-        namespaces
-            .into_iter()
-            .flat_map(|(key, pages)| {
-                let image = move |(page, planes)| Record::PageImage { key, page, planes };
-                pages.into_iter().map(image)
-            })
-            .collect()
+    /// Loads one frame of the snapshot of generation `generation` being
+    /// opened, the `len` bytes at `offset`: a page it holds for the first
+    /// time stays on disk, named by its frame; anything else replays as
+    /// it would from a WAL. Returns the row answers it added.
+    fn load(&mut self, record: Record, generation: u64, offset: u64, len: usize) -> u64 {
+        if let Record::PageImage { key, page, planes } = &record {
+            let ns = self.namespaces.entry(slot(*key)).or_default();
+            ns.generation = generation;
+            if let (Err(at), Some(image)) = (ns.find(*page), image(offset, len, planes.len())) {
+                let page = Page {
+                    number: *page,
+                    planes: None,
+                    image: Some(image),
+                    staged: None,
+                };
+                ns.pages.insert(at, page);
+                return u64::from(image.rows);
+            }
+        }
+        self.apply(record)
     }
 }
 
@@ -349,6 +570,12 @@ struct Shared {
     config: PersistConfig,
 }
 
+impl Shared {
+    fn index(&self) -> std::sync::MutexGuard<'_, Index> {
+        self.index.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 /// The durable store. One per engine session (or per tenant); the handle
 /// is cheap to share behind an `Arc`.
 #[derive(Debug)]
@@ -372,27 +599,45 @@ fn parse_generation(name: &str, prefix: &str) -> Option<u64> {
         .and_then(|digits| digits.parse().ok())
 }
 
-/// Reads a persist file's frames (tolerating a corrupt tail), returning
-/// `(records, valid_prefix_len, file_len)`. A missing file reads as
-/// empty; a file with a foreign or damaged header contributes nothing
-/// (its whole body is "tail").
-fn read_frames(path: &Path) -> (Vec<Record>, u64, u64) {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            if f.read_to_end(&mut bytes).is_err() {
-                return (Vec::new(), 0, 0);
-            }
+/// Streams a persist file's frames (tolerating a corrupt tail) through
+/// one reused frame buffer, calling `visit(offset, len, record)` per
+/// frame, and returns `(valid_prefix_len, file_len)`. A missing file
+/// reads as empty; a file with a foreign or damaged header contributes
+/// nothing (its whole body is "tail").
+fn stream_frames(path: &Path, mut visit: impl FnMut(u64, usize, Record)) -> (u64, u64) {
+    let Ok(file) = File::open(path) else {
+        return (0, 0);
+    };
+    let file_len = file.metadata().map_or(0, |meta| meta.len());
+    let mut reader = BufReader::with_capacity(SNAPSHOT_CHUNK, file);
+    let mut header = [0; HEADER_LEN];
+    if reader.read_exact(&mut header).is_err() || !check_header(&header) {
+        return (0, file_len);
+    }
+    let (mut at, mut frame) = (HEADER_LEN as u64, Vec::new());
+    loop {
+        frame.resize(FRAME_OVERHEAD, 0);
+        if reader.read_exact(&mut frame).is_err() {
+            break;
         }
-        Err(_) => return (Vec::new(), 0, 0),
+        // A length past the payload bound or the file's end is a damaged
+        // tail: refused before it sizes anything.
+        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as u64;
+        let end = at + FRAME_OVERHEAD as u64 + len;
+        if len > MAX_PAYLOAD as u64 || end > file_len {
+            break;
+        }
+        frame.resize(FRAME_OVERHEAD + len as usize, 0);
+        if reader.read_exact(&mut frame[FRAME_OVERHEAD..]).is_err() {
+            break;
+        }
+        let Ok((record, used)) = decode_frame(&frame) else {
+            break;
+        };
+        visit(at, used, record);
+        at = end;
     }
-    let file_len = bytes.len() as u64;
-    if !check_header(&bytes) {
-        return (Vec::new(), 0, file_len);
-    }
-    let mut records = Vec::new();
-    let valid = replay_frames(&bytes[HEADER_LEN..], |r| records.push(r));
-    (records, (HEADER_LEN + valid) as u64, file_len)
+    (at, file_len)
 }
 
 /// Creates `path` containing just the file header, fsyncing file and
@@ -448,23 +693,27 @@ impl PersistStore {
         generations.dedup();
 
         let stats = AtomicPersistStats::default();
+        let recovered = |rows| stats.recovered_rows.fetch_add(rows, Ordering::Relaxed);
         let mut index = Index::default();
         let mut generation = 0;
         // Walk newest-first: the first generation whose snapshot replays
         // (or that never had one — WAL-only generation 0) is the state.
         for &g in generations.iter().rev() {
             let snap = snapshot_path(&config.dir, g);
-            let (snap_records, snap_valid, snap_len) = read_frames(&snap);
+            // The handle pages left on disk are read back through.
+            if let Ok(file) = File::open(&snap) {
+                index.snapshots.insert(g, Arc::new(file));
+            }
+            let (snap_valid, snap_len) = stream_frames(&snap, |offset, len, record| {
+                recovered(index.load(record, g, offset, len));
+            });
             if snap_len > 0 && snap_valid == 0 && g > 0 {
                 // A snapshot file exists but its header is unreadable —
                 // not one of ours (snapshots are written whole via temp +
                 // rename, so even an *empty* valid snapshot replays its
                 // header). Fall back to the previous generation.
+                index.snapshots.remove(&g);
                 continue;
-            }
-            for record in snap_records {
-                let rows = index.apply(record);
-                stats.recovered_rows.fetch_add(rows, Ordering::Relaxed);
             }
             if snap_len > 0 {
                 let kept = snap_valid.max(HEADER_LEN as u64).min(snap_len);
@@ -473,16 +722,15 @@ impl PersistStore {
                     .fetch_add(snap_len - kept, Ordering::Relaxed);
             }
             let wal = wal_path(&config.dir, g);
-            let (wal_records, wal_valid, wal_len) = read_frames(&wal);
+            let (wal_valid, wal_len) = stream_frames(&wal, |_, _, record| {
+                recovered(index.apply(record));
+            });
             if snap_len == 0 && wal_len > 0 && wal_valid == 0 && g > 0 {
                 // A snapshot-less generation whose WAL header is foreign:
                 // not ours either (we create WALs header-first, fsynced).
                 // Keep looking for a real generation.
+                index.snapshots.remove(&g);
                 continue;
-            }
-            for record in wal_records {
-                let rows = index.apply(record);
-                stats.recovered_rows.fetch_add(rows, Ordering::Relaxed);
             }
             if wal_len > wal_valid {
                 // Truncate the corrupt tail so future appends follow the
@@ -503,9 +751,10 @@ impl PersistStore {
             generation = g;
             break;
         }
+        index.snapshots.retain(|&g, _| g == generation);
         stats
             .recovered_namespaces
-            .store(index.rows.len() as u64, Ordering::Relaxed);
+            .store(index.namespaces.len() as u64, Ordering::Relaxed);
 
         // Ensure the current generation's WAL exists and is appendable.
         let wal = wal_path(&config.dir, generation);
@@ -564,24 +813,24 @@ impl PersistStore {
     /// new row as a `Row` record, two or more as one `PageImage` frame
     /// holding just those rows — shedding the oldest pending frames if
     /// the flusher is a queue behind (see the module docs). Never blocks
-    /// on disk.
+    /// on disk, but for a page that left RAM, which it reads back first.
     pub fn append_pages(&self, key: PersistKey, pages: &[(usize, PagePlanes)]) {
         let mut frames = Vec::new();
         let mut appended = 0;
         {
-            let mut index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
+            let mut index = self.shared.index();
             for (page, planes) in pages {
                 if *page >= PAGE_LIMIT || planes.is_empty() {
                     continue;
                 }
-                let ns = index.rows.entry(key).or_default();
+                let held = index.planes_mut(slot(key), *page as u32);
                 // The rows this page gained, as a page of their own: how
                 // many, and the last one's word and bit.
                 let mut image = PagePlanes::empty();
                 let (mut rows, mut last) = (0, (0, 0));
                 for w in (0..PAGE_WORDS).filter(|&w| planes.known[w] != 0) {
                     let (known, answer) = (planes.known[w], planes.answer[w]);
-                    let new = merge(ns, *page as u32, w, known, answer);
+                    let new = held.merge(w, known, answer);
                     if new != 0 {
                         image.merge(w, new, answer);
                         rows += new.count_ones();
@@ -663,42 +912,143 @@ impl PersistStore {
         Ok(())
     }
 
+    /// Marks one more table of the state `(table, version)` — schema
+    /// fingerprint and version, as in [`PersistKey`] — live: the state's
+    /// pages stay resident, or come back as [`PersistStore::pages`] reads
+    /// them, until [`PersistStore::release`] balances this call.
+    pub fn retain(&self, table: u64, version: u64) {
+        *self
+            .shared
+            .index()
+            .live
+            .entry((table, version))
+            .or_default() += 1;
+    }
+
+    /// Balances one [`PersistStore::retain`]. Once no table of the state
+    /// is live, each of its pages leaves RAM as soon as a snapshot frame
+    /// holds all of its rows: now, or at the next compaction.
+    pub fn release(&self, table: u64, version: u64) {
+        let mut index = self.shared.index();
+        let Some(live) = index.live.get_mut(&(table, version)) else {
+            return;
+        };
+        *live -= 1;
+        if *live > 0 {
+            return;
+        }
+        index.live.remove(&(table, version));
+        for (_, ns) in index.namespaces.range_mut(state_range(table, version)) {
+            for page in ns.pages.iter_mut().filter(|page| page.on_disk()) {
+                page.planes = None;
+            }
+        }
+    }
+
     /// Every persisted namespace key.
     pub fn namespaces(&self) -> Vec<PersistKey> {
-        let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        index.rows.keys().copied().collect()
+        let index = self.shared.index();
+        index.namespaces.keys().map(|&slot| key_of(slot)).collect()
+    }
+
+    /// The persisted namespaces of the table state `(table, version)`:
+    /// a lookup that costs in proportion to the state's own namespaces.
+    pub fn state_namespaces(&self, table: u64, version: u64) -> Vec<PersistKey> {
+        let index = self.shared.index();
+        let slots = index.namespaces.range(state_range(table, version));
+        slots.map(|(&slot, _)| key_of(slot)).collect()
     }
 
     /// The rows persisted under `key`: `(row, answer)`, ascending.
     pub fn rows(&self, key: PersistKey) -> Option<Vec<(u32, bool)>> {
-        let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        let pages = index.rows.get(&key)?.iter();
-        let rows = pages.flat_map(|(&page, planes)| {
-            let rows = planes.rows(page as usize * PAGE_ROWS);
-            rows.map(|(row, answer)| (row as u32, answer))
+        let pages = self.pages(key)?.into_iter();
+        let rows = pages.flat_map(|(page, planes)| {
+            let rows: Vec<_> = planes.rows(page * PAGE_ROWS).collect();
+            rows.into_iter().map(|(row, answer)| (row as u32, answer))
         });
         Some(rows.collect())
     }
 
     /// The pages persisted under `key`, ascending — what rehydration
-    /// copies into the live cache.
+    /// copies into the live cache. A page that left RAM is read back
+    /// from its snapshot frame outside the lock (CRC-checked; one that
+    /// does not read back is dropped, its rows re-bought), and stays
+    /// resident while its state is live.
     pub fn pages(&self, key: PersistKey) -> Option<Vec<(usize, PagePlanes)>> {
-        let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        let pages = index.rows.get(&key)?.iter();
-        let pages = pages.map(|(&page, planes)| (page as usize, PagePlanes::clone(planes)));
-        Some(pages.collect())
+        let slot = slot(key);
+        let mut pages = Vec::new();
+        let mut away = Vec::new();
+        {
+            let index = self.shared.index();
+            let ns = index.namespaces.get(&slot)?;
+            let file = index.snapshots.get(&ns.generation);
+            for page in &ns.pages {
+                match (&page.planes, page.image) {
+                    (Some(planes), _) => {
+                        pages.push((page.number as usize, PagePlanes::clone(planes)))
+                    }
+                    (None, Some(image)) => away.push((page.number, image, file.cloned())),
+                    (None, None) => {}
+                }
+            }
+        }
+        if away.is_empty() {
+            return Some(pages);
+        }
+        let read: Vec<(u32, Image, Option<Box<PagePlanes>>)> = away
+            .into_iter()
+            .map(|(page, image, file)| {
+                let planes = file.and_then(|file| read_image(&file, image, key, page));
+                (page, image, planes)
+            })
+            .collect();
+        {
+            let mut index = self.shared.index();
+            let live = index.live.contains_key(&(key.table, key.version));
+            if let Some(ns) = index.namespaces.get_mut(&slot) {
+                for (page, image, planes) in &read {
+                    // Only a page still where it was read from: one that
+                    // came back or moved meanwhile is someone else's.
+                    let Ok(at) = ns.find(*page) else {
+                        continue;
+                    };
+                    let entry = &mut ns.pages[at];
+                    if entry.planes.is_some() || entry.image != Some(*image) {
+                        continue;
+                    }
+                    match planes {
+                        Some(planes) if live => entry.planes = Some(planes.clone()),
+                        Some(_) => {}
+                        None => {
+                            ns.pages.remove(at);
+                        }
+                    }
+                }
+            }
+        }
+        let read = read.into_iter();
+        pages.extend(read.filter_map(|(page, _, planes)| Some((page as usize, *planes?))));
+        pages.sort_unstable_by_key(|&(page, _)| page);
+        Some(pages)
     }
 
     /// Total persisted row answers across namespaces.
     pub fn len(&self) -> usize {
-        let index = self.shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        let pages = index.rows.values().flat_map(|ns| ns.values());
-        pages.map(|planes| planes.len()).sum()
+        let index = self.shared.index();
+        let pages = index.namespaces.values().flat_map(|ns| &ns.pages);
+        pages.map(|page| page.rows() as usize).sum()
     }
 
     /// Whether nothing is persisted.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Pages whose planes are in RAM (the rest are on disk).
+    pub fn resident_pages(&self) -> usize {
+        let index = self.shared.index();
+        let pages = index.namespaces.values().flat_map(|ns| &ns.pages);
+        pages.filter(|page| page.planes.is_some()).count()
     }
 
     /// Life-so-far counters.
@@ -734,47 +1084,227 @@ impl Drop for PersistStore {
 }
 
 /// Writes `snapshot-<g+1>` from the current index (temp + fsync +
-/// rename), opens `wal-<g+1>`, and deletes generation `g`'s files.
-/// **Flusher-thread only** (between batches): with a single WAL writer,
-/// every record flushed before the index freeze is *in* the frozen index
-/// (the hot path indexes synchronously before enqueuing), so the new
-/// snapshot strictly covers the retired generation — a crash at any
-/// point leaves either the complete old generation or the complete new
-/// one.
+/// rename), opens `wal-<g+1>`, points the index at the new snapshot, and
+/// deletes generation `g`'s files. **Flusher-thread only** (between
+/// batches).
+///
+/// The snapshot is streamed, not frozen whole: [`write_snapshot`] takes
+/// the index lock once per run of [`WALK_RUN`] pages, copies out a
+/// resident page's planes (or, for a page on disk, notes its frame), and
+/// with the lock released encodes the planes, copies the frame byte for
+/// byte (it carries its own CRC, checked first), and writes a fixed-size
+/// buffer. So the extra memory is the buffer and one run, whatever the
+/// index holds, and the lock is never held across a disk write. A
+/// piece-at-a-time freeze is still a snapshot that covers everything in
+/// the generation it retires: the only thing that writes to the index is
+/// a first-write-wins merge, which adds rows and never changes or drops
+/// one (replay's `TombstoneAll` is the only clear, and a frame that no
+/// longer reads back the only loss — those rows were lost on disk
+/// already). Every record flushed to `wal-<g>` before the walk reached
+/// its page is in that page's frame (the hot path indexes synchronously
+/// before enqueuing), and one that lands after is flushed into
+/// `wal-<g+1>` — a record landing in both replays idempotently (first
+/// write wins, identical values). A crash at any point leaves either the
+/// complete old generation or the complete new one.
+///
+/// Once the snapshot is renamed into place, [`adopt_snapshot`] points
+/// each page that did not change meanwhile at its new frame, and lets the
+/// pages of states no table holds live leave RAM.
 fn compact_now(shared: &Shared, generation: u64) -> Result<(File, u64), PersistError> {
     let dir = &shared.config.dir;
-    // Freeze a consistent image: the index lock is held for a copy of
-    // the planes, nothing else — ordering, encoding, checksumming and
-    // the disk all happen after it drops. Appends racing this freeze
-    // also sit in the queue and will flush into the *new* WAL after
-    // rotation — a record landing in both the snapshot and the new WAL
-    // replays idempotently (first write wins, identical values).
-    let frozen = {
-        let index = shared.index.lock().unwrap_or_else(|e| e.into_inner());
-        index.clone()
-    };
-    let records = frozen.into_records();
     let next = generation + 1;
     let tmp = dir.join(format!("snapshot-{next:06}.tmp"));
-    {
-        let mut f = File::create(&tmp).map_err(io_err(format!("create {}", tmp.display())))?;
-        let mut buf = Vec::with_capacity(64 * 1024);
-        buf.extend_from_slice(&file_header());
-        for record in &records {
-            encode_frame(record, &mut buf);
-        }
-        f.write_all(&buf)
-            .map_err(io_err(format!("write {}", tmp.display())))?;
-        f.sync_all()
-            .map_err(io_err(format!("sync {}", tmp.display())))?;
+    let file = OpenOptions::new()
+        .create(true)
+        .read(true)
+        .write(true)
+        .truncate(true)
+        .open(&tmp)
+        .map_err(io_err(format!("create {}", tmp.display())))?;
+    if let Err(e) = write_snapshot(shared, &file) {
+        let _ = fs::remove_file(&tmp);
+        return Err(io_err(format!("write {}", tmp.display()))(e));
     }
     let snap = snapshot_path(dir, next);
     fs::rename(&tmp, &snap).map_err(io_err(format!("rename {}", snap.display())))?;
     sync_dir(dir);
     let new_wal = create_with_header(&wal_path(dir, next))?;
+    adopt_snapshot(shared, next, file);
     let _ = fs::remove_file(wal_path(dir, generation));
     let _ = fs::remove_file(snapshot_path(dir, generation));
     Ok((new_wal, next))
+}
+
+/// A page a compaction took under the lock, to write once the lock
+/// drops, and where it went.
+#[derive(Debug)]
+struct Walked {
+    at: (Slot, u32),
+    /// For a page on disk, the frame it is copied from: its image, its
+    /// snapshot's generation and handle. `None` for a resident page,
+    /// whose planes wait in the run's copies.
+    from: Option<(Image, u64, Option<Arc<File>>)>,
+    /// The page's frame in the new snapshot; `None` until written, and
+    /// for a frame that no longer reads back.
+    to: Option<Image>,
+}
+
+/// Streams every page of the index into `file` as the next snapshot,
+/// staging where each page went (see [`compact_now`]), and fsyncs it.
+/// Each hold of the lock takes a run of at most [`WALK_RUN`] pages — a
+/// resident page's planes copied out, an on-disk page's frame noted — and
+/// first stages where the previous run went. Encoding, copying and the
+/// disk all happen with the lock released.
+fn write_snapshot(shared: &Shared, mut file: &File) -> std::io::Result<()> {
+    let mut out = Vec::with_capacity(SNAPSHOT_CHUNK + WALK_RUN * MAX_PAGE_IMAGE_FRAME);
+    out.extend_from_slice(&file_header());
+    let (mut written, mut read_ahead) = (0u64, ReadAhead::default());
+    let mut cursor: Option<(Slot, u32)> = None;
+    let (mut run, mut planes) = (Vec::with_capacity(WALK_RUN), Vec::with_capacity(WALK_RUN));
+    loop {
+        {
+            let mut index = shared.index();
+            for walked in run.drain(..) {
+                stage(&mut index, walked);
+            }
+            planes.clear();
+            let Index {
+                namespaces,
+                snapshots,
+                ..
+            } = &mut *index;
+            let from = cursor.map_or(Unbounded, |(slot, _)| Included(slot));
+            'run: for (&slot, ns) in namespaces.range_mut((from, Unbounded)) {
+                let first = match cursor {
+                    Some((at, page)) if at == slot => {
+                        ns.pages.partition_point(|p| p.number <= page)
+                    }
+                    _ => 0,
+                };
+                for page in &mut ns.pages[first..] {
+                    if run.len() == WALK_RUN {
+                        break 'run;
+                    }
+                    let at = (slot, page.number);
+                    page.staged = None;
+                    let from = match (&page.planes, page.image) {
+                        (Some(held), _) => {
+                            planes.push(PagePlanes::clone(held));
+                            None
+                        }
+                        (None, Some(image)) => {
+                            let source = snapshots.get(&ns.generation).cloned();
+                            Some((image, ns.generation, source))
+                        }
+                        (None, None) => continue,
+                    };
+                    run.push(Walked { at, from, to: None });
+                    cursor = Some(at);
+                }
+            }
+        }
+        if run.is_empty() {
+            break;
+        }
+        let mut resident = planes.iter();
+        for walked in &mut run {
+            let ((slot, page), offset) = (walked.at, written + out.len() as u64);
+            match &walked.from {
+                None => {
+                    let Some(held) = resident.next() else {
+                        continue;
+                    };
+                    encode_page_image(key_of(slot), page, held, &mut out);
+                    let len = (written + out.len() as u64 - offset) as usize;
+                    walked.to = image(offset, len, held.len());
+                }
+                Some((image, generation, Some(source))) => {
+                    let frame = read_ahead.frame(source, *generation, *image);
+                    let checked = frame
+                        .filter(|frame| check_image(frame, *image, key_of(slot), page).is_some());
+                    if let Some(frame) = checked {
+                        out.extend_from_slice(frame);
+                        walked.to = Some(Image { offset, ..*image });
+                    }
+                }
+                Some((_, _, None)) => {}
+            }
+        }
+        if out.len() >= SNAPSHOT_CHUNK {
+            file.write_all(&out)?;
+            written += out.len() as u64;
+            out.clear();
+        }
+    }
+    file.write_all(&out)?;
+    file.sync_all()
+}
+
+/// Stages where one walked page went, under the lock. A page on disk
+/// counts only if it is still where it was copied from; if its frame did
+/// not read back and it is still not resident, it goes (its rows are
+/// re-bought). A resident page's frame holds the rows it had when it was
+/// taken, which [`adopt_snapshot`] holds to the rows it has then.
+fn stage(index: &mut Index, walked: Walked) {
+    let Some(ns) = index.namespaces.get_mut(&walked.at.0) else {
+        return;
+    };
+    let Ok(at) = ns.find(walked.at.1) else {
+        return;
+    };
+    let page = &mut ns.pages[at];
+    match walked.from {
+        None => page.staged = walked.to,
+        Some((image, ..)) if page.image != Some(image) => {}
+        Some(_) if walked.to.is_some() => page.staged = walked.to,
+        Some(_) if page.planes.is_none() => {
+            ns.pages.remove(at);
+        }
+        Some(_) => {}
+    }
+}
+
+/// Hands the index over to the renamed snapshot of generation `next`,
+/// namespaces of about [`WALK_RUN`] pages per hold of the lock: a page
+/// whose rows did not change since the walk took it now lives at its new
+/// frame (one that changed has no full image until the next compaction),
+/// and a page on disk whose state no table holds live leaves RAM. Then
+/// only `next`'s handle stays open.
+fn adopt_snapshot(shared: &Shared, next: u64, file: File) {
+    shared.index().snapshots.insert(next, Arc::new(file));
+    let mut cursor = None;
+    loop {
+        let mut index = shared.index();
+        let Index {
+            namespaces, live, ..
+        } = &mut *index;
+        let from = cursor.map_or(Unbounded, Excluded);
+        let mut adopted = 0;
+        for (&slot, ns) in namespaces.range_mut((from, Unbounded)) {
+            if adopted >= WALK_RUN {
+                break;
+            }
+            let live = live.contains_key(&(slot.0, slot.1));
+            ns.generation = next;
+            ns.pages.retain_mut(|page| {
+                let rows = page.rows();
+                page.image = page.staged.take().filter(|image| image.rows == rows);
+                if !live && page.image.is_some() {
+                    page.planes = None;
+                }
+                page.planes.is_some() || page.image.is_some()
+            });
+            if !live {
+                ns.pages.shrink_to_fit();
+            }
+            adopted += ns.pages.len().max(1);
+            cursor = Some(slot);
+        }
+        if adopted == 0 {
+            break;
+        }
+    }
+    shared.index().snapshots.retain(|&g, _| g == next);
 }
 
 /// Encodes `batch` and appends it to the WAL in one write, counting its
@@ -898,6 +1428,7 @@ fn flusher_loop(shared: Arc<Shared>, mut wal: File, mut generation: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::replay_frames;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -942,7 +1473,8 @@ mod tests {
 
     /// Every frame of the persist file at `path`, which must be intact.
     fn frames_of(path: &Path) -> Vec<Record> {
-        let (records, valid, len) = read_frames(path);
+        let mut records = Vec::new();
+        let (valid, len) = stream_frames(path, |_, _, record| records.push(record));
         assert_eq!(valid, len, "{} has a damaged tail", path.display());
         records
     }
@@ -1072,9 +1604,10 @@ mod tests {
             for record in &frames[..n] {
                 index.apply(record.clone());
             }
-            let pages = index.rows.remove(&key(1))?;
-            let rows = pages.into_iter().flat_map(|(page, planes)| {
-                let rows: Vec<_> = planes.rows(page as usize * PAGE_ROWS).collect();
+            let ns = index.namespaces.remove(&slot(key(1)))?;
+            let rows = ns.pages.into_iter().flat_map(|page| {
+                let planes = page.planes.expect("a replayed WAL page is resident");
+                let rows: Vec<_> = planes.rows(page.number as usize * PAGE_ROWS).collect();
                 rows.into_iter().map(|(row, answer)| (row as u32, answer))
             });
             Some(rows.collect::<Vec<_>>())
@@ -1168,15 +1701,15 @@ mod tests {
 
     #[test]
     fn page_merge_keeps_the_first_write_and_the_oldest_stamp() {
-        let mut pages = Pages::new();
-        assert_eq!(merge(&mut pages, 0, 1, 0b110, 0b100), 0b110);
+        let (mut index, ns) = (Index::default(), slot(key(1)));
+        assert_eq!(index.merge(ns, 0, 1, 0b110, 0b100), 0b110);
         // A later offer of a known row changes nothing; a new row lands.
-        assert_eq!(merge(&mut pages, 0, 1, 0b100, 0b000), 0);
-        assert_eq!(merge(&mut pages, 0, 1, 0b1001, 0b0001), 0b1001);
+        assert_eq!(index.merge(ns, 0, 1, 0b100, 0b000), 0);
+        assert_eq!(index.merge(ns, 0, 1, 0b1001, 0b0001), 0b1001);
         // A replayed row merges the same way.
-        assert_eq!(merge_row(&mut pages, 66, false), 0);
-        assert_eq!(merge_row(&mut pages, 68, true), 1);
-        let rows: Vec<(usize, bool)> = pages[&0].rows(0).collect();
+        assert_eq!(index.merge_row(ns, 66, false), 0);
+        assert_eq!(index.merge_row(ns, 68, true), 1);
+        let rows: Vec<(usize, bool)> = index.planes_mut(ns, 0).rows(0).collect();
         assert_eq!(
             rows,
             vec![(64, true), (65, false), (66, true), (67, false), (68, true)]

@@ -14,6 +14,9 @@
 //! * A table that dies takes its row-tier answers with it, not its
 //!   durable ones: under a shedding WAL queue, every answer of every
 //!   dropped table still rehydrates after a restart.
+//! * The durable index keeps in RAM only the pages of live tables: a
+//!   dead table's pages wait on disk, and a later registration reads
+//!   them back byte-identical.
 
 use expred::core::{PersistConfig, QueryEngine, QueryRequest, QuerySpec};
 use expred::table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
@@ -309,5 +312,88 @@ fn a_reopened_engine_keeps_the_expression_order_its_answers_taught() {
         .submit(&ds, &QueryRequest::expr_scan(expr(), cost))
         .unwrap();
     assert_eq!(again.returned, first.returned, "answers are still answers");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn dead_tables_pages_leave_ram_and_come_back_byte_identical() {
+    let dir = unique_dir("resident");
+    let q = QueryRequest::naive(QuerySpec::paper_default());
+    let a = persistent(&dir);
+    let store = a.persist_store().expect("a persistent engine has a store");
+    // Three tables stay live throughout; 2 000 more are built, asked
+    // about once and dropped.
+    let live: Vec<Dataset> = (0..3).map(|seed| prosper(200, 10_000 + seed)).collect();
+    for ds in &live {
+        a.submit(ds, &q.clone().with_seed(1)).unwrap();
+    }
+    // The row tier's pages are the live tables' pages, once the sweep
+    // has handed the dead tables off; a compaction then writes every
+    // dead page whole, and they leave RAM.
+    let resident_after_compaction = || {
+        assert_eq!(a.store().num_namespaces(), live.len(), "the dead are swept");
+        let mut live_pages = 0;
+        a.store()
+            .for_each_namespace(|_, pages| live_pages += pages.len());
+        store.compact().expect("compact");
+        (store.resident_pages(), live_pages)
+    };
+    let mut first = Vec::new();
+    for seed in 0..2_000u64 {
+        let outcome = a
+            .submit(&prosper(200, seed), &q.clone().with_seed(seed))
+            .unwrap();
+        if seed < 20 {
+            first.push(outcome);
+        }
+        if seed == 999 {
+            let (resident, live_pages) = resident_after_compaction();
+            assert!(
+                resident <= live_pages,
+                "{resident} resident pages at 1 000 tables"
+            );
+        }
+    }
+    let (resident, live_pages) = resident_after_compaction();
+    assert!(
+        resident <= live_pages,
+        "{resident} resident pages, {live_pages} live"
+    );
+    // What the store holds for the first 20 dead tables, read from disk.
+    let state = |ds: &Dataset| (ds.table.schema().fingerprint(), ds.table.version());
+    let durable = |store: &expred::core::PersistStore, seed: u64| {
+        let (table, version) = state(&prosper(200, seed));
+        let keys = store.state_namespaces(table, version);
+        assert!(!keys.is_empty(), "table {seed} was persisted");
+        let rows: Vec<_> = keys.iter().map(|&key| store.rows(key)).collect();
+        (keys, rows)
+    };
+    let before: Vec<_> = (0..20).map(|seed| durable(store, seed)).collect();
+    assert_eq!(
+        store.resident_pages(),
+        resident,
+        "reading them back pins nothing"
+    );
+    let paid = a.session_counts().evaluated;
+    drop(a);
+
+    let b = persistent(&dir);
+    for (seed, first) in (0..20u64).zip(&first) {
+        let again = b
+            .submit(&prosper(200, seed), &q.clone().with_seed(seed))
+            .unwrap();
+        assert_eq!(again.returned, first.returned, "table {seed}");
+        assert_eq!(again.summary, first.summary, "table {seed}");
+    }
+    assert_eq!(
+        b.session_counts().evaluated,
+        0,
+        "the re-registered tables bought nothing"
+    );
+    let reopened = b.persist_store().expect("store");
+    let after: Vec<_> = (0..20).map(|seed| durable(reopened, seed)).collect();
+    assert_eq!(after, before, "the pages came back byte-identical");
+    assert!(paid > 0);
+    drop(b);
     let _ = std::fs::remove_dir_all(&dir);
 }
