@@ -21,15 +21,16 @@
 //!   (the backends keep their `append_rows` names, so `bench-diff` still
 //!   compares like with like), and the WAL bytes the batches wrote per
 //!   row (`wal_bytes`).
-//! * `compact` — five snapshot compactions of a 25-namespace index: ns
-//!   per persisted row of the first (which encodes every page; the later
-//!   ones copy the frames of pages that left RAM);
-//!   `longest_append_stall`, the worst latency of a re-offer to a live
-//!   table's namespace (which needs the index lock and nothing else)
-//!   issued while a compaction ran — what a request's append waits for
-//!   the walk — as the median over the five; and `extra_heap_bytes`, the most heap the compactions held
-//!   beyond what the process held before them (a counting global
-//!   allocator, local to this binary, keeps the books).
+//! * `compact` — two snapshot compactions of a 25-namespace index: ns
+//!   per persisted row of the first (which encodes every page, as every
+//!   compaction did before pages could leave RAM; the second copies the
+//!   frames of the pages that left); `longest_append_stall`, the worst
+//!   latency of a re-offer to a live table's namespace (which needs the
+//!   index lock and nothing else) issued while either compaction ran —
+//!   what a request's append waits for the walk; and `extra_heap_bytes`,
+//!   the most heap the compactions held beyond what the process held
+//!   before them (a counting global allocator, local to this binary,
+//!   keeps the books).
 //! * `rehydrate` — that snapshot back into a live
 //!   [`expred_exec::CacheStore`]: open, page copies, prefill, ns/row.
 //! * `resident` — an engine with persistence (result memo off) builds
@@ -97,10 +98,6 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// Compactions the `compact` scenario runs: a one-off preemption of the
-/// prober is not a stall the lock caused, so the row is their median.
-const COMPACTIONS: usize = 5;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir =
@@ -248,15 +245,13 @@ fn main() {
         })
     };
     // The first compaction encodes every page; the pages no table holds
-    // then leave RAM, and the later ones copy their frames.
+    // then leave RAM, and the second copies their frames.
     let heap_before = Counting::reset_peak();
-    let runs: Vec<(f64, Duration)> = (0..COMPACTIONS).map(|_| compact_probed()).collect();
+    let (compact_secs, encode_stall) = compact_probed();
+    let (copy_secs, copy_stall) = compact_probed();
     let extra_heap = PEAK.load(Ordering::Relaxed) - heap_before;
     drop(store);
-    let (compact_secs, copy_secs) = (runs[0].0, runs[COMPACTIONS - 1].0);
-    let mut stalls: Vec<Duration> = runs.iter().map(|run| run.1).collect();
-    stalls.sort_unstable();
-    let stall = stalls[COMPACTIONS / 2];
+    let stall = encode_stall.max(copy_stall);
     let compact_ns = compact_secs * 1e9 / persisted as f64;
     let snapshot_bytes: u64 = std::fs::read_dir(&snap_dir)
         .expect("list snapshot dir")
@@ -287,10 +282,12 @@ fn main() {
     );
     println!(
         "compact                     {compact_ns:>8.1} ns/row ({persisted} rows, {:.2} B/row, \
-         {:.1} ns/row copied, longest append stall {:.0} us, {} KB extra heap)",
+         {:.1} ns/row copied, longest append stall {:.0} us encoding and {:.0} us copying, \
+         {} KB extra heap)",
         snapshot_bytes as f64 / persisted as f64,
         copy_secs * 1e9 / persisted as f64,
-        stall_ns / 1e3,
+        encode_stall.as_secs_f64() * 1e6,
+        copy_stall.as_secs_f64() * 1e6,
         extra_heap / 1024
     );
 
@@ -346,9 +343,9 @@ fn main() {
         }
         // Sweep the dead tables, and write their pages whole.
         assert_eq!(engine.store().num_namespaces(), 0, "every table is dead");
-        let store = engine.persist_store().expect("a persistent engine");
-        store.compact().expect("compact");
-        (LIVE.load(Ordering::Relaxed), store.resident_pages())
+        engine.compact_persistence().expect("compact");
+        let stats = engine.persist_stats().expect("a persistent engine");
+        (LIVE.load(Ordering::Relaxed), stats.resident_pages)
     };
     let (heap_warm, _) = ask(0..warm);
     let (heap_dead, resident) = ask(warm..warm + dead);

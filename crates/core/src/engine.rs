@@ -517,7 +517,7 @@ impl QueryEngine {
                 Section::new("persist", "engine_persist"),
                 &layer.session_stats(),
             );
-            // Beside the 14 session counters rather than among them: a
+            // Beside the session counters rather than among them: a
             // disk that stopped taking WAL writes.
             let write_failures = layer.store().stats().write_failures;
             visit(
@@ -567,10 +567,15 @@ impl QueryEngine {
         self.persist.as_ref().map(|layer| layer.session_stats())
     }
 
-    /// The durable store, if persistence is wired
-    /// ([`QueryEngine::with_persistence`]); `None` on in-memory engines.
-    pub fn persist_store(&self) -> Option<&PersistStore> {
-        self.persist.as_deref().map(PersistLayer::store)
+    /// Snapshots the durable index into the next generation now and
+    /// waits for it; an `Err` means no snapshot was written. The pages of
+    /// tables no longer live then leave the store's RAM
+    /// ([`PersistSessionStats::resident_pages`]). A no-op without
+    /// persistence.
+    pub fn compact_persistence(&self) -> Result<(), PersistError> {
+        self.persist
+            .as_ref()
+            .map_or(Ok(()), |layer| layer.store().compact())
     }
 
     /// Pushes the session's durable state to disk and waits for it:

@@ -67,7 +67,7 @@ pub use optimize::{
 pub use persistence::PersistSessionStats;
 // Re-exported so engine users can configure persistence without a direct
 // `expred-persist` dependency.
-pub use expred_persist::{FsyncPolicy, PersistConfig, PersistError, PersistStore};
+pub use expred_persist::{FsyncPolicy, PersistConfig, PersistError};
 pub use pipeline::{
     run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice, RunOutcome,
 };

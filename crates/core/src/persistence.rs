@@ -64,10 +64,10 @@ struct TableReg {
 
 expred_stats::counter_set! {
     /// A session-level snapshot of the whole persistence pipeline: the
-    /// store's own counters ([`expred_persist::PersistStats`], copied in by
-    /// `PersistLayer::session_stats` — their slots in the atomic twin stay
-    /// zero) followed by the engine layer's translation/rehydration
-    /// counters, which the twin counts.
+    /// store's own counters ([`expred_persist::PersistStats`]) and resident
+    /// pages, copied in by `PersistLayer::session_stats` (their slots in
+    /// the atomic twin stay zero), followed by the engine layer's
+    /// translation/rehydration counters, which the twin counts.
     pub struct PersistSessionStats, atomic struct LayerCounters {
         /// Row answers accepted into the durable index.
         appended,
@@ -86,6 +86,9 @@ expred_stats::counter_set! {
         recovered_namespaces,
         /// Corrupt/truncated tail bytes discarded at open.
         tail_bytes_discarded,
+        /// Pages of the durable index held in RAM when the snapshot was
+        /// taken (a level, not a count: the rest wait on disk).
+        resident_pages,
         /// Rows of fresh cache writes offered to the store.
         spilled_offers,
         /// Offers dropped because their table was never registered.
@@ -193,6 +196,7 @@ impl PersistLayer {
             recovered_rows: store.recovered_rows,
             recovered_namespaces: store.recovered_namespaces,
             tail_bytes_discarded: store.tail_bytes_discarded,
+            resident_pages: self.store.resident_pages() as u64,
             ..self.counters.snapshot()
         }
     }

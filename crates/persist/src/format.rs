@@ -41,6 +41,8 @@
 //! and decoding skips whatever is there, so the frame layout and sizes
 //! did not change, and a file an earlier build stamped reads as before.
 
+use std::io::Read;
+
 /// File magic: the first four bytes of every persist file.
 pub const MAGIC: [u8; 4] = *b"EXPD";
 
@@ -89,12 +91,10 @@ pub fn check_header(bytes: &[u8]) -> bool {
         && bytes[4..HEADER_LEN] == FORMAT_VERSION.to_le_bytes()
 }
 
-/// CRC-32 (IEEE, reflected) lookup tables for eight bytes at a time,
-/// built at compile time so the crate stays dependency-free. Table 0 is
-/// the byte-at-a-time table; table `k` advances a byte's contribution
-/// past `k` more bytes of zeros.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// CRC-32 (IEEE, reflected) lookup table, built at compile time so the
+/// crate stays dependency-free.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -107,43 +107,17 @@ const CRC_TABLES: [[u32; 256]; 8] = {
             };
             bit += 1;
         }
-        tables[0][i] = c;
+        table[i] = c;
         i += 1;
     }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let c = tables[k - 1][i];
-            tables[k][i] = (c >> 8) ^ tables[0][(c & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
+    table
 };
 
-/// CRC-32 (IEEE) over `bytes`, eight bytes a step (every frame of every
-/// file is checked with it, and a compaction checks each frame it
-/// copies).
+/// CRC-32 (IEEE) over `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][(lo >> 8 & 0xFF) as usize]
-            ^ t[5][(lo >> 16 & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][(hi >> 8 & 0xFF) as usize]
-            ^ t[1][(hi >> 16 & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    for &b in bytes {
+        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -440,21 +414,44 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Record, usize), DecodeError> {
     Ok((record, end))
 }
 
-/// Replays every valid frame from the start of `bytes` (which excludes
-/// the file header), calling `apply` per record. Returns the byte
-/// length of the valid prefix; decoding stops at the first bad frame.
-pub fn replay_frames(bytes: &[u8], mut apply: impl FnMut(Record)) -> usize {
-    let mut at = 0;
-    while at < bytes.len() {
-        match decode_frame(&bytes[at..]) {
-            Ok((record, consumed)) => {
-                apply(record);
-                at += consumed;
-            }
-            Err(_) => break,
+/// Reads every valid frame from `reader` (a file after its header),
+/// calling `visit(offset, len, record)` per frame, `offset` counted from
+/// the reader's start. Returns the byte length of the valid prefix;
+/// reading stops at the first bad frame. One frame buffer is reused
+/// throughout, so the memory held is the largest frame, not the file,
+/// and a length prefix past [`MAX_PAYLOAD`] or past the end of the input
+/// sizes nothing.
+pub(crate) fn scan_frames(mut reader: impl Read, mut visit: impl FnMut(u64, usize, Record)) -> u64 {
+    let (mut at, mut frame) = (0u64, Vec::new());
+    loop {
+        frame.resize(FRAME_OVERHEAD, 0);
+        if reader.read_exact(&mut frame).is_err() {
+            break;
         }
+        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as u64;
+        if len > MAX_PAYLOAD as u64 {
+            break;
+        }
+        // Grows only as far as the input goes: a truncated tail reads
+        // short, and `decode_frame` refuses it.
+        if (&mut reader).take(len).read_to_end(&mut frame).is_err() {
+            break;
+        }
+        let Ok((record, used)) = decode_frame(&frame) else {
+            break;
+        };
+        visit(at, used, record);
+        at += used as u64;
     }
     at
+}
+
+/// Replays every valid frame from the start of `bytes` (which excludes
+/// the file header), calling `apply` per record: the scanner that opening
+/// a store reads its files with, over a buffer. Returns the byte length
+/// of the valid prefix; reading stops at the first bad frame.
+pub fn replay_frames(bytes: &[u8], mut apply: impl FnMut(Record)) -> usize {
+    scan_frames(bytes, |_, _, record| apply(record)) as usize
 }
 
 #[cfg(test)]
@@ -474,23 +471,6 @@ mod tests {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_eight_bytes_a_step_matches_a_byte_at_a_time() {
-        let bytewise = |bytes: &[u8]| {
-            let mut c = 0xFFFF_FFFFu32;
-            for &b in bytes {
-                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-            }
-            !c
-        };
-        let bytes: Vec<u8> = (0u32..300)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
-        for len in 0..bytes.len() {
-            assert_eq!(crc32(&bytes[..len]), bytewise(&bytes[..len]), "{len} bytes");
-        }
     }
 
     #[test]

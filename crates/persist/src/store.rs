@@ -89,9 +89,9 @@
 //! so no reader sees a half-written file or loses one to the unlink.
 
 use crate::format::{
-    check_header, decode_frame, encode_frame, encode_page_image, file_header, PagePlanes,
-    PersistKey, Record, FRAME_OVERHEAD, HEADER_LEN, MAX_PAGE_IMAGE_FRAME, MAX_PAYLOAD, PAGE_LIMIT,
-    PAGE_ROWS, PAGE_WORDS,
+    check_header, decode_frame, encode_frame, encode_page_image, file_header, scan_frames,
+    PagePlanes, PersistKey, Record, HEADER_LEN, MAX_PAGE_IMAGE_FRAME, PAGE_LIMIT, PAGE_ROWS,
+    PAGE_WORDS,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
@@ -116,8 +116,12 @@ pub const DEFAULT_COMPACT_AFTER: u64 = 65_536;
 /// size of the index.
 const SNAPSHOT_CHUNK: usize = 64 * 1024;
 
-/// Pages a compaction takes per hold of the index lock.
+/// Pages a compaction's walk takes per hold of the index lock.
 const WALK_RUN: usize = 16;
+
+/// Pages a compaction's hand-over adopts per hold of the index lock: it
+/// only moves a page's fields, so a hold takes more pages than a walk's.
+const ADOPT_RUN: usize = 16 * WALK_RUN;
 
 /// When the flusher fsyncs the WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -366,40 +370,6 @@ fn read_image(file: &File, image: Image, key: PersistKey, page: u32) -> Option<B
     check_image(&frame, image, key, page)
 }
 
-/// The bytes a compaction last read from the snapshot it copies frames
-/// out of: the walk meets them in file order, so one read of
-/// [`SNAPSHOT_CHUNK`] bytes serves the frames that follow.
-#[derive(Debug, Default)]
-struct ReadAhead {
-    generation: u64,
-    at: u64,
-    bytes: Vec<u8>,
-}
-
-impl ReadAhead {
-    /// The bytes of the frame `image` names in `file`, the snapshot of
-    /// `generation`.
-    fn frame(&mut self, file: &File, generation: u64, image: Image) -> Option<&[u8]> {
-        let (start, len) = (image.offset, image.len.get() as usize);
-        let held = self.at..self.at + self.bytes.len() as u64;
-        if self.generation != generation || !held.contains(&start) || held.end - start < len as u64
-        {
-            self.bytes.resize(SNAPSHOT_CHUNK.max(len), 0);
-            let mut read = 0;
-            while read < self.bytes.len() {
-                match file.read_at(&mut self.bytes[read..], start + read as u64) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => read += n,
-                }
-            }
-            self.bytes.truncate(read);
-            (self.generation, self.at) = (generation, start);
-        }
-        let from = (start - self.at) as usize;
-        self.bytes.get(from..from + len)
-    }
-}
-
 /// The authoritative image of the store — the live tables' pages in RAM,
 /// where the rest are on disk. The WAL and snapshots only exist to
 /// rebuild this after a restart.
@@ -600,10 +570,10 @@ fn parse_generation(name: &str, prefix: &str) -> Option<u64> {
 }
 
 /// Streams a persist file's frames (tolerating a corrupt tail) through
-/// one reused frame buffer, calling `visit(offset, len, record)` per
-/// frame, and returns `(valid_prefix_len, file_len)`. A missing file
-/// reads as empty; a file with a foreign or damaged header contributes
-/// nothing (its whole body is "tail").
+/// [`scan_frames`], calling `visit(offset, len, record)` per frame, and
+/// returns `(valid_prefix_len, file_len)`. A missing file reads as empty;
+/// a file with a foreign or damaged header contributes nothing (its whole
+/// body is "tail").
 fn stream_frames(path: &Path, mut visit: impl FnMut(u64, usize, Record)) -> (u64, u64) {
     let Ok(file) = File::open(path) else {
         return (0, 0);
@@ -614,30 +584,11 @@ fn stream_frames(path: &Path, mut visit: impl FnMut(u64, usize, Record)) -> (u64
     if reader.read_exact(&mut header).is_err() || !check_header(&header) {
         return (0, file_len);
     }
-    let (mut at, mut frame) = (HEADER_LEN as u64, Vec::new());
-    loop {
-        frame.resize(FRAME_OVERHEAD, 0);
-        if reader.read_exact(&mut frame).is_err() {
-            break;
-        }
-        // A length past the payload bound or the file's end is a damaged
-        // tail: refused before it sizes anything.
-        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as u64;
-        let end = at + FRAME_OVERHEAD as u64 + len;
-        if len > MAX_PAYLOAD as u64 || end > file_len {
-            break;
-        }
-        frame.resize(FRAME_OVERHEAD + len as usize, 0);
-        if reader.read_exact(&mut frame[FRAME_OVERHEAD..]).is_err() {
-            break;
-        }
-        let Ok((record, used)) = decode_frame(&frame) else {
-            break;
-        };
-        visit(at, used, record);
-        at = end;
-    }
-    (at, file_len)
+    let at = HEADER_LEN as u64;
+    let valid = scan_frames(reader, |offset, len, record| {
+        visit(at + offset, len, record)
+    });
+    (at + valid, file_len)
 }
 
 /// Creates `path` containing just the file header, fsyncing file and
@@ -1140,10 +1091,10 @@ fn compact_now(shared: &Shared, generation: u64) -> Result<(File, u64), PersistE
 #[derive(Debug)]
 struct Walked {
     at: (Slot, u32),
-    /// For a page on disk, the frame it is copied from: its image, its
-    /// snapshot's generation and handle. `None` for a resident page,
-    /// whose planes wait in the run's copies.
-    from: Option<(Image, u64, Option<Arc<File>>)>,
+    /// For a page on disk, the frame it is copied from: its image and
+    /// its snapshot's handle. `None` for a resident page, whose planes
+    /// wait in the run's copies.
+    from: Option<(Image, Option<Arc<File>>)>,
     /// The page's frame in the new snapshot; `None` until written, and
     /// for a frame that no longer reads back.
     to: Option<Image>,
@@ -1158,7 +1109,7 @@ struct Walked {
 fn write_snapshot(shared: &Shared, mut file: &File) -> std::io::Result<()> {
     let mut out = Vec::with_capacity(SNAPSHOT_CHUNK + WALK_RUN * MAX_PAGE_IMAGE_FRAME);
     out.extend_from_slice(&file_header());
-    let (mut written, mut read_ahead) = (0u64, ReadAhead::default());
+    let mut written = 0u64;
     let mut cursor: Option<(Slot, u32)> = None;
     let (mut run, mut planes) = (Vec::with_capacity(WALK_RUN), Vec::with_capacity(WALK_RUN));
     loop {
@@ -1193,8 +1144,7 @@ fn write_snapshot(shared: &Shared, mut file: &File) -> std::io::Result<()> {
                             None
                         }
                         (None, Some(image)) => {
-                            let source = snapshots.get(&ns.generation).cloned();
-                            Some((image, ns.generation, source))
+                            Some((image, snapshots.get(&ns.generation).cloned()))
                         }
                         (None, None) => continue,
                     };
@@ -1218,16 +1168,21 @@ fn write_snapshot(shared: &Shared, mut file: &File) -> std::io::Result<()> {
                     let len = (written + out.len() as u64 - offset) as usize;
                     walked.to = image(offset, len, held.len());
                 }
-                Some((image, generation, Some(source))) => {
-                    let frame = read_ahead.frame(source, *generation, *image);
-                    let checked = frame
-                        .filter(|frame| check_image(frame, *image, key_of(slot), page).is_some());
-                    if let Some(frame) = checked {
-                        out.extend_from_slice(frame);
+                Some((image, Some(source))) => {
+                    // Read straight into the buffer, and kept only if it
+                    // checks as `pages` checks a frame it reads back.
+                    let start = out.len();
+                    out.resize(start + image.len.get() as usize, 0);
+                    let frame = &mut out[start..];
+                    if source.read_exact_at(frame, image.offset).is_ok()
+                        && check_image(frame, *image, key_of(slot), page).is_some()
+                    {
                         walked.to = Some(Image { offset, ..*image });
+                    } else {
+                        out.truncate(start);
                     }
                 }
-                Some((_, _, None)) => {}
+                Some((_, None)) => {}
             }
         }
         if out.len() >= SNAPSHOT_CHUNK {
@@ -1265,23 +1220,29 @@ fn stage(index: &mut Index, walked: Walked) {
 }
 
 /// Hands the index over to the renamed snapshot of generation `next`,
-/// namespaces of about [`WALK_RUN`] pages per hold of the lock: a page
-/// whose rows did not change since the walk took it now lives at its new
-/// frame (one that changed has no full image until the next compaction),
-/// and a page on disk whose state no table holds live leaves RAM. Then
-/// only `next`'s handle stays open.
+/// about [`ADOPT_RUN`] pages per hold of the lock: a page whose rows did
+/// not change since the walk took it now lives at its new frame (one that
+/// changed has no full image until the next compaction), and a page on
+/// disk whose state no table holds live leaves RAM. The first hold also
+/// opens `next` to readers, and the last retires the handle of the
+/// snapshot before it. Planes that leave RAM and the retired handle are
+/// dropped with the lock released.
 fn adopt_snapshot(shared: &Shared, next: u64, file: File) {
-    shared.index().snapshots.insert(next, Arc::new(file));
-    let mut cursor = None;
+    let mut file = Some(Arc::new(file));
+    let (mut cursor, mut evicted) = (None, Vec::new());
     loop {
         let mut index = shared.index();
         let Index {
-            namespaces, live, ..
+            namespaces,
+            live,
+            snapshots,
         } = &mut *index;
-        let from = cursor.map_or(Unbounded, Excluded);
-        let mut adopted = 0;
+        if let Some(file) = file.take() {
+            snapshots.insert(next, file);
+        }
+        let (from, mut adopted) = (cursor.map_or(Unbounded, Excluded), 0);
         for (&slot, ns) in namespaces.range_mut((from, Unbounded)) {
-            if adopted >= WALK_RUN {
+            if adopted >= ADOPT_RUN {
                 break;
             }
             let live = live.contains_key(&(slot.0, slot.1));
@@ -1290,7 +1251,7 @@ fn adopt_snapshot(shared: &Shared, next: u64, file: File) {
                 let rows = page.rows();
                 page.image = page.staged.take().filter(|image| image.rows == rows);
                 if !live && page.image.is_some() {
-                    page.planes = None;
+                    evicted.extend(page.planes.take());
                 }
                 page.planes.is_some() || page.image.is_some()
             });
@@ -1300,11 +1261,20 @@ fn adopt_snapshot(shared: &Shared, next: u64, file: File) {
             adopted += ns.pages.len().max(1);
             cursor = Some(slot);
         }
-        if adopted == 0 {
+        let done = adopted < ADOPT_RUN;
+        let retired = if done {
+            let current = snapshots.split_off(&next);
+            std::mem::replace(snapshots, current)
+        } else {
+            BTreeMap::new()
+        };
+        drop(index);
+        evicted.clear();
+        drop(retired);
+        if done {
             break;
         }
     }
-    shared.index().snapshots.retain(|&g, _| g == next);
 }
 
 /// Encodes `batch` and appends it to the WAL in one write, counting its

@@ -8,11 +8,14 @@
 //! pooled golden's `remote_udf` section (text) and `"remote"` key (JSON):
 //! the server no longer fronts a remote UDF client, so there is no such
 //! section to export, and those lines were cut from the golden. The
-//! durable golden changed once, when the engine stopped persisting
-//! pass-rate counters: its `selectivity_seeded` line and key were cut,
+//! durable golden changed twice: when the engine stopped persisting
+//! pass-rate counters, its `selectivity_seeded` line and key were cut,
 //! and `flushed` fell by the one counter record its scenario used to
-//! write (321 → 320). A third test holds the two exports to one set of
-//! sections and counters, so they cannot drift apart again.
+//! write (321 → 320); when the durable index began to keep only live
+//! tables' pages in RAM, the persistence section gained
+//! `resident_pages` (1: the scenario's one live page). A third test
+//! holds the two exports to one set of sections and counters, so they
+//! cannot drift apart again.
 //!
 //! Values that depend on the box or the clock — the pool's section, table
 //! materialization time, the WAL's fsync count — are masked to `#` on
