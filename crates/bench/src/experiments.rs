@@ -7,12 +7,11 @@
 
 use crate::baselines::{run_learning, run_multiple};
 use crate::harness::{fmt, paper_datasets, run_many, summarize, HarnessConfig, TextTable};
-use expred_core::optimize::CorrelationModel;
 use expred_core::pipeline::{
     run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice,
 };
 use expred_core::query::QuerySpec;
-use expred_core::sampling::SampleSizeRule;
+use expred_core::sampling::{SampleSizeRule, Sampling};
 use expred_exec::ExecContext;
 use expred_table::datasets::Dataset;
 use expred_udf::CostModel;
@@ -192,12 +191,11 @@ pub fn fig1c(cfg: &HarnessConfig) -> TextTable {
         for ds in &datasets {
             let intel_cfg = IntelSampleConfig {
                 spec,
-                rule: SampleSizeRule::TwoThirdPower(num),
-                corr: CorrelationModel::Independent,
-                predictor: PredictorChoice::Virtual {
+                sampling: Sampling::Rule(SampleSizeRule::TwoThirdPower(num)),
+                ..IntelSampleConfig::experiment1(PredictorChoice::Virtual {
                     buckets: 10,
                     label_fraction: 0.01,
-                },
+                })
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {
@@ -228,9 +226,7 @@ pub fn fig2ab(cfg: &HarnessConfig, recall_side: bool) -> TextTable {
             let spec = QuerySpec::new(0.8, 0.8, rho, CostModel::PAPER_DEFAULT);
             let intel_cfg = IntelSampleConfig {
                 spec,
-                rule: SampleSizeRule::Fraction(0.05),
-                corr: CorrelationModel::Independent,
-                predictor: fixed(ds),
+                ..IntelSampleConfig::experiment1(fixed(ds))
             };
             let stats = summarize(
                 &run_many(cfg.rho_iterations, cfg.seed, |s| {
@@ -270,9 +266,8 @@ pub fn fig2c(cfg: &HarnessConfig) -> TextTable {
             let spec = QuerySpec::new(alpha, 0.8, 0.8, CostModel::PAPER_DEFAULT);
             let intel_cfg = IntelSampleConfig {
                 spec,
-                rule: SampleSizeRule::TwoThirdPower(ratio * alpha),
-                corr: CorrelationModel::Independent,
-                predictor: fixed(ds),
+                sampling: Sampling::Rule(SampleSizeRule::TwoThirdPower(ratio * alpha)),
+                ..IntelSampleConfig::experiment1(fixed(ds))
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {
@@ -326,9 +321,8 @@ fn sweep_sampling(cfg: &HarnessConfig, constant: bool) -> TextTable {
             };
             let intel_cfg = IntelSampleConfig {
                 spec,
-                rule,
-                corr: CorrelationModel::Independent,
-                predictor: fixed(ds),
+                sampling: Sampling::Rule(rule),
+                ..IntelSampleConfig::experiment1(fixed(ds))
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {
@@ -358,9 +352,8 @@ pub fn fig3c(cfg: &HarnessConfig) -> TextTable {
             let spec = QuerySpec::new(0.8, beta, 0.8, CostModel::PAPER_DEFAULT);
             let intel_cfg = IntelSampleConfig {
                 spec,
-                rule: SampleSizeRule::TwoThirdPower(num),
-                corr: CorrelationModel::Independent,
-                predictor: fixed(ds),
+                sampling: Sampling::Rule(SampleSizeRule::TwoThirdPower(num)),
+                ..IntelSampleConfig::experiment1(fixed(ds))
             };
             let stats = summarize(
                 &run_many(cfg.iterations, cfg.seed, |s| {

@@ -610,10 +610,9 @@ impl Default for QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize::CorrelationModel;
     use crate::pipeline::{IntelSampleConfig, PredictorChoice};
     use crate::query::QuerySpec;
-    use crate::sampling::SampleSizeRule;
+    use crate::sampling::Sampling;
     use expred_table::datasets::{DatasetSpec, PROSPER};
 
     fn small_prosper(seed: u64) -> Dataset {
@@ -838,18 +837,19 @@ mod tests {
         let ds = small_prosper(6);
         let spec = QuerySpec::paper_default();
         let engine = QueryEngine::new();
+        let grade = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
         let queries = [
             intel_query(),
             QueryRequest::naive(spec),
             QueryRequest::optimal(spec, "grade"),
-            QueryRequest::adaptive(spec, CorrelationModel::Independent, "grade"),
-            QueryRequest::iterative(
-                spec,
-                CorrelationModel::Independent,
-                "grade",
-                SampleSizeRule::Fraction(0.05),
-                2,
-            ),
+            QueryRequest::intel_sample(IntelSampleConfig {
+                sampling: Sampling::Search,
+                ..grade.clone()
+            }),
+            QueryRequest::intel_sample(IntelSampleConfig {
+                rounds: std::num::NonZeroUsize::new(2).unwrap(),
+                ..grade
+            }),
         ];
         for (i, q) in queries.iter().enumerate() {
             let out = engine

@@ -412,8 +412,8 @@ mod tests {
                 (0..n).map(|row| (bits >> (row % 64)) & 1 == 1 || row % 5 == 0).collect();
             let table = test_table(&labels, &group_ids);
             let udf = OracleUdf::new("label");
-            // The whole table's grouping, or — as the iterative pipeline
-            // executes — a slice of every group: fewer rows than the table.
+            // The whole table's grouping, or — as Intel-Sample's rounds
+            // execute — a slice of every group: fewer rows than the table.
             let whole = table.group_by("g").unwrap();
             let slices: Vec<Vec<u32>> = (0..k)
                 .map(|g| whole.rows(g).take(whole.size(g).div_ceil(keep_one_in)).collect())

@@ -12,11 +12,13 @@
 //!   exactly by `expred_solver`'s plan-LP solve.
 //! * [`sampling`] — §4: per-group sampling rules (Constant,
 //!   Two-Third-Power, fixed fraction), Beta-posterior estimates, and the
-//!   adaptive `num` search.
+//!   adaptive `num` search ([`Sampling::Search`]).
 //! * [`column_select`] — §4.4: ranking real columns, and the logistic
 //!   virtual column.
 //! * [`execute`] — the probabilistic executor with sample reuse.
-//! * [`pipeline`] — end-to-end contestants: Intel-Sample, Optimal, Naive;
+//! * [`pipeline`] — end-to-end contestants: Intel-Sample (with §4.3's
+//!   search and §4.2's rounds as two knobs of its configuration), Optimal,
+//!   Naive;
 //!   and the frame every pipeline runs in, also the seam for a pipeline
 //!   written outside this crate (the ML baselines in `expred-bench`).
 //! * [`extensions`] — §5: budgeted objectives and two-predicate
@@ -28,7 +30,7 @@
 //!   directly ([`result_memo`] holds the lock-striped memo behind it).
 //! * [`request`] / [`strategy`] / [`error`] — the primary query surface:
 //!   a [`QueryRequest`] builder over an open, object-safe
-//!   [`Strategy`] trait (the five pipelines ship as built-in
+//!   [`Strategy`] trait (the three pipelines ship as built-in
 //!   implementations, plus [`strategy::ExprScan`] for
 //!   [`expred_udf::PredicateExpr`] multi-predicate requests), submitted
 //!   via the fallible [`QueryEngine::submit`] — invalid input surfaces
@@ -40,7 +42,6 @@
 //! [`QueryEngine::context`]; [`QueryEngine::submit`] is the
 //! session-level entry point over all of them.
 
-pub mod adaptive;
 pub mod column_select;
 pub mod engine;
 pub mod error;
@@ -56,7 +57,6 @@ pub mod result_memo;
 pub mod sampling;
 pub mod strategy;
 
-pub use adaptive::{run_intel_sample_adaptive, run_intel_sample_iterative};
 pub use engine::{EngineStats, QueryEngine};
 pub use error::EngineError;
 pub use execute::{execute_plan, truth_set, truth_vector, ExecutionResult};
@@ -75,5 +75,5 @@ pub use plan::Plan;
 pub use query::QuerySpec;
 pub use request::{InfeasiblePolicy, QueryRequest};
 pub use result_memo::{ResultMemoStats, ShardedResultMemo};
-pub use sampling::{adaptive_num_search, sample_groups, GroupSample, SampleSizeRule};
+pub use sampling::{sample_groups, GroupSample, SampleSizeRule, Sampling};
 pub use strategy::{Fingerprint, Strategy, StrategyIdentity};

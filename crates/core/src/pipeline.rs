@@ -2,17 +2,18 @@
 //!
 //! * [`run_intel_sample`] — the paper's main algorithm: choose a predictor
 //!   column (fixed, auto-ranked, or an ML virtual column), sample to
-//!   estimate selectivities, solve the convex program, execute.
+//!   estimate selectivities (by a fixed rule, or §4.3's search), solve the
+//!   convex program, execute — at once, or in §4.2's estimate/exploit
+//!   rounds.
 //! * [`run_optimal`] — the unrealistic lower bound: exact selectivities
 //!   handed to the §3.2 optimizer for free.
 //! * [`run_naive`] — retrieve a random `β` fraction and evaluate all of it.
 //!
 //! Every pipeline runs against the audited [`UdfInvoker`], so reported
 //! costs include sampling and predictor-selection evaluations, exactly as
-//! §6.2 requires. All five pipelines (these three and the two in
-//! [`crate::adaptive`]) are bodies inside one frame, [`run_framed`]: the
-//! single place a run obtains its predicate, is clocked, billed and
-//! scored. A pipeline written outside this crate runs in the same frame
+//! §6.2 requires. All three pipelines are bodies inside one frame,
+//! [`run_framed`]: the single place a run obtains its predicate, is
+//! clocked, billed and scored. A pipeline written outside this crate runs in the same frame
 //! — the frame, the [`Frame`] it lends and the [`Answer`] it takes back
 //! are public for that (the paper's ML baselines in `expred-bench` are
 //! such bodies).
@@ -30,13 +31,15 @@ use crate::execute::{bad_label_column, execute_plan_into};
 use crate::optimize::{solve_estimated, solve_perfect_selectivities, CorrelationModel, PlanError};
 use crate::plan::Plan;
 use crate::query::QuerySpec;
-use crate::sampling::{sample_groups, SampleSizeRule};
+use crate::sampling::{adaptive_num_search, sample_groups, GroupSample, SampleSizeRule, Sampling};
 use expred_exec::ExecContext;
 use expred_ml::metrics::PrSummary;
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
 use expred_table::{GroupBy, RowSet, Table};
 use expred_udf::{BooleanUdf, CostCounts, CostModel, OracleUdf, SlowUdf, UdfInvoker};
+use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -91,24 +94,29 @@ pub enum PredictorChoice {
 pub struct IntelSampleConfig {
     /// Accuracy contract.
     pub spec: QuerySpec,
-    /// Per-group sampling budget.
-    pub rule: SampleSizeRule,
+    /// How the first sample is sized: a per-group rule, or §4.3's search.
+    pub sampling: Sampling,
     /// Estimate-correlation model for the convex program.
     pub corr: CorrelationModel,
     /// Predictor column source.
     pub predictor: PredictorChoice,
+    /// Estimate/exploit rounds (§4.2). One plans once and executes the
+    /// whole plan; more execute a share of every group per round and
+    /// re-plan on what the rounds so far evaluated.
+    pub rounds: NonZeroUsize,
 }
 
 impl IntelSampleConfig {
     /// The paper's Experiment-1 configuration for a given predictor:
     /// defaults `α=β=ρ=0.8`, independent-correlation convex program, 5%
-    /// sample.
+    /// sample, one round.
     pub fn experiment1(predictor: PredictorChoice) -> Self {
         Self {
             spec: QuerySpec::paper_default(),
-            rule: SampleSizeRule::Fraction(0.05),
+            sampling: Sampling::Rule(SampleSizeRule::Fraction(0.05)),
             corr: CorrelationModel::Independent,
             predictor,
+            rounds: NonZeroUsize::MIN,
         }
     }
 }
@@ -234,6 +242,11 @@ pub(crate) fn solve_or_evaluate_all(
 /// probe (predictor labelling, sampling, execution) routed through the
 /// context's executor.
 ///
+/// With [`IntelSampleConfig::rounds`] above one, this is §4.2's
+/// back-and-forth: each round executes a `1/rounds_remaining` slice of
+/// every group under the current plan, and every round after the first
+/// re-plans on all the rows evaluated so far.
+///
 /// For a fixed seed the outcome is byte-identical across backends: all
 /// randomness is drawn on the calling thread before batches dispatch.
 /// When the context carries a session cache store, rows paid for by
@@ -287,25 +300,93 @@ pub fn run_intel_sample(
             }
         };
 
-        // Step 1: sample for selectivity estimates (reuses labelled rows).
-        let sample = sample_groups(&groups, &f.invoker, cfg.rule, &mut f.rng, ctx);
-        let est_groups = sample.to_estimated_groups(&groups);
+        let k = groups.num_groups();
+        let solve = |sample: &GroupSample| {
+            let est_groups = sample.to_estimated_groups(&groups);
+            solve_or_evaluate_all(solve_estimated(&est_groups, &cfg.spec, cfg.corr), k)
+        };
 
-        // Step 2: optimize.
-        let (plan, plan_feasible) = solve_or_evaluate_all(
-            solve_estimated(&est_groups, &cfg.spec, cfg.corr),
-            groups.num_groups(),
-        );
+        // Steps 1–2: sample for selectivity estimates (reuses labelled
+        // rows) and optimize. The search already solved the sample it
+        // stopped at.
+        let (mut plan, mut plan_feasible) = match cfg.sampling {
+            Sampling::Rule(rule) => {
+                solve(&sample_groups(&groups, &f.invoker, rule, &mut f.rng, ctx))
+            }
+            Sampling::Search => {
+                let searched =
+                    adaptive_num_search(&groups, &f.invoker, &cfg.spec, cfg.corr, &mut f.rng, ctx);
+                solve_or_evaluate_all(searched.plan, k)
+            }
+        };
 
-        // Step 3: execute.
+        // Step 3: execute. One round's slice is the whole grouping.
+        let rounds = cfg.rounds.get();
         let mut returned = f.empty_answer();
-        execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
+        if rounds == 1 {
+            execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
+        } else {
+            // Rows of each group executed so far: its first ones by rank.
+            let mut executed = vec![0; k];
+            for round in 0..rounds {
+                if round > 0 {
+                    // Fold everything evaluated so far back into the
+                    // estimates: a tally-only pass (no group is short of a
+                    // zero target), so one word-major read of the grouping.
+                    let rule = SampleSizeRule::Constant(0);
+                    let feasible;
+                    (plan, feasible) =
+                        solve(&sample_groups(&groups, &f.invoker, rule, &mut f.rng, ctx));
+                    plan_feasible &= feasible;
+                }
+                // Slice each group's pending rows for this round off its
+                // runs, restricting the plan to the groups that still have
+                // rows.
+                let ranks = next_slices(&groups, &mut executed, rounds - round);
+                let (slice_r, slice_e): (Vec<f64>, Vec<f64>) = (0..k)
+                    .filter(|&g| !ranks[g].is_empty())
+                    .map(|g| (plan.r()[g], plan.e()[g]))
+                    .unzip();
+                if slice_r.is_empty() {
+                    break;
+                }
+                let slice_groups =
+                    groups.slice(format!("{}#round{round}", groups.column()), &ranks);
+                execute_plan_into(
+                    &Plan::new(slice_r, slice_e),
+                    &slice_groups,
+                    &f.invoker,
+                    &mut f.rng,
+                    ctx,
+                    &mut returned,
+                )?;
+            }
+        }
         Ok(Answer {
             returned,
-            num_groups: groups.num_groups(),
+            num_groups: k,
             plan_feasible,
         })
     })
+}
+
+/// Each group's slice for the next round, as a range of ranks among its
+/// rows: a `1/remaining_rounds` share, rounded up, of the rows after the
+/// `executed` ones, which it then counts as executed.
+fn next_slices(
+    groups: &GroupBy,
+    executed: &mut [usize],
+    remaining_rounds: usize,
+) -> Vec<Range<usize>> {
+    executed
+        .iter_mut()
+        .enumerate()
+        .map(|(g, executed)| {
+            let start = *executed;
+            *executed += (groups.size(g) - start).div_ceil(remaining_rounds);
+            start..*executed
+        })
+        .collect()
 }
 
 /// Runs the unrealistic `Optimal` baseline: exact selectivities are read
@@ -368,10 +449,186 @@ pub fn run_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expred_table::datasets::{Dataset, PROSPER};
+    use crate::engine::QueryEngine;
+    use crate::request::QueryRequest;
+    use expred_exec::WorkerPool;
+    use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
+    use proptest::prelude::*;
 
     fn prosper() -> Dataset {
         Dataset::generate(PROSPER, 21)
+    }
+
+    fn small_prosper() -> Dataset {
+        Dataset::generate(
+            DatasetSpec {
+                rows: 6_000,
+                ..PROSPER
+            },
+            41,
+        )
+    }
+
+    /// Intel-Sample on `grade` with the given first sample and rounds.
+    fn section4(sampling: Sampling, rounds: usize) -> IntelSampleConfig {
+        IntelSampleConfig {
+            sampling,
+            rounds: NonZeroUsize::new(rounds).expect("at least one round"),
+            ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()))
+        }
+    }
+
+    fn rounds_of(fraction: f64, rounds: usize) -> IntelSampleConfig {
+        section4(Sampling::Rule(SampleSizeRule::Fraction(fraction)), rounds)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn run_slices_are_the_row_list_slices_round_by_round(
+            assignments in prop::collection::vec(0usize..9, 1..400),
+            rounds in 1usize..6,
+        ) {
+            let groups = GroupBy::from_assignments("g", &assignments);
+            let k = groups.num_groups();
+            // The slicing the runs replaced: drain each group's row list
+            // and rebuild a grouping through `GroupBy::new`.
+            let mut pending: Vec<Vec<u32>> = (0..k).map(|g| groups.rows(g).collect()).collect();
+            let mut executed = vec![0; k];
+            for round in 0..rounds {
+                let remaining_rounds = rounds - round;
+                let (mut keys, mut rows, mut total) = (Vec::new(), Vec::new(), 0);
+                for (g, p) in pending.iter_mut().enumerate() {
+                    let take = p.len().div_ceil(remaining_rounds).min(p.len());
+                    if take > 0 {
+                        total += take;
+                        keys.push(groups.key(g).clone());
+                        rows.push(p.drain(..take).collect::<Vec<u32>>());
+                    }
+                }
+                let ranks = next_slices(&groups, &mut executed, remaining_rounds);
+                let kept = ranks.iter().filter(|r| !r.is_empty()).count();
+                prop_assert_eq!(kept, keys.len(), "round {}", round);
+                let label = format!("g#round{round}");
+                let want = GroupBy::new(label.clone(), keys, rows, total);
+                prop_assert_eq!(groups.slice(label, &ranks), want, "round {}", round);
+            }
+            prop_assert!(pending.iter().all(Vec::is_empty), "rounds left rows behind");
+            prop_assert_eq!(executed, groups.sizes());
+        }
+    }
+
+    #[test]
+    fn adaptive_pipeline_beats_naive_without_tuning() {
+        let ctx = ExecContext::sequential();
+        let ds = small_prosper();
+        let adaptive = run_intel_sample(&ds, &section4(Sampling::Search, 1), 1, &ctx).unwrap();
+        let naive = run_naive(&ds, &QuerySpec::paper_default(), 1, &ctx).unwrap();
+        assert!(
+            adaptive.counts.evaluated < naive.counts.evaluated,
+            "adaptive {} vs naive {}",
+            adaptive.counts.evaluated,
+            naive.counts.evaluated
+        );
+    }
+
+    #[test]
+    fn adaptive_pipeline_meets_constraints_mostly() {
+        let ds = small_prosper();
+        let cfg = section4(Sampling::Search, 1);
+        let mut ok = 0;
+        for seed in 0..8 {
+            let out = run_intel_sample(&ds, &cfg, seed, &ExecContext::sequential()).unwrap();
+            if out.summary.meets(cfg.spec.alpha, cfg.spec.beta) {
+                ok += 1;
+            }
+        }
+        assert!(ok >= 6, "met constraints only {ok}/8 times");
+    }
+
+    #[test]
+    fn iterative_single_round_close_to_one_shot() {
+        // One round executes the whole grouping under the first plan —
+        // exactly what a one-round slice of it executes, cold and on a
+        // warm session store, on either backend.
+        let ds = small_prosper();
+        let cfg = rounds_of(0.05, 1);
+        let sliced = |f: &mut Frame<'_>, ctx: &ExecContext<'_>| {
+            let groups = session_group_by(&ds.table, "grade", ctx)?;
+            let k = groups.num_groups();
+            let rule = SampleSizeRule::Fraction(0.05);
+            let sample = sample_groups(&groups, &f.invoker, rule, &mut f.rng, ctx);
+            let est_groups = sample.to_estimated_groups(&groups);
+            let (plan, plan_feasible) =
+                solve_or_evaluate_all(solve_estimated(&est_groups, &cfg.spec, cfg.corr), k);
+            let ranks = next_slices(&groups, &mut vec![0; k], 1);
+            assert!(ranks.iter().all(|r| !r.is_empty()), "every group has rows");
+            let slice = groups.slice("grade#round0".into(), &ranks);
+            let mut returned = f.empty_answer();
+            execute_plan_into(&plan, &slice, &f.invoker, &mut f.rng, ctx, &mut returned)?;
+            Ok(Answer {
+                returned,
+                num_groups: k,
+                plan_feasible,
+            })
+        };
+        let warmer = QueryRequest::intel_sample(IntelSampleConfig {
+            spec: QuerySpec::new(0.8, 0.3, 0.8, cfg.spec.cost),
+            ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("housing_status".into()))
+        });
+        let engines: [fn() -> QueryEngine; 2] = [QueryEngine::new, || {
+            QueryEngine::with_executor(Box::new(WorkerPool::with_threads(2)))
+        }];
+        for engine in engines {
+            for warm in [false, true] {
+                for seed in [5, 6] {
+                    let (one_round, one_slice) = (engine(), engine());
+                    if warm {
+                        for e in [&one_round, &one_slice] {
+                            e.submit(&ds, &warmer.clone().with_seed(seed)).unwrap();
+                        }
+                    }
+                    let got = run_intel_sample(&ds, &cfg, seed, &one_round.context()).unwrap();
+                    let ctx = one_slice.context();
+                    let want =
+                        run_framed(&ds, &cfg.spec.cost, seed, &ctx, |f| sliced(f, &ctx)).unwrap();
+                    let what = format!("warm {warm} seed {seed}");
+                    assert_eq!(got.returned, want.returned, "{what}");
+                    assert_eq!(got.counts, want.counts, "{what}");
+                    assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}");
+                    assert_eq!(got.num_groups, want.num_groups, "{what}");
+                    assert_eq!(got.plan_feasible, want.plan_feasible, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn iterative_multi_round_refines_without_losing_accuracy() {
+        let ds = small_prosper();
+        let cfg = rounds_of(0.03, 3);
+        let mut ok = 0;
+        for seed in 0..6 {
+            let out = run_intel_sample(&ds, &cfg, 100 + seed, &ExecContext::sequential()).unwrap();
+            assert!(out.counts.evaluated > 0);
+            if out.summary.meets(cfg.spec.alpha, cfg.spec.beta) {
+                ok += 1;
+            }
+        }
+        assert!(ok >= 4, "multi-round met constraints only {ok}/6 times");
+    }
+
+    #[test]
+    fn iterative_never_duplicates_answers() {
+        let ds = small_prosper();
+        let out =
+            run_intel_sample(&ds, &rounds_of(0.05, 4), 9, &ExecContext::sequential()).unwrap();
+        // The answer is a plane, so a row returned by two rounds is one
+        // bit; what must still agree is the count the frame scored.
+        let ids = out.returned.to_vec();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ids.len(), out.summary.returned);
     }
 
     #[test]

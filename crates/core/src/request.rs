@@ -25,11 +25,9 @@
 //!
 //! [`QueryEngine::submit`]: crate::engine::QueryEngine::submit
 
-use crate::optimize::CorrelationModel;
 use crate::pipeline::IntelSampleConfig;
 use crate::query::QuerySpec;
-use crate::sampling::SampleSizeRule;
-use crate::strategy::{Adaptive, ExprScan, IntelSample, Iterative, Naive, Optimal, Strategy};
+use crate::strategy::{ExprScan, IntelSample, Naive, Optimal, Strategy};
 use expred_udf::{CostModel, PredicateExpr};
 use std::sync::Arc;
 
@@ -80,7 +78,8 @@ impl QueryRequest {
         }
     }
 
-    /// The paper's main algorithm ([`crate::pipeline::run_intel_sample`]).
+    /// The paper's main algorithm ([`crate::pipeline::run_intel_sample`]),
+    /// also in its §4.3 search and §4.2 rounds variants.
     pub fn intel_sample(cfg: IntelSampleConfig) -> Self {
         Self::new(IntelSample(cfg))
     }
@@ -96,34 +95,6 @@ impl QueryRequest {
         Self::new(Optimal {
             spec,
             predictor: predictor.into(),
-        })
-    }
-
-    /// The parameter-free adaptive pipeline
-    /// ([`crate::adaptive::run_intel_sample_adaptive`]).
-    pub fn adaptive(spec: QuerySpec, corr: CorrelationModel, predictor: impl Into<String>) -> Self {
-        Self::new(Adaptive {
-            spec,
-            corr,
-            predictor: predictor.into(),
-        })
-    }
-
-    /// The §4.2 iterative estimate/exploit pipeline
-    /// ([`crate::adaptive::run_intel_sample_iterative`]).
-    pub fn iterative(
-        spec: QuerySpec,
-        corr: CorrelationModel,
-        predictor: impl Into<String>,
-        rule: SampleSizeRule,
-        rounds: usize,
-    ) -> Self {
-        Self::new(Iterative {
-            spec,
-            corr,
-            predictor: predictor.into(),
-            rule,
-            rounds,
         })
     }
 

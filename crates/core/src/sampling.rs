@@ -27,8 +27,10 @@
 //!   plane, evaluated as one batch ([`UdfInvoker::evaluate_plane`]), and
 //!   the groups' drawn positives are again a popcount per run, counted
 //!   for every group in one pass.
-//! * [`adaptive_num_search`] — §4.3's adaptive scheme: grow `num`, re-plan,
-//!   and stop when the estimated total cost starts rising.
+//! * [`Sampling`] — how Intel-Sample sizes its first sample: a
+//!   [`SampleSizeRule`], or [`Sampling::Search`], §4.3's adaptive scheme
+//!   (`adaptive_num_search`): grow `num`, re-plan, and stop when the
+//!   estimated total cost starts rising.
 
 use crate::optimize::{solve_estimated, CorrelationModel, EstimatedGroup, PlanError};
 use crate::plan::Plan;
@@ -62,6 +64,17 @@ impl SampleSizeRule {
         };
         (raw.round().max(0.0) as usize).min(group_size)
     }
+}
+
+/// How Intel-Sample sizes its first sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Sampling {
+    /// Sample each group per a fixed rule, and plan on that sample.
+    Rule(SampleSizeRule),
+    /// §4.3's parameter-free search: grow `num` in the Two-Third-Power
+    /// rule, re-planning each step, until the estimated total cost
+    /// rises; the plan it stopped at is the first round's.
+    Search,
 }
 
 /// The outcome of sampling one grouping.
@@ -244,24 +257,21 @@ fn select(mask: u64, rank: u32) -> u32 {
 
 /// Result of the adaptive `num` search (§4.3).
 #[derive(Debug, Clone)]
-pub struct AdaptiveOutcome {
-    /// The sample state at the stopping point.
-    pub sample: GroupSample,
-    /// The `num` value the search stopped at.
-    pub num: f64,
+pub(crate) struct AdaptiveOutcome {
     /// Estimated total cost (sampling already spent + planned remainder)
     /// at the stopping point.
-    pub estimated_cost: f64,
-    /// ConvexProg 4.1's solve over `sample` — the plan the search costed,
-    /// so callers need not solve the same sample again.
-    pub plan: Result<Plan, PlanError>,
+    pub(crate) estimated_cost: f64,
+    /// ConvexProg 4.1's solve over the sample the search stopped at —
+    /// the plan the search costed, so callers need not solve the same
+    /// sample again.
+    pub(crate) plan: Result<Plan, PlanError>,
 }
 
 /// §4.3's adaptive scheme: start from a small `num`, keep enlarging the
 /// sample and re-solving ConvexProg 4.1; stop when the estimated total
 /// cost (sampling spent so far + planned execution) rises for two
 /// consecutive steps, returning the best state seen.
-pub fn adaptive_num_search(
+pub(crate) fn adaptive_num_search(
     groups: &GroupBy,
     invoker: &UdfInvoker<'_>,
     spec: &QuerySpec,
@@ -269,20 +279,12 @@ pub fn adaptive_num_search(
     rng: &mut Prng,
     ctx: &ExecContext<'_>,
 ) -> AdaptiveOutcome {
-    let mut num = 0.5 * spec.alpha.max(0.1);
     let growth = 1.4;
     let max_steps = 16;
-    let mut best: Option<AdaptiveOutcome> = None;
-    let mut rises = 0;
-    for _ in 0..max_steps {
-        let sample = sample_groups(
-            groups,
-            invoker,
-            SampleSizeRule::TwoThirdPower(num),
-            rng,
-            ctx,
-        );
-        let est_groups = sample.to_estimated_groups(groups);
+    // One step: sample up to `num`'s rule, solve, and cost the result.
+    let mut step = |num: f64| {
+        let rule = SampleSizeRule::TwoThirdPower(num);
+        let est_groups = sample_groups(groups, invoker, rule, rng, ctx).to_estimated_groups(groups);
         let spent = invoker.cost(&spec.cost);
         let plan = solve_estimated(&est_groups, spec, corr);
         let planned = match &plan {
@@ -292,15 +294,19 @@ pub fn adaptive_num_search(
             }
             Err(_) => f64::INFINITY,
         };
-        let total = spent + planned;
-        let improved = best.as_ref().is_none_or(|b| total < b.estimated_cost);
-        if improved {
-            best = Some(AdaptiveOutcome {
-                sample,
-                num,
-                estimated_cost: total,
-                plan,
-            });
+        AdaptiveOutcome {
+            estimated_cost: spent + planned,
+            plan,
+        }
+    };
+    let mut num = 0.5 * spec.alpha.max(0.1);
+    let mut best = step(num);
+    let mut rises = 0;
+    for _ in 1..max_steps {
+        num *= growth;
+        let next = step(num);
+        if next.estimated_cost < best.estimated_cost {
+            best = next;
             rises = 0;
         } else {
             rises += 1;
@@ -308,9 +314,8 @@ pub fn adaptive_num_search(
                 break;
             }
         }
-        num *= growth;
     }
-    best.expect("at least one adaptive step always runs")
+    best
 }
 
 #[cfg(test)]
@@ -689,6 +694,6 @@ mod tests {
             &ctx,
         );
         assert!(outcome.estimated_cost.is_finite());
-        assert!(outcome.num > 0.0);
+        assert!(outcome.plan.is_ok());
     }
 }

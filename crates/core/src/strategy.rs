@@ -24,22 +24,22 @@
 //!
 //! # Built-ins
 //!
-//! The five pipelines the workspace grew as free functions are all here
-//! as first-class strategies: [`IntelSample`], [`Naive`], [`Optimal`],
-//! [`Adaptive`], and [`Iterative`] — plus [`ExprScan`], which evaluates a
+//! The three pipelines are all here as first-class strategies:
+//! [`IntelSample`] — the paper's §4 algorithm, whose configuration also
+//! covers §4.3's sample-size search and §4.2's estimate/exploit rounds —
+//! [`Naive`] and [`Optimal`]; plus [`ExprScan`], which evaluates a
 //! [`PredicateExpr`] over the whole table through the session cache with
 //! cost-ordered short-circuiting. The paper's ML baselines are not
 //! strategies: their training size is tuned against ground truth, so
 //! they live with the experiments in `expred-bench`.
 
-use crate::adaptive::{run_intel_sample_adaptive, run_intel_sample_iterative};
 use crate::error::EngineError;
 use crate::optimize::CorrelationModel;
 use crate::pipeline::{
     run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice, RunOutcome,
 };
 use crate::query::QuerySpec;
-use crate::sampling::SampleSizeRule;
+use crate::sampling::{SampleSizeRule, Sampling};
 use expred_exec::ExecContext;
 use expred_ml::metrics::PrSummary;
 use expred_stats::hash::Fnv64;
@@ -224,7 +224,7 @@ fn require_column(table: &Table, column: &str) -> Result<(), EngineError> {
 }
 
 /// Shared validation for every built-in pipeline: the label oracle
-/// column must exist and be a boolean column without NULLs (all five
+/// column must exist and be a boolean column without NULLs (all three
 /// evaluate it as the expensive UDF and score their answer against it).
 /// Reads the memoized column statistics, so repeat requests pay a lookup.
 fn require_label_column(ds: &Dataset) -> Result<(), EngineError> {
@@ -309,20 +309,21 @@ fn spec_fp(fp: &mut Fingerprint, spec: &QuerySpec) {
     fp.write_f64(spec.cost.evaluate);
 }
 
-fn rule_fp(fp: &mut Fingerprint, rule: SampleSizeRule) {
-    match rule {
-        SampleSizeRule::Fraction(f) => {
+fn sampling_fp(fp: &mut Fingerprint, sampling: Sampling) {
+    match sampling {
+        Sampling::Rule(SampleSizeRule::Fraction(f)) => {
             fp.write_u64(1);
             fp.write_f64(f);
         }
-        SampleSizeRule::Constant(c) => {
+        Sampling::Rule(SampleSizeRule::Constant(c)) => {
             fp.write_u64(2);
             fp.write_u64(c as u64);
         }
-        SampleSizeRule::TwoThirdPower(p) => {
+        Sampling::Rule(SampleSizeRule::TwoThirdPower(p)) => {
             fp.write_u64(3);
             fp.write_f64(p);
         }
+        Sampling::Search => fp.write_u64(4),
     }
 }
 
@@ -356,24 +357,35 @@ fn predictor_fp(fp: &mut Fingerprint, predictor: &PredictorChoice) {
 
 /// The paper's main algorithm as a strategy
 /// ([`crate::pipeline::run_intel_sample`]).
+///
+/// Its name follows the configuration, so an error names the variant
+/// asked for: `"iterative"` with two rounds or more, else `"adaptive"`
+/// for §4.3's search, else `"intel_sample"`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntelSample(pub IntelSampleConfig);
 
 impl Strategy for IntelSample {
     fn name(&self) -> &str {
-        "intel_sample"
+        match (self.0.rounds.get(), self.0.sampling) {
+            (2.., _) => "iterative",
+            (_, Sampling::Search) => "adaptive",
+            (_, Sampling::Rule(_)) => "intel_sample",
+        }
     }
 
     fn fingerprint(&self, fp: &mut Fingerprint) {
         spec_fp(fp, &self.0.spec);
-        rule_fp(fp, self.0.rule);
+        sampling_fp(fp, self.0.sampling);
         corr_fp(fp, self.0.corr);
         predictor_fp(fp, &self.0.predictor);
+        fp.write_u64(self.0.rounds.get() as u64);
     }
 
     fn validate(&self, ds: &Dataset) -> Result<(), EngineError> {
         self.0.spec.validate()?;
-        validate_rule(self.0.rule)?;
+        if let Sampling::Rule(rule) = self.0.sampling {
+            validate_rule(rule)?;
+        }
         validate_predictor(ds, &self.0.predictor)?;
         require_label_column(ds)
     }
@@ -450,105 +462,6 @@ impl Strategy for Optimal {
         ctx: &ExecContext<'_>,
     ) -> Result<RunOutcome, EngineError> {
         run_optimal(ds, &self.spec, &self.predictor, seed, ctx)
-    }
-}
-
-/// The §4.3 parameter-free adaptive pipeline as a strategy
-/// ([`crate::adaptive::run_intel_sample_adaptive`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Adaptive {
-    /// Accuracy contract.
-    pub spec: QuerySpec,
-    /// Estimate-correlation model.
-    pub corr: CorrelationModel,
-    /// Predictor column.
-    pub predictor: String,
-}
-
-impl Strategy for Adaptive {
-    fn name(&self) -> &str {
-        "adaptive"
-    }
-
-    fn fingerprint(&self, fp: &mut Fingerprint) {
-        spec_fp(fp, &self.spec);
-        corr_fp(fp, self.corr);
-        fp.write_str(&self.predictor);
-    }
-
-    fn validate(&self, ds: &Dataset) -> Result<(), EngineError> {
-        self.spec.validate()?;
-        require_column(&ds.table, &self.predictor)?;
-        require_label_column(ds)
-    }
-
-    fn execute(
-        &self,
-        ds: &Dataset,
-        seed: u64,
-        ctx: &ExecContext<'_>,
-    ) -> Result<RunOutcome, EngineError> {
-        run_intel_sample_adaptive(ds, &self.spec, self.corr, &self.predictor, seed, ctx)
-    }
-}
-
-/// The §4.2 iterative estimate/exploit pipeline as a strategy
-/// ([`crate::adaptive::run_intel_sample_iterative`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Iterative {
-    /// Accuracy contract.
-    pub spec: QuerySpec,
-    /// Estimate-correlation model.
-    pub corr: CorrelationModel,
-    /// Predictor column.
-    pub predictor: String,
-    /// Initial sampling rule.
-    pub rule: SampleSizeRule,
-    /// Number of estimate/exploit rounds.
-    pub rounds: usize,
-}
-
-impl Strategy for Iterative {
-    fn name(&self) -> &str {
-        "iterative"
-    }
-
-    fn fingerprint(&self, fp: &mut Fingerprint) {
-        spec_fp(fp, &self.spec);
-        corr_fp(fp, self.corr);
-        fp.write_str(&self.predictor);
-        rule_fp(fp, self.rule);
-        fp.write_u64(self.rounds as u64);
-    }
-
-    fn validate(&self, ds: &Dataset) -> Result<(), EngineError> {
-        self.spec.validate()?;
-        validate_rule(self.rule)?;
-        if self.rounds < 1 {
-            return Err(EngineError::InvalidRequest {
-                reason: "iterative pipeline needs at least one round".into(),
-            });
-        }
-        require_column(&ds.table, &self.predictor)?;
-        require_label_column(ds)
-    }
-
-    fn execute(
-        &self,
-        ds: &Dataset,
-        seed: u64,
-        ctx: &ExecContext<'_>,
-    ) -> Result<RunOutcome, EngineError> {
-        run_intel_sample_iterative(
-            ds,
-            &self.spec,
-            self.corr,
-            &self.predictor,
-            self.rule,
-            self.rounds,
-            seed,
-            ctx,
-        )
     }
 }
 
@@ -687,6 +600,41 @@ mod tests {
         assert_ne!(naive.digest64(), renamed.digest64());
         let other = StrategyIdentity::of(&Naive(QuerySpec::new(0.7, 0.8, 0.8, spec.cost)));
         assert_ne!(naive, other);
+        // Intel-Sample's knobs: the name follows them, and every setting
+        // is its own identity.
+        let grade = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
+        let rounds = |n| IntelSampleConfig {
+            rounds: std::num::NonZeroUsize::new(n).unwrap(),
+            ..grade.clone()
+        };
+        let search = IntelSampleConfig {
+            sampling: Sampling::Search,
+            ..grade.clone()
+        };
+        let settings = [
+            (grade.clone(), "intel_sample"),
+            (search.clone(), "adaptive"),
+            (rounds(2), "iterative"),
+            (rounds(3), "iterative"),
+            (
+                IntelSampleConfig {
+                    rounds: rounds(2).rounds,
+                    ..search
+                },
+                "iterative",
+            ),
+        ];
+        let identities: Vec<_> = settings
+            .into_iter()
+            .map(|(cfg, name)| {
+                let identity = StrategyIdentity::of(&IntelSample(cfg));
+                assert_eq!(identity.name, name);
+                identity
+            })
+            .collect();
+        for (i, a) in identities.iter().enumerate() {
+            assert!(identities[i + 1..].iter().all(|b| a != b), "setting {i}");
+        }
     }
 
     #[test]
@@ -745,7 +693,7 @@ mod tests {
             Err(EngineError::InvalidSpec { field: "alpha", .. })
         ));
         let bad_rule = IntelSample(IntelSampleConfig {
-            rule: SampleSizeRule::Fraction(0.0),
+            sampling: Sampling::Rule(SampleSizeRule::Fraction(0.0)),
             ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()))
         });
         assert!(matches!(

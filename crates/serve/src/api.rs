@@ -54,12 +54,13 @@
 
 use expred_core::optimize::CorrelationModel;
 use expred_core::pipeline::{IntelSampleConfig, PredictorChoice, RunOutcome};
-use expred_core::sampling::SampleSizeRule;
+use expred_core::sampling::{SampleSizeRule, Sampling};
 use expred_core::{EngineError, InfeasiblePolicy, QueryRequest, QuerySpec};
 use expred_stats::json::{id_plane_len, JsonError, JsonReader, JsonWriter, Token};
 use expred_table::RowSet;
 use expred_udf::CostModel;
 use std::borrow::Cow;
+use std::num::NonZeroUsize;
 
 /// A failed API call: the HTTP status to answer with, a stable
 /// machine-readable kind, and a human-readable detail message.
@@ -167,10 +168,13 @@ pub struct ApiQuery {
 ///   `label_fraction` (auto-ranking budget, default 0.01),
 ///   `sample_fraction` (default 0.05), `corr`
 ///   (`"independent"`/`"unknown"`, default independent).
-/// * `"optimal"`, `"adaptive"` — `predictor` (required);
-///   adaptive also takes `corr`.
+/// * `"optimal"` — `predictor` (required).
+/// * `"adaptive"` — `predictor` (required), `corr`: an `intel_sample`
+///   config whose first sample is §4.3's search
+///   ([`Sampling::Search`]).
 /// * `"iterative"` — `predictor` (required), `corr`, `sample_fraction`,
-///   `rounds` (default 2).
+///   `rounds` (default 2): an `intel_sample` config with §4.2's
+///   estimate/exploit rounds ([`IntelSampleConfig::rounds`]).
 /// * `"expr"` — `predicate` (required): a pypred-style boolean string
 ///   over the table's boolean columns, e.g.
 ///   `"udf_label and (vip or not flagged)"` (`not` binds tighter than
@@ -373,10 +377,11 @@ fn read_table(reader: &mut JsonReader<'_>, max_rows: usize) -> Result<TableKey, 
     Ok(TableKey { spec, rows, seed })
 }
 
-/// Largest accepted `rounds` value. The engine only checks `>= 1`, so
-/// without an API-side ceiling a single admitted request could command
-/// unbounded CPU — the same admission-control hole `max_rows` closes for
-/// table size.
+/// Largest accepted `rounds` value. The engine takes any nonzero count
+/// (`IntelSampleConfig::rounds` is a `NonZeroUsize`), so without an
+/// API-side ceiling a single admitted request could command unbounded
+/// CPU — the same admission-control hole `max_rows` closes for table
+/// size.
 pub const MAX_ROUNDS: u64 = 64;
 
 /// The `query` object's shared contract fields, collected before the
@@ -391,7 +396,7 @@ struct QueryFields<'a> {
     label_fraction: f64,
     sample_fraction: f64,
     corr: CorrelationModel,
-    rounds: usize,
+    rounds: NonZeroUsize,
     predicate: Option<String>,
 }
 
@@ -414,17 +419,16 @@ fn fraction(reader: &mut JsonReader<'_>, name: &str) -> Result<f64, Stop> {
     }
 }
 
-fn bounded(reader: &mut JsonReader<'_>, name: &str, max: u64) -> Result<usize, Stop> {
+fn bounded(reader: &mut JsonReader<'_>, name: &str, max: u64) -> Result<NonZeroUsize, Stop> {
     let n = reader
         .next()?
         .as_u64()
         .ok_or_else(|| bad_request(format!("{name:?} must be an integer")))?;
-    if (1..=max).contains(&n) {
-        Ok(n as usize)
-    } else {
-        Err(bad_request(format!(
+    match NonZeroUsize::new(n as usize) {
+        Some(count) if n <= max => Ok(count),
+        _ => Err(bad_request(format!(
             "{name:?} must be in 1..={max}, got {n}"
-        )))
+        ))),
     }
 }
 
@@ -440,7 +444,7 @@ fn read_query<'a>(reader: &mut JsonReader<'a>) -> Result<QueryFields<'a>, Stop> 
         label_fraction: 0.01,
         sample_fraction: 0.05,
         corr: CorrelationModel::Independent,
-        rounds: 2,
+        rounds: NonZeroUsize::MIN.saturating_add(1),
         predicate: None,
     };
     let mut fields = Fields::of(&[
@@ -499,17 +503,29 @@ fn query_request(f: QueryFields<'_>) -> Result<QueryRequest, ApiError> {
             ApiError::bad_request(format!("query kind {:?} requires \"predictor\"", f.kind))
         })
     };
+    // `adaptive`, `iterative` and `intel_sample` are three settings of
+    // the one Intel-Sample pipeline.
+    let intel_sample = |predictor, sampling, rounds| {
+        QueryRequest::intel_sample(IntelSampleConfig {
+            spec,
+            sampling,
+            corr: f.corr,
+            predictor,
+            rounds,
+        })
+    };
+    let rule = Sampling::Rule(SampleSizeRule::Fraction(f.sample_fraction));
     match &*f.kind {
         "naive" => Ok(QueryRequest::naive(spec)),
         "optimal" => Ok(QueryRequest::optimal(spec, needs_predictor()?)),
-        "adaptive" => Ok(QueryRequest::adaptive(spec, f.corr, needs_predictor()?)),
-        "iterative" => Ok(QueryRequest::iterative(
-            spec,
-            f.corr,
-            needs_predictor()?,
-            SampleSizeRule::Fraction(f.sample_fraction),
-            f.rounds,
-        )),
+        "adaptive" => {
+            let predictor = PredictorChoice::Fixed(needs_predictor()?);
+            Ok(intel_sample(predictor, Sampling::Search, NonZeroUsize::MIN))
+        }
+        "iterative" => {
+            let predictor = PredictorChoice::Fixed(needs_predictor()?);
+            Ok(intel_sample(predictor, rule, f.rounds))
+        }
         "intel_sample" => {
             let predictor = match f.predictor {
                 Some(column) => PredictorChoice::Fixed(column),
@@ -517,12 +533,7 @@ fn query_request(f: QueryFields<'_>) -> Result<QueryRequest, ApiError> {
                     label_fraction: f.label_fraction,
                 },
             };
-            Ok(QueryRequest::intel_sample(IntelSampleConfig {
-                spec,
-                rule: SampleSizeRule::Fraction(f.sample_fraction),
-                corr: f.corr,
-                predictor,
-            }))
+            Ok(intel_sample(predictor, rule, NonZeroUsize::MIN))
         }
         "expr" => {
             let predicate = f.predicate.ok_or_else(|| {

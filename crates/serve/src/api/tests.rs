@@ -284,14 +284,20 @@ mod oracle {
         match f.kind {
             "naive" => Ok(QueryRequest::naive(spec)),
             "optimal" => Ok(QueryRequest::optimal(spec, needs_predictor()?)),
-            "adaptive" => Ok(QueryRequest::adaptive(spec, f.corr, needs_predictor()?)),
-            "iterative" => Ok(QueryRequest::iterative(
+            "adaptive" => Ok(QueryRequest::intel_sample(IntelSampleConfig {
                 spec,
-                f.corr,
-                needs_predictor()?,
-                SampleSizeRule::Fraction(f.sample_fraction),
-                f.rounds,
-            )),
+                sampling: Sampling::Search,
+                corr: f.corr,
+                predictor: PredictorChoice::Fixed(needs_predictor()?),
+                rounds: NonZeroUsize::MIN,
+            })),
+            "iterative" => Ok(QueryRequest::intel_sample(IntelSampleConfig {
+                spec,
+                sampling: Sampling::Rule(SampleSizeRule::Fraction(f.sample_fraction)),
+                corr: f.corr,
+                predictor: PredictorChoice::Fixed(needs_predictor()?),
+                rounds: NonZeroUsize::new(f.rounds).expect("rounds are bounded below by 1"),
+            })),
             "intel_sample" => {
                 let predictor = match f.predictor {
                     Some(column) => PredictorChoice::Fixed(column),
@@ -301,9 +307,10 @@ mod oracle {
                 };
                 Ok(QueryRequest::intel_sample(IntelSampleConfig {
                     spec,
-                    rule: SampleSizeRule::Fraction(f.sample_fraction),
+                    sampling: Sampling::Rule(SampleSizeRule::Fraction(f.sample_fraction)),
                     corr: f.corr,
                     predictor,
+                    rounds: NonZeroUsize::MIN,
                 }))
             }
             "expr" => {

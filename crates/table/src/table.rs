@@ -662,8 +662,8 @@ impl GroupBy {
 
     /// The rows of each group `g` whose rank among the group's rows — its
     /// position in [`Self::rows`]`(g)` — lies in `ranks[g]`, as a grouping
-    /// labelled `column`: what the iterative pipeline executes of each
-    /// group in one round. A group whose range holds none of its rows is
+    /// labelled `column`: what Intel-Sample's §4.2 rounds execute of
+    /// each group in one round. A group whose range holds none of its rows is
     /// left out; the others keep their keys and order. Read off the runs:
     /// the prefix popcounts find the runs a range starts and ends in
     /// ([`bitcount::rank_cut`]), those two are split, and the runs
@@ -746,7 +746,7 @@ impl GroupBy {
     /// held. A grouping of every row of a table — any grouping built by
     /// [`Table::group_by`] — is the full plane, filled without a pass
     /// over the runs; a grouping of fewer rows (a slice of each group, as
-    /// the iterative pipeline executes per round) ORs its runs together.
+    /// Intel-Sample's §4.2 rounds execute) ORs its runs together.
     pub fn row_plane(&self) -> RowSet {
         // Groups hold distinct rows below the extent: as many as the
         // extent is all.

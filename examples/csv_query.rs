@@ -11,10 +11,7 @@
 //! CSV → Table → predictor selection → sampling → optimization →
 //! execution → audited cost report.
 
-use expred::core::optimize::CorrelationModel;
-use expred::core::{
-    IntelSampleConfig, PredictorChoice, QueryEngine, QueryRequest, QuerySpec, SampleSizeRule,
-};
+use expred::core::{IntelSampleConfig, PredictorChoice, QueryEngine, QueryRequest, QuerySpec};
 use expred::table::csv::{read_csv, write_csv};
 use expred::table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
 use expred::udf::CostModel;
@@ -111,11 +108,9 @@ fn main() {
     }
     let cfg = IntelSampleConfig {
         spec,
-        rule: SampleSizeRule::Fraction(0.05),
-        corr: CorrelationModel::Independent,
-        predictor: PredictorChoice::Auto {
+        ..IntelSampleConfig::experiment1(PredictorChoice::Auto {
             label_fraction: 0.01,
-        },
+        })
     };
     // Each contestant gets its own engine session: sharing one would let
     // the second query reuse rows the first already paid for and skew

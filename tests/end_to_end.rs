@@ -5,7 +5,7 @@
 use expred::core::optimize::CorrelationModel;
 use expred::core::{
     run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice, QuerySpec,
-    SampleSizeRule,
+    SampleSizeRule, Sampling,
 };
 use expred::exec::ExecContext;
 use expred::table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
@@ -47,9 +47,7 @@ fn constraint_satisfaction_rate_tracks_rho() {
     let spec = QuerySpec::paper_default(); // rho = 0.8
     let cfg = IntelSampleConfig {
         spec,
-        rule: SampleSizeRule::Fraction(0.05),
-        corr: CorrelationModel::Independent,
-        predictor: PredictorChoice::Fixed("grade".into()),
+        ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()))
     };
     let runs = 24;
     let mut precision_ok = 0;
@@ -81,9 +79,8 @@ fn sampling_cost_is_part_of_the_bill() {
     let ds = small(PROSPER, 5_000, 3);
     let cfg = IntelSampleConfig {
         spec: QuerySpec::paper_default(),
-        rule: SampleSizeRule::Fraction(0.2),
-        corr: CorrelationModel::Independent,
-        predictor: PredictorChoice::Fixed("grade".into()),
+        sampling: Sampling::Rule(SampleSizeRule::Fraction(0.2)),
+        ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()))
     };
     let out = run_intel_sample(&ds, &cfg, 4, &ExecContext::sequential()).unwrap();
     assert!(
@@ -100,9 +97,8 @@ fn unknown_correlation_model_is_more_conservative() {
     let spec = QuerySpec::paper_default();
     let mk = |corr| IntelSampleConfig {
         spec,
-        rule: SampleSizeRule::Fraction(0.05),
         corr,
-        predictor: PredictorChoice::Fixed("grade".into()),
+        ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()))
     };
     // Average over a few seeds: the worst-case-correlation program must
     // spend at least as much as the independence program.
@@ -131,9 +127,7 @@ fn browsing_scenario_returns_only_evaluated_tuples() {
     let ds = small(PROSPER, 5_000, 6);
     let cfg = IntelSampleConfig {
         spec: QuerySpec::browsing(0.7, 0.8, expred::udf::CostModel::PAPER_DEFAULT),
-        rule: SampleSizeRule::Fraction(0.05),
-        corr: CorrelationModel::Independent,
-        predictor: PredictorChoice::Fixed("grade".into()),
+        ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()))
     };
     let out = run_intel_sample(&ds, &cfg, 7, &ExecContext::sequential()).unwrap();
     assert_eq!(out.summary.precision, 1.0, "browsing mode must be exact");

@@ -7,17 +7,38 @@
 //! equals the direct pipeline function on `ExecContext::sequential()`.
 
 use expred::core::{
-    run_intel_sample, run_intel_sample_adaptive, run_intel_sample_iterative, run_naive,
-    run_optimal, CorrelationModel, EngineError, IntelSampleConfig, PredictorChoice, QueryEngine,
-    QueryRequest, QuerySpec, RunOutcome, SampleSizeRule,
+    run_intel_sample, run_naive, run_optimal, CorrelationModel, EngineError, IntelSampleConfig,
+    PredictorChoice, QueryEngine, QueryRequest, QuerySpec, RunOutcome, SampleSizeRule, Sampling,
 };
 use expred::exec::{ExecContext, Executor, Sequential, WorkerPool};
 use expred::table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn small(spec: DatasetSpec, rows: usize, seed: u64) -> Dataset {
     Dataset::generate(DatasetSpec { rows, ..spec }, seed)
+}
+
+/// Intel-Sample on `grade` with the given first sample, correlation
+/// model and rounds: what the `adaptive` (§4.3's search) and `iterative`
+/// (§4.2's rounds) HTTP kinds ask for.
+fn section4(sampling: Sampling, corr: CorrelationModel, rounds: usize) -> IntelSampleConfig {
+    IntelSampleConfig {
+        sampling,
+        corr,
+        rounds: NonZeroUsize::new(rounds).expect("at least one round"),
+        ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()))
+    }
+}
+
+fn adaptive(corr: CorrelationModel) -> IntelSampleConfig {
+    section4(Sampling::Search, corr, 1)
+}
+
+fn iterative(fraction: f64, rounds: usize) -> IntelSampleConfig {
+    let rule = Sampling::Rule(SampleSizeRule::Fraction(fraction));
+    section4(rule, CorrelationModel::Independent, rounds)
 }
 
 /// Backends under test: the persistent work-stealing pool at a narrow,
@@ -161,11 +182,9 @@ fn intel_sample_virtual_predictor_answers_what_the_parent_commit_answered() {
 #[test]
 fn adaptive_pipeline_is_backend_invariant() {
     let ds = small(PROSPER, 3_000, 6);
-    let spec = QuerySpec::paper_default();
+    let cfg = adaptive(CorrelationModel::Independent);
     let run = |backend: &dyn Executor| {
-        let ctx = ExecContext::new(backend);
-        run_intel_sample_adaptive(&ds, &spec, CorrelationModel::Independent, "grade", 8, &ctx)
-            .unwrap()
+        run_intel_sample(&ds, &cfg, 8, &ExecContext::new(backend)).unwrap()
     };
     let want = run(&Sequential);
     for backend in backends() {
@@ -176,24 +195,46 @@ fn adaptive_pipeline_is_backend_invariant() {
 #[test]
 fn iterative_pipeline_is_backend_invariant() {
     let ds = small(PROSPER, 3_000, 8);
-    let spec = QuerySpec::paper_default();
+    let cfg = iterative(0.05, 3);
     let run = |backend: &dyn Executor| {
-        run_intel_sample_iterative(
-            &ds,
-            &spec,
-            CorrelationModel::Independent,
-            "grade",
-            SampleSizeRule::Fraction(0.05),
-            3,
-            9,
-            &ExecContext::new(backend),
-        )
-        .unwrap()
+        run_intel_sample(&ds, &cfg, 9, &ExecContext::new(backend)).unwrap()
     };
     let want = run(&Sequential);
     for backend in backends() {
         let got = run(backend.as_ref());
         assert_identical(&want, &got, "iterative");
+    }
+}
+
+#[test]
+fn search_and_rounds_work_with_ranked_and_virtual_predictors() {
+    // The knobs are the pipeline's, not a fixed predictor's: §4.3's
+    // search and §4.2's rounds run after any predictor step, and stay
+    // backend-invariant there too.
+    let ds = small(LENDING_CLUB, 3_000, 14);
+    let auto = PredictorChoice::Auto {
+        label_fraction: 0.01,
+    };
+    let virtual_column = PredictorChoice::Virtual {
+        buckets: 6,
+        label_fraction: 0.02,
+    };
+    for predictor in [auto, virtual_column] {
+        for (sampling, rounds) in [
+            (Sampling::Search, 1),
+            (Sampling::Rule(SampleSizeRule::Fraction(0.05)), 3),
+        ] {
+            let cfg = IntelSampleConfig {
+                predictor: predictor.clone(),
+                ..section4(sampling, CorrelationModel::Independent, rounds)
+            };
+            let want = run_intel_sample(&ds, &cfg, 15, &ExecContext::sequential()).unwrap();
+            assert!(want.counts.evaluated > 0, "{predictor:?} {sampling:?}");
+            for backend in backends() {
+                let got = run_intel_sample(&ds, &cfg, 15, &ExecContext::new(backend.as_ref()));
+                assert_identical(&want, &got.unwrap(), &format!("{predictor:?} {sampling:?}"));
+            }
+        }
     }
 }
 
@@ -292,16 +333,16 @@ type Direct = Box<dyn Fn(&Dataset, u64, &ExecContext<'_>) -> Result<RunOutcome, 
 /// paper's ML baselines are not strategies; `expred-bench`'s
 /// `tests/baselines.rs` holds them to the same backend identity.)
 fn all_pipelines(spec: QuerySpec) -> Vec<(QueryRequest, Direct)> {
-    let cfg = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
-    let (corr, rule) = (
-        CorrelationModel::Independent,
-        SampleSizeRule::Fraction(0.05),
-    );
-    vec![
+    let intel_sample = |cfg: IntelSampleConfig| -> (QueryRequest, Direct) {
         (
             QueryRequest::intel_sample(cfg.clone()),
             Box::new(move |ds, seed, ctx| run_intel_sample(ds, &cfg, seed, ctx)),
-        ),
+        )
+    };
+    vec![
+        intel_sample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
+            "grade".into(),
+        ))),
         (
             QueryRequest::naive(spec),
             Box::new(move |ds, seed, ctx| run_naive(ds, &spec, seed, ctx)),
@@ -310,18 +351,14 @@ fn all_pipelines(spec: QuerySpec) -> Vec<(QueryRequest, Direct)> {
             QueryRequest::optimal(spec, "grade"),
             Box::new(move |ds, seed, ctx| run_optimal(ds, &spec, "grade", seed, ctx)),
         ),
-        (
-            QueryRequest::adaptive(spec, corr, "grade"),
-            Box::new(move |ds, seed, ctx| {
-                run_intel_sample_adaptive(ds, &spec, corr, "grade", seed, ctx)
-            }),
-        ),
-        (
-            QueryRequest::iterative(spec, corr, "grade", rule, 2),
-            Box::new(move |ds, seed, ctx| {
-                run_intel_sample_iterative(ds, &spec, corr, "grade", rule, 2, seed, ctx)
-            }),
-        ),
+        intel_sample(IntelSampleConfig {
+            spec,
+            ..adaptive(CorrelationModel::Independent)
+        }),
+        intel_sample(IntelSampleConfig {
+            spec,
+            ..iterative(0.05, 2)
+        }),
     ]
 }
 
@@ -332,9 +369,11 @@ fn submit_is_byte_identical_to_legacy_run_for_all_seven_strategies() {
     // function called directly on the sequential context — identical
     // answers, bills, summaries — and replaying the request is a
     // result-memo hit, not a re-execution. ("legacy run" in the name
-    // is the direct call, and the five pipelines were seven before the
-    // ML baselines left for the experiments harness; the name is kept so
-    // the suite's history keeps tracking this test.)
+    // is the direct call; the strategies were seven before the ML
+    // baselines left for the experiments harness and `adaptive` and
+    // `iterative` became settings of `intel_sample`, which the five
+    // requests below still cover; the name is kept so the suite's
+    // history keeps tracking this test.)
     let ds = small(PROSPER, 2_000, 11);
     let spec = QuerySpec::paper_default();
     for (i, (request, direct)) in all_pipelines(spec).into_iter().enumerate() {
@@ -434,4 +473,127 @@ proptest::proptest! {
             .expect("valid request must be accepted");
         assert_identical(&direct, &submitted, &format!("proptest strategy {strategy_index}"));
     }
+}
+
+/// The §4 requests whose outcomes are pinned below, by name: §4.3's
+/// search under both correlation models, §4.2's rounds at three
+/// depths, and the one-shot pipeline with a fixed and an auto-ranked
+/// predictor.
+fn section4_requests() -> Vec<(&'static str, QueryRequest)> {
+    let iterative = |fraction, rounds| QueryRequest::intel_sample(iterative(fraction, rounds));
+    vec![
+        (
+            "adaptive independent",
+            QueryRequest::intel_sample(adaptive(CorrelationModel::Independent)),
+        ),
+        (
+            "adaptive unknown",
+            QueryRequest::intel_sample(adaptive(CorrelationModel::Unknown)),
+        ),
+        ("iterative 1/0.05", iterative(0.05, 1)),
+        ("iterative 2/0.05", iterative(0.05, 2)),
+        ("iterative 3/0.02", iterative(0.02, 3)),
+        (
+            "intel_sample fixed",
+            QueryRequest::intel_sample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
+                "grade".into(),
+            ))),
+        ),
+        (
+            "intel_sample auto",
+            QueryRequest::intel_sample(IntelSampleConfig::experiment1(PredictorChoice::Auto {
+                label_fraction: 0.01,
+            })),
+        ),
+    ]
+}
+
+/// FNV-64 digests of [`section4_requests`]' outcomes, harvested on the
+/// commit before `adaptive` and `iterative` became knobs of
+/// `intel_sample`. Per dataset (`prosper`, then `lc`, 3 000 rows, table
+/// seed 21), per request, cold then warm: the digest of seeds 0–7's
+/// returned words, bills, cost bits, group counts and feasibility
+/// verdicts. Sequential and `WorkerPool` engines must both answer it.
+const SECTION4_GOLDEN: [u64; 28] = [
+    0x2a38c4d9607485e6,
+    0x7b4bf621f0d76383,
+    0x751fb71e2eda8488,
+    0xf7651fd33e07cfbb,
+    0x3d38909c863acc5a,
+    0x7b4bf621f0d76383,
+    0x41238cd8a970fd72,
+    0xab8d0660856c0081,
+    0x8ebdb8b56d9b2db9,
+    0x910a297959d70d2b,
+    0x3d38909c863acc5a,
+    0x7b4bf621f0d76383,
+    0x473fac46a3e5bb12,
+    0x93bf361c1bfd4d4a,
+    0x1d502a05bb865ea1,
+    0xd7a581299c8f8498,
+    0x15ab276464dff293,
+    0x8e166ca18199d093,
+    0x289d709cd0c2c1de,
+    0x4bcc5a8b3027217,
+    0x79e0fb905a84bc9b,
+    0x9fcbf29cc15b4282,
+    0xc4cefad650ee33f2,
+    0x45b136aa448336b2,
+    0x289d709cd0c2c1de,
+    0x4bcc5a8b3027217,
+    0x4199a0438f735450,
+    0x1687356d09274380,
+];
+
+#[test]
+fn section4_requests_answer_what_the_parent_commit_answered() {
+    let pool = Arc::new(WorkerPool::with_threads(3));
+    // A sequential engine, then one on the shared pool.
+    let engines: [&dyn Fn() -> QueryEngine; 2] = [&QueryEngine::new, &|| {
+        QueryEngine::with_executor(Box::new(Arc::clone(&pool)))
+    }];
+    // A warm run first pays for another predictor's sample and a
+    // low-recall answer on the same session store.
+    let warmer = QueryRequest::intel_sample(IntelSampleConfig {
+        spec: QuerySpec::new(0.8, 0.3, 0.8, expred::udf::CostModel::PAPER_DEFAULT),
+        ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("housing_status".into()))
+    });
+    let mut got = Vec::new();
+    for spec in [PROSPER, LENDING_CLUB] {
+        let ds = small(spec, 3_000, 21);
+        for (name, request) in section4_requests() {
+            for warm in [false, true] {
+                let digests: Vec<u64> = engines
+                    .iter()
+                    .map(|engine| {
+                        let mut h = expred::stats::hash::Fnv64::new();
+                        for seed in 0..8 {
+                            let engine = engine();
+                            if warm {
+                                engine.submit(&ds, &warmer.clone().with_seed(seed)).unwrap();
+                            }
+                            let out = engine
+                                .submit(&ds, &request.clone().with_seed(seed))
+                                .unwrap();
+                            for &word in out.returned.words() {
+                                h.write_u64(word);
+                            }
+                            let c = out.counts;
+                            for field in [c.retrieved, c.evaluated, c.cache_hits, c.reuse_hits] {
+                                h.write_u64(field);
+                            }
+                            h.write_u64(out.cost.to_bits());
+                            h.write_u64(out.num_groups as u64);
+                            h.write_u64(u64::from(out.plan_feasible));
+                        }
+                        h.finish()
+                    })
+                    .collect();
+                let what = format!("{} {name} warm={warm}", spec.name);
+                assert_eq!(digests[0], digests[1], "{what}: sequential vs pool");
+                got.push(digests[0]);
+            }
+        }
+    }
+    assert_eq!(got, SECTION4_GOLDEN, "got {got:#x?}");
 }

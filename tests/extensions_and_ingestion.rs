@@ -3,9 +3,8 @@
 use expred::core::extensions::{
     maximize_recall_under_budget, solve_multi_predicate, MultiCost, PredicatePairGroup,
 };
-use expred::core::optimize::CorrelationModel;
 use expred::core::{
-    run_intel_sample, IntelSampleConfig, PredictorChoice, QuerySpec, SampleSizeRule,
+    run_intel_sample, IntelSampleConfig, PredictorChoice, QuerySpec, SampleSizeRule, Sampling,
 };
 use expred::exec::ExecContext;
 use expred::table::csv::{read_csv, write_csv};
@@ -97,9 +96,8 @@ fn csv_round_trip_preserves_pipeline_behaviour() {
     };
     let cfg = IntelSampleConfig {
         spec: QuerySpec::paper_default(),
-        rule: SampleSizeRule::Fraction(0.1),
-        corr: CorrelationModel::Independent,
-        predictor: PredictorChoice::Fixed("grade".into()),
+        sampling: Sampling::Rule(SampleSizeRule::Fraction(0.1)),
+        ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()))
     };
     let a = run_intel_sample(&ds, &cfg, 77, &ctx).unwrap();
     let b = run_intel_sample(&ds2, &cfg, 77, &ctx).unwrap();

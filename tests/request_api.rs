@@ -44,11 +44,12 @@ fn unknown_predictor_column_is_an_error_not_a_panic() {
     let spec = QuerySpec::paper_default();
     for request in [
         QueryRequest::optimal(spec, "no_such_column"),
-        QueryRequest::adaptive(
-            spec,
-            expred::core::CorrelationModel::Independent,
-            "no_such_column",
-        ),
+        QueryRequest::intel_sample(expred::core::IntelSampleConfig {
+            sampling: expred::core::Sampling::Search,
+            ..expred::core::IntelSampleConfig::experiment1(expred::core::PredictorChoice::Fixed(
+                "no_such_column".into(),
+            ))
+        }),
         QueryRequest::intel_sample(expred::core::IntelSampleConfig::experiment1(
             expred::core::PredictorChoice::Fixed("no_such_column".into()),
         )),
@@ -68,17 +69,16 @@ fn invalid_request_parameters_are_typed_errors() {
     let ds = dataset(500, 3);
     let engine = QueryEngine::new();
     let spec = QuerySpec::paper_default();
+    let zero_fraction = expred::core::IntelSampleConfig {
+        spec,
+        sampling: expred::core::Sampling::Rule(expred::core::SampleSizeRule::Fraction(0.0)),
+        rounds: std::num::NonZeroUsize::new(2).unwrap(),
+        ..expred::core::IntelSampleConfig::experiment1(expred::core::PredictorChoice::Fixed(
+            "grade".into(),
+        ))
+    };
     assert!(matches!(
-        engine.submit(
-            &ds,
-            &QueryRequest::iterative(
-                spec,
-                expred::core::CorrelationModel::Independent,
-                "grade",
-                expred::core::SampleSizeRule::Fraction(0.0),
-                2,
-            ),
-        ),
+        engine.submit(&ds, &QueryRequest::intel_sample(zero_fraction)),
         Err(EngineError::InvalidRequest { .. })
     ));
     // Auto-ranking over a table with no string-typed column (what CSV
@@ -115,7 +115,7 @@ fn every_builtin_strategy_answers_a_zero_row_table_without_panicking() {
     // strategy answers with an empty set or refuses with a typed error.
     // The auto-ranked and virtual predictors label a sample of at least
     // one row, so validation refuses them before they size it.
-    use expred::core::{CorrelationModel, IntelSampleConfig, PredictorChoice, SampleSizeRule};
+    use expred::core::{IntelSampleConfig, PredictorChoice, Sampling};
     use expred::table::{DataType, Field, Schema, Table};
     let empty = Dataset {
         table: Table::from_rows(
@@ -130,13 +130,19 @@ fn every_builtin_strategy_answers_a_zero_row_table_without_panicking() {
         seed: 0,
     };
     let spec = QuerySpec::paper_default();
-    let corr = CorrelationModel::Independent;
     let intel = |predictor| QueryRequest::intel_sample(IntelSampleConfig::experiment1(predictor));
+    let grade = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
     let answered = [
         QueryRequest::naive(spec),
         QueryRequest::optimal(spec, "grade"),
-        QueryRequest::adaptive(spec, corr, "grade"),
-        QueryRequest::iterative(spec, corr, "grade", SampleSizeRule::Fraction(0.05), 2),
+        QueryRequest::intel_sample(IntelSampleConfig {
+            sampling: Sampling::Search,
+            ..grade.clone()
+        }),
+        QueryRequest::intel_sample(IntelSampleConfig {
+            rounds: std::num::NonZeroUsize::new(2).unwrap(),
+            ..grade
+        }),
         intel(PredictorChoice::Fixed("grade".into())),
         QueryRequest::expr_scan(Pred::udf(OracleUdf::new(LABEL_COLUMN)), spec.cost),
     ];
@@ -169,32 +175,29 @@ fn every_builtin_strategy_answers_a_zero_row_table_without_panicking() {
 #[test]
 fn direct_pipeline_calls_return_typed_errors_instead_of_unwinding() {
     // What `Strategy::validate` rejects for `submit`, the pipeline
-    // functions reject for callers that skip the engine.
-    use expred::core::{run_intel_sample_iterative, run_optimal, CorrelationModel, SampleSizeRule};
+    // functions reject for callers that skip the engine. (Zero rounds
+    // cannot be asked for: `IntelSampleConfig::rounds` is nonzero.)
+    use expred::core::{run_intel_sample, run_optimal, IntelSampleConfig, PredictorChoice};
     let ds = dataset(500, 3);
     let spec = QuerySpec::paper_default();
     let ctx = ExecContext::sequential();
-    match run_optimal(&ds, &spec, "no_such_column", 1, &ctx) {
-        Err(EngineError::UnknownColumn { column, available }) => {
-            assert_eq!(column, "no_such_column");
-            assert!(available.iter().any(|c| c == "grade"), "{available:?}");
+    let missing = PredictorChoice::Fixed("no_such_column".into());
+    let rounds = IntelSampleConfig {
+        rounds: std::num::NonZeroUsize::new(2).unwrap(),
+        ..IntelSampleConfig::experiment1(missing)
+    };
+    for outcome in [
+        run_optimal(&ds, &spec, "no_such_column", 1, &ctx),
+        run_intel_sample(&ds, &rounds, 1, &ctx),
+    ] {
+        match outcome {
+            Err(EngineError::UnknownColumn { column, available }) => {
+                assert_eq!(column, "no_such_column");
+                assert!(available.iter().any(|c| c == "grade"), "{available:?}");
+            }
+            other => panic!("expected UnknownColumn, got {other:?}"),
         }
-        other => panic!("expected UnknownColumn, got {other:?}"),
     }
-    let zero_rounds = run_intel_sample_iterative(
-        &ds,
-        &spec,
-        CorrelationModel::Independent,
-        "grade",
-        SampleSizeRule::Fraction(0.05),
-        0,
-        1,
-        &ctx,
-    );
-    assert!(matches!(
-        zero_rounds,
-        Err(EngineError::InvalidRequest { .. })
-    ));
 }
 
 #[test]
