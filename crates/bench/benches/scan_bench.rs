@@ -32,8 +32,8 @@
 //! * `one_hot_<rows>` — `extract_features` (dictionary-coded one-hot)
 //!   over the full PROSPER candidate set, with the codes already in the
 //!   table's memo (what every extraction after a table's first pays);
-//!   like `group_by`, its per-cell predecessor is now `expred-ml`'s test
-//!   oracle, not a baseline row.
+//!   like `group_by`, its per-cell predecessor is now `expred_core::ml`'s
+//!   test oracle, not a baseline row.
 //! * `derived_group_by_<rows>` — building the `grade` partition from its
 //!   dictionary codes per query (`GroupCodes::to_group_by`, backend
 //!   `legacy`) vs a hit in the table's memo (`Table::partition`, backend
@@ -63,8 +63,8 @@
 
 use expred_bench::report::measure_ns_per_unit;
 use expred_bench::BenchReport;
+use expred_core::ml::features::{extract_features, FeatureSpec};
 use expred_exec::{CacheStore, ExecContext, Sequential};
-use expred_ml::features::{extract_features, FeatureSpec};
 use expred_stats::json::{id_plane_len, JsonWriter};
 use expred_stats::Prng;
 use expred_table::bitcount;

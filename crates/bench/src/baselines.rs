@@ -22,12 +22,12 @@ use crate::semisupervised::{
     learning_returned_set, multiple_imputations, self_train, SelfTrainConfig, SelfTrainOutcome,
 };
 use expred_core::error::EngineError;
+use expred_core::metrics::PrSummary;
+use expred_core::ml::features::{extract_features, FeatureSpec};
+use expred_core::ml::logistic::TrainConfig;
 use expred_core::pipeline::{run_framed, Answer, Frame, RunOutcome};
 use expred_core::query::QuerySpec;
 use expred_exec::ExecContext;
-use expred_ml::features::{extract_features, FeatureSpec};
-use expred_ml::logistic::TrainConfig;
-use expred_ml::metrics::PrSummary;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
 use expred_table::RowSet;
 

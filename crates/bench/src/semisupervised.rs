@@ -9,8 +9,8 @@
 //!   unlabelled tuples from those probabilities; constraints are then
 //!   checked *on average across the imputed datasets*.
 
-use expred_ml::features::FeatureMatrix;
-use expred_ml::logistic::{train, LogisticModel, TrainConfig};
+use expred_core::ml::features::FeatureMatrix;
+use expred_core::ml::logistic::{train, LogisticModel, TrainConfig};
 use expred_stats::rng::Prng;
 
 /// Configuration for self-training.
@@ -141,7 +141,7 @@ pub fn multiple_imputations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expred_ml::features::{extract_features, FeatureSpec};
+    use expred_core::ml::features::{extract_features, FeatureSpec};
     use expred_table::{DataType, Field, Schema, Table, Value};
 
     /// 200 rows, signal x separates the classes with a little noise.

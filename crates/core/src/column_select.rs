@@ -12,13 +12,13 @@
 //!    buckets; the bucket id is the correlated column (§6.3.2).
 
 use crate::error::EngineError;
+use crate::ml::features::{extract_features, FeatureSpec};
+use crate::ml::logistic::{train, TrainConfig};
 use crate::optimize::solve_perfect_selectivities;
 use crate::pipeline::session_group_by;
 use crate::query::QuerySpec;
 use crate::sampling::draw_by_rank;
 use expred_exec::ExecContext;
-use expred_ml::features::{extract_features, FeatureSpec};
-use expred_ml::logistic::{train, TrainConfig};
 use expred_stats::estimator::SelectivityEstimate;
 use expred_stats::histogram::bucketize;
 use expred_stats::rng::Prng;
@@ -27,7 +27,7 @@ use expred_udf::UdfInvoker;
 
 /// Ranked candidate column.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ColumnScore {
+pub(crate) struct ColumnScore {
     /// Column name.
     pub column: String,
     /// Estimated plan cost using the sampled selectivities (lower is
@@ -47,7 +47,7 @@ pub struct ColumnScore {
 /// sample is doubled, up to `max_rounds` times.
 ///
 /// Errors if `candidates` is empty or names a column the table lacks.
-pub fn rank_columns(
+pub(crate) fn rank_columns(
     table: &Table,
     candidates: &[String],
     invoker: &UdfInvoker<'_>,

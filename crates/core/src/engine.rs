@@ -36,10 +36,11 @@
 //! memo — serves any number of worker threads directly, no outer mutex.
 //! Every shared structure is internally synchronized:
 //!
-//! * the result memo is a lock-striped, capacity-bounded
-//!   [`crate::result_memo::ShardedResultMemo`] whose lookups verify the
-//!   *full* request identity, so a hash collision (or a racing writer)
-//!   can never serve one query's answer as another's;
+//! * the result memo is [`crate::result_memo::ResultMemo`], the
+//!   workspace's one lock-striped, capacity-bounded second-chance memo;
+//!   each entry stores the *full* request identity beside its outcome
+//!   and every lookup compares it, so a hash collision (or a racing
+//!   writer) can never serve one query's answer as another's;
 //! * [`EngineStats`] is kept in atomic counters; [`QueryEngine::stats`]
 //!   returns a consistent snapshot (see the type's docs);
 //! * the session bill is an atomic [`CostTracker`], so charges from
@@ -94,7 +95,7 @@ use crate::error::EngineError;
 use crate::persistence::{PersistLayer, PersistSessionStats};
 use crate::pipeline::RunOutcome;
 use crate::request::{InfeasiblePolicy, QueryRequest};
-use crate::result_memo::{ResultMemoStats, ShardedResultMemo};
+use crate::result_memo::{ResultMemo, ResultMemoStats};
 use crate::strategy::StrategyIdentity;
 use expred_exec::{CacheStats, CacheStore, ExecContext, Executor, Sequential, SpillSink};
 use expred_persist::{PersistConfig, PersistError, PersistStore};
@@ -113,7 +114,7 @@ use std::time::Duration;
 /// answer as a plane — table rows / 8 bytes (2.5 KB over 20 000 rows,
 /// whatever the answer's size) plus a few hundred bytes of identity and
 /// bill — so a full memo over 20 000-row tables is about 3 MB.
-pub const DEFAULT_RESULT_MEMO_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_RESULT_MEMO_CAPACITY: usize = 1024;
 
 expred_stats::counter_set! {
     /// Session-level statistics beyond the cost counters.
@@ -254,7 +255,7 @@ pub struct QueryEngine {
     executor: Box<dyn Executor>,
     store: CacheStore,
     session: CostTracker,
-    results: ShardedResultMemo<ResultKey, Arc<RunOutcome>>,
+    results: ResultMemo<ResultKey, Arc<RunOutcome>>,
     udf_latency: Option<Duration>,
     stats: AtomicEngineStats,
     /// Cold-race waiter table: result-memo hash -> in-flight run.
@@ -290,7 +291,7 @@ impl QueryEngine {
             executor,
             store: CacheStore::new(),
             session: CostTracker::new(),
-            results: ShardedResultMemo::with_capacity(DEFAULT_RESULT_MEMO_CAPACITY),
+            results: ResultMemo::with_capacity(DEFAULT_RESULT_MEMO_CAPACITY),
             udf_latency: None,
             stats: AtomicEngineStats::default(),
             inflight: Mutex::new(HashMap::new()),
@@ -333,9 +334,10 @@ impl QueryEngine {
 
     /// Bounds the query-tier result memo (0 disables it). The effective
     /// bound may round down slightly to divide evenly across stripes
-    /// ([`ShardedResultMemo::with_capacity`]).
+    /// ([`ResultMemo::with_capacity`]). `pub` as a test seam: only tests
+    /// and benches in other crates call it.
     pub fn with_result_capacity(mut self, capacity: usize) -> Self {
-        self.results = ShardedResultMemo::with_capacity(capacity);
+        self.results = ResultMemo::with_capacity(capacity);
         self
     }
 
@@ -571,7 +573,8 @@ impl QueryEngine {
     /// waits for it; an `Err` means no snapshot was written. The pages of
     /// tables no longer live then leave the store's RAM
     /// ([`PersistSessionStats::resident_pages`]). A no-op without
-    /// persistence.
+    /// persistence. `pub` as a test seam: only tests and benches in other
+    /// crates call it.
     pub fn compact_persistence(&self) -> Result<(), PersistError> {
         self.persist
             .as_ref()

@@ -157,7 +157,7 @@ pub(crate) fn execute_plan_into(
 /// [`crate::strategy::Strategy::validate`] rejects as a typed error
 /// before a request runs, so only harness code that skips validation can
 /// get here with such a table.
-pub fn truth_set(table: &Table, label_column: &str) -> RowSet {
+pub(crate) fn truth_set(table: &Table, label_column: &str) -> RowSet {
     table
         .column(label_column)
         .and_then(Column::true_rows)
@@ -170,8 +170,8 @@ pub(crate) fn bad_label_column(label_column: &str) -> ! {
     panic!("label column {label_column:?} must be a boolean column without NULLs")
 }
 
-/// [`truth_set`] as one `bool` per row, for harness code that indexes
-/// rows.
+/// The label column's ground truth as one `bool` per row, for harness
+/// code that indexes rows.
 pub fn truth_vector(table: &Table, label_column: &str) -> Vec<bool> {
     let truth = truth_set(table, label_column);
     (0..table.num_rows())

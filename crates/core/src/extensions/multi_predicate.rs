@@ -32,7 +32,7 @@ pub struct PredicatePairGroup {
 
 impl PredicatePairGroup {
     /// Probability both predicates hold (within-group independence).
-    pub fn s_both(&self) -> f64 {
+    pub(crate) fn s_both(&self) -> f64 {
         self.s1 * self.s2
     }
 }

@@ -14,7 +14,9 @@
 //!   Two-Third-Power, fixed fraction), Beta-posterior estimates, and the
 //!   adaptive `num` search ([`Sampling::Search`]).
 //! * [`column_select`] — §4.4: ranking real columns, and the logistic
-//!   virtual column.
+//!   virtual column, learned by [`ml`]'s features and model.
+//! * [`metrics`] — the precision and recall of an answer, which every
+//!   outcome reports against the contract's `α` and `β`.
 //! * [`execute`] — the probabilistic executor with sample reuse.
 //! * [`pipeline`] — end-to-end contestants: Intel-Sample (with §4.3's
 //!   search and §4.2's rounds as two knobs of its configuration), Optimal,
@@ -47,6 +49,8 @@ pub mod engine;
 pub mod error;
 pub mod execute;
 pub mod extensions;
+pub mod metrics;
+pub mod ml;
 pub mod optimize;
 pub mod persistence;
 pub mod pipeline;
@@ -59,7 +63,7 @@ pub mod strategy;
 
 pub use engine::{EngineStats, QueryEngine};
 pub use error::EngineError;
-pub use execute::{execute_plan, truth_set, truth_vector, ExecutionResult};
+pub use execute::{execute_plan, truth_vector, ExecutionResult};
 pub use optimize::{
     estimated_feasible, solve_estimated, solve_perfect_selectivities, CorrelationModel,
     EstimatedGroup, PlanError,
@@ -74,6 +78,6 @@ pub use pipeline::{
 pub use plan::Plan;
 pub use query::QuerySpec;
 pub use request::{InfeasiblePolicy, QueryRequest};
-pub use result_memo::{ResultMemoStats, ShardedResultMemo};
+pub use result_memo::ResultMemoStats;
 pub use sampling::{sample_groups, GroupSample, SampleSizeRule, Sampling};
 pub use strategy::{Fingerprint, Strategy, StrategyIdentity};

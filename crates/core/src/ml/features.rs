@@ -57,7 +57,7 @@ impl FeatureMatrix {
     }
 
     /// Number of features per row.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -67,7 +67,8 @@ impl FeatureMatrix {
     }
 
     /// Human-readable feature names (column or column=value).
-    pub fn feature_names(&self) -> &[String] {
+    #[cfg(test)]
+    fn feature_names(&self) -> &[String] {
         &self.feature_names
     }
 }

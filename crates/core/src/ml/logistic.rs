@@ -4,9 +4,9 @@
 //! method, §6.3.2) and its semi-supervised baselines (§6.2). Zero
 //! initialization plus full-batch gradients keep training fully
 //! deterministic; features are expected standardized (see
-//! [`crate::features`]), which makes a fixed step size reliable.
+//! [`crate::ml::features`]), which makes a fixed step size reliable.
 
-use crate::features::FeatureMatrix;
+use crate::ml::features::FeatureMatrix;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,7 +134,7 @@ fn sigmoid(z: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::{extract_features, FeatureSpec};
+    use crate::ml::features::{extract_features, FeatureSpec};
     use expred_table::{DataType, Field, Schema, Table, Value};
 
     /// A linearly separable 1-D problem: x < 0 -> false, x > 0 -> true.

@@ -180,7 +180,7 @@ pub fn precision_margin(groups: &[EstimatedGroup], plan: &Plan, alpha: f64) -> f
 }
 
 /// Expected recall-constraint margin (the `≥ Y` LHS of ConvexProg 4.1).
-pub fn recall_margin(groups: &[EstimatedGroup], plan: &Plan, beta: f64) -> f64 {
+pub(crate) fn recall_margin(groups: &[EstimatedGroup], plan: &Plan, beta: f64) -> f64 {
     groups
         .iter()
         .zip(plan.r())

@@ -28,12 +28,12 @@
 use crate::column_select::{rank_columns, virtual_column};
 use crate::error::EngineError;
 use crate::execute::{bad_label_column, execute_plan_into};
+use crate::metrics::PrSummary;
 use crate::optimize::{solve_estimated, solve_perfect_selectivities, CorrelationModel, PlanError};
 use crate::plan::Plan;
 use crate::query::QuerySpec;
 use crate::sampling::{adaptive_num_search, sample_groups, GroupSample, SampleSizeRule, Sampling};
 use expred_exec::ExecContext;
-use expred_ml::metrics::PrSummary;
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
 use expred_table::{GroupBy, RowSet, Table};

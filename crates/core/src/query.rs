@@ -85,7 +85,7 @@ impl QuerySpec {
 /// Validates a cost model's ranges — shared by every surface that
 /// accepts one ([`QuerySpec::validate`], expression scans), so the
 /// contract cannot silently diverge between them.
-pub fn validate_cost_model(cost: &CostModel) -> Result<(), EngineError> {
+pub(crate) fn validate_cost_model(cost: &CostModel) -> Result<(), EngineError> {
     EngineError::expect_range(
         "cost.retrieve",
         cost.retrieve,

@@ -70,7 +70,7 @@ impl QueryRequest {
     }
 
     /// A request over an already-shared strategy.
-    pub fn from_arc(strategy: Arc<dyn Strategy>) -> Self {
+    pub(crate) fn from_arc(strategy: Arc<dyn Strategy>) -> Self {
         Self {
             strategy,
             seed: 0,

@@ -55,7 +55,7 @@ pub enum SampleSizeRule {
 
 impl SampleSizeRule {
     /// Target sample size for a group of `t_a` tuples in a table of `n`.
-    pub fn sample_size(&self, group_size: usize, total_rows: usize) -> usize {
+    pub(crate) fn sample_size(&self, group_size: usize, total_rows: usize) -> usize {
         let t = group_size as f64;
         let raw = match self {
             SampleSizeRule::Fraction(f) => f * t,

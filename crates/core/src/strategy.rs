@@ -25,15 +25,17 @@
 //! # Built-ins
 //!
 //! The three pipelines are all here as first-class strategies:
-//! [`IntelSample`] — the paper's §4 algorithm, whose configuration also
-//! covers §4.3's sample-size search and §4.2's estimate/exploit rounds —
-//! [`Naive`] and [`Optimal`]; plus [`ExprScan`], which evaluates a
+//! Intel-Sample ([`crate::QueryRequest::intel_sample`]) — the paper's
+//! §4 algorithm, whose configuration also covers §4.3's sample-size
+//! search and §4.2's estimate/exploit rounds — [`Naive`] and
+//! [`Optimal`]; plus [`ExprScan`], which evaluates a
 //! [`PredicateExpr`] over the whole table through the session cache with
 //! cost-ordered short-circuiting. The paper's ML baselines are not
 //! strategies: their training size is tuned against ground truth, so
 //! they live with the experiments in `expred-bench`.
 
 use crate::error::EngineError;
+use crate::metrics::PrSummary;
 use crate::optimize::CorrelationModel;
 use crate::pipeline::{
     run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice, RunOutcome,
@@ -41,7 +43,6 @@ use crate::pipeline::{
 use crate::query::QuerySpec;
 use crate::sampling::{SampleSizeRule, Sampling};
 use expred_exec::ExecContext;
-use expred_ml::metrics::PrSummary;
 use expred_stats::hash::Fnv64;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
 use expred_table::{DataType, RowSet, Table};
@@ -53,8 +54,8 @@ use std::time::Instant;
 /// Strategies write every outcome-affecting parameter into it; the
 /// engine prefixes the strategy name, keys the result memo by the FNV
 /// digest, and stores the full byte stream for collision-proof
-/// verification. Writing is append-only and deterministic — no hashing
-/// happens until [`Fingerprint::digest64`].
+/// verification. Writing is append-only and deterministic; the stream
+/// is only hashed once the engine keys the memo by it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fingerprint {
     bytes: Vec<u8>,
@@ -74,7 +75,7 @@ impl Fingerprint {
     /// Appends an `f64` by bit pattern (`-0.0` and `0.0` are distinct;
     /// any NaN is itself — fine for identity, which wants "the same
     /// request", not numeric equivalence).
-    pub fn write_f64(&mut self, v: f64) {
+    pub(crate) fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
     }
 
@@ -86,7 +87,8 @@ impl Fingerprint {
     }
 
     /// The FNV-1a digest of the stream so far.
-    pub fn digest64(&self) -> u64 {
+    #[cfg(test)]
+    fn digest64(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write_bytes(&self.bytes);
         h.finish()
@@ -121,7 +123,7 @@ impl StrategyIdentity {
 
     /// Digest folding in the name and the stream — the engine's memo-key
     /// component for this strategy.
-    pub fn digest64(&self) -> u64 {
+    pub(crate) fn digest64(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write_str(&self.name);
         h.write_bytes(&self.fingerprint);
@@ -362,7 +364,7 @@ fn predictor_fp(fp: &mut Fingerprint, predictor: &PredictorChoice) {
 /// asked for: `"iterative"` with two rounds or more, else `"adaptive"`
 /// for §4.3's search, else `"intel_sample"`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct IntelSample(pub IntelSampleConfig);
+pub(crate) struct IntelSample(pub IntelSampleConfig);
 
 impl Strategy for IntelSample {
     fn name(&self) -> &str {

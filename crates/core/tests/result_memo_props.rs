@@ -11,7 +11,7 @@
 //!   bound at any point in the sequence, including under gets that mark
 //!   CLOCK referenced bits.
 
-use expred_core::result_memo::ShardedResultMemo;
+use expred_core::result_memo::ResultMemo;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -27,7 +27,7 @@ proptest! {
 
     #[test]
     fn memo_is_collision_safe_and_model_consistent(script in ops()) {
-        let memo: ShardedResultMemo<u64, u64> = ShardedResultMemo::with_capacity(16);
+        let memo: ResultMemo<u64, u64> = ResultMemo::with_capacity(16);
         // hash -> (identity, value) of the last insert.
         let mut model: HashMap<u64, (u64, u64)> = HashMap::new();
         for (i, &(kind, hash, ident)) in script.iter().enumerate() {
@@ -74,7 +74,7 @@ proptest! {
         capacity in 0usize..40,
         script in prop::collection::vec((0u64..200, 0u64..3), 1..300),
     ) {
-        let memo: ShardedResultMemo<u64, u64> = ShardedResultMemo::with_capacity(capacity);
+        let memo: ResultMemo<u64, u64> = ResultMemo::with_capacity(capacity);
         prop_assert!(memo.capacity() <= capacity);
         for &(hash, ident) in &script {
             memo.insert(hash, ident, hash ^ ident);

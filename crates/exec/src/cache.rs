@@ -7,7 +7,7 @@
 //! (has this row been answered?) and `answer` — one bit per row each.
 //! A lookup is two loads for up to 64 neighbouring rows at once
 //! ([`RowBits::word`]); a write lands up to 64 rows of one word
-//! ([`RowBits::merge_word`]) with at most two atomic updates of `answer`
+//! (`RowBits::merge_word`) with at most two atomic updates of `answer`
 //! and one `fetch_or` of `known`, whose *previous* value tells the
 //! caller which rows it made known (what the store counts as entries).
 //! Of racing writers of one row, exactly one sees it as new.
@@ -87,7 +87,7 @@ impl RowBits {
     ///
     /// If `word` is past the end the memo was sized for.
     #[inline]
-    pub fn merge_word(&self, word: usize, known: u64, answer: u64) -> u64 {
+    pub(crate) fn merge_word(&self, word: usize, known: u64, answer: u64) -> u64 {
         assign_bits(&self.answer[word], known, answer, Ordering::Release);
         known & !self.known[word].fetch_or(known, Ordering::AcqRel)
     }

@@ -16,7 +16,7 @@
 //!   width learned from the probes — probes that wait (a sleeping or
 //!   blocking-RPC UDF) overlap past the core count, CPU-bound ones stop
 //!   at it, with no setting to say which;
-//! * [`cache`] — [`RowBits`], the dense lock-free `row -> bool` bitmap
+//! * [`cache`] — [`cache::RowBits`], the dense lock-free `row -> bool` bitmap
 //!   each page of the session store keeps its answers in;
 //! * [`store`] — [`CacheStore`], the long-lived, `(udf, table)`-namespaced
 //!   bitmap cache that outlives individual queries and keeps every answer
@@ -55,7 +55,6 @@ pub mod executor;
 pub mod pool;
 pub mod store;
 
-pub use cache::RowBits;
 pub use context::ExecContext;
 pub use executor::{BatchProbe, Executor, Sequential};
 pub use pool::{PoolStats, WorkerPool};

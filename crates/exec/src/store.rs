@@ -31,7 +31,7 @@
 //!
 //! Writers take no lock of their own. A page is created under the page
 //! table's write lock, so racing writers of one page land in one page.
-//! Within a page, [`RowBits::merge_word`] stores the answers, then
+//! Within a page, `RowBits::merge_word` stores the answers, then
 //! publishes `known` with one `fetch_or` whose previous value hands each
 //! newly known row to exactly one writer — so `len` counts every row
 //! once, however many writers raced to land it, and `passed` counts each

@@ -44,17 +44,17 @@
 use std::io::Read;
 
 /// File magic: the first four bytes of every persist file.
-pub const MAGIC: [u8; 4] = *b"EXPD";
+pub(crate) const MAGIC: [u8; 4] = *b"EXPD";
 
 /// Current format version. Files written by a different version are
 /// ignored wholesale on recovery (never partially interpreted).
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Length of the file header (magic + version).
 pub const HEADER_LEN: usize = 8;
 
 /// Per-frame overhead (length prefix + CRC).
-pub const FRAME_OVERHEAD: usize = 8;
+pub(crate) const FRAME_OVERHEAD: usize = 8;
 
 /// Upper bound on a single frame's payload; a corrupt length prefix
 /// must not make recovery attempt a multi-gigabyte allocation.
@@ -114,7 +114,7 @@ const CRC_TABLE: [u32; 256] = {
 };
 
 /// CRC-32 (IEEE) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -449,7 +449,8 @@ pub(crate) fn scan_frames(mut reader: impl Read, mut visit: impl FnMut(u64, usiz
 /// Replays every valid frame from the start of `bytes` (which excludes
 /// the file header), calling `apply` per record: the scanner that opening
 /// a store reads its files with, over a buffer. Returns the byte length
-/// of the valid prefix; reading stops at the first bad frame.
+/// of the valid prefix; reading stops at the first bad frame. `pub` as a
+/// test seam for `tests/format_fixture.rs`.
 pub fn replay_frames(bytes: &[u8], mut apply: impl FnMut(Record)) -> usize {
     scan_frames(bytes, |_, _, record| apply(record)) as usize
 }

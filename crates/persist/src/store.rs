@@ -105,11 +105,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Default bound on queued-but-unflushed WAL rows.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 8_192;
+pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 8_192;
 
 /// Default number of rows written to a WAL that triggers background
 /// compaction.
-pub const DEFAULT_COMPACT_AFTER: u64 = 65_536;
+pub(crate) const DEFAULT_COMPACT_AFTER: u64 = 65_536;
 
 /// Bytes a compaction gathers before it writes them to the snapshot: its
 /// buffer holds this and one more run of page-image frames, whatever the
@@ -164,7 +164,8 @@ impl PersistConfig {
         }
     }
 
-    /// Replaces the queue bound (clamped to at least 1).
+    /// Replaces the queue bound (clamped to at least 1). `pub` as a test
+    /// seam: only tests and benches call it.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
         self
@@ -176,7 +177,8 @@ impl PersistConfig {
         self
     }
 
-    /// Replaces the auto-compaction threshold (0 disables).
+    /// Replaces the auto-compaction threshold (0 disables). `pub` as a
+    /// test seam: only tests and benches call it.
     pub fn with_compact_after(mut self, records: u64) -> Self {
         self.compact_after = records;
         self

@@ -101,7 +101,7 @@ impl ApiError {
 ///   column the table does not have.
 /// * `Infeasible` → **422**: the request parsed and validated, but its
 ///   contract is unsatisfiable under the declared policy.
-pub fn engine_error_status(error: &EngineError) -> u16 {
+pub(crate) fn engine_error_status(error: &EngineError) -> u16 {
     match error {
         EngineError::InvalidSpec { .. } => 400,
         EngineError::BadExpression { .. } => 400,
@@ -112,7 +112,7 @@ pub fn engine_error_status(error: &EngineError) -> u16 {
 }
 
 /// The stable `error` kind string for each [`EngineError`] variant.
-pub fn engine_error_kind(error: &EngineError) -> &'static str {
+pub(crate) fn engine_error_kind(error: &EngineError) -> &'static str {
     match error {
         EngineError::InvalidSpec { .. } => "invalid_spec",
         EngineError::BadExpression { .. } => "bad_expression",

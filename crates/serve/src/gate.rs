@@ -63,7 +63,7 @@ impl AdmissionGate {
     /// gate instead of borrowing it — for holders that outlive the
     /// acquiring stack frame, like a connection thread releasing its
     /// slot whenever the socket finally closes.
-    pub fn try_acquire_owned(self: &Arc<Self>) -> Option<OwnedGatePass> {
+    pub(crate) fn try_acquire_owned(self: &Arc<Self>) -> Option<OwnedGatePass> {
         let pass = self.try_acquire()?;
         std::mem::forget(pass); // the owned pass takes over the release
         Some(OwnedGatePass {
@@ -76,7 +76,7 @@ impl AdmissionGate {
     /// small deterministic jitter keyed on the shed counter de-phases
     /// clients that were all refused in the same burst (so they do not
     /// all come back in the same second and get shed again).
-    pub fn retry_after_hint(&self) -> u64 {
+    pub(crate) fn retry_after_hint(&self) -> u64 {
         let capacity = self.capacity.max(1) as u64;
         let load = (self.in_flight() as u64).min(capacity);
         let base = 1 + (3 * load) / capacity; // 1 (idle) ..= 4 (full)
@@ -119,7 +119,7 @@ impl Drop for GatePass<'_> {
 
 /// An owned slot in an `Arc`-shared gate — same semantics as
 /// [`GatePass`], but movable across threads and lifetimes.
-pub struct OwnedGatePass {
+pub(crate) struct OwnedGatePass {
     gate: Arc<AdmissionGate>,
 }
 

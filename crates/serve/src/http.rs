@@ -279,13 +279,13 @@ impl HttpResponse {
     }
 
     /// Appends one header.
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub(crate) fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.headers.push((name.into(), value.into()));
         self
     }
 
     /// Sets the body.
-    pub fn with_body(mut self, body: Vec<u8>) -> Self {
+    pub(crate) fn with_body(mut self, body: Vec<u8>) -> Self {
         self.body = body;
         self
     }
@@ -329,7 +329,7 @@ impl HttpResponse {
 }
 
 /// The standard reason phrase for the status codes this server emits.
-pub fn reason_phrase(status: u16) -> &'static str {
+pub(crate) fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

@@ -43,9 +43,9 @@ pub mod metrics;
 pub mod server;
 pub mod tenant;
 
-pub use api::{engine_error_kind, engine_error_status, ApiError, ApiQuery, TableKey};
+pub use api::{ApiError, ApiQuery, TableKey};
 pub use client::{ClientResponse, HttpClient};
-pub use gate::{AdmissionGate, GatePass, OwnedGatePass};
+pub use gate::{AdmissionGate, GatePass};
 pub use http::{HttpError, HttpRequest, HttpResponse, Limits};
 pub use metrics::{LatencyHistogram, MetricsContext, RouteMetrics, ServeMetrics};
 pub use server::{serve, ServeConfig, ServerHandle};

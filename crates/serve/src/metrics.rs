@@ -89,7 +89,7 @@ impl LatencyHistogram {
     }
 
     /// Mean latency in microseconds (0 when empty).
-    pub fn mean_micros(&self) -> f64 {
+    pub(crate) fn mean_micros(&self) -> f64 {
         let count = self.count();
         if count == 0 {
             0.0
@@ -100,7 +100,7 @@ impl LatencyHistogram {
 
     /// The `q`-quantile (`0.0..=1.0`) as a bucket upper bound in
     /// microseconds; 0 when empty.
-    pub fn quantile_micros(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_micros(&self, q: f64) -> u64 {
         let snapshot: Vec<u64> = self
             .buckets
             .iter()
@@ -122,12 +122,12 @@ impl LatencyHistogram {
     }
 
     /// Median, in microseconds.
-    pub fn p50_micros(&self) -> u64 {
+    pub(crate) fn p50_micros(&self) -> u64 {
         self.quantile_micros(0.50)
     }
 
     /// 99th percentile, in microseconds.
-    pub fn p99_micros(&self) -> u64 {
+    pub(crate) fn p99_micros(&self) -> u64 {
         self.quantile_micros(0.99)
     }
 }

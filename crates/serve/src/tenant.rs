@@ -251,14 +251,14 @@ impl Tenant {
     }
 
     /// How many tables this tenant currently holds.
-    pub fn table_count(&self) -> usize {
+    pub(crate) fn table_count(&self) -> usize {
         let tables = self.tables.lock().unwrap_or_else(|e| e.into_inner());
         tables.slots.len()
     }
 
     /// How many [`Self::dataset`] calls had to materialize their table
     /// (first use, or re-use after eviction).
-    pub fn table_misses(&self) -> u64 {
+    pub(crate) fn table_misses(&self) -> u64 {
         self.table_misses.load(Ordering::Relaxed)
     }
 

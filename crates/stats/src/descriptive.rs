@@ -75,7 +75,7 @@ impl Accumulator {
     }
 
     /// Unbiased sample variance (0 if fewer than 2 observations).
-    pub fn sample_variance(&self) -> f64 {
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {

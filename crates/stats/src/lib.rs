@@ -29,13 +29,9 @@
 //! * [`counters`] — [`counter_set!`], the one declaration behind every
 //!   layer's counters, and the [`counters::CounterSet`] walk the metrics
 //!   exports read.
-//! * [`clock`] — [`clock::ClockCache`], the workspace's one striped
-//!   second-chance cache, keyed by a 64-bit hash (the engine's result
-//!   memo is its instance).
 
 pub mod bits;
 pub mod bounds;
-pub mod clock;
 pub mod counters;
 pub mod descriptive;
 pub mod estimator;

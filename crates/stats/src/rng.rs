@@ -84,7 +84,8 @@ impl Prng {
     }
 
     /// Uniform draw in `[lo, hi)`. Panics if `lo >= hi`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
         lo + (hi - lo) * self.f64()
     }

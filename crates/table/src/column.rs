@@ -306,7 +306,8 @@ impl Column {
     }
 
     /// Borrow the string at `row` without cloning, if this is a string
-    /// column with a non-NULL entry.
+    /// column with a non-NULL entry. `pub` as a test seam for
+    /// `tests/columnar.rs`.
     pub fn str_at(&self, row: usize) -> Option<&str> {
         match self {
             Column::Str(v) => v.get(row),

@@ -131,7 +131,7 @@ pub const PROSPER: DatasetSpec = DatasetSpec {
 
 /// Census (Adult) clone: 45k tuples, selectivity 0.24, 7 marital-status
 /// groups.
-pub const CENSUS: DatasetSpec = DatasetSpec {
+pub(crate) const CENSUS: DatasetSpec = DatasetSpec {
     name: "census",
     rows: 45_000,
     groups: 7,

@@ -27,7 +27,7 @@
 //!   produced.
 //!
 //! [`GroupCodes`] is also the substrate for one-hot feature encoding in
-//! `expred-ml`: the per-row code replaces a per-cell heap `String`, and
+//! `expred_core::ml`: the per-row code replaces a per-cell heap `String`, and
 //! the dictionary is rendered to strings once per *distinct* value.
 
 use crate::column::{Column, StrColumn};
@@ -70,7 +70,8 @@ impl GroupCodes {
     }
 
     /// Whether group 0 is the NULL group.
-    pub fn has_null(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_null(&self) -> bool {
         matches!(self.keys.first(), Some(Value::Null))
     }
 

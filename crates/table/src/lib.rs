@@ -35,7 +35,7 @@
 //!   hash-per-cell reference the property tests keep); on a string
 //!   column it sorts the stored dictionary and remaps the stored codes,
 //!   hashing nothing.
-//!   Also the substrate for one-hot feature encoding in `expred-ml`.
+//!   Also the substrate for one-hot feature encoding in `expred_core::ml`.
 //! * [`stats`] — [`stats::ColumnStats`], a column's NULL and distinct
 //!   counts.
 //! * [`rowset`] — [`rowset::RowSet`], a set of dense row ids as one

@@ -57,6 +57,8 @@ impl RowSet {
     }
 
     /// The rows of `[0, flags.len())` whose flag is set, in one pass.
+    /// `pub` as a test seam: only tests and benches in other crates call
+    /// it.
     pub fn from_flags(flags: impl ExactSizeIterator<Item = bool>) -> Self {
         let mut set = Self::new(flags.len());
         for (row, flag) in flags.enumerate() {

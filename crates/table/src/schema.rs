@@ -42,7 +42,7 @@ impl Field {
     }
 
     /// Whether NULLs are permitted.
-    pub fn is_nullable(&self) -> bool {
+    pub(crate) fn is_nullable(&self) -> bool {
         self.nullable
     }
 }

@@ -115,22 +115,22 @@ impl CostTracker {
     }
 
     /// Records one UDF evaluation.
-    pub fn add_evaluation(&self) {
+    pub(crate) fn add_evaluation(&self) {
         self.add_evaluations(1);
     }
 
     /// Records `n` UDF evaluations (one batch charge for a drained batch).
-    pub fn add_evaluations(&self, n: u64) {
+    pub(crate) fn add_evaluations(&self, n: u64) {
         self.counts.evaluated.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records `n` memoized evaluations (no external call).
-    pub fn add_cache_hits(&self, n: u64) {
+    pub(crate) fn add_cache_hits(&self, n: u64) {
         self.counts.cache_hits.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records `n` evaluations answered from the cross-query cache.
-    pub fn add_reuse_hits(&self, n: u64) {
+    pub(crate) fn add_reuse_hits(&self, n: u64) {
         self.counts.reuse_hits.fetch_add(n, Ordering::Relaxed);
     }
 

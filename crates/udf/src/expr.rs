@@ -120,7 +120,7 @@ impl PredicateExpr {
     }
 
     /// A leaf over an already-shared UDF.
-    pub fn shared_with_cost(udf: Arc<dyn BooleanUdf>, cost: f64) -> Self {
+    pub(crate) fn shared_with_cost(udf: Arc<dyn BooleanUdf>, cost: f64) -> Self {
         Self {
             node: Node::Leaf {
                 udf,

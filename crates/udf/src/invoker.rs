@@ -69,7 +69,7 @@ use std::cell::Cell;
 /// The cross-query cache namespace for `udf` over `table`'s current
 /// state, or `None` when the UDF opted out of identity
 /// ([`BooleanUdf::fingerprint`]).
-pub fn cache_namespace(udf: &dyn BooleanUdf, table: &Table) -> Option<CacheNamespace> {
+pub(crate) fn cache_namespace(udf: &dyn BooleanUdf, table: &Table) -> Option<CacheNamespace> {
     udf.fingerprint().map(|id| CacheNamespace {
         udf: id.as_u64(),
         table: table.id().as_u64(),
@@ -338,7 +338,11 @@ impl<'a> UdfInvoker<'a> {
 
     /// Creates an invoker charging to an existing tracker (lets a pipeline
     /// aggregate sampling and execution costs in one place).
-    pub fn with_tracker(udf: &'a dyn BooleanUdf, table: &'a Table, tracker: CostTracker) -> Self {
+    pub(crate) fn with_tracker(
+        udf: &'a dyn BooleanUdf,
+        table: &'a Table,
+        tracker: CostTracker,
+    ) -> Self {
         Self {
             probe: udf.bind(table),
             table,
@@ -356,7 +360,7 @@ impl<'a> UdfInvoker<'a> {
     }
 
     /// [`UdfInvoker::with_context`] charging to an existing tracker.
-    pub fn with_tracker_and_context(
+    pub(crate) fn with_tracker_and_context(
         udf: &'a dyn BooleanUdf,
         table: &'a Table,
         tracker: CostTracker,

@@ -38,7 +38,7 @@ pub mod udf;
 
 pub use cost::{CostCounts, CostModel, CostTracker};
 pub use expr::{evaluate_expr, InvalidCostsError, Pred, PredicateExpr, DEFAULT_LEAF_COST};
-pub use invoker::{cache_namespace, UdfInvoker};
+pub use invoker::UdfInvoker;
 pub use optimize::optimize_expr;
 pub use parse::{parse_predicate, OracleRegistry, ParseError, ParseErrorKind, UdfRegistry};
 pub use udf::{BooleanUdf, ConjunctionUdf, NoisyUdf, OracleUdf, SlowUdf, UdfId};

@@ -121,7 +121,7 @@ impl OracleRegistry {
     }
 
     /// Every name resolves at `default_cost` unless overridden.
-    pub fn with_default_cost(default_cost: f64) -> Self {
+    pub(crate) fn with_default_cost(default_cost: f64) -> Self {
         Self {
             default_cost,
             costs: HashMap::new(),

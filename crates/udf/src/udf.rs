@@ -12,7 +12,7 @@ use std::time::Duration;
 
 /// A UDF bound to one table: `row -> answer`, every per-table lookup
 /// (a column by name, say) already done. See [`BooleanUdf::bind`].
-pub type BoundUdf<'a> = Box<dyn Fn(usize) -> bool + Send + Sync + 'a>;
+pub(crate) type BoundUdf<'a> = Box<dyn Fn(usize) -> bool + Send + Sync + 'a>;
 
 /// A stable identity for one UDF *semantics*: two UDFs with the same id
 /// must answer identically on every `(table, row)`.

@@ -14,12 +14,12 @@
 //! batched across worker threads.
 
 use expred::cli::ExampleCli;
+use expred::core::metrics::precision_recall;
 use expred::core::{
     execute_plan, sample_groups, solve_estimated, truth_vector, CorrelationModel, QuerySpec,
     SampleSizeRule,
 };
 use expred::exec::ExecContext;
-use expred::ml::metrics::precision_recall;
 use expred::stats::Prng;
 use expred::table::{DataType, Field, Schema, Table, Value};
 use expred::udf::{CostModel, OracleUdf, UdfInvoker};

@@ -12,8 +12,8 @@
 pub mod cli;
 
 pub use expred_core as core;
+pub use expred_core::ml;
 pub use expred_exec as exec;
-pub use expred_ml as ml;
 pub use expred_solver as solver;
 pub use expred_stats as stats;
 pub use expred_table as table;

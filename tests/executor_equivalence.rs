@@ -340,9 +340,10 @@ fn all_pipelines(spec: QuerySpec) -> Vec<(QueryRequest, Direct)> {
         )
     };
     vec![
-        intel_sample(IntelSampleConfig::experiment1(PredictorChoice::Fixed(
-            "grade".into(),
-        ))),
+        intel_sample(IntelSampleConfig {
+            spec,
+            ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()))
+        }),
         (
             QueryRequest::naive(spec),
             Box::new(move |ds, seed, ctx| run_naive(ds, &spec, seed, ctx)),
