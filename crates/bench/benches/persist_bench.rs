@@ -27,10 +27,13 @@
 //!   frames of the pages that left); `longest_append_stall`, the worst
 //!   latency of a re-offer to a live table's namespace (which needs the
 //!   index lock and nothing else) issued while either compaction ran —
-//!   what a request's append waits for the walk; and `extra_heap_bytes`,
-//!   the most heap the compactions held beyond what the process held
-//!   before them (a counting global allocator, local to this binary,
-//!   keeps the books).
+//!   what a request's append waits for a compaction's two holds of the
+//!   lock (one lists every page, sharing resident planes behind an `Arc`;
+//!   one adopts the new snapshot); and `extra_heap_bytes`, the most heap
+//!   the compactions held beyond what the process held before them: the
+//!   64 KB buffer, one list entry per page, and a 1 KB copy of each page
+//!   an append adds a row to meanwhile (a counting global allocator,
+//!   local to this binary, keeps the books).
 //! * `rehydrate` — that snapshot back into a live
 //!   [`expred_exec::CacheStore`]: open, page copies, prefill, ns/row.
 //! * `resident` — an engine with persistence (result memo off) builds

@@ -63,7 +63,7 @@
 
 use expred_bench::report::measure_ns_per_unit;
 use expred_bench::BenchReport;
-use expred_core::ml::features::{extract_features, FeatureSpec};
+use expred_core::ml::features::extract_features;
 use expred_exec::{CacheStore, ExecContext, Sequential};
 use expred_stats::json::{id_plane_len, JsonWriter};
 use expred_stats::Prng;
@@ -154,12 +154,7 @@ fn main() {
         let scenario = format!("one_hot_{rows}");
         let exclude = ["label", "row_id"];
         let kernel = measure_ns_per_unit(units, reps.div_ceil(3), || {
-            black_box(extract_features(
-                &ds.table,
-                &exclude,
-                FeatureSpec::default(),
-                None,
-            ));
+            black_box(extract_features(&ds.table, &exclude, None));
         });
         report.record(&scenario, "kernel", kernel, 1.0);
         println!("{scenario:<24} kernel {kernel:>8.1} ns/row");

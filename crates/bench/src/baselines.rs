@@ -23,7 +23,7 @@ use crate::semisupervised::{
 };
 use expred_core::error::EngineError;
 use expred_core::metrics::PrSummary;
-use expred_core::ml::features::{extract_features, FeatureSpec};
+use expred_core::ml::features::extract_features;
 use expred_core::ml::logistic::TrainConfig;
 use expred_core::pipeline::{run_framed, Answer, Frame, RunOutcome};
 use expred_core::query::QuerySpec;
@@ -84,12 +84,7 @@ fn run_grid(
     }
     run_framed(ds, &spec.cost, seed, ctx, |f| {
         let table = &ds.table;
-        let features = extract_features(
-            table,
-            &[LABEL_COLUMN, "row_id"],
-            FeatureSpec::default(),
-            ctx.derived,
-        );
+        let features = extract_features(table, &[LABEL_COLUMN, "row_id"], ctx.derived);
         let n = table.num_rows();
         let mut perm: Vec<usize> = (0..n).collect();
         f.rng.shuffle(&mut perm);

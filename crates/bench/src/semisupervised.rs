@@ -141,7 +141,7 @@ pub fn multiple_imputations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expred_core::ml::features::{extract_features, FeatureSpec};
+    use expred_core::ml::features::extract_features;
     use expred_table::{DataType, Field, Schema, Table, Value};
 
     /// 200 rows, signal x separates the classes with a little noise.
@@ -157,10 +157,7 @@ mod tests {
             truth.push(label);
         }
         let table = Table::from_rows(schema, rows).unwrap();
-        (
-            extract_features(&table, &[], FeatureSpec::default(), None),
-            truth,
-        )
+        (extract_features(&table, &[], None), truth)
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    buckets; the bucket id is the correlated column (§6.3.2).
 
 use crate::error::EngineError;
-use crate::ml::features::{extract_features, FeatureSpec};
+use crate::ml::features::extract_features;
 use crate::ml::logistic::{train, TrainConfig};
 use crate::optimize::solve_perfect_selectivities;
 use crate::pipeline::session_group_by;
@@ -177,7 +177,7 @@ pub fn virtual_column(
     ctx: &ExecContext<'_>,
 ) -> GroupBy {
     assert!(!labelled.is_empty(), "virtual column needs labelled rows");
-    let features = extract_features(table, exclude, FeatureSpec::default(), ctx.derived);
+    let features = extract_features(table, exclude, ctx.derived);
     let model = train(&features, labelled, labels, TrainConfig::default());
     let scores = model.predict_all(&features);
     let assignments = bucketize(&scores, buckets);

@@ -21,33 +21,20 @@ use expred_table::{Column, DataType, DerivedCounters, Table, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Feature-extraction policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeatureSpec {
-    /// Categorical columns with more distinct values than this are dropped
-    /// (the paper uses 50).
-    pub max_categorical_cardinality: usize,
-    /// Integer columns with at most this many distinct values are treated
-    /// as categorical rather than numeric.
-    pub int_categorical_threshold: usize,
-}
+/// Categorical columns with more distinct values than this are dropped
+/// (the paper uses 50).
+const MAX_CATEGORICAL_CARDINALITY: usize = 50;
 
-impl Default for FeatureSpec {
-    fn default() -> Self {
-        Self {
-            max_categorical_cardinality: 50,
-            int_categorical_threshold: 20,
-        }
-    }
-}
+/// Integer columns with at most this many distinct values are treated as
+/// categorical rather than numeric.
+const INT_CATEGORICAL_THRESHOLD: usize = 20;
 
-/// A dense row-major feature matrix with provenance.
+/// A dense row-major feature matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureMatrix {
     rows: usize,
     dim: usize,
     data: Vec<f64>,
-    feature_names: Vec<String>,
 }
 
 impl FeatureMatrix {
@@ -65,138 +52,120 @@ impl FeatureMatrix {
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.dim..(r + 1) * self.dim]
     }
-
-    /// Human-readable feature names (column or column=value).
-    #[cfg(test)]
-    fn feature_names(&self) -> &[String] {
-        &self.feature_names
-    }
 }
 
 /// Extracts standardized/one-hot features from every eligible column of
 /// `table` except those in `exclude`.
 ///
-/// * Float columns (and high-cardinality Int columns) are standardized to
+/// * Float columns (and Int columns with more than
+///   `INT_CATEGORICAL_THRESHOLD` distinct values) are standardized to
 ///   zero mean / unit variance; NULLs map to the mean (0 after
 ///   standardization).
-/// * Str/Bool columns (and low-cardinality Int columns) are one-hot
-///   encoded; NULL becomes its own category. Columns whose cardinality
-///   exceeds the spec's limit are dropped.
+/// * Str/Bool columns (and the other Int columns) are one-hot encoded;
+///   NULL becomes its own category. Columns with more than
+///   `MAX_CATEGORICAL_CARDINALITY` distinct values are dropped.
 ///
 /// The dictionary codes behind the one-hot encodings are read through
 /// the table's memo; `counters`, if given, counts those lookups.
 pub fn extract_features(
     table: &Table,
     exclude: &[&str],
-    spec: FeatureSpec,
     counters: Option<&DerivedCounters>,
 ) -> FeatureMatrix {
     let n = table.num_rows();
-    let mut columns: Vec<(String, Encoding)> = Vec::new();
+    let mut columns: Vec<Encoding<'_>> = Vec::new();
     for field in table.schema().fields() {
         if exclude.contains(&field.name()) {
             continue;
         }
         let col = table.column(field.name()).expect("schema-listed column");
-        let categorical = |name: &str| {
-            let codes = table.codes(name, counters).expect("schema-listed column");
-            coded_encoding(codes, spec.max_categorical_cardinality)
+        let categorical = || {
+            let codes = table
+                .codes(field.name(), counters)
+                .expect("schema-listed column");
+            coded_encoding(codes)
         };
         let enc = match field.data_type() {
-            DataType::Float => numeric_encoding(col, n),
+            DataType::Float => Some(numeric_encoding(col, n)),
             DataType::Int => {
                 // Memoized on the table: eligibility stops re-scanning.
                 let distinct = table
                     .column_stats(field.name())
                     .expect("schema-listed column")
                     .distinct_count;
-                if distinct <= spec.int_categorical_threshold {
-                    categorical(field.name())
+                if distinct <= INT_CATEGORICAL_THRESHOLD {
+                    categorical()
                 } else {
-                    numeric_encoding(col, n)
+                    Some(numeric_encoding(col, n))
                 }
             }
-            DataType::Bool | DataType::Str => categorical(field.name()),
+            DataType::Bool | DataType::Str => categorical(),
         };
-        if let Some(enc) = enc {
-            columns.push((field.name().to_owned(), enc));
-        }
+        columns.extend(enc);
     }
 
-    let dim: usize = columns.iter().map(|(_, e)| e.width()).sum();
+    let dim: usize = columns.iter().map(Encoding::width).sum();
     let mut data = vec![0.0; n * dim];
-    let mut feature_names = Vec::with_capacity(dim);
     let mut offset = 0;
-    for (name, enc) in &columns {
+    for enc in &columns {
         match enc {
-            Encoding::Numeric { mean, std } => {
-                feature_names.push(name.clone());
-                let col = table.column(name).unwrap();
+            Encoding::Numeric { col, mean, std } => {
                 for r in 0..n {
                     let v = col.float_at(r).unwrap_or(*mean);
                     data[r * dim + offset] = if *std > 0.0 { (v - mean) / std } else { 0.0 };
                 }
-                offset += 1;
             }
             Encoding::OneHot {
-                names,
-                codes,
-                code_slot,
+                codes, code_slot, ..
             } => {
-                for cat in names {
-                    feature_names.push(format!("{name}={cat}"));
-                }
                 for (r, &code) in codes.codes().iter().enumerate() {
                     data[r * dim + offset + code_slot[code as usize]] = 1.0;
                 }
-                offset += names.len();
             }
         }
+        offset += enc.width();
     }
     debug_assert_eq!(offset, dim);
-    FeatureMatrix {
-        rows: n,
-        dim,
-        data,
-        feature_names,
-    }
+    FeatureMatrix { rows: n, dim, data }
 }
 
-enum Encoding {
+enum Encoding<'a> {
     Numeric {
+        col: &'a Column,
         mean: f64,
         std: f64,
     },
     /// One-hot over kernel dictionary codes: `code_slot[code]` is the
     /// column slot (categories in string-sorted order, matching the
-    /// reference encoder), `names` the sorted category strings.
+    /// reference encoder), `width` the number of categories.
     OneHot {
-        names: Vec<String>,
+        width: usize,
         codes: Arc<GroupCodes>,
         code_slot: Vec<usize>,
     },
 }
 
-impl Encoding {
+impl Encoding<'_> {
     fn width(&self) -> usize {
         match self {
             Encoding::Numeric { .. } => 1,
-            Encoding::OneHot { names, .. } => names.len(),
+            Encoding::OneHot { width, .. } => *width,
         }
     }
 }
 
-fn numeric_encoding(col: &Column, n: usize) -> Option<Encoding> {
+fn numeric_encoding(col: &Column, n: usize) -> Encoding<'_> {
     let mut acc = expred_stats::descriptive::Accumulator::new();
     for r in 0..n {
         if let Some(v) = col.float_at(r) {
             acc.push(v);
         }
     }
-    Some(Encoding::Numeric {
+    Encoding::Numeric {
+        col,
         mean: acc.mean(),
         std: acc.std_dev(),
-    })
+    }
 }
 
 /// Builds the one-hot layout from dictionary codes. The dictionary is
@@ -205,13 +174,13 @@ fn numeric_encoding(col: &Column, n: usize) -> Option<Encoding> {
 /// per cell) and the codes are remapped to string-sorted slots. Distinct
 /// keys with equal renderings collapse into one category, exactly as the
 /// string-keyed reference would.
-fn coded_encoding(codes: Arc<GroupCodes>, max_card: usize) -> Option<Encoding> {
+fn coded_encoding(codes: Arc<GroupCodes>) -> Option<Encoding<'static>> {
     let rendered: Vec<String> = codes.keys().iter().map(key_string).collect();
     let mut sorted: BTreeMap<&str, usize> = BTreeMap::new();
     for key in &rendered {
         let next = sorted.len();
         sorted.entry(key).or_insert(next);
-        if sorted.len() > max_card {
+        if sorted.len() > MAX_CATEGORICAL_CARDINALITY {
             return None; // too many distinct values: drop the column
         }
     }
@@ -220,9 +189,8 @@ fn coded_encoding(codes: Arc<GroupCodes>, max_card: usize) -> Option<Encoding> {
         *index = slot;
     }
     let code_slot: Vec<usize> = rendered.iter().map(|k| sorted[k.as_str()]).collect();
-    let names: Vec<String> = sorted.keys().map(|k| (*k).to_owned()).collect();
     Some(Encoding::OneHot {
-        names,
+        width: sorted.len(),
         codes,
         code_slot,
     })
@@ -245,11 +213,7 @@ mod tests {
     /// The historical per-cell scalar encoder: renders an owned key `String`
     /// per cell and buckets through a `BTreeMap`. Kept as the reference the
     /// kernel-coded path must match byte for byte.
-    fn extract_features_reference(
-        table: &Table,
-        exclude: &[&str],
-        spec: FeatureSpec,
-    ) -> FeatureMatrix {
+    fn extract_features_reference(table: &Table, exclude: &[&str]) -> FeatureMatrix {
         let n = table.num_rows();
         let mut columns: Vec<(String, ReferenceEncoding)> = Vec::new();
         for field in table.schema().fields() {
@@ -260,15 +224,13 @@ mod tests {
             let enc = match field.data_type() {
                 DataType::Float => reference_numeric(col, n),
                 DataType::Int => {
-                    if col.distinct_count() <= spec.int_categorical_threshold {
-                        reference_categorical(col, n, spec.max_categorical_cardinality)
+                    if col.distinct_count() <= INT_CATEGORICAL_THRESHOLD {
+                        reference_categorical(col, n)
                     } else {
                         reference_numeric(col, n)
                     }
                 }
-                DataType::Bool | DataType::Str => {
-                    reference_categorical(col, n, spec.max_categorical_cardinality)
-                }
+                DataType::Bool | DataType::Str => reference_categorical(col, n),
             };
             if let Some(enc) = enc {
                 columns.push((field.name().to_owned(), enc));
@@ -277,12 +239,10 @@ mod tests {
 
         let dim: usize = columns.iter().map(|(_, e)| e.width()).sum();
         let mut data = vec![0.0; n * dim];
-        let mut feature_names = Vec::with_capacity(dim);
         let mut offset = 0;
         for (name, enc) in &columns {
             match enc {
                 ReferenceEncoding::Numeric { mean, std } => {
-                    feature_names.push(name.clone());
                     let col = table.column(name).unwrap();
                     for r in 0..n {
                         let v = col.float_at(r).unwrap_or(*mean);
@@ -291,9 +251,6 @@ mod tests {
                     offset += 1;
                 }
                 ReferenceEncoding::OneHot { categories } => {
-                    for cat in categories.keys() {
-                        feature_names.push(format!("{name}={cat}"));
-                    }
                     let col = table.column(name).unwrap();
                     for r in 0..n {
                         let key = cell_key(col, r);
@@ -306,12 +263,7 @@ mod tests {
             }
         }
         debug_assert_eq!(offset, dim);
-        FeatureMatrix {
-            rows: n,
-            dim,
-            data,
-            feature_names,
-        }
+        FeatureMatrix { rows: n, dim, data }
     }
 
     enum ReferenceEncoding {
@@ -330,18 +282,18 @@ mod tests {
 
     fn reference_numeric(col: &Column, n: usize) -> Option<ReferenceEncoding> {
         match numeric_encoding(col, n) {
-            Some(Encoding::Numeric { mean, std }) => Some(ReferenceEncoding::Numeric { mean, std }),
-            _ => None,
+            Encoding::Numeric { mean, std, .. } => Some(ReferenceEncoding::Numeric { mean, std }),
+            Encoding::OneHot { .. } => None,
         }
     }
 
-    fn reference_categorical(col: &Column, n: usize, max_card: usize) -> Option<ReferenceEncoding> {
+    fn reference_categorical(col: &Column, n: usize) -> Option<ReferenceEncoding> {
         let mut categories: BTreeMap<String, usize> = BTreeMap::new();
         for r in 0..n {
             let key = cell_key(col, r);
             let next = categories.len();
             categories.entry(key).or_insert(next);
-            if categories.len() > max_card {
+            if categories.len() > MAX_CATEGORICAL_CARDINALITY {
                 return None; // too many distinct values: drop the column
             }
         }
@@ -404,24 +356,19 @@ mod tests {
     #[test]
     fn excludes_and_encodes() {
         let t = sample_table();
-        let m = extract_features(&t, &["label", "id"], FeatureSpec::default(), None);
+        let m = extract_features(&t, &["label", "id"], None);
         assert_eq!(m.rows(), 4);
         // income (1) + grade one-hot (3) + flag one-hot (2) = 6.
         assert_eq!(m.dim(), 6);
-        assert!(m.feature_names().contains(&"income".to_owned()));
-        assert!(m.feature_names().contains(&"grade=A".to_owned()));
-        assert!(m.feature_names().iter().all(|n| !n.starts_with("label")));
+        // Row 0 is grade A (the first of A, B, C) and flag true (the
+        // second of false, true).
+        assert_eq!(m.row(0)[1..], [1.0, 0.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn numeric_standardization() {
         let t = sample_table();
-        let m = extract_features(
-            &t,
-            &["label", "id", "grade", "flag"],
-            FeatureSpec::default(),
-            None,
-        );
+        let m = extract_features(&t, &["label", "id", "grade", "flag"], None);
         assert_eq!(m.dim(), 1);
         let mean: f64 = (0..4).map(|r| m.row(r)[0]).sum::<f64>() / 4.0;
         let var: f64 = (0..4).map(|r| m.row(r)[0].powi(2)).sum::<f64>() / 4.0 - mean * mean;
@@ -432,12 +379,7 @@ mod tests {
     #[test]
     fn one_hot_rows_sum_to_one_per_column() {
         let t = sample_table();
-        let m = extract_features(
-            &t,
-            &["label", "id", "income", "flag"],
-            FeatureSpec::default(),
-            None,
-        );
+        let m = extract_features(&t, &["label", "id", "income", "flag"], None);
         // grade one-hot only: each row has exactly one hot slot.
         assert_eq!(m.dim(), 3);
         for r in 0..4 {
@@ -453,7 +395,7 @@ mod tests {
             .map(|i| vec![Value::Str(format!("v{i}"))])
             .collect();
         let t = Table::from_rows(schema, rows).unwrap();
-        let m = extract_features(&t, &[], FeatureSpec::default(), None);
+        let m = extract_features(&t, &[], None);
         assert_eq!(m.dim(), 0, "100-distinct categorical must be dropped");
     }
 
@@ -462,7 +404,7 @@ mod tests {
         let schema = Schema::new(vec![Field::new("bucket", DataType::Int)]);
         let rows = (0..30).map(|i| vec![Value::Int(i % 3)]).collect();
         let t = Table::from_rows(schema, rows).unwrap();
-        let m = extract_features(&t, &[], FeatureSpec::default(), None);
+        let m = extract_features(&t, &[], None);
         assert_eq!(m.dim(), 3);
     }
 
@@ -502,19 +444,17 @@ mod tests {
             })
             .collect();
         let t = Table::from_rows(schema, rows).unwrap();
-        let spec = FeatureSpec::default();
         let counters = DerivedCounters::default();
-        let kernel = extract_features(&t, &[], spec, Some(&counters));
-        let reference = extract_features_reference(&t, &[], spec);
+        let kernel = extract_features(&t, &[], Some(&counters));
+        let reference = extract_features_reference(&t, &[]);
         assert_eq!(kernel, reference);
-        assert!(kernel
-            .feature_names()
-            .iter()
-            .any(|n| n == "bucket=\u{0}NULL"));
+        // NULL is a category of its own in each categorical column:
+        // bucket (5) + grade (4) + flag (3) + x (1).
+        assert_eq!(kernel.dim(), 13);
         assert!(counters.snapshot().misses >= 1);
 
         // Again through the table's memo: identical, the codes reused.
-        let again = extract_features(&t, &[], spec, Some(&counters));
+        let again = extract_features(&t, &[], Some(&counters));
         assert_eq!(again, reference);
         assert!(
             counters.snapshot().hits >= 1,
@@ -534,7 +474,7 @@ mod tests {
             vec![Value::Float(3.0), Value::from("a")],
         ];
         let t = Table::from_rows(schema, rows).unwrap();
-        let m = extract_features(&t, &[], FeatureSpec::default(), None);
+        let m = extract_features(&t, &[], None);
         // x numeric (1) + c one-hot {a, NULL} (2).
         assert_eq!(m.dim(), 3);
         // NULL numeric row should sit at the (standardized) mean: 0.

@@ -134,7 +134,7 @@ fn sigmoid(z: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ml::features::{extract_features, FeatureSpec};
+    use crate::ml::features::extract_features;
     use expred_table::{DataType, Field, Schema, Table, Value};
 
     /// A linearly separable 1-D problem: x < 0 -> false, x > 0 -> true.
@@ -148,7 +148,7 @@ mod tests {
             targets.push(x > 0.0);
         }
         let table = Table::from_rows(schema, rows).unwrap();
-        let features = extract_features(&table, &[], FeatureSpec::default(), None);
+        let features = extract_features(&table, &[], None);
         ((features), (0..100).collect(), targets)
     }
 

@@ -25,8 +25,8 @@
 //!   workspace's one page of `known`/`answer` bit planes, 4 096 rows a
 //!   page, and no clock: an answer never expires — and a snapshot is
 //!   those pages — one CRC-checked page image each — in a
-//!   generation-numbered file streamed a few pages at a time and written
-//!   as temp-then-rename, so a crash at any byte leaves either the old
+//!   generation-numbered file written with the index lock released, as
+//!   temp-then-rename, so a crash at any byte leaves either the old
 //!   generation or the new one, never a half state. Only live tables'
 //!   pages stay in RAM: a page no live table holds waits in its snapshot
 //!   frame, and is read back when a table of its state registers again.

@@ -43,6 +43,11 @@
 //! store indexes its snapshot without loading it: a page whose only
 //! image is a snapshot frame stays on disk.
 //!
+//! A resident page's planes sit behind an `Arc`, so a compaction or a
+//! reader takes a clone under the lock and reads the planes after it. An
+//! append that adds a row to planes someone else holds copies them first
+//! (copy on write); a re-offer adds no row and copies nothing.
+//!
 //! # Overload: what sheds, and when
 //!
 //! The queue, the compaction threshold and [`PersistStats::flushed`] all
@@ -75,11 +80,11 @@
 //! per page, its own CRC each, so a damaged frame costs that page and
 //! the ones after it) and `wal-<g>` (appends since: page images of the
 //! rows each batch added to a page, single-row records for a lone row).
-//! Compaction streams `snapshot-<g+1>` into a temp file a run at a time
-//! (see `compact_now`), fsyncs, renames (atomic on POSIX), creates
-//! `wal-<g+1>`, and only then deletes generation `g`'s files — a crash at
-//! any byte boundary leaves either a complete old generation or a
-//! complete new one. Recovery picks the highest generation with a
+//! Compaction writes `snapshot-<g+1>` into a temp file with the index
+//! lock released (see `compact_now`), fsyncs, renames (atomic on POSIX),
+//! creates `wal-<g+1>`, and only then deletes generation `g`'s files — a
+//! crash at any byte boundary leaves either a complete old generation or
+//! a complete new one. Recovery picks the highest generation with a
 //! readable snapshot header, streams the snapshot, then replays `wal-<g>`
 //! on top, stopping at the first corrupt or truncated frame and
 //! truncating the file back to the valid prefix so later appends never
@@ -97,7 +102,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Read, Write};
 use std::num::NonZeroU32;
-use std::ops::Bound::{Excluded, Included, Unbounded};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -112,16 +116,9 @@ pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 8_192;
 pub(crate) const DEFAULT_COMPACT_AFTER: u64 = 65_536;
 
 /// Bytes a compaction gathers before it writes them to the snapshot: its
-/// buffer holds this and one more run of page-image frames, whatever the
-/// size of the index.
+/// buffer holds this and one more page-image frame, whatever the size of
+/// the index.
 const SNAPSHOT_CHUNK: usize = 64 * 1024;
-
-/// Pages a compaction's walk takes per hold of the index lock.
-const WALK_RUN: usize = 16;
-
-/// Pages a compaction's hand-over adopts per hold of the index lock: it
-/// only moves a page's fields, so a hold takes more pages than a walk's.
-const ADOPT_RUN: usize = 16 * WALK_RUN;
 
 /// When the flusher fsyncs the WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,13 +267,10 @@ struct Page {
     /// number + 4096)`.
     number: u32,
     /// `None` once the page has left RAM; `image` then says where it is.
-    planes: Option<Box<PagePlanes>>,
+    planes: Option<Arc<PagePlanes>>,
     /// A frame of the current snapshot that holds this page, kept only
     /// while it holds every row the page does.
     image: Option<Image>,
-    /// Where the compaction in progress wrote the page: it becomes
-    /// `image` once that snapshot is renamed into place.
-    staged: Option<Image>,
 }
 
 impl Page {
@@ -294,11 +288,9 @@ impl Page {
     }
 }
 
-/// One namespace: its pages, ascending by number, and the generation of
-/// the snapshot their images are in.
+/// One namespace: its pages, ascending by number.
 #[derive(Debug, Default)]
 struct Namespace {
-    generation: u64,
     pages: Vec<Page>,
 }
 
@@ -314,7 +306,6 @@ impl Namespace {
                 number,
                 planes: None,
                 image: None,
-                staged: None,
             };
             self.pages.insert(at, page);
             at
@@ -366,10 +357,21 @@ fn check_image(frame: &[u8], image: Image, key: PersistKey, page: u32) -> Option
 
 /// Reads back the page-image frame `image` names from `file`, checked
 /// as [`check_image`] checks it.
-fn read_image(file: &File, image: Image, key: PersistKey, page: u32) -> Option<Box<PagePlanes>> {
+fn read_image(file: &File, image: Image, key: PersistKey, page: u32) -> Option<Arc<PagePlanes>> {
     let mut frame = vec![0; image.len.get() as usize];
     file.read_exact_at(&mut frame, image.offset).ok()?;
-    check_image(&frame, image, key, page)
+    check_image(&frame, image, key, page).map(Arc::from)
+}
+
+/// Merges the rows of `known` in word `word`, answers in `answer`, into
+/// `planes` as [`PagePlanes::merge`] does, copying planes that a
+/// compaction or a reader shares first, but only when the merge adds a
+/// row: a re-offer copies nothing. Returns the rows that were new.
+fn merge_shared(planes: &mut Arc<PagePlanes>, word: usize, known: u64, answer: u64) -> u64 {
+    if known & !planes.known[word] == 0 {
+        return 0;
+    }
+    Arc::make_mut(planes).merge(word, known, answer)
 }
 
 /// The authoritative image of the store — the live tables' pages in RAM,
@@ -381,39 +383,38 @@ struct Index {
     /// Live tables per table state (schema fingerprint, version): while
     /// a state has one, its pages stay resident.
     live: HashMap<(u64, u64), usize>,
-    /// Read handles of the snapshots that images are in: the current one,
-    /// and during a compaction's hand-over the one before it.
-    snapshots: BTreeMap<u64, Arc<File>>,
+    /// The read handle of the current snapshot, the one every image is
+    /// in.
+    snapshot: Option<Arc<File>>,
 }
 
 impl Index {
     /// The planes of page `page` of `slot`, created empty if absent and
     /// read back from disk if the page left RAM (a frame that no longer
     /// reads back leaves the page empty: its rows are re-bought).
-    fn planes_mut(&mut self, slot: Slot, page: u32) -> &mut PagePlanes {
+    fn planes_mut(&mut self, slot: Slot, page: u32) -> &mut Arc<PagePlanes> {
         let Self {
             namespaces,
-            snapshots,
+            snapshot,
             ..
         } = self;
-        let ns = namespaces.entry(slot).or_default();
-        let file = snapshots.get(&ns.generation);
-        let Page { planes, image, .. } = ns.page(page);
+        let Page { planes, image, .. } = namespaces.entry(slot).or_default().page(page);
         planes.get_or_insert_with(|| {
+            let file = snapshot.as_deref();
             let read = image.and_then(|at| read_image(file?, at, key_of(slot), page));
             if read.is_none() {
                 *image = None;
             }
-            read.unwrap_or_else(|| Box::new(PagePlanes::empty()))
+            read.unwrap_or_else(|| Arc::new(PagePlanes::empty()))
         })
     }
 
     /// Merges the rows of `known` in word `word` of page `page`, answers
     /// in `answer` — the one merge that appends, snapshot images and
-    /// replayed rows all go through. The first write per row wins.
-    /// Returns the rows that were new.
+    /// replayed rows all go through ([`merge_shared`]). The first write
+    /// per row wins. Returns the rows that were new.
     fn merge(&mut self, slot: Slot, page: u32, word: usize, known: u64, answer: u64) -> u64 {
-        self.planes_mut(slot, page).merge(word, known, answer)
+        merge_shared(self.planes_mut(slot, page), word, known, answer)
     }
 
     /// Merges one replayed row; returns 1 if it was new.
@@ -447,20 +448,18 @@ impl Index {
         }
     }
 
-    /// Loads one frame of the snapshot of generation `generation` being
-    /// opened, the `len` bytes at `offset`: a page it holds for the first
-    /// time stays on disk, named by its frame; anything else replays as
-    /// it would from a WAL. Returns the row answers it added.
-    fn load(&mut self, record: Record, generation: u64, offset: u64, len: usize) -> u64 {
+    /// Loads one frame of the snapshot being opened, the `len` bytes at
+    /// `offset`: a page it holds for the first time stays on disk, named
+    /// by its frame; anything else replays as it would from a WAL.
+    /// Returns the row answers it added.
+    fn load(&mut self, record: Record, offset: u64, len: usize) -> u64 {
         if let Record::PageImage { key, page, planes } = &record {
             let ns = self.namespaces.entry(slot(*key)).or_default();
-            ns.generation = generation;
             if let (Err(at), Some(image)) = (ns.find(*page), image(offset, len, planes.len())) {
                 let page = Page {
                     number: *page,
                     planes: None,
                     image: Some(image),
-                    staged: None,
                 };
                 ns.pages.insert(at, page);
                 return u64::from(image.rows);
@@ -654,18 +653,16 @@ impl PersistStore {
         for &g in generations.iter().rev() {
             let snap = snapshot_path(&config.dir, g);
             // The handle pages left on disk are read back through.
-            if let Ok(file) = File::open(&snap) {
-                index.snapshots.insert(g, Arc::new(file));
-            }
+            index.snapshot = File::open(&snap).ok().map(Arc::new);
             let (snap_valid, snap_len) = stream_frames(&snap, |offset, len, record| {
-                recovered(index.load(record, g, offset, len));
+                recovered(index.load(record, offset, len));
             });
             if snap_len > 0 && snap_valid == 0 && g > 0 {
                 // A snapshot file exists but its header is unreadable —
                 // not one of ours (snapshots are written whole via temp +
                 // rename, so even an *empty* valid snapshot replays its
                 // header). Fall back to the previous generation.
-                index.snapshots.remove(&g);
+                index.snapshot = None;
                 continue;
             }
             if snap_len > 0 {
@@ -682,7 +679,7 @@ impl PersistStore {
                 // A snapshot-less generation whose WAL header is foreign:
                 // not ours either (we create WALs header-first, fsynced).
                 // Keep looking for a real generation.
-                index.snapshots.remove(&g);
+                index.snapshot = None;
                 continue;
             }
             if wal_len > wal_valid {
@@ -704,7 +701,6 @@ impl PersistStore {
             generation = g;
             break;
         }
-        index.snapshots.retain(|&g, _| g == generation);
         stats
             .recovered_namespaces
             .store(index.namespaces.len() as u64, Ordering::Relaxed);
@@ -783,7 +779,7 @@ impl PersistStore {
                 let (mut rows, mut last) = (0, (0, 0));
                 for w in (0..PAGE_WORDS).filter(|&w| planes.known[w] != 0) {
                     let (known, answer) = (planes.known[w], planes.answer[w]);
-                    let new = held.merge(w, known, answer);
+                    let new = merge_shared(held, w, known, answer);
                     if new != 0 {
                         image.merge(w, new, answer);
                         rows += new.count_ones();
@@ -923,35 +919,36 @@ impl PersistStore {
     }
 
     /// The pages persisted under `key`, ascending — what rehydration
-    /// copies into the live cache. A page that left RAM is read back
-    /// from its snapshot frame outside the lock (CRC-checked; one that
-    /// does not read back is dropped, its rows re-bought), and stays
-    /// resident while its state is live.
+    /// copies into the live cache. The planes are copied outside the lock;
+    /// a page that left RAM is read back from its snapshot frame, also
+    /// outside it (CRC-checked; one that does not read back is dropped,
+    /// its rows re-bought), and stays resident while its state is live.
     pub fn pages(&self, key: PersistKey) -> Option<Vec<(usize, PagePlanes)>> {
         let slot = slot(key);
-        let mut pages = Vec::new();
-        let mut away = Vec::new();
-        {
+        let (mut held, mut away) = (Vec::new(), Vec::new());
+        let file = {
             let index = self.shared.index();
             let ns = index.namespaces.get(&slot)?;
-            let file = index.snapshots.get(&ns.generation);
             for page in &ns.pages {
                 match (&page.planes, page.image) {
-                    (Some(planes), _) => {
-                        pages.push((page.number as usize, PagePlanes::clone(planes)))
-                    }
-                    (None, Some(image)) => away.push((page.number, image, file.cloned())),
+                    (Some(planes), _) => held.push((page.number as usize, Arc::clone(planes))),
+                    (None, Some(image)) => away.push((page.number, image)),
                     (None, None) => {}
                 }
             }
-        }
+            index.snapshot.clone()
+        };
+        let copy = |(page, planes): (usize, Arc<PagePlanes>)| (page, Arc::unwrap_or_clone(planes));
+        let mut pages: Vec<_> = held.into_iter().map(copy).collect();
         if away.is_empty() {
             return Some(pages);
         }
-        let read: Vec<(u32, Image, Option<Box<PagePlanes>>)> = away
+        let read: Vec<(u32, Image, Option<Arc<PagePlanes>>)> = away
             .into_iter()
-            .map(|(page, image, file)| {
-                let planes = file.and_then(|file| read_image(&file, image, key, page));
+            .map(|(page, image)| {
+                let planes = file
+                    .as_deref()
+                    .and_then(|file| read_image(file, image, key, page));
                 (page, image, planes)
             })
             .collect();
@@ -970,7 +967,7 @@ impl PersistStore {
                         continue;
                     }
                     match planes {
-                        Some(planes) if live => entry.planes = Some(planes.clone()),
+                        Some(planes) if live => entry.planes = Some(Arc::clone(planes)),
                         Some(_) => {}
                         None => {
                             ns.pages.remove(at);
@@ -979,8 +976,10 @@ impl PersistStore {
                 }
             }
         }
-        let read = read.into_iter();
-        pages.extend(read.filter_map(|(page, _, planes)| Some((page as usize, *planes?))));
+        let read = read
+            .into_iter()
+            .filter_map(|(page, _, planes)| Some((page as usize, planes?)));
+        pages.extend(read.map(copy));
         pages.sort_unstable_by_key(|&(page, _)| page);
         Some(pages)
     }
@@ -1041,28 +1040,24 @@ impl Drop for PersistStore {
 /// deletes generation `g`'s files. **Flusher-thread only** (between
 /// batches).
 ///
-/// The snapshot is streamed, not frozen whole: [`write_snapshot`] takes
-/// the index lock once per run of [`WALK_RUN`] pages, copies out a
-/// resident page's planes (or, for a page on disk, notes its frame), and
-/// with the lock released encodes the planes, copies the frame byte for
-/// byte (it carries its own CRC, checked first), and writes a fixed-size
-/// buffer. So the extra memory is the buffer and one run, whatever the
-/// index holds, and the lock is never held across a disk write. A
-/// piece-at-a-time freeze is still a snapshot that covers everything in
-/// the generation it retires: the only thing that writes to the index is
-/// a first-write-wins merge, which adds rows and never changes or drops
-/// one (replay's `TombstoneAll` is the only clear, and a frame that no
-/// longer reads back the only loss — those rows were lost on disk
-/// already). Every record flushed to `wal-<g>` before the walk reached
-/// its page is in that page's frame (the hot path indexes synchronously
-/// before enqueuing), and one that lands after is flushed into
-/// `wal-<g+1>` — a record landing in both replays idempotently (first
-/// write wins, identical values). A crash at any point leaves either the
-/// complete old generation or the complete new one.
+/// A compaction holds the index lock twice, and neither hold copies
+/// planes, touches a file, or drops planes or a file handle. The first
+/// ([`take`]) lists every page in index order: a resident page as a clone
+/// of its planes' `Arc`, a page on disk as its frame, beside one handle
+/// of the current snapshot. With the lock released, [`write_snapshot`]
+/// encodes the planes, copies each frame byte for byte (it carries its
+/// own CRC, checked first) and writes a fixed-size buffer. The second
+/// ([`adopt_snapshot`]) hands the index over to the renamed snapshot. So
+/// the extra memory is the buffer, one list entry per page, and a copy of
+/// each page an append adds a row to while the list shares its planes.
 ///
-/// Once the snapshot is renamed into place, [`adopt_snapshot`] points
-/// each page that did not change meanwhile at its new frame, and lets the
-/// pages of states no table holds live leave RAM.
+/// The list is the whole index at one instant, so the snapshot covers
+/// everything in the generation it retires: every record flushed to
+/// `wal-<g>` is in it (the hot path indexes synchronously before
+/// enqueuing), and one flushed after the take lands in `wal-<g+1>` — a
+/// record in both replays idempotently (first write wins, identical
+/// values). A crash at any point leaves either the complete old
+/// generation or the complete new one.
 fn compact_now(shared: &Shared, generation: u64) -> Result<(File, u64), PersistError> {
     let dir = &shared.config.dir;
     let next = generation + 1;
@@ -1074,7 +1069,8 @@ fn compact_now(shared: &Shared, generation: u64) -> Result<(File, u64), PersistE
         .truncate(true)
         .open(&tmp)
         .map_err(io_err(format!("create {}", tmp.display())))?;
-    if let Err(e) = write_snapshot(shared, &file) {
+    let (mut taken, source) = take(&shared.index());
+    if let Err(e) = write_snapshot(&mut taken, source.as_deref(), &file) {
         let _ = fs::remove_file(&tmp);
         return Err(io_err(format!("write {}", tmp.display()))(e));
     }
@@ -1082,109 +1078,76 @@ fn compact_now(shared: &Shared, generation: u64) -> Result<(File, u64), PersistE
     fs::rename(&tmp, &snap).map_err(io_err(format!("rename {}", snap.display())))?;
     sync_dir(dir);
     let new_wal = create_with_header(&wal_path(dir, next))?;
-    adopt_snapshot(shared, next, file);
+    adopt_snapshot(shared, &taken, file);
     let _ = fs::remove_file(wal_path(dir, generation));
     let _ = fs::remove_file(snapshot_path(dir, generation));
     Ok((new_wal, next))
 }
 
-/// A page a compaction took under the lock, to write once the lock
-/// drops, and where it went.
+/// A page a compaction took under the lock, and where it went.
 #[derive(Debug)]
-struct Walked {
+struct Taken {
     at: (Slot, u32),
-    /// For a page on disk, the frame it is copied from: its image and
-    /// its snapshot's handle. `None` for a resident page, whose planes
-    /// wait in the run's copies.
-    from: Option<(Image, Option<Arc<File>>)>,
+    /// A resident page's planes, let go once encoded.
+    planes: Option<Arc<PagePlanes>>,
+    /// For a page on disk, the frame it is copied from.
+    from: Option<Image>,
     /// The page's frame in the new snapshot; `None` until written, and
     /// for a frame that no longer reads back.
     to: Option<Image>,
 }
 
-/// Streams every page of the index into `file` as the next snapshot,
-/// staging where each page went (see [`compact_now`]), and fsyncs it.
-/// Each hold of the lock takes a run of at most [`WALK_RUN`] pages — a
-/// resident page's planes copied out, an on-disk page's frame noted — and
-/// first stages where the previous run went. Encoding, copying and the
-/// disk all happen with the lock released.
-fn write_snapshot(shared: &Shared, mut file: &File) -> std::io::Result<()> {
-    let mut out = Vec::with_capacity(SNAPSHOT_CHUNK + WALK_RUN * MAX_PAGE_IMAGE_FRAME);
+/// Lists every page of `index` in index order, and the handle of the
+/// snapshot the pages on disk are in (see [`compact_now`]).
+fn take(index: &Index) -> (Vec<Taken>, Option<Arc<File>>) {
+    let pages = index.namespaces.values().map(|ns| ns.pages.len()).sum();
+    let mut taken = Vec::with_capacity(pages);
+    for (&slot, ns) in &index.namespaces {
+        for page in &ns.pages {
+            let (planes, from) = match (&page.planes, page.image) {
+                (Some(planes), _) => (Some(Arc::clone(planes)), None),
+                (None, Some(image)) => (None, Some(image)),
+                (None, None) => continue,
+            };
+            taken.push(Taken {
+                at: (slot, page.number),
+                planes,
+                from,
+                to: None,
+            });
+        }
+    }
+    (taken, index.snapshot.clone())
+}
+
+/// Writes the pages `taken` lists into `file` as the next snapshot, notes
+/// where each went, and fsyncs it. A resident page's planes are encoded
+/// and let go; a page on disk's frame is read from `source` straight
+/// into the buffer, and kept only if it checks as `pages` checks a frame
+/// it reads back.
+fn write_snapshot(
+    taken: &mut [Taken],
+    source: Option<&File>,
+    mut file: &File,
+) -> std::io::Result<()> {
+    let mut out = Vec::with_capacity(SNAPSHOT_CHUNK + MAX_PAGE_IMAGE_FRAME);
     out.extend_from_slice(&file_header());
     let mut written = 0u64;
-    let mut cursor: Option<(Slot, u32)> = None;
-    let (mut run, mut planes) = (Vec::with_capacity(WALK_RUN), Vec::with_capacity(WALK_RUN));
-    loop {
-        {
-            let mut index = shared.index();
-            for walked in run.drain(..) {
-                stage(&mut index, walked);
-            }
-            planes.clear();
-            let Index {
-                namespaces,
-                snapshots,
-                ..
-            } = &mut *index;
-            let from = cursor.map_or(Unbounded, |(slot, _)| Included(slot));
-            'run: for (&slot, ns) in namespaces.range_mut((from, Unbounded)) {
-                let first = match cursor {
-                    Some((at, page)) if at == slot => {
-                        ns.pages.partition_point(|p| p.number <= page)
-                    }
-                    _ => 0,
-                };
-                for page in &mut ns.pages[first..] {
-                    if run.len() == WALK_RUN {
-                        break 'run;
-                    }
-                    let at = (slot, page.number);
-                    page.staged = None;
-                    let from = match (&page.planes, page.image) {
-                        (Some(held), _) => {
-                            planes.push(PagePlanes::clone(held));
-                            None
-                        }
-                        (None, Some(image)) => {
-                            Some((image, snapshots.get(&ns.generation).cloned()))
-                        }
-                        (None, None) => continue,
-                    };
-                    run.push(Walked { at, from, to: None });
-                    cursor = Some(at);
-                }
-            }
-        }
-        if run.is_empty() {
-            break;
-        }
-        let mut resident = planes.iter();
-        for walked in &mut run {
-            let ((slot, page), offset) = (walked.at, written + out.len() as u64);
-            match &walked.from {
-                None => {
-                    let Some(held) = resident.next() else {
-                        continue;
-                    };
-                    encode_page_image(key_of(slot), page, held, &mut out);
-                    let len = (written + out.len() as u64 - offset) as usize;
-                    walked.to = image(offset, len, held.len());
-                }
-                Some((image, Some(source))) => {
-                    // Read straight into the buffer, and kept only if it
-                    // checks as `pages` checks a frame it reads back.
-                    let start = out.len();
-                    out.resize(start + image.len.get() as usize, 0);
-                    let frame = &mut out[start..];
-                    if source.read_exact_at(frame, image.offset).is_ok()
-                        && check_image(frame, *image, key_of(slot), page).is_some()
-                    {
-                        walked.to = Some(Image { offset, ..*image });
-                    } else {
-                        out.truncate(start);
-                    }
-                }
-                Some((_, None)) => {}
+    for page in taken {
+        let ((slot, number), start) = (page.at, out.len());
+        let offset = written + start as u64;
+        if let Some(planes) = page.planes.take() {
+            encode_page_image(key_of(slot), number, &planes, &mut out);
+            page.to = image(offset, out.len() - start, planes.len());
+        } else if let (Some(from), Some(source)) = (page.from, source) {
+            out.resize(start + from.len.get() as usize, 0);
+            let frame = &mut out[start..];
+            if source.read_exact_at(frame, from.offset).is_ok()
+                && check_image(frame, from, key_of(slot), number).is_some()
+            {
+                page.to = Some(Image { offset, ..from });
+            } else {
+                out.truncate(start);
             }
         }
         if out.len() >= SNAPSHOT_CHUNK {
@@ -1197,86 +1160,45 @@ fn write_snapshot(shared: &Shared, mut file: &File) -> std::io::Result<()> {
     file.sync_all()
 }
 
-/// Stages where one walked page went, under the lock. A page on disk
-/// counts only if it is still where it was copied from; if its frame did
-/// not read back and it is still not resident, it goes (its rows are
-/// re-bought). A resident page's frame holds the rows it had when it was
-/// taken, which [`adopt_snapshot`] holds to the rows it has then.
-fn stage(index: &mut Index, walked: Walked) {
-    let Some(ns) = index.namespaces.get_mut(&walked.at.0) else {
-        return;
-    };
-    let Ok(at) = ns.find(walked.at.1) else {
-        return;
-    };
-    let page = &mut ns.pages[at];
-    match walked.from {
-        None => page.staged = walked.to,
-        Some((image, ..)) if page.image != Some(image) => {}
-        Some(_) if walked.to.is_some() => page.staged = walked.to,
-        Some(_) if page.planes.is_none() => {
-            ns.pages.remove(at);
-        }
-        Some(_) => {}
-    }
-}
-
-/// Hands the index over to the renamed snapshot of generation `next`,
-/// about [`ADOPT_RUN`] pages per hold of the lock: a page whose rows did
-/// not change since the walk took it now lives at its new frame (one that
-/// changed has no full image until the next compaction), and a page on
-/// disk whose state no table holds live leaves RAM. The first hold also
-/// opens `next` to readers, and the last retires the handle of the
-/// snapshot before it. Planes that leave RAM and the retired handle are
-/// dropped with the lock released.
-fn adopt_snapshot(shared: &Shared, next: u64, file: File) {
-    let mut file = Some(Arc::new(file));
-    let (mut cursor, mut evicted) = (None, Vec::new());
-    loop {
-        let mut index = shared.index();
-        let Index {
-            namespaces,
-            live,
-            snapshots,
-        } = &mut *index;
-        if let Some(file) = file.take() {
-            snapshots.insert(next, file);
-        }
-        let (from, mut adopted) = (cursor.map_or(Unbounded, Excluded), 0);
-        for (&slot, ns) in namespaces.range_mut((from, Unbounded)) {
-            if adopted >= ADOPT_RUN {
-                break;
+/// Hands the index over to the renamed snapshot `file` in one hold of
+/// the lock. A page whose rows are still the ones written lives at its
+/// new frame: the index only grows by first-write-wins merges, so equal
+/// counts are equal rows, and a page that gained rows has no full image
+/// until the next compaction. A page on disk counts only if it is still
+/// where it was copied from; if its frame did not read back and it is
+/// still not resident, it goes (its rows are re-bought). A page on disk
+/// whose state no table holds live leaves RAM. The planes that leave RAM
+/// and the retired snapshot handle are dropped with the lock released.
+fn adopt_snapshot(shared: &Shared, taken: &[Taken], file: File) {
+    let (file, mut evicted) = (Arc::new(file), Vec::new());
+    let mut taken = taken.iter().peekable();
+    let mut index = shared.index();
+    let Index {
+        namespaces,
+        live,
+        snapshot,
+    } = &mut *index;
+    let retired = snapshot.replace(file);
+    for (&slot, ns) in namespaces.iter_mut() {
+        let live = live.contains_key(&(slot.0, slot.1));
+        ns.pages.retain_mut(|page| {
+            let at = (slot, page.number);
+            while taken.next_if(|t| t.at < at).is_some() {}
+            let went = taken.next_if(|t| t.at == at);
+            let went = went.filter(|t| t.from.is_none() || t.from == page.image);
+            let rows = page.rows();
+            page.image = went.and_then(|t| t.to).filter(|to| to.rows == rows);
+            if !live && page.image.is_some() {
+                evicted.extend(page.planes.take());
             }
-            let live = live.contains_key(&(slot.0, slot.1));
-            ns.generation = next;
-            ns.pages.retain_mut(|page| {
-                let rows = page.rows();
-                page.image = page.staged.take().filter(|image| image.rows == rows);
-                if !live && page.image.is_some() {
-                    evicted.extend(page.planes.take());
-                }
-                page.planes.is_some() || page.image.is_some()
-            });
-            if !live {
-                ns.pages.shrink_to_fit();
-            }
-            adopted += ns.pages.len().max(1);
-            cursor = Some(slot);
-        }
-        let done = adopted < ADOPT_RUN;
-        let retired = if done {
-            let current = snapshots.split_off(&next);
-            std::mem::replace(snapshots, current)
-        } else {
-            BTreeMap::new()
-        };
-        drop(index);
-        evicted.clear();
-        drop(retired);
-        if done {
-            break;
+            page.planes.is_some() || page.image.is_some()
+        });
+        if !live {
+            ns.pages.shrink_to_fit();
         }
     }
+    drop(index);
+    drop((evicted, retired));
 }
 
 /// Encodes `batch` and appends it to the WAL in one write, counting its

@@ -244,3 +244,65 @@ fn a_frame_that_rots_after_the_open_is_dropped_not_copied() {
 fn expected_first() -> BTreeMap<PersistKey, Vec<(u32, bool)>> {
     (0..NAMESPACES).map(|n| (key(n), first_rows(n))).collect()
 }
+
+/// The FNV-64 digest of `snapshot-<generation>` in `dir`.
+fn snapshot_digest(dir: &Path, generation: u64) -> u64 {
+    let bytes = std::fs::read(dir.join(format!("snapshot-{generation:06}"))).expect("the snapshot");
+    let mut digest = expred_stats::hash::Fnv64::new();
+    digest.write_bytes(&bytes);
+    digest.finish()
+}
+
+#[test]
+fn compactions_write_the_pinned_snapshot_bytes() {
+    // One single-threaded life over a retained state and a released one:
+    // the first compaction encodes every page and the released state's
+    // pages leave RAM; appends to both states follow; the second
+    // compaction encodes the pages in RAM and copies the frames of the
+    // rest. Whatever way a compaction walks the index, it writes these
+    // bytes.
+    let retained = PersistKey {
+        udf: 1,
+        table: 0xa,
+        version: 1,
+    };
+    let released = PersistKey {
+        udf: 2,
+        table: 0xb,
+        version: 1,
+    };
+    let dir = unique_dir("pin");
+    let store = open(&dir);
+    store.retain(retained.table, retained.version);
+    store.retain(released.table, released.version);
+    store.append_pages(retained, &pages(&first_rows(0)));
+    store.append_pages(released, &pages(&first_rows(1)));
+    store.release(released.table, released.version);
+    store.compact().expect("the compaction that encodes");
+    assert_eq!(store.resident_pages(), 3, "the retained state's pages");
+    let first = std::fs::read(dir.join("snapshot-000001")).expect("snapshot 1");
+    let mut digests = vec![snapshot_digest(&dir, 1)];
+
+    store.append_pages(retained, &pages(&second_rows(0)));
+    store.append_pages(released, &pages(&[(5, true), (9_001, false)]));
+    store
+        .compact()
+        .expect("the compaction that encodes and copies");
+    assert_eq!(store.resident_pages(), 4, "the retained state's pages");
+    digests.push(snapshot_digest(&dir, 2));
+    let second = std::fs::read(dir.join("snapshot-000002")).expect("snapshot 2");
+    let (old, new) = (frames(&first), frames(&second));
+    let copied = new.iter().filter(|frame| old.contains(frame)).count();
+    // The retained state's untouched pages encode to their old bytes,
+    // and the released state's untouched page is copied.
+    assert_eq!((new.len(), copied), (7, 3));
+    drop(store);
+
+    let reopened = open(&dir);
+    let mut want = first_rows(1);
+    want.extend([(5, true), (9_001, false)]);
+    want.sort_unstable();
+    assert_eq!(reopened.rows(released), Some(want));
+    assert_eq!(digests, [0xd77b_ae60_474d_ac67, 0x4a48_e71c_56c6_2214]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -279,3 +279,101 @@ fn appends_racing_compactions_all_survive_the_reopen() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn reads_and_appends_racing_compactions_see_only_growth() {
+    // One appender and one `pages` reader per state, a retained state
+    // (its pages stay in RAM) and a released one (a compaction writes its
+    // pages out of RAM, and the next append or read brings them back),
+    // while the main thread compacts over and over: each read holds every
+    // row that reader saw before, with the same answer, and the reopen
+    // must hold all of it.
+    const BATCHES: u32 = 60;
+    const BATCH: u32 = 150;
+    let retained = PersistKey { udf: 1, ..KEY };
+    let released = PersistKey {
+        udf: 2,
+        table: KEY.table + 1,
+        ..KEY
+    };
+    let dir = unique_dir("readers");
+    {
+        let config = PersistConfig::new(&dir)
+            .with_compact_after(1_000)
+            .with_queue_capacity(1 << 20);
+        let store = PersistStore::open(config).expect("open store");
+        store.retain(retained.table, retained.version);
+        store.retain(released.table, released.version);
+        store.release(released.table, released.version);
+        let (start, done) = (Barrier::new(5), std::sync::atomic::AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            let appenders: Vec<_> = [retained, released]
+                .into_iter()
+                .map(|key| {
+                    let (store, start) = (&store, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for batch in 0..BATCHES {
+                            // Spread the batches over the compactions.
+                            while store.stats().compactions < u64::from(batch / 10) {
+                                std::thread::yield_now();
+                            }
+                            let rows = (batch * BATCH..(batch + 1) * BATCH)
+                                .map(|row| (row, row.is_multiple_of(3)));
+                            store.append_pages(key, &pages(rows));
+                        }
+                    })
+                })
+                .collect();
+            let readers: Vec<_> = [retained, released]
+                .into_iter()
+                .map(|key| {
+                    let (store, start, done) = (&store, &start, &done);
+                    scope.spawn(move || {
+                        start.wait();
+                        let (mut seen, mut reads) = (Vec::new(), 0u32);
+                        while !done.load(Ordering::Acquire) {
+                            let pages = store.pages(key).unwrap_or_default();
+                            let rows: Vec<(usize, bool)> = pages
+                                .iter()
+                                .flat_map(|(page, planes)| {
+                                    planes.rows(page * expred_persist::PAGE_ROWS)
+                                })
+                                .collect();
+                            for &(row, answer) in &rows {
+                                assert_eq!(answer, row % 3 == 0, "{key:?} row {row}");
+                            }
+                            let kept = seen.iter().all(|row| rows.binary_search(row).is_ok());
+                            assert!(kept, "{key:?}: a read lost a row an earlier one held");
+                            (seen, reads) = (rows, reads + 1);
+                        }
+                        reads
+                    })
+                })
+                .collect();
+            start.wait();
+            for _ in 0..8 {
+                store.compact().expect("compaction under load");
+            }
+            for appender in appenders {
+                appender.join().expect("appender");
+            }
+            store.compact().expect("the compaction after the appends");
+            done.store(true, Ordering::Release);
+            for reader in readers {
+                assert!(reader.join().expect("reader") > 0);
+            }
+        });
+        store.sync().expect("flush what the last compaction missed");
+        assert!(store.stats().compactions >= 9);
+    }
+    let store = PersistStore::open(PersistConfig::new(&dir)).expect("reopen");
+    for key in [retained, released] {
+        let rows = store.rows(key).expect("the namespace survived");
+        assert_eq!(rows.len() as u32, BATCHES * BATCH, "{key:?}");
+        for (&(row, answer), want) in rows.iter().zip(0u32..) {
+            assert_eq!((row, answer), (want, want.is_multiple_of(3)));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
