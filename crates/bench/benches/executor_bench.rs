@@ -15,7 +15,7 @@
 //! are already decided and which passed), `execute_plan_warm` (a fresh query
 //! executing a plan over it: the answer is the reused positives, read
 //! out of one plane), `evaluate_batch_warm` (the same rows demanded as
-//! one batch) and `expr_scan_warm` (an `ExprScan` of `not udf_label`:
+//! one batch) and `expr_scan_warm` (a `Strategy::ExprScan` of `not udf_label`:
 //! one plane read of the leaf, then plane algebra). `group_scan_partial`
 //! is the sampling tally over a session holding 80 % of the rows — the
 //! shape a warm `novel_queries` request reads — so the pass pays a store
@@ -28,7 +28,7 @@ use expred_bench::{report::measure_ns_per_unit, BenchReport};
 use expred_core::execute::execute_plan;
 use expred_core::plan::Plan;
 use expred_core::sampling::{sample_groups, SampleSizeRule};
-use expred_core::strategy::{ExprScan, Strategy};
+use expred_core::Strategy;
 use expred_exec::{CacheNamespace, CacheStore, ExecContext, Sequential, SpillSink};
 use expred_stats::rng::Prng;
 use expred_stats::PagePlanes;
@@ -97,7 +97,7 @@ fn main() {
             .unwrap();
         });
         let scenario = format!("execute_plan_{name}");
-        report.record(&scenario, "sequential", ns, 1.0);
+        report.record_metric(&scenario, "sequential", "ns_per_row", "ns", ns);
         println!("{scenario:<30} {ns:>8.1} ns/row");
     }
 
@@ -121,7 +121,7 @@ fn main() {
         .unwrap();
     });
     let scenario = "execute_plan_fractional_with_memo";
-    report.record(scenario, "sequential", ns, 1.0);
+    report.record_metric(scenario, "sequential", "ns_per_row", "ns", ns);
     println!("{scenario:<30} {ns:>8.1} ns/row");
 
     // The read path over a session that already paid for every row.
@@ -135,7 +135,7 @@ fn main() {
         black_box(passed.len());
         assert_eq!(invoker.counts().reuse_hits, rows as u64);
     });
-    report.record("memoized_scan_warm", "sequential", ns, 1.0);
+    report.record_metric("memoized_scan_warm", "sequential", "ns_per_row", "ns", ns);
     println!("{:<30} {ns:>8.1} ns/row", "memoized_scan_warm");
     let mut seed = 0u64;
     let ns = measure_ns_per_unit(rows as u64, reps, || {
@@ -145,18 +145,21 @@ fn main() {
         black_box(execute_plan(&plan, &groups, &invoker, &mut rng, &ctx)).unwrap();
         assert_eq!(invoker.counts().reuse_hits, rows as u64);
     });
-    report.record("execute_plan_warm", "sequential", ns, 1.0);
+    report.record_metric("execute_plan_warm", "sequential", "ns_per_row", "ns", ns);
     println!("{:<30} {ns:>8.1} ns/row", "execute_plan_warm");
     let ns = measure_ns_per_unit(rows as u64, reps, || {
         let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
         black_box(invoker.evaluate_batch(&Sequential, &all_rows));
         assert_eq!(invoker.counts().reuse_hits, rows as u64);
     });
-    report.record("evaluate_batch_warm", "sequential", ns, 1.0);
+    report.record_metric("evaluate_batch_warm", "sequential", "ns_per_row", "ns", ns);
     println!("{:<30} {ns:>8.1} ns/row", "evaluate_batch_warm");
     let not_label = parse_predicate(&format!("not {LABEL_COLUMN}"), &OracleRegistry::new())
         .expect("the label parses");
-    let scan = ExprScan::new(not_label, CostModel::PAPER_DEFAULT);
+    let scan = Strategy::ExprScan {
+        expr: not_label,
+        cost: CostModel::PAPER_DEFAULT,
+    };
     let ns = measure_ns_per_unit(rows as u64, reps, || {
         let outcome = scan.execute(&ds, 0, &ctx).expect("a valid scan");
         assert_eq!(outcome.counts.reuse_hits, rows as u64);

@@ -49,7 +49,7 @@
 //! **Answer stability.** Cached row answers are always *correct* — the
 //! row tier is keyed by `(udf, table id)` and a UDF is deterministic per
 //! row of one table state — so pipelines whose demand stream
-//! is independent of cache state (e.g. [`crate::strategy::Naive`]) return
+//! is independent of cache state (e.g. [`crate::Strategy::Naive`]) return
 //! byte-identical answers no matter how queries interleave. Pipelines
 //! that *branch* on session-known rows (sampling counts them toward its
 //! target) remain correct under concurrency but may legitimately pick
@@ -58,16 +58,20 @@
 //! orderings.
 //!
 //! **Racing duplicates (cold-race suppression).** Two threads submitting
-//! the identical fresh request used to both execute it; now the first
-//! becomes the *leader* and registers the request in a small in-flight
-//! waiter table (keyed by the result-memo hash, identity-verified), and
-//! every later identical arrival parks on its condvar and shares the
-//! leader's outcome — the session is billed exactly once, reported as
-//! [`EngineStats::dedup_joins`]. The memo read path stays lock-free; the
-//! waiter table is touched only after a memo miss, and a leader that
-//! panics wakes its followers, who then execute for themselves. Requests
-//! that merely *collide* on the 64-bit hash are never deduplicated (the
-//! stored identity is compared), they just run side by side.
+//! the identical fresh request execute it once. After a memo miss each
+//! finds or registers the request's flight in a small waiter table
+//! (keyed by the result-memo hash, identity-verified): one
+//! `Arc<OnceLock>` per in-flight identity, the pattern the serving
+//! tier's tenants use to generate a contested table once. The first
+//! caller into the cell runs the request; every identical arrival parks
+//! on the cell and shares what it gets — the outcome, billed to the
+//! session exactly once and reported as [`EngineStats::dedup_joins`], or
+//! the [`EngineError`]. The memo read path stays lock-free; the waiter
+//! table is touched only after a memo miss. A runner that panics leaves
+//! the cell unset, so one parked caller runs the request itself.
+//! Requests that merely *collide* on the 64-bit hash are never
+//! deduplicated (the stored identity is compared), they just run side
+//! by side.
 //!
 //! ```
 //! use expred_core::{IntelSampleConfig, PredictorChoice, QueryEngine, QueryRequest};
@@ -96,18 +100,17 @@ use crate::persistence::{PersistLayer, PersistSessionStats};
 use crate::pipeline::RunOutcome;
 use crate::request::{InfeasiblePolicy, QueryRequest};
 use crate::result_memo::{ResultMemo, ResultMemoStats};
-use crate::strategy::StrategyIdentity;
 use expred_exec::{CacheStats, CacheStore, ExecContext, Executor, Sequential, SpillSink};
 use expred_persist::{PersistConfig, PersistError, PersistStore};
 use expred_stats::counters::{CounterSet, Section};
-use expred_stats::hash::Fnv64;
+use expred_stats::hash::{fnv1a, Fnv64};
 use expred_table::datasets::Dataset;
 use expred_table::{DerivedCacheStats, DerivedCounters};
 use expred_udf::{CostCounts, CostTracker};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Default bound on memoized whole-query outcomes. An entry holds its
@@ -135,113 +138,68 @@ expred_stats::counter_set! {
         /// Queries answered entirely from the result memo.
         result_hits,
         /// Queries answered by joining an identical in-flight run
-        /// (cold-race suppression): the arrival parked until the leader
-        /// finished and shared its outcome, charging the session nothing.
+        /// (cold-race suppression): the arrival parked on the request's
+        /// flight until its runner finished and shared the outcome,
+        /// charging the session nothing.
         dedup_joins,
     }
 }
 
 /// The full identity of one memoized request. Stored alongside the
 /// outcome and compared on every hit, so a 64-bit hash collision can
-/// never serve one query's answers as another's. Strategy identity is
-/// the full [`StrategyIdentity`] byte stream, so open (out-of-crate)
-/// strategies get the same collision-proof verification as built-ins.
+/// never serve one query's answers as another's. The strategy enters as
+/// its whole identity stream ([`crate::Strategy::identity`]).
 #[derive(Debug, Clone, PartialEq)]
 struct ResultKey {
     table: u64,
     seed: u64,
-    strategy: StrategyIdentity,
+    strategy: Vec<u8>,
 }
 
 impl ResultKey {
+    /// `req`'s identity over table state `table`.
+    fn new(table: u64, req: &QueryRequest) -> Self {
+        Self {
+            table,
+            seed: req.seed(),
+            strategy: req.strategy().identity(),
+        }
+    }
+
     /// The 64-bit memo/waiter-table key for this identity.
     fn hash64(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write_u64(self.table);
         h.write_u64(self.seed);
-        h.write_u64(self.strategy.digest64());
+        h.write_u64(fnv1a(&self.strategy));
         h.finish()
     }
 }
 
-/// Where one in-flight request stands, as seen by its followers.
-#[derive(Debug)]
-enum FlightState {
-    /// The leader is still executing the pipeline.
-    Running,
-    /// The leader finished; followers share this outcome.
-    Done(Arc<RunOutcome>),
-    /// The leader unwound without an outcome; followers run themselves.
-    Aborted,
-}
+/// One in-flight request's result: set once by whichever caller runs
+/// the request, read by every identical arrival parked on it.
+type Flight = Arc<OnceLock<Result<Arc<RunOutcome>, EngineError>>>;
 
-/// One entry of the cold-race waiter table: the leader's registration
-/// that identical arrivals park on.
-#[derive(Debug)]
-struct InFlight {
-    /// Full request identity — a hash-colliding *different* request must
-    /// never join this flight.
-    identity: ResultKey,
-    state: Mutex<FlightState>,
-    finished: Condvar,
-}
+/// The cold-race waiter table: result-memo hash -> the in-flight
+/// request's full identity and its flight.
+type Waiters = Mutex<HashMap<u64, (ResultKey, Flight)>>;
 
-impl InFlight {
-    fn new(identity: ResultKey) -> Self {
-        Self {
-            identity,
-            state: Mutex::new(FlightState::Running),
-            finished: Condvar::new(),
-        }
-    }
-
-    /// Parks until the leader resolves the flight; `None` means the
-    /// leader aborted and the caller should execute for itself.
-    fn wait(&self) -> Option<Arc<RunOutcome>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match &*state {
-                FlightState::Running => {
-                    state = self.finished.wait(state).unwrap_or_else(|e| e.into_inner());
-                }
-                FlightState::Done(outcome) => return Some(Arc::clone(outcome)),
-                FlightState::Aborted => return None,
-            }
-        }
-    }
-
-    fn resolve(&self, resolution: FlightState) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(*state, FlightState::Running) {
-            *state = resolution;
-        }
-        drop(state);
-        self.finished.notify_all();
-    }
-}
-
-/// Unregisters a leader's flight when its `serve` frame ends — normally
-/// *after* the outcome is published, but also on unwind, where it flips
-/// the flight to `Aborted` so followers never park forever.
+/// Unregisters a flight when the frame that registered it ends, on every
+/// path: an outcome, an error or an unwind.
 struct FlightGuard<'a> {
-    waiters: &'a Mutex<HashMap<u64, Arc<InFlight>>>,
+    waiters: &'a Waiters,
     key: u64,
-    flight: Arc<InFlight>,
+    flight: Flight,
 }
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        {
-            let mut waiters = self.waiters.lock().unwrap_or_else(|e| e.into_inner());
-            if let Entry::Occupied(entry) = waiters.entry(self.key) {
-                if Arc::ptr_eq(entry.get(), &self.flight) {
-                    entry.remove();
-                }
+        let mut waiters = self.waiters.lock().unwrap_or_else(|e| e.into_inner());
+        if let Entry::Occupied(entry) = waiters.entry(self.key) {
+            if Arc::ptr_eq(&entry.get().1, &self.flight) {
+                entry.remove();
             }
         }
-        // No-op if the leader already resolved `Done`; on unwind this is
-        // what releases the followers.
-        self.flight.resolve(FlightState::Aborted);
     }
 }
 
@@ -258,8 +216,8 @@ pub struct QueryEngine {
     results: ResultMemo<ResultKey, Arc<RunOutcome>>,
     udf_latency: Option<Duration>,
     stats: AtomicEngineStats,
-    /// Cold-race waiter table: result-memo hash -> in-flight run.
-    inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
+    /// Cold-race waiter table.
+    inflight: Waiters,
     /// Hits and misses of this session's table-memo lookups (group
     /// partitions, encoding dictionaries, label planes); the memo itself
     /// lives in each table.
@@ -365,7 +323,7 @@ impl QueryEngine {
     /// Serves one request — the engine's primary entry point. Callable
     /// from any thread; see the module docs for concurrency semantics.
     ///
-    /// The request's [`crate::strategy::Strategy`] is validated first
+    /// The request's [`crate::Strategy`] is validated first
     /// (bad input surfaces as [`EngineError`] before any UDF money is
     /// spent and before the request is counted). An identical request —
     /// same dataset state, same strategy identity, same seed — returns
@@ -374,9 +332,9 @@ impl QueryEngine {
     /// charges nothing new to the session. A fresh request runs
     /// the strategy against the shared row cache and folds its bill into
     /// [`QueryEngine::session_counts`]. Two threads racing on the
-    /// identical fresh request execute it once: the first becomes the
-    /// leader, the second parks on the in-flight waiter table and shares
-    /// the leader's outcome ([`EngineStats::dedup_joins`]).
+    /// identical fresh request execute it once: the first runs it, the
+    /// second parks on its flight in the waiter table and shares the
+    /// outcome ([`EngineStats::dedup_joins`]) or the error.
     ///
     /// Under [`InfeasiblePolicy::Error`], an outcome whose plan fell back
     /// to evaluate-everything is reported as [`EngineError::Infeasible`]
@@ -394,13 +352,8 @@ impl QueryEngine {
         // `queries` before the memo probe, `result_hits` after the hit:
         // this increment order is what makes stats snapshots consistent.
         self.stats.queries.fetch_add(1, Ordering::AcqRel);
-        let identity = ResultKey {
-            table: ds.table.id().as_u64(),
-            seed: req.seed(),
-            strategy: StrategyIdentity::of(strategy),
-        };
-        let key = identity.hash64();
-        let outcome = self.serve(ds, req, key, identity)?;
+        let identity = ResultKey::new(ds.table.id().as_u64(), req);
+        let outcome = self.serve(ds, req, identity)?;
         if req.infeasible_policy() == InfeasiblePolicy::Error && !outcome.plan_feasible {
             return Err(EngineError::Infeasible {
                 strategy: strategy.name().to_owned(),
@@ -414,72 +367,56 @@ impl QueryEngine {
         &self,
         ds: &Dataset,
         req: &QueryRequest,
-        key: u64,
         identity: ResultKey,
     ) -> Result<Arc<RunOutcome>, EngineError> {
+        let key = identity.hash64();
         // The memo verifies the full identity: a colliding key is
         // treated as a miss, never served.
         if let Some(hit) = self.results.get(key, &identity) {
             self.stats.result_hits.fetch_add(1, Ordering::AcqRel);
             return Ok(hit);
         }
-        // Cold-race suppression: register as leader, or join an
-        // identity-verified identical in-flight run as a follower. A hash
-        // collision with a *different* in-flight request runs solo —
+        // Cold-race suppression: join an identity-verified identical
+        // flight, or register one. A hash collision with a *different*
+        // in-flight request gets a flight of its own and runs solo —
         // duplicated work can only be saved, never substituted.
-        let flight = {
+        let (flight, _guard) = {
             let mut waiters = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
             match waiters.entry(key) {
-                Entry::Occupied(entry) if entry.get().identity == identity => {
-                    Err(Some(Arc::clone(entry.get())))
+                Entry::Occupied(entry) if entry.get().0 == identity => {
+                    (Arc::clone(&entry.get().1), None)
                 }
-                Entry::Occupied(_) => Err(None),
+                Entry::Occupied(_) => (Flight::default(), None),
                 Entry::Vacant(slot) => {
-                    let flight = Arc::new(InFlight::new(identity.clone()));
-                    slot.insert(Arc::clone(&flight));
-                    Ok(flight)
+                    let flight = Flight::default();
+                    slot.insert((identity.clone(), Arc::clone(&flight)));
+                    let guard = FlightGuard {
+                        waiters: &self.inflight,
+                        key,
+                        flight: Arc::clone(&flight),
+                    };
+                    (flight, Some(guard))
                 }
             }
         };
-        match flight {
-            Ok(flight) => {
-                // Leader. The guard unregisters the flight when this
-                // frame ends — and aborts it if the pipeline unwinds (or
-                // the strategy errors), so followers never park forever.
-                let guard = FlightGuard {
-                    waiters: &self.inflight,
-                    key,
-                    flight: Arc::clone(&flight),
-                };
-                // Re-probe the memo: our earlier miss may be stale (a
-                // previous leader published and unregistered between our
-                // probe and our registration), and re-running a memoized
-                // request would waste the whole pipeline. A `peek`: this
-                // request's lookup was counted by the probe above.
-                if let Some(hit) = self.results.peek(key, &identity) {
-                    self.stats.result_hits.fetch_add(1, Ordering::AcqRel);
-                    flight.resolve(FlightState::Done(Arc::clone(&hit)));
-                    drop(guard);
-                    return Ok(hit);
-                }
-                let outcome = self.execute_fresh(ds, req, key, identity)?;
-                // Publish to the memo first, then release followers,
-                // then (via the guard) unregister: an arrival in any
-                // window finds the answer somewhere.
-                flight.resolve(FlightState::Done(Arc::clone(&outcome)));
-                drop(guard);
-                Ok(outcome)
+        let mut ran = false;
+        let result = flight.get_or_init(|| {
+            ran = true;
+            // Re-probe the memo: our earlier miss may be stale (a
+            // previous flight published and unregistered between our
+            // probe and our registration), and re-running a memoized
+            // request would waste the whole pipeline. A `peek`: this
+            // request's lookup was counted by the probe above.
+            if let Some(hit) = self.results.peek(key, &identity) {
+                self.stats.result_hits.fetch_add(1, Ordering::AcqRel);
+                return Ok(hit);
             }
-            Err(Some(flight)) => match flight.wait() {
-                Some(outcome) => {
-                    self.stats.dedup_joins.fetch_add(1, Ordering::AcqRel);
-                    Ok(outcome)
-                }
-                // The leader aborted; pay full price ourselves.
-                None => self.execute_fresh(ds, req, key, identity),
-            },
-            Err(None) => self.execute_fresh(ds, req, key, identity),
+            self.execute_fresh(ds, req, key, identity)
+        });
+        if !ran && result.is_ok() {
+            self.stats.dedup_joins.fetch_add(1, Ordering::AcqRel);
         }
+        result.clone()
     }
 
     /// Runs the strategy for one non-memoized request, folds its bill
@@ -692,54 +629,65 @@ mod tests {
         assert_eq!(engine.stats().result_hits, warm.hits);
     }
 
-    /// A strategy whose run announces itself and then waits to be let go,
-    /// so a test can hold a leader in flight.
+    /// A UDF passing every third row whose first evaluation announces
+    /// itself and waits to be let go, then answers or, if `panics`,
+    /// unwinds: an expression scan over it holds a request in flight.
     struct Gated {
         entered: Mutex<std::sync::mpsc::Sender<()>>,
         release: Mutex<std::sync::mpsc::Receiver<()>>,
+        started: std::sync::atomic::AtomicBool,
+        panics: bool,
     }
 
-    impl crate::strategy::Strategy for Gated {
-        fn name(&self) -> &str {
-            "gated"
+    impl expred_udf::BooleanUdf for Gated {
+        fn evaluate(&self, _: &expred_table::Table, row: usize) -> bool {
+            if !self.started.swap(true, Ordering::SeqCst) {
+                self.entered.lock().unwrap().send(()).unwrap();
+                self.release.lock().unwrap().recv().unwrap();
+                assert!(!self.panics, "the gated evaluation unwinds");
+            }
+            row.is_multiple_of(3)
         }
-        fn fingerprint(&self, _fp: &mut crate::strategy::Fingerprint) {}
-        fn execute(
-            &self,
-            ds: &Dataset,
-            _seed: u64,
-            _ctx: &ExecContext<'_>,
-        ) -> Result<RunOutcome, EngineError> {
-            self.entered.lock().unwrap().send(()).unwrap();
-            self.release.lock().unwrap().recv().unwrap();
-            let rows = ds.table.num_rows();
-            Ok(RunOutcome::trivial(expred_table::RowSet::from_ids(
-                rows,
-                0..rows as u32,
-            )))
+
+        fn fingerprint(&self) -> Option<expred_udf::UdfId> {
+            Some(expred_udf::UdfId::from_parts("gated", &[]))
         }
     }
 
-    #[test]
-    fn a_cold_race_follower_shares_the_leaders_allocation() {
-        let ds = small_prosper(10);
-        let engine = QueryEngine::new();
+    /// What one `submit` returns.
+    type Submitted = Result<Arc<RunOutcome>, EngineError>;
+
+    /// Submits a [`Gated`] scan from two threads: the first is held in
+    /// flight until the second parks on its flight, then let go. Returns
+    /// what each got (the first's `Err` if it panicked) and whether the
+    /// gate was entered again.
+    fn cold_race(
+        engine: &QueryEngine,
+        ds: &Dataset,
+        panics: bool,
+    ) -> (std::thread::Result<Submitted>, Submitted, bool) {
         let (entered_tx, entered) = std::sync::mpsc::channel();
         let (release, release_rx) = std::sync::mpsc::channel();
-        let request = QueryRequest::new(Gated {
+        let gated = Gated {
             entered: Mutex::new(entered_tx),
             release: Mutex::new(release_rx),
-        });
-        let (led, followed) = std::thread::scope(|scope| {
-            let leader = scope.spawn(|| engine.submit(&ds, &request).unwrap());
+            started: Default::default(),
+            panics,
+        };
+        let request = QueryRequest::expr_scan(
+            expred_udf::Pred::udf(gated),
+            expred_udf::CostModel::PAPER_DEFAULT,
+        );
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| engine.submit(ds, &request));
             entered.recv().unwrap();
-            let follower = scope.spawn(|| engine.submit(&ds, &request).unwrap());
+            let follower = scope.spawn(|| engine.submit(ds, &request));
             // The leader's frame holds the flight twice and the waiter
             // table once; a fourth holder is the follower, which from
             // there can only park on it.
             loop {
                 let waiters = engine.inflight.lock().unwrap();
-                let flight = waiters.values().next().expect("the leader is in flight");
+                let (_, flight) = waiters.values().next().expect("the leader is in flight");
                 if Arc::strong_count(flight) >= 4 {
                     break;
                 }
@@ -747,15 +695,47 @@ mod tests {
                 std::thread::yield_now();
             }
             release.send(()).unwrap();
-            (leader.join().unwrap(), follower.join().unwrap())
-        });
+            let led = leader.join();
+            (led, follower.join().unwrap(), entered.try_recv().is_ok())
+        })
+    }
+
+    #[test]
+    fn a_cold_race_follower_shares_the_leaders_allocation() {
+        let ds = small_prosper(10);
+        let engine = QueryEngine::new();
+        let (led, followed, reentered) = cold_race(&engine, &ds, false);
+        let (led, followed) = (led.unwrap().unwrap(), followed.unwrap());
         assert!(Arc::ptr_eq(&led, &followed), "followers share, not copy");
         let stats = engine.stats();
         assert_eq!(
             (stats.queries, stats.dedup_joins, stats.result_hits),
             (2, 1, 0)
         );
-        assert!(entered.try_recv().is_err(), "the strategy ran once");
+        assert!(!reentered, "the strategy ran once");
+    }
+
+    #[test]
+    fn a_panicking_leader_releases_its_follower() {
+        let ds = small_prosper(10);
+        let engine = QueryEngine::new();
+        let (led, followed, reentered) = cold_race(&engine, &ds, true);
+        assert!(led.is_err(), "the leader unwound");
+        // The flight stayed unset, so the parked follower ran the
+        // request itself, past the gate.
+        let followed = followed.expect("the follower answers");
+        let rows = ds.table.num_rows();
+        let reference: Vec<u32> = (0..rows as u32)
+            .filter(|row| row.is_multiple_of(3))
+            .collect();
+        assert_eq!(followed.returned.to_vec(), reference);
+        assert!(!reentered);
+        let stats = engine.stats();
+        assert_eq!((stats.queries, stats.dedup_joins), (2, 0));
+        assert!(
+            engine.inflight.lock().unwrap().is_empty(),
+            "the waiter table must drain"
+        );
     }
 
     #[test]
@@ -990,5 +970,123 @@ mod tests {
             after_push.misses > warm.misses,
             "a push must force re-derivation"
         );
+    }
+
+    /// `request`'s [`ResultKey::hash64`] over table id 7, and the FNV-1a
+    /// digest of its identity stream.
+    fn key_and_digest(request: &QueryRequest) -> (u64, u64) {
+        let key = ResultKey::new(7, request);
+        (key.hash64(), fnv1a(&key.strategy))
+    }
+
+    /// One request per kind whose memo key is pinned: the eight rows of
+    /// `crates/serve/tests/alloc_budget.rs` (as the serving tier parses
+    /// them), then `not udf_label`, a virtual predictor and the 422 probe
+    /// of `crates/serve/tests/serving.rs` (`corr` unknown).
+    fn pinned_requests() -> [(&'static str, QueryRequest); 11] {
+        use crate::optimize::CorrelationModel;
+        use crate::sampling::SampleSizeRule;
+        use expred_udf::{parse_predicate, CostModel, OracleRegistry};
+        let spec = QuerySpec::paper_default();
+        let intel = |spec, sampling, predictor, rounds| {
+            QueryRequest::intel_sample(IntelSampleConfig {
+                spec,
+                sampling,
+                corr: CorrelationModel::Independent,
+                predictor,
+                rounds: std::num::NonZeroUsize::new(rounds).unwrap(),
+            })
+        };
+        let rule = Sampling::Rule(SampleSizeRule::Fraction(0.05));
+        let grade = || PredictorChoice::Fixed("grade".into());
+        let expr = |text: &str| {
+            let expr = parse_predicate(text, &OracleRegistry::new()).unwrap();
+            QueryRequest::expr_scan(expr, CostModel::PAPER_DEFAULT)
+        };
+        let strict = QuerySpec::new(0.999, 0.999, 0.999, spec.cost);
+        [
+            ("naive", QueryRequest::naive(spec).with_seed(2)),
+            ("optimal", QueryRequest::optimal(spec, "grade").with_seed(2)),
+            (
+                "adaptive",
+                intel(spec, Sampling::Search, grade(), 1).with_seed(2),
+            ),
+            ("iterative", intel(spec, rule, grade(), 2).with_seed(2)),
+            ("intel_sample", intel(spec, rule, grade(), 1).with_seed(2)),
+            (
+                "intel_sample auto",
+                intel(
+                    spec,
+                    rule,
+                    PredictorChoice::Auto {
+                        label_fraction: 0.01,
+                    },
+                    1,
+                )
+                .with_seed(2),
+            ),
+            ("expr", expr("udf_label").with_seed(2)),
+            ("memo hit", intel(spec, rule, grade(), 1).with_seed(1)),
+            ("expr not", expr("not udf_label").with_seed(2)),
+            (
+                "intel_sample virtual",
+                intel(
+                    spec,
+                    rule,
+                    PredictorChoice::Virtual {
+                        buckets: 10,
+                        label_fraction: 0.01,
+                    },
+                    1,
+                )
+                .with_seed(2),
+            ),
+            (
+                "intel_sample corr unknown",
+                QueryRequest::intel_sample(IntelSampleConfig {
+                    spec: strict,
+                    sampling: rule,
+                    corr: CorrelationModel::Unknown,
+                    predictor: grade(),
+                    rounds: std::num::NonZeroUsize::MIN,
+                }),
+            ),
+        ]
+    }
+
+    #[test]
+    fn memo_keys_are_pinned() {
+        // (kind, ResultKey::hash64 over table id 7, FNV-1a of the identity
+        // stream), harvested at the commit before the strategy set closed.
+        // The result memo stripes and evicts by this hash.
+        const PINS: [(&str, u64, u64); 11] = [
+            ("naive", 0xda60f7e4d72f3539, 0x668a3440c5dc3d1d),
+            ("optimal", 0x4ff5d7c555d414eb, 0xd185a02faaafedd4),
+            ("adaptive", 0x4d15903c9e4cbd68, 0x253aa57e22bd51d0),
+            ("iterative", 0xeb28232e65b96c36, 0x0d6ba99c34cd55d3),
+            ("intel_sample", 0xb516f71f1f1ac59c, 0xcd2fcf94ab5b3877),
+            ("intel_sample auto", 0x3b21f3f8c18b401a, 0x45654e2120d80b9a),
+            ("expr", 0x553a26648a98a3d9, 0x1a4f60a3f6fbedd1),
+            ("memo hit", 0x67765a5ea6359387, 0xcd2fcf94ab5b3877),
+            ("expr not", 0x90d3dd834a53b0b3, 0x3f06ecac43d6bcaf),
+            (
+                "intel_sample virtual",
+                0x97d99ba9a9442436,
+                0x643508d5aee1846d,
+            ),
+            (
+                "intel_sample corr unknown",
+                0x352229a84f7fe8f7,
+                0x89767344ebc6c71f,
+            ),
+        ];
+        let got: Vec<(&str, u64, u64)> = pinned_requests()
+            .iter()
+            .map(|(kind, request)| {
+                let (hash, digest) = key_and_digest(request);
+                (*kind, hash, digest)
+            })
+            .collect();
+        assert_eq!(got, PINS);
     }
 }

@@ -31,9 +31,8 @@
 //!   with `submit(&self)`, so one session serves many worker threads
 //!   directly ([`result_memo`] holds the lock-striped memo behind it).
 //! * [`request`] / [`strategy`] / [`error`] — the primary query surface:
-//!   a [`QueryRequest`] builder over an open, object-safe
-//!   [`Strategy`] trait (the three pipelines ship as built-in
-//!   implementations, plus [`strategy::ExprScan`] for
+//!   a [`QueryRequest`] builder over the closed [`Strategy`] enum (one
+//!   variant per pipeline, plus [`Strategy::ExprScan`] for
 //!   [`expred_udf::PredicateExpr`] multi-predicate requests), submitted
 //!   via the fallible [`QueryEngine::submit`] — invalid input surfaces
 //!   as a typed [`EngineError`] instead of a panic.
@@ -80,4 +79,4 @@ pub use query::QuerySpec;
 pub use request::{InfeasiblePolicy, QueryRequest};
 pub use result_memo::ResultMemoStats;
 pub use sampling::{sample_groups, GroupSample, SampleSizeRule, Sampling};
-pub use strategy::{Fingerprint, Strategy, StrategyIdentity};
+pub use strategy::Strategy;

@@ -27,9 +27,8 @@
 
 use crate::pipeline::IntelSampleConfig;
 use crate::query::QuerySpec;
-use crate::strategy::{ExprScan, IntelSample, Naive, Optimal, Strategy};
+use crate::strategy::Strategy;
 use expred_udf::{CostModel, PredicateExpr};
-use std::sync::Arc;
 
 /// What the engine should do when the optimizer proves a request's
 /// constraints unsatisfiable.
@@ -51,26 +50,19 @@ pub enum InfeasiblePolicy {
 
 /// One composable query request: strategy + seed + options.
 ///
-/// Construct with a convenience constructor (one per built-in strategy)
-/// or [`QueryRequest::new`] for a custom [`Strategy`], then chain
-/// builders. Requests are cheap to clone (the strategy is shared behind
-/// an `Arc`) and a single request value can be resubmitted — to the same
-/// engine (memoized) or to others.
+/// Construct with a constructor (one per [`Strategy`] variant), then
+/// chain builders. A single request value can be resubmitted — to the
+/// same engine (memoized) or to others.
 #[derive(Clone)]
 pub struct QueryRequest {
-    strategy: Arc<dyn Strategy>,
+    strategy: Strategy,
     seed: u64,
     on_infeasible: InfeasiblePolicy,
 }
 
 impl QueryRequest {
     /// A request running `strategy` with seed 0 and default options.
-    pub fn new(strategy: impl Strategy + 'static) -> Self {
-        Self::from_arc(Arc::new(strategy))
-    }
-
-    /// A request over an already-shared strategy.
-    pub(crate) fn from_arc(strategy: Arc<dyn Strategy>) -> Self {
+    fn of(strategy: Strategy) -> Self {
         Self {
             strategy,
             seed: 0,
@@ -81,18 +73,18 @@ impl QueryRequest {
     /// The paper's main algorithm ([`crate::pipeline::run_intel_sample`]),
     /// also in its §4.3 search and §4.2 rounds variants.
     pub fn intel_sample(cfg: IntelSampleConfig) -> Self {
-        Self::new(IntelSample(cfg))
+        Self::of(Strategy::IntelSample(cfg))
     }
 
     /// The naive β-fraction baseline ([`crate::pipeline::run_naive`]).
     pub fn naive(spec: QuerySpec) -> Self {
-        Self::new(Naive(spec))
+        Self::of(Strategy::Naive(spec))
     }
 
     /// The perfect-information lower bound
     /// ([`crate::pipeline::run_optimal`]).
     pub fn optimal(spec: QuerySpec, predictor: impl Into<String>) -> Self {
-        Self::new(Optimal {
+        Self::of(Strategy::Optimal {
             spec,
             predictor: predictor.into(),
         })
@@ -101,9 +93,9 @@ impl QueryRequest {
     /// Exact multi-predicate selection: evaluates `expr` on every row
     /// through the session cache, short-circuiting in the order the
     /// session's selectivity-aware optimizer picks
-    /// ([`crate::strategy::ExprScan`]).
+    /// ([`Strategy::ExprScan`]).
     pub fn expr_scan(expr: PredicateExpr, cost: CostModel) -> Self {
-        Self::new(ExprScan::new(expr, cost))
+        Self::of(Strategy::ExprScan { expr, cost })
     }
 
     /// Sets the random seed (identical requests differing only in seed
@@ -120,8 +112,8 @@ impl QueryRequest {
     }
 
     /// The strategy this request runs.
-    pub fn strategy(&self) -> &dyn Strategy {
-        self.strategy.as_ref()
+    pub fn strategy(&self) -> &Strategy {
+        &self.strategy
     }
 
     /// The request's seed.
@@ -148,7 +140,6 @@ impl std::fmt::Debug for QueryRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::StrategyIdentity;
 
     #[test]
     fn builder_defaults_and_chaining() {
@@ -170,9 +161,6 @@ mod tests {
     fn clones_share_the_strategy() {
         let req = QueryRequest::naive(QuerySpec::paper_default());
         let other = req.clone().with_seed(1);
-        assert_eq!(
-            StrategyIdentity::of(req.strategy()),
-            StrategyIdentity::of(other.strategy())
-        );
+        assert_eq!(req.strategy(), other.strategy());
     }
 }

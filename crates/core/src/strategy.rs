@@ -1,38 +1,32 @@
-//! The open [`Strategy`] trait and its built-in implementations.
+//! [`Strategy`]: the closed set of ways the engine answers a request.
 //!
 //! A strategy is *how* a query request is answered: which pipeline runs,
-//! under which configuration. The trait is object-safe and deliberately
-//! small — a name, a fingerprint, a cheap validation pass, and an
-//! execution method taking the session's [`ExecContext`] — so new
-//! evaluation strategies can be added outside this crate and still enjoy
-//! the engine's full session machinery (result memo, cold-race
-//! suppression, row-tier cache, the shared executor).
+//! under which configuration. The paper answers one query shape, a
+//! selection under an (α, β, ρ) contract (§2), with a fixed set of
+//! algorithms, so the set is closed: one variant per algorithm, each
+//! with a name, a cheap validation pass and an execution method taking
+//! the session's [`ExecContext`]. The variants are Intel-Sample
+//! ([`Strategy::IntelSample`]), the paper's §4 algorithm, whose
+//! configuration also covers §4.3's sample-size search and §4.2's
+//! estimate/exploit rounds; the Naive and Optimal baselines of §6; and
+//! [`Strategy::ExprScan`], which evaluates a [`PredicateExpr`] over the
+//! whole table through the session cache with cost-ordered
+//! short-circuiting. What a user extends is the predicate: an
+//! expression's leaves are any [`BooleanUdf`]. The paper's
+//! ML baselines are not strategies: their training size is tuned against
+//! ground truth, so they live with the experiments in `expred-bench`.
 //!
 //! # Identity and the result memo
 //!
 //! The engine memoizes whole outcomes and deduplicates in-flight runs by
-//! *request identity*. A strategy declares its identity by writing every
-//! outcome-affecting parameter into a [`Fingerprint`] — an
-//! order-significant byte stream. The engine stores the full stream (not
-//! just its 64-bit digest) and compares it on every memo hit, so two
-//! strategies whose streams differ can never be served each other's
-//! answers, even under hash collisions. The contract mirrors
-//! [`expred_udf::UdfId`]: write *all* of it, or do not be surprised by
-//! sharing. Two `Strategy` implementations that write identical streams
-//! (including the [`Strategy::name`] prefix the engine adds) are declared
-//! interchangeable.
-//!
-//! # Built-ins
-//!
-//! The three pipelines are all here as first-class strategies:
-//! Intel-Sample ([`crate::QueryRequest::intel_sample`]) — the paper's
-//! §4 algorithm, whose configuration also covers §4.3's sample-size
-//! search and §4.2's estimate/exploit rounds — [`Naive`] and
-//! [`Optimal`]; plus [`ExprScan`], which evaluates a
-//! [`PredicateExpr`] over the whole table through the session cache with
-//! cost-ordered short-circuiting. The paper's ML baselines are not
-//! strategies: their training size is tuned against ground truth, so
-//! they live with the experiments in `expred-bench`.
+//! *request identity*. A strategy's identity is an order-significant byte
+//! stream: its [`Strategy::name`], length-prefixed, then every
+//! outcome-affecting parameter in a fixed order, floats by bit pattern
+//! (so `-0.0` and `0.0` differ). The engine writes it once per request,
+//! stores the full stream (not just its 64-bit digest) and compares it on
+//! every memo hit, so two requests whose streams differ can never be
+//! served each other's answers, even under hash collisions. Two
+//! strategies are equal (`==`) exactly when their streams are.
 
 use crate::error::EngineError;
 use crate::metrics::PrSummary;
@@ -43,159 +37,214 @@ use crate::pipeline::{
 use crate::query::QuerySpec;
 use crate::sampling::{SampleSizeRule, Sampling};
 use expred_exec::ExecContext;
-use expred_stats::hash::Fnv64;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
 use expred_table::{DataType, RowSet, Table};
 use expred_udf::{evaluate_expr, BooleanUdf, CostModel, CostTracker, PredicateExpr};
 use std::time::Instant;
 
-/// An order-significant identity stream for one strategy configuration.
+/// One way of answering a query request: what
+/// [`crate::engine::QueryEngine::submit`] runs.
 ///
-/// Strategies write every outcome-affecting parameter into it; the
-/// engine prefixes the strategy name, keys the result memo by the FNV
-/// digest, and stores the full byte stream for collision-proof
-/// verification. Writing is append-only and deterministic; the stream
-/// is only hashed once the engine keys the memo by it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Fingerprint {
-    bytes: Vec<u8>,
+/// Every variant is deterministic given `(dataset state, seed, identity)`:
+/// the engine memoizes outcomes and deduplicates racing identical
+/// requests on exactly that identity.
+///
+/// ```
+/// use expred_core::{QuerySpec, Strategy};
+/// use expred_exec::ExecContext;
+/// use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
+///
+/// let ds = Dataset::generate(DatasetSpec { rows: 2_000, ..PROSPER }, 7);
+/// let spec = QuerySpec::paper_default();
+/// let naive = Strategy::Naive(spec);
+/// naive.validate(&ds)?;
+/// let outcome = naive.execute(&ds, 42, &ExecContext::sequential())?;
+/// assert_eq!(naive.name(), "naive");
+/// assert!(!outcome.returned.is_empty());
+/// // Equality is identity: another contract is another strategy.
+/// let other = QuerySpec::new(0.7, 0.8, 0.8, spec.cost);
+/// assert_ne!(naive, Strategy::Naive(other));
+/// # Ok::<(), expred_core::EngineError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub enum Strategy {
+    /// The paper's main algorithm
+    /// ([`crate::pipeline::run_intel_sample`]). Its name follows the
+    /// configuration, so an error names the variant asked for:
+    /// `"iterative"` with two rounds or more, else `"adaptive"` for
+    /// §4.3's search, else `"intel_sample"`.
+    IntelSample(IntelSampleConfig),
+    /// The naive β-fraction baseline ([`crate::pipeline::run_naive`]).
+    Naive(QuerySpec),
+    /// The perfect-information lower bound
+    /// ([`crate::pipeline::run_optimal`]).
+    Optimal {
+        /// Accuracy contract.
+        spec: QuerySpec,
+        /// Predictor column with free exact selectivities.
+        predictor: String,
+    },
+    /// Exact multi-predicate selection: evaluates `expr` on every row
+    /// through the session cache, with short-circuiting inside each
+    /// conjunction/disjunction. The expression is first rewritten by the
+    /// session's selectivity-aware optimizer
+    /// ([`expred_udf::optimize_expr`]): shared conjuncts factor out and
+    /// `AND`/`OR` siblings reorder by the pass rates the session store's
+    /// answers show — the static cost order until the store holds answers
+    /// for the leaves.
+    ///
+    /// `SELECT * FROM R WHERE expr = 1`, answered exactly — the returned
+    /// set is precisely the rows where the expression holds, so the
+    /// reported precision/recall are 1. The bill charges one retrieval
+    /// per row plus one evaluation per *leaf UDF actually invoked*; leaves
+    /// an earlier session query already paid for arrive as
+    /// [`expred_udf::CostCounts::reuse_hits`].
+    ///
+    /// The expression's identity enters through its derived
+    /// [`expred_udf::UdfId`] — a 64-bit digest, so expression identity
+    /// inherits `UdfId`'s (documented) collision contract rather than the
+    /// full-stream guarantee the other variants get.
+    ExprScan {
+        /// The predicate, over any [`BooleanUdf`] leaves.
+        expr: PredicateExpr,
+        /// The bill's cost model.
+        cost: CostModel,
+    },
 }
 
-impl Fingerprint {
-    /// An empty stream.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` by bit pattern (`-0.0` and `0.0` are distinct;
-    /// any NaN is itself — fine for identity, which wants "the same
-    /// request", not numeric equivalence).
-    pub(crate) fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Appends a string, length-prefixed so `("ab","c")` and `("a","bc")`
-    /// stay distinct.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.bytes.extend_from_slice(s.as_bytes());
-    }
-
-    /// The FNV-1a digest of the stream so far.
-    #[cfg(test)]
-    fn digest64(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_bytes(&self.bytes);
-        h.finish()
-    }
-
-    /// Consumes the recorder into its stream.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-}
-
-/// The stored, comparable identity of one strategy configuration:
-/// its name plus its full fingerprint stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrategyIdentity {
-    /// [`Strategy::name`] at fingerprint time.
-    pub name: String,
-    /// The full [`Fingerprint`] stream.
-    pub fingerprint: Vec<u8>,
-}
-
-impl StrategyIdentity {
-    /// Records `strategy`'s identity.
-    pub fn of(strategy: &dyn Strategy) -> Self {
-        let mut fp = Fingerprint::new();
-        strategy.fingerprint(&mut fp);
-        Self {
-            name: strategy.name().to_owned(),
-            fingerprint: fp.into_bytes(),
+impl Strategy {
+    /// Stable, unique name — the first component of the memo identity
+    /// and the label error messages use.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Strategy::IntelSample(cfg) => match (cfg.rounds.get(), cfg.sampling) {
+                (2.., _) => "iterative",
+                (_, Sampling::Search) => "adaptive",
+                (_, Sampling::Rule(_)) => "intel_sample",
+            },
+            Strategy::Naive(_) => "naive",
+            Strategy::Optimal { .. } => "optimal",
+            Strategy::ExprScan { .. } => "expr_scan",
         }
     }
 
-    /// Digest folding in the name and the stream — the engine's memo-key
-    /// component for this strategy.
-    pub(crate) fn digest64(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_str(&self.name);
-        h.write_bytes(&self.fingerprint);
-        h.finish()
+    /// The identity stream (see the module docs): the name, then every
+    /// outcome-affecting parameter, written into one buffer sized up
+    /// front.
+    pub(crate) fn identity(&self) -> Vec<u8> {
+        let name = self.name();
+        let column = match self {
+            Strategy::IntelSample(IntelSampleConfig {
+                predictor: PredictorChoice::Fixed(column),
+                ..
+            })
+            | Strategy::Optimal {
+                predictor: column, ..
+            } => column.len(),
+            _ => 0,
+        };
+        // The name, at most 12 parameter words and a predictor column.
+        let mut id = Vec::with_capacity(8 + name.len() + 12 * 8 + column);
+        put_str(&mut id, name);
+        match self {
+            Strategy::IntelSample(cfg) => {
+                put_spec(&mut id, &cfg.spec);
+                put_sampling(&mut id, cfg.sampling);
+                put_u64(
+                    &mut id,
+                    match cfg.corr {
+                        CorrelationModel::Independent => 1,
+                        CorrelationModel::Unknown => 2,
+                    },
+                );
+                put_predictor(&mut id, &cfg.predictor);
+                put_u64(&mut id, cfg.rounds.get() as u64);
+            }
+            Strategy::Naive(spec) => put_spec(&mut id, spec),
+            Strategy::Optimal { spec, predictor } => {
+                put_spec(&mut id, spec);
+                put_str(&mut id, predictor);
+            }
+            Strategy::ExprScan { expr, cost } => {
+                put_u64(&mut id, expr.fingerprint().map_or(0, |id| id.as_u64()));
+                put_f64(&mut id, cost.retrieve);
+                put_f64(&mut id, cost.evaluate);
+            }
+        }
+        id
     }
-}
-
-/// One way of answering a query request — the open extension point
-/// behind [`crate::engine::QueryEngine::submit`].
-///
-/// Implementations must be deterministic given `(dataset state, seed,
-/// fingerprint)`: the engine memoizes outcomes and deduplicates racing
-/// identical requests on exactly that identity.
-///
-/// ```
-/// use expred_core::{EngineError, Fingerprint, RunOutcome, Strategy};
-/// use expred_exec::ExecContext;
-/// use expred_table::datasets::Dataset;
-/// use expred_table::RowSet;
-///
-/// /// A strategy that returns the first `k` rows without evaluating.
-/// struct FirstK(usize);
-///
-/// impl Strategy for FirstK {
-///     fn name(&self) -> &str {
-///         "first_k"
-///     }
-///     fn fingerprint(&self, fp: &mut Fingerprint) {
-///         fp.write_u64(self.0 as u64);
-///     }
-///     fn execute(
-///         &self,
-///         ds: &Dataset,
-///         _seed: u64,
-///         _ctx: &ExecContext<'_>,
-///     ) -> Result<RunOutcome, EngineError> {
-///         let rows = ds.table.num_rows();
-///         let first_k = 0..self.0.min(rows) as u32;
-///         Ok(RunOutcome::trivial(RowSet::from_ids(rows, first_k)))
-///     }
-/// }
-/// ```
-pub trait Strategy: Send + Sync {
-    /// Stable, unique name — the first component of the memo identity
-    /// and the label error messages use.
-    fn name(&self) -> &str;
-
-    /// Writes every outcome-affecting parameter into `fp` (see the
-    /// module docs for the identity contract). The engine adds the
-    /// [`Strategy::name`] prefix itself.
-    fn fingerprint(&self, fp: &mut Fingerprint);
 
     /// Cheap request validation against the dataset, run before any UDF
-    /// money is spent. The default accepts everything.
-    fn validate(&self, _ds: &Dataset) -> Result<(), EngineError> {
-        Ok(())
+    /// money is spent.
+    pub fn validate(&self, ds: &Dataset) -> Result<(), EngineError> {
+        match self {
+            Strategy::IntelSample(cfg) => {
+                cfg.spec.validate()?;
+                if let Sampling::Rule(rule) = cfg.sampling {
+                    validate_rule(rule)?;
+                }
+                validate_predictor(ds, &cfg.predictor)?;
+                require_label_column(ds)
+            }
+            Strategy::Naive(spec) => {
+                spec.validate()?;
+                require_label_column(ds)
+            }
+            Strategy::Optimal { spec, predictor } => {
+                spec.validate()?;
+                require_column(&ds.table, predictor)?;
+                require_label_column(ds)
+            }
+            Strategy::ExprScan { expr, cost } => {
+                if expr.fingerprint().is_none() {
+                    return Err(EngineError::BadExpression {
+                        reason: "expression contains a UDF without a stable fingerprint, so \
+                                 the request has no cacheable identity (implement \
+                                 BooleanUdf::fingerprint)"
+                            .into(),
+                    });
+                }
+                if !expr.costs_valid() {
+                    return Err(EngineError::BadExpression {
+                        reason: "every leaf evaluation cost must be finite and >= 0".into(),
+                    });
+                }
+                // A mistyped column in a leaf (e.g. an OracleUdf) must be
+                // a typed error here, not a panic mid-scan.
+                for column in expr.required_columns() {
+                    require_column(&ds.table, &column)?;
+                }
+                crate::query::validate_cost_model(cost)
+            }
+        }
     }
 
     /// Runs the strategy under the session's execution context.
-    fn execute(
+    pub fn execute(
         &self,
         ds: &Dataset,
         seed: u64,
         ctx: &ExecContext<'_>,
-    ) -> Result<RunOutcome, EngineError>;
+    ) -> Result<RunOutcome, EngineError> {
+        match self {
+            Strategy::IntelSample(cfg) => run_intel_sample(ds, cfg, seed, ctx),
+            Strategy::Naive(spec) => run_naive(ds, spec, seed, ctx),
+            Strategy::Optimal { spec, predictor } => run_optimal(ds, spec, predictor, seed, ctx),
+            Strategy::ExprScan { expr, cost } => expr_scan(ds, expr, cost, ctx),
+        }
+    }
+}
+
+impl PartialEq for Strategy {
+    fn eq(&self, other: &Self) -> bool {
+        self.identity() == other.identity()
+    }
 }
 
 impl RunOutcome {
     /// An outcome carrying only a returned row set — zero counts, perfect
-    /// summary, one group. For strategies (tests, trivial baselines) that
-    /// do not run a planned pipeline.
-    pub fn trivial(returned: RowSet) -> Self {
+    /// summary, one group: an exact answer before its bill.
+    fn trivial(returned: RowSet) -> Self {
         let returned_len = returned.len();
         Self {
             returned,
@@ -213,6 +262,37 @@ impl RunOutcome {
             plan_feasible: true,
         }
     }
+}
+
+/// [`Strategy::ExprScan`]'s run.
+fn expr_scan(
+    ds: &Dataset,
+    expr: &PredicateExpr,
+    cost: &CostModel,
+    ctx: &ExecContext<'_>,
+) -> Result<RunOutcome, EngineError> {
+    let start = Instant::now();
+    let table = &ds.table;
+    let tracker = CostTracker::new();
+    tracker.add_retrievals(table.num_rows() as u64);
+    let expr = expred_udf::optimize_expr(expr, table, ctx.cache);
+    let rows = RowSet::full(table.num_rows());
+    let returned = evaluate_expr(&expr, table, &rows, &tracker, ctx).map_err(|e| {
+        // Unreachable through the engine: validate() already rejected
+        // invalid costs. Kept as a typed error for direct callers.
+        EngineError::BadExpression {
+            reason: e.to_string(),
+        }
+    })?;
+    let compute_seconds = start.elapsed().as_secs_f64();
+    let counts = tracker.snapshot();
+    Ok(RunOutcome {
+        counts,
+        cost: counts.cost(cost),
+        compute_seconds,
+        // Exact evaluation: the answer set *is* the truth set.
+        ..RunOutcome::trivial(returned)
+    })
 }
 
 /// Errors unless `column` exists in `table`. Asks the schema, so a
@@ -303,268 +383,74 @@ fn validate_predictor(ds: &Dataset, predictor: &PredictorChoice) -> Result<(), E
     }
 }
 
-fn spec_fp(fp: &mut Fingerprint, spec: &QuerySpec) {
-    fp.write_f64(spec.alpha);
-    fp.write_f64(spec.beta);
-    fp.write_f64(spec.rho);
-    fp.write_f64(spec.cost.retrieve);
-    fp.write_f64(spec.cost.evaluate);
+fn put_u64(id: &mut Vec<u8>, v: u64) {
+    id.extend_from_slice(&v.to_le_bytes());
 }
 
-fn sampling_fp(fp: &mut Fingerprint, sampling: Sampling) {
+/// By bit pattern: identity wants "the same request", not numeric
+/// equivalence.
+fn put_f64(id: &mut Vec<u8>, v: f64) {
+    put_u64(id, v.to_bits());
+}
+
+/// Length-prefixed, so `("ab","c")` and `("a","bc")` stay distinct.
+fn put_str(id: &mut Vec<u8>, s: &str) {
+    put_u64(id, s.len() as u64);
+    id.extend_from_slice(s.as_bytes());
+}
+
+fn put_spec(id: &mut Vec<u8>, spec: &QuerySpec) {
+    put_f64(id, spec.alpha);
+    put_f64(id, spec.beta);
+    put_f64(id, spec.rho);
+    put_f64(id, spec.cost.retrieve);
+    put_f64(id, spec.cost.evaluate);
+}
+
+fn put_sampling(id: &mut Vec<u8>, sampling: Sampling) {
     match sampling {
         Sampling::Rule(SampleSizeRule::Fraction(f)) => {
-            fp.write_u64(1);
-            fp.write_f64(f);
+            put_u64(id, 1);
+            put_f64(id, f);
         }
         Sampling::Rule(SampleSizeRule::Constant(c)) => {
-            fp.write_u64(2);
-            fp.write_u64(c as u64);
+            put_u64(id, 2);
+            put_u64(id, c as u64);
         }
         Sampling::Rule(SampleSizeRule::TwoThirdPower(p)) => {
-            fp.write_u64(3);
-            fp.write_f64(p);
+            put_u64(id, 3);
+            put_f64(id, p);
         }
-        Sampling::Search => fp.write_u64(4),
+        Sampling::Search => put_u64(id, 4),
     }
 }
 
-fn corr_fp(fp: &mut Fingerprint, corr: CorrelationModel) {
-    fp.write_u64(match corr {
-        CorrelationModel::Independent => 1,
-        CorrelationModel::Unknown => 2,
-    });
-}
-
-fn predictor_fp(fp: &mut Fingerprint, predictor: &PredictorChoice) {
+fn put_predictor(id: &mut Vec<u8>, predictor: &PredictorChoice) {
     match predictor {
         PredictorChoice::Fixed(col) => {
-            fp.write_u64(1);
-            fp.write_str(col);
+            put_u64(id, 1);
+            put_str(id, col);
         }
         PredictorChoice::Auto { label_fraction } => {
-            fp.write_u64(2);
-            fp.write_f64(*label_fraction);
+            put_u64(id, 2);
+            put_f64(id, *label_fraction);
         }
         PredictorChoice::Virtual {
             buckets,
             label_fraction,
         } => {
-            fp.write_u64(3);
-            fp.write_u64(*buckets as u64);
-            fp.write_f64(*label_fraction);
+            put_u64(id, 3);
+            put_u64(id, *buckets as u64);
+            put_f64(id, *label_fraction);
         }
-    }
-}
-
-/// The paper's main algorithm as a strategy
-/// ([`crate::pipeline::run_intel_sample`]).
-///
-/// Its name follows the configuration, so an error names the variant
-/// asked for: `"iterative"` with two rounds or more, else `"adaptive"`
-/// for §4.3's search, else `"intel_sample"`.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct IntelSample(pub IntelSampleConfig);
-
-impl Strategy for IntelSample {
-    fn name(&self) -> &str {
-        match (self.0.rounds.get(), self.0.sampling) {
-            (2.., _) => "iterative",
-            (_, Sampling::Search) => "adaptive",
-            (_, Sampling::Rule(_)) => "intel_sample",
-        }
-    }
-
-    fn fingerprint(&self, fp: &mut Fingerprint) {
-        spec_fp(fp, &self.0.spec);
-        sampling_fp(fp, self.0.sampling);
-        corr_fp(fp, self.0.corr);
-        predictor_fp(fp, &self.0.predictor);
-        fp.write_u64(self.0.rounds.get() as u64);
-    }
-
-    fn validate(&self, ds: &Dataset) -> Result<(), EngineError> {
-        self.0.spec.validate()?;
-        if let Sampling::Rule(rule) = self.0.sampling {
-            validate_rule(rule)?;
-        }
-        validate_predictor(ds, &self.0.predictor)?;
-        require_label_column(ds)
-    }
-
-    fn execute(
-        &self,
-        ds: &Dataset,
-        seed: u64,
-        ctx: &ExecContext<'_>,
-    ) -> Result<RunOutcome, EngineError> {
-        run_intel_sample(ds, &self.0, seed, ctx)
-    }
-}
-
-/// The naive β-fraction baseline as a strategy
-/// ([`crate::pipeline::run_naive`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Naive(pub QuerySpec);
-
-impl Strategy for Naive {
-    fn name(&self) -> &str {
-        "naive"
-    }
-
-    fn fingerprint(&self, fp: &mut Fingerprint) {
-        spec_fp(fp, &self.0);
-    }
-
-    fn validate(&self, ds: &Dataset) -> Result<(), EngineError> {
-        self.0.validate()?;
-        require_label_column(ds)
-    }
-
-    fn execute(
-        &self,
-        ds: &Dataset,
-        seed: u64,
-        ctx: &ExecContext<'_>,
-    ) -> Result<RunOutcome, EngineError> {
-        run_naive(ds, &self.0, seed, ctx)
-    }
-}
-
-/// The perfect-information lower bound as a strategy
-/// ([`crate::pipeline::run_optimal`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Optimal {
-    /// Accuracy contract.
-    pub spec: QuerySpec,
-    /// Predictor column with free exact selectivities.
-    pub predictor: String,
-}
-
-impl Strategy for Optimal {
-    fn name(&self) -> &str {
-        "optimal"
-    }
-
-    fn fingerprint(&self, fp: &mut Fingerprint) {
-        spec_fp(fp, &self.spec);
-        fp.write_str(&self.predictor);
-    }
-
-    fn validate(&self, ds: &Dataset) -> Result<(), EngineError> {
-        self.spec.validate()?;
-        require_column(&ds.table, &self.predictor)?;
-        require_label_column(ds)
-    }
-
-    fn execute(
-        &self,
-        ds: &Dataset,
-        seed: u64,
-        ctx: &ExecContext<'_>,
-    ) -> Result<RunOutcome, EngineError> {
-        run_optimal(ds, &self.spec, &self.predictor, seed, ctx)
-    }
-}
-
-/// Exact multi-predicate selection as a strategy: evaluates a
-/// [`PredicateExpr`] on every row through the session cache, with
-/// short-circuiting inside each conjunction/disjunction. The expression
-/// is first rewritten by the session's selectivity-aware optimizer
-/// ([`expred_udf::optimize_expr`]): shared conjuncts factor out and
-/// `AND`/`OR` siblings reorder by the pass rates the session store's
-/// answers show — the static cost order until the store holds answers
-/// for the leaves.
-///
-/// `SELECT * FROM R WHERE expr = 1`, answered exactly — the returned set
-/// is precisely the rows where the expression holds, so the reported
-/// precision/recall are 1. The bill charges one retrieval per row plus
-/// one evaluation per *leaf UDF actually invoked*; leaves an earlier
-/// session query already paid for arrive as
-/// [`expred_udf::CostCounts::reuse_hits`].
-#[derive(Clone)]
-pub struct ExprScan {
-    expr: PredicateExpr,
-    cost: CostModel,
-}
-
-impl ExprScan {
-    /// A full-table scan of `expr` billed under `cost`.
-    pub fn new(expr: PredicateExpr, cost: CostModel) -> Self {
-        Self { expr, cost }
-    }
-}
-
-impl Strategy for ExprScan {
-    fn name(&self) -> &str {
-        "expr_scan"
-    }
-
-    /// The expression's identity enters through its derived
-    /// [`expred_udf::UdfId`] — a 64-bit digest, so expression identity
-    /// inherits `UdfId`'s (documented) collision contract rather than the
-    /// full-stream guarantee the built-in pipelines get.
-    fn fingerprint(&self, fp: &mut Fingerprint) {
-        fp.write_u64(self.expr.fingerprint().map_or(0, |id| id.as_u64()));
-        fp.write_f64(self.cost.retrieve);
-        fp.write_f64(self.cost.evaluate);
-    }
-
-    fn validate(&self, ds: &Dataset) -> Result<(), EngineError> {
-        if self.expr.fingerprint().is_none() {
-            return Err(EngineError::BadExpression {
-                reason: "expression contains a UDF without a stable fingerprint, so the \
-                         request has no cacheable identity (implement BooleanUdf::fingerprint)"
-                    .into(),
-            });
-        }
-        if !self.expr.costs_valid() {
-            return Err(EngineError::BadExpression {
-                reason: "every leaf evaluation cost must be finite and >= 0".into(),
-            });
-        }
-        // A mistyped column in a leaf (e.g. an OracleUdf) must be a typed
-        // error here, not a panic mid-scan.
-        for column in self.expr.required_columns() {
-            require_column(&ds.table, &column)?;
-        }
-        crate::query::validate_cost_model(&self.cost)
-    }
-
-    fn execute(
-        &self,
-        ds: &Dataset,
-        _seed: u64,
-        ctx: &ExecContext<'_>,
-    ) -> Result<RunOutcome, EngineError> {
-        let start = Instant::now();
-        let table = &ds.table;
-        let tracker = CostTracker::new();
-        tracker.add_retrievals(table.num_rows() as u64);
-        let expr = expred_udf::optimize_expr(&self.expr, table, ctx.cache);
-        let rows = RowSet::full(table.num_rows());
-        let returned = evaluate_expr(&expr, table, &rows, &tracker, ctx).map_err(|e| {
-            // Unreachable through the engine: validate() already rejected
-            // invalid costs. Kept as a typed error for direct callers.
-            EngineError::BadExpression {
-                reason: e.to_string(),
-            }
-        })?;
-        let compute_seconds = start.elapsed().as_secs_f64();
-        let counts = tracker.snapshot();
-        Ok(RunOutcome {
-            counts,
-            cost: counts.cost(&self.cost),
-            compute_seconds,
-            // Exact evaluation: the answer set *is* the truth set.
-            ..RunOutcome::trivial(returned)
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Strategy::{IntelSample, Naive, Optimal};
     use super::*;
+    use expred_stats::hash::fnv1a;
     use expred_table::datasets::{DatasetSpec, PROSPER};
 
     fn tiny() -> Dataset {
@@ -579,29 +465,39 @@ mod tests {
 
     #[test]
     fn fingerprint_streams_are_order_significant() {
-        let mut a = Fingerprint::new();
-        a.write_str("ab");
-        a.write_str("c");
-        let mut b = Fingerprint::new();
-        b.write_str("a");
-        b.write_str("bc");
+        let mut a = Vec::new();
+        put_str(&mut a, "ab");
+        put_str(&mut a, "c");
+        let mut b = Vec::new();
+        put_str(&mut b, "a");
+        put_str(&mut b, "bc");
         assert_ne!(a, b);
-        assert_ne!(a.digest64(), b.digest64());
+        assert_ne!(fnv1a(&a), fnv1a(&b));
     }
 
     #[test]
     fn identities_separate_strategies_and_parameters() {
         let spec = QuerySpec::paper_default();
-        let naive = StrategyIdentity::of(&Naive(spec));
+        let naive = Naive(spec).identity();
         // Same parameter stream, different names: distinct identities.
-        let renamed = StrategyIdentity {
-            name: "renamed".into(),
-            ..naive.clone()
-        };
+        let mut renamed = Vec::new();
+        put_str(&mut renamed, "renamed");
+        renamed.extend_from_slice(&naive[8 + "naive".len()..]);
         assert_ne!(naive, renamed);
-        assert_ne!(naive.digest64(), renamed.digest64());
-        let other = StrategyIdentity::of(&Naive(QuerySpec::new(0.7, 0.8, 0.8, spec.cost)));
-        assert_ne!(naive, other);
+        assert_ne!(fnv1a(&naive), fnv1a(&renamed));
+        assert_ne!(Naive(spec), Naive(QuerySpec::new(0.7, 0.8, 0.8, spec.cost)));
+        // Floats enter by bit pattern: -0.0 is not 0.0.
+        let free = |retrieve| {
+            Naive(QuerySpec {
+                cost: CostModel {
+                    retrieve,
+                    ..spec.cost
+                },
+                ..spec
+            })
+        };
+        assert_eq!(free(0.0), free(0.0));
+        assert_ne!(free(0.0), free(-0.0));
         // Intel-Sample's knobs: the name follows them, and every setting
         // is its own identity.
         let grade = IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()));
@@ -626,16 +522,16 @@ mod tests {
                 "iterative",
             ),
         ];
-        let identities: Vec<_> = settings
+        let strategies: Vec<_> = settings
             .into_iter()
             .map(|(cfg, name)| {
-                let identity = StrategyIdentity::of(&IntelSample(cfg));
-                assert_eq!(identity.name, name);
-                identity
+                let strategy = IntelSample(cfg);
+                assert_eq!(strategy.name(), name);
+                strategy
             })
             .collect();
-        for (i, a) in identities.iter().enumerate() {
-            assert!(identities[i + 1..].iter().all(|b| a != b), "setting {i}");
+        for (i, a) in strategies.iter().enumerate() {
+            assert!(strategies[i + 1..].iter().all(|b| a != b), "setting {i}");
         }
     }
 

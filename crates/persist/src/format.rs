@@ -334,14 +334,33 @@ impl<'a> Cursor<'a> {
         })
     }
 
+    /// A page image's body after its tag: the page's key and number,
+    /// with its answers written into `planes`, which start empty.
+    fn page_image(&mut self, planes: &mut PagePlanes) -> Result<(PersistKey, u32), DecodeError> {
+        let key = self.key()?;
+        let page = self.u32()?;
+        // A page past the u32 row space names rows no other frame
+        // can: its payload disagrees with its tag.
+        if page as usize >= PAGE_LIMIT {
+            return Err(DecodeError::Malformed);
+        }
+        self.legacy_stamp()?;
+        let present = self.u64()?;
+        for w in (0..PAGE_WORDS).filter(|w| present >> w & 1 != 0) {
+            planes.known[w] = self.u64()?;
+            planes.answer[w] = self.u64()? & planes.known[w];
+        }
+        Ok((key, page))
+    }
+
     fn done(&self) -> bool {
         self.at == self.bytes.len()
     }
 }
 
-/// Decodes one frame at the start of `bytes`, returning the record and
-/// how many bytes the frame occupied.
-pub fn decode_frame(bytes: &[u8]) -> Result<(Record, usize), DecodeError> {
+/// The payload of the frame at the start of `bytes`, CRC-checked, and
+/// how many bytes the frame occupies.
+fn frame_payload(bytes: &[u8]) -> Result<(&[u8], usize), DecodeError> {
     if bytes.len() < FRAME_OVERHEAD {
         return Err(DecodeError::Truncated);
     }
@@ -358,6 +377,13 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Record, usize), DecodeError> {
     if crc32(payload) != want {
         return Err(DecodeError::BadChecksum);
     }
+    Ok((payload, end))
+}
+
+/// Decodes one frame at the start of `bytes`, returning the record and
+/// how many bytes the frame occupied.
+pub fn decode_frame(bytes: &[u8]) -> Result<(Record, usize), DecodeError> {
+    let (payload, end) = frame_payload(bytes)?;
     let mut c = Cursor {
         bytes: payload,
         at: 0,
@@ -384,20 +410,8 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Record, usize), DecodeError> {
             Record::RowBatch { key, rows }
         }
         TAG_PAGE_IMAGE => {
-            let key = c.key()?;
-            let page = c.u32()?;
-            // A page past the u32 row space names rows no other frame
-            // can: its payload disagrees with its tag.
-            if page as usize >= PAGE_LIMIT {
-                return Err(DecodeError::Malformed);
-            }
-            c.legacy_stamp()?;
             let mut planes = Box::new(PagePlanes::empty());
-            let present = c.u64()?;
-            for w in (0..PAGE_WORDS).filter(|w| present >> w & 1 != 0) {
-                planes.known[w] = c.u64()?;
-                planes.answer[w] = c.u64()? & planes.known[w];
-            }
+            let (key, page) = c.page_image(&mut planes)?;
             Record::PageImage { key, page, planes }
         }
         TAG_TOMBSTONE_ALL => Record::TombstoneAll,
@@ -412,6 +426,30 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Record, usize), DecodeError> {
         return Err(DecodeError::Malformed);
     }
     Ok((record, end))
+}
+
+/// Decodes the page-image frame at the start of `bytes` as
+/// [`decode_frame`] decodes its [`Record::PageImage`], but into `planes`
+/// (empty), wherever the caller keeps them. Returns the page's key and
+/// number and how many bytes the frame occupied; a frame of any other
+/// record is [`DecodeError::Malformed`].
+pub(crate) fn decode_page_image(
+    bytes: &[u8],
+    planes: &mut PagePlanes,
+) -> Result<(PersistKey, u32, usize), DecodeError> {
+    let (payload, end) = frame_payload(bytes)?;
+    let mut c = Cursor {
+        bytes: payload,
+        at: 0,
+    };
+    if c.u8()? != TAG_PAGE_IMAGE {
+        return Err(DecodeError::Malformed);
+    }
+    let (key, page) = c.page_image(planes)?;
+    if !c.done() {
+        return Err(DecodeError::Malformed);
+    }
+    Ok((key, page, end))
 }
 
 /// Reads every valid frame from `reader` (a file after its header),

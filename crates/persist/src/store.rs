@@ -94,7 +94,7 @@
 //! so no reader sees a half-written file or loses one to the unlink.
 
 use crate::format::{
-    check_header, decode_frame, encode_frame, encode_page_image, file_header, scan_frames,
+    check_header, decode_page_image, encode_frame, encode_page_image, file_header, scan_frames,
     PagePlanes, PersistKey, Record, HEADER_LEN, MAX_PAGE_IMAGE_FRAME, PAGE_LIMIT, PAGE_ROWS,
     PAGE_WORDS,
 };
@@ -338,29 +338,27 @@ fn state_range(table: u64, version: u64) -> std::ops::RangeInclusive<Slot> {
 
 /// Checks that `frame` is the page-image frame `image` names: its CRC,
 /// and that it holds page `page` of `key` with `image.rows` answers.
-/// Returns the planes.
-fn check_image(frame: &[u8], image: Image, key: PersistKey, page: u32) -> Option<Box<PagePlanes>> {
-    match decode_frame(frame) {
-        Ok((
-            Record::PageImage {
-                key: k,
-                page: p,
-                planes,
-            },
-            used,
-        )) if (k, p, used) == (key, page, frame.len()) && planes.len() == image.rows as usize => {
-            Some(planes)
-        }
-        _ => None,
-    }
+/// Decodes the planes into `planes`, which start empty.
+fn check_image(
+    frame: &[u8],
+    image: Image,
+    key: PersistKey,
+    page: u32,
+    planes: &mut PagePlanes,
+) -> bool {
+    decode_page_image(frame, planes).is_ok_and(|at| at == (key, page, frame.len()))
+        && planes.len() == image.rows as usize
 }
 
 /// Reads back the page-image frame `image` names from `file`, checked
-/// as [`check_image`] checks it.
+/// as [`check_image`] checks it, and decoded into the `Arc` the index
+/// keeps.
 fn read_image(file: &File, image: Image, key: PersistKey, page: u32) -> Option<Arc<PagePlanes>> {
     let mut frame = vec![0; image.len.get() as usize];
     file.read_exact_at(&mut frame, image.offset).ok()?;
-    check_image(&frame, image, key, page).map(Arc::from)
+    let mut planes = Arc::new(PagePlanes::empty());
+    let unshared = Arc::get_mut(&mut planes)?;
+    check_image(&frame, image, key, page, unshared).then_some(planes)
 }
 
 /// Merges the rows of `known` in word `word`, answers in `answer`, into
@@ -1143,7 +1141,7 @@ fn write_snapshot(
             out.resize(start + from.len.get() as usize, 0);
             let frame = &mut out[start..];
             if source.read_exact_at(frame, from.offset).is_ok()
-                && check_image(frame, from, key_of(slot), number).is_some()
+                && check_image(frame, from, key_of(slot), number, &mut PagePlanes::empty())
             {
                 page.to = Some(Image { offset, ..from });
             } else {

@@ -16,7 +16,7 @@
 //! `table.spec` picks a calibrated generator (`"prosper"` or `"lc"`);
 //! each tenant materializes (and caches) its own instance, so tenants
 //! never share cache state even on identical specs. `query.kind` selects
-//! a built-in [`Strategy`]; every kind accepts the accuracy-contract
+//! a [`Strategy`] of the engine's closed set; every kind accepts the accuracy-contract
 //! fields `alpha`/`beta`/`rho` and a `cost` object, all defaulting to
 //! the paper's `0.8` / `{o_r: 1, o_e: 3}`. Kind-specific fields are
 //! documented on [`parse_query_body`]. Unknown fields anywhere are a
@@ -49,7 +49,7 @@
 //!
 //! Every error body is `{"error": "<kind>", "detail": "<message>"}`.
 //!
-//! [`Strategy`]: expred_core::strategy::Strategy
+//! [`Strategy`]: expred_core::Strategy
 //! [`QueryEngine::submit`]: expred_core::QueryEngine::submit
 
 use expred_core::optimize::CorrelationModel;

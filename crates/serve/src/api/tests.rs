@@ -1,6 +1,5 @@
 use super::*;
-use expred_core::strategy::StrategyIdentity;
-use expred_core::QueryEngine;
+use expred_core::{QueryEngine, Strategy};
 use expred_stats::json::JsonValue;
 use expred_stats::Prng;
 use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
@@ -739,23 +738,14 @@ fn error_bodies_are_json() {
 }
 
 /// What a parse decides: the query's every observable part, or the error.
-type Parsed = Result<
-    (
-        Option<String>,
-        TableKey,
-        StrategyIdentity,
-        u64,
-        InfeasiblePolicy,
-    ),
-    ApiError,
->;
+type Parsed = Result<(Option<String>, TableKey, Strategy, u64, InfeasiblePolicy), ApiError>;
 
 fn decided(parsed: Result<ApiQuery, ApiError>) -> Parsed {
     parsed.map(|q| {
         (
             q.tenant,
             q.table,
-            StrategyIdentity::of(q.request.strategy()),
+            q.request.strategy().clone(),
             q.request.seed(),
             q.request.infeasible_policy(),
         )

@@ -88,13 +88,13 @@ const NEW_SEED: u64 = 2;
 /// request, then the pinned (allocations, bytes) of that one warm
 /// request over a 5 000-row prosper table.
 const BUDGETS: [(&str, &str, u64, u64, u64); 8] = [
-    ("naive", r#"{"kind": "naive"}"#, NEW_SEED, 37, 74_287),
+    ("naive", r#"{"kind": "naive"}"#, NEW_SEED, 31, 74_087),
     (
         "optimal",
         r#"{"kind": "optimal", "predictor": "grade"}"#,
         NEW_SEED,
-        64,
-        28_624,
+        58,
+        28_405,
     ),
     (
         "adaptive",
@@ -114,8 +114,8 @@ const BUDGETS: [(&str, &str, u64, u64, u64); 8] = [
         "intel_sample",
         r#"{"kind": "intel_sample", "predictor": "grade"}"#,
         NEW_SEED,
-        112,
-        28_478,
+        105,
+        28_099,
     ),
     (
         "intel_sample auto",
@@ -128,15 +128,15 @@ const BUDGETS: [(&str, &str, u64, u64, u64); 8] = [
         "expr",
         r#"{"kind": "expr", "predicate": "udf_label"}"#,
         NEW_SEED,
-        32,
-        16_225,
+        27,
+        16_057,
     ),
     (
         "memo hit",
         r#"{"kind": "intel_sample", "predictor": "grade"}"#,
         WARM_SEED,
-        10,
-        11_619,
+        4,
+        11_368,
     ),
 ];
 

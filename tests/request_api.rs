@@ -1,9 +1,7 @@
 //! The fallible request surface: every [`EngineError`] variant has a
 //! reachable trigger, the infeasibility policy behaves as documented,
-//! custom strategies plug into the engine's full session machinery, and
-//! predicate expressions run end to end through the session cache.
+//! and predicate expressions run end to end through the session cache.
 
-use expred::core::strategy::{Fingerprint, Strategy, StrategyIdentity};
 use expred::core::{
     EngineError, InfeasiblePolicy, QueryEngine, QueryRequest, QuerySpec, RunOutcome,
 };
@@ -242,28 +240,16 @@ fn bad_expressions_are_rejected() {
     }
 }
 
-/// A strategy whose plan is always "infeasible": exercises the policy
-/// split and proves the open trait plugs into the engine's memo.
-struct AlwaysInfeasible;
-
-impl Strategy for AlwaysInfeasible {
-    fn name(&self) -> &str {
-        "always_infeasible"
-    }
-
-    fn fingerprint(&self, _fp: &mut Fingerprint) {}
-
-    fn execute(
-        &self,
-        ds: &Dataset,
-        _seed: u64,
-        _ctx: &ExecContext<'_>,
-    ) -> Result<RunOutcome, EngineError> {
-        let rows = ds.table.num_rows();
-        let mut outcome = RunOutcome::trivial(RowSet::from_ids(rows, 0..rows as u32));
-        outcome.plan_feasible = false;
-        Ok(outcome)
-    }
+/// A request whose plan is infeasible: a near-certain contract under the
+/// adversarial correlation model (the 422 probe of the serving tests).
+fn always_infeasible() -> QueryRequest {
+    use expred::core::{CorrelationModel, IntelSampleConfig, PredictorChoice};
+    let spec = QuerySpec::new(0.999, 0.999, 0.999, CostModel::PAPER_DEFAULT);
+    QueryRequest::intel_sample(IntelSampleConfig {
+        spec,
+        corr: CorrelationModel::Unknown,
+        ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("grade".into()))
+    })
 }
 
 #[test]
@@ -272,16 +258,16 @@ fn infeasible_policy_errors_only_when_asked() {
     let engine = QueryEngine::new();
     // Default policy: the fallback outcome is returned, flagged.
     let relaxed = engine
-        .submit(&ds, &QueryRequest::new(AlwaysInfeasible))
+        .submit(&ds, &always_infeasible())
         .expect("fallback policy returns the outcome");
     assert!(!relaxed.plan_feasible);
     // Strict policy: the same request surfaces a typed error...
     match engine.submit(
         &ds,
-        &QueryRequest::new(AlwaysInfeasible).with_on_infeasible(InfeasiblePolicy::Error),
+        &always_infeasible().with_on_infeasible(InfeasiblePolicy::Error),
     ) {
         Err(EngineError::Infeasible { strategy }) => {
-            assert_eq!(strategy, "always_infeasible")
+            assert_eq!(strategy, "intel_sample")
         }
         other => panic!("expected Infeasible, got {other:?}"),
     }
@@ -289,52 +275,6 @@ fn infeasible_policy_errors_only_when_asked() {
     // probe cost nothing new and a relaxed resubmission is a memo hit.
     assert_eq!(engine.stats().queries, 2);
     assert_eq!(engine.stats().result_hits, 1);
-}
-
-/// A custom strategy: proves out-of-crate implementations get memoized
-/// and deduplicated exactly like built-ins.
-struct FirstK(usize);
-
-impl Strategy for FirstK {
-    fn name(&self) -> &str {
-        "first_k"
-    }
-
-    fn fingerprint(&self, fp: &mut Fingerprint) {
-        fp.write_u64(self.0 as u64);
-    }
-
-    fn execute(
-        &self,
-        ds: &Dataset,
-        _seed: u64,
-        _ctx: &ExecContext<'_>,
-    ) -> Result<RunOutcome, EngineError> {
-        let rows = ds.table.num_rows();
-        Ok(RunOutcome::trivial(RowSet::from_ids(
-            rows,
-            0..self.0.min(rows) as u32,
-        )))
-    }
-}
-
-#[test]
-fn custom_strategies_share_the_result_memo() {
-    let ds = dataset(300, 6);
-    let engine = QueryEngine::new();
-    let first = engine.submit(&ds, &QueryRequest::new(FirstK(10))).unwrap();
-    assert_eq!(first.returned.len(), 10);
-    let again = engine.submit(&ds, &QueryRequest::new(FirstK(10))).unwrap();
-    assert_eq!(first.returned, again.returned);
-    assert_eq!(engine.stats().result_hits, 1, "identical request memoizes");
-    // A different parameter is a different identity.
-    let other = engine.submit(&ds, &QueryRequest::new(FirstK(20))).unwrap();
-    assert_eq!(other.returned.len(), 20);
-    assert_eq!(engine.stats().result_hits, 1);
-    assert_ne!(
-        StrategyIdentity::of(&FirstK(10)),
-        StrategyIdentity::of(&FirstK(20))
-    );
 }
 
 #[test]
