@@ -128,9 +128,8 @@ impl BenchReport {
                 w.key("metric").str(metric);
                 w.key("unit").str(unit);
             }
-            w.key("ns_per_probe").f64_tenths(r.ns_per_probe);
-            w.key("speedup_vs_baseline")
-                .f64_tenths(r.speedup_vs_baseline);
+            w.key("ns_per_probe").f64_sig3(r.ns_per_probe);
+            w.key("speedup_vs_baseline").f64_sig3(r.speedup_vs_baseline);
             w.end_object();
         }
         w.end_array().end_object();

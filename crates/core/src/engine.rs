@@ -25,9 +25,17 @@
 //!    `o_e`, reported as [`EngineStats::result_hits`].
 //!
 //! A table id names one content state: mutating a table makes it a new
-//! table with a fresh id, so neither tier's keys match it again. The
-//! old state's row namespaces are freed once no clone of it is left, as
-//! a dropped table's are; its memoized results age out of the memo.
+//! table with a fresh id, so neither tier's keys match it again. What a
+//! table bought leaves with the table, in every tier: once no clone of
+//! a state is left (a dropped table, or one mutated into a new state),
+//! the row tier's liveness sweep drops its namespaces and signals its
+//! death to the engine's one sink, which removes its outcomes from the
+//! result memo and, with persistence wired, releases its state in the
+//! durable store, whose pages then leave RAM once a snapshot holds them.
+//! The table memo (partitions, dictionaries) lives inside the
+//! table and goes with its last clone. The signal names tables the row
+//! tier has seen: an outcome over a table whose UDFs have no stable
+//! fingerprint (so no namespace) leaves the memo only under its bound.
 //!
 //! # Concurrency: one engine, many worker threads
 //!
@@ -100,8 +108,10 @@ use crate::persistence::{PersistLayer, PersistSessionStats};
 use crate::pipeline::RunOutcome;
 use crate::request::{InfeasiblePolicy, QueryRequest};
 use crate::result_memo::{ResultMemo, ResultMemoStats};
-use expred_exec::{CacheStats, CacheStore, ExecContext, Executor, Sequential, SpillSink};
-use expred_persist::{PersistConfig, PersistError, PersistStore};
+use expred_exec::{
+    CacheNamespace, CacheStats, CacheStore, ExecContext, Executor, Sequential, SpillSink,
+};
+use expred_persist::{PagePlanes, PersistConfig, PersistError, PersistStore};
 use expred_stats::counters::{CounterSet, Section};
 use expred_stats::hash::{fnv1a, Fnv64};
 use expred_table::datasets::Dataset;
@@ -116,7 +126,10 @@ use std::time::Duration;
 /// Default bound on memoized whole-query outcomes. An entry holds its
 /// answer as a plane — table rows / 8 bytes (2.5 KB over 20 000 rows,
 /// whatever the answer's size) plus a few hundred bytes of identity and
-/// bill — so a full memo over 20 000-row tables is about 3 MB.
+/// bill — so a full memo over 20 000-row tables is about 3 MB. A dead
+/// table's outcomes leave with it ([`EngineSink`]), so the bound binds
+/// only the live tables' outcomes: distinct seeds over one live table
+/// are unbounded.
 pub(crate) const DEFAULT_RESULT_MEMO_CAPACITY: usize = 1024;
 
 expred_stats::counter_set! {
@@ -176,6 +189,35 @@ impl ResultKey {
     }
 }
 
+/// The memo of whole outcomes: request identity -> the shared outcome.
+type Results = ResultMemo<ResultKey, Arc<RunOutcome>>;
+
+/// The one sink every engine installs on its row tier. The store's
+/// liveness sweep is the engine's death signal: when a table dies, its
+/// memoized outcomes leave the result memo, and with persistence wired
+/// the durable layer forgets the table too. Page offers go on to the
+/// durable layer, or nowhere on an in-memory engine.
+#[derive(Debug)]
+struct EngineSink {
+    results: Arc<Results>,
+    persist: Option<Arc<PersistLayer>>,
+}
+
+impl SpillSink for EngineSink {
+    fn spill(&self, namespace: CacheNamespace, pages: &[(usize, PagePlanes)]) {
+        if let Some(layer) = &self.persist {
+            layer.spill(namespace, pages);
+        }
+    }
+
+    fn table_dropped(&self, table: u64) {
+        self.results.retain(|key| key.table != table);
+        if let Some(layer) = &self.persist {
+            layer.table_dropped(table);
+        }
+    }
+}
+
 /// One in-flight request's result: set once by whichever caller runs
 /// the request, read by every identical arrival parked on it.
 type Flight = Arc<OnceLock<Result<Arc<RunOutcome>, EngineError>>>;
@@ -213,7 +255,9 @@ pub struct QueryEngine {
     executor: Box<dyn Executor>,
     store: CacheStore,
     session: CostTracker,
-    results: ResultMemo<ResultKey, Arc<RunOutcome>>,
+    /// Shared with the store's sink ([`EngineSink`]), which removes a
+    /// dead table's outcomes.
+    results: Arc<Results>,
     udf_latency: Option<Duration>,
     stats: AtomicEngineStats,
     /// Cold-race waiter table.
@@ -245,17 +289,30 @@ impl QueryEngine {
 
     /// An engine running UDF batches through `executor`.
     pub fn with_executor(executor: Box<dyn Executor>) -> Self {
-        Self {
+        let engine = Self {
             executor,
             store: CacheStore::new(),
             session: CostTracker::new(),
-            results: ResultMemo::with_capacity(DEFAULT_RESULT_MEMO_CAPACITY),
+            results: Arc::new(ResultMemo::with_capacity(DEFAULT_RESULT_MEMO_CAPACITY)),
             udf_latency: None,
             stats: AtomicEngineStats::default(),
             inflight: Mutex::new(HashMap::new()),
             derived: DerivedCounters::default(),
             persist: None,
-        }
+        };
+        engine.install_sink();
+        engine
+    }
+
+    /// (Re)installs the engine's one sink ([`EngineSink`]) over its
+    /// current memo and durable layer; every builder that replaces
+    /// either calls it, so the store hears one sink in any call order.
+    fn install_sink(&self) {
+        let sink = EngineSink {
+            results: Arc::clone(&self.results),
+            persist: self.persist.clone(),
+        };
+        self.store.set_spill(Some(Arc::new(sink)));
     }
 
     /// An engine on its own persistent [`expred_exec::WorkerPool`]: no
@@ -283,10 +340,8 @@ impl QueryEngine {
     /// be served another table's answers.
     pub fn with_persistence(mut self, config: PersistConfig) -> Result<Self, PersistError> {
         let store = PersistStore::open(config)?;
-        let layer = Arc::new(PersistLayer::new(store));
-        self.store
-            .set_spill(Some(Arc::clone(&layer) as Arc<dyn SpillSink>));
-        self.persist = Some(layer);
+        self.persist = Some(Arc::new(PersistLayer::new(store)));
+        self.install_sink();
         Ok(self)
     }
 
@@ -295,7 +350,8 @@ impl QueryEngine {
     /// ([`ResultMemo::with_capacity`]). `pub` as a test seam: only tests
     /// and benches in other crates call it.
     pub fn with_result_capacity(mut self, capacity: usize) -> Self {
-        self.results = ResultMemo::with_capacity(capacity);
+        self.results = Arc::new(ResultMemo::with_capacity(capacity));
+        self.install_sink();
         self
     }
 
@@ -970,6 +1026,167 @@ mod tests {
             after_push.misses > warm.misses,
             "a push must force re-derivation"
         );
+    }
+
+    /// The tables the memo's entries name, ascending, each once.
+    fn memo_tables(engine: &QueryEngine) -> Vec<u64> {
+        let mut tables = Vec::new();
+        engine.results.retain(|key| {
+            tables.push(key.table);
+            true
+        });
+        tables.sort_unstable();
+        tables.dedup();
+        tables
+    }
+
+    /// A scratch directory for one test's durable store, emptied first.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("expred-engine-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Runs `case` on an in-memory engine, then on a durable one built
+    /// with persistence before the memo bound and on one built after it:
+    /// each must keep the engine's one sink whole.
+    fn with_each_wiring(name: &str, case: impl Fn(&str, &QueryEngine)) {
+        case("in-memory", &QueryEngine::new());
+        let config = |order: &str| PersistConfig::new(scratch_dir(&format!("{name}-{order}")));
+        let wirings = [
+            (
+                "persistence, then capacity",
+                QueryEngine::new()
+                    .with_persistence(config("pc"))
+                    .unwrap()
+                    .with_result_capacity(DEFAULT_RESULT_MEMO_CAPACITY),
+            ),
+            (
+                "capacity, then persistence",
+                QueryEngine::new()
+                    .with_result_capacity(DEFAULT_RESULT_MEMO_CAPACITY)
+                    .with_persistence(config("cp"))
+                    .unwrap(),
+            ),
+        ];
+        for (wiring, engine) in wirings {
+            case(wiring, &engine);
+            let persist = engine.persist_stats().expect("persistence stays wired");
+            assert!(persist.spilled_offers > 0, "{wiring}: offers reach disk");
+            assert_eq!(persist.skipped_unregistered, 0, "{wiring}");
+        }
+        for order in ["pc", "cp"] {
+            let _ = std::fs::remove_dir_all(scratch_dir(&format!("{name}-{order}")));
+        }
+    }
+
+    /// The request kinds the serving tier answers (`crates/serve`'s HTTP
+    /// kinds): naive, optimal, intel_sample fixed and auto, adaptive,
+    /// iterative and expr.
+    fn http_kinds() -> Vec<(&'static str, QueryRequest)> {
+        let kinds = [
+            "naive",
+            "optimal",
+            "intel_sample",
+            "intel_sample auto",
+            "adaptive",
+            "iterative",
+            "expr",
+        ];
+        let requests = pinned_requests().into_iter();
+        requests.filter(|(kind, _)| kinds.contains(kind)).collect()
+    }
+
+    #[test]
+    fn a_dead_tables_outcomes_leave_the_memo() {
+        with_each_wiring("death", |wiring, engine| {
+            let live = small_prosper(31);
+            let dead = small_prosper(32);
+            let (live_id, dead_id) = (live.table.id().as_u64(), dead.table.id().as_u64());
+            let kinds = http_kinds();
+            assert_eq!(kinds.len(), 7);
+            let mut first = Vec::new();
+            for (kind, request) in &kinds {
+                let out = engine.submit(&live, request);
+                first.push(out.unwrap_or_else(|e| panic!("{wiring}: {kind}: {e}")));
+                engine.submit(&dead, request).unwrap();
+            }
+            assert_eq!(memo_tables(engine), [live_id, dead_id], "{wiring}");
+            drop(dead);
+            // Nothing is swept yet: the outcomes wait for the signal.
+            assert_eq!(engine.results.len(), 14, "{wiring}");
+            engine.store().num_namespaces();
+            assert_eq!(memo_tables(engine), [live_id], "{wiring}");
+            assert_eq!(engine.results.len(), kinds.len(), "{wiring}");
+            // The live table's outcomes still hit, as the same allocation.
+            let hits = engine.stats().result_hits;
+            for ((kind, request), first) in kinds.iter().zip(&first) {
+                let again = engine.submit(&live, request).unwrap();
+                assert!(Arc::ptr_eq(first, &again), "{wiring}: {kind} re-ran");
+            }
+            assert_eq!(engine.stats().result_hits, hits + kinds.len() as u64);
+            assert_eq!(engine.result_memo_stats().evictions, 0, "{wiring}");
+        });
+    }
+
+    #[test]
+    fn a_superseded_states_outcomes_leave_the_memo() {
+        with_each_wiring("push", |wiring, engine| {
+            let mut ds = small_prosper(33);
+            let old = ds.table.id().as_u64();
+            engine.submit(&ds, &intel_query().with_seed(1)).unwrap();
+            let row = ds.table.row(0);
+            ds.table.push_row(row).unwrap();
+            engine.submit(&ds, &intel_query().with_seed(1)).unwrap();
+            let new = ds.table.id().as_u64();
+            assert_eq!(memo_tables(engine), [old, new], "{wiring}");
+            engine.store().num_namespaces();
+            assert_eq!(memo_tables(engine), [new], "{wiring}");
+        });
+    }
+
+    #[test]
+    fn churned_tables_leave_only_live_outcomes() {
+        // Four threads each churn short-lived tables beside one live
+        // table; the sweeps their borrows trigger race their inserts.
+        with_each_wiring("churn", |wiring, engine| {
+            let live = Dataset::generate(
+                DatasetSpec {
+                    rows: 1_000,
+                    ..PROSPER
+                },
+                40,
+            );
+            let spec = QuerySpec::paper_default();
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let live = &live;
+                    scope.spawn(move || {
+                        for i in 0..6u64 {
+                            let brief = Dataset::generate(
+                                DatasetSpec {
+                                    rows: 500,
+                                    ..PROSPER
+                                },
+                                100 + t * 10 + i,
+                            );
+                            engine.submit(&brief, &naive(spec, i)).unwrap();
+                            engine.submit(live, &naive(spec, t * 10 + i)).unwrap();
+                        }
+                    });
+                }
+            });
+            engine.store().num_namespaces();
+            assert_eq!(memo_tables(engine), [live.table.id().as_u64()], "{wiring}");
+            assert_eq!(engine.results.len(), 24, "{wiring}");
+            let hits = engine.stats().result_hits;
+            for t in 0..4u64 {
+                for i in 0..6u64 {
+                    engine.submit(&live, &naive(spec, t * 10 + i)).unwrap();
+                }
+            }
+            assert_eq!(engine.stats().result_hits, hits + 24, "{wiring}");
+        });
     }
 
     /// `request`'s [`ResultKey::hash64`] over table id 7, and the FNV-1a

@@ -23,8 +23,8 @@
 //!   persisted namespace whose key matches *both* — a version-checked
 //!   hydration that can serve stale answers to no one, and a lookup of
 //!   the state's own namespaces ([`PersistStore::state_namespaces`]), not
-//!   a scan of every key the store holds. The answers move
-//!   as page copies ([`PersistStore::pages`] → [`CacheStore::prefill`]),
+//!   a scan of every key the store holds. The answers move as pages
+//!   the index shares ([`PersistStore::pages`] → [`CacheStore::prefill`]),
 //!   landing a 64-row word at a time — and with them the pass rates the
 //!   expression optimizer reads ([`CacheStore::pass_rate`]), so a
 //!   restarted session plans as the one that paid for the answers did.

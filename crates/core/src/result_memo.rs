@@ -26,6 +26,10 @@
 //! * **Last-writer-wins** — inserting under an occupied hash replaces the
 //!   occupant in place (its ring slot carries over), so two threads
 //!   racing to memoize the same request settle on one entry.
+//! * **Removal** — [`ResultMemo::retain`] drops the entries a caller
+//!   no longer wants (the engine's: those of a dead table) together with
+//!   their ring slots, so each stripe's ring holds exactly its map's
+//!   keys and a memo that never fills does not grow its ring.
 
 use expred_stats::counter_set;
 use std::collections::{HashMap, VecDeque};
@@ -223,6 +227,25 @@ impl<K: PartialEq, V: Clone> ResultMemo<K, V> {
         }
     }
 
+    /// Removes every entry whose identity `keep` rejects, with its ring
+    /// slot, and returns how many went. Removal is not eviction: the
+    /// statistics do not count it. Each stripe is visited once under its
+    /// write lock; `keep` must not call back into the memo.
+    pub fn retain(&self, mut keep: impl FnMut(&K) -> bool) -> usize {
+        let mut removed = 0;
+        for shard in self.shards.iter() {
+            let mut guard = shard.write().unwrap_or_else(|e| e.into_inner());
+            let shard = &mut *guard;
+            let before = shard.map.len();
+            shard.map.retain(|_, entry| keep(&entry.identity));
+            if shard.map.len() < before {
+                removed += before - shard.map.len();
+                shard.ring.retain(|key| shard.map.contains_key(key));
+            }
+        }
+        removed
+    }
+
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.shards
@@ -320,6 +343,147 @@ mod tests {
             memo.insert(cold, cold, cold);
         }
         assert!(memo.stats().evictions > 0);
+    }
+
+    /// Asserts that every stripe's CLOCK ring holds exactly its map's
+    /// keys, each once.
+    fn assert_rings_match_maps<K, V>(memo: &ResultMemo<K, V>) {
+        for shard in memo.shards.iter() {
+            let shard = shard.read().unwrap();
+            let mut ring: Vec<u64> = shard.ring.iter().copied().collect();
+            let mut keys: Vec<u64> = shard.map.keys().copied().collect();
+            ring.sort_unstable();
+            keys.sort_unstable();
+            assert_eq!(ring, keys, "a ring slot without its entry, or twice");
+        }
+    }
+
+    #[test]
+    fn retain_removes_entries_with_their_ring_slots() {
+        let memo: ResultMemo<u64, u64> = ResultMemo::with_capacity(256);
+        for k in 0..100u64 {
+            memo.insert(k, k, k * 2);
+        }
+        assert_eq!(memo.retain(|k| k % 2 == 0), 50);
+        assert_eq!(memo.len(), 50);
+        assert_rings_match_maps(&memo);
+        for k in 0..100u64 {
+            let want = (k % 2 == 0).then_some(k * 2);
+            assert_eq!(memo.get(k, &k), want, "key {k}");
+        }
+        let s = memo.stats();
+        assert_eq!(
+            (s.evictions, s.insertions),
+            (0, 100),
+            "removal is not eviction"
+        );
+        assert_eq!(memo.retain(|_| true), 0);
+    }
+
+    #[test]
+    fn retain_keeps_identity_verification() {
+        let memo: ResultMemo<&str, u32> = ResultMemo::with_capacity(16);
+        memo.insert(7, "a", 1);
+        memo.insert(8, "dead", 2);
+        assert_eq!(memo.retain(|id| *id != "dead"), 1);
+        assert_eq!(memo.get(7, &"b"), None, "a collision is still refused");
+        assert_eq!(memo.get(7, &"a"), Some(1));
+        assert_eq!(memo.get(8, &"dead"), None);
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses, s.collision_rejects), (1, 1, 1));
+    }
+
+    #[test]
+    fn reinserting_a_removed_key_takes_one_ring_slot() {
+        // Capacity 16 is one stripe, so its ring is the whole memo's.
+        let memo: ResultMemo<u64, u64> = ResultMemo::with_capacity(16);
+        for round in 0..1_000u64 {
+            memo.insert(7, 7, round);
+            memo.insert(round + 100, round + 100, round);
+            memo.retain(|&k| k != 7 && k != round + 100);
+        }
+        memo.insert(7, 7, 1);
+        assert_rings_match_maps(&memo);
+        let ring_len: usize = memo
+            .shards
+            .iter()
+            .map(|s| s.read().unwrap().ring.len())
+            .sum();
+        assert_eq!(ring_len, 1, "a memo that never fills keeps no dead slots");
+        assert_eq!(memo.get(7, &7), Some(1));
+    }
+
+    #[test]
+    fn retain_keeps_the_bound_and_the_second_chance() {
+        let memo: ResultMemo<u64, u64> = ResultMemo::with_capacity(256);
+        memo.insert(0, 0, 42);
+        for cold in 1..4_000u64 {
+            assert_eq!(memo.get(0, &0), Some(42), "hot entry evicted at {cold}");
+            memo.insert(cold, cold, cold);
+            if cold % 7 == 0 {
+                // A table death among the cold keys: every third one goes.
+                memo.retain(|&k| k == 0 || k % 3 != 0);
+            }
+            assert!(memo.len() <= memo.capacity());
+        }
+        assert!(memo.stats().evictions > 0, "the bound still binds");
+        assert_rings_match_maps(&memo);
+    }
+
+    #[test]
+    fn rings_match_maps_under_any_interleaving() {
+        // A small xorshift drives insert / get / retain over a key space
+        // wider than the bound, with hash collisions (identity = key + 1
+        // under every 5th key's hash), checking the rings after each step.
+        for capacity in [16usize, 40, 256] {
+            let memo: ResultMemo<u64, u64> = ResultMemo::with_capacity(capacity);
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ capacity as u64;
+            for _ in 0..4_000 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let key = state % (3 * capacity as u64);
+                let identity = if key.is_multiple_of(5) { key + 1 } else { key };
+                match (state >> 32) % 8 {
+                    0 => {
+                        let cut = (state >> 40) % 4;
+                        memo.retain(|&id| id % 4 != cut);
+                    }
+                    1..=3 => {
+                        if let Some(v) = memo.get(key, &identity) {
+                            assert_eq!(v, identity * 3);
+                        }
+                    }
+                    _ => memo.insert(key, identity, identity * 3),
+                }
+                assert!(memo.len() <= memo.capacity());
+                assert_rings_match_maps(&memo);
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_retain_stays_bounded_and_consistent() {
+        let memo: ResultMemo<u64, u64> = ResultMemo::with_capacity(64);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let memo = &memo;
+                scope.spawn(move || {
+                    for i in 0..2_000u64 {
+                        let k = (t * 2_000 + i) % 300;
+                        memo.insert(k, k, k * 2);
+                        if let Some(v) = memo.get(k, &k) {
+                            assert_eq!(v, k * 2);
+                        }
+                        if i % 50 == t {
+                            memo.retain(|&id| id % 4 != t);
+                        }
+                    }
+                });
+            }
+        });
+        assert!(memo.len() <= memo.capacity());
+        assert_rings_match_maps(&memo);
     }
 
     #[test]

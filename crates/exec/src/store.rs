@@ -84,11 +84,19 @@
 use crate::cache::RowBits;
 use expred_stats::bits::{pages_of, PagePlanes, PAGE_ROWS, PAGE_WORDS};
 use std::any::Any;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 
-/// Receives cache writes for durable storage.
+/// Receives cache writes for durable storage, and the death of each
+/// table the store has seen.
+///
+/// Every query engine installs one sink on its store: a table's death
+/// ([`SpillSink::table_dropped`]) is the engine's signal to drop what
+/// the table bought in its other tiers (its memoized results, its
+/// durable registration), and offers reach disk only when persistence
+/// is wired. A bare store has no sink until [`CacheStore::set_spill`].
 ///
 /// A sink hears about every answer that *enters* a namespace (fresh
 /// evaluations — the invoker only writes through on fresh). It does not
@@ -109,7 +117,9 @@ pub trait SpillSink: Send + Sync + std::fmt::Debug {
 
     /// Hears that the table with instance id `table` has died: the store
     /// has dropped its namespaces, each offered once through
-    /// [`SpillSink::spill`] just before. The default forgets nothing.
+    /// [`SpillSink::spill`] just before. No borrow can name the table
+    /// again, so whatever the sink keeps for it can go. The default
+    /// forgets nothing.
     fn table_dropped(&self, _table: u64) {}
 }
 
@@ -164,9 +174,8 @@ struct NamespaceCache {
     /// Of the `len` rows, those whose answer was `true`.
     passed: AtomicUsize,
     stats: Arc<AtomicStats>,
-    /// The store's durable sink slot (shared, so late wiring applies to
-    /// every namespace); the slot holds `None` on stores without
-    /// persistence.
+    /// The store's sink slot (shared, so late wiring applies to every
+    /// namespace); `None` until a sink is installed.
     spill: SharedSink,
 }
 
@@ -188,20 +197,23 @@ impl NamespaceCache {
     }
 
     /// Lands the rows of `pages` (ascending by page, as every crossing
-    /// carries them) a word at a time and, with `offer`, offers the
-    /// spill sink exactly those pages.
-    ///
-    /// Without `offer` (the prefill path) the sink is not touched at all:
-    /// the rows came *from* it. Staying sink-silent is also what lets a
-    /// caller prefill while holding locks the sink would re-take (the
-    /// rehydration path holds its table registry's write lock).
-    fn insert_pages(&self, pages: &[(usize, PagePlanes)], offer: bool) -> usize {
-        let rows: usize = pages.iter().map(|(_, planes)| planes.len()).sum();
+    /// carries them) a word at a time and returns their count. The sink
+    /// is not touched: [`NamespaceCache::insert_pages`] offers, and the
+    /// prefill path stays sink-silent, which is what lets a caller
+    /// prefill while holding locks the sink would re-take (the
+    /// rehydration path holds its table registry's write lock). Planes
+    /// are only read, so shared ones (`Arc<PagePlanes>`) land uncopied.
+    fn land<P: Borrow<PagePlanes>>(&self, pages: &[(usize, P)]) -> usize {
+        let rows: usize = pages.iter().map(|(_, planes)| planes.borrow().len()).sum();
         if rows == 0 {
             return 0;
         }
         let (mut new, mut passed) = (0, 0);
-        for (page, planes) in pages.iter().filter(|(_, planes)| !planes.is_empty()) {
+        for (page, planes) in pages {
+            let planes: &PagePlanes = planes.borrow();
+            if planes.is_empty() {
+                continue;
+            }
             let page = self.page_or_new(*page);
             for w in (0..PAGE_WORDS).filter(|&w| planes.known[w] != 0) {
                 let landed = page.merge_word(w, planes.known[w], planes.answer[w]);
@@ -214,13 +226,19 @@ impl NamespaceCache {
         self.stats
             .insertions
             .fetch_add(rows as u64, Ordering::Relaxed);
-        let sink = offer
-            .then(|| self.spill.read().unwrap_or_else(|e| e.into_inner()).clone())
-            .flatten();
+        rows
+    }
+
+    /// Lands the rows of `pages` as [`NamespaceCache::land`] does and
+    /// offers the spill sink exactly those pages.
+    fn insert_pages(&self, pages: &[(usize, PagePlanes)]) {
+        if self.land(pages) == 0 {
+            return;
+        }
+        let sink = self.spill.read().unwrap_or_else(|e| e.into_inner()).clone();
         if let Some(sink) = sink {
             sink.spill(self.namespace, pages);
         }
-        rows
     }
 
     /// The page for `page_key`, created under the page table's write lock
@@ -308,7 +326,7 @@ impl CacheHandle {
     /// holds and counts afterwards is what calling [`CacheHandle::insert`]
     /// per row would leave; the sink hears `pages` as one offer.
     pub fn insert_pages(&self, pages: &[(usize, PagePlanes)]) {
-        self.cache.insert_pages(pages, true);
+        self.cache.insert_pages(pages);
     }
 
     /// Number of live entries in this namespace.
@@ -479,8 +497,8 @@ impl Namespaces {
 struct StoreInner {
     namespaces: RwLock<Namespaces>,
     stats: Arc<AtomicStats>,
-    /// The durable sink slot shared with every namespace (see
-    /// [`SharedSink`]); empty unless persistence is wired.
+    /// The sink slot shared with every namespace (see [`SharedSink`]);
+    /// empty until [`CacheStore::set_spill`].
     spill: SharedSink,
 }
 
@@ -546,7 +564,7 @@ impl CacheStore {
         }
     }
 
-    /// Installs (or removes, with `None`) the durable spill sink.
+    /// Installs (or removes, with `None`) the spill sink.
     ///
     /// The slot is shared with every namespace, including ones created
     /// before this call, so wiring order doesn't matter. The sink hears
@@ -595,18 +613,20 @@ impl CacheStore {
     /// loaded entries came *from* the sink, and prefill never runs the
     /// liveness sweep (whose offers reach the sink), so prefill is safe
     /// to call while holding locks the sink would re-take. A batch with
-    /// no rows creates no namespace.
-    pub fn prefill<T: Any + Send + Sync>(
+    /// no rows creates no namespace. The planes are only read, so a
+    /// caller may hand over shared ones (`Arc<PagePlanes>`, as the
+    /// durable store's read-back gives them) without copying.
+    pub fn prefill<T: Any + Send + Sync, P: Borrow<PagePlanes>>(
         &self,
         namespace: CacheNamespace,
         owner: &Arc<T>,
-        pages: &[(usize, PagePlanes)],
+        pages: &[(usize, P)],
     ) -> usize {
-        if pages.iter().all(|(_, planes)| planes.is_empty()) {
+        if pages.iter().all(|(_, planes)| planes.borrow().is_empty()) {
             return 0;
         }
         let cache = self.inner.entry(&mut self.inner.write(), namespace, owner);
-        cache.insert_pages(pages, false)
+        cache.land(pages)
     }
 
     /// Visits every namespace's live entries as its non-empty pages,

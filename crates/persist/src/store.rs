@@ -917,27 +917,26 @@ impl PersistStore {
     }
 
     /// The pages persisted under `key`, ascending — what rehydration
-    /// copies into the live cache. The planes are copied outside the lock;
-    /// a page that left RAM is read back from its snapshot frame, also
-    /// outside it (CRC-checked; one that does not read back is dropped,
-    /// its rows re-bought), and stays resident while its state is live.
-    pub fn pages(&self, key: PersistKey) -> Option<Vec<(usize, PagePlanes)>> {
+    /// copies into the live cache. The planes are shared with the index,
+    /// not copied (an append copies a shared page before it writes); a
+    /// page that left RAM is read back from its snapshot frame outside
+    /// the lock (CRC-checked; one that does not read back is dropped, its
+    /// rows re-bought), and stays resident while its state is live.
+    pub fn pages(&self, key: PersistKey) -> Option<Vec<(usize, Arc<PagePlanes>)>> {
         let slot = slot(key);
-        let (mut held, mut away) = (Vec::new(), Vec::new());
+        let (mut pages, mut away) = (Vec::new(), Vec::new());
         let file = {
             let index = self.shared.index();
             let ns = index.namespaces.get(&slot)?;
             for page in &ns.pages {
                 match (&page.planes, page.image) {
-                    (Some(planes), _) => held.push((page.number as usize, Arc::clone(planes))),
+                    (Some(planes), _) => pages.push((page.number as usize, Arc::clone(planes))),
                     (None, Some(image)) => away.push((page.number, image)),
                     (None, None) => {}
                 }
             }
             index.snapshot.clone()
         };
-        let copy = |(page, planes): (usize, Arc<PagePlanes>)| (page, Arc::unwrap_or_clone(planes));
-        let mut pages: Vec<_> = held.into_iter().map(copy).collect();
         if away.is_empty() {
             return Some(pages);
         }
@@ -977,7 +976,7 @@ impl PersistStore {
         let read = read
             .into_iter()
             .filter_map(|(page, _, planes)| Some((page as usize, planes?)));
-        pages.extend(read.map(copy));
+        pages.extend(read);
         pages.sort_unstable_by_key(|&(page, _)| page);
         Some(pages)
     }

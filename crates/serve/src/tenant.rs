@@ -197,12 +197,14 @@ impl Tenant {
     }
 
     /// The tenant's table for `key`, materializing it on first use.
-    /// Dropping a table past the LRU bound frees its row-tier answers
-    /// once the last request using it ends: a re-materialized instance
-    /// gets a fresh [`expred_table::table::TableId`], so nothing could
-    /// borrow the old namespaces again, and the engine's store drops
-    /// them at its next liveness sweep (see `expred_exec::store`),
-    /// offering them to the durable tier first when one is wired.
+    /// Dropping a table past the LRU bound frees what it bought once the
+    /// last request using it ends: a re-materialized instance gets a
+    /// fresh [`expred_table::table::TableId`], so nothing could borrow
+    /// the old namespaces or hit the old memo entries again. The
+    /// engine's store drops the namespaces at its next liveness sweep
+    /// (see `expred_exec::store`), offering them to the durable tier
+    /// first when one is wired, and its death signal removes the old
+    /// instance's outcomes from the engine's result memo.
     pub fn dataset(&self, key: &TableKey) -> Arc<Dataset> {
         let (slot, evicted) = {
             let mut tables = self.tables.lock().unwrap_or_else(|e| e.into_inner());

@@ -951,6 +951,31 @@ impl JsonWriter {
         self
     }
 
+    /// Writes a measurement (`null` when non-finite) to three
+    /// significant digits below 100 and at one decimal place from 100
+    /// up, dropping trailing zeros past the first decimal: 2.854 is
+    /// `2.85`, 3.1 is `3.1`, 0.1234 is `0.123`. A value written by
+    /// [`JsonWriter::f64_tenths`] re-renders unchanged.
+    pub fn f64_sig3(&mut self, value: f64) -> &mut Self {
+        if !value.is_finite() {
+            return self.null();
+        }
+        let magnitude = value.abs();
+        let decimals = if magnitude < 10.0 && magnitude > 0.0 {
+            (2 - magnitude.log10().floor() as i32) as usize
+        } else {
+            1
+        };
+        let text = format!("{value:.decimals$}");
+        let trimmed = text.trim_end_matches('0');
+        self.element();
+        self.out.extend_from_slice(trimmed.as_bytes());
+        if trimmed.ends_with('.') {
+            self.out.push(b'0');
+        }
+        self
+    }
+
     /// Writes a string, escaped in place.
     pub fn str(&mut self, value: &str) -> &mut Self {
         self.element();

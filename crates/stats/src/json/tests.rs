@@ -555,6 +555,37 @@ fn numbers_render_cleanly() {
 }
 
 #[test]
+fn measurements_keep_three_significant_digits_below_100() {
+    let cases = [
+        (2.854, "2.85"),
+        (3.1, "3.1"),
+        (3.0, "3.0"),
+        (0.1234, "0.123"),
+        (0.00071, "0.00071"),
+        (9.996, "10.0"),
+        (42.37, "42.4"),
+        (1234.56, "1234.6"),
+        (0.0, "0.0"),
+        (-2.5, "-2.5"),
+    ];
+    for (value, text) in cases {
+        let mut w = JsonWriter::new();
+        w.f64_sig3(value);
+        assert_eq!(w.finish(), text, "{value}");
+    }
+    let mut w = JsonWriter::new();
+    w.f64_sig3(f64::NAN);
+    assert_eq!(w.finish(), "null");
+    // Whatever one decimal place wrote reads back and re-renders as is.
+    for tenths in 0..2_000u32 {
+        let written = format!("{:.1}", f64::from(tenths) / 10.0);
+        let mut w = JsonWriter::new();
+        w.f64_sig3(written.parse().unwrap());
+        assert_eq!(w.finish(), written);
+    }
+}
+
+#[test]
 fn as_u64_is_exact() {
     assert_eq!(JsonValue::Number(7.0).as_u64(), Some(7));
     assert_eq!(JsonValue::Number(7.5).as_u64(), None);
