@@ -1,5 +1,5 @@
 //! `scan_bench` — the columnar kernel layer vs the legacy per-cell
-//! paths, in ns/row.
+//! paths, in ns/row, and what a string column's codes hold in heap.
 //!
 //! ```text
 //! cargo bench --bench scan_bench            # full grid
@@ -56,6 +56,15 @@
 //!   with ≈ 48 % of its bits set (the shape of a steady-state 57 KB
 //!   answer), into a buffer sized once and finished as bytes, in ns/id.
 //!
+//! And one row that is a size, not a time:
+//!
+//! * `str_codes_20000` — the heap bytes per row that building the
+//!   40-value `zip3` column of a 20 000-row table adds (its codes, one
+//!   byte a row, plus its dictionary), counted by this binary's
+//!   allocator; the table's row plan is built beforehand, so it is not
+//!   counted.
+//!
+//! Every row names its metric and unit.
 //! Results land in `BENCH_scan.json` (schema: `expred_bench::report`);
 //! where a scenario has a legacy path, it is the speedup baseline. Full mode
 //! prints a WARNING (it does not panic) if a kernel fails to beat its
@@ -71,7 +80,55 @@ use expred_table::bitcount;
 use expred_table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
 use expred_table::{Column, GroupBy, RowSet, Table, Value};
 use expred_udf::{invoker, OracleUdf, UdfInvoker};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Counts live heap bytes for `str_codes_20000`; one relaxed add per
+/// allocation, and every request goes to `System` unchanged (zeroed and
+/// grown ones included, so the timed rows keep `calloc` and in-place
+/// `realloc`).
+struct Counting;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are exactly
+        // `System.alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`, and the caller's obligations on
+        // `new_size` are exactly `System.realloc`'s.
+        let grown = unsafe { System.realloc(ptr, layout, new_size) };
+        if !grown.is_null() {
+            LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        grown
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 fn main() {
     // `cargo test` probes bench binaries with --test; do nothing.
@@ -107,7 +164,7 @@ fn main() {
             let kernel = measure_ns_per_unit(units, reps, || {
                 black_box(ds.table.group_by(column).unwrap());
             });
-            report.record(&scenario, "kernel", kernel, 1.0);
+            report.record_metric(&scenario, "kernel", "ns_per_row", "ns", kernel);
             println!("{scenario:<24} kernel {kernel:>8.1} ns/row");
         }
 
@@ -126,9 +183,11 @@ fn main() {
         let lazy = measure_ns_per_unit(units, reps.div_ceil(3), || {
             black_box(Dataset::generate(ds.spec, black_box(ds.seed)));
         });
-        report.record(&scenario, "rows", by_rows, 1.0);
+        report.record_metric(&scenario, "rows", "ns_per_row", "ns", by_rows);
         report.record(&scenario, "columnar", columnar, by_rows / columnar);
+        report.name_last("ns_per_row", "ns");
         report.record(&scenario, "lazy", lazy, by_rows / lazy);
+        report.name_last("ns_per_row", "ns");
         println!(
             "{scenario:<24} rows   {by_rows:>8.1} ns/row | columnar {columnar:>6.1} ({:>5.2}x) \
              | lazy {lazy:>6.1} ({:>5.2}x)",
@@ -156,7 +215,7 @@ fn main() {
         let kernel = measure_ns_per_unit(units, reps.div_ceil(3), || {
             black_box(extract_features(&ds.table, &exclude, None));
         });
-        report.record(&scenario, "kernel", kernel, 1.0);
+        report.record_metric(&scenario, "kernel", "ns_per_row", "ns", kernel);
         println!("{scenario:<24} kernel {kernel:>8.1} ns/row");
 
         // The partition per query vs a hit in the table's memo.
@@ -239,6 +298,26 @@ fn main() {
     println!(
         "{:<24} writer   {ns:>8.2} ns/id ({ids} ids)",
         "id_plane_20000"
+    );
+
+    // What a built categorical column holds: the plan is built by the
+    // first column, so only `zip3`'s own bytes are counted.
+    let ds = Dataset::generate(DatasetSpec { rows, ..PROSPER }, 7);
+    black_box(ds.table.column("weekday"));
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    black_box(ds.table.column("zip3"));
+    let bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    let per_row = bytes as f64 / rows as f64;
+    report.record_metric(
+        "str_codes_20000",
+        "codes",
+        "heap_bytes_per_row",
+        "B",
+        per_row,
+    );
+    println!(
+        "{:<24} codes    {per_row:>8.2} B/row ({bytes} B)",
+        "str_codes_20000"
     );
 
     if warnings > 0 {

@@ -6,23 +6,68 @@
 //! ```
 //!
 //! Joins the two reports on `(scenario, backend)` and compares
-//! `ns_per_probe`. A row whose new time exceeds the old by more than the
+//! `ns_per_probe`, printing both sides to three significant digits (the
+//! precision the artifacts store) in the row's own unit. A row whose new time exceeds the old by more than the
 //! threshold (default 20%) is a **regression**; if any exist the process
 //! exits nonzero, which is how CI turns a perf trajectory into a gate.
 //! Rows present on only one side are reported but not fatal (benches
 //! legitimately gain and lose scenarios across PRs), as are failed
 //! (`null`) measurements.
 
-use expred_bench::BenchReport;
+use expred_bench::{BenchRecord, BenchReport};
+use expred_stats::json::JsonWriter;
 use std::process::ExitCode;
 
 struct Comparison {
     scenario: String,
     backend: String,
+    /// What the values are in: the old row's `unit`, or `ns/probe` for a
+    /// row that names none.
+    unit: String,
     old_ns: f64,
     new_ns: f64,
     /// new/old − 1: positive is slower.
     change: f64,
+}
+
+impl Comparison {
+    fn new(old: &BenchRecord, new: &BenchRecord) -> Self {
+        let unit = old.metric.as_ref().map_or("ns/probe", |(_, unit)| unit);
+        Self {
+            scenario: old.scenario.clone(),
+            backend: old.backend.clone(),
+            unit: unit.to_owned(),
+            old_ns: old.ns_per_probe,
+            new_ns: new.ns_per_probe,
+            change: new.ns_per_probe / old.ns_per_probe - 1.0,
+        }
+    }
+
+    /// The row's line of the comparison table.
+    fn line(&self, regressed: bool) -> String {
+        format!(
+            "{} {:<40} {:<22} {:>10} -> {:>10} {:<8} {:>+7.1}%",
+            if regressed {
+                "REGRESSION"
+            } else {
+                "        ok"
+            },
+            self.scenario,
+            self.backend,
+            sig3(self.old_ns),
+            sig3(self.new_ns),
+            self.unit,
+            self.change * 100.0,
+        )
+    }
+}
+
+/// `value` to three significant digits, by the rule the artifacts are
+/// written with ([`JsonWriter::f64_sig3`]).
+fn sig3(value: f64) -> String {
+    let mut w = JsonWriter::new();
+    w.f64_sig3(value);
+    w.finish()
 }
 
 fn load(path: &str) -> Result<BenchReport, String> {
@@ -52,13 +97,7 @@ fn run(old_path: &str, new_path: &str, threshold: f64) -> Result<bool, String> {
                     && fresh.ns_per_probe.is_finite()
                     && record.ns_per_probe > 0.0
                 {
-                    compared.push(Comparison {
-                        scenario: record.scenario.clone(),
-                        backend: record.backend.clone(),
-                        old_ns: record.ns_per_probe,
-                        new_ns: fresh.ns_per_probe,
-                        change: fresh.ns_per_probe / record.ns_per_probe - 1.0,
-                    });
+                    compared.push(Comparison::new(record, fresh));
                 } else {
                     unmeasured += 1;
                 }
@@ -92,19 +131,7 @@ fn run(old_path: &str, new_path: &str, threshold: f64) -> Result<bool, String> {
     for row in &compared {
         let regressed = row.change > threshold;
         regressions += regressed as usize;
-        println!(
-            "{} {:<40} {:<22} {:>12.1} -> {:>12.1} ns/probe  {:>+7.1}%",
-            if regressed {
-                "REGRESSION"
-            } else {
-                "        ok"
-            },
-            row.scenario,
-            row.backend,
-            row.old_ns,
-            row.new_ns,
-            row.change * 100.0,
-        );
+        println!("{}", row.line(regressed));
     }
     if unmeasured > 0 {
         println!("note: {unmeasured} rows skipped (null/zero measurement on either side)");
@@ -198,6 +225,24 @@ mod tests {
         assert_eq!(run(&old, &bad, 0.6), Ok(true), "threshold is respected");
         // Self-comparison is always clean.
         assert_eq!(run(&old, &old, 0.2), Ok(true));
+    }
+
+    #[test]
+    fn lines_print_three_significant_digits_in_the_row_unit() {
+        let mut report = BenchReport::new("t");
+        report.record_metric("append", "wal", "bytes_per_row", "B", 0.81);
+        report.record("probe", "seq", 1234.56, 1.0);
+        let mut fresh = BenchReport::new("t");
+        fresh.record_metric("append", "wal", "bytes_per_row", "B", 0.84);
+        fresh.record("probe", "seq", 1234.56, 1.0);
+        let sub_unit = Comparison::new(&report.records()[0], &fresh.records()[0]);
+        let line = sub_unit.line(false);
+        assert!(line.contains("0.81 ->"), "{line}");
+        assert!(line.contains("0.84 B "), "{line}");
+        assert!(line.ends_with("+3.7%"), "{line}");
+        let probe = Comparison::new(&report.records()[1], &fresh.records()[1]).line(true);
+        assert!(probe.starts_with("REGRESSION"), "{probe}");
+        assert!(probe.contains("1234.6 ns/probe"), "{probe}");
     }
 
     #[test]

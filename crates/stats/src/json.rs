@@ -594,15 +594,23 @@ fn write_digits(dst: &mut [u8], mut v: u64) {
 /// number of 64-id plane words, so a word is wholly on one side.
 const ID_TEXT_BOUND: usize = 1 << 16;
 
-/// Every id below [`ID_TEXT_BOUND`] pre-rendered as `"<id>,"`: the text
-/// (at most five digits and the comma) in the low bytes of a
-/// little-endian `u64`, its length in the top byte — so writing an id is
-/// one 8-byte store and `pos += entry >> 56`. Built once per process, on
-/// the first plane written.
-fn id_texts() -> &'static [u64; ID_TEXT_BOUND] {
-    static TEXTS: OnceLock<Box<[u64; ID_TEXT_BOUND]>> = OnceLock::new();
-    TEXTS.get_or_init(|| {
-        let texts: Vec<u64> = (0..ID_TEXT_BOUND as u64)
+/// Ids per chunk of the id-text table: 64 plane words' worth (32 KB), so
+/// a plane reaches a new chunk at most once per 64 words.
+const ID_CHUNK: usize = 1 << 12;
+
+/// The ids `chunk * ID_CHUNK ..` of the first [`ID_TEXT_BOUND`],
+/// pre-rendered as `"<id>,"`: the text (at most five digits and the
+/// comma) in the low bytes of a little-endian `u64`, its length in the
+/// top byte — so writing an id is one 8-byte store and
+/// `pos += entry >> 56`. Each chunk is built once per process, on the
+/// first plane that reaches it, so a process whose planes stay small
+/// keeps only the chunks they touch.
+fn id_texts(chunk: usize) -> &'static [u64; ID_CHUNK] {
+    static CHUNKS: [OnceLock<Box<[u64; ID_CHUNK]>>; ID_TEXT_BOUND / ID_CHUNK] =
+        [const { OnceLock::new() }; ID_TEXT_BOUND / ID_CHUNK];
+    CHUNKS[chunk].get_or_init(|| {
+        let first = (chunk * ID_CHUNK) as u64;
+        let texts: Vec<u64> = (first..first + ID_CHUNK as u64)
             .map(|id| {
                 let n = digit_count(id);
                 let mut entry = [0u8; 8];
@@ -615,7 +623,7 @@ fn id_texts() -> &'static [u64; ID_TEXT_BOUND] {
         texts
             .into_boxed_slice()
             .try_into()
-            .expect("one entry per id below the bound")
+            .expect("one entry per id of the chunk")
     })
 }
 
@@ -873,9 +881,10 @@ impl JsonWriter {
     /// is id `64 * w + i`), as an ascending array — the bulk of every
     /// answer body. The output is sized once from the plane, so the loop
     /// does no per-id capacity check; ids below 2¹⁶ are copied from a
-    /// process-wide table of pre-rendered `"<id>,"` texts (512 KB, built
-    /// on first use), the rest formatted in place. A 64-id word whose ids
-    /// share one width is written with no store waiting on the one before.
+    /// process-wide table of pre-rendered `"<id>,"` texts (32 KB per
+    /// 4 096 ids, each chunk built on first use), the rest formatted in
+    /// place. A 64-id word whose ids share one width is written with no
+    /// store waiting on the one before.
     pub fn id_plane(&mut self, words: &[u64]) -> &mut Self {
         self.begin_array();
         let bound = id_plane_len(words);
@@ -892,17 +901,20 @@ impl JsonWriter {
         // into a whole window.
         self.out.resize(at + bound + ID_WINDOW, 0);
         let buf = &mut self.out[at..];
-        let texts = id_texts();
         let table_words = words.len().min(ID_TEXT_BOUND / 64);
+        let chunk_words = ID_CHUNK / 64;
         let mut pos = 0;
-        for (w, &word) in words[..table_words].iter().enumerate() {
-            pos = write_word(buf, pos, w, word, |dst, id| {
-                // `id` is below the bound: the mask changes nothing but
-                // spares the load its bounds check.
-                let entry = texts[id as usize % ID_TEXT_BOUND];
-                dst[..8].copy_from_slice(&entry.to_le_bytes());
-                (entry >> 56) as usize
-            });
+        for (chunk, chunk_of_words) in words[..table_words].chunks(chunk_words).enumerate() {
+            let texts = id_texts(chunk);
+            for (w, &word) in chunk_of_words.iter().enumerate() {
+                pos = write_word(buf, pos, chunk * chunk_words + w, word, |dst, id| {
+                    // `id` is in this chunk: the mask changes nothing but
+                    // spares the load its bounds check.
+                    let entry = texts[id as usize % ID_CHUNK];
+                    dst[..8].copy_from_slice(&entry.to_le_bytes());
+                    (entry >> 56) as usize
+                });
+            }
         }
         for (w, &word) in words.iter().enumerate().skip(table_words) {
             pos = write_word(buf, pos, w, word, |dst, id| {

@@ -749,9 +749,10 @@ fn id_plane_handles_every_width_boundary() {
 
 #[test]
 fn id_texts_hold_every_id_below_the_bound() {
-    let texts = id_texts();
-    for id in [0usize, 9, 10, 99, 100, 999, 1_000, 9_999, 10_000, 65_535] {
-        let entry = texts[id].to_le_bytes();
+    // Every id, through its chunk: the chunk seams (4 095/4 096, …) and
+    // the width boundaries included.
+    for id in 0..ID_TEXT_BOUND {
+        let entry = id_texts(id / ID_CHUNK)[id % ID_CHUNK].to_le_bytes();
         let len = entry[7] as usize;
         assert_eq!(&entry[..len], format!("{id},").as_bytes());
     }

@@ -3,10 +3,14 @@
 //! Numeric and boolean columns are typed vectors with an optional per-slot
 //! NULL (`Vec<Option<T>>`). String columns are **dictionary-encoded**
 //! ([`StrColumn`]): each distinct string is stored once and every row
-//! carries a `u32` code into that dictionary, because to everything
+//! carries a code into that dictionary, because to everything
 //! downstream — the group-by, the samplers, the feature extractor — a
 //! categorical column *is* a small dictionary plus one code per row. The
-//! accessors below are what those consumers iterate over.
+//! codes are stored at the narrowest width the dictionary allows — one
+//! byte per row up to 255 entries, two up to 65 535, four beyond — with
+//! NULL as the width's maximum value, and every reader of them is generic
+//! over the width ([`Code`]), compiled once per width. The accessors below
+//! are what those consumers iterate over.
 
 use crate::rowset::RowSet;
 use crate::value::{DataType, Value, ValueKey};
@@ -27,14 +31,134 @@ pub enum Column {
     Str(StrColumn),
 }
 
+mod sealed {
+    /// Keeps [`super::Code`] to the three widths, and its conversions and
+    /// the code storage inside the crate.
+    pub trait Sealed: Sized {
+        /// The code of dictionary entry `index`, which the caller has
+        /// checked is below the width's NULL.
+        fn from_index(index: usize) -> Self;
+        /// Codes of this width as the column's storage.
+        fn store(codes: Vec<Self>) -> Codes;
+    }
+
+    /// A string column's per-row codes, at the narrowest width its
+    /// dictionary allows (`Codes::width_for`). Named only inside the
+    /// crate.
+    #[derive(Clone)]
+    pub enum Codes {
+        U8(Vec<u8>),
+        U16(Vec<u16>),
+        U32(Vec<u32>),
+    }
+}
+pub(crate) use sealed::Codes;
+
+/// One row's dictionary code at one storage width: `u8`, `u16` or `u32`.
+/// NULL is the width's maximum value, so a width holds the codes of a
+/// dictionary of up to `NULL` entries.
+pub trait Code: Copy + Eq + fmt::Debug + sealed::Sealed {
+    /// The code of a NULL row: the width's maximum value, past every
+    /// dictionary entry.
+    const NULL: Self;
+    /// The dictionary entry this code names; NULL's lies past the last.
+    fn index(self) -> usize;
+}
+
+macro_rules! code_width {
+    ($($width:ident => $variant:ident),*) => {$(
+        impl sealed::Sealed for $width {
+            #[inline]
+            fn from_index(index: usize) -> Self {
+                index as $width
+            }
+
+            fn store(codes: Vec<Self>) -> Codes {
+                Codes::$variant(codes)
+            }
+        }
+
+        impl Code for $width {
+            const NULL: Self = $width::MAX;
+
+            #[inline]
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+code_width!(u8 => U8, u16 => U16, u32 => U32);
+
+/// Runs `$body` with `$codes` bound to the code slice of a [`Codes`] at
+/// its stored width: the body is compiled once per width, so a loop in it
+/// reads the codes as they are stored and never branches on the width.
+macro_rules! with_codes {
+    ($storage:expr, $codes:ident => $body:expr) => {
+        match $storage {
+            $crate::column::Codes::U8($codes) => $body,
+            $crate::column::Codes::U16($codes) => $body,
+            $crate::column::Codes::U32($codes) => $body,
+        }
+    };
+}
+pub(crate) use with_codes;
+
+impl Codes {
+    /// Empty storage at the narrowest width that holds `entries`
+    /// dictionary entries.
+    fn width_for(entries: usize) -> Self {
+        if entries <= u8::NULL.index() {
+            Codes::U8(Vec::new())
+        } else if entries <= u16::NULL.index() {
+            Codes::U16(Vec::new())
+        } else {
+            Codes::U32(Vec::new())
+        }
+    }
+
+    /// Bytes per stored code.
+    fn width(&self) -> usize {
+        match self {
+            Codes::U8(_) => 1,
+            Codes::U16(_) => 2,
+            Codes::U32(_) => 4,
+        }
+    }
+}
+
+impl Default for Codes {
+    fn default() -> Self {
+        Codes::U8(Vec::new())
+    }
+}
+
+/// `codes` at a width `W` that holds every entry they name, each code
+/// naming entry `entry(code)` and NULL staying NULL, into `out`: a
+/// widening, or a narrowing to a tidied dictionary's width.
+fn recode<N: Code, W: Code>(codes: &[N], entry: impl Fn(usize) -> usize, out: &mut Vec<W>) {
+    out.extend(codes.iter().map(|&code| {
+        if code == N::NULL {
+            W::NULL
+        } else {
+            W::from_index(entry(code.index()))
+        }
+    }));
+}
+
 /// A dictionary-encoded string column.
 ///
 /// * **Storage:** the distinct strings once each, in first-seen order,
-///   plus one `u32` code per row. A 20 000-row categorical column with 40
-///   values is 80 KB of codes and 40 strings, where a heap string per
-///   cell was 20 000 allocations and ≈ 1 MB.
-/// * **NULL** is the reserved code [`StrColumn::NULL_CODE`]; it has no
+///   plus one code per row at the narrowest width the dictionary allows:
+///   a byte while it has at most 255 entries, two bytes up to 65 535,
+///   four beyond. A 20 000-row categorical column with 40 values is 20 KB
+///   of codes and 40 strings, where a heap string per cell was 20 000
+///   allocations and ≈ 1 MB.
+/// * **NULL** is the width's maximum value ([`Code::NULL`]); it has no
 ///   dictionary entry.
+/// * **Widening:** [`StrColumn::push`] re-stores the codes one width up
+///   when a new string would take the current width's NULL, so the width
+///   always follows the dictionary's length.
 /// * **Invariant:** every dictionary entry is carried by at least one row
 ///   (columns are append-only), so the dictionary length *is* the
 ///   distinct count and the kernels never meet an empty group.
@@ -42,11 +166,12 @@ pub enum Column {
 ///   equal whatever order their dictionaries were built in.
 /// * **Cost, stated plainly:** an interning index (string → code) rides
 ///   along so [`StrColumn::push`] is one hash lookup; an all-distinct
-///   column therefore pays 4 B/row of codes plus a dictionary slot and an
-///   index entry per row *on top of* its strings.
+///   column therefore pays 2–4 B/row of codes (two bytes from its 256th
+///   row, four from its 65 536th) plus a dictionary slot and an index
+///   entry per row *on top of* its strings.
 #[derive(Clone, Default)]
 pub struct StrColumn {
-    codes: Vec<u32>,
+    codes: Codes,
     dictionary: Vec<Arc<str>>,
     /// Interning index; shares each string's allocation with `dictionary`.
     index: HashMap<Arc<str>, u32>,
@@ -54,114 +179,146 @@ pub struct StrColumn {
 }
 
 impl StrColumn {
-    /// The code of a NULL row. Larger than any dictionary code.
-    pub const NULL_CODE: u32 = u32::MAX;
-
-    /// An empty column with room for `cap` rows.
+    /// An empty column with room for `cap` rows (of one-byte codes).
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            codes: Vec::with_capacity(cap),
+            codes: Codes::U8(Vec::with_capacity(cap)),
             ..Self::default()
         }
     }
 
     /// Builds a column from an already-encoded form: `codes[row]` indexes
-    /// `dictionary`, or is [`Self::NULL_CODE`]. The dictionary need not be
-    /// tidy — an entry no row carries is dropped and a repeated string is
-    /// merged into its first occurrence — so a producer can render every
-    /// label it *might* use once and push plain label numbers. Errors only
-    /// on a code outside the dictionary.
-    pub fn from_dictionary<S: AsRef<str>>(
+    /// `dictionary`, or is the width's [`Code::NULL`]. The dictionary need
+    /// not be tidy — an entry no row carries is dropped and a repeated
+    /// string is merged into its first occurrence — so a producer can
+    /// render every label it *might* use once and push plain label
+    /// numbers. Codes given at the width the tidied dictionary needs are
+    /// kept, relabelled in place if need be; wider ones are re-stored
+    /// narrow in one pass. Errors only on a code outside the dictionary.
+    pub fn from_dictionary<S: AsRef<str>, C: Code>(
         dictionary: &[S],
-        mut codes: Vec<u32>,
+        mut codes: Vec<C>,
     ) -> Result<Self, String> {
         let mut used = vec![false; dictionary.len()];
         let mut nulls = 0usize;
         for &code in &codes {
-            match used.get_mut(code as usize) {
-                Some(slot) => *slot = true,
-                None if code == Self::NULL_CODE => nulls += 1,
-                None => {
-                    return Err(format!(
-                        "code {code} outside a dictionary of {} entries",
-                        dictionary.len()
-                    ))
-                }
+            // NULL first: a byte's NULL, 255, may be a place in a
+            // dictionary of more entries than its rows use.
+            if code == C::NULL {
+                nulls += 1;
+                continue;
             }
+            let Some(slot) = used.get_mut(code.index()) else {
+                return Err(format!(
+                    "code {code:?} outside a dictionary of {} entries",
+                    dictionary.len()
+                ));
+            };
+            *slot = true;
         }
         let mut column = Self {
             nulls,
             ..Self::default()
         };
-        // Given code -> kept code (NULL_CODE for an entry no row carries).
-        let kept: Vec<u32> = dictionary
+        // Given code -> kept code (an entry no row carries keeps none).
+        let kept: Vec<usize> = dictionary
             .iter()
             .zip(used)
             .map(|(entry, used)| {
                 if used {
-                    column.intern(entry.as_ref())
+                    column.intern(entry.as_ref()) as usize
                 } else {
-                    Self::NULL_CODE
+                    usize::MAX
                 }
             })
             .collect();
-        if kept.iter().zip(0u32..).any(|(&kept, given)| kept != given) {
-            for code in &mut codes {
-                if let Some(&kept) = kept.get(*code as usize) {
-                    *code = kept;
+        let relabel = kept.iter().enumerate().any(|(given, &kept)| kept != given);
+        let mut stored = Codes::width_for(column.dictionary.len());
+        column.codes = if stored.width() == size_of::<C>() {
+            if relabel {
+                for code in codes.iter_mut().filter(|code| **code != C::NULL) {
+                    *code = C::from_index(kept[code.index()]);
                 }
             }
-        }
-        column.codes = codes;
+            C::store(codes)
+        } else {
+            with_codes!(&mut stored, out => recode(&codes, |given| kept[given], out));
+            stored
+        };
         Ok(column)
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.codes.len()
+        with_codes!(&self.codes, codes => codes.len())
     }
 
     /// Whether the column has no rows.
     pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
+        self.len() == 0
     }
 
     /// Appends one cell (`None` is NULL): one hash lookup, and an
-    /// allocation only for a string not seen before.
+    /// allocation only for a string not seen before — or, once per width,
+    /// for the codes re-stored one width up.
     pub fn push(&mut self, cell: Option<&str>) {
-        let code = match cell {
+        fn append<C: Code>(codes: &mut Vec<C>, entry: Option<u32>) {
+            codes.push(entry.map_or(C::NULL, |entry| C::from_index(entry as usize)));
+        }
+        let entry = match cell {
             None => {
                 self.nulls += 1;
-                Self::NULL_CODE
+                None
             }
-            Some(s) => self.intern(s),
+            Some(s) => Some(self.intern(s)),
         };
-        self.codes.push(code);
+        with_codes!(&mut self.codes, codes => append(codes, entry));
     }
 
-    /// The code of `s`, adding it to the dictionary if it is new. The
-    /// caller appends a row carrying the code (the invariant).
+    /// The code of `s`, adding it to the dictionary if it is new — and
+    /// widening the codes if the new entry's code would be the width's
+    /// NULL. The caller appends a row carrying the code (the invariant).
     fn intern(&mut self, s: &str) -> u32 {
         if let Some(&code) = self.index.get(s) {
             return code;
         }
         let code = u32::try_from(self.dictionary.len())
             .ok()
-            .filter(|&code| code != Self::NULL_CODE)
+            .filter(|&code| code != u32::NULL)
             .expect("a string dictionary holds fewer than u32::MAX entries");
         let entry: Arc<str> = Arc::from(s);
         self.dictionary.push(Arc::clone(&entry));
         self.index.insert(entry, code);
+        if self.codes.width() < Codes::width_for(self.dictionary.len()).width() {
+            self.widen();
+        }
         code
+    }
+
+    /// Re-stores the codes one width up, NULL rows at the new width's
+    /// NULL, keeping the reserved room.
+    fn widen(&mut self) {
+        fn up<N: Code, W: Code>(narrow: &[N], cap: usize) -> Vec<W> {
+            let mut wide = Vec::with_capacity(cap);
+            recode(narrow, |entry| entry, &mut wide);
+            wide
+        }
+        self.codes = match &self.codes {
+            Codes::U8(codes) => Codes::U16(up(codes, codes.capacity())),
+            Codes::U16(codes) => Codes::U32(up(codes, codes.capacity())),
+            Codes::U32(_) => unreachable!("four-byte codes are the widest"),
+        };
     }
 
     /// The string at `row`, `None` for NULL. Panics if out of range.
     pub fn get(&self, row: usize) -> Option<&str> {
-        self.dictionary.get(self.codes[row] as usize).map(|s| &**s)
+        let entry = with_codes!(&self.codes, codes => codes[row].index());
+        self.dictionary.get(entry).map(|s| &**s)
     }
 
-    /// One code per row, in row order ([`Self::NULL_CODE`] for NULL).
-    pub fn codes(&self) -> &[u32] {
+    /// One code per row, in row order, at the stored width ([`Code::NULL`]
+    /// for NULL): read it with [`with_codes`].
+    pub(crate) fn codes(&self) -> &Codes {
         &self.codes
     }
 
@@ -188,30 +345,43 @@ impl StrColumn {
         }
         (order, rank)
     }
-}
 
-impl PartialEq for StrColumn {
-    /// Content equality: the same cell in every row. Each code of `self`
-    /// is matched to a code of `other` by comparing the two strings once;
+    /// Whether `ours` (this column's codes) and `theirs` (`other`'s, at
+    /// the same width) hold the same cells. Each code of `self` is
+    /// matched to a code of `other` by comparing the two strings once;
     /// after that the rows compare as integers.
-    fn eq(&self, other: &Self) -> bool {
-        const UNMATCHED: u32 = StrColumn::NULL_CODE;
-        if self.len() != other.len() {
-            return false;
-        }
-        let mut matched = vec![UNMATCHED; self.dictionary.len()];
-        self.codes.iter().zip(&other.codes).all(|(&ours, &theirs)| {
-            let Some(slot) = matched.get_mut(ours as usize) else {
-                return theirs == Self::NULL_CODE;
+    fn same_cells<C: Code>(&self, ours: &[C], other: &Self, theirs: &[C]) -> bool {
+        // Codes of `self` not yet matched; NULL is never matched.
+        let mut matched = vec![C::NULL; self.dictionary.len()];
+        ours.iter().zip(theirs).all(|(&ours, &theirs)| {
+            let Some(slot) = matched.get_mut(ours.index()) else {
+                return theirs == C::NULL;
             };
-            let Some(entry) = other.dictionary.get(theirs as usize) else {
+            let Some(entry) = other.dictionary.get(theirs.index()) else {
                 return false;
             };
-            if *slot == UNMATCHED && *entry == self.dictionary[ours as usize] {
+            if *slot == C::NULL && *entry == self.dictionary[ours.index()] {
                 *slot = theirs;
             }
             *slot == theirs
         })
+    }
+}
+
+impl PartialEq for StrColumn {
+    /// Content equality: the same cell in every row. Columns with the same
+    /// cells have dictionaries of one length, so their codes share a
+    /// width.
+    fn eq(&self, other: &Self) -> bool {
+        if self.len() != other.len() || self.dictionary.len() != other.dictionary.len() {
+            return false;
+        }
+        match (&self.codes, &other.codes) {
+            (Codes::U8(ours), Codes::U8(theirs)) => self.same_cells(ours, other, theirs),
+            (Codes::U16(ours), Codes::U16(theirs)) => self.same_cells(ours, other, theirs),
+            (Codes::U32(ours), Codes::U32(theirs)) => self.same_cells(ours, other, theirs),
+            _ => unreachable!("the code width follows the dictionary length"),
+        }
     }
 }
 
@@ -393,9 +563,11 @@ impl Column {
                     .iter()
                     .map(|entry| ValueKey::Str(entry).fingerprint())
                     .collect();
-                for (hash, &code) in row_hashes.iter_mut().zip(v.codes()) {
-                    *hash = fold(*hash, entries.get(code as usize).copied().unwrap_or(null));
-                }
+                with_codes!(v.codes(), codes => {
+                    for (hash, &code) in row_hashes.iter_mut().zip(codes) {
+                        *hash = fold(*hash, entries.get(code.index()).copied().unwrap_or(null));
+                    }
+                });
             }
         }
     }

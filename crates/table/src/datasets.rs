@@ -20,13 +20,14 @@
 //!
 //! Generation is **columnar, one tight loop per column**. The row plan —
 //! group sizes and selectivities, then every row's shuffled `(group,
-//! label)`, packed into one `u32` cell, `group << 1 | label`, and
+//! label)`, packed into one byte, `group << 1 | label`, and
 //! shuffled in place — decides the predictor column and the hidden
 //! label, and with them every answer a `grade`, `expr` or `naive` query
 //! returns; both columns are read straight off the packed cells. Each
 //! auxiliary column is its own loop over the plan that pushes numbers
-//! into a typed vector (a label number per categorical cell; each label
-//! is rendered to a string once per value).
+//! into a typed vector (a one-byte label number per categorical cell,
+//! which becomes the column's code as it is; each label is rendered to a
+//! string once per value).
 //!
 //! **Lazy columns.** [`Dataset::generate`] builds only the predictor and
 //! the label. The other thirteen columns — the row ids and the auxiliary
@@ -91,7 +92,8 @@ pub struct DatasetSpec {
     pub name: &'static str,
     /// Total number of tuples.
     pub rows: usize,
-    /// Number of groups under the designated predictor column.
+    /// Number of groups under the designated predictor column, at most
+    /// [`MAX_GROUPS`].
     pub groups: usize,
     /// Overall (tuple-weighted) selectivity of the UDF predicate.
     pub selectivity: f64,
@@ -193,7 +195,8 @@ impl Dataset {
     ///
     /// # Panics
     ///
-    /// If the spec has fewer than two groups, or fewer rows than groups.
+    /// If the spec has fewer than two groups or more than [`MAX_GROUPS`],
+    /// or fewer rows than groups.
     pub fn generate(spec: DatasetSpec, seed: u64) -> Self {
         let (plan, streams) = row_plan(&spec, seed);
         let eager =
@@ -276,12 +279,14 @@ impl Dataset {
 const GENERATOR_REVISION: u64 = 1;
 
 /// What a generated table's unbuilt columns are drawn from: its spec and
-/// seed, and, from the first build on, the row plan they re-derive.
+/// seed, and, from the first build on, the row plan they re-derive. The
+/// plan stays for the table's life, at one byte per row (a 20 000-row
+/// table keeps 20 KB).
 #[derive(Debug)]
 struct Recipe {
     spec: DatasetSpec,
     seed: u64,
-    plan: OnceLock<(Vec<u32>, Prng)>,
+    plan: OnceLock<(Vec<u8>, Prng)>,
 }
 
 impl Recipe {
@@ -320,20 +325,24 @@ impl ColumnSource for Recipe {
     }
 }
 
+/// The most groups a spec may have: a row-plan cell, `group << 1 |
+/// label`, is one byte.
+pub const MAX_GROUPS: usize = 127;
+
 /// The per-row plan — one packed cell per row, `group << 1 | label`
 /// ([`group_of`], [`label_of`]), shuffled so that physical row order
 /// carries no signal — and the PRNG the auxiliary columns' page streams
 /// are forked off. Each group's cells are laid down, its labels shuffled
 /// in place, and then the whole plan is shuffled: the draws and swaps of
 /// shuffling a label list per group and then a list of `(group, label)`
-/// pairs, on 4-byte cells.
-fn row_plan(spec: &DatasetSpec, seed: u64) -> (Vec<u32>, Prng) {
+/// pairs, on 1-byte cells.
+fn row_plan(spec: &DatasetSpec, seed: u64) -> (Vec<u8>, Prng) {
     let mut rng = Prng::seeded(seed ^ hash_name(spec.name));
     let (sizes, sels) = calibrate_groups(spec, &mut rng);
-    let mut plan: Vec<u32> = Vec::with_capacity(spec.rows);
+    let mut plan: Vec<u8> = Vec::with_capacity(spec.rows);
     for (g, (&t, &s)) in sizes.iter().zip(&sels).enumerate() {
         let correct = ((t as f64) * s).round().clamp(0.0, t as f64) as usize;
-        let (start, cell) = (plan.len(), (g as u32) << 1);
+        let (start, cell) = (plan.len(), (g as u8) << 1);
         plan.extend(std::iter::repeat_n(cell | 1, correct));
         plan.extend(std::iter::repeat_n(cell, t - correct));
         rng.shuffle(&mut plan[start..]);
@@ -343,12 +352,12 @@ fn row_plan(spec: &DatasetSpec, seed: u64) -> (Vec<u32>, Prng) {
 }
 
 /// The group of a row-plan cell.
-fn group_of(cell: u32) -> usize {
+fn group_of(cell: u8) -> usize {
     (cell >> 1) as usize
 }
 
 /// The ground-truth label of a row-plan cell.
-fn label_of(cell: u32) -> bool {
+fn label_of(cell: u8) -> bool {
     cell & 1 != 0
 }
 
@@ -366,7 +375,10 @@ fn hash_name(name: &str) -> u64 {
 /// and correlation as closely as positivity allows.
 fn calibrate_groups(spec: &DatasetSpec, rng: &mut Prng) -> (Vec<usize>, Vec<f64>) {
     let k = spec.groups;
-    assert!(k >= 2, "need at least two groups");
+    assert!(
+        (2..=MAX_GROUPS).contains(&k),
+        "need two to {MAX_GROUPS} groups, not {k}"
+    );
     assert!(
         spec.rows >= k,
         "need at least one row per group: {} rows for {k} groups",
@@ -728,7 +740,7 @@ fn page_stream(streams: &Prng, column: usize, page: usize) -> Prng {
 /// One column's cells over `plan` — whole pages' rows, the first of them
 /// page `first_page` — each page drawn from its own stream.
 fn draw_column<T>(
-    plan: &[u32],
+    plan: &[u8],
     streams: &Prng,
     column: usize,
     first_page: usize,
@@ -752,16 +764,18 @@ fn draw_column<T>(
 /// once per value, into the column's dictionary.
 fn build_column(
     spec: &DatasetSpec,
-    plan: &[u32],
+    plan: &[u8],
     streams: &Prng,
     first_page: usize,
     idx: usize,
 ) -> Column {
     let k = spec.groups;
-    // One rendered label per value a column can take; values no row drew
-    // (small tables) and labels two groups share (letters wrap after `Z`)
-    // are `StrColumn::from_dictionary`'s to tidy.
-    let categorical = |card: usize, codes: Vec<u32>, render: &dyn Fn(usize) -> String| {
+    // One rendered label per value a column can take, and one byte per
+    // cell (every column takes fewer than 255 values), which the column
+    // keeps as its codes; values no row drew (small tables) and labels two
+    // groups share (letters wrap after `Z`) are
+    // `StrColumn::from_dictionary`'s to tidy.
+    let categorical = |card: usize, codes: Vec<u8>, render: &dyn Fn(usize) -> String| {
         let dictionary: Vec<String> = (0..card).map(render).collect();
         Column::Str(
             StrColumn::from_dictionary(&dictionary, codes).expect("labels are below `card`"),
@@ -774,13 +788,13 @@ fn build_column(
             Column::Int(ids.map(|r| Some(r as i64)).collect())
         }
         PREDICTOR_AT => {
-            let codes = plan.iter().map(|&row| group_of(row) as u32).collect();
+            let codes = plan.iter().map(|&row| group_of(row) as u8).collect();
             categorical(k, codes, &|g| group_label(spec.predictor, g))
         }
         _ if idx < AUX_AT => {
             let noisy = NoisyGroup::new(NOISY_PREDICTORS[idx - NOISY_AT].1, k);
             let codes = draw_column(plan, streams, idx, first_page, |rng, group, _| {
-                noisy.draw(rng, group)
+                noisy.draw(rng, group) as u8
             });
             categorical(k, codes, &|g| group_label("noisy", g))
         }
@@ -788,14 +802,14 @@ fn build_column(
             let (name, strength, card) = AUX_CATEGORICALS[idx - AUX_AT];
             let law = LabelDriven::new(strength, card);
             let codes = draw_column(plan, streams, idx, first_page, |rng, _, label| {
-                law.draw(rng, label)
+                law.draw(rng, label) as u8
             });
             categorical(card, codes, &|v| format!("{name}_{v}"))
         }
         _ if idx < NUMERIC_AT => {
             let (name, card) = NOISE_CATEGORICALS[idx - NOISE_AT];
             let codes = draw_column(plan, streams, idx, first_page, |rng, _, _| {
-                rng.below(card) as u32
+                rng.below(card) as u8
             });
             categorical(card, codes, &|v| format!("{name}_{v}"))
         }
@@ -836,7 +850,7 @@ mod tests {
     /// `first_page`, in schema order.
     fn build_columns(
         spec: &DatasetSpec,
-        plan: &[u32],
+        plan: &[u8],
         streams: &Prng,
         first_page: usize,
     ) -> Vec<Column> {
@@ -1347,6 +1361,13 @@ mod tests {
     #[should_panic(expected = "at least one row per group")]
     fn generate_refuses_fewer_rows_than_groups() {
         Dataset::generate(DatasetSpec { rows: 7, ..PROSPER }, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "need two to 127 groups, not 128")]
+    fn generate_refuses_more_groups_than_a_plan_byte_holds() {
+        let groups = MAX_GROUPS + 1;
+        Dataset::generate(DatasetSpec { groups, ..PROSPER }, 3);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! primitive keys, the (small) dictionary is sorted, and a dense `u32`
 //! code per row is remapped into final group ids. A string column
 //! already *is* a dictionary plus codes ([`StrColumn`]), so it skips the
-//! hashing pass: sort its dictionary, remap its codes — or copy them,
-//! when the dictionary is already in key order and no row is NULL.
+//! hashing pass: sort its dictionary, remap its codes — or widen them to
+//! `u32`, when the dictionary is already in key order and no row is NULL
+//! — in one loop compiled for the width the column stores them at.
 //!
 //! [`GroupCodes::to_group_by`] turns the codes into the pipelines'
 //! grouping in one more word-major pass: each 64-row word ORs its rows
@@ -30,7 +31,7 @@
 //! `expred_core::ml`: the per-row code replaces a per-cell heap `String`, and
 //! the dictionary is rendered to strings once per *distinct* value.
 
-use crate::column::{Column, StrColumn};
+use crate::column::{with_codes, Code, Column, StrColumn};
 use crate::table::GroupBy;
 use crate::value::{total_order_bits, Value};
 use std::collections::hash_map::Entry;
@@ -168,25 +169,15 @@ impl Column {
 
 /// [`dictionary_codes`] for a column that is stored dictionary-encoded:
 /// rank the (few) distinct strings, then remap every row's code in one
-/// pass — no cell is hashed or compared.
+/// pass at the width the column stores — no cell is hashed or compared.
 fn str_codes(column: &StrColumn) -> GroupCodes {
     let (order, rank) = column.dictionary_order();
     let has_null = column.null_count() > 0;
     let remap: Vec<u32> = rank.iter().map(|r| r + has_null as u32).collect();
     // A dictionary stored in key order without NULLs (a generated
-    // predictor's) keeps its codes: a copy, not a pass.
-    let in_order = (0..).zip(&remap).all(|(code, &to)| to == code);
-    let codes = if in_order && !has_null {
-        column.codes().to_vec()
-    } else {
-        // NULL's code lies past every dictionary entry, so the one bounds
-        // check also sends NULL rows to group 0.
-        column
-            .codes()
-            .iter()
-            .map(|&code| remap.get(code as usize).copied().unwrap_or(0))
-            .collect()
-    };
+    // predictor's) keeps its codes: they are only widened.
+    let in_order = !has_null && (0..).zip(&remap).all(|(code, &to)| to == code);
+    let codes = with_codes!(column.codes(), codes => group_ids(codes, &remap, in_order));
     let entries = column.dictionary();
     let keys = has_null
         .then_some(Value::Null)
@@ -198,6 +189,20 @@ fn str_codes(column: &StrColumn) -> GroupCodes {
         )
         .collect();
     GroupCodes { codes, keys }
+}
+
+/// One group id per stored code: the code itself when `in_order`, else
+/// its `remap` entry. NULL's code lies past every dictionary entry, so
+/// the one bounds check also sends NULL rows to group 0.
+fn group_ids<C: Code>(codes: &[C], remap: &[u32], in_order: bool) -> Vec<u32> {
+    if in_order {
+        codes.iter().map(|&code| code.index() as u32).collect()
+    } else {
+        codes
+            .iter()
+            .map(|&code| remap.get(code.index()).copied().unwrap_or(0))
+            .collect()
+    }
 }
 
 #[cfg(test)]

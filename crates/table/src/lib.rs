@@ -12,13 +12,17 @@
 //! numeric columns are typed vectors — `Vec<Option<bool>>`,
 //! `Vec<Option<i64>>`, `Vec<Option<f64>>` — with `None` as NULL. String
 //! columns are **dictionary-encoded** ([`column::StrColumn`]): each
-//! distinct string is stored once, every row carries a `u32` code, and
-//! NULL is the reserved code `u32::MAX`. There is one string
-//! representation, whatever the cardinality; equality is by *content*
-//! (two columns with the same cells are equal however their dictionaries
-//! are ordered); and the one cost is stated plainly: an all-distinct
-//! string column pays 4 B/row of codes plus a dictionary slot and an
-//! interning-index entry per row on top of its strings.
+//! distinct string is stored once, and every row carries a code at the
+//! narrowest width the dictionary allows — a byte up to 255 entries, two
+//! bytes up to 65 535, four beyond — with NULL as the width's maximum
+//! value ([`column::Code::NULL`]). A push that outgrows the width
+//! re-stores the codes one width up, and every reader of the codes is
+//! generic over the width. There is one string representation, whatever
+//! the cardinality; equality is by *content* (two columns with the same
+//! cells are equal however their dictionaries are ordered); and the one
+//! cost is stated plainly: an all-distinct string column pays 2–4 B/row
+//! of codes plus a dictionary slot and an interning-index entry per row on
+//! top of its strings.
 //! [`value::Value`] is a *cell view* for ingestion, display, and group
 //! keys; it is materialized at the edges, never stored per cell. A table
 //! is built a row at a time ([`table::Table::push_row`], what [`csv`]
@@ -33,8 +37,8 @@
 //!   encodes a column into dense group ids plus a key-sorted dictionary
 //!   in one typed pass (byte-identical output to the scalar
 //!   hash-per-cell reference the property tests keep); on a string
-//!   column it sorts the stored dictionary and remaps the stored codes,
-//!   hashing nothing.
+//!   column it sorts the stored dictionary and remaps the stored codes at
+//!   their width, hashing nothing.
 //!   Also the substrate for one-hot feature encoding in `expred_core::ml`.
 //! * [`stats`] — [`stats::ColumnStats`], a column's NULL and distinct
 //!   counts.

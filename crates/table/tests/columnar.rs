@@ -3,6 +3,7 @@
 //! a `Vec<Option<String>>` for the column, `Table::from_rows` for the
 //! table.
 
+use expred_table::column::Code;
 use expred_table::{Column, ColumnStats, DataType, Field, Schema, StrColumn, Table, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -44,7 +45,7 @@ fn from_untidy_dictionary(cells: &[Option<String>]) -> Column {
         .iter()
         .enumerate()
         .map(|(row, cell)| match cell {
-            None => StrColumn::NULL_CODE,
+            None => <u32 as Code>::NULL,
             Some(s) => {
                 let first = 1 + 2 * distinct.iter().position(|entry| *entry == s).unwrap();
                 (first + row % 2) as u32
