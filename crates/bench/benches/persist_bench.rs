@@ -25,8 +25,9 @@
 //!   per persisted row of the first (which encodes every page, as every
 //!   compaction did before pages could leave RAM; the second copies the
 //!   frames of the pages that left); `longest_append_stall`, the worst
-//!   latency of a re-offer to a live table's namespace (which needs the
-//!   index lock and nothing else) issued while either compaction ran —
+//!   latency of a re-offer of a row of namespace 0 (which needs the index
+//!   lock, and reads the row's page back from disk once after a
+//!   compaction wrote it whole) issued while either compaction ran —
 //!   what a request's append waits for a compaction's two holds of the
 //!   lock (one lists every page, sharing resident planes behind an `Arc`;
 //!   one adopts the new snapshot); and `extra_heap_bytes`, the most heap
@@ -210,21 +211,16 @@ fn main() {
     let snap_dir = scratch("snapshot");
     let (namespaces, table_rows) = (25u64, if smoke { 4_000u32 } else { 20_000 });
     let persisted = namespaces * table_rows as u64;
-    // Namespace 0 is a live table's (retained, as the engine retains a
-    // registered table), and the prober re-offers its rows; no table
-    // holds the other 24.
-    let ns_key = |n: u64| PersistKey {
-        udf: n,
-        version: key.version + u64::from(n == 0),
-        ..key
-    };
+    // The prober re-offers a row of namespace 0: once a compaction has
+    // written its page whole, the page is on disk, and the first re-offer
+    // after it reads the page back under the lock.
+    let ns_key = |n: u64| PersistKey { udf: n, ..key };
     let store = PersistStore::open(PersistConfig::new(&snap_dir).with_compact_after(0))
         .expect("open snapshot store");
     let table = pages_of((0..table_rows as usize).map(|i| (i, i % 3 == 0)));
     for n in 0..namespaces {
         store.append_pages(ns_key(n), &table);
     }
-    store.retain(ns_key(0).table, ns_key(0).version);
     store.sync().expect("flush before compacting");
     // One compaction with a prober appending beside it: its time, and
     // the prober's worst wait.
@@ -247,8 +243,8 @@ fn main() {
             (secs, prober.join().expect("prober"))
         })
     };
-    // The first compaction encodes every page; the pages no table holds
-    // then leave RAM, and the second copies their frames.
+    // The first compaction encodes every page, and every page leaves
+    // RAM; the second copies the frames of those still on disk.
     let heap_before = Counting::reset_peak();
     let (compact_secs, encode_stall) = compact_probed();
     let (copy_secs, copy_stall) = compact_probed();

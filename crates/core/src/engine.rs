@@ -30,8 +30,10 @@
 //! a state is left (a dropped table, or one mutated into a new state),
 //! the row tier's liveness sweep drops its namespaces and signals its
 //! death to the engine's one sink, which removes its outcomes from the
-//! result memo and, with persistence wired, releases its state in the
-//! durable store, whose pages then leave RAM once a snapshot holds them.
+//! result memo and, with persistence wired, forgets its durable
+//! registration. The durable store needs no word of it: a page leaves
+//! its RAM once a snapshot frame holds all of its rows, live table or
+//! dead.
 //! The table memo (partitions, dictionaries) lives inside the
 //! table and goes with its last clone. The signal names tables the row
 //! tier has seen: an outcome over a table whose UDFs have no stable
@@ -563,8 +565,8 @@ impl QueryEngine {
     }
 
     /// Snapshots the durable index into the next generation now and
-    /// waits for it; an `Err` means no snapshot was written. The pages of
-    /// tables no longer live then leave the store's RAM
+    /// waits for it; an `Err` means no snapshot was written. Every page
+    /// the snapshot holds whole then leaves the store's RAM
     /// ([`PersistSessionStats::resident_pages`]). A no-op without
     /// persistence. `pub` as a test seam: only tests and benches in other
     /// crates call it.

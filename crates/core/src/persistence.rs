@@ -29,18 +29,14 @@
 //!   expression optimizer reads ([`CacheStore::pass_rate`]), so a
 //!   restarted session plans as the one that paid for the answers did.
 //! * **Hand-off** (a table dies): the row tier drops a dead table's
-//!   namespaces and offers each one's pages once more, outside its lock
-//!   and never from inside a prefill. The offer deduplicates against the
-//!   durable index, so rows already durable add no WAL record, and rows
-//!   that missed an earlier offer still reach the store, as
-//!   [`crate::QueryEngine::flush_persistence`] would have sent them. Then
-//!   the layer forgets the table's registration
-//!   ([`SpillSink::table_dropped`]) and releases its state in the store
-//!   ([`PersistStore::release`]): once no live table holds the state, its
-//!   pages leave the store's RAM as soon as a snapshot frame holds each
-//!   one whole, and a later registration reads them back. So the
-//!   registry and the durable index's RAM, too, are bounded by the tables
-//!   that are live. A superseded state leaves the same way.
+//!   namespaces and names the table dead ([`SpillSink::table_dropped`]);
+//!   the layer forgets its registration, so the registry is bounded by
+//!   the tables that are live. Nothing is offered again: every answer
+//!   reached the store as it entered the row tier, since a submit
+//!   registers its table before anything is inserted. The store decides
+//!   alone which pages stay in its RAM: a page stays only while no
+//!   snapshot frame holds all of its rows, and a later registration
+//!   reads the rest back from their frames.
 //!
 //! No clock is read on either path: an answer is a fixed property of its
 //! row under one table version, so a rehydrated answer is as good as the
@@ -87,7 +83,8 @@ expred_stats::counter_set! {
         /// Corrupt/truncated tail bytes discarded at open.
         tail_bytes_discarded,
         /// Pages of the durable index held in RAM when the snapshot was
-        /// taken (a level, not a count: the rest wait on disk).
+        /// taken: those no snapshot frame holds whole yet (a level, not a
+        /// count: the rest wait on disk).
         resident_pages,
         /// Rows of fresh cache writes offered to the store.
         spilled_offers,
@@ -155,9 +152,6 @@ impl PersistLayer {
         let schema_fp = ds.table.schema().fingerprint();
         let version = ds.table.version();
         slot.insert(TableReg { schema_fp, version });
-        // The state's pages stay in the store's RAM while this table is
-        // live (`table_dropped` releases them).
-        self.store.retain(schema_fp, version);
         // Hydrate while holding the write lock: it happens once per table
         // state, and racing submits must not observe "registered" before
         // the prefill has landed (they would pay o_e for persisted rows).
@@ -230,11 +224,7 @@ impl SpillSink for PersistLayer {
 
     fn table_dropped(&self, table: u64) {
         let mut tables = self.tables.write().unwrap_or_else(|e| e.into_inner());
-        let reg = tables.remove(&table);
-        drop(tables);
-        if let Some(reg) = reg {
-            self.store.release(reg.schema_fp, reg.version);
-        }
+        tables.remove(&table);
     }
 }
 

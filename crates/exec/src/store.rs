@@ -65,10 +65,11 @@
 //! fresh id), so the store drops it. The sweep runs on the borrow's
 //! write-lock path once the namespaces have doubled since the last
 //! sweep, so its work is O(1) per borrow, and [`CacheStore::num_namespaces`]
-//! runs it on demand. A swept namespace's pages are offered to the spill
-//! sink once more, after the store's lock is released, and then the sink
-//! hears that the table is gone ([`SpillSink::table_dropped`]). The row
-//! tier is thus bounded by the tables that are live.
+//! runs it on demand. Once the store's lock is released, the sink hears
+//! that each swept table is gone ([`SpillSink::table_dropped`]) and the
+//! swept namespaces are freed. Their answers are not offered again: the
+//! sink heard each one as it entered. The row tier is thus bounded by
+//! the tables that are live.
 //!
 //! # Consistency contract
 //!
@@ -98,12 +99,10 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 /// durable registration), and offers reach disk only when persistence
 /// is wired. A bare store has no sink until [`CacheStore::set_spill`].
 ///
-/// A sink hears about every answer that *enters* a namespace (fresh
-/// evaluations — the invoker only writes through on fresh). It does not
-/// hear [`CacheStore::prefill`]ed entries as they land: those came *from*
-/// the sink. It hears every row of a namespace once more when the
-/// namespace's table dies (see the module docs), prefilled rows included,
-/// so an answer the sink could not take earlier still gets to it.
+/// A sink hears each answer exactly once: as it *enters* a namespace
+/// (fresh evaluations — the invoker only writes through on fresh). It
+/// never hears [`CacheStore::prefill`]ed entries: those came *from* the
+/// sink. A table's death offers nothing (see the module docs).
 ///
 /// An offer is one batch of one namespace as `(page number, planes)`
 /// pairs, ascending by page, none of them empty. Rows may repeat across
@@ -116,10 +115,9 @@ pub trait SpillSink: Send + Sync + std::fmt::Debug {
     fn spill(&self, namespace: CacheNamespace, pages: &[(usize, PagePlanes)]);
 
     /// Hears that the table with instance id `table` has died: the store
-    /// has dropped its namespaces, each offered once through
-    /// [`SpillSink::spill`] just before. No borrow can name the table
-    /// again, so whatever the sink keeps for it can go. The default
-    /// forgets nothing.
+    /// has dropped its namespaces. No borrow can name the table again, so
+    /// whatever the sink keeps for it can go. The default forgets
+    /// nothing.
     fn table_dropped(&self, _table: u64) {}
 }
 
@@ -454,14 +452,6 @@ struct Namespaces {
     swept_at: usize,
 }
 
-/// What a liveness sweep dropped, to hand the spill sink once the
-/// store's lock is released.
-#[derive(Debug, Default)]
-struct Swept {
-    caches: Vec<Arc<NamespaceCache>>,
-    tables: Vec<u64>,
-}
-
 impl Namespaces {
     /// Whether the namespaces have more than doubled since the last
     /// sweep: the sweep's work, one look per namespace, is then paid for
@@ -470,22 +460,20 @@ impl Namespaces {
         self.map.len() > 2 * self.swept_at
     }
 
-    /// Drops every namespace whose owner is dead and returns them. Their
-    /// entries count as invalidated.
-    fn sweep(&mut self, stats: &AtomicStats) -> Swept {
-        let mut swept = Swept::default();
-        self.map.retain(|namespace, entry| {
-            if entry.owner.strong_count() > 0 {
-                return true;
+    /// Drops every namespace whose owner is dead and returns their
+    /// caches, to be freed once the lock is released. Their entries count
+    /// as invalidated.
+    fn sweep(&mut self, stats: &AtomicStats) -> Vec<Arc<NamespaceCache>> {
+        let mut swept = Vec::new();
+        self.map.retain(|_, entry| {
+            let live = entry.owner.strong_count() > 0;
+            if !live {
+                swept.push(Arc::clone(&entry.cache));
             }
-            swept.caches.push(Arc::clone(&entry.cache));
-            swept.tables.push(namespace.table);
-            false
+            live
         });
         self.swept_at = self.map.len();
-        swept.tables.sort_unstable();
-        swept.tables.dedup();
-        let dropped: usize = swept.caches.iter().map(|cache| cache.len()).sum();
+        let dropped: usize = swept.iter().map(|cache| cache.len()).sum();
         stats
             .invalidated
             .fetch_add(dropped as u64, Ordering::Relaxed);
@@ -529,25 +517,21 @@ impl StoreInner {
         Arc::clone(&entry.cache)
     }
 
-    /// Hands the spill sink what a sweep dropped: each namespace's pages
-    /// once, then each dead table. Called with the store's lock released,
-    /// since the sink may take locks of its own.
-    fn retire(&self, swept: Swept) {
-        if swept.tables.is_empty() {
+    /// Names each table a sweep dropped a namespace of dead to the spill
+    /// sink, once, and frees the dropped caches. Called with the store's
+    /// lock released, since the sink may take locks of its own.
+    fn retire(&self, swept: Vec<Arc<NamespaceCache>>) {
+        if swept.is_empty() {
             return;
         }
+        let mut tables: Vec<u64> = swept.iter().map(|cache| cache.namespace.table).collect();
+        tables.sort_unstable();
+        tables.dedup();
         let sink = self.spill.read().unwrap_or_else(|e| e.into_inner()).clone();
-        let Some(sink) = sink else {
-            return;
-        };
-        for cache in swept.caches {
-            let pages = cache.planes();
-            if !pages.is_empty() {
-                sink.spill(cache.namespace, &pages);
+        if let Some(sink) = sink {
+            for table in tables {
+                sink.table_dropped(table);
             }
-        }
-        for table in swept.tables {
-            sink.table_dropped(table);
         }
     }
 }
@@ -583,8 +567,8 @@ impl CacheStore {
     /// state (the namespace exists) is one map lookup under the shared
     /// read lock, so worker threads starting queries do not serialize on
     /// each other. A borrow that takes the write lock also runs the
-    /// liveness sweep when it is due, and offers what it swept to the
-    /// sink after releasing the lock.
+    /// liveness sweep when it is due, and names the tables it swept dead
+    /// to the sink after releasing the lock.
     pub fn handle<T: Any + Send + Sync>(
         &self,
         namespace: CacheNamespace,
@@ -599,7 +583,7 @@ impl CacheStore {
         let swept = if guard.sweep_due() {
             guard.sweep(&self.inner.stats)
         } else {
-            Swept::default()
+            Vec::new()
         };
         drop(guard);
         self.inner.retire(swept);
@@ -611,9 +595,9 @@ impl CacheStore {
     /// and returns the number of rows loaded. The pages land as a
     /// [`CacheHandle::insert_pages`] batch does, a word at a time. The
     /// loaded entries came *from* the sink, and prefill never runs the
-    /// liveness sweep (whose offers reach the sink), so prefill is safe
-    /// to call while holding locks the sink would re-take. A batch with
-    /// no rows creates no namespace. The planes are only read, so a
+    /// liveness sweep (whose death signals reach the sink), so prefill is
+    /// safe to call while holding locks the sink would re-take. A batch
+    /// with no rows creates no namespace. The planes are only read, so a
     /// caller may hand over shared ones (`Arc<PagePlanes>`, as the
     /// durable store's read-back gives them) without copying.
     pub fn prefill<T: Any + Send + Sync, P: Borrow<PagePlanes>>(
@@ -668,7 +652,7 @@ impl CacheStore {
 
     /// Number of namespaces the store holds once the liveness sweep has
     /// dropped those of dead tables: it runs the sweep now, whether due
-    /// or not, and hands the sink what it dropped.
+    /// or not, and names the tables it dropped dead to the sink.
     pub fn num_namespaces(&self) -> usize {
         let mut guard = self.inner.write();
         let swept = guard.sweep(&self.inner.stats);
@@ -906,7 +890,7 @@ mod tests {
     }
 
     #[test]
-    fn a_dead_tables_namespaces_are_offered_once_and_dropped() {
+    fn a_dead_tables_namespaces_are_offered_nothing_and_dropped_once() {
         let store = CacheStore::new();
         let sink = Arc::new(RecordingSink::default());
         store.set_spill(Some(sink.clone() as Arc<dyn SpillSink>));
@@ -926,10 +910,10 @@ mod tests {
         assert_eq!(store.num_namespaces(), 1);
         assert_eq!(store.len(), 1);
         assert_eq!(store.stats().invalidated, 2);
-        // Each dead namespace was offered once, prefilled rows included,
-        // and then the table was named dropped, once.
-        let retired = sink.offers()[fresh.len()..].to_vec();
-        assert_eq!(retired, [(ns(1, 9), 3, true), (ns(1, 9), 4, false)]);
+        // The sink heard each answer as it entered, and nothing more: the
+        // dead namespaces are offered nothing, and the table is named
+        // dropped, once.
+        assert_eq!(sink.offers(), fresh, "a death offers nothing");
         assert_eq!(sink.dropped(), [9]);
         assert_eq!(store.num_namespaces(), 1);
         assert_eq!(sink.dropped(), [9], "a table is dropped once");

@@ -10,8 +10,7 @@
 //!   and insertions, and offer the spill sink exactly the row each
 //!   `insert` wrote (while `prefill` offers nothing);
 //! * once the table's owner dies, drop its namespace at the next sweep,
-//!   offering the sink every row it held in one offer, and naming the
-//!   table dropped once;
+//!   offering the sink nothing and naming the table dropped once;
 //! * land a batch of pages (`insert_pages`) exactly as the per-row loop
 //!   over its rows, ascending, would: contents, `len`, statistics and
 //!   the rows the sink was offered — across page edges and over rows
@@ -114,8 +113,7 @@ struct Tally {
 /// Drives `store` and the reference map through `ops`, checking that
 /// the store answers like the map, that each insert offers `sink` exactly
 /// its own row, that a prefill offers nothing, and that a dead table's
-/// rows are offered once, together. Returns the tally and the rows
-/// offered.
+/// rows are not offered again. Returns the tally and the rows offered.
 fn drive(
     store: &CacheStore,
     sink: &RecordingSink,
@@ -177,13 +175,9 @@ fn drive(
                 // The last clone goes; a rebuilt table gets a new owner.
                 drop(std::mem::replace(&mut owner, Arc::new(())));
                 prop_assert_eq!(store.num_namespaces(), 0);
-                let mut held: Vec<(usize, bool)> = model.drain().collect();
-                held.sort_unstable();
-                let offers = sink.offers();
-                let retired: &[Vec<(usize, bool)>] = if held.is_empty() { &[] } else { &[held] };
-                prop_assert_eq!(&offers[heard..], retired, "one offer of every held row");
+                model.clear();
+                prop_assert_eq!(sink.offers().len(), heard, "a death offered");
                 prop_assert_eq!(&sink.dropped()[dropped..], &[NS.table]);
-                offered.extend(retired.iter().flatten().map(|&(row, _)| row));
             }
         }
         prop_assert_eq!(store.len(), model.len());
@@ -216,8 +210,8 @@ proptest! {
             Tally { hits: stats.hits, misses: stats.misses, insertions: stats.insertions }
         );
         prop_assert_eq!(stats.evictions, 0);
-        // The rows offered are the rows inserted or retired: a prefilled
-        // row is offered only when its table dies.
+        // The rows offered are the rows inserted: a prefilled row is
+        // never offered.
         prop_assert_eq!(sink.rows(), offered);
     }
 

@@ -27,10 +27,10 @@
 //!   those pages — one CRC-checked page image each — in a
 //!   generation-numbered file written with the index lock released, as
 //!   temp-then-rename, so a crash at any byte leaves either the old
-//!   generation or the new one, never a half state. Only live tables'
-//!   pages stay in RAM: a page no live table holds waits in its snapshot
-//!   frame, and is read back when a table of its state registers again.
-//!   Appends arrive and rehydration leaves as the same pages.
+//!   generation or the new one, never a half state. A page stays in RAM
+//!   only while no snapshot frame holds all of its rows: the rest wait
+//!   in their frames, read back for a rehydration or an append that
+//!   needs them. Appends arrive and rehydration leaves as the same pages.
 //! * **Rehydration**: namespaces are keyed by `(udf fingerprint, schema
 //!   fingerprint, table version)` — all process-independent — and the
 //!   engine checks versions on load, so a persisted namespace whose

@@ -17,7 +17,7 @@
 //! flusher thread drains the queue in batches, appends the frames to the
 //! current WAL file, and fsyncs per [`FsyncPolicy`].
 //!
-//! # The index: live tables' pages in RAM, the rest on disk
+//! # The index: pages no snapshot holds in RAM, the rest on disk
 //!
 //! A namespace is pages of 4 096 rows, each a [`PagePlanes`] — a `known`
 //! and an `answer` bit plane — or the place of its latest full image on
@@ -26,22 +26,18 @@
 //! generation). An answer never expires: it is a fixed property of its
 //! row under one table version, so the index keeps no clock.
 //!
-//! A page is resident while a table of its state (schema fingerprint,
-//! version) is live, and while no snapshot holds all of its rows. The
-//! engine says which states are live: [`PersistStore::retain`] when it
-//! registers a table, [`PersistStore::release`] when the table dies.
-//! Once the last live table of a state is released, each of its pages
-//! leaves RAM as soon as a snapshot frame holds all of its rows: at once
-//! if the last compaction wrote it so, or else when the next one does.
-//! So the RAM the index holds follows the live tables, not every table
-//! the store has seen. Rehydration ([`PersistStore::pages`]) reads a page
-//! that left RAM back from its frame, CRC-checked, and the page stays
-//! resident while its state is live. An append to a page that left RAM
-//! (the engine appends only for live tables, so only a bare store does)
-//! reads it back under the lock first. A frame that no longer reads back
-//! costs its page's rows — a re-buy, never a wrong answer. Opening a
-//! store indexes its snapshot without loading it: a page whose only
-//! image is a snapshot frame stays on disk.
+//! One rule decides which pages are in RAM: a page's planes stay only
+//! while no snapshot frame holds all of its rows. A compaction writes
+//! every page whole, so each page whose rows did not change meanwhile
+//! leaves RAM as it ends. So the RAM the index holds is the rows bought
+//! since the last compaction, not every table the store has seen.
+//! Rehydration ([`PersistStore::pages`]) reads a page on disk back from
+//! its frame, CRC-checked, for the caller only. An append to a page on
+//! disk reads it back under the lock first, and the page stays resident
+//! until the next compaction writes it whole again. A frame that no
+//! longer reads back costs its page's rows — a re-buy, never a wrong
+//! answer. Opening a store indexes its snapshot without loading it: a
+//! page whose only image is a snapshot frame stays on disk.
 //!
 //! A resident page's planes sit behind an `Arc`, so a compaction or a
 //! reader takes a clone under the lock and reads the planes after it. An
@@ -98,7 +94,7 @@ use crate::format::{
     PagePlanes, PersistKey, Record, HEADER_LEN, MAX_PAGE_IMAGE_FRAME, PAGE_LIMIT, PAGE_ROWS,
     PAGE_WORDS,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Read, Write};
 use std::num::NonZeroU32;
@@ -280,12 +276,6 @@ impl Page {
             (None, image) => image.map_or(0, |image| image.rows),
         }
     }
-
-    /// Whether a snapshot frame holds every row of the page, so that its
-    /// planes may leave RAM.
-    fn on_disk(&self) -> bool {
-        self.image.is_some_and(|image| image.rows == self.rows())
-    }
 }
 
 /// One namespace: its pages, ascending by number.
@@ -372,15 +362,12 @@ fn merge_shared(planes: &mut Arc<PagePlanes>, word: usize, known: u64, answer: u
     Arc::make_mut(planes).merge(word, known, answer)
 }
 
-/// The authoritative image of the store — the live tables' pages in RAM,
-/// where the rest are on disk. The WAL and snapshots only exist to
-/// rebuild this after a restart.
+/// The authoritative image of the store — the pages no snapshot holds
+/// in RAM, where the rest are on disk. The WAL and snapshots only exist
+/// to rebuild this after a restart.
 #[derive(Debug, Default)]
 struct Index {
     namespaces: BTreeMap<Slot, Namespace>,
-    /// Live tables per table state (schema fingerprint, version): while
-    /// a state has one, its pages stay resident.
-    live: HashMap<(u64, u64), usize>,
     /// The read handle of the current snapshot, the one every image is
     /// in.
     snapshot: Option<Arc<File>>,
@@ -394,7 +381,6 @@ impl Index {
         let Self {
             namespaces,
             snapshot,
-            ..
         } = self;
         let Page { planes, image, .. } = namespaces.entry(slot).or_default().page(page);
         planes.get_or_insert_with(|| {
@@ -760,7 +746,9 @@ impl PersistStore {
     /// new row as a `Row` record, two or more as one `PageImage` frame
     /// holding just those rows — shedding the oldest pending frames if
     /// the flusher is a queue behind (see the module docs). Never blocks
-    /// on disk, but for a page that left RAM, which it reads back first.
+    /// on disk, but for a page a snapshot holds whole, which it reads back
+    /// first — a re-offer too — and which then stays resident until the
+    /// next compaction writes it whole again.
     pub fn append_pages(&self, key: PersistKey, pages: &[(usize, PagePlanes)]) {
         let mut frames = Vec::new();
         let mut appended = 0;
@@ -859,39 +847,6 @@ impl PersistStore {
         Ok(())
     }
 
-    /// Marks one more table of the state `(table, version)` — schema
-    /// fingerprint and version, as in [`PersistKey`] — live: the state's
-    /// pages stay resident, or come back as [`PersistStore::pages`] reads
-    /// them, until [`PersistStore::release`] balances this call.
-    pub fn retain(&self, table: u64, version: u64) {
-        *self
-            .shared
-            .index()
-            .live
-            .entry((table, version))
-            .or_default() += 1;
-    }
-
-    /// Balances one [`PersistStore::retain`]. Once no table of the state
-    /// is live, each of its pages leaves RAM as soon as a snapshot frame
-    /// holds all of its rows: now, or at the next compaction.
-    pub fn release(&self, table: u64, version: u64) {
-        let mut index = self.shared.index();
-        let Some(live) = index.live.get_mut(&(table, version)) else {
-            return;
-        };
-        *live -= 1;
-        if *live > 0 {
-            return;
-        }
-        index.live.remove(&(table, version));
-        for (_, ns) in index.namespaces.range_mut(state_range(table, version)) {
-            for page in ns.pages.iter_mut().filter(|page| page.on_disk()) {
-                page.planes = None;
-            }
-        }
-    }
-
     /// Every persisted namespace key.
     pub fn namespaces(&self) -> Vec<PersistKey> {
         let index = self.shared.index();
@@ -917,17 +872,17 @@ impl PersistStore {
     }
 
     /// The pages persisted under `key`, ascending — what rehydration
-    /// copies into the live cache. The planes are shared with the index,
-    /// not copied (an append copies a shared page before it writes); a
-    /// page that left RAM is read back from its snapshot frame outside
-    /// the lock (CRC-checked; one that does not read back is dropped, its
-    /// rows re-bought), and stays resident while its state is live.
+    /// copies into the live cache. A resident page's planes are shared
+    /// with the index, not copied (an append copies a shared page before
+    /// it writes); a page on disk is read back from its snapshot frame
+    /// outside the lock, CRC-checked, for the caller only. A frame that
+    /// does not read back is skipped (its rows are re-bought), and the
+    /// next compaction, which checks it again, drops its page.
     pub fn pages(&self, key: PersistKey) -> Option<Vec<(usize, Arc<PagePlanes>)>> {
-        let slot = slot(key);
         let (mut pages, mut away) = (Vec::new(), Vec::new());
         let file = {
             let index = self.shared.index();
-            let ns = index.namespaces.get(&slot)?;
+            let ns = index.namespaces.get(&slot(key))?;
             for page in &ns.pages {
                 match (&page.planes, page.image) {
                     (Some(planes), _) => pages.push((page.number as usize, Arc::clone(planes))),
@@ -937,45 +892,10 @@ impl PersistStore {
             }
             index.snapshot.clone()
         };
-        if away.is_empty() {
-            return Some(pages);
-        }
-        let read: Vec<(u32, Image, Option<Arc<PagePlanes>>)> = away
-            .into_iter()
-            .map(|(page, image)| {
-                let planes = file
-                    .as_deref()
-                    .and_then(|file| read_image(file, image, key, page));
-                (page, image, planes)
-            })
-            .collect();
-        {
-            let mut index = self.shared.index();
-            let live = index.live.contains_key(&(key.table, key.version));
-            if let Some(ns) = index.namespaces.get_mut(&slot) {
-                for (page, image, planes) in &read {
-                    // Only a page still where it was read from: one that
-                    // came back or moved meanwhile is someone else's.
-                    let Ok(at) = ns.find(*page) else {
-                        continue;
-                    };
-                    let entry = &mut ns.pages[at];
-                    if entry.planes.is_some() || entry.image != Some(*image) {
-                        continue;
-                    }
-                    match planes {
-                        Some(planes) if live => entry.planes = Some(Arc::clone(planes)),
-                        Some(_) => {}
-                        None => {
-                            ns.pages.remove(at);
-                        }
-                    }
-                }
-            }
-        }
-        let read = read
-            .into_iter()
-            .filter_map(|(page, _, planes)| Some((page as usize, planes?)));
+        let read = away.into_iter().filter_map(|(page, image)| {
+            let planes = read_image(file.as_deref()?, image, key, page)?;
+            Some((page as usize, planes))
+        });
         pages.extend(read);
         pages.sort_unstable_by_key(|&(page, _)| page);
         Some(pages)
@@ -1163,8 +1083,8 @@ fn write_snapshot(
 /// counts are equal rows, and a page that gained rows has no full image
 /// until the next compaction. A page on disk counts only if it is still
 /// where it was copied from; if its frame did not read back and it is
-/// still not resident, it goes (its rows are re-bought). A page on disk
-/// whose state no table holds live leaves RAM. The planes that leave RAM
+/// still not resident, it goes (its rows are re-bought). Every page whose
+/// new frame holds all of its rows leaves RAM. The planes that leave RAM
 /// and the retired snapshot handle are dropped with the lock released.
 fn adopt_snapshot(shared: &Shared, taken: &[Taken], file: File) {
     let (file, mut evicted) = (Arc::new(file), Vec::new());
@@ -1172,12 +1092,10 @@ fn adopt_snapshot(shared: &Shared, taken: &[Taken], file: File) {
     let mut index = shared.index();
     let Index {
         namespaces,
-        live,
         snapshot,
     } = &mut *index;
     let retired = snapshot.replace(file);
     for (&slot, ns) in namespaces.iter_mut() {
-        let live = live.contains_key(&(slot.0, slot.1));
         ns.pages.retain_mut(|page| {
             let at = (slot, page.number);
             while taken.next_if(|t| t.at < at).is_some() {}
@@ -1185,14 +1103,12 @@ fn adopt_snapshot(shared: &Shared, taken: &[Taken], file: File) {
             let went = went.filter(|t| t.from.is_none() || t.from == page.image);
             let rows = page.rows();
             page.image = went.and_then(|t| t.to).filter(|to| to.rows == rows);
-            if !live && page.image.is_some() {
+            if page.image.is_some() {
                 evicted.extend(page.planes.take());
             }
             page.planes.is_some() || page.image.is_some()
         });
-        if !live {
-            ns.pages.shrink_to_fit();
-        }
+        ns.pages.shrink_to_fit();
     }
     drop(index);
     drop((evicted, retired));

@@ -122,7 +122,7 @@ fn a_compaction_that_copies_frames_recovers_one_whole_generation() {
         expected(),
         "copied pages read back in place"
     );
-    assert_eq!(store.resident_pages(), 0, "no table holds a page");
+    assert_eq!(store.resident_pages(), 0, "a snapshot holds every page");
     drop(store);
 
     // The new snapshot holds every untouched page's old frame, byte for
@@ -240,6 +240,56 @@ fn a_frame_that_rots_after_the_open_is_dropped_not_copied() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_frame_that_rots_under_an_open_store_is_skipped_by_reads_and_dropped_by_the_next_compaction() {
+    let dir = unique_dir("rot-read");
+    let store = open(&dir);
+    for n in 0..NAMESPACES {
+        store.append_pages(key(n), &pages(&first_rows(n)));
+    }
+    store.compact().expect("first compaction");
+    assert_eq!(store.resident_pages(), 0, "every page is on disk");
+
+    // One byte of the third frame rots under the open store.
+    let snapshot = dir.join("snapshot-000001");
+    let mut bytes = std::fs::read(&snapshot).expect("the snapshot");
+    let rotten: Vec<u8> = frames(&bytes)[2].to_vec();
+    let at = HEADER_LEN + frames(&bytes)[..2].iter().map(|f| f.len()).sum::<usize>() + 40;
+    bytes[at] ^= 0x5a;
+    std::fs::write(&snapshot, &bytes).expect("rot one byte");
+    let (lost, page) = match decode_frame(&rotten).expect("the frame as written").0 {
+        expred_persist::Record::PageImage { key, page, .. } => (key, page as usize),
+        other => panic!("not a page image: {other:?}"),
+    };
+
+    // A read skips the rotten page and serves every other one intact,
+    // and leaves them all on disk.
+    for n in 0..NAMESPACES {
+        let mut want = pages(&first_rows(n));
+        want.retain(|&(number, _)| key(n) != lost || number != page);
+        let got = store.pages(key(n)).expect("the namespace");
+        let got: Vec<(usize, PagePlanes)> = got
+            .into_iter()
+            .map(|(number, planes)| (number, (*planes).clone()))
+            .collect();
+        assert_eq!(got, want, "namespace {n}");
+    }
+    assert_eq!(store.resident_pages(), 0, "a read keeps nothing in RAM");
+
+    // The next compaction checks the frame again and drops its page.
+    let all: usize = expected_first().values().map(Vec::len).sum();
+    let lost_rows = pages(&first_rows(lost.udf))
+        .iter()
+        .find(|&&(number, _)| number == page)
+        .map(|(_, planes)| planes.len())
+        .expect("the rotten page");
+    store.compact().expect("the compaction after the rot");
+    assert_eq!(store.len(), all - lost_rows, "the rotten page is gone");
+    assert_eq!(store.resident_pages(), 0);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every namespace's first-life rows.
 fn expected_first() -> BTreeMap<PersistKey, Vec<(u32, bool)>> {
     (0..NAMESPACES).map(|n| (key(n), first_rows(n))).collect()
@@ -255,46 +305,41 @@ fn snapshot_digest(dir: &Path, generation: u64) -> u64 {
 
 #[test]
 fn compactions_write_the_pinned_snapshot_bytes() {
-    // One single-threaded life over a retained state and a released one:
-    // the first compaction encodes every page and the released state's
-    // pages leave RAM; appends to both states follow; the second
-    // compaction encodes the pages in RAM and copies the frames of the
-    // rest. Whatever way a compaction walks the index, it writes these
-    // bytes.
-    let retained = PersistKey {
+    // One single-threaded life over two states: the first compaction
+    // encodes every page, and every page leaves RAM; appends to both
+    // states follow, reading the pages they touch back; the second
+    // compaction encodes those and copies the frames of the rest.
+    // Whatever way a compaction walks the index, it writes these bytes.
+    let a = PersistKey {
         udf: 1,
         table: 0xa,
         version: 1,
     };
-    let released = PersistKey {
+    let b = PersistKey {
         udf: 2,
         table: 0xb,
         version: 1,
     };
     let dir = unique_dir("pin");
     let store = open(&dir);
-    store.retain(retained.table, retained.version);
-    store.retain(released.table, released.version);
-    store.append_pages(retained, &pages(&first_rows(0)));
-    store.append_pages(released, &pages(&first_rows(1)));
-    store.release(released.table, released.version);
+    store.append_pages(a, &pages(&first_rows(0)));
+    store.append_pages(b, &pages(&first_rows(1)));
     store.compact().expect("the compaction that encodes");
-    assert_eq!(store.resident_pages(), 3, "the retained state's pages");
+    assert_eq!(store.resident_pages(), 0, "a snapshot holds every page");
     let first = std::fs::read(dir.join("snapshot-000001")).expect("snapshot 1");
     let mut digests = vec![snapshot_digest(&dir, 1)];
 
-    store.append_pages(retained, &pages(&second_rows(0)));
-    store.append_pages(released, &pages(&[(5, true), (9_001, false)]));
+    store.append_pages(a, &pages(&second_rows(0)));
+    store.append_pages(b, &pages(&[(5, true), (9_001, false)]));
     store
         .compact()
         .expect("the compaction that encodes and copies");
-    assert_eq!(store.resident_pages(), 4, "the retained state's pages");
+    assert_eq!(store.resident_pages(), 0, "a snapshot holds every page");
     digests.push(snapshot_digest(&dir, 2));
     let second = std::fs::read(dir.join("snapshot-000002")).expect("snapshot 2");
     let (old, new) = (frames(&first), frames(&second));
     let copied = new.iter().filter(|frame| old.contains(frame)).count();
-    // The retained state's untouched pages encode to their old bytes,
-    // and the released state's untouched page is copied.
+    // Each state's untouched pages keep their old bytes.
     assert_eq!((new.len(), copied), (7, 3));
     drop(store);
 
@@ -302,7 +347,7 @@ fn compactions_write_the_pinned_snapshot_bytes() {
     let mut want = first_rows(1);
     want.extend([(5, true), (9_001, false)]);
     want.sort_unstable();
-    assert_eq!(reopened.rows(released), Some(want));
+    assert_eq!(reopened.rows(b), Some(want));
     assert_eq!(digests, [0xd77b_ae60_474d_ac67, 0x4a48_e71c_56c6_2214]);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -282,16 +282,16 @@ fn appends_racing_compactions_all_survive_the_reopen() {
 
 #[test]
 fn reads_and_appends_racing_compactions_see_only_growth() {
-    // One appender and one `pages` reader per state, a retained state
-    // (its pages stay in RAM) and a released one (a compaction writes its
-    // pages out of RAM, and the next append or read brings them back),
-    // while the main thread compacts over and over: each read holds every
-    // row that reader saw before, with the same answer, and the reopen
-    // must hold all of it.
+    // One appender and one `pages` reader per state, over two states (a
+    // compaction writes their pages out of RAM, and the next append
+    // brings one back, or a read reads it from its frame), while the
+    // main thread compacts over and over: each read holds every row that
+    // reader saw before, with the same answer, and the reopen must hold
+    // all of it.
     const BATCHES: u32 = 60;
     const BATCH: u32 = 150;
-    let retained = PersistKey { udf: 1, ..KEY };
-    let released = PersistKey {
+    let first = PersistKey { udf: 1, ..KEY };
+    let second = PersistKey {
         udf: 2,
         table: KEY.table + 1,
         ..KEY
@@ -302,12 +302,9 @@ fn reads_and_appends_racing_compactions_see_only_growth() {
             .with_compact_after(1_000)
             .with_queue_capacity(1 << 20);
         let store = PersistStore::open(config).expect("open store");
-        store.retain(retained.table, retained.version);
-        store.retain(released.table, released.version);
-        store.release(released.table, released.version);
         let (start, done) = (Barrier::new(5), std::sync::atomic::AtomicBool::new(false));
         std::thread::scope(|scope| {
-            let appenders: Vec<_> = [retained, released]
+            let appenders: Vec<_> = [first, second]
                 .into_iter()
                 .map(|key| {
                     let (store, start) = (&store, &start);
@@ -325,7 +322,7 @@ fn reads_and_appends_racing_compactions_see_only_growth() {
                     })
                 })
                 .collect();
-            let readers: Vec<_> = [retained, released]
+            let readers: Vec<_> = [first, second]
                 .into_iter()
                 .map(|key| {
                     let (store, start, done) = (&store, &start, &done);
@@ -368,7 +365,7 @@ fn reads_and_appends_racing_compactions_see_only_growth() {
         assert!(store.stats().compactions >= 9);
     }
     let store = PersistStore::open(PersistConfig::new(&dir)).expect("reopen");
-    for key in [retained, released] {
+    for key in [first, second] {
         let rows = store.rows(key).expect("the namespace survived");
         assert_eq!(rows.len() as u32, BATCHES * BATCH, "{key:?}");
         for (&(row, answer), want) in rows.iter().zip(0u32..) {

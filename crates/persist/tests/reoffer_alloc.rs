@@ -1,8 +1,9 @@
 //! A re-offer is the hot deduplication path of every append: a row the
 //! index already holds changes nothing, so offering it again must not
-//! allocate — no copy of the page's planes, no frame for the WAL. A
-//! counting allocator, local to this binary, counts the calling thread's
-//! allocations.
+//! allocate — no copy of the page's planes, no frame for the WAL. A page
+//! a snapshot holds whole is on disk, so the first re-offer after a
+//! compaction reads it back, once. A counting allocator, local to this
+//! binary, counts the calling thread's allocations.
 
 use expred_persist::{PersistConfig, PersistKey, PersistStore};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -53,19 +54,30 @@ fn a_re_offer_to_a_resident_page_allocates_nothing() {
         table: 2,
         version: 3,
     };
-    store.retain(key.table, key.version);
     let pages = expred_stats::bits::pages_of((0..20_000).map(|row| (row, row % 3 == 0)));
-    store.append_pages(key, &pages);
-    // A compaction in between: its list shared the planes, and let go.
-    store.compact().expect("compact");
-    assert_eq!(store.resident_pages(), 5, "a live table's pages stay");
-
-    let before = allocations();
-    for _ in 0..10 {
+    let re_offer = || {
+        let before = allocations();
         store.append_pages(key, &pages);
         store.append_row(key, 7, false, 0);
+        allocations() - before
+    };
+    store.append_pages(key, &pages);
+    // No snapshot holds the pages yet, so they are resident.
+    assert_eq!(store.resident_pages(), 5);
+    for _ in 0..10 {
+        assert_eq!(re_offer(), 0, "a re-offer to resident pages allocated");
     }
-    assert_eq!(allocations() - before, 0, "re-offers allocated");
+
+    // A compaction writes every page whole, and they leave RAM. The
+    // first re-offer reads each page back once — a frame buffer and the
+    // planes' `Arc` — and later ones find them resident.
+    store.compact().expect("compact");
+    assert_eq!(store.resident_pages(), 0, "a snapshot holds every page");
+    assert_eq!(re_offer(), 2 * 5, "each page read back once");
+    assert_eq!(store.resident_pages(), 5);
+    for _ in 0..10 {
+        assert_eq!(re_offer(), 0, "a re-offer to read-back pages allocated");
+    }
     assert_eq!(store.stats().appended, 20_000);
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);

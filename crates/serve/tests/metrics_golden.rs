@@ -11,9 +11,9 @@
 //! durable golden changed twice: when the engine stopped persisting
 //! pass-rate counters, its `selectivity_seeded` line and key were cut,
 //! and `flushed` fell by the one counter record its scenario used to
-//! write (321 → 320); when the durable index began to keep only live
-//! tables' pages in RAM, the persistence section gained
-//! `resident_pages` (1: the scenario's one live page). A third test
+//! write (321 → 320); when the durable index began to let pages leave
+//! RAM, the persistence section gained `resident_pages` (1: the one page
+//! no snapshot holds yet). A third test
 //! holds the two exports to one set of sections and counters, so they
 //! cannot drift apart again.
 //!

@@ -14,9 +14,11 @@
 //! * A table that dies takes its row-tier answers with it, not its
 //!   durable ones: under a shedding WAL queue, every answer of every
 //!   dropped table still rehydrates after a restart.
-//! * The durable index keeps in RAM only the pages of live tables: a
-//!   dead table's pages wait on disk, and a later registration reads
-//!   them back: its answers are byte-identical and buy nothing.
+//! * The durable index keeps a page in RAM only while no snapshot frame
+//!   holds all of its rows, live table or dead: after a compaction every
+//!   page waits on disk, a live table that buys rows brings the pages
+//!   they land on back until the next one, and a later registration
+//!   reads a page back: its answers are byte-identical and buy nothing.
 
 use expred::core::{PersistConfig, QueryEngine, QueryRequest, QuerySpec};
 use expred::table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
@@ -380,6 +382,46 @@ fn dead_tables_pages_leave_ram_and_come_back_byte_identical() {
     let stats = b.persist_stats().expect("stats");
     assert!(stats.rehydrated_rows > 0, "the answers came from disk");
     assert!(paid > 0);
+    drop(b);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_live_tables_pages_leave_ram_once_a_snapshot_holds_them() {
+    let dir = unique_dir("live-resident");
+    let q = QueryRequest::naive(QuerySpec::paper_default());
+    let a = persistent(&dir);
+    let resident = || a.persist_stats().expect("stats").resident_pages;
+    // Three tables stay live throughout; each is asked once.
+    let live: Vec<Dataset> = (0..3).map(|seed| prosper(9_000, 20_000 + seed)).collect();
+    let mut asked = Vec::new();
+    for (table, ds) in live.iter().enumerate() {
+        asked.push((table, 1, a.submit(ds, &q.clone().with_seed(1)).unwrap()));
+    }
+    assert!(resident() > 0, "no snapshot holds the bought pages yet");
+    a.compact_persistence().expect("compact");
+    assert_eq!(resident(), 0, "a snapshot holds every live table's page");
+
+    // One live table buys new rows: the pages they land on are read back
+    // and stay in RAM until the next compaction writes them whole.
+    let bought = a.submit(&live[0], &q.clone().with_seed(2)).unwrap();
+    assert!(bought.counts.evaluated > 0, "the new seed bought rows");
+    asked.push((0, 2, bought));
+    assert!(resident() > 0, "the pages the new rows landed on");
+    a.compact_persistence().expect("compact");
+    assert_eq!(resident(), 0, "the next snapshot holds them");
+    drop(a);
+
+    // A restarted engine replays every request and buys nothing.
+    let b = persistent(&dir);
+    for (table, seed, first) in &asked {
+        let again = b
+            .submit(&live[*table], &q.clone().with_seed(*seed))
+            .unwrap();
+        assert_eq!(again.returned, first.returned, "table {table}, seed {seed}");
+        assert_eq!(again.summary, first.summary, "table {table}, seed {seed}");
+    }
+    assert_eq!(b.session_counts().evaluated, 0, "the replay bought nothing");
     drop(b);
     let _ = std::fs::remove_dir_all(&dir);
 }
