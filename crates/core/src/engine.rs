@@ -15,6 +15,19 @@
 //! request copies nothing. The answer inside is the bit plane the
 //! pipeline filled ([`RunOutcome::returned`]), never an id list.
 //!
+//! Equal answers share one plane. Once a table's rows are decided,
+//! §4.2's reuse rule (an evaluated tuple is returned, or dropped,
+//! without being evaluated again) gives every Intel-Sample-family
+//! request over it the same answer — the decided positives — whatever
+//! its seed. So before a fresh outcome enters the memo its plane is
+//! interned: the engine keeps a weak map from (table id, popcount) to
+//! the distinct planes it has handed out, and a plane whose words equal
+//! one still held is swapped for that one. Planes whose words differ
+//! are never merged. The map holds no plane alive: an entry dies with
+//! the last outcome holding its plane, the dead ones are swept once the
+//! map has doubled since its last sweep, and a dead table's entries
+//! leave with the table (below).
+//!
 //! The two tiers compose:
 //!
 //! 1. **Row tier** ([`CacheStore`]) — namespaced by `(udf, table id)`;
@@ -30,10 +43,10 @@
 //! a state is left (a dropped table, or one mutated into a new state),
 //! the row tier's liveness sweep drops its namespaces and signals its
 //! death to the engine's one sink, which removes its outcomes from the
-//! result memo and, with persistence wired, forgets its durable
-//! registration. The durable store needs no word of it: a page leaves
-//! its RAM once a snapshot frame holds all of its rows, live table or
-//! dead.
+//! result memo and its planes from the interning map and, with
+//! persistence wired, forgets its durable registration. The durable
+//! store needs no word of it: a page leaves its RAM once a snapshot
+//! frame holds all of its rows, live table or dead.
 //! The table memo (partitions, dictionaries) lives inside the
 //! table and goes with its last clone. The signal names tables the row
 //! tier has seen: an outcome over a table whose UDFs have no stable
@@ -117,21 +130,24 @@ use expred_persist::{PagePlanes, PersistConfig, PersistError, PersistStore};
 use expred_stats::counters::{CounterSet, Section};
 use expred_stats::hash::{fnv1a, Fnv64};
 use expred_table::datasets::Dataset;
-use expred_table::{DerivedCacheStats, DerivedCounters};
+use expred_table::{DerivedCacheStats, DerivedCounters, RowSet};
 use expred_udf::{CostCounts, CostTracker};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Duration;
 
 /// Default bound on memoized whole-query outcomes. An entry holds its
-/// answer as a plane — table rows / 8 bytes (2.5 KB over 20 000 rows,
-/// whatever the answer's size) plus a few hundred bytes of identity and
-/// bill — so a full memo over 20 000-row tables is about 3 MB. A dead
-/// table's outcomes leave with it ([`EngineSink`]), so the bound binds
-/// only the live tables' outcomes: distinct seeds over one live table
-/// are unbounded.
+/// identity, bill and map slots, ≈ 330 bytes, and shares its answer's
+/// plane — table rows / 8 bytes, 2.5 KB over 20 000 rows whatever the
+/// answer's size — with every other outcome of its table that returns
+/// the same rows ([`AnswerPlanes`]). So a full memo over 20 000-row
+/// tables is ≈ 0.33 MB plus 2.5 KB per distinct answer
+/// (`tests/memo_bytes.rs` pins one answer at ≤ 512 KB), and about 3 MB
+/// only when every answer differs. A dead table's outcomes leave with
+/// it ([`EngineSink`]), so the bound binds only the live tables'
+/// outcomes: distinct seeds over one live table are unbounded.
 pub(crate) const DEFAULT_RESULT_MEMO_CAPACITY: usize = 1024;
 
 expred_stats::counter_set! {
@@ -194,14 +210,109 @@ impl ResultKey {
 /// The memo of whole outcomes: request identity -> the shared outcome.
 type Results = ResultMemo<ResultKey, Arc<RunOutcome>>;
 
+/// The answer planes the engine's outcomes share: each distinct plane
+/// of a table is held once, however many outcomes return it (see the
+/// module docs). Weak, so a plane leaves with the last outcome that
+/// holds it.
+#[derive(Debug, Default)]
+struct AnswerPlanes(Mutex<PlaneMap>);
+
+/// What [`AnswerPlanes`] guards.
+#[derive(Debug, Default)]
+struct PlaneMap {
+    /// (table id, popcount) -> the planes interned under it.
+    planes: HashMap<(u64, usize), Interned>,
+    /// The planes `planes` names, held or not.
+    len: usize,
+    /// The planes the last sweep of dead entries left: the next sweep
+    /// runs once the map has doubled past it, before the plane that
+    /// doubled it is interned.
+    swept: usize,
+}
+
+/// The distinct planes interned under one key: they share a popcount,
+/// not their words. The first is inline, so a key naming one plane —
+/// almost every key — allocates nothing of its own.
+#[derive(Debug)]
+struct Interned {
+    first: Weak<RowSet>,
+    rest: Vec<Weak<RowSet>>,
+}
+
+impl Interned {
+    /// Drops the planes no outcome holds; `false` when none is left.
+    fn sweep(&mut self) -> bool {
+        self.rest.retain(|plane| plane.strong_count() > 0);
+        if self.first.strong_count() == 0 {
+            match self.rest.pop() {
+                Some(plane) => self.first = plane,
+                None => return false,
+            }
+        }
+        true
+    }
+}
+
+impl PlaneMap {
+    /// Keeps the entries of the tables `keep` accepts whose planes are
+    /// still held.
+    fn sweep(&mut self, keep: impl Fn(u64) -> bool) {
+        let mut len = 0;
+        self.planes.retain(|&(table, _), interned| {
+            let kept = keep(table) && interned.sweep();
+            len += if kept { 1 + interned.rest.len() } else { 0 };
+            kept
+        });
+        (self.len, self.swept) = (len, len);
+    }
+}
+
+impl AnswerPlanes {
+    /// The one shared copy of `plane`'s rows over table `table`: a plane
+    /// with equal words interned earlier and still held, or else `plane`
+    /// itself, interned now.
+    fn intern(&self, table: u64, plane: Arc<RowSet>) -> Arc<RowSet> {
+        let mut map = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        if map.len >= 2 * map.swept {
+            map.sweep(|_| true);
+        }
+        let weak = Arc::downgrade(&plane);
+        match map.planes.entry((table, plane.len())) {
+            Entry::Occupied(mut entry) => {
+                let interned = entry.get_mut();
+                let held = std::iter::once(&interned.first).chain(&interned.rest);
+                let equal = held.filter_map(Weak::upgrade).find(|held| **held == *plane);
+                if let Some(held) = equal {
+                    return held;
+                }
+                interned.rest.push(weak);
+            }
+            Entry::Vacant(entry) => {
+                let rest = Vec::new();
+                entry.insert(Interned { first: weak, rest });
+            }
+        }
+        map.len += 1;
+        plane
+    }
+
+    /// Drops table `table`'s entries, and every dead one with them.
+    fn table_dropped(&self, table: u64) {
+        let mut map = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        map.sweep(|held| held != table);
+    }
+}
+
 /// The one sink every engine installs on its row tier. The store's
 /// liveness sweep is the engine's death signal: when a table dies, its
-/// memoized outcomes leave the result memo, and with persistence wired
-/// the durable layer forgets the table too. Page offers go on to the
-/// durable layer, or nowhere on an in-memory engine.
+/// memoized outcomes leave the result memo and its planes the interning
+/// map, and with persistence wired the durable layer forgets the table
+/// too. Page offers go on to the durable layer, or nowhere on an
+/// in-memory engine.
 #[derive(Debug)]
 struct EngineSink {
     results: Arc<Results>,
+    planes: Arc<AnswerPlanes>,
     persist: Option<Arc<PersistLayer>>,
 }
 
@@ -214,6 +325,7 @@ impl SpillSink for EngineSink {
 
     fn table_dropped(&self, table: u64) {
         self.results.retain(|key| key.table != table);
+        self.planes.table_dropped(table);
         if let Some(layer) = &self.persist {
             layer.table_dropped(table);
         }
@@ -260,6 +372,9 @@ pub struct QueryEngine {
     /// Shared with the store's sink ([`EngineSink`]), which removes a
     /// dead table's outcomes.
     results: Arc<Results>,
+    /// The distinct answer planes the memo's outcomes share; shared with
+    /// the sink too, which drops a dead table's.
+    planes: Arc<AnswerPlanes>,
     udf_latency: Option<Duration>,
     stats: AtomicEngineStats,
     /// Cold-race waiter table.
@@ -296,6 +411,7 @@ impl QueryEngine {
             store: CacheStore::new(),
             session: CostTracker::new(),
             results: Arc::new(ResultMemo::with_capacity(DEFAULT_RESULT_MEMO_CAPACITY)),
+            planes: Arc::default(),
             udf_latency: None,
             stats: AtomicEngineStats::default(),
             inflight: Mutex::new(HashMap::new()),
@@ -312,6 +428,7 @@ impl QueryEngine {
     fn install_sink(&self) {
         let sink = EngineSink {
             results: Arc::clone(&self.results),
+            planes: Arc::clone(&self.planes),
             persist: self.persist.clone(),
         };
         self.store.set_spill(Some(Arc::new(sink)));
@@ -478,8 +595,9 @@ impl QueryEngine {
     }
 
     /// Runs the strategy for one non-memoized request, folds its bill
-    /// into the session, and publishes the outcome to the result memo.
-    /// A strategy error is propagated without billing or memoizing.
+    /// into the session, and publishes the outcome to the result memo,
+    /// its answer interned first ([`AnswerPlanes`]). A strategy error is
+    /// propagated without billing or memoizing.
     fn execute_fresh(
         &self,
         ds: &Dataset,
@@ -489,7 +607,9 @@ impl QueryEngine {
     ) -> Result<Arc<RunOutcome>, EngineError> {
         let outcome = {
             let ctx = self.context();
-            Arc::new(req.strategy().execute(ds, req.seed(), &ctx)?)
+            let mut outcome = req.strategy().execute(ds, req.seed(), &ctx)?;
+            outcome.returned = self.planes.intern(identity.table, outcome.returned);
+            Arc::new(outcome)
         };
         self.session.absorb(&outcome.counts);
         self.results.insert(key, identity, Arc::clone(&outcome));
@@ -579,13 +699,14 @@ impl QueryEngine {
     /// Pushes the session's durable state to disk and waits for it:
     /// re-offers every live row-tier entry (catching answers whose table
     /// was unregistered at insert time; already-persisted ones
-    /// deduplicate to no-ops), compacts if any WAL row was ever shed (a
-    /// shed row lives only in the store's in-memory index — re-offers
-    /// dedup against the index without re-enqueuing, so only a snapshot
-    /// of the index gets it to disk), and blocks until everything
-    /// accepted so far is fsynced. The answers are the whole durable
-    /// state: the pass rates the optimizer reads come back with them. A
-    /// no-op without persistence.
+    /// deduplicate to no-ops, and a page whose snapshot frame holds
+    /// exactly the offered rows is not read back), compacts if any WAL
+    /// row was ever shed (a shed row lives only in the store's in-memory
+    /// index — re-offers dedup against the index without re-enqueuing,
+    /// so only a snapshot of the index gets it to disk), and blocks
+    /// until everything accepted so far is fsynced. The answers are the
+    /// whole durable state: the pass rates the optimizer reads come back
+    /// with them. A no-op without persistence.
     pub fn flush_persistence(&self) -> Result<(), PersistError> {
         let Some(layer) = &self.persist else {
             return Ok(());
@@ -1042,6 +1163,37 @@ mod tests {
         tables
     }
 
+    /// What the interning map holds.
+    #[derive(Debug)]
+    struct PlaneEntries {
+        /// The tables its keys name, ascending, each once.
+        tables: Vec<u64>,
+        keys: usize,
+        /// The planes its keys name, and how many of them an outcome
+        /// still holds.
+        planes: usize,
+        live: usize,
+    }
+
+    fn plane_entries(engine: &QueryEngine) -> PlaneEntries {
+        let map = engine.planes.0.lock().unwrap();
+        let mut tables: Vec<u64> = map.planes.keys().map(|&(table, _)| table).collect();
+        tables.sort_unstable();
+        tables.dedup();
+        let interned = map.planes.values();
+        let planes = interned.flat_map(|i| std::iter::once(&i.first).chain(&i.rest));
+        let (planes, live) = planes.fold((0, 0), |(planes, live), plane| {
+            (planes + 1, live + usize::from(plane.strong_count() > 0))
+        });
+        let keys = map.planes.len();
+        PlaneEntries {
+            tables,
+            keys,
+            planes,
+            live,
+        }
+    }
+
     /// A scratch directory for one test's durable store, emptied first.
     fn scratch_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("expred-engine-{name}-{}", std::process::id()));
@@ -1051,9 +1203,13 @@ mod tests {
 
     /// Runs `case` on an in-memory engine, then on a durable one built
     /// with persistence before the memo bound and on one built after it:
-    /// each must keep the engine's one sink whole.
-    fn with_each_wiring(name: &str, case: impl Fn(&str, &QueryEngine)) {
-        case("in-memory", &QueryEngine::new());
+    /// each must keep the engine's one sink whole. Every engine's memo
+    /// holds `capacity` outcomes.
+    fn with_each_wiring(name: &str, capacity: usize, case: impl Fn(&str, &QueryEngine)) {
+        case(
+            "in-memory",
+            &QueryEngine::new().with_result_capacity(capacity),
+        );
         let config = |order: &str| PersistConfig::new(scratch_dir(&format!("{name}-{order}")));
         let wirings = [
             (
@@ -1061,12 +1217,12 @@ mod tests {
                 QueryEngine::new()
                     .with_persistence(config("pc"))
                     .unwrap()
-                    .with_result_capacity(DEFAULT_RESULT_MEMO_CAPACITY),
+                    .with_result_capacity(capacity),
             ),
             (
                 "capacity, then persistence",
                 QueryEngine::new()
-                    .with_result_capacity(DEFAULT_RESULT_MEMO_CAPACITY)
+                    .with_result_capacity(capacity)
                     .with_persistence(config("cp"))
                     .unwrap(),
             ),
@@ -1101,7 +1257,7 @@ mod tests {
 
     #[test]
     fn a_dead_tables_outcomes_leave_the_memo() {
-        with_each_wiring("death", |wiring, engine| {
+        with_each_wiring("death", DEFAULT_RESULT_MEMO_CAPACITY, |wiring, engine| {
             let live = small_prosper(31);
             let dead = small_prosper(32);
             let (live_id, dead_id) = (live.table.id().as_u64(), dead.table.id().as_u64());
@@ -1114,12 +1270,20 @@ mod tests {
                 engine.submit(&dead, request).unwrap();
             }
             assert_eq!(memo_tables(engine), [live_id, dead_id], "{wiring}");
+            assert_eq!(plane_entries(engine).tables, [live_id, dead_id], "{wiring}");
             drop(dead);
             // Nothing is swept yet: the outcomes wait for the signal.
             assert_eq!(engine.results.len(), 14, "{wiring}");
             engine.store().num_namespaces();
             assert_eq!(memo_tables(engine), [live_id], "{wiring}");
             assert_eq!(engine.results.len(), kinds.len(), "{wiring}");
+            // The dead table's planes leave the interning map with them.
+            let held = plane_entries(engine);
+            assert_eq!(held.tables, [live_id], "{wiring}");
+            assert_eq!(
+                held.planes, held.live,
+                "{wiring}: the sweep kept a dead plane"
+            );
             // The live table's outcomes still hit, as the same allocation.
             let hits = engine.stats().result_hits;
             for ((kind, request), first) in kinds.iter().zip(&first) {
@@ -1133,7 +1297,7 @@ mod tests {
 
     #[test]
     fn a_superseded_states_outcomes_leave_the_memo() {
-        with_each_wiring("push", |wiring, engine| {
+        with_each_wiring("push", DEFAULT_RESULT_MEMO_CAPACITY, |wiring, engine| {
             let mut ds = small_prosper(33);
             let old = ds.table.id().as_u64();
             engine.submit(&ds, &intel_query().with_seed(1)).unwrap();
@@ -1151,7 +1315,7 @@ mod tests {
     fn churned_tables_leave_only_live_outcomes() {
         // Four threads each churn short-lived tables beside one live
         // table; the sweeps their borrows trigger race their inserts.
-        with_each_wiring("churn", |wiring, engine| {
+        with_each_wiring("churn", DEFAULT_RESULT_MEMO_CAPACITY, |wiring, engine| {
             let live = Dataset::generate(
                 DatasetSpec {
                     rows: 1_000,
@@ -1188,6 +1352,141 @@ mod tests {
                 }
             }
             assert_eq!(engine.stats().result_hits, hits + 24, "{wiring}");
+        });
+    }
+
+    #[test]
+    fn equal_answers_over_a_decided_table_share_one_plane() {
+        with_each_wiring("shared", DEFAULT_RESULT_MEMO_CAPACITY, |wiring, engine| {
+            let ds = small_prosper(34);
+            let kinds = http_kinds();
+            // The expression scan evaluates every row: its answer is the
+            // decided positives, and so is every §4 request's after it.
+            let (_, scan) = kinds.iter().find(|(kind, _)| *kind == "expr").unwrap();
+            let decided = engine.submit(&ds, scan).unwrap();
+            let family = [
+                "optimal",
+                "intel_sample",
+                "intel_sample auto",
+                "adaptive",
+                "iterative",
+            ];
+            for seed in [3, 4] {
+                for (kind, request) in kinds.iter().filter(|(kind, _)| family.contains(kind)) {
+                    let out = engine
+                        .submit(&ds, &request.clone().with_seed(seed))
+                        .unwrap();
+                    assert_eq!(out.counts.evaluated, 0, "{wiring}: {kind}");
+                    assert!(
+                        Arc::ptr_eq(&out.returned, &decided.returned),
+                        "{wiring}: {kind}, seed {seed}: a private copy of the decided answer"
+                    );
+                }
+            }
+            let held = plane_entries(engine);
+            assert_eq!(held.tables, [ds.table.id().as_u64()], "{wiring}");
+            assert_eq!((held.planes, held.live), (1, 1), "{wiring}");
+        });
+    }
+
+    /// Passes the rows `≡ phase (mod 4)`: the four phases' answers share
+    /// a popcount over any table of a multiple of 4 rows, not a word.
+    struct Stripe(u64);
+
+    impl expred_udf::BooleanUdf for Stripe {
+        fn evaluate(&self, _: &expred_table::Table, row: usize) -> bool {
+            row as u64 % 4 == self.0
+        }
+
+        fn fingerprint(&self) -> Option<expred_udf::UdfId> {
+            Some(expred_udf::UdfId::from_parts("stripe", &[self.0]))
+        }
+    }
+
+    #[test]
+    fn equal_popcounts_with_different_words_stay_distinct() {
+        with_each_wiring(
+            "distinct",
+            DEFAULT_RESULT_MEMO_CAPACITY,
+            |wiring, engine| {
+                let ds = small_prosper(35);
+                let rows = ds.table.num_rows();
+                let scan = |phase: u64| {
+                    let expr = expred_udf::Pred::udf(Stripe(phase));
+                    QueryRequest::expr_scan(expr, expred_udf::CostModel::PAPER_DEFAULT)
+                };
+                let mut first: Vec<Arc<RowSet>> = Vec::new();
+                for seed in 0..2 {
+                    for phase in 0..4 {
+                        let out = engine.submit(&ds, &scan(phase).with_seed(seed)).unwrap();
+                        let ids = (phase as u32..rows as u32).step_by(4);
+                        let reference = RowSet::from_ids(rows, ids);
+                        assert_eq!(out.returned.len(), rows / 4, "{wiring}");
+                        assert_eq!(out.returned.words(), reference.words(), "{wiring}: {phase}");
+                        match first.get(phase as usize) {
+                            Some(plane) => assert!(Arc::ptr_eq(plane, &out.returned), "{wiring}"),
+                            None => first.push(Arc::clone(&out.returned)),
+                        }
+                    }
+                }
+                for (i, a) in first.iter().enumerate() {
+                    assert!(first[..i].iter().all(|b| !Arc::ptr_eq(a, b)), "{wiring}");
+                }
+                let held = plane_entries(engine);
+                assert_eq!(held.tables, [ds.table.id().as_u64()], "{wiring}");
+                assert_eq!((held.keys, held.planes, held.live), (1, 4, 4), "{wiring}");
+            },
+        );
+    }
+
+    #[test]
+    fn churned_tables_keep_the_interning_map_near_its_live_planes() {
+        // The shape of `churned_tables_leave_only_live_outcomes`, under a
+        // memo small enough that the live table's outcomes evict each
+        // other: their planes die in the map, and only the sweeps clear
+        // them.
+        with_each_wiring("plane-churn", 16, |wiring, engine| {
+            let live = Dataset::generate(
+                DatasetSpec {
+                    rows: 1_000,
+                    ..PROSPER
+                },
+                41,
+            );
+            let spec = QuerySpec::paper_default();
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let live = &live;
+                    scope.spawn(move || {
+                        for i in 0..6u64 {
+                            let brief = Dataset::generate(
+                                DatasetSpec {
+                                    rows: 500,
+                                    ..PROSPER
+                                },
+                                200 + t * 10 + i,
+                            );
+                            engine.submit(&brief, &naive(spec, i)).unwrap();
+                            engine.submit(live, &naive(spec, t * 10 + i)).unwrap();
+                        }
+                    });
+                }
+            });
+            engine.store().num_namespaces();
+            let held = plane_entries(engine);
+            assert_eq!(held.tables, [live.table.id().as_u64()], "{wiring}");
+            assert_eq!(
+                held.planes, held.live,
+                "{wiring}: the sweep kept a dead plane"
+            );
+            // Past the last death, only the doubling sweep clears what
+            // the memo evicts.
+            for seed in 100..140 {
+                engine.submit(&live, &naive(spec, seed)).unwrap();
+                let held = plane_entries(engine);
+                assert!(held.planes <= 2 * held.live, "{wiring}: {held:?}");
+            }
+            assert!(engine.result_memo_stats().evictions > 0, "{wiring}");
         });
     }
 

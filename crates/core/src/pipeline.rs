@@ -20,10 +20,11 @@
 //!
 //! The answer is one bit plane from body to wire: a body fills a
 //! [`RowSet`] over the table's rows, the frame scores it by popcount and
-//! moves it into [`RunOutcome::returned`], the engine memoizes and shares
-//! that outcome behind an `Arc`, and the serving tier's writer walks the
-//! plane's words straight into the response body. No id list exists in
-//! between.
+//! moves it behind an `Arc` into [`RunOutcome::returned`], the engine
+//! memoizes and shares that outcome behind another — keeping each
+//! distinct answer of a table once, however many outcomes return it —
+//! and the serving tier's writer walks the plane's words straight into
+//! the response body. No id list exists in between.
 
 use crate::column_select::{rank_columns, virtual_column};
 use crate::error::EngineError;
@@ -126,8 +127,11 @@ impl IntelSampleConfig {
 pub struct RunOutcome {
     /// The rows returned as the query answer: the plane the pipeline
     /// body filled, over the table's rows — 8 rows a byte whatever the
-    /// answer's size. Read it with `len`/`contains`/`iter`/`to_vec`.
-    pub returned: RowSet,
+    /// answer's size. Read it with `len`/`contains`/`iter`/`to_vec`
+    /// through the `Arc`. Shared: the engine keeps each distinct answer
+    /// of a table once, so equal answers of many outcomes are one plane
+    /// ([`crate::QueryEngine`]'s module docs).
+    pub returned: Arc<RowSet>,
     /// Audited action counts (retrievals, UDF evaluations, memo hits).
     pub counts: CostCounts,
     /// Total cost under the query's cost model.
@@ -216,7 +220,7 @@ pub fn run_framed(
     );
     let counts = frame.invoker.counts();
     Ok(RunOutcome {
-        returned: answer.returned,
+        returned: Arc::new(answer.returned),
         counts,
         cost: counts.cost(cost),
         summary,

@@ -40,6 +40,7 @@ use expred_exec::ExecContext;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
 use expred_table::{DataType, RowSet, Table};
 use expred_udf::{evaluate_expr, BooleanUdf, CostModel, CostTracker, PredicateExpr};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One way of answering a query request: what
@@ -247,7 +248,7 @@ impl RunOutcome {
     fn trivial(returned: RowSet) -> Self {
         let returned_len = returned.len();
         Self {
-            returned,
+            returned: Arc::new(returned),
             counts: Default::default(),
             cost: 0.0,
             summary: PrSummary {

@@ -34,10 +34,13 @@
 //! Rehydration ([`PersistStore::pages`]) reads a page on disk back from
 //! its frame, CRC-checked, for the caller only. An append to a page on
 //! disk reads it back under the lock first, and the page stays resident
-//! until the next compaction writes it whole again. A frame that no
-//! longer reads back costs its page's rows — a re-buy, never a wrong
-//! answer. Opening a store indexes its snapshot without loading it: a
-//! page whose only image is a snapshot frame stays on disk.
+//! until the next compaction writes it whole again. An offer of exactly
+//! the rows a page's frame holds (told by count and a digest of the
+//! frame's `known` plane, kept beside its place) adds no row, and reads
+//! nothing back. A frame that no longer reads back costs its page's
+//! rows — a re-buy, never a wrong answer. Opening a store indexes its
+//! snapshot without loading it: a page whose only image is a snapshot
+//! frame stays on disk.
 //!
 //! A resident page's planes sit behind an `Arc`, so a compaction or a
 //! reader takes a clone under the lock and reads the planes after it. An
@@ -239,21 +242,39 @@ expred_stats::counter_set! {
 
 /// Where a page's latest full image is: the page-image frame of `len`
 /// bytes at `offset` in the snapshot its namespace names, holding `rows`
-/// answers.
+/// answers, whose `known` plane digests to `known`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Image {
     offset: u64,
     len: NonZeroU32,
     rows: u32,
+    known: u64,
 }
 
-/// The image of a frame of `len` bytes at `offset` holding `rows`
-/// answers (`None` only for an empty frame, which no frame is).
-fn image(offset: u64, len: usize, rows: usize) -> Option<Image> {
+/// The image of a frame of `len` bytes at `offset` holding `planes`
+/// (`None` only for an empty frame, which no frame is).
+fn image(offset: u64, len: usize, planes: &PagePlanes) -> Option<Image> {
     let len = NonZeroU32::new(u32::try_from(len).ok()?)?;
-    let rows = rows as u32;
-    Some(Image { offset, len, rows })
+    let rows = planes.len() as u32;
+    let known = known_digest(planes);
+    Some(Image {
+        offset,
+        len,
+        rows,
+        known,
+    })
 }
+
+/// A word-wise digest of `planes`' `known` plane. Each step is a
+/// bijection of the running value for a fixed word and of the word for
+/// a fixed running value, so planes differing in one word never collide.
+fn known_digest(planes: &PagePlanes) -> u64 {
+    let step = |digest: u64, &word: &u64| (digest.rotate_left(5) ^ word).wrapping_mul(DIGEST_MUL);
+    planes.known.iter().fold(0, step)
+}
+
+/// An odd multiplier with well-mixed bits (the one `FxHash` uses).
+const DIGEST_MUL: u64 = 0x517c_c1b7_2722_0a95;
 
 /// One page of a namespace: its planes while resident, and its latest
 /// full image on disk, if a snapshot holds one.
@@ -327,8 +348,9 @@ fn state_range(table: u64, version: u64) -> std::ops::RangeInclusive<Slot> {
 }
 
 /// Checks that `frame` is the page-image frame `image` names: its CRC,
-/// and that it holds page `page` of `key` with `image.rows` answers.
-/// Decodes the planes into `planes`, which start empty.
+/// and that it holds page `page` of `key` with `image.rows` answers
+/// whose `known` plane digests to `image.known`. Decodes the planes
+/// into `planes`, which start empty.
 fn check_image(
     frame: &[u8],
     image: Image,
@@ -338,6 +360,7 @@ fn check_image(
 ) -> bool {
     decode_page_image(frame, planes).is_ok_and(|at| at == (key, page, frame.len()))
         && planes.len() == image.rows as usize
+        && known_digest(planes) == image.known
 }
 
 /// Reads back the page-image frame `image` names from `file`, checked
@@ -374,6 +397,26 @@ struct Index {
 }
 
 impl Index {
+    /// Whether page `page` of `slot` is on disk in a frame that holds
+    /// exactly the rows `planes` knows — the same count, the same digest —
+    /// so that an offer of them adds no row and reads nothing back. (A
+    /// digest that matched rows it does not hold would cost the offer's
+    /// new rows their durability: a re-buy after a restart, never a
+    /// wrong answer.)
+    fn holds(&self, slot: Slot, page: u32, planes: &PagePlanes) -> bool {
+        let Some(ns) = self.namespaces.get(&slot) else {
+            return false;
+        };
+        let Ok(at) = ns.find(page) else {
+            return false;
+        };
+        let page = &ns.pages[at];
+        page.planes.is_none()
+            && page.image.is_some_and(|image| {
+                image.rows as usize == planes.len() && image.known == known_digest(planes)
+            })
+    }
+
     /// The planes of page `page` of `slot`, created empty if absent and
     /// read back from disk if the page left RAM (a frame that no longer
     /// reads back leaves the page empty: its rows are re-bought).
@@ -439,7 +482,7 @@ impl Index {
     fn load(&mut self, record: Record, offset: u64, len: usize) -> u64 {
         if let Record::PageImage { key, page, planes } = &record {
             let ns = self.namespaces.entry(slot(*key)).or_default();
-            if let (Err(at), Some(image)) = (ns.find(*page), image(offset, len, planes.len())) {
+            if let (Err(at), Some(image)) = (ns.find(*page), image(offset, len, planes)) {
                 let page = Page {
                     number: *page,
                     planes: None,
@@ -747,8 +790,10 @@ impl PersistStore {
     /// holding just those rows — shedding the oldest pending frames if
     /// the flusher is a queue behind (see the module docs). Never blocks
     /// on disk, but for a page a snapshot holds whole, which it reads back
-    /// first — a re-offer too — and which then stays resident until the
-    /// next compaction writes it whole again.
+    /// first and which then stays resident until the next compaction
+    /// writes it whole again — unless the offer knows exactly the rows
+    /// the page's frame holds (a re-offer of a live page), which adds no
+    /// row and reads nothing.
     pub fn append_pages(&self, key: PersistKey, pages: &[(usize, PagePlanes)]) {
         let mut frames = Vec::new();
         let mut appended = 0;
@@ -756,6 +801,9 @@ impl PersistStore {
             let mut index = self.shared.index();
             for (page, planes) in pages {
                 if *page >= PAGE_LIMIT || planes.is_empty() {
+                    continue;
+                }
+                if index.holds(slot(key), *page as u32, planes) {
                     continue;
                 }
                 let held = index.planes_mut(slot(key), *page as u32);
@@ -1055,7 +1103,7 @@ fn write_snapshot(
         let offset = written + start as u64;
         if let Some(planes) = page.planes.take() {
             encode_page_image(key_of(slot), number, &planes, &mut out);
-            page.to = image(offset, out.len() - start, planes.len());
+            page.to = image(offset, out.len() - start, &planes);
         } else if let (Some(from), Some(source)) = (page.from, source) {
             out.resize(start + from.len.get() as usize, 0);
             let frame = &mut out[start..];
@@ -1252,6 +1300,50 @@ mod tests {
             udf: n,
             table: 100 + n,
             version: 200 + n,
+        }
+    }
+
+    #[test]
+    fn an_offer_of_exactly_a_frames_rows_reads_nothing_back() {
+        let dir = tmpdir("frame-rows");
+        let rows = |range: std::ops::Range<usize>| {
+            expred_stats::bits::pages_of(range.map(|row| (row, row % 3 == 0)))
+        };
+        let pages = rows(0..5_000);
+        {
+            let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+            store.append_pages(key(1), &pages);
+            store.compact().unwrap();
+            assert_eq!(store.resident_pages(), 0);
+            // Images the compaction wrote.
+            store.append_pages(key(1), &pages);
+            assert_eq!(store.resident_pages(), 0, "a re-offer read a page back");
+        }
+        let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
+        let appended = store.stats().appended;
+        // Images the open indexed.
+        store.append_pages(key(1), &pages);
+        assert_eq!(store.resident_pages(), 0, "a re-offer read a page back");
+        // As many rows as page 1 holds, one of them new: read back.
+        store.append_pages(key(1), &rows(4_097..5_001));
+        assert_eq!(store.resident_pages(), 1);
+        assert_eq!(store.stats().appended, appended + 1);
+        let held = store.rows(key(1)).unwrap();
+        assert_eq!(held.len(), 5_001);
+        assert_eq!(held[5_000], (5_000, false));
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn known_digests_tell_planes_a_word_apart() {
+        let mut planes = PagePlanes::empty();
+        planes.known[10] = 0xFF;
+        let before = known_digest(&planes);
+        for word in 0..PAGE_WORDS {
+            let mut other = planes.clone();
+            other.known[word] ^= 1 << (word % 64);
+            assert_ne!(known_digest(&other), before, "word {word}");
         }
     }
 

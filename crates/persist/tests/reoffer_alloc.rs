@@ -1,9 +1,10 @@
 //! A re-offer is the hot deduplication path of every append: a row the
 //! index already holds changes nothing, so offering it again must not
 //! allocate — no copy of the page's planes, no frame for the WAL. A page
-//! a snapshot holds whole is on disk, so the first re-offer after a
-//! compaction reads it back, once. A counting allocator, local to this
-//! binary, counts the calling thread's allocations.
+//! a snapshot holds whole is on disk: a re-offer of exactly the rows its
+//! frame holds reads nothing, and the first re-offer of fewer reads it
+//! back, once. A counting allocator, local to this binary, counts the
+//! calling thread's allocations.
 
 use expred_persist::{PersistConfig, PersistKey, PersistStore};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,13 +69,15 @@ fn a_re_offer_to_a_resident_page_allocates_nothing() {
         assert_eq!(re_offer(), 0, "a re-offer to resident pages allocated");
     }
 
-    // A compaction writes every page whole, and they leave RAM. The
-    // first re-offer reads each page back once — a frame buffer and the
-    // planes' `Arc` — and later ones find them resident.
+    // A compaction writes every page whole, and they leave RAM. A
+    // re-offer of the whole pages knows exactly the rows their frames
+    // hold, so it reads none back; the one-row re-offer knows fewer than
+    // page 0's frame, so the first reads that page back once — a frame
+    // buffer and the planes' `Arc` — and later ones find it resident.
     store.compact().expect("compact");
     assert_eq!(store.resident_pages(), 0, "a snapshot holds every page");
-    assert_eq!(re_offer(), 2 * 5, "each page read back once");
-    assert_eq!(store.resident_pages(), 5);
+    assert_eq!(re_offer(), 2, "page 0 read back once");
+    assert_eq!(store.resident_pages(), 1);
     for _ in 0..10 {
         assert_eq!(re_offer(), 0, "a re-offer to read-back pages allocated");
     }

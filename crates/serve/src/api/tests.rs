@@ -393,7 +393,8 @@ proptest! {
             2 => RowSet::from_ids(200_000, 0..200_000),
             3 => RowSet::from_ids(65_536, ids.iter().map(|id| id % 65_536)),
             _ => RowSet::from_ids(300_000, ids),
-        };
+        }
+        .into();
         outcome.counts.retrieved = counts[0];
         outcome.counts.evaluated = counts[1];
         outcome.counts.cache_hits = counts[2];

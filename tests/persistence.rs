@@ -19,6 +19,8 @@
 //!   page waits on disk, a live table that buys rows brings the pages
 //!   they land on back until the next one, and a later registration
 //!   reads a page back: its answers are byte-identical and buy nothing.
+//!   A graceful drain's re-offer of a live table's pages adds no row, so
+//!   it reads none of them back.
 
 use expred::core::{PersistConfig, QueryEngine, QueryRequest, QuerySpec};
 use expred::table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
@@ -420,6 +422,37 @@ fn a_live_tables_pages_leave_ram_once_a_snapshot_holds_them() {
             .unwrap();
         assert_eq!(again.returned, first.returned, "table {table}, seed {seed}");
         assert_eq!(again.summary, first.summary, "table {table}, seed {seed}");
+    }
+    assert_eq!(b.session_counts().evaluated, 0, "the replay bought nothing");
+    drop(b);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_drain_after_a_compaction_reads_no_page_back() {
+    let dir = unique_dir("drain-resident");
+    let q = QueryRequest::naive(QuerySpec::paper_default());
+    let a = persistent(&dir);
+    let stats = || a.persist_stats().expect("stats");
+    let live: Vec<Dataset> = (0..3).map(|seed| prosper(20_000, 30_000 + seed)).collect();
+    let first: Vec<_> = live
+        .iter()
+        .map(|ds| a.submit(ds, &q.clone().with_seed(1)).unwrap())
+        .collect();
+    a.compact_persistence().expect("compact");
+    assert_eq!(stats().resident_pages, 0, "a snapshot holds every page");
+    let appended = stats().appended;
+    // The drain re-offers every live namespace: each page it offers
+    // knows exactly the rows its frame holds.
+    a.flush_persistence().expect("flush");
+    assert_eq!(stats().resident_pages, 0, "the drain read a page back");
+    assert_eq!(stats().appended, appended, "the re-offer added a row");
+    drop(a);
+
+    let b = persistent(&dir);
+    for (ds, first) in live.iter().zip(&first) {
+        let again = b.submit(ds, &q.clone().with_seed(1)).unwrap();
+        assert_eq!(again.returned, first.returned);
     }
     assert_eq!(b.session_counts().evaluated, 0, "the replay bought nothing");
     drop(b);

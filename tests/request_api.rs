@@ -374,7 +374,7 @@ fn optimized_expr_scan_matches_static_and_learns_from_its_answers() {
     let first = engine
         .submit(&ds, &QueryRequest::expr_scan(expr(), cost))
         .unwrap();
-    assert_eq!(first.returned, fixed);
+    assert_eq!(*first.returned, fixed);
     assert_eq!(first.counts.evaluated, static_bill);
 
     // No clear needed to see what was learned: read off those answers,
