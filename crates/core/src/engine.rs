@@ -380,7 +380,7 @@ pub struct QueryEngine {
     /// Cold-race waiter table.
     inflight: Waiters,
     /// Hits and misses of this session's table-memo lookups (group
-    /// partitions, encoding dictionaries, label planes); the memo itself
+    /// partitions, encoding dictionaries); the memo itself
     /// lives in each table.
     derived: DerivedCounters,
     /// Durable persistence bridge ([`QueryEngine::with_persistence`]):

@@ -147,33 +147,20 @@ pub(crate) fn execute_plan_into(
     Ok(reused_positives)
 }
 
-/// Reads the ground truth for evaluation purposes (never available to
-/// the planning code) as the set of correct rows, in one pass over the
-/// label column.
+/// The label column's ground truth as one `bool` per row, for harness
+/// code that indexes rows: its true-row plane ([`Column::true_rows`]),
+/// read out. Never available to the planning code.
 ///
 /// # Panics
 ///
-/// If `label_column` is missing, not boolean, or holds NULLs — which
-/// [`crate::strategy::Strategy::validate`] rejects as a typed error
-/// before a request runs, so only harness code that skips validation can
-/// get here with such a table.
-pub(crate) fn truth_set(table: &Table, label_column: &str) -> RowSet {
-    table
+/// If `label_column` is missing, not boolean, or holds NULLs.
+pub fn truth_vector(table: &Table, label_column: &str) -> Vec<bool> {
+    let truth = table
         .column(label_column)
         .and_then(Column::true_rows)
-        .unwrap_or_else(|| bad_label_column(label_column))
-}
-
-/// The panic of [`truth_set`], for the session path that reads the same
-/// plane through the table's memo.
-pub(crate) fn bad_label_column(label_column: &str) -> ! {
-    panic!("label column {label_column:?} must be a boolean column without NULLs")
-}
-
-/// The label column's ground truth as one `bool` per row, for harness
-/// code that indexes rows.
-pub fn truth_vector(table: &Table, label_column: &str) -> Vec<bool> {
-    let truth = truth_set(table, label_column);
+        .unwrap_or_else(|| {
+            panic!("label column {label_column:?} must be a boolean column without NULLs")
+        });
     (0..table.num_rows())
         .map(|row| truth.contains(row))
         .collect()

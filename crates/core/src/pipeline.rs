@@ -28,7 +28,7 @@
 
 use crate::column_select::{rank_columns, virtual_column};
 use crate::error::EngineError;
-use crate::execute::{bad_label_column, execute_plan_into};
+use crate::execute::execute_plan_into;
 use crate::metrics::PrSummary;
 use crate::optimize::{solve_estimated, solve_perfect_selectivities, CorrelationModel, PlanError};
 use crate::plan::Plan;
@@ -37,7 +37,7 @@ use crate::sampling::{adaptive_num_search, sample_groups, GroupSample, SampleSiz
 use expred_exec::ExecContext;
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
-use expred_table::{GroupBy, RowSet, Table};
+use expred_table::{Column, GroupBy, RowSet, Table};
 use expred_udf::{BooleanUdf, CostCounts, CostModel, OracleUdf, SlowUdf, UdfInvoker};
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -199,11 +199,7 @@ pub fn run_framed(
     ctx: &ExecContext<'_>,
     body: impl FnOnce(&mut Frame<'_>) -> Result<Answer, EngineError>,
 ) -> Result<RunOutcome, EngineError> {
-    // The ground-truth plane (`truth_set`), through the table's memo.
-    let truth = ds
-        .table
-        .true_rows(LABEL_COLUMN, ctx.derived)
-        .unwrap_or_else(|| bad_label_column(LABEL_COLUMN));
+    let truth = Arc::clone(label_plane(&ds.table)?);
     let start = Instant::now();
     let udf = label_udf(ctx);
     let mut frame = Frame {
@@ -227,6 +223,16 @@ pub fn run_framed(
         num_groups: answer.num_groups,
         compute_seconds,
         plan_feasible: answer.plan_feasible,
+    })
+}
+
+/// The ground truth a run is scored against: the label column's
+/// true-row plane ([`Column::true_rows`]), or a typed error for a label
+/// that cannot be scored — missing, not boolean, or holding a NULL.
+pub(crate) fn label_plane(table: &Table) -> Result<&Arc<RowSet>, EngineError> {
+    let label = table.column(LABEL_COLUMN).and_then(Column::true_rows);
+    label.ok_or_else(|| EngineError::InvalidRequest {
+        reason: format!("label column {LABEL_COLUMN:?} must be a boolean column without NULLs"),
     })
 }
 

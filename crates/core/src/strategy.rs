@@ -32,13 +32,14 @@ use crate::error::EngineError;
 use crate::metrics::PrSummary;
 use crate::optimize::CorrelationModel;
 use crate::pipeline::{
-    run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice, RunOutcome,
+    label_plane, run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice,
+    RunOutcome,
 };
 use crate::query::QuerySpec;
 use crate::sampling::{SampleSizeRule, Sampling};
 use expred_exec::ExecContext;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
-use expred_table::{DataType, RowSet, Table};
+use expred_table::{RowSet, Table};
 use expred_udf::{evaluate_expr, BooleanUdf, CostModel, CostTracker, PredicateExpr};
 use std::sync::Arc;
 use std::time::Instant;
@@ -309,22 +310,10 @@ fn require_column(table: &Table, column: &str) -> Result<(), EngineError> {
 /// Shared validation for every built-in pipeline: the label oracle
 /// column must exist and be a boolean column without NULLs (all three
 /// evaluate it as the expensive UDF and score their answer against it).
-/// Reads the memoized column statistics, so repeat requests pay a lookup.
+/// Reads the column's true-row plane, which nothing has to derive.
 fn require_label_column(ds: &Dataset) -> Result<(), EngineError> {
     require_column(&ds.table, LABEL_COLUMN)?;
-    let boolean =
-        ds.table.schema().field(LABEL_COLUMN).map(|f| f.data_type()) == Some(DataType::Bool);
-    let labelled = ds
-        .table
-        .column_stats(LABEL_COLUMN)
-        .is_some_and(|s| s.null_count == 0);
-    if boolean && labelled {
-        Ok(())
-    } else {
-        Err(EngineError::InvalidRequest {
-            reason: format!("label column {LABEL_COLUMN:?} must be a boolean column without NULLs"),
-        })
-    }
+    label_plane(&ds.table).map(drop)
 }
 
 fn validate_rule(rule: SampleSizeRule) -> Result<(), EngineError> {
@@ -539,8 +528,9 @@ mod tests {
     #[test]
     fn validation_rejects_a_label_column_that_cannot_be_scored() {
         // A NULL or non-boolean label would panic the oracle (and
-        // `truth_vector`) mid-query; validation must reject it first.
-        use expred_table::{Field, Schema, Value};
+        // `truth_vector`) mid-query; validation must reject it first, and
+        // the frame, which scores against it, refuses it too.
+        use expred_table::{DataType, Field, Schema, Value};
         let with_labels = |data_type, labels: Vec<Value>| Dataset {
             table: Table::from_rows(
                 Schema::new(vec![Field::nullable(LABEL_COLUMN, data_type)]),
@@ -561,6 +551,10 @@ mod tests {
                 naive.validate(&bad),
                 Err(EngineError::InvalidRequest { .. })
             ));
+            let ctx = ExecContext::sequential();
+            let cost = CostModel::PAPER_DEFAULT;
+            let framed = crate::pipeline::run_framed(&bad, &cost, 0, &ctx, |_| unreachable!());
+            assert!(matches!(framed, Err(EngineError::InvalidRequest { .. })));
         }
     }
 

@@ -66,7 +66,7 @@ fn outcomes_over_a_decided_table_share_one_plane() {
         "grade".into(),
     )));
     // One run outside the count derives what the table memoizes for
-    // every later run (the partition, the ground-truth plane).
+    // every later run (the partition).
     let warm = engine.submit(&ds, &intel.clone().with_seed(0)).unwrap();
     let before = LIVE_BYTES.load(Ordering::Relaxed);
     for seed in 1..=OUTCOMES {

@@ -32,7 +32,7 @@ pub struct ExecContext<'a> {
     /// counts are unaffected (latency is not part of any cache identity).
     pub udf_latency: Option<Duration>,
     /// The session's hit/miss counters for the table memo (group
-    /// partitions, encoding dictionaries, label planes), if this query
+    /// partitions, encoding dictionaries), if this query
     /// runs inside a session. Pipelines read derived data through the
     /// memo either way; only whether it is counted differs.
     pub derived: Option<&'a DerivedCounters>,

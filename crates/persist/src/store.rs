@@ -363,15 +363,15 @@ fn check_image(
         && known_digest(planes) == image.known
 }
 
-/// Reads back the page-image frame `image` names from `file`, checked
-/// as [`check_image`] checks it, and decoded into the `Arc` the index
-/// keeps.
-fn read_image(file: &File, image: Image, key: PersistKey, page: u32) -> Option<Arc<PagePlanes>> {
-    let mut frame = vec![0; image.len.get() as usize];
-    file.read_exact_at(&mut frame, image.offset).ok()?;
-    let mut planes = Arc::new(PagePlanes::empty());
-    let unshared = Arc::get_mut(&mut planes)?;
-    check_image(&frame, image, key, page, unshared).then_some(planes)
+/// Reads back the page-image frame `image` names from `file` through a
+/// stack buffer, checked as [`check_image`] checks it, and decoded into
+/// planes on the stack: a read back allocates nothing.
+fn read_image(file: &File, image: Image, key: PersistKey, page: u32) -> Option<PagePlanes> {
+    let mut frame = [0; MAX_PAGE_IMAGE_FRAME];
+    let frame = frame.get_mut(..image.len.get() as usize)?;
+    file.read_exact_at(frame, image.offset).ok()?;
+    let mut planes = PagePlanes::empty();
+    check_image(frame, image, key, page, &mut planes).then_some(planes)
 }
 
 /// Merges the rows of `known` in word `word`, answers in `answer`, into
@@ -421,19 +421,35 @@ impl Index {
     /// read back from disk if the page left RAM (a frame that no longer
     /// reads back leaves the page empty: its rows are re-bought).
     fn planes_mut(&mut self, slot: Slot, page: u32) -> &mut Arc<PagePlanes> {
+        self.planes_for(slot, page, |_| true)
+            .expect("every read back is kept")
+    }
+
+    /// [`Self::planes_mut`] for an offer: a page read back from its frame
+    /// stays in RAM only if `adds(frame's planes)` — the offer knows a
+    /// row the frame does not. Otherwise the page stays on disk, nothing
+    /// is allocated, and the answer is `None`.
+    fn planes_for(
+        &mut self,
+        slot: Slot,
+        page: u32,
+        adds: impl FnOnce(&PagePlanes) -> bool,
+    ) -> Option<&mut Arc<PagePlanes>> {
         let Self {
             namespaces,
             snapshot,
         } = self;
         let Page { planes, image, .. } = namespaces.entry(slot).or_default().page(page);
-        planes.get_or_insert_with(|| {
+        if planes.is_none() {
             let file = snapshot.as_deref();
             let read = image.and_then(|at| read_image(file?, at, key_of(slot), page));
-            if read.is_none() {
-                *image = None;
+            if read.as_ref().is_some_and(|read| !adds(read)) {
+                return None;
             }
-            read.unwrap_or_else(|| Arc::new(PagePlanes::empty()))
-        })
+            *image = image.filter(|_| read.is_some());
+            *planes = Some(Arc::new(read.unwrap_or_else(PagePlanes::empty)));
+        }
+        planes.as_mut()
     }
 
     /// Merges the rows of `known` in word `word` of page `page`, answers
@@ -789,11 +805,12 @@ impl PersistStore {
     /// new row as a `Row` record, two or more as one `PageImage` frame
     /// holding just those rows — shedding the oldest pending frames if
     /// the flusher is a queue behind (see the module docs). Never blocks
-    /// on disk, but for a page a snapshot holds whole, which it reads back
-    /// first and which then stays resident until the next compaction
-    /// writes it whole again — unless the offer knows exactly the rows
-    /// the page's frame holds (a re-offer of a live page), which adds no
-    /// row and reads nothing.
+    /// on disk, but for a page a snapshot holds whole. An offer of exactly
+    /// the rows the page's frame holds (a re-offer of a live page) reads
+    /// nothing; any other reads the frame back onto the stack, and only
+    /// an offer that adds a row to it keeps the page resident until the
+    /// next compaction writes it whole again. An offer of rows the frame
+    /// already holds leaves the page on disk and allocates nothing.
     pub fn append_pages(&self, key: PersistKey, pages: &[(usize, PagePlanes)]) {
         let mut frames = Vec::new();
         let mut appended = 0;
@@ -806,7 +823,12 @@ impl PersistStore {
                 if index.holds(slot(key), *page as u32, planes) {
                     continue;
                 }
-                let held = index.planes_mut(slot(key), *page as u32);
+                let adds = |held: &PagePlanes| {
+                    (0..PAGE_WORDS).any(|w| planes.known[w] & !held.known[w] != 0)
+                };
+                let Some(held) = index.planes_for(slot(key), *page as u32, adds) else {
+                    continue;
+                };
                 // The rows this page gained, as a page of their own: how
                 // many, and the last one's word and bit.
                 let mut image = PagePlanes::empty();
@@ -942,7 +964,7 @@ impl PersistStore {
         };
         let read = away.into_iter().filter_map(|(page, image)| {
             let planes = read_image(file.as_deref()?, image, key, page)?;
-            Some((page as usize, planes))
+            Some((page as usize, Arc::new(planes)))
         });
         pages.extend(read);
         pages.sort_unstable_by_key(|&(page, _)| page);
@@ -1324,6 +1346,15 @@ mod tests {
         // Images the open indexed.
         store.append_pages(key(1), &pages);
         assert_eq!(store.resident_pages(), 0, "a re-offer read a page back");
+        // Fewer rows than page 1's frame, every one held: the frame is
+        // read onto the stack and the page stays on disk.
+        store.append_pages(key(1), &rows(4_100..4_200));
+        assert_eq!(
+            store.resident_pages(),
+            0,
+            "an offer of held rows kept a page"
+        );
+        assert_eq!(store.stats().appended, appended);
         // As many rows as page 1 holds, one of them new: read back.
         store.append_pages(key(1), &rows(4_097..5_001));
         assert_eq!(store.resident_pages(), 1);

@@ -2,9 +2,9 @@
 //! index already holds changes nothing, so offering it again must not
 //! allocate — no copy of the page's planes, no frame for the WAL. A page
 //! a snapshot holds whole is on disk: a re-offer of exactly the rows its
-//! frame holds reads nothing, and the first re-offer of fewer reads it
-//! back, once. A counting allocator, local to this binary, counts the
-//! calling thread's allocations.
+//! frame holds reads nothing, and a re-offer of fewer reads the frame
+//! onto the stack and leaves the page on disk. A counting allocator,
+//! local to this binary, counts the calling thread's allocations.
 
 use expred_persist::{PersistConfig, PersistKey, PersistStore};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -72,15 +72,16 @@ fn a_re_offer_to_a_resident_page_allocates_nothing() {
     // A compaction writes every page whole, and they leave RAM. A
     // re-offer of the whole pages knows exactly the rows their frames
     // hold, so it reads none back; the one-row re-offer knows fewer than
-    // page 0's frame, so the first reads that page back once — a frame
-    // buffer and the planes' `Arc` — and later ones find it resident.
+    // page 0's frame, so it reads the frame onto the stack, finds its row
+    // there, and leaves the page on disk.
     store.compact().expect("compact");
     assert_eq!(store.resident_pages(), 0, "a snapshot holds every page");
-    assert_eq!(re_offer(), 2, "page 0 read back once");
-    assert_eq!(store.resident_pages(), 1);
+    assert_eq!(re_offer(), 0, "a re-offer to on-disk pages allocated");
+    assert_eq!(store.resident_pages(), 0, "a re-offer kept a page resident");
     for _ in 0..10 {
-        assert_eq!(re_offer(), 0, "a re-offer to read-back pages allocated");
+        assert_eq!(re_offer(), 0, "a re-offer to on-disk pages allocated");
     }
+    assert_eq!(store.resident_pages(), 0);
     assert_eq!(store.stats().appended, 20_000);
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);

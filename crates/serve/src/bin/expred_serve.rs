@@ -124,15 +124,13 @@ fn main() {
             "--max-connections" => config.max_connections = parse_value(&arg, args.next()),
             "--max-tenants" => config.max_tenants = parse_value(&arg, args.next()),
             "--max-rows" => config.max_rows = parse_value(&arg, args.next()),
-            "--pool" => config.pooled = true,
+            "--pool" => config.engine.pooled = true,
             "--udf-latency-us" => {
-                config.udf_latency = Duration::from_micros(parse_value(&arg, args.next()))
+                config.engine.udf_latency = Duration::from_micros(parse_value(&arg, args.next()))
             }
             "--data-dir" => {
-                config.data_dir = Some(std::path::PathBuf::from(parse_value::<String>(
-                    &arg,
-                    args.next(),
-                )))
+                let dir: String = parse_value(&arg, args.next());
+                config.engine.data_dir = Some(dir.into());
             }
             "--help" | "-h" => usage(),
             other => {

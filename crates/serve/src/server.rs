@@ -60,17 +60,11 @@ pub struct ServeConfig {
     pub max_rows: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
-    /// Run tenant engines on one shared worker pool instead of
-    /// sequentially (its width is learned; there is nothing to size).
-    pub pooled: bool,
-    /// Artificial per-evaluation UDF latency (load testing).
-    pub udf_latency: Duration,
-    /// Root directory for durable per-tenant persistence: tenant engines
-    /// spill fresh answers to WAL-backed stores under
-    /// `<data_dir>/<tenant>/` and rehydrate them on the next boot, so a
-    /// warm restart re-serves previously-paid answers at zero `o_e`.
-    /// `None` (the default) serves fully in-memory.
-    pub data_dir: Option<std::path::PathBuf>,
+    /// How every tenant's engine is built: on the shared worker pool or
+    /// sequentially, with what artificial UDF latency, and whether it
+    /// persists under a data directory (the default: sequential, no
+    /// latency, fully in-memory).
+    pub engine: EngineConfig,
 }
 
 impl Default for ServeConfig {
@@ -83,9 +77,7 @@ impl Default for ServeConfig {
             max_tables_per_tenant: 8,
             max_rows: 1_000_000,
             max_body_bytes: 1 << 20,
-            pooled: false,
-            udf_latency: Duration::ZERO,
-            data_dir: None,
+            engine: EngineConfig::default(),
         }
     }
 }
@@ -145,12 +137,7 @@ pub fn serve(addr: impl ToSocketAddrs, config: ServeConfig) -> std::io::Result<S
         tenants: TenantRegistry::new(
             config.max_tenants,
             config.max_tables_per_tenant,
-            EngineConfig {
-                pooled: config.pooled,
-                udf_latency: config.udf_latency,
-                data_dir: config.data_dir.clone(),
-                ..EngineConfig::default()
-            },
+            config.engine.clone(),
         ),
         metrics: ServeMetrics::new(),
         shutting_down: AtomicBool::new(false),
@@ -239,7 +226,7 @@ impl ServerHandle {
         // to disk now, deterministically — not via Drop ordering, which a
         // straggler connection thread holding the `Arc<Shared>` could
         // postpone past process exit.
-        if self.shared.config.data_dir.is_some() {
+        if self.shared.config.engine.data_dir.is_some() {
             for tenant in self.shared.tenants.snapshot() {
                 if let Err(e) = tenant.engine().flush_persistence() {
                     eprintln!(

@@ -100,15 +100,15 @@ const BUDGETS: [(&str, &str, u64, u64, u64); 8] = [
         "adaptive",
         r#"{"kind": "adaptive", "predictor": "grade"}"#,
         NEW_SEED,
-        282,
-        48_882,
+        276,
+        48_527,
     ),
     (
         "iterative",
         r#"{"kind": "iterative", "predictor": "grade"}"#,
         NEW_SEED,
-        465,
-        86_926,
+        459,
+        86_667,
     ),
     (
         "intel_sample",
@@ -121,8 +121,8 @@ const BUDGETS: [(&str, &str, u64, u64, u64); 8] = [
         "intel_sample auto",
         r#"{"kind": "intel_sample"}"#,
         NEW_SEED,
-        339,
-        75_985,
+        333,
+        75_625,
     ),
     (
         "expr",

@@ -4,7 +4,7 @@
 //! input, saturation, and tenant exhaustion.
 
 use expred_core::{QueryEngine, QueryRequest, QuerySpec};
-use expred_serve::{serve, AdmissionGate, HttpClient, ServeConfig, TableKey};
+use expred_serve::{serve, AdmissionGate, EngineConfig, HttpClient, ServeConfig, TableKey};
 use expred_stats::json::JsonValue;
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 use expred_udf::CostModel;
@@ -300,7 +300,10 @@ fn saturation_sheds_immediately_and_conserves_the_bill() {
         "127.0.0.1:0",
         ServeConfig {
             max_in_flight: 1,
-            udf_latency: Duration::from_millis(2),
+            engine: EngineConfig {
+                udf_latency: Duration::from_millis(2),
+                ..EngineConfig::default()
+            },
             max_rows: 5_000,
             ..ServeConfig::default()
         },
@@ -923,7 +926,10 @@ fn shutdown_drains_idle_and_silent_connections_within_a_short_deadline() {
 #[test]
 fn shutdown_lets_a_running_query_write_its_whole_response() {
     let config = ServeConfig {
-        udf_latency: Duration::from_millis(1),
+        engine: EngineConfig {
+            udf_latency: Duration::from_millis(1),
+            ..EngineConfig::default()
+        },
         ..small_config()
     };
     // 200 rows at 1 ms per evaluation keep the query running well past
@@ -1019,8 +1025,11 @@ fn pooled_tenants_share_one_worker_pool_and_answer_byte_identically() {
     let handle = serve(
         "127.0.0.1:0",
         ServeConfig {
-            pooled: true,
-            udf_latency: Duration::from_micros(100),
+            engine: EngineConfig {
+                pooled: true,
+                udf_latency: Duration::from_micros(100),
+                ..EngineConfig::default()
+            },
             ..small_config()
         },
     )

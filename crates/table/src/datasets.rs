@@ -70,7 +70,7 @@
 //! pre-re-seed fingerprint, hold each sampler to the row-major law, and
 //! compare every generated table with a row-at-a-time oracle.
 
-use crate::column::{Column, StrColumn};
+use crate::column::{BoolColumn, Column, StrColumn};
 use crate::schema::{Field, Schema};
 use crate::table::{ColumnSource, Table};
 use crate::value::DataType;
@@ -238,7 +238,7 @@ impl Dataset {
         let mut sels = Vec::new();
         let mut per_group = Vec::new();
         let mut correct_total = 0usize;
-        for (g, [correct]) in groups.counts([&truth]).into_iter().enumerate() {
+        for (g, [correct]) in groups.counts([truth]).into_iter().enumerate() {
             correct_total += correct;
             let size = groups.size(g);
             let sel = correct as f64 / size as f64;
@@ -548,23 +548,23 @@ const LABEL_AT: usize = NUMERIC_AT + NUMERIC_FEATURES.len();
 /// Every generated table's schema: row id, predictor, the auxiliary
 /// suite in the order above, then the hidden label.
 fn dataset_schema(spec: &DatasetSpec) -> Schema {
-    let mut fields = vec![
+    let strings = (NOISY_PREDICTORS.iter().map(|&(name, _)| name))
+        .chain(AUX_CATEGORICALS.iter().map(|&(name, ..)| name))
+        .chain(NOISE_CATEGORICALS.iter().map(|&(name, _)| name))
+        .map(|name| Field::new(name, DataType::Str));
+    let floats = NUMERIC_FEATURES
+        .iter()
+        .map(|&(name, ..)| Field::new(name, DataType::Float));
+    // Every part's length is known, so the fields are one allocation.
+    let fields = [
         Field::new("row_id", DataType::Int),
         Field::new(spec.predictor, DataType::Str),
-    ];
-    for (name, _) in NOISY_PREDICTORS {
-        fields.push(Field::new(name, DataType::Str));
-    }
-    for (name, _, _) in AUX_CATEGORICALS {
-        fields.push(Field::new(name, DataType::Str));
-    }
-    for (name, _) in NOISE_CATEGORICALS {
-        fields.push(Field::new(name, DataType::Str));
-    }
-    for (name, _, _, _) in NUMERIC_FEATURES {
-        fields.push(Field::new(name, DataType::Float));
-    }
-    fields.push(Field::new(LABEL_COLUMN, DataType::Bool));
+    ]
+    .into_iter()
+    .chain(strings)
+    .chain(floats)
+    .chain([Field::new(LABEL_COLUMN, DataType::Bool)])
+    .collect();
     Schema::new(fields)
 }
 
@@ -825,7 +825,9 @@ fn build_column(
                 |rng, _, label| Some(mean[usize::from(label)] + sigma * normal.draw(rng)),
             ))
         }
-        LABEL_AT => Column::Bool(plan.iter().map(|&row| Some(label_of(row))).collect()),
+        LABEL_AT => Column::Bool(BoolColumn::from_flags(
+            plan.iter().map(|&row| label_of(row)),
+        )),
         _ => panic!("a generated table has no column at position {idx}"),
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! Every query that predicts through a real column needs the same
 //! [`GroupBy`] over the same table, every learning baseline the same
-//! one-hot dictionaries, every scored run the same label plane, and
-//! every ranking pass the same [`ColumnStats`]. Each is a pure function
-//! of one column, so each is kept beside that column in the table's slot
-//! (`Derived`), built on the first lookup and shared by every later
-//! one — from any thread: racing lookups derive once.
+//! one-hot dictionaries, and every ranking pass the same [`ColumnStats`].
+//! Each is a pure function of one column, so each is kept beside that
+//! column in the table's slot (`Derived`), built on the first lookup and
+//! shared by every later one — from any thread: racing lookups derive
+//! once. A scored run's label plane is not derived at all: a boolean
+//! column *is* its true-row plane ([`crate::Column::true_rows`]).
 //!
 //! Keeping the memo in the slot is what makes it need no key, no
 //! capacity and no eviction:
@@ -27,7 +28,6 @@
 //! per engine.
 
 use crate::kernels::GroupCodes;
-use crate::rowset::RowSet;
 use crate::stats::ColumnStats;
 use crate::table::GroupBy;
 use expred_stats::counter_set;
@@ -49,8 +49,6 @@ counter_set! {
 pub(crate) struct Derived {
     pub(crate) groups: OnceLock<Arc<GroupBy>>,
     pub(crate) codes: OnceLock<Arc<GroupCodes>>,
-    /// `None` unless the column is boolean without NULLs.
-    pub(crate) true_rows: OnceLock<Option<Arc<RowSet>>>,
     pub(crate) stats: OnceLock<Arc<ColumnStats>>,
 }
 
@@ -153,33 +151,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.codes(), &[0, 0, 1]);
         assert!(t.codes("nope", None).is_err());
-    }
-
-    #[test]
-    fn true_rows_are_cached_per_table_version() {
-        let schema = Schema::new(vec![
-            Field::new("a", DataType::Int),
-            Field::nullable("ok", DataType::Bool),
-        ]);
-        let row = |a, ok| vec![Value::Int(a), ok];
-        let rows = vec![
-            row(1, Value::Bool(true)),
-            row(2, Value::Bool(false)),
-            row(3, Value::Bool(true)),
-        ];
-        let mut t = Table::from_rows(schema, rows).unwrap();
-        let a = t.true_rows("ok", None).unwrap();
-        let b = t.true_rows("ok", None).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second lookup shares the plane");
-        assert_eq!(a.to_vec(), [0, 2]);
-        // Not a complete boolean column: no plane.
-        assert!(t.true_rows("a", None).is_none());
-        assert!(t.true_rows("nope", None).is_none());
-        // A new version derives again — and a NULL label is no plane.
-        t.push_row(row(4, Value::Bool(true))).unwrap();
-        assert_eq!(t.true_rows("ok", None).unwrap().to_vec(), [0, 2, 3]);
-        t.push_row(row(5, Value::Null)).unwrap();
-        assert!(t.true_rows("ok", None).is_none());
     }
 
     #[test]

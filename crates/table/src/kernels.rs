@@ -3,10 +3,10 @@
 //! [`Table::group_by`](crate::table::Table::group_by) historically
 //! materialized an owned [`Value`] per cell and bucketed them through a
 //! `HashMap<ValueKey, _>` — enum dispatch, a clone, and a hash of a
-//! wrapper per row. The kernels here work on the typed `Vec<Option<T>>`
-//! storage directly: one pass builds a first-seen dictionary over
-//! primitive keys, the (small) dictionary is sorted, and a dense `u32`
-//! code per row is remapped into final group ids. A string column
+//! wrapper per row. The kernels here read the typed storage directly (a
+//! boolean column's cells off its planes): one pass builds a first-seen
+//! dictionary over primitive keys, the (small) dictionary is sorted, and
+//! a dense `u32` code per row is remapped into final group ids. A string column
 //! already *is* a dictionary plus codes ([`StrColumn`]), so it skips the
 //! hashing pass: sort its dictionary, remap its codes — or widen them to
 //! `u32`, when the dictionary is already in key order and no row is NULL
@@ -154,7 +154,7 @@ impl Column {
     /// ordering contract.
     pub fn group_codes(&self) -> GroupCodes {
         match self {
-            Column::Bool(v) => dictionary_codes(v.iter().copied(), v.len(), |b| *b, Value::Bool),
+            Column::Bool(v) => dictionary_codes(v.cells(), self.len(), |b| *b, Value::Bool),
             Column::Int(v) => dictionary_codes(v.iter().copied(), v.len(), |i| *i, Value::Int),
             Column::Float(v) => dictionary_codes(
                 v.iter().copied(),

@@ -8,9 +8,12 @@
 //! # Storage model
 //!
 //! Storage is **typed-columnar**, not row-oriented: a [`table::Table`] is a
-//! [`schema::Schema`] plus one [`column::Column`] per field. Boolean and
-//! numeric columns are typed vectors — `Vec<Option<bool>>`,
-//! `Vec<Option<i64>>`, `Vec<Option<f64>>` — with `None` as NULL. String
+//! [`schema::Schema`] plus one [`column::Column`] per field. Numeric
+//! columns are typed vectors — `Vec<Option<i64>>`, `Vec<Option<f64>>` —
+//! with `None` as NULL. A boolean column is its bit planes
+//! ([`column::BoolColumn`]): the rows where it is true, one
+//! [`rowset::RowSet`] behind an `Arc` that [`column::Column::true_rows`]
+//! hands out as it is, and a NULL plane only once a NULL exists. String
 //! columns are **dictionary-encoded** ([`column::StrColumn`]): each
 //! distinct string is stored once, and every row carries a code at the
 //! narrowest width the dictionary allows — a byte up to 255 entries, two
@@ -51,10 +54,10 @@
 //!   group's share of a plane, a group's rank cut), each compiled twice:
 //!   with the POPCNT instruction where the CPU has it, and portably.
 //! * [`derived`] — the table memo: a column's [`table::GroupBy`]
-//!   partition, dictionary codes, true-row plane and stats, each derived
-//!   on first lookup and kept in the column's slot, so it dies with the
-//!   table and `push_row` resets it; [`derived::DerivedCounters`] counts
-//!   one caller's hits and misses.
+//!   partition, dictionary codes and stats, each derived on first lookup
+//!   and kept in the column's slot, so it dies with the table and
+//!   `push_row` resets it; [`derived::DerivedCounters`] counts one
+//!   caller's hits and misses.
 //!
 //! # Modules
 //!
@@ -79,7 +82,7 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use column::{Column, StrColumn};
+pub use column::{BoolColumn, Column, StrColumn};
 pub use datasets::{Dataset, DatasetSpec, LABEL_COLUMN};
 pub use derived::{DerivedCacheStats, DerivedCounters};
 pub use kernels::GroupCodes;

@@ -14,7 +14,7 @@ pub use expred_stats::bits::bits;
 /// A set of row ids drawn from `[0, rows)`. Equality compares planes:
 /// two sets are equal when they hold the same rows *and* were sized for
 /// the same number of 64-row words — always so for answers over one table.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RowSet {
     words: Vec<u64>,
 }
@@ -57,14 +57,18 @@ impl RowSet {
     }
 
     /// The rows of `[0, flags.len())` whose flag is set, in one pass.
-    /// `pub` as a test seam: only tests and benches in other crates call
-    /// it.
     pub fn from_flags(flags: impl ExactSizeIterator<Item = bool>) -> Self {
         let mut set = Self::new(flags.len());
         for (row, flag) in flags.enumerate() {
             set.words[row / 64] |= u64::from(flag) << (row % 64);
         }
         set
+    }
+
+    /// Grows the set to rows `[0, rows)`, `rows` at least what it was
+    /// sized for: the words a longer table needs are appended empty.
+    pub(crate) fn grow(&mut self, rows: usize) {
+        self.words.resize(rows.div_ceil(64), 0);
     }
 
     /// Adds `row`.

@@ -127,8 +127,7 @@ impl From<Column> for Slot {
 /// its version fingerprints the recipe, since a content fold would have to
 /// build every cell. Either way, what a reader sees is the same cells.
 /// What is derived from a column is memoized beside it
-/// ([`Self::partition`], [`Self::codes`], [`Self::true_rows`],
-/// [`Self::column_stats`]).
+/// ([`Self::partition`], [`Self::codes`], [`Self::column_stats`]).
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
@@ -434,20 +433,6 @@ impl Table {
         Ok(memo(&derived.codes, counters, || {
             Arc::new(col.group_codes())
         }))
-    }
-
-    /// The rows where boolean `column` is true ([`Column::true_rows`]),
-    /// memoized like [`Self::partition`]. `None` unless `column` is a
-    /// boolean column without NULLs.
-    pub fn true_rows(
-        &self,
-        column: &str,
-        counters: Option<&DerivedCounters>,
-    ) -> Option<Arc<RowSet>> {
-        let (col, derived) = self.derived(column).ok()?;
-        memo(&derived.true_rows, counters, || {
-            col.true_rows().map(Arc::new)
-        })
     }
 
     /// The named column's NULL and distinct counts, memoized like
@@ -1046,7 +1031,7 @@ mod tests {
             }
             column
         };
-        let goods = |cells: &[Option<bool>]| Column::Bool(cells.to_vec());
+        let goods = |cells: &[Option<bool>]| Column::Bool(cells.iter().copied().collect());
         let schema = || sample_table().schema().clone();
         let build = |columns| Table::from_columns(schema(), columns);
 
@@ -1245,7 +1230,7 @@ mod tests {
         let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
         let source = Counting::new(2, Default::default());
         let built = |column| Table::lazy(schema.clone(), 2, 1, [column], source.clone());
-        let err = built((0, Column::Bool(vec![Some(true); 2]))).unwrap_err();
+        let err = built((0, Column::Bool([Some(true); 2].into_iter().collect()))).unwrap_err();
         assert!(err.contains("type mismatch"), "{err}");
         let err = built((0, Column::Int(vec![Some(1), None]))).unwrap_err();
         assert!(err.contains("non-nullable"), "{err}");

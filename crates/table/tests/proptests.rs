@@ -3,7 +3,7 @@
 use expred_table::csv::{read_csv, write_csv};
 use expred_table::datasets::{all_specs, Dataset, DatasetSpec};
 use expred_table::value::ValueKey;
-use expred_table::{Column, ColumnStats, DataType, Field, GroupBy, Schema, Table, Value};
+use expred_table::{Column, ColumnStats, DataType, Field, GroupBy, RowSet, Schema, Table, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,7 +62,11 @@ fn assert_memo_matches(table: &Table) -> Result<(), TestCaseError> {
             Arc::new(group_by_reference(table, "g"))
         );
         prop_assert_eq!(table.codes("g", None).unwrap(), Arc::new(g.group_codes()));
-        prop_assert_eq!(table.true_rows("ok", None), ok.true_rows().map(Arc::new));
+        // The label plane is the column's own, not derived: the rows
+        // whose cell is true, or none with a NULL.
+        let flags = (0..table.num_rows()).map(|row| ok.bool_at(row) == Some(true));
+        let oracle = (ok.null_count() == 0).then(|| RowSet::from_flags(flags));
+        prop_assert_eq!(ok.true_rows().map(|plane| &**plane), oracle.as_ref());
         prop_assert_eq!(table.column_stats("g"), Some(Arc::new(ColumnStats::of(g))));
         prop_assert_eq!(
             table.column_stats("ok"),
@@ -73,6 +77,12 @@ fn assert_memo_matches(table: &Table) -> Result<(), TestCaseError> {
         &table.partition("g", None).unwrap(),
         &table.partition("g", None).unwrap()
     ));
+    if let Some(plane) = ok.true_rows() {
+        prop_assert!(Arc::ptr_eq(
+            plane,
+            table.column("ok").unwrap().true_rows().unwrap()
+        ));
+    }
     Ok(())
 }
 
@@ -112,7 +122,7 @@ fn assert_same_views(got: &GroupBy, want: &GroupBy) -> Result<(), TestCaseError>
 fn hash_set_distinct(column: &Column) -> usize {
     use std::collections::HashSet;
     match column {
-        Column::Bool(v) => v.iter().flatten().collect::<HashSet<_>>().len(),
+        Column::Bool(v) => v.cells().flatten().collect::<HashSet<_>>().len(),
         Column::Int(v) => v.iter().flatten().collect::<HashSet<_>>().len(),
         Column::Float(v) => v
             .iter()
@@ -323,9 +333,10 @@ proptest! {
         }
         let complete = labels.iter().all(Option::is_some);
         let oracle = complete.then(|| {
-            expred_table::RowSet::from_flags(labels.iter().map(|&l| l == Some(true)))
+            RowSet::from_flags(labels.iter().map(|&l| l == Some(true)))
         });
-        prop_assert_eq!(Column::Bool(labels).true_rows(), oracle);
+        let column = Column::Bool(labels.into_iter().collect());
+        prop_assert_eq!(column.true_rows().map(|plane| &**plane), oracle.as_ref());
     }
 
     #[test]

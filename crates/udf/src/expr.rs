@@ -226,11 +226,10 @@ impl PredicateExpr {
     /// The derived identity of the whole expression, or `None` if any
     /// leaf UDF opted out of identity ([`BooleanUdf::fingerprint`]).
     ///
-    /// Sibling order is significant (as for [`crate::ConjunctionUdf`]):
-    /// `a.and(b)` and `b.and(a)` answer identically but carry distinct
-    /// ids — the id never claims an equivalence it cannot prove. Leaf
-    /// costs, DSL names, and the pinned flag are excluded: ordering and
-    /// spelling cannot change answers.
+    /// Sibling order is significant: `a.and(b)` and `b.and(a)` answer
+    /// identically but carry distinct ids — the id never claims an
+    /// equivalence it cannot prove. Leaf costs, DSL names, and the pinned
+    /// flag are excluded: ordering and spelling cannot change answers.
     pub fn fingerprint(&self) -> Option<UdfId> {
         fn walk(node: &Node) -> Option<UdfId> {
             match node {
@@ -924,6 +923,30 @@ mod tests {
             }
         }
         assert_eq!(leaf("a").and(Pred::udf(Anon)).fingerprint(), None);
+    }
+
+    #[test]
+    fn an_expression_is_one_leaf_of_another() {
+        // A conjunction wrapped as one leaf answers as its parts' AND,
+        // and carries their order-sensitive identity and their columns.
+        let a = [true, true, false, false];
+        let b = [true, false, true, false];
+        let t = table(&[("a", &a), ("b", &b)]);
+        let nested = Pred::udf(leaf("a").and(leaf("b")));
+        assert_eq!(nested.leaf_count(), 1);
+        assert_eq!(nested.fingerprint(), leaf("a").and(leaf("b")).fingerprint());
+        assert_ne!(
+            nested.fingerprint(),
+            Pred::udf(leaf("b").and(leaf("a"))).fingerprint()
+        );
+        let tracker = CostTracker::new();
+        let answers =
+            evaluate_all(&nested, &t, &tracker, &ExecContext::sequential()).expect("valid costs");
+        assert_eq!(answers, [true, false, false, false]);
+        for (row, &want) in answers.iter().enumerate() {
+            assert_eq!(nested.evaluate(&t, row), want, "row {row}");
+        }
+        assert_eq!(BooleanUdf::required_columns(&nested), vec!["a", "b"]);
     }
 
     #[test]

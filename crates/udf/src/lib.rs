@@ -7,7 +7,7 @@
 //!
 //! * [`udf`] — the [`BooleanUdf`] trait plus implementations: the
 //!   evaluation-protocol [`OracleUdf`] (answers from a hidden label
-//!   column), latency simulation, answer noise, and conjunctions.
+//!   column), latency simulation, and answer noise.
 //! * [`cost`] — the `(o_r, o_e)` cost model and a shared, thread-safe
 //!   [`CostTracker`].
 //! * [`invoker`] — [`UdfInvoker`], the only gateway algorithm code may use:
@@ -41,4 +41,4 @@ pub use expr::{evaluate_expr, InvalidCostsError, Pred, PredicateExpr, DEFAULT_LE
 pub use invoker::UdfInvoker;
 pub use optimize::optimize_expr;
 pub use parse::{parse_predicate, OracleRegistry, ParseError, ParseErrorKind, UdfRegistry};
-pub use udf::{BooleanUdf, ConjunctionUdf, NoisyUdf, OracleUdf, SlowUdf, UdfId};
+pub use udf::{BooleanUdf, NoisyUdf, OracleUdf, SlowUdf, UdfId};

@@ -7,7 +7,7 @@
 //! value … of this attribute for that tuple". [`OracleUdf`] implements
 //! exactly that; wrappers add timing or noise for robustness experiments.
 
-use expred_table::{Column, Table};
+use expred_table::{Column, RowSet, Table};
 use std::time::Duration;
 
 /// A UDF bound to one table: `row -> answer`, every per-table lookup
@@ -109,24 +109,35 @@ impl OracleUdf {
         &self.column
     }
 
-    /// The label of `row` in the resolved `column`.
-    fn label(&self, column: Option<&Column>, row: usize) -> bool {
-        column
-            .unwrap_or_else(|| panic!("oracle column {:?} missing", self.column))
-            .bool_at(row)
-            .unwrap_or_else(|| panic!("oracle column {:?} NULL/non-bool at row {row}", self.column))
+    /// The label of `row`: a bit test in the true-row plane of the
+    /// resolved `column` ([`Column::true_rows`]).
+    fn label(&self, labels: Option<&RowSet>, row: usize) -> bool {
+        labels
+            .unwrap_or_else(|| {
+                panic!(
+                    "oracle column {:?} is missing, not boolean, or holds a NULL",
+                    self.column
+                )
+            })
+            .contains(row)
+    }
+
+    /// The true-row plane of `column` in `table`.
+    fn labels<'a>(&self, table: &'a Table) -> Option<&'a RowSet> {
+        let plane = table.column(&self.column).and_then(Column::true_rows);
+        plane.map(|plane| &**plane)
     }
 }
 
 impl BooleanUdf for OracleUdf {
     fn evaluate(&self, table: &Table, row: usize) -> bool {
-        self.label(table.column(&self.column), row)
+        self.label(self.labels(table), row)
     }
 
-    /// Resolves the column by name once; the probe is an index into it.
+    /// Resolves the column's plane once; the probe is a bit test in it.
     fn bind<'a>(&'a self, table: &'a Table) -> BoundUdf<'a> {
-        let column = table.column(&self.column);
-        Box::new(move |row| self.label(column, row))
+        let labels = self.labels(table);
+        Box::new(move |row| self.label(labels, row))
     }
 
     fn name(&self) -> &str {
@@ -253,48 +264,6 @@ impl<U: BooleanUdf> BooleanUdf for NoisyUdf<U> {
     }
 }
 
-/// Conjunction of several UDFs — the "multiple predicates" extension
-/// (paper §5) evaluates tuples against `f1 AND f2 AND …`.
-pub struct ConjunctionUdf {
-    parts: Vec<Box<dyn BooleanUdf>>,
-}
-
-impl ConjunctionUdf {
-    /// Builds the conjunction of the given predicates (at least one).
-    pub fn new(parts: Vec<Box<dyn BooleanUdf>>) -> Self {
-        assert!(!parts.is_empty(), "conjunction needs at least one UDF");
-        Self { parts }
-    }
-}
-
-impl BooleanUdf for ConjunctionUdf {
-    fn evaluate(&self, table: &Table, row: usize) -> bool {
-        self.parts.iter().all(|p| p.evaluate(table, row))
-    }
-
-    fn name(&self) -> &str {
-        "conjunction"
-    }
-
-    /// Identified iff every conjunct is; order matters for identity (it
-    /// does not change answers, but keeping it avoids claiming an
-    /// equivalence the ids cannot prove).
-    fn fingerprint(&self) -> Option<UdfId> {
-        let mut parts = Vec::with_capacity(self.parts.len());
-        for p in &self.parts {
-            parts.push(p.fingerprint()?.as_u64());
-        }
-        Some(UdfId::from_parts("conjunction", &parts))
-    }
-
-    fn required_columns(&self) -> Vec<String> {
-        self.parts
-            .iter()
-            .flat_map(|p| p.required_columns())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,6 +332,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "holds a NULL")]
+    fn oracle_panics_on_a_column_with_a_null() {
+        let schema = Schema::new(vec![Field::nullable("good", DataType::Bool)]);
+        let rows = vec![vec![Value::Bool(true)], vec![Value::Null]];
+        let t = Table::from_rows(schema, rows).unwrap();
+        OracleUdf::new("good").evaluate(&t, 0);
+    }
+
+    #[test]
     fn noisy_udf_is_deterministic_per_row() {
         let t = table_with_labels(&[true; 64]);
         let udf = NoisyUdf::new(OracleUdf::new("good"), 0.5, 99);
@@ -391,17 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn conjunction_ands_parts() {
-        let t = table_with_labels(&[true, false]);
-        let udf = ConjunctionUdf::new(vec![
-            Box::new(OracleUdf::new("good")),
-            Box::new(OracleUdf::new("good")),
-        ]);
-        assert!(udf.evaluate(&t, 0));
-        assert!(!udf.evaluate(&t, 1));
-    }
-
-    #[test]
     fn fingerprints_separate_semantics_not_latency() {
         let clean = OracleUdf::new("good");
         let other = OracleUdf::new("bad");
@@ -418,18 +385,7 @@ mod tests {
         let noisy_b = NoisyUdf::new(OracleUdf::new("good"), 0.1, 2);
         assert_ne!(noisy_a.fingerprint(), clean.fingerprint());
         assert_ne!(noisy_a.fingerprint(), noisy_b.fingerprint());
-        // Conjunctions identify iff all parts do; order is significant.
-        let ab = ConjunctionUdf::new(vec![
-            Box::new(OracleUdf::new("good")),
-            Box::new(OracleUdf::new("bad")),
-        ]);
-        let ba = ConjunctionUdf::new(vec![
-            Box::new(OracleUdf::new("bad")),
-            Box::new(OracleUdf::new("good")),
-        ]);
-        assert!(ab.fingerprint().is_some());
-        assert_ne!(ab.fingerprint(), ba.fingerprint());
-        // An anonymous UDF opts out, and poisons any conjunction.
+        // An anonymous UDF opts out.
         struct Anon;
         impl BooleanUdf for Anon {
             fn evaluate(&self, _: &Table, _: usize) -> bool {
@@ -437,8 +393,6 @@ mod tests {
             }
         }
         assert_eq!(Anon.fingerprint(), None);
-        let poisoned = ConjunctionUdf::new(vec![Box::new(Anon), Box::new(OracleUdf::new("good"))]);
-        assert_eq!(poisoned.fingerprint(), None);
     }
 
     #[test]

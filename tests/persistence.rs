@@ -24,7 +24,7 @@
 
 use expred::core::{PersistConfig, QueryEngine, QueryRequest, QuerySpec};
 use expred::table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
-use expred::udf::{optimize_expr, ConjunctionUdf, CostModel, NoisyUdf, OracleUdf, Pred};
+use expred::udf::{optimize_expr, CostModel, NoisyUdf, OracleUdf, Pred};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -274,11 +274,11 @@ fn a_reopened_engine_keeps_the_expression_order_its_answers_taught() {
     // conjunction) few, so the written order is the pessimal one.
     let common = || Pred::udf(NoisyUdf::new(OracleUdf::new(LABEL_COLUMN), 0.9, 13));
     let rare = || {
-        Pred::udf(ConjunctionUdf::new(vec![
-            Box::new(OracleUdf::new(LABEL_COLUMN)),
-            Box::new(NoisyUdf::new(OracleUdf::new(LABEL_COLUMN), 0.5, 11)),
-            Box::new(NoisyUdf::new(OracleUdf::new(LABEL_COLUMN), 0.5, 12)),
-        ]))
+        let noisy = |seed| Pred::udf(NoisyUdf::new(OracleUdf::new(LABEL_COLUMN), 0.5, seed));
+        let all = Pred::udf(OracleUdf::new(LABEL_COLUMN))
+            .and(noisy(11))
+            .and(noisy(12));
+        Pred::udf(all)
     };
     let expr = || common().and(rare());
     let plan = |engine: &QueryEngine| {

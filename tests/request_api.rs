@@ -344,19 +344,17 @@ fn optimized_expr_scan_matches_static_and_learns_from_its_answers() {
         ))
     };
     let rare = || {
-        Pred::udf(expred::udf::ConjunctionUdf::new(vec![
-            Box::new(OracleUdf::new(LABEL_COLUMN)),
-            Box::new(expred::udf::NoisyUdf::new(
+        let noisy = |seed| {
+            Pred::udf(expred::udf::NoisyUdf::new(
                 OracleUdf::new(LABEL_COLUMN),
                 0.5,
-                11,
-            )),
-            Box::new(expred::udf::NoisyUdf::new(
-                OracleUdf::new(LABEL_COLUMN),
-                0.5,
-                12,
-            )),
-        ]))
+                seed,
+            ))
+        };
+        let all = Pred::udf(OracleUdf::new(LABEL_COLUMN))
+            .and(noisy(11))
+            .and(noisy(12));
+        Pred::udf(all)
     };
     let expr = || common().and(rare());
 
