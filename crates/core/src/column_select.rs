@@ -6,7 +6,11 @@
 //!    estimate per-value selectivities for every candidate column with at
 //!    most `√t` distinct values (sampling more if no column qualifies),
 //!    cost each candidate by running the §3.2 optimizer on the estimates,
-//!    and pick the cheapest.
+//!    and pick the cheapest. A candidate is scored from the table's
+//!    memoized per-column stats — its group sizes and code → group map —
+//!    and the labelled rows walked through its codes
+//!    ([`Table::tally_groups`]), so ranking partitions no column: only the
+//!    winner is partitioned, by the plan that executes it.
 //! 2. **Virtual column**: train a logistic regressor on the labelled
 //!    sample, score every tuple, and split the scores into equal-depth
 //!    buckets; the bucket id is the correlated column (§6.3.2).
@@ -15,7 +19,6 @@ use crate::error::EngineError;
 use crate::ml::features::extract_features;
 use crate::ml::logistic::{train, TrainConfig};
 use crate::optimize::solve_perfect_selectivities;
-use crate::pipeline::session_group_by;
 use crate::query::QuerySpec;
 use crate::sampling::draw_by_rank;
 use expred_exec::ExecContext;
@@ -120,7 +123,7 @@ pub(crate) fn rank_columns(
     };
     let mut scores = pool
         .into_iter()
-        .map(|c| score_column(table, c, spec, &labelled, &passed, ctx))
+        .map(|c| score_column(table, c, spec, &labelled, &passed))
         .collect::<Result<Vec<ColumnScore>, EngineError>>()?;
     scores.sort_by(|a, b| {
         a.estimated_cost
@@ -130,35 +133,43 @@ pub(crate) fn rank_columns(
     Ok((scores, labelled.to_vec()))
 }
 
-/// Scores one column: group the table by it, estimate each group's
-/// selectivity from the labelled rows (Beta posterior; unseen groups fall
-/// back to the uniform prior), and cost the §3.2 plan on those estimates.
-/// The labelled rows arrive as two planes (`labelled`, and `passed` among
-/// them), so a group's tally is a popcount per run of the group.
+/// Scores one column: tally the labelled rows per group of the column
+/// (Beta posterior per group; unseen groups fall back to the uniform
+/// prior), and cost the §3.2 plan on those estimates. The labelled rows
+/// arrive as two planes (`labelled`, and `passed` among them), and only
+/// they are walked, through the column's codes
+/// ([`Table::tally_groups`]): the group sizes come with the column's
+/// memoized stats, so scoring builds no partition — only the winner gets
+/// one, when a plan executes it.
 fn score_column(
     table: &Table,
     column: &str,
     spec: &QuerySpec,
     labelled: &RowSet,
     passed: &RowSet,
-    ctx: &ExecContext<'_>,
 ) -> Result<ColumnScore, EngineError> {
-    let groups = session_group_by(table, column, ctx)?;
-    let sizes: Vec<f64> = groups.sizes().iter().map(|&s| s as f64).collect();
+    let groups = table
+        .tally_groups(column, labelled, passed)
+        .map_err(|_| EngineError::unknown_column(table, column))?;
+    let sizes: Vec<f64> = groups.iter().map(|g| g.size as f64).collect();
     let sels: Vec<f64> = groups
-        .counts([passed, labelled])
-        .into_iter()
-        .map(|[pos, tot]| SelectivityEstimate::from_sample(pos as u64, tot as u64).mean())
+        .iter()
+        .map(|g| SelectivityEstimate::from_sample(g.marked as u64, g.rows as u64).mean())
         .collect();
-    let estimated_cost = match solve_perfect_selectivities(&sizes, &sels, spec) {
-        Ok(plan) => plan.expected_cost(&sizes, &spec.cost),
-        Err(_) => f64::INFINITY,
-    };
     Ok(ColumnScore {
         column: column.to_owned(),
-        estimated_cost,
-        distinct_values: groups.num_groups(),
+        estimated_cost: plan_cost(&sizes, &sels, spec),
+        distinct_values: groups.len(),
     })
+}
+
+/// The expected cost of the §3.2 plan over groups of `sizes` rows and
+/// estimated selectivities `sels`; infinite when no plan is feasible.
+fn plan_cost(sizes: &[f64], sels: &[f64], spec: &QuerySpec) -> f64 {
+    match solve_perfect_selectivities(sizes, sels, spec) {
+        Ok(plan) => plan.expected_cost(sizes, &spec.cost),
+        Err(_) => f64::INFINITY,
+    }
 }
 
 /// Builds the §6.3.2 virtual column (method 2): train a logistic
@@ -187,8 +198,172 @@ pub fn virtual_column(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expred_table::datasets::{Dataset, LABEL_COLUMN, PROSPER};
+    use crate::pipeline::session_group_by;
+    use expred_table::datasets::{all_specs, Dataset, DatasetSpec, LABEL_COLUMN, PROSPER};
+    use expred_table::{DataType, Field, Schema, Value};
     use expred_udf::OracleUdf;
+
+    /// The oracle `score_column` is held to: group the table by the
+    /// column (through the table memo) and take each group's tallies off
+    /// its runs.
+    fn score_by_partition(
+        table: &Table,
+        column: &str,
+        spec: &QuerySpec,
+        labelled: &RowSet,
+        passed: &RowSet,
+        ctx: &ExecContext<'_>,
+    ) -> ColumnScore {
+        let groups = session_group_by(table, column, ctx).unwrap();
+        let sizes: Vec<f64> = groups.sizes().iter().map(|&s| s as f64).collect();
+        let sels: Vec<f64> = groups
+            .counts([passed, labelled])
+            .into_iter()
+            .map(|[pos, tot]| SelectivityEstimate::from_sample(pos as u64, tot as u64).mean())
+            .collect();
+        ColumnScore {
+            column: column.to_owned(),
+            estimated_cost: plan_cost(&sizes, &sels, spec),
+            distinct_values: groups.num_groups(),
+        }
+    }
+
+    /// Ranks `candidates` and holds every score, distinct count and the
+    /// order bit-equal to the oracle's on the same labelled sample.
+    fn assert_ranking_matches_partitions(
+        table: &Table,
+        label: &str,
+        candidates: &[String],
+        invoker: &UdfInvoker<'_>,
+        label_fraction: f64,
+        seed: u64,
+    ) {
+        let ctx = ExecContext::sequential();
+        let spec = QuerySpec::paper_default();
+        let mut rng = Prng::seeded(seed);
+        let (scores, labelled) = rank_columns(
+            table,
+            candidates,
+            invoker,
+            &spec,
+            label_fraction,
+            &mut rng,
+            &ctx,
+        )
+        .unwrap();
+        let truth = crate::execute::truth_vector(table, label);
+        let n = table.num_rows();
+        let sample = RowSet::from_ids(n, labelled.iter().copied());
+        let passed = RowSet::from_ids(n, labelled.iter().copied().filter(|&r| truth[r as usize]));
+        let mut oracle: Vec<ColumnScore> = scores
+            .iter()
+            .map(|s| score_by_partition(table, &s.column, &spec, &sample, &passed, &ctx))
+            .collect();
+        oracle.sort_by(|a, b| {
+            a.estimated_cost
+                .total_cmp(&b.estimated_cost)
+                .then(a.column.cmp(&b.column))
+        });
+        let bits = |scores: &[ColumnScore]| {
+            scores
+                .iter()
+                .map(|s| {
+                    (
+                        s.column.clone(),
+                        s.estimated_cost.to_bits(),
+                        s.distinct_values,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&scores), bits(&oracle), "seed {seed}");
+    }
+
+    #[test]
+    fn code_tallies_rank_as_partitions_did() {
+        for (seed, spec) in (31..).zip(all_specs()) {
+            let ds = Dataset::generate(
+                DatasetSpec {
+                    rows: 6_000,
+                    ..spec
+                },
+                seed,
+            );
+            let table = &ds.table;
+            let candidates = ds.candidate_columns();
+            let udf = OracleUdf::new(LABEL_COLUMN);
+            let rank = |invoker: &UdfInvoker<'_>| {
+                assert_ranking_matches_partitions(
+                    table,
+                    LABEL_COLUMN,
+                    &candidates,
+                    invoker,
+                    0.01,
+                    seed,
+                )
+            };
+            // Cold: nothing decided, nothing derived.
+            rank(&UdfInvoker::new(&udf, table));
+            // Warm: every other word of the table decided (the sample is
+            // drawn among the rest), then all of it — no row is left to
+            // label, so every candidate is scored on the prior alone.
+            let ctx = ExecContext::sequential();
+            let invoker = UdfInvoker::new(&udf, table);
+            let n = table.num_rows();
+            let mut half = RowSet::new(n);
+            for word in (0..n.div_ceil(64)).step_by(2) {
+                half.insert_word(word, RowSet::full(n).word(word));
+            }
+            invoker.evaluate_plane(ctx.executor, &half);
+            rank(&invoker);
+            invoker.evaluate_plane(ctx.executor, &RowSet::full(n));
+            rank(&invoker);
+        }
+    }
+
+    #[test]
+    fn code_tallies_rank_a_column_holding_a_null_as_partitions_did() {
+        let schema = Schema::new(vec![
+            Field::nullable("cat", DataType::Str),
+            Field::new("level", DataType::Str),
+            Field::new("n", DataType::Int),
+            Field::new("label", DataType::Bool),
+        ]);
+        let rows = (0..600)
+            .map(|i: i64| {
+                let cat = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Str(format!("c{}", i % 3))
+                };
+                vec![
+                    cat,
+                    Value::Str(format!("l{}", i * 7 % 4)),
+                    Value::Int(i % 3),
+                    Value::Bool(i % 3 == 0 || i % 7 == 0 || i % 5 == 0),
+                ]
+            })
+            .collect();
+        let table = Table::from_rows(schema, rows).unwrap();
+        let candidates = ["cat", "level", "n"].map(String::from);
+        let udf = OracleUdf::new("label");
+        for seed in 1..=4 {
+            let invoker = UdfInvoker::new(&udf, &table);
+            assert_ranking_matches_partitions(&table, "label", &candidates, &invoker, 0.05, seed);
+        }
+        let (scores, _) = rank_columns(
+            &table,
+            &candidates,
+            &UdfInvoker::new(&udf, &table),
+            &QuerySpec::paper_default(),
+            0.05,
+            &mut Prng::seeded(1),
+            &ExecContext::sequential(),
+        )
+        .unwrap();
+        let cat = scores.iter().find(|s| s.column == "cat").unwrap();
+        assert_eq!(cat.distinct_values, 4, "NULL is a group of its own");
+    }
 
     #[test]
     fn designated_predictor_wins_on_synthetic_data() {

@@ -1151,6 +1151,34 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_cold_auto_query_partitions_only_its_winner() {
+        let ds = small_prosper(23);
+        let engine = QueryEngine::new();
+        let auto =
+            QueryRequest::intel_sample(IntelSampleConfig::experiment1(PredictorChoice::Auto {
+                label_fraction: 0.05,
+            }));
+        let outcome = engine.submit(&ds, &auto.with_seed(1)).unwrap();
+        // Ranking tallies its sample through each candidate's codes (nine
+        // are eligible here); only the plan's column is partitioned.
+        let derived = engine.derived_stats();
+        assert_eq!((derived.hits, derived.misses), (0, 1));
+        let counters = DerivedCounters::default();
+        let partitioned: Vec<String> = ds
+            .candidate_columns()
+            .into_iter()
+            .filter(|column| {
+                let before = counters.snapshot().hits;
+                let groups = ds.table.partition(column, Some(&counters)).unwrap();
+                let held = counters.snapshot().hits > before;
+                held && groups.num_groups() == outcome.num_groups
+            })
+            .collect();
+        assert_eq!(partitioned.len(), 1, "the winner's partition alone");
+        assert_eq!(counters.snapshot().hits, 1);
+    }
+
     /// The tables the memo's entries name, ascending, each once.
     fn memo_tables(engine: &QueryEngine) -> Vec<u64> {
         let mut tables = Vec::new();

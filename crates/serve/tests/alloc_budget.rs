@@ -117,12 +117,14 @@ const BUDGETS: [(&str, &str, u64, u64, u64); 8] = [
         105,
         28_099,
     ),
+    // Ranking partitions no candidate; the measured request derives the
+    // partition of its own winner, which the warming request's was not.
     (
         "intel_sample auto",
         r#"{"kind": "intel_sample"}"#,
         NEW_SEED,
-        333,
-        75_625,
+        363,
+        114_230,
     ),
     (
         "expr",

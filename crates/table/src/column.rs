@@ -169,13 +169,13 @@ pub struct BoolColumn {
 }
 
 impl BoolColumn {
-    /// The column without NULLs whose row `i` is the `i`-th flag, written
-    /// as its plane in one pass.
-    pub(crate) fn from_flags(flags: impl ExactSizeIterator<Item = bool>) -> Self {
+    /// The column of `len` rows without NULLs that is true on the rows of
+    /// `values`, a plane over `[0, len)`.
+    pub(crate) fn from_plane(values: RowSet, len: usize) -> Self {
         Self {
-            len: flags.len(),
-            values: Arc::new(RowSet::from_flags(flags)),
+            values: Arc::new(values),
             nulls: None,
+            len,
         }
     }
 
@@ -405,17 +405,22 @@ impl StrColumn {
         self.nulls
     }
 
-    /// The dictionary's sort order: `order` lists the codes ascending by
-    /// string, and `rank[code]` is that code's position in `order`. The
-    /// kernels sort these few entries instead of hashing every cell.
+    /// The dictionary's sort order and the code → group map of the
+    /// column's grouping: `order` lists the codes ascending by string,
+    /// and `group[code]` is that code's group — its position in `order`,
+    /// one past it when the column holds a NULL, whose group is 0. NULL's
+    /// own code lies past the end of `group`. The kernels and the
+    /// per-column stats sort these few entries instead of hashing every
+    /// cell.
     pub(crate) fn dictionary_order(&self) -> (Vec<u32>, Vec<u32>) {
         let mut order: Vec<u32> = (0..self.dictionary.len() as u32).collect();
         order.sort_unstable_by_key(|&code| &*self.dictionary[code as usize]);
-        let mut rank = vec![0u32; order.len()];
-        for (position, &code) in order.iter().enumerate() {
-            rank[code as usize] = position as u32;
+        let first = u32::from(self.nulls > 0);
+        let mut group = vec![0u32; order.len()];
+        for (position, &code) in (first..).zip(&order) {
+            group[code as usize] = position;
         }
-        (order, rank)
+        (order, group)
     }
 
     /// Whether `ours` (this column's codes) and `theirs` (`other`'s, at

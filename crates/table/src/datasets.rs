@@ -71,6 +71,7 @@
 //! compare every generated table with a row-at-a-time oracle.
 
 use crate::column::{BoolColumn, Column, StrColumn};
+use crate::rowset::RowSet;
 use crate::schema::{Field, Schema};
 use crate::table::{ColumnSource, Table};
 use crate::value::DataType;
@@ -825,11 +826,31 @@ fn build_column(
                 |rng, _, label| Some(mean[usize::from(label)] + sigma * normal.draw(rng)),
             ))
         }
-        LABEL_AT => Column::Bool(BoolColumn::from_flags(
-            plan.iter().map(|&row| label_of(row)),
-        )),
+        LABEL_AT => Column::Bool(BoolColumn::from_plane(label_plane(plan), plan.len())),
         _ => panic!("a generated table has no column at position {idx}"),
     }
+}
+
+/// The rows whose plan cell carries a true label ([`label_of`]), packed
+/// eight cells per multiply: the low bit of each of eight bytes, masked
+/// out of one little-endian load, lands in the top byte of the product
+/// in row order (byte `i`'s bit at bit `56 + i`, no two partial products
+/// overlapping).
+fn label_plane(plan: &[u8]) -> RowSet {
+    const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let words = plan
+        .chunks(64)
+        .map(|cells| {
+            cells.chunks(8).enumerate().fold(0, |word, (byte, cells)| {
+                let mut lanes = [0; 8];
+                lanes[..cells.len()].copy_from_slice(cells);
+                let labels = (u64::from_le_bytes(lanes) & LOW_BITS).wrapping_mul(GATHER) >> 56;
+                word | labels << (8 * byte)
+            })
+        })
+        .collect();
+    RowSet::from_words(words)
 }
 
 /// Human-readable group labels: letters for grade-like columns, numbered
@@ -1436,6 +1457,16 @@ mod tests {
         assert_eq!(a.table, b.table);
         let c = Dataset::generate(PROSPER, 6);
         assert_ne!(a.table, c.table);
+    }
+
+    #[test]
+    fn the_label_plane_packs_each_cells_low_bit_in_row_order() {
+        let mut rng = Prng::seeded(5);
+        for rows in [0, 1, 7, 8, 9, 63, 64, 65, 200, 4_097] {
+            let plan: Vec<u8> = (0..rows).map(|_| rng.below(256) as u8).collect();
+            let flags = RowSet::from_flags(plan.iter().map(|&cell| label_of(cell)));
+            assert_eq!(label_plane(&plan), flags, "{rows} rows");
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! Every query that predicts through a real column needs the same
 //! [`GroupBy`] over the same table, every learning baseline the same
-//! one-hot dictionaries, and every ranking pass the same [`ColumnStats`].
+//! one-hot dictionaries, and every ranking pass the same [`ColumnStats`]
+//! — the eligibility counts, and a string column's group sizes and
+//! code → group map, which score a candidate without partitioning it.
+//! So a partition is derived only for a column some plan executes.
 //! Each is a pure function of one column, so each is kept beside that
 //! column in the table's slot (`Derived`), built on the first lookup and
 //! shared by every later one — from any thread: racing lookups derive

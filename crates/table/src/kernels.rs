@@ -171,13 +171,12 @@ impl Column {
 /// rank the (few) distinct strings, then remap every row's code in one
 /// pass at the width the column stores — no cell is hashed or compared.
 fn str_codes(column: &StrColumn) -> GroupCodes {
-    let (order, rank) = column.dictionary_order();
+    let (order, group) = column.dictionary_order();
     let has_null = column.null_count() > 0;
-    let remap: Vec<u32> = rank.iter().map(|r| r + has_null as u32).collect();
     // A dictionary stored in key order without NULLs (a generated
     // predictor's) keeps its codes: they are only widened.
-    let in_order = !has_null && (0..).zip(&remap).all(|(code, &to)| to == code);
-    let codes = with_codes!(column.codes(), codes => group_ids(codes, &remap, in_order));
+    let in_order = !has_null && (0..).zip(&group).all(|(code, &to)| to == code);
+    let codes = with_codes!(column.codes(), codes => group_ids(codes, &group, in_order));
     let entries = column.dictionary();
     let keys = has_null
         .then_some(Value::Null)
@@ -192,15 +191,15 @@ fn str_codes(column: &StrColumn) -> GroupCodes {
 }
 
 /// One group id per stored code: the code itself when `in_order`, else
-/// its `remap` entry. NULL's code lies past every dictionary entry, so
+/// its `group` entry. NULL's code lies past every dictionary entry, so
 /// the one bounds check also sends NULL rows to group 0.
-fn group_ids<C: Code>(codes: &[C], remap: &[u32], in_order: bool) -> Vec<u32> {
+fn group_ids<C: Code>(codes: &[C], group: &[u32], in_order: bool) -> Vec<u32> {
     if in_order {
         codes.iter().map(|&code| code.index() as u32).collect()
     } else {
         codes
             .iter()
-            .map(|&code| remap.get(code.index()).copied().unwrap_or(0))
+            .map(|&code| group.get(code.index()).copied().unwrap_or(0))
             .collect()
     }
 }

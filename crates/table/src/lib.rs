@@ -44,7 +44,9 @@
 //!   their width, hashing nothing.
 //!   Also the substrate for one-hot feature encoding in `expred_core::ml`.
 //! * [`stats`] — [`stats::ColumnStats`], a column's NULL and distinct
-//!   counts.
+//!   counts and, for a string column, its group sizes and code → group
+//!   map, through which [`table::Table::tally_groups`] tallies a sample
+//!   per group without a partition.
 //! * [`rowset`] — [`rowset::RowSet`], a set of dense row ids as one
 //!   packed bit plane (answers, ground truth, labelled samples), in the
 //!   64-row word layout [`table::GroupBy::runs`] shares: a group meets a
@@ -88,6 +90,6 @@ pub use derived::{DerivedCacheStats, DerivedCounters};
 pub use kernels::GroupCodes;
 pub use rowset::RowSet;
 pub use schema::{Field, Schema};
-pub use stats::ColumnStats;
+pub use stats::{ColumnStats, GroupTally};
 pub use table::{GroupBy, Table, TableId};
 pub use value::{DataType, Value};

@@ -12,7 +12,7 @@ use crate::derived::{memo, Derived, DerivedCounters};
 use crate::kernels::GroupCodes;
 use crate::rowset::{bits, RowSet};
 use crate::schema::{Field, Schema};
-use crate::stats::ColumnStats;
+use crate::stats::{ColumnStats, GroupTally};
 use crate::value::{DataType, Value};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -442,6 +442,26 @@ impl Table {
         Some(memo(&derived.stats, None, || {
             Arc::new(ColumnStats::of(col))
         }))
+    }
+
+    /// Per group of `column`, in [`Self::group_by`]'s group order: its
+    /// size, how many of its rows `sample` holds, and how many of those
+    /// `marked` holds too — [`GroupBy::counts`]`([marked, sample])` beside
+    /// [`GroupBy::sizes`] when `marked` lies within `sample`, without a
+    /// partition. Walks the rows of `sample` only: a string column reads
+    /// each one's stored code through its memoized [`ColumnStats`], any
+    /// other type encodes the column once per call
+    /// ([`Column::group_codes`]). Both planes are sets over this table.
+    /// What the §4.4 ranking scores a candidate column from.
+    pub fn tally_groups(
+        &self,
+        column: &str,
+        sample: &RowSet,
+        marked: &RowSet,
+    ) -> Result<Vec<GroupTally>, String> {
+        let (col, derived) = self.derived(column)?;
+        let stats = memo(&derived.stats, None, || Arc::new(ColumnStats::of(col)));
+        Ok(stats.tally(col, sample, marked))
     }
 }
 
