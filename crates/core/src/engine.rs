@@ -696,6 +696,15 @@ impl QueryEngine {
             .map_or(Ok(()), |layer| layer.store().compact())
     }
 
+    /// Holds the durable store's flusher until the guard drops
+    /// ([`PersistStore::hold_flusher`]); `None` without persistence.
+    /// `pub` as a test seam: only tests in other crates call it.
+    pub fn hold_persistence(&self) -> Option<expred_persist::FlushHold<'_>> {
+        self.persist
+            .as_ref()
+            .map(|layer| layer.store().hold_flusher())
+    }
+
     /// Pushes the session's durable state to disk and waits for it:
     /// re-offers every live row-tier entry (catching answers whose table
     /// was unregistered at insert time; already-persisted ones

@@ -46,4 +46,4 @@ pub mod format;
 pub mod store;
 
 pub use format::{PagePlanes, PersistKey, Record, PAGE_LIMIT, PAGE_ROWS};
-pub use store::{FsyncPolicy, PersistConfig, PersistError, PersistStats, PersistStore};
+pub use store::{FlushHold, FsyncPolicy, PersistConfig, PersistError, PersistStats, PersistStore};

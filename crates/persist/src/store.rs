@@ -545,6 +545,8 @@ struct FlushQueue {
     /// instead of silently reporting durability that never happened.
     compact_failed_through: u64,
     compact_error: Option<String>,
+    /// The flusher drains nothing while set ([`PersistStore::hold_flusher`]).
+    held: bool,
     shutdown: bool,
 }
 
@@ -587,6 +589,20 @@ struct Shared {
 impl Shared {
     fn index(&self) -> std::sync::MutexGuard<'_, Index> {
         self.index.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// A hold on a store's flusher ([`PersistStore::hold_flusher`]), released
+/// on drop.
+#[derive(Debug)]
+#[must_use = "the hold is released when the guard drops"]
+pub struct FlushHold<'a>(&'a PersistStore);
+
+impl Drop for FlushHold<'_> {
+    fn drop(&mut self) {
+        let shared = &self.0.shared;
+        shared.queue.lock().unwrap_or_else(|e| e.into_inner()).held = false;
+        shared.work.notify_one();
     }
 }
 
@@ -917,6 +933,21 @@ impl PersistStore {
         Ok(())
     }
 
+    /// Holds the flusher before its next drain until the guard drops:
+    /// appends still go in, and shed as the overload policy says, so a
+    /// test can fill the queue past its bound by construction rather
+    /// than by racing the flusher. A [`Self::sync`] or [`Self::compact`]
+    /// waits out the hold; dropping the store does not. `pub` as a test
+    /// seam: nothing outside tests takes it.
+    pub fn hold_flusher(&self) -> FlushHold<'_> {
+        self.shared
+            .queue
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .held = true;
+        FlushHold(self)
+    }
+
     /// Every persisted namespace key.
     pub fn namespaces(&self) -> Vec<PersistKey> {
         let index = self.shared.index();
@@ -1213,9 +1244,10 @@ fn flusher_loop(shared: Arc<Shared>, mut wal: File, mut generation: u64) {
     loop {
         let (batch, ticket, compact_ticket, shutdown) = {
             let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            while queue.pending.is_empty()
-                && queue.flushed_ticket >= queue.enqueued_ticket
-                && queue.compact_done >= queue.compact_requested
+            while (queue.held
+                || queue.pending.is_empty()
+                    && queue.flushed_ticket >= queue.enqueued_ticket
+                    && queue.compact_done >= queue.compact_requested)
                 && !queue.shutdown
             {
                 queue = shared.work.wait(queue).unwrap_or_else(|e| e.into_inner());
@@ -1770,6 +1802,25 @@ mod tests {
         }
         let store = PersistStore::open(PersistConfig::new(&dir)).unwrap();
         assert_eq!(store.rows(key(1)).unwrap().len(), 100);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_held_flusher_drains_nothing_until_released() {
+        let dir = tmpdir("held");
+        let store = PersistStore::open(PersistConfig::new(&dir).with_queue_capacity(1)).unwrap();
+        let held = store.hold_flusher();
+        for row in 0..3 {
+            store.append_row(key(1), row, true, 0);
+        }
+        // Every append after the first found the backlog at the bound.
+        let stats = store.stats();
+        assert_eq!((stats.shed, stats.flushed), (2, 0));
+        drop(held);
+        store.sync().unwrap();
+        assert_eq!(store.stats().flushed, 1, "the release drained the last");
+        // The index kept every answer, shed or not.
+        assert_eq!(store.rows(key(1)).unwrap().len(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,7 @@
 //! The serving tier's JSON wire schema: request bodies in,
 //! [`RunOutcome`] bodies out, [`EngineError`] → HTTP status.
 //!
-//! A query request body names a tenant-local table and a strategy:
+//! A query request body names a table and a strategy:
 //!
 //! ```json
 //! {
@@ -13,9 +13,10 @@
 //! }
 //! ```
 //!
-//! `table.spec` picks a calibrated generator (`"prosper"` or `"lc"`);
-//! each tenant materializes (and caches) its own instance, so tenants
-//! never share cache state even on identical specs. `query.kind` selects
+//! `table.spec` picks a calibrated generator (`"prosper"` or `"lc"`),
+//! resolved as the body is parsed; tenants share one key's content, and
+//! each holds its own table over it, so they never share cache state even
+//! on identical specs. `query.kind` selects
 //! a [`Strategy`] of the engine's closed set; every kind accepts the accuracy-contract
 //! fields `alpha`/`beta`/`rho` and a `cost` object, all defaulting to
 //! the paper's `0.8` / `{o_r: 1, o_e: 3}`. Kind-specific fields are
@@ -52,6 +53,7 @@
 //! [`Strategy`]: expred_core::Strategy
 //! [`QueryEngine::submit`]: expred_core::QueryEngine::submit
 
+use crate::tenant::{generator, Generator};
 use expred_core::optimize::CorrelationModel;
 use expred_core::pipeline::{IntelSampleConfig, PredictorChoice, RunOutcome};
 use expred_core::sampling::{SampleSizeRule, Sampling};
@@ -132,13 +134,14 @@ impl From<EngineError> for ApiError {
     }
 }
 
-/// Which tenant-local table a query targets: a named calibrated
-/// generator plus size and generation seed. Equal keys generate
-/// byte-identical tables (modulo the process-unique instance id).
+/// Which table a query targets: a calibrated generator plus size and
+/// generation seed. Equal keys name one content, which tenants share;
+/// each tenant's table over it has an identity of its own.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TableKey {
-    /// Generator name (`"prosper"` or `"lc"`).
-    pub spec: String,
+    /// The generator, resolved from its wire name (`"prosper"` or
+    /// `"lc"`) when the request is parsed.
+    pub spec: Generator,
     /// Number of rows to generate.
     pub rows: usize,
     /// Generation seed.
@@ -359,22 +362,26 @@ fn read_table(reader: &mut JsonReader<'_>, max_rows: usize) -> Result<TableKey, 
     }
     let spec = spec.ok_or_else(|| bad_request("missing \"table.spec\""))?;
     let rows = rows.ok_or_else(|| bad_request("missing \"table.rows\""))?;
-    let Some(generator) = crate::tenant::generator(&spec) else {
+    let Some(generator) = generator(&spec) else {
         return Err(bad_request(format!(
             "unknown table spec {spec:?} (available: prosper, lc)"
         )));
     };
     // Below one row per group the generator cannot place its groups
-    // (it asserts as much), and the tenant materializes tables under a
-    // lock: check the bound here, where it can still be a 400.
-    let min_rows = generator.groups;
+    // (it asserts as much): check the bound here, where it can still be
+    // a 400.
+    let min_rows = generator.spec().groups;
     if rows < min_rows || rows > max_rows {
         return Err(bad_request(format!(
             "\"table.rows\" must be in {min_rows}..={max_rows} for spec {spec:?} \
              (at least one row per group), got {rows}"
         )));
     }
-    Ok(TableKey { spec, rows, seed })
+    Ok(TableKey {
+        spec: generator,
+        rows,
+        seed,
+    })
 }
 
 /// Largest accepted `rounds` value. The engine takes any nonzero count

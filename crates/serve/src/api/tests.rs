@@ -150,14 +150,18 @@ mod oracle {
         // Below one row per group the generator cannot place its groups
         // (it asserts as much), and the tenant materializes tables under a
         // lock: check the bound here, where it can still be a 400.
-        let min_rows = generator.groups;
+        let min_rows = generator.spec().groups;
         if rows < min_rows || rows > max_rows {
             return Err(ApiError::bad_request(format!(
                 "\"table.rows\" must be in {min_rows}..={max_rows} for spec {spec:?} \
                  (at least one row per group), got {rows}"
             )));
         }
-        Ok(TableKey { spec, rows, seed })
+        Ok(TableKey {
+            spec: generator,
+            rows,
+            seed,
+        })
     }
 
     /// The `query` object's shared contract fields, collected before the
@@ -478,7 +482,7 @@ fn parses_a_full_request() {
     assert_eq!(
         q.table,
         TableKey {
-            spec: "prosper".into(),
+            spec: Generator::Prosper,
             rows: 2000,
             seed: 7
         }

@@ -13,7 +13,8 @@
 //!   response bodies, and every [`expred_core::EngineError`] variant has
 //!   a documented status code.
 //! * [`tenant`] — tenant id → isolated engine session, lazily created
-//!   and bounded; tables are tenant-local and LRU-bounded.
+//!   and bounded; each tenant's tables are its own handles, LRU-bounded,
+//!   over content the tenants share.
 //! * [`gate`] — admission control: a lock-free bounded in-flight gate
 //!   that sheds with `429` *before* any engine work happens.
 //! * [`metrics`] — lock-free counters and log-bucketed latency
@@ -49,4 +50,4 @@ pub use gate::{AdmissionGate, GatePass};
 pub use http::{HttpError, HttpRequest, HttpResponse, Limits};
 pub use metrics::{LatencyHistogram, MetricsContext, RouteMetrics, ServeMetrics};
 pub use server::{serve, ServeConfig, ServerHandle};
-pub use tenant::{EngineConfig, Tenant, TenantError, TenantRegistry};
+pub use tenant::{EngineConfig, Generator, Tenant, TenantError, TenantRegistry};

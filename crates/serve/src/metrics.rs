@@ -401,7 +401,7 @@ mod tests {
         // A slow query whose table had been evicted shows up as a miss.
         let acme = tenants.route("acme").unwrap();
         let key = |seed| crate::api::TableKey {
-            spec: "prosper".into(),
+            spec: crate::tenant::Generator::Prosper,
             rows: 100,
             seed,
         };
@@ -431,7 +431,7 @@ mod tests {
         let mem = doc.get("tenants").unwrap().get("mem").unwrap();
         assert!(mem.get("persist").is_none());
         mem_tenant.dataset(&crate::api::TableKey {
-            spec: "lc".into(),
+            spec: crate::tenant::Generator::LendingClub,
             rows: 100,
             seed: 1,
         });

@@ -3,15 +3,17 @@
 //!
 //! Each tenant gets an isolated engine — its own cross-query
 //! [`expred_exec::CacheStore`], result memo, and session bill — created
-//! lazily on first request and kept for the server's lifetime. Isolation
-//! is the tenancy model: one tenant's cache churn, bill, or query mix
+//! lazily on first request and kept for the server's lifetime. The
+//! tenancy rule: tenants share a table's content and whatever is derived
+//! from content alone, and never share an answer, a bill, or a counter
+//! that reports either. So one tenant's cache churn, bill, or query mix
 //! can never leak into another's answers or accounting (the paper's
 //! amortization story plays out *within* a tenant's query stream). The
 //! registry bounds how many tenants may exist; past the bound, new
 //! tenant ids are refused with a retryable 503 while existing tenants
 //! keep being served.
 //!
-//! What tenants do share is threads: with [`EngineConfig::pooled`] the
+//! Tenants share threads too: with [`EngineConfig::pooled`] the
 //! registry owns **one** [`WorkerPool`] for the process and every
 //! tenant's engine borrows it. Threads carry no answers and no bill, and
 //! a pool's width follows the probes rather than the tenant count. Each
@@ -21,31 +23,66 @@
 //! finish. A pool per tenant would be up to 32 sets of parked threads
 //! for the same work.
 //!
-//! Tables are tenant-local too: a [`TableKey`] names a calibrated
-//! generator (`prosper` / `lc`), a row count, and a generation seed, and
-//! each tenant materializes its own instance (bounded per tenant,
-//! evicting the least-recently-used). Generation is deterministic, so
-//! equal keys answer identically across tenants — without sharing any
-//! cache state.
+//! Tables are content, and tenants share it. A [`TableKey`] names a
+//! calibrated generator (`prosper` / `lc`), a row count, and a generation
+//! seed; generation is deterministic, so one key names one content, and
+//! the registry holds each key's content once per process, weakly. A
+//! tenant's first request for a key takes a handle on the content some
+//! tenant already holds, and only a key no tenant holds is generated —
+//! once, however many tenants race on it. The columns, their per-column
+//! stats and partitions ([`expred_table::derived`]) are functions of
+//! content alone, so they are built once for every tenant; the table
+//! memo's `derived` counters stay per tenant, reported under its
+//! `derived` section, and a tenant's hit there may be another tenant's
+//! derivation. Each tenant's handle has its own
+//! [`expred_table::TableId`], and everything that holds answers keys by
+//! it: the row tier's namespaces and their liveness sweep, the result
+//! memo, the answer-plane interner and the durable namespace. So the
+//! handles a tenant holds are its own (bounded per tenant, evicting the
+//! least-recently-used), and evicting one frees everything that tenant's
+//! handle bought, even while another tenant keeps the content alive.
 
 use crate::api::TableKey;
 use expred_core::{PersistConfig, QueryEngine};
 use expred_exec::WorkerPool;
 use expred_stats::counters::{CounterSet, Section};
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
+use expred_table::WeakTable;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-/// The table generator `spec` names, if it is a known one.
-pub(crate) fn generator(spec: &str) -> Option<DatasetSpec> {
-    match spec {
-        "prosper" => Some(PROSPER),
-        "lc" => Some(LENDING_CLUB),
-        _ => None,
+/// A calibrated table generator a [`TableKey`] names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Generator {
+    /// `"prosper"`: [`PROSPER`].
+    Prosper,
+    /// `"lc"`: [`LENDING_CLUB`].
+    LendingClub,
+}
+
+impl Generator {
+    /// The generator's name on the wire.
+    pub fn as_str(self) -> &'static str {
+        self.spec().name
     }
+
+    /// The calibration it generates to.
+    pub fn spec(self) -> DatasetSpec {
+        match self {
+            Self::Prosper => PROSPER,
+            Self::LendingClub => LENDING_CLUB,
+        }
+    }
+}
+
+/// The table generator `spec` names, if it is a known one.
+pub(crate) fn generator(spec: &str) -> Option<Generator> {
+    [Generator::Prosper, Generator::LendingClub]
+        .into_iter()
+        .find(|generator| generator.as_str() == spec)
 }
 
 /// How a tenant's engine is built (the registry applies this to every
@@ -132,10 +169,87 @@ impl EngineConfig {
     }
 }
 
+/// Every generated table's content in the process, held weakly: a key's
+/// content lives while some tenant holds a table over it, and no longer.
+#[derive(Debug, Default)]
+struct Contents(Mutex<ContentMap>);
+
+/// What [`Contents`] guards.
+#[derive(Debug, Default)]
+struct ContentMap {
+    /// Key → the content generated for it, once generated. The cell is
+    /// reserved under the lock and filled outside it, so a generation
+    /// parks only the requests for its own key, and racing requests for
+    /// it generate once.
+    entries: HashMap<TableKey, Arc<OnceLock<WeakTable>>>,
+    /// The entries the last sweep of dead ones left: the next sweep runs
+    /// once the map has doubled past it.
+    swept: usize,
+}
+
+impl Contents {
+    /// A table over `key`'s content — the content some tenant already
+    /// holds, or else generated now — under a fresh identity.
+    fn materialize(&self, key: &TableKey) -> Dataset {
+        let spec = DatasetSpec {
+            rows: key.rows,
+            ..key.spec.spec()
+        };
+        loop {
+            let cell = self.reserve(key);
+            let mut generated = None;
+            let content = cell.get_or_init(|| {
+                let dataset = Dataset::generate(spec, key.seed);
+                let content = dataset.table.downgrade();
+                generated = Some(dataset);
+                content
+            });
+            if let Some(dataset) = generated {
+                return dataset;
+            }
+            if let Some(table) = content.upgrade() {
+                return Dataset {
+                    table,
+                    spec,
+                    seed: key.seed,
+                };
+            }
+            // The last table over it died after the cell was read.
+            self.forget(key, &cell);
+        }
+    }
+
+    /// `key`'s cell, reserved now if the map has none.
+    fn reserve(&self, key: &TableKey) -> Arc<OnceLock<WeakTable>> {
+        let mut map = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        if map.entries.len() >= 2 * map.swept {
+            // A cell still being filled is kept.
+            map.entries
+                .retain(|_, cell| cell.get().is_none_or(WeakTable::is_held));
+            map.swept = map.entries.len();
+        }
+        Arc::clone(map.entries.entry(key.clone()).or_default())
+    }
+
+    /// Drops `key`'s entry if it is still `cell`, whose content is dead.
+    fn forget(&self, key: &TableKey, cell: &Arc<OnceLock<WeakTable>>) {
+        let mut map = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        if map
+            .entries
+            .get(key)
+            .is_some_and(|held| Arc::ptr_eq(held, cell))
+        {
+            map.entries.remove(key);
+        }
+    }
+}
+
 /// One tenant's session: an engine plus its materialized tables.
 pub struct Tenant {
     name: String,
     engine: QueryEngine,
+    /// The registry's contents, shared by every tenant.
+    contents: Arc<Contents>,
     /// Materialized tables, LRU-bounded by `max_tables`.
     tables: Mutex<Tables>,
     max_tables: usize,
@@ -173,12 +287,14 @@ impl Tenant {
         name: String,
         config: &EngineConfig,
         pool: Option<&Arc<WorkerPool>>,
+        contents: &Arc<Contents>,
         max_tables: usize,
     ) -> Self {
         let engine = config.build(&name, pool);
         Self {
             name,
             engine,
+            contents: Arc::clone(contents),
             tables: Mutex::default(),
             max_tables: max_tables.max(1),
             table_misses: AtomicU64::new(0),
@@ -196,15 +312,17 @@ impl Tenant {
         &self.engine
     }
 
-    /// The tenant's table for `key`, materializing it on first use.
-    /// Dropping a table past the LRU bound frees what it bought once the
-    /// last request using it ends: a re-materialized instance gets a
-    /// fresh [`expred_table::table::TableId`], so nothing could borrow
-    /// the old namespaces or hit the old memo entries again. The
+    /// The tenant's table for `key`, materialized on first use: a handle
+    /// of its own over the content the registry holds for `key`,
+    /// generated only when no tenant holds it. Dropping a table past the
+    /// LRU bound frees what it bought once the last request using it
+    /// ends, whoever else holds its content: a re-materialized handle
+    /// gets a fresh [`expred_table::table::TableId`], so nothing could
+    /// borrow the old namespaces or hit the old memo entries again. The
     /// engine's store drops the namespaces at its next liveness sweep
     /// (see `expred_exec::store`), offering them to the durable tier
     /// first when one is wired, and its death signal removes the old
-    /// instance's outcomes from the engine's result memo.
+    /// handle's outcomes from the engine's result memo.
     pub fn dataset(&self, key: &TableKey) -> Arc<Dataset> {
         let (slot, evicted) = {
             let mut tables = self.tables.lock().unwrap_or_else(|e| e.into_inner());
@@ -237,14 +355,7 @@ impl Tenant {
         drop(evicted);
         Arc::clone(slot.get_or_init(|| {
             let started = Instant::now();
-            let spec = generator(&key.spec).expect("key validated by the API layer");
-            let dataset = Arc::new(Dataset::generate(
-                DatasetSpec {
-                    rows: key.rows,
-                    ..spec
-                },
-                key.seed,
-            ));
+            let dataset = Arc::new(self.contents.materialize(key));
             self.table_misses.fetch_add(1, Ordering::Relaxed);
             self.table_materialize_micros
                 .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
@@ -258,13 +369,15 @@ impl Tenant {
         tables.slots.len()
     }
 
-    /// How many [`Self::dataset`] calls had to materialize their table
-    /// (first use, or re-use after eviction).
+    /// How many [`Self::dataset`] calls found this tenant without a
+    /// handle on their table (first use, or re-use after eviction),
+    /// whether the content was generated or another tenant's.
     pub(crate) fn table_misses(&self) -> u64 {
         self.table_misses.load(Ordering::Relaxed)
     }
 
-    /// Total time those misses spent materializing, in microseconds.
+    /// Total time those misses spent materializing, in microseconds: a
+    /// generation, or a handle on content another tenant holds.
     pub fn table_materialize_micros(&self) -> u64 {
         self.table_materialize_micros.load(Ordering::Relaxed)
     }
@@ -306,6 +419,8 @@ pub struct TenantRegistry {
     /// The process's one worker pool, when engines are pooled. Spawns no
     /// thread until a tenant's batch first fans out.
     pool: Option<Arc<WorkerPool>>,
+    /// The process's table contents, one per key some tenant holds.
+    contents: Arc<Contents>,
 }
 
 impl TenantRegistry {
@@ -322,6 +437,7 @@ impl TenantRegistry {
             max_tables_per_tenant,
             pool: engine_config.pooled.then(|| Arc::new(WorkerPool::new())),
             engine_config,
+            contents: Arc::default(),
         }
     }
 
@@ -358,6 +474,7 @@ impl TenantRegistry {
             name.to_owned(),
             &self.engine_config,
             self.pool.as_ref(),
+            &self.contents,
             self.max_tables_per_tenant,
         ));
         tenants.insert(name.to_owned(), Arc::clone(&tenant));
@@ -389,7 +506,7 @@ mod tests {
 
     fn key(rows: usize, seed: u64) -> TableKey {
         TableKey {
-            spec: "prosper".into(),
+            spec: Generator::Prosper,
             rows,
             seed,
         }
@@ -485,6 +602,117 @@ mod tests {
             b.table.id(),
             "distinct instances: no shared cache namespaces"
         );
+        assert!(
+            std::ptr::eq(a.table.column_at(0), b.table.column_at(0)),
+            "one content under both"
+        );
+    }
+
+    /// The registry's entry for `key`, if it has one.
+    fn content(registry: &TenantRegistry, key: &TableKey) -> Option<WeakTable> {
+        let map = registry.contents.0.lock().unwrap();
+        map.entries.get(key).and_then(|cell| cell.get().cloned())
+    }
+
+    #[test]
+    fn an_evicted_shared_key_frees_only_what_its_tenant_bought() {
+        let registry = TenantRegistry::new(2, 1, EngineConfig::default());
+        let (a, b) = (registry.route("a").unwrap(), registry.route("b").unwrap());
+        let shared = key(400, 5);
+        let request =
+            expred_core::QueryRequest::intel_sample(expred_core::IntelSampleConfig::experiment1(
+                expred_core::PredictorChoice::Fixed("grade".into()),
+            ))
+            .with_seed(3);
+        let answer = |tenant: &Tenant| {
+            let ds = tenant.dataset(&shared);
+            tenant.engine().submit(&ds, &request).unwrap()
+        };
+        let b_before = crate::api::render_outcome("b", &answer(&b));
+        let a_outcome = Arc::downgrade(&answer(&a));
+        assert!(a.engine().store().num_namespaces() > 0);
+        assert!(a_outcome.upgrade().is_some(), "A's memo holds its outcome");
+        // A's one-table LRU evicts the shared key; B keeps its content.
+        a.dataset(&key(400, 6));
+        assert!(content(&registry, &shared).is_some_and(|c| c.is_held()));
+        assert_eq!(
+            a.engine().store().num_namespaces(),
+            0,
+            "A's sweep dropped the evicted key's namespaces"
+        );
+        assert!(a_outcome.upgrade().is_none(), "and its memo entries");
+        let b_namespaces = b.engine().store().num_namespaces();
+        assert!(b_namespaces > 0);
+        let b_after = crate::api::render_outcome("b", &answer(&b));
+        assert_eq!(b_after, b_before, "B answers as before");
+        assert_eq!(b.engine().store().num_namespaces(), b_namespaces);
+        assert_eq!(b.table_misses(), 1);
+    }
+
+    #[test]
+    fn shared_content_dies_with_the_last_tenant_holding_it() {
+        let registry = TenantRegistry::new(2, 1, EngineConfig::default());
+        let (a, b) = (registry.route("a").unwrap(), registry.route("b").unwrap());
+        let shared = key(200, 1);
+        drop((a.dataset(&shared), b.dataset(&shared)));
+        let weak = content(&registry, &shared).expect("materialized");
+        a.dataset(&key(200, 2));
+        assert!(weak.is_held(), "B still holds it");
+        b.dataset(&key(200, 2));
+        assert!(!weak.is_held());
+        assert!(weak.upgrade().is_none());
+        // The next request for the key generates it again.
+        let again = a.dataset(&shared);
+        assert!(content(&registry, &shared).is_some_and(|c| c.is_held()));
+        assert_eq!(again.table.num_rows(), 200);
+    }
+
+    #[test]
+    fn racing_tenants_generate_a_key_once() {
+        let registry = TenantRegistry::new(2, 2, EngineConfig::default());
+        let tenants = [registry.route("a").unwrap(), registry.route("b").unwrap()];
+        let key = key(2_000, 4);
+        let barrier = std::sync::Barrier::new(8);
+        let tables: Vec<Arc<Dataset>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|i| {
+                    let (tenant, key, barrier) = (&tenants[i % 2], &key, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        tenant.dataset(key)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let column = tables[0].table.column_at(0);
+        for table in &tables {
+            assert!(
+                std::ptr::eq(table.table.column_at(0), column),
+                "one content"
+            );
+        }
+        for (i, tenant) in tenants.iter().enumerate() {
+            assert_eq!(tenant.table_misses(), 1, "one handle per tenant");
+            assert!(Arc::ptr_eq(&tenant.dataset(&key), &tables[i]));
+        }
+        assert_ne!(tables[0].table.id(), tables[1].table.id());
+        assert_eq!(registry.contents.0.lock().unwrap().entries.len(), 1);
+    }
+
+    #[test]
+    fn churned_keys_leave_the_content_map_bounded() {
+        let registry = TenantRegistry::new(1, 2, EngineConfig::default());
+        let tenant = registry.route("t").unwrap();
+        for seed in 0..200 {
+            tenant.dataset(&key(100, seed));
+            let map = registry.contents.0.lock().unwrap();
+            let held = map.entries.values();
+            let live = held.filter(|cell| cell.get().is_some_and(WeakTable::is_held));
+            let live = live.count();
+            assert_eq!(live, tenant.table_count(), "seed {seed}");
+            assert!(map.entries.len() <= 2 * live, "seed {seed}: {map:?}");
+        }
     }
 
     #[test]

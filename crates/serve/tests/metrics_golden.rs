@@ -23,7 +23,7 @@
 
 use expred_core::{IntelSampleConfig, PredictorChoice, QueryRequest, QuerySpec};
 use expred_serve::{
-    AdmissionGate, EngineConfig, MetricsContext, ServeMetrics, TableKey, TenantRegistry,
+    AdmissionGate, EngineConfig, Generator, MetricsContext, ServeMetrics, TableKey, TenantRegistry,
 };
 use expred_stats::json::JsonValue;
 use std::sync::atomic::Ordering;
@@ -44,7 +44,7 @@ fn render(registry: &TenantRegistry, tenants: &[&str]) -> (String, String) {
     metrics.health.observe(Duration::from_micros(3));
     drop(gate.try_acquire());
     let key = TableKey {
-        spec: "prosper".into(),
+        spec: Generator::Prosper,
         rows: 400,
         seed: 1,
     };

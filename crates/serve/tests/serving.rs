@@ -4,7 +4,9 @@
 //! input, saturation, and tenant exhaustion.
 
 use expred_core::{QueryEngine, QueryRequest, QuerySpec};
-use expred_serve::{serve, AdmissionGate, EngineConfig, HttpClient, ServeConfig, TableKey};
+use expred_serve::{
+    serve, AdmissionGate, EngineConfig, Generator, HttpClient, ServeConfig, TableKey,
+};
 use expred_stats::json::JsonValue;
 use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 use expred_udf::CostModel;
@@ -126,7 +128,10 @@ fn concurrent_clients_match_direct_submit_byte_identically() {
                     assert_eq!(response.status, 200, "worker {worker} step {step}");
 
                     let key = TableKey {
-                        spec: spec_name.into(),
+                        spec: match spec_name {
+                            "lc" => Generator::LendingClub,
+                            _ => Generator::Prosper,
+                        },
                         rows,
                         seed: table_seed,
                     };
@@ -348,7 +353,7 @@ fn saturation_sheds_immediately_and_conserves_the_bill() {
     let expected = mirror.submit(
         "default",
         &TableKey {
-            spec: "prosper".into(),
+            spec: Generator::Prosper,
             rows: 400,
             seed: 0,
         },
@@ -722,7 +727,7 @@ fn predicate_strings_match_direct_submit_byte_identically() {
 
     let tenant = "dsl-tenant";
     let key = TableKey {
-        spec: "prosper".into(),
+        spec: Generator::Prosper,
         rows: 400,
         seed: 11,
     };
@@ -1056,7 +1061,7 @@ fn pooled_tenants_share_one_worker_pool_and_answer_byte_identically() {
                     let response = client.post("/query", &body).unwrap();
                     assert_eq!(response.status, 200, "worker {worker} step {step}");
                     let key = TableKey {
-                        spec: "prosper".into(),
+                        spec: Generator::Prosper,
                         rows,
                         seed: table_seed,
                     };

@@ -15,15 +15,18 @@
 //! Keeping the memo in the slot is what makes it need no key, no
 //! capacity and no eviction:
 //!
-//! * **It dies with the table.** When the last clone of a table drops,
-//!   so does everything derived from it; nothing outside the table holds
-//!   an entry that can no longer be asked for.
+//! * **It dies with the content.** When the last table over a content
+//!   drops — clones and shares ([`Table::share`](crate::Table::share))
+//!   alike — so does everything derived from it; nothing outside the
+//!   content holds an entry that can no longer be asked for.
 //! * **Mutation resets it.** [`Table::push_row`](crate::Table::push_row)
 //!   takes `&mut self` and changes every column, so it empties every
 //!   slot's memo; a stale derivation cannot be reached.
-//! * **Clones share, then diverge.** A clone taken after a derivation
-//!   shares its `Arc`; a clone that then pushes a row resets only its
-//!   own slots.
+//! * **Handles share, then diverge.** Every clone and every share of a
+//!   table reads one memo, so a derivation made through any of them —
+//!   before or after the handle was taken — serves them all. A handle
+//!   that pushes a row copies the content first and resets only its own
+//!   slots; the others keep theirs.
 //!
 //! A caller that wants to know what the memo saved passes its own
 //! [`DerivedCounters`]: a lookup that found the value counts a hit, one

@@ -91,5 +91,5 @@ pub use kernels::GroupCodes;
 pub use rowset::RowSet;
 pub use schema::{Field, Schema};
 pub use stats::{ColumnStats, GroupTally};
-pub use table::{GroupBy, Table, TableId};
+pub use table::{GroupBy, Table, TableId, WeakTable};
 pub use value::{DataType, Value};

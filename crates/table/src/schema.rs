@@ -61,11 +61,7 @@ impl Schema {
         let mut seen = std::collections::HashSet::new();
         for f in &fields {
             assert!(!f.name().is_empty(), "field names must be non-empty");
-            assert!(
-                seen.insert(f.name().to_owned()),
-                "duplicate field name {:?}",
-                f.name()
-            );
+            assert!(seen.insert(f.name()), "duplicate field name {:?}", f.name());
         }
         Self { fields }
     }

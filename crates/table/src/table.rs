@@ -16,12 +16,13 @@ use crate::stats::{ColumnStats, GroupTally};
 use crate::value::{DataType, Value};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
-/// Process-unique identity of one [`Table`] content state.
+/// Process-unique identity of one [`Table`] state.
 ///
 /// Every process-local cache keys by it alone. Two independently built
-/// tables never share an id, even with identical content, and every
+/// tables never share an id, even with identical content, nor do two
+/// tables over one content ([`Table::share`]), and every
 /// [`Table::push_row`] gives its table a fresh one: a mutated table is a
 /// new table. Clones share the id until one of them is pushed to, so
 /// diverged clones never share one.
@@ -67,9 +68,10 @@ fn fold_row(version: u64, row_hash: u64) -> u64 {
 
 /// What builds a lazy table's columns on first read: the column at a
 /// schema position, every row of it. Only generated tables are lazy
-/// ([`crate::datasets`]); a source must return the same cells however
-/// often it is asked, because a clone taken before a build builds its own
-/// copy.
+/// ([`crate::datasets`]). Every handle on the content reads the one build
+/// ([`Table::share`]); only a push copies the content, and it builds every
+/// column first, so a source is asked for each column at most once per
+/// table content.
 pub(crate) trait ColumnSource: Debug + Send + Sync {
     /// The column at schema position `idx`.
     fn build(&self, idx: usize) -> Column;
@@ -128,8 +130,24 @@ impl From<Column> for Slot {
 /// build every cell. Either way, what a reader sees is the same cells.
 /// What is derived from a column is memoized beside it
 /// ([`Self::partition`], [`Self::codes`], [`Self::column_stats`]).
+///
+/// A table is a handle: its identity ([`Self::id`]) over its content,
+/// which handles share. A clone is the same table, and costs two
+/// reference counts; [`Self::share`] is another table over the same
+/// content, so what one of them builds or derives the other reads, while
+/// every cache keyed by identity keeps the two apart.
 #[derive(Debug, Clone)]
 pub struct Table {
+    content: Arc<Content>,
+    /// Shared by clones and held by nothing else, so it is also the
+    /// state's [`Self::identity`]; replaced by every push.
+    id: Arc<TableId>,
+}
+
+/// What a table's handles share: its cells and what is derived from them.
+/// A push copies it first unless the pushing handle holds it alone.
+#[derive(Debug, Clone)]
+struct Content {
     schema: Schema,
     /// One slot per field.
     columns: Vec<Slot>,
@@ -137,10 +155,24 @@ pub struct Table {
     /// from a lazy table's first `push_row` on.
     source: Option<Arc<dyn ColumnSource>>,
     num_rows: usize,
-    /// Shared by clones and held by nothing else, so it is also the
-    /// state's [`Self::identity`]; replaced by every push.
-    id: Arc<TableId>,
     version: u64,
+}
+
+/// A table's content, held without keeping it alive ([`Table::downgrade`]).
+#[derive(Debug, Clone)]
+pub struct WeakTable(Weak<Content>);
+
+impl WeakTable {
+    /// A new table over the content, as [`Table::share`] gives, or `None`
+    /// once no table holds it.
+    pub fn upgrade(&self) -> Option<Table> {
+        self.0.upgrade().map(Table::over)
+    }
+
+    /// Whether some table still holds the content.
+    pub fn is_held(&self) -> bool {
+        self.0.strong_count() > 0
+    }
 }
 
 impl PartialEq for Table {
@@ -148,8 +180,8 @@ impl PartialEq for Table {
     /// so two tables built independently from the same rows compare equal.
     /// Builds every column of a lazy table.
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema
-            && self.num_rows == other.num_rows
+        self.schema() == other.schema()
+            && self.num_rows() == other.num_rows()
             && (0..self.num_columns()).all(|idx| self.column_at(idx) == other.column_at(idx))
     }
 }
@@ -158,13 +190,21 @@ impl Table {
     /// A new table instance (fresh [`TableId`], nothing derived) over
     /// already-validated parts.
     fn new(schema: Schema, columns: Vec<Column>, num_rows: usize, version: u64) -> Self {
-        Self {
+        let columns = columns.into_iter().map(Slot::from).collect();
+        Self::over(Arc::new(Content {
             schema,
-            columns: columns.into_iter().map(Slot::from).collect(),
+            columns,
             source: None,
             num_rows,
-            id: fresh_id(),
             version,
+        }))
+    }
+
+    /// A new table (fresh [`TableId`]) over `content`.
+    fn over(content: Arc<Content>) -> Self {
+        Self {
+            content,
+            id: fresh_id(),
         }
     }
 
@@ -233,22 +273,25 @@ impl Table {
             check_column(&schema.fields()[idx], &column, num_rows)?;
             columns[idx] = Slot::from(column);
         }
-        Ok(Self {
+        Ok(Self::over(Arc::new(Content {
+            schema,
             columns,
             source: Some(source),
-            ..Self::new(schema, Vec::new(), num_rows, version)
-        })
+            num_rows,
+            version,
+        })))
     }
 
     /// Builds the column at `idx` from the table's source, checked
     /// against its field.
     fn build(&self, idx: usize) -> Column {
-        let source = self
+        let content = &*self.content;
+        let source = content
             .source
             .as_ref()
             .expect("an empty column slot has a source");
         let column = source.build(idx);
-        if let Err(err) = check_column(&self.schema.fields()[idx], &column, self.num_rows) {
+        if let Err(err) = check_column(&content.schema.fields()[idx], &column, content.num_rows) {
             panic!("a lazily built column broke its field: {err}");
         }
         column
@@ -257,7 +300,7 @@ impl Table {
     /// Whether the column at `idx` has been built.
     #[cfg(test)]
     pub(crate) fn is_built(&self, idx: usize) -> bool {
-        self.columns[idx].column.get().is_some()
+        self.content.columns[idx].column.get().is_some()
     }
 
     /// Appends one row. Errors on arity or type mismatch, and on NULLs in
@@ -266,17 +309,18 @@ impl Table {
     /// makes the table a new table: a fresh [`Self::id`] that no clone
     /// shares.
     pub fn push_row(&mut self, mut row: Vec<Value>) -> Result<(), String> {
-        if row.len() != self.schema.len() {
+        let schema = self.schema();
+        if row.len() != schema.len() {
             return Err(format!(
                 "row arity {} does not match schema arity {}",
                 row.len(),
-                self.schema.len()
+                schema.len()
             ));
         }
         // Every cell is checked against its column before any is pushed,
         // so a failed push leaves neither the columns nor the version
         // (and hence cache keys) touched.
-        for (field, value) in self.schema.fields().iter().zip(&mut row) {
+        for (field, value) in schema.fields().iter().zip(&mut row) {
             // The cell as its column stores it — an `Int` widens into a
             // float column — which is also the cell the version
             // fingerprints, as `from_columns` does.
@@ -299,18 +343,20 @@ impl Table {
         let row_hash = row.iter().fold(ROW_HASH_SEED, |hash, value| {
             fold_cell(hash, value.fingerprint())
         });
-        // A lazy table builds what it has not yet, and stops being lazy.
+        // A lazy table builds what it has not yet, and stops being lazy;
+        // content another handle holds is copied, and that one keeps it.
         for idx in 0..self.num_columns() {
             self.column_at(idx);
         }
-        self.source = None;
-        for (slot, value) in self.columns.iter_mut().zip(row) {
+        let content = Arc::make_mut(&mut self.content);
+        content.source = None;
+        for (slot, value) in content.columns.iter_mut().zip(row) {
             let column = slot.column.get_mut().expect("every column is built");
             column.push(value).expect("cell checked against its column");
             slot.derived = Derived::default();
         }
-        self.num_rows += 1;
-        self.version = fold_row(self.version, row_hash);
+        content.num_rows += 1;
+        content.version = fold_row(content.version, row_hash);
         self.id = fresh_id();
         Ok(())
     }
@@ -330,6 +376,20 @@ impl Table {
         &self.id
     }
 
+    /// Another table over this one's content: a fresh [`Self::id`], so
+    /// no cache keyed by identity serves one for the other, over the same
+    /// columns and the same memo, so neither builds or derives what the
+    /// other already has. A push to either copies the content first.
+    pub fn share(&self) -> Self {
+        Self::over(Arc::clone(&self.content))
+    }
+
+    /// A hold on this table's content that does not keep it alive: it
+    /// upgrades into a new table over it while some table holds it.
+    pub fn downgrade(&self) -> WeakTable {
+        WeakTable(Arc::downgrade(&self.content))
+    }
+
     /// Fingerprint of the table's current state.
     ///
     /// For a table built from rows, columns or CSV it is a fold of every
@@ -342,42 +402,44 @@ impl Table {
     /// the durable key (`expred_persist::PersistKey`), which must name a
     /// state across processes; within a process, [`Self::id`] names it.
     pub fn version(&self) -> u64 {
-        self.version
+        self.content.version
     }
 
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.content.schema
     }
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.num_rows
+        self.content.num_rows
     }
 
     /// Number of columns.
     pub fn num_columns(&self) -> usize {
-        self.columns.len()
+        self.content.columns.len()
     }
 
     /// The column with the given name (built now if it is not yet).
     pub fn column(&self, name: &str) -> Option<&Column> {
-        self.schema.index_of(name).map(|i| self.column_at(i))
+        self.schema().index_of(name).map(|i| self.column_at(i))
     }
 
     /// The column at an index (built now if it is not yet). Threads
     /// racing to read an unbuilt column build it once.
     pub fn column_at(&self, idx: usize) -> &Column {
-        self.columns[idx].column.get_or_init(|| self.build(idx))
+        self.content.columns[idx]
+            .column
+            .get_or_init(|| self.build(idx))
     }
 
     /// The named column and its slot's memo.
     fn derived(&self, name: &str) -> Result<(&Column, &Derived), String> {
         let idx = self
-            .schema
+            .schema()
             .index_of(name)
             .ok_or_else(|| format!("no column named {name:?}"))?;
-        Ok((self.column_at(idx), &self.columns[idx].derived))
+        Ok((self.column_at(idx), &self.content.columns[idx].derived))
     }
 
     /// The cell at `(row, column-name)`.
@@ -1205,17 +1267,64 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_taken_before_the_build_builds_an_identical_copy() {
+    fn a_clone_taken_before_the_build_shares_it() {
         let source = Counting::new(100, Default::default());
         let table = lazy_table(100, &source);
         let clone = table.clone();
-        assert_eq!(table.column_at(2), clone.column_at(2));
-        assert_eq!(builds(&source), [2, 2], "each instance builds its own");
+        let shared = table.share();
+        assert!(std::ptr::eq(table.column_at(2), clone.column_at(2)));
+        assert!(std::ptr::eq(table.column_at(2), shared.column_at(2)));
+        assert_eq!(builds(&source), [2], "one build for every handle");
         assert_eq!(table.id(), clone.id());
-        assert_eq!(table.version(), clone.version());
-        // Equality reads every column, building what is left.
-        assert_eq!(table, clone);
-        assert_eq!(builds(&source), [2, 2, 1, 1]);
+        assert_ne!(table.id(), shared.id(), "a share is another table");
+        assert_eq!(table.version(), shared.version());
+        // Equality reads every column, building what is left, once.
+        assert_eq!(table, shared);
+        assert_eq!(builds(&source), [2, 1]);
+    }
+
+    #[test]
+    fn a_push_to_one_share_leaves_the_other_untouched() {
+        let source = Counting::new(3, Default::default());
+        let mut pushed = lazy_table(3, &source);
+        let kept = pushed.share();
+        let groups = kept.partition("b", None).unwrap();
+        let stats = kept.column_stats("c").unwrap();
+        let (id, version) = (kept.id(), kept.version());
+        let column: *const Column = kept.column_at(1);
+        pushed
+            .push_row(vec![Value::Int(7), Value::Int(8), Value::Int(9)])
+            .unwrap();
+        assert_eq!((pushed.num_rows(), kept.num_rows()), (4, 3));
+        assert_eq!((kept.id(), kept.version()), (id, version));
+        assert_ne!(pushed.version(), version);
+        assert!(std::ptr::eq(column, kept.column_at(1)), "not copied");
+        assert_eq!(kept.row(2), [2, 1002, 2002].map(Value::Int));
+        assert!(Arc::ptr_eq(&groups, &kept.partition("b", None).unwrap()));
+        assert!(Arc::ptr_eq(&stats, &kept.column_stats("c").unwrap()));
+        assert_eq!(pushed.partition("b", None).unwrap().num_rows(), 4);
+        assert_eq!(
+            builds(&source),
+            [1, 2],
+            "the push built on the shared content"
+        );
+    }
+
+    #[test]
+    fn shared_content_dies_with_its_last_table() {
+        let table = sample_table();
+        let weak = table.downgrade();
+        let upgraded = weak.upgrade().expect("the table holds its content");
+        assert_ne!(upgraded.id(), table.id(), "an upgrade is another table");
+        assert_eq!(upgraded, table);
+        let groups = Arc::downgrade(&upgraded.partition("name", None).unwrap());
+        drop(table);
+        assert!(weak.is_held(), "the upgraded table still holds it");
+        assert!(groups.upgrade().is_some());
+        drop(upgraded);
+        assert!(!weak.is_held());
+        assert!(weak.upgrade().is_none());
+        assert!(groups.upgrade().is_none(), "the memo left with it");
     }
 
     #[test]

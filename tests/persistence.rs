@@ -129,10 +129,11 @@ fn graceful_drain_compacts_shed_wal_records_so_the_restart_stays_free() {
     let q = QueryRequest::naive(QuerySpec::paper_default());
     // The queue sheds when a batch arrives to find a backlog at the
     // bound, so a one-row bound sheds whenever two batches arrive
-    // within one flusher cycle (a WAL write and its fsync): two threads
-    // submitting back to back over tables generated up front. And
-    // auto-compaction is off so only the drain itself can get the shed
-    // rows (which live solely in the in-memory index) to disk.
+    // within one flusher cycle: two threads submitting back to back over
+    // tables generated up front, while the flusher is held, so every
+    // batch after the first finds the backlog. And auto-compaction is
+    // off so only the drain itself can get the shed rows (which live
+    // solely in the in-memory index) to disk.
     let cfg = || {
         PersistConfig::new(&dir)
             .with_queue_capacity(1)
@@ -144,6 +145,7 @@ fn graceful_drain_compacts_shed_wal_records_so_the_restart_stays_free() {
         .with_persistence(cfg())
         .expect("open persistence");
     let datasets: Vec<Dataset> = (0..50).map(|seed| prosper(400, seed)).collect();
+    let held = a.hold_persistence().expect("persistence wired");
     std::thread::scope(|scope| {
         for (half, tables) in datasets.chunks(25).enumerate() {
             let (a, q) = (&a, &q);
@@ -159,6 +161,7 @@ fn graceful_drain_compacts_shed_wal_records_so_the_restart_stays_free() {
         a.persist_stats().expect("stats").shed > 0,
         "workload never tripped the queue bound; widen the flood"
     );
+    drop(held);
     a.flush_persistence().expect("graceful drain");
     drop(a);
 
@@ -193,6 +196,7 @@ fn dropped_tables_under_a_shedding_queue_rehydrate_every_answer() {
         .expect("open persistence");
     // Two threads each build a table, ask about it once and drop it, so
     // the row tier sweeps dead tables while the queue sheds.
+    let held = a.hold_persistence().expect("persistence wired");
     std::thread::scope(|scope| {
         for half in 0..2u64 {
             let (a, q) = (&a, &q);
@@ -205,6 +209,7 @@ fn dropped_tables_under_a_shedding_queue_rehydrate_every_answer() {
         }
     });
     assert!(a.persist_stats().expect("stats").shed > 0, "nothing shed");
+    drop(held);
     assert_eq!(a.store().num_namespaces(), 0, "every table is dead");
     assert!(a.store().is_empty());
     let paid = a.session_counts().evaluated;
