@@ -545,8 +545,9 @@ struct FlushQueue {
     /// instead of silently reporting durability that never happened.
     compact_failed_through: u64,
     compact_error: Option<String>,
-    /// The flusher drains nothing while set ([`PersistStore::hold_flusher`]).
-    held: bool,
+    /// Holds taken and not yet released ([`PersistStore::hold_flusher`]):
+    /// the flusher drains nothing while any is.
+    held: usize,
     shutdown: bool,
 }
 
@@ -601,7 +602,7 @@ pub struct FlushHold<'a>(&'a PersistStore);
 impl Drop for FlushHold<'_> {
     fn drop(&mut self) {
         let shared = &self.0.shared;
-        shared.queue.lock().unwrap_or_else(|e| e.into_inner()).held = false;
+        shared.queue.lock().unwrap_or_else(|e| e.into_inner()).held -= 1;
         shared.work.notify_one();
     }
 }
@@ -933,8 +934,8 @@ impl PersistStore {
         Ok(())
     }
 
-    /// Holds the flusher before its next drain until the guard drops:
-    /// appends still go in, and shed as the overload policy says, so a
+    /// Holds the flusher before its next drain until the guard, and every
+    /// other hold taken on the store, drops: appends still go in, and shed as the overload policy says, so a
     /// test can fill the queue past its bound by construction rather
     /// than by racing the flusher. A [`Self::sync`] or [`Self::compact`]
     /// waits out the hold; dropping the store does not. `pub` as a test
@@ -944,7 +945,7 @@ impl PersistStore {
             .queue
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .held = true;
+            .held += 1;
         FlushHold(self)
     }
 
@@ -1244,7 +1245,7 @@ fn flusher_loop(shared: Arc<Shared>, mut wal: File, mut generation: u64) {
     loop {
         let (batch, ticket, compact_ticket, shutdown) = {
             let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            while (queue.held
+            while (queue.held > 0
                 || queue.pending.is_empty()
                     && queue.flushed_ticket >= queue.enqueued_ticket
                     && queue.compact_done >= queue.compact_requested)
@@ -1810,13 +1811,18 @@ mod tests {
         let dir = tmpdir("held");
         let store = PersistStore::open(PersistConfig::new(&dir).with_queue_capacity(1)).unwrap();
         let held = store.hold_flusher();
+        let overlapping = store.hold_flusher();
         for row in 0..3 {
             store.append_row(key(1), row, true, 0);
         }
         // Every append after the first found the backlog at the bound.
         let stats = store.stats();
         assert_eq!((stats.shed, stats.flushed), (2, 0));
+        drop(overlapping);
+        let holds = |store: &PersistStore| store.shared.queue.lock().unwrap().held;
+        assert_eq!(holds(&store), 1, "the first hold outlives the second");
         drop(held);
+        assert_eq!(holds(&store), 0);
         store.sync().unwrap();
         assert_eq!(store.stats().flushed, 1, "the release drained the last");
         // The index kept every answer, shed or not.

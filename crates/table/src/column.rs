@@ -237,7 +237,9 @@ impl FromIterator<Option<bool>> for BoolColumn {
 /// * **Equality is by content:** two columns holding the same cells are
 ///   equal whatever order their dictionaries were built in.
 /// * **Cost, stated plainly:** an interning index (string → code) rides
-///   along so [`StrColumn::push`] is one hash lookup; an all-distinct
+///   along so [`StrColumn::push`] is one hash lookup (a column built
+///   whole, [`StrColumn::from_dictionary`], builds it on its first push);
+///   an all-distinct
 ///   column therefore pays 2–4 B/row of codes (two bytes from its 256th
 ///   row, four from its 65 536th) plus a dictionary slot and an index
 ///   entry per row *on top of* its strings.
@@ -288,20 +290,28 @@ impl StrColumn {
             };
             *slot = true;
         }
+        // Room for every entry a row carries, so a small dictionary holds
+        // no growth slack; the interning index waits for a first push.
         let mut column = Self {
+            dictionary: Vec::with_capacity(used.iter().filter(|&&used| used).count()),
             nulls,
             ..Self::default()
         };
-        // Given code -> kept code (an entry no row carries keeps none).
+        // Given code -> kept code (an entry no row carries keeps none; a
+        // repeated string keeps its first occurrence's).
+        let mut first = HashMap::with_capacity(column.dictionary.capacity());
         let kept: Vec<usize> = dictionary
             .iter()
             .zip(used)
             .map(|(entry, used)| {
-                if used {
-                    column.intern(entry.as_ref()) as usize
-                } else {
-                    usize::MAX
+                if !used {
+                    return usize::MAX;
                 }
+                let next = column.dictionary.len();
+                *first.entry(entry.as_ref()).or_insert_with(|| {
+                    column.dictionary.push(Arc::from(entry.as_ref()));
+                    next
+                })
             })
             .collect();
         let relabel = kept.iter().enumerate().any(|(given, &kept)| kept != given);
@@ -351,6 +361,13 @@ impl StrColumn {
     /// widening the codes if the new entry's code would be the width's
     /// NULL. The caller appends a row carrying the code (the invariant).
     fn intern(&mut self, s: &str) -> u32 {
+        if self.index.len() < self.dictionary.len() {
+            // Built from its dictionary: the index waits for a first push.
+            let entries = (0..).zip(&self.dictionary);
+            self.index = entries
+                .map(|(code, entry)| (Arc::clone(entry), code))
+                .collect();
+        }
         if let Some(&code) = self.index.get(s) {
             return code;
         }
@@ -672,6 +689,21 @@ mod tests {
         assert_eq!(c.value(1), Value::Null);
         assert_eq!(c.null_count(), 1);
         assert_eq!(c.distinct_count(), 2);
+    }
+
+    #[test]
+    fn a_column_built_from_its_dictionary_interns_on_its_first_push() {
+        // "a" repeats and "u" is carried by no row: both leave the tidy
+        // dictionary, and no index is kept until a push needs one.
+        let mut c = StrColumn::from_dictionary(&["a", "u", "b", "a"], vec![3u8, 2, 0]).unwrap();
+        assert_eq!(c.dictionary().len(), 2);
+        assert!(c.index.is_empty());
+        c.push(Some("b"));
+        c.push(Some("z"));
+        assert_eq!(c.dictionary().len(), 3, "\"b\" kept its code");
+        assert_eq!(c.index.len(), 3);
+        let cells: Vec<_> = (0..c.len()).map(|row| c.get(row)).collect();
+        assert_eq!(cells, ["a", "b", "a", "b", "z"].map(Some));
     }
 
     #[test]

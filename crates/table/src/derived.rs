@@ -16,7 +16,8 @@
 //! capacity and no eviction:
 //!
 //! * **It dies with the content.** When the last table over a content
-//!   drops — clones and shares ([`Table::share`](crate::Table::share))
+//!   drops — clones and upgrades
+//!   ([`WeakTable::upgrade`](crate::WeakTable::upgrade))
 //!   alike — so does everything derived from it; nothing outside the
 //!   content holds an entry that can no longer be asked for.
 //! * **Mutation resets it.** [`Table::push_row`](crate::Table::push_row)

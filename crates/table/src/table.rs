@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock, Weak};
 ///
 /// Every process-local cache keys by it alone. Two independently built
 /// tables never share an id, even with identical content, nor do two
-/// tables over one content ([`Table::share`]), and every
+/// tables over one content ([`WeakTable::upgrade`]), and every
 /// [`Table::push_row`] gives its table a fresh one: a mutated table is a
 /// new table. Clones share the id until one of them is pushed to, so
 /// diverged clones never share one.
@@ -69,7 +69,7 @@ fn fold_row(version: u64, row_hash: u64) -> u64 {
 /// What builds a lazy table's columns on first read: the column at a
 /// schema position, every row of it. Only generated tables are lazy
 /// ([`crate::datasets`]). Every handle on the content reads the one build
-/// ([`Table::share`]); only a push copies the content, and it builds every
+/// ([`WeakTable::upgrade`]); only a push copies the content, and it builds every
 /// column first, so a source is asked for each column at most once per
 /// table content.
 pub(crate) trait ColumnSource: Debug + Send + Sync {
@@ -133,8 +133,8 @@ impl From<Column> for Slot {
 ///
 /// A table is a handle: its identity ([`Self::id`]) over its content,
 /// which handles share. A clone is the same table, and costs two
-/// reference counts; [`Self::share`] is another table over the same
-/// content, so what one of them builds or derives the other reads, while
+/// reference counts; an upgrade of [`Self::downgrade`] is another table
+/// over the same content, so what one of them builds or derives the other reads, while
 /// every cache keyed by identity keeps the two apart.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -163,8 +163,11 @@ struct Content {
 pub struct WeakTable(Weak<Content>);
 
 impl WeakTable {
-    /// A new table over the content, as [`Table::share`] gives, or `None`
-    /// once no table holds it.
+    /// Another table over the content, or `None` once no table holds
+    /// it: a fresh [`Table::id`], so no cache keyed by identity serves
+    /// one for the other, over the same columns and the same memo, so
+    /// neither builds or derives what the other already has. A push to
+    /// either copies the content first.
     pub fn upgrade(&self) -> Option<Table> {
         self.0.upgrade().map(Table::over)
     }
@@ -376,16 +379,8 @@ impl Table {
         &self.id
     }
 
-    /// Another table over this one's content: a fresh [`Self::id`], so
-    /// no cache keyed by identity serves one for the other, over the same
-    /// columns and the same memo, so neither builds or derives what the
-    /// other already has. A push to either copies the content first.
-    pub fn share(&self) -> Self {
-        Self::over(Arc::clone(&self.content))
-    }
-
     /// A hold on this table's content that does not keep it alive: it
-    /// upgrades into a new table over it while some table holds it.
+    /// upgrades into another table over it while some table holds it.
     pub fn downgrade(&self) -> WeakTable {
         WeakTable(Arc::downgrade(&self.content))
     }
@@ -1271,7 +1266,7 @@ mod tests {
         let source = Counting::new(100, Default::default());
         let table = lazy_table(100, &source);
         let clone = table.clone();
-        let shared = table.share();
+        let shared = table.downgrade().upgrade().unwrap();
         assert!(std::ptr::eq(table.column_at(2), clone.column_at(2)));
         assert!(std::ptr::eq(table.column_at(2), shared.column_at(2)));
         assert_eq!(builds(&source), [2], "one build for every handle");
@@ -1287,7 +1282,7 @@ mod tests {
     fn a_push_to_one_share_leaves_the_other_untouched() {
         let source = Counting::new(3, Default::default());
         let mut pushed = lazy_table(3, &source);
-        let kept = pushed.share();
+        let kept = pushed.downgrade().upgrade().unwrap();
         let groups = kept.partition("b", None).unwrap();
         let stats = kept.column_stats("c").unwrap();
         let (id, version) = (kept.id(), kept.version());

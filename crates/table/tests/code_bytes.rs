@@ -8,48 +8,30 @@
 //! 20 000-row table held ≈ 880 KB; at one byte they hold ≈ 220 KB. This
 //! file is its own test binary, so its counting allocator instruments
 //! nothing else, and it holds a single `#[test]` so no sibling test
-//! allocates while it counts. The table is generated and built on the
-//! test's thread, and the count is that thread's: the test harness's own
-//! thread allocates ≈ 900 B while a test starts, in some runs inside the
-//! counted stretch and in others not.
+//! allocates while it counts.
 
 use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
 use expred_table::DataType;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct Counting;
 
-thread_local! {
-    /// Bytes this thread has allocated less the bytes it has freed.
-    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
-}
-
-/// Adds `bytes` to this thread's count. A thread being torn down has no
-/// counter left; what it allocates or frees goes uncounted.
-fn note(bytes: isize) {
-    let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + bytes));
-}
-
-/// This thread's count.
-fn live_bytes() -> isize {
-    LIVE_BYTES.with(Cell::get)
-}
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; counting touches only a thread-local `Cell`,
-// which does not allocate. `realloc` keeps its default (alloc + copy +
-// dealloc through the two methods below), so a growing vector is counted
-// at its new size.
+// the `GlobalAlloc` contract; the counter touches no allocator state.
+// `realloc` keeps its default (alloc + copy + dealloc through the two
+// methods below), so a growing vector is counted at its new size.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size() as isize);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(-(layout.size() as isize));
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` came from `alloc` above, i.e. from `System`, with
         // this layout.
         unsafe { System.dealloc(ptr, layout) }
@@ -66,7 +48,7 @@ const BOUND: usize = 236_000;
 #[test]
 fn built_string_columns_hold_a_byte_per_row() {
     let rows = 20_000;
-    let before = live_bytes();
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
     let dataset = Dataset::generate(DatasetSpec { rows, ..PROSPER }, 7);
     let table = &dataset.table;
     let strings: Vec<usize> = (0..table.num_columns())
@@ -76,14 +58,14 @@ fn built_string_columns_hold_a_byte_per_row() {
     for &idx in &strings {
         table.column_at(idx);
     }
-    let held = live_bytes() - before;
+    let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
     // The table now holds its ten string columns' codes (200 KB), the row
     // plan (20 KB), the label column (its true-row plane, 2.5 KB, where a
     // byte per cell held 20 KB), and the dictionaries: 235 711 B, where
     // four-byte codes and plan cells held 913 319 B. Pinned at its size:
     // it may fall, never rise.
     assert!(
-        held <= BOUND as isize,
+        held <= BOUND,
         "a {rows}-row table with every string column built holds {held} B"
     );
 }
