@@ -12,27 +12,29 @@
 //! plus the read path over a warm session, where every row is a store
 //! hit promoted into the query's memo: `memoized_scan_warm` (a fresh
 //! query asking, in one word-major pass over the grouping, which rows
-//! are already decided and which passed), `execute_plan_warm` (a fresh query
-//! executing a plan over it: the answer is the reused positives, read
-//! out of one plane), `evaluate_batch_warm` (the same rows demanded as
-//! one batch) and `expr_scan_warm` (a `Strategy::ExprScan` of `not udf_label`:
-//! one plane read of the leaf, then plane algebra). `group_scan_partial`
-//! is the sampling tally over a session holding 80 % of the rows — the
-//! shape a warm `novel_queries` request reads — so the pass pays a store
-//! miss per fifth row as well as the promotions. `fresh_commit` is the
-//! write path: `evaluate_batch` over a cold namespace — every row probed,
+//! are already decided and which passed), `execute_plan_warm` (a fresh
+//! query executing a plan over it: the answer plane is the reused
+//! positives), `evaluate_batch_warm` (the same rows demanded as one
+//! batch) and `expr_scan_warm` (a `Strategy::ExprScan` of `not
+//! udf_label`: one plane read of the leaf, then plane algebra).
+//! `group_scan_partial` is the sampling tally — a ledger opened over the
+//! grouping — over a session holding 80 % of the rows, the shape a warm
+//! `novel_queries` request reads, so the pass pays a store miss per
+//! fifth row as well as the promotions. `fresh_commit` is the write
+//! path: `evaluate_batch` over a cold namespace — every row probed,
 //! memoized and committed to the session store — with no spill sink and
 //! with one that takes the offers.
 
 use expred_bench::{report::measure_ns_per_unit, BenchReport};
 use expred_core::execute::execute_plan;
 use expred_core::plan::Plan;
-use expred_core::sampling::{sample_groups, SampleSizeRule};
+use expred_core::sampling::Ledger;
 use expred_core::Strategy;
 use expred_exec::{CacheNamespace, CacheStore, ExecContext, Sequential, SpillSink};
 use expred_stats::rng::Prng;
 use expred_stats::PagePlanes;
 use expred_table::datasets::{Dataset, DatasetSpec, LABEL_COLUMN, LENDING_CLUB};
+use expred_table::{GroupBy, RowSet};
 use expred_udf::{parse_predicate, CostModel, OracleRegistry, OracleUdf, UdfInvoker};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,6 +50,19 @@ impl SpillSink for CountingSink {
         let rows: usize = pages.iter().map(|(_, planes)| planes.len()).sum();
         self.0.fetch_add(rows as u64, Ordering::Relaxed);
     }
+}
+
+/// Executes `plan` into a fresh answer plane and returns it.
+fn execute(
+    plan: &Plan,
+    groups: &GroupBy,
+    invoker: &UdfInvoker<'_>,
+    rng: &mut Prng,
+    ctx: &ExecContext<'_>,
+) -> RowSet {
+    let mut answer = RowSet::new(invoker.table().num_rows());
+    execute_plan(plan, groups, invoker, rng, ctx, &mut answer).expect("one plan group per group");
+    answer
 }
 
 fn main() {
@@ -87,14 +102,8 @@ fn main() {
             // the measurement.
             let invoker = UdfInvoker::new(&udf, &ds.table);
             let mut rng = Prng::seeded(seed);
-            black_box(execute_plan(
-                plan,
-                &groups,
-                &invoker,
-                &mut rng,
-                &ExecContext::sequential(),
-            ))
-            .unwrap();
+            let ctx = ExecContext::sequential();
+            black_box(execute(plan, &groups, &invoker, &mut rng, &ctx));
         });
         let scenario = format!("execute_plan_{name}");
         report.record_metric(&scenario, "sequential", "ns_per_row", "ns", ns);
@@ -111,14 +120,8 @@ fn main() {
         for r in 0..rows / 10 {
             invoker.retrieve_and_evaluate(r * 10);
         }
-        black_box(execute_plan(
-            &plan,
-            &groups,
-            &invoker,
-            &mut rng,
-            &ExecContext::sequential(),
-        ))
-        .unwrap();
+        let ctx = ExecContext::sequential();
+        black_box(execute(&plan, &groups, &invoker, &mut rng, &ctx));
     });
     let scenario = "execute_plan_fractional_with_memo";
     report.record_metric(scenario, "sequential", "ns_per_row", "ns", ns);
@@ -142,7 +145,7 @@ fn main() {
         seed += 1;
         let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
         let mut rng = Prng::seeded(seed);
-        black_box(execute_plan(&plan, &groups, &invoker, &mut rng, &ctx)).unwrap();
+        black_box(execute(&plan, &groups, &invoker, &mut rng, &ctx));
         assert_eq!(invoker.counts().reuse_hits, rows as u64);
     });
     report.record_metric("execute_plan_warm", "sequential", "ns_per_row", "ns", ns);
@@ -175,9 +178,7 @@ fn main() {
     UdfInvoker::with_context(&udf, &ds.table, &ctx).evaluate_batch(&Sequential, &warm);
     let ns = measure_ns_per_unit(rows as u64, reps, || {
         let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
-        let mut rng = Prng::seeded(1);
-        let tally = SampleSizeRule::Constant(0);
-        black_box(sample_groups(&groups, &invoker, tally, &mut rng, &ctx));
+        black_box(Ledger::open(&groups, &invoker).estimated_groups());
         assert_eq!(invoker.counts().reuse_hits, warm.len() as u64);
     });
     report.record_metric("group_scan_partial", "sequential", "ns_per_row", "ns", ns);

@@ -78,7 +78,13 @@
 //! target) remain correct under concurrency but may legitimately pick
 //! different sample sets depending on what earlier/overlapping queries
 //! already paid for, exactly as they already did across serial session
-//! orderings.
+//! orderings. Intel-Sample counts its evidence in one ledger per grouping
+//! ([`crate::sampling::Ledger`]): what its opening scan of the grouping
+//! saw, plus what the query decided itself. A row another query in
+//! flight decides mid-query is a free answer at execution and is never
+//! bought twice, but it is not evidence: no estimate of this query counts
+//! it. That seam is where a query that steers by one committed state
+//! (ROADMAP direction 31) lands.
 //!
 //! **Racing duplicates (cold-race suppression).** Two threads submitting
 //! the identical fresh request execute it once. After a memo miss each

@@ -37,31 +37,34 @@ use expred_table::rowset::bits;
 use expred_table::{Column, GroupBy, RowSet, Table};
 use expred_udf::UdfInvoker;
 
-/// The rows a query execution returned (cost lives in the invoker).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecutionResult {
-    /// Row ids in the answer, ascending.
-    pub returned: Vec<u32>,
-    /// How many answer rows came from reused sampled positives.
-    pub reused_positives: usize,
-}
-
-/// Executes `plan` over `groups` under an execution context, charging
-/// all retrievals/evaluations to `invoker` and reusing its memoized
-/// sample answers. Cross-query caching is the invoker's concern — build
-/// it with [`UdfInvoker::with_context`] and already-known rows (from
-/// sampling or from earlier queries in the session) bypass the plan for
-/// free.
+/// Executes `plan` over `groups` under an execution context, adding its
+/// answer rows to `answer` — a plane over the invoker's *table*, which
+/// `groups` need not cover (the iterative pipeline executes a slice of
+/// every group per round into one plane). All retrievals and
+/// evaluations are charged to `invoker`, and its memoized answers are
+/// reused: cross-query caching is the invoker's concern — build it with
+/// [`UdfInvoker::with_context`] and already-known rows (from sampling or
+/// from earlier queries in the session) bypass the plan for free.
 ///
-/// The random decisions (retrieve? evaluate?) are drawn on the calling
-/// thread in group order — exactly the stream the sequential executor
-/// consumes — into a plane of the rows to evaluate, and only then do
-/// those rows go to `ctx.executor`, as one batch in ascending row order;
-/// their answers reach the store and the spill sink as the pages they
-/// fill. How that batch is chunked and overlapped is the executor's
-/// decision alone, and answers and bills do not depend on its order. The
-/// result is therefore byte-identical across backends for a fixed seed;
-/// only wall-clock time changes.
+/// Returns the plane of the rows it evaluated and the plane of those of
+/// them that passed: the evidence the execution bought, which the
+/// iterative pipeline adds to its [`crate::sampling::Ledger`] before it
+/// re-plans.
+///
+/// One word-major pass ([`UdfInvoker::scan_groups`]) reads what every
+/// group has decided, and the decided rows that passed join the plane
+/// with one OR per word. Then each group walks its `(word, mask)` runs in
+/// group order and draws for its undecided rows, `mask & !decided`, in
+/// bit order — ascending row order, the order the group's row list has,
+/// so the random stream is the one a row-at-a-time walk draws. The
+/// random decisions (retrieve? evaluate?) are thus drawn on the calling
+/// thread, into a plane of the rows to evaluate, and only then do those
+/// rows go to `ctx.executor`, as one batch in ascending row order; their
+/// answers reach the store and the spill sink as the pages they fill.
+/// How that batch is chunked and overlapped is the executor's decision
+/// alone, and answers and bills do not depend on its order. The result
+/// is therefore byte-identical across backends for a fixed seed; only
+/// wall-clock time changes.
 ///
 /// Errors with [`EngineError::InvalidRequest`] if the plan and the
 /// grouping disagree on the number of groups.
@@ -71,34 +74,8 @@ pub fn execute_plan(
     invoker: &UdfInvoker<'_>,
     rng: &mut Prng,
     ctx: &ExecContext<'_>,
-) -> Result<ExecutionResult, EngineError> {
-    let mut answer = RowSet::new(invoker.table().num_rows());
-    let reused_positives = execute_plan_into(plan, groups, invoker, rng, ctx, &mut answer)?;
-    Ok(ExecutionResult {
-        returned: answer.to_vec(),
-        reused_positives,
-    })
-}
-
-/// [`execute_plan`] adding its answer rows to `answer` — a plane over
-/// the invoker's *table*, which `groups` need not cover (the iterative
-/// pipeline executes a slice of every group per round into one plane).
-/// Returns how many of them were reused positives.
-///
-/// One word-major pass ([`UdfInvoker::scan_groups`]) reads what every
-/// group has decided, and the decided rows that passed join the plane
-/// with one OR per word. Then each group walks its `(word, mask)` runs in
-/// group order and draws for its undecided rows, `mask & !decided`, in
-/// bit order — ascending row order, the order the group's row list has,
-/// so the random stream is the one a row-at-a-time walk draws.
-pub(crate) fn execute_plan_into(
-    plan: &Plan,
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    rng: &mut Prng,
-    ctx: &ExecContext<'_>,
     answer: &mut RowSet,
-) -> Result<usize, EngineError> {
+) -> Result<(RowSet, RowSet), EngineError> {
     if plan.num_groups() != groups.num_groups() {
         return Err(EngineError::InvalidRequest {
             reason: format!(
@@ -112,7 +89,6 @@ pub(crate) fn execute_plan_into(
     // word-major pass, and the passing ones join the answer whole.
     let (decided, passed) = invoker.scan_groups(groups);
     answer.union_with(&passed);
-    let reused_positives = passed.len();
     let mut queued = RowSet::new(invoker.table().num_rows());
     let mut retrieved = 0u64;
     for g in 0..groups.num_groups() {
@@ -143,8 +119,9 @@ pub(crate) fn execute_plan_into(
     // exactly one evaluation per row — the same bill the serial loop
     // paid. Through the invoker, never the raw probe: the invoker is what
     // memoizes the answers and charges the tracker.
-    answer.union_with(&invoker.evaluate_plane(ctx.executor, &queued));
-    Ok(reused_positives)
+    let passed = invoker.evaluate_plane(ctx.executor, &queued);
+    answer.union_with(&passed);
+    Ok((queued, passed))
 }
 
 /// The label column's ground truth as one `bool` per row, for harness
@@ -175,6 +152,23 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::Mutex;
 
+    /// What an execution returns, as ascending id lists: the answer, the
+    /// rows it evaluated and those of them that passed.
+    type Lists = (Vec<u32>, Vec<u32>, Vec<u32>);
+
+    /// [`execute_plan`] into an empty answer plane, read out as lists.
+    fn execute(
+        plan: &Plan,
+        groups: &GroupBy,
+        invoker: &UdfInvoker<'_>,
+        rng: &mut Prng,
+        ctx: &ExecContext<'_>,
+    ) -> Result<Lists, EngineError> {
+        let mut answer = RowSet::new(invoker.table().num_rows());
+        let (evaluated, passed) = execute_plan(plan, groups, invoker, rng, ctx, &mut answer)?;
+        Ok((answer.to_vec(), evaluated.to_vec(), passed.to_vec()))
+    }
+
     /// The row-at-a-time execution [`execute_plan`] replaced — probe
     /// every row of every group, push answer rows as they are decided,
     /// sort at the end — kept as the oracle the run-and-plane version
@@ -185,10 +179,9 @@ mod tests {
         invoker: &UdfInvoker<'_>,
         rng: &mut Prng,
         ctx: &ExecContext<'_>,
-    ) -> ExecutionResult {
+    ) -> Lists {
         let mut queued = Vec::new();
         let mut returned = Vec::new();
-        let mut reused_positives = 0;
         for g in 0..groups.num_groups() {
             let rows: Vec<u32> = groups.rows(g).collect();
             let r = plan.r()[g];
@@ -200,7 +193,6 @@ mod tests {
                 if let Some(answer) = known {
                     if answer {
                         returned.push(row);
-                        reused_positives += 1;
                     }
                     continue;
                 }
@@ -217,17 +209,17 @@ mod tests {
             invoker.charge_retrievals(retrieved);
         }
         let answers = invoker.evaluate_batch(ctx.executor, &queued);
-        returned.extend(
-            queued
-                .iter()
-                .zip(answers)
-                .filter_map(|(&row, answer)| answer.then_some(row as u32)),
-        );
+        let mut passed: Vec<u32> = queued
+            .iter()
+            .zip(answers)
+            .filter_map(|(&row, answer)| answer.then_some(row as u32))
+            .collect();
+        returned.extend(&passed);
         returned.sort_unstable();
-        ExecutionResult {
-            returned,
-            reused_positives,
-        }
+        passed.sort_unstable();
+        let mut evaluated: Vec<u32> = queued.iter().map(|&row| row as u32).collect();
+        evaluated.sort_unstable();
+        (returned, evaluated, passed)
     }
 
     fn test_table(labels: &[bool], groups: &[i64]) -> Table {
@@ -255,10 +247,12 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::new(vec![1.0, 1.0, 0.0], vec![0.0, 1.0, 0.0]);
         let mut rng = Prng::seeded(1);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
+        let (returned, evaluated, passed) =
+            execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
         // Group 0 returned unevaluated (rows 0,1); group 1 evaluated, only
         // row 2 passes; group 2 dropped.
-        assert_eq!(result.returned, vec![0, 1, 2]);
+        assert_eq!(returned, vec![0, 1, 2]);
+        assert_eq!((evaluated, passed), (vec![2, 3], vec![2]));
         let counts = invoker.counts();
         assert_eq!(counts.retrieved, 4);
         assert_eq!(counts.evaluated, 2);
@@ -280,9 +274,9 @@ mod tests {
         // Plan discards the group entirely; sampled positive still returns.
         let plan = Plan::discard_all(1);
         let mut rng = Prng::seeded(2);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
-        assert_eq!(result.returned, vec![0]);
-        assert_eq!(result.reused_positives, 1);
+        let (returned, evaluated, _) = execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
+        assert_eq!(returned, vec![0]);
+        assert!(evaluated.is_empty(), "a reused row is no new evidence");
         assert_eq!(invoker.counts(), before, "no new cost for reuse");
     }
 
@@ -298,8 +292,9 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::new(vec![0.6], vec![0.3]);
         let mut rng = Prng::seeded(3);
-        let _ = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
+        let (_, evaluated, _) = execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
         let counts = invoker.counts();
+        assert_eq!(evaluated.len() as u64, counts.evaluated);
         let retrieved_rate = counts.retrieved as f64 / n as f64;
         let evaluated_rate = counts.evaluated as f64 / n as f64;
         assert!((retrieved_rate - 0.6).abs() < 0.03, "{retrieved_rate}");
@@ -318,10 +313,11 @@ mod tests {
         // Evaluate everything: answer must be exactly the true set.
         let plan = Plan::evaluate_all(1);
         let mut rng = Prng::seeded(4);
-        let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
+        let (returned, _, passed) = execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
         let truth = truth_vector(&table, "label");
-        assert!(result.returned.iter().all(|&r| truth[r as usize]));
-        assert_eq!(result.returned.len(), n / 4);
+        assert!(returned.iter().all(|&r| truth[r as usize]));
+        assert_eq!(returned.len(), n / 4);
+        assert_eq!(passed, returned, "every answer row was evaluated");
     }
 
     /// Records every batch an executor is handed, answering through
@@ -349,7 +345,7 @@ mod tests {
         let run = |ctx: ExecContext<'_>| {
             let invoker = UdfInvoker::new(&udf, &table);
             let mut rng = Prng::seeded(17);
-            let result = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
+            let result = execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
             (result, invoker.counts())
         };
         let recorder = Recorder::default();
@@ -428,7 +424,7 @@ mod tests {
                 }
                 let mut rng = Prng::seeded(seed);
                 let result = if planes {
-                    execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).unwrap()
+                    execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap()
                 } else {
                     execute_plan_push_and_sort(&plan, &groups, &invoker, &mut rng, &ctx)
                 };
@@ -445,7 +441,8 @@ mod tests {
             prop_assert_eq!(&got.3, &want.3, "the executor saw different batches");
             prop_assert!(got.3.len() <= 1, "one stage, at most one batch");
             prop_assert_eq!(got.4, want.4, "the RNG moved differently");
-            prop_assert!(got.0.returned.windows(2).all(|w| w[0] < w[1]));
+            let (returned, _, _) = &got.0;
+            prop_assert!(returned.windows(2).all(|w| w[0] < w[1]));
         }
     }
 
@@ -465,7 +462,7 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::discard_all(2);
         let mut rng = Prng::seeded(5);
-        let err = execute_plan(&plan, &groups, &invoker, &mut rng, &ctx)
+        let err = execute(&plan, &groups, &invoker, &mut rng, &ctx)
             .expect_err("two plan groups cannot execute one group");
         assert!(
             matches!(&err, EngineError::InvalidRequest { reason } if reason.contains("2 groups")),

@@ -11,8 +11,9 @@
 //!   ConvexProgs 3.10/3.11/4.1 via a damped fixed-point), each LP solved
 //!   exactly by `expred_solver`'s plan-LP solve.
 //! * [`sampling`] — §4: per-group sampling rules (Constant,
-//!   Two-Third-Power, fixed fraction), Beta-posterior estimates, and the
-//!   adaptive `num` search ([`Sampling::Search`]).
+//!   Two-Third-Power, fixed fraction), the per-grouping evidence
+//!   [`Ledger`] with its Beta-posterior estimates, and the adaptive `num`
+//!   search ([`Sampling::Search`]).
 //! * [`column_select`] — §4.4: ranking real columns, and the logistic
 //!   virtual column, learned by [`ml`]'s features and model.
 //! * [`metrics`] — the precision and recall of an answer, which every
@@ -62,7 +63,7 @@ pub mod strategy;
 
 pub use engine::{EngineStats, QueryEngine};
 pub use error::EngineError;
-pub use execute::{execute_plan, truth_vector, ExecutionResult};
+pub use execute::{execute_plan, truth_vector};
 pub use optimize::{
     estimated_feasible, solve_estimated, solve_perfect_selectivities, CorrelationModel,
     EstimatedGroup, PlanError,
@@ -78,5 +79,5 @@ pub use plan::Plan;
 pub use query::QuerySpec;
 pub use request::{InfeasiblePolicy, QueryRequest};
 pub use result_memo::ResultMemoStats;
-pub use sampling::{sample_groups, GroupSample, SampleSizeRule, Sampling};
+pub use sampling::{Ledger, SampleSizeRule, Sampling};
 pub use strategy::Strategy;

@@ -4,7 +4,12 @@
 //!   column (fixed, auto-ranked, or an ML virtual column), sample to
 //!   estimate selectivities (by a fixed rule, or §4.3's search), solve the
 //!   convex program, execute — at once, or in §4.2's estimate/exploit
-//!   rounds.
+//!   rounds. Once the predictor is chosen, the run opens one
+//!   [`Ledger`] over its grouping: the one read of the grouping that
+//!   sampling makes. Every search step and every round re-plans on the
+//!   ledger's counts, and each round adds the rows its execution
+//!   evaluated, so no step re-reads the grouping to count. Execution
+//!   still reads what its groups have decided, for the free answers.
 //! * [`run_optimal`] — the unrealistic lower bound: exact selectivities
 //!   handed to the §3.2 optimizer for free.
 //! * [`run_naive`] — retrieve a random `β` fraction and evaluate all of it.
@@ -28,12 +33,12 @@
 
 use crate::column_select::{rank_columns, virtual_column};
 use crate::error::EngineError;
-use crate::execute::execute_plan_into;
+use crate::execute::execute_plan;
 use crate::metrics::PrSummary;
 use crate::optimize::{solve_estimated, solve_perfect_selectivities, CorrelationModel, PlanError};
 use crate::plan::Plan;
 use crate::query::QuerySpec;
-use crate::sampling::{adaptive_num_search, sample_groups, GroupSample, SampleSizeRule, Sampling};
+use crate::sampling::{adaptive_num_search, Ledger, SampleSizeRule, Sampling};
 use expred_exec::ExecContext;
 use expred_stats::rng::Prng;
 use expred_table::datasets::{Dataset, LABEL_COLUMN};
@@ -310,22 +315,23 @@ pub fn run_intel_sample(
             }
         };
 
+        // Steps 1–2: sample for selectivity estimates (reuses labelled
+        // rows) and optimize, on the grouping's one ledger. The search
+        // already solved the sample it stopped at.
         let k = groups.num_groups();
-        let solve = |sample: &GroupSample| {
-            let est_groups = sample.to_estimated_groups(&groups);
+        let mut ledger = Ledger::open(&groups, &f.invoker);
+        let solve = |ledger: &Ledger<'_>| {
+            let est_groups = ledger.estimated_groups();
             solve_or_evaluate_all(solve_estimated(&est_groups, &cfg.spec, cfg.corr), k)
         };
-
-        // Steps 1–2: sample for selectivity estimates (reuses labelled
-        // rows) and optimize. The search already solved the sample it
-        // stopped at.
         let (mut plan, mut plan_feasible) = match cfg.sampling {
             Sampling::Rule(rule) => {
-                solve(&sample_groups(&groups, &f.invoker, rule, &mut f.rng, ctx))
+                ledger.sample(rule, &mut f.rng, ctx);
+                solve(&ledger)
             }
             Sampling::Search => {
                 let searched =
-                    adaptive_num_search(&groups, &f.invoker, &cfg.spec, cfg.corr, &mut f.rng, ctx);
+                    adaptive_num_search(&mut ledger, &cfg.spec, cfg.corr, &mut f.rng, ctx);
                 solve_or_evaluate_all(searched.plan, k)
             }
         };
@@ -334,19 +340,16 @@ pub fn run_intel_sample(
         let rounds = cfg.rounds.get();
         let mut returned = f.empty_answer();
         if rounds == 1 {
-            execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
+            execute_plan(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
         } else {
             // Rows of each group executed so far: its first ones by rank.
             let mut executed = vec![0; k];
             for round in 0..rounds {
                 if round > 0 {
-                    // Fold everything evaluated so far back into the
-                    // estimates: a tally-only pass (no group is short of a
-                    // zero target), so one word-major read of the grouping.
-                    let rule = SampleSizeRule::Constant(0);
+                    // Re-plan on everything evaluated so far: the ledger
+                    // holds it.
                     let feasible;
-                    (plan, feasible) =
-                        solve(&sample_groups(&groups, &f.invoker, rule, &mut f.rng, ctx));
+                    (plan, feasible) = solve(&ledger);
                     plan_feasible &= feasible;
                 }
                 // Slice each group's pending rows for this round off its
@@ -362,7 +365,7 @@ pub fn run_intel_sample(
                 }
                 let slice_groups =
                     groups.slice(format!("{}#round{round}", groups.column()), &ranks);
-                execute_plan_into(
+                let (evaluated, passed) = execute_plan(
                     &Plan::new(slice_r, slice_e),
                     &slice_groups,
                     &f.invoker,
@@ -370,6 +373,7 @@ pub fn run_intel_sample(
                     ctx,
                     &mut returned,
                 )?;
+                ledger.add(&evaluated, &passed);
             }
         }
         Ok(Answer {
@@ -422,7 +426,7 @@ pub fn run_optimal(
             groups.num_groups(),
         );
         let mut returned = f.empty_answer();
-        execute_plan_into(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
+        execute_plan(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
         Ok(Answer {
             returned,
             num_groups: groups.num_groups(),
@@ -567,16 +571,16 @@ mod tests {
         let sliced = |f: &mut Frame<'_>, ctx: &ExecContext<'_>| {
             let groups = session_group_by(&ds.table, "grade", ctx)?;
             let k = groups.num_groups();
-            let rule = SampleSizeRule::Fraction(0.05);
-            let sample = sample_groups(&groups, &f.invoker, rule, &mut f.rng, ctx);
-            let est_groups = sample.to_estimated_groups(&groups);
+            let mut ledger = Ledger::open(&groups, &f.invoker);
+            ledger.sample(SampleSizeRule::Fraction(0.05), &mut f.rng, ctx);
+            let est_groups = ledger.estimated_groups();
             let (plan, plan_feasible) =
                 solve_or_evaluate_all(solve_estimated(&est_groups, &cfg.spec, cfg.corr), k);
             let ranks = next_slices(&groups, &mut vec![0; k], 1);
             assert!(ranks.iter().all(|r| !r.is_empty()), "every group has rows");
             let slice = groups.slice("grade#round0".into(), &ranks);
             let mut returned = f.empty_answer();
-            execute_plan_into(&plan, &slice, &f.invoker, &mut f.rng, ctx, &mut returned)?;
+            execute_plan(&plan, &slice, &f.invoker, &mut f.rng, ctx, &mut returned)?;
             Ok(Answer {
                 returned,
                 num_groups: k,
@@ -609,6 +613,55 @@ mod tests {
                     assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}");
                     assert_eq!(got.num_groups, want.num_groups, "{what}");
                     assert_eq!(got.plan_feasible, want.plan_feasible, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_round_and_search_step_plans_on_what_a_retally_reads() {
+        // The ledger against the re-tally it replaced, at every estimate
+        // a run plans on: each §4.2 round's and each §4.3 search step's,
+        // cold and on a warm session store, on either backend.
+        let ds = small_prosper();
+        let unknown = IntelSampleConfig {
+            corr: CorrelationModel::Unknown,
+            ..section4(Sampling::Search, 1)
+        };
+        let cfgs = [
+            rounds_of(0.05, 2),
+            rounds_of(0.02, 3),
+            section4(Sampling::Search, 1),
+            unknown,
+        ];
+        let warmer = QueryRequest::intel_sample(IntelSampleConfig {
+            spec: QuerySpec::new(0.8, 0.3, 0.8, QuerySpec::paper_default().cost),
+            ..IntelSampleConfig::experiment1(PredictorChoice::Fixed("housing_status".into()))
+        });
+        let engines: [fn() -> QueryEngine; 2] = [QueryEngine::new, || {
+            QueryEngine::with_executor(Box::new(WorkerPool::with_threads(2)))
+        }];
+        for engine in engines {
+            for warm in [false, true] {
+                for cfg in &cfgs {
+                    let (checked, unchecked) = (engine(), engine());
+                    if warm {
+                        for e in [&checked, &unchecked] {
+                            e.submit(&ds, &warmer.clone().with_seed(8)).unwrap();
+                        }
+                    }
+                    let (got, checks) = crate::sampling::tests::with_retally_checks(|| {
+                        run_intel_sample(&ds, cfg, 7, &checked.context()).unwrap()
+                    });
+                    let what = format!("warm {warm}, {cfg:?}");
+                    match cfg.sampling {
+                        Sampling::Search => assert!(checks >= 3, "{checks} steps: {what}"),
+                        Sampling::Rule(_) => assert_eq!(checks, cfg.rounds.get(), "{what}"),
+                    }
+                    // The re-tally changed nothing the run reports.
+                    let want = run_intel_sample(&ds, cfg, 7, &unchecked.context()).unwrap();
+                    assert_eq!(got.returned, want.returned, "{what}");
+                    assert_eq!(got.counts, want.counts, "{what}");
                 }
             }
         }

@@ -4,29 +4,38 @@
 //!   fraction (Experiment 1 uses 5%), a constant per group (§6.3's
 //!   `Constant(c)` scheme), or the paper's rule of thumb
 //!   `F_a = num · t_a · n^{-1/3}` (§4.3, the `Two-Third-Power` scheme).
-//! * [`sample_groups`] — draws and evaluates the sample through the
-//!   audited invoker (sampling cost is *included* in the algorithm's cost,
-//!   §6.2), reusing any tuples that were already evaluated (e.g. the 1%
-//!   used for predictor selection — "the 1% labelled tuples can be re-used
-//!   for both selectivity estimation and as part of the output", §4.4).
-//!   What the groups already know is read in one word-major pass over
-//!   the whole grouping ([`UdfInvoker::scan_groups`]): each 64-row word
-//!   the groups touch is loaded and settled once, into a plane of the
-//!   decided rows and one of those that passed. The tally `(evaluated,
-//!   positives)` is two ANDs and two popcounts per `(word, mask)` run,
-//!   folded per group ([`GroupBy::counts`], with the POPCNT instruction
-//!   where the CPU has it).
-//!   The groups short of their targets are then read again, all at once:
-//!   one word-major read of the union of their runs
-//!   ([`UdfInvoker::scan_plane`]), which makes the store probes a rescan
-//!   of each short group made. Each group, in group order, draws its
-//!   shortfall by rank among its undecided bits, `mask & !decided` over
-//!   its runs: `sample_indices` picks ranks, and prefix popcounts map
-//!   each rank to its row — the rows, order and draws of indexing a list
-//!   of the undecided rows, which is never built. The draws land in one
-//!   plane, evaluated as one batch ([`UdfInvoker::evaluate_plane`]), and
-//!   the groups' drawn positives are again a popcount per run, counted
-//!   for every group in one pass.
+//! * [`Ledger`] — the evidence one query holds in one grouping, opened
+//!   by the query's one read of the grouping and grown by what the query
+//!   evaluates. Sampling draws and evaluates through the audited invoker
+//!   (sampling cost is *included* in the algorithm's cost, §6.2), and only
+//!   a group's shortfall against its target is bought: every row already
+//!   evaluated counts for free — the 1% labelled for predictor selection
+//!   (§4.4), an earlier round or search step, or an earlier query of the
+//!   session. What the groups already know is read once, when the ledger
+//!   opens ([`UdfInvoker::scan_groups`]): each 64-row word the groups
+//!   touch is loaded and settled once, into a plane of the decided rows
+//!   and one of those that passed, and the per-group tally `(decided,
+//!   passed)` is two ANDs and two popcounts per `(word, mask)` run
+//!   ([`GroupBy::counts`]). Each later draw, each search step and each
+//!   round's re-plan reads the ledger's counts; the draws and the rows an
+//!   execution evaluated are added to it as their answers land
+//!   ([`Ledger::add`]), so nothing re-reads the grouping to count.
+//!   [`Ledger::estimated_groups`] is the one place the optimizer's input
+//!   is built from counts.
+//!
+//!   A draw still reads the groups short of their targets at draw time
+//!   ([`UdfInvoker::scan_plane`]): each group draws its shortfall by rank
+//!   among its undecided bits, `sample_indices` picks ranks and prefix
+//!   popcounts map each rank to its row — the rows, order and draws of
+//!   indexing a list of the undecided rows, which is never built — into
+//!   one plane, evaluated as one batch ([`UdfInvoker::evaluate_plane`]).
+//!
+//!   With another query in flight, the ledger holds what its opening
+//!   scan saw plus what this query decided itself. A row the other query
+//!   decides mid-query is a free answer at execution and is never drawn,
+//!   but it is not evidence: no estimate of this query counts it. Whether
+//!   a query should steer by such rows at all is ROADMAP direction 31,
+//!   and this is where its answer lands.
 //! * [`Sampling`] — how Intel-Sample sizes its first sample: a
 //!   [`SampleSizeRule`], or [`Sampling::Search`], §4.3's adaptive scheme
 //!   (`adaptive_num_search`): grow `num`, re-plan, and stop when the
@@ -77,96 +86,87 @@ pub enum Sampling {
     Search,
 }
 
-/// The outcome of sampling one grouping.
-#[derive(Debug, Clone)]
-pub struct GroupSample {
-    /// Per-group selectivity estimates (Beta posterior over the evaluated
-    /// tuples, §4.1).
-    pub estimates: Vec<SelectivityEstimate>,
-    /// Per-group count of evaluated tuples (`F_a`), including re-used ones.
-    pub evaluated: Vec<u64>,
-    /// Per-group count of evaluated tuples that satisfied the predicate
-    /// (`F⁺_a`).
-    pub positives: Vec<u64>,
+/// What one query knows of one grouping: the plane of the rows it
+/// holds an answer for, the plane of those of them that passed, and
+/// each group's `(decided, passed)` counts — `F_a` and `F⁺_a`, the
+/// evidence §4.1's estimates, §4.2's rounds and §4.3's search all plan
+/// on.
+///
+/// [`Ledger::open`] is the one read of the grouping; from then on the
+/// ledger grows only by what the query evaluates itself:
+/// [`Ledger::sample`]'s draws, and the rows an execution evaluated,
+/// handed to [`Ledger::add`]. A row another query decides after the
+/// ledger opened is not evidence (the module docs).
+pub struct Ledger<'q> {
+    groups: &'q GroupBy,
+    invoker: &'q UdfInvoker<'q>,
+    /// The rows behind the counts, and those of them that passed.
+    decided: RowSet,
+    passed: RowSet,
+    /// Per group, its `[decided, passed]` rows.
+    counts: Vec<[usize; 2]>,
 }
 
-impl GroupSample {
-    /// Converts the sample into the optimizer's input, attaching group
-    /// sizes from the grouping.
-    pub fn to_estimated_groups(&self, groups: &GroupBy) -> Vec<EstimatedGroup> {
-        (0..groups.num_groups())
-            .map(|g| EstimatedGroup {
-                size: groups.size(g) as f64,
-                sampled: self.evaluated[g] as f64,
-                sampled_positive: self.positives[g] as f64,
-                sel: self.estimates[g].mean(),
-                var: self.estimates[g].variance(),
-            })
-            .collect()
-    }
-}
-
-/// Samples every group per `rule`, evaluating through `invoker` under an
-/// execution context.
-///
-/// Already-evaluated rows count toward the target for free — sampled
-/// earlier in this query (predictor selection, earlier rounds) *or*
-/// evaluated by a previous query sharing the session cache; only the
-/// shortfall incurs retrieval + evaluation cost. Estimates are Beta
-/// posteriors over *all* evaluated rows of the group.
-///
-/// Row selection is drawn on the calling thread and every batched row is
-/// fresh and distinct, so estimates, counts, and charged costs are
-/// byte-identical across backends for a fixed seed.
-///
-/// Every group's shortfall is drawn first (group order, so the RNG is
-/// consumed exactly as a group-at-a-time loop would) and the union is
-/// evaluated in **one** executor call per sampling round: groups
-/// partition the rows, so no draw can depend on another group's answers,
-/// and a wide executor gets one deep batch instead of a barrier per
-/// group — most of which carry a few dozen rows.
-pub fn sample_groups(
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
-    rule: SampleSizeRule,
-    rng: &mut Prng,
-    ctx: &ExecContext<'_>,
-) -> GroupSample {
-    let n = groups.num_rows();
-    // Free information first: rows already evaluated, read for every
-    // group in one word-major pass and tallied per run.
-    let (decided, passed) = invoker.scan_groups(groups);
-    // Per group: (evaluated, positives) among already-known rows, and
-    // its shortfall — then how many drawn rows it contributed to `batch`.
-    let mut tallies: Vec<(usize, usize, usize)> = Vec::with_capacity(groups.num_groups());
-    // The rows of every group short of its target, if any is.
-    let mut short: Option<RowSet> = None;
-    for (g, [total, pos]) in groups.counts([&decided, &passed]).into_iter().enumerate() {
-        let target = rule.sample_size(groups.size(g), n);
-        if total < target {
-            let short = short.get_or_insert_with(|| RowSet::new(invoker.table().num_rows()));
-            for (word, mask) in groups.runs(g) {
-                short.insert_word(word as usize, mask);
-            }
+impl<'q> Ledger<'q> {
+    /// Opens the ledger of `groups`: what `invoker`'s query and session
+    /// have decided of its rows, read in one pass and tallied per run —
+    /// two ANDs and two popcounts per `(word, mask)` run, folded per
+    /// group ([`GroupBy::counts`], with the POPCNT instruction where the
+    /// CPU has it).
+    pub fn open(groups: &'q GroupBy, invoker: &'q UdfInvoker<'q>) -> Self {
+        let (decided, passed) = invoker.scan_groups(groups);
+        let counts = groups.counts([&decided, &passed]);
+        Self {
+            groups,
+            invoker,
+            decided,
+            passed,
+            counts,
         }
-        tallies.push((total, pos, target.saturating_sub(total)));
     }
-    // Of the rows drawn, those that passed.
-    let mut passed = None;
-    if let Some(short) = short {
-        // Pay for the shortfalls with fresh random rows. The short groups
-        // are read again rather than remembered from the tally: a row
-        // another query of the session landed in between is neither
-        // drawn fresh nor counted (and the store sees the probes a
-        // per-group rescan made). Each group then draws by rank among
-        // its undecided rows, in group order, into one plane.
+
+    /// Samples every group up to `rule`'s target, evaluating through the
+    /// invoker under an execution context, and adds the draws: only a
+    /// group's shortfall incurs retrieval + evaluation cost.
+    ///
+    /// The groups short of their targets are read again, all at once:
+    /// one word-major read of the union of their runs
+    /// ([`UdfInvoker::scan_plane`]), which makes the store probes a
+    /// rescan of each short group made, and skips a row another query of
+    /// the session landed since the ledger opened. Each group, in group
+    /// order, draws its shortfall by rank among its undecided bits, `mask
+    /// & !decided` over its runs: `sample_indices` picks ranks, and
+    /// prefix popcounts map each rank to its row — the rows, order and
+    /// draws of indexing a list of the undecided rows, which is never
+    /// built. The draws land in one plane, evaluated as **one** executor
+    /// call ([`UdfInvoker::evaluate_plane`]): groups partition the rows,
+    /// so no draw can depend on another group's answers, and a wide
+    /// executor gets one deep batch instead of a barrier per group.
+    ///
+    /// Row selection is drawn on the calling thread and every batched row
+    /// is fresh and distinct, so counts and charged costs are
+    /// byte-identical across backends for a fixed seed.
+    pub fn sample(&mut self, rule: SampleSizeRule, rng: &mut Prng, ctx: &ExecContext<'_>) {
+        let (groups, invoker) = (self.groups, self.invoker);
+        let n = groups.num_rows();
+        // Each group's shortfall, and the rows of every short group.
+        let mut short: Option<RowSet> = None;
+        let mut need = Vec::with_capacity(groups.num_groups());
+        for (g, &[decided, _]) in self.counts.iter().enumerate() {
+            let target = rule.sample_size(groups.size(g), n);
+            if decided < target {
+                let short = short.get_or_insert_with(|| RowSet::new(invoker.table().num_rows()));
+                for (word, mask) in groups.runs(g) {
+                    short.insert_word(word as usize, mask);
+                }
+            }
+            need.push(target.saturating_sub(decided));
+        }
+        let Some(short) = short else { return };
         let (decided, _) = invoker.scan_plane(&short);
         let mut batch = RowSet::new(invoker.table().num_rows());
         let mut open = Vec::new();
-        for (g, tally) in tallies.iter_mut().enumerate() {
-            if tally.2 == 0 {
-                continue;
-            }
+        for (g, &need) in need.iter().enumerate().filter(|&(_, &need)| need > 0) {
             open.clear();
             open.extend(
                 groups
@@ -174,29 +174,50 @@ pub fn sample_groups(
                     .map(|(word, mask)| (word, mask & !decided.word(word as usize)))
                     .filter(|&(_, mask)| mask != 0),
             );
-            tally.2 = draw_by_rank(&open, tally.2, rng, |row| batch.insert(row));
+            draw_by_rank(&open, need, rng, |row| batch.insert(row));
         }
         invoker.charge_retrievals(batch.len() as u64);
-        passed = Some(invoker.evaluate_plane(ctx.executor, &batch));
+        let passed = invoker.evaluate_plane(ctx.executor, &batch);
+        self.add(&batch, &passed);
     }
-    let mut sample = GroupSample {
-        estimates: Vec::with_capacity(tallies.len()),
-        evaluated: Vec::with_capacity(tallies.len()),
-        positives: Vec::with_capacity(tallies.len()),
-    };
-    // Each group's drawn positives: the drawn rows that passed are all
-    // some group's draws, so a group without draws counts none.
-    let drawn_pos = passed.map(|passed| groups.counts([&passed]));
-    for (g, (known, known_pos, drawn)) in tallies.into_iter().enumerate() {
-        let drawn_pos = drawn_pos.as_ref().map_or(0, |counts| counts[g][0]);
-        let (pos, total) = ((known_pos + drawn_pos) as u64, (known + drawn) as u64);
-        sample
-            .estimates
-            .push(SelectivityEstimate::from_sample(pos, total));
-        sample.evaluated.push(total);
-        sample.positives.push(pos);
+
+    /// Adds rows this query evaluated — `evaluated`, and those of them
+    /// that passed — to the ledger, each counted for the group that
+    /// holds it. A row counts once: the query never evaluates a row it
+    /// already holds an answer for.
+    pub fn add(&mut self, evaluated: &RowSet, passed: &RowSet) {
+        debug_assert_eq!(self.decided.intersection_len(evaluated), 0);
+        let added = self.groups.counts([evaluated, passed]);
+        for (counts, [decided, passed]) in self.counts.iter_mut().zip(added) {
+            counts[0] += decided;
+            counts[1] += passed;
+        }
+        self.decided.union_with(evaluated);
+        self.passed.union_with(passed);
     }
-    sample
+
+    /// The optimizer's input: per group its size, its counts and the Beta
+    /// posterior over them (§4.1).
+    pub fn estimated_groups(&self) -> Vec<EstimatedGroup> {
+        let estimated: Vec<EstimatedGroup> = self
+            .counts
+            .iter()
+            .enumerate()
+            .map(|(g, &[decided, passed])| {
+                let estimate = SelectivityEstimate::from_sample(passed as u64, decided as u64);
+                EstimatedGroup {
+                    size: self.groups.size(g) as f64,
+                    sampled: decided as f64,
+                    sampled_positive: passed as f64,
+                    sel: estimate.mean(),
+                    var: estimate.variance(),
+                }
+            })
+            .collect();
+        #[cfg(test)]
+        tests::check_against_the_retally(self, &estimated);
+        estimated
+    }
 }
 
 /// Draws `need` of the rows set in `open` — `(word, mask)` runs,
@@ -268,12 +289,11 @@ pub(crate) struct AdaptiveOutcome {
 }
 
 /// §4.3's adaptive scheme: start from a small `num`, keep enlarging the
-/// sample and re-solving ConvexProg 4.1; stop when the estimated total
-/// cost (sampling spent so far + planned execution) rises for two
-/// consecutive steps, returning the best state seen.
+/// sample and re-solving ConvexProg 4.1 on the ledger; stop when the
+/// estimated total cost (sampling spent so far + planned execution)
+/// rises for two consecutive steps, returning the best state seen.
 pub(crate) fn adaptive_num_search(
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
+    ledger: &mut Ledger<'_>,
     spec: &QuerySpec,
     corr: CorrelationModel,
     rng: &mut Prng,
@@ -283,9 +303,9 @@ pub(crate) fn adaptive_num_search(
     let max_steps = 16;
     // One step: sample up to `num`'s rule, solve, and cost the result.
     let mut step = |num: f64| {
-        let rule = SampleSizeRule::TwoThirdPower(num);
-        let est_groups = sample_groups(groups, invoker, rule, rng, ctx).to_estimated_groups(groups);
-        let spent = invoker.cost(&spec.cost);
+        ledger.sample(SampleSizeRule::TwoThirdPower(num), rng, ctx);
+        let est_groups = ledger.estimated_groups();
+        let spent = ledger.invoker.cost(&spec.cost);
         let plan = solve_estimated(&est_groups, spec, corr);
         let planned = match &plan {
             Ok(plan) => {
@@ -319,36 +339,110 @@ pub(crate) fn adaptive_num_search(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use expred_exec::{BatchProbe, CacheStore, Executor, Sequential};
     use expred_table::{DataType, Field, Schema, Table, Value};
     use expred_udf::{CostModel, OracleUdf};
     use proptest::prelude::*;
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// The group-at-a-time loop [`sample_groups`] replaced — one
-    /// executor barrier per group — kept as the oracle the batched
-    /// version must match action for action.
-    fn sample_groups_per_group(
+    /// The optimizer's input from per-group `(decided, passed)` counts,
+    /// built as the tally the ledger replaced built it: a Beta posterior
+    /// per group, its mean and its variance.
+    fn estimated_from(groups: &GroupBy, counts: &[(usize, usize)]) -> Vec<EstimatedGroup> {
+        counts
+            .iter()
+            .enumerate()
+            .map(|(g, &(total, pos))| {
+                let estimate = SelectivityEstimate::from_sample(pos as u64, total as u64);
+                EstimatedGroup {
+                    size: groups.size(g) as f64,
+                    sampled: total as f64,
+                    sampled_positive: pos as f64,
+                    sel: estimate.mean(),
+                    var: estimate.variance(),
+                }
+            })
+            .collect()
+    }
+
+    thread_local! {
+        /// While `Some`, each [`Ledger::estimated_groups`] on this thread
+        /// is checked against a re-tally of its grouping, and counted.
+        static RETALLY_CHECKS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Runs `run` with every [`Ledger::estimated_groups`] it makes on
+    /// this thread checked against a re-tally, and returns how many were.
+    pub(crate) fn with_retally_checks<R>(run: impl FnOnce() -> R) -> (R, usize) {
+        RETALLY_CHECKS.with(|checks| checks.set(Some(0)));
+        let out = run();
+        let checks = RETALLY_CHECKS.with(|checks| checks.take());
+        (out, checks.expect("the checks were on"))
+    }
+
+    /// When checks are on: the ledger's planes and estimates must be
+    /// those of the re-tally it replaced — one word-major read of the
+    /// whole grouping ([`UdfInvoker::scan_groups`]) folded per group
+    /// ([`GroupBy::counts`]) — bit for bit. The read promotes nothing the
+    /// query's memo lacks (with no other query in flight, the ledger's
+    /// opening scan promoted every row the session held), so it changes
+    /// no bill; the store counts its misses.
+    pub(crate) fn check_against_the_retally(ledger: &Ledger<'_>, estimated: &[EstimatedGroup]) {
+        if RETALLY_CHECKS.with(Cell::get).is_none() {
+            return;
+        }
+        let (decided, passed) = ledger.invoker.scan_groups(ledger.groups);
+        assert_eq!(decided, ledger.decided, "the decided planes differ");
+        assert_eq!(passed, ledger.passed, "the passed planes differ");
+        let counts: Vec<(usize, usize)> = ledger
+            .groups
+            .counts([&decided, &passed])
+            .into_iter()
+            .map(|[total, pos]| (total, pos))
+            .collect();
+        let bits = |groups: &[EstimatedGroup]| -> Vec<[u64; 5]> {
+            groups
+                .iter()
+                .map(|g| [g.size, g.sampled, g.sampled_positive, g.sel, g.var].map(f64::to_bits))
+                .collect()
+        };
+        assert_eq!(
+            bits(estimated),
+            bits(&estimated_from(ledger.groups, &counts)),
+            "the ledger's estimates differ from the re-tally's"
+        );
+        RETALLY_CHECKS.with(|checks| checks.set(checks.get().map(|n| n + 1)));
+    }
+
+    /// The group-at-a-time loop the ledger's draws replaced — one
+    /// executor barrier per group — kept as the oracle they must match
+    /// action for action. `tallies` carries each group's `(decided,
+    /// passed)` across rounds as the ledger does: a group is counted by
+    /// a scan of its rows on the first round, and later rounds add what
+    /// they drew to what it carries.
+    fn sample_per_group(
         groups: &GroupBy,
         invoker: &UdfInvoker<'_>,
         rule: SampleSizeRule,
         rng: &mut Prng,
         ctx: &ExecContext<'_>,
-    ) -> GroupSample {
+        tallies: &mut Vec<(usize, usize)>,
+    ) -> Vec<EstimatedGroup> {
         let n = groups.num_rows();
-        let mut estimates = Vec::with_capacity(groups.num_groups());
-        let mut evaluated = Vec::with_capacity(groups.num_groups());
-        let mut positives = Vec::with_capacity(groups.num_groups());
         for g in 0..groups.num_groups() {
             let rows: Vec<u32> = groups.rows(g).collect();
             let target = rule.sample_size(groups.size(g), n);
             let scan = || invoker.known_many(rows.iter().map(|&row| row as usize));
-            let known = scan();
-            let mut total = known.iter().flatten().count();
-            let mut pos = known.iter().filter(|&&k| k == Some(true)).count();
-            if total < target {
+            if tallies.len() == g {
+                let known = scan();
+                let total = known.iter().flatten().count();
+                tallies.push((total, known.iter().filter(|&&k| k == Some(true)).count()));
+            }
+            let (total, pos) = &mut tallies[g];
+            if *total < target {
                 let fresh: Vec<usize> = rows
                     .iter()
                     .zip(scan())
@@ -356,24 +450,16 @@ mod tests {
                     .map(|(&row, _)| row as usize)
                     .collect();
                 let batch: Vec<usize> = rng
-                    .sample_indices(fresh.len(), target - total)
+                    .sample_indices(fresh.len(), target - *total)
                     .into_iter()
                     .map(|idx| fresh[idx])
                     .collect();
                 let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
-                total += batch.len();
-                pos += answers.iter().filter(|&&a| a).count();
+                *total += batch.len();
+                *pos += answers.iter().filter(|&&a| a).count();
             }
-            let (pos, total) = (pos as u64, total as u64);
-            estimates.push(SelectivityEstimate::from_sample(pos, total));
-            evaluated.push(total);
-            positives.push(pos);
         }
-        GroupSample {
-            estimates,
-            evaluated,
-            positives,
-        }
+        estimated_from(groups, tallies)
     }
 
     /// Counts `evaluate_batch` calls on their way to [`Sequential`].
@@ -484,7 +570,9 @@ mod tests {
             };
             // Two rounds (the adaptive search re-samples over its own
             // earlier rounds) over a session store an earlier query left
-            // rows in, after this query evaluated some rows itself.
+            // rows in, after this query evaluated some rows itself. Both
+            // sides count each group once and carry the count, so the
+            // store sees the same probes.
             let run = |batched: bool| {
                 let store = CacheStore::new();
                 let executor = CountingExecutor::default();
@@ -499,12 +587,18 @@ mod tests {
                 }
                 let mut rng = Prng::seeded(seed);
                 let mut rounds = Vec::new();
+                let mut ledger = batched.then(|| Ledger::open(&grouping, &invoker));
+                let mut tallies = Vec::new();
                 for _ in 0..2 {
                     let calls = executor.calls.load(Ordering::Relaxed);
-                    let sample = if batched {
-                        sample_groups(&grouping, &invoker, rule, &mut rng, &ctx)
-                    } else {
-                        sample_groups_per_group(&grouping, &invoker, rule, &mut rng, &ctx)
+                    let sample = match &mut ledger {
+                        Some(ledger) => {
+                            ledger.sample(rule, &mut rng, &ctx);
+                            ledger.estimated_groups()
+                        }
+                        None => {
+                            sample_per_group(&grouping, &invoker, rule, &mut rng, &ctx, &mut tallies)
+                        }
                     };
                     rounds.push((
                         format!("{sample:?}"),
@@ -534,20 +628,19 @@ mod tests {
         let executor = CountingExecutor::default();
         let ctx = ExecContext::new(&executor);
         let mut rng = Prng::seeded(11);
+        let mut ledger = Ledger::open(&groups, &invoker);
         for (round, per_group) in [5, 12, 30].into_iter().enumerate() {
-            let rule = SampleSizeRule::Constant(per_group);
-            let sample = sample_groups(&groups, &invoker, rule, &mut rng, &ctx);
-            assert_eq!(sample.evaluated, vec![per_group as u64; 3]);
+            ledger.sample(SampleSizeRule::Constant(per_group), &mut rng, &ctx);
+            let sampled: Vec<f64> = ledger
+                .estimated_groups()
+                .iter()
+                .map(|g| g.sampled)
+                .collect();
+            assert_eq!(sampled, vec![per_group as f64; 3]);
             assert_eq!(executor.calls.load(Ordering::Relaxed), round + 1);
         }
         // Nothing left to buy: no call at all.
-        sample_groups(
-            &groups,
-            &invoker,
-            SampleSizeRule::Constant(30),
-            &mut rng,
-            &ctx,
-        );
+        ledger.sample(SampleSizeRule::Constant(30), &mut rng, &ctx);
         assert_eq!(executor.calls.load(Ordering::Relaxed), 3);
     }
 
@@ -586,20 +679,16 @@ mod tests {
         let invoker = UdfInvoker::new(&udf, &table);
         let groups = table.group_by("g").unwrap();
         let mut rng = Prng::seeded(5);
-        let sample = sample_groups(
-            &groups,
-            &invoker,
-            SampleSizeRule::Constant(20),
-            &mut rng,
-            &ctx,
-        );
-        assert_eq!(sample.evaluated, vec![20, 20, 20]);
+        let mut ledger = Ledger::open(&groups, &invoker);
+        ledger.sample(SampleSizeRule::Constant(20), &mut rng, &ctx);
+        let est = ledger.estimated_groups();
+        assert!(est.iter().all(|g| g.sampled == 20.0));
         let counts = invoker.counts();
         assert_eq!(counts.evaluated, 60);
         assert_eq!(counts.retrieved, 60);
         // Estimates should be ordered like the true selectivities.
-        assert!(sample.estimates[0].mean() < sample.estimates[1].mean());
-        assert!(sample.estimates[1].mean() < sample.estimates[2].mean());
+        assert!(est[0].sel < est[1].sel);
+        assert!(est[1].sel < est[2].sel);
     }
 
     #[test]
@@ -615,16 +704,11 @@ mod tests {
         }
         let before = invoker.counts().evaluated;
         let mut rng = Prng::seeded(6);
-        let sample = sample_groups(
-            &groups,
-            &invoker,
-            SampleSizeRule::Constant(10),
-            &mut rng,
-            &ctx,
-        );
+        let mut ledger = Ledger::open(&groups, &invoker);
+        ledger.sample(SampleSizeRule::Constant(10), &mut rng, &ctx);
         // Group 0's target of 10 is fully covered by reuse.
         assert_eq!(invoker.counts().evaluated, before + 20);
-        assert_eq!(sample.evaluated[0], 10);
+        assert_eq!(ledger.estimated_groups()[0].sampled, 10.0);
     }
 
     #[test]
@@ -635,20 +719,14 @@ mod tests {
         let invoker = UdfInvoker::new(&udf, &table);
         let groups = table.group_by("g").unwrap();
         let mut rng = Prng::seeded(7);
-        let sample = sample_groups(
-            &groups,
-            &invoker,
-            SampleSizeRule::Fraction(1.0),
-            &mut rng,
-            &ctx,
-        );
+        let mut ledger = Ledger::open(&groups, &invoker);
+        ledger.sample(SampleSizeRule::Fraction(1.0), &mut rng, &ctx);
         // Full sampling: estimates are posteriors over the whole group.
-        for g in 0..3 {
-            let pos = sample.positives[g];
-            let n = sample.evaluated[g];
-            assert_eq!(n, 40);
-            let want = (pos as f64 + 1.0) / (n as f64 + 2.0);
-            assert!((sample.estimates[g].mean() - want).abs() < 1e-12);
+        for g in ledger.estimated_groups() {
+            let (pos, n) = (g.sampled_positive, g.sampled);
+            assert_eq!(n, 40.0);
+            let want = (pos + 1.0) / (n + 2.0);
+            assert!((g.sel - want).abs() < 1e-12);
         }
     }
 
@@ -660,14 +738,9 @@ mod tests {
         let invoker = UdfInvoker::new(&udf, &table);
         let groups = table.group_by("g").unwrap();
         let mut rng = Prng::seeded(8);
-        let sample = sample_groups(
-            &groups,
-            &invoker,
-            SampleSizeRule::Constant(5),
-            &mut rng,
-            &ctx,
-        );
-        let est = sample.to_estimated_groups(&groups);
+        let mut ledger = Ledger::open(&groups, &invoker);
+        ledger.sample(SampleSizeRule::Constant(5), &mut rng, &ctx);
+        let est = ledger.estimated_groups();
         assert_eq!(est.len(), 3);
         for g in &est {
             assert_eq!(g.size, 40.0);
@@ -685,9 +758,9 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let spec = QuerySpec::new(0.5, 0.5, 0.5, CostModel::PAPER_DEFAULT);
         let mut rng = Prng::seeded(9);
+        let mut ledger = Ledger::open(&groups, &invoker);
         let outcome = adaptive_num_search(
-            &groups,
-            &invoker,
+            &mut ledger,
             &spec,
             CorrelationModel::Independent,
             &mut rng,

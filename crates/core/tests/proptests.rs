@@ -13,7 +13,7 @@ use expred_core::query::QuerySpec;
 use expred_exec::ExecContext;
 use expred_stats::bounds::{precision_slack, recall_slack};
 use expred_stats::rng::Prng;
-use expred_table::{DataType, Field, GroupBy, Schema, Table, Value};
+use expred_table::{DataType, Field, GroupBy, RowSet, Schema, Table, Value};
 use expred_udf::{CostModel, OracleUdf, UdfInvoker};
 use lp::LpOutcome;
 use proptest::prelude::*;
@@ -164,24 +164,26 @@ proptest! {
         let e = r * e_frac;
         let plan = Plan::new(vec![r], vec![e]);
         let mut rng = Prng::seeded(seed);
-        let result =
-            execute_plan(&plan, &groups, &invoker, &mut rng, &ExecContext::sequential()).unwrap();
+        let mut returned = RowSet::new(labels.len());
+        let (evaluated, _) =
+            execute_plan(&plan, &groups, &invoker, &mut rng, &ExecContext::sequential(), &mut returned)
+                .unwrap();
         let counts = invoker.counts();
+        prop_assert_eq!(evaluated.len() as u64, counts.evaluated);
         // Everything evaluated was retrieved first.
         prop_assert!(counts.evaluated <= counts.retrieved);
         // Returned rows that were evaluated must satisfy the predicate.
-        for &row in &result.returned {
+        for row in returned.iter() {
             if let Some(answer) = invoker.known_many([row as usize])[0] {
                 prop_assert!(answer, "returned an evaluated-false row");
             }
         }
         // Unevaluated returns + evaluated-true = returned.
-        let evaluated_true = result
-            .returned
+        let evaluated_true = returned
             .iter()
-            .filter(|&&row| invoker.known_many([row as usize])[0] == Some(true))
+            .filter(|&row| invoker.known_many([row as usize])[0] == Some(true))
             .count();
-        let unevaluated_returns = result.returned.len() - evaluated_true;
+        let unevaluated_returns = returned.len() - evaluated_true;
         prop_assert_eq!(
             counts.retrieved as usize,
             unevaluated_returns + counts.evaluated as usize
@@ -203,7 +205,8 @@ proptest! {
         let udf = OracleUdf::new("label");
         let invoker = UdfInvoker::new(&udf, &table);
         let mut rng = Prng::seeded(1);
-        let result = execute_plan(&Plan::evaluate_all(1), &groups, &invoker, &mut rng, &ExecContext::sequential())
+        let mut returned = RowSet::new(labels.len());
+        execute_plan(&Plan::evaluate_all(1), &groups, &invoker, &mut rng, &ExecContext::sequential(), &mut returned)
             .unwrap();
         let want: Vec<u32> = labels
             .iter()
@@ -211,7 +214,7 @@ proptest! {
             .filter(|(_, &l)| l)
             .map(|(i, _)| i as u32)
             .collect();
-        prop_assert_eq!(result.returned, want);
+        prop_assert_eq!(returned.to_vec(), want);
     }
 }
 

@@ -350,7 +350,7 @@ fn read_table(reader: &mut JsonReader<'_>, max_rows: usize) -> Result<TableKey, 
     while let Some(key) = fields.next(reader)? {
         match &*key {
             "spec" => {
-                spec = Some(string(reader, "\"table.spec\" must be a string")?.into_owned());
+                spec = Some(string(reader, "\"table.spec\" must be a string")?);
             }
             "rows" => {
                 rows =

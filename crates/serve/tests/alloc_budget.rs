@@ -100,8 +100,8 @@ const BUDGETS: [(&str, &str, u64, u64, u64); 8] = [
         "adaptive",
         r#"{"kind": "adaptive", "predictor": "grade"}"#,
         NEW_SEED,
-        276,
-        48_527,
+        258,
+        43_320,
     ),
     (
         "iterative",
@@ -137,8 +137,8 @@ const BUDGETS: [(&str, &str, u64, u64, u64); 8] = [
         "memo hit",
         r#"{"kind": "intel_sample", "predictor": "grade"}"#,
         WARM_SEED,
-        4,
-        11_368,
+        3,
+        11_361,
     ),
 ];
 

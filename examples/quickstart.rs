@@ -16,12 +16,12 @@
 use expred::cli::ExampleCli;
 use expred::core::metrics::precision_recall;
 use expred::core::{
-    execute_plan, sample_groups, solve_estimated, truth_vector, CorrelationModel, QuerySpec,
+    execute_plan, solve_estimated, truth_vector, CorrelationModel, Ledger, QuerySpec,
     SampleSizeRule,
 };
 use expred::exec::ExecContext;
 use expred::stats::Prng;
-use expred::table::{DataType, Field, Schema, Table, Value};
+use expred::table::{DataType, Field, RowSet, Schema, Table, Value};
 use expred::udf::{CostModel, OracleUdf, UdfInvoker};
 
 fn main() {
@@ -57,25 +57,20 @@ fn main() {
     let spec =
         QuerySpec::try_new(0.9, 0.9, 0.9, CostModel::PAPER_DEFAULT).expect("contract in range");
 
-    // Step 1 — estimate correlations: group by A and sample 5%.
+    // Step 1 — estimate correlations: group by A and sample 5%. The
+    // ledger holds what the query knows of each group.
     let groups = table.group_by("a").expect("column a exists");
-    let sample = sample_groups(
-        &groups,
-        &invoker,
-        SampleSizeRule::Fraction(0.05),
-        &mut rng,
-        &ctx,
-    );
-    for (g, key) in groups.keys().iter().enumerate() {
+    let mut ledger = Ledger::open(&groups, &invoker);
+    ledger.sample(SampleSizeRule::Fraction(0.05), &mut rng, &ctx);
+    let est = ledger.estimated_groups();
+    for (key, group) in groups.keys().iter().zip(&est) {
         println!(
             "group A={key}: sampled {} tuples, estimated selectivity {:.2}",
-            sample.evaluated[g],
-            sample.estimates[g].mean()
+            group.sampled, group.sel
         );
     }
 
     // Step 2 — optimize and execute.
-    let est = sample.to_estimated_groups(&groups);
     let plan = solve_estimated(&est, &spec, CorrelationModel::Independent)
         .expect("constraints are satisfiable");
     for (g, key) in groups.keys().iter().enumerate() {
@@ -85,12 +80,13 @@ fn main() {
             plan.e()[g]
         );
     }
-    let result =
-        execute_plan(&plan, &groups, &invoker, &mut rng, &ctx).expect("one plan group per group");
+    let mut returned = RowSet::new(table.num_rows());
+    execute_plan(&plan, &groups, &invoker, &mut rng, &ctx, &mut returned)
+        .expect("one plan group per group");
 
     // Report: achieved accuracy and cost vs the evaluate-everything bound.
     let truth = truth_vector(&table, "good_credit");
-    let summary = precision_recall(result.returned.iter().map(|&r| r as usize), &truth);
+    let summary = precision_recall(returned.iter().map(|r| r as usize), &truth);
     let counts = invoker.counts();
     println!(
         "\nreturned {} tuples: precision {:.3}, recall {:.3}",
