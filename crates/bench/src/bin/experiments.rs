@@ -5,8 +5,10 @@
 //! ```
 //!
 //! `<which>` is any of: `table2 table3 fig1a fig1b fig1c fig2a fig2b fig2c
-//! fig3a fig3b fig3c columns timing all`. Run with `--quick` for reduced
-//! iteration counts. Output is plain text (or markdown with `--markdown`).
+//! fig3a fig3b fig3c columns timing search all`. Run with `--quick` for
+//! reduced iteration counts. Output is plain text (or markdown with
+//! `--markdown`). `search` is §4.3's sample-size search against fixed
+//! sample fractions, on 2 000- and 20 000-row tables.
 
 use expred_bench::experiments;
 use expred_bench::harness::{HarnessConfig, TextTable};
@@ -47,7 +49,7 @@ fn main() {
     if which.iter().any(|w| w == "all") {
         which = vec![
             "table2", "table3", "fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2c", "fig3a",
-            "fig3b", "fig3c", "columns", "timing",
+            "fig3b", "fig3c", "columns", "timing", "search",
         ]
         .into_iter()
         .map(String::from)
@@ -113,6 +115,10 @@ fn main() {
                 "Section 6.2: optimizer compute time",
                 experiments::timing(&cfg),
             ),
+            "search" => (
+                "Section 4.3: evaluations (precision/recall rates, %), search vs fixed fractions",
+                experiments::search(&cfg),
+            ),
             other => usage(&format!("unknown experiment {other}")),
         };
         println!("\n== {title} ==");
@@ -129,7 +135,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: experiments [--quick] [--iters N] [--seed S] [--markdown] \
-         <table2|table3|fig1a|fig1b|fig1c|fig2a|fig2b|fig2c|fig3a|fig3b|fig3c|columns|timing|all>..."
+         <table2|table3|fig1a|fig1b|fig1c|fig2a|fig2b|fig2c|fig3a|fig3b|fig3c|columns|timing|search|all>..."
     );
     std::process::exit(2);
 }

@@ -6,14 +6,16 @@
 //! `α = β = ρ = 0.8`, `o_r = 1`, `o_e = 3`, 5% sampling for Experiment 1.
 
 use crate::baselines::{run_learning, run_multiple};
-use crate::harness::{fmt, paper_datasets, run_many, summarize, HarnessConfig, TextTable};
+use crate::harness::{
+    fmt, paper_datasets, run_many, summarize, HarnessConfig, RunStats, TextTable,
+};
 use expred_core::pipeline::{
     run_intel_sample, run_naive, run_optimal, IntelSampleConfig, PredictorChoice,
 };
 use expred_core::query::QuerySpec;
 use expred_core::sampling::{SampleSizeRule, Sampling};
 use expred_exec::ExecContext;
-use expred_table::datasets::Dataset;
+use expred_table::datasets::{Dataset, DatasetSpec, LENDING_CLUB, PROSPER};
 use expred_udf::CostModel;
 
 fn fixed(ds: &Dataset) -> PredictorChoice {
@@ -425,6 +427,70 @@ pub fn timing(cfg: &HarnessConfig) -> TextTable {
     t
 }
 
+/// §4.3's sample-size search against the fixed fractions it chooses
+/// among (ROADMAP 28's size table): per spec and table size, the mean
+/// evaluations of the perfect-information plan, of Intel-Sample at a
+/// fixed 2, 5, 10 and 20 % sample, and of `Sampling::Search`, each with
+/// its precision and recall rates in percent, `evals (p/r)`. Run `i` is
+/// cold on `Sequential`, at the paper's defaults with the spec's fixed
+/// predictor, over table seed `1_000 + seed + i` and query seed
+/// `50_000 + seed + i`; `--seed 0` is the recipe ROADMAP 28 measured.
+pub fn search(cfg: &HarnessConfig) -> TextTable {
+    let ctx = ExecContext::sequential();
+    let spec = QuerySpec::paper_default();
+    let mut t = TextTable::new(vec![
+        "spec, rows",
+        "optimal",
+        "2%",
+        "5%",
+        "10%",
+        "20%",
+        "search",
+    ]);
+    let cell = |stats: RunStats| {
+        format!(
+            "{} ({}/{})",
+            fmt(stats.evaluated, 0),
+            fmt(100.0 * stats.precision_ok, 0),
+            fmt(100.0 * stats.recall_ok, 0)
+        )
+    };
+    for base in [PROSPER, LENDING_CLUB] {
+        for rows in [2_000, 20_000] {
+            let table = |s: u64| Dataset::generate(DatasetSpec { rows, ..base }, 1_000 + s);
+            let intel = |sampling: Sampling| {
+                let intel_cfg = IntelSampleConfig {
+                    sampling,
+                    ..IntelSampleConfig::experiment1(PredictorChoice::Fixed(base.predictor.into()))
+                };
+                summarize(
+                    &run_many(cfg.iterations, cfg.seed, |s| {
+                        run_intel_sample(&table(s), &intel_cfg, 50_000 + s, &ctx)
+                    }),
+                    spec.alpha,
+                    spec.beta,
+                )
+            };
+            let optimal = summarize(
+                &run_many(cfg.iterations, cfg.seed, |s| {
+                    run_optimal(&table(s), &spec, base.predictor, 50_000 + s, &ctx)
+                }),
+                spec.alpha,
+                spec.beta,
+            );
+            let mut row = vec![format!("{}, {rows}", base.name), cell(optimal)];
+            for fraction in [0.02, 0.05, 0.10, 0.20] {
+                row.push(cell(intel(Sampling::Rule(SampleSizeRule::Fraction(
+                    fraction,
+                )))));
+            }
+            row.push(cell(intel(Sampling::Search)));
+            t.push_row(row);
+        }
+    }
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,6 +509,28 @@ mod tests {
         assert_eq!(t.num_rows(), 4);
         assert_eq!(t.cell(0, 0), "lc");
         assert_eq!(t.cell(3, 0), "marketing");
+    }
+
+    #[test]
+    fn search_has_a_row_per_spec_and_size() {
+        let t = search(&tiny());
+        let names: Vec<&str> = (0..t.num_rows()).map(|r| t.cell(r, 0)).collect();
+        assert_eq!(
+            names,
+            ["prosper, 2000", "prosper, 20000", "lc, 2000", "lc, 20000"]
+        );
+        for r in 0..4 {
+            let evals: Vec<f64> = (1..7)
+                .map(|c| t.cell(r, c).split(' ').next().unwrap().parse().unwrap())
+                .collect();
+            // Nothing estimated beats the perfect-information plan by
+            // much, and every column reports its two rates.
+            assert!(
+                evals[1..].iter().all(|&e| e >= evals[0] * 0.9),
+                "row {r}: {evals:?}"
+            );
+            assert!((1..7).all(|c| t.cell(r, c).ends_with(')')));
+        }
     }
 
     #[test]

@@ -38,14 +38,21 @@
 //!   and this is where its answer lands.
 //! * [`Sampling`] — how Intel-Sample sizes its first sample: a
 //!   [`SampleSizeRule`], or [`Sampling::Search`], §4.3's adaptive scheme
-//!   (`adaptive_num_search`): grow `num`, re-plan, and stop when the
-//!   estimated total cost starts rising.
+//!   (`adaptive_num_search`): grow `num` step by step, and stop when the
+//!   estimated total cost (sampling spent plus planned execution) would
+//!   start rising. The rise is taken in expectation, before the step,
+//!   because one realised cost after it is noisy: from the current
+//!   posterior, each group keeping its mean and its variance shrinking
+//!   to a Beta's after the step's draws, predict the planned execution
+//!   after the step, and take the step only if it is predicted to fall
+//!   by more than the draws cost. The returned plan is solved over every
+//!   row the search drew.
 
 use crate::optimize::{solve_estimated, CorrelationModel, EstimatedGroup, PlanError};
 use crate::plan::Plan;
 use crate::query::QuerySpec;
 use expred_exec::ExecContext;
-use expred_stats::estimator::SelectivityEstimate;
+use expred_stats::estimator::{beta_variance, SelectivityEstimate};
 use expred_stats::rng::Prng;
 use expred_table::{GroupBy, RowSet};
 use expred_udf::UdfInvoker;
@@ -81,8 +88,11 @@ pub enum Sampling {
     /// Sample each group per a fixed rule, and plan on that sample.
     Rule(SampleSizeRule),
     /// §4.3's parameter-free search: grow `num` in the Two-Third-Power
-    /// rule, re-planning each step, until the estimated total cost
-    /// rises; the plan it stopped at is the first round's.
+    /// rule by 1.4× per step, at most 16 steps, while the next step is
+    /// predicted to cut the planned execution by more than its draws
+    /// cost — the paper's "until the estimated total cost starts rising",
+    /// in expectation. The first round runs the plan solved over every
+    /// row the search drew.
     Search,
 }
 
@@ -148,19 +158,14 @@ impl<'q> Ledger<'q> {
     /// byte-identical across backends for a fixed seed.
     pub fn sample(&mut self, rule: SampleSizeRule, rng: &mut Prng, ctx: &ExecContext<'_>) {
         let (groups, invoker) = (self.groups, self.invoker);
-        let n = groups.num_rows();
         // Each group's shortfall, and the rows of every short group.
+        let need = self.shortfalls(rule);
         let mut short: Option<RowSet> = None;
-        let mut need = Vec::with_capacity(groups.num_groups());
-        for (g, &[decided, _]) in self.counts.iter().enumerate() {
-            let target = rule.sample_size(groups.size(g), n);
-            if decided < target {
-                let short = short.get_or_insert_with(|| RowSet::new(invoker.table().num_rows()));
-                for (word, mask) in groups.runs(g) {
-                    short.insert_word(word as usize, mask);
-                }
+        for (g, _) in need.iter().enumerate().filter(|&(_, &need)| need > 0) {
+            let short = short.get_or_insert_with(|| RowSet::new(invoker.table().num_rows()));
+            for (word, mask) in groups.runs(g) {
+                short.insert_word(word as usize, mask);
             }
-            need.push(target.saturating_sub(decided));
         }
         let Some(short) = short else { return };
         let (decided, _) = invoker.scan_plane(&short);
@@ -179,6 +184,21 @@ impl<'q> Ledger<'q> {
         invoker.charge_retrievals(batch.len() as u64);
         let passed = invoker.evaluate_plane(ctx.executor, &batch);
         self.add(&batch, &passed);
+    }
+
+    /// Each group's shortfall against `rule`'s target: the rows
+    /// [`Ledger::sample`] draws from it, fewer only where another query
+    /// decided rows of the group since the ledger opened.
+    fn shortfalls(&self, rule: SampleSizeRule) -> Vec<usize> {
+        let n = self.groups.num_rows();
+        self.counts
+            .iter()
+            .enumerate()
+            .map(|(g, &[decided, _])| {
+                rule.sample_size(self.groups.size(g), n)
+                    .saturating_sub(decided)
+            })
+            .collect()
     }
 
     /// Adds rows this query evaluated — `evaluated`, and those of them
@@ -276,66 +296,94 @@ fn select(mask: u64, rank: u32) -> u32 {
     byte + lanes_at_most(bits.wrapping_mul(ones), rank)
 }
 
-/// Result of the adaptive `num` search (§4.3).
-#[derive(Debug, Clone)]
-pub(crate) struct AdaptiveOutcome {
-    /// Estimated total cost (sampling already spent + planned remainder)
-    /// at the stopping point.
-    pub(crate) estimated_cost: f64,
-    /// ConvexProg 4.1's solve over the sample the search stopped at —
-    /// the plan the search costed, so callers need not solve the same
-    /// sample again.
-    pub(crate) plan: Result<Plan, PlanError>,
-}
-
-/// §4.3's adaptive scheme: start from a small `num`, keep enlarging the
-/// sample and re-solving ConvexProg 4.1 on the ledger; stop when the
-/// estimated total cost (sampling spent so far + planned execution)
-/// rises for two consecutive steps, returning the best state seen.
+/// §4.3's adaptive scheme: start from a small `num`, and grow it by 1.4×
+/// per step, at most 16 steps, while a step is predicted to pay for
+/// itself. Returns ConvexProg 4.1's solve over everything the ledger
+/// holds when the search stops: every row any step drew.
+///
+/// The paper grows the sample "until the estimated total cost starts
+/// rising", the total being what sampling spent plus the planned
+/// execution. This takes the rise in expectation, before the step,
+/// instead of on one noisy realisation after it. A step that draws `ΔF`
+/// rows costs `ΔF · (o_r + o_e)`, and all it can change is the planned
+/// execution, so it is taken only if that is predicted to fall by more.
+/// The prediction starts from the current posterior: each group keeps
+/// its mean, its expected positives grow with it, and its variance
+/// shrinks to a Beta's after `F_a + ΔF_a` draws ([`beta_variance`]).
+/// ConvexProg 4.1 is solved on the prediction and costed over the rows it
+/// leaves undecided. Two kinds of step cost nothing, so the search walks
+/// through them: one whose targets the ledger already meets draws
+/// nothing, and while the solve finds no plan, the fallback evaluates
+/// every undecided row, so a drawn row costs what executing it would.
 pub(crate) fn adaptive_num_search(
     ledger: &mut Ledger<'_>,
     spec: &QuerySpec,
     corr: CorrelationModel,
     rng: &mut Prng,
     ctx: &ExecContext<'_>,
-) -> AdaptiveOutcome {
+) -> Result<Plan, PlanError> {
     let growth = 1.4;
     let max_steps = 16;
-    // One step: sample up to `num`'s rule, solve, and cost the result.
-    let mut step = |num: f64| {
-        ledger.sample(SampleSizeRule::TwoThirdPower(num), rng, ctx);
-        let est_groups = ledger.estimated_groups();
-        let spent = ledger.invoker.cost(&spec.cost);
-        let plan = solve_estimated(&est_groups, spec, corr);
-        let planned = match &plan {
-            Ok(plan) => {
-                let sizes: Vec<f64> = est_groups.iter().map(|g| g.remaining()).collect();
-                plan.expected_cost(&sizes, &spec.cost)
-            }
-            Err(_) => f64::INFINITY,
-        };
-        AdaptiveOutcome {
-            estimated_cost: spent + planned,
-            plan,
-        }
-    };
+    let draw_cost = spec.cost.retrieve + spec.cost.evaluate;
     let mut num = 0.5 * spec.alpha.max(0.1);
-    let mut best = step(num);
-    let mut rises = 0;
+    ledger.sample(SampleSizeRule::TwoThirdPower(num), rng, ctx);
+    let mut estimated = ledger.estimated_groups();
+    let mut plan = solve_estimated(&estimated, spec, corr);
     for _ in 1..max_steps {
         num *= growth;
-        let next = step(num);
-        if next.estimated_cost < best.estimated_cost {
-            best = next;
-            rises = 0;
-        } else {
-            rises += 1;
-            if rises >= 2 {
+        let rule = SampleSizeRule::TwoThirdPower(num);
+        let draws = ledger.shortfalls(rule);
+        let drawn: usize = draws.iter().sum();
+        if drawn == 0 {
+            continue;
+        }
+        if plan.is_ok() {
+            let predicted = predicted_after(&estimated, &draws);
+            let saving = execution_cost(&plan, &estimated, spec)
+                - execution_cost(&solve_estimated(&predicted, spec, corr), &predicted, spec);
+            if saving <= drawn as f64 * draw_cost {
                 break;
             }
         }
+        ledger.sample(rule, rng, ctx);
+        estimated = ledger.estimated_groups();
+        plan = solve_estimated(&estimated, spec, corr);
     }
-    best
+    plan
+}
+
+/// The optimizer's input after `draws[g]` more rows of each group `g`,
+/// in expectation: each group keeps its mean, its positives grow by the
+/// mean's share of the draws, and its variance is a Beta's after all
+/// its draws ([`beta_variance`]).
+fn predicted_after(estimated: &[EstimatedGroup], draws: &[usize]) -> Vec<EstimatedGroup> {
+    estimated
+        .iter()
+        .zip(draws)
+        .map(|(g, &draws)| {
+            let (draws, sampled) = (draws as f64, g.sampled + draws as f64);
+            EstimatedGroup {
+                sampled,
+                sampled_positive: g.sampled_positive + draws * g.sel,
+                var: beta_variance(g.sel, sampled),
+                ..*g
+            }
+        })
+        .collect()
+}
+
+/// The expected cost of executing `plan` over `groups`' undecided rows —
+/// of evaluating them all, what runs when the solve found no plan.
+fn execution_cost(
+    plan: &Result<Plan, PlanError>,
+    groups: &[EstimatedGroup],
+    spec: &QuerySpec,
+) -> f64 {
+    let sizes: Vec<f64> = groups.iter().map(EstimatedGroup::remaining).collect();
+    match plan {
+        Ok(plan) => plan.expected_cost(&sizes, &spec.cost),
+        Err(_) => Plan::evaluate_all(groups.len()).expected_cost(&sizes, &spec.cost),
+    }
 }
 
 #[cfg(test)]
@@ -759,14 +807,109 @@ pub(crate) mod tests {
         let spec = QuerySpec::new(0.5, 0.5, 0.5, CostModel::PAPER_DEFAULT);
         let mut rng = Prng::seeded(9);
         let mut ledger = Ledger::open(&groups, &invoker);
-        let outcome = adaptive_num_search(
+        let plan = adaptive_num_search(
             &mut ledger,
             &spec,
             CorrelationModel::Independent,
             &mut rng,
             &ctx,
         );
-        assert!(outcome.estimated_cost.is_finite());
-        assert!(outcome.plan.is_ok());
+        let cost = execution_cost(&plan, &ledger.estimated_groups(), &spec);
+        assert!(cost.is_finite());
+        assert!(plan.is_ok());
+    }
+
+    #[test]
+    fn a_warm_ledger_that_meets_every_target_draws_nothing() {
+        let table = test_table();
+        let udf = OracleUdf::new("label");
+        let invoker = UdfInvoker::new(&udf, &table);
+        let groups = table.group_by("g").unwrap();
+        for row in 0..table.num_rows() {
+            invoker.retrieve_and_evaluate(row);
+        }
+        let before = invoker.counts();
+        let executor = CountingExecutor::default();
+        let ctx = ExecContext::new(&executor);
+        let mut ledger = Ledger::open(&groups, &invoker);
+        let spec = QuerySpec::paper_default();
+        for corr in [CorrelationModel::Independent, CorrelationModel::Unknown] {
+            let plan = adaptive_num_search(&mut ledger, &spec, corr, &mut Prng::seeded(3), &ctx);
+            assert!(plan.is_ok(), "{corr:?}");
+        }
+        assert_eq!(invoker.counts(), before);
+        assert_eq!(executor.calls.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn the_prediction_keeps_the_mean_and_shrinks_the_variance_as_draws_would() {
+        // A group of `p` positives in `f` draws, then `d = k (f + 2)` more:
+        // at `(p + 1)(k + 1) − 1` positives among `f + d` the posterior
+        // mean is the same, so the predicted variance must be that
+        // posterior's.
+        for (p, f) in [(0u64, 0u64), (4, 10), (7, 7), (0, 31), (19, 40)] {
+            for k in [1, 2, 5] {
+                let now = SelectivityEstimate::from_sample(p, f);
+                let group = EstimatedGroup {
+                    size: 1_000.0,
+                    sampled: f as f64,
+                    sampled_positive: p as f64,
+                    sel: now.mean(),
+                    var: now.variance(),
+                };
+                let d = k * (f + 2);
+                let [predicted] = predicted_after(&[group], &[d as usize])[..] else {
+                    unreachable!("one group in, one out")
+                };
+                let then = SelectivityEstimate::from_sample((p + 1) * (k + 1) - 1, f + d);
+                let what = format!("{p} of {f}, {d} more");
+                assert!((then.mean() - now.mean()).abs() < 1e-15, "{what}");
+                assert_eq!(predicted.sel, now.mean(), "{what}");
+                assert!(
+                    (predicted.var - then.variance()).abs() <= 1e-14 * then.variance(),
+                    "{what}"
+                );
+                assert_eq!(predicted.sampled, (f + d) as f64, "{what}");
+                assert_eq!(predicted.size, 1_000.0, "{what}");
+                let positives = p as f64 + d as f64 * now.mean();
+                assert!(
+                    (predicted.sampled_positive - positives).abs() < 1e-9,
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_search_ends_within_the_cap() {
+        let table = test_table();
+        let udf = OracleUdf::new("label");
+        // A loose query stops on a predicted rise. Strict ones find no
+        // plan until every row is drawn, so every step is free: they draw
+        // the whole table in fewer steps than the cap, walk through the
+        // steps left, which draw nothing, and return.
+        for (bound, corr, drew_all) in [
+            (0.5, CorrelationModel::Independent, false),
+            (0.95, CorrelationModel::Independent, true),
+            (0.95, CorrelationModel::Unknown, true),
+        ] {
+            let invoker = UdfInvoker::new(&udf, &table);
+            let groups = table.group_by("g").unwrap();
+            let executor = CountingExecutor::default();
+            let ctx = ExecContext::new(&executor);
+            let spec = QuerySpec::new(bound, bound, bound, CostModel::PAPER_DEFAULT);
+            let mut ledger = Ledger::open(&groups, &invoker);
+            let plan = adaptive_num_search(&mut ledger, &spec, corr, &mut Prng::seeded(4), &ctx);
+            let draws = executor.calls.load(Ordering::Relaxed);
+            let what = format!("{bound} {corr:?}: {draws} draws");
+            assert!(plan.is_ok(), "{what}");
+            assert!((1..16).contains(&draws), "{what}");
+            let evaluated = invoker.counts().evaluated as usize;
+            assert_eq!(
+                evaluated == table.num_rows(),
+                drew_all,
+                "{what}, {evaluated} rows"
+            );
+        }
     }
 }

@@ -174,7 +174,9 @@ pub struct ApiQuery {
 /// * `"optimal"` — `predictor` (required).
 /// * `"adaptive"` — `predictor` (required), `corr`: an `intel_sample`
 ///   config whose first sample is §4.3's search
-///   ([`Sampling::Search`]).
+///   ([`Sampling::Search`]): the sample grows while the next step's
+///   draws are predicted to save more execution than they cost, and the
+///   plan is solved over every row the search drew.
 /// * `"iterative"` — `predictor` (required), `corr`, `sample_fraction`,
 ///   `rounds` (default 2): an `intel_sample` config with §4.2's
 ///   estimate/exploit rounds ([`IntelSampleConfig::rounds`]).

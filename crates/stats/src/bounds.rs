@@ -15,6 +15,10 @@
 //!   `Q ≥ 0` holds with probability ≥ ρ whenever
 //!   `E[Q] ≥ Dev(Q)/sqrt(1-ρ)`; the multiplier `e_ρ = 1/sqrt(1-ρ)` is
 //!   [`chebyshev_scale`].
+//!
+//! And one bound the other way round, for checking the guarantee from
+//! outside: [`wilson_lower`], the Wilson score interval's lower end on a
+//! rate observed over independent runs.
 
 /// Hoeffding threshold for a sum of independent variables with the given
 /// total squared range width: with probability ≥ `rho` the sum is within
@@ -62,6 +66,24 @@ pub fn chebyshev_scale(rho: f64) -> f64 {
         "satisfaction probability must be in [0,1), got {rho}"
     );
     (1.0 - rho).sqrt().recip()
+}
+
+/// The lower end of the 95 % Wilson score interval on the success rate
+/// behind `successes` of `trials` independent runs: the rate a gate can
+/// claim the runs clear, not only the rate they showed. With `p̂ =
+/// successes/trials`, `n = trials` and `z = 1.959964` (the two-sided
+/// 95 % normal quantile), it is
+/// `(p̂ + z²/2n − z·sqrt(p̂(1−p̂)/n + z²/4n²)) / (1 + z²/n)`.
+///
+/// Panics unless `successes ≤ trials` and `trials > 0`.
+pub fn wilson_lower(successes: u64, trials: u64) -> f64 {
+    assert!(trials > 0, "a rate needs at least one trial");
+    assert!(successes <= trials, "successes cannot exceed trials");
+    let z = 1.959_963_984_540_054_f64;
+    let (n, z2) = (trials as f64, z * z);
+    let p = successes as f64 / n;
+    let margin = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
+    ((p + z2 / (2.0 * n) - margin) / (1.0 + z2 / n)).max(0.0)
 }
 
 #[cfg(test)]
@@ -121,6 +143,41 @@ mod tests {
     #[should_panic]
     fn chebyshev_rejects_rho_one() {
         chebyshev_scale(1.0);
+    }
+
+    #[test]
+    fn wilson_lower_known_values() {
+        // Closed forms evaluated in f64 elsewhere, and the textbook
+        // interval for 81 of 263, (0.2553, 0.3662).
+        for (successes, trials, want) in [
+            (50, 100, 0.403_831_530_365_995_7),
+            (10, 10, 0.722_467_200_137_110_6),
+            (190, 200, 0.910_421_851_861_223_9),
+            (172, 200, 0.805_101_191_342_924_3),
+            (81, 263, 0.255_288_519_878_274_2),
+        ] {
+            let got = wilson_lower(successes, trials);
+            assert!((got - want).abs() < 1e-12, "{successes}/{trials}: {got}");
+        }
+        assert_eq!(wilson_lower(0, 10), 0.0);
+    }
+
+    #[test]
+    fn wilson_lower_sits_below_the_rate_and_tightens_with_trials() {
+        for trials in [1u64, 7, 200, 10_000] {
+            for successes in [0, trials / 3, trials / 2, trials] {
+                let rate = successes as f64 / trials as f64;
+                // Up to rounding: at no successes both terms are z²/2n.
+                assert!(wilson_lower(successes, trials) <= rate + 1e-15);
+            }
+        }
+        assert!(wilson_lower(900, 1_000) > wilson_lower(180, 200));
+    }
+
+    #[test]
+    #[should_panic(expected = "successes cannot exceed trials")]
+    fn wilson_lower_rejects_excess_successes() {
+        wilson_lower(3, 2);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! same shape: a mean and a variance per group. This module defines that
 //! shape, [`SelectivityEstimate`], built from a sample the way the paper
 //! does (§4.1): the moments of the posterior `Beta(F⁺+1, F⁻+1)`, mean
-//! `(F⁺+1)/(F+2)` and variance `s(1-s)/(F+3)`.
+//! `(F⁺+1)/(F+2)` and variance `s(1-s)/(F+3)`. [`beta_variance`] is that
+//! variance at any mean and any number of draws, which is how §4.3's
+//! search predicts an estimate after draws it has not made yet.
 
 /// An uncertain estimate of one group's selectivity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,6 +39,15 @@ impl SelectivityEstimate {
     pub fn variance(&self) -> f64 {
         self.variance
     }
+}
+
+/// The variance `mean (1 − mean) / (draws + 3)` of a Beta posterior
+/// with mean `mean` after `draws` evaluated tuples: at integer draws and
+/// the mean they give, [`SelectivityEstimate::from_sample`]'s variance.
+/// Keeping a group's mean and adding the draws still to come predicts
+/// its variance after them.
+pub fn beta_variance(mean: f64, draws: f64) -> f64 {
+    mean * (1.0 - mean) / (draws + 3.0)
 }
 
 #[cfg(test)]
@@ -76,6 +87,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn beta_variance_is_the_posterior_variance_at_its_mean() {
+        for n in 0..=64u64 {
+            for p in 0..=n {
+                let e = SelectivityEstimate::from_sample(p, n);
+                let v = beta_variance(e.mean(), n as f64);
+                assert!(
+                    (v - e.variance()).abs() <= 1e-14 * e.variance(),
+                    "({p},{n})"
+                );
+            }
+        }
+        // More draws at the same mean, less variance.
+        assert!(beta_variance(0.3, 40.5) < beta_variance(0.3, 40.0));
     }
 
     #[test]

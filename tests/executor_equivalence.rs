@@ -515,11 +515,15 @@ fn section4_requests() -> Vec<(&'static str, QueryRequest)> {
 /// seed 21), per request, cold then warm: the digest of seeds 0–7's
 /// returned words, bills, cost bits, group counts and feasibility
 /// verdicts. Sequential and `WorkerPool` engines must both answer it.
+/// The 8 `adaptive` digests (the first four of each dataset) were
+/// re-pinned once when §4.3's search began to stop on a predicted saving
+/// and to plan on every row it drew: it draws and plans differently by
+/// design. The other 20 did not move.
 const SECTION4_GOLDEN: [u64; 28] = [
-    0x2a38c4d9607485e6,
-    0x7b4bf621f0d76383,
-    0x751fb71e2eda8488,
-    0xf7651fd33e07cfbb,
+    0x68fccb7925ff6fa0,
+    0x11962beec28af575,
+    0xb80d240ccaff7ab2,
+    0xe9564c2b7fb9f42d,
     0x3d38909c863acc5a,
     0x7b4bf621f0d76383,
     0x41238cd8a970fd72,
@@ -530,10 +534,10 @@ const SECTION4_GOLDEN: [u64; 28] = [
     0x7b4bf621f0d76383,
     0x473fac46a3e5bb12,
     0x93bf361c1bfd4d4a,
-    0x1d502a05bb865ea1,
-    0xd7a581299c8f8498,
-    0x15ab276464dff293,
-    0x8e166ca18199d093,
+    0x7215cf2aa0cead3f,
+    0xfe00910c26cc3445,
+    0xf80a89e586545a9,
+    0x1f952238e203e489,
     0x289d709cd0c2c1de,
     0x4bcc5a8b3027217,
     0x79e0fb905a84bc9b,
