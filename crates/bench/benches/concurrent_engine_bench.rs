@@ -84,15 +84,22 @@ fn main() {
 
     let speedup = serial / concurrent;
     let per_probe = |secs: f64| secs * 1e9 / probes as f64;
-    report.record("tenant_scaling_100us", "one_thread", per_probe(serial), 1.0);
-    report.name_last("ns_per_probe", "ns");
+    report.record(
+        "tenant_scaling_100us",
+        "one_thread",
+        "ns_per_probe",
+        "ns",
+        per_probe(serial),
+        1.0,
+    );
     report.record(
         "tenant_scaling_100us",
         "eight_threads",
+        "ns_per_probe",
+        "ns",
         per_probe(concurrent),
         speedup,
     );
-    report.name_last("ns_per_probe", "ns");
     println!(
         "tenant_scaling_100us: serial {serial:.3}s, {THREADS} threads {concurrent:.3}s \
          -> {speedup:.1}x"
@@ -144,15 +151,22 @@ fn main() {
             }
         })
     });
-    report.record("memoized_repeats", "one_thread", one_ns, 1.0);
-    report.name_last("ns_per_hit", "ns");
+    report.record(
+        "memoized_repeats",
+        "one_thread",
+        "ns_per_hit",
+        "ns",
+        one_ns,
+        1.0,
+    );
     report.record(
         "memoized_repeats",
         "eight_threads",
+        "ns_per_hit",
+        "ns",
         eight_ns,
         one_ns / eight_ns,
     );
-    report.name_last("ns_per_hit", "ns");
     println!(
         "memoized_repeats: one_thread {one_ns:>8.0} ns/hit | eight_threads {eight_ns:>8.0} \
          ns/hit ({:.2}x)",
@@ -189,12 +203,13 @@ fn dropped_tables(report: &mut BenchReport, smoke: bool) {
         );
     }
     let left = engine.store().num_namespaces();
-    report.record_metric(
+    report.record(
         "dropped_tables",
         "one_thread",
         "namespaces_left",
         "count",
         left as f64,
+        1.0,
     );
 
     // Every borrow names a table nothing else holds, so each one adds a
@@ -213,12 +228,13 @@ fn dropped_tables(report: &mut BenchReport, smoke: bool) {
         quarters.push(begin.elapsed().as_nanos() as f64 / (borrows / 4) as f64);
     }
     let per_borrow = start.elapsed().as_nanos() as f64 / borrows as f64;
-    report.record_metric(
+    report.record(
         "dropped_tables",
         "one_thread",
         "ns_per_borrow",
         "ns",
         per_borrow,
+        1.0,
     );
     println!(
         "dropped_tables: {tables} tables -> {left} namespaces left | {per_borrow:.0} ns/borrow \

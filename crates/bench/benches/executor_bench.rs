@@ -52,7 +52,8 @@ impl SpillSink for CountingSink {
     }
 }
 
-/// Executes `plan` into a fresh answer plane and returns it.
+/// Executes `plan` over all of `groups` on a ledger opened for it, into
+/// a fresh answer plane, and returns the plane.
 fn execute(
     plan: &Plan,
     groups: &GroupBy,
@@ -61,7 +62,8 @@ fn execute(
     ctx: &ExecContext<'_>,
 ) -> RowSet {
     let mut answer = RowSet::new(invoker.table().num_rows());
-    execute_plan(plan, groups, invoker, rng, ctx, &mut answer).expect("one plan group per group");
+    let mut ledger = Ledger::open(groups, invoker);
+    execute_plan(plan, &mut ledger, None, rng, ctx, &mut answer).expect("one plan group per group");
     answer
 }
 
@@ -106,7 +108,7 @@ fn main() {
             black_box(execute(plan, &groups, &invoker, &mut rng, &ctx));
         });
         let scenario = format!("execute_plan_{name}");
-        report.record_metric(&scenario, "sequential", "ns_per_row", "ns", ns);
+        report.record(&scenario, "sequential", "ns_per_row", "ns", ns, 1.0);
         println!("{scenario:<30} {ns:>8.1} ns/row");
     }
 
@@ -124,7 +126,7 @@ fn main() {
         black_box(execute(&plan, &groups, &invoker, &mut rng, &ctx));
     });
     let scenario = "execute_plan_fractional_with_memo";
-    report.record_metric(scenario, "sequential", "ns_per_row", "ns", ns);
+    report.record(scenario, "sequential", "ns_per_row", "ns", ns, 1.0);
     println!("{scenario:<30} {ns:>8.1} ns/row");
 
     // The read path over a session that already paid for every row.
@@ -138,7 +140,14 @@ fn main() {
         black_box(passed.len());
         assert_eq!(invoker.counts().reuse_hits, rows as u64);
     });
-    report.record_metric("memoized_scan_warm", "sequential", "ns_per_row", "ns", ns);
+    report.record(
+        "memoized_scan_warm",
+        "sequential",
+        "ns_per_row",
+        "ns",
+        ns,
+        1.0,
+    );
     println!("{:<30} {ns:>8.1} ns/row", "memoized_scan_warm");
     let mut seed = 0u64;
     let ns = measure_ns_per_unit(rows as u64, reps, || {
@@ -148,14 +157,28 @@ fn main() {
         black_box(execute(&plan, &groups, &invoker, &mut rng, &ctx));
         assert_eq!(invoker.counts().reuse_hits, rows as u64);
     });
-    report.record_metric("execute_plan_warm", "sequential", "ns_per_row", "ns", ns);
+    report.record(
+        "execute_plan_warm",
+        "sequential",
+        "ns_per_row",
+        "ns",
+        ns,
+        1.0,
+    );
     println!("{:<30} {ns:>8.1} ns/row", "execute_plan_warm");
     let ns = measure_ns_per_unit(rows as u64, reps, || {
         let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
         black_box(invoker.evaluate_batch(&Sequential, &all_rows));
         assert_eq!(invoker.counts().reuse_hits, rows as u64);
     });
-    report.record_metric("evaluate_batch_warm", "sequential", "ns_per_row", "ns", ns);
+    report.record(
+        "evaluate_batch_warm",
+        "sequential",
+        "ns_per_row",
+        "ns",
+        ns,
+        1.0,
+    );
     println!("{:<30} {ns:>8.1} ns/row", "evaluate_batch_warm");
     let not_label = parse_predicate(&format!("not {LABEL_COLUMN}"), &OracleRegistry::new())
         .expect("the label parses");
@@ -168,7 +191,7 @@ fn main() {
         assert_eq!(outcome.counts.reuse_hits, rows as u64);
         black_box(outcome);
     });
-    report.record_metric("expr_scan_warm", "sequential", "ns_per_row", "ns", ns);
+    report.record("expr_scan_warm", "sequential", "ns_per_row", "ns", ns, 1.0);
     println!("{:<30} {ns:>8.1} ns/row", "expr_scan_warm");
 
     // The sampling tally over a session that holds four rows in five.
@@ -181,7 +204,14 @@ fn main() {
         black_box(Ledger::open(&groups, &invoker).estimated_groups());
         assert_eq!(invoker.counts().reuse_hits, warm.len() as u64);
     });
-    report.record_metric("group_scan_partial", "sequential", "ns_per_row", "ns", ns);
+    report.record(
+        "group_scan_partial",
+        "sequential",
+        "ns_per_row",
+        "ns",
+        ns,
+        1.0,
+    );
     println!("{:<30} {ns:>8.1} ns/row", "group_scan_partial");
 
     // The write path: a cold namespace every repetition.
@@ -201,7 +231,7 @@ fn main() {
             let offered = sink.0.load(Ordering::Relaxed);
             assert_eq!(offered, (reps as u64 + 1) * rows as u64);
         }
-        report.record_metric("fresh_commit", backend, "ns_per_row", "ns", ns);
+        report.record("fresh_commit", backend, "ns_per_row", "ns", ns, 1.0);
         println!("{:<30} {ns:>8.1} ns/row ({backend})", "fresh_commit");
     }
 

@@ -143,8 +143,14 @@ fn main() {
     let append_secs = start.elapsed().as_secs_f64();
     drop(store);
     let append_ns = append_secs * 1e9 / records as f64;
-    report.record("wal_append", "append_plus_batched_fsync", append_ns, 1.0);
-    report.name_last("ns_per_record", "ns");
+    report.record(
+        "wal_append",
+        "append_plus_batched_fsync",
+        "ns_per_record",
+        "ns",
+        append_ns,
+        1.0,
+    );
     println!("wal_append                  {append_ns:>8.1} ns/record ({records} records)");
 
     // ---- Recovery replay over that WAL. ----
@@ -158,8 +164,14 @@ fn main() {
     );
     drop(recovered);
     let recovery_ns = recovery_secs * 1e9 / records as f64;
-    report.record("recovery", "open_wal", recovery_ns, append_ns / recovery_ns);
-    report.name_last("ns_per_record", "ns");
+    report.record(
+        "recovery",
+        "open_wal",
+        "ns_per_record",
+        "ns",
+        recovery_ns,
+        append_ns / recovery_ns,
+    );
     println!("recovery                    {recovery_ns:>8.1} ns/record");
 
     // ---- The same rows as stage batches. ----
@@ -188,18 +200,19 @@ fn main() {
         ("append_rows", caller_ns),
         ("append_rows_plus_batched_fsync", batch_ns),
     ] {
-        report.record_metric("wal_append_batch", backend, "ns_per_row", "ns", ns);
+        report.record("wal_append_batch", backend, "ns_per_row", "ns", ns, 1.0);
     }
     let wal_bytes = std::fs::metadata(batch_dir.join("wal-000000"))
         .expect("the batches' WAL")
         .len();
     let bytes_per_row = wal_bytes as f64 / records as f64;
-    report.record_metric(
+    report.record(
         "wal_append_batch",
         "wal_bytes",
         "wal_bytes_per_row",
         "bytes",
         bytes_per_row,
+        1.0,
     );
     println!(
         "wal_append_batch            {batch_ns:>8.1} ns/row ({stage}-row batches, {:.1}x; \
@@ -257,27 +270,30 @@ fn main() {
         .filter_map(|e| e.ok()?.metadata().ok())
         .map(|m| m.len())
         .sum();
-    report.record_metric(
+    report.record(
         "compact",
         "page_images",
         "ns_per_persisted_row",
         "ns",
         compact_ns,
+        1.0,
     );
     let stall_ns = stall.as_nanos() as f64;
-    report.record_metric(
+    report.record(
         "compact",
         "longest_append_stall",
         "append_latency_max",
         "ns",
         stall_ns,
+        1.0,
     );
-    report.record_metric(
+    report.record(
         "compact",
         "extra_heap_bytes",
         "heap_bytes_max",
         "bytes",
         extra_heap as f64,
+        1.0,
     );
     println!(
         "compact                     {compact_ns:>8.1} ns/row ({persisted} rows, {:.2} B/row, \
@@ -308,12 +324,13 @@ fn main() {
     let rehydrate_ns = start.elapsed().as_secs_f64() * 1e9 / persisted as f64;
     assert_eq!((loaded as u64, cache.len() as u64), (persisted, persisted));
     drop(store);
-    report.record_metric(
+    report.record(
         "rehydrate",
         "disk_to_live_cache",
         "ns_per_row",
         "ns",
         rehydrate_ns,
+        1.0,
     );
     println!("rehydrate                   {rehydrate_ns:>8.1} ns/row");
 
@@ -350,12 +367,13 @@ fn main() {
     let (heap_dead, resident) = ask(warm..warm + dead);
     let per_table = heap_dead.saturating_sub(heap_warm) as f64 / dead as f64;
     drop(engine);
-    report.record_metric(
+    report.record(
         "resident",
         "bytes_per_dead_table",
         "heap_bytes_per_table",
         "bytes",
         per_table,
+        1.0,
     );
     println!(
         "resident                    {per_table:>8.1} B/dead table ({dead} tables, \

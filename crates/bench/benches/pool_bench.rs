@@ -127,12 +127,21 @@ fn elastic_scenario(
         black_box(pool.evaluate_batch(&probe, &rows));
     }
     let sequential = time_probe(&Sequential, probe, &rows, reps.min(3));
-    report.record(scenario, "sequential", sequential, 1.0);
+    report.record(
+        scenario,
+        "sequential",
+        "ns_per_probe",
+        "ns",
+        sequential,
+        1.0,
+    );
     let elastic = time_probe(&pool, probe, &rows, reps);
     let width = pool.width();
     report.record(
         scenario,
-        format!("elastic_pool@{width}"),
+        &format!("elastic_pool@{width}"),
+        "ns_per_probe",
+        "ns",
         elastic,
         sequential / elastic,
     );
@@ -191,7 +200,14 @@ fn concurrent_scenario(
     let alone = per_job_walls(&pool, probe, &rows, 1, jobs)[0];
     let together = per_job_walls(&pool, probe, &rows, callers, jobs);
     let ratio = together.iter().copied().fold(0.0, f64::max) / alone;
-    report.record_metric(scenario, "worker_pool", "wall_vs_alone", "ratio", ratio);
+    report.record(
+        scenario,
+        "worker_pool",
+        "wall_vs_alone",
+        "ratio",
+        ratio,
+        1.0,
+    );
     println!(
         "{scenario:<28} alone {:>7.0} us/job | {callers} callers {:>7.0} us/job ({ratio:>4.2}x) \
          on {} workers at width {}",
@@ -287,8 +303,22 @@ fn main() {
             let sequential = time_batch(&Sequential, latency, &rows, reps);
             let pool = WorkerPool::with_threads(WIDTH);
             let pooled = time_batch(&pool, latency, &rows, reps);
-            report.record(&scenario, "sequential", sequential, 1.0);
-            report.record(&scenario, "worker_pool", pooled, sequential / pooled);
+            report.record(
+                &scenario,
+                "sequential",
+                "ns_per_probe",
+                "ns",
+                sequential,
+                1.0,
+            );
+            report.record(
+                &scenario,
+                "worker_pool",
+                "ns_per_probe",
+                "ns",
+                pooled,
+                sequential / pooled,
+            );
             println!(
                 "{scenario:<28} seq {sequential:>10.0} ns/probe | pool {pooled:>10.0} ({:>5.2}x)",
                 sequential / pooled,
@@ -304,8 +334,22 @@ fn main() {
     let sequential = time_many_small(&Sequential, latency, batches, 16, reps);
     let pool = WorkerPool::with_threads(WIDTH);
     let pooled = time_many_small(&pool, latency, batches, 16, reps);
-    report.record(scenario, "sequential", sequential, 1.0);
-    report.record(scenario, "worker_pool", pooled, sequential / pooled);
+    report.record(
+        scenario,
+        "sequential",
+        "ns_per_probe",
+        "ns",
+        sequential,
+        1.0,
+    );
+    report.record(
+        scenario,
+        "worker_pool",
+        "ns_per_probe",
+        "ns",
+        pooled,
+        sequential / pooled,
+    );
     println!(
         "{scenario:<28} seq {sequential:>10.0} ns/probe | pool {pooled:>10.0} ({:>5.2}x)",
         sequential / pooled,

@@ -164,7 +164,7 @@ fn main() {
             let kernel = measure_ns_per_unit(units, reps, || {
                 black_box(ds.table.group_by(column).unwrap());
             });
-            report.record_metric(&scenario, "kernel", "ns_per_row", "ns", kernel);
+            report.record(&scenario, "kernel", "ns_per_row", "ns", kernel, 1.0);
             println!("{scenario:<24} kernel {kernel:>8.1} ns/row");
         }
 
@@ -183,11 +183,16 @@ fn main() {
         let lazy = measure_ns_per_unit(units, reps.div_ceil(3), || {
             black_box(Dataset::generate(ds.spec, black_box(ds.seed)));
         });
-        report.record_metric(&scenario, "rows", "ns_per_row", "ns", by_rows);
-        report.record(&scenario, "columnar", columnar, by_rows / columnar);
-        report.name_last("ns_per_row", "ns");
-        report.record(&scenario, "lazy", lazy, by_rows / lazy);
-        report.name_last("ns_per_row", "ns");
+        report.record(&scenario, "rows", "ns_per_row", "ns", by_rows, 1.0);
+        report.record(
+            &scenario,
+            "columnar",
+            "ns_per_row",
+            "ns",
+            columnar,
+            by_rows / columnar,
+        );
+        report.record(&scenario, "lazy", "ns_per_row", "ns", lazy, by_rows / lazy);
         println!(
             "{scenario:<24} rows   {by_rows:>8.1} ns/row | columnar {columnar:>6.1} ({:>5.2}x) \
              | lazy {lazy:>6.1} ({:>5.2}x)",
@@ -206,7 +211,7 @@ fn main() {
             black_box(table.group_by(ds.spec.predictor).unwrap());
             black_box(table.column(LABEL_COLUMN).unwrap().true_rows());
         });
-        report.record_metric(&scenario, "kernel", "ns_per_row", "ns", cold);
+        report.record(&scenario, "kernel", "ns_per_row", "ns", cold, 1.0);
         println!("{scenario:<24} kernel {cold:>8.1} ns/row");
 
         // One-hot encoding from dictionary codes.
@@ -215,7 +220,7 @@ fn main() {
         let kernel = measure_ns_per_unit(units, reps.div_ceil(3), || {
             black_box(extract_features(&ds.table, &exclude, None));
         });
-        report.record_metric(&scenario, "kernel", "ns_per_row", "ns", kernel);
+        report.record(&scenario, "kernel", "ns_per_row", "ns", kernel, 1.0);
         println!("{scenario:<24} kernel {kernel:>8.1} ns/row");
 
         // The partition per query vs a hit in the table's memo.
@@ -227,10 +232,15 @@ fn main() {
         let kernel = measure_ns_per_unit(units, reps, || {
             black_box(ds.table.partition("grade", None).unwrap());
         });
-        report.record(&scenario, "legacy", legacy, 1.0);
-        report.name_last("ns_per_row", "ns");
-        report.record(&scenario, "cached", kernel, legacy / kernel);
-        report.name_last("ns_per_row", "ns");
+        report.record(&scenario, "legacy", "ns_per_row", "ns", legacy, 1.0);
+        report.record(
+            &scenario,
+            "cached",
+            "ns_per_row",
+            "ns",
+            kernel,
+            legacy / kernel,
+        );
         println!(
             "{scenario:<24} derive {legacy:>8.1} ns/row | cached {kernel:>8.1} ({:>5.2}x)",
             legacy / kernel
@@ -256,7 +266,7 @@ fn main() {
             let invoker = UdfInvoker::with_context(&udf, &ds.table, &ctx);
             black_box(read(&invoker, &every_row));
         });
-        report.record_metric("warm_read_20000", backend, "ns_per_row", "ns", ns);
+        report.record("warm_read_20000", backend, "ns_per_row", "ns", ns, 1.0);
         println!("{:<24} {backend:<8} {ns:>8.2} ns/row", "warm_read_20000");
     }
     let groups = ds.table.group_by("grade").unwrap();
@@ -278,7 +288,7 @@ fn main() {
         let ns = measure_ns_per_unit(runs as u64, reps * 10, || {
             black_box(count(&groups, [truth.words(), sevenths.words()]));
         });
-        report.record_metric("group_counts_20000", backend, "ns_per_run", "ns", ns);
+        report.record("group_counts_20000", backend, "ns_per_run", "ns", ns, 1.0);
         println!(
             "{:<24} {backend:<8} {ns:>8.2} ns/run ({runs} runs)",
             "group_counts_20000"
@@ -294,7 +304,7 @@ fn main() {
         w.id_plane(black_box(plane.words()));
         black_box(w.finish_bytes());
     });
-    report.record_metric("id_plane_20000", "writer", "ns_per_id", "ns", ns);
+    report.record("id_plane_20000", "writer", "ns_per_id", "ns", ns, 1.0);
     println!(
         "{:<24} writer   {ns:>8.2} ns/id ({ids} ids)",
         "id_plane_20000"
@@ -308,12 +318,13 @@ fn main() {
     black_box(ds.table.column("zip3"));
     let bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
     let per_row = bytes as f64 / rows as f64;
-    report.record_metric(
+    report.record(
         "str_codes_20000",
         "codes",
         "heap_bytes_per_row",
         "B",
         per_row,
+        1.0,
     );
     println!(
         "{:<24} codes    {per_row:>8.2} B/row ({bytes} B)",

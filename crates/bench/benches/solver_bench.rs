@@ -69,7 +69,7 @@ fn main() {
         let ns = measure_ns_per_unit(k as u64, reps, || {
             let _ = black_box(problem.solve());
         });
-        report.record_metric(&scenario, "exact", "ns_per_group", "ns", ns);
+        report.record(&scenario, "exact", "ns_per_group", "ns", ns, 1.0);
         println!("{scenario:<26} exact  {ns:>10.1} ns/group");
     }
 
@@ -97,7 +97,7 @@ fn main() {
         let ns = measure_ns_per_unit(1, if smoke { 5 } else { 50 }, || {
             black_box(solve_estimated(&groups, &spec, CorrelationModel::Independent).unwrap());
         });
-        report.record_metric(&scenario, "solver", "ns_per_solve", "ns", ns);
+        report.record(&scenario, "solver", "ns_per_solve", "ns", ns, 1.0);
         println!(
             "{scenario:<26} solver {ns:>10.0} ns/solve ({} groups)",
             groups.len()

@@ -21,8 +21,7 @@ use std::process::ExitCode;
 struct Comparison {
     scenario: String,
     backend: String,
-    /// What the values are in: the old row's `unit`, or `ns/probe` for a
-    /// row that names none.
+    /// What the values are in: the old row's `unit`.
     unit: String,
     old_ns: f64,
     new_ns: f64,
@@ -32,11 +31,10 @@ struct Comparison {
 
 impl Comparison {
     fn new(old: &BenchRecord, new: &BenchRecord) -> Self {
-        let unit = old.metric.as_ref().map_or("ns/probe", |(_, unit)| unit);
         Self {
             scenario: old.scenario.clone(),
             backend: old.backend.clone(),
-            unit: unit.to_owned(),
+            unit: old.unit.clone(),
             old_ns: old.ns_per_probe,
             new_ns: new.ns_per_probe,
             change: new.ns_per_probe / old.ns_per_probe - 1.0,
@@ -198,7 +196,7 @@ mod tests {
     fn write_report(dir: &std::path::Path, file: &str, rows: &[(&str, &str, f64)]) -> String {
         let mut report = BenchReport::new("t");
         for (scenario, backend, ns) in rows {
-            report.record(*scenario, *backend, *ns, 1.0);
+            report.record(scenario, backend, "ns_per_probe", "ns", *ns, 1.0);
         }
         let path = dir.join(file);
         std::fs::write(&path, report.to_json()).unwrap();
@@ -230,11 +228,11 @@ mod tests {
     #[test]
     fn lines_print_three_significant_digits_in_the_row_unit() {
         let mut report = BenchReport::new("t");
-        report.record_metric("append", "wal", "bytes_per_row", "B", 0.81);
-        report.record("probe", "seq", 1234.56, 1.0);
+        report.record("append", "wal", "bytes_per_row", "B", 0.81, 1.0);
+        report.record("probe", "seq", "ns_per_probe", "ns", 1234.56, 1.0);
         let mut fresh = BenchReport::new("t");
-        fresh.record_metric("append", "wal", "bytes_per_row", "B", 0.84);
-        fresh.record("probe", "seq", 1234.56, 1.0);
+        fresh.record("append", "wal", "bytes_per_row", "B", 0.84, 1.0);
+        fresh.record("probe", "seq", "ns_per_probe", "ns", 1234.56, 1.0);
         let sub_unit = Comparison::new(&report.records()[0], &fresh.records()[0]);
         let line = sub_unit.line(false);
         assert!(line.contains("0.81 ->"), "{line}");
@@ -242,7 +240,7 @@ mod tests {
         assert!(line.ends_with("+3.7%"), "{line}");
         let probe = Comparison::new(&report.records()[1], &fresh.records()[1]).line(true);
         assert!(probe.starts_with("REGRESSION"), "{probe}");
-        assert!(probe.contains("1234.6 ns/probe"), "{probe}");
+        assert!(probe.contains("1234.6 ns "), "{probe}");
     }
 
     #[test]

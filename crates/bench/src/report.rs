@@ -25,10 +25,10 @@
 //! declares as its baseline for the scenario (by convention
 //! `sequential`; the baseline row itself reports `1.0`).
 //!
-//! A row may say what its number is — `"metric": "ns_per_row", "unit":
-//! "ns"` after `backend` ([`BenchReport::record_metric`]) — for
-//! measurements that are not a time per probe. The value still travels
-//! in `ns_per_probe`, the field `bench-diff` joins and compares on.
+//! Every row says what its number is — `"metric": "ns_per_row",
+//! "unit": "ns"` after `backend` — since not every measurement is a time
+//! per probe. The value still travels in `ns_per_probe`, the field
+//! `bench-diff` joins and compares on.
 
 use expred_stats::json::{JsonValue, JsonWriter};
 use std::io::Write as _;
@@ -41,10 +41,11 @@ pub struct BenchRecord {
     pub scenario: String,
     /// Which executor/backend ran it.
     pub backend: String,
-    /// What `ns_per_probe` holds and in which unit — `(metric, unit)` —
-    /// when it is not nanoseconds per probe.
-    pub metric: Option<(String, String)>,
-    /// Mean wall-clock nanoseconds per probe (or the row's `metric`).
+    /// What `ns_per_probe` holds (e.g. `ns_per_row`).
+    pub metric: String,
+    /// The unit of `ns_per_probe` (e.g. `ns`).
+    pub unit: String,
+    /// The row's `metric`, in its `unit`.
     pub ns_per_probe: f64,
     /// Wall-clock ratio baseline/this for the same scenario (1.0 for the
     /// baseline itself; >1 is faster than baseline).
@@ -67,42 +68,26 @@ impl BenchReport {
         }
     }
 
-    /// Appends one measurement row.
+    /// Appends one measurement row: `value` is `metric`, in `unit`, and
+    /// `speedup_vs_baseline` compares it with the scenario's baseline row
+    /// (1.0 for the baseline itself, or for a row that has none).
     pub fn record(
-        &mut self,
-        scenario: impl Into<String>,
-        backend: impl Into<String>,
-        ns_per_probe: f64,
-        speedup_vs_baseline: f64,
-    ) {
-        self.records.push(BenchRecord {
-            scenario: scenario.into(),
-            backend: backend.into(),
-            metric: None,
-            ns_per_probe,
-            speedup_vs_baseline,
-        });
-    }
-
-    /// Appends one row that names its measurement: `value` is `metric`,
-    /// in `unit` (its own baseline: the speedup column reads 1.0).
-    pub fn record_metric(
         &mut self,
         scenario: &str,
         backend: &str,
         metric: &str,
         unit: &str,
         value: f64,
+        speedup_vs_baseline: f64,
     ) {
-        self.record(scenario, backend, value, 1.0);
-        self.name_last(metric, unit);
-    }
-
-    /// Names what the last row's `ns_per_probe` holds: `metric`, in
-    /// `unit`. For rows that also carry a speedup.
-    pub fn name_last(&mut self, metric: &str, unit: &str) {
-        let row = self.records.last_mut().expect("a row to name");
-        row.metric = Some((metric.to_owned(), unit.to_owned()));
+        self.records.push(BenchRecord {
+            scenario: scenario.to_owned(),
+            backend: backend.to_owned(),
+            metric: metric.to_owned(),
+            unit: unit.to_owned(),
+            ns_per_probe: value,
+            speedup_vs_baseline,
+        });
     }
 
     /// The bench this report belongs to (the `<name>` of its file).
@@ -124,10 +109,8 @@ impl BenchReport {
             w.begin_object();
             w.key("scenario").str(&r.scenario);
             w.key("backend").str(&r.backend);
-            if let Some((metric, unit)) = &r.metric {
-                w.key("metric").str(metric);
-                w.key("unit").str(unit);
-            }
+            w.key("metric").str(&r.metric);
+            w.key("unit").str(&r.unit);
             w.key("ns_per_probe").f64_sig3(r.ns_per_probe);
             w.key("speedup_vs_baseline").f64_sig3(r.speedup_vs_baseline);
             w.end_object();
@@ -211,9 +194,8 @@ impl BenchReport {
     }
 }
 
-/// Extracts one measurement row, strictly: all four fields required,
-/// `metric` and `unit` both or neither, unknown fields rejected, `null`
-/// measurements surfaced as NaN.
+/// Extracts one measurement row, strictly: all six fields required,
+/// unknown fields rejected, `null` measurements surfaced as NaN.
 fn record_from_json(row: &JsonValue) -> Result<BenchRecord, String> {
     if !matches!(row, JsonValue::Object(_)) {
         return Err("each result row must be a JSON object".to_owned());
@@ -245,13 +227,11 @@ fn record_from_json(row: &JsonValue) -> Result<BenchRecord, String> {
             other => return Err(format!("unexpected record field {other:?}")),
         }
     }
-    if metric.is_some() != unit.is_some() {
-        return Err("\"metric\" and \"unit\" come together".to_owned());
-    }
     Ok(BenchRecord {
         scenario: scenario.ok_or("record missing \"scenario\"")?,
         backend: backend.ok_or("record missing \"backend\"")?,
-        metric: metric.zip(unit),
+        metric: metric.ok_or("record missing \"metric\"")?,
+        unit: unit.ok_or("record missing \"unit\"")?,
         ns_per_probe: ns_per_probe.ok_or("record missing \"ns_per_probe\"")?,
         speedup_vs_baseline: speedup.ok_or("record missing \"speedup_vs_baseline\"")?,
     })
@@ -278,8 +258,22 @@ mod tests {
     #[test]
     fn json_shape_is_stable() {
         let mut report = BenchReport::new("demo");
-        report.record("batch_8_udf_1us", "sequential", 1000.0, 1.0);
-        report.record("batch_8_udf_1us", "worker_pool", 250.0, 4.0);
+        report.record(
+            "batch_8_udf_1us",
+            "sequential",
+            "ns_per_probe",
+            "ns",
+            1000.0,
+            1.0,
+        );
+        report.record(
+            "batch_8_udf_1us",
+            "worker_pool",
+            "ns_per_probe",
+            "ns",
+            250.0,
+            4.0,
+        );
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"demo\""));
         assert!(json.contains("\"scenario\": \"batch_8_udf_1us\""));
@@ -313,7 +307,7 @@ mod tests {
     #[test]
     fn non_finite_values_serialize_as_null() {
         let mut report = BenchReport::new("demo");
-        report.record("s", "b", f64::NAN, f64::INFINITY);
+        report.record("s", "b", "ns_per_probe", "ns", f64::NAN, f64::INFINITY);
         let json = report.to_json();
         assert!(json.contains("\"ns_per_probe\": null"));
         assert!(json.contains("\"speedup_vs_baseline\": null"));
@@ -322,7 +316,7 @@ mod tests {
     #[test]
     fn names_are_escaped() {
         let mut report = BenchReport::new("we\"ird");
-        report.record("a\\b", "c\nd", 1.0, 1.0);
+        report.record("a\\b", "c\nd", "ns_per_probe", "ns", 1.0, 1.0);
         let json = report.to_json();
         assert!(json.contains("we\\\"ird"));
         assert!(json.contains("a\\\\b"));
@@ -339,10 +333,17 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let mut report = BenchReport::new("we\"ird");
-        report.record("batch_8_udf_1us", "sequential", 1000.5, 1.0);
-        report.record("a\\b", "c\nd", 250.0, 4.0);
-        report.record("failed", "b", f64::NAN, f64::INFINITY);
-        report.record_metric("compact", "page_images", "ns_per_row", "ns", 1.5);
+        report.record(
+            "batch_8_udf_1us",
+            "sequential",
+            "ns_per_probe",
+            "ns",
+            1000.5,
+            1.0,
+        );
+        report.record("a\\b", "c\nd", "ns_per_probe", "ns", 250.0, 4.0);
+        report.record("failed", "b", "ns_per_probe", "ns", f64::NAN, f64::INFINITY);
+        report.record("compact", "page_images", "ns_per_row", "ns", 1.5, 1.0);
         let parsed = BenchReport::from_json(&report.to_json()).expect("own output parses");
         assert_eq!(parsed.name, report.name);
         assert_eq!(parsed.records().len(), 4);
@@ -370,6 +371,9 @@ mod tests {
              \"ns_per_probe\": oops, \"speedup_vs_baseline\": 1.0}]}",
             "{\"bench\": \"x\", \"results\": [{\"scenario\": \"s\", \"backend\": \"b\", \
              \"metric\": \"m\", \"ns_per_probe\": 1.0, \"speedup_vs_baseline\": 1.0}]}",
+            // A row that does not say what it measured.
+            "{\"bench\": \"x\", \"results\": [{\"scenario\": \"s\", \"backend\": \"b\", \
+             \"ns_per_probe\": 1.0, \"speedup_vs_baseline\": 1.0}]}",
         ] {
             assert!(BenchReport::from_json(bad).is_err(), "accepted: {bad}");
         }

@@ -1,6 +1,7 @@
 //! Every bench has exactly one committed artifact and every artifact has
 //! its bench: the `[[bench]]` names in this crate's manifest, minus
 //! `_bench`, are the `BENCH_<name>.json` files at the workspace root.
+//! Every row of every artifact names its metric and unit.
 
 use expred_bench::BenchReport;
 use std::collections::BTreeSet;
@@ -35,11 +36,14 @@ fn every_bench_has_one_well_formed_artifact() {
         assert_eq!(report.name(), name, "{file} names another bench");
         assert!(!report.records().is_empty(), "{file} has no rows");
         for row in report.records() {
+            let what = format!("{file}: {}/{}", row.scenario, row.backend);
             assert!(
                 row.ns_per_probe.is_finite() && row.speedup_vs_baseline.is_finite(),
-                "{file}: {}/{} holds a non-finite value",
-                row.scenario,
-                row.backend
+                "{what} holds a non-finite value"
+            );
+            assert!(
+                !row.metric.is_empty() && !row.unit.is_empty(),
+                "{what} does not say what it measured"
             );
         }
         artifacts.insert(name.to_owned());

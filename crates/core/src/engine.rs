@@ -73,18 +73,24 @@
 //! row tier is keyed by `(udf, table id)` and a UDF is deterministic per
 //! row of one table state — so pipelines whose demand stream
 //! is independent of cache state (e.g. [`crate::Strategy::Naive`]) return
-//! byte-identical answers no matter how queries interleave. Pipelines
-//! that *branch* on session-known rows (sampling counts them toward its
-//! target) remain correct under concurrency but may legitimately pick
-//! different sample sets depending on what earlier/overlapping queries
-//! already paid for, exactly as they already did across serial session
-//! orderings. Intel-Sample counts its evidence in one ledger per grouping
-//! ([`crate::sampling::Ledger`]): what its opening scan of the grouping
-//! saw, plus what the query decided itself. A row another query in
-//! flight decides mid-query is a free answer at execution and is never
-//! bought twice, but it is not evidence: no estimate of this query counts
-//! it. That seam is where a query that steers by one committed state
-//! (ROADMAP direction 31) lands.
+//! byte-identical answers no matter how queries interleave. Intel-Sample
+//! steers by one state per grouping, its ledger
+//! ([`crate::sampling::Ledger`]): what the query's one read of the
+//! grouping saw when the ledger opened, plus what the query evaluated
+//! itself. Its draws, estimates, plans, rounds and the decided rows its
+//! execution returns or drops all read the ledger; the live memo and
+//! store are read only to answer a row the query has already chosen to
+//! evaluate. So live state changes what a query pays, never what it
+//! draws or returns: a row another query in flight lands mid-query
+//! turns one of this query's evaluations into a free reuse, and leaves
+//! its draws, its answer, its retrievals and its demand (evaluations
+//! plus reuses) as they were. What can still differ across interleavings
+//! is the state the query opens on — the ledger's opening read and
+//! predictor ranking's labelled draw see every row the session holds at
+//! that moment, a query still in flight included — just as a query's
+//! sample differs across serial session orderings. Opening on only the
+//! rows of queries that have completed is ROADMAP direction 31's other
+//! half.
 //!
 //! **Racing duplicates (cold-race suppression).** Two threads submitting
 //! the identical fresh request execute it once. After a memo miss each

@@ -15,67 +15,69 @@
 //! # Runs and planes
 //!
 //! On a warm session that bypass is all an execution does, so it runs a
-//! 64-row word at a time, and each word once. One word-major pass over
-//! the grouping ([`UdfInvoker::scan_groups`]) answers "which rows are
-//! decided, and which passed?" as two planes, loading and settling each
-//! word the groups touch once however many groups share it. The passing
-//! rows join the answer — a [`RowSet`] plane over the table — with one OR
-//! per word. The groups then take their `(word, mask)` runs
-//! ([`GroupBy::runs`]) in group order, and only the undecided bits of a
-//! run, `mask & !decided`, are visited singly, in ascending order, to
-//! draw their retrieve/evaluate decisions. The rows to evaluate gather
-//! in one more plane, which [`UdfInvoker::evaluate_plane`] evaluates and
-//! answers as a plane of those that passed. The answer is never sorted:
-//! groups partition the rows, every path sets bits, and the ascending id
-//! list is the plane read out once.
+//! 64-row word at a time, and each word once. What the query has decided
+//! is its [`Ledger`]'s: the plane of the rows it holds an answer for and
+//! the plane of those that passed, read when the ledger opened and grown
+//! by every row the query evaluated since, so execution reads no
+//! grouping. The passing rows join the answer — a [`RowSet`] plane over
+//! the table — with one OR per word. The groups then take their `(word,
+//! mask)` runs ([`GroupBy::runs`]) in group order, and only the bits of a
+//! run that are in the window and undecided, `mask & window & !decided`,
+//! are visited singly, in ascending order, to draw their
+//! retrieve/evaluate decisions. The rows to evaluate gather in one more
+//! plane, which [`UdfInvoker::evaluate_plane`] evaluates and answers as a
+//! plane of those that passed; both join the ledger. That is the one
+//! read of the live memo and session store, and only for rows the plan
+//! already chose: a row another query landed meanwhile is answered as a
+//! reuse, never evaluated twice, and never changes what is drawn. The
+//! answer is never sorted: groups partition the rows, every path sets
+//! bits, and the ascending id list is the plane read out once.
+//!
+//! [`UdfInvoker::evaluate_plane`]: expred_udf::UdfInvoker::evaluate_plane
 
 use crate::error::EngineError;
 use crate::plan::Plan;
+use crate::sampling::Ledger;
 use expred_exec::ExecContext;
 use expred_stats::rng::Prng;
 use expred_table::rowset::bits;
 use expred_table::{Column, GroupBy, RowSet, Table};
-use expred_udf::UdfInvoker;
 
-/// Executes `plan` over `groups` under an execution context, adding its
-/// answer rows to `answer` — a plane over the invoker's *table*, which
-/// `groups` need not cover (the iterative pipeline executes a slice of
-/// every group per round into one plane). All retrievals and
-/// evaluations are charged to `invoker`, and its memoized answers are
-/// reused: cross-query caching is the invoker's concern — build it with
-/// [`UdfInvoker::with_context`] and already-known rows (from sampling or
-/// from earlier queries in the session) bypass the plan for free.
+/// Executes `plan` over the rows of `ledger`'s grouping — only those in
+/// `window` when one is given, a plane over the table (a §4.2 round's
+/// rank window, [`expred_table::GroupBy::window`]) — under an execution
+/// context, adding its answer rows to `answer`, a plane over the table.
+/// Every row the ledger holds as passed joins the answer for free, in the
+/// window or not, and every row it holds as failed is dropped: the rows
+/// sampling, earlier rounds or earlier queries of the session decided
+/// (§4.2). All retrievals and evaluations are charged to the ledger's
+/// invoker, and the rows evaluated join the ledger, so a later round
+/// re-plans on them.
 ///
-/// Returns the plane of the rows it evaluated and the plane of those of
-/// them that passed: the evidence the execution bought, which the
-/// iterative pipeline adds to its [`crate::sampling::Ledger`] before it
-/// re-plans.
-///
-/// One word-major pass ([`UdfInvoker::scan_groups`]) reads what every
-/// group has decided, and the decided rows that passed join the plane
-/// with one OR per word. Then each group walks its `(word, mask)` runs in
-/// group order and draws for its undecided rows, `mask & !decided`, in
-/// bit order — ascending row order, the order the group's row list has,
-/// so the random stream is the one a row-at-a-time walk draws. The
-/// random decisions (retrieve? evaluate?) are thus drawn on the calling
-/// thread, into a plane of the rows to evaluate, and only then do those
-/// rows go to `ctx.executor`, as one batch in ascending row order; their
-/// answers reach the store and the spill sink as the pages they fill.
-/// How that batch is chunked and overlapped is the executor's decision
-/// alone, and answers and bills do not depend on its order. The result
-/// is therefore byte-identical across backends for a fixed seed; only
-/// wall-clock time changes.
+/// Each group walks its `(word, mask)` runs in group order and draws for
+/// its undecided rows in the window, `mask & window & !decided`, in bit
+/// order — ascending row order, the order the group's row list has, so
+/// the random stream is the one a row-at-a-time walk draws. The random
+/// decisions (retrieve? evaluate?) are thus drawn on the calling thread,
+/// into a plane of the rows to evaluate, and only then do those rows go
+/// to `ctx.executor`, as one batch in ascending row order; their answers
+/// reach the store and the spill sink as the pages they fill. How that
+/// batch is chunked and overlapped is the executor's decision alone, and
+/// answers and bills do not depend on its order. The result is therefore
+/// byte-identical across backends for a fixed seed; only wall-clock time
+/// changes.
 ///
 /// Errors with [`EngineError::InvalidRequest`] if the plan and the
 /// grouping disagree on the number of groups.
 pub fn execute_plan(
     plan: &Plan,
-    groups: &GroupBy,
-    invoker: &UdfInvoker<'_>,
+    ledger: &mut Ledger<'_>,
+    window: Option<&RowSet>,
     rng: &mut Prng,
     ctx: &ExecContext<'_>,
     answer: &mut RowSet,
-) -> Result<(RowSet, RowSet), EngineError> {
+) -> Result<(), EngineError> {
+    let (groups, invoker) = (ledger.groups, ledger.invoker);
     if plan.num_groups() != groups.num_groups() {
         return Err(EngineError::InvalidRequest {
             reason: format!(
@@ -85,12 +87,47 @@ pub fn execute_plan(
             ),
         });
     }
-    // Sampled tuples are already decided: what every group knows, in one
-    // word-major pass, and the passing ones join the answer whole.
-    let (decided, passed) = invoker.scan_groups(groups);
-    answer.union_with(&passed);
+    // Decided rows need no plan: the passing ones join the answer whole.
+    answer.union_with(&ledger.passed);
     let mut queued = RowSet::new(invoker.table().num_rows());
-    let mut retrieved = 0u64;
+    let decided = &ledger.decided;
+    // One walk per case, so a walk of every row reads no window.
+    let retrieved = match window {
+        None => {
+            let open = |word| !decided.word(word);
+            draw(plan, groups, open, rng, &mut queued, answer)
+        }
+        Some(window) => {
+            let open = |word| window.word(word) & !decided.word(word);
+            draw(plan, groups, open, rng, &mut queued, answer)
+        }
+    };
+    invoker.charge_retrievals(retrieved);
+    // Every queued row is undecided and distinct (groups partition
+    // rows), so the audited plane charges at most one evaluation per row
+    // — the same bill the serial loop paid — and a row the store already
+    // holds, one reuse. Through the invoker, never the raw probe: the
+    // invoker is what memoizes the answers and charges the tracker.
+    let passed = invoker.evaluate_plane(ctx.executor, &queued);
+    answer.union_with(&passed);
+    ledger.add(&queued, &passed);
+    Ok(())
+}
+
+/// Draws the plan's decisions for the rows `open(word)` leaves set in
+/// each run `(word, mask)` of `groups`, group by group, in bit order:
+/// each is retrieved with probability `R_a`, and a retrieved one is
+/// queued for evaluation with probability `E_a / R_a`, or else joins
+/// `answer` unevaluated. Returns how many rows were retrieved.
+fn draw(
+    plan: &Plan,
+    groups: &GroupBy,
+    open: impl Fn(usize) -> u64,
+    rng: &mut Prng,
+    queued: &mut RowSet,
+    answer: &mut RowSet,
+) -> u64 {
+    let mut retrieved = 0;
     for g in 0..groups.num_groups() {
         let r = plan.r()[g];
         let e = plan.e()[g];
@@ -100,7 +137,7 @@ pub fn execute_plan(
         }
         for (word, mask) in groups.runs(g) {
             let word = word as usize;
-            for bit in bits(mask & !decided.word(word)) {
+            for bit in bits(mask & open(word)) {
                 if !rng.bernoulli(r) {
                     continue;
                 }
@@ -113,15 +150,7 @@ pub fn execute_plan(
             }
         }
     }
-    invoker.charge_retrievals(retrieved);
-    // Every queued row is fresh (the scan above skipped the decided ones)
-    // and distinct (groups partition rows), so the audited plane charges
-    // exactly one evaluation per row — the same bill the serial loop
-    // paid. Through the invoker, never the raw probe: the invoker is what
-    // memoizes the answers and charges the tracker.
-    let passed = invoker.evaluate_plane(ctx.executor, &queued);
-    answer.union_with(&passed);
-    Ok((queued, passed))
+    retrieved
 }
 
 /// The label column's ground truth as one `bool` per row, for harness
@@ -148,55 +177,74 @@ mod tests {
     use super::*;
     use expred_exec::{BatchProbe, CacheStore, Executor, Sequential};
     use expred_table::{DataType, Field, Schema, Table, Value};
-    use expred_udf::{CostModel, OracleUdf};
+    use expred_udf::{CostModel, OracleUdf, UdfInvoker};
     use proptest::prelude::*;
     use std::sync::Mutex;
 
-    /// What an execution returns, as ascending id lists: the answer, the
+    /// What an execution leaves, as ascending id lists: the answer, the
     /// rows it evaluated and those of them that passed.
     type Lists = (Vec<u32>, Vec<u32>, Vec<u32>);
 
-    /// [`execute_plan`] into an empty answer plane, read out as lists.
+    /// [`execute_plan`] on a ledger opened over `groups`, into an empty
+    /// answer plane, read out as lists: the answer and what the
+    /// execution added to the ledger.
     fn execute(
         plan: &Plan,
         groups: &GroupBy,
+        window: Option<&RowSet>,
         invoker: &UdfInvoker<'_>,
         rng: &mut Prng,
         ctx: &ExecContext<'_>,
     ) -> Result<Lists, EngineError> {
+        let mut ledger = Ledger::open(groups, invoker);
+        let (decided, passed) = (ledger.decided.clone(), ledger.passed.clone());
         let mut answer = RowSet::new(invoker.table().num_rows());
-        let (evaluated, passed) = execute_plan(plan, groups, invoker, rng, ctx, &mut answer)?;
-        Ok((answer.to_vec(), evaluated.to_vec(), passed.to_vec()))
+        execute_plan(plan, &mut ledger, window, rng, ctx, &mut answer)?;
+        let added = |now: &RowSet, before: &RowSet| {
+            let mut added = now.clone();
+            added.difference_with(before);
+            added.to_vec()
+        };
+        Ok((
+            answer.to_vec(),
+            added(&ledger.decided, &decided),
+            added(&ledger.passed, &passed),
+        ))
     }
 
-    /// The row-at-a-time execution [`execute_plan`] replaced — probe
-    /// every row of every group, push answer rows as they are decided,
-    /// sort at the end — kept as the oracle the run-and-plane version
-    /// must match action for action.
+    /// The row-at-a-time execution [`execute_plan`] replaced — read what
+    /// every row of every group knows, return the known positives, then
+    /// probe the first `take[g]` rows of each group `g`, push answer rows
+    /// as they are decided, sort at the end — kept as the oracle the
+    /// run-and-plane version must match action for action.
     fn execute_plan_push_and_sort(
         plan: &Plan,
         groups: &GroupBy,
+        take: &[usize],
         invoker: &UdfInvoker<'_>,
         rng: &mut Prng,
         ctx: &ExecContext<'_>,
     ) -> Lists {
+        let k = groups.num_groups();
+        let rows: Vec<Vec<u32>> = (0..k).map(|g| groups.rows(g).collect()).collect();
+        let known: Vec<Vec<Option<bool>>> = rows
+            .iter()
+            .map(|rows| invoker.known_many(rows.iter().map(|&row| row as usize)))
+            .collect();
         let mut queued = Vec::new();
-        let mut returned = Vec::new();
-        for g in 0..groups.num_groups() {
-            let rows: Vec<u32> = groups.rows(g).collect();
+        let mut returned: Vec<u32> = rows
+            .iter()
+            .flatten()
+            .zip(known.iter().flatten())
+            .filter_map(|(&row, &known)| (known == Some(true)).then_some(row))
+            .collect();
+        for g in 0..k {
             let r = plan.r()[g];
             let e = plan.e()[g];
             let eval_given_retrieved = if r > 0.0 { (e / r).min(1.0) } else { 0.0 };
-            let known = invoker.known_many(rows.iter().map(|&row| row as usize));
             let mut retrieved = 0u64;
-            for (&row, known) in rows.iter().zip(known) {
-                if let Some(answer) = known {
-                    if answer {
-                        returned.push(row);
-                    }
-                    continue;
-                }
-                if r <= 0.0 || !rng.bernoulli(r) {
+            for (&row, known) in rows[g].iter().zip(&known[g]).take(take[g]) {
+                if known.is_some() || r <= 0.0 || !rng.bernoulli(r) {
                     continue;
                 }
                 retrieved += 1;
@@ -248,7 +296,7 @@ mod tests {
         let plan = Plan::new(vec![1.0, 1.0, 0.0], vec![0.0, 1.0, 0.0]);
         let mut rng = Prng::seeded(1);
         let (returned, evaluated, passed) =
-            execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
+            execute(&plan, &groups, None, &invoker, &mut rng, &ctx).unwrap();
         // Group 0 returned unevaluated (rows 0,1); group 1 evaluated, only
         // row 2 passes; group 2 dropped.
         assert_eq!(returned, vec![0, 1, 2]);
@@ -274,7 +322,8 @@ mod tests {
         // Plan discards the group entirely; sampled positive still returns.
         let plan = Plan::discard_all(1);
         let mut rng = Prng::seeded(2);
-        let (returned, evaluated, _) = execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
+        let (returned, evaluated, _) =
+            execute(&plan, &groups, None, &invoker, &mut rng, &ctx).unwrap();
         assert_eq!(returned, vec![0]);
         assert!(evaluated.is_empty(), "a reused row is no new evidence");
         assert_eq!(invoker.counts(), before, "no new cost for reuse");
@@ -292,7 +341,7 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::new(vec![0.6], vec![0.3]);
         let mut rng = Prng::seeded(3);
-        let (_, evaluated, _) = execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
+        let (_, evaluated, _) = execute(&plan, &groups, None, &invoker, &mut rng, &ctx).unwrap();
         let counts = invoker.counts();
         assert_eq!(evaluated.len() as u64, counts.evaluated);
         let retrieved_rate = counts.retrieved as f64 / n as f64;
@@ -313,7 +362,8 @@ mod tests {
         // Evaluate everything: answer must be exactly the true set.
         let plan = Plan::evaluate_all(1);
         let mut rng = Prng::seeded(4);
-        let (returned, _, passed) = execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
+        let (returned, _, passed) =
+            execute(&plan, &groups, None, &invoker, &mut rng, &ctx).unwrap();
         let truth = truth_vector(&table, "label");
         assert!(returned.iter().all(|&r| truth[r as usize]));
         assert_eq!(returned.len(), n / 4);
@@ -345,7 +395,7 @@ mod tests {
         let run = |ctx: ExecContext<'_>| {
             let invoker = UdfInvoker::new(&udf, &table);
             let mut rng = Prng::seeded(17);
-            let result = execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap();
+            let result = execute(&plan, &groups, None, &invoker, &mut rng, &ctx).unwrap();
             (result, invoker.counts())
         };
         let recorder = Recorder::default();
@@ -396,14 +446,13 @@ mod tests {
             let table = test_table(&labels, &group_ids);
             let udf = OracleUdf::new("label");
             // The whole table's grouping, or — as Intel-Sample's rounds
-            // execute — a slice of every group: fewer rows than the table.
-            let whole = table.group_by("g").unwrap();
-            let slices: Vec<Vec<u32>> = (0..k)
-                .map(|g| whole.rows(g).take(whole.size(g).div_ceil(keep_one_in)).collect())
-                .collect();
-            let sliced: usize = slices.iter().map(Vec::len).sum();
-            let keys = (0..k).map(|g| whole.key(g).clone()).collect();
-            let groups = GroupBy::new("g#slice".into(), keys, slices, sliced);
+            // execute — a window of every group: fewer rows than the
+            // table.
+            let groups = table.group_by("g").unwrap();
+            let take: Vec<usize> =
+                (0..k).map(|g| groups.size(g).div_ceil(keep_one_in)).collect();
+            let ranks: Vec<_> = take.iter().map(|&take| 0..take).collect();
+            let window = (keep_one_in > 1).then(|| groups.window(&ranks));
             // Rates on a grid that includes the deterministic ends.
             let r: Vec<f64> = rates[..k].iter().map(|&(r, _)| f64::from(r) / 4.0).collect();
             let e: Vec<f64> =
@@ -424,9 +473,9 @@ mod tests {
                 }
                 let mut rng = Prng::seeded(seed);
                 let result = if planes {
-                    execute(&plan, &groups, &invoker, &mut rng, &ctx).unwrap()
+                    execute(&plan, &groups, window.as_ref(), &invoker, &mut rng, &ctx).unwrap()
                 } else {
-                    execute_plan_push_and_sort(&plan, &groups, &invoker, &mut rng, &ctx)
+                    execute_plan_push_and_sort(&plan, &groups, &take, &invoker, &mut rng, &ctx)
                 };
                 // The executor's batch as a set: the plane sends it in
                 // ascending order, the row-at-a-time walk in group order.
@@ -462,7 +511,7 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::discard_all(2);
         let mut rng = Prng::seeded(5);
-        let err = execute(&plan, &groups, &invoker, &mut rng, &ctx)
+        let err = execute(&plan, &groups, None, &invoker, &mut rng, &ctx)
             .expect_err("two plan groups cannot execute one group");
         assert!(
             matches!(&err, EngineError::InvalidRequest { reason } if reason.contains("2 groups")),

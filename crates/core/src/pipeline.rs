@@ -5,11 +5,11 @@
 //!   estimate selectivities (by a fixed rule, or §4.3's search), solve the
 //!   convex program, execute — at once, or in §4.2's estimate/exploit
 //!   rounds. Once the predictor is chosen, the run opens one
-//!   [`Ledger`] over its grouping: the one read of the grouping that
-//!   sampling makes. Every search step and every round re-plans on the
-//!   ledger's counts, and each round adds the rows its execution
-//!   evaluated, so no step re-reads the grouping to count. Execution
-//!   still reads what its groups have decided, for the free answers.
+//!   [`Ledger`] over its grouping: the run's one read of the grouping.
+//!   Every draw, search step and round re-plans on the ledger, and each
+//!   round executes a rank window of the grouping ([`GroupBy::window`])
+//!   on it, taking its free answers off the ledger and adding the rows it
+//!   evaluated, so no step re-reads the grouping.
 //! * [`run_optimal`] — the unrealistic lower bound: exact selectivities
 //!   handed to the §3.2 optimizer for free.
 //! * [`run_naive`] — retrieve a random `β` fraction and evaluate all of it.
@@ -258,9 +258,10 @@ pub(crate) fn solve_or_evaluate_all(
 /// context's executor.
 ///
 /// With [`IntelSampleConfig::rounds`] above one, this is §4.2's
-/// back-and-forth: each round executes a `1/rounds_remaining` slice of
-/// every group under the current plan, and every round after the first
-/// re-plans on all the rows evaluated so far.
+/// back-and-forth: each round executes a `1/rounds_remaining` share of
+/// every group's rows, a window by rank, under the current plan, and
+/// every round after the first re-plans on all the rows evaluated so
+/// far.
 ///
 /// For a fixed seed the outcome is byte-identical across backends: all
 /// randomness is drawn on the calling thread before batches dispatch.
@@ -335,45 +336,32 @@ pub fn run_intel_sample(
             ),
         };
 
-        // Step 3: execute. One round's slice is the whole grouping.
+        // Step 3: execute, a window of every group's rows per round.
         let rounds = cfg.rounds.get();
         let mut returned = f.empty_answer();
-        if rounds == 1 {
-            execute_plan(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
-        } else {
-            // Rows of each group executed so far: its first ones by rank.
-            let mut executed = vec![0; k];
-            for round in 0..rounds {
-                if round > 0 {
-                    // Re-plan on everything evaluated so far: the ledger
-                    // holds it.
-                    let feasible;
-                    (plan, feasible) = solve(&ledger);
-                    plan_feasible &= feasible;
-                }
-                // Slice each group's pending rows for this round off its
-                // runs, restricting the plan to the groups that still have
-                // rows.
-                let ranks = next_slices(&groups, &mut executed, rounds - round);
-                let (slice_r, slice_e): (Vec<f64>, Vec<f64>) = (0..k)
-                    .filter(|&g| !ranks[g].is_empty())
-                    .map(|g| (plan.r()[g], plan.e()[g]))
-                    .unzip();
-                if slice_r.is_empty() {
-                    break;
-                }
-                let slice_groups =
-                    groups.slice(format!("{}#round{round}", groups.column()), &ranks);
-                let (evaluated, passed) = execute_plan(
-                    &Plan::new(slice_r, slice_e),
-                    &slice_groups,
-                    &f.invoker,
-                    &mut f.rng,
-                    ctx,
-                    &mut returned,
-                )?;
-                ledger.add(&evaluated, &passed);
+        // Each group's rows executed in the last round, by rank.
+        let mut windows = vec![0..0; k];
+        for round in 0..rounds {
+            if round > 0 {
+                // Re-plan on everything evaluated so far: the ledger
+                // holds it.
+                let feasible;
+                (plan, feasible) = solve(&ledger);
+                plan_feasible &= feasible;
             }
+            next_windows(&groups, &mut windows, rounds - round);
+            if windows.iter().all(Range::is_empty) {
+                break;
+            }
+            let window = groups.window(&windows);
+            execute_plan(
+                &plan,
+                &mut ledger,
+                Some(&window),
+                &mut f.rng,
+                ctx,
+                &mut returned,
+            )?;
         }
         Ok(Answer {
             returned,
@@ -383,23 +371,14 @@ pub fn run_intel_sample(
     })
 }
 
-/// Each group's slice for the next round, as a range of ranks among its
-/// rows: a `1/remaining_rounds` share, rounded up, of the rows after the
-/// `executed` ones, which it then counts as executed.
-fn next_slices(
-    groups: &GroupBy,
-    executed: &mut [usize],
-    remaining_rounds: usize,
-) -> Vec<Range<usize>> {
-    executed
-        .iter_mut()
-        .enumerate()
-        .map(|(g, executed)| {
-            let start = *executed;
-            *executed += (groups.size(g) - start).div_ceil(remaining_rounds);
-            start..*executed
-        })
-        .collect()
+/// Moves each group's window, a range of ranks among its rows, on to
+/// the next round: a `1/remaining_rounds` share, rounded up, of the rows
+/// after the window's end.
+fn next_windows(groups: &GroupBy, windows: &mut [Range<usize>], remaining_rounds: usize) {
+    for (g, window) in windows.iter_mut().enumerate() {
+        let start = window.end;
+        *window = start..start + (groups.size(g) - start).div_ceil(remaining_rounds);
+    }
 }
 
 /// Runs the unrealistic `Optimal` baseline: exact selectivities are read
@@ -425,7 +404,8 @@ pub fn run_optimal(
             groups.num_groups(),
         );
         let mut returned = f.empty_answer();
-        execute_plan(&plan, &groups, &f.invoker, &mut f.rng, ctx, &mut returned)?;
+        let mut ledger = Ledger::open(&groups, &f.invoker);
+        execute_plan(&plan, &mut ledger, None, &mut f.rng, ctx, &mut returned)?;
         Ok(Answer {
             returned,
             num_groups: groups.num_groups(),
@@ -464,9 +444,10 @@ mod tests {
     use super::*;
     use crate::engine::QueryEngine;
     use crate::request::QueryRequest;
-    use expred_exec::WorkerPool;
+    use expred_exec::{BatchProbe, CacheStore, Executor, Sequential, WorkerPool};
     use expred_table::datasets::{Dataset, DatasetSpec, PROSPER};
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn prosper() -> Dataset {
         Dataset::generate(PROSPER, 21)
@@ -505,30 +486,25 @@ mod tests {
         ) {
             let groups = GroupBy::from_assignments("g", &assignments);
             let k = groups.num_groups();
-            // The slicing the runs replaced: drain each group's row list
-            // and rebuild a grouping through `GroupBy::new`.
+            // The slicing the windows replaced: drain each group's row
+            // list, a round's share at a time.
             let mut pending: Vec<Vec<u32>> = (0..k).map(|g| groups.rows(g).collect()).collect();
-            let mut executed = vec![0; k];
+            let mut windows = vec![0..0; k];
             for round in 0..rounds {
                 let remaining_rounds = rounds - round;
-                let (mut keys, mut rows, mut total) = (Vec::new(), Vec::new(), 0);
-                for (g, p) in pending.iter_mut().enumerate() {
+                let mut want = Vec::new();
+                for p in &mut pending {
                     let take = p.len().div_ceil(remaining_rounds).min(p.len());
-                    if take > 0 {
-                        total += take;
-                        keys.push(groups.key(g).clone());
-                        rows.push(p.drain(..take).collect::<Vec<u32>>());
-                    }
+                    want.extend(p.drain(..take));
                 }
-                let ranks = next_slices(&groups, &mut executed, remaining_rounds);
-                let kept = ranks.iter().filter(|r| !r.is_empty()).count();
-                prop_assert_eq!(kept, keys.len(), "round {}", round);
-                let label = format!("g#round{round}");
-                let want = GroupBy::new(label.clone(), keys, rows, total);
-                prop_assert_eq!(groups.slice(label, &ranks), want, "round {}", round);
+                want.sort_unstable();
+                next_windows(&groups, &mut windows, remaining_rounds);
+                prop_assert_eq!(windows.iter().all(Range::is_empty), want.is_empty());
+                prop_assert_eq!(groups.window(&windows).to_vec(), want, "round {}", round);
             }
             prop_assert!(pending.iter().all(Vec::is_empty), "rounds left rows behind");
-            prop_assert_eq!(executed, groups.sizes());
+            let ends: Vec<usize> = windows.iter().map(|window| window.end).collect();
+            prop_assert_eq!(ends, groups.sizes());
         }
     }
 
@@ -563,11 +539,11 @@ mod tests {
     #[test]
     fn iterative_single_round_close_to_one_shot() {
         // One round executes the whole grouping under the first plan —
-        // exactly what a one-round slice of it executes, cold and on a
+        // its window of every rank is no window at all — cold and on a
         // warm session store, on either backend.
         let ds = small_prosper();
         let cfg = rounds_of(0.05, 1);
-        let sliced = |f: &mut Frame<'_>, ctx: &ExecContext<'_>| {
+        let whole = |f: &mut Frame<'_>, ctx: &ExecContext<'_>| {
             let groups = session_group_by(&ds.table, "grade", ctx)?;
             let k = groups.num_groups();
             let mut ledger = Ledger::open(&groups, &f.invoker);
@@ -575,11 +551,8 @@ mod tests {
             let est_groups = ledger.estimated_groups();
             let (plan, plan_feasible) =
                 solve_or_evaluate_all(solve_estimated(&est_groups, &cfg.spec, cfg.corr), k);
-            let ranks = next_slices(&groups, &mut vec![0; k], 1);
-            assert!(ranks.iter().all(|r| !r.is_empty()), "every group has rows");
-            let slice = groups.slice("grade#round0".into(), &ranks);
             let mut returned = f.empty_answer();
-            execute_plan(&plan, &slice, &f.invoker, &mut f.rng, ctx, &mut returned)?;
+            execute_plan(&plan, &mut ledger, None, &mut f.rng, ctx, &mut returned)?;
             Ok(Answer {
                 returned,
                 num_groups: k,
@@ -596,16 +569,16 @@ mod tests {
         for engine in engines {
             for warm in [false, true] {
                 for seed in [5, 6] {
-                    let (one_round, one_slice) = (engine(), engine());
+                    let (one_round, one_shot) = (engine(), engine());
                     if warm {
-                        for e in [&one_round, &one_slice] {
+                        for e in [&one_round, &one_shot] {
                             e.submit(&ds, &warmer.clone().with_seed(seed)).unwrap();
                         }
                     }
                     let got = run_intel_sample(&ds, &cfg, seed, &one_round.context()).unwrap();
-                    let ctx = one_slice.context();
+                    let ctx = one_shot.context();
                     let want =
-                        run_framed(&ds, &cfg.spec.cost, seed, &ctx, |f| sliced(f, &ctx)).unwrap();
+                        run_framed(&ds, &cfg.spec.cost, seed, &ctx, |f| whole(f, &ctx)).unwrap();
                     let what = format!("warm {warm} seed {seed}");
                     assert_eq!(got.returned, want.returned, "{what}");
                     assert_eq!(got.counts, want.counts, "{what}");
@@ -662,6 +635,74 @@ mod tests {
                     assert_eq!(got.returned, want.returned, "{what}");
                     assert_eq!(got.counts, want.counts, "{what}");
                 }
+            }
+        }
+    }
+
+    /// A scripted racing query: on the first batch it is handed, this
+    /// executor lands answers for every third row of the table outside
+    /// the batch in the session store, through an invoker of its own,
+    /// then answers the batch through `inner`.
+    struct Racing<'a> {
+        inner: &'a dyn Executor,
+        store: &'a CacheStore,
+        table: &'a Table,
+        raced: AtomicBool,
+    }
+
+    impl Executor for Racing<'_> {
+        fn evaluate_batch(&self, probe: &dyn BatchProbe, rows: &[usize]) -> Vec<bool> {
+            if !self.raced.swap(true, Ordering::Relaxed) {
+                let udf = OracleUdf::new(LABEL_COLUMN);
+                let ctx = ExecContext::sequential().with_cache(self.store);
+                let other = UdfInvoker::with_context(&udf, self.table, &ctx);
+                let landed: Vec<usize> = (0..self.table.num_rows())
+                    .step_by(3)
+                    .filter(|row| rows.binary_search(row).is_err())
+                    .collect();
+                other.evaluate_batch(&Sequential, &landed);
+            }
+            self.inner.evaluate_batch(probe, rows)
+        }
+    }
+
+    #[test]
+    fn a_racing_query_changes_what_a_query_pays_never_what_it_draws_or_returns() {
+        // Rows another query lands mid-query are read only to answer rows
+        // this one already chose: they turn evaluations into reuses, and
+        // change no draw, no plan and no answer.
+        let ds = small_prosper();
+        let unknown = IntelSampleConfig {
+            corr: CorrelationModel::Unknown,
+            ..section4(Sampling::Search, 1)
+        };
+        let cfgs = [
+            rounds_of(0.05, 1),
+            section4(Sampling::Search, 1),
+            unknown,
+            rounds_of(0.02, 3),
+        ];
+        let pool = WorkerPool::with_threads(2);
+        for inner in [&Sequential as &dyn Executor, &pool] {
+            for cfg in &cfgs {
+                let run = |race: bool| {
+                    let store = CacheStore::new();
+                    let executor = Racing {
+                        inner,
+                        store: &store,
+                        table: &ds.table,
+                        raced: AtomicBool::new(!race),
+                    };
+                    let ctx = ExecContext::new(&executor).with_cache(&store);
+                    run_intel_sample(&ds, cfg, 7, &ctx).unwrap()
+                };
+                let (alone, raced) = (run(false), run(true));
+                let what = format!("{} {cfg:?}", inner.name());
+                let demand = |out: &RunOutcome| out.counts.evaluated + out.counts.reuse_hits;
+                assert_eq!(raced.returned, alone.returned, "{what}");
+                assert_eq!(raced.counts.retrieved, alone.counts.retrieved, "{what}");
+                assert_eq!(demand(&raced), demand(&alone), "{what}");
+                assert!(raced.counts.reuse_hits > alone.counts.reuse_hits, "{what}");
             }
         }
     }

@@ -14,28 +14,30 @@
 //!   session. What the groups already know is read once, when the ledger
 //!   opens ([`UdfInvoker::scan_groups`]): each 64-row word the groups
 //!   touch is loaded and settled once, into a plane of the decided rows
-//!   and one of those that passed, and the per-group tally `(decided,
-//!   passed)` is two ANDs and two popcounts per `(word, mask)` run
-//!   ([`GroupBy::counts`]). Each later draw, each search step and each
-//!   round's re-plan reads the ledger's counts; the draws and the rows an
-//!   execution evaluated are added to it as their answers land
-//!   ([`Ledger::add`]), so nothing re-reads the grouping to count.
+//!   and one of those that passed. That read is the query's only one of
+//!   its grouping. Each later draw, each search step, each round's
+//!   re-plan and each execution ([`crate::execute_plan`]) reads the
+//!   ledger; the draws and the rows an execution evaluated are added to
+//!   it as their answers land, so nothing re-reads the grouping. The
+//!   per-group tally `(decided, passed)` is two ANDs and two popcounts
+//!   per `(word, mask)` run of the ledger's planes ([`GroupBy::counts`]),
+//!   taken when a step first reads it after the planes changed.
 //!   [`Ledger::estimated_groups`] is the one place the optimizer's input
 //!   is built from counts.
 //!
-//!   A draw still reads the groups short of their targets at draw time
-//!   ([`UdfInvoker::scan_plane`]): each group draws its shortfall by rank
-//!   among its undecided bits, `sample_indices` picks ranks and prefix
-//!   popcounts map each rank to its row — the rows, order and draws of
-//!   indexing a list of the undecided rows, which is never built — into
-//!   one plane, evaluated as one batch ([`UdfInvoker::evaluate_plane`]).
+//!   A draw reads the ledger's decided plane: each group draws its
+//!   shortfall by rank among its undecided bits, `sample_indices` picks
+//!   ranks and prefix popcounts map each rank to its row — the rows,
+//!   order and draws of indexing a list of the undecided rows, which is
+//!   never built — into one plane, evaluated as one batch
+//!   ([`UdfInvoker::evaluate_plane`]).
 //!
-//!   With another query in flight, the ledger holds what its opening
-//!   scan saw plus what this query decided itself. A row the other query
-//!   decides mid-query is a free answer at execution and is never drawn,
-//!   but it is not evidence: no estimate of this query counts it. Whether
-//!   a query should steer by such rows at all is ROADMAP direction 31,
-//!   and this is where its answer lands.
+//!   **What a query steers by.** The ledger is all a query steers by:
+//!   what its opening read saw, plus what the query evaluated itself.
+//!   The live memo and session store are read only to answer a row the
+//!   query has already chosen to evaluate, so another query in flight
+//!   can change what this one pays — a row it landed is a free reuse —
+//!   but never what this one draws, plans or returns.
 //! * [`Sampling`] — how Intel-Sample sizes its first sample: a
 //!   [`SampleSizeRule`], or [`Sampling::Search`], §4.3's adaptive scheme
 //!   (`adaptive_num_search`): grow `num` step by step, and stop when the
@@ -56,6 +58,7 @@ use expred_stats::estimator::{beta_variance, SelectivityEstimate};
 use expred_stats::rng::Prng;
 use expred_table::{GroupBy, RowSet};
 use expred_udf::UdfInvoker;
+use std::cell::OnceCell;
 
 /// How many tuples to sample from each group.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,98 +103,95 @@ pub enum Sampling {
 /// holds an answer for, the plane of those of them that passed, and
 /// each group's `(decided, passed)` counts — `F_a` and `F⁺_a`, the
 /// evidence §4.1's estimates, §4.2's rounds and §4.3's search all plan
-/// on.
+/// on, and the decided rows execution returns or drops without a plan.
 ///
-/// [`Ledger::open`] is the one read of the grouping; from then on the
-/// ledger grows only by what the query evaluates itself:
-/// [`Ledger::sample`]'s draws, and the rows an execution evaluated,
-/// handed to [`Ledger::add`]. A row another query decides after the
-/// ledger opened is not evidence (the module docs).
+/// [`Ledger::open`] is the query's one read of the grouping; from then
+/// on the ledger grows only by what the query evaluates itself:
+/// [`Ledger::sample`]'s draws, and the rows [`crate::execute_plan`]
+/// evaluated. A row another query decides after the ledger opened is
+/// not in it, so it steers nothing (the module docs).
 pub struct Ledger<'q> {
-    groups: &'q GroupBy,
-    invoker: &'q UdfInvoker<'q>,
+    pub(crate) groups: &'q GroupBy,
+    pub(crate) invoker: &'q UdfInvoker<'q>,
     /// The rows behind the counts, and those of them that passed.
-    decided: RowSet,
-    passed: RowSet,
-    /// Per group, its `[decided, passed]` rows.
-    counts: Vec<[usize; 2]>,
+    pub(crate) decided: RowSet,
+    pub(crate) passed: RowSet,
+    /// Per group, its `[decided, passed]` rows, tallied from the planes
+    /// when first read after they changed: the rows a query's last
+    /// execution adds are never read, so they are never tallied.
+    counts: OnceCell<Vec<[usize; 2]>>,
 }
 
 impl<'q> Ledger<'q> {
     /// Opens the ledger of `groups`: what `invoker`'s query and session
-    /// have decided of its rows, read in one pass and tallied per run —
-    /// two ANDs and two popcounts per `(word, mask)` run, folded per
-    /// group ([`GroupBy::counts`], with the POPCNT instruction where the
-    /// CPU has it).
+    /// have decided of its rows, read in one pass.
     pub fn open(groups: &'q GroupBy, invoker: &'q UdfInvoker<'q>) -> Self {
         let (decided, passed) = invoker.scan_groups(groups);
-        let counts = groups.counts([&decided, &passed]);
         Self {
             groups,
             invoker,
             decided,
             passed,
-            counts,
+            counts: OnceCell::new(),
         }
+    }
+
+    /// Per group, its `[decided, passed]` rows: two ANDs and two
+    /// popcounts per `(word, mask)` run, folded per group
+    /// ([`GroupBy::counts`], with the POPCNT instruction where the CPU
+    /// has it), once per change of the planes.
+    fn counts(&self) -> &[[usize; 2]] {
+        self.counts
+            .get_or_init(|| self.groups.counts([&self.decided, &self.passed]))
     }
 
     /// Samples every group up to `rule`'s target, evaluating through the
     /// invoker under an execution context, and adds the draws: only a
     /// group's shortfall incurs retrieval + evaluation cost.
     ///
-    /// The groups short of their targets are read again, all at once:
-    /// one word-major read of the union of their runs
-    /// ([`UdfInvoker::scan_plane`]), which makes the store probes a
-    /// rescan of each short group made, and skips a row another query of
-    /// the session landed since the ledger opened. Each group, in group
-    /// order, draws its shortfall by rank among its undecided bits, `mask
-    /// & !decided` over its runs: `sample_indices` picks ranks, and
-    /// prefix popcounts map each rank to its row — the rows, order and
-    /// draws of indexing a list of the undecided rows, which is never
-    /// built. The draws land in one plane, evaluated as **one** executor
-    /// call ([`UdfInvoker::evaluate_plane`]): groups partition the rows,
-    /// so no draw can depend on another group's answers, and a wide
-    /// executor gets one deep batch instead of a barrier per group.
+    /// Each group, in group order, draws its shortfall by rank among the
+    /// rows the ledger has not decided, `mask & !decided` over its runs:
+    /// `sample_indices` picks ranks, and prefix popcounts map each rank
+    /// to its row — the rows, order and draws of indexing a list of the
+    /// undecided rows, which is never built. The draws land in one plane,
+    /// evaluated as **one** executor call ([`UdfInvoker::evaluate_plane`]):
+    /// groups partition the rows, so no draw can depend on another
+    /// group's answers, and a wide executor gets one deep batch instead
+    /// of a barrier per group. A drawn row another query of the session
+    /// landed since the ledger opened is answered from the store, a reuse
+    /// instead of an evaluation; the draw is the same.
     ///
     /// Row selection is drawn on the calling thread and every batched row
-    /// is fresh and distinct, so counts and charged costs are
+    /// is distinct and undecided, so counts and charged costs are
     /// byte-identical across backends for a fixed seed.
     pub fn sample(&mut self, rule: SampleSizeRule, rng: &mut Prng, ctx: &ExecContext<'_>) {
-        let (groups, invoker) = (self.groups, self.invoker);
-        // Each group's shortfall, and the rows of every short group.
         let need = self.shortfalls(rule);
-        let mut short: Option<RowSet> = None;
-        for (g, _) in need.iter().enumerate().filter(|&(_, &need)| need > 0) {
-            let short = short.get_or_insert_with(|| RowSet::new(invoker.table().num_rows()));
-            for (word, mask) in groups.runs(g) {
-                short.insert_word(word as usize, mask);
-            }
+        if need.iter().all(|&need| need == 0) {
+            return;
         }
-        let Some(short) = short else { return };
-        let (decided, _) = invoker.scan_plane(&short);
-        let mut batch = RowSet::new(invoker.table().num_rows());
+        let mut batch = RowSet::new(self.invoker.table().num_rows());
         let mut open = Vec::new();
         for (g, &need) in need.iter().enumerate().filter(|&(_, &need)| need > 0) {
             open.clear();
             open.extend(
-                groups
+                self.groups
                     .runs(g)
-                    .map(|(word, mask)| (word, mask & !decided.word(word as usize)))
+                    .map(|(word, mask)| (word, mask & !self.decided.word(word as usize)))
                     .filter(|&(_, mask)| mask != 0),
             );
             draw_by_rank(&open, need, rng, |row| batch.insert(row));
         }
-        invoker.charge_retrievals(batch.len() as u64);
-        let passed = invoker.evaluate_plane(ctx.executor, &batch);
+        self.invoker.charge_retrievals(batch.len() as u64);
+        let passed = self.invoker.evaluate_plane(ctx.executor, &batch);
         self.add(&batch, &passed);
     }
 
     /// Each group's shortfall against `rule`'s target: the rows
-    /// [`Ledger::sample`] draws from it, fewer only where another query
-    /// decided rows of the group since the ledger opened.
+    /// [`Ledger::sample`] draws from it. Never more than the group's
+    /// undecided rows, since the ledger counts every row it holds.
     fn shortfalls(&self, rule: SampleSizeRule) -> Vec<usize> {
         let n = self.groups.num_rows();
-        self.counts
+        self.counts()
             .iter()
             .enumerate()
             .map(|(g, &[decided, _])| {
@@ -202,16 +202,11 @@ impl<'q> Ledger<'q> {
     }
 
     /// Adds rows this query evaluated — `evaluated`, and those of them
-    /// that passed — to the ledger, each counted for the group that
-    /// holds it. A row counts once: the query never evaluates a row it
-    /// already holds an answer for.
-    pub fn add(&mut self, evaluated: &RowSet, passed: &RowSet) {
+    /// that passed — to the ledger. A row counts once: the query never
+    /// evaluates a row it already holds an answer for.
+    pub(crate) fn add(&mut self, evaluated: &RowSet, passed: &RowSet) {
         debug_assert_eq!(self.decided.intersection_len(evaluated), 0);
-        let added = self.groups.counts([evaluated, passed]);
-        for (counts, [decided, passed]) in self.counts.iter_mut().zip(added) {
-            counts[0] += decided;
-            counts[1] += passed;
-        }
+        self.counts.take();
         self.decided.union_with(evaluated);
         self.passed.union_with(passed);
     }
@@ -220,7 +215,7 @@ impl<'q> Ledger<'q> {
     /// posterior over them (§4.1).
     pub fn estimated_groups(&self) -> Vec<EstimatedGroup> {
         let estimated: Vec<EstimatedGroup> = self
-            .counts
+            .counts()
             .iter()
             .enumerate()
             .map(|(g, &[decided, passed])| {
@@ -468,35 +463,35 @@ pub(crate) mod tests {
     /// The group-at-a-time loop the ledger's draws replaced — one
     /// executor barrier per group — kept as the oracle they must match
     /// action for action. `tallies` carries each group's `(decided,
-    /// passed)` across rounds as the ledger does: a group is counted by
-    /// a scan of its rows on the first round, and later rounds add what
-    /// they drew to what it carries.
+    /// passed)` and its undecided rows across rounds as the ledger does:
+    /// a group is read by a scan of its rows on the first round only, and
+    /// later rounds draw among the rows it carries as undecided.
     fn sample_per_group(
         groups: &GroupBy,
         invoker: &UdfInvoker<'_>,
         rule: SampleSizeRule,
         rng: &mut Prng,
         ctx: &ExecContext<'_>,
-        tallies: &mut Vec<(usize, usize)>,
+        tallies: &mut Vec<(usize, usize, Vec<usize>)>,
     ) -> Vec<EstimatedGroup> {
         let n = groups.num_rows();
         for g in 0..groups.num_groups() {
-            let rows: Vec<u32> = groups.rows(g).collect();
             let target = rule.sample_size(groups.size(g), n);
-            let scan = || invoker.known_many(rows.iter().map(|&row| row as usize));
             if tallies.len() == g {
-                let known = scan();
-                let total = known.iter().flatten().count();
-                tallies.push((total, known.iter().filter(|&&k| k == Some(true)).count()));
-            }
-            let (total, pos) = &mut tallies[g];
-            if *total < target {
-                let fresh: Vec<usize> = rows
+                let rows: Vec<u32> = groups.rows(g).collect();
+                let known = invoker.known_many(rows.iter().map(|&row| row as usize));
+                let fresh = rows
                     .iter()
-                    .zip(scan())
+                    .zip(&known)
                     .filter(|(_, known)| known.is_none())
                     .map(|(&row, _)| row as usize)
                     .collect();
+                let total = known.iter().flatten().count();
+                let pos = known.iter().filter(|&&k| k == Some(true)).count();
+                tallies.push((total, pos, fresh));
+            }
+            let (total, pos, fresh) = &mut tallies[g];
+            if *total < target {
                 let batch: Vec<usize> = rng
                     .sample_indices(fresh.len(), target - *total)
                     .into_iter()
@@ -505,9 +500,11 @@ pub(crate) mod tests {
                 let answers = invoker.retrieve_and_evaluate_batch(ctx.executor, &batch);
                 *total += batch.len();
                 *pos += answers.iter().filter(|&&a| a).count();
+                fresh.retain(|row| !batch.contains(row));
             }
         }
-        estimated_from(groups, tallies)
+        let counts: Vec<(usize, usize)> = tallies.iter().map(|&(t, p, _)| (t, p)).collect();
+        estimated_from(groups, &counts)
     }
 
     /// Counts `evaluate_batch` calls on their way to [`Sequential`].
@@ -619,7 +616,7 @@ pub(crate) mod tests {
             // Two rounds (the adaptive search re-samples over its own
             // earlier rounds) over a session store an earlier query left
             // rows in, after this query evaluated some rows itself. Both
-            // sides count each group once and carry the count, so the
+            // sides read each group once and carry what they read, so the
             // store sees the same probes.
             let run = |batched: bool| {
                 let store = CacheStore::new();

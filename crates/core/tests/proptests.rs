@@ -10,6 +10,7 @@ use expred_core::optimize::{
 };
 use expred_core::plan::Plan;
 use expred_core::query::QuerySpec;
+use expred_core::sampling::Ledger;
 use expred_exec::ExecContext;
 use expred_stats::bounds::{precision_slack, recall_slack};
 use expred_stats::rng::Prng;
@@ -165,11 +166,12 @@ proptest! {
         let plan = Plan::new(vec![r], vec![e]);
         let mut rng = Prng::seeded(seed);
         let mut returned = RowSet::new(labels.len());
-        let (evaluated, _) =
-            execute_plan(&plan, &groups, &invoker, &mut rng, &ExecContext::sequential(), &mut returned)
-                .unwrap();
+        let mut ledger = Ledger::open(&groups, &invoker);
+        execute_plan(&plan, &mut ledger, None, &mut rng, &ExecContext::sequential(), &mut returned)
+            .unwrap();
         let counts = invoker.counts();
-        prop_assert_eq!(evaluated.len() as u64, counts.evaluated);
+        // The ledger opened cold: what it holds is what was evaluated.
+        prop_assert_eq!(ledger.estimated_groups()[0].sampled, counts.evaluated as f64);
         // Everything evaluated was retrieved first.
         prop_assert!(counts.evaluated <= counts.retrieved);
         // Returned rows that were evaluated must satisfy the predicate.
@@ -206,7 +208,8 @@ proptest! {
         let invoker = UdfInvoker::new(&udf, &table);
         let mut rng = Prng::seeded(1);
         let mut returned = RowSet::new(labels.len());
-        execute_plan(&Plan::evaluate_all(1), &groups, &invoker, &mut rng, &ExecContext::sequential(), &mut returned)
+        let mut ledger = Ledger::open(&groups, &invoker);
+        execute_plan(&Plan::evaluate_all(1), &mut ledger, None, &mut rng, &ExecContext::sequential(), &mut returned)
             .unwrap();
         let want: Vec<u32> = labels
             .iter()

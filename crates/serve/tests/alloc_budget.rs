@@ -97,27 +97,35 @@ const BUDGETS: [(&str, &str, u64, u64, u64); 8] = [
         28_405,
     ),
     // Re-pinned from (258, 43 320) when §4.3's search began to stop on
-    // a predicted saving: it takes fewer draw-and-solve steps.
+    // a predicted saving: it takes fewer draw-and-solve steps. The four
+    // §4 rows below were re-pinned down once more when a query began to
+    // read its grouping only when its ledger opens: execution takes the
+    // decided rows off the ledger instead of re-reading the grouping
+    // (three buffers, less the window plane it now executes), and §4.2's
+    // rounds execute a window plane of the grouping instead of a copied
+    // grouping per round. From (178,
+    // 35 574), (459, 86 667), (105, 28 099) and (363, 114 230); the
+    // parent measured 178, 449, 102 and 359 allocations.
     (
         "adaptive",
         r#"{"kind": "adaptive", "predictor": "grade"}"#,
         NEW_SEED,
-        178,
-        35_574,
+        177,
+        34_438,
     ),
     (
         "iterative",
         r#"{"kind": "iterative", "predictor": "grade"}"#,
         NEW_SEED,
-        459,
-        86_667,
+        374,
+        62_324,
     ),
     (
         "intel_sample",
         r#"{"kind": "intel_sample", "predictor": "grade"}"#,
         NEW_SEED,
-        105,
-        28_099,
+        101,
+        26_596,
     ),
     // Ranking partitions no candidate; the measured request derives the
     // partition of its own winner, which the warming request's was not.
@@ -125,8 +133,8 @@ const BUDGETS: [(&str, &str, u64, u64, u64); 8] = [
         "intel_sample auto",
         r#"{"kind": "intel_sample"}"#,
         NEW_SEED,
-        363,
-        114_230,
+        358,
+        112_703,
     ),
     (
         "expr",

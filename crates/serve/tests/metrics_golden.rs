@@ -13,7 +13,12 @@
 //! and `flushed` fell by the one counter record its scenario used to
 //! write (321 → 320); when the durable index began to let pages leave
 //! RAM, the persistence section gained `resident_pages` (1: the one page
-//! no snapshot holds yet). A third test
+//! no snapshot holds yet). Both goldens' store misses fell 640 → 480
+//! per tenant when Intel-Sample's execution began to take its decided
+//! rows off the query's ledger instead of reading the grouping again:
+//! each of the two `intel_sample` requests no longer probes the store
+//! for the 80 rows the naive request left undecided; hits and insertions
+//! did not move. A third test
 //! holds the two exports to one set of sections and counters, so they
 //! cannot drift apart again.
 //!

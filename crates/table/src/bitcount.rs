@@ -1,7 +1,7 @@
 //! The bit-count kernels of the read path: whole-plane counts
 //! ([`crate::RowSet::len`], [`crate::RowSet::intersection_len`]), the
 //! per-group counts of planes over a grouping ([`GroupBy::counts`]) and
-//! the rank cut of a group's runs ([`GroupBy::slice`]).
+//! the rank cut of a group's runs ([`GroupBy::window`]).
 //!
 //! Each is defined through [`expred_stats::bit_kernels`], so it exists
 //! twice: the copy named here, which runs with the POPCNT instruction on

@@ -723,20 +723,25 @@ impl GroupBy {
     }
 
     /// The rows of each group `g` whose rank among the group's rows — its
-    /// position in [`Self::rows`]`(g)` — lies in `ranks[g]`, as a grouping
-    /// labelled `column`: what Intel-Sample's §4.2 rounds execute of
-    /// each group in one round. A group whose range holds none of its rows is
-    /// left out; the others keep their keys and order. Read off the runs:
-    /// the prefix popcounts find the runs a range starts and ends in
-    /// ([`bitcount::rank_cut`]), those two are split, and the runs
-    /// between them are copied whole.
+    /// position in [`Self::rows`]`(g)` — lies in `ranks[g]`, as one plane
+    /// over the grouped rows: what Intel-Sample's §4.2 rounds execute of
+    /// the grouping in one round. Ranges that cover every group are the
+    /// [`Self::row_plane`]; others are read off the runs: the prefix
+    /// popcounts find the runs a range starts and ends in
+    /// ([`bitcount::rank_cut`]), those two are cut, and the runs between
+    /// them are ORed in whole.
     ///
     /// # Panics
     ///
     /// If there is not one range per group.
-    pub fn slice(&self, column: String, ranks: &[std::ops::Range<usize>]) -> Self {
+    pub fn window(&self, ranks: &[std::ops::Range<usize>]) -> RowSet {
         assert_eq!(ranks.len(), self.num_groups(), "one rank range per group");
-        let mut slice = Self::empty(column);
+        let whole =
+            |(ranks, &size): (&std::ops::Range<usize>, _)| ranks.start == 0 && ranks.end >= size;
+        if ranks.iter().zip(&self.sizes).all(whole) {
+            return self.row_plane();
+        }
+        let mut window = RowSet::new(self.extent);
         for (g, ranks) in ranks.iter().enumerate() {
             let ranks = ranks.start..ranks.end.min(self.size(g));
             if ranks.is_empty() {
@@ -746,22 +751,17 @@ impl GroupBy {
             let (words, masks) = (&self.run_words[runs.clone()], &self.run_masks[runs]);
             let [(first, lo_before), (last, hi_before)] =
                 bitcount::rank_cut(masks, ranks.start, ranks.end);
-            slice.run_words.push(words[first]);
-            slice.run_masks.push(ranked_bits(
-                masks[first],
-                ranks.start - lo_before,
-                ranks.end - lo_before,
-            ));
+            let mut take = |run: usize, mask| window.insert_word(words[run] as usize, mask);
+            take(
+                first,
+                ranked_bits(masks[first], ranks.start - lo_before, ranks.end - lo_before),
+            );
             if first < last {
-                slice.run_words.extend_from_slice(&words[first + 1..=last]);
-                slice.run_masks.extend_from_slice(&masks[first + 1..last]);
-                slice
-                    .run_masks
-                    .push(ranked_bits(masks[last], 0, ranks.end - hi_before));
+                (first + 1..last).for_each(|run| take(run, masks[run]));
+                take(last, ranked_bits(masks[last], 0, ranks.end - hi_before));
             }
-            slice.push_group(self.keys[g].clone(), ranks.len());
         }
-        slice
+        window
     }
 
     /// The grouping column's name (or the virtual column's label).
@@ -807,8 +807,8 @@ impl GroupBy {
     /// The rows of every group as one plane, sized to the largest row id
     /// held. A grouping of every row of a table — any grouping built by
     /// [`Table::group_by`] — is the full plane, filled without a pass
-    /// over the runs; a grouping of fewer rows (a slice of each group, as
-    /// Intel-Sample's §4.2 rounds execute) ORs its runs together.
+    /// over the runs; a grouping of fewer rows ([`GroupBy::new`] over
+    /// row lists that leave some out) ORs its runs together.
     pub fn row_plane(&self) -> RowSet {
         // Groups hold distinct rows below the extent: as many as the
         // extent is all.
@@ -960,27 +960,19 @@ mod tests {
         // its runs are full words but for the bits of group 1.
         let assignments: Vec<usize> = (0..200).map(|row| usize::from(row % 3 == 0)).collect();
         let g = GroupBy::from_assignments("virt", &assignments);
-        let rows = |g: &GroupBy, group| g.rows(group).collect::<Vec<_>>();
+        let rows = |group| g.rows(group).collect::<Vec<_>>();
         // Ranks 40..90 of group 0 straddle words 0..=2; group 1 keeps one
         // row; a range past a group's end is cut to it.
-        let slice = g.slice("cut".into(), &[40..90, 66..70]);
-        assert_eq!(slice.column(), "cut");
-        assert_eq!(slice.keys(), [Value::Int(0), Value::Int(1)]);
-        assert_eq!(rows(&slice, 0), rows(&g, 0)[40..90]);
-        assert_eq!(rows(&slice, 1), [198]);
-        assert_eq!((slice.sizes(), slice.num_rows()), (vec![50, 1], 51));
+        let window = g.window(&[40..90, 66..70]);
         assert_eq!(
-            slice.row_plane().to_vec(),
-            [rows(&g, 0)[40..90].to_vec(), vec![198]].concat()
+            window.to_vec(),
+            [rows(0)[40..90].to_vec(), vec![198]].concat()
         );
-        // An empty range drops its group, keys and all.
-        let slice = g.slice("one".into(), &[3..3, 0..2]);
-        assert_eq!(slice.keys(), [Value::Int(1)]);
-        assert_eq!(rows(&slice, 0), [0, 3]);
-        assert_eq!(slice.row_plane().words().len(), 1);
-        // Every rank is the grouping itself, under its new label.
-        let whole = g.slice("virt".into(), &[0..200, 0..200]);
-        assert_eq!(whole, g);
+        assert_eq!(window.words().len(), 4);
+        // An empty range takes none of its group.
+        assert_eq!(g.window(&[3..3, 0..2]).to_vec(), [0, 3]);
+        // Every rank is every row.
+        assert_eq!(g.window(&[0..200, 0..200]), g.row_plane());
     }
 
     #[test]

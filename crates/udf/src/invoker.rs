@@ -27,16 +27,17 @@
 //! visit's misses — toward the store's statistics; the reuse charge and the statistics land once per call.
 //!
 //! A warm query reads each word once. Its multi-row reads are planes:
-//! the pipelines ask "which rows of these groups are already decided,
-//! and which passed?" through [`UdfInvoker::scan_groups`], which reads
-//! the union of every group's rows ([`GroupBy::row_plane`]) word by word
-//! — one visit per word however many groups share it, every row of the
-//! word answered at once: hits are `store.known & !memo.known & rows`,
-//! misses a popcount — and hands back a decided plane and a passed plane
-//! that a group's `(word, mask)` runs ([`GroupBy::runs`]) AND against to
-//! tally with popcounts or OR into an answer; [`UdfInvoker::scan_plane`]
-//! makes the same read of any plane (the rows of the groups a sampling
-//! round is short in, a whole table). Every batch is a plane too: a
+//! a pipeline asks "which rows of these groups are already decided, and
+//! which passed?" once per grouping, when its evidence ledger opens,
+//! through [`UdfInvoker::scan_groups`], which reads the union of every
+//! group's rows ([`GroupBy::row_plane`]) word by word — one visit per
+//! word however many groups share it, every row of the word answered at
+//! once: hits are `store.known & !memo.known & rows`, misses a popcount —
+//! and hands back a decided plane and a passed plane that a group's
+//! `(word, mask)` runs ([`GroupBy::runs`]) AND against to tally with
+//! popcounts or OR into an answer; [`UdfInvoker::scan_plane`] makes the
+//! same read of any plane (a whole table, as predictor ranking reads
+//! it). Every batch is a plane too: a
 //! sampling round's draws, a plan's queued rows, a ranking sample and an
 //! expression leaf's rows in play go to [`UdfInvoker::evaluate_plane`],
 //! which makes the same read and sends only the undecided rows to the

@@ -411,7 +411,8 @@ proptest! {
     ) {
         // Groupings: bucket ids `stride` apart (empty buckets between
         // them), a nullable column's groups (NULL first), and a slice of
-        // each, as the iterative pipeline's rounds cut them.
+        // each, cut by rank as the iterative pipeline's rounds cut their
+        // windows.
         let ids: Vec<usize> = (0..rows).map(|row| (row * 7 + row / 13) % k * stride).collect();
         let virt = GroupBy::from_assignments("virt", &ids);
         let schema = Schema::new(vec![
@@ -434,16 +435,13 @@ proptest! {
         let mut groupings = vec![virt, nullable];
         for whole in groupings.clone() {
             let cut = vec![lo..lo + len; whole.num_groups()];
-            let slice = whole.slice("slice".into(), &cut);
-            // The slice is the row-list slice of every group it keeps.
-            let mut kept = (0..whole.num_groups()).filter(|&g| lo < (lo + len).min(whole.size(g)));
-            for g in 0..slice.num_groups() {
-                let from = kept.next().expect("a slice group is a kept group");
-                let want: Vec<u32> = whole.rows(from).skip(lo).take(len).collect();
-                prop_assert_eq!(slice.rows(g).collect::<Vec<_>>(), want);
-                prop_assert_eq!(slice.key(g), whole.key(from));
-            }
-            prop_assert!(kept.next().is_none());
+            // The window is the row-list slice of every group.
+            let sliced: Vec<Vec<u32>> = (0..whole.num_groups())
+                .map(|g| whole.rows(g).skip(lo).take(len).collect())
+                .collect();
+            let mut want = sliced.concat();
+            want.sort_unstable();
+            prop_assert_eq!(whole.window(&cut).to_vec(), want);
             // The rank cut against the prefix walk it replaced, for a
             // range starting at every rank of every group.
             for g in 0..whole.num_groups() {
@@ -463,7 +461,13 @@ proptest! {
                     prop_assert_eq!(bitcount::portable::rank_cut(&masks, lo, hi), want);
                 }
             }
-            groupings.push(slice);
+            // The groups it keeps, as a grouping of fewer rows than the
+            // table.
+            let kept: Vec<usize> = (0..whole.num_groups()).filter(|&g| !sliced[g].is_empty()).collect();
+            let keys = kept.iter().map(|&g| whole.key(g).clone()).collect();
+            let rows = kept.iter().map(|&g| sliced[g].clone()).collect();
+            let total = kept.iter().map(|&g| sliced[g].len()).sum();
+            groupings.push(GroupBy::new("slice".into(), keys, rows, total));
         }
 
         // Planes over the table, or shorter, ending in a partial word.

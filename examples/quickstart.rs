@@ -81,7 +81,7 @@ fn main() {
         );
     }
     let mut returned = RowSet::new(table.num_rows());
-    execute_plan(&plan, &groups, &invoker, &mut rng, &ctx, &mut returned)
+    execute_plan(&plan, &mut ledger, None, &mut rng, &ctx, &mut returned)
         .expect("one plan group per group");
 
     // Report: achieved accuracy and cost vs the evaluate-everything bound.
