@@ -63,7 +63,8 @@ fn execute(
 ) -> RowSet {
     let mut answer = RowSet::new(invoker.table().num_rows());
     let mut ledger = Ledger::open(groups, invoker);
-    execute_plan(plan, &mut ledger, None, rng, ctx, &mut answer).expect("one plan group per group");
+    execute_plan(plan, &mut ledger, groups.row_plane(), rng, ctx, &mut answer)
+        .expect("one plan group per group");
     answer
 }
 

@@ -20,11 +20,11 @@
 //! the plane of those that passed, read when the ledger opened and grown
 //! by every row the query evaluated since, so execution reads no
 //! grouping. The passing rows join the answer — a [`RowSet`] plane over
-//! the table — with one OR per word. The groups then take their `(word,
+//! the table — with one OR per word, and the decided rows leave the
+//! window with one AND-NOT per word. The groups then take their `(word,
 //! mask)` runs ([`GroupBy::runs`]) in group order, and only the bits of a
-//! run that are in the window and undecided, `mask & window & !decided`,
-//! are visited singly, in ascending order, to draw their
-//! retrieve/evaluate decisions. The rows to evaluate gather in one more
+//! run left in the window, `mask & window`, are visited singly, in
+//! ascending order, to draw their retrieve/evaluate decisions. The rows to evaluate gather in one more
 //! plane, which [`UdfInvoker::evaluate_plane`] evaluates and answers as a
 //! plane of those that passed; both join the ledger. That is the one
 //! read of the live memo and session store, and only for rows the plan
@@ -33,6 +33,7 @@
 //! answer is never sorted: groups partition the rows, every path sets
 //! bits, and the ascending id list is the plane read out once.
 //!
+//! [`GroupBy::runs`]: expred_table::GroupBy::runs
 //! [`UdfInvoker::evaluate_plane`]: expred_udf::UdfInvoker::evaluate_plane
 
 use crate::error::EngineError;
@@ -41,43 +42,47 @@ use crate::sampling::Ledger;
 use expred_exec::ExecContext;
 use expred_stats::rng::Prng;
 use expred_table::rowset::bits;
-use expred_table::{Column, GroupBy, RowSet, Table};
+use expred_table::{Column, RowSet, Table};
 
-/// Executes `plan` over the rows of `ledger`'s grouping — only those in
-/// `window` when one is given, a plane over the table (a §4.2 round's
-/// rank window, [`expred_table::GroupBy::window`]) — under an execution
-/// context, adding its answer rows to `answer`, a plane over the table.
-/// Every row the ledger holds as passed joins the answer for free, in the
-/// window or not, and every row it holds as failed is dropped: the rows
-/// sampling, earlier rounds or earlier queries of the session decided
-/// (§4.2). All retrievals and evaluations are charged to the ledger's
-/// invoker, and the rows evaluated join the ledger, so a later round
-/// re-plans on them.
+/// Executes `plan` over the rows of `ledger`'s grouping in `window`, a
+/// plane over the table — a §4.2 round's rank window
+/// ([`GroupBy::window`]) or every row ([`GroupBy::row_plane`]) — under
+/// an execution context, adding its answer rows to `answer`, a plane
+/// over the table. Every row the ledger holds as passed joins the answer
+/// for free, in the window or not, and every row it holds as failed is
+/// dropped: the rows sampling, earlier rounds or earlier queries of the
+/// session decided (§4.2). All retrievals and evaluations are charged to
+/// the ledger's invoker, and the rows evaluated join the ledger, so a
+/// later round re-plans on them.
 ///
-/// Each group walks its `(word, mask)` runs in group order and draws for
-/// its undecided rows in the window, `mask & window & !decided`, in bit
-/// order — ascending row order, the order the group's row list has, so
-/// the random stream is the one a row-at-a-time walk draws. The random
-/// decisions (retrieve? evaluate?) are thus drawn on the calling thread,
-/// into a plane of the rows to evaluate, and only then do those rows go
-/// to `ctx.executor`, as one batch in ascending row order; their answers
-/// reach the store and the spill sink as the pages they fill. How that
-/// batch is chunked and overlapped is the executor's decision alone, and
-/// answers and bills do not depend on its order. The result is therefore
+/// The window loses the decided rows first, one AND-NOT per word, so
+/// each group walks its `(word, mask)` runs in group order and draws for
+/// the open rows of each, `mask & window`, in bit order — ascending row
+/// order, the order the group's row list has, so the random stream is
+/// the one a row-at-a-time walk draws. The random decisions (retrieve?
+/// evaluate?) are thus drawn on the calling thread, into a plane of the
+/// rows to evaluate, and only then do those rows go to `ctx.executor`,
+/// as one batch in ascending row order; their answers reach the store
+/// and the spill sink as the pages they fill. How that batch is chunked
+/// and overlapped is the executor's decision alone, and answers and
+/// bills do not depend on its order. The result is therefore
 /// byte-identical across backends for a fixed seed; only wall-clock time
 /// changes.
 ///
 /// Errors with [`EngineError::InvalidRequest`] if the plan and the
 /// grouping disagree on the number of groups.
+///
+/// [`GroupBy::window`]: expred_table::GroupBy::window
+/// [`GroupBy::row_plane`]: expred_table::GroupBy::row_plane
 pub fn execute_plan(
     plan: &Plan,
     ledger: &mut Ledger<'_>,
-    window: Option<&RowSet>,
+    mut window: RowSet,
     rng: &mut Prng,
     ctx: &ExecContext<'_>,
     answer: &mut RowSet,
 ) -> Result<(), EngineError> {
-    let (groups, invoker) = (ledger.groups, ledger.invoker);
+    let (groups, invoker) = (ledger.groups(), ledger.invoker());
     if plan.num_groups() != groups.num_groups() {
         return Err(EngineError::InvalidRequest {
             reason: format!(
@@ -88,46 +93,10 @@ pub fn execute_plan(
         });
     }
     // Decided rows need no plan: the passing ones join the answer whole.
-    answer.union_with(&ledger.passed);
+    answer.union_with(ledger.passed());
+    window.difference_with(ledger.decided());
     let mut queued = RowSet::new(invoker.table().num_rows());
-    let decided = &ledger.decided;
-    // One walk per case, so a walk of every row reads no window.
-    let retrieved = match window {
-        None => {
-            let open = |word| !decided.word(word);
-            draw(plan, groups, open, rng, &mut queued, answer)
-        }
-        Some(window) => {
-            let open = |word| window.word(word) & !decided.word(word);
-            draw(plan, groups, open, rng, &mut queued, answer)
-        }
-    };
-    invoker.charge_retrievals(retrieved);
-    // Every queued row is undecided and distinct (groups partition
-    // rows), so the audited plane charges at most one evaluation per row
-    // — the same bill the serial loop paid — and a row the store already
-    // holds, one reuse. Through the invoker, never the raw probe: the
-    // invoker is what memoizes the answers and charges the tracker.
-    let passed = invoker.evaluate_plane(ctx.executor, &queued);
-    answer.union_with(&passed);
-    ledger.add(&queued, &passed);
-    Ok(())
-}
-
-/// Draws the plan's decisions for the rows `open(word)` leaves set in
-/// each run `(word, mask)` of `groups`, group by group, in bit order:
-/// each is retrieved with probability `R_a`, and a retrieved one is
-/// queued for evaluation with probability `E_a / R_a`, or else joins
-/// `answer` unevaluated. Returns how many rows were retrieved.
-fn draw(
-    plan: &Plan,
-    groups: &GroupBy,
-    open: impl Fn(usize) -> u64,
-    rng: &mut Prng,
-    queued: &mut RowSet,
-    answer: &mut RowSet,
-) -> u64 {
-    let mut retrieved = 0;
+    let mut retrieved = 0u64;
     for g in 0..groups.num_groups() {
         let r = plan.r()[g];
         let e = plan.e()[g];
@@ -137,7 +106,7 @@ fn draw(
         }
         for (word, mask) in groups.runs(g) {
             let word = word as usize;
-            for bit in bits(mask & open(word)) {
+            for bit in bits(mask & window.word(word)) {
                 if !rng.bernoulli(r) {
                     continue;
                 }
@@ -150,7 +119,16 @@ fn draw(
             }
         }
     }
-    retrieved
+    invoker.charge_retrievals(retrieved);
+    // Every queued row is undecided and distinct (groups partition
+    // rows), so the audited plane charges at most one evaluation per row
+    // — the same bill the serial loop paid — and a row the store already
+    // holds, one reuse. Through the invoker, never the raw probe: the
+    // invoker is what memoizes the answers and charges the tracker.
+    let passed = invoker.evaluate_plane(ctx.executor, &queued);
+    answer.union_with(&passed);
+    ledger.add(&queued, &passed);
+    Ok(())
 }
 
 /// The label column's ground truth as one `bool` per row, for harness
@@ -176,7 +154,7 @@ pub fn truth_vector(table: &Table, label_column: &str) -> Vec<bool> {
 mod tests {
     use super::*;
     use expred_exec::{BatchProbe, CacheStore, Executor, Sequential};
-    use expred_table::{DataType, Field, Schema, Table, Value};
+    use expred_table::{DataType, Field, GroupBy, Schema, Table, Value};
     use expred_udf::{CostModel, OracleUdf, UdfInvoker};
     use proptest::prelude::*;
     use std::sync::Mutex;
@@ -191,13 +169,13 @@ mod tests {
     fn execute(
         plan: &Plan,
         groups: &GroupBy,
-        window: Option<&RowSet>,
+        window: RowSet,
         invoker: &UdfInvoker<'_>,
         rng: &mut Prng,
         ctx: &ExecContext<'_>,
     ) -> Result<Lists, EngineError> {
         let mut ledger = Ledger::open(groups, invoker);
-        let (decided, passed) = (ledger.decided.clone(), ledger.passed.clone());
+        let (decided, passed) = (ledger.decided().clone(), ledger.passed().clone());
         let mut answer = RowSet::new(invoker.table().num_rows());
         execute_plan(plan, &mut ledger, window, rng, ctx, &mut answer)?;
         let added = |now: &RowSet, before: &RowSet| {
@@ -207,8 +185,8 @@ mod tests {
         };
         Ok((
             answer.to_vec(),
-            added(&ledger.decided, &decided),
-            added(&ledger.passed, &passed),
+            added(ledger.decided(), &decided),
+            added(ledger.passed(), &passed),
         ))
     }
 
@@ -296,7 +274,7 @@ mod tests {
         let plan = Plan::new(vec![1.0, 1.0, 0.0], vec![0.0, 1.0, 0.0]);
         let mut rng = Prng::seeded(1);
         let (returned, evaluated, passed) =
-            execute(&plan, &groups, None, &invoker, &mut rng, &ctx).unwrap();
+            execute(&plan, &groups, groups.row_plane(), &invoker, &mut rng, &ctx).unwrap();
         // Group 0 returned unevaluated (rows 0,1); group 1 evaluated, only
         // row 2 passes; group 2 dropped.
         assert_eq!(returned, vec![0, 1, 2]);
@@ -323,7 +301,7 @@ mod tests {
         let plan = Plan::discard_all(1);
         let mut rng = Prng::seeded(2);
         let (returned, evaluated, _) =
-            execute(&plan, &groups, None, &invoker, &mut rng, &ctx).unwrap();
+            execute(&plan, &groups, groups.row_plane(), &invoker, &mut rng, &ctx).unwrap();
         assert_eq!(returned, vec![0]);
         assert!(evaluated.is_empty(), "a reused row is no new evidence");
         assert_eq!(invoker.counts(), before, "no new cost for reuse");
@@ -341,7 +319,8 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::new(vec![0.6], vec![0.3]);
         let mut rng = Prng::seeded(3);
-        let (_, evaluated, _) = execute(&plan, &groups, None, &invoker, &mut rng, &ctx).unwrap();
+        let (_, evaluated, _) =
+            execute(&plan, &groups, groups.row_plane(), &invoker, &mut rng, &ctx).unwrap();
         let counts = invoker.counts();
         assert_eq!(evaluated.len() as u64, counts.evaluated);
         let retrieved_rate = counts.retrieved as f64 / n as f64;
@@ -363,7 +342,7 @@ mod tests {
         let plan = Plan::evaluate_all(1);
         let mut rng = Prng::seeded(4);
         let (returned, _, passed) =
-            execute(&plan, &groups, None, &invoker, &mut rng, &ctx).unwrap();
+            execute(&plan, &groups, groups.row_plane(), &invoker, &mut rng, &ctx).unwrap();
         let truth = truth_vector(&table, "label");
         assert!(returned.iter().all(|&r| truth[r as usize]));
         assert_eq!(returned.len(), n / 4);
@@ -395,7 +374,8 @@ mod tests {
         let run = |ctx: ExecContext<'_>| {
             let invoker = UdfInvoker::new(&udf, &table);
             let mut rng = Prng::seeded(17);
-            let result = execute(&plan, &groups, None, &invoker, &mut rng, &ctx).unwrap();
+            let result =
+                execute(&plan, &groups, groups.row_plane(), &invoker, &mut rng, &ctx).unwrap();
             (result, invoker.counts())
         };
         let recorder = Recorder::default();
@@ -452,7 +432,7 @@ mod tests {
             let take: Vec<usize> =
                 (0..k).map(|g| groups.size(g).div_ceil(keep_one_in)).collect();
             let ranks: Vec<_> = take.iter().map(|&take| 0..take).collect();
-            let window = (keep_one_in > 1).then(|| groups.window(&ranks));
+            let window = groups.window(&ranks);
             // Rates on a grid that includes the deterministic ends.
             let r: Vec<f64> = rates[..k].iter().map(|&(r, _)| f64::from(r) / 4.0).collect();
             let e: Vec<f64> =
@@ -473,7 +453,7 @@ mod tests {
                 }
                 let mut rng = Prng::seeded(seed);
                 let result = if planes {
-                    execute(&plan, &groups, window.as_ref(), &invoker, &mut rng, &ctx).unwrap()
+                    execute(&plan, &groups, window.clone(), &invoker, &mut rng, &ctx).unwrap()
                 } else {
                     execute_plan_push_and_sort(&plan, &groups, &take, &invoker, &mut rng, &ctx)
                 };
@@ -511,7 +491,7 @@ mod tests {
         let groups = table.group_by("g").unwrap();
         let plan = Plan::discard_all(2);
         let mut rng = Prng::seeded(5);
-        let err = execute(&plan, &groups, None, &invoker, &mut rng, &ctx)
+        let err = execute(&plan, &groups, groups.row_plane(), &invoker, &mut rng, &ctx)
             .expect_err("two plan groups cannot execute one group");
         assert!(
             matches!(&err, EngineError::InvalidRequest { reason } if reason.contains("2 groups")),

@@ -354,14 +354,7 @@ pub fn run_intel_sample(
                 break;
             }
             let window = groups.window(&windows);
-            execute_plan(
-                &plan,
-                &mut ledger,
-                Some(&window),
-                &mut f.rng,
-                ctx,
-                &mut returned,
-            )?;
+            execute_plan(&plan, &mut ledger, window, &mut f.rng, ctx, &mut returned)?;
         }
         Ok(Answer {
             returned,
@@ -405,7 +398,14 @@ pub fn run_optimal(
         );
         let mut returned = f.empty_answer();
         let mut ledger = Ledger::open(&groups, &f.invoker);
-        execute_plan(&plan, &mut ledger, None, &mut f.rng, ctx, &mut returned)?;
+        execute_plan(
+            &plan,
+            &mut ledger,
+            groups.row_plane(),
+            &mut f.rng,
+            ctx,
+            &mut returned,
+        )?;
         Ok(Answer {
             returned,
             num_groups: groups.num_groups(),
@@ -552,7 +552,14 @@ mod tests {
             let (plan, plan_feasible) =
                 solve_or_evaluate_all(solve_estimated(&est_groups, &cfg.spec, cfg.corr), k);
             let mut returned = f.empty_answer();
-            execute_plan(&plan, &mut ledger, None, &mut f.rng, ctx, &mut returned)?;
+            execute_plan(
+                &plan,
+                &mut ledger,
+                groups.row_plane(),
+                &mut f.rng,
+                ctx,
+                &mut returned,
+            )?;
             Ok(Answer {
                 returned,
                 num_groups: k,

@@ -111,11 +111,11 @@ pub enum Sampling {
 /// evaluated. A row another query decides after the ledger opened is
 /// not in it, so it steers nothing (the module docs).
 pub struct Ledger<'q> {
-    pub(crate) groups: &'q GroupBy,
-    pub(crate) invoker: &'q UdfInvoker<'q>,
+    groups: &'q GroupBy,
+    invoker: &'q UdfInvoker<'q>,
     /// The rows behind the counts, and those of them that passed.
-    pub(crate) decided: RowSet,
-    pub(crate) passed: RowSet,
+    decided: RowSet,
+    passed: RowSet,
     /// Per group, its `[decided, passed]` rows, tallied from the planes
     /// when first read after they changed: the rows a query's last
     /// execution adds are never read, so they are never tallied.
@@ -134,6 +134,26 @@ impl<'q> Ledger<'q> {
             passed,
             counts: OnceCell::new(),
         }
+    }
+
+    /// The grouping the ledger was opened over.
+    pub(crate) fn groups(&self) -> &'q GroupBy {
+        self.groups
+    }
+
+    /// The invoker the query evaluates through and is charged to.
+    pub(crate) fn invoker(&self) -> &'q UdfInvoker<'q> {
+        self.invoker
+    }
+
+    /// The rows the ledger holds an answer for, a plane over the table.
+    pub(crate) fn decided(&self) -> &RowSet {
+        &self.decided
+    }
+
+    /// The decided rows that passed.
+    pub(crate) fn passed(&self) -> &RowSet {
+        &self.passed
     }
 
     /// Per group, its `[decided, passed]` rows: two ANDs and two

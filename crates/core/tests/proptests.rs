@@ -167,7 +167,7 @@ proptest! {
         let mut rng = Prng::seeded(seed);
         let mut returned = RowSet::new(labels.len());
         let mut ledger = Ledger::open(&groups, &invoker);
-        execute_plan(&plan, &mut ledger, None, &mut rng, &ExecContext::sequential(), &mut returned)
+        execute_plan(&plan, &mut ledger, groups.row_plane(), &mut rng, &ExecContext::sequential(), &mut returned)
             .unwrap();
         let counts = invoker.counts();
         // The ledger opened cold: what it holds is what was evaluated.
@@ -209,7 +209,7 @@ proptest! {
         let mut rng = Prng::seeded(1);
         let mut returned = RowSet::new(labels.len());
         let mut ledger = Ledger::open(&groups, &invoker);
-        execute_plan(&Plan::evaluate_all(1), &mut ledger, None, &mut rng, &ExecContext::sequential(), &mut returned)
+        execute_plan(&Plan::evaluate_all(1), &mut ledger, groups.row_plane(), &mut rng, &ExecContext::sequential(), &mut returned)
             .unwrap();
         let want: Vec<u32> = labels
             .iter()

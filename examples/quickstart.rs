@@ -81,8 +81,15 @@ fn main() {
         );
     }
     let mut returned = RowSet::new(table.num_rows());
-    execute_plan(&plan, &mut ledger, None, &mut rng, &ctx, &mut returned)
-        .expect("one plan group per group");
+    execute_plan(
+        &plan,
+        &mut ledger,
+        groups.row_plane(),
+        &mut rng,
+        &ctx,
+        &mut returned,
+    )
+    .expect("one plan group per group");
 
     // Report: achieved accuracy and cost vs the evaluate-everything bound.
     let truth = truth_vector(&table, "good_credit");
